@@ -5,23 +5,14 @@
 //! the `n·log(k)` merge-phase comparison count the paper's §II analysis
 //! assumes.
 
-/// A tournament (loser) tree over `k` input cursors.
+/// A tournament (loser) tree over `k` input cursors, compared by a plain
+/// `less` — [`OvcLoserTree`] with the codes left unused.
 ///
-/// Internal node `x` stores the *loser* of the match played at `x`; the
-/// overall winner is kept in a dedicated field. After the winner's head
-/// element is consumed, [`LoserTree::replay`] walks only the winner's root
-/// path: ⌈log₂ k⌉ matches. Inputs are padded to a power of two with
-/// virtual always-exhausted leaves; exhausted inputs lose every match, and
-/// ties break toward the lower input index so merges are stable.
-pub struct LoserTree {
-    /// `tree[1..cap]`: losers of each internal match. Leaf for input `i`
-    /// is virtual node `cap + i`. Slot 0 is unused.
-    tree: Vec<usize>,
-    /// The input that won the whole tournament (smallest current head).
-    winner: usize,
-    cap: usize,
-    k: usize,
-}
+/// After the winner's head element is consumed, [`LoserTree::replay`]
+/// walks only the winner's root path: ⌈log₂ k⌉ matches. Exhausted inputs
+/// lose every match, and ties break toward the lower input index so
+/// merges are stable.
+pub struct LoserTree(OvcLoserTree);
 
 impl LoserTree {
     /// Build the tree with a full bottom-up tournament.
@@ -29,41 +20,22 @@ impl LoserTree {
     /// `is_exhausted(i)` reports whether input `i < k` is empty;
     /// `leaf_less(a, b)` compares the current heads of two non-exhausted
     /// inputs.
-    pub fn new<E, L>(k: usize, mut is_exhausted: E, mut leaf_less: L) -> LoserTree
+    pub fn new<E, L>(k: usize, is_exhausted: E, mut leaf_less: L) -> LoserTree
     where
         E: FnMut(usize) -> bool,
         L: FnMut(usize, usize) -> bool,
     {
-        assert!(k > 0, "loser tree needs at least one input");
-        let cap = k.next_power_of_two();
-        let mut round = vec![0usize; 2 * cap];
-        for i in 0..cap {
-            round[cap + i] = i;
-        }
-        let mut tree = vec![0usize; cap];
-        let mut beats = |a: usize, b: usize| -> bool {
-            Self::beats_impl(a, b, k, &mut is_exhausted, &mut leaf_less)
-        };
-        for node in (1..cap).rev() {
-            let (a, b) = (round[2 * node], round[2 * node + 1]);
-            let (w, l) = if beats(a, b) { (a, b) } else { (b, a) };
-            round[node] = w;
-            tree[node] = l;
-        }
-        // The root match's winner is the champion; with a single input
-        // (cap == 1) no match was played and input 0 wins by default.
-        let winner = round.get(1).copied().unwrap_or(0);
-        LoserTree {
-            tree,
-            winner,
-            cap,
+        LoserTree(OvcLoserTree::new(
             k,
-        }
+            |_| 0,
+            is_exhausted,
+            |a, b, _, _| Self::uncoded(a, b, &mut leaf_less),
+        ))
     }
 
     /// The input whose head is currently smallest.
     pub fn winner(&self) -> usize {
-        self.winner
+        self.0.winner()
     }
 
     /// Replay the path from input `leaf`'s position to the root after its
@@ -73,44 +45,16 @@ impl LoserTree {
         E: FnMut(usize) -> bool,
         L: FnMut(usize, usize) -> bool,
     {
-        let mut contender = leaf;
-        let mut node = (self.cap + leaf) / 2;
-        while node >= 1 {
-            let resident = self.tree[node];
-            if Self::beats_impl(resident, contender, self.k, is_exhausted, leaf_less) {
-                self.tree[node] = contender;
-                contender = resident;
-            }
-            node /= 2;
-        }
-        self.winner = contender;
+        self.0.replay(leaf, 0, is_exhausted, &mut |a, b, _, _| {
+            Self::uncoded(a, b, leaf_less)
+        });
     }
 
-    fn beats_impl<E, L>(
-        a: usize,
-        b: usize,
-        k: usize,
-        is_exhausted: &mut E,
-        leaf_less: &mut L,
-    ) -> bool
-    where
-        E: FnMut(usize) -> bool,
-        L: FnMut(usize, usize) -> bool,
-    {
-        let a_done = a >= k || is_exhausted(a);
-        let b_done = b >= k || is_exhausted(b);
-        match (a_done, b_done) {
-            (true, _) => false,
-            (false, true) => true,
-            (false, false) => {
-                if leaf_less(a, b) {
-                    true
-                } else if leaf_less(b, a) {
-                    false
-                } else {
-                    a < b
-                }
-            }
+    /// One match decided by `leaf_less` alone.
+    fn uncoded<L: FnMut(usize, usize) -> bool>(a: usize, b: usize, leaf_less: &mut L) -> OvcMatch {
+        OvcMatch {
+            a_beats_b: leaf_less(a, b) || (!leaf_less(b, a) && a < b),
+            loser_code: 0,
         }
     }
 }
@@ -130,9 +74,11 @@ pub struct OvcMatch {
 
 /// A loser tree that carries an offset-value code per internal node.
 ///
-/// Structure and replay order are identical to [`LoserTree`]; the
-/// difference is bookkeeping: node `x` stores, next to the losing input,
-/// the loser's code relative to the input that won the match at `x`. A
+/// Internal node `x` stores the *loser* of the match played at `x` — and,
+/// next to the losing input, the loser's code relative to the input that
+/// won the match at `x`; the overall winner is kept in a dedicated field.
+/// Inputs are padded to a power of two with virtual always-exhausted
+/// leaves. A
 /// winner ascends with its code unchanged (it keeps winning against keys
 /// it was already coded against), so each replayed match hands the
 /// `play` callback two codes with a common base and most matches resolve

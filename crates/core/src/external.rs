@@ -8,14 +8,15 @@
 //! unified way" so performance degrades gracefully. [`ExternalSorter`]
 //! does exactly that:
 //!
-//! 1. **Run generation** under a row budget: each run is sorted in memory
-//!    with the same normalized-key machinery as the in-memory pipeline,
-//!    then *spilled* to a temporary file as self-contained records
+//! 1. **Run generation** under a row budget: each run is built by the
+//!    in-memory pipeline's own run generator ([`crate::run`]), then
+//!    *spilled* to a temporary file as self-contained records
 //!    (`key ‖ payload row ‖ per-row string segment`), so a run's memory is
-//!    released before the next run is built.
-//! 2. **Streaming merge**: a loser tree over buffered run readers pops one
-//!    record at a time; peak memory during the merge is one buffer per run
-//!    plus the output. With more than one merge thread the key space is
+//!    back in the pool before the next run is built.
+//! 2. **Streaming merge**: the shared merge kernel ([`crate::merge`]) over
+//!    buffered run readers pops one record at a time; peak memory during
+//!    the merge is one buffer pair per run plus the output. With more
+//!    than one merge thread the key space is
 //!    cut into disjoint ranges at splitter keys sampled from the runs
 //!    (DESIGN.md §11), a verifying scan locates each run's range
 //!    boundaries, and the persistent worker pool merges every range
@@ -39,17 +40,17 @@
 
 use crate::comparator::FusedRowComparator;
 use crate::keys::KeyBlock;
+use crate::merge::{merge_kway, MergeOrder, MergeStats, RunSource, SegmentSink};
 use crate::metrics::{emit_trace, Counter, CounterRegistry, Metrics, Phase, SortProfile};
 use crate::ovc;
 use crate::pool::BufferPool;
+use crate::run::{varchar_stats, RunGenerator, SortedRun};
 use crate::spill::{ReadAhead, SpillError, SpillIo, SpillOp, StdFs};
-use crate::workers::{SendPtr, WorkerPool};
-use rowsort_algos::kway::{LoserTree, OvcLoserTree, OvcMatch};
+use crate::workers::WorkerPool;
+use rowsort_algos::kway::OvcLoserTree;
 use rowsort_row::{RowBlock, RowLayout};
 use rowsort_testkit::hash::XxHash64;
 use rowsort_vector::{DataChunk, LogicalType, OrderBy};
-use std::cell::Cell;
-use std::cmp::Ordering;
 use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
@@ -159,6 +160,10 @@ pub struct ExternalSorter {
     order: OrderBy,
     options: ExternalSortOptions,
     layout: Arc<RowLayout>,
+    /// Full-tuple comparator for VARCHAR-prefix tie resolution, built once.
+    tie_cmp: FusedRowComparator,
+    /// Columns holding out-of-row (VARCHAR) data.
+    varlen_cols: Vec<usize>,
     io: Arc<dyn SpillIo>,
     metrics: Arc<CounterRegistry>,
     profile: Mutex<SortProfile>,
@@ -168,15 +173,6 @@ pub struct ExternalSorter {
     /// Merge workers, spawned lazily on the first partitioned merge so
     /// single-threaded (or never-partitioned) sorters spawn no threads.
     workers: OnceLock<WorkerPool>,
-}
-
-/// Read a 4-byte heap slot out of the row area. Infallible by type: the
-/// width is a const parameter, so there is no fallible `try_into`.
-#[inline]
-fn read_slot<const W: usize>(bytes: &[u8], at: usize) -> [u8; W] {
-    let mut buf = [0u8; W];
-    buf.copy_from_slice(&bytes[at..at + W]);
-    buf
 }
 
 /// One spilled run file and the metadata to read it back. The `Drop` impl
@@ -202,13 +198,15 @@ impl Drop for SpilledRun {
     }
 }
 
-/// One sorted run plus the splitter-candidate keys sampled from it at
-/// encode time (up to [`MERGE_SAMPLES_PER_RUN`] evenly spaced keys of
-/// `key_width` bytes each). The samples cost nothing to capture while
-/// the run's keys are hot and let the partitioned merge choose range
-/// splitters without re-reading any file.
+/// One sorted run as the merge sees it: where its encoded bytes live, the
+/// splitter-candidate keys sampled from it at encode time (up to
+/// [`MERGE_SAMPLES_PER_RUN`] evenly spaced keys of `key_width` bytes each)
+/// and the total of its records' string segments. Samples and total cost
+/// nothing to capture while the run is hot; they let the merge choose
+/// range splitters and pre-size its output heap without reading any file.
 struct Run {
     samples: Vec<u8>,
+    heap_bytes: u64,
     store: RunStore,
 }
 
@@ -222,43 +220,59 @@ enum RunStore {
 }
 
 impl Run {
-    /// An in-memory run with no samples (tests build these directly; the
-    /// sorter attaches samples in `spill_run`).
-    #[cfg(test)]
-    fn memory(bytes: Vec<u8>, rows: usize) -> Run {
-        Run {
-            samples: Vec::new(),
-            store: RunStore::Memory { bytes, rows },
-        }
-    }
-
     fn rows(&self) -> usize {
         match &self.store {
             RunStore::Spilled(r) => r.rows,
             RunStore::Memory { rows, .. } => *rows,
         }
     }
+}
 
-    /// Open a plain verifying cursor (no read-ahead). The sorter itself
-    /// goes through `ExternalSorter::open_verifying`; tests use this to
-    /// inspect run files directly.
-    #[cfg(test)]
-    fn open(&self, kw: usize, width: usize, expect_ovc: bool) -> Result<RunCursor<'_>, SpillError> {
-        match &self.store {
-            RunStore::Spilled(r) => {
-                let reader =
-                    r.io.open(&r.path)
-                        .map_err(|e| SpillError::io(SpillOp::Read, &r.path, &e))?;
-                RunCursor::new(reader, r.path.clone(), r.rows, kw, width, expect_ovc)
+/// How a [`RunCursor`] reads its run.
+#[derive(Clone, Copy, PartialEq)]
+enum CursorMode {
+    /// The whole file from its header: every byte read is checksummed,
+    /// and the advance past the last record verifies the trailer.
+    Verifying,
+    /// One range of a run: the reader is positioned at the range's first
+    /// record and stops before the trailer, so there is no header parse
+    /// and no checksum — the partition scan that computed the range
+    /// boundaries already verified every byte of the file.
+    Ranged,
+}
+
+/// The byte stream under a [`RunCursor`]: the reader plus everything a
+/// read must update or report.
+struct RunReader<'a> {
+    reader: Box<dyn Read + Send + 'a>,
+    path: PathBuf,
+    hasher: XxHash64,
+    /// Bytes consumed from the reader so far — the stream offset of the
+    /// next unread byte.
+    consumed: u64,
+    /// Whether reads feed the checksum ([`CursorMode::Verifying`]).
+    verify: bool,
+}
+
+impl RunReader<'_> {
+    /// `read_exact` into `buf`, tracking the stream offset, feeding the
+    /// checksum (verifying cursors only), and translating errors: an
+    /// early EOF is corruption (the file is shorter than its record
+    /// count promises), everything else is an I/O failure.
+    fn fill(&mut self, buf: &mut [u8]) -> Result<(), SpillError> {
+        match self.reader.read_exact(buf) {
+            Ok(()) => {
+                if self.verify {
+                    self.hasher.write(buf);
+                }
+                self.consumed += buf.len() as u64;
+                Ok(())
             }
-            RunStore::Memory { bytes, rows } => RunCursor::new(
-                Box::new(&bytes[..]),
-                PathBuf::from("<in-memory run>"),
-                *rows,
-                kw,
-                width,
-                expect_ovc,
-            ),
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(SpillError::corrupt(
+                &self.path,
+                "truncated: file ends before its advertised record count",
+            )),
+            Err(e) => Err(SpillError::io(SpillOp::Read, &self.path, &e)),
         }
     }
 }
@@ -269,21 +283,11 @@ impl Run {
 /// trailer and rejects trailing garbage, so by the time a merge drains
 /// all cursors every run file has been fully verified.
 struct RunCursor<'a> {
-    reader: Box<dyn Read + Send + 'a>,
-    path: PathBuf,
+    src: RunReader<'a>,
     remaining: usize,
-    hasher: XxHash64,
-    /// Bytes consumed from the reader so far — the stream offset of the
-    /// next unread byte. The partition scan reads `record_off` (the
-    /// offset where the current record starts) to locate range seams.
-    consumed: u64,
+    /// Stream offset where the current record starts; the partition scan
+    /// reads it to locate range seams.
     record_off: u64,
-    /// Whether this cursor checksums what it reads and verifies the
-    /// trailer after the last record. Full-file cursors do; ranged
-    /// cursors start mid-file and stop before the trailer, so they skip
-    /// verification — the partition scan has already verified every byte
-    /// of the file (including their range) before they are created.
-    verify: bool,
     key: Vec<u8>,
     /// Offset-value code of the current record, relative to the record
     /// before it in this run (the first record is coded against −∞).
@@ -297,66 +301,41 @@ struct RunCursor<'a> {
 }
 
 impl<'a> RunCursor<'a> {
-    fn new(
+    /// A cursor over `rows` records of `kw`-byte keys and `width`-byte
+    /// rows, positioned on the first. `ovc` says whether records carry a
+    /// code: a verifying cursor checks the header agrees, a ranged one
+    /// takes it on trust. A ranged cursor's first record is coded against
+    /// its predecessor, which lives in the previous range, so it is
+    /// re-coded against −∞ — the base the loser tree's leaves start from.
+    fn open(
         reader: Box<dyn Read + Send + 'a>,
         path: PathBuf,
         rows: usize,
-        kw: usize,
-        width: usize,
-        expect_ovc: bool,
+        (kw, width, ovc): (usize, usize, bool),
+        mode: CursorMode,
     ) -> Result<RunCursor<'a>, SpillError> {
         let mut c = RunCursor {
-            reader,
-            path,
+            src: RunReader {
+                reader,
+                path,
+                hasher: XxHash64::with_seed(SPILL_CHECKSUM_SEED),
+                consumed: 0,
+                verify: mode == CursorMode::Verifying,
+            },
             remaining: rows,
-            hasher: XxHash64::with_seed(SPILL_CHECKSUM_SEED),
-            consumed: 0,
             record_off: 0,
-            verify: true,
             key: vec![0; kw],
             code: 0,
-            has_ovc: false,
+            has_ovc: ovc,
             arity: ovc::word_count(kw),
             row: vec![0; width],
             heap: Vec::new(),
         };
-        c.read_header(expect_ovc)?;
+        if mode == CursorMode::Verifying {
+            c.read_header()?;
+        }
         c.advance()?;
-        Ok(c)
-    }
-
-    /// A cursor over one range of a run: `reader` is positioned at the
-    /// range's first record and `rows` counts the records in the range.
-    /// No header parse, no checksum — the partition scan that computed
-    /// the range boundaries already verified the whole file. The first
-    /// record's run-stored code is relative to its predecessor (which
-    /// lives in the previous range), so it is re-coded against −∞, the
-    /// same base the loser tree's leaves start from.
-    fn new_ranged(
-        reader: Box<dyn Read + Send + 'a>,
-        path: PathBuf,
-        rows: usize,
-        kw: usize,
-        width: usize,
-        has_ovc: bool,
-    ) -> Result<RunCursor<'a>, SpillError> {
-        let mut c = RunCursor {
-            reader,
-            path,
-            remaining: rows,
-            hasher: XxHash64::with_seed(SPILL_CHECKSUM_SEED),
-            consumed: 0,
-            record_off: 0,
-            verify: false,
-            key: vec![0; kw],
-            code: 0,
-            has_ovc,
-            arity: ovc::word_count(kw),
-            row: vec![0; width],
-            heap: Vec::new(),
-        };
-        c.advance()?;
-        if c.has_ovc && !c.exhausted() {
+        if mode == CursorMode::Ranged && c.has_ovc && !c.exhausted() {
             c.code = ovc::initial_code(&c.key, c.arity);
         }
         Ok(c)
@@ -366,105 +345,114 @@ impl<'a> RunCursor<'a> {
     /// (magic, version, flag bits) run before any record is trusted; the
     /// header bytes also feed the checksum, so even a header rewritten to
     /// parse cleanly fails trailer verification.
-    fn read_header(&mut self, expect_ovc: bool) -> Result<(), SpillError> {
+    fn read_header(&mut self) -> Result<(), SpillError> {
         let mut magic = [0u8; 4];
-        Self::fill(
-            &mut *self.reader,
-            &mut self.hasher,
-            &mut self.consumed,
-            self.verify,
-            &self.path,
-            &mut magic,
-        )?;
+        self.src.fill(&mut magic)?;
         if magic != SPILL_MAGIC {
             return Err(SpillError::corrupt(
-                &self.path,
+                &self.src.path,
                 format!("bad run-file magic {magic:02x?}"),
             ));
         }
         let mut word = [0u8; 2];
-        Self::fill(
-            &mut *self.reader,
-            &mut self.hasher,
-            &mut self.consumed,
-            self.verify,
-            &self.path,
-            &mut word,
-        )?;
+        self.src.fill(&mut word)?;
         let version = u16::from_le_bytes(word);
         if version != SPILL_VERSION {
             return Err(SpillError::corrupt(
-                &self.path,
+                &self.src.path,
                 format!("unsupported run-file version {version} (expected {SPILL_VERSION})"),
             ));
         }
-        Self::fill(
-            &mut *self.reader,
-            &mut self.hasher,
-            &mut self.consumed,
-            self.verify,
-            &self.path,
-            &mut word,
-        )?;
+        self.src.fill(&mut word)?;
         let flags = u16::from_le_bytes(word);
         if flags & !SPILL_FLAG_OVC != 0 {
             return Err(SpillError::corrupt(
-                &self.path,
+                &self.src.path,
                 format!("unknown run-file flags {flags:#06x}"),
             ));
         }
-        self.has_ovc = flags & SPILL_FLAG_OVC != 0;
-        if self.has_ovc != expect_ovc {
+        let file_ovc = flags & SPILL_FLAG_OVC != 0;
+        if file_ovc != self.has_ovc {
             return Err(SpillError::corrupt(
-                &self.path,
+                &self.src.path,
                 format!(
-                    "run-file OVC flag is {} but the merge expected {}",
-                    self.has_ovc, expect_ovc
+                    "run-file OVC flag is {file_ovc} but the merge expected {}",
+                    self.has_ovc
                 ),
             ));
         }
         Ok(())
     }
 
-    fn exhausted(&self) -> bool {
-        self.remaining == usize::MAX
-    }
-
-    /// `read_exact` into `buf`, tracking the stream offset, feeding the
-    /// checksum (verifying cursors only), and translating errors: an
-    /// early EOF is corruption (the file is shorter than its record
-    /// count promises), everything else is an I/O failure.
-    fn fill(
-        reader: &mut dyn Read,
-        hasher: &mut XxHash64,
-        consumed: &mut u64,
-        hash: bool,
-        path: &Path,
-        buf: &mut [u8],
-    ) -> Result<(), SpillError> {
-        match reader.read_exact(buf) {
-            Ok(()) => {
-                if hash {
-                    hasher.write(buf);
-                }
-                *consumed += buf.len() as u64;
-                Ok(())
+    /// After the last record: the next 8 bytes must be the xxHash64 of
+    /// everything before them, and nothing may follow.
+    fn verify_trailer(&mut self) -> Result<(), SpillError> {
+        let RunReader {
+            reader,
+            path,
+            hasher,
+            ..
+        } = &mut self.src;
+        let computed = hasher.finish();
+        let mut trailer = [0u8; 8];
+        match reader.read_exact(&mut trailer) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+                return Err(SpillError::corrupt(
+                    path,
+                    "truncated: checksum trailer missing",
+                ));
             }
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(SpillError::corrupt(
+            Err(e) => return Err(SpillError::io(SpillOp::Read, path, &e)),
+        }
+        let stored = u64::from_le_bytes(trailer);
+        if stored != computed {
+            return Err(SpillError::corrupt(
                 path,
-                "truncated: file ends before its advertised record count",
+                format!("checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"),
+            ));
+        }
+        let mut probe = [0u8; 1];
+        match reader.read(&mut probe) {
+            Ok(0) => Ok(()),
+            Ok(_) => Err(SpillError::corrupt(
+                path,
+                "trailing bytes after the checksum trailer",
             )),
             Err(e) => Err(SpillError::io(SpillOp::Read, path, &e)),
         }
+    }
+}
+
+impl RunSource for RunCursor<'_> {
+    fn exhausted(&self) -> bool {
+        self.remaining == usize::MAX
+    }
+    fn key(&self) -> &[u8] {
+        &self.key
+    }
+    fn code(&self) -> u64 {
+        self.code
+    }
+    fn row(&self) -> &[u8] {
+        &self.row
+    }
+    /// The current record's string segment; the row's VARCHAR slots hold
+    /// offsets relative to it.
+    fn heap(&self) -> &[u8] {
+        &self.heap
+    }
+    fn path(&self) -> &Path {
+        &self.src.path
     }
 
     /// Read the next record into the cursor (or verify the trailer and
     /// mark exhausted).
     fn advance(&mut self) -> Result<(), SpillError> {
-        self.record_off = self.consumed;
+        self.record_off = self.src.consumed;
         if self.remaining == 0 {
             self.remaining = usize::MAX;
-            if !self.verify {
+            if !self.src.verify {
                 // Ranged cursor: the range ends mid-file; the trailer (if
                 // any follows) belongs to the verifying scan, not to us.
                 return Ok(());
@@ -472,24 +460,10 @@ impl<'a> RunCursor<'a> {
             return self.verify_trailer();
         }
         self.remaining -= 1;
-        Self::fill(
-            &mut *self.reader,
-            &mut self.hasher,
-            &mut self.consumed,
-            self.verify,
-            &self.path,
-            &mut self.key,
-        )?;
+        self.src.fill(&mut self.key)?;
         if self.has_ovc {
             let mut code_buf = [0u8; 8];
-            Self::fill(
-                &mut *self.reader,
-                &mut self.hasher,
-                &mut self.consumed,
-                self.verify,
-                &self.path,
-                &mut code_buf,
-            )?;
+            self.src.fill(&mut code_buf)?;
             let code = u64::from_le_bytes(code_buf);
             // Structural bound, like the segment-length check: a decoded
             // offset past the key's word count can never be produced by
@@ -497,81 +471,27 @@ impl<'a> RunCursor<'a> {
             // (the checksum would also catch it, but only at run end).
             if !ovc::code_plausible(code, self.arity) {
                 return Err(SpillError::corrupt(
-                    &self.path,
+                    &self.src.path,
                     format!("implausible offset-value code {code:#018x}"),
                 ));
             }
             self.code = code;
         }
-        Self::fill(
-            &mut *self.reader,
-            &mut self.hasher,
-            &mut self.consumed,
-            self.verify,
-            &self.path,
-            &mut self.row,
-        )?;
+        self.src.fill(&mut self.row)?;
         let mut len_buf = [0u8; 4];
-        Self::fill(
-            &mut *self.reader,
-            &mut self.hasher,
-            &mut self.consumed,
-            self.verify,
-            &self.path,
-            &mut len_buf,
-        )?;
+        self.src.fill(&mut len_buf)?;
         let seg_len = u32::from_le_bytes(len_buf) as usize;
         if seg_len > MAX_SEG_BYTES {
             // A flipped bit in the length word must not become a huge
             // allocation; reject structurally before trusting it.
             return Err(SpillError::corrupt(
-                &self.path,
+                &self.src.path,
                 format!("segment length {seg_len} exceeds the {MAX_SEG_BYTES}-byte bound"),
             ));
         }
         self.heap.resize(seg_len, 0);
-        Self::fill(
-            &mut *self.reader,
-            &mut self.hasher,
-            &mut self.consumed,
-            self.verify,
-            &self.path,
-            &mut self.heap,
-        )?;
+        self.src.fill(&mut self.heap)?;
         Ok(())
-    }
-
-    /// After the last record: the next 8 bytes must be the xxHash64 of
-    /// everything before them, and nothing may follow.
-    fn verify_trailer(&mut self) -> Result<(), SpillError> {
-        let computed = self.hasher.finish();
-        let mut trailer = [0u8; 8];
-        match self.reader.read_exact(&mut trailer) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                return Err(SpillError::corrupt(
-                    &self.path,
-                    "truncated: checksum trailer missing",
-                ));
-            }
-            Err(e) => return Err(SpillError::io(SpillOp::Read, &self.path, &e)),
-        }
-        let stored = u64::from_le_bytes(trailer);
-        if stored != computed {
-            return Err(SpillError::corrupt(
-                &self.path,
-                format!("checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"),
-            ));
-        }
-        let mut probe = [0u8; 1];
-        match self.reader.read(&mut probe) {
-            Ok(0) => Ok(()),
-            Ok(_) => Err(SpillError::corrupt(
-                &self.path,
-                "trailing bytes after the checksum trailer",
-            )),
-            Err(e) => Err(SpillError::io(SpillOp::Read, &self.path, &e)),
-        }
     }
 }
 
@@ -600,12 +520,18 @@ impl ExternalSorter {
         options.memory_limit_rows = options.memory_limit_rows.max(1);
         options.merge_threads = options.merge_threads.max(1);
         let layout = Arc::new(RowLayout::new(&types));
+        let tie_cmp = FusedRowComparator::new(&layout, &order);
+        let varlen_cols = (0..types.len())
+            .filter(|&c| types[c] == LogicalType::Varchar)
+            .collect();
         let metrics = Arc::new(CounterRegistry::new());
         ExternalSorter {
             types,
             order,
             options,
             layout,
+            tie_cmp,
+            varlen_cols,
             io,
             pool: Arc::new(BufferPool::with_metrics(Arc::clone(&metrics))),
             metrics,
@@ -644,11 +570,17 @@ impl ExternalSorter {
         dir.join(format!("rowsort-spill-{}-{}.run", std::process::id(), id))
     }
 
-    /// Columns holding out-of-row (VARCHAR) data.
-    fn varlen_cols(&self) -> Vec<usize> {
-        (0..self.types.len())
-            .filter(|&c| self.types[c] == LogicalType::Varchar)
-            .collect()
+    /// What run generation borrows from this sorter.
+    fn run_generator(&self) -> RunGenerator<'_> {
+        RunGenerator {
+            types: &self.types,
+            order: &self.order,
+            layout: &self.layout,
+            tie_cmp: &self.tie_cmp,
+            pool: &self.pool,
+            metrics: &self.metrics,
+            ovc: self.options.ovc,
+        }
     }
 
     /// Sort `input`, spilling sorted runs whenever the row budget is
@@ -666,74 +598,24 @@ impl ExternalSorter {
         }
         let sort_start = Instant::now();
         let before = self.metrics.snapshot();
-        let stats: Vec<usize> = {
+        let mut stats = Vec::new();
+        let keys = {
             let _prepare = self.metrics.time_phase(Phase::Prepare);
-            (0..self.types.len())
-                .map(|c| {
-                    input
-                        .column(c)
-                        .as_strings()
-                        .map(|s| s.max_len())
-                        .unwrap_or(0)
-                })
-                .collect()
+            varchar_stats(input, &mut stats);
+            // The one key block every run of this sort is encoded in; its
+            // layout also fixes how the merge compares keys.
+            KeyBlock::new(&self.types, &self.order, |c| stats[c])
         };
+        let order = self.merge_order(&keys);
+        let key_blocks = Mutex::new(vec![keys]);
 
-        // Determine the key width once, from an empty prototype key block.
-        let proto = KeyBlock::new(&self.types, &self.order, |c| stats[c]);
-        let kw = proto.key_width();
-        let width = self.layout.width();
-        let varlen_cols = self.varlen_cols();
-
-        // Phase 1: generate and spill runs within the row budget. Once
-        // spill space runs out (`degraded`), runs stay in memory and the
-        // budget doubles — fewer, larger runs, since the row budget no
-        // longer buys file descriptors back.
-        let budget = self.options.memory_limit_rows;
-        let mut degraded = false;
-        let mut runs: Vec<Run> = Vec::new();
-        let mut start = 0;
-        {
+        let runs = {
             let _spill = self.metrics.time_phase(Phase::Spill);
-            while start < n {
-                let step = if degraded {
-                    budget.saturating_mul(2)
-                } else {
-                    budget
-                };
-                let end = (start + step).min(n);
-                let morsel = input.slice(start, end);
-                let mut payload = RowBlock::with_capacity(Arc::clone(&self.layout), morsel.len());
-                payload.append_chunk(&morsel);
-                let mut keys = KeyBlock::new(&self.types, &self.order, |c| stats[c]);
-                keys.append_chunk(&morsel);
-                let tie_cmp = FusedRowComparator::new(&self.layout, &self.order);
-                let algo = keys.sort(|a, b| {
-                    tie_cmp.compare(
-                        payload.row(a as usize),
-                        payload.heap(),
-                        payload.row(b as usize),
-                        payload.heap(),
-                    )
-                });
-                match algo {
-                    crate::keys::KeySortAlgo::Radix { passes } => {
-                        self.metrics.add(Counter::RadixSorts, 1);
-                        self.metrics.add(Counter::RadixPasses, passes);
-                    }
-                    crate::keys::KeySortAlgo::Pdq => self.metrics.add(Counter::PdqSorts, 1),
-                    crate::keys::KeySortAlgo::Noop => {}
-                }
-                self.metrics.add(Counter::RunsGenerated, 1);
-                runs.push(self.spill_run(&keys, &payload, &varlen_cols, &mut degraded)?);
-                start = end;
-            }
-        }
-
-        // Phase 2: streaming k-way merge over the runs.
+            self.generate_spilled_runs(input, &stats, &key_blocks)?
+        };
         let merged = {
             let _merge = self.metrics.time_phase(Phase::SpillMerge);
-            self.merge_runs(&runs, kw, width, &varlen_cols)
+            self.merge_runs(&runs, &order)
         };
         let out = match merged {
             Ok(out) => out,
@@ -759,6 +641,50 @@ impl ExternalSorter {
         Ok(out)
     }
 
+    /// How this sort's merges compare records, from the layout of the key
+    /// block its runs are encoded in.
+    fn merge_order(&self, keys: &KeyBlock) -> MergeOrder<'_> {
+        MergeOrder {
+            kw: keys.key_width(),
+            tie_possible: keys.tie_possible(),
+            tie_cmp: &self.tie_cmp,
+        }
+    }
+
+    /// Phase 1: generate and spill runs within the row budget, one run
+    /// resident at a time — each run's buffers are back in the pool
+    /// before the next is built. Once spill space runs out (`degraded`),
+    /// runs stay in memory and the budget doubles — fewer, larger runs,
+    /// since the row budget no longer buys file descriptors back.
+    fn generate_spilled_runs(
+        &self,
+        input: &DataChunk,
+        stats: &[usize],
+        key_blocks: &Mutex<Vec<KeyBlock>>,
+    ) -> Result<Vec<Run>, SpillError> {
+        let gen = self.run_generator();
+        let budget = self.options.memory_limit_rows;
+        let mut degraded = false;
+        let mut runs: Vec<Run> = Vec::new();
+        let mut start = 0;
+        while start < input.len() {
+            let step = if degraded {
+                budget.saturating_mul(2)
+            } else {
+                budget
+            };
+            let end = (start + step).min(input.len());
+            // Codes always: run files carry them whenever the sort uses
+            // OVC, however many runs it ends up with.
+            let run = gen.make_run(input, start, end, stats, key_blocks, true);
+            let spilled = self.spill_run(&run, &mut degraded);
+            run.recycle(&self.pool);
+            runs.push(spilled?);
+            start = end;
+        }
+        Ok(runs)
+    }
+
     /// Whether run files carry the offset-value code column: requested by
     /// options and meaningful (a zero-width key has nothing to code).
     fn use_ovc(&self, kw: usize) -> bool {
@@ -766,57 +692,52 @@ impl ExternalSorter {
     }
 
     /// Encode one sorted run as self-contained records plus the xxHash64
-    /// trailer. The encoding is identical whether the run lands on disk
+    /// trailer, returning the bytes and the total of the records' string
+    /// segments. The encoding is identical whether the run lands on disk
     /// or stays in memory.
     ///
     /// With OVC enabled each record carries its offset-value code relative
-    /// to the record before it — computed here for free, while the keys
-    /// are already hot from the run sort, so the spill merge starts with
-    /// codes instead of deriving them.
-    fn encode_run(&self, keys: &KeyBlock, payload: &RowBlock, varlen_cols: &[usize]) -> Vec<u8> {
+    /// to the record before it — the run's code column, computed while
+    /// the keys were hot from the run sort, so the spill merge starts
+    /// with codes instead of deriving them.
+    fn encode_run(&self, run: &SortedRun) -> (Vec<u8>, u64) {
         let width = self.layout.width();
-        let kw = keys.key_width();
+        let kw = run.key_width;
         let use_ovc = self.use_ovc(kw);
-        let arity = ovc::word_count(kw);
         let per_row = kw + width + 4 + if use_ovc { 8 } else { 0 };
-        let mut out: Vec<u8> = Vec::with_capacity(8 + keys.len() * per_row + 8);
+        let mut out: Vec<u8> = Vec::with_capacity(8 + run.len() * per_row + 8);
         out.extend_from_slice(&SPILL_MAGIC);
         out.extend_from_slice(&SPILL_VERSION.to_le_bytes());
         let flags = if use_ovc { SPILL_FLAG_OVC } else { 0 };
         out.extend_from_slice(&flags.to_le_bytes());
         let mut row_buf = vec![0u8; width];
         let mut seg: Vec<u8> = Vec::new();
-        for i in 0..keys.len() {
-            let rid = keys.row_id(i) as usize;
-            out.extend_from_slice(keys.key(i));
+        let mut heap_bytes = 0u64;
+        for i in 0..run.len() {
+            out.extend_from_slice(&run.keys[i * kw..(i + 1) * kw]);
             if use_ovc {
-                let code = if i == 0 {
-                    ovc::initial_code(keys.key(0), arity)
-                } else {
-                    ovc::code_rel(keys.key(i), keys.key(i - 1), arity)
-                };
-                out.extend_from_slice(&code.to_le_bytes());
+                out.extend_from_slice(&run.ovc[i * 8..(i + 1) * 8]);
             }
-            row_buf.copy_from_slice(payload.row(rid));
+            row_buf.copy_from_slice(run.payload.row(i));
             // Rewrite heap offsets to be relative to this record's segment.
             seg.clear();
-            for &c in varlen_cols {
-                if payload.is_null(rid, c) {
+            for &c in &self.varlen_cols {
+                if run.payload.is_null(i, c) {
                     continue;
                 }
                 let at = self.layout.offset(c);
-                let bytes = payload.string_bytes(rid, c);
                 let new_off = seg.len() as u32;
-                seg.extend_from_slice(bytes);
+                seg.extend_from_slice(run.payload.string_bytes(i, c));
                 row_buf[at..at + 4].copy_from_slice(&new_off.to_le_bytes());
             }
             out.extend_from_slice(&row_buf);
             out.extend_from_slice(&(seg.len() as u32).to_le_bytes());
             out.extend_from_slice(&seg);
+            heap_bytes += seg.len() as u64;
         }
         let digest = XxHash64::hash(&out, SPILL_CHECKSUM_SEED);
         out.extend_from_slice(&digest.to_le_bytes());
-        out
+        (out, heap_bytes)
     }
 
     /// Write `bytes` to a fresh run file in one shot.
@@ -845,39 +766,36 @@ impl ExternalSorter {
     /// Evenly spaced splitter-candidate keys from a sorted run: up to
     /// [`MERGE_SAMPLES_PER_RUN`] keys at indices `j·n/s`, captured while
     /// the keys are hot from the run sort.
-    fn sample_keys(keys: &KeyBlock) -> Vec<u8> {
-        let kw = keys.key_width();
-        let n = keys.len();
+    fn sample_keys(run: &SortedRun) -> Vec<u8> {
+        let kw = run.key_width;
+        let n = run.len();
         if kw == 0 || n == 0 {
             return Vec::new();
         }
         let s = n.min(MERGE_SAMPLES_PER_RUN);
         let mut out = Vec::with_capacity(s * kw);
         for j in 0..s {
-            out.extend_from_slice(keys.key(j * n / s));
+            let i = j * n / s;
+            out.extend_from_slice(&run.keys[i * kw..(i + 1) * kw]);
         }
         out
     }
 
     /// Encode one sorted run and place it: on disk under the retry /
     /// degradation policy, or in memory once spill space is gone.
-    fn spill_run(
-        &self,
-        keys: &KeyBlock,
-        payload: &RowBlock,
-        varlen_cols: &[usize],
-        degraded: &mut bool,
-    ) -> Result<Run, SpillError> {
-        let bytes = self.encode_run(keys, payload, varlen_cols);
-        let samples = Self::sample_keys(keys);
-        let rows = keys.len();
+    fn spill_run(&self, run: &SortedRun, degraded: &mut bool) -> Result<Run, SpillError> {
+        let (bytes, heap_bytes) = self.encode_run(run);
+        let samples = Self::sample_keys(run);
+        let rows = run.len();
         self.metrics.add(Counter::BytesMoved, bytes.len() as u64);
+        let placed = |store| Run {
+            samples,
+            heap_bytes,
+            store,
+        };
         if *degraded {
             self.metrics.add(Counter::SpillMemFallbackRuns, 1);
-            return Ok(Run {
-                samples,
-                store: RunStore::Memory { bytes, rows },
-            });
+            return Ok(placed(RunStore::Memory { bytes, rows }));
         }
         let mut attempt = 0;
         let mut backoff = self.options.retry_backoff;
@@ -887,15 +805,12 @@ impl ExternalSorter {
                 Ok(()) => {
                     self.metrics.add(Counter::SpilledRuns, 1);
                     self.metrics.add(Counter::SpilledBytes, bytes.len() as u64);
-                    return Ok(Run {
-                        samples,
-                        store: RunStore::Spilled(SpilledRun {
-                            path,
-                            rows,
-                            io: Arc::clone(&self.io),
-                            metrics: Arc::clone(&self.metrics),
-                        }),
-                    });
+                    return Ok(placed(RunStore::Spilled(SpilledRun {
+                        path,
+                        rows,
+                        io: Arc::clone(&self.io),
+                        metrics: Arc::clone(&self.metrics),
+                    })));
                 }
                 Err(err) => {
                     self.cleanup_partial(&path);
@@ -904,10 +819,7 @@ impl ExternalSorter {
                         // full disk — keep this and later runs in memory.
                         *degraded = true;
                         self.metrics.add(Counter::SpillMemFallbackRuns, 1);
-                        return Ok(Run {
-                            samples,
-                            store: RunStore::Memory { bytes, rows },
-                        });
+                        return Ok(placed(RunStore::Memory { bytes, rows }));
                     }
                     if err.is_transient() && attempt < self.options.max_write_retries {
                         attempt += 1;
@@ -922,66 +834,41 @@ impl ExternalSorter {
         }
     }
 
-    /// Copy the winner cursor's current record into the output block,
-    /// re-basing its heap offsets into the shared output heap.
-    fn emit_record(
-        &self,
-        cur: &RunCursor<'_>,
-        out_data: &mut Vec<u8>,
-        out_heap: &mut Vec<u8>,
-        varlen_cols: &[usize],
-    ) -> Result<(), SpillError> {
-        let base = out_data.len();
-        out_data.extend_from_slice(&cur.row);
-        for &c in varlen_cols {
-            let null_off = self.layout.null_offset(c);
-            if cur.row[null_off] != 0 {
-                continue;
-            }
-            let at = base + self.layout.offset(c);
-            let rel = u32::from_le_bytes(read_slot(out_data, at));
-            let len = u32::from_le_bytes(read_slot(out_data, at + 4)) as usize;
-            let (rel, end) = (rel as usize, rel as usize + len);
-            if end > cur.heap.len() {
-                // Only reachable with corrupted offsets the checksum has
-                // not yet had a chance to reject.
-                return Err(SpillError::corrupt(
-                    &cur.path,
-                    "string segment reference out of bounds",
-                ));
-            }
-            let new_off = out_heap.len() as u32;
-            out_heap.extend_from_slice(&cur.heap[rel..end]);
-            out_data[at..at + 4].copy_from_slice(&new_off.to_le_bytes());
-        }
-        Ok(())
-    }
-
-    /// Open a full-file verifying cursor over `run`, with double-buffered
-    /// read-ahead for spilled runs (in-memory runs are already a slice).
-    fn open_verifying<'r>(
+    /// Open a cursor over `run`, with double-buffered read-ahead for
+    /// spilled runs (in-memory runs are already a slice): over the whole
+    /// file, verifying, or — given a range's starting byte offset and
+    /// record count from the partition scan — over that range only.
+    fn open_cursor<'r>(
         &self,
         run: &'r Run,
         kw: usize,
-        width: usize,
-        expect_ovc: bool,
+        range: Option<(u64, usize)>,
     ) -> Result<RunCursor<'r>, SpillError> {
+        let shape = (kw, self.layout.width(), self.use_ovc(kw));
+        let (mode, byte_off, rows) = match range {
+            None => (CursorMode::Verifying, 0, run.rows()),
+            Some((byte_off, rows)) => (CursorMode::Ranged, byte_off, rows),
+        };
         match &run.store {
             RunStore::Spilled(r) => {
-                let reader =
-                    r.io.open(&r.path)
-                        .map_err(|e| SpillError::io(SpillOp::Read, &r.path, &e))?;
+                let opened = match mode {
+                    CursorMode::Verifying => r.io.open(&r.path),
+                    CursorMode::Ranged => {
+                        self.metrics.add(Counter::SpillSeamSkipBytes, byte_off);
+                        r.io.open_at(&r.path, byte_off)
+                    }
+                };
+                let reader = opened.map_err(|e| SpillError::io(SpillOp::Read, &r.path, &e))?;
                 let reader: Box<dyn Read + Send + 'r> =
                     Box::new(ReadAhead::new(reader, &self.pool, &self.metrics));
-                RunCursor::new(reader, r.path.clone(), r.rows, kw, width, expect_ovc)
+                RunCursor::open(reader, r.path.clone(), rows, shape, mode)
             }
-            RunStore::Memory { bytes, rows } => RunCursor::new(
-                Box::new(&bytes[..]),
+            RunStore::Memory { bytes, .. } => RunCursor::open(
+                Box::new(&bytes[byte_off as usize..]),
                 PathBuf::from("<in-memory run>"),
-                *rows,
-                kw,
-                width,
-                expect_ovc,
+                rows,
+                shape,
+                mode,
             ),
         }
     }
@@ -1032,12 +919,10 @@ impl ExternalSorter {
         &self,
         run: &Run,
         kw: usize,
-        width: usize,
-        use_ovc: bool,
         splitters: &[u8],
         parts: usize,
     ) -> Result<RunScan, SpillError> {
-        let mut cur = self.open_verifying(run, kw, width, use_ovc)?;
+        let mut cur = self.open_cursor(run, kw, None)?;
         let mut cuts: Vec<RangeCut> = Vec::with_capacity(parts + 1);
         cuts.push(RangeCut {
             index: 0,
@@ -1075,332 +960,127 @@ impl ExternalSorter {
         Ok(RunScan { cuts })
     }
 
-    /// Streaming k-way merge over the runs: partitioned across the worker
-    /// pool when the plan allows, single-threaded otherwise. Both paths
-    /// produce bit-identical output.
-    fn merge_runs(
+    /// Run `job(i)` for every `i < n` on the merge workers and return the
+    /// results in index order — so which failure a merge reports (the
+    /// lowest index that failed) does not depend on worker scheduling.
+    fn run_jobs<T: Send>(
         &self,
-        runs: &[Run],
-        kw: usize,
-        width: usize,
-        varlen_cols: &[usize],
-    ) -> Result<DataChunk, SpillError> {
-        let total: usize = runs.iter().map(|r| r.rows()).sum();
-        let parts = self.plan_parts(runs, kw, total);
-        self.metrics.add(Counter::SpillMergePartitions, parts as u64);
-        if parts <= 1 {
-            return self.merge_runs_seq(runs, kw, width, varlen_cols);
-        }
-        self.merge_runs_partitioned(runs, kw, width, varlen_cols, parts, total)
-    }
-
-    /// The single-threaded merge: one verifying pass that merges as it
-    /// reads (no seam scan, so each run file is read exactly once).
-    fn merge_runs_seq(
-        &self,
-        runs: &[Run],
-        kw: usize,
-        width: usize,
-        varlen_cols: &[usize],
-    ) -> Result<DataChunk, SpillError> {
-        let k = runs.len();
-        if k == 0 {
-            // All rows fit nowhere — no runs means no rows.
-            return Ok(DataChunk::new(&self.types));
-        }
-        let use_ovc = self.use_ovc(kw);
-        let mut cursors: Vec<RunCursor<'_>> = runs
-            .iter()
-            .map(|r| self.open_verifying(r, kw, width, use_ovc))
-            .collect::<Result<Vec<_>, _>>()?;
-        let total: usize = runs.iter().map(|r| r.rows()).sum();
-        if k == 1 {
-            // A single run is already sorted: drain it straight into the
-            // output instead of building a degenerate one-leaf tree.
-            let mut out_data: Vec<u8> = Vec::with_capacity(total * width);
-            let mut out_heap: Vec<u8> = Vec::new();
-            let Some(cur) = cursors.first_mut() else {
-                return Ok(DataChunk::new(&self.types)); // unreachable: k == 1
-            };
-            for _ in 0..total {
-                self.emit_record(cur, &mut out_data, &mut out_heap, varlen_cols)?;
-                cur.advance()?;
-            }
-            if !cur.exhausted() {
-                cur.advance()?;
-            }
-            let block = RowBlock::from_raw_parts(Arc::clone(&self.layout), out_data, out_heap);
-            return Ok(block.to_chunk());
-        }
-        let tie_cmp = FusedRowComparator::new(&self.layout, &self.order);
-        let tie_possible = !varlen_cols.is_empty();
-
-        // Comparator-work counters, accumulated locally (`Cell` because
-        // the tree closures are re-created per replay) and flushed to the
-        // registry once after the merge.
-        let cmps = Cell::new(0u64);
-        let ovc_resolved = Cell::new(0u64);
-        let key_bytes = Cell::new(0u64);
-
-        // Assemble the output block row by row, re-basing heap offsets.
-        let mut out_data: Vec<u8> = Vec::with_capacity(total * width);
-        let mut out_heap: Vec<u8> = Vec::new();
-        if use_ovc {
-            let arity = ovc::word_count(kw);
-            // One loser-tree match under OVC: codes decide outright when
-            // they differ; suffix bytes past the shared prefix are only
-            // touched on a code tie; the row tiebreak runs only on full
-            // key equality, and a full tie goes to the lower run index —
-            // exactly [`LoserTree`]'s stability rule, so OVC on/off merge
-            // the same rows in the same order.
-            let play =
-                |cursors: &[RunCursor<'_>], a: usize, b: usize, ca: u64, cb: u64| -> OvcMatch {
-                    let (ha, hb) = (&cursors[a], &cursors[b]);
-                    let r = ovc::compare_update(&ha.key, ca, &hb.key, cb, arity);
-                    cmps.set(cmps.get() + 1);
-                    ovc_resolved.set(ovc_resolved.get() + u64::from(r.resolved));
-                    key_bytes.set(key_bytes.get() + r.key_bytes);
-                    let ord = match r.ord {
-                        Ordering::Equal if tie_possible => {
-                            tie_cmp.compare(&ha.row, &ha.heap, &hb.row, &hb.heap)
-                        }
-                        ord => ord,
-                    };
-                    let a_beats_b = match ord {
-                        Ordering::Less => true,
-                        Ordering::Greater => false,
-                        Ordering::Equal => a < b,
-                    };
-                    OvcMatch {
-                        a_beats_b,
-                        loser_code: r.loser_code,
-                    }
-                };
-            let cursors_ref = &cursors;
-            let mut tree = OvcLoserTree::new(
-                k,
-                |i| cursors_ref[i].code,
-                |i| cursors_ref[i].exhausted(),
-                |a, b, ca, cb| play(cursors_ref, a, b, ca, cb),
-            );
-            for _ in 0..total {
-                let w = tree.winner();
-                self.emit_record(&cursors[w], &mut out_data, &mut out_heap, varlen_cols)?;
-                cursors[w].advance()?;
-                let cursors_ref = &cursors;
-                // The new head's run-stored code is relative to the row
-                // just emitted — the same base every resident loser on
-                // this leaf's root path was re-coded against.
-                let leaf_code = if cursors_ref[w].exhausted() {
-                    u64::MAX
-                } else {
-                    cursors_ref[w].code
-                };
-                tree.replay(
-                    w,
-                    leaf_code,
-                    &mut |i| cursors_ref[i].exhausted(),
-                    &mut |a, b, ca, cb| play(cursors_ref, a, b, ca, cb),
-                );
-            }
-        } else {
-            let cmp = |a: &RunCursor<'_>, b: &RunCursor<'_>| -> Ordering {
-                cmps.set(cmps.get() + 1);
-                key_bytes.set(key_bytes.get() + 2 * kw as u64);
-                match a.key.cmp(&b.key) {
-                    Ordering::Equal if tie_possible => {
-                        tie_cmp.compare(&a.row, &a.heap, &b.row, &b.heap)
-                    }
-                    ord => ord,
-                }
-            };
-            let cursors_ref = &cursors;
-            let mut tree = LoserTree::new(
-                k,
-                |i| cursors_ref[i].exhausted(),
-                |a, b| cmp(&cursors_ref[a], &cursors_ref[b]) == Ordering::Less,
-            );
-            for _ in 0..total {
-                let w = tree.winner();
-                self.emit_record(&cursors[w], &mut out_data, &mut out_heap, varlen_cols)?;
-                cursors[w].advance()?;
-                let cursors_ref = &cursors;
-                tree.replay(w, &mut |i| cursors_ref[i].exhausted(), &mut |a, b| {
-                    cmp(&cursors_ref[a], &cursors_ref[b]) == Ordering::Less
-                });
-            }
-        }
-        // Every cursor has consumed its record count; drive the final
-        // advance on any cursor the winner loop left un-finalized so
-        // all trailers are verified before the output escapes.
-        for cur in cursors.iter_mut() {
-            if !cur.exhausted() {
-                cur.advance()?;
-            }
-        }
-        drop(cursors);
-        self.metrics.add(Counter::MergeCmps, cmps.get());
-        self.metrics
-            .add(Counter::MergeCmpsOvcResolved, ovc_resolved.get());
-        self.metrics
-            .add(Counter::MergeKeyBytesTouched, key_bytes.get());
-
-        let block = RowBlock::from_raw_parts(Arc::clone(&self.layout), out_data, out_heap);
-        Ok(block.to_chunk())
-    }
-
-    /// The range-partitioned merge (DESIGN.md §11).
-    ///
-    /// Phase A scans every run once (in parallel, verifying checksums)
-    /// to locate each splitter's seam — record index, byte offset, heap
-    /// bytes — per run. The cuts give every range's exact row and heap
-    /// size, so one output row area and one output heap are pre-sized
-    /// and each worker writes its range's disjoint slice directly: the
-    /// concatenation needs no fix-up pass and is bit-identical to the
-    /// sequential merge.
-    ///
-    /// Phase B merges each range through its own loser tree over ranged
-    /// cursors seeked to the seam offsets ([`SpillIo::open_at`]), with
-    /// double-buffered read-ahead on spilled runs.
-    ///
-    /// Errors from either phase are reported deterministically: the
-    /// failure of the lowest run index (Phase A) or range index (Phase
-    /// B) wins, independent of worker scheduling.
-    fn merge_runs_partitioned(
-        &self,
-        runs: &[Run],
-        kw: usize,
-        width: usize,
-        varlen_cols: &[usize],
-        parts: usize,
-        total: usize,
-    ) -> Result<DataChunk, SpillError> {
-        let use_ovc = self.use_ovc(kw);
-        let splitters = Self::choose_splitters(runs, kw, parts);
-        let workers = self.workers();
-
-        // Phase A: verifying seam scan, parallel over runs.
-        let scan_slots: Vec<Mutex<Option<Result<RunScan, SpillError>>>> =
-            runs.iter().map(|_| Mutex::new(None)).collect();
-        let next_run = AtomicUsize::new(0);
-        workers.broadcast(&|_w| loop {
-            let r = next_run.fetch_add(1, AtomicOrdering::Relaxed);
-            if r >= runs.len() {
+        n: usize,
+        job: impl Fn(usize) -> Result<T, SpillError> + Sync,
+    ) -> Result<Vec<T>, SpillError> {
+        let slots: Vec<Mutex<Option<Result<T, SpillError>>>> =
+            (0..n).map(|_| Mutex::new(None)).collect();
+        let next = AtomicUsize::new(0);
+        self.workers().broadcast(&|_w| loop {
+            let i = next.fetch_add(1, AtomicOrdering::Relaxed);
+            if i >= n {
                 break;
             }
-            let res = self.scan_run(&runs[r], kw, width, use_ovc, &splitters, parts);
-            *scan_slots[r].lock().unwrap_or_else(|e| e.into_inner()) = Some(res);
+            *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(job(i));
         });
-        let mut scans: Vec<RunScan> = Vec::with_capacity(runs.len());
-        for slot in scan_slots {
+        let mut out = Vec::with_capacity(n);
+        for slot in slots {
             // The broadcast fills every slot before returning; an empty
             // one means the pool lost a job, which must surface as a
             // typed error, not a panic on a worker thread.
-            let res = match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-                Some(res) => res,
-                None => {
-                    return Err(SpillError::io(
-                        SpillOp::Read,
-                        Path::new("<merge>"),
-                        &io::Error::other("a seam scan job was never run"),
-                    ))
-                }
-            };
-            scans.push(res?);
+            let res = slot.into_inner().unwrap_or_else(|e| e.into_inner());
+            out.push(res.ok_or_else(lost_job)??);
+        }
+        Ok(out)
+    }
+
+    /// Phase 2: streaming k-way merge over the runs (DESIGN.md §11), into
+    /// one pooled output sized exactly before a row is merged.
+    ///
+    /// With one partition the calling thread merges whole files through
+    /// verifying cursors: each run is read once, every trailer is checked
+    /// before the output escapes, and the output heap is sized from the
+    /// segment totals recorded at spill time.
+    ///
+    /// With more, Phase A scans every run once (in parallel, verifying
+    /// checksums) to locate each splitter's seam — record index, byte
+    /// offset, heap bytes — per run. The cuts give every range's exact
+    /// row and heap size, so each worker writes its range's disjoint
+    /// slice directly: the concatenation needs no fix-up pass and is
+    /// bit-identical to the one-partition merge. Phase B merges each
+    /// range over ranged cursors seeked to the seam offsets
+    /// ([`SpillIo::open_at`]).
+    fn merge_runs(&self, runs: &[Run], order: &MergeOrder<'_>) -> Result<DataChunk, SpillError> {
+        let kw = order.kw;
+        let width = self.layout.width();
+        let total: usize = runs.iter().map(|r| r.rows()).sum();
+        let parts = self.plan_parts(runs, kw, total);
+        self.metrics
+            .add(Counter::SpillMergePartitions, parts as u64);
+        if runs.is_empty() {
+            // All rows fit nowhere — no runs means no rows.
+            return Ok(DataChunk::new(&self.types));
         }
 
-        // Range bases: rows/heap bytes in all ranges before range `p`.
-        let row_base: Vec<usize> = (0..=parts)
-            .map(|p| scans.iter().map(|s| s.cuts[p].index).sum())
-            .collect();
-        let heap_base: Vec<u64> = (0..=parts)
-            .map(|p| scans.iter().map(|s| s.cuts[p].heap_before).sum())
-            .collect();
-        debug_assert_eq!(row_base[parts], total);
-        let total_heap = heap_base[parts] as usize;
+        // Every range's exact size: its records and their string bytes.
+        let (scans, sizes): (Vec<RunScan>, Vec<(usize, u64)>) = if parts > 1 {
+            let splitters = Self::choose_splitters(runs, kw, parts);
+            let scans = self.run_jobs(runs.len(), |r| {
+                self.scan_run(&runs[r], kw, &splitters, parts)
+            })?;
+            let sizes = (0..parts)
+                .map(|p| {
+                    scans.iter().fold((0, 0), |(rows, heap), s| {
+                        let (lo, hi) = (s.cuts[p], s.cuts[p + 1]);
+                        (
+                            rows + hi.index - lo.index,
+                            heap + hi.heap_before - lo.heap_before,
+                        )
+                    })
+                })
+                .collect();
+            (scans, sizes)
+        } else {
+            let heap_bytes = runs.iter().map(|r| r.heap_bytes).sum();
+            (Vec::new(), vec![(total, heap_bytes)])
+        };
+        debug_assert_eq!(sizes.iter().map(|s| s.0).sum::<usize>(), total);
+        let total_heap = sizes.iter().map(|s| s.1).sum::<u64>() as usize;
 
-        // One shared output, sized exactly from the scan; each range owns
-        // a disjoint slice of both areas.
         let mut out_data = self.pool.get_bytes(total * width);
         out_data.resize(total * width, 0);
         let mut out_heap = self.pool.get_bytes(total_heap);
         out_heap.resize(total_heap, 0);
-
-        // Phase B: ranged merges, parallel over ranges.
-        let data_ptr = SendPtr::new(out_data.as_mut_ptr());
-        let heap_ptr = SendPtr::new(out_heap.as_mut_ptr());
-        let merge_slots: Vec<Mutex<Option<Result<RangeMergeStats, SpillError>>>> =
-            (0..parts).map(|_| Mutex::new(None)).collect();
-        let next_part = AtomicUsize::new(0);
-        let scans_ref = &scans;
-        let row_base_ref = &row_base;
-        let heap_base_ref = &heap_base;
-        workers.broadcast(&|_w| loop {
-            let p = next_part.fetch_add(1, AtomicOrdering::Relaxed);
-            if p >= parts {
-                break;
+        {
+            // One shared output cut into each range's disjoint slices of
+            // both areas, plus the heap slice's offset in the whole heap:
+            // whichever worker claims range `p` takes slot `p`.
+            let mut rest = (&mut out_data[..], &mut out_heap[..]);
+            let mut heap_base = 0u64;
+            let slots: Vec<Mutex<Option<RangeOutput<'_>>>> = sizes
+                .iter()
+                .map(|&(rows, heap_bytes)| {
+                    let (data, data_rest) = std::mem::take(&mut rest.0).split_at_mut(rows * width);
+                    let (heap, heap_rest) =
+                        std::mem::take(&mut rest.1).split_at_mut(heap_bytes as usize);
+                    rest = (data_rest, heap_rest);
+                    let slot = (data, heap, heap_base);
+                    heap_base += heap_bytes;
+                    Mutex::new(Some(slot))
+                })
+                .collect();
+            let merge_one = |p: usize| {
+                let slot = slots[p].lock().unwrap_or_else(|e| e.into_inner()).take();
+                let (data, heap, heap_base) = slot.ok_or_else(lost_job)?;
+                let range = (parts > 1).then_some((&scans[..], p));
+                self.merge_range(runs, range, order, data, heap, heap_base)
+            };
+            // One partition merges on the calling thread: a sorter that
+            // never partitions never spawns the worker pool.
+            let stats = if parts == 1 {
+                vec![merge_one(0)?]
+            } else {
+                self.run_jobs(parts, merge_one)?
+            };
+            for s in stats {
+                s.flush(&self.metrics);
             }
-            let rows_in = row_base_ref[p + 1] - row_base_ref[p];
-            let heap_in = (heap_base_ref[p + 1] - heap_base_ref[p]) as usize;
-            // SAFETY: `data_ptr` points at `out_data`, which `row_base`'s
-            // prefix sums partition into `[0, total * width)` — range `p`
-            // owns exactly `[row_base[p] * width, row_base[p+1] * width)`,
-            // disjoint from every other range's slice, in bounds, and
-            // alive until the broadcast barrier below returns.
-            let data = unsafe {
-                std::slice::from_raw_parts_mut(
-                    data_ptr.get().add(row_base_ref[p] * width),
-                    rows_in * width,
-                )
-            };
-            // SAFETY: `heap_ptr` points at `out_heap`, partitioned by the
-            // `heap_base_ref` prefix sums the same way — range `p` owns
-            // the disjoint in-bounds span of `heap_in` bytes starting at
-            // `heap_base_ref[p]`, in a buffer alive until the broadcast
-            // barrier returns.
-            let heap = unsafe {
-                std::slice::from_raw_parts_mut(
-                    heap_ptr.get().add(heap_base_ref[p] as usize),
-                    heap_in,
-                )
-            };
-            let res = self.merge_range(
-                runs,
-                scans_ref,
-                p,
-                kw,
-                width,
-                varlen_cols,
-                use_ovc,
-                rows_in,
-                data,
-                heap,
-                heap_base_ref[p],
-            );
-            *merge_slots[p].lock().unwrap_or_else(|e| e.into_inner()) = Some(res);
-        });
-        let mut stats = RangeMergeStats::default();
-        for slot in merge_slots {
-            let res = match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-                Some(res) => res,
-                None => {
-                    return Err(SpillError::io(
-                        SpillOp::Read,
-                        Path::new("<merge>"),
-                        &io::Error::other("a range merge job was never run"),
-                    ))
-                }
-            };
-            let s = res?;
-            stats.cmps += s.cmps;
-            stats.ovc_resolved += s.ovc_resolved;
-            stats.key_bytes += s.key_bytes;
         }
-        self.metrics.add(Counter::MergeCmps, stats.cmps);
-        self.metrics
-            .add(Counter::MergeCmpsOvcResolved, stats.ovc_resolved);
-        self.metrics
-            .add(Counter::MergeKeyBytesTouched, stats.key_bytes);
 
         let block = RowBlock::from_raw_parts(Arc::clone(&self.layout), out_data, out_heap);
         let chunk = block.to_chunk();
@@ -1410,222 +1090,70 @@ impl ExternalSorter {
         Ok(chunk)
     }
 
-    /// Merge one key range across all runs into its output slices.
-    /// Cursors are opened at the seam byte offsets the scan computed;
-    /// runs with no rows in the range are skipped (the survivors keep
-    /// their relative order, so the tree's lower-index tie-break agrees
-    /// with the global stability rule — byte-equal keys never straddle a
-    /// range boundary).
-    #[allow(clippy::too_many_arguments)]
+    /// Merge whole runs (`range` is `None`: verifying cursors) or one key
+    /// range of them (`range` names the partition scans and the range:
+    /// cursors opened at the seam byte offsets the scan computed) into
+    /// `data` and `heap`, the output slices the records fill exactly;
+    /// `heap_base` is `heap`'s offset in the full output heap. Runs with
+    /// no rows in the range are skipped (the survivors keep their
+    /// relative order, so the tree's lower-index tie-break agrees with
+    /// the global stability rule — byte-equal keys never straddle a range
+    /// boundary).
     fn merge_range(
         &self,
         runs: &[Run],
-        scans: &[RunScan],
-        part: usize,
-        kw: usize,
-        width: usize,
-        varlen_cols: &[usize],
-        use_ovc: bool,
-        rows_in: usize,
+        range: Option<(&[RunScan], usize)>,
+        order: &MergeOrder<'_>,
         data: &mut [u8],
         heap: &mut [u8],
         heap_base: u64,
-    ) -> Result<RangeMergeStats, SpillError> {
-        let mut stats = RangeMergeStats::default();
-        if rows_in == 0 {
-            return Ok(stats);
-        }
+    ) -> Result<MergeStats, SpillError> {
         let mut cursors: Vec<RunCursor<'_>> = Vec::with_capacity(runs.len());
-        for (run, scan) in runs.iter().zip(scans) {
-            let cut = &scan.cuts[part];
-            let rows = scan.cuts[part + 1].index - cut.index;
-            if rows == 0 {
-                continue;
-            }
-            let cursor = match &run.store {
-                RunStore::Spilled(r) => {
-                    let reader = r
-                        .io
-                        .open_at(&r.path, cut.byte_off)
-                        .map_err(|e| SpillError::io(SpillOp::Read, &r.path, &e))?;
-                    self.metrics.add(Counter::SpillSeamSkipBytes, cut.byte_off);
-                    let reader: Box<dyn Read + Send + '_> =
-                        Box::new(ReadAhead::new(reader, &self.pool, &self.metrics));
-                    RunCursor::new_ranged(reader, r.path.clone(), rows, kw, width, use_ovc)?
-                }
-                RunStore::Memory { bytes, .. } => RunCursor::new_ranged(
-                    Box::new(&bytes[cut.byte_off as usize..]),
-                    PathBuf::from("<in-memory run>"),
-                    rows,
-                    kw,
-                    width,
-                    use_ovc,
-                )?,
-            };
-            cursors.push(cursor);
-        }
-        let k = cursors.len();
-        let mut heap_pos = 0usize;
-        if k == 1 {
-            // One run covers the whole range: a straight copy.
-            let Some(cur) = cursors.first_mut() else {
-                return Ok(stats); // unreachable: k == 1
-            };
-            for i in 0..rows_in {
-                self.emit_record_at(
-                    cur,
-                    &mut data[i * width..(i + 1) * width],
-                    heap,
-                    &mut heap_pos,
-                    heap_base,
-                    varlen_cols,
-                )?;
-                cur.advance()?;
-            }
-            return Ok(stats);
-        }
-        let tie_cmp = FusedRowComparator::new(&self.layout, &self.order);
-        let tie_possible = !varlen_cols.is_empty();
-        let cmps = Cell::new(0u64);
-        let ovc_resolved = Cell::new(0u64);
-        let key_bytes = Cell::new(0u64);
-        if use_ovc {
-            let arity = ovc::word_count(kw);
-            let play =
-                |cursors: &[RunCursor<'_>], a: usize, b: usize, ca: u64, cb: u64| -> OvcMatch {
-                    let (ha, hb) = (&cursors[a], &cursors[b]);
-                    let r = ovc::compare_update(&ha.key, ca, &hb.key, cb, arity);
-                    cmps.set(cmps.get() + 1);
-                    ovc_resolved.set(ovc_resolved.get() + u64::from(r.resolved));
-                    key_bytes.set(key_bytes.get() + r.key_bytes);
-                    let ord = match r.ord {
-                        Ordering::Equal if tie_possible => {
-                            tie_cmp.compare(&ha.row, &ha.heap, &hb.row, &hb.heap)
-                        }
-                        ord => ord,
-                    };
-                    let a_beats_b = match ord {
-                        Ordering::Less => true,
-                        Ordering::Greater => false,
-                        Ordering::Equal => a < b,
-                    };
-                    OvcMatch {
-                        a_beats_b,
-                        loser_code: r.loser_code,
+        for (r, run) in runs.iter().enumerate() {
+            let span = match range {
+                None => None,
+                Some((scans, part)) => {
+                    let cut = scans[r].cuts[part];
+                    let rows = scans[r].cuts[part + 1].index - cut.index;
+                    if rows == 0 {
+                        continue;
                     }
-                };
-            let cursors_ref = &cursors;
-            let mut tree = OvcLoserTree::new(
-                k,
-                |i| cursors_ref[i].code,
-                |i| cursors_ref[i].exhausted(),
-                |a, b, ca, cb| play(cursors_ref, a, b, ca, cb),
-            );
-            for i in 0..rows_in {
-                let w = tree.winner();
-                self.emit_record_at(
-                    &cursors[w],
-                    &mut data[i * width..(i + 1) * width],
-                    heap,
-                    &mut heap_pos,
-                    heap_base,
-                    varlen_cols,
-                )?;
-                cursors[w].advance()?;
-                let cursors_ref = &cursors;
-                let leaf_code = if cursors_ref[w].exhausted() {
-                    u64::MAX
-                } else {
-                    cursors_ref[w].code
-                };
-                tree.replay(
-                    w,
-                    leaf_code,
-                    &mut |i| cursors_ref[i].exhausted(),
-                    &mut |a, b, ca, cb| play(cursors_ref, a, b, ca, cb),
-                );
-            }
+                    Some((cut.byte_off, rows))
+                }
+            };
+            cursors.push(self.open_cursor(run, order.kw, span)?);
+        }
+        let width = self.layout.width();
+        let rows_in = data.len() / width;
+        let mut sink = SegmentSink {
+            rows: data.chunks_exact_mut(width),
+            heap,
+            heap_pos: 0,
+            heap_base,
+            layout: &self.layout,
+            varlen_cols: &self.varlen_cols,
+        };
+        let mut tree = OvcLoserTree::empty();
+        if self.use_ovc(order.kw) {
+            merge_kway::<true, _, _>(order, &mut tree, &mut cursors, rows_in, &mut sink)
         } else {
-            let cmp = |a: &RunCursor<'_>, b: &RunCursor<'_>| -> Ordering {
-                cmps.set(cmps.get() + 1);
-                key_bytes.set(key_bytes.get() + 2 * kw as u64);
-                match a.key.cmp(&b.key) {
-                    Ordering::Equal if tie_possible => {
-                        tie_cmp.compare(&a.row, &a.heap, &b.row, &b.heap)
-                    }
-                    ord => ord,
-                }
-            };
-            let cursors_ref = &cursors;
-            let mut tree = LoserTree::new(
-                k,
-                |i| cursors_ref[i].exhausted(),
-                |a, b| cmp(&cursors_ref[a], &cursors_ref[b]) == Ordering::Less,
-            );
-            for i in 0..rows_in {
-                let w = tree.winner();
-                self.emit_record_at(
-                    &cursors[w],
-                    &mut data[i * width..(i + 1) * width],
-                    heap,
-                    &mut heap_pos,
-                    heap_base,
-                    varlen_cols,
-                )?;
-                cursors[w].advance()?;
-                let cursors_ref = &cursors;
-                tree.replay(w, &mut |i| cursors_ref[i].exhausted(), &mut |a, b| {
-                    cmp(&cursors_ref[a], &cursors_ref[b]) == Ordering::Less
-                });
-            }
+            merge_kway::<false, _, _>(order, &mut tree, &mut cursors, rows_in, &mut sink)
         }
-        stats.cmps = cmps.get();
-        stats.ovc_resolved = ovc_resolved.get();
-        stats.key_bytes = key_bytes.get();
-        Ok(stats)
-    }
-
-    /// As [`ExternalSorter::emit_record`], but into pre-sized slices of
-    /// the shared partitioned output: `slot` is this record's row slot,
-    /// `heap` the range's heap slice, `heap_pos` the write position
-    /// within it, and `heap_base` the slice's absolute offset in the
-    /// full output heap — rewritten string offsets are absolute, exactly
-    /// as the sequential merge writes them.
-    fn emit_record_at(
-        &self,
-        cur: &RunCursor<'_>,
-        slot: &mut [u8],
-        heap: &mut [u8],
-        heap_pos: &mut usize,
-        heap_base: u64,
-        varlen_cols: &[usize],
-    ) -> Result<(), SpillError> {
-        slot.copy_from_slice(&cur.row);
-        for &c in varlen_cols {
-            let null_off = self.layout.null_offset(c);
-            if slot[null_off] != 0 {
-                continue;
-            }
-            let at = self.layout.offset(c);
-            let rel = u32::from_le_bytes(read_slot(slot, at)) as usize;
-            let len = u32::from_le_bytes(read_slot(slot, at + 4)) as usize;
-            let end = rel + len;
-            if end > cur.heap.len() || *heap_pos + len > heap.len() {
-                // Unreachable for data the scan verified; kept as the
-                // same structural backstop the sequential merge has.
-                return Err(SpillError::corrupt(
-                    &cur.path,
-                    "string segment reference out of bounds",
-                ));
-            }
-            let new_off = heap_base + *heap_pos as u64;
-            heap[*heap_pos..*heap_pos + len].copy_from_slice(&cur.heap[rel..end]);
-            *heap_pos += len;
-            slot[at..at + 4].copy_from_slice(&(new_off as u32).to_le_bytes());
-        }
-        Ok(())
     }
 }
+
+/// A merge job or its output slot that the worker pool never delivered.
+fn lost_job() -> SpillError {
+    SpillError::io(
+        SpillOp::Read,
+        Path::new("<merge>"),
+        &io::Error::other("a merge job was never run"),
+    )
+}
+
+/// One range's share of the merge output: its row slots, its heap slice,
+/// and that slice's offset in the whole output heap.
+type RangeOutput<'a> = (&'a mut [u8], &'a mut [u8], u64);
 
 /// One range boundary within one run, as located by the Phase A scan.
 #[derive(Clone, Copy)]
@@ -1644,19 +1172,13 @@ struct RunScan {
     cuts: Vec<RangeCut>,
 }
 
-/// Comparator-work counters accumulated by one range merge.
-#[derive(Default)]
-struct RangeMergeStats {
-    cmps: u64,
-    ovc_resolved: u64,
-    key_bytes: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge::MemSource;
     use rowsort_testkit::faultfs::{FaultFs, FaultKind, FaultSchedule, FaultSpec};
     use rowsort_vector::{OrderByColumn, SortSpec, Value, Vector};
+    use std::cmp::Ordering;
 
     fn pseudo_random(n: usize, seed: u64, modk: u32) -> Vec<u32> {
         let mut state = seed;
@@ -1759,19 +1281,10 @@ mod tests {
 
     #[test]
     fn spill_files_are_cleaned_up() {
-        let dir = std::env::temp_dir();
-        let before: usize = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .map(|e| {
-                        e.file_name()
-                            .to_string_lossy()
-                            .starts_with("rowsort-spill-")
-                    })
-                    .unwrap_or(false)
-            })
-            .count();
+        // A directory of its own: tests run in parallel, and the other
+        // sorters in this binary spill into the shared temp dir.
+        let dir = std::env::temp_dir().join(format!("rowsort-cleanup-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
         let chunk =
             DataChunk::from_columns(vec![Vector::from_u32s(pseudo_random(5_000, 8, 100))]).unwrap();
         let sorter = ExternalSorter::new(
@@ -1784,66 +1297,50 @@ mod tests {
             },
         );
         let _ = sorter.sort(&chunk).unwrap();
-        let after: usize = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .map(|e| {
-                        e.file_name()
-                            .to_string_lossy()
-                            .starts_with("rowsort-spill-")
-                    })
-                    .unwrap_or(false)
-            })
-            .count();
-        assert_eq!(after, before, "spill files removed after the sort");
+        assert_eq!(sorter.metrics().counter(Counter::SpilledRuns), 10);
+        let left = std::fs::read_dir(&dir).unwrap().count();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(left, 0, "spill files removed after the sort");
     }
 
-    /// Replicate `sort()`'s run-generation phase: build sorted key/payload
-    /// blocks over `chunk` slices of at most `budget` rows, spill each.
-    fn build_spilled_runs(
-        sorter: &ExternalSorter,
+    /// `sort()`'s preparation: the VARCHAR statistics of `chunk` and the
+    /// key-block cache planned for them.
+    fn plan(sorter: &ExternalSorter, chunk: &DataChunk) -> (Vec<usize>, Mutex<Vec<KeyBlock>>) {
+        let mut stats = Vec::new();
+        varchar_stats(chunk, &mut stats);
+        let block = KeyBlock::new(&sorter.types, &sorter.order, |c| stats[c]);
+        (stats, Mutex::new(vec![block]))
+    }
+
+    /// `sort()`'s run-generation phase: `chunk` as spilled runs under the
+    /// sorter's row budget, and how their merge compares records.
+    fn build_spilled_runs<'s>(
+        sorter: &'s ExternalSorter,
         chunk: &DataChunk,
-        budget: usize,
-    ) -> (Vec<Run>, usize) {
-        let stats: Vec<usize> = (0..sorter.types.len())
-            .map(|c| {
-                chunk
-                    .column(c)
-                    .as_strings()
-                    .map(|s| s.max_len())
-                    .unwrap_or(0)
-            })
-            .collect();
-        let kw = KeyBlock::new(&sorter.types, &sorter.order, |c| stats[c]).key_width();
-        let varlen = sorter.varlen_cols();
-        let mut runs = Vec::new();
-        let mut start = 0;
-        while start < chunk.len() {
-            let end = (start + budget).min(chunk.len());
-            let morsel = chunk.slice(start, end);
-            let mut payload = RowBlock::with_capacity(Arc::clone(&sorter.layout), morsel.len());
-            payload.append_chunk(&morsel);
-            let mut keys = KeyBlock::new(&sorter.types, &sorter.order, |c| stats[c]);
-            keys.append_chunk(&morsel);
-            let tie_cmp = FusedRowComparator::new(&sorter.layout, &sorter.order);
-            keys.sort(|a, b| {
-                tie_cmp.compare(
-                    payload.row(a as usize),
-                    payload.heap(),
-                    payload.row(b as usize),
-                    payload.heap(),
-                )
-            });
-            let mut degraded = false;
-            runs.push(
-                sorter
-                    .spill_run(&keys, &payload, &varlen, &mut degraded)
-                    .unwrap(),
-            );
-            start = end;
+    ) -> (Vec<Run>, MergeOrder<'s>) {
+        let (stats, key_blocks) = plan(sorter, chunk);
+        let order = sorter.merge_order(&key_blocks.lock().unwrap()[0]);
+        let runs = sorter
+            .generate_spilled_runs(chunk, &stats, &key_blocks)
+            .unwrap();
+        (runs, order)
+    }
+
+    /// All of `chunk` as one sorted run, straight from the run generator.
+    fn whole_run(sorter: &ExternalSorter, chunk: &DataChunk) -> SortedRun {
+        let (stats, key_blocks) = plan(sorter, chunk);
+        sorter
+            .run_generator()
+            .make_run(chunk, 0, chunk.len(), &stats, &key_blocks, true)
+    }
+
+    /// An in-memory run over already-encoded bytes (no samples).
+    fn memory_run(bytes: Vec<u8>, rows: usize) -> Run {
+        Run {
+            samples: Vec::new(),
+            heap_bytes: 0,
+            store: RunStore::Memory { bytes, rows },
         }
-        (runs, kw)
     }
 
     /// A mixed-width chunk: two VARCHAR columns (empty strings, long
@@ -1907,9 +1404,10 @@ mod tests {
             },
         );
         let width = sorter.layout.width();
-        let varlen = sorter.varlen_cols();
+        let varlen = sorter.varlen_cols.clone();
 
-        // One run covering the whole chunk; keep the blocks to compare.
+        // One run covering the whole chunk, sorted here independently of
+        // the run generator; keep the blocks to compare.
         let stats: Vec<usize> = (0..sorter.types.len())
             .map(|c| {
                 chunk
@@ -1934,7 +1432,7 @@ mod tests {
         });
         let mut degraded = false;
         let run = sorter
-            .spill_run(&keys, &payload, &varlen, &mut degraded)
+            .spill_run(&whole_run(&sorter, &chunk), &mut degraded)
             .unwrap();
         assert_eq!(run.rows(), chunk.len());
 
@@ -1950,7 +1448,7 @@ mod tests {
 
         let kw = keys.key_width();
         let arity = ovc::word_count(kw);
-        let mut cur = run.open(kw, width, sorter.use_ovc(kw)).unwrap();
+        let mut cur = sorter.open_cursor(&run, kw, None).unwrap();
         let mut prev_key: Vec<u8> = Vec::new();
         for i in 0..run.rows() {
             assert!(!cur.exhausted(), "record {i} missing");
@@ -2013,14 +1511,13 @@ mod tests {
             },
         );
         let budget = 123;
-        let (runs, kw) = build_spilled_runs(&sorter, &chunk, budget);
+        let (runs, order) = build_spilled_runs(&sorter, &chunk);
         assert_eq!(runs.len(), chunk.len().div_ceil(budget));
         let total: usize = runs.iter().map(|r| r.rows()).sum();
         assert_eq!(total, chunk.len());
-        let width = sorter.layout.width();
         for (ri, run) in runs.iter().enumerate() {
             assert!(run.rows() <= budget, "run {ri} exceeds the row budget");
-            let mut cur = run.open(kw, width, sorter.use_ovc(kw)).unwrap();
+            let mut cur = sorter.open_cursor(run, order.kw, None).unwrap();
             let mut prev: Vec<u8> = Vec::new();
             for i in 0..run.rows() {
                 assert!(!cur.exhausted(), "run {ri} record {i} missing");
@@ -2208,16 +1705,14 @@ mod tests {
                 ..Default::default()
             },
         );
-        let width = sorter.layout.width();
-        let varlen = sorter.varlen_cols();
-        let (runs, kw) = build_spilled_runs(&sorter, &chunk, 400);
+        let (runs, merge_order) = build_spilled_runs(&sorter, &chunk);
         assert_eq!(runs.len(), 1, "one budget-sized morsel, one run");
 
-        let empty = sorter.merge_runs(&[], kw, width, &varlen).unwrap();
+        let empty = sorter.merge_runs(&[], &merge_order).unwrap();
         assert_eq!(empty.len(), 0);
         assert_eq!(empty.types(), chunk.types());
 
-        let merged = sorter.merge_runs(&runs, kw, width, &varlen).unwrap();
+        let merged = sorter.merge_runs(&runs, &merge_order).unwrap();
         assert_eq!(merged.len(), 400);
         let got = merged.to_rows();
         let canon = |rows: &[Vec<Value>]| {
@@ -2225,7 +1720,11 @@ mod tests {
             v.sort();
             v
         };
-        assert_eq!(canon(&got), canon(&chunk.to_rows()), "rows lost or invented");
+        assert_eq!(
+            canon(&got),
+            canon(&chunk.to_rows()),
+            "rows lost or invented"
+        );
         for (i, w) in got.windows(2).enumerate() {
             assert_ne!(
                 order.compare_rows(&w[0], &w[1]),
@@ -2268,6 +1767,158 @@ mod tests {
         assert_eq!(reference.len(), 3_000);
         for threads in [2, 4, 8] {
             assert_eq!(sort_with(threads), reference, "threads={threads}");
+        }
+    }
+
+    // ---- the merge kernel across source kinds ---------------------------
+
+    /// Merge `sources` through the kernel into fresh output areas of
+    /// exactly `rows` rows and `heap_bytes` string bytes.
+    fn kernel_merge<S: RunSource>(
+        sorter: &ExternalSorter,
+        order: &MergeOrder<'_>,
+        sources: &mut [S],
+        (rows, heap_bytes): (usize, u64),
+    ) -> (Vec<u8>, Vec<u8>, MergeStats) {
+        let width = sorter.layout.width();
+        let mut data = vec![0u8; rows * width];
+        let mut heap = vec![0u8; heap_bytes as usize];
+        let mut sink = SegmentSink {
+            rows: data.chunks_exact_mut(width),
+            heap: &mut heap,
+            heap_pos: 0,
+            heap_base: 0,
+            layout: &sorter.layout,
+            varlen_cols: &sorter.varlen_cols,
+        };
+        let mut tree = OvcLoserTree::empty();
+        let stats = if sorter.use_ovc(order.kw) {
+            merge_kway::<true, _, _>(order, &mut tree, sources, rows, &mut sink)
+        } else {
+            merge_kway::<false, _, _>(order, &mut tree, sources, rows, &mut sink)
+        }
+        .expect("fault-free merge");
+        assert!(
+            sources.iter().all(|s| s.exhausted()),
+            "a source was left open"
+        );
+        (data, heap, stats)
+    }
+
+    /// The kernel does not care where a run lives: the same runs merged
+    /// from memory and from their encoded form yield the same bytes after
+    /// the same comparisons — coded or not, at any fan-in, with an empty
+    /// run among the inputs, and when every key ties.
+    #[test]
+    fn kernel_output_and_comparisons_agree_across_source_kinds() {
+        let types = [
+            LogicalType::Varchar,
+            LogicalType::UInt32,
+            LogicalType::Varchar,
+            LogicalType::Int32,
+        ];
+        let mut all_equal = DataChunk::new(&types);
+        let mut all_null = DataChunk::new(&types);
+        for i in 0..300 {
+            let (tail, id) = (Value::from(format!("p{}", i % 9)), Value::Int32(i));
+            let same = Value::from("the same truncated-prefix key");
+            all_equal
+                .push_row(&[same, Value::UInt32(7), tail.clone(), id.clone()])
+                .unwrap();
+            all_null
+                .push_row(&[Value::Null, Value::Null, tail, id])
+                .unwrap();
+        }
+        // A VARCHAR last among the keys: where its prefix is truncated
+        // (not for all-NULL strings), byte-equal keys reach the
+        // full-tuple comparator.
+        let inputs = [
+            ("mixed", stringy_chunk(600, 41), true),
+            ("all-equal keys", all_equal, true),
+            ("all-NULL keys", all_null, false),
+        ];
+        let by = OrderBy::new(vec![OrderByColumn::asc(1), OrderByColumn::asc(0)]);
+        for (name, chunk, truncated) in &inputs {
+            for ovc in [false, true] {
+                let sorter = ExternalSorter::new(
+                    chunk.types(),
+                    by.clone(),
+                    ExternalSortOptions {
+                        ovc,
+                        ..Default::default()
+                    },
+                );
+                let (stats, key_blocks) = plan(&sorter, chunk);
+                let order = sorter.merge_order(&key_blocks.lock().unwrap()[0]);
+                assert_eq!(order.tie_possible, *truncated, "{name}: tie_possible");
+                for k in [1usize, 2, 3, 17] {
+                    let what = format!("{name}, ovc={ovc}, k={k}");
+                    let n = chunk.len();
+                    let mut bounds: Vec<usize> = (0..=k).map(|i| i * n / k).collect();
+                    if k >= 3 {
+                        bounds[2] = bounds[1]; // run 1 is empty
+                    }
+                    let gen = sorter.run_generator();
+                    let sorted: Vec<SortedRun> = bounds
+                        .windows(2)
+                        .map(|w| gen.make_run(chunk, w[0], w[1], &stats, &key_blocks, true))
+                        .collect();
+                    let encoded: Vec<Run> = sorted
+                        .iter()
+                        .map(|run| {
+                            let (bytes, heap_bytes) = sorter.encode_run(run);
+                            Run {
+                                heap_bytes,
+                                ..memory_run(bytes, run.len())
+                            }
+                        })
+                        .collect();
+                    let size = (n, encoded.iter().map(|r| r.heap_bytes).sum());
+
+                    let mut cursors: Vec<RunCursor<'_>> = encoded
+                        .iter()
+                        .map(|run| sorter.open_cursor(run, order.kw, None).unwrap())
+                        .collect();
+                    let from_files = kernel_merge(&sorter, &order, &mut cursors, size);
+                    let mut in_memory: Vec<MemSource> =
+                        sorted.into_iter().map(MemSource::new).collect();
+                    let from_memory = kernel_merge(&sorter, &order, &mut in_memory, size);
+
+                    assert_eq!(from_files.0, from_memory.0, "{what}: rows differ");
+                    assert_eq!(from_files.1, from_memory.1, "{what}: heaps differ");
+                    let counts = |s: &MergeStats| (s.cmps, s.ovc_resolved, s.key_bytes);
+                    assert_eq!(
+                        counts(&from_files.2),
+                        counts(&from_memory.2),
+                        "{what}: comparator work differs"
+                    );
+                    assert_eq!(from_files.2.cmps == 0, k == 1, "{what}: cmps");
+
+                    // And it is the sorter's own answer.
+                    let block = RowBlock::from_raw_parts(
+                        Arc::clone(&sorter.layout),
+                        from_memory.0,
+                        from_memory.1,
+                    );
+                    let whole = ExternalSorter::new(
+                        chunk.types(),
+                        by.clone(),
+                        ExternalSortOptions {
+                            memory_limit_rows: n.div_ceil(k),
+                            ovc,
+                            merge_threads: 1,
+                            ..Default::default()
+                        },
+                    );
+                    let want = whole.sort(chunk).unwrap();
+                    if k < 3 {
+                        // (With the empty run the cut points differ, and
+                        // with them the order among full ties.)
+                        assert_eq!(block.to_chunk().to_rows(), want.to_rows(), "{what}");
+                    }
+                    assert_eq!(block.len(), want.len(), "{what}: row count");
+                }
+            }
         }
     }
 
@@ -2625,10 +2276,18 @@ mod tests {
                 ..Default::default()
             },
         );
-        let (runs, kw) = build_spilled_runs(&sorter, &chunk, 400);
-        let width = sorter.layout.width();
-        let err = runs[0]
-            .open(kw, width, false)
+        let (runs, order) = build_spilled_runs(&sorter, &chunk);
+        // The same plan with OVC off expects code-free run files.
+        let plain = ExternalSorter::new(
+            chunk.types(),
+            OrderBy::ascending(2),
+            ExternalSortOptions {
+                ovc: false,
+                ..Default::default()
+            },
+        );
+        let err = plain
+            .open_cursor(&runs[0], order.kw, None)
             .err()
             .expect("flag mismatch must surface");
         assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
@@ -2649,30 +2308,16 @@ mod tests {
                 ..Default::default()
             },
         );
-        let stats: Vec<usize> = (0..sorter.types.len())
-            .map(|c| {
-                chunk
-                    .column(c)
-                    .as_strings()
-                    .map(|s| s.max_len())
-                    .unwrap_or(0)
-            })
-            .collect();
-        let mut payload = RowBlock::with_capacity(Arc::clone(&sorter.layout), chunk.len());
-        payload.append_chunk(&chunk);
-        let mut keys = KeyBlock::new(&sorter.types, &sorter.order, |c| stats[c]);
-        keys.append_chunk(&chunk);
-        keys.sort(|_, _| Ordering::Equal);
-        let varlen = sorter.varlen_cols();
-        let mut bytes = sorter.encode_run(&keys, &payload, &varlen);
-        let kw = keys.key_width();
+        let sorted = whole_run(&sorter, &chunk);
+        let (mut bytes, _) = sorter.encode_run(&sorted);
+        let kw = sorted.key_width;
         // Overwrite record 0's code (right after the 8-byte header and the
         // key) with an offset no encoder can emit.
         let at = 8 + kw;
         bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let run = Run::memory(bytes, chunk.len());
-        let err = run
-            .open(kw, sorter.layout.width(), true)
+        let run = memory_run(bytes, chunk.len());
+        let err = sorter
+            .open_cursor(&run, kw, None)
             .err()
             .expect("implausible code must surface");
         assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
@@ -2691,8 +2336,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let (runs, kw) = build_spilled_runs(&sorter, &chunk, 32);
-        let width = sorter.layout.width();
+        let (runs, order) = build_spilled_runs(&sorter, &chunk);
         let RunStore::Spilled(spilled) = &runs[0].store else {
             panic!("expected a spilled run");
         };
@@ -2709,9 +2353,9 @@ mod tests {
         ] {
             let mut broken = bytes.clone();
             mutate(&mut broken);
-            let run = Run::memory(broken, runs[0].rows());
-            let err = run
-                .open(kw, width, true)
+            let run = memory_run(broken, runs[0].rows());
+            let err = sorter
+                .open_cursor(&run, order.kw, None)
                 .err()
                 .expect("bad header must surface");
             assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");

@@ -11,10 +11,17 @@
 //! * [`pipeline`] — DuckDB's full parallel sorting pipeline (Figure 11):
 //!   morsel-parallel run generation, radix/pdqsort thread-local sorts,
 //!   Merge-Path-parallel cascaded 2-way merge, payload reordering,
+//! * `run` (crate-private) — the one run generator both sorters use:
+//!   vectors → rows + normalized keys → thread-local sort → a pooled
+//!   `SortedRun` with its offset-value code column,
+//! * `merge` (crate-private) — the one k-way merge kernel: a tree of
+//!   losers over `RunSource`s (in-memory run, spill cursor) emitting into
+//!   a `MergeSink`, OVC as a const parameter (DESIGN.md §10.3),
 //! * [`systems`] — the five §VII system profiles (DuckDB-, ClickHouse-,
 //!   MonetDB-, HyPer-, Umbra-like sort configurations) behind one trait,
-//! * [`external`] — out-of-core sorting with spilled runs and a streaming
-//!   merge (the §IX "graceful degradation" future work, implemented),
+//! * [`external`] — out-of-core sorting: the same runs, spilled, and the
+//!   same kernel over run files (the §IX "graceful degradation" future
+//!   work, implemented),
 //! * [`spill`] — the storage surface behind the external sorter: the
 //!   [`SpillIo`](spill::SpillIo) trait (std::fs default, fault-injecting
 //!   test backend) and the typed [`SpillError`](spill::SpillError)
@@ -37,11 +44,13 @@ pub mod chooser;
 pub mod comparator;
 pub mod external;
 pub mod keys;
+mod merge;
 pub mod metrics;
 pub mod model;
 pub mod ovc;
 pub mod pipeline;
 pub mod pool;
+mod run;
 pub mod spill;
 pub mod strategy;
 pub mod systems;

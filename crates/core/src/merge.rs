@@ -1,0 +1,378 @@
+//! The one k-way merge kernel (DESIGN.md §10.3): a tree of losers over
+//! [`RunSource`]s emitting into a [`MergeSink`], with offset-value coding
+//! as a const parameter.
+//!
+//! The in-memory pipeline's single-threaded coded merge and both spill
+//! merges (whole-file and per key range) are this loop over a different
+//! source × sink pair: where the head record lives and where the winner is
+//! written are the only things that ever differed between them. The
+//! Merge-Path 2-way cascade in [`crate::pipeline`] is the one merge not on
+//! it yet — it splits a single merge across workers by output position,
+//! which a tree over whole runs cannot express (ROADMAP item 3).
+
+use crate::comparator::FusedRowComparator;
+use crate::keys::word;
+use crate::metrics::{Counter, CounterRegistry};
+use crate::ovc;
+use crate::run::SortedRun;
+use crate::spill::SpillError;
+use rowsort_algos::kway::{OvcLoserTree, OvcMatch};
+use rowsort_row::RowLayout;
+use std::cmp::Ordering;
+use std::path::Path;
+
+/// Copy a small runtime-length slice with a pair of overlapping
+/// fixed-width loads/stores instead of a `memcpy` call — merge loops copy
+/// one key (~5 bytes) and one row (~8–24 bytes) per output row, where the
+/// call overhead of a runtime-length `memcpy` dominates the copy itself.
+#[inline]
+pub(crate) fn copy_small(dst: &mut [u8], src: &[u8]) {
+    debug_assert_eq!(dst.len(), src.len());
+    let n = src.len();
+    if n >= 16 && n <= 32 {
+        let a = u128::from_ne_bytes(word::<16>(src, 0));
+        let b = u128::from_ne_bytes(word::<16>(src, n - 16));
+        dst[..16].copy_from_slice(&a.to_ne_bytes());
+        dst[n - 16..].copy_from_slice(&b.to_ne_bytes());
+    } else if n >= 8 && n < 16 {
+        let a = u64::from_ne_bytes(word::<8>(src, 0));
+        let b = u64::from_ne_bytes(word::<8>(src, n - 8));
+        dst[..8].copy_from_slice(&a.to_ne_bytes());
+        dst[n - 8..].copy_from_slice(&b.to_ne_bytes());
+    } else if n >= 4 && n < 8 {
+        let a = u32::from_ne_bytes(word::<4>(src, 0));
+        let b = u32::from_ne_bytes(word::<4>(src, n - 4));
+        dst[..4].copy_from_slice(&a.to_ne_bytes());
+        dst[n - 4..].copy_from_slice(&b.to_ne_bytes());
+    } else {
+        dst.copy_from_slice(src);
+    }
+}
+
+/// Lexicographically compare two equal-length byte-comparable keys with
+/// big-endian word loads instead of a `memcmp` call. Overlapping windows
+/// are sound here: when the leading window ties, the overlapped bytes are
+/// known equal, so comparing the trailing window compares the remainder.
+#[inline]
+pub(crate) fn cmp_keys(a: &[u8], b: &[u8]) -> Ordering {
+    debug_assert_eq!(a.len(), b.len());
+    let n = a.len();
+    if n >= 4 && n <= 8 {
+        let a0 = u32::from_be_bytes(word::<4>(a, 0));
+        let b0 = u32::from_be_bytes(word::<4>(b, 0));
+        if a0 != b0 {
+            return a0.cmp(&b0);
+        }
+        let a1 = u32::from_be_bytes(word::<4>(a, n - 4));
+        let b1 = u32::from_be_bytes(word::<4>(b, n - 4));
+        a1.cmp(&b1)
+    } else if n > 8 && n <= 16 {
+        let a0 = u64::from_be_bytes(word::<8>(a, 0));
+        let b0 = u64::from_be_bytes(word::<8>(b, 0));
+        if a0 != b0 {
+            return a0.cmp(&b0);
+        }
+        let a1 = u64::from_be_bytes(word::<8>(a, n - 8));
+        let b1 = u64::from_be_bytes(word::<8>(b, n - 8));
+        a1.cmp(&b1)
+    } else {
+        a.cmp(b)
+    }
+}
+
+/// Rebase a merged row's VARCHAR heap offsets after its strings moved
+/// `heap_shift` bytes later in a concatenated output heap.
+#[inline]
+pub(crate) fn shift_heap_offsets(
+    layout: &RowLayout,
+    varlen_cols: &[usize],
+    out_row: &mut [u8],
+    heap_shift: u32,
+) {
+    for &c in varlen_cols {
+        if out_row[layout.null_offset(c)] != 0 {
+            continue;
+        }
+        let at = layout.offset(c);
+        let off = u32::from_le_bytes(word::<4>(out_row, at)) + heap_shift;
+        out_row[at..at + 4].copy_from_slice(&off.to_le_bytes());
+    }
+}
+
+/// One sorted input of a merge, positioned on its head record.
+///
+/// While not `exhausted`, `key` / `row` / `heap` describe the head: the
+/// normalized key, the payload row, and the heap the row's VARCHAR slots
+/// index into. `code` is the head's offset-value code relative to the
+/// record before it in this source (the first record against −∞) — what
+/// a run's code column stores; it is read only by coded merges.
+pub(crate) trait RunSource {
+    fn exhausted(&self) -> bool;
+    fn key(&self) -> &[u8];
+    fn code(&self) -> u64;
+    fn row(&self) -> &[u8];
+    fn heap(&self) -> &[u8];
+    /// Step to the next record, or past the last one (`exhausted`). A
+    /// file-backed source decodes — and past the last record verifies —
+    /// here, so this is where a corrupt or unreadable run surfaces.
+    fn advance(&mut self) -> Result<(), SpillError>;
+    /// Names the source in errors a sink raises about its records.
+    fn path(&self) -> &Path;
+}
+
+/// Where a merge writes its winners: pre-sized row slots plus a heap.
+/// `emit` takes the head record of `src`, input number `input` of the
+/// merge, into the next slot.
+pub(crate) trait MergeSink {
+    fn emit<S: RunSource>(&mut self, input: usize, src: &S) -> Result<(), SpillError>;
+}
+
+/// A sink was handed more records than it was sized for: a run that
+/// holds more records than it advertised, or a caller that miscounted.
+const OUTPUT_FULL: &str = "merge output smaller than its inputs";
+
+/// An in-memory cursor over a [`SortedRun`]. It owns the run so a sorter
+/// can keep its source vector across merges without a borrow in its type.
+pub(crate) struct MemSource {
+    pub(crate) run: SortedRun,
+    pos: usize,
+}
+
+impl MemSource {
+    pub(crate) fn new(run: SortedRun) -> MemSource {
+        MemSource { run, pos: 0 }
+    }
+}
+
+impl RunSource for MemSource {
+    #[inline]
+    fn exhausted(&self) -> bool {
+        self.pos >= self.run.len()
+    }
+    #[inline]
+    fn key(&self) -> &[u8] {
+        let kw = self.run.key_width;
+        &self.run.keys[self.pos * kw..(self.pos + 1) * kw]
+    }
+    #[inline]
+    fn code(&self) -> u64 {
+        ovc::read_code(&self.run.ovc, self.pos)
+    }
+    #[inline]
+    fn row(&self) -> &[u8] {
+        self.run.payload.row(self.pos)
+    }
+    #[inline]
+    fn heap(&self) -> &[u8] {
+        self.run.payload.heap()
+    }
+    #[inline]
+    fn advance(&mut self) -> Result<(), SpillError> {
+        self.pos += 1;
+        Ok(())
+    }
+    fn path(&self) -> &Path {
+        Path::new("<in-memory run>")
+    }
+}
+
+/// The pipeline's sink: merged keys and rows into pre-sized columns. The
+/// output heap is the input heaps concatenated in input order (filled by
+/// the caller), so a row only needs its heap offsets shifted by its
+/// input's base — no per-row string copy.
+pub(crate) struct ConcatSink<'a> {
+    pub(crate) keys: std::slice::ChunksExactMut<'a, u8>,
+    pub(crate) rows: std::slice::ChunksExactMut<'a, u8>,
+    /// Offset of each input's heap within the output heap.
+    pub(crate) heap_base: &'a [u32],
+    pub(crate) layout: &'a RowLayout,
+    pub(crate) varlen_cols: &'a [usize],
+}
+
+impl MergeSink for ConcatSink<'_> {
+    #[inline]
+    fn emit<S: RunSource>(&mut self, input: usize, src: &S) -> Result<(), SpillError> {
+        // Zero-width keys have no key column to fill.
+        if let Some(dst) = self.keys.next() {
+            copy_small(dst, src.key());
+        }
+        let (Some(out_row), Some(&shift)) = (self.rows.next(), self.heap_base.get(input)) else {
+            return Err(SpillError::corrupt(src.path(), OUTPUT_FULL));
+        };
+        copy_small(out_row, src.row());
+        if shift != 0 {
+            shift_heap_offsets(self.layout, self.varlen_cols, out_row, shift);
+        }
+        Ok(())
+    }
+}
+
+/// The spill merge's sink: rows into a pre-sized slice of the shared
+/// output, each record's string segment copied to the slice's heap
+/// cursor. `heap_base` is the heap slice's absolute offset in the full
+/// output heap — rewritten string offsets are absolute, so range slices
+/// concatenate with no fix-up pass.
+pub(crate) struct SegmentSink<'a> {
+    pub(crate) rows: std::slice::ChunksExactMut<'a, u8>,
+    pub(crate) heap: &'a mut [u8],
+    pub(crate) heap_pos: usize,
+    pub(crate) heap_base: u64,
+    pub(crate) layout: &'a RowLayout,
+    pub(crate) varlen_cols: &'a [usize],
+}
+
+impl MergeSink for SegmentSink<'_> {
+    fn emit<S: RunSource>(&mut self, _input: usize, src: &S) -> Result<(), SpillError> {
+        let Some(slot) = self.rows.next() else {
+            return Err(SpillError::corrupt(src.path(), OUTPUT_FULL));
+        };
+        slot.copy_from_slice(src.row());
+        let seg = src.heap();
+        for &c in self.varlen_cols {
+            if slot[self.layout.null_offset(c)] != 0 {
+                continue;
+            }
+            let at = self.layout.offset(c);
+            let rel = u32::from_le_bytes(word::<4>(slot, at)) as usize;
+            let len = u32::from_le_bytes(word::<4>(slot, at + 4)) as usize;
+            let (end, pos) = (rel + len, self.heap_pos);
+            if end > seg.len() || pos + len > self.heap.len() {
+                // Only reachable with corrupted offsets or lengths the
+                // checksum has not yet had a chance to reject.
+                return Err(SpillError::corrupt(
+                    src.path(),
+                    "string segment reference out of bounds",
+                ));
+            }
+            self.heap[pos..pos + len].copy_from_slice(&seg[rel..end]);
+            self.heap_pos += len;
+            let new_off = (self.heap_base + pos as u64) as u32;
+            slot[at..at + 4].copy_from_slice(&new_off.to_le_bytes());
+        }
+        Ok(())
+    }
+}
+
+/// How one sort's merges compare two head records — derived once per
+/// sort from the key layout, not per merge or per task.
+pub(crate) struct MergeOrder<'a> {
+    /// Bytes per normalized key (identical across all runs of a sort).
+    pub(crate) kw: usize,
+    /// Byte-equal keys may hide unequal tuples (a truncated VARCHAR
+    /// prefix, [`SortedRun::tie_possible`]): consult `tie_cmp` on them.
+    pub(crate) tie_possible: bool,
+    pub(crate) tie_cmp: &'a FusedRowComparator,
+}
+
+/// Comparator work done by one merge, flushed to the registry by the
+/// caller (a relaxed atomic add per comparison would put a contended
+/// cache line in the hottest loop of the sort).
+#[derive(Default)]
+pub(crate) struct MergeStats {
+    pub(crate) cmps: u64,
+    pub(crate) ovc_resolved: u64,
+    pub(crate) key_bytes: u64,
+}
+
+impl MergeStats {
+    /// Add this merge's comparator work to `metrics`.
+    pub(crate) fn flush(&self, metrics: &CounterRegistry) {
+        metrics.add(Counter::MergeCmps, self.cmps);
+        metrics.add(Counter::MergeCmpsOvcResolved, self.ovc_resolved);
+        metrics.add(Counter::MergeKeyBytesTouched, self.key_bytes);
+    }
+}
+
+impl MergeOrder<'_> {
+    /// One loser-tree match between heads `a` and `b`, whose codes `ca`,
+    /// `cb` share a base. Under OVC the codes decide outright when they
+    /// differ and suffix bytes are only touched on a code tie; without it
+    /// every match is a whole-key compare. Either way the row tiebreak
+    /// runs only on full key equality, and a full tie goes to the lower
+    /// input (`a_first`) — a stable merge by run index, so OVC on and off
+    /// merge the same rows in the same order.
+    #[inline]
+    fn play<const OVC: bool, S: RunSource>(
+        &self,
+        (a, ca): (&S, u64),
+        (b, cb): (&S, u64),
+        a_first: bool,
+        stats: &mut MergeStats,
+    ) -> OvcMatch {
+        stats.cmps += 1;
+        let (ord, loser_code) = if OVC {
+            let r = ovc::compare_update(a.key(), ca, b.key(), cb, ovc::word_count(self.kw));
+            stats.ovc_resolved += u64::from(r.resolved);
+            stats.key_bytes += r.key_bytes;
+            (r.ord, r.loser_code)
+        } else {
+            stats.key_bytes += 2 * self.kw as u64;
+            (cmp_keys(a.key(), b.key()), 0)
+        };
+        let ord = match ord {
+            Ordering::Equal if self.tie_possible => {
+                self.tie_cmp.compare(a.row(), a.heap(), b.row(), b.heap())
+            }
+            ord => ord,
+        };
+        OvcMatch {
+            a_beats_b: ord == Ordering::Less || (ord == Ordering::Equal && a_first),
+            loser_code,
+        }
+    }
+}
+
+/// Merge `rows` records from `sources` into `sink`: ⌈log₂ k⌉ matches per
+/// emitted record, each record moved once. One source drains straight
+/// through (a one-leaf tree plays no matches); none emits nothing.
+///
+/// With `OVC` every source must carry codes, heads coded against −∞ — the
+/// common base the tournament starts from. After an emission the winner's
+/// next head is coded against the record just emitted, the same base
+/// every resident loser on its root path was re-coded against.
+///
+/// On return every source has been advanced past its last record, so
+/// file-backed sources have verified their trailers before the output
+/// escapes.
+pub(crate) fn merge_kway<const OVC: bool, S: RunSource, K: MergeSink>(
+    order: &MergeOrder<'_>,
+    tree: &mut OvcLoserTree,
+    sources: &mut [S],
+    rows: usize,
+    sink: &mut K,
+) -> Result<MergeStats, SpillError> {
+    let mut stats = MergeStats::default();
+    if sources.is_empty() {
+        return Ok(stats);
+    }
+    let srcs = &*sources;
+    tree.rebuild(
+        srcs.len(),
+        |i| srcs[i].code(),
+        |i| srcs[i].exhausted(),
+        |a, b, ca, cb| order.play::<OVC, S>((&srcs[a], ca), (&srcs[b], cb), a < b, &mut stats),
+    );
+    for _ in 0..rows {
+        let w = tree.winner();
+        sink.emit(w, &sources[w])?;
+        sources[w].advance()?;
+        let srcs = &*sources;
+        let leaf_code = if srcs[w].exhausted() {
+            u64::MAX
+        } else {
+            srcs[w].code()
+        };
+        tree.replay(
+            w,
+            leaf_code,
+            &mut |i| srcs[i].exhausted(),
+            &mut |a, b, ca, cb| {
+                order.play::<OVC, S>((&srcs[a], ca), (&srcs[b], cb), a < b, &mut stats)
+            },
+        );
+    }
+    for src in sources.iter_mut().filter(|s| !s.exhausted()) {
+        src.advance()?;
+    }
+    Ok(stats)
+}

@@ -31,13 +31,14 @@
 //! ties, is bit-identical for any thread count.
 
 use crate::comparator::FusedRowComparator;
-use crate::keys::{word, KeyBlock, KeySortAlgo};
+use crate::keys::KeyBlock;
+use crate::merge::{cmp_keys, copy_small, merge_kway, ConcatSink, MemSource, MergeOrder};
 use crate::metrics::{emit_trace, Counter, CounterRegistry, Metrics, Phase, SortProfile};
 use crate::pool::BufferPool;
+use crate::run::{varchar_stats, RunGenerator, SortedRun};
 use crate::workers::{SendPtr, WorkerPool};
-use rowsort_algos::kway::{OvcLoserTree, OvcMatch};
+use rowsort_algos::kway::OvcLoserTree;
 use rowsort_algos::merge_path::merge_path_partition_by;
-use rowsort_algos::radix::radix_scratch_len;
 use rowsort_row::{RowBlock, RowLayout};
 use rowsort_vector::{DataChunk, LogicalType, OrderBy, Vector};
 use std::cmp::Ordering;
@@ -106,26 +107,6 @@ impl SortOptions {
     }
 }
 
-/// One sorted run: normalized keys (stride = `key_width`, row ids
-/// stripped) aligned 1:1 with already-reordered payload rows.
-struct SortedRun {
-    keys: Vec<u8>,
-    /// Bytes per key entry, carried from the [`KeyBlock`] layout that
-    /// produced the run (every run of a sort shares it).
-    key_width: usize,
-    /// Per-row offset-value codes (8 LE bytes per row): row 0 relative
-    /// to −∞, row `i` relative to row `i − 1`. Empty when OVC is off or
-    /// keys are zero-width (DESIGN.md §10.2).
-    ovc: Vec<u8>,
-    payload: RowBlock,
-}
-
-impl SortedRun {
-    fn len(&self) -> usize {
-        self.payload.len()
-    }
-}
-
 /// One 2-way merge of a round, with raw output bases so Merge Path tasks
 /// on several workers can each fill their disjoint output range.
 struct MergeJob {
@@ -183,72 +164,13 @@ struct Scratch {
     next_round: Vec<SortedRun>,
     jobs: Vec<MergeJob>,
     /// Coded k-way merge state (single-threaded OVC sorts, DESIGN.md
-    /// §10.2): the loser tree plus per-run cursor/heap-base scratch, all
+    /// §10.2): the loser tree plus per-run source/heap-base scratch, all
     /// reused so the steady state allocates nothing.
     kway_tree: Option<OvcLoserTree>,
-    kway_idx: Vec<std::cell::Cell<usize>>,
+    kway_sources: Vec<MemSource>,
     kway_heap_base: Vec<u32>,
     /// Pooled key blocks (kept whole to also reuse their layout planning).
     key_blocks: Mutex<Vec<KeyBlock>>,
-}
-
-/// Copy a small runtime-length slice with a pair of overlapping
-/// fixed-width loads/stores instead of a `memcpy` call — merge loops copy
-/// one key (~5 bytes) and one row (~8–24 bytes) per output row, where the
-/// call overhead of a runtime-length `memcpy` dominates the copy itself.
-#[inline]
-fn copy_small(dst: &mut [u8], src: &[u8]) {
-    debug_assert_eq!(dst.len(), src.len());
-    let n = src.len();
-    if n >= 16 && n <= 32 {
-        let a = u128::from_ne_bytes(word::<16>(src, 0));
-        let b = u128::from_ne_bytes(word::<16>(src, n - 16));
-        dst[..16].copy_from_slice(&a.to_ne_bytes());
-        dst[n - 16..].copy_from_slice(&b.to_ne_bytes());
-    } else if n >= 8 && n < 16 {
-        let a = u64::from_ne_bytes(word::<8>(src, 0));
-        let b = u64::from_ne_bytes(word::<8>(src, n - 8));
-        dst[..8].copy_from_slice(&a.to_ne_bytes());
-        dst[n - 8..].copy_from_slice(&b.to_ne_bytes());
-    } else if n >= 4 && n < 8 {
-        let a = u32::from_ne_bytes(word::<4>(src, 0));
-        let b = u32::from_ne_bytes(word::<4>(src, n - 4));
-        dst[..4].copy_from_slice(&a.to_ne_bytes());
-        dst[n - 4..].copy_from_slice(&b.to_ne_bytes());
-    } else {
-        dst.copy_from_slice(src);
-    }
-}
-
-/// Lexicographically compare two equal-length byte-comparable keys with
-/// big-endian word loads instead of a `memcmp` call. Overlapping windows
-/// are sound here: when the leading window ties, the overlapped bytes are
-/// known equal, so comparing the trailing window compares the remainder.
-#[inline]
-fn cmp_keys(a: &[u8], b: &[u8]) -> Ordering {
-    debug_assert_eq!(a.len(), b.len());
-    let n = a.len();
-    if n >= 4 && n <= 8 {
-        let a0 = u32::from_be_bytes(word::<4>(a, 0));
-        let b0 = u32::from_be_bytes(word::<4>(b, 0));
-        if a0 != b0 {
-            return a0.cmp(&b0);
-        }
-        let a1 = u32::from_be_bytes(word::<4>(a, n - 4));
-        let b1 = u32::from_be_bytes(word::<4>(b, n - 4));
-        a1.cmp(&b1)
-    } else if n > 8 && n <= 16 {
-        let a0 = u64::from_be_bytes(word::<8>(a, 0));
-        let b0 = u64::from_be_bytes(word::<8>(b, 0));
-        if a0 != b0 {
-            return a0.cmp(&b0);
-        }
-        let a1 = u64::from_be_bytes(word::<8>(a, n - 8));
-        let b1 = u64::from_be_bytes(word::<8>(b, n - 8));
-        a1.cmp(&b1)
-    } else {
-        a.cmp(b)
-    }
 }
 
 /// The relational sort operator.
@@ -354,12 +276,7 @@ impl SortPipeline {
         let before = self.metrics.snapshot();
         {
             let _prepare = self.metrics.time_phase(Phase::Prepare);
-            // String statistics are plan-wide: every run must agree on the
-            // normalized-key shape or the merge phase could not compare keys.
-            scratch.stats.clear();
-            for c in 0..self.types.len() {
-                scratch.stats.push(Self::varchar_stat(input, c));
-            }
+            varchar_stats(input, &mut scratch.stats);
             if scratch.stats != scratch.key_stats {
                 // Cached key blocks were planned for different VARCHAR
                 // stats; their layout no longer applies.
@@ -412,14 +329,17 @@ impl SortPipeline {
         self.metrics.snapshot()
     }
 
-    /// Statistics callback for VARCHAR prefix sizing: max string length in
-    /// the input for the given column.
-    fn varchar_stat(input: &DataChunk, col: usize) -> usize {
-        input
-            .column(col)
-            .as_strings()
-            .map(|s| s.max_len())
-            .unwrap_or(0)
+    /// What run generation borrows from this pipeline.
+    fn run_generator(&self) -> RunGenerator<'_> {
+        RunGenerator {
+            types: &self.types,
+            order: &self.order,
+            layout: &self.layout,
+            tie_cmp: &self.tie_cmp,
+            pool: &self.pool,
+            metrics: &self.metrics,
+            ovc: self.options.ovc,
+        }
     }
 
     /// The persistent phase crew (spawned on first use).
@@ -447,6 +367,7 @@ impl SortPipeline {
             ..
         } = *scratch;
 
+        let gen = self.run_generator();
         let next = AtomicUsize::new(0);
         let body = |_worker: usize| loop {
             let m = next.fetch_add(1, AtomicOrdering::Relaxed);
@@ -456,7 +377,7 @@ impl SortPipeline {
             let lo = m * run_rows;
             // A lone run goes straight to output without a merge, so its
             // code column would have no reader — skip computing it.
-            let run = self.make_run(
+            let run = gen.make_run(
                 input,
                 lo,
                 (lo + run_rows).min(n),
@@ -485,101 +406,6 @@ impl SortPipeline {
         }
     }
 
-    /// Build one sorted run from input rows `lo..hi`, with every buffer
-    /// pooled.
-    fn make_run(
-        &self,
-        input: &DataChunk,
-        lo: usize,
-        hi: usize,
-        stats: &[usize],
-        key_blocks: &Mutex<Vec<KeyBlock>>,
-        with_codes: bool,
-    ) -> SortedRun {
-        let rows = hi - lo;
-        let width = self.layout.width();
-        // DSM → NSM: payload rows (all columns) in input order first.
-        let mut staging = RowBlock::from_raw_parts(
-            Arc::clone(&self.layout),
-            self.pool.get_bytes(rows * width),
-            self.pool.get_bytes(64),
-        );
-        staging.append_chunk_range(input, lo, hi);
-
-        let mut keys = key_blocks
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop()
-            .unwrap_or_else(|| KeyBlock::new(&self.types, &self.order, |c| stats[c]));
-        keys.reset();
-        keys.append_chunk_range(input, lo, hi);
-
-        // Thread-local sort: radix, or pdqsort + tie resolution when
-        // truncated VARCHAR prefixes make ties possible.
-        let mut radix_scratch = self
-            .pool
-            .get_bytes(radix_scratch_len(rows * keys.stride(), keys.stride()));
-        let algo = keys.sort_with_scratch(&mut radix_scratch, |a, b| {
-            self.tie_cmp.compare(
-                staging.row(a as usize),
-                staging.heap(),
-                staging.row(b as usize),
-                staging.heap(),
-            )
-        });
-        self.pool.put_bytes(radix_scratch);
-        match algo {
-            KeySortAlgo::Radix { passes } => {
-                self.metrics.add(Counter::RadixSorts, 1);
-                self.metrics.add(Counter::RadixPasses, passes);
-            }
-            KeySortAlgo::Pdq => self.metrics.add(Counter::PdqSorts, 1),
-            KeySortAlgo::Noop => {}
-        }
-
-        let mut run_keys = self.pool.get_bytes(rows * keys.key_width());
-        keys.keys_only_into(&mut run_keys);
-        // OVC column, computed while the freshly sorted keys are hot:
-        // one prefix scan per row here saves a full-key compare per merge
-        // comparison later (DESIGN.md §10.2).
-        let run_ovc = if with_codes && self.options.ovc && keys.key_width() > 0 {
-            let mut ovc = self.pool.get_bytes(rows * 8);
-            ovc.resize(rows * 8, 0);
-            crate::ovc::fill_run_codes(&run_keys, keys.key_width(), &mut ovc);
-            ovc
-        } else {
-            Vec::new()
-        };
-        let mut payload = RowBlock::from_raw_parts(
-            Arc::clone(&self.layout),
-            self.pool.get_bytes(rows * width),
-            self.pool.get_bytes(staging.heap().len().max(1)),
-        );
-        payload.assign_reordered(&staging, keys.order_iter());
-
-        let key_width = keys.key_width();
-        self.metrics.add(Counter::RunsGenerated, 1);
-        // Staged rows + encoded key entries + stripped keys + reordered
-        // payload: the bytes this run wrote.
-        self.metrics.add(
-            Counter::BytesMoved,
-            (rows * (2 * width + keys.stride() + key_width)) as u64,
-        );
-        key_blocks
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(keys);
-        let (staging_data, staging_heap) = staging.into_raw_parts();
-        self.pool.put_bytes(staging_data);
-        self.pool.put_bytes(staging_heap);
-        SortedRun {
-            keys: run_keys,
-            key_width,
-            ovc: run_ovc,
-            payload,
-        }
-    }
-
     /// Phase 2: cascaded 2-way merge until one run remains. Pairing is
     /// deterministic — adjacent runs merge in order, an odd run carries
     /// over to the next round *last* — and each round's merges execute as
@@ -590,7 +416,7 @@ impl SortPipeline {
             ref mut next_round,
             ref mut jobs,
             ref mut kway_tree,
-            ref mut kway_idx,
+            ref mut kway_sources,
             ref mut kway_heap_base,
             ..
         } = *scratch;
@@ -603,7 +429,7 @@ impl SortPipeline {
         let base_ctx = MergeCtx {
             kw: kw0,
             width,
-            tie_possible: kw0 > 0 && self.tie_possible(),
+            tie_possible: runs.first().is_some_and(|r| r.tie_possible),
             use_ovc: self.options.ovc && kw0 > 0,
             emit_codes: true,
             arity: crate::ovc::word_count(kw0),
@@ -620,7 +446,7 @@ impl SortPipeline {
             return self.merge_kway_ovc(
                 runs,
                 kway_tree.get_or_insert_with(OvcLoserTree::empty),
-                kway_idx,
+                kway_sources,
                 kway_heap_base,
                 base_ctx,
             );
@@ -667,6 +493,7 @@ impl SortPipeline {
                 let mut out = SortedRun {
                     keys,
                     key_width: kw,
+                    tie_possible: ctx.tie_possible,
                     ovc,
                     payload: RowBlock::from_raw_parts(Arc::clone(&self.layout), data, heap),
                 };
@@ -739,7 +566,7 @@ impl SortPipeline {
                 None
             };
             for run in runs.drain(..) {
-                self.recycle_run(run);
+                run.recycle(&self.pool);
             }
             if let Some(odd) = odd {
                 next_round.push(odd);
@@ -769,18 +596,11 @@ impl SortPipeline {
         &self,
         runs: &mut Vec<SortedRun>,
         tree: &mut OvcLoserTree,
-        idx: &mut Vec<std::cell::Cell<usize>>,
+        sources: &mut Vec<MemSource>,
         heap_base: &mut Vec<u32>,
         ctx: MergeCtx,
     ) -> SortedRun {
-        let MergeCtx {
-            kw,
-            width,
-            tie_possible,
-            arity,
-            ..
-        } = ctx;
-        let k = runs.len();
+        let MergeCtx { kw, width, .. } = ctx;
         let total: usize = runs.iter().map(|r| r.len()).sum();
 
         let mut keys = self.pool.get_bytes(total * kw);
@@ -798,106 +618,38 @@ impl SortPipeline {
             heap.extend_from_slice(run.payload.heap());
         }
 
-        // Per-run cursors live in `Cell`s so the tree's play closure can
-        // read head positions while the emit loop advances them — no
-        // aliasing `&mut` into shared state.
-        idx.clear();
-        idx.resize(k, std::cell::Cell::new(0));
-
-        // Comparator-work counters, accumulated locally (`Cell` because
-        // the tree closures borrow them shared) and flushed once.
-        let cmps = std::cell::Cell::new(0u64);
-        let resolved = std::cell::Cell::new(0u64);
-        let key_bytes = std::cell::Cell::new(0u64);
-
-        let runs_ref: &[SortedRun] = runs;
-        let idx_ref: &[std::cell::Cell<usize>] = idx;
-        // One match under OVC: codes decide outright when they differ;
-        // suffix bytes are only touched on a code tie; the row tiebreak
-        // runs only on full key equality, and a full tie goes to the
-        // lower run index (the cascade's stability rule).
-        let mut play = |a: usize, b: usize, ca: u64, cb: u64| -> OvcMatch {
-            let (ia, ib) = (idx_ref[a].get(), idx_ref[b].get());
-            let ka = &runs_ref[a].keys[ia * kw..(ia + 1) * kw];
-            let kb = &runs_ref[b].keys[ib * kw..(ib + 1) * kw];
-            let r = crate::ovc::compare_update(ka, ca, kb, cb, arity);
-            cmps.set(cmps.get() + 1);
-            resolved.set(resolved.get() + u64::from(r.resolved));
-            key_bytes.set(key_bytes.get() + r.key_bytes);
-            let ord = match r.ord {
-                Ordering::Equal if tie_possible => self.tie_cmp.compare(
-                    runs_ref[a].payload.row(ia),
-                    runs_ref[a].payload.heap(),
-                    runs_ref[b].payload.row(ib),
-                    runs_ref[b].payload.heap(),
-                ),
-                ord => ord,
-            };
-            let a_beats_b = match ord {
-                Ordering::Less => true,
-                Ordering::Greater => false,
-                Ordering::Equal => a < b,
-            };
-            OvcMatch {
-                a_beats_b,
-                loser_code: r.loser_code,
-            }
+        sources.clear();
+        sources.extend(runs.drain(..).map(MemSource::new));
+        let order = MergeOrder {
+            kw,
+            tie_possible: ctx.tie_possible,
+            tie_cmp: &self.tie_cmp,
         };
-        let mut is_ex = |i: usize| idx_ref[i].get() >= runs_ref[i].len();
-        // Run-stored codes for row 0 are relative to −∞ — the common base
-        // the tournament needs.
-        tree.rebuild(
-            k,
-            |i| crate::ovc::read_code(&runs_ref[i].ovc, 0),
-            &mut is_ex,
-            &mut play,
-        );
-
-        let mut key_out = keys.chunks_exact_mut(kw.max(1));
-        let mut row_out = data.chunks_exact_mut(width);
-        let fix_heap = !self.varlen_cols.is_empty();
-        for _ in 0..total {
-            let w = tree.winner();
-            let i = idx_ref[w].get();
-            if let Some(dst) = key_out.next() {
-                copy_small(dst, &runs_ref[w].keys[i * kw..(i + 1) * kw]);
-            }
-            // lint:allow(R002, R010): the iterator yields exactly `total`
-            // rows (`data` is sized `total * width` above).
-            let out_row = row_out.next().expect("output sized to total");
-            copy_small(out_row, runs_ref[w].payload.row(i));
-            let shift = heap_base[w];
-            if fix_heap && shift != 0 {
-                self.shift_heap_offsets(out_row, shift);
-            }
-            idx_ref[w].set(i + 1);
-            // The new head's run-stored code is relative to the row just
-            // emitted — the same base every resident loser on this leaf's
-            // root path was re-coded against.
-            let leaf_code = if idx_ref[w].get() >= runs_ref[w].len() {
-                u64::MAX
-            } else {
-                crate::ovc::read_code(&runs_ref[w].ovc, idx_ref[w].get())
-            };
-            tree.replay(w, leaf_code, &mut is_ex, &mut play);
-        }
-
-        self.metrics.add(Counter::MergeCmps, cmps.get());
-        self.metrics
-            .add(Counter::MergeCmpsOvcResolved, resolved.get());
-        self.metrics
-            .add(Counter::MergeKeyBytesTouched, key_bytes.get());
+        let mut sink = ConcatSink {
+            keys: keys.chunks_exact_mut(kw.max(1)),
+            rows: data.chunks_exact_mut(width),
+            heap_base,
+            layout: &self.layout,
+            varlen_cols: &self.varlen_cols,
+        };
+        merge_kway::<true, _, _>(&order, tree, sources, total, &mut sink)
+            // lint:allow(R010): in-memory sources never fail to advance,
+            // and the sink is sized to `total` rows and `k` heap bases
+            // just above.
+            .expect("in-memory merge is infallible")
+            .flush(&self.metrics);
         self.metrics.add(Counter::MergeRounds, 1);
         self.metrics.add(Counter::MergeTasks, 1);
         self.metrics
             .add(Counter::BytesMoved, (total * (kw + width)) as u64);
 
-        for run in runs.drain(..) {
-            self.recycle_run(run);
+        for source in sources.drain(..) {
+            source.run.recycle(&self.pool);
         }
         SortedRun {
             keys,
             key_width: kw,
+            tie_possible: ctx.tie_possible,
             ovc: Vec::new(),
             payload: RowBlock::from_raw_parts(Arc::clone(&self.layout), data, heap),
         }
@@ -1191,35 +943,7 @@ impl SortPipeline {
     /// to `heap_shift` bytes later in the concatenated output heap.
     #[inline]
     fn shift_heap_offsets(&self, out_row: &mut [u8], heap_shift: u32) {
-        // b-side strings now live after a's heap: shift offsets.
-        for &c in &self.varlen_cols {
-            if out_row[self.layout.null_offset(c)] != 0 {
-                continue;
-            }
-            let at = self.layout.offset(c);
-            let mut slot = [0u8; 4];
-            slot.copy_from_slice(&out_row[at..at + 4]);
-            let off = u32::from_le_bytes(slot) + heap_shift;
-            out_row[at..at + 4].copy_from_slice(&off.to_le_bytes());
-        }
-    }
-
-    /// Return a run's buffers to the pool.
-    fn recycle_run(&self, run: SortedRun) {
-        self.pool.put_bytes(run.keys);
-        if run.ovc.capacity() > 0 {
-            self.pool.put_bytes(run.ovc);
-        }
-        let (data, heap) = run.payload.into_raw_parts();
-        self.pool.put_bytes(data);
-        self.pool.put_bytes(heap);
-    }
-
-    fn tie_possible(&self) -> bool {
-        self.order
-            .keys
-            .iter()
-            .any(|k| self.types[k.column] == LogicalType::Varchar)
+        crate::merge::shift_heap_offsets(&self.layout, &self.varlen_cols, out_row, heap_shift);
     }
 }
 
@@ -1259,7 +983,7 @@ impl SortedRows<'_> {
 impl Drop for SortedRows<'_> {
     fn drop(&mut self) {
         if let Some(run) = self.run.take() {
-            self.pipeline.recycle_run(run);
+            run.recycle(&self.pipeline.pool);
         }
     }
 }

@@ -68,6 +68,13 @@ cargo test -q -p lint --test fuzz_smoke --offline
 echo "== cargo test -q --offline =="
 cargo test -q --workspace --offline
 
+# --- 3b. Benchmark package --------------------------------------------------
+# rowbench (benchmark/) is a workspace of its own that reaches crates/*
+# only through benchmark/src/adapter.rs; building and testing it here makes
+# a crates/* signature change that breaks the adapter fail locally.
+echo "== cargo test benchmark/ =="
+cargo test --offline --manifest-path benchmark/Cargo.toml
+
 # --- 4. Benches compile ----------------------------------------------------
 echo "== cargo build --benches --offline =="
 cargo build --benches --workspace --offline
