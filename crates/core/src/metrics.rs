@@ -35,8 +35,10 @@ use rowsort_testkit::json::Json;
 
 /// Wall-clock phases of a sort, measured on the coordinating thread.
 /// Pipeline sorts use the first three (they partition `sort_rows` almost
-/// exactly, so their sum ≈ total sort time); external sorts use the last
-/// two the same way.
+/// exactly, so their sum ≈ total sort time) plus, when the caller asks
+/// for vectors back (`SortPipeline::sort`), the fourth; external sorts
+/// use `Prepare` and the last two the same way (their conversion back to
+/// vectors sits inside `SpillMerge`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Column statistics + key-layout preparation before run generation.
@@ -46,6 +48,9 @@ pub enum Phase {
     RunGeneration,
     /// The cascaded Merge-Path 2-way merge rounds.
     Merge,
+    /// Converting the merged run back to vectors (Figure 11's last
+    /// stage, NSM → DSM), single-threaded.
+    Gather,
     /// External sort: building and writing spilled runs.
     Spill,
     /// External sort: the streaming loser-tree merge of spilled runs.
@@ -54,13 +59,14 @@ pub enum Phase {
 
 impl Phase {
     /// Number of phases (array dimension of the registry).
-    pub const COUNT: usize = 5;
+    pub const COUNT: usize = 6;
 
     /// All phases, in declaration order (= registry index order).
     pub const ALL: [Phase; Phase::COUNT] = [
         Phase::Prepare,
         Phase::RunGeneration,
         Phase::Merge,
+        Phase::Gather,
         Phase::Spill,
         Phase::SpillMerge,
     ];
@@ -71,6 +77,7 @@ impl Phase {
             Phase::Prepare => "prepare",
             Phase::RunGeneration => "run_generation",
             Phase::Merge => "merge",
+            Phase::Gather => "gather",
             Phase::Spill => "spill",
             Phase::SpillMerge => "spill_merge",
         }

@@ -244,8 +244,21 @@ impl SortPipeline {
     }
 
     /// Sort a materialized input relation, returning it fully sorted.
+    /// The conversion back to vectors is clocked as [`Phase::Gather`], and
+    /// the sort's profile (and trace line) covers it: in `phases` and in
+    /// `total_ns`.
     pub fn sort(&self, input: &DataChunk) -> DataChunk {
-        self.sort_rows(input).to_chunk()
+        let (sorted, profile) = self.sort_rows_profiled(input);
+        let gather_start = Instant::now();
+        let chunk = sorted.to_chunk();
+        if let Some(mut profile) = profile {
+            let ns = gather_start.elapsed().as_nanos() as u64;
+            self.metrics.add_phase_ns(Phase::Gather, ns);
+            profile.metrics.phase_ns[Phase::Gather as usize] += ns;
+            profile.total_ns += ns;
+            self.publish(profile);
+        }
+        chunk
     }
 
     /// Sort `input`, returning the merged run in row form. Dropping the
@@ -253,6 +266,23 @@ impl SortPipeline {
     /// (after a warm-up sort of similar shape) this call performs zero
     /// heap allocations.
     pub fn sort_rows(&self, input: &DataChunk) -> SortedRows<'_> {
+        let (sorted, profile) = self.sort_rows_profiled(input);
+        if let Some(profile) = profile {
+            self.publish(profile);
+        }
+        sorted
+    }
+
+    /// Make `profile` the last sort's profile and emit its trace line.
+    fn publish(&self, profile: SortProfile) {
+        *self.profile.lock().unwrap_or_else(|e| e.into_inner()) = profile;
+        emit_trace(&profile);
+    }
+
+    /// [`SortPipeline::sort_rows`] with the sort's profile handed back
+    /// unpublished (`None` for an empty input, which records nothing), so
+    /// [`SortPipeline::sort`] can add its gather stage before publishing.
+    fn sort_rows_profiled(&self, input: &DataChunk) -> (SortedRows<'_>, Option<SortProfile>) {
         // Element-wise so the schema check allocates nothing in steady
         // state (`input.types()` would collect a fresh Vec per sort).
         assert!(
@@ -265,10 +295,11 @@ impl SortPipeline {
             "input schema mismatch"
         );
         if input.is_empty() {
-            return SortedRows {
+            let empty = SortedRows {
                 pipeline: self,
                 run: None,
             };
+            return (empty, None);
         }
         let mut guard = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
         let scratch = &mut *guard;
@@ -304,12 +335,11 @@ impl SortPipeline {
             total_ns: sort_start.elapsed().as_nanos() as u64,
             metrics: self.metrics.snapshot().since(&before),
         };
-        *self.profile.lock().unwrap_or_else(|e| e.into_inner()) = profile;
-        emit_trace(&profile);
-        SortedRows {
+        let sorted = SortedRows {
             pipeline: self,
             run: Some(run),
-        }
+        };
+        (sorted, Some(profile))
     }
 
     /// Buffer-pool `(hits, misses)` counters — a steady-state sort serves
@@ -1415,6 +1445,11 @@ mod tests {
         let active =
             m.phase(Phase::Prepare) + m.phase(Phase::RunGeneration) + m.phase(Phase::Merge);
         assert!(active <= profile.total_ns);
+        // `sort` converts back to vectors: that stage is clocked too, and
+        // counted in the total.
+        assert!(m.phase(Phase::Gather) > 0);
+        assert_eq!(m.phase_total_ns(), active + m.phase(Phase::Gather));
+        assert!(m.phase_total_ns() <= profile.total_ns);
 
         // The second sort's delta counts only itself; the pool is warm.
         let _again = pipeline.sort(&chunk);
@@ -1426,6 +1461,14 @@ mod tests {
         let text = pipeline.metrics().render();
         assert!(text.contains("counter.rows_sorted: 10000"), "{text}");
         assert!(text.contains("phase.run_generation_ns:"), "{text}");
+        assert!(text.contains("phase.gather_ns:"), "{text}");
+
+        // `sort_rows` stops before the gather, and reports what it always
+        // did.
+        drop(pipeline.sort_rows(&chunk));
+        let rows_only = pipeline.last_profile();
+        assert_eq!(rows_only.metrics.phase(Phase::Gather), 0);
+        assert!(rows_only.metrics.phase(Phase::Merge) > 0);
     }
 
     #[test]

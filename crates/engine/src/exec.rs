@@ -1,12 +1,22 @@
-//! Vectorized physical operators.
+//! Physical operators.
 //!
-//! Execution is chunk-at-a-time: streaming operators (scan, filter,
-//! project, limit) transform one [`rowsort_vector::VECTOR_SIZE`]-row chunk
-//! at a time, while
-//! the pipeline breakers (sort, top-N, count) materialize. The sort
-//! operator delegates to a configurable [`SystemProfile`], so the same
-//! query can be executed "as DuckDB", "as ClickHouse", etc. — the §VII
-//! experiments in one engine.
+//! Operators exchange one whole relation each, not a stream of chunks:
+//! every node consumes its input's complete result and returns its own as
+//! a `Relation`, a `Cow<DataChunk>`. A `Scan` *lends* the catalog's table
+//! and copies nothing. A node that only reads its input (sort, filter,
+//! top-N, count, join) reads it by reference, whoever owns it. A node that
+//! builds rows returns them *owned*, and the next node may take them
+//! apart: project moves columns out, the window operator pushes its number
+//! column on. So between SQL text and the sorter a sorted query makes the
+//! two relation-sized moves of the paper's Figure 11 — vectors → rows
+//! inside the sort, rows → vectors out of it — and no others (the ledger
+//! is in DESIGN.md §7.6). Only a plan whose root is still borrowed
+//! (`SELECT * FROM t`) clones, once, because the caller gets an owned
+//! relation.
+//!
+//! The sort operator delegates to a configurable [`SystemProfile`], so the
+//! same query can be executed "as DuckDB", "as ClickHouse", etc. — the
+//! §VII experiments in one engine.
 
 use crate::catalog::Catalog;
 use crate::plan::{LogicalPlan, ResolvedPredicate};
@@ -16,6 +26,7 @@ use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
 use rowsort_core::metrics::{Counter, Phase};
 use rowsort_core::systems::{sort_with_system_profiled, SystemProfile};
 use rowsort_vector::{DataChunk, OrderBy, Value, Vector};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -77,10 +88,14 @@ struct Profiler {
     depth: usize,
 }
 
-/// Execute a plan, returning the concatenated result relation.
+/// What operators hand each other: one whole relation, lent by the
+/// catalog until some operator has to build rows of its own.
+type Relation<'a> = Cow<'a, DataChunk>;
+
+/// Execute a plan, returning the result relation.
 pub fn execute(plan: &LogicalPlan, catalog: &Catalog, options: &ExecOptions) -> Result<DataChunk> {
     let mut prof = None;
-    execute_inner(plan, catalog, options, &mut prof)
+    Ok(exec_plan(plan, catalog, options, &mut prof)?.into_owned())
 }
 
 /// As [`execute`], additionally returning per-operator row counts and
@@ -94,7 +109,7 @@ pub fn execute_profiled(
         entries: Vec::new(),
         depth: 0,
     });
-    let out = execute_inner(plan, catalog, options, &mut prof)?;
+    let out = exec_plan(plan, catalog, options, &mut prof)?.into_owned();
     Ok((out, prof.map(|p| p.entries).unwrap_or_default()))
 }
 
@@ -112,22 +127,6 @@ pub fn render_analyze(stats: &[NodeStats]) -> String {
         ));
     }
     out
-}
-
-fn execute_inner(
-    plan: &LogicalPlan,
-    catalog: &Catalog,
-    options: &ExecOptions,
-    prof: &mut Option<Profiler>,
-) -> Result<DataChunk> {
-    let chunks = exec_stream(plan, catalog, options, prof)?;
-    let (_, types) = plan.schema(catalog)?;
-    let mut out = DataChunk::new(&types);
-    for c in &chunks {
-        out.append(c)
-            .map_err(|e| EngineError::Invalid(e.to_string()))?;
-    }
-    Ok(out)
 }
 
 /// Operator label for one node, matching [`LogicalPlan::explain`] lines.
@@ -241,12 +240,12 @@ fn sort_relation(
 }
 
 /// Execute one node, recording a [`NodeStats`] entry when profiling.
-fn exec_stream(
+fn exec_plan<'a>(
     plan: &LogicalPlan,
-    catalog: &Catalog,
+    catalog: &'a Catalog,
     options: &ExecOptions,
     prof: &mut Option<Profiler>,
-) -> Result<Vec<DataChunk>> {
+) -> Result<Relation<'a>> {
     let slot = match prof {
         Some(p) => {
             p.entries.push(NodeStats {
@@ -266,70 +265,76 @@ fn exec_stream(
     let result = exec_node(plan, catalog, options, prof, &mut detail);
     if let (Some(i), Some(p)) = (slot, prof.as_mut()) {
         p.depth -= 1;
-        if let Ok(chunks) = &result {
+        if let Ok(relation) = &result {
             p.entries[i].elapsed_ns = start.elapsed().as_nanos() as u64;
-            p.entries[i].rows = chunks.iter().map(|c| c.len() as u64).sum();
+            p.entries[i].rows = relation.len() as u64;
             p.entries[i].detail = detail;
         }
     }
     result
 }
 
-fn exec_node(
+fn exec_node<'a>(
     plan: &LogicalPlan,
-    catalog: &Catalog,
+    catalog: &'a Catalog,
     options: &ExecOptions,
     prof: &mut Option<Profiler>,
     detail: &mut String,
-) -> Result<Vec<DataChunk>> {
+) -> Result<Relation<'a>> {
+    let owned = |columns: Vec<Vector>| {
+        let relation =
+            DataChunk::from_columns(columns).map_err(|e| EngineError::Internal(e.to_string()))?;
+        Ok(Cow::Owned(relation))
+    };
     match plan {
         LogicalPlan::Scan { table } => {
             let t = catalog
                 .get(table)
                 .ok_or_else(|| EngineError::UnknownTable(table.clone()))?;
-            Ok(t.data.split_into_vectors())
+            Ok(Cow::Borrowed(&t.data))
         }
         LogicalPlan::Filter { input, predicates } => {
-            let chunks = exec_stream(input, catalog, options, prof)?;
-            Ok(chunks
-                .into_iter()
-                .map(|c| filter_chunk(&c, predicates))
-                .filter(|c| !c.is_empty())
-                .collect())
+            let input = exec_plan(input, catalog, options, prof)?;
+            Ok(Cow::Owned(filter_chunk(&input, predicates)))
         }
         LogicalPlan::Project { input, columns } => {
-            let chunks = exec_stream(input, catalog, options, prof)?;
-            chunks
-                .into_iter()
-                .map(|c| {
-                    let cols: Vec<Vector> = columns.iter().map(|&i| c.column(i).clone()).collect();
-                    DataChunk::from_columns(cols).map_err(|e| EngineError::Invalid(e.to_string()))
-                })
-                .collect()
+            match exec_plan(input, catalog, options, prof)? {
+                Cow::Borrowed(input) => {
+                    owned(columns.iter().map(|&i| input.column(i).clone()).collect())
+                }
+                Cow::Owned(input) => {
+                    // Nobody else holds these columns: move each out at
+                    // its last mention (`SELECT a, a` clones the first).
+                    let mut source = input.into_columns();
+                    let picked = columns.iter().enumerate().map(|(at, &i)| {
+                        if columns[at + 1..].contains(&i) {
+                            source[i].clone()
+                        } else {
+                            let emptied = Vector::new(source[i].logical_type());
+                            std::mem::replace(&mut source[i], emptied)
+                        }
+                    });
+                    owned(picked.collect())
+                }
+            }
         }
         LogicalPlan::Sort { input, order } => {
-            // Pipeline breaker: materialize, sort via the configured
-            // system profile, re-emit as vectors.
-            let chunks = exec_stream(input, catalog, options, prof)?;
-            let (_, types) = input.schema(catalog)?;
-            let mut all = DataChunk::new(&types);
-            for c in &chunks {
-                all.append(c)
-                    .map_err(|e| EngineError::Invalid(e.to_string()))?;
-            }
-            let (sorted, sort_profile) = sort_relation(&all, order, options)?;
+            // Pipeline breaker: the sorter reads the input where it lies
+            // (scattering morsels of it into rows) and returns new vectors.
+            let input = exec_plan(input, catalog, options, prof)?;
+            let (sorted, sort_profile) = sort_relation(&input, order, options)?;
             if let Some(p) = &sort_profile {
                 *detail = sort_detail(p);
             }
-            Ok(sorted.split_into_vectors())
+            Ok(Cow::Owned(sorted))
         }
         LogicalPlan::Limit {
             input,
             limit,
             offset,
         } => {
-            let chunks = exec_stream(input, catalog, options, prof)?;
-            Ok(apply_limit(chunks, *limit, *offset))
+            let input = exec_plan(input, catalog, options, prof)?;
+            Ok(apply_limit(input, *limit, *offset))
         }
         LogicalPlan::TopN {
             input,
@@ -337,17 +342,12 @@ fn exec_node(
             limit,
             offset,
         } => {
-            let chunks = exec_stream(input, catalog, options, prof)?;
-            let (_, types) = input.schema(catalog)?;
-            top_n(chunks, &types, order, *limit, *offset)
+            let input = exec_plan(input, catalog, options, prof)?;
+            Ok(Cow::Owned(top_n(&input, order, *limit, *offset)?))
         }
         LogicalPlan::CountStar { input } => {
-            let chunks = exec_stream(input, catalog, options, prof)?;
-            let count: usize = chunks.iter().map(DataChunk::len).sum();
-            let col = Vector::from_i64s(vec![count as i64]);
-            let out = DataChunk::from_columns(vec![col])
-                .map_err(|e| EngineError::Internal(e.to_string()))?;
-            Ok(vec![out])
+            let count = exec_plan(input, catalog, options, prof)?.len();
+            owned(vec![Vector::from_i64s(vec![count as i64])])
         }
         LogicalPlan::SortMergeJoin {
             left,
@@ -357,33 +357,20 @@ fn exec_node(
             types,
             ..
         } => {
-            let l = materialize(exec_stream(left, catalog, options, prof)?, left, catalog)?;
-            let r = materialize(exec_stream(right, catalog, options, prof)?, right, catalog)?;
+            let l = exec_plan(left, catalog, options, prof)?;
+            let r = exec_plan(right, catalog, options, prof)?;
             let joined = sort_merge_join(&l, &r, *left_col, *right_col, types, options)?;
-            Ok(joined.split_into_vectors())
+            Ok(Cow::Owned(joined))
         }
         LogicalPlan::WindowRowNumber { input, order } => {
-            let all = materialize(exec_stream(input, catalog, options, prof)?, input, catalog)?;
-            let (sorted, _) = sort_relation(&all, order, options)?;
+            let input = exec_plan(input, catalog, options, prof)?;
+            let (sorted, _) = sort_relation(&input, order, options)?;
             let numbers = Vector::from_i64s((1..=sorted.len() as i64).collect());
-            let mut columns: Vec<Vector> = sorted.columns().to_vec();
+            let mut columns = sorted.into_columns();
             columns.push(numbers);
-            let out = DataChunk::from_columns(columns)
-                .map_err(|e| EngineError::Invalid(e.to_string()))?;
-            Ok(out.split_into_vectors())
+            owned(columns)
         }
     }
-}
-
-/// Concatenate a chunk stream into one relation.
-fn materialize(chunks: Vec<DataChunk>, plan: &LogicalPlan, catalog: &Catalog) -> Result<DataChunk> {
-    let (_, types) = plan.schema(catalog)?;
-    let mut all = DataChunk::new(&types);
-    for c in &chunks {
-        all.append(c)
-            .map_err(|e| EngineError::Invalid(e.to_string()))?;
-    }
-    Ok(all)
 }
 
 /// Sort both inputs by their join key and merge, emitting the cross
@@ -488,72 +475,47 @@ fn row_matches(chunk: &DataChunk, row: usize, p: &ResolvedPredicate) -> bool {
 // Limit / Offset
 // ---------------------------------------------------------------------------
 
-fn apply_limit(chunks: Vec<DataChunk>, limit: Option<u64>, offset: u64) -> Vec<DataChunk> {
-    let mut skip = usize::try_from(offset).unwrap_or(usize::MAX);
-    let mut remaining = limit.map(|l| usize::try_from(l).unwrap_or(usize::MAX));
-    let mut out = Vec::new();
-    for c in chunks {
-        if remaining == Some(0) {
-            break;
-        }
-        let n = c.len();
-        if skip >= n {
-            skip -= n;
-            continue;
-        }
-        let start = skip;
-        skip = 0;
-        let take = match remaining {
-            Some(r) => r.min(n - start),
-            None => n - start,
-        };
-        if let Some(r) = &mut remaining {
-            *r -= take;
-        }
-        out.push(if start == 0 && take == n {
-            c
-        } else {
-            c.slice(start, start + take)
-        });
+/// Rows `offset..offset + limit` of `input`: the relation itself, untouched,
+/// when that is all of it, otherwise one slice.
+fn apply_limit(input: Relation<'_>, limit: Option<u64>, offset: u64) -> Relation<'_> {
+    let n = input.len();
+    let start = usize::try_from(offset).unwrap_or(usize::MAX).min(n);
+    let take = limit.map_or(n - start, |l| {
+        usize::try_from(l).unwrap_or(usize::MAX).min(n - start)
+    });
+    if take == n {
+        input
+    } else {
+        Cow::Owned(input.slice(start, start + take))
     }
-    out
 }
 
 // ---------------------------------------------------------------------------
 // Top-N
 // ---------------------------------------------------------------------------
 
-fn top_n(
-    chunks: Vec<DataChunk>,
-    types: &[rowsort_vector::LogicalType],
-    order: &OrderBy,
-    limit: u64,
-    offset: u64,
-) -> Result<Vec<DataChunk>> {
+fn top_n(input: &DataChunk, order: &OrderBy, limit: u64, offset: u64) -> Result<DataChunk> {
+    let mut out = DataChunk::new(&input.types());
     // `limit + offset` saturates: a huge LIMIT/OFFSET pair must degrade to
     // "keep everything", not overflow u64 (or usize on 32-bit targets).
     let keep = usize::try_from(limit.saturating_add(offset)).unwrap_or(usize::MAX);
     if keep == 0 {
-        return Ok(vec![DataChunk::new(types)]);
+        return Ok(out);
     }
-    let total: usize = chunks.iter().map(DataChunk::len).sum();
     // Bounded selection buffer: keep at most `keep` best rows, compacting
     // whenever the buffer doubles.
-    let mut buf: Vec<Vec<Value>> = Vec::with_capacity(keep.saturating_mul(2).min(total));
+    let mut buf: Vec<Vec<Value>> = Vec::with_capacity(keep.saturating_mul(2).min(input.len()));
     let compact = |buf: &mut Vec<Vec<Value>>| {
         buf.sort_by(|a, b| order.compare_rows(a, b));
         buf.truncate(keep);
     };
-    for c in &chunks {
-        for row in 0..c.len() {
-            buf.push(c.row(row));
-            if buf.len() >= keep.saturating_mul(2) {
-                compact(&mut buf);
-            }
+    for row in 0..input.len() {
+        buf.push(input.row(row));
+        if buf.len() >= keep.saturating_mul(2) {
+            compact(&mut buf);
         }
     }
     compact(&mut buf);
-    let mut out = DataChunk::new(types);
     for row in buf
         .iter()
         .skip(usize::try_from(offset).unwrap_or(usize::MAX))
@@ -561,7 +523,7 @@ fn top_n(
         out.push_row(row)
             .map_err(|e| EngineError::Internal(e.to_string()))?;
     }
-    Ok(vec![out])
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -960,18 +922,17 @@ mod tests {
 
     #[test]
     fn top_n_huge_limit_offset_saturates() {
-        let chunks = vec![DataChunk::from_columns(vec![Vector::from_i32s(vec![3, 1, 2])]).unwrap()];
-        let types = [rowsort_vector::LogicalType::Int32];
+        let input = DataChunk::from_columns(vec![Vector::from_i32s(vec![3, 1, 2])]).unwrap();
         let order = OrderBy::new(vec![rowsort_vector::OrderByColumn::asc(0)]);
         // limit + offset would overflow u64 without saturation.
-        let out = top_n(chunks.clone(), &types, &order, u64::MAX, 5).unwrap();
-        assert_eq!(out.iter().map(DataChunk::len).sum::<usize>(), 0);
-        let out = top_n(chunks.clone(), &types, &order, u64::MAX, 0).unwrap();
-        assert_eq!(out[0].len(), 3);
-        assert_eq!(out[0].row(0), vec![Value::Int32(1)]);
+        let out = top_n(&input, &order, u64::MAX, 5).unwrap();
+        assert_eq!(out.len(), 0);
+        let out = top_n(&input, &order, u64::MAX, 0).unwrap();
+        assert_eq!(out.len(), 3);
+        assert_eq!(out.row(0), vec![Value::Int32(1)]);
         // And apply_limit with a saturating skip.
-        let out = apply_limit(chunks, None, u64::MAX);
-        assert_eq!(out.iter().map(DataChunk::len).sum::<usize>(), 0);
+        let out = apply_limit(Cow::Borrowed(&input), None, u64::MAX);
+        assert_eq!(out.len(), 0);
     }
 
     #[test]

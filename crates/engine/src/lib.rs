@@ -20,8 +20,10 @@
 //!   `SELECT`/`FROM`/`WHERE`/`ORDER BY`/`LIMIT`/`OFFSET`/`COUNT(*)`,
 //! * [`plan`] — a logical plan with the optimizer rules the paper's
 //!   methodology section fights (redundant-sort elimination, Top-N),
-//! * [`exec`] — pull-based vectorized physical operators; the sort
-//!   operator delegates to a configurable [`rowsort_core::SystemProfile`],
+//! * [`exec`] — physical operators that hand each other one whole
+//!   relation, lent by the catalog or owned by the node that built it; the
+//!   sort operator delegates to a configurable
+//!   [`rowsort_core::SystemProfile`],
 //! * [`csv`] — CSV import/export, so real `dsdgen` output can replace the
 //!   synthetic TPC-DS tables,
 //! * [`Engine`] — `register_table` + `query(sql)`.
@@ -91,7 +93,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An engine with default options (DuckDB-like sort, one thread).
+    /// An engine with default options: DuckDB-like sort on
+    /// [`rowsort_core::default_threads`] threads.
     pub fn new() -> Engine {
         Engine {
             catalog: Catalog::new(),

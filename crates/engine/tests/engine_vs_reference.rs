@@ -3,21 +3,34 @@
 
 use rowsort_core::systems::SystemProfile;
 use rowsort_engine::reference::execute_reference;
-use rowsort_engine::{plan, sql, Engine, Table};
+use rowsort_engine::{exec, plan, sql, Engine, LogicalPlan, SpillExecOptions, Table};
 use rowsort_testkit::prop;
 use rowsort_testkit::prop::{full_bool, option_of, vec_of};
-use rowsort_vector::Value;
+use rowsort_vector::{OrderBy, OrderByColumn, Value, VECTOR_SIZE};
 use std::cmp::Ordering;
+use std::sync::OnceLock;
+
+/// Rows per table: past three full vectors, ending off a vector boundary,
+/// so anything that cuts a relation at `VECTOR_SIZE` meets a second, a
+/// third and a short last piece.
+const ROWS: usize = 3 * VECTOR_SIZE + 17;
 
 fn tpcds_engine() -> Engine {
     let mut e = Engine::new();
-    let cs = rowsort_datagen::tpcds::catalog_sales(2_000, 10.0, 7);
+    let cs = rowsort_datagen::tpcds::catalog_sales(ROWS, 10.0, 7);
     let names = cs.columns.iter().map(|(n, _)| n.clone()).collect();
-    e.register_table(Table::new(cs.name.clone(), names, cs.data.clone()));
-    let cust = rowsort_datagen::tpcds::customer(2_000, 7);
+    e.register_table(Table::new(cs.name, names, cs.data));
+    let cust = rowsort_datagen::tpcds::customer(ROWS, 7);
     let names = cust.columns.iter().map(|(n, _)| n.clone()).collect();
-    e.register_table(Table::new(cust.name.clone(), names, cust.data.clone()));
+    e.register_table(Table::new(cust.name, names, cust.data));
     e
+}
+
+/// One engine with default options for the cases that change none
+/// (generating the tables once keeps the property test in seconds).
+fn shared_engine() -> &'static Engine {
+    static ENGINE: OnceLock<Engine> = OnceLock::new();
+    ENGINE.get_or_init(tpcds_engine)
 }
 
 /// Compare results, tolerating different orders within tie groups: both
@@ -114,7 +127,7 @@ fn benchmark_query_counts_match() {
              ORDER BY cs_warehouse_sk OFFSET 1) t",
         )
         .unwrap();
-    assert_eq!(r.row(0), vec![Value::Int64(1_999)]);
+    assert_eq!(r.row(0), vec![Value::Int64(ROWS as i64 - 1)]);
 }
 
 #[test]
@@ -182,7 +195,149 @@ prop! {
         if let Some(o) = offset {
             sql_text.push_str(&format!(" OFFSET {o}"));
         }
-        let e = tpcds_engine();
-        run_case(&e, &sql_text);
+        run_case(shared_engine(), &sql_text);
+    }
+}
+
+/// Execute a hand-built plan (shapes the SQL grammar cannot express, such
+/// as a join over subqueries) on both executors.
+fn run_plan(e: &Engine, options: &exec::ExecOptions, logical: &LogicalPlan, context: &str) {
+    let expected = execute_reference(logical, e.catalog()).unwrap();
+    let got = exec::execute(logical, e.catalog(), options).unwrap();
+    assert_equivalent(got.to_rows(), expected, None, context);
+}
+
+/// Every operator over an input it borrows from the catalog and over one
+/// that a node below it built, in memory and through the external sorter.
+/// Orders are total (they end in a unique key, or list every column), so
+/// LIMIT/OFFSET and `row_number()` pick the same rows on both executors.
+#[test]
+fn operators_over_borrowed_and_owned_inputs() {
+    let n = ROWS;
+    let all_customer = "c_customer_sk, c_first_name, c_last_name, \
+                        c_birth_year, c_birth_month, c_birth_day";
+    let all_sales = "cs_warehouse_sk, cs_ship_mode_sk, cs_promo_sk, cs_quantity, cs_item_sk";
+    let mut cases: Vec<String> = [
+        // Borrowed root: the catalog's table itself reaches the caller.
+        "SELECT * FROM customer",
+        "SELECT * FROM customer LIMIT 5",
+        // Project over borrowed, Filter over borrowed.
+        "SELECT cs_quantity, cs_item_sk FROM catalog_sales",
+        "SELECT * FROM catalog_sales WHERE cs_quantity >= 50",
+        // Sort over borrowed and (Filter -> Sort) over owned.
+        "SELECT * FROM customer ORDER BY c_last_name DESC, c_first_name, c_customer_sk",
+        "SELECT * FROM customer WHERE c_birth_year > 1950 ORDER BY c_last_name, c_customer_sk",
+        // Sort -> Project: a strict subset, one column twice, all columns.
+        "SELECT c_last_name, c_customer_sk FROM customer ORDER BY c_birth_year, c_customer_sk",
+        "SELECT c_customer_sk, c_last_name, c_customer_sk FROM customer ORDER BY c_customer_sk",
+        // Filter and Limit over owned.
+        "SELECT c_customer_sk FROM (SELECT * FROM customer ORDER BY c_customer_sk DESC OFFSET 1) s \
+         WHERE c_birth_month = 3",
+        // The paper's benchmark query shape.
+        "SELECT count(*) FROM (SELECT cs_item_sk FROM catalog_sales \
+         ORDER BY cs_warehouse_sk, cs_ship_mode_sk OFFSET 1) t",
+        // Window over borrowed and over a sorted (owned) subquery.
+        "SELECT c_customer_sk, row_number() OVER (ORDER BY c_last_name, c_customer_sk) \
+         FROM customer",
+        "SELECT c_customer_sk, row_number() OVER (ORDER BY c_last_name, c_customer_sk) \
+         FROM (SELECT * FROM customer ORDER BY c_birth_year OFFSET 1) s",
+        // Join over borrowed inputs.
+        "SELECT cs_quantity, c_last_name FROM catalog_sales JOIN customer \
+         ON cs_item_sk = c_customer_sk",
+    ]
+    .map(str::to_owned)
+    .to_vec();
+    cases.push(format!(
+        "SELECT {all_customer} FROM customer ORDER BY c_first_name, c_customer_sk"
+    ));
+    for offset in [0, 1, VECTOR_SIZE, n - 1, n, n + 1] {
+        // Limit over borrowed; Limit and TopN over a sort's owned output.
+        cases.push(format!("SELECT * FROM customer OFFSET {offset}"));
+        cases.push(format!("SELECT * FROM customer LIMIT 5 OFFSET {offset}"));
+        cases.push(format!(
+            "SELECT * FROM catalog_sales ORDER BY {all_sales} OFFSET {offset}"
+        ));
+        cases.push(format!(
+            "SELECT c_customer_sk FROM customer ORDER BY c_last_name, c_customer_sk \
+             LIMIT {VECTOR_SIZE} OFFSET {offset}"
+        ));
+        cases.push(format!(
+            "SELECT * FROM customer ORDER BY c_customer_sk DESC LIMIT {n} OFFSET {offset}"
+        ));
+    }
+
+    // Join over owned inputs: a filtered left side against a sorted,
+    // offset right side, joined on customer key = item key.
+    let scan = |table: &str| {
+        Box::new(LogicalPlan::Scan {
+            table: table.into(),
+        })
+    };
+    let e = shared_engine();
+    let filtered_sales = plan::build(
+        &sql::parse("SELECT * FROM catalog_sales WHERE cs_quantity >= 90").unwrap(),
+        e.catalog(),
+    )
+    .unwrap();
+    let (left_names, left_types) = filtered_sales.schema(e.catalog()).unwrap();
+    let sorted_customers = LogicalPlan::Limit {
+        input: Box::new(LogicalPlan::Sort {
+            input: scan("customer"),
+            order: OrderBy::new(vec![OrderByColumn::asc(2), OrderByColumn::asc(0)]),
+        }),
+        limit: None,
+        offset: 1,
+    };
+    let (right_names, right_types) = sorted_customers.schema(e.catalog()).unwrap();
+    let join = LogicalPlan::SortMergeJoin {
+        left: Box::new(filtered_sales),
+        right: Box::new(sorted_customers),
+        left_col: 0,  // cs_item_sk
+        right_col: 0, // c_customer_sk
+        names: [left_names, right_names].concat(),
+        types: [left_types, right_types].concat(),
+    };
+
+    for spill in [false, true] {
+        let mut e = tpcds_engine();
+        if spill {
+            e.options_mut().spill = Some(SpillExecOptions {
+                memory_limit_rows: n / 5, // six runs per full-table sort
+                spill_dir: None,
+            });
+        }
+        for sql_text in &cases {
+            run_case(&e, sql_text);
+        }
+        let options = e.options_mut().clone();
+        run_plan(
+            &e,
+            &options,
+            &join,
+            &format!("hand-built join, spill={spill}"),
+        );
+
+        // Every plan node keeps its line in EXPLAIN ANALYZE; the Scan, which
+        // now lends the table instead of emitting chunks, reports all of it.
+        let analyzed = e
+            .query("EXPLAIN ANALYZE SELECT c_customer_sk FROM customer ORDER BY c_last_name")
+            .unwrap();
+        let text: Vec<String> = (0..analyzed.len())
+            .map(|i| format!("{:?}", analyzed.row(i)[0]))
+            .collect();
+        let text = text.join("\n");
+        assert!(
+            text.contains(&format!("Scan customer  [rows={n} ")),
+            "{text}"
+        );
+        assert!(
+            text.contains(&format!("Sort (1 keys)  [rows={n} ")),
+            "{text}"
+        );
+        assert!(text.contains("Project"), "{text}");
+        // The in-memory pipeline's Sort line carries the gather stage next
+        // to run generation and merge; the external sorter's does not.
+        assert_eq!(text.contains(" gather="), !spill, "{text}");
+        assert_eq!(text.contains(" spill_merge="), spill, "{text}");
     }
 }

@@ -1,7 +1,7 @@
 //! Buffers of fixed-width rows.
 
 use crate::layout::RowLayout;
-use rowsort_vector::{DataChunk, LogicalType, Value, Vector, VectorData};
+use rowsort_vector::{DataChunk, LogicalType, StringVec, Validity, Value, Vector, VectorData};
 use std::sync::Arc;
 
 /// Read a fixed-width array out of a byte slice. Infallible by type: the
@@ -221,11 +221,12 @@ impl RowBlock {
                         continue;
                     }
                     let bytes = strings.get_bytes(lo + i);
-                    // lint:allow(R002): a heap or string beyond 4 GiB cannot
-                    // be represented in the u32 slot format at all; aborting
-                    // is the only sound response to that capacity overflow.
+                    // lint:allow(R002, R010): a heap or string beyond 4 GiB
+                    // cannot be represented in the u32 slot format at all;
+                    // aborting is the only sound response to that capacity
+                    // overflow.
                     let heap_off = u32::try_from(self.heap.len()).expect("heap exceeds 4 GiB");
-                    // lint:allow(R002): same 4 GiB capacity bound as above.
+                    // lint:allow(R002, R010): same 4 GiB capacity bound as above.
                     let byte_len = u32::try_from(bytes.len()).expect("string exceeds 4 GiB");
                     self.heap.extend_from_slice(bytes);
                     let at = (base + i) * width + slot;
@@ -300,8 +301,9 @@ impl RowBlock {
         let columns: Vec<Vector> = (0..self.layout.column_count())
             .map(|c| self.gather_column(c, order))
             .collect();
-        // lint:allow(R002): gather_column builds one vector per column,
-        // each exactly `order.len()` long, so from_columns cannot fail.
+        // lint:allow(R002, R010): gather_column builds one vector per
+        // column, each exactly `order.len()` long, so from_columns cannot
+        // fail.
         DataChunk::from_columns(columns).expect("equal lengths by construction")
     }
 
@@ -354,18 +356,7 @@ impl RowBlock {
             LogicalType::Timestamp => gather_fixed!(i64, Vector::from_timestamps),
             LogicalType::Float32 => gather_fixed!(f32, Vector::from_f32s),
             LogicalType::Float64 => gather_fixed!(f64, Vector::from_f64s),
-            LogicalType::Varchar => {
-                let strings = order.iter().map(|&r| {
-                    let row = r as usize;
-                    if self.is_null(row, col) {
-                        std::borrow::Cow::Borrowed("")
-                    } else {
-                        // Lossy on purpose — see `value` on the same choice.
-                        String::from_utf8_lossy(self.string_bytes(row, col))
-                    }
-                });
-                Vector::from_strings(strings)
-            }
+            LogicalType::Varchar => return self.gather_strings(col, order),
         };
         for (i, &r) in order.iter().enumerate() {
             if d[r as usize * width + null_off] != 0 {
@@ -373,6 +364,68 @@ impl RowBlock {
             }
         }
         vec
+    }
+
+    /// Gather a VARCHAR column in bulk: a length pass over the slots sizes
+    /// the byte buffer exactly and yields the offsets and the NULL mask, a
+    /// copy pass appends each string's heap bytes, and UTF-8 is checked
+    /// once for the whole column. NULL slots contribute an empty string
+    /// and their offset/length bytes are never read.
+    fn gather_strings(&self, col: usize, order: &[u32]) -> Vector {
+        let width = self.width();
+        let slot = self.layout.offset(col);
+        let null_off = self.layout.null_offset(col);
+        let d = &self.data;
+
+        let mut validity = Validity::new_valid(order.len());
+        let mut offsets: Vec<u32> = Vec::with_capacity(order.len() + 1);
+        let mut total = 0u32;
+        offsets.push(total);
+        for (i, &r) in order.iter().enumerate() {
+            let row_start = r as usize * width;
+            if d[row_start + null_off] != 0 {
+                validity.set_invalid(i);
+            } else {
+                let len = u32::from_le_bytes(read_array(d, row_start + slot + 4));
+                // lint:allow(R002, R010): a column beyond 4 GiB cannot be
+                // represented by `StringVec`'s u32 offsets at all; same
+                // capacity bound as `scatter_column`'s.
+                total = total.checked_add(len).expect("string column exceeds 4 GiB");
+            }
+            offsets.push(total);
+        }
+
+        // Exact whenever `order` names each row at most once; the heap
+        // length bounds what slots read from outside the program can ask for.
+        let mut bytes: Vec<u8> = Vec::with_capacity((total as usize).min(self.heap.len()));
+        for ((&r, &lo), &hi) in order.iter().zip(&offsets).zip(offsets.iter().skip(1)) {
+            // Empty for NULL slots, whose offset bytes may be garbage.
+            let len = (hi - lo) as usize;
+            if len != 0 {
+                let at = r as usize * width + slot;
+                let off = u32::from_le_bytes(read_array(d, at)) as usize;
+                bytes.extend_from_slice(&self.heap[off..off + len]);
+            }
+        }
+
+        let strings = StringVec::from_parts(offsets, bytes).unwrap_or_else(|| {
+            // Lossy on purpose — see `value` on the same choice. A heap
+            // that is not UTF-8 string by string (only `from_raw_parts`
+            // can carry one) takes the per-string path, so each string
+            // gets its own replacement characters.
+            let lossy = |(i, &r): (usize, &u32)| {
+                if validity.is_valid(i) {
+                    String::from_utf8_lossy(self.string_bytes(r as usize, col))
+                } else {
+                    std::borrow::Cow::Borrowed("")
+                }
+            };
+            order.iter().enumerate().map(lossy).collect()
+        });
+        Vector::from_parts(VectorData::Varchar(strings), validity)
+            // lint:allow(R002, R010): `strings` and `validity` both hold
+            // exactly one entry per element of `order`.
+            .expect("equal lengths by construction")
     }
 
     /// Physically reorder rows into a new block (the payload-reorder step
@@ -766,6 +819,94 @@ mod tests {
         let (data, heap) = block.into_raw_parts();
         let rebuilt = RowBlock::from_raw_parts(layout, data, heap);
         assert_eq!(rebuilt.to_chunk(), chunk);
+    }
+
+    /// A one-VARCHAR-column block over `heap` with one row per
+    /// `(offset, len)` slot; `None` is a NULL row whose slot bytes are
+    /// garbage that must never be followed into the heap.
+    fn raw_string_block(heap: &[u8], slots: &[Option<(u32, u32)>]) -> RowBlock {
+        let layout = Arc::new(RowLayout::new(&[T::Varchar]));
+        let (width, slot, null_off) = (layout.width(), layout.offset(0), layout.null_offset(0));
+        let mut data = vec![0u8; slots.len() * width];
+        for (row, s) in data.chunks_exact_mut(width).zip(slots) {
+            let (off, len) = s.unwrap_or((0xDEAD_BEEF, u32::MAX));
+            row[null_off] = s.is_none() as u8;
+            row[slot..slot + 4].copy_from_slice(&off.to_le_bytes());
+            row[slot + 4..slot + 8].copy_from_slice(&len.to_le_bytes());
+        }
+        RowBlock::from_raw_parts(layout, data, heap.to_vec())
+    }
+
+    /// What `gather` promises for VARCHAR: each string read on its own,
+    /// lossily.
+    fn lossy_per_string(block: &RowBlock, order: &[u32]) -> Vec<Value> {
+        order.iter().map(|&r| block.value(r as usize, 0)).collect()
+    }
+
+    #[test]
+    fn gather_is_lossy_per_string_on_arbitrary_heap_bytes() {
+        // "ab", a lone 0xFF, then "é" (0xC3 0xA9) cut between two adjacent
+        // strings: the buffer after the 0xFF is valid UTF-8 as a whole, but
+        // neither half of the character is.
+        let heap = [b'a', b'b', 0xFF, b'x', 0xC3, 0xA9, b'y'];
+        let slots = [
+            Some((0, 2)),
+            None,
+            Some((2, 1)),
+            Some((3, 2)), // "x" + first byte of é
+            Some((5, 2)), // second byte of é + "y"
+            Some((7, 0)), // empty string at the very end of the heap
+        ];
+        let block = raw_string_block(&heap, &slots);
+        for order in [vec![0, 1, 2, 3, 4, 5], vec![4, 3, 1, 0], vec![0, 5]] {
+            let got = block.gather(&order);
+            let got: Vec<Value> = got.column(0).iter_values().collect();
+            assert_eq!(got, lossy_per_string(&block, &order), "order {order:?}");
+        }
+        let all = block.to_chunk();
+        assert_eq!(all.row(0), vec![Value::from("ab")]);
+        assert_eq!(all.row(1), vec![Value::Null]);
+        assert_eq!(all.row(2), vec![Value::from("\u{FFFD}")]);
+        assert_eq!(all.row(3), vec![Value::from("x\u{FFFD}")]);
+        assert_eq!(all.row(4), vec![Value::from("\u{FFFD}y")]);
+        assert_eq!(all.row(5), vec![Value::from("")]);
+
+        // Without the 0xFF row the gathered buffer is valid UTF-8 as a
+        // whole; only the character-boundary check sees the split.
+        let got = block.gather(&[3, 4]);
+        assert_eq!(got.row(0), vec![Value::from("x\u{FFFD}")]);
+        assert_eq!(got.row(1), vec![Value::from("\u{FFFD}y")]);
+    }
+
+    #[test]
+    fn gather_shared_and_repeated_strings() {
+        // Rows may share heap bytes and `order` may repeat rows, so the
+        // gathered column can be longer than the heap.
+        let block = raw_string_block(b"hello", &[Some((0, 5)), Some((1, 3)), None]);
+        let got = block.gather(&[0, 1, 0, 2, 1]);
+        let got: Vec<Value> = got.column(0).iter_values().collect();
+        let expected = ["hello", "ell", "hello"].map(Value::from);
+        assert_eq!(got[..3], expected);
+        assert_eq!(got[3..], [Value::Null, Value::from("ell")]);
+    }
+
+    #[test]
+    fn gather_empty_and_all_null_string_columns() {
+        let empty = raw_string_block(b"", &[]);
+        assert_eq!(empty.to_chunk(), DataChunk::new(&[T::Varchar]));
+        assert_eq!(empty.gather(&[]).len(), 0);
+
+        // Garbage heap too: no NULL row may cause a heap read.
+        let nulls = raw_string_block(&[0xFF, 0xFE], &[None; 70]);
+        let got = nulls.to_chunk();
+        assert_eq!(got.len(), 70);
+        assert_eq!(got.column(0).validity().count_invalid(), 70);
+        assert_eq!(got.column(0).as_strings().unwrap().total_bytes(), 0);
+        let mut expected = DataChunk::new(&[T::Varchar]);
+        for _ in 0..70 {
+            expected.push_row(&[Value::Null]).unwrap();
+        }
+        assert_eq!(got, expected);
     }
 
     #[test]

@@ -16,12 +16,16 @@
 //!
 //! Only allocations are counted (not deallocations): a steady-state
 //! pipeline may *return* buffers to its pool, but must not take any from
-//! the system allocator.
+//! the system allocator. [`allocated_bytes`] reads the same events in
+//! bytes, for budgets of the form "this call requests no more memory than
+//! that one" — a copy of a relation shows up as its size, on any host and
+//! without a clock.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static ALLOCATED_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 /// Forwarding allocator that counts `alloc`/`realloc` calls.
 pub struct CountingAllocator;
@@ -33,6 +37,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: forwards to `System` under the caller's own layout contract.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         // SAFETY: same layout contract as our own caller's.
         unsafe { System.alloc(layout) }
     }
@@ -40,6 +45,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: forwards to `System` under the caller's own layout contract.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         // SAFETY: same layout contract as our own caller's.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -53,6 +59,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: forwards to `System` under the caller's realloc contract.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // Only growth asks the system for memory; a shrink counts nothing.
+        ALLOCATED_BYTES.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
         // SAFETY: `ptr`/`layout` follow the caller's realloc contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -62,6 +70,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 /// start. Monotonic; subtract two readings to count a region.
 pub fn allocation_count() -> usize {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Total bytes requested (`alloc` and `alloc_zeroed` sizes, plus the growth
+/// of every `realloc`) since process start. Monotonic like
+/// [`allocation_count`]: frees subtract nothing, so the difference of two
+/// readings is what a region asked the allocator for, not what it holds.
+pub fn allocated_bytes() -> usize {
+    ALLOCATED_BYTES.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]
@@ -75,6 +91,8 @@ mod tests {
     fn counter_is_monotonic() {
         let a = allocation_count();
         let b = allocation_count();
+        assert!(b >= a);
+        let (a, b) = (allocated_bytes(), allocated_bytes());
         assert!(b >= a);
     }
 }

@@ -103,13 +103,29 @@ impl DataChunk {
         }
     }
 
-    /// Append all rows of another chunk with the same schema.
+    /// Take the chunk apart into its columns.
+    pub fn into_columns(self) -> Vec<Vector> {
+        self.columns
+    }
+
+    /// Append all rows of another chunk with the same schema. On a type
+    /// mismatch nothing is appended: `self` is left as it was.
     pub fn append(&mut self, other: &DataChunk) -> Result<()> {
         assert_eq!(
             self.column_count(),
             other.column_count(),
             "appending chunk with different arity"
         );
+        // Every column's type before any column's rows: an error half-way
+        // would leave the earlier columns longer than `len`.
+        for (a, b) in self.columns.iter().zip(other.columns.iter()) {
+            if a.logical_type() != b.logical_type() {
+                return Err(VectorError::TypeMismatch {
+                    expected: a.logical_type(),
+                    got: b.logical_type().name().to_owned(),
+                });
+            }
+        }
         for (a, b) in self.columns.iter_mut().zip(other.columns.iter()) {
             a.append(b)?;
         }
@@ -127,8 +143,7 @@ impl DataChunk {
         let mut start = 0;
         while start < self.len {
             let end = (start + VECTOR_SIZE).min(self.len);
-            let indices: Vec<usize> = (start..end).collect();
-            out.push(self.take(&indices));
+            out.push(self.slice(start, end));
             start = end;
         }
         out
@@ -141,7 +156,8 @@ impl DataChunk {
     }
 
     /// Copy out rows `start..end` as a new chunk (typed path, no boxed
-    /// values) — how the sort operator splits its input into morsels.
+    /// values) — what `LIMIT`/`OFFSET` and [`DataChunk::split_into_vectors`]
+    /// cut a relation with.
     pub fn slice(&self, start: usize, end: usize) -> DataChunk {
         DataChunk {
             columns: self.columns.iter().map(|c| c.slice(start, end)).collect(),
@@ -209,6 +225,56 @@ mod tests {
         a.append(&b).unwrap();
         assert_eq!(a.len(), 6);
         assert_eq!(a.row(3), b.row(0));
+    }
+
+    #[test]
+    fn failed_append_leaves_chunk_untouched() {
+        let mut a = sample();
+        let before = a.clone();
+        // Column 0 matches, column 1 does not: nothing may be appended.
+        let b = DataChunk::from_columns(vec![
+            Vector::from_u32s(vec![7, 8]),
+            Vector::from_i32s(vec![7, 8]),
+        ])
+        .unwrap();
+        assert!(matches!(
+            a.append(&b),
+            Err(VectorError::TypeMismatch {
+                expected: LogicalType::Varchar,
+                ..
+            })
+        ));
+        assert_eq!(a, before);
+        assert_eq!(a.to_rows(), before.to_rows());
+    }
+
+    #[test]
+    fn into_columns_returns_the_columns() {
+        let c = sample();
+        let columns = c.clone().into_columns();
+        assert_eq!(columns.as_slice(), c.columns());
+    }
+
+    #[test]
+    fn split_into_vectors_keeps_strings_and_nulls() {
+        let n = VECTOR_SIZE + 70;
+        let values: Vec<Value> = (0..n)
+            .map(|i| match i % 9 {
+                4 => Value::Null,
+                _ => Value::from(format!("row-{i}")),
+            })
+            .collect();
+        let c = DataChunk::from_columns(vec![
+            Vector::from_values(LogicalType::Varchar, &values).unwrap()
+        ])
+        .unwrap();
+        let parts = c.split_into_vectors();
+        assert_eq!(parts.len(), 2);
+        let mut back = DataChunk::new(&c.types());
+        for p in &parts {
+            back.append(p).unwrap();
+        }
+        assert_eq!(back, c);
     }
 
     #[test]

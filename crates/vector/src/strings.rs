@@ -53,6 +53,47 @@ impl StringVec {
         self.offsets.push(end);
     }
 
+    /// Assemble a column from an offsets vector and the byte buffer it
+    /// indexes, or `None` unless they describe valid strings: `offsets`
+    /// starts at 0, never decreases and ends at `bytes.len()`, `bytes` is
+    /// UTF-8 as a whole, and every offset falls on a character boundary.
+    /// One validation pass per column, where a `push` per string would
+    /// validate (and grow) once per value.
+    pub fn from_parts(offsets: Vec<u32>, bytes: Vec<u8>) -> Option<StringVec> {
+        let text = std::str::from_utf8(&bytes).ok()?;
+        let framed = offsets.first() == Some(&0)
+            && offsets.last().map(|&end| end as usize) == Some(bytes.len())
+            && offsets.windows(2).all(|w| w[0] <= w[1])
+            && offsets.iter().all(|&o| text.is_char_boundary(o as usize));
+        framed.then_some(StringVec { offsets, bytes })
+    }
+
+    /// Append strings `start..end` of `other`: one byte copy plus rebased
+    /// offsets, with no per-string work.
+    ///
+    /// # Panics
+    /// If `start..end` is not a valid range of `other`, or total byte length
+    /// would exceed `u32::MAX` (see [`StringVec::push`]).
+    pub fn extend_from_range(&mut self, other: &StringVec, start: usize, end: usize) {
+        assert!(
+            start <= end && end <= other.len(),
+            "string range {start}..{end} of {}",
+            other.len()
+        );
+        let (lo, hi) = (other.offsets[start], other.offsets[end]);
+        let new_end = u32::try_from(self.bytes.len() + (hi - lo) as usize)
+            .expect("string column exceeds 4 GiB");
+        // Where the copied bytes start; no rebased offset exceeds `new_end`.
+        let base = new_end - (hi - lo);
+        self.bytes
+            .extend_from_slice(&other.bytes[lo as usize..hi as usize]);
+        self.offsets.extend(
+            other.offsets[start + 1..=end]
+                .iter()
+                .map(|&o| o - lo + base),
+        );
+    }
+
     /// The string at `idx`.
     ///
     /// # Panics
@@ -157,6 +198,36 @@ mod tests {
         v.push("x");
         assert_eq!(v.get(0), "x");
         assert_eq!(v.len(), 1);
+    }
+
+    #[test]
+    fn extend_from_range_rebases_offsets() {
+        let src: StringVec = ["ab", "", "héllo", "z"].iter().collect();
+        let mut dst: StringVec = ["x"].iter().collect();
+        dst.extend_from_range(&src, 1, 4);
+        dst.extend_from_range(&src, 2, 2);
+        assert_eq!(dst.iter().collect::<Vec<_>>(), ["x", "", "héllo", "z"]);
+        assert_eq!(dst.total_bytes(), 1 + "héllo".len() + 1);
+    }
+
+    #[test]
+    fn from_parts_accepts_only_well_framed_utf8() {
+        let bytes = "aé€".as_bytes().to_vec(); // 1 + 2 + 3 bytes
+        let v = StringVec::from_parts(vec![0, 1, 3, 3, 6], bytes.clone()).unwrap();
+        assert_eq!(v.iter().collect::<Vec<_>>(), ["a", "é", "", "€"]);
+        assert_eq!(
+            StringVec::from_parts(vec![0], Vec::new()),
+            Some(StringVec::new())
+        );
+        // An offset inside a character, a short or long frame, a
+        // decreasing pair, a missing leading 0, invalid bytes.
+        assert_eq!(StringVec::from_parts(vec![0, 2, 6], bytes.clone()), None);
+        assert_eq!(StringVec::from_parts(vec![0, 1, 3], bytes.clone()), None);
+        assert_eq!(StringVec::from_parts(vec![0, 7], bytes.clone()), None);
+        assert_eq!(StringVec::from_parts(vec![0, 3, 1, 6], bytes.clone()), None);
+        assert_eq!(StringVec::from_parts(vec![1, 6], bytes.clone()), None);
+        assert_eq!(StringVec::from_parts(Vec::new(), Vec::new()), None);
+        assert_eq!(StringVec::from_parts(vec![0, 1], vec![0xFF]), None);
     }
 
     #[test]

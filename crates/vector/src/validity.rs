@@ -145,20 +145,45 @@ impl Validity {
 
     /// Copy out the sub-mask covering rows `start..end`.
     pub fn slice(&self, start: usize, end: usize) -> Validity {
+        let mut out = Validity::new_valid(0);
+        out.extend_from_range(self, start, end);
+        out
+    }
+
+    /// Append rows `start..end` of `other`. An all-valid range costs no
+    /// bit work at all (and leaves a lazy mask lazy); otherwise bits move
+    /// a word at a time, not one `push` per row.
+    ///
+    /// # Panics
+    /// If `start..end` is not a valid row range of `other`.
+    pub fn extend_from_range(&mut self, other: &Validity, start: usize, end: usize) {
         assert!(
-            start <= end && end <= self.len,
+            start <= end && end <= other.len,
             "slice {start}..{end} of {}",
-            self.len
+            other.len
         );
-        match &self.words {
-            None => Validity::new_valid(end - start),
-            Some(_) => {
-                let mut out = Validity::new_valid(0);
-                for i in start..end {
-                    out.push(self.is_valid(i));
-                }
-                out
-            }
+        let n = end - start;
+        let dst = self.len;
+        self.len += n;
+        let src = other
+            .words
+            .as_deref()
+            .filter(|src| !range_all_valid(src, start, n));
+        if src.is_none() && self.words.is_none() {
+            return;
+        }
+        // Bits at and past the old length are set (the mask's invariant),
+        // and so is every new word: the appended rows default to valid.
+        let words = self.words.get_or_insert_with(Vec::new);
+        words.resize(self.len.div_ceil(64).max(1), u64::MAX);
+        let Some(src) = src else { return };
+        let mut done = 0;
+        while done < n {
+            let (word, bit) = ((dst + done) / 64, (dst + done) % 64);
+            let take = (64 - bit).min(n - done);
+            let mask = low_mask(take) << bit;
+            words[word] = (words[word] & !mask) | (read_bits(src, start + done, take) << bit);
+            done += take;
         }
     }
 
@@ -168,6 +193,34 @@ impl Validity {
         }
         self.words.as_mut().unwrap()
     }
+}
+
+/// A word with its low `count` bits set (`count` ≤ 64).
+fn low_mask(count: usize) -> u64 {
+    if count >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << count) - 1
+    }
+}
+
+/// Bits `pos..pos + count` of `words` (`count` ≤ 64) in the low bits of the
+/// result, the rest clear.
+fn read_bits(words: &[u64], pos: usize, count: usize) -> u64 {
+    let (word, bit) = (pos / 64, pos % 64);
+    let mut bits = words[word] >> bit;
+    if bit + count > 64 {
+        bits |= words[word + 1] << (64 - bit);
+    }
+    bits & low_mask(count)
+}
+
+/// Whether all `n` bits from `start` on are set.
+fn range_all_valid(words: &[u64], start: usize, n: usize) -> bool {
+    (0..n).step_by(64).all(|done| {
+        let take = (n - done).min(64);
+        read_bits(words, start + done, take) == low_mask(take)
+    })
 }
 
 #[cfg(test)]
@@ -267,6 +320,70 @@ mod tests {
         assert!(!v.is_valid(2));
         v.set(2, true);
         assert!(v.is_valid(2));
+    }
+
+    /// A mask with every third and every 67th row NULL, built bit by bit.
+    fn patterned(len: usize) -> Validity {
+        let mut v = Validity::new_valid(0);
+        for i in 0..len {
+            v.push(i % 3 != 0 && i % 67 != 0);
+        }
+        v
+    }
+
+    #[test]
+    fn slice_and_extend_match_per_bit_pushes_off_word_boundaries() {
+        let src = patterned(300);
+        for (start, end) in [
+            (0, 300),
+            (1, 64),
+            (63, 65),
+            (5, 197),
+            (64, 128),
+            (70, 70),
+            (129, 300),
+        ] {
+            let mut expected = Validity::new_valid(0);
+            for i in start..end {
+                expected.push(src.is_valid(i));
+            }
+            assert_eq!(src.slice(start, end), expected, "slice {start}..{end}");
+            // Appended at destinations that are themselves unaligned.
+            for prefix in [0, 1, 63, 64, 100] {
+                let mut got = patterned(prefix);
+                let mut expected = patterned(prefix);
+                got.extend_from_range(&src, start, end);
+                for i in start..end {
+                    expected.push(src.is_valid(i));
+                }
+                assert_eq!(got, expected, "extend {prefix} + {start}..{end}");
+            }
+        }
+    }
+
+    #[test]
+    fn all_valid_ranges_stay_lazy() {
+        let mut src = Validity::new_valid(200);
+        src.set_invalid(150);
+        // The range holds no NULL, so neither the slice nor a lazy
+        // destination materializes any words.
+        assert_eq!(src.slice(3, 140), Validity::new_valid(137));
+        let mut dst = Validity::new_valid(10);
+        dst.extend_from_range(&src, 0, 150);
+        assert_eq!(dst, Validity::new_valid(160));
+        // A materialized destination grows by all-valid words.
+        let mut dst = patterned(70);
+        dst.extend_from_range(&Validity::new_valid(100), 20, 100);
+        assert_eq!(dst.len(), 150);
+        assert_eq!(dst.count_invalid(), patterned(70).count_invalid());
+        assert!((70..150).all(|i| dst.is_valid(i)));
+    }
+
+    #[test]
+    #[should_panic(expected = "slice 2..9 of 8")]
+    fn extend_out_of_range_panics() {
+        let mut dst = Validity::new_valid(0);
+        dst.extend_from_range(&Validity::new_valid(8), 2, 9);
     }
 
     #[test]

@@ -147,6 +147,18 @@ impl Vector {
         }
     }
 
+    /// Assemble a vector from typed storage and the validity mask over it;
+    /// the two must cover the same number of rows.
+    pub fn from_parts(data: VectorData, validity: Validity) -> Result<Vector> {
+        if validity.len() != data.len() {
+            return Err(VectorError::LengthMismatch {
+                expected: data.len(),
+                got: validity.len(),
+            });
+        }
+        Ok(Vector { data, validity })
+    }
+
     /// Build a vector from boxed values; every value must be NULL or match `ty`.
     pub fn from_values(ty: LogicalType, values: &[Value]) -> Result<Vector> {
         let mut v = Vector::new(ty);
@@ -381,22 +393,11 @@ impl Vector {
             (VectorData::Float64(a), VectorData::Float64(b)) => a.extend_from_slice(b),
             (VectorData::Date(a), VectorData::Date(b)) => a.extend_from_slice(b),
             (VectorData::Timestamp(a), VectorData::Timestamp(b)) => a.extend_from_slice(b),
-            (VectorData::Varchar(a), VectorData::Varchar(b)) => {
-                for s in b.iter() {
-                    a.push(s);
-                }
-            }
+            (VectorData::Varchar(a), VectorData::Varchar(b)) => a.extend_from_range(b, 0, b.len()),
             _ => unreachable!("types checked above"),
         }
-        if other.validity.all_valid() {
-            for _ in 0..other.len() {
-                self.validity.push(true);
-            }
-        } else {
-            for i in 0..other.len() {
-                self.validity.push(other.validity.is_valid(i));
-            }
-        }
+        self.validity
+            .extend_from_range(&other.validity, 0, other.len());
         Ok(())
     }
 
@@ -405,8 +406,8 @@ impl Vector {
         (0..self.len()).map(move |i| self.get(i))
     }
 
-    /// Copy out rows `start..end` as a new vector — a typed `memcpy`, not a
-    /// per-value loop, so morsel splitting stays off the boxed-value path.
+    /// Copy out rows `start..end` as a new vector — a typed `memcpy` per
+    /// buffer (values, string bytes, validity words), not a per-value loop.
     pub fn slice(&self, start: usize, end: usize) -> Vector {
         let validity = self.validity.slice(start, end);
         let data = match &self.data {
@@ -424,10 +425,8 @@ impl Vector {
             VectorData::Date(v) => VectorData::Date(v[start..end].to_vec()),
             VectorData::Timestamp(v) => VectorData::Timestamp(v[start..end].to_vec()),
             VectorData::Varchar(v) => {
-                let mut out = crate::strings::StringVec::with_capacity(end - start, 8);
-                for i in start..end {
-                    out.push(v.get(i));
-                }
+                let mut out = StringVec::with_capacity(end - start, 0);
+                out.extend_from_range(v, start, end);
                 VectorData::Varchar(out)
             }
         };
@@ -602,6 +601,65 @@ mod tests {
         assert_eq!(a.len(), 3);
         assert_eq!(a.get(1), Value::Null);
         assert_eq!(a.get(2), Value::Int32(9));
+    }
+
+    /// 200 rows, every fifth NULL: enough to straddle three validity words.
+    fn nullable_strings() -> (Vector, Vec<Value>) {
+        let values: Vec<Value> = (0..200)
+            .map(|i| match i % 5 {
+                0 => Value::Null,
+                _ => Value::from(format!("s{i}é")),
+            })
+            .collect();
+        let v = Vector::from_values(LogicalType::Varchar, &values).unwrap();
+        (v, values)
+    }
+
+    #[test]
+    fn slice_null_carrying_ranges_off_word_boundaries() {
+        let (v, values) = nullable_strings();
+        for (start, end) in [(1, 63), (63, 65), (7, 131), (64, 200), (190, 190)] {
+            let s = v.slice(start, end);
+            assert_eq!(s.iter_values().collect::<Vec<_>>(), values[start..end]);
+            // Same representation as a vector built value by value.
+            let built = Vector::from_values(LogicalType::Varchar, &values[start..end]).unwrap();
+            assert_eq!(s, built, "slice {start}..{end}");
+        }
+    }
+
+    #[test]
+    fn append_null_carrying_ranges_off_word_boundaries() {
+        let (v, values) = nullable_strings();
+        for (prefix, start, end) in [(1, 3, 70), (63, 1, 2), (65, 60, 200), (0, 5, 133)] {
+            let mut got = v.slice(0, prefix);
+            got.append(&v.slice(start, end)).unwrap();
+            let mut expected = values[..prefix].to_vec();
+            expected.extend_from_slice(&values[start..end]);
+            let built = Vector::from_values(LogicalType::Varchar, &expected).unwrap();
+            assert_eq!(got, built, "append {prefix} + {start}..{end}");
+        }
+        // Fixed-width values take the same validity path.
+        let ints: Vec<Value> = (0..150)
+            .map(|i| {
+                if i % 7 == 3 {
+                    Value::Null
+                } else {
+                    Value::Int32(i)
+                }
+            })
+            .collect();
+        let whole = Vector::from_values(LogicalType::Int32, &ints).unwrap();
+        let mut got = whole.slice(0, 37);
+        got.append(&whole.slice(37, 150)).unwrap();
+        assert_eq!(got, whole);
+    }
+
+    #[test]
+    fn from_parts_checks_lengths() {
+        let data = VectorData::Int32(vec![1, 2, 3]);
+        assert!(Vector::from_parts(data.clone(), Validity::new_valid(2)).is_err());
+        let v = Vector::from_parts(data, Validity::new_valid(3)).unwrap();
+        assert_eq!(v, Vector::from_i32s(vec![1, 2, 3]));
     }
 
     #[test]
