@@ -102,6 +102,12 @@ pub struct OvcLoserTree {
     k: usize,
 }
 
+impl Default for OvcLoserTree {
+    fn default() -> Self {
+        OvcLoserTree::empty()
+    }
+}
+
 impl OvcLoserTree {
     /// Build the tree with a full bottom-up tournament.
     ///

@@ -96,6 +96,19 @@ fn bench_pipeline(c: &mut Harness) {
         group.bench_function(BenchmarkId::new("u32_t1", n), |b| {
             b.iter(|| single.sort(&chunk))
         });
+        // Two threads on every host, unlike `_tdef`: the coded merge cut
+        // into two key ranges.
+        let two = SortPipeline::new(
+            chunk.types(),
+            order.clone(),
+            SortOptions {
+                threads: 2,
+                ..SortOptions::default()
+            },
+        );
+        group.bench_function(BenchmarkId::new("u32_t2", n), |b| {
+            b.iter(|| two.sort(&chunk))
+        });
         let default = SortPipeline::new(chunk.types(), order, SortOptions::default());
         group.bench_function(BenchmarkId::new("u32_tdef", n), |b| {
             b.iter(|| default.sort(&chunk))
@@ -120,8 +133,9 @@ fn bench_pipeline(c: &mut Harness) {
     // Wide multi-column VARCHAR keys with long shared prefixes — the
     // offset-value coding headline case. Small runs make the merge 64
     // ways so comparator work dominates; the coded sort merges them in
-    // one tree-of-losers pass while the _novc twin pays the full
-    // six-round cascade with whole-key compares.
+    // one tree-of-losers pass (`_t2`: one per key range, on two threads)
+    // while the _novc twin pays the full six-round cascade with
+    // whole-key compares.
     let n = sizes()[0].min(1_000_000);
     let chunk = wide_key_chunk(n, 0xF16_14);
     let order = OrderBy::new(vec![
@@ -129,12 +143,16 @@ fn bench_pipeline(c: &mut Harness) {
         OrderByColumn::asc(1),
         OrderByColumn::asc(2),
     ]);
-    for (id, ovc) in [("widekey_ovc", true), ("widekey_novc", false)] {
+    for (id, threads, ovc) in [
+        ("widekey_ovc", 1, true),
+        ("widekey_novc", 1, false),
+        ("widekey_ovc_t2", 2, true),
+    ] {
         let pipeline = SortPipeline::new(
             chunk.types(),
             order.clone(),
             SortOptions {
-                threads: 1,
+                threads,
                 run_rows: (n / 64).max(1),
                 ovc,
             },

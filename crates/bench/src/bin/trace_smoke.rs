@@ -4,13 +4,15 @@
 //! trace_smoke <trace-file.jsonl>
 //! ```
 //!
-//! Turns tracing on, runs one in-memory pipeline sort (u32 keys), one
-//! VARCHAR sort, and one spilling external sort, then reads the trace
-//! file back and validates every line against the documented schema
-//! (DESIGN.md §7.5) with testkit's JSON parser: required fields, all
-//! phase and counter names present and numeric, and phase times that sum
-//! to no more than the sort's wall time. Exits non-zero on any
-//! violation, so CI catches schema drift the moment it happens.
+//! Turns tracing on, runs one in-memory pipeline sort (u32 keys, five runs
+//! so the line carries a merge), one VARCHAR sort, and one spilling
+//! external sort, then reads the trace file back and validates every line
+//! against the documented schema (DESIGN.md §7.5) with testkit's JSON
+//! parser: required fields, all phase and counter names present and
+//! numeric, phase times that sum to no more than the sort's wall time, and
+//! a merge shape (`merge_rounds`, `merge_tasks`, `merge_max_range_rows`)
+//! that adds up. Exits non-zero on any violation, so CI catches schema
+//! drift the moment it happens.
 
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
 use rowsort_core::metrics::{Counter, Phase};
@@ -35,7 +37,11 @@ fn run_sorts() {
     let n = 100_000usize;
     let col: Vec<u32> = (0..n).map(|_| rng.next_u32()).collect();
     let ints = DataChunk::from_columns(vec![Vector::from_u32s(col)]).unwrap();
-    let pipeline = SortPipeline::new(ints.types(), OrderBy::ascending(1), SortOptions::default());
+    let five_runs = SortOptions {
+        run_rows: 20_000,
+        ..SortOptions::default()
+    };
+    let pipeline = SortPipeline::new(ints.types(), OrderBy::ascending(1), five_runs);
     drop(pipeline.sort(&ints));
 
     let mut strings = DataChunk::new(&[rowsort_vector::LogicalType::Varchar]);
@@ -94,6 +100,7 @@ fn main() {
     }
 
     let mut operators = Vec::new();
+    let mut merged_in_memory = false;
     for (i, line) in lines.iter().enumerate() {
         let line_no = i + 1;
         let obj = Json::parse(line)
@@ -150,7 +157,33 @@ fn main() {
         if num_field(counters, Counter::RowsSorted.name(), line_no) != rows {
             die(&format!("line {line_no}: rows_sorted counter != rows"));
         }
+
+        // Merge shape. A k-way pass (every spill merge; the in-memory
+        // merge of a coded sort) reports its largest key range, which
+        // holds at least an even share of the rows and at most all of
+        // them; a pipeline sort that made one is one round of `ranges`
+        // tasks. A cascade (`ROWSORT_OVC=0`) reports rounds and no range.
+        let count = |c: Counter| num_field(counters, c.name(), line_no);
+        let max_range = count(Counter::MergeMaxRangeRows);
+        let (rounds, ranges) = if operator == "external" {
+            (1.0, count(Counter::SpillMergePartitions))
+        } else {
+            (count(Counter::MergeRounds), count(Counter::MergeTasks))
+        };
+        merged_in_memory |= operator == "pipeline" && rounds > 0.0;
+        if operator == "external" && max_range == 0.0 {
+            die(&format!("line {line_no}: a spill merge reported no range"));
+        }
+        if max_range > 0.0 && (rounds != 1.0 || max_range > rows || max_range * ranges < rows) {
+            die(&format!(
+                "line {line_no}: largest of {ranges} ranges holds {max_range} of \
+                 {rows} rows after {rounds} round(s)"
+            ));
+        }
         operators.push(operator);
+    }
+    if !merged_in_memory {
+        die("no pipeline line carries a merge (merge_rounds is 0 on all)");
     }
 
     if !operators.contains(&"pipeline".to_owned()) || !operators.contains(&"external".to_owned()) {

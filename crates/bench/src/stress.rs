@@ -3,7 +3,9 @@
 //! Each iteration derives everything — schema, data, sort keys, memory
 //! budget, and fault schedule — from one seed, runs the external sorter
 //! against a fault-injecting [`FaultFs`], and checks it against an
-//! in-memory oracle:
+//! in-memory oracle (the same relation also goes through the in-memory
+//! [`SortPipeline`] under the iteration's options, where no fault can
+//! reach it and the oracle must simply agree):
 //!
 //! * **Survival**: when the sort returns `Ok`, its output must be the
 //!   same multiset as the input, sorted under the iteration's ORDER BY.
@@ -25,6 +27,7 @@ use std::time::Duration;
 
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
 use rowsort_core::metrics::Counter;
+use rowsort_core::pipeline::{SortOptions, SortPipeline};
 use rowsort_core::spill::SpillError;
 use rowsort_testkit::faultfs::{FaultFs, FaultSchedule};
 use rowsort_testkit::json::Json;
@@ -214,6 +217,12 @@ fn canonical(rows: &[Vec<Value>]) -> Vec<String> {
     v
 }
 
+/// Whether `rows` are in `order`.
+fn is_sorted(rows: &[Vec<Value>], order: &OrderBy) -> bool {
+    rows.windows(2)
+        .all(|w| order.compare_rows(&w[0], &w[1]) != std::cmp::Ordering::Greater)
+}
+
 /// Run one seeded iteration: generate, inject, sort, check.
 pub fn run_iteration(seed: u64) -> IterationReport {
     let mut rng = Rng::seed_from_u64(seed);
@@ -261,6 +270,38 @@ pub fn run_iteration(seed: u64) -> IterationReport {
         }
     };
 
+    let oracle = canonical(&oracle_rows(&chunk, &order));
+
+    // The in-memory sorter on the same relation, with the budget as its
+    // run size: the seeded schema × NULL × duplicate generator reaches the
+    // range-partitioned in-memory merge (and, `ovc` off, the cascade) on
+    // every iteration. Its rows may not depend on the thread count.
+    let in_memory = |threads: usize| {
+        let options = SortOptions {
+            threads,
+            run_rows: budget,
+            ovc,
+        };
+        let pipeline = SortPipeline::new(chunk.types(), order.clone(), options);
+        pipeline.sort(&chunk).to_rows()
+    };
+    let got = in_memory(merge_threads);
+    check(
+        is_sorted(&got, &order),
+        "in-memory output not sorted under ORDER BY",
+    );
+    check(
+        canonical(&got) == oracle,
+        "in-memory output is not the input multiset",
+    );
+    check(
+        merge_threads == 1 || got == in_memory(1),
+        &format!(
+            "in-memory sort at {merge_threads} threads diverged from the \
+             single-threaded row sequence"
+        ),
+    );
+
     let outcome = match &result {
         Ok(sorted) => {
             check(
@@ -268,14 +309,9 @@ pub fn run_iteration(seed: u64) -> IterationReport {
                 &format!("row count changed: {} in, {} out", rows, sorted.len()),
             );
             let got = sorted.to_rows();
-            for w in got.windows(2) {
-                if order.compare_rows(&w[0], &w[1]) == std::cmp::Ordering::Greater {
-                    check(false, "output not sorted under ORDER BY");
-                    break;
-                }
-            }
+            check(is_sorted(&got, &order), "output not sorted under ORDER BY");
             check(
-                canonical(&got) == canonical(&oracle_rows(&chunk, &order)),
+                canonical(&got) == oracle,
                 "output is not the input multiset",
             );
             // Bit-identity oracle: a fault-free single-threaded sort of the
@@ -458,4 +494,3 @@ mod tests {
         assert!(survived > 0, "no iteration survived out of 8");
     }
 }
-

@@ -40,7 +40,10 @@
 
 use crate::comparator::FusedRowComparator;
 use crate::keys::KeyBlock;
-use crate::merge::{merge_kway, MergeOrder, MergeStats, RunSource, SegmentSink};
+use crate::merge::{
+    choose_splitters, merge_kway, plan_parts, sample_positions, MergeOrder, MergeStats, RunSource,
+    SegmentSink,
+};
 use crate::metrics::{emit_trace, Counter, CounterRegistry, Metrics, Phase, SortProfile};
 use crate::ovc;
 use crate::pool::BufferPool;
@@ -84,17 +87,6 @@ const SPILL_FLAG_OVC: u16 = 1;
 /// Bytes of run-file header (magic ‖ version ‖ flags) before the first
 /// record — the byte offset every partition scan starts from.
 const HEADER_BYTES: u64 = 8;
-
-/// Splitter candidates sampled per run at encode time. 32 evenly spaced
-/// keys per run give the partitioner `32 × runs` sorted candidates —
-/// plenty for a near-even cut at any plausible thread count, for a few
-/// hundred bytes per run.
-const MERGE_SAMPLES_PER_RUN: usize = 32;
-
-/// Minimum rows per merge partition. Below this the per-range overhead
-/// (cursor setup, a read-ahead buffer pair per run) outweighs the
-/// parallelism, so the partition count is capped at `total / 256`.
-const MIN_ROWS_PER_PARTITION: usize = 256;
 
 /// Tuning for the external sorter.
 #[derive(Debug, Clone)]
@@ -199,11 +191,11 @@ impl Drop for SpilledRun {
 }
 
 /// One sorted run as the merge sees it: where its encoded bytes live, the
-/// splitter-candidate keys sampled from it at encode time (up to
-/// [`MERGE_SAMPLES_PER_RUN`] evenly spaced keys of `key_width` bytes each)
-/// and the total of its records' string segments. Samples and total cost
-/// nothing to capture while the run is hot; they let the merge choose
-/// range splitters and pre-size its output heap without reading any file.
+/// splitter-candidate keys sampled from it at encode time (the keys at
+/// its [`sample_positions`], `key_width` bytes each) and the total of its
+/// records' string segments. Samples and total cost nothing to capture
+/// while the run is hot; they let the merge choose range splitters and
+/// pre-size its output heap without reading any file.
 struct Run {
     samples: Vec<u8>,
     heap_bytes: u64,
@@ -763,19 +755,12 @@ impl ExternalSorter {
         }
     }
 
-    /// Evenly spaced splitter-candidate keys from a sorted run: up to
-    /// [`MERGE_SAMPLES_PER_RUN`] keys at indices `j·n/s`, captured while
-    /// the keys are hot from the run sort.
+    /// A sorted run's splitter-candidate keys, captured while the keys are
+    /// hot from the run sort (none for a zero-width key).
     fn sample_keys(run: &SortedRun) -> Vec<u8> {
         let kw = run.key_width;
-        let n = run.len();
-        if kw == 0 || n == 0 {
-            return Vec::new();
-        }
-        let s = n.min(MERGE_SAMPLES_PER_RUN);
-        let mut out = Vec::with_capacity(s * kw);
-        for j in 0..s {
-            let i = j * n / s;
+        let mut out = Vec::new();
+        for i in sample_positions(run.len()) {
             out.extend_from_slice(&run.keys[i * kw..(i + 1) * kw]);
         }
         out
@@ -873,37 +858,21 @@ impl ExternalSorter {
         }
     }
 
-    /// How many key ranges to cut the merge into: the configured thread
-    /// count, capped so every range covers at least
-    /// [`MIN_ROWS_PER_PARTITION`] rows on average. Partitioning is
-    /// pointless (and forced to 1) for a single run, a zero-width key
-    /// (nothing to split on), or runs without samples.
-    fn plan_parts(&self, runs: &[Run], kw: usize, total: usize) -> usize {
-        let threads = self.options.merge_threads;
-        if threads <= 1 || kw == 0 || runs.len() < 2 {
-            return 1;
+    /// How many key ranges to cut the merge into, and the splitters
+    /// between them: the shared planner's answer ([`plan_parts`],
+    /// [`choose_splitters`]) over the samples taken at spill time — one
+    /// range, no splitters, when no run has any.
+    fn plan_ranges(&self, runs: &[Run], kw: usize, total: usize) -> (usize, Vec<u8>) {
+        let mut splitters = Vec::new();
+        let parts = plan_parts(self.options.merge_threads, kw, runs.len(), total);
+        if parts > 1 {
+            let mut samples: Vec<&[u8]> = runs
+                .iter()
+                .flat_map(|r| r.samples.chunks_exact(kw))
+                .collect();
+            choose_splitters(&mut samples, parts, &mut splitters);
         }
-        if runs.iter().all(|r| r.samples.is_empty()) {
-            return 1;
-        }
-        threads.min(total / MIN_ROWS_PER_PARTITION).max(1)
-    }
-
-    /// Choose `parts - 1` splitter keys: sort the concatenation of every
-    /// run's sample keys and take evenly spaced picks. Range `p` covers
-    /// keys in `[splitter[p-1], splitter[p])` under the lower-bound cut
-    /// rule, so byte-equal keys always land in the same range.
-    fn choose_splitters(runs: &[Run], kw: usize, parts: usize) -> Vec<u8> {
-        let mut samples: Vec<&[u8]> = Vec::new();
-        for run in runs {
-            samples.extend(run.samples.chunks_exact(kw));
-        }
-        samples.sort_unstable();
-        let mut out = Vec::with_capacity((parts - 1) * kw);
-        for j in 1..parts {
-            out.extend_from_slice(samples[j * samples.len() / parts]);
-        }
-        out
+        (splitters.len().checked_div(kw).unwrap_or(0) + 1, splitters)
     }
 
     /// Phase A of the partitioned merge: one verifying pass over `run`
@@ -1009,7 +978,7 @@ impl ExternalSorter {
         let kw = order.kw;
         let width = self.layout.width();
         let total: usize = runs.iter().map(|r| r.rows()).sum();
-        let parts = self.plan_parts(runs, kw, total);
+        let (parts, splitters) = self.plan_ranges(runs, kw, total);
         self.metrics
             .add(Counter::SpillMergePartitions, parts as u64);
         if runs.is_empty() {
@@ -1019,7 +988,6 @@ impl ExternalSorter {
 
         // Every range's exact size: its records and their string bytes.
         let (scans, sizes): (Vec<RunScan>, Vec<(usize, u64)>) = if parts > 1 {
-            let splitters = Self::choose_splitters(runs, kw, parts);
             let scans = self.run_jobs(runs.len(), |r| {
                 self.scan_run(&runs[r], kw, &splitters, parts)
             })?;
@@ -1040,6 +1008,9 @@ impl ExternalSorter {
             (Vec::new(), vec![(total, heap_bytes)])
         };
         debug_assert_eq!(sizes.iter().map(|s| s.0).sum::<usize>(), total);
+        let max_range = sizes.iter().map(|s| s.0).max().unwrap_or(0);
+        self.metrics
+            .add(Counter::MergeMaxRangeRows, max_range as u64);
         let total_heap = sizes.iter().map(|s| s.1).sum::<u64>() as usize;
 
         let mut out_data = self.pool.get_bytes(total * width);
@@ -1175,7 +1146,7 @@ struct RunScan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merge::MemSource;
+    use crate::merge::{lower_bound, MemSource};
     use rowsort_testkit::faultfs::{FaultFs, FaultKind, FaultSchedule, FaultSpec};
     use rowsort_vector::{OrderByColumn, SortSpec, Value, Vector};
     use std::cmp::Ordering;
@@ -1805,10 +1776,24 @@ mod tests {
         (data, heap, stats)
     }
 
+    /// The string bytes rows `lo..hi` of `run` reference.
+    fn heap_bytes_of(sorter: &ExternalSorter, run: &SortedRun, lo: usize, hi: usize) -> u64 {
+        let strings = |i: usize| {
+            let live = sorter
+                .varlen_cols
+                .iter()
+                .filter(move |&&c| !run.payload.is_null(i, c));
+            live.map(move |&c| run.payload.string_bytes(i, c).len() as u64)
+        };
+        (lo..hi).flat_map(strings).sum()
+    }
+
     /// The kernel does not care where a run lives: the same runs merged
     /// from memory and from their encoded form yield the same bytes after
     /// the same comparisons — coded or not, at any fan-in, with an empty
-    /// run among the inputs, and when every key ties.
+    /// run among the inputs, and when every key ties. Nor does it care
+    /// how much of a run a source covers: in-memory sources over the two
+    /// sides of a key cut merge to the two halves of the same rows.
     #[test]
     fn kernel_output_and_comparisons_agree_across_source_kinds() {
         let types = [
@@ -1880,9 +1865,55 @@ mod tests {
                         .map(|run| sorter.open_cursor(run, order.kw, None).unwrap())
                         .collect();
                     let from_files = kernel_merge(&sorter, &order, &mut cursors, size);
-                    let mut in_memory: Vec<MemSource> =
-                        sorted.into_iter().map(MemSource::new).collect();
+                    let mut in_memory: Vec<MemSource<'_>> = sorted
+                        .iter()
+                        .map(|run| MemSource::range(run, 0, run.len()))
+                        .collect();
+                    // A whole run's first head: −∞ is what it is stored against.
+                    for (src, run) in in_memory.iter().zip(&sorted).filter(|_| ovc) {
+                        assert_eq!(src.code(), ovc::read_code(&run.ovc, 0), "{what}");
+                    }
                     let from_memory = kernel_merge(&sorter, &order, &mut in_memory, size);
+
+                    // The same runs cut in two at a key (the median of the
+                    // longest run): every head is coded against −∞, and the
+                    // two ranges' merges concatenate to the whole one.
+                    let kw = order.kw;
+                    let longest = sorted.iter().max_by_key(|r| r.len()).unwrap();
+                    let mid = longest.len() / 2;
+                    let splitter = longest.keys[mid * kw..(mid + 1) * kw].to_vec();
+                    let cut = |run: &SortedRun| lower_bound(&run.keys, kw, &splitter);
+                    let arity = ovc::word_count(kw);
+                    let mut halves = Vec::new();
+                    for side in 0..2 {
+                        let span = |run: &SortedRun| match side {
+                            0 => (0, cut(run)),
+                            _ => (cut(run), run.len()),
+                        };
+                        let mut ranged: Vec<MemSource<'_>> = sorted
+                            .iter()
+                            .map(|run| MemSource::range(run, span(run).0, span(run).1))
+                            .collect();
+                        for src in ranged.iter().filter(|s| !s.exhausted()) {
+                            assert_eq!(src.code(), ovc::initial_code(src.key(), arity), "{what}");
+                        }
+                        let rows: usize = sorted.iter().map(|r| span(r).1 - span(r).0).sum();
+                        let heap: u64 = sorted
+                            .iter()
+                            .map(|r| heap_bytes_of(&sorter, r, span(r).0, span(r).1))
+                            .sum();
+                        let (data, heap, _) =
+                            kernel_merge(&sorter, &order, &mut ranged, (rows, heap));
+                        let block =
+                            RowBlock::from_raw_parts(Arc::clone(&sorter.layout), data, heap);
+                        halves.extend(block.to_chunk().to_rows());
+                    }
+                    let whole = RowBlock::from_raw_parts(
+                        Arc::clone(&sorter.layout),
+                        from_memory.0.clone(),
+                        from_memory.1.clone(),
+                    );
+                    assert_eq!(halves, whole.to_chunk().to_rows(), "{what}: ranged");
 
                     assert_eq!(from_files.0, from_memory.0, "{what}: rows differ");
                     assert_eq!(from_files.1, from_memory.1, "{what}: heaps differ");

@@ -10,13 +10,15 @@
 //!   tie resolution,
 //! * [`pipeline`] — DuckDB's full parallel sorting pipeline (Figure 11):
 //!   morsel-parallel run generation, radix/pdqsort thread-local sorts,
-//!   Merge-Path-parallel cascaded 2-way merge, payload reordering,
+//!   payload reordering, and the merge — one coded k-way pass over key
+//!   ranges, or (OVC off) the Merge-Path-parallel cascaded 2-way merge,
 //! * `run` (crate-private) — the one run generator both sorters use:
 //!   vectors → rows + normalized keys → thread-local sort → a pooled
 //!   `SortedRun` with its offset-value code column,
 //! * `merge` (crate-private) — the one k-way merge kernel: a tree of
 //!   losers over `RunSource`s (in-memory run, spill cursor) emitting into
-//!   a `MergeSink`, OVC as a const parameter (DESIGN.md §10.3),
+//!   a `MergeSink`, OVC as a const parameter, and the range planner both
+//!   sorters cut their merges with (DESIGN.md §10.3, §11.1),
 //! * [`systems`] — the five §VII system profiles (DuckDB-, ClickHouse-,
 //!   MonetDB-, HyPer-, Umbra-like sort configurations) behind one trait,
 //! * [`external`] — out-of-core sorting: the same runs, spilled, and the

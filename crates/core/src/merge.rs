@@ -2,13 +2,16 @@
 //! [`RunSource`]s emitting into a [`MergeSink`], with offset-value coding
 //! as a const parameter.
 //!
-//! The in-memory pipeline's single-threaded coded merge and both spill
-//! merges (whole-file and per key range) are this loop over a different
-//! source × sink pair: where the head record lives and where the winner is
-//! written are the only things that ever differed between them. The
-//! Merge-Path 2-way cascade in [`crate::pipeline`] is the one merge not on
-//! it yet — it splits a single merge across workers by output position,
-//! which a tree over whole runs cannot express (ROADMAP item 3).
+//! The in-memory pipeline's coded merge and the spill merge are this loop
+//! over a different source × sink pair, once per key range: where the head
+//! record lives and where the winner is written are the only things that
+//! ever differed between them. Both cut the key space into ranges with the
+//! planner at the bottom of this file ([`plan_parts`], [`sample_positions`],
+//! [`choose_splitters`]). The plain Merge-Path 2-way cascade in
+//! [`crate::pipeline`] — the paper's Figure 11 merge, kept as the OVC-off
+//! path — is the one merge not on the kernel: it splits a single merge
+//! across workers by output position, which a tree over runs cannot
+//! express.
 
 use crate::comparator::FusedRowComparator;
 use crate::keys::word;
@@ -17,7 +20,7 @@ use crate::ovc;
 use crate::run::SortedRun;
 use crate::spill::SpillError;
 use rowsort_algos::kway::{OvcLoserTree, OvcMatch};
-use rowsort_row::RowLayout;
+use rowsort_row::{heap_offset, RowLayout, HEAP_OVERFLOW};
 use std::cmp::Ordering;
 use std::path::Path;
 
@@ -131,44 +134,71 @@ pub(crate) trait MergeSink {
 /// holds more records than it advertised, or a caller that miscounted.
 const OUTPUT_FULL: &str = "merge output smaller than its inputs";
 
-/// An in-memory cursor over a [`SortedRun`]. It owns the run so a sorter
-/// can keep its source vector across merges without a borrow in its type.
-pub(crate) struct MemSource {
-    pub(crate) run: SortedRun,
+/// An in-memory cursor over rows `pos..end` of a borrowed [`SortedRun`] —
+/// one key range of it, or all of it. The run's columns are held as
+/// slices, so a head access is one bounds-checked index.
+pub(crate) struct MemSource<'a> {
+    keys: &'a [u8],
+    codes: &'a [u8],
+    rows: &'a [u8],
+    heap: &'a [u8],
+    kw: usize,
+    width: usize,
     pos: usize,
+    end: usize,
+    /// The head's code. The range's first head is coded against −∞: its
+    /// stored code is relative to a row the range does not hold (for row
+    /// 0 the two agree). Later heads take the run's stored column.
+    code: u64,
 }
 
-impl MemSource {
-    pub(crate) fn new(run: SortedRun) -> MemSource {
-        MemSource { run, pos: 0 }
+impl<'a> MemSource<'a> {
+    /// A cursor over rows `pos..end` of `run`.
+    pub(crate) fn range(run: &'a SortedRun, pos: usize, end: usize) -> MemSource<'a> {
+        let kw = run.key_width;
+        let code = match run.keys.get(pos * kw..(pos + 1) * kw) {
+            Some(key) if pos < end => ovc::initial_code(key, ovc::word_count(kw)),
+            _ => 0,
+        };
+        MemSource {
+            keys: &run.keys,
+            codes: &run.ovc,
+            rows: run.payload.data(),
+            heap: run.payload.heap(),
+            kw,
+            width: run.payload.width(),
+            pos,
+            end,
+            code,
+        }
     }
 }
 
-impl RunSource for MemSource {
+impl RunSource for MemSource<'_> {
     #[inline]
     fn exhausted(&self) -> bool {
-        self.pos >= self.run.len()
+        self.pos >= self.end
     }
     #[inline]
     fn key(&self) -> &[u8] {
-        let kw = self.run.key_width;
-        &self.run.keys[self.pos * kw..(self.pos + 1) * kw]
+        &self.keys[self.pos * self.kw..(self.pos + 1) * self.kw]
     }
     #[inline]
     fn code(&self) -> u64 {
-        ovc::read_code(&self.run.ovc, self.pos)
+        self.code
     }
     #[inline]
     fn row(&self) -> &[u8] {
-        self.run.payload.row(self.pos)
+        &self.rows[self.pos * self.width..(self.pos + 1) * self.width]
     }
     #[inline]
     fn heap(&self) -> &[u8] {
-        self.run.payload.heap()
+        self.heap
     }
     #[inline]
     fn advance(&mut self) -> Result<(), SpillError> {
         self.pos += 1;
+        self.code = ovc::read_code(self.codes, self.pos);
         Ok(())
     }
     fn path(&self) -> &Path {
@@ -176,12 +206,12 @@ impl RunSource for MemSource {
     }
 }
 
-/// The pipeline's sink: merged keys and rows into pre-sized columns. The
+/// The pipeline's sink: merged rows into pre-sized slots — and nothing
+/// else: no merge follows this one, so the output gets no key column. The
 /// output heap is the input heaps concatenated in input order (filled by
 /// the caller), so a row only needs its heap offsets shifted by its
 /// input's base — no per-row string copy.
 pub(crate) struct ConcatSink<'a> {
-    pub(crate) keys: std::slice::ChunksExactMut<'a, u8>,
     pub(crate) rows: std::slice::ChunksExactMut<'a, u8>,
     /// Offset of each input's heap within the output heap.
     pub(crate) heap_base: &'a [u32],
@@ -192,10 +222,6 @@ pub(crate) struct ConcatSink<'a> {
 impl MergeSink for ConcatSink<'_> {
     #[inline]
     fn emit<S: RunSource>(&mut self, input: usize, src: &S) -> Result<(), SpillError> {
-        // Zero-width keys have no key column to fill.
-        if let Some(dst) = self.keys.next() {
-            copy_small(dst, src.key());
-        }
         let (Some(out_row), Some(&shift)) = (self.rows.next(), self.heap_base.get(input)) else {
             return Err(SpillError::corrupt(src.path(), OUTPUT_FULL));
         };
@@ -246,7 +272,10 @@ impl MergeSink for SegmentSink<'_> {
             }
             self.heap[pos..pos + len].copy_from_slice(&seg[rel..end]);
             self.heap_pos += len;
-            let new_off = (self.heap_base + pos as u64) as u32;
+            // The sum comes from file contents: more than 4 GiB of
+            // strings is an error to report, not an offset to wrap.
+            let new_off = heap_offset(self.heap_base + pos as u64)
+                .ok_or_else(|| SpillError::corrupt(src.path(), HEAP_OVERFLOW))?;
             slot[at..at + 4].copy_from_slice(&new_off.to_le_bytes());
         }
         Ok(())
@@ -375,4 +404,80 @@ pub(crate) fn merge_kway<const OVC: bool, S: RunSource, K: MergeSink>(
         src.advance()?;
     }
     Ok(stats)
+}
+
+// ---- range planning, shared by the in-memory and the spill merge --------
+
+/// Splitter candidates sampled per run. 32 evenly spaced keys per run give
+/// the partitioner `32 × runs` sorted candidates — plenty for a near-even
+/// cut at any plausible thread count, for a few hundred bytes per run.
+const MERGE_SAMPLES_PER_RUN: usize = 32;
+
+/// Minimum rows per key range. Below this the per-range overhead (a tree
+/// and a cursor per run, for spilled runs a read-ahead buffer pair too)
+/// outweighs the parallelism, so the range count is capped at
+/// `total / 256`.
+const MIN_ROWS_PER_PARTITION: usize = 256;
+
+/// How many key ranges to cut a merge of `runs` runs holding `total` rows
+/// into: the thread count, capped so every range covers at least
+/// [`MIN_ROWS_PER_PARTITION`] rows on average. One range for a single
+/// run or a zero-width key (nothing to split on).
+pub(crate) fn plan_parts(threads: usize, kw: usize, runs: usize, total: usize) -> usize {
+    if threads <= 1 || kw == 0 || runs < 2 {
+        return 1;
+    }
+    threads.min(total / MIN_ROWS_PER_PARTITION).max(1)
+}
+
+/// The rows of an `n`-row sorted run whose keys are its splitter
+/// candidates: up to [`MERGE_SAMPLES_PER_RUN`] evenly spaced indices
+/// `j·n/s`.
+pub(crate) fn sample_positions(n: usize) -> impl Iterator<Item = usize> {
+    let s = n.min(MERGE_SAMPLES_PER_RUN);
+    (0..s).map(move |j| j * n / s)
+}
+
+/// Choose `parts − 1` splitter keys into `out`: sort every run's sample
+/// keys together and take evenly spaced picks. Range `p` covers the keys
+/// in `[splitter[p−1], splitter[p])` under the lower-bound cut rule, so
+/// byte-equal keys always land in the same range — which is what makes
+/// the ranges' concatenation the stable-by-run-index order of one merge.
+/// Leaves `out` empty (one range) when there is nothing to pick from.
+pub(crate) fn choose_splitters(samples: &mut [&[u8]], parts: usize, out: &mut Vec<u8>) {
+    out.clear();
+    samples.sort_unstable();
+    for j in 1..parts {
+        if let Some(key) = samples.get(j * samples.len() / parts) {
+            out.extend_from_slice(key);
+        }
+    }
+}
+
+/// The cut a splitter makes in a sorted key column of `kw`-byte keys: the
+/// index of the first key `>= splitter`. (Spilled runs are sequential
+/// files; their cuts come from a scan with the same rule.)
+pub(crate) fn lower_bound(keys: &[u8], kw: usize, splitter: &[u8]) -> usize {
+    let (mut lo, mut hi) = (0, keys.len() / kw);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if cmp_keys(&keys[mid * kw..(mid + 1) * kw], splitter) == Ordering::Less {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// An empty vector in `v`'s allocation, whatever lifetime its elements
+/// borrowed for: how per-sort scratch that holds borrows (merge cursors,
+/// sample keys) is kept across sorts without a lifetime in the sorter's
+/// type. Collecting an emptied vector's `into_iter` reuses its buffer
+/// when the element layouts match (they differ only in a lifetime here);
+/// were that ever to stop holding, this would still be correct and
+/// `zero_alloc.rs` would report the allocation.
+pub(crate) fn recycle_vec<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter().filter_map(|_| None).collect()
 }

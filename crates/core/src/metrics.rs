@@ -46,7 +46,8 @@ pub enum Phase {
     /// Morsel-parallel run generation (stage, encode keys, local sort,
     /// payload reorder).
     RunGeneration,
-    /// The cascaded Merge-Path 2-way merge rounds.
+    /// Merging the runs into one: a range-partitioned k-way pass, or
+    /// the cascaded Merge-Path 2-way rounds.
     Merge,
     /// Converting the merged run back to vectors (Figure 11's last
     /// stage, NSM → DSM), single-threaded.
@@ -105,9 +106,11 @@ pub enum Counter {
     PdqSorts,
     /// Sorted runs produced by run generation.
     RunsGenerated,
-    /// Cascade rounds executed by the merge phase.
+    /// Passes the in-memory merge phase made over the rows: one for a
+    /// range-partitioned k-way merge, one per round of a 2-way cascade.
     MergeRounds,
-    /// Merge-Path tasks dispatched across all rounds.
+    /// Tasks those passes were cut into: key ranges of a k-way pass,
+    /// Merge-Path partitions of a cascade's rounds.
     MergeTasks,
     /// Parallel-phase broadcasts through the worker pool.
     Broadcasts,
@@ -127,7 +130,7 @@ pub enum Counter {
     /// truncation, or a structurally impossible record).
     SpillChecksumFailed,
     /// Key comparisons performed by merge loops (2-way cascade rounds
-    /// and the external loser-tree merge; partition search excluded).
+    /// and every loser-tree merge; partition search excluded).
     MergeCmps,
     /// Of those, comparisons resolved by the offset-value code alone —
     /// a single `u64` compare, no key bytes read (DESIGN.md §10).
@@ -145,11 +148,17 @@ pub enum Counter {
     /// Run-file bytes skipped (seeked over) to position range cursors at
     /// their seam offsets — the I/O cost of the range boundaries.
     SpillSeamSkipBytes,
+    /// Rows in the largest key range of a range-partitioned k-way merge,
+    /// in memory or spilled (one range: all of them). Added once per
+    /// pass, and a sort makes one pass, so a sort's profile reads it as
+    /// that sort's largest range: `rows / ranges` when the splitters cut
+    /// evenly, up to `rows` when one key value holds most of them.
+    MergeMaxRangeRows,
 }
 
 impl Counter {
     /// Number of counters (array dimension of the registry).
-    pub const COUNT: usize = 25;
+    pub const COUNT: usize = 26;
 
     /// All counters, in declaration order (= registry index order).
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -178,6 +187,7 @@ impl Counter {
         Counter::SpillMergePartitions,
         Counter::SpillReadaheadHits,
         Counter::SpillSeamSkipBytes,
+        Counter::MergeMaxRangeRows,
     ];
 
     /// The snake_case name used in trace JSON and text dumps.
@@ -208,6 +218,7 @@ impl Counter {
             Counter::SpillMergePartitions => "spill_merge_partitions",
             Counter::SpillReadaheadHits => "spill_readahead_hits",
             Counter::SpillSeamSkipBytes => "spill_seam_skip_bytes",
+            Counter::MergeMaxRangeRows => "merge_max_range_rows",
         }
     }
 }

@@ -3,43 +3,50 @@
 //! ```text
 //! vectors ──► 8-byte-aligned payload rows + normalized keys (per worker)
 //!         ──► thread-local radix sort / pdqsort  ⇒ sorted runs
-//!         ──► cascaded 2-way merge, Merge-Path-partitioned across threads
+//!         ──► one coded k-way merge per key range, ranges across threads
+//!             (`ovc` off: cascaded 2-way merge, Merge-Path-partitioned)
 //!         ──► convert the single remaining run back to vectors
 //! ```
 //!
 //! Run generation dominates the comparison count (§II: with k runs of n/k
 //! rows, `n·log(n) − n·log(k)` of the `n·log(n)` comparisons happen during
-//! run generation), so each worker sorts its own runs locally; the merge
-//! phase keeps every thread busy by splitting each 2-way merge along
-//! Merge Path diagonals, and (with [`SortOptions::ovc`], the default)
-//! carries offset-value codes so most merge comparisons resolve on one
-//! `u64` compare instead of a whole-key `memcmp` (DESIGN.md §10).
+//! run generation), so each worker sorts its own runs locally. With
+//! [`SortOptions::ovc`] (the default) the merge phase is one pass at any
+//! thread count: the key space is cut into one range per thread, and each
+//! range is a tree-of-losers merge whose matches mostly resolve on one
+//! `u64` offset-value code compare instead of a whole-key `memcmp` — rows
+//! move once (DESIGN.md §10). With it off the merge is the paper's: a
+//! cascade of 2-way merges, each split along Merge Path diagonals.
 //!
 //! In steady state the pipeline is **allocation-free and
 //! thread-spawn-free** (DESIGN.md §6): every transient buffer — key runs,
 //! payload blocks, the radix scratch, merge outputs — comes from a
 //! [`BufferPool`] that survives across runs, merge rounds, and repeated
 //! [`SortPipeline::sort`] calls, and phases execute on a persistent
-//! [`WorkerPool`] spawned once per pipeline. Each 2-way merge fuses pick
-//! generation with key/payload materialization: Merge Path partitions the
-//! output, and every task writes keys and rows directly into its disjoint
-//! output range — there is no intermediate `(block, row)` pick pass.
+//! [`WorkerPool`] spawned once per pipeline. Either merge writes winners
+//! straight into a disjoint part of a pre-sized output — there is no
+//! intermediate `(block, row)` pick pass.
 //!
-//! Output is deterministic: runs land in morsel-indexed slots, the cascade
-//! pairs them in a fixed order (any odd run carries over last), and Merge
-//! Path partitioning is exact — so the result, including the order within
-//! ties, is bit-identical for any thread count.
+//! Output is deterministic: runs land in morsel-indexed slots; key ranges
+//! are cut where keys differ, so their concatenation is the one stable
+//! merge by run index; the cascade pairs runs in a fixed order (any odd
+//! run carries over last) and Merge Path partitioning is exact — so the
+//! result, including the order within ties, is bit-identical for any
+//! thread count and with `ovc` on or off.
 
 use crate::comparator::FusedRowComparator;
 use crate::keys::KeyBlock;
-use crate::merge::{cmp_keys, copy_small, merge_kway, ConcatSink, MemSource, MergeOrder};
+use crate::merge::{
+    choose_splitters, cmp_keys, copy_small, lower_bound, merge_kway, plan_parts, recycle_vec,
+    sample_positions, ConcatSink, MemSource, MergeOrder,
+};
 use crate::metrics::{emit_trace, Counter, CounterRegistry, Metrics, Phase, SortProfile};
 use crate::pool::BufferPool;
 use crate::run::{varchar_stats, RunGenerator, SortedRun};
 use crate::workers::{SendPtr, WorkerPool};
 use rowsort_algos::kway::OvcLoserTree;
 use rowsort_algos::merge_path::merge_path_partition_by;
-use rowsort_row::{RowBlock, RowLayout};
+use rowsort_row::{heap_base, RowBlock, RowLayout};
 use rowsort_vector::{DataChunk, LogicalType, OrderBy, Vector};
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
@@ -79,10 +86,11 @@ pub struct SortOptions {
     /// Rows per thread-local sorted run (DuckDB sorts once a thread's
     /// collected data reaches a threshold; 128 Ki rows here).
     pub run_rows: usize,
-    /// Carry offset-value codes through the merge cascade so most merge
-    /// comparisons resolve on one `u64` compare (DESIGN.md §10). Output
-    /// is bit-identical either way; this only changes how comparisons
-    /// are computed.
+    /// Code every run's keys as offset-value codes and merge the runs in
+    /// one range-partitioned k-way pass, where most comparisons resolve
+    /// on one `u64` compare (DESIGN.md §10). Off, the runs merge through
+    /// the paper's cascade of Merge-Path 2-way merges with whole-key
+    /// compares. Output is bit-identical either way.
     pub ovc: bool,
 }
 
@@ -115,8 +123,6 @@ struct MergeJob {
     b: usize,
     out_keys: SendPtr<u8>,
     out_rows: SendPtr<u8>,
-    /// Output OVC column base (dangling when OVC is off).
-    out_ovc: SendPtr<u8>,
     total: usize,
     /// Added to the heap offsets of rows taken from run `b` (the output
     /// heap is `a.heap ++ b.heap`).
@@ -124,7 +130,7 @@ struct MergeJob {
 }
 
 /// Merge state shared by every task of a cascade: key width, row width,
-/// and tie/OVC configuration are properties of the *sort*, so they are
+/// and tie configuration are properties of the *sort*, so they are
 /// derived once per [`SortPipeline::merge_runs`] instead of being
 /// re-computed inside every Merge Path task's comparison setup.
 #[derive(Clone, Copy)]
@@ -136,14 +142,15 @@ struct MergeCtx {
     /// Truncated VARCHAR prefixes can tie: byte-equal keys still need
     /// the full-tuple comparator.
     tie_possible: bool,
-    /// This cascade carries offset-value codes.
-    use_ovc: bool,
-    /// Write the merged output's code column. True on every round whose
-    /// output feeds another merge; the final round's codes have no
-    /// reader, so it skips the column entirely (no buffer, no stores).
-    emit_codes: bool,
-    /// Words per key for OVC (0 when `use_ovc` is false).
-    arity: usize,
+}
+
+/// What one key range's merge keeps from sort to sort. The cursors borrow
+/// the sort's runs, so between sorts the vector is empty and only its
+/// allocation survives ([`recycle_vec`]).
+#[derive(Default)]
+struct RangeScratch {
+    tree: OvcLoserTree,
+    sources: Vec<MemSource<'static>>,
 }
 
 /// Reusable per-sort working state, retained inside the pipeline so a
@@ -163,12 +170,16 @@ struct Scratch {
     runs: Vec<SortedRun>,
     next_round: Vec<SortedRun>,
     jobs: Vec<MergeJob>,
-    /// Coded k-way merge state (single-threaded OVC sorts, DESIGN.md
-    /// §10.2): the loser tree plus per-run source/heap-base scratch, all
-    /// reused so the steady state allocates nothing.
-    kway_tree: Option<OvcLoserTree>,
-    kway_sources: Vec<MemSource>,
-    kway_heap_base: Vec<u32>,
+    /// Range-merge state (DESIGN.md §10.3), all reused so the steady
+    /// state allocates nothing: the runs' sample keys (empty between
+    /// sorts, like a range's cursors) and the splitters picked from them,
+    /// every run's `parts + 1` cuts, every run's base in the output heap,
+    /// and a tree plus cursor vector per key range.
+    samples: Vec<&'static [u8]>,
+    splitters: Vec<u8>,
+    cuts: Vec<usize>,
+    heap_bases: Vec<u32>,
+    ranges: Vec<Mutex<RangeScratch>>,
     /// Pooled key blocks (kept whole to also reuse their layout planning).
     key_blocks: Mutex<Vec<KeyBlock>>,
 }
@@ -436,60 +447,36 @@ impl SortPipeline {
         }
     }
 
-    /// Phase 2: cascaded 2-way merge until one run remains. Pairing is
-    /// deterministic — adjacent runs merge in order, an odd run carries
-    /// over to the next round *last* — and each round's merges execute as
-    /// a flat `pairs × parts` task grid on the worker pool.
+    /// Phase 2: merge the runs into one. A coded sort (`ovc` on, a key to
+    /// code) takes one pass of range-partitioned k-way merges
+    /// ([`SortPipeline::merge_ranges`]); any other cascades 2-way merges
+    /// until one run remains. Pairing is deterministic — adjacent runs
+    /// merge in order, an odd run carries over to the next round *last* —
+    /// and each round's merges execute as a flat `pairs × parts` task grid
+    /// on the worker pool.
     fn merge_runs(&self, scratch: &mut Scratch) -> SortedRun {
+        assert!(!scratch.runs.is_empty());
+        let width = self.layout.width();
+        let kw = scratch.runs.first().map_or(0, |r| r.key_width);
+        if self.options.ovc && kw > 0 && scratch.runs.len() > 1 {
+            return self.merge_ranges(scratch);
+        }
         let Scratch {
             ref mut runs,
             ref mut next_round,
             ref mut jobs,
-            ref mut kway_tree,
-            ref mut kway_sources,
-            ref mut kway_heap_base,
             ..
         } = *scratch;
-        assert!(!runs.is_empty());
-        let width = self.layout.width();
-        let kw0 = runs.first().map_or(0, |r| r.key_width);
         // Hoisted merge state: every task of every round shares the key
-        // width, row width, and tie/OVC setup, so derive them once here
+        // width, row width, and tie setup, so derive them once here
         // instead of per merge_task call.
-        let base_ctx = MergeCtx {
-            kw: kw0,
+        let ctx = MergeCtx {
+            kw,
             width,
             tie_possible: runs.first().is_some_and(|r| r.tie_possible),
-            use_ovc: self.options.ovc && kw0 > 0,
-            emit_codes: true,
-            arity: crate::ovc::word_count(kw0),
         };
 
-        // Single-threaded coded sorts take one k-way tree-of-losers pass
-        // instead of the cascade: the cascade re-moves every row per
-        // round to keep Merge Path partitions parallelizable, which one
-        // worker cannot exploit, while offset-value codes collapse the
-        // k-way comparator cost that made binary merges attractive in
-        // the first place — so rows move once and ⌈log₂ k⌉ coded
-        // compares replace ⌈log₂ k⌉ full-key compares (DESIGN.md §10.2).
-        if base_ctx.use_ovc && self.options.threads == 1 && runs.len() > 2 {
-            return self.merge_kway_ovc(
-                runs,
-                kway_tree.get_or_insert_with(OvcLoserTree::empty),
-                kway_sources,
-                kway_heap_base,
-                base_ctx,
-            );
-        }
-
         while runs.len() > 1 {
-            // The last round's output is the sort's result: its code
-            // column would never be read, so don't produce it.
-            let ctx = MergeCtx {
-                emit_codes: runs.len() > 2,
-                ..base_ctx
-            };
-            let kw = ctx.kw;
             let pairs = runs.len() / 2;
             next_round.clear();
             jobs.clear();
@@ -503,28 +490,20 @@ impl SortPipeline {
                 data.resize(total * width, 0);
                 // The merged heap is a.heap ++ b.heap: run heaps are fully
                 // referenced, so concatenation (plus an offset shift on
-                // b-side rows) replaces per-row heap compaction.
-                let mut heap = self
-                    .pool
-                    .get_bytes(a.payload.heap().len() + b.payload.heap().len());
+                // b-side rows) replaces per-row heap compaction. A shifted
+                // offset is below the merged length, so that is what must
+                // fit a slot.
+                let heap_bytes = a.payload.heap().len() + b.payload.heap().len();
+                heap_base(heap_bytes);
+                let mut heap = self.pool.get_bytes(heap_bytes);
                 heap.extend_from_slice(a.payload.heap());
                 heap.extend_from_slice(b.payload.heap());
-                let heap_shift = a.payload.heap().len() as u32;
-                // The output's OVC column is produced by the merge itself:
-                // each emitted row's current code is already relative to
-                // the row emitted before it (DESIGN.md §10.2).
-                let ovc = if ctx.use_ovc && ctx.emit_codes {
-                    let mut ovc = self.pool.get_bytes(total * 8);
-                    ovc.resize(total * 8, 0);
-                    ovc
-                } else {
-                    Vec::new()
-                };
+                let heap_shift = heap_base(a.payload.heap().len());
                 let mut out = SortedRun {
                     keys,
                     key_width: kw,
                     tie_possible: ctx.tie_possible,
-                    ovc,
+                    ovc: Vec::new(),
                     payload: RowBlock::from_raw_parts(Arc::clone(&self.layout), data, heap),
                 };
                 jobs.push(MergeJob {
@@ -532,7 +511,6 @@ impl SortPipeline {
                     b: 2 * p + 1,
                     out_keys: SendPtr::new(out.keys.as_mut_ptr()),
                     out_rows: SendPtr::new(out.payload.data_mut().as_mut_ptr()),
-                    out_ovc: SendPtr::new(out.ovc.as_mut_ptr()),
                     total,
                     heap_shift,
                 });
@@ -558,32 +536,6 @@ impl SortPipeline {
             } else {
                 self.worker_pool().broadcast(&body);
             }
-            if ctx.use_ovc && ctx.emit_codes && parts > 1 {
-                // Partition seams: a task other than the first sees no
-                // predecessor row, so it seeds codes relative to −∞ and
-                // its first output code is coded against the wrong base.
-                // Re-derive those few codes (one per interior seam)
-                // against the true predecessor now that both sides of
-                // every seam are written.
-                for (job, out) in jobs.iter().zip(next_round.iter_mut()) {
-                    for part in 1..parts {
-                        let d0 = job.total * part / parts;
-                        if d0 == 0 || d0 >= job.total {
-                            continue;
-                        }
-                        let (Some(prev), Some(cur)) = (
-                            out.keys.get((d0 - 1) * kw..d0 * kw),
-                            out.keys.get(d0 * kw..(d0 + 1) * kw),
-                        ) else {
-                            continue;
-                        };
-                        let code = crate::ovc::code_rel(cur, prev, ctx.arity);
-                        if let Some(slot) = out.ovc.get_mut(d0 * 8..(d0 + 1) * 8) {
-                            slot.copy_from_slice(&code.to_le_bytes());
-                        }
-                    }
-                }
-            }
             self.metrics.add(Counter::MergeRounds, 1);
             self.metrics.add(Counter::MergeTasks, tasks as u64);
             let round_bytes: usize = jobs.iter().map(|j| j.total * (kw + width)).sum();
@@ -608,78 +560,154 @@ impl SortPipeline {
         runs.pop().expect("cascade leaves exactly one run")
     }
 
-    /// Merge all runs in one coded tree-of-losers pass (DESIGN.md §10.2).
+    /// Merge all runs in one pass of coded tree-of-losers merges, one per
+    /// key range (DESIGN.md §10.3): `parts − 1` splitters picked from
+    /// evenly spaced samples of the runs' key columns cut every run by
+    /// lower-bound binary search, each range claims its slice of the one
+    /// pre-sized output, and the worker pool merges the ranges
+    /// independently — `threads == 1` is `parts == 1` on the calling
+    /// thread. Each row moves once at any thread count, ⌈log₂ k⌉ coded
+    /// matches apiece, and no key column is written: nothing reads the
+    /// merged run's keys.
     ///
-    /// The cascade's structure — ⌈log₂ k⌉ rounds that each re-copy every
-    /// key and row — exists to give Merge Path partitions to parallel
-    /// workers. A single-threaded sort gets nothing back for that
-    /// movement, and with offset-value codes a k-way comparator costs
-    /// ~one `u64` compare per tree level, so this path moves each row
-    /// exactly once and replaces the cascade's repeated full-key work
-    /// with ⌈log₂ k⌉ coded matches per emitted row.
-    ///
-    /// Output order is bit-identical to the cascade's: both are stable
-    /// merges by run index (the cascade lets the left/earlier run win
-    /// ties at every round; here a full tie goes to the lower leaf), and
-    /// the output heap is the same run-order concatenation.
-    fn merge_kway_ovc(
-        &self,
-        runs: &mut Vec<SortedRun>,
-        tree: &mut OvcLoserTree,
-        sources: &mut Vec<MemSource>,
-        heap_base: &mut Vec<u32>,
-        ctx: MergeCtx,
-    ) -> SortedRun {
-        let MergeCtx { kw, width, .. } = ctx;
+    /// Output order is bit-identical to the cascade's, whatever `parts`
+    /// is: byte-equal keys never straddle a cut, so the ranges concatenate
+    /// to the stable merge by run index that one tree over whole runs
+    /// produces (a full tie goes to the lower leaf; the cascade lets the
+    /// earlier run win ties at every round), and the output heap is the
+    /// same run-order concatenation. A key value held by more than
+    /// `1/parts` of the rows makes its range that much larger than its
+    /// share — [`Counter::MergeMaxRangeRows`] reports it.
+    fn merge_ranges(&self, scratch: &mut Scratch) -> SortedRun {
+        let Scratch {
+            ref mut runs,
+            ref mut samples,
+            ref mut splitters,
+            ref mut cuts,
+            ref mut heap_bases,
+            ref mut ranges,
+            ..
+        } = *scratch;
+        let width = self.layout.width();
+        let (kw, tie_possible) = runs
+            .first()
+            .map_or((0, false), |r| (r.key_width, r.tie_possible));
         let total: usize = runs.iter().map(|r| r.len()).sum();
 
-        let mut keys = self.pool.get_bytes(total * kw);
-        keys.resize(total * kw, 0);
-        let mut data = self.pool.get_bytes(total * width);
-        data.resize(total * width, 0);
+        splitters.clear();
+        let parts = plan_parts(self.options.threads, kw, runs.len(), total);
+        if parts > 1 {
+            let mut keys: Vec<&[u8]> = std::mem::take(samples);
+            for run in runs.iter() {
+                keys.extend(sample_positions(run.len()).map(|i| &run.keys[i * kw..(i + 1) * kw]));
+            }
+            choose_splitters(&mut keys, parts, splitters);
+            *samples = recycle_vec(keys);
+        }
+        // Rows `c[p]..c[p + 1]` of a run fall in range `p`, `c` being the
+        // run's chunk of `parts + 1` cuts.
+        let parts = splitters.len() / kw + 1;
+        cuts.clear();
+        for run in runs.iter() {
+            cuts.push(0);
+            cuts.extend(
+                splitters
+                    .chunks_exact(kw)
+                    .map(|s| lower_bound(&run.keys, kw, s)),
+            );
+            cuts.push(run.len());
+        }
+        let range_rows = |p: usize| -> usize {
+            let in_range = |c: &[usize]| c[p + 1] - c[p];
+            cuts.chunks_exact(parts + 1).map(in_range).sum()
+        };
+
         // Output heap = run heaps concatenated in run order (matching the
         // cascade's a.heap ++ b.heap at every level); rows from run `w`
-        // get their heap offsets shifted by that run's base.
+        // get their heap offsets shifted by that run's base. A shifted
+        // offset is below the total, so the total is what must fit a slot.
         let heap_bytes: usize = runs.iter().map(|r| r.payload.heap().len()).sum();
+        heap_base(heap_bytes);
         let mut heap = self.pool.get_bytes(heap_bytes);
-        heap_base.clear();
+        heap_bases.clear();
         for run in runs.iter() {
-            heap_base.push(heap.len() as u32);
+            heap_bases.push(heap_base(heap.len()));
             heap.extend_from_slice(run.payload.heap());
         }
+        let mut data = self.pool.get_bytes(total * width);
+        data.resize(total * width, 0);
+        if ranges.len() < parts {
+            ranges.resize_with(parts, Default::default);
+        }
 
-        sources.clear();
-        sources.extend(runs.drain(..).map(MemSource::new));
-        let order = MergeOrder {
-            kw,
-            tie_possible: ctx.tie_possible,
-            tie_cmp: &self.tie_cmp,
-        };
-        let mut sink = ConcatSink {
-            keys: keys.chunks_exact_mut(kw.max(1)),
-            rows: data.chunks_exact_mut(width),
-            heap_base,
-            layout: &self.layout,
-            varlen_cols: &self.varlen_cols,
-        };
-        merge_kway::<true, _, _>(&order, tree, sources, total, &mut sink)
-            // lint:allow(R010): in-memory sources never fail to advance,
-            // and the sink is sized to `total` rows and `k` heap bases
-            // just above.
-            .expect("in-memory merge is infallible")
-            .flush(&self.metrics);
+        {
+            let order = MergeOrder {
+                kw,
+                tie_possible,
+                tie_cmp: &self.tie_cmp,
+            };
+            let (runs, cuts, heap_bases, ranges) = (&**runs, &**cuts, &**heap_bases, &**ranges);
+            // Ranges are claimed in order under one lock, each taking its
+            // rows' slots off the front of the unclaimed output: slices
+            // disjoint by construction, whichever worker gets which.
+            let unclaimed = Mutex::new((0, &mut data[..]));
+            let body = |_worker: usize| loop {
+                let (p, out) = {
+                    let mut next = unclaimed.lock().unwrap_or_else(|e| e.into_inner());
+                    let p = next.0;
+                    if p >= parts {
+                        break;
+                    }
+                    let (out, rest) =
+                        std::mem::take(&mut next.1).split_at_mut(range_rows(p) * width);
+                    *next = (p + 1, rest);
+                    (p, out)
+                };
+                if out.is_empty() {
+                    continue;
+                }
+                let mut range = ranges[p].lock().unwrap_or_else(|e| e.into_inner());
+                let RangeScratch { tree, sources } = &mut *range;
+                let mut cursors: Vec<MemSource<'_>> = std::mem::take(sources);
+                let run_cuts = runs.iter().zip(cuts.chunks_exact(parts + 1));
+                cursors.extend(run_cuts.map(|(run, c)| MemSource::range(run, c[p], c[p + 1])));
+                let rows = out.len() / width;
+                let mut sink = ConcatSink {
+                    rows: out.chunks_exact_mut(width),
+                    heap_base: heap_bases,
+                    layout: &self.layout,
+                    varlen_cols: &self.varlen_cols,
+                };
+                merge_kway::<true, _, _>(&order, tree, &mut cursors, rows, &mut sink)
+                    // lint:allow(R010): in-memory sources never fail to
+                    // advance, and the sink holds exactly the range's
+                    // rows and a heap base per run.
+                    .expect("in-memory merge is infallible")
+                    .flush(&self.metrics);
+                *sources = recycle_vec(cursors);
+            };
+            if parts == 1 {
+                body(0);
+            } else {
+                self.worker_pool().broadcast(&body);
+            }
+        }
+        // One round of `parts` tasks; a row's one move writes `width` bytes.
         self.metrics.add(Counter::MergeRounds, 1);
-        self.metrics.add(Counter::MergeTasks, 1);
+        self.metrics.add(Counter::MergeTasks, parts as u64);
+        let max_range = (0..parts).map(range_rows).max().unwrap_or(0);
         self.metrics
-            .add(Counter::BytesMoved, (total * (kw + width)) as u64);
+            .add(Counter::MergeMaxRangeRows, max_range as u64);
+        self.metrics
+            .add(Counter::BytesMoved, (total * width) as u64);
 
-        for source in sources.drain(..) {
-            source.run.recycle(&self.pool);
+        for run in runs.drain(..) {
+            run.recycle(&self.pool);
         }
         SortedRun {
-            keys,
+            keys: Vec::new(),
             key_width: kw,
-            tie_possible: ctx.tie_possible,
+            tie_possible,
             ovc: Vec::new(),
             payload: RowBlock::from_raw_parts(Arc::clone(&self.layout), data, heap),
         }
@@ -744,35 +772,7 @@ impl SortPipeline {
             std::slice::from_raw_parts_mut(job.out_rows.get().add(d0 * width), (d1 - d0) * width)
         };
 
-        if ctx.use_ovc {
-            // On the final round no code column exists (the job pointer is
-            // dangling), so the partition gets an empty slice and stores
-            // nothing.
-            let out_ovc = if ctx.emit_codes {
-                // SAFETY: same disjointness argument on `job.out_ovc` — the
-                // code column is sized `total * 8`, rows `d0..d1` belong to
-                // this partition only, and the buffer lives in `next_round`
-                // until the phase (and its seam fixup) completes.
-                unsafe {
-                    std::slice::from_raw_parts_mut(job.out_ovc.get().add(d0 * 8), (d1 - d0) * 8)
-                }
-            } else {
-                &mut [][..]
-            };
-            self.merge_partition_ovc(
-                a,
-                b,
-                job,
-                ctx,
-                (a0, a1),
-                (b0, b1),
-                out_keys,
-                out_rows,
-                out_ovc,
-            );
-        } else {
-            self.merge_partition(a, b, job, ctx, (a0, a1), (b0, b1), out_keys, out_rows);
-        }
+        self.merge_partition(a, b, job, ctx, (a0, a1), (b0, b1), out_keys, out_rows);
     }
 
     /// The plain (OVC-off) merge loop for one Merge Path partition: every
@@ -848,125 +848,6 @@ impl SortPipeline {
         self.metrics.add(Counter::MergeCmps, cmps);
         self.metrics
             .add(Counter::MergeKeyBytesTouched, cmps * 2 * kw as u64);
-    }
-
-    /// The OVC merge loop for one Merge Path partition (DESIGN.md §10.2).
-    ///
-    /// Both sides carry a code relative to the last emitted row: the
-    /// winner's successor inherits its code from the run's precomputed
-    /// column (its predecessor *is* the row just emitted), and the loser
-    /// is re-coded by the comparison itself — so in steady state no key
-    /// prefix is ever re-scanned. Each emitted row's current code is also
-    /// written to the output column, which is exactly the next round's
-    /// input column: codes propagate through the whole cascade for free.
-    #[allow(clippy::too_many_arguments)]
-    fn merge_partition_ovc(
-        &self,
-        a: &SortedRun,
-        b: &SortedRun,
-        job: &MergeJob,
-        ctx: MergeCtx,
-        (a0, a1): (usize, usize),
-        (b0, b1): (usize, usize),
-        out_keys: &mut [u8],
-        out_rows: &mut [u8],
-        out_ovc: &mut [u8],
-    ) {
-        let MergeCtx {
-            kw,
-            width,
-            tie_possible,
-            arity,
-            ..
-        } = ctx;
-        let (a_keys, b_keys) = (&a.keys, &b.keys);
-        let (a_rows, b_rows) = (a.payload.data(), b.payload.data());
-        let (mut i, mut j) = (a0, b0);
-        let rows = out_rows.len() / width;
-        let mut key_out = out_keys.chunks_exact_mut(kw.max(1));
-        let mut row_out = out_rows.chunks_exact_mut(width);
-        let mut ovc_out = out_ovc.chunks_exact_mut(8);
-        let fix_heap = job.heap_shift != 0 && !self.varlen_cols.is_empty();
-        // Partition heads are coded relative to −∞ (they have no common
-        // emitted predecessor yet); interior partitions' first output
-        // code is later corrected by the seam fixup in `merge_runs`.
-        let mut code_a = if i < a1 {
-            crate::ovc::initial_code(&a_keys[i * kw..(i + 1) * kw], arity)
-        } else {
-            0
-        };
-        let mut code_b = if j < b1 {
-            crate::ovc::initial_code(&b_keys[j * kw..(j + 1) * kw], arity)
-        } else {
-            0
-        };
-        let (mut cmps, mut resolved, mut bytes) = (0u64, 0u64, 0u64);
-        for _ in 0..rows {
-            let take_b = if i >= a1 {
-                true
-            } else if j >= b1 {
-                false
-            } else {
-                cmps += 1;
-                let ka = &a_keys[i * kw..(i + 1) * kw];
-                let kb = &b_keys[j * kw..(j + 1) * kw];
-                let r = crate::ovc::compare_update(ka, code_a, kb, code_b, arity);
-                resolved += u64::from(r.resolved);
-                bytes += r.key_bytes;
-                let ord = match r.ord {
-                    Ordering::Equal if tie_possible => self.tie_cmp.compare(
-                        a.payload.row(i),
-                        a.payload.heap(),
-                        b.payload.row(j),
-                        b.payload.heap(),
-                    ),
-                    ord => ord,
-                };
-                let take_b = ord == Ordering::Greater;
-                // The loser's code is now relative to the winner — the
-                // row about to be emitted — keeping the same-base
-                // invariant for the next comparison. Value selects, not
-                // branches: `take_b` is a coin flip on real data.
-                code_a = if take_b { r.loser_code } else { code_a };
-                code_b = if take_b { code_b } else { r.loser_code };
-                take_b
-            };
-            let (src_keys, src_rows, r) = if take_b {
-                (b_keys, b_rows, j)
-            } else {
-                (a_keys, a_rows, i)
-            };
-            if let Some(dst) = ovc_out.next() {
-                let code = if take_b { code_b } else { code_a };
-                dst.copy_from_slice(&code.to_le_bytes());
-            }
-            j += take_b as usize;
-            i += !take_b as usize;
-            // The winner's successor's stored run code is relative to its
-            // in-run predecessor — the row just emitted — so it is valid
-            // as-is; no scan needed. Both columns are read unconditionally
-            // (`read_code` is total, returning 0 past the end, and a
-            // stale/garbage code on an exhausted side is never compared
-            // again) so the update is a select instead of a mispredicted
-            // branch.
-            let next_a = crate::ovc::read_code(&a.ovc, i);
-            let next_b = crate::ovc::read_code(&b.ovc, j);
-            code_a = if take_b { code_a } else { next_a };
-            code_b = if take_b { next_b } else { code_b };
-            if let Some(dst) = key_out.next() {
-                copy_small(dst, &src_keys[r * kw..(r + 1) * kw]);
-            }
-            // lint:allow(R002, R010): the iterator yields d1-d0 rows by
-            // construction; see the SAFETY disjointness argument above.
-            let out_row = row_out.next().expect("output sized to partition");
-            copy_small(out_row, &src_rows[r * width..(r + 1) * width]);
-            if fix_heap && take_b {
-                self.shift_heap_offsets(out_row, job.heap_shift);
-            }
-        }
-        self.metrics.add(Counter::MergeCmps, cmps);
-        self.metrics.add(Counter::MergeCmpsOvcResolved, resolved);
-        self.metrics.add(Counter::MergeKeyBytesTouched, bytes);
     }
 
     /// Rebase a merged row's VARCHAR heap offsets after its strings moved
@@ -1413,8 +1294,8 @@ mod tests {
         assert_eq!(m.counter(Counter::RunsGenerated), 8);
         assert_eq!(m.counter(Counter::RadixSorts), 8, "u32 keys take radix");
         assert!(m.counter(Counter::RadixPasses) >= 8);
-        // Single-threaded coded sorts merge all 8 runs in one k-way
-        // tree-of-losers round; with OVC off the cascade takes log₂ 8.
+        // Coded sorts merge all 8 runs in one k-way tree-of-losers
+        // round; with OVC off the cascade takes log₂ 8.
         let rounds = if SortOptions::default().ovc { 1 } else { 3 };
         assert_eq!(m.counter(Counter::MergeRounds), rounds);
         assert!(m.counter(Counter::MergeTasks) >= rounds);

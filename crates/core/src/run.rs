@@ -13,7 +13,9 @@ use rowsort_vector::{DataChunk, LogicalType, OrderBy};
 use std::sync::{Arc, Mutex};
 
 /// One sorted run: normalized keys (stride = `key_width`, row ids
-/// stripped) aligned 1:1 with already-reordered payload rows.
+/// stripped) aligned 1:1 with already-reordered payload rows. (The run a
+/// coded sort's merge produces has payload only: `keys` is empty, since
+/// no merge follows to read it.)
 pub(crate) struct SortedRun {
     pub(crate) keys: Vec<u8>,
     /// Bytes per key entry, carried from the [`KeyBlock`] layout that

@@ -38,9 +38,9 @@ fn steady_state_sort_does_not_allocate() {
         },
     );
 
-    // Warm up: first sorts populate the buffer pool (runs + merge
-    // rounds). Two passes so every size class reached in round N of the
-    // cascade is pooled before measurement.
+    // Warm up: first sorts populate the buffer pool (runs + the merge's
+    // output) and grow the merge's scratch. Two passes so every size
+    // class is pooled before measurement.
     for _ in 0..2 {
         drop(pipeline.sort_rows(&chunk));
     }

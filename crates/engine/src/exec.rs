@@ -178,6 +178,24 @@ fn sort_detail(profile: &rowsort_core::SortProfile) -> String {
         let resolved = profile.metrics.counter(Counter::MergeCmpsOvcResolved);
         let _ = write!(s, " ovc_hit={:.1}%", resolved as f64 * 100.0 / cmps as f64);
     }
+    // Which in-memory merge ran, and how evenly it split: one k-way pass
+    // over key ranges (coded sorts) or the Merge-Path cascade's rounds.
+    let counter = |c| profile.metrics.counter(c);
+    let (rounds, tasks) = (counter(Counter::MergeRounds), counter(Counter::MergeTasks));
+    if rounds > 0 {
+        let runs = counter(Counter::RunsGenerated);
+        let _ = match counter(Counter::MergeMaxRangeRows) {
+            0 => write!(
+                s,
+                " merge=cascade runs={runs} rounds={rounds} tasks={tasks}"
+            ),
+            max => write!(
+                s,
+                " merge=kway runs={runs} ranges={tasks} max_range={}",
+                short_count(max)
+            ),
+        };
+    }
     // Range-partitioned merge shape: how many disjoint key ranges the
     // spilled-run merge ran in parallel, and how often the double-buffered
     // read-ahead served run bytes without blocking on the filesystem.
@@ -190,6 +208,16 @@ fn sort_detail(profile: &rowsort_core::SortProfile) -> String {
         let _ = write!(s, " readahead_hits={hits}");
     }
     s
+}
+
+/// A row count for a one-line annotation: exact below ten thousand, then
+/// rounded to thousands (`501k`) or millions (`12M`).
+fn short_count(n: u64) -> String {
+    match n {
+        0..=9_999 => n.to_string(),
+        10_000..=9_999_999 => format!("{}k", (n + 500) / 1_000),
+        _ => format!("{}M", (n + 500_000) / 1_000_000),
+    }
 }
 
 /// Sort a materialized relation under the session's options: the
@@ -851,6 +879,39 @@ mod tests {
         // Pre-order indentation: Scan is the deepest node.
         let scan_line = text.lines().find(|l| l.contains("Scan")).unwrap();
         assert!(scan_line.starts_with("      "), "{text}");
+    }
+
+    #[test]
+    fn sort_detail_names_the_merge_shape() {
+        let detail = |counters: &[(Counter, u64)]| {
+            let mut profile = rowsort_core::SortProfile::zeroed();
+            for &(c, v) in counters {
+                profile.metrics.counters[c as usize] = v;
+            }
+            sort_detail(&profile)
+        };
+        let kway = detail(&[
+            (Counter::RunsGenerated, 8),
+            (Counter::MergeRounds, 1),
+            (Counter::MergeTasks, 2),
+            (Counter::MergeMaxRangeRows, 501_234),
+        ]);
+        assert_eq!(kway, " merge=kway runs=8 ranges=2 max_range=501k");
+        let cascade = detail(&[
+            (Counter::RunsGenerated, 8),
+            (Counter::MergeRounds, 3),
+            (Counter::MergeTasks, 8),
+        ]);
+        assert_eq!(cascade, " merge=cascade runs=8 rounds=3 tasks=8");
+        // One run never merges; a spill merge reports `spill_parts=`.
+        assert_eq!(detail(&[(Counter::RunsGenerated, 1)]), "");
+        let spilled = [
+            (Counter::SpillMergePartitions, 2),
+            (Counter::MergeMaxRangeRows, 9_999),
+        ];
+        assert_eq!(detail(&spilled), " spill_parts=2");
+        assert_eq!(short_count(9_999), "9999");
+        assert_eq!(short_count(12_500_000), "13M");
     }
 
     #[test]

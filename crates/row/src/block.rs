@@ -14,6 +14,29 @@ fn read_array<const W: usize>(bytes: &[u8], at: usize) -> [u8; W] {
     buf
 }
 
+/// What every heap-capacity failure says, whichever layer hits it.
+pub const HEAP_OVERFLOW: &str = "heap exceeds 4 GiB";
+
+/// A heap length — which is also the offset of the next byte appended to
+/// that heap — as the `u32` a VARCHAR slot stores; `None` past 4 GiB. The
+/// one conversion behind every slot offset and every heap base, so a heap
+/// the slot format cannot address fails instead of wrapping.
+#[inline]
+pub fn heap_offset(len: u64) -> Option<u32> {
+    u32::try_from(len).ok()
+}
+
+/// [`heap_offset`] for lengths this process built itself.
+///
+/// # Panics
+/// With [`HEAP_OVERFLOW`] past 4 GiB: such a heap cannot be represented in
+/// the slot format at all, so aborting the sort is the only sound response.
+#[inline]
+pub fn heap_base(len: usize) -> u32 {
+    // lint:allow(R002, R010): the capacity bound described above.
+    heap_offset(len as u64).expect(HEAP_OVERFLOW)
+}
+
 /// A buffer of fixed-width NSM rows plus the string heap they reference.
 ///
 /// The row area is one contiguous `Vec<u8>` of `len * width` bytes, so a
@@ -221,12 +244,9 @@ impl RowBlock {
                         continue;
                     }
                     let bytes = strings.get_bytes(lo + i);
-                    // lint:allow(R002, R010): a heap or string beyond 4 GiB
-                    // cannot be represented in the u32 slot format at all;
-                    // aborting is the only sound response to that capacity
-                    // overflow.
-                    let heap_off = u32::try_from(self.heap.len()).expect("heap exceeds 4 GiB");
-                    // lint:allow(R002, R010): same 4 GiB capacity bound as above.
+                    let heap_off = heap_base(self.heap.len());
+                    // lint:allow(R002, R010): same 4 GiB capacity bound as
+                    // `heap_base`'s.
                     let byte_len = u32::try_from(bytes.len()).expect("string exceeds 4 GiB");
                     self.heap.extend_from_slice(bytes);
                     let at = (base + i) * width + slot;
@@ -505,7 +525,7 @@ impl RowBlock {
                 let at = layout.offset(c);
                 let off = u32::from_le_bytes(read_array(row, at)) as usize;
                 let len = u32::from_le_bytes(read_array(row, at + 4)) as usize;
-                let new_off = heap.len() as u32;
+                let new_off = heap_base(heap.len());
                 heap.extend_from_slice(&src.heap[off..off + len]);
                 row[at..at + 4].copy_from_slice(&new_off.to_le_bytes());
             }
@@ -527,7 +547,10 @@ impl RowBlock {
             "appending block with different layout"
         );
         let width = self.width();
-        let heap_shift = self.heap.len();
+        let heap_shift = heap_base(self.heap.len());
+        // Checked before a byte moves: a shifted offset is below the
+        // combined length, so if that fits every rewritten slot does.
+        heap_base(self.heap.len() + other.heap.len());
         self.heap.extend_from_slice(&other.heap);
         let base = self.data.len();
         self.data.extend_from_slice(&other.data);
@@ -544,7 +567,7 @@ impl RowBlock {
                     }
                     let at = row_start + self.layout.offset(c);
                     let off = u32::from_le_bytes(read_array(&self.data, at));
-                    let new_off = off + heap_shift as u32;
+                    let new_off = off + heap_shift;
                     self.data[at..at + 4].copy_from_slice(&new_off.to_le_bytes());
                 }
             }
@@ -563,6 +586,21 @@ mod tests {
         let a = Vector::from_u32s(rows.iter().map(|r| r.0).collect());
         let b = Vector::from_u32s(rows.iter().map(|r| r.1).collect());
         DataChunk::from_columns(vec![a, b]).unwrap()
+    }
+
+    #[test]
+    fn heap_offsets_stop_at_four_gib() {
+        // A pure function of lengths: nothing here allocates a heap.
+        let max = u64::from(u32::MAX);
+        assert_eq!(heap_offset(0), Some(0));
+        assert_eq!(heap_offset(max), Some(u32::MAX));
+        assert_eq!(heap_offset(max + 1), None);
+        assert_eq!(heap_offset(u64::MAX), None);
+        assert_eq!(heap_base(u32::MAX as usize), u32::MAX);
+        let wrapped = std::panic::catch_unwind(|| heap_base(u32::MAX as usize + 1));
+        let msg = wrapped.expect_err("a 4 GiB + 1 heap base must not wrap to 0");
+        let msg = msg.downcast_ref::<String>().map(String::as_str);
+        assert!(msg.is_some_and(|m| m.contains(HEAP_OVERFLOW)), "{msg:?}");
     }
 
     #[test]

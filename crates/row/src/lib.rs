@@ -16,6 +16,6 @@ pub mod block;
 pub mod convert;
 pub mod layout;
 
-pub use block::RowBlock;
+pub use block::{heap_base, heap_offset, RowBlock, HEAP_OVERFLOW};
 pub use convert::{gather, scatter};
 pub use layout::{RowAlignment, RowLayout};

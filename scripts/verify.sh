@@ -89,6 +89,16 @@ mkdir -p target/perf
 trace_jsonl="$PWD/target/perf/trace_smoke.jsonl"
 cargo run --release --offline -q -p rowsort-bench --bin trace_smoke -- "$trace_jsonl"
 
+# --- 5b. Merge counter gate --------------------------------------------------
+# A gate without a clock, ahead of the two that read one: the coded
+# in-memory merge is one range-partitioned k-way pass at any thread count
+# (merge_rounds == 1, bytes_moved exact and equal across thread counts,
+# merge_tasks == ranges, a warm pool never missed) and its rows are
+# bit-identical to the OVC-off cascade's. Runs inside step 3 too; the
+# named step makes a regression in the merge's shape fail on its own line.
+echo "== merge counter gate =="
+cargo test -q -p rowsort-core --offline --test merge_moves_once
+
 # --- 6. Pipeline perf gate ---------------------------------------------------
 # A fast pipeline bench run (250k rows, not the full Figure 12 sizes),
 # compared against the checked-in BENCH_pipeline.json baseline. The gate
