@@ -1,5 +1,6 @@
-//! Spilled-run merge bench: the range-partitioned parallel merge against
-//! its single-threaded twin on the same spilled runs.
+//! Spilled-run merge bench: the external sort of the same 16 spilled runs
+//! with the merge cut into one key range and into four (one code path:
+//! one range is the cuts at each run's ends).
 //!
 //! Two workloads, mirroring the pipeline bench's shapes:
 //!

@@ -11,25 +11,31 @@
 //! 1. **Run generation** under a row budget: each run is built by the
 //!    in-memory pipeline's own run generator ([`crate::run`]), then
 //!    *spilled* to a temporary file as self-contained records
-//!    (`key ‖ payload row ‖ per-row string segment`), so a run's memory is
-//!    back in the pool before the next run is built.
+//!    (`key ‖ payload row ‖ per-row string segment`) in hash-sealed blocks
+//!    of at most 64 KiB, streamed through one pooled buffer, so a run's
+//!    memory is back in the pool before the next run is built. What the
+//!    merge needs to find its way around the file — one index entry per
+//!    block — stays in memory beside the run handle.
 //! 2. **Streaming merge**: the shared merge kernel ([`crate::merge`]) over
-//!    buffered run readers pops one record at a time; peak memory during
-//!    the merge is one buffer pair per run plus the output. With more
-//!    than one merge thread the key space is
-//!    cut into disjoint ranges at splitter keys sampled from the runs
-//!    (DESIGN.md §11), a verifying scan locates each run's range
-//!    boundaries, and the persistent worker pool merges every range
-//!    independently into pre-sized slots of one shared output — the
-//!    concatenation is bit-identical to the single-threaded merge.
+//!    [`RunCursor`]s pops one record at a time, decoded in place from the
+//!    cursor's current block; peak memory during the merge is one block
+//!    per run plus the output. With more than one merge thread the key
+//!    space is cut into disjoint ranges at splitter keys sampled from the
+//!    runs (DESIGN.md §11), each run's range boundaries are found from its
+//!    block index plus one block read per splitter, and the persistent
+//!    worker pool merges every range independently into pre-sized slots
+//!    of one shared output — the concatenation is bit-identical to the
+//!    single-threaded merge, and every run file is read once.
 //!
 //! Storage is reached only through the [`SpillIo`] trait (`std::fs` by
 //! default, a fault-injecting in-memory backend in tests), and the spill
 //! path defends itself (DESIGN.md §8):
 //!
-//! * every run file carries an xxHash64 trailer, verified streamingly as
-//!   the merge reads it back — truncation, bit flips, or trailing garbage
-//!   surface as a typed [`SpillError::Corrupt`], never as wrong rows;
+//! * every block of a run file ends in an xxHash64 of its bytes, seeded
+//!   with its ordinal and verified before a record is decoded from it —
+//!   truncation, bit flips, misplaced blocks or trailing garbage surface
+//!   as a typed [`SpillError::Corrupt`], never as wrong rows; nothing
+//!   read from a file sizes an allocation, steers a seek or sets a count;
 //! * transient write failures are retried with doubling backoff
 //!   ([`ExternalSortOptions::max_write_retries`]);
 //! * out-of-space errors degrade the sort to fewer/larger in-memory runs
@@ -39,54 +45,61 @@
 //!   are observable rather than silent.
 
 use crate::comparator::FusedRowComparator;
-use crate::keys::KeyBlock;
+use crate::keys::{word, KeyBlock};
 use crate::merge::{
-    choose_splitters, merge_kway, plan_parts, sample_positions, MergeOrder, MergeStats, RunSource,
-    SegmentSink,
+    choose_splitters, cmp_keys, lower_bound, merge_kway, plan_parts, sample_positions, MergeOrder,
+    MergeStats, RunSource, SegmentSink,
 };
 use crate::metrics::{emit_trace, Counter, CounterRegistry, Metrics, Phase, SortProfile};
 use crate::ovc;
 use crate::pool::BufferPool;
 use crate::run::{varchar_stats, RunGenerator, SortedRun};
-use crate::spill::{ReadAhead, SpillError, SpillIo, SpillOp, StdFs};
+use crate::spill::{SpillError, SpillIo, SpillOp, StdFs};
 use crate::workers::WorkerPool;
 use rowsort_algos::kway::OvcLoserTree;
 use rowsort_row::{RowBlock, RowLayout};
 use rowsort_testkit::hash::XxHash64;
 use rowsort_vector::{DataChunk, LogicalType, OrderBy};
-use std::io::{self, Read};
+use std::cmp::Ordering;
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Seed for the per-run xxHash64 checksum ("ROWSORT!" as bytes), so spill
-/// trailers are distinguishable from unseeded digests of the same bytes.
+/// Seed for the block checksums ("ROWSORT!" as bytes), so they are
+/// distinguishable from unseeded digests of the same bytes. Block `b` is
+/// hashed under `SPILL_CHECKSUM_SEED ^ b`: a valid block in the wrong
+/// place fails like a damaged one.
 const SPILL_CHECKSUM_SEED: u64 = 0x524F_5753_4F52_5421;
 
-/// Upper bound on one record's string-segment length. A corrupted length
-/// word must not translate into a multi-gigabyte allocation before the
-/// checksum gets a chance to reject the file.
-const MAX_SEG_BYTES: usize = 1 << 28;
+/// Most bytes in one run-file block, its header (block 0) and hash
+/// included: a reader's pooled buffer is exactly the pool's 64 KiB class.
+/// A record that alone exceeds it gets a block of its own.
+const BLOCK_BYTES: usize = 64 * 1024;
+
+/// Bytes of xxHash64 closing every block.
+const HASH_BYTES: usize = 8;
 
 /// Magic prefix of every run file ("RowSort RuN"). The 8-byte header —
-/// magic, format version, feature flags — is hashed into the trailer like
-/// every record byte, so a tampered header is caught even when its fields
-/// happen to parse.
+/// magic, format version, feature flags — opens block 0 and is hashed
+/// with it, so a tampered header is caught even when its fields happen
+/// to parse.
 const SPILL_MAGIC: [u8; 4] = *b"RSRN";
 
-/// Run-file format version. Version 2 added the header itself and the
-/// optional per-record offset-value code; version-1 files (headerless)
-/// are rejected as corrupt rather than mis-parsed.
-const SPILL_VERSION: u16 = 2;
+/// Run-file format version. Version 2 added the header and the optional
+/// per-record offset-value code; version 3 replaced the whole-file
+/// checksum trailer with hash-sealed blocks. Other versions are rejected
+/// as corrupt rather than mis-parsed.
+const SPILL_VERSION: u16 = 3;
 
 /// Header flag bit 0: each record carries an 8-byte offset-value code
 /// (LE `u64`) between its key and its payload row.
 const SPILL_FLAG_OVC: u16 = 1;
 
-/// Bytes of run-file header (magic ‖ version ‖ flags) before the first
-/// record — the byte offset every partition scan starts from.
-const HEADER_BYTES: u64 = 8;
+/// Bytes of run-file header (magic ‖ version ‖ flags) before block 0's
+/// first record.
+const HEADER_BYTES: usize = 8;
 
 /// Tuning for the external sorter.
 #[derive(Debug, Clone)]
@@ -159,21 +172,21 @@ pub struct ExternalSorter {
     io: Arc<dyn SpillIo>,
     metrics: Arc<CounterRegistry>,
     profile: Mutex<SortProfile>,
-    /// Recycles merge output buffers and read-ahead blocks, so repeated
-    /// sorts through one sorter reach a zero-allocation steady state.
+    /// Recycles merge output buffers and the encoder's and cursors' block
+    /// buffers, so repeated sorts through one sorter reach a
+    /// zero-allocation steady state.
     pool: Arc<BufferPool>,
     /// Merge workers, spawned lazily on the first partitioned merge so
     /// single-threaded (or never-partitioned) sorters spawn no threads.
     workers: OnceLock<WorkerPool>,
 }
 
-/// One spilled run file and the metadata to read it back. The `Drop` impl
-/// is the cleanup guarantee: whatever path the sort exits through, every
-/// run file is deleted — and a deletion that fails is counted in
-/// `spill_cleanup_failed` instead of being silently ignored.
+/// One spilled run file. The `Drop` impl is the cleanup guarantee:
+/// whatever path the sort exits through, every run file is deleted — and
+/// a deletion that fails is counted in `spill_cleanup_failed` instead of
+/// being silently ignored.
 struct SpilledRun {
     path: PathBuf,
-    rows: usize,
     io: Arc<dyn SpillIo>,
     metrics: Arc<CounterRegistry>,
 }
@@ -190,15 +203,62 @@ impl Drop for SpilledRun {
     }
 }
 
-/// One sorted run as the merge sees it: where its encoded bytes live, the
-/// splitter-candidate keys sampled from it at encode time (the keys at
-/// its [`sample_positions`], `key_width` bytes each) and the total of its
-/// records' string segments. Samples and total cost nothing to capture
-/// while the run is hot; they let the merge choose range splitters and
-/// pre-size its output heap without reading any file.
+/// One block of an encoded run, as the encoder laid it down.
+#[derive(Clone, Copy)]
+struct BlockMeta {
+    /// Byte offset of the block in the run's encoding.
+    off: u64,
+    /// Its length, header (block 0) and hash included.
+    len: usize,
+    /// Records of the run before the block's first.
+    rows_before: usize,
+    /// String-segment bytes of the run before the block's first record.
+    heap_before: u64,
+}
+
+/// What the encoder remembers of a run it wrote: the totals and one entry
+/// per block. It lives in memory beside the run's bytes and is the only
+/// thing the merge trusts — block lengths, seek targets, row counts and
+/// output sizes all come from here, never from the file, whose every
+/// block is verified against its hash before a record of it is used.
+#[derive(Clone)]
+struct RunIndex {
+    rows: usize,
+    /// Total of the records' string segments.
+    heap_bytes: u64,
+    /// Length of the encoding: where the file must end.
+    bytes: u64,
+    blocks: Vec<BlockMeta>,
+    /// The key of every block's first record, `key_width` bytes each.
+    first_keys: Vec<u8>,
+}
+
+impl RunIndex {
+    /// Seal the open block in `buf` — the last one indexed — with its
+    /// hash, send it to `out`, and note its length.
+    fn close_block(&mut self, buf: &mut Vec<u8>, out: &mut dyn Write) -> io::Result<()> {
+        let ordinal = self.blocks.len().saturating_sub(1) as u64;
+        let digest = XxHash64::hash(buf, SPILL_CHECKSUM_SEED ^ ordinal);
+        buf.extend_from_slice(&digest.to_le_bytes());
+        if let Some(meta) = self.blocks.last_mut() {
+            meta.len = buf.len();
+        }
+        self.bytes += buf.len() as u64;
+        let sent = out.write_all(buf);
+        buf.clear();
+        sent
+    }
+}
+
+/// One sorted run as the merge sees it: where its encoded bytes live, its
+/// block index, and the splitter-candidate keys sampled from it at encode
+/// time (the keys at its [`sample_positions`], `key_width` bytes each).
+/// Index and samples cost nothing to capture while the run is hot; they
+/// let the merge choose range splitters, cut every run at them and
+/// pre-size its output without scanning any file.
 struct Run {
     samples: Vec<u8>,
-    heap_bytes: u64,
+    index: RunIndex,
     store: RunStore,
 }
 
@@ -208,282 +268,374 @@ struct Run {
 /// path.
 enum RunStore {
     Spilled(SpilledRun),
-    Memory { bytes: Vec<u8>, rows: usize },
+    Memory(Vec<u8>),
 }
 
 impl Run {
     fn rows(&self) -> usize {
+        self.index.rows
+    }
+
+    /// Names the run in errors.
+    fn path(&self) -> &Path {
         match &self.store {
-            RunStore::Spilled(r) => r.rows,
-            RunStore::Memory { rows, .. } => *rows,
+            RunStore::Spilled(r) => &r.path,
+            RunStore::Memory(_) => Path::new("<in-memory run>"),
         }
+    }
+
+    /// The boundary before block `b`'s first record — the run's end for
+    /// `b` past its last block, so `cut_at_block(0)` is its start even
+    /// when it is empty.
+    fn cut_at_block(&self, b: usize) -> RangeCut {
+        match self.index.blocks.get(b) {
+            Some(meta) => RangeCut {
+                index: meta.rows_before,
+                block: b,
+                in_off: if b == 0 { HEADER_BYTES } else { 0 },
+                heap_before: meta.heap_before,
+            },
+            None => RangeCut {
+                index: self.index.rows,
+                block: self.index.blocks.len(),
+                in_off: 0,
+                heap_before: self.index.heap_bytes,
+            },
+        }
+    }
+
+    /// The cuts bracketing the whole run.
+    fn whole(&self) -> [RangeCut; 2] {
+        [self.cut_at_block(0), self.cut_at_block(usize::MAX)]
     }
 }
 
-/// How a [`RunCursor`] reads its run.
-#[derive(Clone, Copy, PartialEq)]
-enum CursorMode {
-    /// The whole file from its header: every byte read is checksummed,
-    /// and the advance past the last record verifies the trailer.
-    Verifying,
-    /// One range of a run: the reader is positioned at the range's first
-    /// record and stops before the trailer, so there is no header parse
-    /// and no checksum — the partition scan that computed the range
-    /// boundaries already verified every byte of the file.
-    Ranged,
+/// One range boundary within one run.
+#[derive(Clone, Copy)]
+struct RangeCut {
+    /// Records of the run before this boundary.
+    index: usize,
+    /// The block holding the boundary record (one past the last block at
+    /// the run's end).
+    block: usize,
+    /// Offset of the boundary record within that block.
+    in_off: usize,
+    /// String-segment bytes of the run before this boundary.
+    heap_before: u64,
 }
 
-/// The byte stream under a [`RunCursor`]: the reader plus everything a
-/// read must update or report.
-struct RunReader<'a> {
-    reader: Box<dyn Read + Send + 'a>,
-    path: PathBuf,
-    hasher: XxHash64,
-    /// Bytes consumed from the reader so far — the stream offset of the
-    /// next unread byte.
-    consumed: u64,
-    /// Whether reads feed the checksum ([`CursorMode::Verifying`]).
-    verify: bool,
+/// The run-file header for a run with (`ovc`) or without code column.
+fn header_bytes(ovc: bool) -> [u8; HEADER_BYTES] {
+    let flags = if ovc { SPILL_FLAG_OVC } else { 0 };
+    let mut header = [0u8; HEADER_BYTES];
+    header[..4].copy_from_slice(&SPILL_MAGIC);
+    header[4..6].copy_from_slice(&SPILL_VERSION.to_le_bytes());
+    header[6..].copy_from_slice(&flags.to_le_bytes());
+    header
 }
 
-impl RunReader<'_> {
-    /// `read_exact` into `buf`, tracking the stream offset, feeding the
-    /// checksum (verifying cursors only), and translating errors: an
-    /// early EOF is corruption (the file is shorter than its record
-    /// count promises), everything else is an I/O failure.
-    fn fill(&mut self, buf: &mut [u8]) -> Result<(), SpillError> {
-        match self.reader.read_exact(buf) {
-            Ok(()) => {
-                if self.verify {
-                    self.hasher.write(buf);
-                }
-                self.consumed += buf.len() as u64;
-                Ok(())
-            }
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Err(SpillError::corrupt(
-                &self.path,
-                "truncated: file ends before its advertised record count",
-            )),
-            Err(e) => Err(SpillError::io(SpillOp::Read, &self.path, &e)),
-        }
+/// Validate the 8-byte run-file header opening block 0 against what the
+/// merge expects: magic, version, flag bits, and whether records carry
+/// codes.
+fn check_header(header: &[u8], expect_ovc: bool, path: &Path) -> Result<(), SpillError> {
+    let magic: [u8; 4] = word(header, 0);
+    if magic != SPILL_MAGIC {
+        return Err(SpillError::corrupt(
+            path,
+            format!("bad run-file magic {magic:02x?}"),
+        ));
     }
+    let version = u16::from_le_bytes(word(header, 4));
+    if version != SPILL_VERSION {
+        return Err(SpillError::corrupt(
+            path,
+            format!("unsupported run-file version {version} (expected {SPILL_VERSION})"),
+        ));
+    }
+    let flags = u16::from_le_bytes(word(header, 6));
+    if flags & !SPILL_FLAG_OVC != 0 {
+        return Err(SpillError::corrupt(
+            path,
+            format!("unknown run-file flags {flags:#06x}"),
+        ));
+    }
+    let file_ovc = flags & SPILL_FLAG_OVC != 0;
+    if file_ovc != expect_ovc {
+        return Err(SpillError::corrupt(
+            path,
+            format!("run-file OVC flag is {file_ovc} but the merge expected {expect_ovc}"),
+        ));
+    }
+    Ok(())
 }
 
-/// A reader over one run, holding the current record and a streaming
-/// checksum of every byte read. The cursor reads exactly its advertised
-/// record count; the advance past the last record checks the xxHash64
-/// trailer and rejects trailing garbage, so by the time a merge drains
-/// all cursors every run file has been fully verified.
+/// A reader over records `lo..hi` of one run, serving the head record as
+/// slices of the block it sits in. Each block is fetched with one read of
+/// its indexed length into one pooled buffer and verified against its
+/// hash before anything is decoded from it, so every record the merge
+/// sees comes from verified bytes; the sink's copy into the output is the
+/// only time a record moves.
 struct RunCursor<'a> {
-    src: RunReader<'a>,
+    reader: Box<dyn Read + Send + 'a>,
+    run: &'a Run,
+    /// The current block: `buf[..end]` is its records (behind the header
+    /// in block 0), the hash follows.
+    buf: Vec<u8>,
+    end: usize,
+    /// Ordinal of the next block to fetch.
+    next_block: usize,
+    /// Records of the range not yet decoded.
     remaining: usize,
-    /// Stream offset where the current record starts; the partition scan
-    /// reads it to locate range seams.
-    record_off: u64,
-    key: Vec<u8>,
-    /// Offset-value code of the current record, relative to the record
-    /// before it in this run (the first record is coded against −∞).
+    exhausted: bool,
+    /// The range ends where the run does: the file must too.
+    ends_run: bool,
+    /// Offsets in `buf` of the head record's start, payload row and
+    /// string segment, and of the record after it.
+    rec: usize,
+    row_at: usize,
+    seg_at: usize,
+    next: usize,
+    /// Offset-value code of the head record, relative to the record
+    /// before it in this range (the first record is coded against −∞).
     /// Only meaningful when the run carries the OVC column.
     code: u64,
+    kw: usize,
+    width: usize,
     has_ovc: bool,
     /// Key word count, for structural validation of decoded codes.
     arity: usize,
-    row: Vec<u8>,
-    heap: Vec<u8>,
+    /// Records decoded and bytes fetched, flushed to the registry on drop.
+    decoded: u64,
+    fetched: u64,
+    pool: &'a BufferPool,
+    metrics: &'a CounterRegistry,
 }
 
 impl<'a> RunCursor<'a> {
-    /// A cursor over `rows` records of `kw`-byte keys and `width`-byte
-    /// rows, positioned on the first. `ovc` says whether records carry a
-    /// code: a verifying cursor checks the header agrees, a ranged one
-    /// takes it on trust. A ranged cursor's first record is coded against
-    /// its predecessor, which lives in the previous range, so it is
-    /// re-coded against −∞ — the base the loser tree's leaves start from.
+    /// A cursor over the records of `run` between two of its cuts,
+    /// positioned on the first; `kw`-byte keys, `width`-byte rows, and a
+    /// code per record if `ovc`. The stored code of the first record is
+    /// relative to its predecessor, which a range starting inside the run
+    /// does not hold, so it is re-coded against −∞ — the base the loser
+    /// tree's leaves start from (for the run's first record the two
+    /// agree).
     fn open(
-        reader: Box<dyn Read + Send + 'a>,
-        path: PathBuf,
-        rows: usize,
+        run: &'a Run,
+        [lo, hi]: [RangeCut; 2],
         (kw, width, ovc): (usize, usize, bool),
-        mode: CursorMode,
+        pool: &'a BufferPool,
+        metrics: &'a CounterRegistry,
     ) -> Result<RunCursor<'a>, SpillError> {
+        // Where the range's first block starts; at the run's end, where
+        // the file must.
+        let off = run
+            .index
+            .blocks
+            .get(lo.block)
+            .map_or(run.index.bytes, |b| b.off);
+        // The index says the file reaches `off`: one that does not has
+        // been truncated, however the backend reports it.
+        let truncated = || {
+            let detail = format!("truncated: file ends before byte {off}, where a block starts");
+            SpillError::corrupt(run.path(), detail)
+        };
+        let reader: Box<dyn Read + Send + 'a> = match &run.store {
+            RunStore::Spilled(r) => {
+                metrics.add(Counter::SpillSeamSkipBytes, off);
+                match r.io.open_at(&r.path, off) {
+                    Ok(reader) => reader,
+                    Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+                        return Err(truncated());
+                    }
+                    Err(e) => return Err(SpillError::io(SpillOp::Read, &r.path, &e)),
+                }
+            }
+            RunStore::Memory(bytes) => {
+                let at = usize::try_from(off).map_err(|_| truncated())?;
+                Box::new(bytes.get(at..).ok_or_else(truncated)?)
+            }
+        };
         let mut c = RunCursor {
-            src: RunReader {
-                reader,
-                path,
-                hasher: XxHash64::with_seed(SPILL_CHECKSUM_SEED),
-                consumed: 0,
-                verify: mode == CursorMode::Verifying,
-            },
-            remaining: rows,
-            record_off: 0,
-            key: vec![0; kw],
+            reader,
+            run,
+            buf: pool.get_bytes(BLOCK_BYTES),
+            end: 0,
+            next_block: lo.block,
+            remaining: hi.index.saturating_sub(lo.index),
+            exhausted: false,
+            ends_run: hi.index == run.index.rows,
+            rec: 0,
+            row_at: 0,
+            seg_at: 0,
+            next: 0,
             code: 0,
+            kw,
+            width,
             has_ovc: ovc,
             arity: ovc::word_count(kw),
-            row: vec![0; width],
-            heap: Vec::new(),
+            decoded: 0,
+            fetched: 0,
+            pool,
+            metrics,
         };
-        if mode == CursorMode::Verifying {
-            c.read_header()?;
+        if c.remaining > 0 {
+            c.fetch_block()?;
+            // The first block resumes at the cut, not at its first record.
+            c.next = lo.in_off;
         }
         c.advance()?;
-        if mode == CursorMode::Ranged && c.has_ovc && !c.exhausted() {
-            c.code = ovc::initial_code(&c.key, c.arity);
+        if c.has_ovc && !c.exhausted {
+            c.code = ovc::initial_code(c.key(), c.arity);
         }
         Ok(c)
     }
 
-    /// Parse and validate the 8-byte run-file header. Structural checks
-    /// (magic, version, flag bits) run before any record is trusted; the
-    /// header bytes also feed the checksum, so even a header rewritten to
-    /// parse cleanly fails trailer verification.
-    fn read_header(&mut self) -> Result<(), SpillError> {
-        let mut magic = [0u8; 4];
-        self.src.fill(&mut magic)?;
-        if magic != SPILL_MAGIC {
-            return Err(SpillError::corrupt(
-                &self.src.path,
-                format!("bad run-file magic {magic:02x?}"),
-            ));
+    fn corrupt(&self, detail: impl Into<String>) -> SpillError {
+        SpillError::corrupt(self.run.path(), detail)
+    }
+
+    /// The little-endian integer at `at` in the current block. It came
+    /// out of a run file: until it has been compared against the block's
+    /// end (a length) or checked for plausibility (a code), it is
+    /// untrusted.
+    fn block_u32(&self, at: usize) -> u32 {
+        u32::from_le_bytes(word(&self.buf, at))
+    }
+
+    fn block_u64(&self, at: usize) -> u64 {
+        u64::from_le_bytes(word(&self.buf, at))
+    }
+
+    /// Read the next block of the run into the buffer — its length comes
+    /// from the index — and verify it: the hash over everything before
+    /// it, under the block's own seed, and in block 0 the header. A file
+    /// that ends early is corrupt (the index knows how long it must be),
+    /// any other failure to read is an I/O error.
+    fn fetch_block(&mut self) -> Result<(), SpillError> {
+        let b = self.next_block;
+        let Some(&meta) = self.run.index.blocks.get(b) else {
+            return Err(self.corrupt("range reaches past the run's last block"));
+        };
+        let data_start = if b == 0 { HEADER_BYTES } else { 0 };
+        if meta.len < data_start + HASH_BYTES {
+            return Err(self.corrupt(format!("block {b} is shorter than its framing")));
         }
-        let mut word = [0u8; 2];
-        self.src.fill(&mut word)?;
-        let version = u16::from_le_bytes(word);
-        if version != SPILL_VERSION {
-            return Err(SpillError::corrupt(
-                &self.src.path,
-                format!("unsupported run-file version {version} (expected {SPILL_VERSION})"),
-            ));
+        let end = meta.len - HASH_BYTES;
+        self.buf.resize(meta.len, 0);
+        match self.reader.read_exact(&mut self.buf) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+                return Err(self.corrupt(format!("truncated: file ends inside block {b}")));
+            }
+            Err(e) => return Err(SpillError::io(SpillOp::Read, self.run.path(), &e)),
         }
-        self.src.fill(&mut word)?;
-        let flags = u16::from_le_bytes(word);
-        if flags & !SPILL_FLAG_OVC != 0 {
-            return Err(SpillError::corrupt(
-                &self.src.path,
-                format!("unknown run-file flags {flags:#06x}"),
-            ));
+        self.fetched += meta.len as u64;
+        if b == 0 {
+            check_header(&self.buf[..HEADER_BYTES], self.has_ovc, self.run.path())?;
         }
-        let file_ovc = flags & SPILL_FLAG_OVC != 0;
-        if file_ovc != self.has_ovc {
-            return Err(SpillError::corrupt(
-                &self.src.path,
-                format!(
-                    "run-file OVC flag is {file_ovc} but the merge expected {}",
-                    self.has_ovc
-                ),
-            ));
+        let stored = u64::from_le_bytes(word(&self.buf, end));
+        let computed = XxHash64::hash(&self.buf[..end], SPILL_CHECKSUM_SEED ^ b as u64);
+        if stored != computed {
+            return Err(self.corrupt(format!(
+                "checksum mismatch in block {b}: stored {stored:#018x}, computed {computed:#018x}"
+            )));
         }
+        self.end = end;
+        self.next = data_start;
+        self.next_block = b + 1;
         Ok(())
     }
 
-    /// After the last record: the next 8 bytes must be the xxHash64 of
-    /// everything before them, and nothing may follow.
-    fn verify_trailer(&mut self) -> Result<(), SpillError> {
-        let RunReader {
-            reader,
-            path,
-            hasher,
-            ..
-        } = &mut self.src;
-        let computed = hasher.finish();
-        let mut trailer = [0u8; 8];
-        match reader.read_exact(&mut trailer) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                return Err(SpillError::corrupt(
-                    path,
-                    "truncated: checksum trailer missing",
-                ));
-            }
-            Err(e) => return Err(SpillError::io(SpillOp::Read, path, &e)),
-        }
-        let stored = u64::from_le_bytes(trailer);
-        if stored != computed {
-            return Err(SpillError::corrupt(
-                path,
-                format!("checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"),
-            ));
-        }
+    /// After the run's last record nothing may follow.
+    fn probe_eof(&mut self) -> Result<(), SpillError> {
         let mut probe = [0u8; 1];
-        match reader.read(&mut probe) {
+        match self.reader.read(&mut probe) {
             Ok(0) => Ok(()),
-            Ok(_) => Err(SpillError::corrupt(
-                path,
-                "trailing bytes after the checksum trailer",
-            )),
-            Err(e) => Err(SpillError::io(SpillOp::Read, path, &e)),
+            Ok(_) => Err(self.corrupt("trailing bytes after the run's last block")),
+            Err(e) => Err(SpillError::io(SpillOp::Read, self.run.path(), &e)),
         }
     }
 }
 
 impl RunSource for RunCursor<'_> {
+    #[inline]
     fn exhausted(&self) -> bool {
-        self.remaining == usize::MAX
+        self.exhausted
     }
+    #[inline]
     fn key(&self) -> &[u8] {
-        &self.key
+        &self.buf[self.rec..self.rec + self.kw]
     }
+    #[inline]
     fn code(&self) -> u64 {
         self.code
     }
+    #[inline]
     fn row(&self) -> &[u8] {
-        &self.row
+        &self.buf[self.row_at..self.row_at + self.width]
     }
     /// The current record's string segment; the row's VARCHAR slots hold
     /// offsets relative to it.
+    #[inline]
     fn heap(&self) -> &[u8] {
-        &self.heap
+        &self.buf[self.seg_at..self.next]
     }
     fn path(&self) -> &Path {
-        &self.src.path
+        self.run.path()
     }
 
-    /// Read the next record into the cursor (or verify the trailer and
-    /// mark exhausted).
+    /// Step to the next record of the range, fetching and verifying the
+    /// next block when the current one is used up; past the last record,
+    /// mark the cursor exhausted (and, at the run's end, check that the
+    /// file ends too). A record — code, length word and segment included
+    /// — must end inside its verified block.
     fn advance(&mut self) -> Result<(), SpillError> {
-        self.record_off = self.src.consumed;
         if self.remaining == 0 {
-            self.remaining = usize::MAX;
-            if !self.src.verify {
-                // Ranged cursor: the range ends mid-file; the trailer (if
-                // any follows) belongs to the verifying scan, not to us.
-                return Ok(());
-            }
-            return self.verify_trailer();
+            self.exhausted = true;
+            return if self.ends_run {
+                self.probe_eof()
+            } else {
+                Ok(())
+            };
         }
-        self.remaining -= 1;
-        self.src.fill(&mut self.key)?;
+        if self.next == self.end {
+            self.fetch_block()?;
+        }
+        let rec = self.next;
+        let row_at = rec + self.kw + if self.has_ovc { 8 } else { 0 };
+        let seg_at = row_at + self.width + 4;
+        if seg_at > self.end {
+            return Err(self.corrupt("record runs past the end of its block"));
+        }
         if self.has_ovc {
-            let mut code_buf = [0u8; 8];
-            self.src.fill(&mut code_buf)?;
-            let code = u64::from_le_bytes(code_buf);
-            // Structural bound, like the segment-length check: a decoded
-            // offset past the key's word count can never be produced by
-            // the encoder, so reject it before the merge consumes it
-            // (the checksum would also catch it, but only at run end).
+            let code = self.block_u64(rec + self.kw);
+            // A decoded offset past the key's word count can never be
+            // produced by the encoder: reject it before the merge
+            // consumes it.
             if !ovc::code_plausible(code, self.arity) {
-                return Err(SpillError::corrupt(
-                    &self.src.path,
-                    format!("implausible offset-value code {code:#018x}"),
-                ));
+                return Err(self.corrupt(format!("implausible offset-value code {code:#018x}")));
             }
             self.code = code;
         }
-        self.src.fill(&mut self.row)?;
-        let mut len_buf = [0u8; 4];
-        self.src.fill(&mut len_buf)?;
-        let seg_len = u32::from_le_bytes(len_buf) as usize;
-        if seg_len > MAX_SEG_BYTES {
-            // A flipped bit in the length word must not become a huge
-            // allocation; reject structurally before trusting it.
-            return Err(SpillError::corrupt(
-                &self.src.path,
-                format!("segment length {seg_len} exceeds the {MAX_SEG_BYTES}-byte bound"),
-            ));
+        let seg_len = self.block_u32(seg_at - 4) as usize;
+        let next = seg_at.saturating_add(seg_len);
+        if next > self.end {
+            return Err(self.corrupt(format!(
+                "segment length {seg_len} runs past the end of its block"
+            )));
         }
-        self.heap.resize(seg_len, 0);
-        self.src.fill(&mut self.heap)?;
+        (self.rec, self.row_at, self.seg_at, self.next) = (rec, row_at, seg_at, next);
+        self.remaining -= 1;
+        self.decoded += 1;
         Ok(())
+    }
+}
+
+impl Drop for RunCursor<'_> {
+    fn drop(&mut self) {
+        self.metrics.add(Counter::SpillReadaheadHits, self.decoded);
+        self.metrics.add(Counter::SpillReadBytes, self.fetched);
+        self.pool.put_bytes(std::mem::take(&mut self.buf));
     }
 }
 
@@ -605,11 +757,7 @@ impl ExternalSorter {
             let _spill = self.metrics.time_phase(Phase::Spill);
             self.generate_spilled_runs(input, &stats, &key_blocks)?
         };
-        let merged = {
-            let _merge = self.metrics.time_phase(Phase::SpillMerge);
-            self.merge_runs(&runs, &order)
-        };
-        let out = match merged {
+        let out = match self.merge_runs(&runs, &order) {
             Ok(out) => out,
             Err(err) => {
                 if matches!(err, SpillError::Corrupt { .. }) {
@@ -683,66 +831,92 @@ impl ExternalSorter {
         self.options.ovc && kw > 0
     }
 
-    /// Encode one sorted run as self-contained records plus the xxHash64
-    /// trailer, returning the bytes and the total of the records' string
-    /// segments. The encoding is identical whether the run lands on disk
-    /// or stays in memory.
+    /// Encode one sorted run into `out` as hash-sealed blocks of
+    /// self-contained records, one block at a time through one pooled
+    /// buffer, and return its index. The encoding is identical whether
+    /// the run lands on disk or stays in memory; an error is `out`'s (and
+    /// costs the pool that buffer).
     ///
     /// With OVC enabled each record carries its offset-value code relative
     /// to the record before it — the run's code column, computed while
     /// the keys were hot from the run sort, so the spill merge starts
     /// with codes instead of deriving them.
-    fn encode_run(&self, run: &SortedRun) -> (Vec<u8>, u64) {
+    fn encode_run(&self, run: &SortedRun, out: &mut dyn Write) -> io::Result<RunIndex> {
+        let mut buf = self.pool.get_bytes(BLOCK_BYTES);
         let width = self.layout.width();
         let kw = run.key_width;
         let use_ovc = self.use_ovc(kw);
-        let per_row = kw + width + 4 + if use_ovc { 8 } else { 0 };
-        let mut out: Vec<u8> = Vec::with_capacity(8 + run.len() * per_row + 8);
-        out.extend_from_slice(&SPILL_MAGIC);
-        out.extend_from_slice(&SPILL_VERSION.to_le_bytes());
-        let flags = if use_ovc { SPILL_FLAG_OVC } else { 0 };
-        out.extend_from_slice(&flags.to_le_bytes());
-        let mut row_buf = vec![0u8; width];
-        let mut seg: Vec<u8> = Vec::new();
-        let mut heap_bytes = 0u64;
+        let fixed = kw + if use_ovc { 8 } else { 0 } + width + 4;
+        let mut index = RunIndex {
+            rows: run.len(),
+            heap_bytes: 0,
+            bytes: 0,
+            blocks: Vec::new(),
+            first_keys: Vec::new(),
+        };
+        // The header travels with block 0 (an empty run encodes to nothing).
+        buf.extend_from_slice(&header_bytes(use_ovc));
+        let mut block_rows = 0usize;
         for i in 0..run.len() {
-            out.extend_from_slice(&run.keys[i * kw..(i + 1) * kw]);
+            let strings = self
+                .varlen_cols
+                .iter()
+                .filter(|&&c| !run.payload.is_null(i, c));
+            let seg_len: usize = strings
+                .clone()
+                .map(|&c| run.payload.string_bytes(i, c).len())
+                .sum();
+            if block_rows > 0 && buf.len() + fixed + seg_len + HASH_BYTES > BLOCK_BYTES {
+                index.close_block(&mut buf, out)?;
+                block_rows = 0;
+            }
+            let key = &run.keys[i * kw..(i + 1) * kw];
+            if block_rows == 0 {
+                index.blocks.push(BlockMeta {
+                    off: index.bytes,
+                    len: 0,
+                    rows_before: i,
+                    heap_before: index.heap_bytes,
+                });
+                index.first_keys.extend_from_slice(key);
+            }
+            buf.extend_from_slice(key);
             if use_ovc {
-                out.extend_from_slice(&run.ovc[i * 8..(i + 1) * 8]);
+                buf.extend_from_slice(&run.ovc[i * 8..(i + 1) * 8]);
             }
-            row_buf.copy_from_slice(run.payload.row(i));
+            let row_at = buf.len();
+            buf.extend_from_slice(run.payload.row(i));
+            buf.extend_from_slice(&(seg_len as u32).to_le_bytes());
             // Rewrite heap offsets to be relative to this record's segment.
-            seg.clear();
-            for &c in &self.varlen_cols {
-                if run.payload.is_null(i, c) {
-                    continue;
-                }
-                let at = self.layout.offset(c);
-                let new_off = seg.len() as u32;
-                seg.extend_from_slice(run.payload.string_bytes(i, c));
-                row_buf[at..at + 4].copy_from_slice(&new_off.to_le_bytes());
+            let seg_at = buf.len();
+            for &c in strings {
+                let at = row_at + self.layout.offset(c);
+                let new_off = (buf.len() - seg_at) as u32;
+                buf.extend_from_slice(run.payload.string_bytes(i, c));
+                buf[at..at + 4].copy_from_slice(&new_off.to_le_bytes());
             }
-            out.extend_from_slice(&row_buf);
-            out.extend_from_slice(&(seg.len() as u32).to_le_bytes());
-            out.extend_from_slice(&seg);
-            heap_bytes += seg.len() as u64;
+            block_rows += 1;
+            index.heap_bytes += seg_len as u64;
         }
-        let digest = XxHash64::hash(&out, SPILL_CHECKSUM_SEED);
-        out.extend_from_slice(&digest.to_le_bytes());
-        (out, heap_bytes)
+        if block_rows > 0 {
+            index.close_block(&mut buf, out)?;
+        }
+        self.pool.put_bytes(buf);
+        Ok(index)
     }
 
-    /// Write `bytes` to a fresh run file in one shot.
-    fn try_write_file(&self, path: &Path, bytes: &[u8]) -> Result<(), SpillError> {
+    /// Stream `run`'s encoding into a fresh run file.
+    fn try_write_file(&self, path: &Path, run: &SortedRun) -> Result<RunIndex, SpillError> {
         let mut w = self
             .io
             .create(path)
             .map_err(|e| SpillError::io(SpillOp::Create, path, &e))?;
-        w.write_all(bytes)
+        let index = self
+            .encode_run(run, &mut *w)
             .map_err(|e| SpillError::io(SpillOp::Write, path, &e))?;
         w.flush()
             .map_err(|e| SpillError::io(SpillOp::Flush, path, &e))?;
-        Ok(())
+        Ok(index)
     }
 
     /// Delete a partially written file after a failure, counting (not
@@ -767,35 +941,32 @@ impl ExternalSorter {
     }
 
     /// Encode one sorted run and place it: on disk under the retry /
-    /// degradation policy, or in memory once spill space is gone.
+    /// degradation policy, or in memory once spill space is gone. A
+    /// retry encodes again — the sorted run is still resident — so no
+    /// attempt ever holds the run's encoding whole.
     fn spill_run(&self, run: &SortedRun, degraded: &mut bool) -> Result<Run, SpillError> {
-        let (bytes, heap_bytes) = self.encode_run(run);
-        let samples = Self::sample_keys(run);
-        let rows = run.len();
-        self.metrics.add(Counter::BytesMoved, bytes.len() as u64);
-        let placed = |store| Run {
-            samples,
-            heap_bytes,
-            store,
-        };
-        if *degraded {
-            self.metrics.add(Counter::SpillMemFallbackRuns, 1);
-            return Ok(placed(RunStore::Memory { bytes, rows }));
-        }
         let mut attempt = 0;
         let mut backoff = self.options.retry_backoff;
-        loop {
+        let (index, store) = loop {
+            if *degraded {
+                self.metrics.add(Counter::SpillMemFallbackRuns, 1);
+                let mut bytes = Vec::new();
+                let index = self.encode_run(run, &mut bytes).map_err(|e| {
+                    SpillError::io(SpillOp::Write, Path::new("<in-memory run>"), &e)
+                })?;
+                break (index, RunStore::Memory(bytes));
+            }
             let path = self.spill_path();
-            match self.try_write_file(&path, &bytes) {
-                Ok(()) => {
+            match self.try_write_file(&path, run) {
+                Ok(index) => {
                     self.metrics.add(Counter::SpilledRuns, 1);
-                    self.metrics.add(Counter::SpilledBytes, bytes.len() as u64);
-                    return Ok(placed(RunStore::Spilled(SpilledRun {
+                    self.metrics.add(Counter::SpilledBytes, index.bytes);
+                    let spilled = SpilledRun {
                         path,
-                        rows,
                         io: Arc::clone(&self.io),
                         metrics: Arc::clone(&self.metrics),
-                    })));
+                    };
+                    break (index, RunStore::Spilled(spilled));
                 }
                 Err(err) => {
                     self.cleanup_partial(&path);
@@ -803,59 +974,34 @@ impl ExternalSorter {
                         // Degradation ladder, rung 2: no point retrying a
                         // full disk — keep this and later runs in memory.
                         *degraded = true;
-                        self.metrics.add(Counter::SpillMemFallbackRuns, 1);
-                        return Ok(placed(RunStore::Memory { bytes, rows }));
-                    }
-                    if err.is_transient() && attempt < self.options.max_write_retries {
+                    } else if err.is_transient() && attempt < self.options.max_write_retries {
                         attempt += 1;
                         self.metrics.add(Counter::SpillRetries, 1);
                         std::thread::sleep(backoff);
                         backoff = backoff.saturating_mul(2);
-                        continue;
+                    } else {
+                        return Err(err);
                     }
-                    return Err(err);
                 }
             }
-        }
+        };
+        self.metrics.add(Counter::BytesMoved, index.bytes);
+        Ok(Run {
+            samples: Self::sample_keys(run),
+            index,
+            store,
+        })
     }
 
-    /// Open a cursor over `run`, with double-buffered read-ahead for
-    /// spilled runs (in-memory runs are already a slice): over the whole
-    /// file, verifying, or — given a range's starting byte offset and
-    /// record count from the partition scan — over that range only.
+    /// Open a cursor over the records of `run` between two of its cuts.
     fn open_cursor<'r>(
-        &self,
+        &'r self,
         run: &'r Run,
         kw: usize,
-        range: Option<(u64, usize)>,
+        span: [RangeCut; 2],
     ) -> Result<RunCursor<'r>, SpillError> {
         let shape = (kw, self.layout.width(), self.use_ovc(kw));
-        let (mode, byte_off, rows) = match range {
-            None => (CursorMode::Verifying, 0, run.rows()),
-            Some((byte_off, rows)) => (CursorMode::Ranged, byte_off, rows),
-        };
-        match &run.store {
-            RunStore::Spilled(r) => {
-                let opened = match mode {
-                    CursorMode::Verifying => r.io.open(&r.path),
-                    CursorMode::Ranged => {
-                        self.metrics.add(Counter::SpillSeamSkipBytes, byte_off);
-                        r.io.open_at(&r.path, byte_off)
-                    }
-                };
-                let reader = opened.map_err(|e| SpillError::io(SpillOp::Read, &r.path, &e))?;
-                let reader: Box<dyn Read + Send + 'r> =
-                    Box::new(ReadAhead::new(reader, &self.pool, &self.metrics));
-                RunCursor::open(reader, r.path.clone(), rows, shape, mode)
-            }
-            RunStore::Memory { bytes, .. } => RunCursor::open(
-                Box::new(&bytes[byte_off as usize..]),
-                PathBuf::from("<in-memory run>"),
-                rows,
-                shape,
-                mode,
-            ),
-        }
+        RunCursor::open(run, span, shape, &self.pool, &self.metrics)
     }
 
     /// How many key ranges to cut the merge into, and the splitters
@@ -875,58 +1021,41 @@ impl ExternalSorter {
         (splitters.len().checked_div(kw).unwrap_or(0) + 1, splitters)
     }
 
-    /// Phase A of the partitioned merge: one verifying pass over `run`
-    /// locating, for every splitter, the first record whose key is `>=`
-    /// that splitter (the streaming equivalent of a lower-bound binary
-    /// search — runs are sequential files, so the seam search rides the
-    /// verification scan the merge needs anyway). Returns `parts + 1`
-    /// cuts: record index, byte offset, and heap bytes before each range
-    /// boundary, bracketed by the run's start and end. Every byte of the
-    /// file — checksum trailer included — is verified here, so Phase B
-    /// range cursors can skip verification entirely.
-    fn scan_run(
+    /// The cuts the splitters (`kw`-byte keys, ascending) make in `run`,
+    /// bracketed by its start and end: for each, the first record whose
+    /// key is `>=` the splitter. The index's first keys narrow the search
+    /// to one block — the last whose first key is below the splitter —
+    /// and a cursor over that block alone (read once, verified like any
+    /// other) walks to the record. A splitter at or below the run's first
+    /// key cuts at its start without a read, and none means none.
+    fn find_cuts(
         &self,
         run: &Run,
         kw: usize,
         splitters: &[u8],
-        parts: usize,
-    ) -> Result<RunScan, SpillError> {
-        let mut cur = self.open_cursor(run, kw, None)?;
-        let mut cuts: Vec<RangeCut> = Vec::with_capacity(parts + 1);
-        cuts.push(RangeCut {
-            index: 0,
-            byte_off: HEADER_BYTES,
-            heap_before: 0,
-        });
-        let mut heap_before: u64 = 0;
-        let mut index = 0usize;
-        let mut next_split = 0usize;
-        while !cur.exhausted() {
-            while next_split + 1 < parts
-                && &splitters[next_split * kw..(next_split + 1) * kw] <= cur.key.as_slice()
-            {
-                cuts.push(RangeCut {
-                    index,
-                    byte_off: cur.record_off,
-                    heap_before,
-                });
-                next_split += 1;
+    ) -> Result<Vec<RangeCut>, SpillError> {
+        let [start, end] = run.whole();
+        let mut cuts = Vec::with_capacity(splitters.len() / kw + 2);
+        cuts.push(start);
+        for splitter in splitters.chunks_exact(kw) {
+            let below = lower_bound(&run.index.first_keys, kw, splitter);
+            let Some(b) = below.checked_sub(1) else {
+                cuts.push(start);
+                continue;
+            };
+            let [lo, hi] = [run.cut_at_block(b), run.cut_at_block(b + 1)];
+            let mut cur = self.open_cursor(run, kw, [lo, hi])?;
+            let mut cut = lo;
+            while !cur.exhausted() && cmp_keys(cur.key(), splitter) == Ordering::Less {
+                cut.index += 1;
+                cut.heap_before += cur.heap().len() as u64;
+                cur.advance()?;
+                cut.in_off = cur.rec;
             }
-            heap_before += cur.heap.len() as u64;
-            index += 1;
-            cur.advance()?;
+            cuts.push(if cur.exhausted() { hi } else { cut });
         }
-        // Splitters beyond every key in this run cut at the end, and the
-        // final sentinel closes the last range.
-        let end = RangeCut {
-            index,
-            byte_off: cur.record_off,
-            heap_before,
-        };
-        while cuts.len() < parts + 1 {
-            cuts.push(end);
-        }
-        Ok(RunScan { cuts })
+        cuts.push(end);
+        Ok(cuts)
     }
 
     /// Run `job(i)` for every `i < n` on the merge workers and return the
@@ -959,22 +1088,23 @@ impl ExternalSorter {
     }
 
     /// Phase 2: streaming k-way merge over the runs (DESIGN.md §11), into
-    /// one pooled output sized exactly before a row is merged.
+    /// one pooled output sized exactly before a row is merged, then
+    /// gathered back into vectors (clocked apart, as [`Phase::Gather`]).
     ///
-    /// With one partition the calling thread merges whole files through
-    /// verifying cursors: each run is read once, every trailer is checked
-    /// before the output escapes, and the output heap is sized from the
-    /// segment totals recorded at spill time.
-    ///
-    /// With more, Phase A scans every run once (in parallel, verifying
-    /// checksums) to locate each splitter's seam — record index, byte
-    /// offset, heap bytes — per run. The cuts give every range's exact
-    /// row and heap size, so each worker writes its range's disjoint
-    /// slice directly: the concatenation needs no fix-up pass and is
-    /// bit-identical to the one-partition merge. Phase B merges each
-    /// range over ranged cursors seeked to the seam offsets
-    /// ([`SpillIo::open_at`]).
+    /// Every run is cut at the splitters ([`ExternalSorter::find_cuts`]:
+    /// the block index plus one block read per splitter, in parallel over
+    /// the runs; with one partition, just the run's start and end). The
+    /// cuts give every range's exact row and heap size, so each worker
+    /// writes its range's disjoint slice directly: the concatenation
+    /// needs no fix-up pass and is bit-identical to the one-partition
+    /// merge. Each range then merges over cursors opened at its cuts,
+    /// which verify every block they read — and every block holds a
+    /// record of some range, so every block of every run has been
+    /// verified before the output escapes. One partition merges on the
+    /// calling thread: a sorter that never partitions never spawns the
+    /// worker pool.
     fn merge_runs(&self, runs: &[Run], order: &MergeOrder<'_>) -> Result<DataChunk, SpillError> {
+        let merge_timer = self.metrics.time_phase(Phase::SpillMerge);
         let kw = order.kw;
         let width = self.layout.width();
         let total: usize = runs.iter().map(|r| r.rows()).sum();
@@ -986,27 +1116,23 @@ impl ExternalSorter {
             return Ok(DataChunk::new(&self.types));
         }
 
-        // Every range's exact size: its records and their string bytes.
-        let (scans, sizes): (Vec<RunScan>, Vec<(usize, u64)>) = if parts > 1 {
-            let scans = self.run_jobs(runs.len(), |r| {
-                self.scan_run(&runs[r], kw, &splitters, parts)
-            })?;
-            let sizes = (0..parts)
-                .map(|p| {
-                    scans.iter().fold((0, 0), |(rows, heap), s| {
-                        let (lo, hi) = (s.cuts[p], s.cuts[p + 1]);
-                        (
-                            rows + hi.index - lo.index,
-                            heap + hi.heap_before - lo.heap_before,
-                        )
-                    })
-                })
-                .collect();
-            (scans, sizes)
+        let cuts: Vec<Vec<RangeCut>> = if parts > 1 {
+            self.run_jobs(runs.len(), |r| self.find_cuts(&runs[r], kw, &splitters))?
         } else {
-            let heap_bytes = runs.iter().map(|r| r.heap_bytes).sum();
-            (Vec::new(), vec![(total, heap_bytes)])
+            runs.iter().map(|r| r.whole().to_vec()).collect()
         };
+        // Every range's exact size: its records and their string bytes.
+        let sizes: Vec<(usize, u64)> = (0..parts)
+            .map(|p| {
+                cuts.iter().fold((0, 0), |(rows, heap), c| {
+                    let (lo, hi) = (c[p], c[p + 1]);
+                    (
+                        rows + hi.index - lo.index,
+                        heap + hi.heap_before - lo.heap_before,
+                    )
+                })
+            })
+            .collect();
         debug_assert_eq!(sizes.iter().map(|s| s.0).sum::<usize>(), total);
         let max_range = sizes.iter().map(|s| s.0).max().unwrap_or(0);
         self.metrics
@@ -1037,12 +1163,8 @@ impl ExternalSorter {
                 .collect();
             let merge_one = |p: usize| {
                 let slot = slots[p].lock().unwrap_or_else(|e| e.into_inner()).take();
-                let (data, heap, heap_base) = slot.ok_or_else(lost_job)?;
-                let range = (parts > 1).then_some((&scans[..], p));
-                self.merge_range(runs, range, order, data, heap, heap_base)
+                self.merge_range(runs, &cuts, p, order, slot.ok_or_else(lost_job)?)
             };
-            // One partition merges on the calling thread: a sorter that
-            // never partitions never spawns the worker pool.
             let stats = if parts == 1 {
                 vec![merge_one(0)?]
             } else {
@@ -1052,7 +1174,9 @@ impl ExternalSorter {
                 s.flush(&self.metrics);
             }
         }
+        drop(merge_timer);
 
+        let _gather = self.metrics.time_phase(Phase::Gather);
         let block = RowBlock::from_raw_parts(Arc::clone(&self.layout), out_data, out_heap);
         let chunk = block.to_chunk();
         let (data, heap) = block.into_raw_parts();
@@ -1061,38 +1185,26 @@ impl ExternalSorter {
         Ok(chunk)
     }
 
-    /// Merge whole runs (`range` is `None`: verifying cursors) or one key
-    /// range of them (`range` names the partition scans and the range:
-    /// cursors opened at the seam byte offsets the scan computed) into
-    /// `data` and `heap`, the output slices the records fill exactly;
-    /// `heap_base` is `heap`'s offset in the full output heap. Runs with
-    /// no rows in the range are skipped (the survivors keep their
-    /// relative order, so the tree's lower-index tie-break agrees with
-    /// the global stability rule — byte-equal keys never straddle a range
-    /// boundary).
+    /// Merge key range `part` of the runs — run `r`'s records between
+    /// `cuts[r][part]` and `cuts[r][part + 1]` — into the range's output,
+    /// whose slices the records fill exactly. Runs with no rows in the
+    /// range are skipped (the survivors keep their relative order, so the
+    /// tree's lower-index tie-break agrees with the global stability rule
+    /// — byte-equal keys never straddle a range boundary).
     fn merge_range(
         &self,
         runs: &[Run],
-        range: Option<(&[RunScan], usize)>,
+        cuts: &[Vec<RangeCut>],
+        part: usize,
         order: &MergeOrder<'_>,
-        data: &mut [u8],
-        heap: &mut [u8],
-        heap_base: u64,
+        (data, heap, heap_base): RangeOutput<'_>,
     ) -> Result<MergeStats, SpillError> {
         let mut cursors: Vec<RunCursor<'_>> = Vec::with_capacity(runs.len());
-        for (r, run) in runs.iter().enumerate() {
-            let span = match range {
-                None => None,
-                Some((scans, part)) => {
-                    let cut = scans[r].cuts[part];
-                    let rows = scans[r].cuts[part + 1].index - cut.index;
-                    if rows == 0 {
-                        continue;
-                    }
-                    Some((cut.byte_off, rows))
-                }
-            };
-            cursors.push(self.open_cursor(run, order.kw, span)?);
+        for (run, cuts) in runs.iter().zip(cuts) {
+            let [lo, hi] = [cuts[part], cuts[part + 1]];
+            if hi.index > lo.index {
+                cursors.push(self.open_cursor(run, order.kw, [lo, hi])?);
+            }
         }
         let width = self.layout.width();
         let rows_in = data.len() / width;
@@ -1126,30 +1238,14 @@ fn lost_job() -> SpillError {
 /// and that slice's offset in the whole output heap.
 type RangeOutput<'a> = (&'a mut [u8], &'a mut [u8], u64);
 
-/// One range boundary within one run, as located by the Phase A scan.
-#[derive(Clone, Copy)]
-struct RangeCut {
-    /// Records of the run before this boundary.
-    index: usize,
-    /// Byte offset of the boundary record's start (file end for the
-    /// final sentinel).
-    byte_off: u64,
-    /// String-segment bytes of the run before this boundary.
-    heap_before: u64,
-}
-
-/// Per-run partition plan: `parts + 1` cuts bracketing every range.
-struct RunScan {
-    cuts: Vec<RangeCut>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merge::{lower_bound, MemSource};
+    use crate::merge::MemSource;
     use rowsort_testkit::faultfs::{FaultFs, FaultKind, FaultSchedule, FaultSpec};
+    use rowsort_testkit::prop::{full, Runner};
+    use rowsort_testkit::Rng;
     use rowsort_vector::{OrderByColumn, SortSpec, Value, Vector};
-    use std::cmp::Ordering;
 
     fn pseudo_random(n: usize, seed: u64, modk: u32) -> Vec<u32> {
         let mut state = seed;
@@ -1305,13 +1401,38 @@ mod tests {
             .make_run(chunk, 0, chunk.len(), &stats, &key_blocks, true)
     }
 
-    /// An in-memory run over already-encoded bytes (no samples).
-    fn memory_run(bytes: Vec<u8>, rows: usize) -> Run {
-        Run {
-            samples: Vec::new(),
-            heap_bytes: 0,
-            store: RunStore::Memory { bytes, rows },
+    /// `run` encoded into memory, as the ENOSPC rung of the ladder leaves
+    /// it.
+    fn memory_run(sorter: &ExternalSorter, run: &SortedRun) -> Run {
+        sorter.spill_run(run, &mut true).unwrap()
+    }
+
+    /// The encoded bytes of an in-memory run.
+    fn bytes_of(run: &Run) -> &[u8] {
+        match &run.store {
+            RunStore::Memory(bytes) => bytes,
+            RunStore::Spilled(_) => panic!("expected an in-memory run"),
         }
+    }
+
+    /// `run`'s index over other bytes — what a merge sees when the file
+    /// changed behind the sorter's back.
+    fn with_bytes(run: &Run, bytes: Vec<u8>) -> Run {
+        Run {
+            samples: run.samples.clone(),
+            index: run.index.clone(),
+            store: RunStore::Memory(bytes),
+        }
+    }
+
+    /// Recompute the hash closing block `b` of `bytes`, so a mutation
+    /// inside the block reaches the checks behind the hash.
+    fn reseal(bytes: &mut [u8], index: &RunIndex, b: usize) {
+        let meta = index.blocks[b];
+        let block = &mut bytes[meta.off as usize..meta.off as usize + meta.len];
+        let end = block.len() - HASH_BYTES;
+        let digest = XxHash64::hash(&block[..end], SPILL_CHECKSUM_SEED ^ b as u64);
+        block[end..].copy_from_slice(&digest.to_le_bytes());
     }
 
     /// A mixed-width chunk: two VARCHAR columns (empty strings, long
@@ -1343,13 +1464,14 @@ mod tests {
         chunk
     }
 
-    /// The spill-file record format round-trips exactly: reading a run back
-    /// reproduces every key, every fixed-width row byte, and every string
-    /// segment that was written — and the cursor's final advance verifies
-    /// the checksum trailer with nothing left over in the file.
+    /// The spill-file record format round-trips exactly: reading a run of
+    /// several blocks back reproduces every key, every fixed-width row
+    /// byte, and every string segment that was written; the index the
+    /// encoder kept describes the blocks it wrote; and the cursor's final
+    /// advance finds nothing left over in the file.
     #[test]
     fn spill_record_format_roundtrip() {
-        let chunk = stringy_chunk(512, 11);
+        let chunk = stringy_chunk(6_000, 11);
         let order = OrderBy::new(vec![
             OrderByColumn {
                 column: 1,
@@ -1407,6 +1529,35 @@ mod tests {
             .unwrap();
         assert_eq!(run.rows(), chunk.len());
 
+        // The index against the file: blocks of at most `BLOCK_BYTES` laid
+        // end to end, each sealed under its own ordinal, and what is
+        // recorded of each block's first record.
+        let RunStore::Spilled(spilled) = &run.store else {
+            panic!("expected a spilled run");
+        };
+        let mut file = Vec::new();
+        let mut reader = spilled.io.open(&spilled.path).unwrap();
+        reader.read_to_end(&mut file).unwrap();
+        assert_eq!(file[..HEADER_BYTES], header_bytes(true));
+        assert_eq!(file.len() as u64, run.index.bytes);
+        assert!(run.index.blocks.len() >= 3, "a run of several blocks");
+        let mut at = 0u64;
+        for (b, meta) in run.index.blocks.iter().enumerate() {
+            assert_eq!(
+                meta.off,
+                at,
+                "block {b} follows block {}",
+                b.wrapping_sub(1)
+            );
+            assert!(meta.len <= BLOCK_BYTES, "block {b} is {} bytes", meta.len);
+            let block = &file[at as usize..at as usize + meta.len];
+            let (body, hash) = block.split_at(meta.len - HASH_BYTES);
+            let digest = XxHash64::hash(body, SPILL_CHECKSUM_SEED ^ b as u64);
+            assert_eq!(hash, digest.to_le_bytes(), "block {b} hash");
+            at += meta.len as u64;
+        }
+        assert_eq!(at, run.index.bytes);
+
         // Bytes of the offset word rewritten per record; everything else in
         // the row must survive the round trip untouched.
         let mut fixed_byte = vec![true; width];
@@ -1419,15 +1570,22 @@ mod tests {
 
         let kw = keys.key_width();
         let arity = ovc::word_count(kw);
-        let mut cur = sorter.open_cursor(&run, kw, None).unwrap();
+        let mut cur = sorter.open_cursor(&run, kw, run.whole()).unwrap();
         let mut prev_key: Vec<u8> = Vec::new();
+        let (mut heap_before, mut blocks_seen) = (0u64, 0);
         for i in 0..run.rows() {
             assert!(!cur.exhausted(), "record {i} missing");
-            assert_eq!(cur.key.as_slice(), keys.key(i), "key {i} differs");
-            assert!(
-                prev_key.as_slice() <= cur.key.as_slice(),
-                "run not sorted at {i}"
-            );
+            assert_eq!(cur.key(), keys.key(i), "key {i} differs");
+            assert!(prev_key.as_slice() <= cur.key(), "run not sorted at {i}");
+            if let Some(meta) = run.index.blocks.get(blocks_seen) {
+                if meta.rows_before == i {
+                    let first_key = &run.index.first_keys[blocks_seen * kw..][..kw];
+                    assert_eq!(first_key, cur.key(), "block {blocks_seen} first key");
+                    assert_eq!(meta.heap_before, heap_before, "block {blocks_seen} heap");
+                    blocks_seen += 1;
+                }
+            }
+            heap_before += cur.heap().len() as u64;
             // The spilled OVC column round-trips: record i's code is the
             // code of key i relative to key i-1 (row 0 against −∞).
             let want_code = if i == 0 {
@@ -1441,7 +1599,7 @@ mod tests {
             let orig = payload.row(rid);
             for b in 0..width {
                 if fixed_byte[b] {
-                    assert_eq!(cur.row[b], orig[b], "record {i} row byte {b}");
+                    assert_eq!(cur.row()[b], orig[b], "record {i} row byte {b}");
                 }
             }
             for &c in &varlen {
@@ -1449,21 +1607,26 @@ mod tests {
                     continue;
                 }
                 let at = sorter.layout.offset(c);
-                let off = u32::from_le_bytes(cur.row[at..at + 4].try_into().unwrap()) as usize;
-                let len = u32::from_le_bytes(cur.row[at + 4..at + 8].try_into().unwrap()) as usize;
-                assert!(off + len <= cur.heap.len(), "segment out of bounds at {i}");
+                let off = u32::from_le_bytes(word(cur.row(), at)) as usize;
+                let len = u32::from_le_bytes(word(cur.row(), at + 4)) as usize;
+                assert!(
+                    off + len <= cur.heap().len(),
+                    "segment out of bounds at {i}"
+                );
                 assert_eq!(
-                    &cur.heap[off..off + len],
+                    &cur.heap()[off..off + len],
                     payload.string_bytes(rid, c),
                     "record {i} column {c} string differs"
                 );
             }
-            prev_key = cur.key.clone();
-            // The final advance reads and verifies the checksum trailer and
-            // rejects trailing bytes; `unwrap` is the assertion.
+            prev_key = cur.key().to_vec();
+            // The final advance rejects trailing bytes; `unwrap` is the
+            // assertion.
             cur.advance().unwrap();
         }
         assert!(cur.exhausted());
+        assert_eq!(blocks_seen, run.index.blocks.len());
+        assert_eq!(heap_before, run.index.heap_bytes);
     }
 
     /// Under a small row budget every spilled run is individually sorted,
@@ -1488,15 +1651,15 @@ mod tests {
         assert_eq!(total, chunk.len());
         for (ri, run) in runs.iter().enumerate() {
             assert!(run.rows() <= budget, "run {ri} exceeds the row budget");
-            let mut cur = sorter.open_cursor(run, order.kw, None).unwrap();
+            let mut cur = sorter.open_cursor(run, order.kw, run.whole()).unwrap();
             let mut prev: Vec<u8> = Vec::new();
             for i in 0..run.rows() {
                 assert!(!cur.exhausted(), "run {ri} record {i} missing");
                 assert!(
-                    prev.as_slice() <= cur.key.as_slice(),
+                    prev.as_slice() <= cur.key(),
                     "run {ri} out of order at record {i}"
                 );
-                prev = cur.key.clone();
+                prev = cur.key().to_vec();
                 cur.advance().unwrap();
             }
             assert!(cur.exhausted(), "run {ri} has extra records");
@@ -1651,7 +1814,7 @@ mod tests {
                 );
                 assert!(
                     m.counter(Counter::SpillReadaheadHits) > 0,
-                    "ovc={ovc} threads={threads}: read-ahead never hit"
+                    "ovc={ovc} threads={threads}: no record decoded in place"
                 );
             }
         }
@@ -1848,21 +2011,13 @@ mod tests {
                         .windows(2)
                         .map(|w| gen.make_run(chunk, w[0], w[1], &stats, &key_blocks, true))
                         .collect();
-                    let encoded: Vec<Run> = sorted
-                        .iter()
-                        .map(|run| {
-                            let (bytes, heap_bytes) = sorter.encode_run(run);
-                            Run {
-                                heap_bytes,
-                                ..memory_run(bytes, run.len())
-                            }
-                        })
-                        .collect();
-                    let size = (n, encoded.iter().map(|r| r.heap_bytes).sum());
+                    let encoded: Vec<Run> =
+                        sorted.iter().map(|run| memory_run(&sorter, run)).collect();
+                    let size = (n, encoded.iter().map(|r| r.index.heap_bytes).sum());
 
                     let mut cursors: Vec<RunCursor<'_>> = encoded
                         .iter()
-                        .map(|run| sorter.open_cursor(run, order.kw, None).unwrap())
+                        .map(|run| sorter.open_cursor(run, order.kw, run.whole()).unwrap())
                         .collect();
                     let from_files = kernel_merge(&sorter, &order, &mut cursors, size);
                     let mut in_memory: Vec<MemSource<'_>> = sorted
@@ -2012,16 +2167,16 @@ mod tests {
         assert!(fs.live_files().is_empty(), "leaked: {:?}", fs.live_files());
     }
 
-    /// Bit flips anywhere in a run file — keys, rows, length words, or the
-    /// trailer itself — surface as typed corruption, never as wrong rows.
+    /// Bit flips anywhere in a run file — keys, rows, length words, or a
+    /// block hash — surface as typed corruption, never as wrong rows.
     #[test]
     fn bit_flipped_run_file_is_detected() {
         let chunk = DataChunk::from_columns(vec![Vector::from_u32s(pseudo_random(2_000, 22, 300))])
             .unwrap();
         let order = OrderBy::ascending(1);
         let reference = in_memory_reference(&chunk, &order);
-        // Sweep flip positions across the record stream (byte 3 of a key,
-        // mid-row, a length word, deep into the file).
+        // Sweep flip positions across the file (the header's magic, the
+        // first key, mid-stream, deep into the file).
         for (at_byte, bit) in [(3u64, 7u8), (9, 0), (1500, 4), (4000, 1)] {
             let (sorter, fs) = faulty_sorter(
                 &chunk,
@@ -2318,7 +2473,7 @@ mod tests {
             },
         );
         let err = plain
-            .open_cursor(&runs[0], order.kw, None)
+            .open_cursor(&runs[0], order.kw, runs[0].whole())
             .err()
             .expect("flag mismatch must surface");
         assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
@@ -2326,7 +2481,7 @@ mod tests {
 
     /// A code whose decoded offset exceeds the key's word count can never
     /// be produced by the encoder; the cursor rejects it structurally on
-    /// the record that carries it, without waiting for the trailer.
+    /// the record that carries it, whatever the block's hash says.
     #[test]
     fn implausible_ovc_code_is_rejected_per_record() {
         let chunk = stringy_chunk(64, 34);
@@ -2340,21 +2495,25 @@ mod tests {
             },
         );
         let sorted = whole_run(&sorter, &chunk);
-        let (mut bytes, _) = sorter.encode_run(&sorted);
+        let clean = memory_run(&sorter, &sorted);
+        let mut bytes = bytes_of(&clean).to_vec();
         let kw = sorted.key_width;
         // Overwrite record 0's code (right after the 8-byte header and the
-        // key) with an offset no encoder can emit.
-        let at = 8 + kw;
+        // key) with an offset no encoder can emit, under a hash that
+        // vouches for it: the structural check alone is left to object.
+        let at = HEADER_BYTES + kw;
         bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
-        let run = memory_run(bytes, chunk.len());
+        reseal(&mut bytes, &clean.index, 0);
+        let run = with_bytes(&clean, bytes);
         let err = sorter
-            .open_cursor(&run, kw, None)
+            .open_cursor(&run, kw, run.whole())
             .err()
             .expect("implausible code must surface");
         assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
+        assert!(err.to_string().contains("implausible"), "got {err}");
     }
 
-    /// Version-1 (headerless) files and unknown header flags are rejected
+    /// Other magic, other versions and unknown header flags are rejected
     /// as corrupt rather than mis-parsed as records.
     #[test]
     fn bad_header_is_corrupt() {
@@ -2384,12 +2543,265 @@ mod tests {
         ] {
             let mut broken = bytes.clone();
             mutate(&mut broken);
-            let run = memory_run(broken, runs[0].rows());
+            let run = with_bytes(&runs[0], broken);
             let err = sorter
-                .open_cursor(&run, order.kw, None)
+                .open_cursor(&run, order.kw, run.whole())
                 .err()
                 .expect("bad header must surface");
             assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
         }
+    }
+
+    // ---- structure-aware corruption (DESIGN.md §8.3) ---------------------
+
+    /// A copy of `run` whose bytes are `bytes`: in memory, or as a file on
+    /// `fs` (which has no seek, so ranged opens go through `open_at`'s
+    /// default skip loop).
+    fn place(run: &Run, bytes: Vec<u8>, fs: Option<&FaultFs>) -> Run {
+        let Some(fs) = fs else {
+            return with_bytes(run, bytes);
+        };
+        let id = SPILL_COUNTER.fetch_add(1, AtomicOrdering::Relaxed);
+        let path = PathBuf::from(format!("mutated-{id}.run"));
+        let io: Arc<dyn SpillIo> = Arc::new(fs.clone());
+        io.create(&path).unwrap().write_all(&bytes).unwrap();
+        let metrics = Arc::new(CounterRegistry::new());
+        let spilled = SpilledRun { path, io, metrics };
+        Run {
+            store: RunStore::Spilled(spilled),
+            ..with_bytes(run, Vec::new())
+        }
+    }
+
+    /// Byte ranges of record `j` of block `b` in a run's encoding, in
+    /// record order: key, code (empty without OVC), row, length word,
+    /// string segment.
+    fn record_fields(
+        bytes: &[u8],
+        index: &RunIndex,
+        (b, j): (usize, usize),
+        (kw, width, ovc): (usize, usize, bool),
+    ) -> [std::ops::Range<usize>; 5] {
+        let mut at = index.blocks[b].off as usize + if b == 0 { HEADER_BYTES } else { 0 };
+        for skip in (0..=j).rev() {
+            let code_at = at + kw;
+            let row_at = code_at + if ovc { 8 } else { 0 };
+            let len_at = row_at + width;
+            let seg_at = len_at + 4;
+            let next = seg_at + u32::from_le_bytes(word(bytes, len_at)) as usize;
+            if skip == 0 {
+                return [
+                    at..code_at,
+                    code_at..row_at,
+                    row_at..len_at,
+                    len_at..seg_at,
+                    seg_at..next,
+                ];
+            }
+            at = next;
+        }
+        unreachable!("the loop returns at record j")
+    }
+
+    /// One seeded mutation of a run's encoding: a bit flipped in a chosen
+    /// field, a block moved, repeated or lost, the file cut short or
+    /// grown. Returns what was done, for the failure message.
+    fn mutate(
+        rng: &mut Rng,
+        bytes: &mut Vec<u8>,
+        index: &RunIndex,
+        shape: (usize, usize, bool),
+    ) -> String {
+        let blocks = &index.blocks;
+        let b = rng.below(blocks.len() as u64) as usize;
+        let span = |b: usize| blocks[b].off as usize..blocks[b].off as usize + blocks[b].len;
+        let rows_in =
+            blocks.get(b + 1).map_or(index.rows, |n| n.rows_before) - blocks[b].rows_before;
+        let j = rng.below(rows_in as u64) as usize;
+        let [key, code, row, seg_len, seg] = record_fields(bytes, index, (b, j), shape);
+        let kind = rng.below(13);
+        let flip = match kind {
+            0 => Some((0..HEADER_BYTES, "header")),
+            1 => Some((key, "key")),
+            2 if shape.2 => Some((code, "code")),
+            2 | 3 => Some((row, "row")),
+            4 => Some((seg_len, "segment length")),
+            5 if seg.is_empty() => Some((seg_len, "segment length")),
+            5 => Some((seg, "segment")),
+            6 => Some((span(b).end - HASH_BYTES..span(b).end, "block hash")),
+            _ => None,
+        };
+        if let Some((range, what)) = flip {
+            let (at, bit) = (rng.range(range.start, range.end), rng.below(8));
+            bytes[at] ^= 1 << bit;
+            return format!("flip bit {bit} of byte {at} ({what} of record {j}, block {b})");
+        }
+        match kind {
+            7 => {
+                let other = (b + 1 + rng.below(blocks.len() as u64 - 1) as usize) % blocks.len();
+                let (lo, hi) = (b.min(other), b.max(other));
+                let mut swapped = bytes[..span(lo).start].to_vec();
+                swapped.extend_from_slice(&bytes[span(hi)]);
+                swapped.extend_from_slice(&bytes[span(lo).end..span(hi).start]);
+                swapped.extend_from_slice(&bytes[span(lo)]);
+                swapped.extend_from_slice(&bytes[span(hi).end..]);
+                *bytes = swapped;
+                format!("swap blocks {lo} and {hi}")
+            }
+            8 => {
+                let copy = bytes[span(b)].to_vec();
+                bytes.splice(span(b).end..span(b).end, copy);
+                format!("duplicate block {b}")
+            }
+            9 => {
+                bytes.drain(span(b));
+                format!("drop block {b}")
+            }
+            10 => {
+                bytes.truncate(span(b).start);
+                format!("truncate before block {b}")
+            }
+            11 => {
+                let at = rng.range(span(b).start + 1, span(b).end);
+                bytes.truncate(at);
+                format!("truncate at byte {at}, inside block {b}")
+            }
+            _ => {
+                let extra = rng.range_inclusive(1usize, 16);
+                bytes.extend(rng.bytes(extra));
+                format!("append {extra} bytes")
+            }
+        }
+    }
+
+    /// Run files are untrusted: whatever happens to one between spill and
+    /// merge — a bit flipped in the header, a key, a code, a row, a length
+    /// word, a string or a block hash; a block swapped, duplicated or
+    /// dropped; the file truncated or grown — the merge answers
+    /// [`SpillError::Corrupt`], at any thread count and whether the run
+    /// is a file or in memory. (Or, for a mutation that changes nothing,
+    /// the unmutated rows.) Never a panic, an I/O error, or another row.
+    #[test]
+    fn run_file_mutations_are_corrupt_or_harmless() {
+        let chunk = stringy_chunk(9_000, 43);
+        let by = OrderBy::new(vec![OrderByColumn::asc(1), OrderByColumn::asc(0)]);
+        let fs = FaultFs::new(FaultSchedule::none());
+        struct Fixture {
+            sorters: Vec<ExternalSorter>,
+            runs: Vec<Run>,
+            rows: Vec<Vec<Value>>,
+        }
+        let fixtures: Vec<Fixture> = [false, true]
+            .into_iter()
+            .map(|ovc| {
+                let sorter_at = |merge_threads| {
+                    let options = ExternalSortOptions {
+                        memory_limit_rows: 3_000,
+                        ovc,
+                        merge_threads,
+                        ..Default::default()
+                    };
+                    ExternalSorter::new(chunk.types(), by.clone(), options)
+                };
+                let sorters: Vec<ExternalSorter> = [1, 2, 4].into_iter().map(sorter_at).collect();
+                let (stats, key_blocks) = plan(&sorters[0], &chunk);
+                let runs = sorters[0]
+                    .generate_spilled_runs(&chunk, &stats, &key_blocks)
+                    .unwrap();
+                // The same runs again, encoded in memory.
+                let runs: Vec<Run> = runs
+                    .iter()
+                    .map(|run| {
+                        let RunStore::Spilled(file) = &run.store else {
+                            panic!("expected a spilled run");
+                        };
+                        let mut bytes = Vec::new();
+                        let mut reader = file.io.open(&file.path).unwrap();
+                        reader.read_to_end(&mut bytes).unwrap();
+                        with_bytes(run, bytes)
+                    })
+                    .collect();
+                assert!(runs.iter().all(|r| r.index.blocks.len() >= 3));
+                let order = sorters[0].merge_order(&key_blocks.lock().unwrap()[0]);
+                let rows = sorters[0].merge_runs(&runs, &order).unwrap().to_rows();
+                Fixture {
+                    sorters,
+                    runs,
+                    rows,
+                }
+            })
+            .collect();
+
+        // Merge the fixture's runs with run `r` replaced, at every thread
+        // count: corrupt, or the clean rows.
+        let merge_all = |fix: &Fixture, r: usize, bytes: &[u8], on_fs: bool, strict: bool| {
+            for sorter in &fix.sorters {
+                let mut runs: Vec<Run> = fix
+                    .runs
+                    .iter()
+                    .map(|run| with_bytes(run, bytes_of(run).to_vec()))
+                    .collect();
+                runs[r] = place(&fix.runs[r], bytes.to_vec(), on_fs.then_some(&fs));
+                let (_, key_blocks) = plan(sorter, &chunk);
+                let order = sorter.merge_order(&key_blocks.lock().unwrap()[0]);
+                let threads = sorter.options.merge_threads;
+                match sorter.merge_runs(&runs, &order) {
+                    Err(SpillError::Corrupt { .. }) => {}
+                    Err(err) => {
+                        return Err(format!("threads={threads}: want Corrupt, got {err:?}"))
+                    }
+                    Ok(_) if strict => {
+                        return Err(format!("threads={threads}: merged a damaged run"))
+                    }
+                    Ok(out) if out.to_rows() != fix.rows => {
+                        return Err(format!("threads={threads}: merged to other rows"));
+                    }
+                    Ok(_) => {}
+                }
+            }
+            Ok(())
+        };
+
+        // Unmutated, the runs merge to the same rows at every thread count
+        // and from either store.
+        for fix in &fixtures {
+            for on_fs in [false, true] {
+                merge_all(fix, 0, bytes_of(&fix.runs[0]), on_fs, false).unwrap();
+            }
+        }
+
+        // Every truncation — before each block and inside it — is corrupt:
+        // the index knows how long the file must be, so a range opened
+        // past the new end is truncation too, not an I/O error.
+        for fix in &fixtures {
+            for (r, run) in fix.runs.iter().enumerate() {
+                for meta in &run.index.blocks {
+                    for cut in [meta.off as usize, meta.off as usize + meta.len / 2] {
+                        for on_fs in [false, true] {
+                            merge_all(fix, r, &bytes_of(run)[..cut], on_fs, true).unwrap_or_else(
+                                |e| panic!("run {r} cut to {cut} bytes, on_fs={on_fs}: {e}"),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+
+        Runner::new("run_file_mutations_are_corrupt_or_harmless")
+            .cases(128)
+            .run(&full::<u64>(), |&seed| {
+                let mut rng = Rng::seed_from_u64(seed);
+                let fix = &fixtures[rng.below(2) as usize];
+                let r = rng.below(fix.runs.len() as u64) as usize;
+                let on_fs = rng.chance(0.5);
+                let sorter = &fix.sorters[0];
+                let kw = fix.runs[r].index.first_keys.len() / fix.runs[r].index.blocks.len();
+                let shape = (kw, sorter.layout.width(), sorter.use_ovc(kw));
+                let mut bytes = bytes_of(&fix.runs[r]).to_vec();
+                let what = mutate(&mut rng, &mut bytes, &fix.runs[r].index, shape);
+                let changed = bytes != bytes_of(&fix.runs[r]);
+                merge_all(fix, r, &bytes, on_fs, changed)
+                    .map_err(|e| format!("run {r}, on_fs={on_fs}, {what}: {e}"))
+            });
     }
 }

@@ -116,8 +116,9 @@ pub(crate) trait RunSource {
     fn row(&self) -> &[u8];
     fn heap(&self) -> &[u8];
     /// Step to the next record, or past the last one (`exhausted`). A
-    /// file-backed source decodes — and past the last record verifies —
-    /// here, so this is where a corrupt or unreadable run surfaces.
+    /// file-backed source fetches, verifies and decodes here — and past
+    /// its run's last record checks that the file ends — so this is
+    /// where a corrupt or unreadable run surfaces.
     fn advance(&mut self) -> Result<(), SpillError>;
     /// Names the source in errors a sink raises about its records.
     fn path(&self) -> &Path;
@@ -263,8 +264,9 @@ impl MergeSink for SegmentSink<'_> {
             let len = u32::from_le_bytes(word::<4>(slot, at + 4)) as usize;
             let (end, pos) = (rel + len, self.heap_pos);
             if end > seg.len() || pos + len > self.heap.len() {
-                // Only reachable with corrupted offsets or lengths the
-                // checksum has not yet had a chance to reject.
+                // The record came out of a verified block or a run in
+                // memory, so only a bug upstream gets here — as an error,
+                // not as an out-of-bounds copy.
                 return Err(SpillError::corrupt(
                     src.path(),
                     "string segment reference out of bounds",
@@ -361,8 +363,8 @@ impl MergeOrder<'_> {
 /// every resident loser on its root path was re-coded against.
 ///
 /// On return every source has been advanced past its last record, so
-/// file-backed sources have verified their trailers before the output
-/// escapes.
+/// a file-backed source whose range ends its run has checked that the
+/// file ends there before the output escapes.
 pub(crate) fn merge_kway<const OVC: bool, S: RunSource, K: MergeSink>(
     order: &MergeOrder<'_>,
     tree: &mut OvcLoserTree,
@@ -414,9 +416,9 @@ pub(crate) fn merge_kway<const OVC: bool, S: RunSource, K: MergeSink>(
 const MERGE_SAMPLES_PER_RUN: usize = 32;
 
 /// Minimum rows per key range. Below this the per-range overhead (a tree
-/// and a cursor per run, for spilled runs a read-ahead buffer pair too)
-/// outweighs the parallelism, so the range count is capped at
-/// `total / 256`.
+/// and a cursor per run, for spilled runs a block buffer and a seam
+/// block read too) outweighs the parallelism, so the range count is
+/// capped at `total / 256`.
 const MIN_ROWS_PER_PARTITION: usize = 256;
 
 /// How many key ranges to cut a merge of `runs` runs holding `total` rows
@@ -455,8 +457,9 @@ pub(crate) fn choose_splitters(samples: &mut [&[u8]], parts: usize, out: &mut Ve
 }
 
 /// The cut a splitter makes in a sorted key column of `kw`-byte keys: the
-/// index of the first key `>= splitter`. (Spilled runs are sequential
-/// files; their cuts come from a scan with the same rule.)
+/// index of the first key `>= splitter`. (A spilled run's column is its
+/// blocks' first keys: the search names the one block to walk for the
+/// cut, by the same rule.)
 pub(crate) fn lower_bound(keys: &[u8], kw: usize, splitter: &[u8]) -> usize {
     let (mut lo, mut hi) = (0, keys.len() / kw);
     while lo < hi {

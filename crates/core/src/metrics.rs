@@ -37,8 +37,8 @@ use rowsort_testkit::json::Json;
 /// Pipeline sorts use the first three (they partition `sort_rows` almost
 /// exactly, so their sum ≈ total sort time) plus, when the caller asks
 /// for vectors back (`SortPipeline::sort`), the fourth; external sorts
-/// use `Prepare` and the last two the same way (their conversion back to
-/// vectors sits inside `SpillMerge`).
+/// use `Prepare`, the last two and — they always hand vectors back —
+/// `Gather` the same way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Column statistics + key-layout preparation before run generation.
@@ -142,11 +142,16 @@ pub enum Counter {
     /// Key ranges the partitioned spill merge cut the run files into
     /// (1 per sort when the merge ran single-threaded).
     SpillMergePartitions,
-    /// Spill-merge record reads served from an already-buffered
-    /// read-ahead block (no backend I/O call).
+    /// Records the spill merge's cursors (seam walks included) decoded
+    /// in place from a block already read and verified — no backend I/O
+    /// call, no copy. The name and the JSON key `spill_readahead_hits`
+    /// are from when a read-ahead wrapper counted buffered reads; the
+    /// benchmark reads the key by name, so it stays until a `benchmark`
+    /// change can rename both.
     SpillReadaheadHits,
-    /// Run-file bytes skipped (seeked over) to position range cursors at
-    /// their seam offsets — the I/O cost of the range boundaries.
+    /// Run-file bytes skipped (seeked over) to position cursors at the
+    /// block their range or seam walk starts in — the I/O cost of the
+    /// range boundaries.
     SpillSeamSkipBytes,
     /// Rows in the largest key range of a range-partitioned k-way merge,
     /// in memory or spilled (one range: all of them). Added once per
@@ -154,11 +159,16 @@ pub enum Counter {
     /// that sort's largest range: `rows / ranges` when the splitters cut
     /// evenly, up to `rows` when one key value holds most of them.
     MergeMaxRangeRows,
+    /// Run bytes the spill merge fetched: every block a range cursor or
+    /// a seam walk read. Over [`Counter::SpilledBytes`] it is how many
+    /// times the merge read what the sort wrote — 1.0 at one merge
+    /// thread, a block or two per run and splitter more above that.
+    SpillReadBytes,
 }
 
 impl Counter {
     /// Number of counters (array dimension of the registry).
-    pub const COUNT: usize = 26;
+    pub const COUNT: usize = 27;
 
     /// All counters, in declaration order (= registry index order).
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -188,6 +198,7 @@ impl Counter {
         Counter::SpillReadaheadHits,
         Counter::SpillSeamSkipBytes,
         Counter::MergeMaxRangeRows,
+        Counter::SpillReadBytes,
     ];
 
     /// The snake_case name used in trace JSON and text dumps.
@@ -219,6 +230,7 @@ impl Counter {
             Counter::SpillReadaheadHits => "spill_readahead_hits",
             Counter::SpillSeamSkipBytes => "spill_seam_skip_bytes",
             Counter::MergeMaxRangeRows => "merge_max_range_rows",
+            Counter::SpillReadBytes => "spill_read_bytes",
         }
     }
 }

@@ -20,12 +20,8 @@
 use std::fmt;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
-use std::sync::Arc;
 
 use rowsort_testkit::faultfs::FaultFs;
-
-use crate::metrics::{Counter, CounterRegistry};
-use crate::pool::BufferPool;
 
 /// Which spill operation failed. Carried inside [`SpillError::Io`] so
 /// error messages name the phase (`create`, `write`, …) without parsing
@@ -167,11 +163,14 @@ pub trait SpillIo: Send + Sync {
     /// Open a run file for sequential reading.
     fn open(&self, path: &Path) -> io::Result<Box<dyn Read + Send>>;
 
-    /// Open a run file positioned at byte `offset` — the seam seek the
-    /// partitioned merge uses to start each worker's cursor at its range
-    /// boundary. The default implementation opens and discards `offset`
-    /// bytes, which is correct for any backend; backends with real seek
-    /// support (like [`StdFs`]) override it.
+    /// Open a run file positioned at byte `offset` — how the merge starts
+    /// a cursor at the block its key range begins in. The default
+    /// implementation opens and discards `offset` bytes, which is correct
+    /// for any backend; backends with real seek support (like [`StdFs`])
+    /// override it. An offset past the file's end may fail with
+    /// [`io::ErrorKind::UnexpectedEof`] (as the default does) or succeed
+    /// and read nothing (as a seek does): the sorter knows how long the
+    /// file must be and calls either one truncation.
     fn open_at(&self, path: &Path, offset: u64) -> io::Result<Box<dyn Read + Send>> {
         let mut reader = self.open(path)?;
         let mut remaining = offset;
@@ -197,25 +196,25 @@ pub trait SpillIo: Send + Sync {
     fn delete(&self, path: &Path) -> io::Result<()>;
 }
 
-/// The default backend: plain `std::fs`, buffered on both sides.
+/// The default backend: plain `std::fs`, unbuffered — the sorter writes
+/// and reads whole blocks through buffers of its own, which a `BufWriter`
+/// or `BufReader` would only copy once more.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StdFs;
 
 impl SpillIo for StdFs {
     fn create(&self, path: &Path) -> io::Result<Box<dyn Write + Send>> {
-        let file = std::fs::File::create(path)?;
-        Ok(Box::new(io::BufWriter::new(file)))
+        Ok(Box::new(std::fs::File::create(path)?))
     }
 
     fn open(&self, path: &Path) -> io::Result<Box<dyn Read + Send>> {
-        let file = std::fs::File::open(path)?;
-        Ok(Box::new(io::BufReader::new(file)))
+        Ok(Box::new(std::fs::File::open(path)?))
     }
 
     fn open_at(&self, path: &Path, offset: u64) -> io::Result<Box<dyn Read + Send>> {
         let mut file = std::fs::File::open(path)?;
         file.seek(SeekFrom::Start(offset))?;
-        Ok(Box::new(io::BufReader::new(file)))
+        Ok(Box::new(file))
     }
 
     fn delete(&self, path: &Path) -> io::Result<()> {
@@ -236,134 +235,6 @@ impl SpillIo for FaultFs {
 
     fn delete(&self, path: &Path) -> io::Result<()> {
         FaultFs::delete(self, &path.display().to_string())
-    }
-}
-
-/// Double-buffered read-ahead over a spill reader.
-///
-/// Decode in the merge loop consumes small records (tens of bytes); going
-/// through the boxed `dyn Read` for each one costs a virtual call and, for
-/// `StdFs`, a `BufReader` bounds check per field. `ReadAhead` amortizes
-/// that by pulling [`ReadAhead::BLOCK`]-sized chunks into two pooled
-/// buffers: the *front* block serves decode while the *back* block holds
-/// the next chunk, so a worker draining its range touches the underlying
-/// reader once per 64 KiB instead of once per field. Both blocks come from
-/// the [`BufferPool`] and return to it on drop, keeping the steady-state
-/// merge at zero allocations; reads served without refilling are counted
-/// into [`Counter::SpillReadaheadHits`] when the wrapper drops.
-pub struct ReadAhead<'a> {
-    inner: Box<dyn Read + Send + 'a>,
-    front: Vec<u8>,
-    back: Vec<u8>,
-    pos: usize,
-    /// The inner reader returned EOF; `back` holds the final partial block.
-    eof: bool,
-    /// `back` has never been primed (distinct from "drained to empty").
-    primed: bool,
-    hits: u64,
-    pool: Arc<BufferPool>,
-    metrics: Arc<CounterRegistry>,
-}
-
-impl<'a> ReadAhead<'a> {
-    /// Bytes fetched per block. Two blocks in flight per run cursor.
-    pub const BLOCK: usize = 64 * 1024;
-
-    /// Wrap `inner`, borrowing buffers from `pool`. No I/O happens until
-    /// the first read, so construction cannot fail or leak pool buffers.
-    pub fn new(
-        inner: Box<dyn Read + Send + 'a>,
-        pool: &Arc<BufferPool>,
-        metrics: &Arc<CounterRegistry>,
-    ) -> ReadAhead<'a> {
-        ReadAhead {
-            inner,
-            front: pool.get_bytes(Self::BLOCK),
-            back: pool.get_bytes(Self::BLOCK),
-            pos: 0,
-            eof: false,
-            primed: false,
-            hits: 0,
-            pool: Arc::clone(pool),
-            metrics: Arc::clone(metrics),
-        }
-    }
-
-    /// Fill `buf` with up to [`Self::BLOCK`] bytes from `inner`. Returns
-    /// the number filled; fewer than a full block means EOF was reached.
-    fn fill_block(inner: &mut dyn Read, buf: &mut Vec<u8>) -> io::Result<usize> {
-        buf.resize(Self::BLOCK, 0);
-        let mut filled = 0;
-        while filled < Self::BLOCK {
-            match inner.read(&mut buf[filled..]) {
-                Ok(0) => break,
-                Ok(n) => filled += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    buf.truncate(0);
-                    return Err(e);
-                }
-            }
-        }
-        buf.truncate(filled);
-        Ok(filled)
-    }
-}
-
-impl Read for ReadAhead<'_> {
-    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        if out.is_empty() {
-            return Ok(0);
-        }
-        let mut refilled = false;
-        loop {
-            if self.pos < self.front.len() {
-                let n = (self.front.len() - self.pos).min(out.len());
-                out[..n].copy_from_slice(&self.front[self.pos..self.pos + n]);
-                self.pos += n;
-                if !refilled {
-                    self.hits += 1;
-                }
-                return Ok(n);
-            }
-            if self.primed && self.back.is_empty() && self.eof {
-                return Ok(0);
-            }
-            refilled = true;
-            if !self.primed {
-                // First read: prime the front block directly, then fall
-                // through to prefetch the back block below.
-                self.primed = true;
-                let n = Self::fill_block(self.inner.as_mut(), &mut self.front)?;
-                self.pos = 0;
-                if n < Self::BLOCK {
-                    self.eof = true;
-                    self.back.truncate(0);
-                    continue;
-                }
-            } else {
-                std::mem::swap(&mut self.front, &mut self.back);
-                self.pos = 0;
-                self.back.truncate(0);
-                if self.eof {
-                    continue;
-                }
-            }
-            if !self.eof {
-                let n = Self::fill_block(self.inner.as_mut(), &mut self.back)?;
-                if n < Self::BLOCK {
-                    self.eof = true;
-                }
-            }
-        }
-    }
-}
-
-impl Drop for ReadAhead<'_> {
-    fn drop(&mut self) {
-        self.metrics.add(Counter::SpillReadaheadHits, self.hits);
-        self.pool.put_bytes(std::mem::take(&mut self.front));
-        self.pool.put_bytes(std::mem::take(&mut self.back));
     }
 }
 
@@ -476,53 +347,6 @@ mod tests {
         fs.open_at(&path, 4).unwrap().read_to_end(&mut got).unwrap();
         assert_eq!(got, b"456789");
         fs.delete(&path).unwrap();
-    }
-
-    #[test]
-    fn readahead_preserves_the_byte_stream() {
-        let pool = Arc::new(BufferPool::new());
-        let metrics = Arc::new(CounterRegistry::new());
-        // Cross several block boundaries with a pattern that detects any
-        // misalignment, reading in awkward chunk sizes.
-        let payload: Vec<u8> = (0..3 * ReadAhead::BLOCK + 777)
-            .map(|i| (i % 253) as u8)
-            .collect();
-        let reader: Box<dyn Read + Send> = Box::new(io::Cursor::new(payload.clone()));
-        let mut ra = ReadAhead::new(reader, &pool, &metrics);
-        let mut got = Vec::new();
-        let mut chunk = [0u8; 1013];
-        loop {
-            match ra.read(&mut chunk).unwrap() {
-                0 => break,
-                n => got.extend_from_slice(&chunk[..n]),
-            }
-        }
-        drop(ra);
-        assert_eq!(got, payload);
-        assert!(
-            metrics.snapshot().counter(Counter::SpillReadaheadHits) > 0,
-            "buffered reads should register as read-ahead hits"
-        );
-        // Both blocks went back to the pool: the next two requests recycle.
-        let before = pool.hits();
-        let a = pool.get_bytes(ReadAhead::BLOCK);
-        let b = pool.get_bytes(ReadAhead::BLOCK);
-        assert_eq!(pool.hits(), before + 2, "blocks were returned on drop");
-        pool.put_bytes(a);
-        pool.put_bytes(b);
-    }
-
-    #[test]
-    fn readahead_handles_empty_and_tiny_inputs() {
-        let pool = Arc::new(BufferPool::new());
-        let metrics = Arc::new(CounterRegistry::new());
-        for payload in [Vec::new(), vec![42u8], vec![7u8; 100]] {
-            let reader: Box<dyn Read + Send> = Box::new(io::Cursor::new(payload.clone()));
-            let mut ra = ReadAhead::new(reader, &pool, &metrics);
-            let mut got = Vec::new();
-            ra.read_to_end(&mut got).unwrap();
-            assert_eq!(got, payload);
-        }
     }
 
     #[test]

@@ -145,7 +145,7 @@ fn spill_path_matches_reference() {
 #[test]
 fn partitioned_spill_merge_matches_reference() {
     // Enough rows that plan_parts actually partitions (>= 256 rows per
-    // range) and several runs so the seam scan and ranged cursors run.
+    // range) and several runs so the seam search and ranged cursors run.
     let chunk = tricky_chunk(1600, 13);
     let order = order_s_n();
     let expected = expected_rows(&chunk, &order);

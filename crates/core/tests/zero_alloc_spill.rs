@@ -1,8 +1,9 @@
 //! Pins the allocation profile of the range-partitioned spill merge: a
 //! warmed-up external sorter reaches a steady state where per-sort
 //! system allocations are constant up to a small scheduling jitter and
-//! the buffer pool (merge output slots, read-ahead blocks) almost never
-//! misses — pooled buffers are recycled, not reallocated.
+//! the buffer pool (merge output slots, the encoder's and the cursors'
+//! block buffers) almost never misses — pooled buffers are recycled, not
+//! reallocated.
 //!
 //! The external path cannot claim literal zero (each sort opens fresh
 //! run files and cursors), and with two merge workers the peak number of
@@ -10,7 +11,9 @@
 //! them — a pass that overlaps more than any warmup pass mints a few
 //! pool buffers once. The pin is therefore *bounded constancy*: per-sort
 //! deltas may differ only by that one-time refill allowance, far below
-//! what any per-row or per-record leak would produce.
+//! what any per-row or per-record leak would produce. In bytes, the pin
+//! is that no run's encoding is ever held whole: a warmed sort through
+//! real files asks the allocator for less than its runs' encoded size.
 //!
 //! The counting allocator is installed globally for this test binary, so
 //! the file holds exactly one test: any parallel test in the same binary
@@ -20,7 +23,7 @@ use std::sync::Arc;
 
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
 use rowsort_core::metrics::Counter;
-use rowsort_testkit::alloc::{allocation_count, CountingAllocator};
+use rowsort_testkit::alloc::{allocated_bytes, allocation_count, CountingAllocator};
 use rowsort_testkit::faultfs::{FaultFs, FaultSchedule};
 use rowsort_testkit::Rng;
 use rowsort_vector::{DataChunk, OrderBy, Vector};
@@ -38,29 +41,30 @@ fn warmed_partitioned_spill_merge_allocates_a_constant_amount() {
     // An in-memory fault-free filesystem keeps the I/O layer's own
     // allocations deterministic; merge_threads: 2 forces the partitioned
     // path even on a single-core machine.
+    let options = ExternalSortOptions {
+        memory_limit_rows: 2_000,
+        ovc: true,
+        merge_threads: 2,
+        ..Default::default()
+    };
     let sorter = ExternalSorter::with_spill_io(
         chunk.types(),
         OrderBy::ascending(1),
-        ExternalSortOptions {
-            memory_limit_rows: 2_000,
-            ovc: true,
-            merge_threads: 2,
-            ..Default::default()
-        },
+        options.clone(),
         Arc::new(FaultFs::new(FaultSchedule::none())),
     );
 
-    // Warm up: populate the buffer pool (read-ahead blocks for every
-    // cursor plus the two pooled merge output slots) and spawn the
-    // worker pool's thread. Two passes so every size class is pooled.
+    // Warm up: populate the buffer pool (a block buffer for every cursor
+    // plus the two pooled merge output slots) and spawn the worker
+    // pool's thread. Two passes so every size class is pooled.
     for _ in 0..2 {
         drop(sorter.sort(&chunk).unwrap());
     }
 
     // Worst-case one-time pool refill: both workers holding a full
-    // cursor set at once — 2 workers x 10 runs x 2 read-ahead blocks,
-    // plus the two output slots.
-    const REFILL_ALLOWANCE: usize = 48;
+    // cursor set at once — 2 workers x 10 runs x 1 block buffer, plus
+    // the two output slots.
+    const REFILL_ALLOWANCE: usize = 22;
 
     let mut deltas = [0usize; 4];
     let mut misses = 0u64;
@@ -74,10 +78,7 @@ fn warmed_partitioned_spill_merge_allocates_a_constant_amount() {
         misses += sorter.metrics().counter(Counter::PoolMisses) - misses_before;
     }
 
-    let (lo, hi) = (
-        *deltas.iter().min().unwrap(),
-        *deltas.iter().max().unwrap(),
-    );
+    let (lo, hi) = (*deltas.iter().min().unwrap(), *deltas.iter().max().unwrap());
     assert!(
         hi - lo <= REFILL_ALLOWANCE,
         "warmed spill sorts must allocate a constant amount up to the \
@@ -90,8 +91,8 @@ fn warmed_partitioned_spill_merge_allocates_a_constant_amount() {
     );
 
     // The measured sorts really took the partitioned path: the last sort
-    // split the merge into both planned ranges and the read-ahead served
-    // run bytes from its pooled blocks.
+    // split the merge into both planned ranges and the cursors decoded
+    // records in place from their pooled blocks.
     let profile = sorter.last_profile();
     assert_eq!(
         profile.metrics.counter(Counter::SpillMergePartitions),
@@ -100,7 +101,35 @@ fn warmed_partitioned_spill_merge_allocates_a_constant_amount() {
     );
     assert!(
         profile.metrics.counter(Counter::SpillReadaheadHits) > 0,
-        "read-ahead never hit"
+        "no record decoded in place"
     );
     assert!(profile.metrics.counter(Counter::PoolHits) > 0);
+
+    // In bytes, through real files (the in-memory filesystem above
+    // allocates every file it stores): the encoder streams each run
+    // through one pooled block, so a warmed sort — output vectors and
+    // file handles included — requests less than its runs' encoded size.
+    // A run's encoding held whole, anywhere, is at least that much.
+    let dir = std::env::temp_dir().join(format!("rowsort-zero-alloc-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let options = ExternalSortOptions {
+        spill_dir: Some(dir.clone()),
+        ..options
+    };
+    let on_disk = ExternalSorter::new(chunk.types(), OrderBy::ascending(1), options);
+    for _ in 0..2 {
+        drop(on_disk.sort(&chunk).unwrap());
+    }
+    let before = allocated_bytes();
+    drop(on_disk.sort(&chunk).unwrap());
+    let requested = (allocated_bytes() - before) as u64;
+    std::fs::remove_dir_all(&dir).unwrap();
+    let encoded = on_disk
+        .last_profile()
+        .metrics
+        .counter(Counter::SpilledBytes);
+    assert!(
+        requested < encoded,
+        "a warmed sort requested {requested} bytes to spill and merge {encoded}"
+    );
 }

@@ -197,15 +197,17 @@ fn sort_detail(profile: &rowsort_core::SortProfile) -> String {
         };
     }
     // Range-partitioned merge shape: how many disjoint key ranges the
-    // spilled-run merge ran in parallel, and how often the double-buffered
-    // read-ahead served run bytes without blocking on the filesystem.
+    // spilled-run merge ran in parallel, and how many times over it read
+    // what the sort had spilled — 1.00x when every run file is read once,
+    // a little more for the blocks at the seams between ranges.
     let parts = profile.metrics.counter(Counter::SpillMergePartitions);
     if parts > 1 {
         let _ = write!(s, " spill_parts={parts}");
     }
-    let hits = profile.metrics.counter(Counter::SpillReadaheadHits);
-    if hits > 0 {
-        let _ = write!(s, " readahead_hits={hits}");
+    let spilled = profile.metrics.counter(Counter::SpilledBytes);
+    if spilled > 0 {
+        let read = profile.metrics.counter(Counter::SpillReadBytes);
+        let _ = write!(s, " reread={:.2}x", read as f64 / spilled as f64);
     }
     s
 }
@@ -910,6 +912,13 @@ mod tests {
             (Counter::MergeMaxRangeRows, 9_999),
         ];
         assert_eq!(detail(&spilled), " spill_parts=2");
+        // ... and how many times over it read what was spilled.
+        let reread = [
+            (Counter::SpillMergePartitions, 2),
+            (Counter::SpilledBytes, 32_004_096),
+            (Counter::SpillReadBytes, 34_099_456),
+        ];
+        assert_eq!(detail(&reread), " spill_parts=2 reread=1.07x");
         assert_eq!(short_count(9_999), "9999");
         assert_eq!(short_count(12_500_000), "13M");
     }

@@ -32,7 +32,7 @@
 //! max-statements = 8
 //!
 //! [taint-sources]        # R021: calls producing untrusted bytes
-//! calls = [".read", ".read_exact", "Self::fill"]
+//! calls = [".read", ".read_exact", ".block_u32"]
 //!
 //! [taint-sanitizers]     # R021: calls that launder a tainted value
 //! calls = []

@@ -1,8 +1,9 @@
 //! R021 — untrusted spill bytes must be sanitized before sizing memory.
 //!
 //! Sources come from `lint.toml [taint-sources]` (`.read`,
-//! `.read_exact`, `Self::fill` in this workspace); bytes they produce
-//! stay tainted through `from_le_bytes`/`as` decoding and arithmetic
+//! `.read_exact`, and the run cursor's `.block_u32` / `.block_u64`
+//! decodes in this workspace); what they produce
+//! stays tainted through `from_le_bytes`/`as` decoding and arithmetic
 //! until a sanitizer (`.min`, `try_into`, or a configured call) or a
 //! dominating comparison against an untainted bound launders them. A
 //! tainted integer reaching an allocation-size sink (`with_capacity`,

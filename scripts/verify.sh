@@ -89,15 +89,20 @@ mkdir -p target/perf
 trace_jsonl="$PWD/target/perf/trace_smoke.jsonl"
 cargo run --release --offline -q -p rowsort-bench --bin trace_smoke -- "$trace_jsonl"
 
-# --- 5b. Merge counter gate --------------------------------------------------
-# A gate without a clock, ahead of the two that read one: the coded
+# --- 5b. Merge counter gates -------------------------------------------------
+# Gates without a clock, ahead of the two that read one. The coded
 # in-memory merge is one range-partitioned k-way pass at any thread count
 # (merge_rounds == 1, bytes_moved exact and equal across thread counts,
 # merge_tasks == ranges, a warm pool never missed) and its rows are
-# bit-identical to the OVC-off cascade's. Runs inside step 3 too; the
-# named step makes a regression in the merge's shape fail on its own line.
-echo "== merge counter gate =="
+# bit-identical to the OVC-off cascade's. The spill merge reads every run
+# file once: bytes read at the SpillIo handles == bytes written at one
+# merge thread, at most two blocks per run and splitter more above it,
+# rows the pipeline's at every thread count. Both run inside step 3 too;
+# the named step makes a regression in a merge's shape fail on its own
+# line.
+echo "== merge counter gates =="
 cargo test -q -p rowsort-core --offline --test merge_moves_once
+cargo test -q -p rowsort-core --offline --test spill_reads_once
 
 # --- 6. Pipeline perf gate ---------------------------------------------------
 # A fast pipeline bench run (250k rows, not the full Figure 12 sizes),
@@ -130,10 +135,11 @@ cargo run --release --offline -q -p rowsort-bench --bin bench_gate -- \
     BENCH_pipeline.json "$smoke_json" --tolerance 25 --trace "$trace_jsonl"
 
 # --- 6b. Spill-merge perf gate -----------------------------------------------
-# The partitioned spilled-run merge against its single-threaded twin
-# (100k rows, 16 runs), gated against BENCH_spill_merge.json the same
-# way. The baseline was captured on a single-core host; the gate is a
-# relative regression check per bench id, not a parallel-speedup claim.
+# The external sort of 16 spilled runs at 1 and at 4 merge threads (100k
+# rows; one code path, cut into 1 or 4 key ranges), gated against
+# BENCH_spill_merge.json the same way. The baseline is this host class's
+# slowest median of several runs; the gate is a relative regression
+# check per bench id, not a parallel-speedup claim.
 echo "== spill-merge perf gate =="
 spill_json="$PWD/target/perf/spill_merge_smoke.json"
 rm -f "$spill_json"
