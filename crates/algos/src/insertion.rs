@@ -46,27 +46,20 @@ where
 
 /// Insertion sort over fixed-width byte rows.
 ///
-/// Shifts rows with `memmove` through a temporary row buffer, mirroring how
-/// an interpreted engine moves whole tuples it cannot give a compile-time
-/// type.
+/// Moves each row into place with one rotation of the rows it passes,
+/// mirroring how an interpreted engine moves whole tuples it cannot give
+/// a compile-time type.
 pub fn insertion_sort_rows<F>(rows: &mut RowsMut<'_>, is_less: &mut F)
 where
     F: FnMut(&[u8], &[u8]) -> bool,
 {
-    let n = rows.len();
-    let w = rows.width();
-    let mut tmp = vec![0u8; w];
-    for i in 1..n {
-        // Find insertion point scanning left; shift in one memmove.
+    for i in 1..rows.len() {
+        // Find insertion point scanning left; shift in one rotation.
         let mut j = i;
         while j > 0 && is_less(rows.row(i), rows.row(j - 1)) {
             j -= 1;
         }
-        if j != i {
-            tmp.copy_from_slice(rows.row(i));
-            rows.shift_right(j, i);
-            rows.row_mut(j).copy_from_slice(&tmp);
-        }
+        rows.rotate_right(j, i + 1);
     }
 }
 

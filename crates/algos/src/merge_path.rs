@@ -47,32 +47,6 @@ where
     merge_path_partition_by(a.len(), b.len(), diag, |j, i| is_less(&b[j], &a[i]))
 }
 
-/// Split a 2-way merge of `a` and `b` into `parts` contiguous output
-/// ranges, returning for each part the `(a_range, b_range)` to merge.
-/// Concatenating the per-part merges yields the full stable merge.
-pub fn merge_path_splits<T, F>(
-    a: &[T],
-    b: &[T],
-    parts: usize,
-    is_less: &mut F,
-) -> Vec<(std::ops::Range<usize>, std::ops::Range<usize>)>
-where
-    F: FnMut(&T, &T) -> bool,
-{
-    assert!(parts > 0);
-    let total = a.len() + b.len();
-    let mut bounds = Vec::with_capacity(parts + 1);
-    for p in 0..=parts {
-        let diag = total * p / parts;
-        bounds.push(merge_path_partition(a, b, diag, is_less));
-    }
-    bounds
-        .iter()
-        .zip(bounds.iter().skip(1))
-        .map(|(lo, hi)| (lo.0..hi.0, lo.1..hi.1))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,24 +101,5 @@ mod tests {
         let a = vec![1u32, 2];
         let b: Vec<u32> = vec![];
         assert_eq!(merge_path_partition(&a, &b, 1, &mut |x, y| x < y), (1, 0));
-    }
-
-    #[test]
-    fn splits_cover_whole_merge() {
-        let a: Vec<u32> = (0..997).map(|i| i * 7 % 1000).collect::<Vec<_>>();
-        let mut a = a;
-        a.sort_unstable();
-        let mut b: Vec<u32> = (0..1205).map(|i| i * 13 % 999).collect();
-        b.sort_unstable();
-        let full = reference_merge(&a, &b);
-        for parts in [1, 2, 3, 8] {
-            let splits = merge_path_splits(&a, &b, parts, &mut |x, y| x < y);
-            assert_eq!(splits.len(), parts);
-            let mut rebuilt = Vec::new();
-            for (ra, rb) in splits {
-                rebuilt.extend(reference_merge(&a[ra], &b[rb]));
-            }
-            assert_eq!(rebuilt, full, "parts={parts}");
-        }
     }
 }

@@ -44,7 +44,7 @@ fn log2(n: usize) -> u32 {
 /// Sort `v` with pattern-defeating quicksort.
 ///
 /// ```
-/// let mut v = vec![5u32, 1, 4, 1, 3];
+/// let mut v = [5u32, 1, 4, 1, 3];
 /// rowsort_algos::pdqsort::pdqsort(&mut v, &mut |a, b| a < b);
 /// assert_eq!(v, [1, 1, 3, 4, 5]);
 /// ```
@@ -403,17 +403,18 @@ where
         return;
     }
     let limit = log2(rows.len());
-    let mut pred: Option<Vec<u8>> = None;
-    recurse_rows(rows, 0, rows.len(), is_less, &mut pred, limit);
+    recurse_rows(rows, 0, rows.len(), is_less, None, limit);
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Sort rows `start..end`. `pred` is the index of the predecessor pivot:
+/// a row already in its final place, outside the range, that nothing
+/// sorted here moves — so it is read in place instead of copied.
 fn recurse_rows<F>(
     rows: &mut RowsMut<'_>,
     mut start: usize,
     mut end: usize,
     is_less: &mut F,
-    pred: &mut Option<Vec<u8>>,
+    mut pred: Option<usize>,
     mut limit: u32,
 ) where
     F: FnMut(&[u8], &[u8]) -> bool,
@@ -449,8 +450,8 @@ fn recurse_rows<F>(
             }
         }
 
-        if let Some(p) = pred.as_deref() {
-            if !is_less(p, rows.row(start + pivot_rel)) {
+        if let Some(p) = pred {
+            if !is_less(rows.row(p), rows.row(start + pivot_rel)) {
                 let mid = {
                     let mut range = rows.sub(start, end);
                     partition_left_rows(&mut range, pivot_rel, is_less)
@@ -467,16 +468,12 @@ fn recurse_rows<F>(
         let mid = start + mid_rel;
         was_balanced = mid_rel.min(len - mid_rel) >= len / 8;
 
-        // lint:allow(R003): one pivot-row copy per partition step — O(log n)
-        // copies per sort for the predecessor-pivot check, not per row.
-        let pivot_val = rows.row(mid).to_vec();
         if mid - start < end - mid - 1 {
             recurse_rows(rows, start, mid, is_less, pred, limit);
             start = mid + 1;
-            *pred = Some(pivot_val);
+            pred = Some(mid);
         } else {
-            let mut right_pred = Some(pivot_val);
-            recurse_rows(rows, mid + 1, end, is_less, &mut right_pred, limit);
+            recurse_rows(rows, mid + 1, end, is_less, Some(mid), limit);
             end = mid;
         }
     }
@@ -569,15 +566,16 @@ fn partition_right_rows<F>(
 where
     F: FnMut(&[u8], &[u8]) -> bool,
 {
+    // The pivot stays at row 0 until the final swap: `l` never drops
+    // below 1, so it is compared in place.
     rows.swap(0, pivot_idx);
-    let pivot = rows.row(0).to_vec();
     let n = rows.len();
     let mut l = 1usize;
     let mut r = n;
-    while l < r && is_less(rows.row(l), &pivot) {
+    while l < r && is_less(rows.row(l), rows.row(0)) {
         l += 1;
     }
-    while l < r && !is_less(rows.row(r - 1), &pivot) {
+    while l < r && !is_less(rows.row(r - 1), rows.row(0)) {
         r -= 1;
     }
     let already = l >= r;
@@ -586,10 +584,10 @@ where
         rows.swap(l, r - 1);
         l += 1;
         r -= 1;
-        while l < r && is_less(rows.row(l), &pivot) {
+        while l < r && is_less(rows.row(l), rows.row(0)) {
             l += 1;
         }
-        while l < r && !is_less(rows.row(r - 1), &pivot) {
+        while l < r && !is_less(rows.row(r - 1), rows.row(0)) {
             r -= 1;
         }
     }
@@ -602,16 +600,16 @@ fn partition_left_rows<F>(rows: &mut RowsMut<'_>, pivot_idx: usize, is_less: &mu
 where
     F: FnMut(&[u8], &[u8]) -> bool,
 {
+    // As in `partition_right_rows`, the pivot is read in place at row 0.
     rows.swap(0, pivot_idx);
-    let pivot = rows.row(0).to_vec();
     let n = rows.len();
     let mut l = 1usize;
     let mut r = n;
     loop {
-        while l < r && !is_less(&pivot, rows.row(l)) {
+        while l < r && !is_less(rows.row(0), rows.row(l)) {
             l += 1;
         }
-        while l < r && is_less(&pivot, rows.row(r - 1)) {
+        while l < r && is_less(rows.row(0), rows.row(r - 1)) {
             r -= 1;
         }
         if l >= r {

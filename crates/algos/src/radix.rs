@@ -15,28 +15,19 @@
 //!   one bucket skips the copy entirely (helps Graefe's shortcomings (1)
 //!   and (3): long duplicate keys and common prefixes).
 //!
-//! Two implementation-level optimizations ride on top (DESIGN.md §6):
+//! One implementation-level optimization rides on top (DESIGN.md §6),
+//! **fused counting**: histograms for several successive key bytes are
+//! built in one sweep over the rows. LSD needs only a single counting
+//! pass for *all* its digit passes (a histogram of byte values is
+//! invariant under row permutation); MSD fuses up to [`MSD_FUSE_BYTES`]
+//! histograms so common-prefix bytes are skipped without rescanning the
+//! bucket per byte. (Staging the scatter through a software
+//! write-combining buffer was measured neutral to 1.7× slower and is
+//! gone; EXPERIMENTS.md keeps the numbers.)
 //!
-//! * **Fused counting**: histograms for several successive key bytes are
-//!   built in one sweep over the rows. LSD needs only a single counting
-//!   pass for *all* its digit passes (a histogram of byte values is
-//!   invariant under row permutation); MSD fuses up to
-//!   [`MSD_FUSE_BYTES`] histograms so common-prefix bytes are skipped
-//!   without rescanning the bucket per byte.
-//! * **Software write-combining**: the scatter stages
-//!   [`WC_BUCKET_ROWS`] rows per bucket in a small cache-resident buffer
-//!   and flushes them with one contiguous copy, turning 256 scattered
-//!   single-row writes into batched ones. When enabled it applies to
-//!   inputs of at least [`WC_MIN_ROWS`] rows; the default entry points
-//!   keep it *off*, because a 256-bucket fan-out leaves only 256 active
-//!   destination cache lines — comfortably cache-resident on current
-//!   hardware, so the staging copy costs more than the scattered writes
-//!   it batches (see the `ablation_wc` bench, which measures both sides
-//!   of that trade via the `_opts` entry points).
-//!
-//! The `*_with_scratch` / `*_opts` entry points take the auxiliary buffer
-//! from the caller (sized by [`radix_scratch_len`]) so a sort pipeline can
-//! pool it; the plain entry points allocate it per call.
+//! [`radix_sort_rows_with_scratch`] takes the auxiliary buffer — a second
+//! row area, as long as the first — from the caller, so a sort pipeline
+//! can pool it; the plain entry points allocate it per call.
 
 use crate::insertion::insertion_sort_rows;
 use crate::rows::RowsMut;
@@ -53,22 +44,8 @@ pub const MSD_INSERTION_THRESHOLD: usize = 24;
 /// it through 8 bytes.
 pub const LSD_MAX_KEY_BYTES: usize = 8;
 
-/// Rows staged per bucket in the write-combining scatter buffer.
-pub const WC_BUCKET_ROWS: usize = 8;
-
-/// Minimum rows for the write-combining scatter to be considered when it
-/// is switched on; smaller inputs always use the plain scatter.
-pub const WC_MIN_ROWS: usize = 4096;
-
 /// Successive key bytes histogrammed per counting sweep in MSD.
 const MSD_FUSE_BYTES: usize = 4;
-
-/// Scratch bytes needed to radix-sort a row area of `data_len` bytes with
-/// `width`-byte rows: a full-size auxiliary row area plus the
-/// write-combining staging buffer.
-pub fn radix_scratch_len(data_len: usize, width: usize) -> usize {
-    data_len + 256 * WC_BUCKET_ROWS * width
-}
 
 /// Sort rows by `key_len` key bytes starting at `key_offset` within each
 /// row, choosing LSD or MSD radix per the paper's key-width heuristic.
@@ -92,10 +69,10 @@ pub fn radix_sort_rows(data: &mut [u8], width: usize, key_offset: usize, key_len
 }
 
 /// [`radix_sort_rows`] with a caller-pooled scratch buffer. The buffer is
-/// resized to [`radix_scratch_len`]; with sufficient capacity (e.g. a
-/// recycled buffer) the call performs no allocation. Returns the number
-/// of scatter passes performed (skipped single-bucket passes excluded),
-/// for the pipeline's metrics.
+/// resized to `data.len()`; with sufficient capacity (e.g. a recycled
+/// buffer) the call performs no allocation. Returns the number of scatter
+/// passes performed (skipped single-bucket passes excluded), for the
+/// pipeline's metrics.
 pub fn radix_sort_rows_with_scratch(
     data: &mut [u8],
     width: usize,
@@ -103,12 +80,10 @@ pub fn radix_sort_rows_with_scratch(
     key_len: usize,
     scratch: &mut Vec<u8>,
 ) -> usize {
-    // Write-combining defaults off: measured slower at 256-bucket fan-out
-    // on current hardware (see module docs and the `ablation_wc` bench).
     if key_len <= LSD_MAX_KEY_BYTES {
-        lsd_radix_sort_rows_opts(data, width, key_offset, key_len, scratch, false)
+        lsd_with_scratch(data, width, key_offset, key_len, scratch)
     } else {
-        msd_radix_sort_rows_opts(data, width, key_offset, key_len, scratch, false)
+        msd_with_scratch(data, width, key_offset, key_len, scratch)
     }
 }
 
@@ -117,29 +92,26 @@ pub fn radix_sort_rows_with_scratch(
 /// scatter pass per key byte, least significant (last) byte first.
 pub fn lsd_radix_sort_rows(data: &mut [u8], width: usize, key_offset: usize, key_len: usize) {
     let mut scratch = Vec::new();
-    lsd_radix_sort_rows_opts(data, width, key_offset, key_len, &mut scratch, false);
+    lsd_with_scratch(data, width, key_offset, key_len, &mut scratch);
 }
 
-/// [`lsd_radix_sort_rows`] with pooled scratch and an explicit
-/// write-combining switch (the `ablation_wc` bench toggles it). Returns
-/// the number of scatter passes performed.
-pub fn lsd_radix_sort_rows_opts(
+/// [`lsd_radix_sort_rows`] with pooled scratch. Returns the number of
+/// scatter passes performed.
+fn lsd_with_scratch(
     data: &mut [u8],
     width: usize,
     key_offset: usize,
     key_len: usize,
     scratch: &mut Vec<u8>,
-    write_combine: bool,
 ) -> usize {
     let n = data.len() / width;
     if n <= 1 || key_len == 0 {
         return 0;
     }
     debug_assert_eq!(data.len() % width, 0);
-    scratch.resize(radix_scratch_len(data.len(), width), 0);
-    let (aux, wc) = scratch.split_at_mut(data.len());
+    scratch.resize(data.len(), 0);
+    let aux = scratch.as_mut_slice();
 
-    let use_wc = write_combine && n >= WC_MIN_ROWS;
     let mut passes = 0usize;
     // `in_aux` flag: false ⇒ current data in `data`, true ⇒ in `aux`.
     let mut in_aux = false;
@@ -170,9 +142,9 @@ pub fn lsd_radix_sort_rows_opts(
             }
             let byte = key_offset + rel;
             if in_aux {
-                scatter_pass(aux, data, wc, width, byte, 0, n, counts, use_wc);
+                scatter_pass(aux, data, width, byte, 0, n, counts);
             } else {
-                scatter_pass(data, aux, wc, width, byte, 0, n, counts, use_wc);
+                scatter_pass(data, aux, width, byte, 0, n, counts);
             }
             in_aux = !in_aux;
             passes += 1;
@@ -190,55 +162,36 @@ pub fn lsd_radix_sort_rows_opts(
 /// rows use insertion sort on the remaining key bytes.
 pub fn msd_radix_sort_rows(data: &mut [u8], width: usize, key_offset: usize, key_len: usize) {
     let mut scratch = Vec::new();
-    msd_radix_sort_rows_opts(data, width, key_offset, key_len, &mut scratch, false);
+    msd_with_scratch(data, width, key_offset, key_len, &mut scratch);
 }
 
-/// [`msd_radix_sort_rows`] with pooled scratch and an explicit
-/// write-combining switch (the `ablation_wc` bench toggles it). Returns
-/// the number of scatter passes performed across all recursion levels.
-pub fn msd_radix_sort_rows_opts(
+/// [`msd_radix_sort_rows`] with pooled scratch. Returns the number of
+/// scatter passes performed across all recursion levels.
+fn msd_with_scratch(
     data: &mut [u8],
     width: usize,
     key_offset: usize,
     key_len: usize,
     scratch: &mut Vec<u8>,
-    write_combine: bool,
 ) -> usize {
     let n = data.len() / width;
     if n <= 1 || key_len == 0 {
         return 0;
     }
-    scratch.resize(radix_scratch_len(data.len(), width), 0);
-    let (aux, wc) = scratch.split_at_mut(data.len());
-    msd_rec(
-        data,
-        aux,
-        wc,
-        width,
-        key_offset,
-        key_offset + key_len,
-        0,
-        n,
-        write_combine,
-    )
+    scratch.resize(data.len(), 0);
+    msd_rec(data, scratch, width, key_offset, key_offset + key_len, 0, n)
 }
 
 /// One stable counting-scatter of rows `start..end` from `src` into `dst`
-/// by the byte at `byte`, with optional software write-combining: rows are
-/// staged [`WC_BUCKET_ROWS`] at a time per bucket in `wc` and flushed with
-/// one contiguous copy, so the 256 scatter destinations see batched writes
-/// instead of single-row ones.
-#[allow(clippy::too_many_arguments)]
+/// by the byte at `byte`.
 fn scatter_pass(
     src: &[u8],
     dst: &mut [u8],
-    wc: &mut [u8],
     width: usize,
     byte: usize,
     start: usize,
     end: usize,
     counts: &[usize; 256],
-    use_wc: bool,
 ) {
     let mut offsets = [0usize; 256];
     let mut sum = start;
@@ -246,57 +199,23 @@ fn scatter_pass(
         *o = sum;
         sum += c;
     }
-    if !use_wc {
-        for r in start..end {
-            let b = src[r * width + byte] as usize;
-            let dst_row = offsets[b];
-            offsets[b] += 1;
-            dst[dst_row * width..(dst_row + 1) * width]
-                .copy_from_slice(&src[r * width..(r + 1) * width]);
-        }
-        return;
-    }
-
-    let slot = WC_BUCKET_ROWS * width;
-    let mut fill = [0usize; 256];
     for r in start..end {
         let b = src[r * width + byte] as usize;
-        let f = fill[b];
-        let stage = b * slot + f * width;
-        wc[stage..stage + width].copy_from_slice(&src[r * width..(r + 1) * width]);
-        if f + 1 == WC_BUCKET_ROWS {
-            // Bucket staging full: flush all rows with one copy. Rows keep
-            // their arrival order, so the scatter stays stable.
-            let at = offsets[b];
-            dst[at * width..(at + WC_BUCKET_ROWS) * width]
-                .copy_from_slice(&wc[b * slot..b * slot + slot]);
-            offsets[b] = at + WC_BUCKET_ROWS;
-            fill[b] = 0;
-        } else {
-            fill[b] = f + 1;
-        }
-    }
-    // Flush the partially filled buckets.
-    for (b, &f) in fill.iter().enumerate() {
-        if f > 0 {
-            debug_assert!(f < WC_BUCKET_ROWS);
-            let at = offsets[b];
-            dst[at * width..(at + f) * width].copy_from_slice(&wc[b * slot..b * slot + f * width]);
-        }
+        let dst_row = offsets[b];
+        offsets[b] += 1;
+        dst[dst_row * width..(dst_row + 1) * width]
+            .copy_from_slice(&src[r * width..(r + 1) * width]);
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn msd_rec(
     data: &mut [u8],
     aux: &mut [u8],
-    wc: &mut [u8],
     width: usize,
     mut byte: usize,
     key_end: usize,
     start: usize,
     end: usize,
-    write_combine: bool,
 ) -> usize {
     let n = end - start;
     if n <= 1 {
@@ -341,8 +260,7 @@ fn msd_rec(
         *o = sum;
         sum += c;
     }
-    let use_wc = write_combine && n >= WC_MIN_ROWS;
-    scatter_pass(data, aux, wc, width, byte, start, end, &counts, use_wc);
+    scatter_pass(data, aux, width, byte, start, end, &counts);
     data[start * width..end * width].copy_from_slice(&aux[start * width..end * width]);
     let mut passes = 1usize;
 
@@ -351,17 +269,7 @@ fn msd_rec(
         for (b, &bs) in bucket_starts.iter().enumerate() {
             let be = bs + counts[b];
             if be - bs > 1 {
-                passes += msd_rec(
-                    data,
-                    aux,
-                    wc,
-                    width,
-                    byte + 1,
-                    key_end,
-                    bs,
-                    be,
-                    write_combine,
-                );
+                passes += msd_rec(data, aux, width, byte + 1, key_end, bs, be);
             }
         }
     }
@@ -511,61 +419,13 @@ mod tests {
     }
 
     #[test]
-    fn write_combining_scatter_is_stable() {
-        // Enough rows to clear WC_MIN_ROWS; 1-byte key over 3 buckets with
-        // a 3-byte sequence number as payload. Both sorters, WC forced on
-        // and off, must leave identical (stable) row orders.
-        let n = WC_MIN_ROWS * 2;
-        let rows: Vec<u8> = (0..n)
-            .flat_map(|i| [(i % 3) as u8, (i >> 16) as u8, (i >> 8) as u8, i as u8])
-            .collect();
-        let mut scratch = Vec::new();
-        let mut wc_on = rows.clone();
-        lsd_radix_sort_rows_opts(&mut wc_on, 4, 0, 1, &mut scratch, true);
-        let mut wc_off = rows.clone();
-        lsd_radix_sort_rows_opts(&mut wc_off, 4, 0, 1, &mut scratch, false);
-        assert_eq!(wc_on, wc_off, "LSD: write combining changed the order");
-        let mut msd_on = rows.clone();
-        msd_radix_sort_rows_opts(&mut msd_on, 4, 0, 1, &mut scratch, true);
-        assert_eq!(msd_on, wc_off, "MSD: write combining changed the order");
-    }
-
-    #[test]
-    fn write_combining_matches_plain_on_random_keys() {
-        for (kw, width) in [(4usize, 8usize), (8, 12)] {
-            let keys = pseudo_random(WC_MIN_ROWS + 1234, 21, u32::MAX);
-            let rows: Vec<u8> = keys
-                .iter()
-                .flat_map(|&k| {
-                    let mut row = k.to_be_bytes().to_vec();
-                    row.extend(k.to_le_bytes());
-                    row.truncate(width.min(8));
-                    row.resize(width, 0xAB);
-                    row
-                })
-                .collect();
-            let mut scratch = Vec::new();
-            let mut on = rows.clone();
-            let mut off = rows.clone();
-            if kw <= LSD_MAX_KEY_BYTES {
-                lsd_radix_sort_rows_opts(&mut on, width, 0, kw, &mut scratch, true);
-                lsd_radix_sort_rows_opts(&mut off, width, 0, kw, &mut scratch, false);
-            } else {
-                msd_radix_sort_rows_opts(&mut on, width, 0, kw, &mut scratch, true);
-                msd_radix_sort_rows_opts(&mut off, width, 0, kw, &mut scratch, false);
-            }
-            assert_eq!(on, off, "kw={kw}");
-        }
-    }
-
-    #[test]
     fn pooled_scratch_is_reused_across_calls() {
         let mut scratch = Vec::new();
         let keys = pseudo_random(8_000, 5, 1 << 20);
         let mut data = make_rows(&keys, 8);
         radix_sort_rows_with_scratch(&mut data, 8, 0, 4, &mut scratch);
         let cap = scratch.capacity();
-        assert!(cap >= radix_scratch_len(data.len(), 8));
+        assert!(cap >= data.len());
         // Second call with the warmed buffer must not grow it.
         let mut data2 = make_rows(&keys, 8);
         radix_sort_rows_with_scratch(&mut data2, 8, 0, 4, &mut scratch);

@@ -98,22 +98,13 @@ impl<'a> RowsMut<'a> {
         }
     }
 
-    /// Copy row `src` over row `dst` (`memcpy`; `src` is left unchanged).
-    #[inline]
-    pub fn copy_row(&mut self, src: usize, dst: usize) {
-        if src == dst {
-            return;
-        }
+    /// Rotate the non-empty range of rows `from..to` one slot right: row
+    /// `to - 1` lands in slot `from` and the rows it passed move up one —
+    /// an insertion step, in place and without a temporary row.
+    pub fn rotate_right(&mut self, from: usize, to: usize) {
+        debug_assert!(from < to && to <= self.len);
         let w = self.width;
-        self.data.copy_within(src * w..(src + 1) * w, dst * w);
-    }
-
-    /// Shift rows `from..to` one slot right (row `to` is overwritten):
-    /// one `memmove` of `(to - from)` rows.
-    pub fn shift_right(&mut self, from: usize, to: usize) {
-        debug_assert!(from <= to);
-        let w = self.width;
-        self.data.copy_within(from * w..to * w, (from + 1) * w);
+        self.data[from * w..to * w].rotate_right(w);
     }
 
     /// Re-borrow a sub-range of rows as a new `RowsMut`.
@@ -142,14 +133,6 @@ impl<'a> RowsMut<'a> {
                 len: self.len - mid,
             },
         )
-    }
-
-    /// Check whether rows are sorted under `is_less`.
-    pub fn is_sorted_by<F>(&self, is_less: &mut F) -> bool
-    where
-        F: FnMut(&[u8], &[u8]) -> bool,
-    {
-        (1..self.len).all(|i| !is_less(self.row(i), self.row(i - 1)))
     }
 }
 
@@ -183,22 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_row_overwrites() {
-        let mut data = vec![1u8, 2, 3, 4];
-        let mut rows = RowsMut::new(&mut data, 2);
-        rows.copy_row(0, 1);
-        assert_eq!(data, vec![1, 2, 1, 2]);
-    }
-
-    #[test]
-    fn shift_right_moves_block() {
-        let mut data = vec![1u8, 2, 3, 9];
-        let mut rows = RowsMut::new(&mut data, 1);
-        rows.shift_right(0, 3);
-        assert_eq!(data, vec![1, 1, 2, 3]);
-    }
-
-    #[test]
     fn sub_view() {
         let mut data = vec![0u8, 1, 2, 3, 4, 5];
         let mut rows = RowsMut::new(&mut data, 1);
@@ -216,16 +183,6 @@ mod tests {
         a.swap(0, 1);
         b.swap(0, 1);
         assert_eq!(data, vec![1, 0, 3, 2]);
-    }
-
-    #[test]
-    fn is_sorted_by() {
-        let mut data = vec![1u8, 2, 3];
-        let rows = RowsMut::new(&mut data, 1);
-        assert!(rows.is_sorted_by(&mut |a, b| a[0] < b[0]));
-        let mut data = vec![2u8, 1];
-        let rows = RowsMut::new(&mut data, 1);
-        assert!(!rows.is_sorted_by(&mut |a, b| a[0] < b[0]));
     }
 
     #[test]

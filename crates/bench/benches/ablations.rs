@@ -1,13 +1,12 @@
 //! Ablation benches for the design choices DESIGN.md calls out:
 //! VARCHAR prefix length, radix variant by key width, merge structure,
-//! row alignment, and the §IX algorithm chooser.
+//! row alignment, and run size.
 
 use rowsort_algos::kway::kway_merge_rows;
 use rowsort_algos::mergesort::merge_rows_into;
 use rowsort_algos::pdqsort::pdqsort_rows;
 use rowsort_algos::radix::{lsd_radix_sort_rows, msd_radix_sort_rows};
 use rowsort_algos::rows::RowsMut;
-use rowsort_core::chooser::{duckdb_rule, heuristic_rule, ChosenAlgo, SortStats};
 use rowsort_core::keys::KeyBlock;
 use rowsort_datagen::tpcds;
 use rowsort_row::{scatter, RowAlignment, RowLayout};
@@ -108,57 +107,6 @@ fn ablation_radix(c: &mut Harness) {
     group.finish();
 }
 
-/// Software write-combining scatter on vs off, LSD and MSD, at the
-/// pipeline's own row shapes. On current hardware the 256-bucket fan-out
-/// already fits L2, so WC's staging copy loses — which is why dispatch
-/// defaults it off; this group is the receipt.
-fn ablation_wc(c: &mut Harness) {
-    use rowsort_algos::radix::{
-        lsd_radix_sort_rows_opts, msd_radix_sort_rows_opts, radix_scratch_len,
-    };
-    let mut group = c.benchmark_group("ablation_wc");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(2));
-    let n = 1 << 16;
-    // (label, row width, key bytes): the pipeline's u32-key run shape and
-    // a wider composite-key shape.
-    for (label, width, key_len) in [("w9k5", 9usize, 5usize), ("w24k13", 24, 13)] {
-        let data = pseudo_random_bytes(n, width, 91, 1 << 20);
-        let mut scratch = vec![0u8; radix_scratch_len(data.len(), width)];
-        for wc in [false, true] {
-            let tag = if wc { "wc_on" } else { "wc_off" };
-            group.bench_with_input(
-                BenchmarkId::new(format!("lsd_{tag}"), label),
-                &data,
-                |b, data| {
-                    b.iter_batched(
-                        || data.clone(),
-                        |mut d| {
-                            lsd_radix_sort_rows_opts(&mut d, width, 0, key_len, &mut scratch, wc)
-                        },
-                        rowsort_testkit::bench::BatchSize::LargeInput,
-                    )
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("msd_{tag}"), label),
-                &data,
-                |b, data| {
-                    b.iter_batched(
-                        || data.clone(),
-                        |mut d| {
-                            msd_radix_sort_rows_opts(&mut d, width, 0, key_len, &mut scratch, wc)
-                        },
-                        rowsort_testkit::bench::BatchSize::LargeInput,
-                    )
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
 /// Cascaded 2-way merge vs k-way loser tree over the same 8 sorted runs.
 fn ablation_merge(c: &mut Harness) {
     let mut group = c.benchmark_group("ablation_merge");
@@ -229,44 +177,6 @@ fn ablation_align(c: &mut Harness) {
     group.finish();
 }
 
-/// §IX chooser: on the regime where the heuristic and the shipped rule
-/// disagree (small runs, wide keys), measure both choices.
-fn ablation_chooser(c: &mut Harness) {
-    let mut group = c.benchmark_group("ablation_chooser");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(2));
-    let n = 2_000usize;
-    let width = 32usize;
-    let data = pseudo_random_bytes(n, width, 5, 1 << 30);
-    let stats = SortStats {
-        rows: n,
-        key_bytes: width,
-        has_varlen: false,
-        distinct_estimate: None,
-    };
-    assert_eq!(duckdb_rule(&stats), ChosenAlgo::MsdRadix);
-    assert_eq!(heuristic_rule(&stats), ChosenAlgo::Pdq);
-    group.bench_function("duckdb_rule(msd_radix)", |b| {
-        b.iter_batched(
-            || data.clone(),
-            |mut d| msd_radix_sort_rows(&mut d, width, 0, width),
-            rowsort_testkit::bench::BatchSize::LargeInput,
-        )
-    });
-    group.bench_function("heuristic(pdq)", |b| {
-        b.iter_batched(
-            || data.clone(),
-            |mut d| {
-                let mut rows = RowsMut::new(&mut d, width);
-                pdqsort_rows(&mut rows, &mut |a: &[u8], b: &[u8]| a < b);
-            },
-            rowsort_testkit::bench::BatchSize::LargeInput,
-        )
-    });
-    group.finish();
-}
-
 /// Run-size sweep for the full pipeline: smaller thread-local runs sort
 /// faster individually (cache-resident) but leave more merge work — the
 /// §II trade-off in practice.
@@ -295,10 +205,8 @@ bench_group!(
     benches,
     ablation_prefix,
     ablation_radix,
-    ablation_wc,
     ablation_merge,
     ablation_align,
-    ablation_chooser,
     ablation_runsize
 );
 bench_main!(benches);

@@ -1,68 +1,24 @@
 //! End-to-end sort-pipeline bench on the Figure 12 default workload
-//! (random u32 keys, 1–10 M rows) — the regression gate's workload.
+//! (random u32 keys, 1–10 M rows), plus the wide-key and long-string
+//! shapes.
 //!
-//! `scripts/verify.sh` runs this bench with `ROWSORT_BENCH_JSON` set and
-//! compares the medians against the checked-in `BENCH_pipeline.json`
-//! baseline (warn-only tolerance band, see `bench_gate`). Override the row
-//! counts with `ROWSORT_PIPE_ROWS=1000000,4000000` for a quicker smoke.
+//! For interleaved A/B by hand: `scripts/verify.sh` compiles this bench
+//! and never runs it. What it gates is the work these ids do, not their
+//! time — `bench_gate` sorts the same inputs (every id here but the
+//! host-dependent `u32_tdef`) and compares their counters exactly with
+//! `BENCH_counters.json`. Override the row counts with
+//! `ROWSORT_PIPE_ROWS=250000` for a quicker run.
 //!
 //! Each pipeline is constructed once and reused across iterations, so the
 //! numbers measure the *steady state*: with the buffer pool and persistent
 //! worker pool, iterations after the first run allocation-free.
 
+use rowsort_bench::{long_string_chunk, u32_chunk, wide_key_chunk};
 use rowsort_core::pipeline::{SortOptions, SortPipeline};
 use rowsort_testkit::bench::{BenchmarkId, Harness};
-use rowsort_testkit::rng::Rng;
 use rowsort_testkit::{bench_group, bench_main};
-use rowsort_vector::{DataChunk, OrderBy, OrderByColumn, Value, Vector};
+use rowsort_vector::OrderBy;
 use std::time::Duration;
-
-/// Random u32 key column, plus an optional derived u32 payload column.
-fn u32_chunk(n: usize, seed: u64, with_payload: bool) -> DataChunk {
-    let mut rng = Rng::seed_from_u64(seed);
-    let keys: Vec<u32> = (0..n).map(|_| rng.next_u32()).collect();
-    let mut cols = Vec::new();
-    if with_payload {
-        let payload: Vec<u32> = keys
-            .iter()
-            .map(|k| k.wrapping_mul(7).wrapping_add(1))
-            .collect();
-        cols.push(Vector::from_u32s(keys));
-        cols.push(Vector::from_u32s(payload));
-    } else {
-        cols.push(Vector::from_u32s(keys));
-    }
-    DataChunk::from_columns(cols).unwrap()
-}
-
-/// The workload offset-value coding exists for: a multi-column VARCHAR
-/// key whose leading columns are low-cardinality with long shared
-/// prefixes, so nearly every merge comparison used to re-scan the same
-/// prefix bytes before reaching the deciding suffix.
-fn wide_key_chunk(n: usize, seed: u64) -> DataChunk {
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut region = Vec::with_capacity(n);
-    let mut segment = Vec::with_capacity(n);
-    let mut id = Vec::with_capacity(n);
-    for i in 0..n {
-        region.push(Value::from(if rng.chance(0.9) {
-            "warehouse_eu"
-        } else {
-            "warehouse_us"
-        }));
-        segment.push(Value::from(format!("segment_{:02}", rng.below(8))));
-        id.push(Value::from(format!("{:012}", (i as u64) ^ (seed << 16))));
-    }
-    let mut chunk = DataChunk::new(&[
-        rowsort_vector::LogicalType::Varchar,
-        rowsort_vector::LogicalType::Varchar,
-        rowsort_vector::LogicalType::Varchar,
-    ]);
-    for ((r, s), d) in region.into_iter().zip(segment).zip(id) {
-        chunk.push_row(&[r, s, d]).unwrap();
-    }
-    chunk
-}
 
 fn sizes() -> Vec<usize> {
     std::env::var("ROWSORT_PIPE_ROWS")
@@ -138,11 +94,7 @@ fn bench_pipeline(c: &mut Harness) {
     // whole-key compares.
     let n = sizes()[0].min(1_000_000);
     let chunk = wide_key_chunk(n, 0xF16_14);
-    let order = OrderBy::new(vec![
-        OrderByColumn::asc(0),
-        OrderByColumn::asc(1),
-        OrderByColumn::asc(2),
-    ]);
+    let order = OrderBy::ascending(3);
     for (id, threads, ovc) in [
         ("widekey_ovc", 1, true),
         ("widekey_novc", 1, false),
@@ -161,6 +113,23 @@ fn bench_pipeline(c: &mut Harness) {
             b.iter(|| pipeline.sort(&chunk))
         });
     }
+
+    // One VARCHAR key beyond the prefix: pdqsort runs whose comparisons
+    // fall through to the tie comparator, then a tie-breaking merge.
+    let n = sizes()[0].min(1_000_000) / 4;
+    let chunk = long_string_chunk(n, 0xF16_15);
+    let pipeline = SortPipeline::new(
+        chunk.types(),
+        OrderBy::ascending(1),
+        SortOptions {
+            threads: 1,
+            run_rows: (n / 4).max(1),
+            ovc: true,
+        },
+    );
+    group.bench_function(BenchmarkId::new("longstr_t1", n), |b| {
+        b.iter(|| pipeline.sort(&chunk))
+    });
     group.finish();
 }
 

@@ -11,46 +11,18 @@
 //!
 //! Each workload runs with `merge_threads` 1 and 4 over the same input
 //! and budget (16 runs), so the `_t4` / `_t1` ratio is the merge-phase
-//! parallel speedup on the host. `scripts/verify.sh` gates the medians
-//! against `BENCH_spill_merge.json`. Override row counts with
-//! `ROWSORT_SPILL_ROWS=100000,400000` for a quicker smoke.
+//! parallel speedup on the host. For interleaved A/B by hand:
+//! `scripts/verify.sh` compiles this bench and never runs it; `bench_gate`
+//! sorts the same inputs and compares their counters exactly with
+//! `BENCH_counters.json`. Override row counts with
+//! `ROWSORT_SPILL_ROWS=100000` for a quicker run.
 
+use rowsort_bench::{u32_chunk, wide_key_chunk};
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
 use rowsort_testkit::bench::{BenchmarkId, Harness};
-use rowsort_testkit::rng::Rng;
 use rowsort_testkit::{bench_group, bench_main};
-use rowsort_vector::{DataChunk, OrderBy, OrderByColumn, Value, Vector};
+use rowsort_vector::OrderBy;
 use std::time::Duration;
-
-fn u32_chunk(n: usize, seed: u64) -> DataChunk {
-    let mut rng = Rng::seed_from_u64(seed);
-    let keys: Vec<u32> = (0..n).map(|_| rng.next_u32()).collect();
-    let payload: Vec<u32> = keys
-        .iter()
-        .map(|k| k.wrapping_mul(7).wrapping_add(1))
-        .collect();
-    DataChunk::from_columns(vec![Vector::from_u32s(keys), Vector::from_u32s(payload)]).unwrap()
-}
-
-fn wide_key_chunk(n: usize, seed: u64) -> DataChunk {
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut chunk = DataChunk::new(&[
-        rowsort_vector::LogicalType::Varchar,
-        rowsort_vector::LogicalType::Varchar,
-        rowsort_vector::LogicalType::Varchar,
-    ]);
-    for i in 0..n {
-        let region = Value::from(if rng.chance(0.9) {
-            "warehouse_eu"
-        } else {
-            "warehouse_us"
-        });
-        let segment = Value::from(format!("segment_{:02}", rng.below(8)));
-        let id = Value::from(format!("{:012}", (i as u64) ^ (seed << 16)));
-        chunk.push_row(&[region, segment, id]).unwrap();
-    }
-    chunk
-}
 
 fn sizes() -> Vec<usize> {
     std::env::var("ROWSORT_SPILL_ROWS")
@@ -73,7 +45,7 @@ fn bench_spill_merge(c: &mut Harness) {
     for &n in &sizes() {
         let budget = (n / 16).max(1);
 
-        let chunk = u32_chunk(n, 0x5B11 ^ n as u64);
+        let chunk = u32_chunk(n, 0x5B11 ^ n as u64, true);
         let order = OrderBy::ascending(1);
         for (tag, threads) in [("u32_t1", 1usize), ("u32_t4", 4)] {
             let sorter = ExternalSorter::new(
@@ -91,11 +63,7 @@ fn bench_spill_merge(c: &mut Harness) {
         }
 
         let chunk = wide_key_chunk(n, 0x5B12);
-        let order = OrderBy::new(vec![
-            OrderByColumn::asc(0),
-            OrderByColumn::asc(1),
-            OrderByColumn::asc(2),
-        ]);
+        let order = OrderBy::ascending(3);
         for (tag, threads) in [("widekey_t1", 1usize), ("widekey_t4", 4)] {
             let sorter = ExternalSorter::new(
                 chunk.types(),

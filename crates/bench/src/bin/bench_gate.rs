@@ -1,214 +1,230 @@
-//! Perf-regression gate for the pipeline benchmark.
+//! Counter gate: the work the gated bench ids do, compared exactly.
 //!
 //! ```text
-//! bench_gate <baseline.json> <fresh.json> [--tolerance <pct>] [--trace <file.jsonl>]
+//! bench_gate [--write]
 //! ```
 //!
-//! * `baseline.json` — the checked-in `BENCH_pipeline.json`: either an
-//!   object with an `"after"` report array (plus `"before"` for context)
-//!   or a bare report array as written by the harness.
-//! * `fresh.json` — a report just produced via `ROWSORT_BENCH_JSON`.
+//! Sorts the inputs of the `pipeline` bench at 250 000 rows and of the
+//! `spill_merge` bench at 100 000 — every id whose options can be pinned;
+//! `u32_tdef` takes the host's thread count and stays a bench only — once
+//! each on a sorter warmed by two sorts, and compares the measured sort's
+//! counters with the checked-in `BENCH_counters.json` for exact equality.
+//! Every option that shapes the work is spelled out per id, never taken
+//! from `Default`, which reads `ROWSORT_THREADS` and `ROWSORT_OVC`: the
+//! counts are the same on every host and under any environment.
 //!
-//! For every bench id present in both files, prints the median ratio and
-//! flags entries whose fresh median exceeds baseline by more than the
-//! tolerance (default 25% — the CI boxes are single-core and noisy, so
-//! the gate flags only gross regressions). Any flagged entry **fails the
-//! run** (exit 1); set `ROWSORT_BENCH_WARN_ONLY=1` to demote regressions
-//! back to advisory warnings (exit 0) — the escape hatch for known-noisy
-//! machines or intentional trade-offs awaiting a baseline refresh.
-//!
-//! With `--trace`, also reads a `ROWSORT_TRACE` JSONL file (one
-//! [`rowsort_core::SortProfile`] object per sort) and prints where the
-//! traced sorts spent their time, phase by phase — so a regression the
-//! gate flags comes with an attribution of *which* phase got slower.
+//! A difference prints `id counter: baseline → fresh` and exits 1: the
+//! change altered how much work an algorithm does. Either that was the
+//! point — say so and re-record with `--write` — or it is a regression no
+//! clock on a shared host would have shown. Time is not read here; the
+//! benches stay for interleaved A/B by hand.
 
-use rowsort_core::metrics::Phase;
+use rowsort_bench::{long_string_chunk, u32_chunk, wide_key_chunk};
+use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
+use rowsort_core::metrics::{Counter, SortProfile};
+use rowsort_core::pipeline::{SortOptions, SortPipeline};
+use rowsort_testkit::alloc::{allocation_count, CountingAllocator};
 use rowsort_testkit::json::Json;
+use rowsort_vector::OrderBy;
+use std::collections::{BTreeMap, BTreeSet};
+use std::time::Duration;
 
-struct Entry {
-    id: String,
-    median_ns: f64,
-}
+#[global_allocator]
+static ALLOC: CountingAllocator = CountingAllocator;
 
-fn entries(report: &Json, path: &str) -> Vec<Entry> {
-    let Some(items) = report.as_arr() else {
-        return Vec::new();
-    };
-    let out: Vec<Entry> = items
-        .iter()
-        .filter_map(|item| {
-            Some(Entry {
-                id: item.get("id")?.as_str()?.to_owned(),
-                median_ns: item.get("median_ns")?.as_f64()?,
-            })
-        })
-        .collect();
-    // A zero (or NaN/negative) median would make every ratio inf/NaN and
-    // the tolerance check silently pass — refuse to gate on such a file.
-    for e in &out {
-        if !e.median_ns.is_finite() || e.median_ns <= 0.0 {
-            die(&format!(
-                "{path}: bench '{}' has non-positive median_ns ({}) — \
-                 the file holds no usable samples; regenerate it",
-                e.id, e.median_ns
-            ));
-        }
-    }
-    out
-}
+/// The checked-in baseline, at the workspace root wherever the gate runs.
+const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_counters.json");
 
-fn load(path: &str) -> Json {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-    Json::parse(&text).unwrap_or_else(|e| die(&format!("cannot parse {path}: {e}")))
-}
+/// Counters that two runs of one binary can disagree on: left out of the
+/// file by name rather than compared with a tolerance.
+const UNGATED: [(Counter, &str); 3] = [
+    (
+        Counter::PoolHits,
+        "at threads > 1 a buffer is recycled before or after another worker asks for its class",
+    ),
+    (Counter::PoolMisses, "the other side of pool_hits"),
+    (Counter::BroadcastNs, "a clock"),
+];
+
+/// What the measured sort of every id counted, keyed `(id, counter)`.
+type Counts = BTreeMap<(String, String), u64>;
 
 fn die(msg: &str) -> ! {
     eprintln!("bench_gate: {msg}");
     std::process::exit(2);
 }
 
-/// Aggregate a `ROWSORT_TRACE` JSONL file into a per-phase time summary.
-fn trace_attribution(path: &str) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| die(&format!("cannot read trace {path}: {e}")));
-    let mut phase_ns = [0.0f64; Phase::COUNT];
-    let mut total_ns = 0.0f64;
-    let mut total_rows = 0.0f64;
-    let mut sorts = 0usize;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let obj = Json::parse(line)
-            .unwrap_or_else(|e| die(&format!("trace line {}: invalid JSON: {e}", i + 1)));
-        let Some(phases) = obj.get("phases") else {
-            continue; // foreign event kinds are skipped, not fatal
+/// Warm the sorter behind `sort` with two sorts, then record the third's
+/// counters under `id` — and, where the caller knows the count repeats,
+/// the system allocations it made.
+fn record(out: &mut Counts, id: &str, allocs: bool, mut sort: impl FnMut() -> SortProfile) {
+    sort();
+    sort();
+    let before = allocation_count();
+    let profile = sort();
+    let allocated = allocation_count() - before;
+    if allocs {
+        out.insert((id.to_owned(), "allocs".to_owned()), allocated as u64);
+    }
+    let gated = Counter::ALL
+        .into_iter()
+        .filter(|c| UNGATED.iter().all(|(u, _)| u != c));
+    for c in gated {
+        let key = (id.to_owned(), c.name().to_owned());
+        out.insert(key, profile.metrics.counter(c));
+    }
+}
+
+/// Every pinned id, with the inputs, seeds and options of its bench.
+fn measure() -> Counts {
+    let mut out = Counts::new();
+    let n = 250_000;
+    let u32s = u32_chunk(n, 0xF16_12 ^ n as u64, false);
+    let payload = u32_chunk(n, 0xF16_13, true);
+    let wide = wide_key_chunk(n, 0xF16_14);
+    let long = long_string_chunk(n / 4, 0xF16_15);
+    // Bench id, input, leading key columns, threads, run_rows, ovc.
+    for (name, chunk, keys, threads, run_rows, ovc) in [
+        ("u32_t1", &u32s, 1, 1, 1 << 17, true),
+        ("u32_t2", &u32s, 1, 2, 1 << 17, true),
+        ("u32_payload_t1", &payload, 1, 1, 1 << 17, true),
+        ("widekey_ovc", &wide, 3, 1, n / 64, true),
+        ("widekey_novc", &wide, 3, 1, n / 64, false),
+        ("widekey_ovc_t2", &wide, 3, 2, n / 64, true),
+        // None of the ids above sorts a run with pdqsort; this one does.
+        ("longstr_t1", &long, 1, 1, n / 16, true),
+    ] {
+        let id = format!("pipeline/{name}/{}", chunk.len());
+        let options = SortOptions {
+            threads,
+            run_rows,
+            ovc,
         };
-        sorts += 1;
-        total_ns += obj.get("total_ns").and_then(Json::as_f64).unwrap_or(0.0);
-        total_rows += obj.get("rows").and_then(Json::as_f64).unwrap_or(0.0);
-        for (slot, phase) in phase_ns.iter_mut().zip(Phase::ALL) {
-            *slot += phases
-                .get(phase.name())
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0);
+        let pipeline = SortPipeline::new(chunk.types(), OrderBy::ascending(keys), options);
+        // Worker threads allocate on their own schedule; one thread does not.
+        record(&mut out, &id, threads == 1, || {
+            drop(pipeline.sort(chunk));
+            pipeline.last_profile()
+        });
+    }
+
+    let n = 100_000;
+    let u32s = u32_chunk(n, 0x5B11 ^ n as u64, true);
+    let wide = wide_key_chunk(n, 0x5B12);
+    for (name, chunk, keys, merge_threads) in [
+        ("u32_t1", &u32s, 1, 1),
+        ("u32_t4", &u32s, 1, 4),
+        ("widekey_t1", &wide, 3, 1),
+        ("widekey_t4", &wide, 3, 4),
+    ] {
+        let id = format!("spill_merge/{name}/{n}");
+        let options = ExternalSortOptions {
+            memory_limit_rows: n / 16,
+            ovc: true,
+            merge_threads,
+            spill_dir: None,
+            max_write_retries: 3,
+            retry_backoff: Duration::from_micros(250),
+        };
+        let sorter = ExternalSorter::new(chunk.types(), OrderBy::ascending(keys), options);
+        // No allocation count at any thread count: every run builds its
+        // file's path, and `Path::join` allocates three times under a
+        // short temp directory and twice under a long one.
+        record(&mut out, &id, false, || {
+            let sorted = sorter.sort(chunk);
+            drop(sorted.unwrap_or_else(|e| die(&format!("{id}: {e}"))));
+            sorter.last_profile()
+        });
+    }
+    out
+}
+
+/// One JSON object per id and line, so a re-recording diffs id by id.
+fn render(counts: &Counts) -> String {
+    let mut ids: BTreeMap<&str, Vec<(String, Json)>> = BTreeMap::new();
+    for ((id, counter), &v) in counts {
+        let fields = ids.entry(id).or_default();
+        fields.push((counter.clone(), Json::Num(v as f64)));
+    }
+    let lines: Vec<String> = ids
+        .into_iter()
+        .map(|(id, mut fields)| {
+            fields.insert(0, ("id".to_owned(), Json::str(id)));
+            Json::Obj(fields).render()
+        })
+        .collect();
+    format!("[\n{}\n]\n", lines.join(",\n"))
+}
+
+fn parse(text: &str) -> Option<Counts> {
+    let doc = Json::parse(text).ok()?;
+    let mut out = Counts::new();
+    for entry in doc.as_arr()? {
+        let Json::Obj(fields) = entry else {
+            return None;
+        };
+        let id = entry.get("id")?.as_str()?;
+        for (name, v) in fields.iter().filter(|(name, _)| name != "id") {
+            out.insert((id.to_owned(), name.clone()), v.as_f64()? as u64);
         }
     }
-    if sorts == 0 {
-        println!("bench_gate: trace {path} holds no sort events");
-        return;
-    }
-    println!(
-        "bench_gate: trace attribution ({sorts} sorts, {total_rows:.0} rows, \
-         {:.2}ms total)",
-        total_ns / 1e6
-    );
-    for (ns, phase) in phase_ns.iter().zip(Phase::ALL) {
-        if *ns > 0.0 {
-            println!(
-                "  {:<16} {:>10.2}ms  ({:>5.1}%)",
-                phase.name(),
-                ns / 1e6,
-                100.0 * ns / total_ns
-            );
-        }
-    }
+    Some(out)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut paths = Vec::new();
-    let mut tolerance_pct = 25.0;
-    let mut trace_path: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--tolerance" {
-            tolerance_pct = it
-                .next()
-                .and_then(|v| v.parse::<f64>().ok())
-                .unwrap_or_else(|| die("--tolerance needs a numeric percentage"));
-        } else if arg == "--trace" {
-            trace_path = Some(
-                it.next()
-                    .unwrap_or_else(|| die("--trace needs a JSONL file path"))
-                    .clone(),
-            );
-        } else {
-            paths.push(arg.clone());
-        }
-    }
-    let [baseline_path, fresh_path] = paths.as_slice() else {
-        die("usage: bench_gate <baseline.json> <fresh.json> [--tolerance <pct>] [--trace <file>]");
+    let write = match args.as_slice() {
+        [] => false,
+        [flag] if flag == "--write" => true,
+        _ => die("usage: bench_gate [--write]"),
     };
-
-    let baseline_doc = load(baseline_path);
-    // BENCH_pipeline.json nests the reference run under "after"; a bare
-    // harness report array is accepted too.
-    let baseline = entries(
-        baseline_doc.get("after").unwrap_or(&baseline_doc),
-        baseline_path,
-    );
-    let fresh = entries(&load(fresh_path), fresh_path);
-    if baseline.is_empty() {
-        die(&format!("no bench entries in {baseline_path}"));
+    let fresh = measure();
+    if write {
+        std::fs::write(BASELINE, render(&fresh))
+            .unwrap_or_else(|e| die(&format!("cannot write {BASELINE}: {e}")));
+        println!("bench_gate: recorded {} counts in {BASELINE}", fresh.len());
+        return;
     }
-    if fresh.is_empty() {
-        die(&format!("no bench entries in {fresh_path}"));
-    }
+    let baseline = std::fs::read_to_string(BASELINE)
+        .unwrap_or_else(|e| die(&format!("cannot read {BASELINE}: {e}")));
+    let baseline = parse(&baseline)
+        .unwrap_or_else(|| die(&format!("{BASELINE} is not a list of counter objects")));
 
-    let mut compared = 0usize;
-    let mut regressions = 0usize;
-    println!("bench_gate: fresh vs baseline (tolerance +{tolerance_pct:.0}%)");
-    for f in &fresh {
-        let Some(b) = baseline.iter().find(|b| b.id == f.id) else {
-            println!("  {:<32} (no baseline entry — skipped)", f.id);
-            continue;
-        };
-        compared += 1;
-        let ratio = f.median_ns / b.median_ns;
-        let verdict = if ratio > 1.0 + tolerance_pct / 100.0 {
-            regressions += 1;
-            "REGRESSION: slower than baseline"
-        } else {
-            "ok"
-        };
-        println!(
-            "  {:<32} {:>10.2}ms vs {:>10.2}ms  ({:.2}x)  {}",
-            f.id,
-            f.median_ns / 1e6,
-            b.median_ns / 1e6,
-            ratio,
-            verdict
-        );
-    }
-
-    // `ROWSORT_BENCH_WARN_ONLY=1` restores the old advisory behavior
-    // (shared spelling convention via testkit's env helper).
-    let warn_only = rowsort_testkit::env::env_flag("ROWSORT_BENCH_WARN_ONLY", false);
-    if compared == 0 {
-        println!("bench_gate: no overlapping bench ids; nothing compared");
-    } else if regressions > 0 {
-        if warn_only {
-            println!(
-                "bench_gate: {regressions}/{compared} benches exceeded tolerance \
-                 (ROWSORT_BENCH_WARN_ONLY set — not failing the build)"
-            );
-        } else {
-            println!(
-                "bench_gate: {regressions}/{compared} benches exceeded tolerance — \
-                 failing (set ROWSORT_BENCH_WARN_ONLY=1 to demote to a warning)"
-            );
+    // The table CI keeps: what each id counted, zeros left out.
+    print!("bench_gate: the measured sort of each id counted");
+    let mut last_id = "";
+    for ((id, counter), v) in fresh.iter().filter(|(_, &v)| v != 0) {
+        if id != last_id {
+            print!("\n  {id}");
+            last_id = id;
         }
-    } else {
-        println!("bench_gate: all {compared} benches within tolerance");
+        print!(" {counter}={v}");
+    }
+    println!();
+    for (counter, why) in UNGATED {
+        println!("  not compared: {} ({why})", counter.name());
     }
 
-    if let Some(path) = trace_path {
-        trace_attribution(&path);
+    let show = |v: Option<&u64>| v.map_or("absent".to_owned(), u64::to_string);
+    let mut differences = 0;
+    let keys: BTreeSet<_> = baseline.keys().chain(fresh.keys()).collect();
+    for key in keys {
+        let (was, now) = (baseline.get(key), fresh.get(key));
+        if was != now {
+            println!("{} {}: {} → {}", key.0, key.1, show(was), show(now));
+            differences += 1;
+        }
     }
-
-    if compared > 0 && regressions > 0 && !warn_only {
+    if differences > 0 {
+        println!(
+            "bench_gate: {differences} of {} counts differ from BENCH_counters.json — the \
+             change altered an algorithm's work; say so and re-record with --write, or fix it",
+            fresh.len()
+        );
         std::process::exit(1);
     }
+    println!(
+        "bench_gate: all {} counts equal BENCH_counters.json",
+        fresh.len()
+    );
 }

@@ -3,7 +3,9 @@
 //! Every experiment is a library function returning an
 //! [`ExperimentResult`], so the `repro` binary can print it, integration
 //! tests can smoke-test it at tiny scale, and the wall-clock benches can
-//! reuse the same kernels.
+//! reuse the same kernels. The inputs of the `pipeline` and `spill_merge`
+//! benches are built here as well: `bench_gate` sorts the same rows and
+//! gates their counters.
 //!
 //! # Scale
 //!
@@ -25,7 +27,61 @@ pub mod info;
 pub mod micro;
 pub mod stress;
 
+use rowsort_testkit::Rng;
+use rowsort_vector::{DataChunk, LogicalType, Value, Vector};
 use std::time::{Duration, Instant};
+
+/// Random `u32` keys, plus an optional derived `u32` payload column: the
+/// movement-bound input of the `pipeline` and `spill_merge` benches and of
+/// `bench_gate`, which must all sort the same rows under one id.
+pub fn u32_chunk(n: usize, seed: u64, with_payload: bool) -> DataChunk {
+    let mut rng = Rng::seed_from_u64(seed);
+    let keys: Vec<u32> = (0..n).map(|_| rng.next_u32()).collect();
+    let payload = with_payload.then(|| {
+        let derived = keys.iter().map(|k| k.wrapping_mul(7).wrapping_add(1));
+        Vector::from_u32s(derived.collect())
+    });
+    let mut cols = vec![Vector::from_u32s(keys)];
+    cols.extend(payload);
+    DataChunk::from_columns(cols).unwrap()
+}
+
+/// The workload offset-value coding exists for: a three-column VARCHAR
+/// key whose leading columns are low-cardinality with long shared
+/// prefixes, so nearly every merge comparison used to re-scan the same
+/// prefix bytes before reaching the deciding suffix.
+pub fn wide_key_chunk(n: usize, seed: u64) -> DataChunk {
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut chunk = DataChunk::new(&[LogicalType::Varchar; 3]);
+    for i in 0..n {
+        let region = Value::from(if rng.chance(0.9) {
+            "warehouse_eu"
+        } else {
+            "warehouse_us"
+        });
+        let segment = Value::from(format!("segment_{:02}", rng.below(8)));
+        let id = Value::from(format!("{:012}", (i as u64) ^ (seed << 16)));
+        chunk.push_row(&[region, segment, id]).unwrap();
+    }
+    chunk
+}
+
+/// One VARCHAR key that outgrows the 12-byte prefix (every string shares
+/// its first 14 bytes, one row in 16 is NULL) plus a `u32` payload: run
+/// generation takes pdqsort and nearly every comparison falls through to
+/// the full-tuple tie comparator — `strings_mem`'s largest layer.
+pub fn long_string_chunk(n: usize, seed: u64) -> DataChunk {
+    let mut rng = Rng::seed_from_u64(seed);
+    let mut chunk = DataChunk::new(&[LogicalType::Varchar, LogicalType::UInt32]);
+    for i in 0..n {
+        let name = match rng.below(16) {
+            0 => Value::Null,
+            _ => Value::from(format!("customer_name_{:06}", rng.below(50_000))),
+        };
+        chunk.push_row(&[name, Value::UInt32(i as u32)]).unwrap();
+    }
+    chunk
+}
 
 /// Scale configuration, read from the environment once.
 #[derive(Debug, Clone)]

@@ -236,16 +236,10 @@ impl KeyBlock {
         (0..self.len).map(|i| self.row_id(i))
     }
 
-    /// Strip the row-id suffixes, returning a compact `key_width`-stride
-    /// byte array in current entry order (used by merge phases after the
-    /// payload has been reordered).
-    pub fn keys_only(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.len * self.key_width());
-        self.keys_only_into(&mut out);
-        out
-    }
-
-    /// [`KeyBlock::keys_only`] into a caller-pooled buffer (cleared first).
+    /// Strip the row-id suffixes into a caller-pooled buffer (cleared
+    /// first): a compact `key_width`-stride byte array in current entry
+    /// order, which is what merge phases read once the payload has been
+    /// reordered.
     pub fn keys_only_into(&self, out: &mut Vec<u8>) {
         let (kw, stride) = (self.key_width(), self.stride());
         out.clear();
@@ -329,7 +323,8 @@ mod tests {
         let mut kb = KeyBlock::new(&chunk.types(), &order, |_| 0);
         kb.append_chunk(&chunk);
         kb.sort(|_, _| unreachable!());
-        let keys = kb.keys_only();
+        let mut keys = Vec::new();
+        kb.keys_only_into(&mut keys);
         assert_eq!(keys.len(), 2 * kb.key_width());
         assert!(keys[..kb.key_width()] < keys[kb.key_width()..]);
     }

@@ -38,11 +38,8 @@
 //!   per-sort profiles behind `EXPLAIN ANALYZE` and `ROWSORT_TRACE`
 //!   (DESIGN.md §7),
 //! * [`workers`] — the persistent worker pool that runs every parallel
-//!   phase without per-phase thread spawns,
-//! * [`chooser`] — the §IX future-work heuristic for picking a sort
-//!   algorithm from key width, row count, and distinct-value estimates.
+//!   phase without per-phase thread spawns.
 
-pub mod chooser;
 pub mod comparator;
 pub mod external;
 pub mod keys;

@@ -8,14 +8,16 @@
 //! leaves behind a [`SortProfile`] — the delta of two [`Metrics`]
 //! snapshots plus the sort's wall time.
 //!
-//! Three surfaces consume it:
+//! Four surfaces consume it:
 //!
 //! 1. `EXPLAIN ANALYZE` in the engine annotates its operator tree with
 //!    per-operator timings, row counts, and the sort-phase breakdown;
 //! 2. `ROWSORT_TRACE=1` emits one JSON line per sort (via
 //!    `testkit::json`, no serde) to stderr, or appended to
-//!    `ROWSORT_TRACE_FILE`, for `bench_gate` phase attribution;
-//! 3. [`Metrics::render`] is a plain-text dump for tests.
+//!    `ROWSORT_TRACE_FILE`;
+//! 3. [`Metrics::render`] is a plain-text dump for tests;
+//! 4. `bench_gate` compares the last profile's deterministic counters
+//!    with the checked-in `BENCH_counters.json` for exact equality.
 //!
 //! The subsystem obeys the zero-alloc steady-state invariant: the
 //! registry is a fixed block of atomics preallocated at pipeline
@@ -443,7 +445,7 @@ impl SortProfile {
     /// The trace-schema JSON object for this profile: `event`,
     /// `operator`, `rows`, `total_ns`, plus nested `phases` and
     /// `counters` objects (every field numeric; see DESIGN.md §7.5 for
-    /// the schema contract `bench_gate` and CI validate).
+    /// the schema contract `trace_smoke` validates in CI).
     pub fn to_json(&self) -> Json {
         let phases: Vec<(String, Json)> = Phase::ALL
             .iter()

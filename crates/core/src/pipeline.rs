@@ -47,7 +47,7 @@ use crate::workers::{SendPtr, WorkerPool};
 use rowsort_algos::kway::OvcLoserTree;
 use rowsort_algos::merge_path::merge_path_partition_by;
 use rowsort_row::{heap_base, RowBlock, RowLayout};
-use rowsort_vector::{DataChunk, LogicalType, OrderBy, Vector};
+use rowsort_vector::{DataChunk, LogicalType, OrderBy};
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -904,17 +904,10 @@ pub fn sort_chunk(input: &DataChunk, order: &OrderBy) -> DataChunk {
     SortPipeline::new(input.types(), order.clone(), SortOptions::default()).sort(input)
 }
 
-/// Convenience: assemble a chunk of u32 key columns and sort ascending.
-pub fn sort_u32_columns(cols: Vec<Vec<u32>>, options: SortOptions) -> DataChunk {
-    let ncols = cols.len();
-    let chunk = DataChunk::from_columns(cols.into_iter().map(Vector::from_u32s).collect()).unwrap();
-    SortPipeline::new(chunk.types(), OrderBy::ascending(ncols), options).sort(&chunk)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rowsort_vector::{OrderByColumn, SortSpec, Value};
+    use rowsort_vector::{OrderByColumn, SortSpec, Value, Vector};
 
     fn reference_sort(chunk: &DataChunk, order: &OrderBy) -> Vec<Vec<Value>> {
         let mut rows = chunk.to_rows();

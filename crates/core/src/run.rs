@@ -7,7 +7,6 @@ use crate::comparator::FusedRowComparator;
 use crate::keys::{KeyBlock, KeySortAlgo};
 use crate::metrics::{Counter, CounterRegistry};
 use crate::pool::BufferPool;
-use rowsort_algos::radix::radix_scratch_len;
 use rowsort_row::{RowBlock, RowLayout};
 use rowsort_vector::{DataChunk, LogicalType, OrderBy};
 use std::sync::{Arc, Mutex};
@@ -95,11 +94,18 @@ impl RunGenerator<'_> {
     ) -> SortedRun {
         let rows = hi - lo;
         let width = self.layout.width();
-        // DSM → NSM: payload rows (all columns) in input order first.
+        // DSM → NSM: payload rows (all columns) in input order first. The
+        // heap is asked for at the size the range's strings will fill —
+        // they are contiguous in every VARCHAR column — so the pool hands
+        // back the heap the previous run returned; a smaller request
+        // would file that one under its grown class and regrow another.
+        let columns = input.columns().iter();
+        let strings = columns.filter_map(|col| col.as_strings());
+        let heap_bytes: usize = strings.map(|s| s.range_bytes(lo, hi)).sum();
         let mut staging = RowBlock::from_raw_parts(
             Arc::clone(self.layout),
             self.pool.get_bytes(rows * width),
-            self.pool.get_bytes(64),
+            self.pool.get_bytes(heap_bytes),
         );
         staging.append_chunk_range(input, lo, hi);
 
@@ -113,9 +119,7 @@ impl RunGenerator<'_> {
 
         // Thread-local sort: radix, or pdqsort + tie resolution when
         // truncated VARCHAR prefixes make ties possible.
-        let mut radix_scratch = self
-            .pool
-            .get_bytes(radix_scratch_len(rows * keys.stride(), keys.stride()));
+        let mut radix_scratch = self.pool.get_bytes(rows * keys.stride());
         let algo = keys.sort_with_scratch(&mut radix_scratch, |a, b| {
             self.tie_cmp.compare(
                 staging.row(a as usize),

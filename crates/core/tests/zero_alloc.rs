@@ -1,6 +1,8 @@
 //! Pins the tentpole claim: a warmed-up pipeline sorts with ZERO system
 //! allocations — every transient buffer (key runs, payload blocks, radix
-//! scratch, merge outputs) comes from the pipeline's pool.
+//! scratch, merge outputs) comes from the pipeline's pool — on every
+//! run-sort path (LSD radix, MSD radix with its insertion-sorted buckets,
+//! pdqsort with tie resolution) and both merges.
 //!
 //! The counting allocator is installed globally for this test binary, so
 //! the file holds exactly one test: any parallel test in the same binary
@@ -10,31 +12,27 @@ use rowsort_core::metrics::Counter;
 use rowsort_core::pipeline::{SortOptions, SortPipeline};
 use rowsort_testkit::alloc::{allocation_count, CountingAllocator};
 use rowsort_testkit::Rng;
-use rowsort_vector::{DataChunk, OrderBy, Vector};
+use rowsort_vector::{DataChunk, LogicalType, OrderBy, Value, Vector};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-#[test]
-fn steady_state_sort_does_not_allocate() {
-    let mut rng = Rng::seed_from_u64(0x2ea0_a110c);
-    let n = 200_000;
-    let col: Vec<u32> = (0..n).map(|_| rng.next_u32()).collect();
-    let chunk = DataChunk::from_columns(vec![Vector::from_u32s(col)]).unwrap();
-
+/// Sort `chunk` by its first `keys` columns three times on one pipeline
+/// and pin the third sort: no system allocation, no pool miss.
+fn third_sort_does_not_allocate(what: &str, chunk: &DataChunk, keys: usize, ovc: bool) {
+    let n = chunk.len();
     // threads: 1 — worker threads allocate stack/TLS on their own
     // schedule; the zero-allocation guarantee is about sort buffers.
     let pipeline = SortPipeline::new(
         chunk.types(),
-        OrderBy::ascending(1),
+        OrderBy::ascending(keys),
         SortOptions {
             threads: 1,
-            run_rows: 1 << 15,
-            // Pinned on (not inherited from ROWSORT_OVC): the offset-value
+            run_rows: n / 6,
+            // Pinned (not inherited from ROWSORT_OVC): on, the offset-value
             // code columns must come from the pool like every other sort
-            // buffer, adding zero steady-state allocations.
-            ovc: true,
-            ..SortOptions::default()
+            // buffer; off, so must every round of the cascade.
+            ovc,
         },
     );
 
@@ -42,23 +40,23 @@ fn steady_state_sort_does_not_allocate() {
     // output) and grow the merge's scratch. Two passes so every size
     // class is pooled before measurement.
     for _ in 0..2 {
-        drop(pipeline.sort_rows(&chunk));
+        drop(pipeline.sort_rows(chunk));
     }
 
     let before = allocation_count();
-    let sorted = pipeline.sort_rows(&chunk);
-    assert_eq!(sorted.len(), n as usize);
+    let sorted = pipeline.sort_rows(chunk);
+    assert_eq!(sorted.len(), n);
     drop(sorted);
     let allocs = allocation_count() - before;
     let (hits, misses) = pipeline.pool_stats();
     assert_eq!(
         allocs, 0,
-        "steady-state sort hit the system allocator {allocs} time(s) \
-         (pool hits={hits} misses={misses})"
+        "{what}, ovc={ovc}: steady-state sort hit the system allocator \
+         {allocs} time(s) (pool hits={hits} misses={misses})"
     );
     assert!(
         hits > 0,
-        "pool was never used (hits={hits} misses={misses})"
+        "{what}, ovc={ovc}: pool was never used (hits={hits} misses={misses})"
     );
 
     // The observability layer recorded the measured sort — counters,
@@ -72,6 +70,43 @@ fn steady_state_sort_does_not_allocate() {
     assert_eq!(profile.metrics.counter(Counter::SortCalls), 1);
     assert_eq!(profile.metrics.counter(Counter::RowsSorted), n as u64);
     assert!(profile.metrics.counter(Counter::PoolHits) > 0);
+    assert_eq!(
+        profile.metrics.counter(Counter::PoolMisses),
+        0,
+        "{what}, ovc={ovc}: a warm pool missed"
+    );
     assert!(profile.metrics.phase_total_ns() > 0);
     assert_eq!(pipeline.metrics().counter(Counter::SortCalls), 3);
+}
+
+#[test]
+fn steady_state_sort_does_not_allocate() {
+    let mut rng = Rng::seed_from_u64(0x2ea0_a110c);
+
+    // 5-byte key: LSD radix.
+    let col: Vec<u32> = (0..200_000).map(|_| rng.next_u32()).collect();
+    let u32s = DataChunk::from_columns(vec![Vector::from_u32s(col)]).unwrap();
+
+    // One VARCHAR key longer than the 12-byte prefix, NULLs, and a payload
+    // column: pdqsort whose ties fall through to the full-tuple
+    // comparator, run heaps, and a merge that breaks ties the same way.
+    let mut strings = DataChunk::new(&[LogicalType::Varchar, LogicalType::UInt32]);
+    for i in 0..60_000u32 {
+        let name = match rng.below(10) {
+            0 => Value::Null,
+            _ => Value::from(format!("customer_name_{:05}", rng.below(20_000))),
+        };
+        strings.push_row(&[name, Value::UInt32(i)]).unwrap();
+    }
+
+    // Four i32 columns, a 20-byte key: MSD radix, whose buckets of at most
+    // 24 rows finish in insertion sort.
+    let mut column = || Vector::from_i32s((0..100_000).map(|_| rng.below(1_000) as i32).collect());
+    let wide = DataChunk::from_columns(vec![column(), column(), column(), column()]).unwrap();
+
+    for ovc in [true, false] {
+        third_sort_does_not_allocate("u32 key", &u32s, 1, ovc);
+        third_sort_does_not_allocate("long VARCHAR key", &strings, 1, ovc);
+        third_sort_does_not_allocate("four-i32 key", &wide, 4, ovc);
+    }
 }

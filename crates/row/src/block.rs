@@ -490,90 +490,6 @@ impl RowBlock {
         }
         self.len = n;
     }
-
-    /// Materialize a new block by picking rows `(block_idx, row_idx)` from
-    /// several source blocks sharing one layout — the payload step of a
-    /// merge: key comparison decides the picks, then rows are copied in
-    /// output order with their strings compacted into a fresh heap.
-    pub fn gather_from(blocks: &[&RowBlock], picks: &[(u32, u32)]) -> RowBlock {
-        assert!(!blocks.is_empty(), "gather_from needs at least one block");
-        // lint:allow(R002): the index is guarded by the assert directly
-        // above; an empty input has no layout to build a block from.
-        let layout = Arc::clone(blocks[0].layout());
-        for b in blocks {
-            assert_eq!(
-                b.layout().types(),
-                layout.types(),
-                "gather_from requires one shared layout"
-            );
-        }
-        let width = layout.width();
-        let varlen_cols: Vec<usize> = (0..layout.column_count())
-            .filter(|&c| layout.types()[c] == LogicalType::Varchar)
-            .collect();
-        let mut data = vec![0u8; picks.len() * width];
-        let mut heap = Vec::new();
-        for (dst, &(bi, ri)) in picks.iter().enumerate() {
-            let src = blocks[bi as usize];
-            let s = ri as usize * width;
-            let row = &mut data[dst * width..(dst + 1) * width];
-            row.copy_from_slice(&src.data[s..s + width]);
-            for &c in &varlen_cols {
-                if src.is_null(ri as usize, c) {
-                    continue;
-                }
-                let at = layout.offset(c);
-                let off = u32::from_le_bytes(read_array(row, at)) as usize;
-                let len = u32::from_le_bytes(read_array(row, at + 4)) as usize;
-                let new_off = heap_base(heap.len());
-                heap.extend_from_slice(&src.heap[off..off + len]);
-                row[at..at + 4].copy_from_slice(&new_off.to_le_bytes());
-            }
-        }
-        RowBlock {
-            layout,
-            data,
-            heap,
-            len: picks.len(),
-        }
-    }
-
-    /// Append all rows of another block with the same layout, rewriting its
-    /// heap references to this block's heap.
-    pub fn append_block(&mut self, other: &RowBlock) {
-        assert_eq!(
-            self.layout.types(),
-            other.layout.types(),
-            "appending block with different layout"
-        );
-        let width = self.width();
-        let heap_shift = heap_base(self.heap.len());
-        // Checked before a byte moves: a shifted offset is below the
-        // combined length, so if that fits every rewritten slot does.
-        heap_base(self.heap.len() + other.heap.len());
-        self.heap.extend_from_slice(&other.heap);
-        let base = self.data.len();
-        self.data.extend_from_slice(&other.data);
-        if heap_shift != 0 && self.layout.has_varlen() {
-            // Shift heap offsets in the copied rows.
-            let varlen_cols: Vec<usize> = (0..self.layout.column_count())
-                .filter(|&c| self.layout.types()[c] == LogicalType::Varchar)
-                .collect();
-            for r in 0..other.len {
-                let row_start = base + r * width;
-                for &c in &varlen_cols {
-                    if other.is_null(r, c) {
-                        continue;
-                    }
-                    let at = row_start + self.layout.offset(c);
-                    let off = u32::from_le_bytes(read_array(&self.data, at));
-                    let new_off = off + heap_shift;
-                    self.data[at..at + 4].copy_from_slice(&new_off.to_le_bytes());
-                }
-            }
-        }
-        self.len += other.len;
-    }
 }
 
 #[cfg(test)]
@@ -709,39 +625,6 @@ mod tests {
     }
 
     #[test]
-    fn append_block_rewrites_heap_offsets() {
-        let mk = |strings: &[&str]| {
-            let mut c = DataChunk::new(&[T::Varchar]);
-            for s in strings {
-                c.push_row(&[Value::from(*s)]).unwrap();
-            }
-            let mut b = RowBlock::new(Arc::new(RowLayout::new(&c.types())));
-            b.append_chunk(&c);
-            b
-        };
-        let mut a = mk(&["one", "two"]);
-        let b = mk(&["three"]);
-        a.append_block(&b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.value(0, 0), Value::from("one"));
-        assert_eq!(a.value(2, 0), Value::from("three"));
-    }
-
-    #[test]
-    fn append_block_fixed_width() {
-        let c1 = chunk_u32_pairs(&[(1, 10)]);
-        let c2 = chunk_u32_pairs(&[(2, 20)]);
-        let layout = Arc::new(RowLayout::new(&c1.types()));
-        let mut a = RowBlock::new(Arc::clone(&layout));
-        a.append_chunk(&c1);
-        let mut b = RowBlock::new(layout);
-        b.append_chunk(&c2);
-        a.append_block(&b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.value(1, 0), Value::UInt32(2));
-    }
-
-    #[test]
     fn packed_layout_round_trips_too() {
         let chunk = chunk_u32_pairs(&[(5, 50), (4, 40)]);
         let layout = Arc::new(RowLayout::with_alignment(
@@ -760,39 +643,6 @@ mod tests {
         block.append_chunk(&chunk);
         assert_eq!(block.row(0).len(), block.width());
         assert_eq!(block.data().len(), block.width());
-    }
-
-    #[test]
-    fn gather_from_multiple_blocks() {
-        let mk = |vals: &[(u32, &str)]| {
-            let mut c = DataChunk::new(&[T::UInt32, T::Varchar]);
-            for (v, s) in vals {
-                c.push_row(&[Value::UInt32(*v), Value::from(*s)]).unwrap();
-            }
-            let mut b = RowBlock::new(Arc::new(RowLayout::new(&c.types())));
-            b.append_chunk(&c);
-            b
-        };
-        let a = mk(&[(1, "one"), (3, "three")]);
-        let b = mk(&[(2, "two"), (4, "four")]);
-        let merged = RowBlock::gather_from(&[&a, &b], &[(0, 0), (1, 0), (0, 1), (1, 1)]);
-        assert_eq!(merged.len(), 4);
-        assert_eq!(merged.value(0, 1), Value::from("one"));
-        assert_eq!(merged.value(1, 1), Value::from("two"));
-        assert_eq!(merged.value(2, 0), Value::UInt32(3));
-        assert_eq!(merged.value(3, 1), Value::from("four"));
-    }
-
-    #[test]
-    fn gather_from_with_nulls() {
-        let mut c = DataChunk::new(&[T::Varchar]);
-        c.push_row(&[Value::Null]).unwrap();
-        c.push_row(&[Value::from("x")]).unwrap();
-        let mut b = RowBlock::new(Arc::new(RowLayout::new(&c.types())));
-        b.append_chunk(&c);
-        let g = RowBlock::gather_from(&[&b], &[(0, 1), (0, 0)]);
-        assert_eq!(g.value(0, 0), Value::from("x"));
-        assert_eq!(g.value(1, 0), Value::Null);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! One convention for environment-variable knobs across the workspace.
 //!
 //! The knobs grew up independently and drifted: `ROWSORT_OVC` recognized
-//! only lowercase `0`/`false`/`off`, `ROWSORT_TRACE` only `1`/`true`, and
-//! `ROWSORT_BENCH_WARN_ONLY` accepted `1` plus case-insensitive `true`.
+//! only lowercase `0`/`false`/`off`, `ROWSORT_TRACE` only `1`/`true`.
 //! Every boolean knob now routes through [`parse_flag`] / [`env_flag`],
 //! and every numeric knob through [`parse_count`] / [`env_count`], so one
 //! table of spellings applies everywhere:

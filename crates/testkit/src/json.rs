@@ -2,8 +2,8 @@
 //! harness's reports.
 //!
 //! Build values with [`Json`], render with [`Json::render`], and read
-//! reports back with [`Json::parse`] (e.g. the perf-regression gate
-//! comparing a fresh bench run against the checked-in baseline).
+//! reports back with [`Json::parse`] (e.g. the counter gate comparing a
+//! fresh run's counts against the checked-in baseline).
 
 use std::fmt::Write as _;
 

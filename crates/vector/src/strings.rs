@@ -127,6 +127,11 @@ impl StringVec {
         self.bytes.len()
     }
 
+    /// Payload bytes of the strings `lo..hi`: one subtraction, no scan.
+    pub fn range_bytes(&self, lo: usize, hi: usize) -> usize {
+        (self.offsets[hi] - self.offsets[lo]) as usize
+    }
+
     /// Maximum string byte length in the column (0 if empty). Used to pick
     /// normalized-key prefix lengths from statistics, as DuckDB does.
     pub fn max_len(&self) -> usize {
@@ -160,6 +165,8 @@ mod tests {
         assert_eq!(v.get(2), "NETHERLANDS");
         assert_eq!(v.byte_len(2), 11);
         assert_eq!(v.total_bytes(), 7 + 11);
+        assert_eq!(v.range_bytes(1, 3), 11);
+        assert_eq!(v.range_bytes(2, 2), 0);
     }
 
     #[test]

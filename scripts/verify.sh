@@ -90,71 +90,31 @@ trace_jsonl="$PWD/target/perf/trace_smoke.jsonl"
 cargo run --release --offline -q -p rowsort-bench --bin trace_smoke -- "$trace_jsonl"
 
 # --- 5b. Merge counter gates -------------------------------------------------
-# Gates without a clock, ahead of the two that read one. The coded
-# in-memory merge is one range-partitioned k-way pass at any thread count
-# (merge_rounds == 1, bytes_moved exact and equal across thread counts,
-# merge_tasks == ranges, a warm pool never missed) and its rows are
-# bit-identical to the OVC-off cascade's. The spill merge reads every run
-# file once: bytes read at the SpillIo handles == bytes written at one
-# merge thread, at most two blocks per run and splitter more above it,
-# rows the pipeline's at every thread count. Both run inside step 3 too;
-# the named step makes a regression in a merge's shape fail on its own
-# line.
+# The coded in-memory merge is one range-partitioned k-way pass at any
+# thread count (merge_rounds == 1, bytes_moved exact and equal across
+# thread counts, merge_tasks == ranges, a warm pool never missed) and its
+# rows are bit-identical to the OVC-off cascade's. The spill merge reads
+# every run file once: bytes read at the SpillIo handles == bytes written
+# at one merge thread, at most two blocks per run and splitter more above
+# it, rows the pipeline's at every thread count. Both run inside step 3
+# too; the named step makes a regression in a merge's shape fail on its
+# own line.
 echo "== merge counter gates =="
 cargo test -q -p rowsort-core --offline --test merge_moves_once
 cargo test -q -p rowsort-core --offline --test spill_reads_once
 
-# --- 6. Pipeline perf gate ---------------------------------------------------
-# A fast pipeline bench run (250k rows, not the full Figure 12 sizes),
-# compared against the checked-in BENCH_pipeline.json baseline. The gate
-# prints a ratio per bench id and FAILS the build past a 1.25x median
-# regression on any overlapping id; export ROWSORT_BENCH_WARN_ONLY=1 to
-# demote regressions to warnings (noisy machines, intentional trade-offs
-# awaiting a baseline refresh). The --trace flag appends a phase
-# attribution of the traced sorts from step 5 so a flagged regression
-# points at the phase that slowed down.
-echo "== pipeline perf gate =="
-# Absolute path: cargo runs benches with the package dir as cwd.
-smoke_json="$PWD/target/perf/pipeline_smoke.json"
-rm -f "$smoke_json"
-ROWSORT_PIPE_ROWS=250000 ROWSORT_BENCH_JSON="$smoke_json" \
-    cargo bench --offline -q -p rowsort-bench --bench pipeline
-# Fail loudly if the harness silently wrote nothing (a stale file from a
-# prior run would otherwise gate this build against the wrong medians —
-# hence the rm above — and bench_gate would obscure an empty file behind
-# a parse error).
-if [ ! -s "$smoke_json" ]; then
-    echo "verify: pipeline bench wrote no report to $smoke_json" >&2
-    exit 1
-fi
-if [ ! -s BENCH_pipeline.json ]; then
-    echo "verify: baseline BENCH_pipeline.json is missing or empty" >&2
-    exit 1
-fi
-cargo run --release --offline -q -p rowsort-bench --bin bench_gate -- \
-    BENCH_pipeline.json "$smoke_json" --tolerance 25 --trace "$trace_jsonl"
-
-# --- 6b. Spill-merge perf gate -----------------------------------------------
-# The external sort of 16 spilled runs at 1 and at 4 merge threads (100k
-# rows; one code path, cut into 1 or 4 key ranges), gated against
-# BENCH_spill_merge.json the same way. The baseline is this host class's
-# slowest median of several runs; the gate is a relative regression
-# check per bench id, not a parallel-speedup claim.
-echo "== spill-merge perf gate =="
-spill_json="$PWD/target/perf/spill_merge_smoke.json"
-rm -f "$spill_json"
-ROWSORT_SPILL_ROWS=100000 ROWSORT_BENCH_JSON="$spill_json" \
-    cargo bench --offline -q -p rowsort-bench --bench spill_merge
-if [ ! -s "$spill_json" ]; then
-    echo "verify: spill_merge bench wrote no report to $spill_json" >&2
-    exit 1
-fi
-if [ ! -s BENCH_spill_merge.json ]; then
-    echo "verify: baseline BENCH_spill_merge.json is missing or empty" >&2
-    exit 1
-fi
-cargo run --release --offline -q -p rowsort-bench --bin bench_gate -- \
-    BENCH_spill_merge.json "$spill_json" --tolerance 25
+# --- 6. Bench counter gate ---------------------------------------------------
+# The inputs of the pipeline and spill_merge benches, sorted once each on
+# a warm sorter with every option pinned, and every deterministic counter
+# of that sort (plus, on one thread, its system allocations) compared
+# with the checked-in BENCH_counters.json for exact equality. No clock is
+# read: a difference means the change altered how much work an algorithm
+# does. If that was the point, say so and re-record with
+# `bench_gate --write`; if not, it is a regression. The printed table is
+# kept under target/perf/ and uploaded as a CI artifact.
+echo "== bench counter gate =="
+cargo run --release --offline -q -p rowsort-bench --bin bench_gate \
+    | tee target/perf/bench_counters.txt
 
 # --- 7. Spill fault-injection stress ----------------------------------------
 # 50 seeded iterations of the differential stress loop (DESIGN.md §8.5):
