@@ -837,7 +837,7 @@ impl SortPipeline {
             if let Some(dst) = key_out.next() {
                 copy_small(dst, &src_keys[r * kw..(r + 1) * kw]);
             }
-            // lint:allow(R002, R010): the iterator yields d1-d0 rows by
+            // lint:allow(R010): the iterator yields d1-d0 rows by
             // construction; see the SAFETY disjointness argument above.
             let out_row = row_out.next().expect("output sized to partition");
             copy_small(out_row, &src_rows[r * width..(r + 1) * width]);

@@ -209,7 +209,7 @@ impl Drop for PhaseGuard<'_> {
         let panicked = state.panicked;
         drop(state);
         if panicked > 0 && !std::thread::panicking() {
-            // lint:allow(R002, R010): a worker panic is a phase failure;
+            // lint:allow(R010): a worker panic is a phase failure;
             // re-raising it on the caller is the contract of `broadcast`.
             panic!("{panicked} sort worker(s) panicked during a phase");
         }

@@ -13,15 +13,8 @@ use rowsort_vector::{
     DataChunk, LogicalType, NullOrder, OrderBy, OrderByColumn, SortOrder, SortSpec, Value,
 };
 
-fn pseudo_random(n: usize, seed: u64) -> Vec<u64> {
-    let mut state = seed;
-    (0..n)
-        .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            state >> 33
-        })
-        .collect()
-}
+mod common;
+use common::pseudo_random;
 
 /// A Varchar column with NULLs, duplicates, empty and long strings,
 /// plus a unique Int32 id column.

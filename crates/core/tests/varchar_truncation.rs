@@ -14,15 +14,8 @@ use rowsort_core::pipeline::{SortOptions, SortPipeline};
 use rowsort_vector::{DataChunk, LogicalType, OrderBy, OrderByColumn, SortSpec, Value};
 use std::cmp::Ordering;
 
-fn pseudo_random(n: usize, seed: u64) -> Vec<u64> {
-    let mut state = seed;
-    (0..n)
-        .map(|_| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            state >> 33
-        })
-        .collect()
-}
+mod common;
+use common::pseudo_random;
 
 /// `ORDER BY s ASC, n ASC` — `n` is unique, so the ordering is total and
 /// the expected row sequence is exact.

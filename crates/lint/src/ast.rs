@@ -280,55 +280,47 @@ pub enum JumpKind {
 }
 
 impl Expr {
-    /// Visit `self` and every sub-expression, pre-order. Blocks nested in
-    /// expressions are traversed; nested *items* are not (they are their
-    /// own analysis roots).
-    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
-        f(self);
+    /// Immediate sub-expressions in source order, the one enumeration of
+    /// the variants every tree walk is written on. A block contributes
+    /// the expressions of its statements; nested *items* are not children
+    /// (they are their own analysis roots).
+    pub fn children(&self) -> Vec<&Expr> {
+        let mut out: Vec<&Expr> = Vec::new();
         match self {
-            Expr::Call { args, .. } | Expr::Macro { args, .. } => {
-                for a in args {
-                    a.walk(f);
-                }
-            }
+            Expr::Call { args, .. }
+            | Expr::Macro { args, .. }
+            | Expr::Bin { args, .. }
+            | Expr::Match(args)
+            | Expr::Other(args) => out.extend(args),
             Expr::Method { recv, args, .. } => {
-                recv.walk(f);
-                for a in args {
-                    a.walk(f);
-                }
+                out.push(recv);
+                out.extend(args);
             }
-            Expr::Field { base, .. } => base.walk(f),
-            Expr::Index { base, index, .. } => {
-                base.walk(f);
-                index.walk(f);
-            }
-            Expr::Unary { expr, .. } => expr.walk(f),
-            Expr::Bin { args: items, .. } | Expr::Match(items) | Expr::Other(items) => {
-                for e in items {
-                    e.walk(f);
-                }
-            }
-            Expr::Jump { value, .. } => {
-                if let Some(v) = value {
-                    v.walk(f);
-                }
-            }
-            Expr::Block(b) | Expr::Unsafe { block: b, .. } => b.walk_exprs(f),
+            Expr::Field { base, .. } => out.push(base),
+            Expr::Index { base, index, .. } => out.extend([&**base, &**index]),
+            Expr::Unary { expr, .. } => out.push(expr),
+            Expr::Jump { value, .. } => out.extend(value.as_deref()),
+            Expr::Block(b) | Expr::Unsafe { block: b, .. } => out.extend(b.exprs()),
             Expr::Loop { head, body } => {
-                for e in head {
-                    e.walk(f);
-                }
-                body.walk_exprs(f);
+                out.extend(head);
+                out.extend(body.exprs());
             }
             Expr::If { cond, then, els } => {
-                cond.walk(f);
-                then.walk_exprs(f);
-                if let Some(e) = els {
-                    e.walk(f);
-                }
+                out.push(cond);
+                out.extend(then.exprs());
+                out.extend(els.as_deref());
             }
-            Expr::Closure { body, .. } => body.walk(f),
+            Expr::Closure { body, .. } => out.push(body),
             Expr::Path { .. } | Expr::Lit { .. } => {}
+        }
+        out
+    }
+
+    /// Visit `self` and every sub-expression, pre-order.
+    pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
+        f(self);
+        for c in self.children() {
+            c.walk(f);
         }
     }
 
@@ -346,38 +338,23 @@ impl Expr {
             _ => None,
         }
     }
-
-    /// Collect every leaf identifier (path last-segments and field names)
-    /// in this expression, excluding `self` — the names a SAFETY comment
-    /// is expected to argue about.
-    pub fn leaf_idents<'a>(&'a self, out: &mut Vec<&'a str>) {
-        self.walk(&mut |e| match e {
-            Expr::Path { path } => {
-                let last = path.rsplit("::").next().unwrap_or(path);
-                if last != "self" && !last.is_empty() {
-                    out.push(last);
-                }
-            }
-            Expr::Field { name, .. } => {
-                if !name.chars().all(|c| c.is_ascii_digit()) {
-                    out.push(name);
-                }
-            }
-            _ => {}
-        });
-    }
 }
 
 impl Block {
+    /// The expression of every statement (`let` initializers and
+    /// expression statements), in source order.
+    pub fn exprs(&self) -> impl Iterator<Item = &Expr> {
+        self.stmts.iter().filter_map(|stmt| match stmt {
+            Stmt::Let { init, .. } => init.as_ref(),
+            Stmt::Expr { expr, .. } => Some(expr),
+            Stmt::Item(_) => None,
+        })
+    }
+
     /// Visit every expression in this block's statements, pre-order.
     pub fn walk_exprs<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
-        for stmt in &self.stmts {
-            match stmt {
-                Stmt::Let { init: Some(e), .. } => e.walk(f),
-                Stmt::Let { init: None, .. } => {}
-                Stmt::Expr { expr, .. } => expr.walk(f),
-                Stmt::Item(_) => {}
-            }
+        for e in self.exprs() {
+            e.walk(f);
         }
     }
 }

@@ -16,8 +16,9 @@
 //! plausible edge. The cost is occasional false chains through unrelated
 //! same-name methods, paid for with a reasoned `lint:allow`.
 //!
-//! Cross-crate calls resolve to nothing (each crate declares its own
-//! entry points in `lint.toml [hot-entry-points]`), and test functions
+//! Cross-crate calls resolve to nothing (each crate has its own roots:
+//! its `lint.toml [hot-entry-points]` and every function of its
+//! `[hot-paths]` files), and test functions
 //! are excluded from the graph entirely — they are neither reachable
 //! from production entries nor valid resolution targets.
 
@@ -26,8 +27,7 @@ use crate::rules::Finding;
 use std::collections::{HashMap, VecDeque};
 
 /// Macros that panic by definition (the `assert!` family is deliberately
-/// excluded, matching the token-level R002 rule: assertions in cold
-/// validation code are a supported pattern).
+/// excluded: assertions in cold validation code are a supported pattern).
 const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
 /// One parsed file of a crate unit.
@@ -51,17 +51,6 @@ pub enum Target {
     Method(String),
 }
 
-/// One outgoing call from a function body.
-#[derive(Debug)]
-pub struct CallSite {
-    /// What the call names.
-    pub target: Target,
-    /// 1-based line of the callee name.
-    pub line: u32,
-    /// 1-based column of the callee name.
-    pub col: u32,
-}
-
 /// One direct panic source in a function body.
 #[derive(Debug)]
 pub struct PanicSite {
@@ -79,12 +68,10 @@ pub struct FnNode {
     pub qual: String,
     /// Repo-relative file.
     pub file: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
     /// Normalized return-type text (empty for unit).
     pub ret: String,
     /// Outgoing call sites (unresolved).
-    pub calls: Vec<CallSite>,
+    pub calls: Vec<Target>,
     /// Direct panic sources.
     pub panics: Vec<PanicSite>,
 }
@@ -116,7 +103,6 @@ impl Graph {
                 nodes.push(FnNode {
                     qual: f.qual.clone(),
                     file: uf.path.clone(),
-                    line: f.line,
                     ret: f.ret.clone(),
                     calls,
                     panics,
@@ -143,7 +129,7 @@ impl Graph {
         for i in 0..graph.nodes.len() {
             let mut targets = Vec::new();
             for call in &graph.nodes[i].calls {
-                targets.extend(graph.resolve(&call.target));
+                targets.extend(graph.resolve(call));
             }
             targets.sort_unstable();
             targets.dedup();
@@ -185,19 +171,17 @@ impl Graph {
             .position(|n| n.file == file && n.qual == qual)
     }
 
-    /// R010: for every panic site reachable from `entries` (given as
-    /// `(file, qual)` pairs), emit one finding at the panic site with the
-    /// shortest call chain from the first entry that reaches it. Visited
-    /// sets bound the BFS, so recursive and diamond-shaped call graphs
-    /// terminate and report each site once.
-    pub fn panic_reachability(&self, entries: &[(String, String)]) -> Vec<Finding> {
+    /// R010: for every panic site reachable from `roots` (node indices),
+    /// emit one finding at the panic site with the shortest call chain
+    /// from the first root that reaches it. Visited sets bound the BFS,
+    /// so recursive and diamond-shaped call graphs terminate and report
+    /// each site once.
+    pub fn panic_reachability(&self, roots: &[usize]) -> Vec<Finding> {
         let mut findings = Vec::new();
         // (file, line, col) of sites already reported.
         let mut claimed: Vec<(String, u32, u32)> = Vec::new();
-        for (file, qual) in entries {
-            let Some(start) = self.find(file, qual) else {
-                continue;
-            };
+        for &start in roots {
+            let qual = &self.nodes[start].qual;
             // BFS with parent pointers for shortest-chain rendering.
             let mut parent: HashMap<usize, usize> = HashMap::new();
             let mut visited = vec![false; self.nodes.len()];
@@ -252,19 +236,11 @@ impl Graph {
 }
 
 /// Extract call sites and direct panic sources from a function body.
-pub fn scan_body(body: &Block) -> (Vec<CallSite>, Vec<PanicSite>) {
+pub fn scan_body(body: &Block) -> (Vec<Target>, Vec<PanicSite>) {
     let mut calls = Vec::new();
     let mut panics = Vec::new();
     body.walk_exprs(&mut |e| match e {
-        Expr::Call {
-            callee, line, col, ..
-        } => {
-            calls.push(CallSite {
-                target: classify(callee),
-                line: *line,
-                col: *col,
-            });
-        }
+        Expr::Call { callee, .. } => calls.push(classify(callee)),
         Expr::Method {
             name, line, col, ..
         } => {
@@ -275,11 +251,7 @@ pub fn scan_body(body: &Block) -> (Vec<CallSite>, Vec<PanicSite>) {
                     col: *col,
                 });
             }
-            calls.push(CallSite {
-                target: Target::Method(name.clone()),
-                line: *line,
-                col: *col,
-            });
+            calls.push(Target::Method(name.clone()));
         }
         Expr::Macro {
             name, line, col, ..
@@ -343,6 +315,10 @@ mod tests {
         Graph::build(&ufs)
     }
 
+    fn reach(g: &Graph, file: &str, qual: &str) -> Vec<Finding> {
+        g.panic_reachability(&[g.find(file, qual).expect("entry resolves")])
+    }
+
     #[test]
     fn diamond_reports_shortest_chain_once() {
         let g = unit(&[(
@@ -353,7 +329,7 @@ mod tests {
              fn mid() { sink(); }\n\
              fn sink(v: &[u8]) { v.first().unwrap(); }\n",
         )]);
-        let f = g.panic_reachability(&[("d.rs".into(), "entry".into())]);
+        let f = reach(&g, "d.rs", "entry");
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!((f[0].path.as_str(), f[0].line), ("d.rs", 5));
         assert!(
@@ -370,7 +346,7 @@ mod tests {
             "fn entry(n: u32) { if n > 0 { entry(n - 1); } helper(n); }\n\
              fn helper(n: u32) { if n > 1 { entry(n); } panic!(\"boom\"); }\n",
         )]);
-        let f = g.panic_reachability(&[("r.rs".into(), "entry".into())]);
+        let f = reach(&g, "r.rs", "entry");
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("entry -> helper"));
     }
@@ -385,7 +361,7 @@ mod tests {
              fn core_of_a() { todo!() }\n\
              fn entry(s: &dyn Step) { s.step(); }\n",
         )]);
-        let f = g.panic_reachability(&[("t.rs".into(), "entry".into())]);
+        let f = reach(&g, "t.rs", "entry");
         assert_eq!(f.len(), 1);
         assert!(
             f[0].message.contains("entry -> A::step -> core_of_a"),
@@ -402,7 +378,7 @@ mod tests {
              fn helper() {}\n\
              #[cfg(test)] mod tests { fn helper() { panic!(\"test only\") } }\n",
         )]);
-        let f = g.panic_reachability(&[("x.rs".into(), "entry".into())]);
+        let f = reach(&g, "x.rs", "entry");
         assert!(f.is_empty(), "{f:?}");
     }
 
@@ -412,7 +388,7 @@ mod tests {
             ("a.rs", "pub fn entry() { lib_helper(); }\n"),
             ("b.rs", "pub fn lib_helper(v: &[u8]) { v[0]; }\n"),
         ]);
-        let f = g.panic_reachability(&[("a.rs".into(), "entry".into())]);
+        let f = reach(&g, "a.rs", "entry");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].path, "b.rs");
         assert!(f[0].message.contains("slice indexed by integer literal"));

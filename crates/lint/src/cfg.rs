@@ -393,7 +393,7 @@ fn is_assignment(ops: &[String]) -> bool {
 }
 
 /// Best-effort source line for anchoring an instruction.
-pub fn expr_line(e: &Expr) -> u32 {
+fn expr_line(e: &Expr) -> u32 {
     let mut line = 0u32;
     e.walk(&mut |x| {
         if line != 0 {

@@ -1,7 +1,7 @@
 //! `lint.toml` — declares which paths each scoped rule applies to.
 //!
 //! ```toml
-//! [hot-paths]            # R002 / R003 scope
+//! [hot-paths]            # R003 scope; every fn of these files is an R010 root
 //! globs = ["crates/algos/src/radix.rs", ...]
 //!
 //! [cast-strict]          # R004 scope
@@ -39,26 +39,15 @@
 //!
 //! [taint-sinks]          # R021: extra allocation-size sinks
 //! calls = []
-//!
-//! [severity]             # per-rule override, "deny" (default) or "warn"
-//! R011 = "warn"
 //! ```
 
 use crate::toml_scan;
 
-/// How a finding affects the exit code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Fails the build (unless baselined).
-    Deny,
-    /// Reported, never fails the build.
-    Warn,
-}
-
 /// Parsed lint configuration.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// R002/R003 apply to files matching these globs.
+    /// R003 applies to files matching these globs, and every non-test
+    /// function they declare is an R010 root.
     pub hot_paths: Vec<String>,
     /// R004 applies to files matching these globs.
     pub cast_strict: Vec<String>,
@@ -74,6 +63,9 @@ pub struct Config {
     pub test_paths: Vec<String>,
     /// R010 reachability roots as `(file, qualified-fn)` pairs.
     pub hot_entries: Vec<(String, String)>,
+    /// Line of `[hot-entry-points] fns` in `lint.toml`, where an entry
+    /// that names no function is reported.
+    pub hot_entries_line: u32,
     /// Files where `Ordering::Relaxed` is permitted (metrics counters).
     pub atomic_relaxed_allow: Vec<String>,
     /// Files where discarding a `SpillError` result is permitted.
@@ -86,8 +78,6 @@ pub struct Config {
     pub taint_sanitizers: Vec<String>,
     /// R021: extra allocation-size sinks beyond the built-ins.
     pub taint_sinks: Vec<String>,
-    /// Per-rule severity overrides (`R011` → `warn`).
-    pub severity: Vec<(String, String)>,
 }
 
 impl Default for Config {
@@ -100,13 +90,13 @@ impl Default for Config {
             exclude: Vec::new(),
             test_paths: Vec::new(),
             hot_entries: Vec::new(),
+            hot_entries_line: 1,
             atomic_relaxed_allow: Vec::new(),
             spill_cleanup_allow: Vec::new(),
             unsafe_max_stmts: 8,
             taint_sources: Vec::new(),
             taint_sanitizers: Vec::new(),
             taint_sinks: Vec::new(),
-            severity: Vec::new(),
         }
     }
 }
@@ -132,6 +122,7 @@ impl Config {
                     }
                 }
                 ("hot-entry-points", "fns") => {
+                    cfg.hot_entries_line = item.line;
                     cfg.hot_entries = toml_scan::array_strings(&item.value)
                         .into_iter()
                         .filter_map(|spec| {
@@ -153,27 +144,10 @@ impl Config {
                         cfg.unsafe_max_stmts = n;
                     }
                 }
-                ("severity", rule) => {
-                    let level = item.value.trim().trim_matches('"').to_string();
-                    cfg.severity.push((rule.to_string(), level));
-                }
                 _ => {}
             }
         }
         cfg
-    }
-
-    /// Effective severity of a rule: `deny` unless overridden to `warn`.
-    pub fn severity_of(&self, rule: &str) -> Severity {
-        match self
-            .severity
-            .iter()
-            .find(|(r, _)| r == rule)
-            .map(|(_, l)| l.as_str())
-        {
-            Some("warn") => Severity::Warn,
-            _ => Severity::Deny,
-        }
     }
 
     /// Does `path` (repo-relative, `/`-separated) match any glob in `set`?
@@ -288,8 +262,7 @@ mod tests {
             "[hot-entry-points]\nfns = [\"crates/core/src/pipeline.rs:SortPipeline::sort\"]\n\
              [test-paths]\nglobs = [\"crates/*/tests/**\"]\n\
              [atomic-relaxed-allow]\nglobs = [\"crates/core/src/metrics.rs\"]\n\
-             [unsafe-budget]\nmax-statements = 5\n\
-             [severity]\nR011 = \"warn\"\n",
+             [unsafe-budget]\nmax-statements = 5\n",
         );
         assert_eq!(
             cfg.hot_entries,
@@ -298,10 +271,9 @@ mod tests {
                 "SortPipeline::sort".to_string()
             )]
         );
+        assert_eq!(cfg.hot_entries_line, 2);
         assert!(Config::matches(&cfg.test_paths, "crates/core/tests/x.rs"));
         assert_eq!(cfg.unsafe_max_stmts, 5);
-        assert_eq!(cfg.severity_of("R011"), Severity::Warn);
-        assert_eq!(cfg.severity_of("R010"), Severity::Deny);
     }
 
     #[test]

@@ -85,34 +85,24 @@ impl TaintSpec {
                 .any(|d| callee == d || callee.ends_with(&format!("::{d}")))
     }
     fn is_sanitizer_method(&self, name: &str) -> bool {
-        list_matches_method(BUILTIN_SANITIZERS_OWNED(), name)
-            || list_matches_method(&self.sanitizers, name)
+        list_matches_method(BUILTIN_SANITIZERS, name) || list_matches_method(&self.sanitizers, name)
     }
     fn is_sanitizer_call(&self, callee: &str) -> bool {
-        list_matches_path(BUILTIN_SANITIZERS_OWNED(), callee)
-            || list_matches_path(&self.sanitizers, callee)
+        list_matches_path(BUILTIN_SANITIZERS, callee) || list_matches_path(&self.sanitizers, callee)
     }
-}
-
-/// `BUILTIN_SANITIZERS` as `String`s, built once.
-#[allow(non_snake_case)]
-fn BUILTIN_SANITIZERS_OWNED() -> &'static [String] {
-    use std::sync::OnceLock;
-    static CELL: OnceLock<Vec<String>> = OnceLock::new();
-    CELL.get_or_init(|| BUILTIN_SANITIZERS.iter().map(|s| s.to_string()).collect())
 }
 
 /// `.name` entries match a method call by name.
-fn list_matches_method(list: &[String], name: &str) -> bool {
+pub(crate) fn list_matches_method<S: AsRef<str>>(list: &[S], name: &str) -> bool {
     list.iter()
-        .any(|e| e.strip_prefix('.').is_some_and(|m| m == name))
+        .any(|e| e.as_ref().strip_prefix('.').is_some_and(|m| m == name))
 }
 
 /// Path entries match a call's `::`-joined callee by suffix.
-fn list_matches_path(list: &[String], callee: &str) -> bool {
-    list.iter().any(|e| {
-        !e.starts_with('.') && (callee == e || callee.ends_with(&format!("::{e}")))
-    })
+pub(crate) fn list_matches_path<S: AsRef<str>>(list: &[S], callee: &str) -> bool {
+    list.iter()
+        .map(AsRef::as_ref)
+        .any(|e| !e.starts_with('.') && (callee == e || callee.ends_with(&format!("::{e}"))))
 }
 
 /// The abstract value for one local.
@@ -502,18 +492,14 @@ impl<'s> Engine<'s> {
                 }
                 v
             }
+            // A closure's body is a frame of its own, not an operand.
+            Expr::Closure { .. } => AbsVal::default(),
             // Structural expressions: operand-join over children.
             other => {
-                let mut v = AbsVal {
-                    constant: false,
-                    ..AbsVal::default()
-                };
-                let mut children: Vec<&Expr> = Vec::new();
-                collect_children(other, &mut children);
-                for c in children {
+                let mut v = AbsVal::default();
+                for c in other.children() {
                     v.join_operand(&self.eval(c, state));
                 }
-                v.constant = false;
                 v
             }
         }
@@ -633,53 +619,6 @@ fn is_comparison(op: &str) -> bool {
     matches!(op, "<" | "<=" | ">" | ">=" | "==" | "!=")
 }
 
-/// Immediate child expressions (no descent into nested closures — those
-/// are separate frames).
-fn collect_children<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-    match e {
-        Expr::Call { args, .. } | Expr::Macro { args, .. } => out.extend(args.iter()),
-        Expr::Method { recv, args, .. } => {
-            out.push(recv);
-            out.extend(args.iter());
-        }
-        Expr::Field { base, .. } => out.push(base),
-        Expr::Index { base, index, .. } => {
-            out.push(base);
-            out.push(index);
-        }
-        Expr::Unary { expr, .. } => out.push(expr),
-        Expr::Bin { args, .. } | Expr::Match(args) | Expr::Other(args) => out.extend(args.iter()),
-        Expr::If { cond, then, els } => {
-            out.push(cond);
-            collect_block_children(then, out);
-            if let Some(e) = els {
-                out.push(e);
-            }
-        }
-        Expr::Loop { head, body } => {
-            out.extend(head.iter());
-            collect_block_children(body, out);
-        }
-        Expr::Block(b) | Expr::Unsafe { block: b, .. } => collect_block_children(b, out),
-        Expr::Jump { value, .. } => {
-            if let Some(v) = value {
-                out.push(v);
-            }
-        }
-        Expr::Closure { .. } | Expr::Path { .. } | Expr::Lit { .. } => {}
-    }
-}
-
-fn collect_block_children<'a>(b: &'a crate::ast::Block, out: &mut Vec<&'a Expr>) {
-    for stmt in &b.stmts {
-        match stmt {
-            Stmt::Let { init: Some(e), .. } => out.push(e),
-            Stmt::Expr { expr, .. } => out.push(expr),
-            _ => {}
-        }
-    }
-}
-
 /// Render an expression back to compact source-ish text for findings.
 /// Literals render as `_` (their spelling is not kept); output is capped.
 pub fn render(e: &Expr) -> String {
@@ -753,14 +692,8 @@ fn render_args(args: &[Expr], depth: usize) -> String {
 pub struct Frame<'a> {
     /// Owning function's qualified name (for messages).
     pub qual: &'a str,
-    /// Frame parameters.
-    pub params: Vec<String>,
     /// The CFG.
     pub cfg: Cfg<'a>,
-    /// The frame is (part of) a test function.
-    pub is_test: bool,
-    /// Source line of the frame head.
-    pub line: u32,
 }
 
 /// Collect the frames of every non-test function in `file`: the function
@@ -772,23 +705,14 @@ pub fn frames(file: &File) -> Vec<Frame<'_>> {
             return;
         }
         if let Some(cfg) = Cfg::from_fn(f) {
-            out.push(Frame {
-                qual: &f.qual,
-                params: f.params.clone(),
-                cfg,
-                is_test,
-                line: f.line,
-            });
+            out.push(Frame { qual: &f.qual, cfg });
         }
         if let Some(body) = &f.body {
             body.walk_exprs(&mut |e| {
                 if let Expr::Closure { params, body } = e {
                     out.push(Frame {
                         qual: &f.qual,
-                        params: params.clone(),
                         cfg: Cfg::from_closure(params, body),
-                        is_test,
-                        line: crate::cfg::expr_line(body),
                     });
                 }
             });
@@ -804,9 +728,7 @@ pub fn walk_no_closures<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
     if matches!(e, Expr::Closure { .. }) {
         return;
     }
-    let mut children = Vec::new();
-    collect_children(e, &mut children);
-    for c in children {
+    for c in e.children() {
         walk_no_closures(c, f);
     }
 }
@@ -1173,13 +1095,7 @@ fn check_id_writes(
         );
     }
     let flow = engine.run(&cfg, &seed);
-    let frame = Frame {
-        qual,
-        params: params.to_vec(),
-        cfg,
-        is_test: false,
-        line: 0,
-    };
+    let frame = Frame { qual, cfg };
     for_each_instr(&frame, &flow, &mut |instr, state| {
         let Some(value) = instr.value else { return };
         // Unsafe pointer offsets must be id-derived.

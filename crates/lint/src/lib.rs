@@ -1,17 +1,16 @@
 //! rowsort-lint — in-tree static analysis for the rowsort workspace.
 //!
 //! A dependency-free analyzer built on a hand-rolled Rust lexer
-//! ([`lexer`]), a recursive-descent parser ([`parser`] → [`ast`]), and a
-//! per-crate call graph ([`callgraph`]). Analysis runs in two passes:
-//!
-//! 1. **Per file** ([`analyze_source`]): the token-stream rules
-//!    R001–R006 over every `.rs` file and `Cargo.toml`.
-//! 2. **Per crate unit** ([`rules::analyze_unit`]): each crate's files
-//!    are parsed into ASTs, a symbol table and conservative call graph
-//!    are built, and the deep rules run — R010 panic reachability from
-//!    `[hot-entry-points]`, R011 atomic-ordering discipline, R012
-//!    spill-error observability, R013 unsafe-block budget/SAFETY
-//!    completeness.
+//! ([`lexer`]), a recursive-descent parser ([`parser`] → [`ast`]), a
+//! per-crate call graph ([`callgraph`]) and a CFG dataflow engine
+//! ([`cfg`], [`dataflow`], [`taint`]). Analysis is one pass per crate
+//! unit ([`rules::analyze_unit`]): each file is lexed and parsed once,
+//! and every rule reads that one token stream and AST — the token rules
+//! R001–R006, R010 panic reachability from `[hot-entry-points]` and
+//! every function of a `[hot-paths]` file, R011 atomic-ordering
+//! discipline, R012 spill-error observability, R013 unsafe-block
+//! budget/SAFETY completeness, and the dataflow rules R020–R023. Each
+//! `Cargo.toml` gets the manifest audit (R005).
 //!
 //! Together they enforce the invariants the sorting paper's performance
 //! claims rest on: documented `unsafe`, panic-free and allocation-free
@@ -24,7 +23,6 @@
 //! `scripts/verify.sh` treats a non-zero exit as a tier-1 failure.
 
 pub mod ast;
-pub mod baseline;
 pub mod callgraph;
 pub mod config;
 pub mod lexer;
@@ -45,8 +43,8 @@ use std::time::Instant;
 /// Wall-clock timing for a workspace run, surfaced by `--timing`.
 ///
 /// Rule timings accumulate per rule group across every file and crate
-/// unit; parse timings are one entry per `.rs` file (lex + AST parse in
-/// the deep-analysis pass). Collection is always on — two `Instant`
+/// unit; parse timings are one entry per `.rs` file (its one lex + AST
+/// parse). Collection is always on — two `Instant`
 /// reads per rule invocation cost nothing next to the analysis itself —
 /// and the CLI decides whether to render it.
 #[derive(Debug, Default)]
@@ -77,108 +75,82 @@ pub fn ms_since(t0: Instant) -> f64 {
     t0.elapsed().as_secs_f64() * 1000.0
 }
 
-/// Analyze one file's source text. Dispatches on file name: `Cargo.toml`
-/// gets the manifest audit (R005), `.rs` gets the token rules.
-/// `rel_path` must be workspace-relative with `/` separators.
+/// Analyze one file's source text on its own. Dispatches on file name:
+/// `Cargo.toml` gets the manifest audit (R005), `.rs` is analyzed as a
+/// one-file crate unit. `rel_path` must be workspace-relative with `/`
+/// separators.
 pub fn analyze_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
-    analyze_source_timed(rel_path, src, cfg, None)
-}
-
-/// [`analyze_source`] with optional per-rule timing capture.
-pub fn analyze_source_timed(
-    rel_path: &str,
-    src: &str,
-    cfg: &Config,
-    timing: Option<&mut Timing>,
-) -> Vec<Finding> {
-    if rel_path == "Cargo.toml" || rel_path.ends_with("/Cargo.toml") {
-        let t0 = Instant::now();
-        let findings = rules::check_manifest(rel_path, src);
-        if let Some(t) = timing {
-            t.add_rule("R005", ms_since(t0));
-        }
-        findings
-    } else if rel_path.ends_with(".rs") {
-        rules::analyze_rust_timed(rel_path, src, cfg, timing)
+    if is_manifest(rel_path) {
+        rules::check_manifest(rel_path, src)
     } else {
-        Vec::new()
+        let unit = [(rel_path.to_string(), src.to_string())];
+        rules::analyze_unit(&unit, cfg, &mut Timing::default())
     }
 }
 
-/// The result of a workspace run: findings split by how they affect the
-/// exit code.
+fn is_manifest(rel_path: &str) -> bool {
+    rel_path == "Cargo.toml" || rel_path.ends_with("/Cargo.toml")
+}
+
+/// The result of a workspace run.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// Deny-severity findings not covered by the baseline — these fail
-    /// the build.
+    /// Every finding, sorted; any one fails the build.
     pub errors: Vec<Finding>,
-    /// Grandfathered (baselined) findings — reported as warnings only.
-    pub warnings: Vec<Finding>,
-    /// Warn-severity findings (`lint.toml [severity]`) — reported, never
-    /// fail the build, never baselined.
-    pub warn_severity: Vec<Finding>,
-    /// Baseline entries whose file no longer exists in the workspace.
-    pub stale_baseline: Vec<baseline::BaselineEntry>,
     /// Number of files scanned.
     pub files_scanned: usize,
-    /// Per-rule and per-file wall-clock timings (`--timing`).
+    /// Per-rule and per-file wall-clock timings (`--timing` prints them).
     pub timing: Timing,
 }
 
-/// Walk the workspace rooted at `root`, run both analysis passes
-/// (per-file token rules, then per-crate-unit AST/call-graph rules), and
-/// partition findings against `grandfathered` and the configured
-/// severities. Baseline entries pointing at files that no longer exist
-/// are reported in [`Report::stale_baseline`] instead of being silently
-/// retained.
-pub fn run_workspace(
-    root: &Path,
-    cfg: &Config,
-    grandfathered: &[baseline::BaselineEntry],
-) -> Result<Report, String> {
+/// The files a workspace run scans: every `.rs` and `Cargo.toml` under
+/// `root` outside `[exclude]`, workspace-relative, sorted.
+pub fn workspace_files(root: &Path, cfg: &Config) -> Result<Vec<String>, String> {
     let mut files = Vec::new();
     collect_files(root, root, cfg, &mut files)?;
     files.sort();
-    let mut report = Report::default();
-    let mut findings = Vec::new();
+    Ok(files)
+}
+
+/// Walk the workspace rooted at `root`: the manifest audit over every
+/// `Cargo.toml`, the one analysis pass over every crate unit, and the
+/// `[hot-entry-points]` entries whose file no unit holds.
+pub fn run_workspace(root: &Path, cfg: &Config) -> Result<Report, String> {
+    let files = workspace_files(root, cfg)?;
+    let mut report = Report {
+        files_scanned: files.len(),
+        ..Report::default()
+    };
     // (unit name, files) in first-seen order; ordering findings come from
     // the final sort, but deterministic unit order keeps runs stable.
     let mut units: Vec<(String, Vec<(String, String)>)> = Vec::new();
     for rel in &files {
         let src = fs::read_to_string(root.join(rel)).map_err(|e| format!("read {rel}: {e}"))?;
-        report.files_scanned += 1;
-        findings.extend(analyze_source_timed(rel, &src, cfg, Some(&mut report.timing)));
-        if rel.ends_with(".rs") {
-            let unit = crate_unit(rel);
-            match units.iter_mut().find(|(u, _)| *u == unit) {
-                Some((_, fs)) => fs.push((rel.clone(), src)),
-                None => units.push((unit, vec![(rel.clone(), src)])),
-            }
+        if is_manifest(rel) {
+            let t0 = Instant::now();
+            report.errors.extend(rules::check_manifest(rel, &src));
+            report.timing.add_rule("R005", ms_since(t0));
+            continue;
+        }
+        let unit = crate_unit(rel);
+        match units.iter_mut().find(|(u, _)| *u == unit) {
+            Some((_, fs)) => fs.push((rel.clone(), src)),
+            None => units.push((unit, vec![(rel.clone(), src)])),
         }
     }
     for (_, unit_files) in &units {
-        findings.extend(rules::analyze_unit_timed(
-            unit_files,
-            cfg,
-            Some(&mut report.timing),
-        ));
+        report
+            .errors
+            .extend(rules::analyze_unit(unit_files, cfg, &mut report.timing));
     }
-    findings
+    for (file, qual) in &cfg.hot_entries {
+        if !files.contains(file) {
+            report.errors.push(rules::unresolved_entry(cfg, file, qual));
+        }
+    }
+    report
+        .errors
         .sort_by(|a, b| (&a.path, a.line, a.col, &a.rule).cmp(&(&b.path, b.line, b.col, &b.rule)));
-    for f in findings {
-        if cfg.severity_of(&f.rule) == config::Severity::Warn {
-            report.warn_severity.push(f);
-        } else if baseline::contains(grandfathered, &f) {
-            report.warnings.push(f);
-        } else {
-            report.errors.push(f);
-        }
-    }
-    for entry in grandfathered {
-        if !files.contains(&entry.path) {
-            report.stale_baseline.push(entry.clone());
-        }
-    }
     Ok(report)
 }
 
@@ -243,15 +215,4 @@ pub fn load_config(root: &Path) -> Result<Config, String> {
         )
     })?;
     Ok(Config::parse(&src))
-}
-
-/// Load `lint-baseline.json` from the workspace root. A missing file
-/// means an empty baseline; a corrupt file is an error.
-pub fn load_baseline(root: &Path) -> Result<Vec<baseline::BaselineEntry>, String> {
-    let path = root.join("lint-baseline.json");
-    match fs::read_to_string(&path) {
-        Ok(src) => baseline::parse(&src).map_err(|e| format!("{}: {e}", path.display())),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
-        Err(e) => Err(format!("read {}: {e}", path.display())),
-    }
 }

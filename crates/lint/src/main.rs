@@ -1,27 +1,19 @@
 //! `rowsort-lint` — run the workspace analyzer from the command line.
 //!
 //! ```text
-//! rowsort-lint [--root DIR] [--json] [--timing] [--write-baseline]
-//!              [--baseline-diff] [--prune-baseline] [--explain RXXX]
+//! rowsort-lint [--root DIR] [--json] [--timing] [--explain RXXX]
 //! ```
 //!
-//! Exit codes: 0 = clean (warnings allowed), 1 = deny findings,
-//! 2 = usage or I/O error.
+//! Exit codes: 0 = clean, 1 = findings, 2 = usage or I/O error.
 //!
 //! - `--json` emits one machine-readable document on stdout (CI uploads
 //!   it as the findings artifact).
 //! - `--timing` adds per-rule elapsed-ms and per-file parse-ms to the
 //!   `--json` document (key `timing`); without `--json` it prints a
 //!   human-readable timing table after the findings.
-//! - `--write-baseline` records all current errors into
-//!   `lint-baseline.json` so a new rule can land warn-only.
-//! - `--baseline-diff` prints only findings *not* in the baseline — the
-//!   new-findings-only mode for CI on forks whose baseline lags.
-//! - `--prune-baseline` rewrites `lint-baseline.json` without entries
-//!   whose file no longer exists (reported as stale otherwise).
 //! - `--explain RXXX` prints the long-form rationale for one rule.
 
-use lint::{baseline, load_baseline, load_config, rules, run_workspace, Finding, Report};
+use lint::{load_config, rules, run_workspace, Finding, Report};
 use rowsort_testkit::json::Json;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -30,9 +22,6 @@ struct Args {
     root: PathBuf,
     json: bool,
     timing: bool,
-    write_baseline: bool,
-    baseline_diff: bool,
-    prune_baseline: bool,
     explain: Option<String>,
 }
 
@@ -41,9 +30,6 @@ fn parse_args() -> Result<Args, String> {
         root: PathBuf::from("."),
         json: false,
         timing: false,
-        write_baseline: false,
-        baseline_diff: false,
-        prune_baseline: false,
         explain: None,
     };
     let mut it = std::env::args().skip(1);
@@ -51,9 +37,6 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--json" => args.json = true,
             "--timing" => args.timing = true,
-            "--write-baseline" => args.write_baseline = true,
-            "--baseline-diff" => args.baseline_diff = true,
-            "--prune-baseline" => args.prune_baseline = true,
             "--explain" => {
                 args.explain = Some(
                     it.next()
@@ -65,9 +48,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err(
-                    "usage: rowsort-lint [--root DIR] [--json] [--timing] [--write-baseline] \
-                     [--baseline-diff] [--prune-baseline] [--explain RXXX]"
-                        .into(),
+                    "usage: rowsort-lint [--root DIR] [--json] [--timing] [--explain RXXX]".into(),
                 )
             }
             other => return Err(format!("unknown argument `{other}`")),
@@ -76,10 +57,9 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn finding_json(f: &Finding, severity: &str) -> Json {
+fn finding_json(f: &Finding) -> Json {
     Json::obj(vec![
         ("rule", Json::str(f.rule.clone())),
-        ("severity", Json::str(severity)),
         ("path", Json::str(f.path.clone())),
         ("line", Json::Num(f.line as f64)),
         ("col", Json::Num(f.col as f64)),
@@ -149,12 +129,7 @@ fn print_timing(t: &lint::Timing) {
 /// `R001: 2, R013: 5`-style summary over every reported finding.
 fn per_rule_counts(report: &Report) -> Vec<(String, usize)> {
     let mut counts: Vec<(String, usize)> = Vec::new();
-    for f in report
-        .errors
-        .iter()
-        .chain(&report.warnings)
-        .chain(&report.warn_severity)
-    {
+    for f in &report.errors {
         match counts.iter_mut().find(|(r, _)| *r == f.rule) {
             Some((_, n)) => *n += 1,
             None => counts.push((f.rule.clone(), 1)),
@@ -164,28 +139,7 @@ fn per_rule_counts(report: &Report) -> Vec<(String, usize)> {
     counts
 }
 
-fn print_human(report: &Report, baseline_diff: bool) {
-    if !baseline_diff {
-        for f in &report.warnings {
-            println!(
-                "warning[{}]: {}:{}:{}: {} (baselined)",
-                f.rule, f.path, f.line, f.col, f.message
-            );
-        }
-        for f in &report.warn_severity {
-            println!(
-                "warning[{}]: {}:{}:{}: {} (severity=warn)",
-                f.rule, f.path, f.line, f.col, f.message
-            );
-        }
-        for e in &report.stale_baseline {
-            println!(
-                "warning[stale-baseline]: {}:{}: baseline entry for {} points at a \
-                 file that no longer exists — run `rowsort-lint --prune-baseline`",
-                e.path, e.line, e.rule
-            );
-        }
-    }
+fn print_human(report: &Report) {
     for f in &report.errors {
         println!(
             "error[{}]: {}:{}:{}: {}",
@@ -198,13 +152,9 @@ fn print_human(report: &Report, baseline_diff: bool) {
         println!("per-rule counts: {}", rendered.join(", "));
     }
     println!(
-        "rowsort-lint: {} file(s) scanned, {} error(s), {} baselined warning(s), \
-         {} warn-severity, {} stale baseline entr(ies)",
+        "rowsort-lint: {} file(s) scanned, {} error(s)",
         report.files_scanned,
-        report.errors.len(),
-        report.warnings.len(),
-        report.warn_severity.len(),
-        report.stale_baseline.len()
+        report.errors.len()
     );
 }
 
@@ -225,32 +175,15 @@ fn main() -> ExitCode {
             }
             None => {
                 eprintln!(
-                    "rowsort-lint: unknown rule `{rule}` (rules: R000–R006, R010–R013, R020–R023)"
+                    "rowsort-lint: unknown rule `{rule}` (rules: R000, R001, R003–R006, \
+                     R010–R013, R020–R023)"
                 );
                 ExitCode::from(2)
             }
         };
     }
 
-    if args.prune_baseline {
-        return match prune_baseline(&args.root) {
-            Ok(msg) => {
-                println!("{msg}");
-                ExitCode::SUCCESS
-            }
-            Err(msg) => {
-                eprintln!("rowsort-lint: {msg}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
-    let result = (|| -> Result<Report, String> {
-        let cfg = load_config(&args.root)?;
-        let grandfathered = load_baseline(&args.root)?;
-        run_workspace(&args.root, &cfg, &grandfathered)
-    })();
-    let report = match result {
+    let report = match load_config(&args.root).and_then(|cfg| run_workspace(&args.root, &cfg)) {
         Ok(r) => r,
         Err(msg) => {
             eprintln!("rowsort-lint: {msg}");
@@ -258,32 +191,14 @@ fn main() -> ExitCode {
         }
     };
 
-    if args.write_baseline {
-        let text = baseline::render(&report.errors);
-        let path = args.root.join("lint-baseline.json");
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("rowsort-lint: write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "rowsort-lint: wrote {} finding(s) to {}",
-            report.errors.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
     if args.json {
-        let mut entries: Vec<Json> = Vec::new();
-        entries.extend(report.errors.iter().map(|f| finding_json(f, "deny")));
-        if !args.baseline_diff {
-            entries.extend(report.warnings.iter().map(|f| finding_json(f, "baselined")));
-            entries.extend(report.warn_severity.iter().map(|f| finding_json(f, "warn")));
-        }
         let counts = per_rule_counts(&report);
         let mut fields = vec![
             ("files_scanned", Json::Num(report.files_scanned as f64)),
-            ("findings", Json::Arr(entries)),
+            (
+                "findings",
+                Json::Arr(report.errors.iter().map(finding_json).collect()),
+            ),
             (
                 "per_rule",
                 Json::obj(
@@ -293,29 +208,13 @@ fn main() -> ExitCode {
                         .collect(),
                 ),
             ),
-            (
-                "stale_baseline",
-                Json::Arr(
-                    report
-                        .stale_baseline
-                        .iter()
-                        .map(|e| {
-                            Json::obj(vec![
-                                ("rule", Json::str(e.rule.clone())),
-                                ("path", Json::str(e.path.clone())),
-                                ("line", Json::Num(e.line as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
         ];
         if args.timing {
             fields.push(("timing", timing_json(&report.timing)));
         }
         println!("{}", Json::obj(fields).render());
     } else {
-        print_human(&report, args.baseline_diff);
+        print_human(&report);
         if args.timing {
             print_timing(&report.timing);
         }
@@ -326,23 +225,4 @@ fn main() -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-/// Rewrite `lint-baseline.json` without entries whose file is gone.
-fn prune_baseline(root: &std::path::Path) -> Result<String, String> {
-    let entries = load_baseline(root)?;
-    let before = entries.len();
-    let kept: Vec<baseline::BaselineEntry> = entries
-        .into_iter()
-        .filter(|e| root.join(&e.path).exists())
-        .collect();
-    let path = root.join("lint-baseline.json");
-    std::fs::write(&path, baseline::render_entries(&kept))
-        .map_err(|e| format!("write {}: {e}", path.display()))?;
-    Ok(format!(
-        "rowsort-lint: pruned {} stale entr(ies), {} kept, wrote {}",
-        before - kept.len(),
-        kept.len(),
-        path.display()
-    ))
 }

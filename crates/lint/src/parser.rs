@@ -233,15 +233,19 @@ impl<'a> Parser<'a> {
     fn ret_text(&mut self) -> String {
         let mut out = String::new();
         let mut prev_dash = false;
-        let mut angle = 0i32;
+        // Nesting of `<…>`, `[…]` and `(…)`: the `;` of `-> [u8; 4]` is
+        // part of the type, not the end of a body-less declaration.
+        let mut nest = 0i32;
         while let Some(t) = self.tok(0) {
-            if angle == 0 && (t.is_punct('{') || t.is_punct(';') || t.is_ident("where")) {
+            if nest == 0 && (t.is_punct('{') || t.is_punct(';') || t.is_ident("where")) {
                 break;
             }
-            if t.is_punct('<') {
-                angle += 1;
-            } else if t.is_punct('>') && !prev_dash && angle > 0 {
-                angle -= 1;
+            if t.is_punct('<') || t.is_punct('[') || t.is_punct('(') {
+                nest += 1;
+            } else if nest > 0
+                && (t.is_punct('>') && !prev_dash || t.is_punct(']') || t.is_punct(')'))
+            {
+                nest -= 1;
             }
             prev_dash = t.is_punct('-');
             out.push_str(&t.text);

@@ -1,25 +1,27 @@
-//! The rule engine: token-stream rules R001–R006 over single files, and
-//! AST/call-graph rules R010–R013 over whole crate units.
+//! The rule engine: one pass over a crate unit ([`analyze_unit`]) that
+//! lexes and parses each file once and runs every rule — the token rules
+//! R001–R006 over each file's token stream, the AST/call-graph rules
+//! R010–R013 and the dataflow rules R020–R023 over the unit.
 //!
 //! | rule | scope (from `lint.toml`) | invariant |
 //! |------|--------------------------|-----------|
 //! | R001 | every `.rs` file         | `unsafe` block/fn is immediately preceded by a `// SAFETY:` comment |
-//! | R002 | `[hot-paths]` globs      | no `unwrap()` / `expect()` / `panic!` / slice-indexing-by-literal |
 //! | R003 | `[hot-paths]` globs      | no allocation calls (`Vec::new`, `Box::new`, `to_vec`, `clone()`, `collect()`, `format!`) inside loop bodies |
 //! | R004 | `[cast-strict]` globs    | no bare `as` numeric casts (use `to_be_bytes`/`try_into`/`cast_unsigned`) |
 //! | R005 | every `Cargo.toml`       | all dependencies are `path`/`workspace` references |
 //! | R006 | every `.rs` file         | no `std::process::exit` / `unsafe impl Send/Sync` outside allowlists |
-//! | R010 | `[hot-entry-points]`     | nothing transitively reachable from a hot entry may panic (call chain rendered in the finding) |
+//! | R010 | `[hot-entry-points]` and every function of a `[hot-paths]` file | nothing transitively reachable from a root may panic (call chain rendered in the finding); an entry naming no function is itself a finding |
 //! | R011 | all but `[atomic-relaxed-allow]` | no `Ordering::Relaxed` on atomics (counters are allowlisted) |
 //! | R012 | all but `[spill-cleanup-allow]`  | a discarded `Result<_, SpillError>` must be counted on a metrics counter in the same function |
 //! | R013 | every `.rs` file         | `unsafe` blocks stay under the statement budget and their SAFETY comment names every pointer/index identifier used inside |
 //!
 //! `#[cfg(test)]` modules, `#[test]` functions, and whole files matching
-//! `[test-paths]` are exempt from R002–R004 and R010–R013: the invariants
+//! `[test-paths]` are exempt from R003–R004 and R010–R023: the invariants
 //! guard the measured hot paths, not test scaffolding. Findings are
 //! suppressed by `// lint:allow(RXXX): reason` on the same or the
-//! preceding line; a suppression **must** carry a reason, or the
-//! suppression itself becomes a finding (R000).
+//! preceding line; a suppression **must** carry a reason and must
+//! silence a finding of every rule it names, or the suppression itself
+//! becomes a finding (R000).
 
 use crate::ast;
 use crate::callgraph::{self, Graph, Target, UnitFile};
@@ -28,11 +30,13 @@ use crate::dataflow;
 use crate::lexer::{lex, Tok, TokKind};
 use crate::parser;
 use crate::toml_scan;
+use crate::Timing;
+use std::collections::HashSet;
 
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id, e.g. `R002`.
+    /// Rule id, e.g. `R010`.
     pub rule: String,
     /// Repo-relative path.
     pub path: String,
@@ -69,9 +73,44 @@ struct FileCtx<'a> {
     test_ranges: Vec<(usize, usize)>,
     /// Whole file is test scaffolding (`lint.toml [test-paths]`).
     file_is_test: bool,
+    /// Source lines covered by a comment (a multi-line block comment
+    /// covers every line it spans).
+    comment_lines: HashSet<u32>,
+    /// The subset of `comment_lines` whose comment says `SAFETY:`.
+    safety_lines: HashSet<u32>,
+    /// Lines that open with an attribute (`#[…]`) — allowed between a
+    /// SAFETY comment and the item it documents.
+    attr_lines: HashSet<u32>,
 }
 
 impl<'a> FileCtx<'a> {
+    fn new(path: &'a str, toks: &'a [Tok], file_is_test: bool) -> FileCtx<'a> {
+        let mut ctx = FileCtx {
+            path,
+            toks,
+            test_ranges: test_ranges(toks),
+            file_is_test,
+            comment_lines: HashSet::new(),
+            safety_lines: HashSet::new(),
+            attr_lines: HashSet::new(),
+        };
+        let mut first_sig_on_line: HashSet<u32> = HashSet::new();
+        for t in toks {
+            if t.is_comment() {
+                let span = t.text.matches('\n').count() as u32;
+                for l in t.line..=t.line + span {
+                    ctx.comment_lines.insert(l);
+                    if t.text.contains("SAFETY:") {
+                        ctx.safety_lines.insert(l);
+                    }
+                }
+            } else if first_sig_on_line.insert(t.line) && t.is_punct('#') {
+                ctx.attr_lines.insert(t.line);
+            }
+        }
+        ctx
+    }
+
     fn in_test(&self, idx: usize) -> bool {
         self.file_is_test || self.test_ranges.iter().any(|&(s, e)| idx >= s && idx < e)
     }
@@ -85,75 +124,40 @@ impl<'a> FileCtx<'a> {
     fn next_sig(&self, idx: usize) -> Option<usize> {
         (idx + 1..self.toks.len()).find(|&j| !self.toks[j].is_comment())
     }
+
+    /// Is token `idx` the last segment of a `head::name` path whose
+    /// `head` is one of `heads`?
+    fn path_head_is(&self, idx: usize, heads: &[&str]) -> bool {
+        let colon = |j: usize| self.prev_sig(j).filter(|&p| self.toks[p].is_punct(':'));
+        (colon(idx).and_then(colon))
+            .and_then(|q| self.prev_sig(q))
+            .is_some_and(|r| heads.iter().any(|h| self.toks[r].is_ident(h)))
+    }
 }
 
 /// A parsed `lint:allow` suppression.
 #[derive(Debug)]
-struct Suppression {
+struct Suppression<'a> {
+    /// File the comment sits in.
+    path: &'a str,
     rules: Vec<String>,
+    /// The rules named that have not silenced a finding yet.
+    idle: Vec<String>,
     /// Source line this suppression covers.
     covers_line: u32,
     has_reason: bool,
-    /// Line of the comment itself (for R000 reporting).
+    /// Position of the comment itself (an unused suppression is reported
+    /// there).
     comment_line: u32,
     comment_col: u32,
 }
 
-/// Analyze one Rust source file. `path` must be repo-relative with `/`
-/// separators; scoped rules consult `cfg` to decide applicability.
-pub fn analyze_rust(path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
-    analyze_rust_timed(path, src, cfg, None)
-}
-
-/// Time one rule invocation into `timing` (when capture is on).
-fn timed(
-    timing: &mut Option<&mut crate::Timing>,
-    rule: &str,
-    f: impl FnOnce(),
-) {
+/// Time one rule invocation into `timing`.
+fn timed<T>(timing: &mut Timing, rule: &str, f: impl FnOnce() -> T) -> T {
     let t0 = std::time::Instant::now();
-    f();
-    if let Some(t) = timing.as_deref_mut() {
-        t.add_rule(rule, crate::ms_since(t0));
-    }
-}
-
-/// [`analyze_rust`] with optional per-rule timing capture.
-pub fn analyze_rust_timed(
-    path: &str,
-    src: &str,
-    cfg: &Config,
-    mut timing: Option<&mut crate::Timing>,
-) -> Vec<Finding> {
-    let toks = lex(src);
-    let ctx = FileCtx {
-        path,
-        toks: &toks,
-        test_ranges: test_ranges(&toks),
-        file_is_test: Config::matches(&cfg.test_paths, path),
-    };
-
-    let mut findings = Vec::new();
-    let suppressions = collect_suppressions(&ctx, &mut findings);
-
-    timed(&mut timing, "R001", || rule_r001(&ctx, &mut findings));
-    if Config::matches(&cfg.hot_paths, path) {
-        timed(&mut timing, "R002", || rule_r002(&ctx, &mut findings));
-        timed(&mut timing, "R003", || rule_r003(&ctx, &mut findings));
-    }
-    if Config::matches(&cfg.cast_strict, path) {
-        timed(&mut timing, "R004", || rule_r004(&ctx, &mut findings));
-    }
-    timed(&mut timing, "R006", || rule_r006(&ctx, cfg, &mut findings));
-
-    findings.retain(|f| {
-        f.rule == "R000"
-            || !suppressions
-                .iter()
-                .any(|s| s.has_reason && s.covers_line == f.line && s.rules.contains(&f.rule))
-    });
-    findings.sort_by_key(|f| (f.line, f.col));
-    findings
+    let out = f();
+    timing.add_rule(rule, crate::ms_since(t0));
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -288,10 +292,13 @@ fn next_sig_from(toks: &[Tok], idx: usize) -> Option<usize> {
 // Suppressions
 // ---------------------------------------------------------------------------
 
-/// Parse `// lint:allow(R002): reason` comments. A suppression on its own
+/// Parse `// lint:allow(R010): reason` comments. A suppression on its own
 /// line covers the next line holding code; a trailing suppression covers
 /// its own line. Missing reasons are reported as R000 findings.
-fn collect_suppressions(ctx: &FileCtx, findings: &mut Vec<Finding>) -> Vec<Suppression> {
+fn collect_suppressions<'a>(
+    ctx: &FileCtx<'a>,
+    findings: &mut Vec<Finding>,
+) -> Vec<Suppression<'a>> {
     // Lines that contain at least one non-comment token.
     let code_lines: Vec<u32> = {
         let mut v: Vec<u32> = ctx
@@ -370,6 +377,8 @@ fn collect_suppressions(ctx: &FileCtx, findings: &mut Vec<Finding>) -> Vec<Suppr
                 .unwrap_or(t.line)
         };
         out.push(Suppression {
+            path: ctx.path,
+            idle: rules.clone(),
             rules,
             covers_line,
             has_reason,
@@ -377,29 +386,13 @@ fn collect_suppressions(ctx: &FileCtx, findings: &mut Vec<Finding>) -> Vec<Suppr
             comment_col: t.col,
         });
     }
-    // Silence "unused field" pedantry without widening the API.
-    let _ = out.first().map(|s| (s.comment_line, s.comment_col));
     out
 }
 
+/// A suppression may name any rule that has an `--explain` entry, bar
+/// R000 — the suppression rule itself.
 fn valid_rule_id(r: &str) -> bool {
-    matches!(
-        r,
-        "R001"
-            | "R002"
-            | "R003"
-            | "R004"
-            | "R005"
-            | "R006"
-            | "R010"
-            | "R011"
-            | "R012"
-            | "R013"
-            | "R020"
-            | "R021"
-            | "R022"
-            | "R023"
-    )
+    r != "R000" && explain(r).is_some()
 }
 
 // ---------------------------------------------------------------------------
@@ -407,28 +400,6 @@ fn valid_rule_id(r: &str) -> bool {
 // ---------------------------------------------------------------------------
 
 fn rule_r001(ctx: &FileCtx, findings: &mut Vec<Finding>) {
-    use std::collections::HashSet;
-    // Which source lines are covered by comments / SAFETY comments
-    // (multi-line block comments cover every line they span), and which
-    // lines are attributes (`#[…]`) — allowed between comment and item.
-    let mut comment_lines: HashSet<u32> = HashSet::new();
-    let mut safety_lines: HashSet<u32> = HashSet::new();
-    let mut attr_lines: HashSet<u32> = HashSet::new();
-    let mut first_sig_on_line: HashSet<u32> = HashSet::new();
-    for t in ctx.toks {
-        if t.is_comment() {
-            let span = t.text.matches('\n').count() as u32;
-            for l in t.line..=t.line + span {
-                comment_lines.insert(l);
-                if t.text.contains("SAFETY:") {
-                    safety_lines.insert(l);
-                }
-            }
-        } else if first_sig_on_line.insert(t.line) && t.is_punct('#') {
-            attr_lines.insert(t.line);
-        }
-    }
-
     for (i, t) in ctx.toks.iter().enumerate() {
         if !t.is_ident("unsafe") {
             continue;
@@ -442,13 +413,13 @@ fn rule_r001(ctx: &FileCtx, findings: &mut Vec<Finding>) {
         }
         // Documented iff a SAFETY comment touches the `unsafe` line itself
         // or the contiguous run of comment/attribute lines directly above.
-        let mut documented = safety_lines.contains(&t.line);
+        let mut documented = ctx.safety_lines.contains(&t.line);
         let mut l = t.line;
         while !documented && l > 1 {
             l -= 1;
-            if safety_lines.contains(&l) {
+            if ctx.safety_lines.contains(&l) {
                 documented = true;
-            } else if !comment_lines.contains(&l) && !attr_lines.contains(&l) {
+            } else if !ctx.comment_lines.contains(&l) && !ctx.attr_lines.contains(&l) {
                 break;
             }
         }
@@ -462,71 +433,6 @@ fn rule_r001(ctx: &FileCtx, findings: &mut Vec<Finding>) {
             ));
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// R002 — no panics in hot paths
-// ---------------------------------------------------------------------------
-
-fn rule_r002(ctx: &FileCtx, findings: &mut Vec<Finding>) {
-    for (i, t) in ctx.toks.iter().enumerate() {
-        if ctx.in_test(i) || t.kind != TokKind::Ident && !t.is_punct('[') {
-            continue;
-        }
-        if (t.is_ident("unwrap") || t.is_ident("expect"))
-            && ctx.prev_sig(i).is_some_and(|p| ctx.toks[p].is_punct('.'))
-            && ctx.next_sig(i).is_some_and(|n| ctx.toks[n].is_punct('('))
-        {
-            findings.push(Finding::new(
-                "R002",
-                ctx.path,
-                t,
-                format!(
-                    "`.{}()` in a hot-path module — return a Result or use checked access",
-                    t.text
-                ),
-            ));
-        } else if t.is_ident("panic") && ctx.next_sig(i).is_some_and(|n| ctx.toks[n].is_punct('!'))
-        {
-            findings.push(Finding::new(
-                "R002",
-                ctx.path,
-                t,
-                "`panic!` in a hot-path module — return a Result instead",
-            ));
-        } else if t.is_punct('[') {
-            // `expr[<int literal>]`: prev token ends an expression, the
-            // bracket holds exactly one numeric literal.
-            let expr_before = ctx.prev_sig(i).is_some_and(|p| {
-                let pt = &ctx.toks[p];
-                pt.kind == TokKind::Ident && !is_keyword_nonexpr(&pt.text)
-                    || pt.is_punct(')')
-                    || pt.is_punct(']')
-            });
-            let lit_inside = ctx.next_sig(i).is_some_and(|n| {
-                ctx.toks[n].kind == TokKind::Num
-                    && ctx.next_sig(n).is_some_and(|m| ctx.toks[m].is_punct(']'))
-            });
-            if expr_before && lit_inside {
-                findings.push(Finding::new(
-                    "R002",
-                    ctx.path,
-                    t,
-                    "slice indexed by integer literal in a hot-path module — \
-                     use `first()`/`split_first()`/pattern matching",
-                ));
-            }
-        }
-    }
-}
-
-/// Keywords that may directly precede `[` without forming an index
-/// expression (`return [..]`, `break [..]`, `in [..]`, …).
-fn is_keyword_nonexpr(word: &str) -> bool {
-    matches!(
-        word,
-        "return" | "break" | "in" | "if" | "else" | "match" | "while" | "loop" | "move" | "mut"
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -592,16 +498,7 @@ fn rule_r003(ctx: &FileCtx, findings: &mut Vec<Finding>) {
                 && ctx.prev_sig(i).is_some_and(|p| ctx.toks[p].is_punct('.'))
                 && ctx.next_sig(i).is_some_and(|n| ctx.toks[n].is_punct('('))
         };
-        let assoc_new = t.is_ident("new")
-            && ctx.prev_sig(i).is_some_and(|p| {
-                ctx.toks[p].is_punct(':')
-                    && ctx.prev_sig(p).is_some_and(|q| {
-                        ctx.toks[q].is_punct(':')
-                            && ctx.prev_sig(q).is_some_and(|r| {
-                                ctx.toks[r].is_ident("Vec") || ctx.toks[r].is_ident("Box")
-                            })
-                    })
-            });
+        let assoc_new = t.is_ident("new") && ctx.path_head_is(i, &["Vec", "Box"]);
         let offending =
             if t.is_ident("format") && ctx.next_sig(i).is_some_and(|n| ctx.toks[n].is_punct('!')) {
                 Some("format! allocates")
@@ -789,25 +686,14 @@ fn rule_r006(ctx: &FileCtx, cfg: &Config, findings: &mut Vec<Finding>) {
     let exit_allowed = Config::matches(&cfg.exit_allow, ctx.path);
     let unsafe_impl_allowed = Config::matches(&cfg.unsafe_impl_allow, ctx.path);
     for (i, t) in ctx.toks.iter().enumerate() {
-        if !exit_allowed && t.is_ident("exit") {
-            let from_process = ctx.prev_sig(i).is_some_and(|p| {
-                ctx.toks[p].is_punct(':')
-                    && ctx.prev_sig(p).is_some_and(|q| {
-                        ctx.toks[q].is_punct(':')
-                            && ctx
-                                .prev_sig(q)
-                                .is_some_and(|r| ctx.toks[r].is_ident("process"))
-                    })
-            });
-            if from_process {
-                findings.push(Finding::new(
-                    "R006",
-                    ctx.path,
-                    t,
-                    "`std::process::exit` outside the CLI allowlist — return an error \
-                     so callers (and tests) keep control",
-                ));
-            }
+        if !exit_allowed && t.is_ident("exit") && ctx.path_head_is(i, &["process"]) {
+            findings.push(Finding::new(
+                "R006",
+                ctx.path,
+                t,
+                "`std::process::exit` outside the CLI allowlist — return an error \
+                 so callers (and tests) keep control",
+            ));
         }
         if !unsafe_impl_allowed
             && t.is_ident("unsafe")
@@ -844,23 +730,15 @@ fn rule_r006(ctx: &FileCtx, cfg: &Config, findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
-// Deep analysis: R010–R013 over a whole crate unit
+// The pass: every rule over one crate unit
 // ---------------------------------------------------------------------------
 
-/// Analyze one crate unit (all its `.rs` files) with the AST/call-graph
-/// rules. `files` holds `(repo-relative path, source)` pairs. Findings are
-/// already suppression-filtered and sorted.
-pub fn analyze_unit(files: &[(String, String)], cfg: &Config) -> Vec<Finding> {
-    analyze_unit_timed(files, cfg, None)
-}
-
-/// [`analyze_unit`] with optional per-rule and per-file-parse timing
-/// capture.
-pub fn analyze_unit_timed(
-    files: &[(String, String)],
-    cfg: &Config,
-    mut timing: Option<&mut crate::Timing>,
-) -> Vec<Finding> {
+/// Analyze one crate unit (all its `.rs` files): each file is lexed and
+/// parsed once, its test regions found once, and every rule runs — token
+/// rules per file (in `[test-paths]` files too), call-graph and dataflow
+/// rules over the unit's non-test code. `files` holds `(repo-relative
+/// path, source)` pairs. Findings are suppression-filtered and sorted.
+pub fn analyze_unit(files: &[(String, String)], cfg: &Config, timing: &mut Timing) -> Vec<Finding> {
     let mut ufs: Vec<UnitFile> = Vec::new();
     let mut toks_per_file: Vec<Vec<Tok>> = Vec::new();
     for (path, src) in files {
@@ -870,9 +748,7 @@ pub fn analyze_unit_timed(
         let t0 = std::time::Instant::now();
         let toks = lex(src);
         let file = parser::parse(&toks);
-        if let Some(t) = timing.as_deref_mut() {
-            t.add_parse(path, crate::ms_since(t0));
-        }
+        timing.add_parse(path, crate::ms_since(t0));
         ufs.push(UnitFile {
             path: path.clone(),
             file,
@@ -882,53 +758,109 @@ pub fn analyze_unit_timed(
     }
     let graph = Graph::build(&ufs);
     let mut findings = Vec::new();
-    timed(&mut timing, "R010", || {
-        findings = graph.panic_reachability(&cfg.hot_entries);
+    let mut sups: Vec<Suppression> = Vec::new();
+    timed(timing, "R010", || {
+        rule_r010(&ufs, &graph, cfg, &mut findings)
     });
     for (uf, toks) in ufs.iter().zip(&toks_per_file) {
+        let ctx = FileCtx::new(&uf.path, toks, uf.is_test);
+        sups.extend(collect_suppressions(&ctx, &mut findings));
+        timed(timing, "R001", || rule_r001(&ctx, &mut findings));
+        if Config::matches(&cfg.hot_paths, &uf.path) {
+            timed(timing, "R003", || rule_r003(&ctx, &mut findings));
+        }
+        if Config::matches(&cfg.cast_strict, &uf.path) {
+            timed(timing, "R004", || rule_r004(&ctx, &mut findings));
+        }
+        timed(timing, "R006", || rule_r006(&ctx, cfg, &mut findings));
         if uf.is_test {
             continue; // whole-file test scaffolding: deep rules exempt
         }
-        let ctx = FileCtx {
-            path: &uf.path,
-            toks,
-            test_ranges: test_ranges(toks),
-            file_is_test: false,
-        };
         if !Config::matches(&cfg.atomic_relaxed_allow, &uf.path) {
-            timed(&mut timing, "R011", || rule_r011(&ctx, &mut findings));
+            timed(timing, "R011", || rule_r011(&ctx, &mut findings));
         }
         if !Config::matches(&cfg.spill_cleanup_allow, &uf.path) {
-            timed(&mut timing, "R012", || {
+            timed(timing, "R012", || {
                 rule_r012(&uf.path, &uf.file, &graph, &mut findings)
             });
         }
-        timed(&mut timing, "R013", || {
+        timed(timing, "R013", || {
             rule_r013(&ctx, &uf.file, cfg.unsafe_max_stmts, &mut findings)
         });
     }
-    flow_rules(&ufs, cfg, &mut findings, &mut timing);
-    // Per-file suppression pass (R010 findings can land in any file of
-    // the unit, so this runs after all rules). R000 reasons-missing
-    // findings were already emitted by the per-file pass — drop them here.
-    for (uf, toks) in ufs.iter().zip(&toks_per_file) {
-        let ctx = FileCtx {
-            path: &uf.path,
-            toks,
-            test_ranges: Vec::new(),
-            file_is_test: false,
-        };
-        let mut scratch = Vec::new();
-        let sups = collect_suppressions(&ctx, &mut scratch);
-        findings.retain(|f| {
-            f.path != uf.path
-                || !sups
-                    .iter()
-                    .any(|s| s.has_reason && s.covers_line == f.line && s.rules.contains(&f.rule))
+    flow_rules(&ufs, cfg, &mut findings, timing);
+    // One suppression pass, after all rules: an R010 finding can land in
+    // any file of the unit. R000 is no valid id to name, so it survives.
+    findings.retain(|f| {
+        let mut silenced = false;
+        for s in sups.iter_mut().filter(|s| {
+            s.has_reason && s.covers_line == f.line && s.path == f.path && s.rules.contains(&f.rule)
+        }) {
+            s.idle.retain(|r| *r != f.rule);
+            silenced = true;
+        }
+        !silenced
+    });
+    // A suppression is a reviewed claim about a finding; once the finding
+    // is gone (or was never there) the claim guards nothing and hides the
+    // next one to land on its line.
+    for s in sups.iter().filter(|s| s.has_reason && !s.idle.is_empty()) {
+        findings.push(Finding {
+            rule: "R000".to_string(),
+            path: s.path.to_string(),
+            line: s.comment_line,
+            col: s.comment_col,
+            message: format!(
+                "lint:allow({}) silences nothing — line {} has no such finding; \
+                 delete the suppression",
+                s.idle.join(","),
+                s.covers_line
+            ),
         });
     }
     findings.sort_by(|a, b| (&a.path, a.line, a.col).cmp(&(&b.path, b.line, b.col)));
     findings
+}
+
+// ---------------------------------------------------------------------------
+// R010 — panic reachability from the hot roots
+// ---------------------------------------------------------------------------
+
+/// The finding for a `[hot-entry-points]` entry that names no non-test
+/// function: the function it guarded was renamed or removed, and the
+/// entry now guards nothing.
+pub fn unresolved_entry(cfg: &Config, file: &str, qual: &str) -> Finding {
+    Finding {
+        rule: "R010".to_string(),
+        path: "lint.toml".to_string(),
+        line: cfg.hot_entries_line,
+        col: 1,
+        message: format!(
+            "[hot-entry-points] entry `{file}:{qual}` names no non-test function — \
+             a renamed or removed entry point is no longer guarded; update the entry"
+        ),
+    }
+}
+
+/// R010's roots are the `[hot-entry-points]` declared in this unit's
+/// files plus every non-test function of a `[hot-paths]` file (the graph
+/// holds no test functions). Entries of other units' files are theirs to
+/// resolve.
+fn rule_r010(ufs: &[UnitFile], graph: &Graph, cfg: &Config, findings: &mut Vec<Finding>) {
+    let mut roots = Vec::new();
+    for (file, qual) in &cfg.hot_entries {
+        if !ufs.iter().any(|uf| uf.path == *file) {
+            continue;
+        }
+        match graph.find(file, qual) {
+            Some(i) => roots.push(i),
+            None => findings.push(unresolved_entry(cfg, file, qual)),
+        }
+    }
+    roots.extend(
+        (0..graph.nodes.len()).filter(|&i| Config::matches(&cfg.hot_paths, &graph.nodes[i].file)),
+    );
+    findings.extend(graph.panic_reachability(&roots));
 }
 
 // ---------------------------------------------------------------------------
@@ -942,12 +874,7 @@ pub fn analyze_unit_timed(
 /// Timing attribution: the shared worklist solve feeds both R020 and
 /// R023, so its cost is reported as its own `R020/R023 solve` bucket
 /// rather than arbitrarily charged to either rule.
-fn flow_rules(
-    ufs: &[UnitFile],
-    cfg: &Config,
-    findings: &mut Vec<Finding>,
-    timing: &mut Option<&mut crate::Timing>,
-) {
+fn flow_rules(ufs: &[UnitFile], cfg: &Config, findings: &mut Vec<Finding>, timing: &mut Timing) {
     let mut spec = dataflow::TaintSpec::from_config(cfg);
     timed(timing, "R021", || {
         crate::taint::check_r021(ufs, &mut spec, findings)
@@ -958,12 +885,8 @@ fn flow_rules(
             continue;
         }
         for frame in dataflow::frames(&uf.file) {
-            if frame.is_test {
-                continue;
-            }
-            let mut flow = dataflow::Flow { before: Vec::new() };
-            timed(timing, "R020/R023 solve", || {
-                flow = engine.run(&frame.cfg, &Default::default());
+            let flow = timed(timing, "R020/R023 solve", || {
+                engine.run(&frame.cfg, &Default::default())
             });
             timed(timing, "R020", || {
                 dataflow::check_r020(&uf.path, &frame, &engine, &flow, findings)
@@ -987,19 +910,7 @@ fn flow_rules(
 /// elsewhere takes a reasoned `lint:allow(R011)`.
 fn rule_r011(ctx: &FileCtx, findings: &mut Vec<Finding>) {
     for (i, t) in ctx.toks.iter().enumerate() {
-        if ctx.in_test(i) || !t.is_ident("Relaxed") {
-            continue;
-        }
-        let qualified = ctx.prev_sig(i).is_some_and(|p| {
-            ctx.toks[p].is_punct(':')
-                && ctx.prev_sig(p).is_some_and(|q| {
-                    ctx.toks[q].is_punct(':')
-                        && ctx
-                            .prev_sig(q)
-                            .is_some_and(|r| ctx.toks[r].is_ident("Ordering"))
-                })
-        });
-        if qualified {
+        if !ctx.in_test(i) && t.is_ident("Relaxed") && ctx.path_head_is(i, &["Ordering"]) {
             findings.push(Finding::new(
                 "R011",
                 ctx.path,
@@ -1110,49 +1021,18 @@ fn rule_r012(path: &str, file: &ast::File, graph: &Graph, findings: &mut Vec<Fin
     });
 }
 
-/// Collect every discarded-value expression in a block, recursing into
-/// nested blocks (loop bodies, `if` arms, plain `{}` blocks).
+/// Collect every discarded-value expression (`let _ = e;` and `e;`) in
+/// a block and in every block nested in it (loop bodies, `if` arms,
+/// plain and `unsafe` blocks, at any depth).
 fn collect_discards<'a>(block: &'a ast::Block, out: &mut Vec<&'a ast::Expr>) {
-    for stmt in &block.stmts {
-        match stmt {
-            ast::Stmt::Let {
-                underscore: true,
-                init: Some(e),
-                ..
-            } => out.push(e),
-            ast::Stmt::Expr { expr, semi } => {
-                if *semi {
-                    out.push(expr);
-                }
-                // Recurse into nested blocks for more statements.
-                expr.walk(&mut |e| match e {
-                    ast::Expr::Block(b) | ast::Expr::Unsafe { block: b, .. } => {
-                        collect_inner_discards(b, out)
-                    }
-                    ast::Expr::Loop { body, .. } => collect_inner_discards(body, out),
-                    ast::Expr::If { then, .. } => collect_inner_discards(then, out),
-                    _ => {}
-                });
-            }
-            ast::Stmt::Let { init: Some(e), .. } => {
-                e.walk(&mut |e| match e {
-                    ast::Expr::Block(b) | ast::Expr::Unsafe { block: b, .. } => {
-                        collect_inner_discards(b, out)
-                    }
-                    ast::Expr::Loop { body, .. } => collect_inner_discards(body, out),
-                    ast::Expr::If { then, .. } => collect_inner_discards(then, out),
-                    _ => {}
-                });
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Statement-level discards of a nested block (the walk above already
-/// visits the block's expressions; this only looks at discard *shapes*).
-fn collect_inner_discards<'a>(block: &'a ast::Block, out: &mut Vec<&'a ast::Expr>) {
-    for stmt in &block.stmts {
+    let mut blocks = vec![block];
+    block.walk_exprs(&mut |e| match e {
+        ast::Expr::Block(b) | ast::Expr::Unsafe { block: b, .. } => blocks.push(b),
+        ast::Expr::Loop { body, .. } => blocks.push(body),
+        ast::Expr::If { then, .. } => blocks.push(then),
+        _ => {}
+    });
+    for stmt in blocks.iter().flat_map(|b| &b.stmts) {
         match stmt {
             ast::Stmt::Let {
                 underscore: true,
@@ -1294,23 +1174,10 @@ fn rule_r013(ctx: &FileCtx, file: &ast::File, max: usize, findings: &mut Vec<Fin
 /// contiguous run of comment/attribute lines directly above, plus any
 /// comments on the block's own lines (trailing or inside the braces).
 fn safety_text(ctx: &FileCtx, line: u32, block: &ast::Block) -> String {
-    use std::collections::HashSet;
-    let mut comment_lines: HashSet<u32> = HashSet::new();
-    let mut attr_lines: HashSet<u32> = HashSet::new();
-    let mut first_sig_on_line: HashSet<u32> = HashSet::new();
-    for t in ctx.toks {
-        if t.is_comment() {
-            let span = t.text.matches('\n').count() as u32;
-            for l in t.line..=t.line + span {
-                comment_lines.insert(l);
-            }
-        } else if first_sig_on_line.insert(t.line) && t.is_punct('#') {
-            attr_lines.insert(t.line);
-        }
-    }
     // Walk the contiguous comment/attr run upward from the unsafe line.
     let mut top = line;
-    while top > 1 && (comment_lines.contains(&(top - 1)) || attr_lines.contains(&(top - 1))) {
+    while top > 1 && (ctx.comment_lines.contains(&(top - 1)) || ctx.attr_lines.contains(&(top - 1)))
+    {
         top -= 1;
     }
     let mut text = String::new();
@@ -1376,7 +1243,10 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              reason is mandatory: a suppression is a reviewed claim that the\n\
              flagged code is sound, and the claim has to be written down.\n\
              R000 fires on suppressions with no reason, unparseable syntax,\n\
-             or unknown rule ids. R000 itself cannot be suppressed."
+             or unknown rule ids, and on a suppression that silences nothing:\n\
+             every rule it names must have a finding on the covered line, or\n\
+             the stale claim would hide the next finding to land there.\n\
+             R000 itself cannot be suppressed."
         }
         "R001" => {
             "R001 — `unsafe` requires a SAFETY comment\n\n\
@@ -1385,14 +1255,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              the invariants hold. The comment run may be interleaved with\n\
              attributes. `unsafe impl Send/Sync` is covered by R006 instead.\n\
              See also R013, which checks the comment's completeness."
-        }
-        "R002" => {
-            "R002 — no panics in hot-path files\n\n\
-             Files listed in `lint.toml [hot-paths]` may not contain\n\
-             `.unwrap()`, `.expect()`, `panic!`, or slice-indexing by integer\n\
-             literal, even in cold branches: the sort kernels must be total\n\
-             functions over their inputs. Test regions are exempt. R002 is\n\
-             file-local; R010 extends the same invariant across calls."
         }
         "R003" => {
             "R003 — no allocation inside hot-path loops\n\n\
@@ -1429,11 +1291,14 @@ pub fn explain(rule: &str) -> Option<&'static str> {
         "R010" => {
             "R010 — panic-free hot-path reachability\n\n\
              For every entry point in `lint.toml [hot-entry-points]`\n\
-             (format \"file.rs:Qualified::name\"), no function transitively\n\
+             (format \"file.rs:Qualified::name\") and every non-test function\n\
+             declared in a `[hot-paths]` file, no function transitively\n\
              reachable through the intra-crate call graph may contain\n\
              `panic!`/`unreachable!`/`todo!`/`unimplemented!`, `.unwrap()`,\n\
              `.expect()`, or slice-indexing by integer literal. The finding\n\
-             renders the call chain from the entry to the panic site.\n\n\
+             renders the call chain from the root to the panic site. An\n\
+             entry that names no non-test function is a finding at\n\
+             `lint.toml`: a renamed entry point must not go unguarded.\n\n\
              The graph is conservative: `.method()` calls resolve to every\n\
              same-crate method with that name, so a finding can arrive via a\n\
              chain that cannot execute — suppress those with a reasoned\n\

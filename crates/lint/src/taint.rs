@@ -24,8 +24,8 @@
 use crate::ast::Expr;
 use crate::callgraph::UnitFile;
 use crate::dataflow::{
-    chain_text, for_each_instr, frames, render, walk_no_closures, walk_value, AbsVal, Engine, Frame,
-    TaintSpec,
+    chain_text, for_each_instr, frames, list_matches_method, list_matches_path, render,
+    walk_no_closures, walk_value, AbsVal, Engine, Frame, TaintSpec,
 };
 use crate::rules::Finding;
 
@@ -51,9 +51,6 @@ pub fn check_r021(files: &[UnitFile], spec: &mut TaintSpec, out: &mut Vec<Findin
             continue;
         }
         for frame in frames(&uf.file) {
-            if frame.is_test {
-                continue;
-            }
             let flow = engine.run(&frame.cfg, &Default::default());
             for_each_instr(&frame, &flow, &mut |instr, state| {
                 let Some(value) = instr.value else { return };
@@ -95,12 +92,9 @@ fn sink_args<'a>(
         Expr::Method {
             name, args, line, col, ..
         } => {
-            let builtin = SINK_METHODS.contains(&name.as_str());
-            let configured = spec
-                .sinks
-                .iter()
-                .any(|e| e.strip_prefix('.').is_some_and(|m| m == name));
-            if (builtin || configured) && !args.is_empty() {
+            let sink = SINK_METHODS.contains(&name.as_str())
+                || list_matches_method(&spec.sinks, name);
+            if sink && !args.is_empty() {
                 // Only the size argument matters: first for all builtins
                 // (`resize(new_len, value)` — the fill value is inert).
                 Some((format!("`{name}`"), vec![&args[0]], *line, *col))
@@ -111,13 +105,9 @@ fn sink_args<'a>(
         Expr::Call {
             callee, args, line, col, ..
         } => {
-            let builtin = SINK_PATHS
-                .iter()
-                .any(|e| callee == e || callee.ends_with(&format!("::{e}")));
-            let configured = spec.sinks.iter().any(|e| {
-                !e.starts_with('.') && (callee == e || callee.ends_with(&format!("::{e}")))
-            });
-            if (builtin || configured) && !args.is_empty() {
+            let sink =
+                list_matches_path(SINK_PATHS, callee) || list_matches_path(&spec.sinks, callee);
+            if sink && !args.is_empty() {
                 Some((format!("`{callee}`"), vec![&args[0]], *line, *col))
             } else {
                 None
@@ -191,10 +181,7 @@ fn discover_dynamic_sources(files: &[UnitFile], spec: &mut TaintSpec) {
 fn fn_frame(f: &crate::ast::FnItem) -> Option<Frame<'_>> {
     Some(Frame {
         qual: &f.qual,
-        params: f.params.clone(),
         cfg: crate::cfg::Cfg::from_fn(f)?,
-        is_test: false,
-        line: f.line,
     })
 }
 

@@ -1,4 +1,4 @@
-// Known-bad fixture for R002 (no panics in hot paths).
+// Known-bad fixture for R010 in a hot-path file (no panics in hot paths).
 
 fn hot(v: &[u32], o: Option<u32>) -> u32 {
     let a = o.unwrap();

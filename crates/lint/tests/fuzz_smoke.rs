@@ -45,10 +45,7 @@ fn workspace_config() -> Config {
 /// path so the hot-path/cast-strict scoped rules are in play.
 fn analyze_panics(rel: &str, src: &str, cfg: &Config) -> bool {
     catch_unwind(AssertUnwindSafe(|| {
-        let mut n = lint::analyze_source(rel, src, cfg).len();
-        let unit = vec![(rel.to_string(), src.to_string())];
-        n += rules::analyze_unit(&unit, cfg).len();
-        n
+        lint::analyze_source(rel, src, cfg).len()
     }))
     .is_err()
 }

@@ -3,13 +3,14 @@
 //! finding counts and locations, so lexer or rule regressions show up as
 //! off-by-one line numbers or missing/extra findings.
 
-use lint::{analyze_source, baseline, rules, Config};
+use lint::{analyze_source, rules, Config, Timing};
 use std::path::Path;
 
 fn cfg() -> Config {
     Config {
         // Fixtures are analyzed under virtual paths: `hot/…` is in the
-        // R002/R003 scope, `enc/…` in the R004 scope.
+        // R003 scope and its functions are R010 roots, `enc/…` is in the
+        // R004 scope.
         hot_paths: vec!["hot/**".to_string()],
         cast_strict: vec!["enc/**".to_string()],
         ..Config::default()
@@ -26,7 +27,9 @@ fn findings(path: &str, src: &str) -> Vec<(String, u32)> {
 
 #[test]
 fn r001_unsafe_without_safety_comment() {
-    let got = findings("any/r001.rs", include_str!("fixtures/r001.rs"));
+    let mut got = findings("any/r001.rs", include_str!("fixtures/r001.rs"));
+    // R013 reads the SAFETY comment on line 8 too; not this test's subject.
+    got.retain(|(r, _)| r == "R001");
     assert_eq!(
         got,
         vec![("R001".to_string(), 14), ("R001".to_string(), 27)],
@@ -38,10 +41,10 @@ fn r001_unsafe_without_safety_comment() {
 #[test]
 fn r002_panics_and_literal_indexing_in_hot_paths() {
     let got = findings("hot/r002.rs", include_str!("fixtures/r002.rs"));
-    let r002: Vec<u32> = got.iter().map(|(_, l)| *l).collect();
-    assert!(got.iter().all(|(r, _)| r == "R002"), "{got:?}");
+    let lines: Vec<u32> = got.iter().map(|(_, l)| *l).collect();
+    assert!(got.iter().all(|(r, _)| r == "R010"), "{got:?}");
     assert_eq!(
-        r002,
+        lines,
         vec![4, 5, 7, 9, 12],
         "unwrap, expect, panic!, v[0], e[1]; variable indexes, array \
          literals, #[cfg(test)] code, strings and comments are exempt"
@@ -107,10 +110,15 @@ fn suppressions_need_reasons() {
     let got = findings("hot/suppress.rs", include_str!("fixtures/suppress.rs"));
     assert_eq!(
         got,
-        vec![("R000".to_string(), 7), ("R002".to_string(), 8)],
+        vec![
+            ("R000".to_string(), 7),
+            ("R010".to_string(), 8),
+            ("R000".to_string(), 13),
+        ],
         "reasoned suppressions (standalone and trailing) silence their \
          line; a reason-less lint:allow is itself a finding and does not \
-         suppress"
+         suppress; a reasoned one with nothing to silence is a finding at \
+         the comment"
     );
 }
 
@@ -141,23 +149,90 @@ fn non_rust_non_manifest_files_are_ignored() {
     assert!(analyze_source("README.md", "v[0].unwrap()", &cfg()).is_empty());
 }
 
+/// `(declared, with a body)` counts of the `fn <ident>` token pairs
+/// outside `macro_rules!` bodies (whose `fn $name` templates are not
+/// items). A declaration has a body when its signature ends in `{`, not
+/// `;`, outside every `(…)` / `[…]`.
+fn fn_token_pairs(toks: &[lint::lexer::Tok]) -> (usize, usize) {
+    let sig: Vec<&str> = (toks.iter().filter(|t| !t.is_comment()))
+        .map(|t| t.text.as_str())
+        .collect();
+    let is_ident = |t: &str| t.starts_with(|c: char| c.is_alphabetic() || c == '_');
+    let (mut i, mut declared, mut bodies) = (0, 0, 0);
+    while i < sig.len() {
+        if sig[i] == "macro_rules" {
+            // `macro_rules! name { … }`: skip to the matching close.
+            let mut depth = 0i32;
+            i += 3;
+            while i < sig.len() {
+                match sig[i] {
+                    "{" | "(" | "[" => depth += 1,
+                    "}" | ")" | "]" => depth -= 1,
+                    _ => {}
+                }
+                i += 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            continue;
+        }
+        if sig[i] == "fn" && sig.get(i + 1).is_some_and(|t| is_ident(t)) {
+            declared += 1;
+            let mut depth = 0i32;
+            for t in &sig[i + 2..] {
+                match *t {
+                    "(" | "[" => depth += 1,
+                    ")" | "]" => depth -= 1,
+                    "{" | ";" if depth == 0 => {
+                        bodies += usize::from(*t == "{");
+                        break;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        i += 1;
+    }
+    (declared, bodies)
+}
+
 #[test]
-fn checked_in_baseline_is_empty() {
+fn parser_yields_every_fn_item_of_every_scanned_file() {
+    // R010 is the only panic check, and it sees exactly
+    // the functions the parser yields: an item the parser drops (PR 15
+    // found it losing the rest of an `impl`), or a body it mistakes for
+    // a declaration (PR 17: `-> [u8; 4] {`), is unguarded code.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let entries = lint::load_baseline(&root).expect("baseline parses");
-    assert!(
-        entries.is_empty(),
-        "lint-baseline.json must stay empty — fix findings instead of \
-         grandfathering them: {entries:?}"
-    );
+    let config = lint::load_config(&root).expect("lint.toml loads");
+    let mut total = (0, 0);
+    for rel in lint::workspace_files(&root, &config).expect("walk runs") {
+        if !rel.ends_with(".rs") {
+            continue;
+        }
+        let src = std::fs::read_to_string(root.join(&rel)).expect("file reads");
+        let toks = lint::lexer::lex(&src);
+        let mut parsed = (0, 0);
+        lint::ast::for_each_fn(&lint::parser::parse(&toks), &mut |f, _| {
+            parsed.0 += 1;
+            parsed.1 += usize::from(f.body.is_some());
+        });
+        assert_eq!(
+            fn_token_pairs(&toks),
+            parsed,
+            "{rel}: (fn items, bodies) lost by the parser"
+        );
+        total = (total.0 + parsed.0, total.1 + parsed.1);
+    }
+    println!("fn items parsed, with a body: {total:?}");
+    assert!(total.0 > 1000, "walk found the workspace");
 }
 
 #[test]
 fn workspace_is_lint_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let config = lint::load_config(&root).expect("lint.toml loads");
-    let grandfathered = lint::load_baseline(&root).expect("baseline loads");
-    let report = lint::run_workspace(&root, &config, &grandfathered).expect("scan runs");
+    let report = lint::run_workspace(&root, &config).expect("scan runs");
     assert!(
         report.errors.is_empty(),
         "workspace has lint findings:\n{}",
@@ -174,27 +249,6 @@ fn workspace_is_lint_clean() {
     assert!(report.files_scanned > 50, "walk found the workspace");
 }
 
-#[test]
-fn baseline_grandfathers_findings_as_warnings() {
-    let src = "fn f(o: Option<u32>) -> u32 { o.unwrap() }\n";
-    let all = analyze_source("hot/g.rs", src, &cfg());
-    assert_eq!(all.len(), 1);
-    let grandfathered = vec![baseline::BaselineEntry {
-        rule: "R002".to_string(),
-        path: "hot/g.rs".to_string(),
-        line: 1,
-    }];
-    assert!(baseline::contains(&grandfathered, &all[0]));
-    let other = rules::Finding {
-        rule: "R002".to_string(),
-        path: "hot/g.rs".to_string(),
-        line: 2,
-        col: 1,
-        message: String::new(),
-    };
-    assert!(!baseline::contains(&grandfathered, &other));
-}
-
 // ---------------------------------------------------------------------------
 // Deep rules (R010–R013): AST + call-graph analysis over a crate unit.
 // ---------------------------------------------------------------------------
@@ -205,7 +259,7 @@ fn unit_findings(files: &[(&str, &str)], cfg: &Config) -> Vec<rules::Finding> {
         .iter()
         .map(|(p, s)| (p.to_string(), s.to_string()))
         .collect();
-    rules::analyze_unit(&owned, cfg)
+    rules::analyze_unit(&owned, cfg, &mut Timing::default())
 }
 
 #[test]
@@ -267,6 +321,32 @@ fn r010_trait_method_chain_crosses_files_within_a_unit() {
         f.message.contains("entry -> A::step -> helper"),
         "{}",
         f.message
+    );
+}
+
+#[test]
+fn r010_entry_that_names_no_function_is_a_finding() {
+    // A renamed entry point must not go silently unguarded: the unit
+    // that owns the entry's file reports it, at lint.toml.
+    let src = "fn entry() {}\n#[test]\nfn only_a_test() {}\n";
+    let mut cfg = Config::default();
+    cfg.hot_entries = vec![
+        ("unit/a.rs".to_string(), "entry".to_string()),
+        ("unit/a.rs".to_string(), "entyr".to_string()),
+        ("unit/a.rs".to_string(), "only_a_test".to_string()),
+        ("other/b.rs".to_string(), "another_units".to_string()),
+    ];
+    cfg.hot_entries_line = 7;
+    let got = unit_findings(&[("unit/a.rs", src)], &cfg);
+    let at: Vec<_> = got
+        .iter()
+        .map(|f| (f.rule.as_str(), f.path.as_str(), f.line))
+        .collect();
+    assert_eq!(at, vec![("R010", "lint.toml", 7); 2], "{got:?}");
+    assert!(got[0].message.contains("`unit/a.rs:entyr`"), "{got:?}");
+    assert!(
+        got[1].message.contains("`unit/a.rs:only_a_test`"),
+        "{got:?}"
     );
 }
 
@@ -334,39 +414,9 @@ fn test_paths_exempt_deep_rules_but_not_token_rules() {
 }
 
 #[test]
-fn severity_warn_keeps_exit_clean_but_reports() {
-    let mut cfg = Config::default();
-    cfg.severity = vec![("R011".to_string(), "warn".to_string())];
-    assert_eq!(cfg.severity_of("R011"), lint::config::Severity::Warn);
-    assert_eq!(cfg.severity_of("R010"), lint::config::Severity::Deny);
-}
-
-#[test]
-fn stale_baseline_entries_are_reported() {
-    use std::fs;
-    let dir = std::env::temp_dir().join(format!("lint-stale-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(dir.join("src")).unwrap();
-    fs::write(dir.join("lint.toml"), "").unwrap();
-    fs::write(dir.join("src/lib.rs"), "pub fn ok() {}\n").unwrap();
-    fs::write(
-        dir.join("lint-baseline.json"),
-        "{\"findings\":[{\"rule\":\"R002\",\"path\":\"src/gone.rs\",\"line\":3}]}\n",
-    )
-    .unwrap();
-    let config = lint::load_config(&dir).unwrap();
-    let grandfathered = lint::load_baseline(&dir).unwrap();
-    let report = lint::run_workspace(&dir, &config, &grandfathered).unwrap();
-    assert_eq!(report.stale_baseline.len(), 1);
-    assert_eq!(report.stale_baseline[0].path, "src/gone.rs");
-    assert!(report.errors.is_empty());
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn explain_covers_every_rule_id() {
     for rule in [
-        "R000", "R001", "R002", "R003", "R004", "R005", "R006", "R010", "R011", "R012", "R013",
+        "R000", "R001", "R003", "R004", "R005", "R006", "R010", "R011", "R012", "R013",
     ] {
         assert!(
             rules::explain(rule).is_some(),

@@ -33,7 +33,7 @@ pub fn heap_offset(len: u64) -> Option<u32> {
 /// the slot format at all, so aborting the sort is the only sound response.
 #[inline]
 pub fn heap_base(len: usize) -> u32 {
-    // lint:allow(R002, R010): the capacity bound described above.
+    // lint:allow(R010): the capacity bound described above.
     heap_offset(len as u64).expect(HEAP_OVERFLOW)
 }
 
@@ -245,7 +245,7 @@ impl RowBlock {
                     }
                     let bytes = strings.get_bytes(lo + i);
                     let heap_off = heap_base(self.heap.len());
-                    // lint:allow(R002, R010): same 4 GiB capacity bound as
+                    // lint:allow(R010): same 4 GiB capacity bound as
                     // `heap_base`'s.
                     let byte_len = u32::try_from(bytes.len()).expect("string exceeds 4 GiB");
                     self.heap.extend_from_slice(bytes);
@@ -321,7 +321,7 @@ impl RowBlock {
         let columns: Vec<Vector> = (0..self.layout.column_count())
             .map(|c| self.gather_column(c, order))
             .collect();
-        // lint:allow(R002, R010): gather_column builds one vector per
+        // lint:allow(R010): gather_column builds one vector per
         // column, each exactly `order.len()` long, so from_columns cannot
         // fail.
         DataChunk::from_columns(columns).expect("equal lengths by construction")
@@ -407,7 +407,7 @@ impl RowBlock {
                 validity.set_invalid(i);
             } else {
                 let len = u32::from_le_bytes(read_array(d, row_start + slot + 4));
-                // lint:allow(R002, R010): a column beyond 4 GiB cannot be
+                // lint:allow(R010): a column beyond 4 GiB cannot be
                 // represented by `StringVec`'s u32 offsets at all; same
                 // capacity bound as `scatter_column`'s.
                 total = total.checked_add(len).expect("string column exceeds 4 GiB");
@@ -443,7 +443,7 @@ impl RowBlock {
             order.iter().enumerate().map(lossy).collect()
         });
         Vector::from_parts(VectorData::Varchar(strings), validity)
-            // lint:allow(R002, R010): `strings` and `validity` both hold
+            // lint:allow(R010): `strings` and `validity` both hold
             // exactly one entry per element of `order`.
             .expect("equal lengths by construction")
     }

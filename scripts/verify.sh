@@ -16,53 +16,45 @@ echo "== cargo build --release --offline =="
 cargo build --release --workspace --offline
 
 # --- 2. Static analysis ----------------------------------------------------
-# rowsort-lint walks every .rs / Cargo.toml in the workspace. Token rules:
-# SAFETY comments on unsafe blocks (R001), no unwrap/expect/panic/indexing
-# in hot paths (R002), no allocation in hot-path loops (R003), no bare
-# `as` casts in normkey (R004), path-only dependency closure (R005), no
-# process::exit / unsafe impl Send/Sync outside allowlists (R006). Deep
-# rules (AST + per-crate call graph): panic reachability from the
-# [hot-entry-points] in lint.toml (R010), Ordering::Relaxed discipline
-# (R011), discarded Result<_, SpillError> observability (R012), and
-# unsafe-block budget / SAFETY completeness (R013).
+# rowsort-lint walks every .rs / Cargo.toml in the workspace, one pass per
+# crate. Token rules: SAFETY comments on unsafe blocks (R001), no
+# allocation in hot-path loops (R003), no bare `as` casts in normkey
+# (R004), path-only dependency closure (R005), no process::exit / unsafe
+# impl Send/Sync outside allowlists (R006). AST + call-graph rules: panic
+# reachability from the [hot-entry-points] in lint.toml and from every
+# function of a [hot-paths] file (R010), Ordering::Relaxed discipline
+# (R011), discarded Result<_, SpillError> observability (R012), unsafe
+# block budget / SAFETY completeness (R013). CFG dataflow rules: bounded
+# unsafe offsets (R020), spill-byte taint (R021), id-derived broadcast
+# writes (R022), guards lost at a merge (R023). A reason-less, unknown
+# or idle lint:allow is R000. Any finding fails the gate.
 #
-# The human-readable run prints per-rule counts and fails on any deny
-# finding; the second run writes the machine-readable findings document
-# that CI uploads as an artifact.
+# The second run writes the machine-readable findings document that CI
+# uploads as an artifact; --timing folds per-rule elapsed-ms and per-file
+# parse-ms into it, so the artifact doubles as an analyzer performance
+# log across CI runs.
 echo "== rowsort-lint =="
 lint_json="$PWD/target/perf/lint_findings.json"
 mkdir -p target/perf
 cargo run --release --offline -q -p lint --bin rowsort-lint
-# --timing folds per-rule elapsed-ms and per-file parse-ms into the
-# findings document, so the uploaded artifact doubles as an analyzer
-# performance log across CI runs.
 cargo run --release --offline -q -p lint --bin rowsort-lint -- --json --timing > "$lint_json"
 
-# The baseline exists so a new rule can land warn-only while its
-# findings are burned down; a burned-down repo must stay burned down.
-# Any surviving entry (the file renders as {"findings":[]} when clean)
-# fails the gate rather than silently grandfathering new debt.
-if [ -f lint-baseline.json ] && grep -q '"rule"' lint-baseline.json; then
-    echo "verify: lint-baseline.json still grandfathers findings — fix them" >&2
-    echo "verify: (or re-justify with a reasoned lint:allow) and run" >&2
-    echo "verify: rowsort-lint --write-baseline to empty the baseline" >&2
+# The analyzer guards five unsafe sites; its size is budgeted the way its
+# findings are. Raise the constant in the PR that adds a rule, with that
+# rule's finding history.
+LINT_SRC_LINE_BUDGET=7400
+lint_src_lines=$(cat crates/lint/src/*.rs | wc -l)
+if [ "$lint_src_lines" -gt "$LINT_SRC_LINE_BUDGET" ]; then
+    echo "verify: crates/lint/src/*.rs holds $lint_src_lines lines, budget $LINT_SRC_LINE_BUDGET" >&2
     exit 1
 fi
 
 # The analyzer's own unit + fixture tests (lexer exact locations, parser
-# recovery, call-graph chain rendering, rule scoping) run here, before the
-# workspace-wide suite, so an analyzer regression fails fast with a
-# focused report.
+# recovery and item parity, call-graph chain rendering, rule scoping, the
+# self-fuzz smoke) run here, before the workspace-wide suite, so an
+# analyzer regression fails fast with a focused report.
 echo "== cargo test -p lint =="
 cargo test -q -p lint --offline
-
-# Self-fuzz smoke, explicitly: seeded byte-level mutations of the lint
-# crate's own sources plus pure random byte strings through the whole
-# pipeline (lexer -> parser -> call graph -> CFG dataflow), asserting
-# the analyzer never panics. Runs inside `cargo test -p lint` above too;
-# this named step makes a fuzz regression fail with a focused report.
-echo "== lint self-fuzz smoke =="
-cargo test -q -p lint --test fuzz_smoke --offline
 
 # --- 3. Test ---------------------------------------------------------------
 echo "== cargo test -q --offline =="
