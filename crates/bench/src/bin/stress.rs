@@ -4,11 +4,12 @@
 //! stress --iters 50 --seed 0xR0WS0RT [--report target/perf/stress_report.json]
 //! ```
 //!
-//! Runs the seeded fault-injection loop from [`rowsort_bench::stress`]:
-//! each iteration sorts a random relation through the external sorter
-//! under a random fault schedule and checks it against an in-memory
-//! oracle. Prints one summary line per run, writes the JSON report when
-//! asked, and exits non-zero if any invariant was violated — with the
+//! Runs the differential oracle's fault check over N seeds
+//! ([`rowsort_bench::stress`]): each iteration draws one case from the
+//! harness's generator, sorts it through the external sorter under the
+//! case's fault schedule and holds the outcome to the reference sort.
+//! Prints one summary line per run, writes the JSON report when asked,
+//! and exits non-zero if any invariant was violated — with the
 //! per-iteration seed in the message, so a failure reproduces with
 //! `--iters 1 --seed <that seed>`.
 

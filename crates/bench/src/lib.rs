@@ -25,6 +25,7 @@ pub mod counters;
 pub mod endtoend;
 pub mod info;
 pub mod micro;
+pub mod oracle;
 pub mod stress;
 
 use rowsort_testkit::Rng;

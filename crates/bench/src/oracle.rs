@@ -1,0 +1,735 @@
+//! The one differential oracle (DESIGN.md §8): one case generator, one
+//! reference sort, one sorted-permutation check, over every entry point.
+//!
+//! The paper's argument rests on one invariant — the byte order of a
+//! normalized key is the `ORDER BY` order (§V) — and everything after it
+//! only moves bytes that are already right. So one [`Case`] (relation ×
+//! `ORDER BY` × [`Options`]) is driven through every [`Entry`] and held
+//! to three checks:
+//!
+//! 1. [`check_reference`] — against a stable `compare_rows` sort: in
+//!    order, the same multiset, the exact sequence when the order is total;
+//! 2. [`check_bit_identity`] — inside an entry point nothing observable
+//!    depends on threads, OVC, a warm pool, or (external) merge threads,
+//!    and both sorters do the same work at one thread and one run size;
+//! 3. [`check_faults`] — under an injected fault schedule, `Ok` means
+//!    check 1 and `Err` means typed, counted and not recorded as a sort;
+//!    no run file leaks either way.
+//!
+//! [`check_key_order`] states the invariant itself on `KeyBlock` bytes.
+//! `tests/oracle.rs` runs all of it as `testkit::prop` properties (one
+//! shrinker, one `TESTKIT_SEED` replay line); the `stress` binary is
+//! check 3 over N seeds.
+
+use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
+use rowsort_core::pipeline::{SortOptions, SortPipeline};
+use rowsort_core::{Counter, KeyBlock, SpillError, SystemProfile};
+use rowsort_engine::{Engine, ExecOptions, SpillExecOptions, Table};
+use rowsort_normkey::KeyColumn;
+use rowsort_testkit::faultfs::{FaultFs, FaultSchedule};
+use rowsort_testkit::prop::{Gen, PropResult};
+use rowsort_testkit::Rng;
+use rowsort_vector::{
+    DataChunk, LogicalType, NullOrder, OrderBy, OrderByColumn, SortOrder, SortSpec, Value,
+};
+use std::cmp::Ordering;
+use std::fmt;
+use std::sync::Arc;
+use std::time::Duration;
+
+/// What every sorter of a case is configured from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Options {
+    /// `SortOptions::threads` and the engine's `ExecOptions::threads`.
+    pub threads: usize,
+    /// `SortOptions::run_rows`.
+    pub run_rows: usize,
+    /// Offset-value coding, both sorters.
+    pub ovc: bool,
+    /// `ExternalSortOptions::memory_limit_rows` and the engine's spill budget.
+    pub memory_limit_rows: usize,
+    /// `ExternalSortOptions::merge_threads`.
+    pub merge_threads: usize,
+    /// Seed of the [`FaultSchedule::generate`] schedule [`check_faults`]
+    /// injects; `None` is the fault-free filesystem.
+    pub faults: Option<u64>,
+}
+
+/// One differential case.
+#[derive(Clone)]
+pub struct Case {
+    pub types: Vec<LogicalType>,
+    pub rows: Vec<Vec<Value>>,
+    pub order: OrderBy,
+    pub options: Options,
+}
+
+impl Case {
+    pub fn chunk(&self) -> DataChunk {
+        let mut chunk = DataChunk::new(&self.types);
+        for row in &self.rows {
+            chunk.push_row(row).expect("row matches schema");
+        }
+        chunk
+    }
+
+    /// The reference sort: boxed rows, the reference comparator, stable.
+    pub fn reference(&self) -> Vec<Vec<Value>> {
+        let mut rows = self.rows.clone();
+        rows.sort_by(|a, b| self.order.compare_rows(a, b));
+        rows
+    }
+
+    /// The `ORDER BY` list as SQL over columns `c0, c1, …`.
+    fn order_sql(&self) -> String {
+        let item = |k: &OrderByColumn| {
+            let dir = match k.spec.order {
+                SortOrder::Ascending => "ASC",
+                SortOrder::Descending => "DESC",
+            };
+            let nulls = match k.spec.nulls {
+                NullOrder::NullsFirst => "FIRST",
+                NullOrder::NullsLast => "LAST",
+            };
+            format!("c{} {dir} NULLS {nulls}", k.column)
+        };
+        self.order
+            .keys
+            .iter()
+            .map(item)
+            .collect::<Vec<_>>()
+            .join(", ")
+    }
+}
+
+/// Compact, because the runner prints the original input next to the
+/// minimal one: the first rows only, one per line.
+impl fmt::Debug for Case {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "Case {{")?;
+        writeln!(f, "  types: {:?}", self.types)?;
+        writeln!(f, "  ORDER BY {}", self.order_sql())?;
+        writeln!(f, "  {:?}", self.options)?;
+        writeln!(f, "  {} rows:", self.rows.len())?;
+        for row in self.rows.iter().take(12) {
+            writeln!(f, "    {row:?}")?;
+        }
+        if self.rows.len() > 12 {
+            writeln!(f, "    … {} more", self.rows.len() - 12)?;
+        }
+        write!(f, "}}")
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The generator
+
+/// One non-NULL value of `ty`. Integers and floats: an extreme or a
+/// neighbour of zero one time in three, else any bit pattern — every value
+/// `compare_rows` totally orders, NaNs and both zeros included. VARCHAR: a
+/// stem of `stem` `x`s (0, or 11/12/13 to straddle the 12-byte key prefix)
+/// and up to `tail` more chars with NUL and multi-byte UTF-8 among them,
+/// 40 bytes at most.
+fn draw_value(ty: LogicalType, (stem, tail): (usize, u64), rng: &mut Rng) -> Value {
+    macro_rules! int {
+        ($variant:ident, $t:ty) => {{
+            let edges = [<$t>::MIN, <$t>::MAX, 0, 1, <$t>::MAX - 1, <$t>::MIN + 1];
+            Value::$variant(if rng.chance(0.33) {
+                *rng.pick(&edges)
+            } else {
+                rng.next_u64() as $t
+            })
+        }};
+    }
+    macro_rules! float {
+        ($variant:ident, $t:ident, $bits:expr) => {{
+            let edges = [0.0, -0.0, $t::INFINITY, $t::NEG_INFINITY, $t::NAN, -$t::NAN];
+            let more = [$t::MIN_POSITIVE, $t::MAX, $t::MIN, 1.5, -1.5];
+            Value::$variant(match rng.below(3) {
+                0 => *rng.pick(&edges),
+                1 => *rng.pick(&more),
+                _ => $t::from_bits($bits),
+            })
+        }};
+    }
+    match ty {
+        LogicalType::Boolean => Value::Boolean(rng.chance(0.5)),
+        LogicalType::Int8 => int!(Int8, i8),
+        LogicalType::Int16 => int!(Int16, i16),
+        LogicalType::Int32 => int!(Int32, i32),
+        LogicalType::Int64 => int!(Int64, i64),
+        LogicalType::UInt8 => int!(UInt8, u8),
+        LogicalType::UInt16 => int!(UInt16, u16),
+        LogicalType::UInt32 => int!(UInt32, u32),
+        LogicalType::UInt64 => int!(UInt64, u64),
+        LogicalType::Float32 => float!(Float32, f32, rng.next_u32()),
+        LogicalType::Float64 => float!(Float64, f64, rng.next_u64()),
+        LogicalType::Date => int!(Date, i32),
+        LogicalType::Timestamp => int!(Timestamp, i64),
+        LogicalType::Varchar => {
+            let mut s = "x".repeat(stem);
+            for _ in 0..rng.below(tail + 1) {
+                s.push(*rng.pick(&['\0', 'a', 'b', 'x', 'é', '錆']));
+            }
+            Value::Varchar(s)
+        }
+    }
+}
+
+/// A run size that cuts `n` rows into one, a few or a few dozen runs.
+fn run_size(n: usize, rng: &mut Rng) -> usize {
+    let runs = *rng.pick(&[1, 2, 3, 7, 16, 40]);
+    (n / runs + rng.below(3) as usize).max(1)
+}
+
+/// The one case generator. `faults` decides whether every case carries a
+/// fault-schedule seed (check 3, `stress`) or none (checks 1 and 2).
+#[derive(Debug, Clone, Copy)]
+pub struct CaseGen {
+    pub faults: bool,
+}
+
+impl Gen for CaseGen {
+    type Value = Case;
+
+    fn generate(&self, rng: &mut Rng) -> Case {
+        // Rows: none, a handful, a few runs' worth, or past the 2048-row
+        // vector boundary.
+        let n = match rng.below(10) {
+            0 => rng.below(3),
+            1..=5 => rng.range_inclusive(3, 64),
+            6..=8 => rng.range_inclusive(65, 700),
+            _ => rng.range_inclusive(1_500, 4_500),
+        } as usize;
+        let null_share = *rng.pick(&[0.0, 0.05, 0.3]);
+        let ncols = rng.range_inclusive(1usize, 4);
+        let mut types = Vec::new();
+        let mut rows = vec![Vec::new(); n];
+        for _ in 0..ncols {
+            // VARCHAR is where keys can tie; it gets three draws in ten.
+            let ty = if rng.chance(0.3) {
+                LogicalType::Varchar
+            } else {
+                *rng.pick(&LogicalType::ALL)
+            };
+            let shape = (*rng.pick(&[0, 0, 11, 12, 13]), *rng.pick(&[3, 9]));
+            // Duplicates: one value, a handful, or the type's full domain.
+            let pool: Vec<Value> = (0..*rng.pick(&[1, 5, 0]))
+                .map(|_| draw_value(ty, shape, rng))
+                .collect();
+            for row in &mut rows {
+                row.push(if rng.chance(null_share) {
+                    Value::Null
+                } else if pool.is_empty() {
+                    draw_value(ty, shape, rng)
+                } else {
+                    rng.pick(&pool).clone()
+                });
+            }
+            types.push(ty);
+        }
+        let key = |column: usize, rng: &mut Rng| OrderByColumn {
+            column,
+            spec: SortSpec::new(
+                *rng.pick(&[SortOrder::Ascending, SortOrder::Descending]),
+                *rng.pick(&[NullOrder::NullsFirst, NullOrder::NullsLast]),
+            ),
+        };
+        let mut columns: Vec<usize> = (0..ncols).collect();
+        rng.shuffle(&mut columns);
+        columns.truncate(rng.range_inclusive(1, ncols));
+        let mut keys: Vec<OrderByColumn> = columns.into_iter().map(|c| key(c, rng)).collect();
+        // Half the cases end in a unique id key: the order is total and
+        // the output sequence exact.
+        if rng.chance(0.5) {
+            types.push(LogicalType::UInt32);
+            for (id, row) in rows.iter_mut().enumerate() {
+                row.push(Value::UInt32(id as u32));
+            }
+            keys.push(key(ncols, rng));
+        }
+        Case {
+            types,
+            rows,
+            order: OrderBy::new(keys),
+            options: Options {
+                threads: rng.range_inclusive(1, 4),
+                run_rows: run_size(n, rng),
+                ovc: rng.chance(0.5),
+                memory_limit_rows: run_size(n, rng),
+                merge_threads: rng.range_inclusive(1, 4),
+                faults: self.faults.then(|| rng.next_u64()),
+            },
+        }
+    }
+
+    /// Smaller cases, most aggressive first: without a block of rows
+    /// (halves, then quarters, … single rows once the case is small),
+    /// without a column, with a simpler option.
+    fn shrink(&self, case: &Case) -> Vec<Case> {
+        let mut out = Vec::new();
+        let n = case.rows.len();
+        let mut block = n + 1;
+        while block > 1 && (n <= 64 || out.len() < 16) {
+            block = block.div_ceil(2);
+            for start in (0..n).step_by(block) {
+                let mut smaller = case.clone();
+                smaller.rows.drain(start..(start + block).min(n));
+                out.push(smaller);
+            }
+        }
+        for c in 0..case.types.len() {
+            let keys = case.order.keys.iter().filter(|k| k.column != c);
+            let keys: Vec<OrderByColumn> = keys
+                .map(|k| OrderByColumn {
+                    column: k.column - usize::from(k.column > c),
+                    spec: k.spec,
+                })
+                .collect();
+            if !keys.is_empty() {
+                let mut smaller = case.clone();
+                smaller.types.remove(c);
+                smaller.rows.iter_mut().for_each(|row| drop(row.remove(c)));
+                smaller.order = OrderBy::new(keys);
+                out.push(smaller);
+            }
+        }
+        let mut simpler = [case.options; 5];
+        simpler[0].faults = None;
+        simpler[1].threads = 1;
+        simpler[2].merge_threads = 1;
+        simpler[3].run_rows = n.max(1);
+        simpler[4].memory_limit_rows = n.max(1);
+        for options in simpler.into_iter().filter(|s| *s != case.options) {
+            out.push(Case {
+                options,
+                ..case.clone()
+            });
+        }
+        out
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Entry points
+
+/// Every way rows get sorted in this workspace.
+#[derive(Debug, Clone, Copy)]
+pub enum Entry {
+    /// `SortPipeline::sort`.
+    Pipeline,
+    /// `SortPipeline::sort_rows`, converted back by the caller.
+    PipelineRows,
+    /// `ExternalSorter::sort` over a fault-free [`FaultFs`].
+    External,
+    /// `Engine::query` on the case's SQL, sorting as this system profile.
+    Engine(SystemProfile),
+    /// `Engine::query` under `ExecOptions::spill`.
+    EngineSpill,
+}
+
+fn pipeline(case: &Case, threads: usize, run_rows: usize, ovc: bool) -> SortPipeline {
+    let options = SortOptions {
+        threads,
+        run_rows,
+        ovc,
+    };
+    SortPipeline::new(case.types.clone(), case.order.clone(), options)
+}
+
+fn no_faults() -> FaultFs {
+    FaultFs::new(FaultSchedule::none())
+}
+
+fn external(
+    case: &Case,
+    memory_limit_rows: usize,
+    merge_threads: usize,
+    ovc: bool,
+    fs: FaultFs,
+) -> ExternalSorter {
+    let options = ExternalSortOptions {
+        memory_limit_rows,
+        spill_dir: None,
+        max_write_retries: 3,
+        retry_backoff: Duration::from_micros(5),
+        ovc,
+        merge_threads,
+    };
+    ExternalSorter::with_spill_io(
+        case.types.clone(),
+        case.order.clone(),
+        options,
+        Arc::new(fs),
+    )
+}
+
+/// `chunk` (the case's rows) sorted through `entry` under the case's options.
+fn sort_through(case: &Case, chunk: &DataChunk, entry: Entry) -> Result<DataChunk, String> {
+    let o = case.options;
+    let engine = |profile, spill| {
+        let mut engine = Engine::with_options(ExecOptions {
+            profile,
+            threads: o.threads,
+            spill,
+        });
+        let names = (0..case.types.len()).map(|c| format!("c{c}")).collect();
+        engine.register_table(Table::new("t", names, chunk.clone()));
+        let sql = format!("SELECT * FROM t ORDER BY {}", case.order_sql());
+        engine.query(&sql).map_err(|e| format!("{sql}: {e}"))
+    };
+    match entry {
+        Entry::Pipeline => Ok(pipeline(case, o.threads, o.run_rows, o.ovc).sort(chunk)),
+        Entry::PipelineRows => Ok(pipeline(case, o.threads, o.run_rows, o.ovc)
+            .sort_rows(chunk)
+            .to_chunk()),
+        Entry::External => {
+            let sorter = external(
+                case,
+                o.memory_limit_rows,
+                o.merge_threads,
+                o.ovc,
+                no_faults(),
+            );
+            sorter.sort(chunk).map_err(|e| e.to_string())
+        }
+        Entry::Engine(profile) => engine(profile, None),
+        Entry::EngineSpill => engine(
+            SystemProfile::RowsortDb,
+            Some(SpillExecOptions {
+                memory_limit_rows: o.memory_limit_rows,
+                spill_dir: None,
+            }),
+        ),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The checks
+
+/// Rows rendered for comparison: `Value`'s `Debug`, a float with its bits
+/// (`NaN != NaN`, and the order tells NaN payloads and the two zeros apart).
+fn canon(rows: &[Vec<Value>]) -> Vec<String> {
+    let cell = |v: &Value| match v {
+        Value::Float32(f) => format!("{f:?}#{:x}", f.to_bits()),
+        Value::Float64(f) => format!("{f:?}#{:x}", f.to_bits()),
+        other => format!("{other:?}"),
+    };
+    let line = |row: &Vec<Value>| row.iter().map(cell).collect::<Vec<_>>().join(", ");
+    rows.iter().map(line).collect()
+}
+
+/// The one sorted-permutation check: `got` is in order under the case's
+/// `ORDER BY` and holds the rows of `want` (the reference sort) — in the
+/// reference's exact sequence when no two rows compare equal.
+fn check_rows(case: &Case, got: &DataChunk, want: &[Vec<Value>], what: &str) -> PropResult {
+    let got = got.to_rows();
+    let cmp = |w: &[Vec<Value>]| case.order.compare_rows(&w[0], &w[1]);
+    if let Some(i) = got.windows(2).position(|w| cmp(w) == Ordering::Greater) {
+        let (a, b) = (&got[i], &got[i + 1]);
+        return Err(format!("{what}: out of order at row {i}: {a:?} then {b:?}"));
+    }
+    let total = want.windows(2).all(|w| cmp(w) != Ordering::Equal);
+    let (mut got, mut want) = (canon(&got), canon(want));
+    if !total {
+        got.sort();
+        want.sort();
+    }
+    if got == want {
+        Ok(())
+    } else if total {
+        Err(format!("{what}: not the reference's row sequence"))
+    } else {
+        Err(format!("{what}: not the input's multiset of rows"))
+    }
+}
+
+/// Check 1: every entry of `entries` against the reference sort.
+pub fn check_reference(case: &Case, entries: &[Entry]) -> PropResult {
+    let (chunk, want) = (case.chunk(), case.reference());
+    for &entry in entries {
+        let got = sort_through(case, &chunk, entry)?;
+        check_rows(case, &got, &want, &format!("{entry:?}"))?;
+    }
+    Ok(())
+}
+
+/// `[RunsGenerated, MergeCmps]` of one sort by the pipeline and one by the
+/// external sorter, each on one thread with runs of `run_rows` rows.
+pub fn sorter_counters(case: &Case, run_rows: usize, ovc: bool) -> [[u64; 2]; 2] {
+    let chunk = case.chunk();
+    let of = |m: rowsort_core::Metrics| {
+        [Counter::RunsGenerated, Counter::MergeCmps].map(|c| m.counter(c))
+    };
+    let in_memory = pipeline(case, 1, run_rows, ovc);
+    drop(in_memory.sort_rows(&chunk));
+    let spilling = external(case, run_rows, 1, ovc, no_faults());
+    let spilled = spilling.sort(&chunk);
+    assert!(spilled.is_ok(), "no fault was injected: {spilled:?}");
+    [of(in_memory.metrics()), of(spilling.metrics())]
+}
+
+/// Check 2: bit-identity inside an entry point, at both of the case's run
+/// sizes. Pipeline payload bytes are equal across threads × `ovc` × a
+/// warmed pool; external rows are equal across merge threads × `ovc` and
+/// equal to the pipeline's; one-threaded, the two sorters generate the
+/// same runs and make the same merge comparisons.
+pub fn check_bit_identity(case: &Case) -> PropResult {
+    let chunk = case.chunk();
+    let o = case.options;
+    let configs = |threads| [(1, true), (1, false), (threads, true), (threads, false)];
+    for run_rows in [o.run_rows, o.memory_limit_rows] {
+        let mut first: Option<(Vec<u8>, Vec<u8>, Vec<String>)> = None;
+        for (threads, ovc) in configs(o.threads) {
+            let sorter = pipeline(case, threads, run_rows, ovc);
+            for pool in ["cold", "warm"] {
+                let sorted = sorter.sort_rows(&chunk);
+                let bytes = sorted
+                    .payload()
+                    .map_or((&[][..], &[][..]), |p| (p.data(), p.heap()));
+                let (data, heap, _) = first.get_or_insert_with(|| {
+                    let rows = canon(&sorted.to_chunk().to_rows());
+                    (bytes.0.to_vec(), bytes.1.to_vec(), rows)
+                });
+                if (&data[..], &heap[..]) != bytes {
+                    return Err(format!(
+                        "pipeline payload bytes at run_rows={run_rows} threads={threads} \
+                         ovc={ovc} ({pool} pool) differ from one thread's with ovc on"
+                    ));
+                }
+            }
+        }
+        let rows = first.map_or(Vec::new(), |(_, _, rows)| rows);
+        for (threads, ovc) in configs(o.merge_threads) {
+            let sorted = external(case, run_rows, threads, ovc, no_faults()).sort(&chunk);
+            if canon(&sorted.map_err(|e| e.to_string())?.to_rows()) != rows {
+                return Err(format!(
+                    "external rows at budget={run_rows} merge_threads={threads} ovc={ovc} \
+                     differ from the pipeline's at the same run size"
+                ));
+            }
+        }
+        let [in_memory, spilling] = sorter_counters(case, run_rows, true);
+        let runs = case.rows.len().div_ceil(run_rows) as u64;
+        if in_memory != spilling || in_memory[0] != runs || (runs > 1) != (in_memory[1] > 0) {
+            return Err(format!(
+                "[runs_generated, merge_cmps] at run_rows={run_rows}, one thread: pipeline \
+                 {in_memory:?}, external {spilling:?}, expected {runs} runs"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// What [`check_faults`] saw.
+#[derive(Debug, Clone)]
+pub struct FaultReport {
+    /// The typed error the sort failed with; `None` if it survived
+    /// injection and matched the reference.
+    pub error: Option<SpillError>,
+    /// Faults from the schedule that actually fired.
+    pub faults_fired: u64,
+    /// Run files left behind because injected faults blocked deletion
+    /// (must equal the sorter's `spill_cleanup_failed` counter).
+    pub leaked_files: u64,
+    /// Whether the sorter degraded to in-memory runs (ENOSPC ladder).
+    pub degraded: bool,
+    /// Invariant violations (empty on a clean case).
+    pub violations: Vec<String>,
+}
+
+/// Check 3: the external sorter over a [`FaultFs`] injecting the case's
+/// fault schedule. Faults the sorter absorbed (retried writes, ENOSPC
+/// degradation, double deletes) must be invisible in an `Ok` result; an
+/// `Err` must be typed, name its file and agree with the metrics; a live
+/// file is legitimate only if deleting it failed, and is counted.
+pub fn check_faults(case: &Case) -> FaultReport {
+    let (chunk, o) = (case.chunk(), case.options);
+    // Rough sizing: the schedule only needs its offsets to land inside the
+    // files and bytes the sort will produce.
+    let files = case.rows.len() / o.memory_limit_rows + 2;
+    let bytes = (case.rows.len() as u64 + 1) * (16 * case.types.len() as u64 + 16);
+    let schedule = match o.faults {
+        Some(seed) => FaultSchedule::generate(&mut Rng::seed_from_u64(seed), files, bytes),
+        None => FaultSchedule::none(),
+    };
+    let fs = FaultFs::new(schedule);
+    let sorter = external(
+        case,
+        o.memory_limit_rows,
+        o.merge_threads,
+        o.ovc,
+        fs.clone(),
+    );
+    let result = sorter.sort(&chunk);
+    let metrics = sorter.metrics();
+    let mut violations = Vec::new();
+    let mut check = |ok: bool, message: &str| {
+        if !ok {
+            violations.push(message.to_owned());
+        }
+    };
+    let error = match &result {
+        Ok(sorted) => {
+            if let Err(message) = check_rows(case, sorted, &case.reference(), "under faults") {
+                check(false, &message);
+            }
+            check(
+                chunk.is_empty() || metrics.counter(Counter::SortCalls) == 1,
+                "surviving sort not recorded in metrics",
+            );
+            // Absorbed faults are invisible down to the order within ties,
+            // unless the ENOSPC ladder changed what the runs are made of.
+            if metrics.counter(Counter::SpillMemFallbackRuns) == 0 {
+                let clean = external(case, o.memory_limit_rows, 1, o.ovc, no_faults());
+                let same = |c: DataChunk| canon(&c.to_rows()) == canon(&sorted.to_rows());
+                check(
+                    clean.sort(&chunk).is_ok_and(same),
+                    "rows differ from a fault-free one-threaded sort's",
+                );
+            }
+            None
+        }
+        Err(err) => {
+            check(
+                !err.path().is_empty(),
+                "spill error does not name the failing file",
+            );
+            check(
+                metrics.counter(Counter::SortCalls) == 0,
+                "failed sort recorded as completed",
+            );
+            check(
+                matches!(err, SpillError::Io { .. })
+                    || metrics.counter(Counter::SpillChecksumFailed) >= 1,
+                "corruption error without a checksum-failure count",
+            );
+            Some(err.clone())
+        }
+    };
+    let leaked = fs.live_files().len() as u64;
+    let counted = metrics.counter(Counter::SpillCleanupFailed);
+    check(
+        leaked == counted,
+        &format!("leaked {leaked} run files but counted {counted} cleanup failures"),
+    );
+    FaultReport {
+        error,
+        faults_fired: fs.stats().faults_fired(),
+        leaked_files: leaked,
+        degraded: metrics.counter(Counter::SpillMemFallbackRuns) > 0,
+        violations,
+    }
+}
+
+/// Composite-key order isomorphism (§V): the `KeyBlock` keys of any two
+/// rows compare bytewise the way `compare_rows` compares the rows on the
+/// encoded key columns — the `ORDER BY` up to and including its first
+/// truncatable VARCHAR. Byte-equal keys imply equal values on every column
+/// before that one, and `tie_possible()` whenever the rows may still
+/// differ. Checked on neighbours in key-byte order, which by transitivity
+/// is every pair.
+pub fn check_key_order(case: &Case) -> PropResult {
+    let longest = |c: usize| {
+        let lengths = case
+            .rows
+            .iter()
+            .filter_map(|row| row[c].as_str().map(str::len));
+        lengths.max().unwrap_or(0)
+    };
+    let mut block = KeyBlock::new(&case.types, &case.order, longest);
+    block.append_chunk(&case.chunk());
+    let truncatable = |k: &OrderByColumn| {
+        case.types[k.column] == LogicalType::Varchar
+            && KeyColumn::varchar(k.spec, longest(k.column)).tie_possible()
+    };
+    let keys = &case.order.keys;
+    let exact = keys.iter().position(truncatable).unwrap_or(keys.len());
+    let encoded = OrderBy::new(keys[..(exact + 1).min(keys.len())].to_vec());
+    let exact = OrderBy::new(keys[..exact].to_vec());
+
+    let mut by_key: Vec<usize> = (0..case.rows.len()).collect();
+    by_key.sort_by(|&i, &j| block.key(i).cmp(block.key(j)));
+    for pair in by_key.windows(2) {
+        let (a, b) = (&case.rows[pair[0]], &case.rows[pair[1]]);
+        let ok = match block.key(pair[0]).cmp(block.key(pair[1])) {
+            Ordering::Equal => {
+                exact.compare_rows(a, b) == Ordering::Equal
+                    && (block.tie_possible() || case.order.compare_rows(a, b) == Ordering::Equal)
+            }
+            bytes => encoded.compare_rows(a, b) == bytes,
+        };
+        if !ok {
+            return Err(format!(
+                "key bytes {:02x?} and {:02x?} (tie_possible={}) do not order {a:?} and {b:?} \
+                 the way compare_rows does",
+                block.key(pair[0]),
+                block.key(pair[1]),
+                block.tie_possible()
+            ));
+        }
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
+// Named fixed inputs
+
+/// A fixed case: `ORDER BY` the `keys` columns ascending, four threads,
+/// runs of `run_rows` rows in both sorters.
+fn fixed(types: &[LogicalType], rows: Vec<Vec<Value>>, keys: &[usize], run_rows: usize) -> Case {
+    Case {
+        types: types.to_vec(),
+        rows,
+        order: OrderBy::new(keys.iter().map(|&c| OrderByColumn::asc(c)).collect()),
+        options: Options {
+            threads: 4,
+            run_rows,
+            ovc: true,
+            memory_limit_rows: run_rows,
+            merge_threads: 4,
+            faults: None,
+        },
+    }
+}
+
+/// An integer key cannot tie on equal bytes, whatever the payload holds:
+/// the same 13-valued keys with and without a VARCHAR payload column, for
+/// [`sorter_counters`] to show equal `MergeCmps` on.
+pub fn int_key_with_and_without_payload() -> [Case; 2] {
+    let mut rng = Rng::seed_from_u64(44);
+    let payload = |i: usize| match i % 5 {
+        0 => Value::Null,
+        _ => Value::from(format!("payload-{i}")),
+    };
+    let rows: Vec<Vec<Value>> = (0..2_000)
+        .map(|i| vec![Value::Int32(rng.below(13) as i32), payload(i)])
+        .collect();
+    let bare = rows.iter().map(|row| row[..1].to_vec()).collect();
+    [
+        fixed(&[LogicalType::Int32, LogicalType::Varchar], rows, &[0], 150),
+        fixed(&[LogicalType::Int32], bare, &[0], 150),
+    ]
+}
+
+/// Inputs that earned a name, for the same entry points and checks.
+pub fn named_cases() -> Vec<(&'static str, Case)> {
+    let types = [LogicalType::Varchar, LogicalType::Int32];
+    // `ORDER BY s, n`: both strings encode the same 12-byte prefix, and
+    // n's key bytes used to decide the pair backwards (fixed in PR 10).
+    let roadmap_pair = vec![
+        vec![Value::from("x".repeat(44)), Value::Int32(44)],
+        vec![Value::from("x".repeat(12)), Value::Int32(72)],
+    ];
+    // Every splitter collapses to one byte string: one range gets all rows.
+    let all_null = (0..3_000).map(|i| vec![Value::Null, Value::Int32(i)]);
+    let [with_payload, _] = int_key_with_and_without_payload();
+    vec![
+        ("ROADMAP pair", fixed(&types, roadmap_pair, &[0, 1], 1)),
+        (
+            "all-NULL keys",
+            fixed(&types, all_null.collect(), &[0], 300),
+        ),
+        ("integer key, VARCHAR payload", with_payload),
+    ]
+}

@@ -1242,44 +1242,11 @@ type RangeOutput<'a> = (&'a mut [u8], &'a mut [u8], u64);
 mod tests {
     use super::*;
     use crate::merge::MemSource;
+    use crate::testutil::{assert_sorted_permutation, pseudo_random};
     use rowsort_testkit::faultfs::{FaultFs, FaultKind, FaultSchedule, FaultSpec};
     use rowsort_testkit::prop::{full, Runner};
     use rowsort_testkit::Rng;
     use rowsort_vector::{OrderByColumn, SortSpec, Value, Vector};
-
-    fn pseudo_random(n: usize, seed: u64, modk: u32) -> Vec<u32> {
-        let mut state = seed;
-        (0..n)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                ((state >> 33) as u32) % modk
-            })
-            .collect()
-    }
-
-    fn in_memory_reference(chunk: &DataChunk, order: &OrderBy) -> DataChunk {
-        crate::pipeline::SortPipeline::new(
-            chunk.types(),
-            order.clone(),
-            crate::pipeline::SortOptions::default(),
-        )
-        .sort(chunk)
-    }
-
-    fn assert_same_multiset_sorted(external: &DataChunk, in_memory: &DataChunk, order: &OrderBy) {
-        // Both are valid orderings; key columns must agree exactly, and the
-        // multisets must match.
-        assert_eq!(external.len(), in_memory.len());
-        for w in external.to_rows().windows(2) {
-            assert_ne!(order.compare_rows(&w[0], &w[1]), Ordering::Greater);
-        }
-        let canon = |c: &DataChunk| {
-            let mut rows: Vec<String> = c.to_rows().iter().map(|r| format!("{r:?}")).collect();
-            rows.sort();
-            rows
-        };
-        assert_eq!(canon(external), canon(in_memory));
-    }
 
     fn check_against_in_memory(chunk: &DataChunk, order: &OrderBy, budget: usize) {
         let external = ExternalSorter::new(
@@ -1292,7 +1259,7 @@ mod tests {
         )
         .sort(chunk)
         .expect("external sort succeeds");
-        assert_same_multiset_sorted(&external, &in_memory_reference(chunk, order), order);
+        assert_sorted_permutation(&external, chunk, order, "external");
     }
 
     #[test]
@@ -1826,11 +1793,7 @@ mod tests {
     #[test]
     fn zero_and_single_run_merges_take_fast_paths() {
         let chunk = stringy_chunk(400, 17);
-        // Truncatable VARCHAR last among the keys: a truncated prefix
-        // followed by another key column mis-compares (known encoding
-        // gap, see ROADMAP.md) and would fail the sortedness check below
-        // for reasons unrelated to the merge fast paths under test.
-        let order = OrderBy::new(vec![OrderByColumn::asc(1), OrderByColumn::asc(0)]);
+        let order = OrderBy::new(vec![OrderByColumn::asc(0), OrderByColumn::asc(1)]);
         let sorter = ExternalSorter::new(
             chunk.types(),
             order.clone(),
@@ -1848,26 +1811,7 @@ mod tests {
 
         let merged = sorter.merge_runs(&runs, &merge_order).unwrap();
         assert_eq!(merged.len(), 400);
-        let got = merged.to_rows();
-        let canon = |rows: &[Vec<Value>]| {
-            let mut v: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
-            v.sort();
-            v
-        };
-        assert_eq!(
-            canon(&got),
-            canon(&chunk.to_rows()),
-            "rows lost or invented"
-        );
-        for (i, w) in got.windows(2).enumerate() {
-            assert_ne!(
-                order.compare_rows(&w[0], &w[1]),
-                std::cmp::Ordering::Greater,
-                "single-run merge not sorted at {i}: {:?} > {:?}",
-                w[0],
-                w[1]
-            );
-        }
+        assert_sorted_permutation(&merged, &chunk, &order, "single-run merge");
         // Neither merge can split across threads: one partition counted
         // per merge call, two calls above.
         assert_eq!(sorter.metrics().counter(Counter::SpillMergePartitions), 2);
@@ -2174,7 +2118,6 @@ mod tests {
         let chunk = DataChunk::from_columns(vec![Vector::from_u32s(pseudo_random(2_000, 22, 300))])
             .unwrap();
         let order = OrderBy::ascending(1);
-        let reference = in_memory_reference(&chunk, &order);
         // Sweep flip positions across the file (the header's magic, the
         // first key, mid-stream, deep into the file).
         for (at_byte, bit) in [(3u64, 7u8), (9, 0), (1500, 4), (4000, 1)] {
@@ -2197,7 +2140,7 @@ mod tests {
                     // Only acceptable if the flip landed beyond the file
                     // (never fired) — then the output must be correct.
                     assert_eq!(fs.stats().bit_flips, 0, "flip fired but sort succeeded");
-                    assert_same_multiset_sorted(&out, &reference, &order);
+                    assert_sorted_permutation(&out, &chunk, &order, "unfired flip");
                 }
                 Err(err) => {
                     assert!(
@@ -2238,7 +2181,7 @@ mod tests {
             },
         );
         let out = sorter.sort(&chunk).expect("retries absorb the faults");
-        assert_same_multiset_sorted(&out, &in_memory_reference(&chunk, &order), &order);
+        assert_sorted_permutation(&out, &chunk, &order, "survived faults");
         assert_eq!(sorter.metrics().counter(Counter::SpillRetries), 2);
         assert_eq!(sorter.metrics().counter(Counter::SpilledRuns), 4);
         drop(sorter);
@@ -2293,7 +2236,7 @@ mod tests {
             },
         );
         let out = sorter.sort(&chunk).expect("degradation absorbs ENOSPC");
-        assert_same_multiset_sorted(&out, &in_memory_reference(&chunk, &order), &order);
+        assert_sorted_permutation(&out, &chunk, &order, "survived faults");
         let m = sorter.metrics();
         assert!(
             m.counter(Counter::SpillMemFallbackRuns) > 0,
@@ -2355,7 +2298,7 @@ mod tests {
         let out = sorter
             .sort(&chunk)
             .expect("delete fault does not break the sort");
-        assert_same_multiset_sorted(&out, &in_memory_reference(&chunk, &order), &order);
+        assert_sorted_permutation(&out, &chunk, &order, "survived faults");
         let leaked = sorter.metrics().counter(Counter::SpillCleanupFailed);
         assert_eq!(leaked, 1, "one deletion failed");
         drop(sorter);

@@ -53,6 +53,8 @@ mod run;
 pub mod spill;
 pub mod strategy;
 pub mod systems;
+#[cfg(test)]
+pub(crate) mod testutil;
 pub mod workers;
 
 pub use external::{ExternalSortOptions, ExternalSorter};

@@ -43,7 +43,7 @@ use crate::merge::{
 use crate::metrics::{emit_trace, Counter, CounterRegistry, Metrics, Phase, SortProfile};
 use crate::pool::BufferPool;
 use crate::run::{varchar_stats, RunGenerator, SortedRun};
-use crate::workers::{SendPtr, WorkerPool};
+use crate::workers::WorkerPool;
 use rowsort_algos::kway::OvcLoserTree;
 use rowsort_algos::merge_path::merge_path_partition_by;
 use rowsort_row::{heap_base, RowBlock, RowLayout};
@@ -115,14 +115,11 @@ impl SortOptions {
     }
 }
 
-/// One 2-way merge of a round, with raw output bases so Merge Path tasks
-/// on several workers can each fill their disjoint output range.
+/// One 2-way merge of a round; its output is the round's next run.
 struct MergeJob {
     /// Indices of the input runs within the current round.
     a: usize,
     b: usize,
-    out_keys: SendPtr<u8>,
-    out_rows: SendPtr<u8>,
     total: usize,
     /// Added to the heap offsets of rows taken from run `b` (the output
     /// heap is `a.heap ++ b.heap`).
@@ -142,6 +139,16 @@ struct MergeCtx {
     /// Truncated VARCHAR prefixes can tie: byte-equal keys still need
     /// the full-tuple comparator.
     tie_possible: bool,
+}
+
+/// What no task of a cascade round has claimed yet: the next task, the
+/// output runs of the pairs not yet started, and the rest of the current
+/// pair's key and row buffers.
+struct Unclaimed<'a> {
+    next: usize,
+    outs: std::slice::IterMut<'a, SortedRun>,
+    keys: &'a mut [u8],
+    rows: &'a mut [u8],
 }
 
 /// What one key range's merge keeps from sort to sort. The cursors borrow
@@ -499,37 +506,58 @@ impl SortPipeline {
                 heap.extend_from_slice(a.payload.heap());
                 heap.extend_from_slice(b.payload.heap());
                 let heap_shift = heap_base(a.payload.heap().len());
-                let mut out = SortedRun {
+                jobs.push(MergeJob {
+                    a: 2 * p,
+                    b: 2 * p + 1,
+                    total,
+                    heap_shift,
+                });
+                next_round.push(SortedRun {
                     keys,
                     key_width: kw,
                     tie_possible: ctx.tie_possible,
                     ovc: Vec::new(),
                     payload: RowBlock::from_raw_parts(Arc::clone(&self.layout), data, heap),
-                };
-                jobs.push(MergeJob {
-                    a: 2 * p,
-                    b: 2 * p + 1,
-                    out_keys: SendPtr::new(out.keys.as_mut_ptr()),
-                    out_rows: SendPtr::new(out.payload.data_mut().as_mut_ptr()),
-                    total,
-                    heap_shift,
                 });
-                next_round.push(out);
             }
 
             // Flat task grid: every pair is split into `parts` Merge Path
-            // partitions; workers claim (pair, part) tasks dynamically.
+            // partitions. Tasks are claimed in (pair, part) order under one
+            // lock, each taking the rows of its diagonals off the front of
+            // its pair's unclaimed key and row buffers: slices disjoint by
+            // construction, whichever worker gets which.
             let parts = self.options.threads.div_ceil(pairs);
             let tasks = pairs * parts;
-            let next = AtomicUsize::new(0);
             let runs_ref: &[SortedRun] = runs;
             let jobs_ref: &[MergeJob] = jobs;
+            let unclaimed = Mutex::new(Unclaimed {
+                next: 0,
+                outs: next_round.iter_mut(),
+                keys: &mut [],
+                rows: &mut [],
+            });
             let body = |_worker: usize| loop {
-                let t = next.fetch_add(1, AtomicOrdering::Relaxed);
-                if t >= tasks {
-                    break;
-                }
-                self.merge_task(runs_ref, &jobs_ref[t / parts], t % parts, parts, ctx);
+                let (job, part, out_keys, out_rows) = {
+                    let mut guard = unclaimed.lock().unwrap_or_else(|e| e.into_inner());
+                    let left = &mut *guard;
+                    let (pair, part) = (left.next / parts, left.next % parts);
+                    if part == 0 {
+                        // The round is claimed when its output runs are.
+                        let Some(out) = left.outs.next() else { break };
+                        left.keys = &mut out.keys[..];
+                        left.rows = out.payload.data_mut();
+                    }
+                    let job = &jobs_ref[pair];
+                    let rows = job.total * (part + 1) / parts - job.total * part / parts;
+                    let out_keys = left.keys.split_off_mut(..rows * kw);
+                    let out_rows = left.rows.split_off_mut(..rows * width);
+                    let (Some(out_keys), Some(out_rows)) = (out_keys, out_rows) else {
+                        break;
+                    };
+                    left.next += 1;
+                    (job, part, out_keys, out_rows)
+                };
+                self.merge_task(runs_ref, job, part, parts, ctx, out_keys, out_rows);
             };
             if self.options.threads == 1 || tasks == 1 {
                 body(0);
@@ -715,8 +743,10 @@ impl SortPipeline {
 
     /// Execute Merge Path partition `part` of `parts` for one 2-way merge:
     /// binary-search the partition bounds, then write merged keys and
-    /// payload rows directly into the job's output range (pick generation
-    /// fused with materialization — no intermediate pick list).
+    /// payload rows directly into the partition's claimed slices of the
+    /// job's output (pick generation fused with materialization — no
+    /// intermediate pick list).
+    #[allow(clippy::too_many_arguments)]
     fn merge_task(
         &self,
         runs: &[SortedRun],
@@ -724,14 +754,13 @@ impl SortPipeline {
         part: usize,
         parts: usize,
         ctx: MergeCtx,
+        out_keys: &mut [u8],
+        out_rows: &mut [u8],
     ) {
         let a = &runs[job.a];
         let b = &runs[job.b];
         let MergeCtx {
-            kw,
-            width,
-            tie_possible,
-            ..
+            kw, tie_possible, ..
         } = ctx;
         let (na, nb) = (a.len(), b.len());
         let cmp = |i: usize, j: usize| -> Ordering {
@@ -757,21 +786,6 @@ impl SortPipeline {
             cmp(i, j) == Ordering::Greater // b[j] < a[i]
         });
         let (a1, b1) = merge_path_partition_by(na, nb, d1, |j, i| cmp(i, j) == Ordering::Greater);
-
-        // SAFETY: Merge Path bounds are exact — partition `part` produces
-        // output rows `d0..d1` and no other partition writes them, so the
-        // slice carved out of `job.out_keys` below is disjoint between
-        // tasks; the backing buffer is sized `total * kw` and owned by
-        // `next_round`, which outlives the phase.
-        let out_keys = unsafe {
-            std::slice::from_raw_parts_mut(job.out_keys.get().add(d0 * kw), (d1 - d0) * kw)
-        };
-        // SAFETY: same disjointness argument on `job.out_rows` — the row
-        // buffer is sized `total * width` and outlives the phase.
-        let out_rows = unsafe {
-            std::slice::from_raw_parts_mut(job.out_rows.get().add(d0 * width), (d1 - d0) * width)
-        };
-
         self.merge_partition(a, b, job, ctx, (a0, a1), (b0, b1), out_keys, out_rows);
     }
 
@@ -837,8 +851,8 @@ impl SortPipeline {
             if let Some(dst) = key_out.next() {
                 copy_small(dst, &src_keys[r * kw..(r + 1) * kw]);
             }
-            // lint:allow(R010): the iterator yields d1-d0 rows by
-            // construction; see the SAFETY disjointness argument above.
+            // lint:allow(R010): the claimed slice holds d1-d0 rows, the
+            // partition's share of the output, by construction.
             let out_row = row_out.next().expect("output sized to partition");
             copy_small(out_row, &src_rows[r * width..(r + 1) * width]);
             if fix_heap && take_b {
@@ -907,45 +921,11 @@ pub fn sort_chunk(input: &DataChunk, order: &OrderBy) -> DataChunk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{assert_sorted_permutation, pseudo_random};
     use rowsort_vector::{OrderByColumn, SortSpec, Value, Vector};
 
-    fn reference_sort(chunk: &DataChunk, order: &OrderBy) -> Vec<Vec<Value>> {
-        let mut rows = chunk.to_rows();
-        rows.sort_by(|a, b| order.compare_rows(a, b));
-        rows
-    }
-
     fn assert_sorted_equal(got: &DataChunk, chunk: &DataChunk, order: &OrderBy) {
-        let expected = reference_sort(chunk, order);
-        let got_rows = got.to_rows();
-        assert_eq!(got_rows.len(), expected.len());
-        // The pipeline need not be stable; compare as multisets per tie
-        // group by checking the ordering relation and the multiset.
-        for w in got_rows.windows(2) {
-            assert_ne!(
-                order.compare_rows(&w[0], &w[1]),
-                Ordering::Greater,
-                "output out of order: {:?} then {:?}",
-                w[0],
-                w[1]
-            );
-        }
-        let canon = |rows: &[Vec<Value>]| {
-            let mut v: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
-            v.sort();
-            v
-        };
-        assert_eq!(canon(&got_rows), canon(&expected), "row multiset differs");
-    }
-
-    fn pseudo_random(n: usize, seed: u64, modk: u32) -> Vec<u32> {
-        let mut state = seed;
-        (0..n)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                ((state >> 33) as u32) % modk
-            })
-            .collect()
+        assert_sorted_permutation(got, chunk, order, "pipeline");
     }
 
     #[test]

@@ -483,47 +483,12 @@ fn compiled_rows_sort(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{assert_sorted_permutation, pseudo_random};
     use rowsort_vector::{OrderByColumn, SortSpec, Value};
-
-    fn reference_sort(chunk: &DataChunk, order: &OrderBy) -> Vec<Vec<Value>> {
-        let mut rows = chunk.to_rows();
-        rows.sort_by(|a, b| order.compare_rows(a, b));
-        rows
-    }
 
     fn check_profile(profile: SystemProfile, chunk: &DataChunk, order: &OrderBy, threads: usize) {
         let got = sort_with_system(profile, chunk, order, threads);
-        let got_rows = got.to_rows();
-        assert_eq!(got_rows.len(), chunk.len(), "{}", profile.label());
-        for w in got_rows.windows(2) {
-            assert_ne!(
-                order.compare_rows(&w[0], &w[1]),
-                Ordering::Greater,
-                "{} out of order",
-                profile.label()
-            );
-        }
-        let canon = |rows: &[Vec<Value>]| {
-            let mut v: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
-            v.sort();
-            v
-        };
-        assert_eq!(
-            canon(&got_rows),
-            canon(&reference_sort(chunk, order)),
-            "{} multiset",
-            profile.label()
-        );
-    }
-
-    fn pseudo_random(n: usize, seed: u64, modk: u32) -> Vec<u32> {
-        let mut state = seed;
-        (0..n)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                ((state >> 33) as u32) % modk
-            })
-            .collect()
+        assert_sorted_permutation(&got, chunk, order, profile.label());
     }
 
     #[test]

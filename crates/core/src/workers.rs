@@ -16,6 +16,10 @@
 //!   spawns only `threads - 1` OS threads and `threads == 1` spawns none.
 //! * `broadcast` returns only after every worker has finished the phase;
 //!   worker panics are re-raised on the caller.
+//!
+//! The lifetime-erased job pointer below is this crate's only `unsafe`:
+//! what a phase writes, its tasks claim as `split_at_mut` slices under a
+//! lock (`pipeline.rs`), so no output pointer crosses threads.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
@@ -37,36 +41,6 @@ struct JobPtr(*const (dyn Fn(usize) + Sync));
 // unwinding) until every worker reports done. The pointee is `Sync`, so
 // concurrent shared calls from many workers are sound.
 unsafe impl Send for JobPtr {}
-
-/// A raw pointer that may cross thread boundaries.
-///
-/// Merge phases write disjoint output ranges from several workers; safe
-/// slices cannot express "disjoint by Merge Path bounds", so tasks carry
-/// the output base as a `SendPtr` and each task writes only its own range.
-#[derive(Clone, Copy)]
-pub struct SendPtr<T>(*mut T);
-
-// SAFETY: SendPtr is a plain address; sending it to another thread moves
-// no data. All dereferences happen in `unsafe` blocks at the use site,
-// which carry the disjointness argument (each merge task writes only the
-// half-open output range its Merge Path bounds assign to it).
-unsafe impl<T> Send for SendPtr<T> {}
-// SAFETY: sharing the address between threads is sound for the same
-// reason: the pointer itself is immutable data; dereferences are the use
-// sites' responsibility.
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Wrap a raw pointer for cross-thread task descriptors.
-    pub fn new(ptr: *mut T) -> SendPtr<T> {
-        SendPtr(ptr)
-    }
-
-    /// The wrapped pointer.
-    pub fn get(&self) -> *mut T {
-        self.0
-    }
-}
 
 struct State {
     /// Bumped once per broadcast; workers run a phase when they observe a

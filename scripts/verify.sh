@@ -56,6 +56,17 @@ fi
 echo "== cargo test -p lint =="
 cargo test -q -p lint --offline
 
+# --- 3a. The differential oracle ---------------------------------------------
+# One generator over schema × values × NULLs × duplicates × VARCHAR shapes
+# × ORDER BY × options, every entry point (pipeline, external, engine under
+# each system profile and spilling), three checks: against the reference
+# sort, bit-identity inside an entry point, typed-or-right under faults
+# (DESIGN.md §8). It runs inside step 3 too; the named step makes an oracle
+# failure print its minimal input and its `TESTKIT_SEED=… cargo test <name>`
+# replay line on its own, ahead of the rest of the suite.
+echo "== differential oracle =="
+cargo test -q -p rowsort-bench --offline --test oracle
+
 # --- 3. Test ---------------------------------------------------------------
 echo "== cargo test -q --offline =="
 cargo test -q --workspace --offline
@@ -84,8 +95,9 @@ cargo run --release --offline -q -p rowsort-bench --bin trace_smoke -- "$trace_j
 # --- 5b. Merge counter gates -------------------------------------------------
 # The coded in-memory merge is one range-partitioned k-way pass at any
 # thread count (merge_rounds == 1, bytes_moved exact and equal across
-# thread counts, merge_tasks == ranges, a warm pool never missed) and its
-# rows are bit-identical to the OVC-off cascade's. The spill merge reads
+# thread counts, merge_tasks == ranges, a warm pool never missed); that its
+# rows are bit-identical to the OVC-off cascade's is check 2 of the oracle
+# (step 3a). The spill merge reads
 # every run file once: bytes read at the SpillIo handles == bytes written
 # at one merge thread, at most two blocks per run and splitter more above
 # it, rows the pipeline's at every thread count. Both run inside step 3
@@ -109,13 +121,13 @@ cargo run --release --offline -q -p rowsort-bench --bin bench_gate \
     | tee target/perf/bench_counters.txt
 
 # --- 7. Spill fault-injection stress ----------------------------------------
-# 50 seeded iterations of the differential stress loop (DESIGN.md §8.5):
-# random relations sorted through the external sorter under injected
-# write errors / ENOSPC / corruption, checked against an in-memory
-# oracle. Deterministic (everything derives from the seed) and offline
-# (the fault filesystem is in-memory). Fails the build on any oracle
-# mismatch or leaked run file; the JSON report is uploaded as a CI
-# artifact.
+# 50 seeded iterations of the oracle's third check (DESIGN.md §8.5): the
+# stress loop is step 3a's generator with a fault schedule on every case —
+# relations sorted through the external sorter under injected write errors
+# / ENOSPC / corruption, held to the reference sort. Deterministic
+# (everything derives from the seed) and offline (the fault filesystem is
+# in-memory). Fails the build on any oracle mismatch or leaked run file;
+# the JSON report is uploaded as a CI artifact.
 echo "== spill stress =="
 cargo run --release --offline -q -p rowsort-bench --bin stress -- \
     --iters 50 --seed 0xR0WS0RT --report "$PWD/target/perf/stress_report.json"
