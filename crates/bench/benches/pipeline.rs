@@ -13,7 +13,7 @@
 //! numbers measure the *steady state*: with the buffer pool and persistent
 //! worker pool, iterations after the first run allocation-free.
 
-use rowsort_bench::{long_string_chunk, u32_chunk, wide_key_chunk};
+use rowsort_bench::{long_string_chunk, u32_chunk, wide_key_chunk, LONGSTR_STEM, TIEDSTR_STEM};
 use rowsort_core::pipeline::{SortOptions, SortPipeline};
 use rowsort_testkit::bench::{BenchmarkId, Harness};
 use rowsort_testkit::{bench_group, bench_main};
@@ -114,22 +114,28 @@ fn bench_pipeline(c: &mut Harness) {
         });
     }
 
-    // One VARCHAR key beyond the prefix: pdqsort runs whose comparisons
-    // fall through to the tie comparator, then a tie-breaking merge.
+    // One VARCHAR key beyond 12 bytes. `longstr`: the planner's sample
+    // finds the 20-byte prefix that makes it exact, so runs are radix
+    // sorts. `tiedstr`: the strings share more than any planned prefix,
+    // so every row goes through the tie comparator, in run generation and
+    // in the merge — the path `strings_mem` took before prefixes were
+    // sized from data.
     let n = sizes()[0].min(1_000_000) / 4;
-    let chunk = long_string_chunk(n, 0xF16_15);
-    let pipeline = SortPipeline::new(
-        chunk.types(),
-        OrderBy::ascending(1),
-        SortOptions {
-            threads: 1,
-            run_rows: (n / 4).max(1),
-            ovc: true,
-        },
-    );
-    group.bench_function(BenchmarkId::new("longstr_t1", n), |b| {
-        b.iter(|| pipeline.sort(&chunk))
-    });
+    for (id, stem) in [("longstr_t1", LONGSTR_STEM), ("tiedstr_t1", TIEDSTR_STEM)] {
+        let chunk = long_string_chunk(n, 0xF16_15, stem);
+        let pipeline = SortPipeline::new(
+            chunk.types(),
+            OrderBy::ascending(1),
+            SortOptions {
+                threads: 1,
+                run_rows: (n / 4).max(1),
+                ovc: true,
+            },
+        );
+        group.bench_function(BenchmarkId::new(id, n), |b| {
+            b.iter(|| pipeline.sort(&chunk))
+        });
+    }
     group.finish();
 }
 

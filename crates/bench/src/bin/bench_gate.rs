@@ -8,7 +8,8 @@
 //! `spill_merge` bench at 100 000 — every id whose options can be pinned;
 //! `u32_tdef` takes the host's thread count and stays a bench only — once
 //! each on a sorter warmed by two sorts, and compares the measured sort's
-//! counters with the checked-in `BENCH_counters.json` for exact equality.
+//! counters — and the key it planned — with the checked-in
+//! `BENCH_counters.json` for exact equality.
 //! Every option that shapes the work is spelled out per id, never taken
 //! from `Default`, which reads `ROWSORT_THREADS` and `ROWSORT_OVC`: the
 //! counts are the same on every host and under any environment.
@@ -19,7 +20,7 @@
 //! clock on a shared host would have shown. Time is not read here; the
 //! benches stay for interleaved A/B by hand.
 
-use rowsort_bench::{long_string_chunk, u32_chunk, wide_key_chunk};
+use rowsort_bench::{long_string_chunk, u32_chunk, wide_key_chunk, LONGSTR_STEM, TIEDSTR_STEM};
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
 use rowsort_core::metrics::{Counter, SortProfile};
 use rowsort_core::pipeline::{SortOptions, SortPipeline};
@@ -73,6 +74,13 @@ fn record(out: &mut Counts, id: &str, allocs: bool, mut sort: impl FnMut() -> So
         let key = (id.to_owned(), c.name().to_owned());
         out.insert(key, profile.metrics.counter(c));
     }
+    // The plan the counts were made under.
+    for (name, planned) in [
+        ("key_width", profile.key_width),
+        ("varchar_prefix", profile.varchar_prefix),
+    ] {
+        out.insert((id.to_owned(), name.to_owned()), u64::from(planned));
+    }
 }
 
 /// Every pinned id, with the inputs, seeds and options of its bench.
@@ -82,7 +90,7 @@ fn measure() -> Counts {
     let u32s = u32_chunk(n, 0xF16_12 ^ n as u64, false);
     let payload = u32_chunk(n, 0xF16_13, true);
     let wide = wide_key_chunk(n, 0xF16_14);
-    let long = long_string_chunk(n / 4, 0xF16_15);
+    let [long, tied] = [LONGSTR_STEM, TIEDSTR_STEM].map(|s| long_string_chunk(n / 4, 0xF16_15, s));
     // Bench id, input, leading key columns, threads, run_rows, ovc.
     for (name, chunk, keys, threads, run_rows, ovc) in [
         ("u32_t1", &u32s, 1, 1, 1 << 17, true),
@@ -91,8 +99,12 @@ fn measure() -> Counts {
         ("widekey_ovc", &wide, 3, 1, n / 64, true),
         ("widekey_novc", &wide, 3, 1, n / 64, false),
         ("widekey_ovc_t2", &wide, 3, 2, n / 64, true),
-        // None of the ids above sorts a run with pdqsort; this one does.
+        // A VARCHAR key beyond 12 bytes that the planned prefix makes
+        // exact: radix alone, no row reaches the comparator.
         ("longstr_t1", &long, 1, 1, n / 16, true),
+        // None of the ids above sorts a key-equal range with pdqsort; this
+        // one sorts nothing else (`run_tie_rows` == rows).
+        ("tiedstr_t1", &tied, 1, 1, n / 16, true),
     ] {
         let id = format!("pipeline/{name}/{}", chunk.len());
         let options = SortOptions {

@@ -5,14 +5,17 @@
 //! ```
 //!
 //! Turns tracing on, runs one in-memory pipeline sort (u32 keys, five runs
-//! so the line carries a merge), one VARCHAR sort, and one spilling
-//! external sort, then reads the trace file back and validates every line
-//! against the documented schema (DESIGN.md §7.5) with testkit's JSON
-//! parser: required fields, all phase and counter names present and
-//! numeric, phase times that sum to no more than the sort's wall time, and
-//! a merge shape (`merge_rounds`, `merge_tasks`, `merge_max_range_rows`)
-//! that adds up. Exits non-zero on any violation, so CI catches schema
-//! drift the moment it happens.
+//! so the line carries a merge), one VARCHAR sort whose strings share more
+//! bytes than any key prefix (so the line carries the tie path), and one
+//! spilling external sort, then reads the trace file back and validates
+//! every line against the documented schema (DESIGN.md §7.5) with
+//! testkit's JSON parser: required fields, all phase and counter names
+//! present and numeric, phase times that sum to no more than the sort's
+//! wall time, a planned key (`key_width`, `varchar_prefix`) and tie
+//! counters (`run_tie_ranges`, `run_tie_rows`, `pdq_sorts`) that agree,
+//! and a merge shape (`merge_rounds`, `merge_tasks`,
+//! `merge_max_range_rows`) that adds up. Exits non-zero on any violation,
+//! so CI catches schema drift the moment it happens.
 
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
 use rowsort_core::metrics::{Counter, Phase};
@@ -50,7 +53,7 @@ fn run_sorts() {
         let v = if r % 11 == 0 {
             Value::Null
         } else {
-            Value::from(format!("name_{}", r % 997))
+            Value::from(format!("a_name_that_outgrows_every_key_prefix_{}", r % 997))
         };
         strings.push_row(&[v]).unwrap();
     }
@@ -100,7 +103,7 @@ fn main() {
     }
 
     let mut operators = Vec::new();
-    let mut merged_in_memory = false;
+    let (mut merged_in_memory, mut tied) = (false, false);
     for (i, line) in lines.iter().enumerate() {
         let line_no = i + 1;
         let obj = Json::parse(line)
@@ -158,12 +161,36 @@ fn main() {
             die(&format!("line {line_no}: rows_sorted counter != rows"));
         }
 
+        // The planned key and the tie path. Every sort here has a key; an
+        // integer key has no VARCHAR prefix and cannot tie; rows reach the
+        // comparator in ranges of two or more, counted as a pdqsort run.
+        let count = |c: Counter| num_field(counters, c.name(), line_no);
+        let key_width = num_field(&obj, "key_width", line_no);
+        let prefix = num_field(&obj, "varchar_prefix", line_no);
+        let (tie_ranges, tie_rows) = (count(Counter::RunTieRanges), count(Counter::RunTieRows));
+        if key_width <= 0.0 || prefix >= key_width {
+            die(&format!(
+                "line {line_no}: key_width {key_width}, varchar_prefix {prefix}"
+            ));
+        }
+        if tie_rows > rows
+            || tie_rows < 2.0 * tie_ranges
+            || (tie_rows > 0.0) != (count(Counter::PdqSorts) > 0.0)
+            || (prefix == 0.0 && tie_rows > 0.0)
+        {
+            die(&format!(
+                "line {line_no}: {tie_rows} of {rows} rows in {tie_ranges} key-equal ranges, \
+                 pdq_sorts {}, varchar_prefix {prefix}",
+                count(Counter::PdqSorts)
+            ));
+        }
+        tied |= tie_rows > 0.0;
+
         // Merge shape. A k-way pass (every spill merge; the in-memory
         // merge of a coded sort) reports its largest key range, which
         // holds at least an even share of the rows and at most all of
         // them; a pipeline sort that made one is one round of `ranges`
         // tasks. A cascade (`ROWSORT_OVC=0`) reports rounds and no range.
-        let count = |c: Counter| num_field(counters, c.name(), line_no);
         let max_range = count(Counter::MergeMaxRangeRows);
         let (rounds, ranges) = if operator == "external" {
             (1.0, count(Counter::SpillMergePartitions))
@@ -181,6 +208,9 @@ fn main() {
             ));
         }
         operators.push(operator);
+    }
+    if !tied {
+        die("no line carries the tie path (run_tie_rows is 0 on all)");
     }
     if !merged_in_memory {
         die("no pipeline line carries a merge (merge_rounds is 0 on all)");

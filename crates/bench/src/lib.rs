@@ -67,17 +67,29 @@ pub fn wide_key_chunk(n: usize, seed: u64) -> DataChunk {
     chunk
 }
 
-/// One VARCHAR key that outgrows the 12-byte prefix (every string shares
-/// its first 14 bytes, one row in 16 is NULL) plus a `u32` payload: run
-/// generation takes pdqsort and nearly every comparison falls through to
-/// the full-tuple tie comparator — `strings_mem`'s largest layer.
-pub fn long_string_chunk(n: usize, seed: u64) -> DataChunk {
+/// The stem of `pipeline/longstr_t1`'s strings: 14 bytes, so every string
+/// collides under the paper's 12-byte prefix and the planner's sample
+/// finds the prefix (all 20 bytes) that makes the column exact.
+pub const LONGSTR_STEM: &str = "customer_name_";
+
+/// The stem of `pipeline/tiedstr_t1`'s strings: longer than the longest
+/// prefix the planner sizes (`rowsort_core::PREFIX_CAP`), so it keeps the
+/// paper's 12 bytes, no key tells two rows apart and every row reaches the
+/// full-tuple comparator — the irreducible-tie path.
+pub const TIEDSTR_STEM: &str = "customer_of_the_eastern_warehouse_name_";
+
+/// One VARCHAR key — `stem` and six digits, one row in 16 NULL — plus a
+/// `u32` payload. Under [`LONGSTR_STEM`] run generation is a radix sort
+/// over a 20-byte prefix the planner found in the data; under
+/// [`TIEDSTR_STEM`] every key is byte-equal and run generation is the
+/// comparison sort `strings_mem` used to be.
+pub fn long_string_chunk(n: usize, seed: u64, stem: &str) -> DataChunk {
     let mut rng = Rng::seed_from_u64(seed);
     let mut chunk = DataChunk::new(&[LogicalType::Varchar, LogicalType::UInt32]);
     for i in 0..n {
         let name = match rng.below(16) {
             0 => Value::Null,
-            _ => Value::from(format!("customer_name_{:06}", rng.below(50_000))),
+            _ => Value::from(format!("{stem}{:06}", rng.below(50_000))),
         };
         chunk.push_row(&[name, Value::UInt32(i as u32)]).unwrap();
     }

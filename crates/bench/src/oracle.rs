@@ -8,7 +8,8 @@
 //! to three checks:
 //!
 //! 1. [`check_reference`] — against a stable `compare_rows` sort: in
-//!    order, the same multiset, the exact sequence when the order is total;
+//!    order, the same multiset, and the exact sequence when the order is
+//!    total or the entry point is a stable sort ([`Entry::is_stable`]);
 //! 2. [`check_bit_identity`] — inside an entry point nothing observable
 //!    depends on threads, OVC, a warm pool, or (external) merge threads,
 //!    and both sorters do the same work at one thread and one run size;
@@ -23,9 +24,8 @@
 
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
 use rowsort_core::pipeline::{SortOptions, SortPipeline};
-use rowsort_core::{Counter, KeyBlock, SpillError, SystemProfile};
+use rowsort_core::{Counter, KeyBlock, SpillError, SystemProfile, PREFIX_CAP};
 use rowsort_engine::{Engine, ExecOptions, SpillExecOptions, Table};
-use rowsort_normkey::KeyColumn;
 use rowsort_testkit::faultfs::{FaultFs, FaultSchedule};
 use rowsort_testkit::prop::{Gen, PropResult};
 use rowsort_testkit::Rng;
@@ -127,9 +127,9 @@ impl fmt::Debug for Case {
 /// One non-NULL value of `ty`. Integers and floats: an extreme or a
 /// neighbour of zero one time in three, else any bit pattern — every value
 /// `compare_rows` totally orders, NaNs and both zeros included. VARCHAR: a
-/// stem of `stem` `x`s (0, or 11/12/13 to straddle the 12-byte key prefix)
-/// and up to `tail` more chars with NUL and multi-byte UTF-8 among them,
-/// 40 bytes at most.
+/// stem of `stem` `x`s ([`STEMS`]) and up to `tail` more chars with NUL
+/// and multi-byte UTF-8 among them, 27 bytes at most after the stem — or,
+/// for a tail of [`SIBLINGS`], exactly two of `a` / `b`.
 fn draw_value(ty: LogicalType, (stem, tail): (usize, u64), rng: &mut Rng) -> Value {
     macro_rules! int {
         ($variant:ident, $t:ty) => {{
@@ -168,13 +168,42 @@ fn draw_value(ty: LogicalType, (stem, tail): (usize, u64), rng: &mut Rng) -> Val
         LogicalType::Timestamp => int!(Timestamp, i64),
         LogicalType::Varchar => {
             let mut s = "x".repeat(stem);
-            for _ in 0..rng.below(tail + 1) {
-                s.push(*rng.pick(&['\0', 'a', 'b', 'x', 'é', '錆']));
+            if tail == SIBLINGS {
+                s.extend([*rng.pick(&['a', 'b']), *rng.pick(&['a', 'b'])]);
+            } else {
+                for _ in 0..rng.below(tail + 1) {
+                    s.push(*rng.pick(&['\0', 'a', 'b', 'x', 'é', '錆']));
+                }
             }
             Value::Varchar(s)
         }
     }
 }
+
+/// Stems a VARCHAR column's values share: none, or one that straddles a
+/// key prefix — the 12 bytes of the paper's rule, which is also where the
+/// sorters' planner starts looking for collisions, and [`PREFIX_CAP`],
+/// where it stops. A column on a stem beyond the cap holds strings no
+/// planned prefix separates, so truncation ties are generated whatever
+/// the estimator picks.
+const STEMS: [usize; 10] = [
+    0,
+    0,
+    0,
+    11,
+    12,
+    13,
+    PREFIX_CAP - 1,
+    PREFIX_CAP,
+    PREFIX_CAP + 1,
+    PREFIX_CAP + 8,
+];
+
+/// The VARCHAR tail shape whose four values all have the longest length
+/// and differ from a sibling in their last byte only: on a stem of 11–13
+/// the planner's prefix reaches the whole string, a column that is exact
+/// beyond 12 bytes.
+const SIBLINGS: u64 = 2;
 
 /// A run size that cuts `n` rows into one, a few or a few dozen runs.
 fn run_size(n: usize, rng: &mut Rng) -> usize {
@@ -212,7 +241,7 @@ impl Gen for CaseGen {
             } else {
                 *rng.pick(&LogicalType::ALL)
             };
-            let shape = (*rng.pick(&[0, 0, 11, 12, 13]), *rng.pick(&[3, 9]));
+            let shape = (*rng.pick(&STEMS), *rng.pick(&[SIBLINGS, 3, 9]));
             // Duplicates: one value, a handful, or the type's full domain.
             let pool: Vec<Value> = (0..*rng.pick(&[1, 5, 0]))
                 .map(|_| draw_value(ty, shape, rng))
@@ -328,6 +357,22 @@ pub enum Entry {
     EngineSpill,
 }
 
+impl Entry {
+    /// Whether rows that compare equal on every `ORDER BY` column must
+    /// come out in input order. Both sorters are stable — radix run sorts,
+    /// key-equal ranges ordered by row id last, merges that prefer the
+    /// earlier run — and so is everything built on them. The four emulated
+    /// systems are not, and are held to the multiset only: they sort
+    /// indices or row pointers with pdqsort under a tuple comparator that
+    /// has no tie-break, as the systems they stand for do.
+    pub fn is_stable(self) -> bool {
+        match self {
+            Entry::Pipeline | Entry::PipelineRows | Entry::External | Entry::EngineSpill => true,
+            Entry::Engine(profile) => profile == SystemProfile::RowsortDb,
+        }
+    }
+}
+
 fn pipeline(case: &Case, threads: usize, run_rows: usize, ovc: bool) -> SortPipeline {
     let options = SortOptions {
         threads,
@@ -421,23 +466,30 @@ fn canon(rows: &[Vec<Value>]) -> Vec<String> {
 
 /// The one sorted-permutation check: `got` is in order under the case's
 /// `ORDER BY` and holds the rows of `want` (the reference sort) — in the
-/// reference's exact sequence when no two rows compare equal.
-fn check_rows(case: &Case, got: &DataChunk, want: &[Vec<Value>], what: &str) -> PropResult {
+/// reference's exact sequence when the sort is `stable` or no two rows
+/// compare equal.
+fn check_rows(
+    case: &Case,
+    got: &DataChunk,
+    want: &[Vec<Value>],
+    stable: bool,
+    what: &str,
+) -> PropResult {
     let got = got.to_rows();
     let cmp = |w: &[Vec<Value>]| case.order.compare_rows(&w[0], &w[1]);
     if let Some(i) = got.windows(2).position(|w| cmp(w) == Ordering::Greater) {
         let (a, b) = (&got[i], &got[i + 1]);
         return Err(format!("{what}: out of order at row {i}: {a:?} then {b:?}"));
     }
-    let total = want.windows(2).all(|w| cmp(w) != Ordering::Equal);
+    let exact = stable || want.windows(2).all(|w| cmp(w) != Ordering::Equal);
     let (mut got, mut want) = (canon(&got), canon(want));
-    if !total {
+    if !exact {
         got.sort();
         want.sort();
     }
     if got == want {
         Ok(())
-    } else if total {
+    } else if exact {
         Err(format!("{what}: not the reference's row sequence"))
     } else {
         Err(format!("{what}: not the input's multiset of rows"))
@@ -449,7 +501,7 @@ pub fn check_reference(case: &Case, entries: &[Entry]) -> PropResult {
     let (chunk, want) = (case.chunk(), case.reference());
     for &entry in entries {
         let got = sort_through(case, &chunk, entry)?;
-        check_rows(case, &got, &want, &format!("{entry:?}"))?;
+        check_rows(case, &got, &want, entry.is_stable(), &format!("{entry:?}"))?;
     }
     Ok(())
 }
@@ -571,7 +623,10 @@ pub fn check_faults(case: &Case) -> FaultReport {
     };
     let error = match &result {
         Ok(sorted) => {
-            if let Err(message) = check_rows(case, sorted, &case.reference(), "under faults") {
+            // Stable whatever the ENOSPC ladder made the runs of.
+            let stable = Entry::External.is_stable();
+            let checked = check_rows(case, sorted, &case.reference(), stable, "under faults");
+            if let Err(message) = checked {
                 check(false, &message);
             }
             check(
@@ -625,27 +680,49 @@ pub fn check_faults(case: &Case) -> FaultReport {
 /// Composite-key order isomorphism (§V): the `KeyBlock` keys of any two
 /// rows compare bytewise the way `compare_rows` compares the rows on the
 /// encoded key columns — the `ORDER BY` up to and including its first
-/// truncatable VARCHAR. Byte-equal keys imply equal values on every column
-/// before that one, and `tie_possible()` whenever the rows may still
-/// differ. Checked on neighbours in key-byte order, which by transitivity
-/// is every pair.
+/// truncated VARCHAR. Byte-equal keys imply equal values on every column
+/// before that one, and `tie_possible()` exactly when the rows may still
+/// differ (some string of the last encoded column outgrows its prefix).
+/// Checked on neighbours in key-byte order, which by transitivity is every
+/// pair — under the layout the sorters plan for the case
+/// ([`KeyBlock::planned`]: prefixes sized from the strings) and under the
+/// paper's 12-byte rule ([`KeyBlock::new`]).
 pub fn check_key_order(case: &Case) -> PropResult {
-    let longest = |c: usize| {
-        let lengths = case
-            .rows
-            .iter()
-            .filter_map(|row| row[c].as_str().map(str::len));
-        lengths.max().unwrap_or(0)
-    };
-    let mut block = KeyBlock::new(&case.types, &case.order, longest);
-    block.append_chunk(&case.chunk());
-    let truncatable = |k: &OrderByColumn| {
-        case.types[k.column] == LogicalType::Varchar
-            && KeyColumn::varchar(k.spec, longest(k.column)).tie_possible()
-    };
+    let chunk = case.chunk();
+    let longest = |c: usize| chunk.column(c).as_strings().map_or(0, |s| s.max_len());
+    key_order_holds(case, &chunk, KeyBlock::planned(&chunk, &case.order))?;
+    key_order_holds(
+        case,
+        &chunk,
+        KeyBlock::new(&case.types, &case.order, longest),
+    )
+}
+
+fn key_order_holds(case: &Case, chunk: &DataChunk, mut block: KeyBlock) -> PropResult {
+    block.append_chunk(chunk);
+    let encoded = block.layout().column_count();
+    // A layout that calls an exact key ambiguous is a plan that sends rows
+    // to the comparator for nothing, and drops later columns from the key.
+    let last = block
+        .layout()
+        .columns()
+        .last()
+        .zip(case.order.keys.get(encoded - 1));
+    let outgrown = last.is_some_and(|(col, key)| {
+        let strings = chunk.column(key.column).as_strings();
+        strings.is_some_and(|s| s.max_len() > col.prefix_len)
+    });
+    if block.tie_possible() != outgrown {
+        return Err(format!(
+            "tie_possible={} but the last encoded column's strings {} its prefix: {:?}",
+            block.tie_possible(),
+            if outgrown { "outgrow" } else { "fit" },
+            block.layout().columns().last()
+        ));
+    }
+    let exact = encoded - usize::from(block.tie_possible());
     let keys = &case.order.keys;
-    let exact = keys.iter().position(truncatable).unwrap_or(keys.len());
-    let encoded = OrderBy::new(keys[..(exact + 1).min(keys.len())].to_vec());
+    let encoded = OrderBy::new(keys[..encoded].to_vec());
     let exact = OrderBy::new(keys[..exact].to_vec());
 
     let mut by_key: Vec<usize> = (0..case.rows.len()).collect();
@@ -667,6 +744,49 @@ pub fn check_key_order(case: &Case) -> PropResult {
                 block.key(pair[1]),
                 block.tie_possible()
             ));
+        }
+    }
+    Ok(())
+}
+
+/// The plan is a function of the input alone: at every `threads` ×
+/// `run_rows` × `ovc` the pipeline, and at every budget × `merge_threads`
+/// × `ovc` the external sorter, report the key width and VARCHAR prefix of
+/// [`KeyBlock::planned`] for the case's rows in their profiles.
+pub fn check_plan_is_input_wide(case: &Case) -> PropResult {
+    let chunk = case.chunk();
+    if chunk.is_empty() {
+        return Ok(()); // an empty input records no sort
+    }
+    let o = case.options;
+    let planned = KeyBlock::planned(&chunk, &case.order);
+    let varchars = planned.layout().columns().iter();
+    let varchars = varchars.filter(|c| c.ty == LogicalType::Varchar);
+    let prefix = varchars.map(|c| c.prefix_len).max().unwrap_or(0);
+    let want = (planned.key_width() as u32, prefix as u32);
+    let of = |p: rowsort_core::SortProfile| (p.key_width, p.varchar_prefix);
+    for run_rows in [o.run_rows, o.memory_limit_rows] {
+        for (threads, merge_threads) in [(1, 1), (o.threads, o.merge_threads)] {
+            for ovc in [true, false] {
+                let sorter = pipeline(case, threads, run_rows, ovc);
+                drop(sorter.sort_rows(&chunk));
+                let got = of(sorter.last_profile());
+                if got != want {
+                    return Err(format!(
+                        "pipeline at run_rows={run_rows} threads={threads} ovc={ovc} planned \
+                         (key_width, prefix) {got:?}, KeyBlock::planned {want:?}"
+                    ));
+                }
+                let sorter = external(case, run_rows, merge_threads, ovc, no_faults());
+                sorter.sort(&chunk).map_err(|e| e.to_string())?;
+                let got = of(sorter.last_profile());
+                if got != want {
+                    return Err(format!(
+                        "external at budget={run_rows} merge_threads={merge_threads} ovc={ovc} \
+                         planned (key_width, prefix) {got:?}, KeyBlock::planned {want:?}"
+                    ));
+                }
+            }
         }
     }
     Ok(())
@@ -712,6 +832,21 @@ pub fn int_key_with_and_without_payload() -> [Case; 2] {
     ]
 }
 
+/// A VARCHAR key whose strings outgrow 12 bytes and never share their
+/// first 12: the planner's sample holds no collision, so it must plan the
+/// paper's layout, byte for byte what [`KeyBlock::new`] plans — and every
+/// counter of the sort stays what it was before prefixes were sized from
+/// data.
+pub fn no_twelve_byte_collision() -> Case {
+    let rows = (0..3_000u32).map(|i| {
+        let distinct = i * 7_919 % 1_000_003; // prime modulus: no two alike
+        let name = Value::from(format!("{distinct:012}_and_a_tail_{}", i % 7));
+        vec![name, Value::Int32((i % 11) as i32)]
+    });
+    let types = [LogicalType::Varchar, LogicalType::Int32];
+    fixed(&types, rows.collect(), &[0, 1], 400)
+}
+
 /// Inputs that earned a name, for the same entry points and checks.
 pub fn named_cases() -> Vec<(&'static str, Case)> {
     let types = [LogicalType::Varchar, LogicalType::Int32];
@@ -731,5 +866,6 @@ pub fn named_cases() -> Vec<(&'static str, Case)> {
             fixed(&types, all_null.collect(), &[0], 300),
         ),
         ("integer key, VARCHAR payload", with_payload),
+        ("no 12-byte collision", no_twelve_byte_collision()),
     ]
 }

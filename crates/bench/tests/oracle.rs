@@ -4,7 +4,7 @@
 //! once per entry point, so a bug in what they share fails each of them.
 
 use rowsort_bench::oracle::{self, CaseGen, Entry};
-use rowsort_core::SystemProfile;
+use rowsort_core::{KeyBlock, SystemProfile};
 use rowsort_testkit::{prop, prop_assert};
 
 const CLEAN: CaseGen = CaseGen { faults: false };
@@ -41,6 +41,10 @@ prop! {
     fn key_bytes_order_rows_the_way_compare_rows_does(case in CLEAN) {
         oracle::check_key_order(&case)?;
     }
+
+    fn every_sorter_plans_the_same_key_for_one_input(case in CLEAN) {
+        oracle::check_plan_is_input_wide(&case)?;
+    }
 }
 
 #[test]
@@ -51,10 +55,30 @@ fn named_inputs_pass_every_check() {
     for (name, case) in oracle::named_cases() {
         let checked = oracle::check_reference(&case, &entries)
             .and_then(|()| oracle::check_bit_identity(&case))
-            .and_then(|()| oracle::check_key_order(&case));
+            .and_then(|()| oracle::check_key_order(&case))
+            .and_then(|()| oracle::check_plan_is_input_wide(&case));
         assert_eq!(checked, Ok(()), "{name}");
         let violations = oracle::check_faults(&case).violations;
         assert!(violations.is_empty(), "{name}: {violations:#?}");
+    }
+}
+
+/// Where the planner's sample finds no two strings that 12 bytes tie, it
+/// plans the paper's 12-byte layout byte for byte, and the sort does the
+/// work it did under that rule: the keys are `KeyBlock::new`'s.
+#[test]
+fn no_collision_in_the_sample_plans_the_twelve_byte_layout() {
+    let case = oracle::no_twelve_byte_collision();
+    let chunk = case.chunk();
+    let longest = |c: usize| chunk.column(c).as_strings().map_or(0, |s| s.max_len());
+    let mut paper = KeyBlock::new(&case.types, &case.order, longest);
+    let mut planned = KeyBlock::planned(&chunk, &case.order);
+    assert_eq!(planned.layout(), paper.layout());
+    assert!(planned.tie_possible(), "the strings outgrow the prefix");
+    paper.append_chunk(&chunk);
+    planned.append_chunk(&chunk);
+    for i in 0..chunk.len() {
+        assert_eq!(planned.key(i), paper.key(i), "row {i}");
     }
 }
 

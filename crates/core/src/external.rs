@@ -45,7 +45,7 @@
 //!   are observable rather than silent.
 
 use crate::comparator::FusedRowComparator;
-use crate::keys::{word, KeyBlock};
+use crate::keys::{word, KeyBlock, VarcharStat};
 use crate::merge::{
     choose_splitters, cmp_keys, lower_bound, merge_kway, plan_parts, sample_positions, MergeOrder,
     MergeStats, RunSource, SegmentSink,
@@ -53,7 +53,7 @@ use crate::merge::{
 use crate::metrics::{emit_trace, Counter, CounterRegistry, Metrics, Phase, SortProfile};
 use crate::ovc;
 use crate::pool::BufferPool;
-use crate::run::{varchar_stats, RunGenerator, SortedRun};
+use crate::run::{planned_prefix, varchar_stats, PrefixSampler, RunGenerator, SortedRun};
 use crate::spill::{SpillError, SpillIo, SpillOp, StdFs};
 use crate::workers::WorkerPool;
 use rowsort_algos::kway::OvcLoserTree;
@@ -745,12 +745,18 @@ impl ExternalSorter {
         let mut stats = Vec::new();
         let keys = {
             let _prepare = self.metrics.time_phase(Phase::Prepare);
-            varchar_stats(input, &mut stats);
+            varchar_stats(
+                input,
+                &self.order,
+                &mut PrefixSampler::default(),
+                &mut stats,
+            );
             // The one key block every run of this sort is encoded in; its
             // layout also fixes how the merge compares keys.
-            KeyBlock::new(&self.types, &self.order, |c| stats[c])
+            KeyBlock::with_prefixes(&self.types, &self.order, |c| stats[c])
         };
         let order = self.merge_order(&keys);
+        let key_width = keys.key_width() as u32;
         let key_blocks = Mutex::new(vec![keys]);
 
         let runs = {
@@ -771,6 +777,8 @@ impl ExternalSorter {
             operator: "external",
             rows: n as u64,
             total_ns: sort_start.elapsed().as_nanos() as u64,
+            key_width,
+            varchar_prefix: planned_prefix(&stats),
             metrics: self.metrics.snapshot().since(&before),
         };
         match self.profile.lock() {
@@ -799,7 +807,7 @@ impl ExternalSorter {
     fn generate_spilled_runs(
         &self,
         input: &DataChunk,
-        stats: &[usize],
+        stats: &[VarcharStat],
         key_blocks: &Mutex<Vec<KeyBlock>>,
     ) -> Result<Vec<Run>, SpillError> {
         let gen = self.run_generator();
@@ -1339,10 +1347,18 @@ mod tests {
 
     /// `sort()`'s preparation: the VARCHAR statistics of `chunk` and the
     /// key-block cache planned for them.
-    fn plan(sorter: &ExternalSorter, chunk: &DataChunk) -> (Vec<usize>, Mutex<Vec<KeyBlock>>) {
+    fn plan(
+        sorter: &ExternalSorter,
+        chunk: &DataChunk,
+    ) -> (Vec<VarcharStat>, Mutex<Vec<KeyBlock>>) {
         let mut stats = Vec::new();
-        varchar_stats(chunk, &mut stats);
-        let block = KeyBlock::new(&sorter.types, &sorter.order, |c| stats[c]);
+        varchar_stats(
+            chunk,
+            &sorter.order,
+            &mut PrefixSampler::default(),
+            &mut stats,
+        );
+        let block = KeyBlock::with_prefixes(&sorter.types, &sorter.order, |c| stats[c]);
         (stats, Mutex::new(vec![block]))
     }
 
@@ -1468,18 +1484,10 @@ mod tests {
 
         // One run covering the whole chunk, sorted here independently of
         // the run generator; keep the blocks to compare.
-        let stats: Vec<usize> = (0..sorter.types.len())
-            .map(|c| {
-                chunk
-                    .column(c)
-                    .as_strings()
-                    .map(|s| s.max_len())
-                    .unwrap_or(0)
-            })
-            .collect();
+        let (stats, _) = plan(&sorter, &chunk);
         let mut payload = RowBlock::with_capacity(Arc::clone(&sorter.layout), chunk.len());
         payload.append_chunk(&chunk);
-        let mut keys = KeyBlock::new(&sorter.types, &sorter.order, |c| stats[c]);
+        let mut keys = KeyBlock::with_prefixes(&sorter.types, &sorter.order, |c| stats[c]);
         keys.append_chunk(&chunk);
         let tie_cmp = FusedRowComparator::new(&sorter.layout, &sorter.order);
         keys.sort(|a, b| {

@@ -1,9 +1,12 @@
 //! Normalized-key blocks: the sortable representation of ORDER BY keys.
 
+use crate::run::{varchar_stats, PrefixSampler};
 use rowsort_algos::pdqsort::pdqsort_rows;
 use rowsort_algos::radix::radix_sort_rows_with_scratch;
 use rowsort_algos::rows::RowsMut;
-use rowsort_normkey::{encode_column_range_into, KeyColumn, NormKeyLayout};
+use rowsort_normkey::{
+    encode_column_range_into, KeyColumn, NormKeyLayout, DEFAULT_MAX_PREFIX, MAX_PREFIX,
+};
 use rowsort_vector::{DataChunk, LogicalType, OrderBy};
 use std::cmp::Ordering;
 
@@ -17,6 +20,28 @@ pub(crate) fn word<const N: usize>(s: &[u8], at: usize) -> [u8; N] {
     w.copy_from_slice(&s[at..at + N]);
     w
 }
+
+/// What the planner knows about one VARCHAR `ORDER BY` column.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct VarcharStat {
+    /// Longest string in the column, in bytes (a true upper bound over
+    /// the rows the key will encode).
+    pub max_len: usize,
+    /// Bytes of each string the key encodes; the column is exact when
+    /// this reaches `max_len`.
+    pub prefix_len: usize,
+}
+
+/// The longest VARCHAR prefix the sorters' planner sizes from the data
+/// ([`KeyBlock::planned`]). Past it the key stops paying: on rowbench's
+/// `strings_mem` a run sorts fastest at 20–24 bytes (24 separate every
+/// pair of e-mails) and 32 costs a tenth more than that, and a column
+/// whose strings share more than this is the comparator's either way.
+pub const PREFIX_CAP: usize = 32;
+
+// The continuation marker is one byte: a longer prefix would encode
+// "fits" and "truncated" alike.
+const _: () = assert!(PREFIX_CAP <= MAX_PREFIX);
 
 /// A block of fixed-width normalized keys, each suffixed with a `u32`
 /// row id linking back to the payload row.
@@ -42,24 +67,44 @@ pub struct KeyBlock {
     data: Vec<u8>,
     len: usize,
     key_columns: Vec<usize>,
+    last_sort: KeySortStats,
 }
 
 /// Width of the row-id suffix.
 const ROW_ID_WIDTH: usize = 4;
 
-/// Which algorithm a [`KeyBlock::sort`] took — reported back so the
-/// pipeline's metrics can count radix vs pdqsort runs and scatter passes.
+/// What a [`KeyBlock::sort`] needed — reported back so the pipeline's
+/// metrics can count the runs the key bytes ordered alone against the
+/// runs that also went to the comparator. Every sort radix-sorts the key
+/// bytes first; the variants say what was left after that.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KeySortAlgo {
     /// No key columns: nothing to order by.
     Noop,
-    /// Comparison-free radix sort over the normalized key bytes.
+    /// The comparison-free radix sort over the normalized key bytes
+    /// decided everything: no two entries with equal keys could differ.
     Radix {
         /// Scatter passes performed (single-bucket passes are skipped).
         passes: u64,
     },
-    /// pdqsort with a memcmp comparator and full-value tie resolution.
+    /// The radix sort left at least one key-equal range of a layout whose
+    /// equal keys may hide unequal tuples; each such range was sorted by
+    /// pdqsort with the caller's full-tuple comparator
+    /// ([`KeyBlock::last_sort`] has the counts).
     Pdq,
+}
+
+/// What the most recent [`KeyBlock::sort`] did, beyond its
+/// [`KeySortAlgo`]: the radix sort's scatter passes whichever variant was
+/// reported, and how much was handed to the comparator.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KeySortStats {
+    /// Scatter passes of the radix sort over the key bytes.
+    pub radix_passes: u64,
+    /// Key-equal ranges (two entries or more) sorted by the comparator.
+    pub tie_ranges: u64,
+    /// Entries inside those ranges.
+    pub tie_rows: u64,
 }
 
 impl KeyBlock {
@@ -72,13 +117,30 @@ impl KeyBlock {
         order: &OrderBy,
         varchar_max_len: impl Fn(usize) -> usize,
     ) -> KeyBlock {
+        KeyBlock::with_prefixes(types, order, |c| VarcharStat {
+            max_len: varchar_max_len(c),
+            prefix_len: DEFAULT_MAX_PREFIX,
+        })
+    }
+
+    /// [`KeyBlock::new`] with each VARCHAR key column's prefix chosen by
+    /// the caller: `varchar_stat(col)` supplies the column's longest
+    /// string and the prefix to encode of it (clamped to what the marker
+    /// byte can describe). Both sorters plan through this, from
+    /// [`varchar_stats`](crate::run::varchar_stats).
+    pub fn with_prefixes(
+        types: &[LogicalType],
+        order: &OrderBy,
+        varchar_stat: impl Fn(usize) -> VarcharStat,
+    ) -> KeyBlock {
         let cols: Vec<KeyColumn> = order
             .keys
             .iter()
             .map(|k| {
                 let ty = types[k.column];
                 if ty == LogicalType::Varchar {
-                    KeyColumn::varchar(k.spec, varchar_max_len(k.column))
+                    let stat = varchar_stat(k.column);
+                    KeyColumn::varchar_with_prefix(k.spec, stat.max_len, stat.prefix_len)
                 } else {
                     KeyColumn::fixed(ty, k.spec)
                 }
@@ -89,7 +151,23 @@ impl KeyBlock {
             data: Vec::new(),
             len: 0,
             key_columns: order.keys.iter().map(|k| k.column).collect(),
+            last_sort: KeySortStats::default(),
         }
+    }
+
+    /// The key block both sorters plan for sorting `input` by `order`:
+    /// [`KeyBlock::with_prefixes`] over the statistics they take of
+    /// `input`'s VARCHAR key columns (longest string; prefix sized from a
+    /// collision sample, DESIGN.md §6). A function of the input alone.
+    pub fn planned(input: &DataChunk, order: &OrderBy) -> KeyBlock {
+        let mut stats = Vec::new();
+        varchar_stats(input, order, &mut PrefixSampler::default(), &mut stats);
+        KeyBlock::with_prefixes(&input.types(), order, |c| stats[c])
+    }
+
+    /// The planned normalized-key shape.
+    pub fn layout(&self) -> &NormKeyLayout {
+        &self.layout
     }
 
     /// Total bytes per entry (key + row id).
@@ -179,19 +257,22 @@ impl KeyBlock {
         self.len += n;
     }
 
-    /// Sort the block. Per the paper's DuckDB heuristic: radix sort when
-    /// ties are impossible (fixed-width keys encode exactly), pdqsort with
-    /// a `memcmp` comparator plus full-value tie resolution otherwise.
+    /// Sort the block: radix sort over the key bytes, whatever the layout;
+    /// then, when equal keys may hide unequal tuples (a truncated VARCHAR
+    /// prefix), one scan finds the key-equal ranges and only those are
+    /// sorted by comparison. The sort is stable: entries the key bytes and
+    /// `resolve` both call equal stay in row-id (input) order.
     ///
     /// `resolve(a, b)` compares the *full tuples* of two row ids; it is
-    /// consulted only when key bytes compare equal and ties are possible.
+    /// consulted only for entries whose key bytes are equal, and only when
+    /// ties are possible.
     pub fn sort(&mut self, resolve: impl Fn(u32, u32) -> Ordering) -> KeySortAlgo {
         let mut scratch = Vec::new();
         self.sort_with_scratch(&mut scratch, resolve)
     }
 
     /// [`KeyBlock::sort`] with a caller-pooled radix scratch buffer: with
-    /// sufficient recycled capacity the radix path allocates nothing.
+    /// sufficient recycled capacity the sort allocates nothing.
     pub fn sort_with_scratch(
         &mut self,
         scratch: &mut Vec<u8>,
@@ -199,30 +280,53 @@ impl KeyBlock {
     ) -> KeySortAlgo {
         let stride = self.stride();
         let kw = self.key_width();
+        self.last_sort = KeySortStats::default();
         if kw == 0 {
             return KeySortAlgo::Noop; // no key columns: nothing to order by
         }
-        if !self.tie_possible() {
-            let passes = radix_sort_rows_with_scratch(&mut self.data, stride, 0, kw, scratch);
-            KeySortAlgo::Radix {
-                passes: passes as u64,
-            }
-        } else {
-            let mut rows = RowsMut::new(&mut self.data, stride);
-            pdqsort_rows(
-                &mut rows,
-                &mut |a: &[u8], b: &[u8]| match a[..kw].cmp(&b[..kw]) {
-                    Ordering::Less => true,
-                    Ordering::Greater => false,
-                    Ordering::Equal => {
-                        let ra = u32::from_le_bytes(word::<4>(a, kw));
-                        let rb = u32::from_le_bytes(word::<4>(b, kw));
-                        resolve(ra, rb) == Ordering::Less
-                    }
-                },
-            );
-            KeySortAlgo::Pdq
+        let passes = radix_sort_rows_with_scratch(&mut self.data, stride, 0, kw, scratch) as u64;
+        self.last_sort.radix_passes = passes;
+        if self.tie_possible() {
+            self.sort_tied_ranges(resolve);
         }
+        if self.last_sort.tie_ranges > 0 {
+            KeySortAlgo::Pdq
+        } else {
+            KeySortAlgo::Radix { passes }
+        }
+    }
+
+    /// After the radix sort: find every maximal range of adjacent entries
+    /// with equal key bytes and sort it by `resolve`, row id last. Where
+    /// keys differ this costs one `memcmp` per entry; the comparator (a
+    /// random read of two rows and their strings) runs inside ranges only.
+    fn sort_tied_ranges(&mut self, resolve: impl Fn(u32, u32) -> Ordering) {
+        let (stride, kw) = (self.stride(), self.key_width());
+        let mut is_less = |a: &[u8], b: &[u8]| {
+            let ra = u32::from_le_bytes(word::<4>(a, kw));
+            let rb = u32::from_le_bytes(word::<4>(b, kw));
+            resolve(ra, rb).then(ra.cmp(&rb)) == Ordering::Less
+        };
+        let mut lo = 0;
+        while lo < self.len {
+            let mut hi = lo + 1;
+            while hi < self.len && self.key(hi) == self.key(lo) {
+                hi += 1;
+            }
+            if hi - lo > 1 {
+                let range = &mut self.data[lo * stride..hi * stride];
+                pdqsort_rows(&mut RowsMut::new(range, stride), &mut is_less);
+                self.last_sort.tie_ranges += 1;
+                self.last_sort.tie_rows += (hi - lo) as u64;
+            }
+            lo = hi;
+        }
+    }
+
+    /// Counts of the most recent [`KeyBlock::sort`] (zeroes before the
+    /// first).
+    pub fn last_sort(&self) -> KeySortStats {
+        self.last_sort
     }
 
     /// The permutation the sort produced: row ids in current entry order.
@@ -312,8 +416,92 @@ mod tests {
         let mut kb = KeyBlock::new(&chunk.types(), &order, |_| 13);
         assert!(kb.tie_possible());
         kb.append_chunk(&chunk);
-        kb.sort(|a, b| strings[a as usize].cmp(strings[b as usize]));
+        let algo = kb.sort(|a, b| strings[a as usize].cmp(strings[b as usize]));
         assert_eq!(kb.order(), vec![1, 0, 2]);
+        // One key-equal range of two entries went to the comparator.
+        assert_eq!(algo, KeySortAlgo::Pdq);
+        let sorted = kb.last_sort();
+        assert_eq!((sorted.tie_ranges, sorted.tie_rows), (1, 2));
+    }
+
+    #[test]
+    fn comparator_runs_inside_key_equal_ranges_only() {
+        // `ORDER BY n, s` with a truncatable s: the integer and the first
+        // 12 bytes decide most pairs; `resolve` may only ever be asked
+        // about entries whose keys are byte-equal.
+        let n: Vec<u32> = (0..60).map(|i| i % 3).collect();
+        let strings: Vec<String> = (0..60)
+            .map(|i| match i % 4 {
+                0 => format!("shared_prefix_{}", i % 5),
+                _ => format!("distinct{i:02}_and_long"),
+            })
+            .collect();
+        let chunk = DataChunk::from_columns(vec![
+            Vector::from_u32s(n.clone()),
+            Vector::from_strings(strings.iter().map(String::as_str)),
+        ])
+        .unwrap();
+        let order = OrderBy::ascending(2);
+        let mut kb = KeyBlock::new(&chunk.types(), &order, |_| 20);
+        kb.append_chunk(&chunk);
+        let keys: Vec<Vec<u8>> = (0..kb.len()).map(|i| kb.key(i).to_vec()).collect();
+        let algo = kb.sort(|a, b| {
+            let (a, b) = (a as usize, b as usize);
+            assert_eq!(keys[a], keys[b], "resolve asked about unequal keys");
+            strings[a].cmp(&strings[b])
+        });
+        assert_eq!(algo, KeySortAlgo::Pdq);
+        let want = {
+            let mut ids: Vec<u32> = (0..60).collect();
+            ids.sort_by_key(|&i| (n[i as usize], &strings[i as usize]));
+            ids
+        };
+        assert_eq!(kb.order(), want, "stable: full ties stay in input order");
+        // Every "shared_prefix_k" string is one of 15 rows (i % 4 == 0)
+        // split over three integers; the distinct ones never tie.
+        let sorted = kb.last_sort();
+        assert_eq!(sorted.tie_rows, 15);
+        assert_eq!(sorted.tie_ranges, 3);
+        assert!(sorted.radix_passes > 0);
+    }
+
+    #[test]
+    fn truncatable_layout_without_ties_reports_radix() {
+        // Ties are possible by the layout, but no two keys are equal: the
+        // radix sort decided everything and says so.
+        let strings = ["prefix_AAAA_z_long", "qrefix_AAAA_a_long", "short"];
+        let chunk = DataChunk::from_columns(vec![Vector::from_strings(strings)]).unwrap();
+        let mut kb = KeyBlock::new(&chunk.types(), &OrderBy::ascending(1), |_| 18);
+        assert!(kb.tie_possible());
+        kb.append_chunk(&chunk);
+        let algo = kb.sort(|_, _| unreachable!("no two keys are equal"));
+        assert!(matches!(algo, KeySortAlgo::Radix { .. }), "{algo:?}");
+        assert_eq!(kb.order(), vec![0, 1, 2]);
+        assert_eq!(kb.last_sort().tie_rows, 0);
+    }
+
+    #[test]
+    fn chosen_prefix_decides_what_ties() {
+        // The same strings under the 12-byte rule and under a prefix that
+        // covers them: the second layout is exact and radix-sorts.
+        let strings = ["prefix_AAAA_z", "prefix_AAAA_a", "short"];
+        let chunk = DataChunk::from_columns(vec![Vector::from_strings(strings)]).unwrap();
+        let stat = |prefix_len| {
+            move |_| VarcharStat {
+                max_len: 13,
+                prefix_len,
+            }
+        };
+        let order = OrderBy::ascending(1);
+        let twelve = KeyBlock::with_prefixes(&chunk.types(), &order, stat(12));
+        assert!(twelve.tie_possible());
+        assert_eq!(twelve.key_width(), 1 + 12 + 1);
+        let mut exact = KeyBlock::with_prefixes(&chunk.types(), &order, stat(13));
+        assert!(!exact.tie_possible());
+        assert_eq!(exact.key_width(), 1 + 13 + 1);
+        exact.append_chunk(&chunk);
+        exact.sort(|_, _| unreachable!("an exact key cannot tie"));
+        assert_eq!(exact.order(), vec![1, 0, 2]);
     }
 
     #[test]

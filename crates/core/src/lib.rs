@@ -9,12 +9,14 @@
 //! * [`keys`] — normalized-key blocks with row-id suffixes and VARCHAR
 //!   tie resolution,
 //! * [`pipeline`] — DuckDB's full parallel sorting pipeline (Figure 11):
-//!   morsel-parallel run generation, radix/pdqsort thread-local sorts,
+//!   morsel-parallel run generation, radix thread-local sorts (the
+//!   comparator only inside key-equal ranges),
 //!   payload reordering, and the merge — one coded k-way pass over key
 //!   ranges, or (OVC off) the Merge-Path-parallel cascaded 2-way merge,
 //! * `run` (crate-private) — the one run generator both sorters use:
 //!   vectors → rows + normalized keys → thread-local sort → a pooled
-//!   `SortedRun` with its offset-value code column,
+//!   `SortedRun` with its offset-value code column; and the key plan both
+//!   make first, VARCHAR prefixes sized from a sample of the strings,
 //! * `merge` (crate-private) — the one k-way merge kernel: a tree of
 //!   losers over `RunSource`s (in-memory run, spill cursor) emitting into
 //!   a `MergeSink`, OVC as a const parameter, and the range planner both
@@ -58,7 +60,7 @@ pub(crate) mod testutil;
 pub mod workers;
 
 pub use external::{ExternalSortOptions, ExternalSorter};
-pub use keys::{KeyBlock, KeySortAlgo};
+pub use keys::{KeyBlock, KeySortAlgo, KeySortStats, VarcharStat, PREFIX_CAP};
 pub use metrics::{Counter, CounterRegistry, Metrics, Phase, SortProfile};
 pub use pipeline::{default_ovc, default_threads, SortOptions, SortPipeline, SortedRows};
 pub use pool::BufferPool;

@@ -100,11 +100,16 @@ pub enum Counter {
     PoolHits,
     /// Buffer-pool requests that fell through to allocation.
     PoolMisses,
-    /// Thread-local run sorts that took the radix path.
+    /// Thread-local run sorts the radix sort over the key bytes decided
+    /// alone: no key-equal range needed the comparator.
     RadixSorts,
-    /// Scatter passes performed by those radix sorts.
+    /// Scatter passes performed by the radix sort of every run, whichever
+    /// of [`Counter::RadixSorts`] and [`Counter::PdqSorts`] counted it.
     RadixPasses,
-    /// Thread-local run sorts that took the pdqsort + tie-resolve path.
+    /// Thread-local run sorts in which at least one key-equal range went
+    /// to pdqsort with the full-tuple comparator (a truncated VARCHAR
+    /// prefix; [`Counter::RunTieRanges`] and [`Counter::RunTieRows`] say
+    /// how much of the run).
     PdqSorts,
     /// Sorted runs produced by run generation.
     RunsGenerated,
@@ -166,11 +171,18 @@ pub enum Counter {
     /// times the merge read what the sort wrote — 1.0 at one merge
     /// thread, a block or two per run and splitter more above that.
     SpillReadBytes,
+    /// Key-equal ranges (two rows or more whose normalized keys are
+    /// byte-equal under a truncated VARCHAR prefix) that run generation
+    /// sorted with the full-tuple comparator.
+    RunTieRanges,
+    /// Rows inside those ranges: over [`Counter::RowsSorted`], the share
+    /// of the input the key prefix failed to order.
+    RunTieRows,
 }
 
 impl Counter {
     /// Number of counters (array dimension of the registry).
-    pub const COUNT: usize = 27;
+    pub const COUNT: usize = 29;
 
     /// All counters, in declaration order (= registry index order).
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -201,6 +213,8 @@ impl Counter {
         Counter::SpillSeamSkipBytes,
         Counter::MergeMaxRangeRows,
         Counter::SpillReadBytes,
+        Counter::RunTieRanges,
+        Counter::RunTieRows,
     ];
 
     /// The snake_case name used in trace JSON and text dumps.
@@ -233,6 +247,8 @@ impl Counter {
             Counter::SpillSeamSkipBytes => "spill_seam_skip_bytes",
             Counter::MergeMaxRangeRows => "merge_max_range_rows",
             Counter::SpillReadBytes => "spill_read_bytes",
+            Counter::RunTieRanges => "run_tie_ranges",
+            Counter::RunTieRows => "run_tie_rows",
         }
     }
 }
@@ -427,6 +443,11 @@ pub struct SortProfile {
     pub rows: u64,
     /// Wall time of the whole call, nanoseconds.
     pub total_ns: u64,
+    /// Bytes per normalized key in the layout this sort planned.
+    pub key_width: u32,
+    /// The longest VARCHAR prefix in that key, as sized from the input's
+    /// strings (12 is the paper's rule); 0 without a VARCHAR key column.
+    pub varchar_prefix: u32,
     /// Counter/phase deltas recorded during the call.
     pub metrics: Metrics,
 }
@@ -438,12 +459,15 @@ impl SortProfile {
             operator: "none",
             rows: 0,
             total_ns: 0,
+            key_width: 0,
+            varchar_prefix: 0,
             metrics: Metrics::zeroed(),
         }
     }
 
     /// The trace-schema JSON object for this profile: `event`,
-    /// `operator`, `rows`, `total_ns`, plus nested `phases` and
+    /// `operator`, `rows`, `total_ns`, `key_width`, `varchar_prefix`,
+    /// plus nested `phases` and
     /// `counters` objects (every field numeric; see DESIGN.md §7.5 for
     /// the schema contract `trace_smoke` validates in CI).
     pub fn to_json(&self) -> Json {
@@ -465,6 +489,8 @@ impl SortProfile {
             ("operator", Json::str(self.operator)),
             ("rows", Json::Num(self.rows as f64)),
             ("total_ns", Json::Num(self.total_ns as f64)),
+            ("key_width", Json::Num(f64::from(self.key_width))),
+            ("varchar_prefix", Json::Num(f64::from(self.varchar_prefix))),
             ("phases", Json::Obj(phases)),
             ("counters", Json::Obj(counters)),
         ])
@@ -603,6 +629,8 @@ mod tests {
             operator: "pipeline",
             rows: 128,
             total_ns: 110,
+            key_width: 36,
+            varchar_prefix: 20,
             metrics: reg.snapshot(),
         };
         let parsed = Json::parse(&profile.to_json().render()).unwrap();
@@ -610,6 +638,8 @@ mod tests {
         assert_eq!(parsed.get("operator").unwrap().as_str(), Some("pipeline"));
         assert_eq!(parsed.get("rows").unwrap().as_f64(), Some(128.0));
         assert_eq!(parsed.get("total_ns").unwrap().as_f64(), Some(110.0));
+        assert_eq!(parsed.get("key_width").unwrap().as_f64(), Some(36.0));
+        assert_eq!(parsed.get("varchar_prefix").unwrap().as_f64(), Some(20.0));
         let phases = parsed.get("phases").unwrap();
         for phase in Phase::ALL {
             assert!(
@@ -642,7 +672,7 @@ mod tests {
             operator: "external",
             rows: 5,
             total_ns: 2_000_000,
-            metrics: Metrics::zeroed(),
+            ..SortProfile::zeroed()
         };
         let line = profile.render();
         assert!(line.starts_with("external: rows=5"));

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! vectors ──► 8-byte-aligned payload rows + normalized keys (per worker)
-//!         ──► thread-local radix sort / pdqsort  ⇒ sorted runs
+//!         ──► thread-local radix sort (+ comparator in key-equal ranges) ⇒ sorted runs
 //!         ──► one coded k-way merge per key range, ranges across threads
 //!             (`ovc` off: cascaded 2-way merge, Merge-Path-partitioned)
 //!         ──► convert the single remaining run back to vectors
@@ -35,14 +35,14 @@
 //! thread count and with `ovc` on or off.
 
 use crate::comparator::FusedRowComparator;
-use crate::keys::KeyBlock;
+use crate::keys::{KeyBlock, VarcharStat};
 use crate::merge::{
     choose_splitters, cmp_keys, copy_small, lower_bound, merge_kway, plan_parts, recycle_vec,
     sample_positions, ConcatSink, MemSource, MergeOrder,
 };
 use crate::metrics::{emit_trace, Counter, CounterRegistry, Metrics, Phase, SortProfile};
 use crate::pool::BufferPool;
-use crate::run::{varchar_stats, RunGenerator, SortedRun};
+use crate::run::{planned_prefix, varchar_stats, PrefixSampler, RunGenerator, SortedRun};
 use crate::workers::WorkerPool;
 use rowsort_algos::kway::OvcLoserTree;
 use rowsort_algos::merge_path::merge_path_partition_by;
@@ -164,12 +164,14 @@ struct RangeScratch {
 /// steady-state sort allocates nothing.
 #[derive(Default)]
 struct Scratch {
-    /// Per-column VARCHAR length statistics of the current input.
-    stats: Vec<usize>,
+    /// VARCHAR key-column statistics of the current input, by column.
+    stats: Vec<VarcharStat>,
     /// Statistics the pooled key blocks were planned for; when an input's
     /// stats differ, the cached blocks are discarded (their normalized-key
     /// layout would no longer match).
-    key_stats: Vec<usize>,
+    key_stats: Vec<VarcharStat>,
+    /// The prefix estimator's sample table.
+    sampler: PrefixSampler,
     /// Morsel-indexed run slots: worker `m` writes run `m` here, so run
     /// order (and thus merge pairing) is schedule-independent.
     run_slots: Vec<Mutex<Option<SortedRun>>>,
@@ -325,7 +327,7 @@ impl SortPipeline {
         let before = self.metrics.snapshot();
         {
             let _prepare = self.metrics.time_phase(Phase::Prepare);
-            varchar_stats(input, &mut scratch.stats);
+            varchar_stats(input, &self.order, &mut scratch.sampler, &mut scratch.stats);
             if scratch.stats != scratch.key_stats {
                 // Cached key blocks were planned for different VARCHAR
                 // stats; their layout no longer applies.
@@ -351,6 +353,8 @@ impl SortPipeline {
             operator: "pipeline",
             rows: input.len() as u64,
             total_ns: sort_start.elapsed().as_nanos() as u64,
+            key_width: run.key_width as u32,
+            varchar_prefix: planned_prefix(&scratch.stats),
             metrics: self.metrics.snapshot().since(&before),
         };
         let sorted = SortedRows {

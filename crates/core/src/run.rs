@@ -1,14 +1,18 @@
 //! Run generation — the first half of Figure 11, shared by the in-memory
 //! pipeline and the external sorter: vectors → payload rows + normalized
-//! keys → thread-local radix sort / pdqsort → one [`SortedRun`] with every
-//! buffer taken from the caller's [`BufferPool`].
+//! keys → thread-local radix sort, comparator inside key-equal ranges →
+//! one [`SortedRun`] with every buffer taken from the caller's
+//! [`BufferPool`]. The plan both sorters make before the first run is here
+//! too: [`varchar_stats`], which sizes each VARCHAR key prefix from the
+//! strings themselves.
 
 use crate::comparator::FusedRowComparator;
-use crate::keys::{KeyBlock, KeySortAlgo};
+use crate::keys::{word, KeyBlock, KeySortAlgo, VarcharStat, PREFIX_CAP};
 use crate::metrics::{Counter, CounterRegistry};
 use crate::pool::BufferPool;
+use rowsort_normkey::DEFAULT_MAX_PREFIX;
 use rowsort_row::{RowBlock, RowLayout};
-use rowsort_vector::{DataChunk, LogicalType, OrderBy};
+use rowsort_vector::{DataChunk, LogicalType, OrderBy, StringVec, Vector};
 use std::sync::{Arc, Mutex};
 
 /// One sorted run: normalized keys (stride = `key_width`, row ids
@@ -49,18 +53,189 @@ impl SortedRun {
     }
 }
 
-/// Per-column VARCHAR length statistics of `input` (max string length; 0
-/// for other types) into `stats`. They size VARCHAR key prefixes and are
-/// plan-wide: every run must agree on the normalized-key shape or the
+/// Rows of a column the prefix estimator looks at, evenly spaced. Whether
+/// two sampled strings collide depends on the value distribution, not on
+/// the row count, so one size serves 8 192 rows and 300 000 alike: on
+/// rowbench's `customer_email` it finds 340–430 colliding pairs at either
+/// size, in 0.05–0.08 ms and 0.3–0.6 ms (1 024 samples find 80–190 pairs
+/// and a longest one up to four bytes shorter; EXPERIMENTS.md, PR 19).
+const SAMPLE_ROWS: usize = 2048;
+
+/// Slots of the sample table: twice the samples, so it never fills.
+const TABLE_SLOTS: usize = 2 * SAMPLE_ROWS;
+
+/// Earlier samples with the same 12 bytes a new sample is paired with.
+/// It bounds the pass at `SAMPLE_ROWS × PAIRS_PER_ROW` string compares
+/// when every string shares its first 12 bytes (16 384, under a
+/// millisecond); on `customer_email` 64 finds up to twice the pairs and
+/// the same longest one on nine inputs of ten.
+const PAIRS_PER_ROW: usize = 8;
+
+/// Bytes the plan adds to what the longest sampled collision needs. The
+/// column is `rows / SAMPLE_ROWS` times denser than its sample, so a row's
+/// nearest neighbour shares more bytes with it than its nearest sampled
+/// neighbour does: over eight `strings_mem` seeds the longest sampled
+/// collision asks for 19–22 bytes, and 19 leaves 6.3 % of the rows tied
+/// where 20 leaves 4.4 % and 22 leaves 3.2 %. Two bytes cover the gap at
+/// 146 rows per sample, and cost nothing measurable: a run sorts as fast
+/// at 24 bytes as at 20.
+const PREFIX_SLACK: usize = 2;
+
+const _: () = assert!(TABLE_SLOTS.is_power_of_two());
+
+/// The prefix estimator's working memory, kept by the sorter so a
+/// steady-state sort allocates nothing: an open-addressed table over the
+/// sampled strings' first 12 bytes and, per sample, its row and the
+/// previous sample with the same 12 bytes.
+#[derive(Default)]
+pub(crate) struct PrefixSampler {
+    /// `1 +` the most recent sample whose first 12 bytes hash here (linear
+    /// probing on a different 12 bytes); 0 is an empty slot.
+    slots: Vec<u32>,
+    /// Row of each sample.
+    rows: Vec<u32>,
+    /// `1 +` the previous sample with the same first 12 bytes, 0 if none.
+    prev: Vec<u32>,
+}
+
+impl PrefixSampler {
+    /// How many bytes of `column`'s `strings` (longest: `max_len`, more
+    /// than 12) the key should encode: 12, the paper's rule, unless the
+    /// sample shows unequal strings that 12 bytes tie and some prefix
+    /// within [`PREFIX_CAP`] separates — then the longest `lcp + 1` over
+    /// those pairs plus [`PREFIX_SLACK`], within
+    /// `12 ..= min(max_len, PREFIX_CAP)`. (A column whose every colliding
+    /// pair shares more than the cap keeps 12: 20 more key bytes would buy
+    /// nothing and cost the all-tied sort a fifth, EXPERIMENTS.md PR 19.)
+    ///
+    /// The maximum — the 100th percentile — because the two errors are not
+    /// alike: a byte too many costs a fraction of a radix pass per row, a
+    /// byte too few leaves rows to the comparator at ≈ 300 ns each (two
+    /// random rows and their strings), and the pairs that need the longest
+    /// prefix are exactly the rows that stay tied. On `strings_mem` the
+    /// 90th / 95th / 99th percentile pick 16–17 / 17–18 / 19–20 bytes and
+    /// leave 19–32 % / 11–19 % / 4–7 % of a run in key-equal ranges; the
+    /// maximum with its slack picks 21–24 and leaves 3 %, the NULL e-mails
+    /// no prefix separates. [`PREFIX_CAP`] bounds what one freak pair can
+    /// cost.
+    ///
+    /// Pairs, not neighbours in sorted order: every colliding pair says
+    /// where two strings the key must separate stop sharing bytes, a
+    /// bucket of `k` samples yields up to `k (k − 1) / 2` of them (a few
+    /// hundred from 2 048 samples where sorted neighbours would yield a
+    /// few dozen), and finding them takes one hashed pass, no sort.
+    ///
+    /// A function of the column alone — never of threads, run size or
+    /// budget — so every run, both sorters and every thread count plan
+    /// the same key.
+    fn prefix_len(&mut self, column: &Vector, strings: &StringVec, max_len: usize) -> usize {
+        const HEAD: usize = DEFAULT_MAX_PREFIX;
+        let slot_of = |head: &[u8]| {
+            let lo = u64::from_le_bytes(word::<8>(head, 0));
+            let hi = u64::from(u32::from_le_bytes(word::<4>(head, 8)));
+            let mixed =
+                (lo ^ hi.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            (mixed >> (u64::BITS - TABLE_SLOTS.trailing_zeros())) as usize
+        };
+        self.slots.clear();
+        self.slots.resize(TABLE_SLOTS, 0);
+        self.rows.clear();
+        self.rows.reserve(SAMPLE_ROWS);
+        self.prev.clear();
+        self.prev.reserve(SAMPLE_ROWS);
+        let limit = max_len.min(PREFIX_CAP);
+        let mut prefix = HEAD;
+        // Whether some colliding pair stops sharing bytes within the cap.
+        let mut separable = false;
+        let step = strings.len().div_ceil(SAMPLE_ROWS).max(1);
+        for row in (0..strings.len()).step_by(step) {
+            let s = strings.get_bytes(row);
+            // A string of 12 bytes or fewer encodes exactly, and a NULL's
+            // key is decided by its NULL byte.
+            if s.len() <= HEAD || !column.is_valid(row) {
+                continue;
+            }
+            let sample = |e: u32| strings.get_bytes(self.rows[e as usize - 1] as usize);
+            let mut slot = slot_of(&s[..HEAD]);
+            while self.slots[slot] != 0 && sample(self.slots[slot])[..HEAD] != s[..HEAD] {
+                slot = (slot + 1) % TABLE_SLOTS;
+            }
+            let bucket = self.slots[slot];
+            let mut earlier = bucket;
+            for _ in 0..PAIRS_PER_ROW {
+                if earlier == 0 {
+                    break;
+                }
+                let other = sample(earlier);
+                if other != s {
+                    // Compared up to the cap: sharing more is all the same.
+                    let shared = s[HEAD..].iter().zip(&other[HEAD..]).take(PREFIX_CAP - HEAD);
+                    let lcp = HEAD + shared.take_while(|(a, b)| a == b).count();
+                    separable |= lcp < PREFIX_CAP;
+                    prefix = prefix.max(lcp + 1 + PREFIX_SLACK);
+                    if separable && prefix >= limit {
+                        return limit; // no later pair can ask for more
+                    }
+                }
+                earlier = self.prev[earlier as usize - 1];
+            }
+            self.rows.push(row as u32);
+            self.prev.push(bucket);
+            self.slots[slot] = self.rows.len() as u32;
+        }
+        // Where every colliding pair shares more than the cap holds, a
+        // wider key separates nothing: the paper's 12 bytes, and the ties.
+        if separable {
+            prefix.min(limit)
+        } else {
+            HEAD
+        }
+    }
+}
+
+/// What the key planner needs of `input`'s VARCHAR `ORDER BY` columns,
+/// into `stats` (indexed by column; zeroes for every other column — a
+/// payload column's strings never reach a key, so they are not read and
+/// cannot invalidate a cached key block): the longest string, and the
+/// prefix of it the key encodes — all of it up to 12 bytes, the paper's
+/// rule; beyond that, what [`PrefixSampler::prefix_len`] finds the data
+/// to need. Columns are walked in `ORDER BY` order and the walk ends at
+/// the first column the prefix truncates, as the key does. The plan is
+/// sort-wide: every run must agree on the normalized-key shape or the
 /// merge phase could not compare keys.
-pub(crate) fn varchar_stats(input: &DataChunk, stats: &mut Vec<usize>) {
+pub(crate) fn varchar_stats(
+    input: &DataChunk,
+    order: &OrderBy,
+    sampler: &mut PrefixSampler,
+    stats: &mut Vec<VarcharStat>,
+) {
     stats.clear();
-    stats.extend(
-        input
-            .columns()
-            .iter()
-            .map(|col| col.as_strings().map_or(0, |s| s.max_len())),
-    );
+    stats.resize(input.column_count(), VarcharStat::default());
+    for key in &order.keys {
+        let column = input.column(key.column);
+        let Some(strings) = column.as_strings() else {
+            continue;
+        };
+        let max_len = strings.max_len();
+        let prefix_len = if max_len <= DEFAULT_MAX_PREFIX {
+            max_len.max(1)
+        } else {
+            sampler.prefix_len(column, strings, max_len)
+        };
+        stats[key.column] = VarcharStat {
+            max_len,
+            prefix_len,
+        };
+        if prefix_len < max_len {
+            break;
+        }
+    }
+}
+
+/// The longest VARCHAR prefix in the key planned from `stats` (0 without
+/// a VARCHAR key column), for the sort's profile.
+pub(crate) fn planned_prefix(stats: &[VarcharStat]) -> u32 {
+    stats.iter().map(|s| s.prefix_len as u32).max().unwrap_or(0)
 }
 
 /// What a sorter lends its run generation: the sort's plan, the pool its
@@ -88,7 +263,7 @@ impl RunGenerator<'_> {
         input: &DataChunk,
         lo: usize,
         hi: usize,
-        stats: &[usize],
+        stats: &[VarcharStat],
         key_blocks: &Mutex<Vec<KeyBlock>>,
         with_codes: bool,
     ) -> SortedRun {
@@ -113,12 +288,13 @@ impl RunGenerator<'_> {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .pop()
-            .unwrap_or_else(|| KeyBlock::new(self.types, self.order, |c| stats[c]));
+            .unwrap_or_else(|| KeyBlock::with_prefixes(self.types, self.order, |c| stats[c]));
         keys.reset();
         keys.append_chunk_range(input, lo, hi);
 
-        // Thread-local sort: radix, or pdqsort + tie resolution when
-        // truncated VARCHAR prefixes make ties possible.
+        // Thread-local sort: radix over the key bytes, then the full-tuple
+        // comparator inside whatever key-equal ranges a truncated VARCHAR
+        // prefix left.
         let mut radix_scratch = self.pool.get_bytes(rows * keys.stride());
         let algo = keys.sort_with_scratch(&mut radix_scratch, |a, b| {
             self.tie_cmp.compare(
@@ -129,14 +305,17 @@ impl RunGenerator<'_> {
             )
         });
         self.pool.put_bytes(radix_scratch);
+        let sorted = keys.last_sort();
         match algo {
-            KeySortAlgo::Radix { passes } => {
-                self.metrics.add(Counter::RadixSorts, 1);
-                self.metrics.add(Counter::RadixPasses, passes);
+            KeySortAlgo::Radix { .. } => self.metrics.add(Counter::RadixSorts, 1),
+            KeySortAlgo::Pdq => {
+                self.metrics.add(Counter::PdqSorts, 1);
+                self.metrics.add(Counter::RunTieRanges, sorted.tie_ranges);
+                self.metrics.add(Counter::RunTieRows, sorted.tie_rows);
             }
-            KeySortAlgo::Pdq => self.metrics.add(Counter::PdqSorts, 1),
             KeySortAlgo::Noop => {}
         }
+        self.metrics.add(Counter::RadixPasses, sorted.radix_passes);
 
         let key_width = keys.key_width();
         let mut run_keys = self.pool.get_bytes(rows * key_width);
@@ -181,5 +360,133 @@ impl RunGenerator<'_> {
             ovc: run_ovc,
             payload,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rowsort_vector::{OrderByColumn, Value};
+
+    /// The statistics of a relation sorted by its leading `keys` columns.
+    fn stats_of(columns: Vec<Vector>, keys: usize) -> Vec<VarcharStat> {
+        let chunk = DataChunk::from_columns(columns).unwrap();
+        let mut stats = Vec::new();
+        let mut sampler = PrefixSampler::default();
+        varchar_stats(&chunk, &OrderBy::ascending(keys), &mut sampler, &mut stats);
+        // The sampler carries nothing from one column or sort to the next.
+        let mut again = Vec::new();
+        varchar_stats(&chunk, &OrderBy::ascending(keys), &mut sampler, &mut again);
+        assert_eq!(stats, again);
+        stats
+    }
+
+    fn stat(max_len: usize, prefix_len: usize) -> VarcharStat {
+        VarcharStat {
+            max_len,
+            prefix_len,
+        }
+    }
+
+    #[test]
+    fn strings_within_twelve_bytes_keep_the_papers_rule() {
+        let short = Vector::from_strings(["b", "abcdefghijkl", ""]);
+        assert_eq!(stats_of(vec![short], 1), [stat(12, 12)]);
+        let empty = Vector::from_strings(["", ""]);
+        assert_eq!(stats_of(vec![empty], 1), [stat(0, 1)]);
+    }
+
+    #[test]
+    fn no_collision_in_the_sample_plans_twelve_bytes() {
+        // Every string outgrows 12 bytes and no two share their first 12.
+        let distinct: Vec<String> = (0..500).map(|i| format!("{i:012}_tail")).collect();
+        let strings = Vector::from_strings(&distinct);
+        assert_eq!(stats_of(vec![strings], 1), [stat(17, 12)]);
+    }
+
+    #[test]
+    fn prefix_reaches_past_the_longest_sampled_collision() {
+        // "shared_prefix_" is 14 bytes: the b/c pair stops sharing at 14,
+        // the two long ones at 17 — byte 18 separates them, and the plan
+        // adds its slack.
+        let rows = [
+            "shared_prefix_b",
+            "shared_prefix_c",
+            "shared_prefix_aaaX and more of it",
+            "shared_prefix_aaaY and more of it",
+            "short",
+        ];
+        let strings = Vector::from_strings(rows);
+        assert_eq!(stats_of(vec![strings], 1), [stat(33, 18 + PREFIX_SLACK)]);
+        // Equal strings are no collision to separate, NULLs and strings
+        // the 12 bytes hold exactly are not sampled.
+        let values: Vec<Value> = ["twelve_bytes", "a_long_string_twice", "a_long_string_twice"]
+            .into_iter()
+            .map(Value::from)
+            .chain([Value::Null])
+            .collect();
+        let strings = Vector::from_values(LogicalType::Varchar, &values).unwrap();
+        assert_eq!(stats_of(vec![strings], 1), [stat(19, 12)]);
+    }
+
+    #[test]
+    fn prefix_stops_at_the_longest_string_and_at_the_cap() {
+        // The pair differs in its last byte: the whole string is the
+        // prefix (slack or not), and the column is exact.
+        let strings = Vector::from_strings(["customer_name_0001", "customer_name_0002"]);
+        assert_eq!(stats_of(vec![strings], 1), [stat(18, 18)]);
+        // One pair separable within the cap, one sharing more than it: the
+        // cap, and ties remain.
+        let stem = "x".repeat(PREFIX_CAP + 5);
+        let rows = [format!("{stem}a"), format!("{stem}b"), "x".repeat(20) + "y"];
+        let capped = stat(PREFIX_CAP + 6, PREFIX_CAP);
+        assert_eq!(stats_of(vec![Vector::from_strings(&rows)], 1), [capped]);
+        // Every colliding pair shares more than the cap: a wider key would
+        // separate nothing, so the plan stays at 12 bytes.
+        let strings = Vector::from_strings(&rows[..2]);
+        assert_eq!(stats_of(vec![strings], 1), [stat(PREFIX_CAP + 6, 12)]);
+        // Sharing exactly the cap's bytes is still beyond it.
+        let stem = "x".repeat(PREFIX_CAP);
+        let strings = Vector::from_strings([format!("{stem}a"), format!("{stem}b")]);
+        assert_eq!(stats_of(vec![strings], 1), [stat(PREFIX_CAP + 1, 12)]);
+        let stem = "x".repeat(PREFIX_CAP - 1);
+        let strings = Vector::from_strings([format!("{stem}a"), format!("{stem}b")]);
+        assert_eq!(stats_of(vec![strings], 1), [stat(PREFIX_CAP, PREFIX_CAP)]);
+    }
+
+    #[test]
+    fn only_key_columns_up_to_the_first_truncated_one_are_read() {
+        let truncated =
+            || Vector::from_strings(["a_long_string_one_and_more", "a_long_string_two_and_more"]);
+        let exact = || Vector::from_strings(["pq", "p"]);
+        let payload = |len: usize| Vector::from_strings(["z".repeat(len), String::new()]);
+        // Key: exact, truncated; then a key column the key never reaches
+        // and a payload column — neither is read.
+        let stats = stats_of(vec![exact(), truncated(), exact(), payload(40)], 3);
+        let cut = stat(26, 15 + PREFIX_SLACK);
+        assert_eq!(stats, [stat(2, 2), cut, stat(0, 0), stat(0, 0)]);
+        // A payload column's strings do not change the plan.
+        let other = stats_of(vec![exact(), truncated(), exact(), payload(7)], 3);
+        assert_eq!(stats, other);
+        // ORDER BY names columns in its own order.
+        let chunk = DataChunk::from_columns(vec![payload(40), exact()]).unwrap();
+        let order = OrderBy::new(vec![OrderByColumn::desc(1)]);
+        let mut stats = Vec::new();
+        varchar_stats(&chunk, &order, &mut PrefixSampler::default(), &mut stats);
+        assert_eq!(stats, [stat(0, 0), stat(2, 2)]);
+    }
+
+    #[test]
+    fn a_bucket_of_every_sample_is_bounded_work_and_still_finds_the_prefix() {
+        // 5 000 strings sharing 14 bytes, differing within the next six:
+        // one bucket holds every sample, each paired with at most
+        // `PAIRS_PER_ROW` earlier ones — 16 384 pairs of random six-digit
+        // numbers, some of which agree on five digits.
+        let mut rng = rowsort_testkit::Rng::seed_from_u64(0x000F_1615);
+        let names: Vec<String> = (0..5_000)
+            .map(|_| format!("customer_name_{:06}", rng.below(50_000)))
+            .collect();
+        let strings = Vector::from_strings(&names);
+        assert_eq!(stats_of(vec![strings], 1), [stat(20, 20)]);
     }
 }

@@ -9,7 +9,6 @@
 
 use rowsort_core::metrics::{Counter, Metrics};
 use rowsort_core::pipeline::{SortOptions, SortPipeline};
-use rowsort_core::KeyBlock;
 use rowsort_row::RowLayout;
 use rowsort_testkit::Rng;
 use rowsort_vector::{
@@ -33,18 +32,28 @@ fn pipeline(chunk: &DataChunk, order: &OrderBy, options: SortOptions) -> SortPip
 
 /// Sort `chunk`; the sorted relation and that sort's counters.
 fn sort(chunk: &DataChunk, order: &OrderBy, options: SortOptions) -> (DataChunk, Metrics) {
-    let pipeline = pipeline(chunk, order, options);
-    let sorted = pipeline.sort(chunk);
-    (sorted, pipeline.last_profile().metrics)
+    let (sorted, metrics, _) = sort_keyed(chunk, order, options);
+    (sorted, metrics)
 }
 
-/// Bytes one row costs run generation (staged row, encoded key entry,
-/// stripped key, reordered row) and bytes per row slot.
-fn per_row_bytes(chunk: &DataChunk, order: &OrderBy) -> (u64, u64) {
+/// [`sort`], and the width of the key the sort planned.
+fn sort_keyed(
+    chunk: &DataChunk,
+    order: &OrderBy,
+    options: SortOptions,
+) -> (DataChunk, Metrics, usize) {
+    let pipeline = pipeline(chunk, order, options);
+    let sorted = pipeline.sort(chunk);
+    let profile = pipeline.last_profile();
+    (sorted, profile.metrics, profile.key_width as usize)
+}
+
+/// Bytes one row costs run generation (staged row, encoded key entry
+/// with its 4-byte row id, stripped key, reordered row) and bytes per row
+/// slot.
+fn per_row_bytes(chunk: &DataChunk, key_width: usize) -> (u64, u64) {
     let width = RowLayout::new(&chunk.types()).width();
-    let max_len = |c: usize| chunk.column(c).as_strings().map_or(0, |s| s.max_len());
-    let keys = KeyBlock::new(&chunk.types(), order, max_len);
-    let run_generation = 2 * width + keys.stride() + keys.key_width();
+    let run_generation = 2 * width + (key_width + 4) + key_width;
     (run_generation as u64, width as u64)
 }
 
@@ -60,10 +69,10 @@ fn u32_table() -> (DataChunk, OrderBy, usize) {
 }
 
 /// 8 runs keyed by two VARCHAR columns and an integer. The second
-/// column's values outgrow the 12-byte key prefix, so the normalized key
-/// ends with that truncated prefix: byte-equal keys hide unequal strings,
-/// and the third key column lies beyond it, for the full-tuple comparator
-/// alone to see.
+/// column's values share more bytes than the longest key prefix the
+/// planner sizes (32), so it keeps the 12-byte rule and the normalized key
+/// ends with that truncated prefix: byte-equal keys hide unequal strings, and the third key column
+/// lies beyond it, for the full-tuple comparator alone to see.
 fn varchar_table() -> (DataChunk, OrderBy, usize) {
     let mut rng = Rng::seed_from_u64(0x5712_1465);
     let mut chunk = DataChunk::new(&[
@@ -75,7 +84,7 @@ fn varchar_table() -> (DataChunk, OrderBy, usize) {
     for i in 0..3_200u32 {
         let short = format!("s{}", rng.below(6));
         let long = format!(
-            "{}_shared_prefix_of_19{}",
+            "{}_shared_prefix_that_outgrows_any_key{}",
             ["a", "b", "c"][rng.below(3) as usize],
             "x".repeat(rng.below(4) as usize)
         );
@@ -93,9 +102,14 @@ fn varchar_table() -> (DataChunk, OrderBy, usize) {
 
 #[test]
 fn coded_merge_moves_each_row_once_at_any_thread_count() {
-    for (name, (chunk, order, run_rows)) in [("u32", u32_table()), ("varchar", varchar_table())] {
+    // Key widths: NULL byte + u32; NULL byte + 2 + marker, then NULL byte +
+    // 12 + marker of the truncated second column, where the key ends.
+    let tables = [
+        ("u32", u32_table(), 5),
+        ("varchar", varchar_table(), 4 + 14),
+    ];
+    for (name, (chunk, order, run_rows), planned_key_width) in tables {
         let rows = chunk.len() as u64;
-        let (run_generation, width) = per_row_bytes(&chunk, &order);
         for threads in [1, 2, 4] {
             let what = format!("{name} table, threads={threads}");
             let options = SortOptions {
@@ -103,7 +117,9 @@ fn coded_merge_moves_each_row_once_at_any_thread_count() {
                 run_rows,
                 ovc: true,
             };
-            let (coded, m) = sort(&chunk, &order, options);
+            let (coded, m, key_width) = sort_keyed(&chunk, &order, options);
+            let (run_generation, width) = per_row_bytes(&chunk, key_width);
+            assert_eq!(key_width, planned_key_width, "{what}: one plan");
             assert_eq!(m.counter(Counter::RunsGenerated), 8, "{what}");
             assert_eq!(m.counter(Counter::MergeRounds), 1, "{what}: one pass");
             // Run generation, then `width` bytes per row — the merged run

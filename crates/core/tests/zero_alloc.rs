@@ -1,14 +1,16 @@
 //! Pins the tentpole claim: a warmed-up pipeline sorts with ZERO system
 //! allocations — every transient buffer (key runs, payload blocks, radix
-//! scratch, merge outputs) comes from the pipeline's pool — on every
-//! run-sort path (LSD radix, MSD radix with its insertion-sorted buckets,
+//! scratch, merge outputs) comes from the pipeline's pool, and the key
+//! planner's sample table from its scratch — on every run-sort path (LSD
+//! radix, MSD radix with its insertion-sorted buckets, MSD radix over a
+//! VARCHAR prefix sized from the strings, key-equal ranges handed to
 //! pdqsort with tie resolution) and both merges.
 //!
 //! The counting allocator is installed globally for this test binary, so
 //! the file holds exactly one test: any parallel test in the same binary
 //! would allocate concurrently and poison the count.
 
-use rowsort_core::metrics::Counter;
+use rowsort_core::metrics::{Counter, SortProfile};
 use rowsort_core::pipeline::{SortOptions, SortPipeline};
 use rowsort_testkit::alloc::{allocation_count, CountingAllocator};
 use rowsort_testkit::Rng;
@@ -20,6 +22,18 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// Sort `chunk` by its first `keys` columns three times on one pipeline
 /// and pin the third sort: no system allocation, no pool miss.
 fn third_sort_does_not_allocate(what: &str, chunk: &DataChunk, keys: usize, ovc: bool) {
+    third_sort_of(what, chunk, chunk, keys, ovc);
+}
+
+/// Sort `warm_up` twice and then `chunk` — the same rows but for payload
+/// — on one pipeline, and pin that third sort. Returns its profile.
+fn third_sort_of(
+    what: &str,
+    warm_up: &DataChunk,
+    chunk: &DataChunk,
+    keys: usize,
+    ovc: bool,
+) -> SortProfile {
     let n = chunk.len();
     // threads: 1 — worker threads allocate stack/TLS on their own
     // schedule; the zero-allocation guarantee is about sort buffers.
@@ -40,7 +54,7 @@ fn third_sort_does_not_allocate(what: &str, chunk: &DataChunk, keys: usize, ovc:
     // output) and grow the merge's scratch. Two passes so every size
     // class is pooled before measurement.
     for _ in 0..2 {
-        drop(pipeline.sort_rows(chunk));
+        drop(pipeline.sort_rows(warm_up));
     }
 
     let before = allocation_count();
@@ -77,6 +91,32 @@ fn third_sort_does_not_allocate(what: &str, chunk: &DataChunk, keys: usize, ovc:
     );
     assert!(profile.metrics.phase_total_ns() > 0);
     assert_eq!(pipeline.metrics().counter(Counter::SortCalls), 3);
+    profile
+}
+
+/// `name` (one row in ten NULL) keyed ahead of a row number and a VARCHAR
+/// payload column drawn by `payload`.
+fn named_rows(
+    rng: &mut Rng,
+    rows: u32,
+    name: impl Fn(u64) -> String,
+    payload: impl Fn(u32) -> String,
+) -> DataChunk {
+    let types = [
+        LogicalType::Varchar,
+        LogicalType::UInt32,
+        LogicalType::Varchar,
+    ];
+    let mut chunk = DataChunk::new(&types);
+    for i in 0..rows {
+        let key = match rng.below(10) {
+            0 => Value::Null,
+            _ => Value::from(name(rng.below(20_000))),
+        };
+        let row = [key, Value::UInt32(i), Value::from(payload(i))];
+        chunk.push_row(&row).unwrap();
+    }
+    chunk
 }
 
 #[test]
@@ -87,17 +127,27 @@ fn steady_state_sort_does_not_allocate() {
     let col: Vec<u32> = (0..200_000).map(|_| rng.next_u32()).collect();
     let u32s = DataChunk::from_columns(vec![Vector::from_u32s(col)]).unwrap();
 
-    // One VARCHAR key longer than the 12-byte prefix, NULLs, and a payload
-    // column: pdqsort whose ties fall through to the full-tuple
-    // comparator, run heaps, and a merge that breaks ties the same way.
-    let mut strings = DataChunk::new(&[LogicalType::Varchar, LogicalType::UInt32]);
-    for i in 0..60_000u32 {
-        let name = match rng.below(10) {
-            0 => Value::Null,
-            _ => Value::from(format!("customer_name_{:05}", rng.below(20_000))),
-        };
-        strings.push_row(&[name, Value::UInt32(i)]).unwrap();
-    }
+    // One VARCHAR key longer than the 12-byte prefix, NULLs, and payload
+    // columns: the planner samples the strings and sizes the prefix to all
+    // 19 bytes, so runs are MSD radix sorts over run heaps.
+    let name = |k: u64| format!("customer_name_{k:05}");
+    let strings = named_rows(&mut rng, 60_000, name, |_| "pppp".to_owned());
+
+    // The same, with strings that share more bytes than any planned
+    // prefix (so the planner's sample pass runs to its end and keeps the
+    // 12-byte rule): the key truncates them, every row lands in a key-equal range
+    // that pdqsort orders through the full-tuple comparator, and the
+    // merge breaks its ties the same way.
+    let name = |k: u64| format!("customer_of_the_eastern_warehouse_name_{k:05}");
+    let seed = rng.next_u64();
+    let tied = named_rows(&mut Rng::seed_from_u64(seed), 60_000, name, |_| {
+        "pppp".to_owned()
+    });
+    // ... and the same rows again under a payload column of the same bytes
+    // but another longest string: a payload column is no part of the key
+    // plan, so the key blocks cached for the first relation serve this one.
+    let uneven = |i: u32| if i.is_multiple_of(2) { "pp" } else { "pppppp" }.to_owned();
+    let tied_other_payload = named_rows(&mut Rng::seed_from_u64(seed), 60_000, name, uneven);
 
     // Four i32 columns, a 20-byte key: MSD radix, whose buckets of at most
     // 24 rows finish in insertion sort.
@@ -107,6 +157,14 @@ fn steady_state_sort_does_not_allocate() {
     for ovc in [true, false] {
         third_sort_does_not_allocate("u32 key", &u32s, 1, ovc);
         third_sort_does_not_allocate("long VARCHAR key", &strings, 1, ovc);
+        let profile = third_sort_of("truncated VARCHAR key", &tied, &tied, 1, ovc);
+        assert_eq!(
+            profile.varchar_prefix, 12,
+            "no prefix within the cap separates"
+        );
+        assert_eq!(profile.metrics.counter(Counter::RunTieRows), 60_000);
+        let what = "truncated VARCHAR key, payload lengths changed";
+        third_sort_of(what, &tied, &tied_other_payload, 1, ovc);
         third_sort_does_not_allocate("four-i32 key", &wide, 4, ovc);
     }
 }

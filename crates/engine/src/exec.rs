@@ -170,6 +170,21 @@ fn sort_detail(profile: &rowsort_core::SortProfile) -> String {
             let _ = write!(s, " {}={:.3}ms", ph.name(), ns as f64 / 1e6);
         }
     }
+    // The key the sort planned: its width, and the VARCHAR prefix sized
+    // from the input's strings when there is one (12 is the paper's rule).
+    if profile.key_width > 0 {
+        let _ = write!(s, " key={}B", profile.key_width);
+    }
+    if profile.varchar_prefix > 0 {
+        let _ = write!(s, " prefix={}", profile.varchar_prefix);
+    }
+    // Rows that prefix failed to order: run generation handed them to
+    // the full-tuple comparator, one key-equal range at a time.
+    let tie_rows = profile.metrics.counter(Counter::RunTieRows);
+    if tie_rows > 0 {
+        let ranges = profile.metrics.counter(Counter::RunTieRanges);
+        let _ = write!(s, " tie_rows={tie_rows} tie_ranges={ranges}");
+    }
     // Offset-value coding effectiveness (DESIGN.md §10): the share of
     // merge comparisons the code compare resolved without touching key
     // suffix bytes. Only shown when the sort actually merged.
@@ -919,6 +934,18 @@ mod tests {
             (Counter::SpillReadBytes, 34_099_456),
         ];
         assert_eq!(detail(&reread), " spill_parts=2 reread=1.07x");
+        // The planned key, and what its VARCHAR prefix left to the
+        // comparator.
+        let mut planned = rowsort_core::SortProfile::zeroed();
+        planned.key_width = 36;
+        planned.varchar_prefix = 20;
+        assert_eq!(sort_detail(&planned), " key=36B prefix=20");
+        planned.metrics.counters[Counter::RunTieRows as usize] = 5_584;
+        planned.metrics.counters[Counter::RunTieRanges as usize] = 642;
+        assert_eq!(
+            sort_detail(&planned),
+            " key=36B prefix=20 tie_rows=5584 tie_ranges=642"
+        );
         assert_eq!(short_count(9_999), "9999");
         assert_eq!(short_count(12_500_000), "13M");
     }

@@ -224,6 +224,10 @@ mod tests {
         // Truncated: one sentinel above any fitting length.
         assert_eq!(continuation_marker(13, 12), 13);
         assert_eq!(continuation_marker(44, 12), 13);
+        // The widest prefix a key column may carry (`layout::MAX_PREFIX`)
+        // still tells "fits" from "truncated".
+        assert_eq!(continuation_marker(254, 254), 254);
+        assert_eq!(continuation_marker(255, 254), 255);
         // Degenerate huge prefixes saturate instead of wrapping.
         assert_eq!(continuation_marker(1000, 500), u8::MAX);
     }

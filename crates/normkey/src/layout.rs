@@ -5,6 +5,12 @@ use rowsort_vector::{LogicalType, SortSpec};
 /// Default maximum VARCHAR prefix length, matching DuckDB's cap of 12 bytes.
 pub const DEFAULT_MAX_PREFIX: usize = 12;
 
+/// Longest VARCHAR prefix a key column can carry. The continuation marker
+/// is one byte holding `min(len, prefix_len + 1)`: at 255 and beyond,
+/// "fits at 255 bytes" and "truncated" would encode the same marker while
+/// `truncatable` says the column is exact.
+pub const MAX_PREFIX: usize = 254;
+
 /// One key column's contribution to the normalized key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyColumn {
@@ -13,8 +19,10 @@ pub struct KeyColumn {
     /// ASC/DESC and NULLS FIRST/LAST.
     pub spec: SortSpec,
     /// Encoded prefix length for variable-length types (ignored for
-    /// fixed-width types). Chosen at plan time from string statistics,
-    /// capped at [`DEFAULT_MAX_PREFIX`] by [`KeyColumn::varchar`].
+    /// fixed-width types). Chosen at plan time from string statistics:
+    /// capped at [`DEFAULT_MAX_PREFIX`] by [`KeyColumn::varchar`], at the
+    /// caller's choice (within [`MAX_PREFIX`]) by
+    /// [`KeyColumn::varchar_with_prefix`].
     pub prefix_len: usize,
     /// Whether strings longer than `prefix_len` can occur (from the
     /// statistics handed to [`KeyColumn::varchar`]). A non-truncatable
@@ -44,7 +52,19 @@ impl KeyColumn {
     /// the rows this column will encode); the encoded prefix is
     /// `min(max_len_stat, 12)`, as in the paper's DuckDB implementation.
     pub fn varchar(spec: SortSpec, max_len_stat: usize) -> KeyColumn {
-        let prefix_len = max_len_stat.clamp(1, DEFAULT_MAX_PREFIX);
+        KeyColumn::varchar_with_prefix(spec, max_len_stat, DEFAULT_MAX_PREFIX)
+    }
+
+    /// [`KeyColumn::varchar`] with the prefix cap chosen by the caller:
+    /// the encoded prefix is `min(max_len_stat, prefix_cap)`, and
+    /// `prefix_cap` itself is clamped to `1 ..= MAX_PREFIX`, the range
+    /// the continuation marker byte can describe.
+    pub fn varchar_with_prefix(
+        spec: SortSpec,
+        max_len_stat: usize,
+        prefix_cap: usize,
+    ) -> KeyColumn {
+        let prefix_len = max_len_stat.clamp(1, prefix_cap.clamp(1, MAX_PREFIX));
         KeyColumn {
             ty: LogicalType::Varchar,
             spec,
@@ -172,6 +192,27 @@ mod tests {
         assert_eq!(capped.prefix_len, DEFAULT_MAX_PREFIX);
         let min = KeyColumn::varchar(SortSpec::ASC, 0);
         assert_eq!(min.prefix_len, 1);
+    }
+
+    #[test]
+    fn prefix_cap_stays_inside_the_marker_byte() {
+        // 20 of 44 bytes: truncatable; 44 of 44: exact.
+        let c = KeyColumn::varchar_with_prefix(SortSpec::ASC, 44, 20);
+        assert_eq!((c.prefix_len, c.truncatable), (20, true));
+        let c = KeyColumn::varchar_with_prefix(SortSpec::ASC, 44, 44);
+        assert_eq!((c.prefix_len, c.truncatable), (44, false));
+        // 254 is the last prefix whose "truncated" marker (255) differs
+        // from every "fits" marker; a cap beyond it is clamped, and the
+        // column stays truncatable instead of claiming to be exact.
+        let c = KeyColumn::varchar_with_prefix(SortSpec::ASC, 254, 254);
+        assert_eq!((c.prefix_len, c.truncatable), (254, false));
+        let c = KeyColumn::varchar_with_prefix(SortSpec::ASC, 255, 255);
+        assert_eq!((c.prefix_len, c.truncatable), (254, true));
+        let c = KeyColumn::varchar_with_prefix(SortSpec::ASC, 1000, usize::MAX);
+        assert_eq!((c.prefix_len, c.truncatable), (254, true));
+        assert_eq!(c.encoded_width(), 1 + 254 + 1);
+        let c = KeyColumn::varchar_with_prefix(SortSpec::ASC, 5, 0);
+        assert_eq!((c.prefix_len, c.truncatable), (1, true));
     }
 
     #[test]

@@ -40,5 +40,5 @@ pub use encoding::{
     encode_u32, encode_u64, encode_u8, invert_bytes, NULL_FIRST_NULL, NULL_FIRST_VALID,
     NULL_LAST_NULL, NULL_LAST_VALID,
 };
-pub use layout::{KeyColumn, NormKeyLayout};
+pub use layout::{KeyColumn, NormKeyLayout, DEFAULT_MAX_PREFIX, MAX_PREFIX};
 pub use vector_encode::{encode_column_into, encode_column_range_into, encode_value_into};
