@@ -5,13 +5,15 @@
 //! ```
 //!
 //! Turns tracing on, runs one in-memory pipeline sort (u32 keys, five runs
-//! so the line carries a merge), one VARCHAR sort whose strings share more
-//! bytes than any key prefix (so the line carries the tie path), and one
-//! spilling external sort, then reads the trace file back and validates
+//! so the line carries a merge) into vectors and once more into rows, one
+//! VARCHAR sort whose strings share more bytes than any key prefix (so the
+//! line carries the tie path), and one spilling external sort, then reads
+//! the trace file back and validates
 //! every line against the documented schema (DESIGN.md §7.5) with
 //! testkit's JSON parser: required fields, all phase and counter names
 //! present and numeric, phase times that sum to no more than the sort's
-//! wall time, a planned key (`key_width`, `varchar_prefix`) and tie
+//! wall time, a `sink` that fits the operator (rows out leave no gather
+//! to clock), a planned key (`key_width`, `varchar_prefix`) and tie
 //! counters (`run_tie_ranges`, `run_tie_rows`, `pdq_sorts`) that agree,
 //! and a merge shape (`merge_rounds`, `merge_tasks`,
 //! `merge_max_range_rows`) that adds up. Exits non-zero on any violation,
@@ -46,6 +48,7 @@ fn run_sorts() {
     };
     let pipeline = SortPipeline::new(ints.types(), OrderBy::ascending(1), five_runs);
     drop(pipeline.sort(&ints));
+    drop(pipeline.sort_rows(&ints));
 
     let mut strings = DataChunk::new(&[rowsort_vector::LogicalType::Varchar]);
     for _ in 0..20_000 {
@@ -95,15 +98,15 @@ fn main() {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| die(&format!("cannot read trace file {path}: {e}")));
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    if lines.len() != 3 {
+    if lines.len() != 4 {
         die(&format!(
-            "expected 3 trace lines (3 sorts ran), got {}",
+            "expected 4 trace lines (4 sorts ran), got {}",
             lines.len()
         ));
     }
 
     let mut operators = Vec::new();
-    let (mut merged_in_memory, mut tied) = (false, false);
+    let (mut merged_in_memory, mut tied, mut rows_out) = (false, false, false);
     for (i, line) in lines.iter().enumerate() {
         let line_no = i + 1;
         let obj = Json::parse(line)
@@ -156,6 +159,18 @@ fn main() {
                 "line {line_no}: phases ({phase_sum}ns) attribute under half \
                  of total ({total_ns}ns)"
             ));
+        }
+        // Where the merge put its winners: the external sorter always hands
+        // vectors back; a pipeline sort that handed rows back converted
+        // nothing, so it has no gather to clock.
+        let sink = obj.get("sink").and_then(Json::as_str);
+        let gather_ns = num_field(phases, Phase::Gather.name(), line_no);
+        match (operator.as_str(), sink) {
+            (_, Some("vectors")) => {}
+            ("pipeline", Some("rows")) if gather_ns == 0.0 => rows_out = true,
+            _ => die(&format!(
+                "line {line_no}: sink {sink:?} of operator '{operator}' with {gather_ns}ns of gather"
+            )),
         }
         if num_field(counters, Counter::RowsSorted.name(), line_no) != rows {
             die(&format!("line {line_no}: rows_sorted counter != rows"));
@@ -211,6 +226,9 @@ fn main() {
     }
     if !tied {
         die("no line carries the tie path (run_tie_rows is 0 on all)");
+    }
+    if !rows_out {
+        die("no line carries sink=rows (sort_rows ran)");
     }
     if !merged_in_memory {
         die("no pipeline line carries a merge (merge_rounds is 0 on all)");

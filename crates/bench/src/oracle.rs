@@ -5,7 +5,7 @@
 //! normalized key is the `ORDER BY` order (§V) — and everything after it
 //! only moves bytes that are already right. So one [`Case`] (relation ×
 //! `ORDER BY` × [`Options`]) is driven through every [`Entry`] and held
-//! to three checks:
+//! to four checks:
 //!
 //! 1. [`check_reference`] — against a stable `compare_rows` sort: in
 //!    order, the same multiset, and the exact sequence when the order is
@@ -15,7 +15,10 @@
 //!    and both sorters do the same work at one thread and one run size;
 //! 3. [`check_faults`] — under an injected fault schedule, `Ok` means
 //!    check 1 and `Err` means typed, counted and not recorded as a sort;
-//!    no run file leaks either way.
+//!    no run file leaks either way;
+//! 4. [`check_sinks_agree`] — the vectors a merge gathers straight into
+//!    are, bit for bit, the vectors its row-run twins convert to
+//!    afterwards, at every thread count and from run files.
 //!
 //! [`check_key_order`] states the invariant itself on `KeyBlock` bytes.
 //! `tests/oracle.rs` runs all of it as `testkit::prop` properties (one
@@ -26,11 +29,13 @@ use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
 use rowsort_core::pipeline::{SortOptions, SortPipeline};
 use rowsort_core::{Counter, KeyBlock, SpillError, SystemProfile, PREFIX_CAP};
 use rowsort_engine::{Engine, ExecOptions, SpillExecOptions, Table};
+use rowsort_row::{ChunkBuilder, RowBlock, RowLayout};
 use rowsort_testkit::faultfs::{FaultFs, FaultSchedule};
 use rowsort_testkit::prop::{Gen, PropResult};
 use rowsort_testkit::Rng;
 use rowsort_vector::{
     DataChunk, LogicalType, NullOrder, OrderBy, OrderByColumn, SortOrder, SortSpec, Value,
+    VectorData,
 };
 use std::cmp::Ordering;
 use std::fmt;
@@ -573,6 +578,134 @@ pub fn check_bit_identity(case: &Case) -> PropResult {
     Ok(())
 }
 
+/// Whether two chunks hold the same vectors bit for bit: types, validity
+/// masks in their one canonical form, and every value slot — a NULL's
+/// placeholder included, floats by their bits (`NaN != NaN`).
+fn same_vectors(a: &DataChunk, b: &DataChunk) -> bool {
+    let same = |(x, y): (&rowsort_vector::Vector, &rowsort_vector::Vector)| {
+        x.validity() == y.validity()
+            && match (x.data(), y.data()) {
+                (VectorData::Float32(x), VectorData::Float32(y)) => x
+                    .iter()
+                    .map(|f| f.to_bits())
+                    .eq(y.iter().map(|f| f.to_bits())),
+                (VectorData::Float64(x), VectorData::Float64(y)) => x
+                    .iter()
+                    .map(|f| f.to_bits())
+                    .eq(y.iter().map(|f| f.to_bits())),
+                (x, y) => x == y,
+            }
+    };
+    a.column_count() == b.column_count() && a.columns().iter().zip(b.columns()).all(same)
+}
+
+/// Thread counts [`check_sinks_agree`] holds the sinks to: one range, an
+/// even and an odd split, and more workers than most cases have ranges.
+const SINK_THREADS: [usize; 4] = [1, 2, 3, 8];
+
+/// Check 4: `SortPipeline::sort` merges straight into vectors
+/// (`sink=vectors`); what it returns is, bit for bit, what
+/// `sort_rows().to_chunk()` converts its merged row run to and what the
+/// `ovc: false` cascade — which keeps materializing rows and drains its
+/// last run — returns, at each of [`SINK_THREADS`]; and the external
+/// sorter, gathering out of run files at as many merge threads, returns the
+/// same vectors again.
+pub fn check_sinks_agree(case: &Case) -> PropResult {
+    let chunk = case.chunk();
+    let run_rows = case.options.run_rows;
+    let mut first: Option<DataChunk> = None;
+    for threads in SINK_THREADS {
+        let vectors = pipeline(case, threads, run_rows, true).sort(&chunk);
+        let rows = pipeline(case, threads, run_rows, true);
+        let rows = rows.sort_rows(&chunk).to_chunk();
+        let cascade = pipeline(case, threads, run_rows, false).sort(&chunk);
+        let spilled = external(case, run_rows, threads, true, no_faults()).sort(&chunk);
+        let twins = [
+            ("sort_rows().to_chunk()", rows),
+            ("the ovc-off cascade", cascade),
+            ("the spilled sort", spilled.map_err(|e| e.to_string())?),
+        ];
+        for (what, twin) in &twins {
+            if !same_vectors(&vectors, twin) {
+                return Err(format!(
+                    "sort() at run_rows={run_rows} threads={threads} differs from {what}"
+                ));
+            }
+        }
+        if !same_vectors(&vectors, first.get_or_insert_with(|| vectors.clone())) {
+            return Err(format!(
+                "sort() at run_rows={run_rows} threads={threads} differs from one thread's"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// The NSM → DSM kernel on bytes no sort produces: a `from_raw_parts`
+/// block whose heap is not UTF-8 string by string. Whole, in any order,
+/// and cut into pieces anywhere — a piece falls back on its own — every
+/// string reads as its own lossy conversion, the way [`RowBlock::value`]
+/// reads it.
+pub fn check_lossy_block() -> PropResult {
+    let layout = std::sync::Arc::new(RowLayout::new(&[LogicalType::Varchar, LogicalType::Int16]));
+    // "ab", a lone 0xFF, "é" cut between two strings (valid as a whole,
+    // not string by string), an empty string, and NULLs over garbage slots.
+    let heap = [b'a', b'b', 0xFF, b'x', 0xC3, 0xA9, b'y', b'z'];
+    let slots = [
+        Some((0, 2)),
+        None,
+        Some((2, 1)),
+        Some((3, 2)),
+        Some((5, 2)),
+        Some((8, 0)),
+        None,
+        Some((7, 1)),
+    ];
+    let width = layout.width();
+    let mut data = vec![0u8; slots.len() * 30 * width];
+    for (i, row) in data.chunks_exact_mut(width).enumerate() {
+        let (off, len) = slots[i % slots.len()].unwrap_or((0xDEAD_BEEF, u32::MAX));
+        row[layout.null_offset(0)] = u8::from(slots[i % slots.len()].is_none());
+        row[layout.offset(0)..][..4].copy_from_slice(&u32::to_le_bytes(off));
+        row[layout.offset(0) + 4..][..4].copy_from_slice(&u32::to_le_bytes(len));
+        row[layout.offset(1)..][..2].copy_from_slice(&(i as i16).to_le_bytes());
+    }
+    let block = RowBlock::from_raw_parts(layout.clone(), data, heap.to_vec());
+    let n = block.len();
+    let want: Vec<Vec<Value>> = (0..n)
+        .map(|r| vec![block.value(r, 0), block.value(r, 1)])
+        .collect();
+    if block.to_chunk().to_rows() != want {
+        return Err("to_chunk is not the per-string lossy read".into());
+    }
+    let reversed: Vec<u32> = (0..n as u32).rev().collect();
+    let mut backwards = block.gather(&reversed).to_rows();
+    backwards.reverse();
+    if backwards != want {
+        return Err("gather(reversed) is not the per-string lossy read".into());
+    }
+    for cut in 0..=n {
+        let mut builder = ChunkBuilder::new(layout.types(), n);
+        let pieces = builder.pieces(&layout, [cut, n - cut], |_| 0);
+        let mut tails = Vec::new();
+        let mut at = 0;
+        for mut piece in pieces {
+            let bytes = &block.data()[at * width..][..piece.rows() * width];
+            piece.push_rows(bytes, block.heap())?;
+            at += piece.rows();
+            tails.push(piece.finish());
+        }
+        let joined = builder.finish(tails);
+        if !same_vectors(&joined, &block.to_chunk()) {
+            return Err(format!(
+                "pieces of {cut} and {} rows differ from the whole",
+                n - cut
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// What [`check_faults`] saw.
 #[derive(Debug, Clone)]
 pub struct FaultReport {
@@ -847,6 +980,18 @@ pub fn no_twelve_byte_collision() -> Case {
     fixed(&types, rows.collect(), &[0, 1], 400)
 }
 
+/// 1 800 rows of nullable names and numbers, for a run size above it.
+fn lone_run() -> Vec<Vec<Value>> {
+    let row = |i: i32| {
+        let name = match i % 9 {
+            0 => Value::Null,
+            _ => Value::from(format!("name-{}", i * 37 % 400)),
+        };
+        vec![name, Value::Int32(i % 13)]
+    };
+    (0..1_800).map(row).collect()
+}
+
 /// Inputs that earned a name, for the same entry points and checks.
 pub fn named_cases() -> Vec<(&'static str, Case)> {
     let types = [LogicalType::Varchar, LogicalType::Int32];
@@ -859,6 +1004,49 @@ pub fn named_cases() -> Vec<(&'static str, Case)> {
     // Every splitter collapses to one byte string: one range gets all rows.
     let all_null = (0..3_000).map(|i| vec![Value::Null, Value::Int32(i)]);
     let [with_payload, _] = int_key_with_and_without_payload();
+    // Two key values, the lower on rows 0..1037: every splitter is one of
+    // them, so the four key ranges are empty or begin at row 0 or 1037 —
+    // inside a validity word, with NULL payloads on both sides of it.
+    let nullable = |i: u32, v: Value| if i % 3 == 0 { Value::Null } else { v };
+    let two_keys = (0..3_000u32).map(|i| {
+        let text = Value::from(format!("payload-{i}"));
+        let key = Value::Int32(i32::from(i >= 1_037));
+        vec![
+            key,
+            nullable(i, Value::Int64(i.into())),
+            nullable(i + 1, text),
+        ]
+    });
+    let two_key_types = [LogicalType::Int32, LogicalType::Int64, LogicalType::Varchar];
+    // VARCHAR columns whose pieces hold no bytes at all: every row NULL,
+    // every row the empty string.
+    let hollow = (0..2_000).map(|i| vec![Value::Int32(i * 7 % 500), Value::Null, Value::from("")]);
+    let hollow_types = [
+        LogicalType::Int32,
+        LogicalType::Varchar,
+        LogicalType::Varchar,
+    ];
+    // Three VARCHAR columns, so a record's strings go to three buffers,
+    // NULLs and empties at different strides in each.
+    let text = |i: u32, stride: u32, tag: &str| match i % stride {
+        0 => Value::Null,
+        1 => Value::from(""),
+        _ => Value::from(format!("{tag}{}é", i % 211)),
+    };
+    let three_strings = (0..2_500u32).map(|i| {
+        vec![
+            text(i, 5, "a"),
+            text(i, 7, "bb"),
+            text(i, 11, "ccc"),
+            Value::UInt32(i),
+        ]
+    });
+    let string_types = [
+        LogicalType::Varchar,
+        LogicalType::Varchar,
+        LogicalType::Varchar,
+        LogicalType::UInt32,
+    ];
     vec![
         ("ROADMAP pair", fixed(&types, roadmap_pair, &[0, 1], 1)),
         (
@@ -867,5 +1055,19 @@ pub fn named_cases() -> Vec<(&'static str, Case)> {
         ),
         ("integer key, VARCHAR payload", with_payload),
         ("no 12-byte collision", no_twelve_byte_collision()),
+        (
+            "a range boundary inside a validity word, and empty ranges",
+            fixed(&two_key_types, two_keys.collect(), &[0], 400),
+        ),
+        (
+            "all-NULL and all-empty VARCHAR columns",
+            fixed(&hollow_types, hollow.collect(), &[0], 300),
+        ),
+        (
+            "three VARCHAR columns",
+            fixed(&string_types, three_strings.collect(), &[1, 3], 350),
+        ),
+        // One run: nothing merges, the run drains into the vectors.
+        ("a lone run", fixed(&types, lone_run(), &[0, 1], 5_000)),
     ]
 }

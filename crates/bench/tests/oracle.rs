@@ -45,6 +45,10 @@ prop! {
     fn every_sorter_plans_the_same_key_for_one_input(case in CLEAN) {
         oracle::check_plan_is_input_wide(&case)?;
     }
+
+    fn vectors_merged_into_equal_the_row_twins_converted(case in CLEAN) {
+        oracle::check_sinks_agree(&case)?;
+    }
 }
 
 #[test]
@@ -56,11 +60,20 @@ fn named_inputs_pass_every_check() {
         let checked = oracle::check_reference(&case, &entries)
             .and_then(|()| oracle::check_bit_identity(&case))
             .and_then(|()| oracle::check_key_order(&case))
-            .and_then(|()| oracle::check_plan_is_input_wide(&case));
+            .and_then(|()| oracle::check_plan_is_input_wide(&case))
+            .and_then(|()| oracle::check_sinks_agree(&case));
         assert_eq!(checked, Ok(()), "{name}");
         let violations = oracle::check_faults(&case).violations;
         assert!(violations.is_empty(), "{name}: {violations:#?}");
     }
+}
+
+/// Heap bytes that are not UTF-8 reach the NSM → DSM kernel only through
+/// `RowBlock::from_raw_parts`, never through a sort: held to the same
+/// answer whole, reordered and in pieces.
+#[test]
+fn a_raw_block_with_invalid_utf8_reads_lossily_string_by_string() {
+    assert_eq!(oracle::check_lossy_block(), Ok(()));
 }
 
 /// Where the planner's sample finds no two strings that 12 bytes tie, it

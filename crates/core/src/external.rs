@@ -18,13 +18,14 @@
 //!    block — stays in memory beside the run handle.
 //! 2. **Streaming merge**: the shared merge kernel ([`crate::merge`]) over
 //!    [`RunCursor`]s pops one record at a time, decoded in place from the
-//!    cursor's current block; peak memory during the merge is one block
-//!    per run plus the output. With more than one merge thread the key
+//!    cursor's current block, straight into the output vectors
+//!    ([`VectorSink`]); peak memory during the merge is one block per run
+//!    plus the output columns. With more than one merge thread the key
 //!    space is cut into disjoint ranges at splitter keys sampled from the
 //!    runs (DESIGN.md §11), each run's range boundaries are found from its
 //!    block index plus one block read per splitter, and the persistent
-//!    worker pool merges every range independently into pre-sized slots
-//!    of one shared output — the concatenation is bit-identical to the
+//!    worker pool merges every range independently into its pre-sized
+//!    piece of every output column — the result is bit-identical to the
 //!    single-threaded merge, and every run file is read once.
 //!
 //! Storage is reached only through the [`SpillIo`] trait (`std::fs` by
@@ -47,8 +48,8 @@
 use crate::comparator::FusedRowComparator;
 use crate::keys::{word, KeyBlock, VarcharStat};
 use crate::merge::{
-    choose_splitters, cmp_keys, lower_bound, merge_kway, plan_parts, sample_positions, MergeOrder,
-    MergeStats, RunSource, SegmentSink,
+    choose_splitters, cmp_keys, column_bytes, lower_bound, merge_kway, plan_parts,
+    sample_positions, string_bytes, MergeOrder, MergeStats, RunSource, VectorSink,
 };
 use crate::metrics::{emit_trace, Counter, CounterRegistry, Metrics, Phase, SortProfile};
 use crate::ovc;
@@ -57,7 +58,7 @@ use crate::run::{planned_prefix, varchar_stats, PrefixSampler, RunGenerator, Sor
 use crate::spill::{SpillError, SpillIo, SpillOp, StdFs};
 use crate::workers::WorkerPool;
 use rowsort_algos::kway::OvcLoserTree;
-use rowsort_row::{RowBlock, RowLayout};
+use rowsort_row::{ChunkBuilder, ChunkPiece, PieceTail, RowLayout};
 use rowsort_testkit::hash::XxHash64;
 use rowsort_vector::{DataChunk, LogicalType, OrderBy};
 use std::cmp::Ordering;
@@ -172,9 +173,9 @@ pub struct ExternalSorter {
     io: Arc<dyn SpillIo>,
     metrics: Arc<CounterRegistry>,
     profile: Mutex<SortProfile>,
-    /// Recycles merge output buffers and the encoder's and cursors' block
-    /// buffers, so repeated sorts through one sorter reach a
-    /// zero-allocation steady state.
+    /// Recycles run-generation buffers, the merge sinks' row batches and
+    /// the encoder's and cursors' block buffers, so a warm sort allocates
+    /// little beyond its output columns.
     pool: Arc<BufferPool>,
     /// Merge workers, spawned lazily on the first partitioned merge so
     /// single-threaded (or never-partitioned) sorters spawn no threads.
@@ -212,8 +213,6 @@ struct BlockMeta {
     len: usize,
     /// Records of the run before the block's first.
     rows_before: usize,
-    /// String-segment bytes of the run before the block's first record.
-    heap_before: u64,
 }
 
 /// What the encoder remembers of a run it wrote: the totals and one entry
@@ -224,8 +223,6 @@ struct BlockMeta {
 #[derive(Clone)]
 struct RunIndex {
     rows: usize,
-    /// Total of the records' string segments.
-    heap_bytes: u64,
     /// Length of the encoding: where the file must end.
     bytes: u64,
     blocks: Vec<BlockMeta>,
@@ -293,13 +290,11 @@ impl Run {
                 index: meta.rows_before,
                 block: b,
                 in_off: if b == 0 { HEADER_BYTES } else { 0 },
-                heap_before: meta.heap_before,
             },
             None => RangeCut {
                 index: self.index.rows,
                 block: self.index.blocks.len(),
                 in_off: 0,
-                heap_before: self.index.heap_bytes,
             },
         }
     }
@@ -320,8 +315,6 @@ struct RangeCut {
     block: usize,
     /// Offset of the boundary record within that block.
     in_off: usize,
-    /// String-segment bytes of the run before this boundary.
-    heap_before: u64,
 }
 
 /// The run-file header for a run with (`ovc`) or without code column.
@@ -373,8 +366,8 @@ fn check_header(header: &[u8], expect_ovc: bool, path: &Path) -> Result<(), Spil
 /// slices of the block it sits in. Each block is fetched with one read of
 /// its indexed length into one pooled buffer and verified against its
 /// hash before anything is decoded from it, so every record the merge
-/// sees comes from verified bytes; the sink's copy into the output is the
-/// only time a record moves.
+/// sees comes from verified bytes; the sink's gather into the output
+/// columns is the only time a record moves.
 struct RunCursor<'a> {
     reader: Box<dyn Read + Send + 'a>,
     run: &'a Run,
@@ -763,7 +756,7 @@ impl ExternalSorter {
             let _spill = self.metrics.time_phase(Phase::Spill);
             self.generate_spilled_runs(input, &stats, &key_blocks)?
         };
-        let out = match self.merge_runs(&runs, &order) {
+        let out = match self.merge_runs(&runs, &order, input) {
             Ok(out) => out,
             Err(err) => {
                 if matches!(err, SpillError::Corrupt { .. }) {
@@ -775,6 +768,7 @@ impl ExternalSorter {
         self.metrics.record_sort(n as u64);
         let profile = SortProfile {
             operator: "external",
+            sink: "vectors",
             rows: n as u64,
             total_ns: sort_start.elapsed().as_nanos() as u64,
             key_width,
@@ -857,7 +851,6 @@ impl ExternalSorter {
         let fixed = kw + if use_ovc { 8 } else { 0 } + width + 4;
         let mut index = RunIndex {
             rows: run.len(),
-            heap_bytes: 0,
             bytes: 0,
             blocks: Vec::new(),
             first_keys: Vec::new(),
@@ -884,7 +877,6 @@ impl ExternalSorter {
                     off: index.bytes,
                     len: 0,
                     rows_before: i,
-                    heap_before: index.heap_bytes,
                 });
                 index.first_keys.extend_from_slice(key);
             }
@@ -904,7 +896,6 @@ impl ExternalSorter {
                 buf[at..at + 4].copy_from_slice(&new_off.to_le_bytes());
             }
             block_rows += 1;
-            index.heap_bytes += seg_len as u64;
         }
         if block_rows > 0 {
             index.close_block(&mut buf, out)?;
@@ -1056,7 +1047,6 @@ impl ExternalSorter {
             let mut cut = lo;
             while !cur.exhausted() && cmp_keys(cur.key(), splitter) == Ordering::Less {
                 cut.index += 1;
-                cut.heap_before += cur.heap().len() as u64;
                 cur.advance()?;
                 cut.in_off = cur.rec;
             }
@@ -1095,26 +1085,32 @@ impl ExternalSorter {
         Ok(out)
     }
 
-    /// Phase 2: streaming k-way merge over the runs (DESIGN.md §11), into
-    /// one pooled output sized exactly before a row is merged, then
-    /// gathered back into vectors (clocked apart, as [`Phase::Gather`]).
+    /// Phase 2: streaming k-way merge over the runs (DESIGN.md §11),
+    /// straight into the output columns, which are sized exactly before a
+    /// row is merged; joining the ranges' strings and validity masks
+    /// afterwards is clocked apart, as [`Phase::Gather`].
     ///
     /// Every run is cut at the splitters ([`ExternalSorter::find_cuts`]:
     /// the block index plus one block read per splitter, in parallel over
     /// the runs; with one partition, just the run's start and end). The
-    /// cuts give every range's exact row and heap size, so each worker
-    /// writes its range's disjoint slice directly: the concatenation
-    /// needs no fix-up pass and is bit-identical to the one-partition
-    /// merge. Each range then merges over cursors opened at its cuts,
-    /// which verify every block they read — and every block holds a
-    /// record of some range, so every block of every run has been
-    /// verified before the output escapes. One partition merges on the
-    /// calling thread: a sorter that never partitions never spawns the
-    /// worker pool.
-    fn merge_runs(&self, runs: &[Run], order: &MergeOrder<'_>) -> Result<DataChunk, SpillError> {
+    /// cuts give every range's exact row count, so each worker fills its
+    /// range's disjoint piece of every column directly and the result is
+    /// bit-identical to the one-partition merge; string bytes a run file
+    /// cannot promise per column before it is read, so those collect per
+    /// range (`input`'s columns say how many to expect). Each range merges
+    /// over cursors opened at its cuts, which verify every block they
+    /// read — and every block holds a record of some range, so every
+    /// block of every run has been verified before the output escapes.
+    /// One partition merges on the calling thread: a sorter that never
+    /// partitions never spawns the worker pool.
+    fn merge_runs(
+        &self,
+        runs: &[Run],
+        order: &MergeOrder<'_>,
+        input: &DataChunk,
+    ) -> Result<DataChunk, SpillError> {
         let merge_timer = self.metrics.time_phase(Phase::SpillMerge);
         let kw = order.kw;
-        let width = self.layout.width();
         let total: usize = runs.iter().map(|r| r.rows()).sum();
         let (parts, splitters) = self.plan_ranges(runs, kw, total);
         self.metrics
@@ -1129,84 +1125,58 @@ impl ExternalSorter {
         } else {
             runs.iter().map(|r| r.whole().to_vec()).collect()
         };
-        // Every range's exact size: its records and their string bytes.
-        let sizes: Vec<(usize, u64)> = (0..parts)
-            .map(|p| {
-                cuts.iter().fold((0, 0), |(rows, heap), c| {
-                    let (lo, hi) = (c[p], c[p + 1]);
-                    (
-                        rows + hi.index - lo.index,
-                        heap + hi.heap_before - lo.heap_before,
-                    )
-                })
-            })
-            .collect();
-        debug_assert_eq!(sizes.iter().map(|s| s.0).sum::<usize>(), total);
-        let max_range = sizes.iter().map(|s| s.0).max().unwrap_or(0);
+        // Every range's exact size in records.
+        let in_range = |p: usize| cuts.iter().map(move |c| c[p + 1].index - c[p].index);
+        let range_rows: Vec<usize> = (0..parts).map(|p| in_range(p).sum()).collect();
+        debug_assert_eq!(range_rows.iter().sum::<usize>(), total);
+        let max_range = range_rows.iter().max().copied().unwrap_or(0);
         self.metrics
             .add(Counter::MergeMaxRangeRows, max_range as u64);
-        let total_heap = sizes.iter().map(|s| s.1).sum::<u64>() as usize;
 
-        let mut out_data = self.pool.get_bytes(total * width);
-        out_data.resize(total * width, 0);
-        let mut out_heap = self.pool.get_bytes(total_heap);
-        out_heap.resize(total_heap, 0);
-        {
-            // One shared output cut into each range's disjoint slices of
-            // both areas, plus the heap slice's offset in the whole heap:
-            // whichever worker claims range `p` takes slot `p`.
-            let mut rest = (&mut out_data[..], &mut out_heap[..]);
-            let mut heap_base = 0u64;
-            let slots: Vec<Mutex<Option<RangeOutput<'_>>>> = sizes
-                .iter()
-                .map(|&(rows, heap_bytes)| {
-                    let (data, data_rest) = std::mem::take(&mut rest.0).split_at_mut(rows * width);
-                    let (heap, heap_rest) =
-                        std::mem::take(&mut rest.1).split_at_mut(heap_bytes as usize);
-                    rest = (data_rest, heap_rest);
-                    let slot = (data, heap, heap_base);
-                    heap_base += heap_bytes;
-                    Mutex::new(Some(slot))
-                })
-                .collect();
+        let mut builder = ChunkBuilder::new(&self.types, total);
+        let merged = {
+            // Whichever worker claims range `p` takes piece `p`.
+            let rows = range_rows.iter().copied();
+            let pieces = builder.pieces(&self.layout, rows, string_bytes(input));
+            let slots: Vec<Mutex<Option<ChunkPiece<'_>>>> =
+                pieces.into_iter().map(|p| Mutex::new(Some(p))).collect();
             let merge_one = |p: usize| {
-                let slot = slots[p].lock().unwrap_or_else(|e| e.into_inner()).take();
-                self.merge_range(runs, &cuts, p, order, slot.ok_or_else(lost_job)?)
+                let piece = slots[p].lock().unwrap_or_else(|e| e.into_inner()).take();
+                self.merge_range(runs, &cuts, p, order, piece.ok_or_else(lost_job)?)
             };
-            let stats = if parts == 1 {
+            if parts == 1 {
                 vec![merge_one(0)?]
             } else {
                 self.run_jobs(parts, merge_one)?
-            };
-            for s in stats {
-                s.flush(&self.metrics);
             }
+        };
+        let (stats, tails): (Vec<MergeStats>, Vec<PieceTail>) = merged.into_iter().unzip();
+        for s in stats {
+            s.flush(&self.metrics);
         }
         drop(merge_timer);
 
         let _gather = self.metrics.time_phase(Phase::Gather);
-        let block = RowBlock::from_raw_parts(Arc::clone(&self.layout), out_data, out_heap);
-        let chunk = block.to_chunk();
-        let (data, heap) = block.into_raw_parts();
-        self.pool.put_bytes(data);
-        self.pool.put_bytes(heap);
+        let chunk = builder.finish(tails);
+        // A record's one move after its run file: its values into columns.
+        self.metrics.add(Counter::BytesMoved, column_bytes(&chunk));
         Ok(chunk)
     }
 
     /// Merge key range `part` of the runs — run `r`'s records between
-    /// `cuts[r][part]` and `cuts[r][part + 1]` — into the range's output,
-    /// whose slices the records fill exactly. Runs with no rows in the
-    /// range are skipped (the survivors keep their relative order, so the
-    /// tree's lower-index tie-break agrees with the global stability rule
-    /// — byte-equal keys never straddle a range boundary).
+    /// `cuts[r][part]` and `cuts[r][part + 1]` — into the range's piece of
+    /// the output columns, which the records fill exactly. Runs with no
+    /// rows in the range are skipped (the survivors keep their relative
+    /// order, so the tree's lower-index tie-break agrees with the global
+    /// stability rule — byte-equal keys never straddle a range boundary).
     fn merge_range(
         &self,
         runs: &[Run],
         cuts: &[Vec<RangeCut>],
         part: usize,
         order: &MergeOrder<'_>,
-        (data, heap, heap_base): RangeOutput<'_>,
-    ) -> Result<MergeStats, SpillError> {
+        piece: ChunkPiece<'_>,
+    ) -> Result<(MergeStats, PieceTail), SpillError> {
         let mut cursors: Vec<RunCursor<'_>> = Vec::with_capacity(runs.len());
         for (run, cuts) in runs.iter().zip(cuts) {
             let [lo, hi] = [cuts[part], cuts[part + 1]];
@@ -1214,22 +1184,15 @@ impl ExternalSorter {
                 cursors.push(self.open_cursor(run, order.kw, [lo, hi])?);
             }
         }
-        let width = self.layout.width();
-        let rows_in = data.len() / width;
-        let mut sink = SegmentSink {
-            rows: data.chunks_exact_mut(width),
-            heap,
-            heap_pos: 0,
-            heap_base,
-            layout: &self.layout,
-            varlen_cols: &self.varlen_cols,
-        };
+        let rows_in = piece.rows();
+        let mut sink = VectorSink::new(piece, &self.pool);
         let mut tree = OvcLoserTree::empty();
-        if self.use_ovc(order.kw) {
+        let stats = if self.use_ovc(order.kw) {
             merge_kway::<true, _, _>(order, &mut tree, &mut cursors, rows_in, &mut sink)
         } else {
             merge_kway::<false, _, _>(order, &mut tree, &mut cursors, rows_in, &mut sink)
-        }
+        }?;
+        Ok((stats, sink.finish(&self.pool)))
     }
 }
 
@@ -1242,15 +1205,12 @@ fn lost_job() -> SpillError {
     )
 }
 
-/// One range's share of the merge output: its row slots, its heap slice,
-/// and that slice's offset in the whole output heap.
-type RangeOutput<'a> = (&'a mut [u8], &'a mut [u8], u64);
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::merge::MemSource;
     use crate::testutil::{assert_sorted_permutation, pseudo_random};
+    use rowsort_row::RowBlock;
     use rowsort_testkit::faultfs::{FaultFs, FaultKind, FaultSchedule, FaultSpec};
     use rowsort_testkit::prop::{full, Runner};
     use rowsort_testkit::Rng;
@@ -1547,7 +1507,7 @@ mod tests {
         let arity = ovc::word_count(kw);
         let mut cur = sorter.open_cursor(&run, kw, run.whole()).unwrap();
         let mut prev_key: Vec<u8> = Vec::new();
-        let (mut heap_before, mut blocks_seen) = (0u64, 0);
+        let mut blocks_seen = 0;
         for i in 0..run.rows() {
             assert!(!cur.exhausted(), "record {i} missing");
             assert_eq!(cur.key(), keys.key(i), "key {i} differs");
@@ -1556,11 +1516,9 @@ mod tests {
                 if meta.rows_before == i {
                     let first_key = &run.index.first_keys[blocks_seen * kw..][..kw];
                     assert_eq!(first_key, cur.key(), "block {blocks_seen} first key");
-                    assert_eq!(meta.heap_before, heap_before, "block {blocks_seen} heap");
                     blocks_seen += 1;
                 }
             }
-            heap_before += cur.heap().len() as u64;
             // The spilled OVC column round-trips: record i's code is the
             // code of key i relative to key i-1 (row 0 against −∞).
             let want_code = if i == 0 {
@@ -1601,7 +1559,6 @@ mod tests {
         }
         assert!(cur.exhausted());
         assert_eq!(blocks_seen, run.index.blocks.len());
-        assert_eq!(heap_before, run.index.heap_bytes);
     }
 
     /// Under a small row budget every spilled run is individually sorted,
@@ -1813,11 +1770,11 @@ mod tests {
         let (runs, merge_order) = build_spilled_runs(&sorter, &chunk);
         assert_eq!(runs.len(), 1, "one budget-sized morsel, one run");
 
-        let empty = sorter.merge_runs(&[], &merge_order).unwrap();
+        let empty = sorter.merge_runs(&[], &merge_order, &chunk).unwrap();
         assert_eq!(empty.len(), 0);
         assert_eq!(empty.types(), chunk.types());
 
-        let merged = sorter.merge_runs(&runs, &merge_order).unwrap();
+        let merged = sorter.merge_runs(&runs, &merge_order, &chunk).unwrap();
         assert_eq!(merged.len(), 400);
         assert_sorted_permutation(&merged, &chunk, &order, "single-run merge");
         // Neither merge can split across threads: one partition counted
@@ -1858,25 +1815,17 @@ mod tests {
 
     // ---- the merge kernel across source kinds ---------------------------
 
-    /// Merge `sources` through the kernel into fresh output areas of
-    /// exactly `rows` rows and `heap_bytes` string bytes.
+    /// Merge `sources` through the kernel into fresh columns of exactly
+    /// `rows` rows.
     fn kernel_merge<S: RunSource>(
         sorter: &ExternalSorter,
         order: &MergeOrder<'_>,
         sources: &mut [S],
-        (rows, heap_bytes): (usize, u64),
-    ) -> (Vec<u8>, Vec<u8>, MergeStats) {
-        let width = sorter.layout.width();
-        let mut data = vec![0u8; rows * width];
-        let mut heap = vec![0u8; heap_bytes as usize];
-        let mut sink = SegmentSink {
-            rows: data.chunks_exact_mut(width),
-            heap: &mut heap,
-            heap_pos: 0,
-            heap_base: 0,
-            layout: &sorter.layout,
-            varlen_cols: &sorter.varlen_cols,
-        };
+        rows: usize,
+    ) -> (DataChunk, MergeStats) {
+        let mut builder = ChunkBuilder::new(&sorter.types, rows);
+        let piece = builder.pieces(&sorter.layout, [rows], |_| 0).pop().unwrap();
+        let mut sink = VectorSink::new(piece, &sorter.pool);
         let mut tree = OvcLoserTree::empty();
         let stats = if sorter.use_ovc(order.kw) {
             merge_kway::<true, _, _>(order, &mut tree, sources, rows, &mut sink)
@@ -1888,19 +1837,8 @@ mod tests {
             sources.iter().all(|s| s.exhausted()),
             "a source was left open"
         );
-        (data, heap, stats)
-    }
-
-    /// The string bytes rows `lo..hi` of `run` reference.
-    fn heap_bytes_of(sorter: &ExternalSorter, run: &SortedRun, lo: usize, hi: usize) -> u64 {
-        let strings = |i: usize| {
-            let live = sorter
-                .varlen_cols
-                .iter()
-                .filter(move |&&c| !run.payload.is_null(i, c));
-            live.map(move |&c| run.payload.string_bytes(i, c).len() as u64)
-        };
-        (lo..hi).flat_map(strings).sum()
+        let tail = sink.finish(&sorter.pool);
+        (builder.finish(vec![tail]), stats)
     }
 
     /// The kernel does not care where a run lives: the same runs merged
@@ -1965,13 +1903,12 @@ mod tests {
                         .collect();
                     let encoded: Vec<Run> =
                         sorted.iter().map(|run| memory_run(&sorter, run)).collect();
-                    let size = (n, encoded.iter().map(|r| r.index.heap_bytes).sum());
 
                     let mut cursors: Vec<RunCursor<'_>> = encoded
                         .iter()
                         .map(|run| sorter.open_cursor(run, order.kw, run.whole()).unwrap())
                         .collect();
-                    let from_files = kernel_merge(&sorter, &order, &mut cursors, size);
+                    let from_files = kernel_merge(&sorter, &order, &mut cursors, n);
                     let mut in_memory: Vec<MemSource<'_>> = sorted
                         .iter()
                         .map(|run| MemSource::range(run, 0, run.len()))
@@ -1980,7 +1917,7 @@ mod tests {
                     for (src, run) in in_memory.iter().zip(&sorted).filter(|_| ovc) {
                         assert_eq!(src.code(), ovc::read_code(&run.ovc, 0), "{what}");
                     }
-                    let from_memory = kernel_merge(&sorter, &order, &mut in_memory, size);
+                    let from_memory = kernel_merge(&sorter, &order, &mut in_memory, n);
 
                     // The same runs cut in two at a key (the median of the
                     // longest run): every head is coded against −∞, and the
@@ -2005,39 +1942,21 @@ mod tests {
                             assert_eq!(src.code(), ovc::initial_code(src.key(), arity), "{what}");
                         }
                         let rows: usize = sorted.iter().map(|r| span(r).1 - span(r).0).sum();
-                        let heap: u64 = sorted
-                            .iter()
-                            .map(|r| heap_bytes_of(&sorter, r, span(r).0, span(r).1))
-                            .sum();
-                        let (data, heap, _) =
-                            kernel_merge(&sorter, &order, &mut ranged, (rows, heap));
-                        let block =
-                            RowBlock::from_raw_parts(Arc::clone(&sorter.layout), data, heap);
-                        halves.extend(block.to_chunk().to_rows());
+                        let (half, _) = kernel_merge(&sorter, &order, &mut ranged, rows);
+                        halves.extend(half.to_rows());
                     }
-                    let whole = RowBlock::from_raw_parts(
-                        Arc::clone(&sorter.layout),
-                        from_memory.0.clone(),
-                        from_memory.1.clone(),
-                    );
-                    assert_eq!(halves, whole.to_chunk().to_rows(), "{what}: ranged");
+                    assert_eq!(halves, from_memory.0.to_rows(), "{what}: ranged");
 
-                    assert_eq!(from_files.0, from_memory.0, "{what}: rows differ");
-                    assert_eq!(from_files.1, from_memory.1, "{what}: heaps differ");
+                    assert_eq!(from_files.0, from_memory.0, "{what}: vectors differ");
                     let counts = |s: &MergeStats| (s.cmps, s.ovc_resolved, s.key_bytes);
                     assert_eq!(
-                        counts(&from_files.2),
-                        counts(&from_memory.2),
+                        counts(&from_files.1),
+                        counts(&from_memory.1),
                         "{what}: comparator work differs"
                     );
-                    assert_eq!(from_files.2.cmps == 0, k == 1, "{what}: cmps");
+                    assert_eq!(from_files.1.cmps == 0, k == 1, "{what}: cmps");
 
                     // And it is the sorter's own answer.
-                    let block = RowBlock::from_raw_parts(
-                        Arc::clone(&sorter.layout),
-                        from_memory.0,
-                        from_memory.1,
-                    );
                     let whole = ExternalSorter::new(
                         chunk.types(),
                         by.clone(),
@@ -2052,9 +1971,9 @@ mod tests {
                     if k < 3 {
                         // (With the empty run the cut points differ, and
                         // with them the order among full ties.)
-                        assert_eq!(block.to_chunk().to_rows(), want.to_rows(), "{what}");
+                        assert_eq!(from_memory.0, want, "{what}");
                     }
-                    assert_eq!(block.len(), want.len(), "{what}: row count");
+                    assert_eq!(from_memory.0.len(), want.len(), "{what}: row count");
                 }
             }
         }
@@ -2674,7 +2593,10 @@ mod tests {
                     .collect();
                 assert!(runs.iter().all(|r| r.index.blocks.len() >= 3));
                 let order = sorters[0].merge_order(&key_blocks.lock().unwrap()[0]);
-                let rows = sorters[0].merge_runs(&runs, &order).unwrap().to_rows();
+                let rows = sorters[0]
+                    .merge_runs(&runs, &order, &chunk)
+                    .unwrap()
+                    .to_rows();
                 Fixture {
                     sorters,
                     runs,
@@ -2696,7 +2618,7 @@ mod tests {
                 let (_, key_blocks) = plan(sorter, &chunk);
                 let order = sorter.merge_order(&key_blocks.lock().unwrap()[0]);
                 let threads = sorter.options.merge_threads;
-                match sorter.merge_runs(&runs, &order) {
+                match sorter.merge_runs(&runs, &order, &chunk) {
                     Err(SpillError::Corrupt { .. }) => {}
                     Err(err) => {
                         return Err(format!("threads={threads}: want Corrupt, got {err:?}"))

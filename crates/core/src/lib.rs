@@ -19,8 +19,10 @@
 //!   make first, VARCHAR prefixes sized from a sample of the strings,
 //! * `merge` (crate-private) — the one k-way merge kernel: a tree of
 //!   losers over `RunSource`s (in-memory run, spill cursor) emitting into
-//!   a `MergeSink`, OVC as a const parameter, and the range planner both
-//!   sorters cut their merges with (DESIGN.md §10.3, §11.1),
+//!   a `MergeSink` — `VectorSink`, straight into the output vectors, for
+//!   both sorters; `ConcatSink`, a row run, for `sort_rows` — OVC as a
+//!   const parameter, and the range planner both sorters cut their merges
+//!   with (DESIGN.md §10.3, §11.1),
 //! * [`systems`] — the five §VII system profiles (DuckDB-, ClickHouse-,
 //!   MonetDB-, HyPer-, Umbra-like sort configurations) behind one trait,
 //! * [`external`] — out-of-core sorting: the same runs, spilled, and the

@@ -17,10 +17,12 @@ use crate::comparator::FusedRowComparator;
 use crate::keys::word;
 use crate::metrics::{Counter, CounterRegistry};
 use crate::ovc;
+use crate::pool::BufferPool;
 use crate::run::SortedRun;
 use crate::spill::SpillError;
 use rowsort_algos::kway::{OvcLoserTree, OvcMatch};
-use rowsort_row::{heap_offset, RowLayout, HEAP_OVERFLOW};
+use rowsort_row::{ChunkPiece, PieceTail, RowLayout, BATCH_ROWS};
+use rowsort_vector::DataChunk;
 use std::cmp::Ordering;
 use std::path::Path;
 
@@ -124,9 +126,10 @@ pub(crate) trait RunSource {
     fn path(&self) -> &Path;
 }
 
-/// Where a merge writes its winners: pre-sized row slots plus a heap.
-/// `emit` takes the head record of `src`, input number `input` of the
-/// merge, into the next slot.
+/// Where a merge writes its winners: pre-sized row slots plus a heap
+/// ([`ConcatSink`]), or pre-sized columns ([`VectorSink`]). `emit` takes
+/// the head record of `src`, input number `input` of the merge, into the
+/// next slot.
 pub(crate) trait MergeSink {
     fn emit<S: RunSource>(&mut self, input: usize, src: &S) -> Result<(), SpillError>;
 }
@@ -234,54 +237,85 @@ impl MergeSink for ConcatSink<'_> {
     }
 }
 
-/// The spill merge's sink: rows into a pre-sized slice of the shared
-/// output, each record's string segment copied to the slice's heap
-/// cursor. `heap_base` is the heap slice's absolute offset in the full
-/// output heap — rewritten string offsets are absolute, so range slices
-/// concatenate with no fix-up pass.
-pub(crate) struct SegmentSink<'a> {
-    pub(crate) rows: std::slice::ChunksExactMut<'a, u8>,
-    pub(crate) heap: &'a mut [u8],
-    pub(crate) heap_pos: usize,
-    pub(crate) heap_base: u64,
-    pub(crate) layout: &'a RowLayout,
-    pub(crate) varlen_cols: &'a [usize],
+/// The sink both sorters hand vectors back through: one key range's share
+/// of the output columns ([`ChunkPiece`]). A winner's strings leave its
+/// source's heap at once — a spilled run's is a block buffer the next
+/// `advance` may replace — and its row bytes are staged, [`BATCH_ROWS`] at
+/// a time, for the piece's one typed pass per column while the batch is
+/// still in L1. No merged row run is ever built.
+pub(crate) struct VectorSink<'a> {
+    piece: ChunkPiece<'a>,
+    /// Room for a batch of rows (pooled), `filled` bytes of it staged.
+    staged: Vec<u8>,
+    filled: usize,
 }
 
-impl MergeSink for SegmentSink<'_> {
+impl<'a> VectorSink<'a> {
+    pub(crate) fn new(piece: ChunkPiece<'a>, pool: &BufferPool) -> VectorSink<'a> {
+        let batch = BATCH_ROWS * piece.row_width();
+        let mut staged = pool.get_bytes(batch);
+        staged.resize(batch, 0);
+        VectorSink {
+            piece,
+            staged,
+            filled: 0,
+        }
+    }
+
+    /// Gather the last, partial batch and close the piece (its strings
+    /// are checked as UTF-8 here, on the merging thread).
+    pub(crate) fn finish(mut self, pool: &BufferPool) -> PieceTail {
+        self.piece.gather(&self.staged[..self.filled]);
+        pool.put_bytes(self.staged);
+        self.piece.finish()
+    }
+}
+
+impl MergeSink for VectorSink<'_> {
+    #[inline]
     fn emit<S: RunSource>(&mut self, _input: usize, src: &S) -> Result<(), SpillError> {
-        let Some(slot) = self.rows.next() else {
+        if self.piece.is_full() {
             return Err(SpillError::corrupt(src.path(), OUTPUT_FULL));
-        };
-        slot.copy_from_slice(src.row());
-        let seg = src.heap();
-        for &c in self.varlen_cols {
-            if slot[self.layout.null_offset(c)] != 0 {
-                continue;
-            }
-            let at = self.layout.offset(c);
-            let rel = u32::from_le_bytes(word::<4>(slot, at)) as usize;
-            let len = u32::from_le_bytes(word::<4>(slot, at + 4)) as usize;
-            let (end, pos) = (rel + len, self.heap_pos);
-            if end > seg.len() || pos + len > self.heap.len() {
-                // The record came out of a verified block or a run in
-                // memory, so only a bug upstream gets here — as an error,
-                // not as an out-of-bounds copy.
-                return Err(SpillError::corrupt(
-                    src.path(),
-                    "string segment reference out of bounds",
-                ));
-            }
-            self.heap[pos..pos + len].copy_from_slice(&seg[rel..end]);
-            self.heap_pos += len;
-            // The sum comes from file contents: more than 4 GiB of
-            // strings is an error to report, not an offset to wrap.
-            let new_off = heap_offset(self.heap_base + pos as u64)
-                .ok_or_else(|| SpillError::corrupt(src.path(), HEAP_OVERFLOW))?;
-            slot[at..at + 4].copy_from_slice(&new_off.to_le_bytes());
+        }
+        let row = src.row();
+        // The record came out of a verified block or a run in memory, so
+        // only a bug upstream fails here — as an error, not as an
+        // out-of-bounds copy.
+        self.piece
+            .push_strings(row, src.heap())
+            .map_err(|detail| SpillError::corrupt(src.path(), detail))?;
+        let end = self.filled + row.len();
+        copy_small(&mut self.staged[self.filled..end], row);
+        self.filled = end;
+        if end == self.staged.len() {
+            self.piece.gather(&self.staged);
+            self.filled = 0;
         }
         Ok(())
     }
+}
+
+/// What each VARCHAR column of `input` holds in bytes, by column — what a
+/// sort of `input` into vectors should expect its output columns to hold
+/// ([`rowsort_row::ChunkBuilder::pieces`]); 0 for other columns.
+pub(crate) fn string_bytes(input: &DataChunk) -> impl Fn(usize) -> usize + '_ {
+    |col| {
+        input
+            .column(col)
+            .as_strings()
+            .map_or(0, |s| s.total_bytes())
+    }
+}
+
+/// Bytes a merge into vectors wrote to `chunk`'s columns: every fixed-width
+/// value, a 4-byte offset per string, and the strings' bytes — the
+/// `bytes_moved` of a row's last move, the same at every thread count.
+pub(crate) fn column_bytes(chunk: &DataChunk) -> u64 {
+    let bytes = |col: &rowsort_vector::Vector| match col.as_strings() {
+        Some(strings) => 4 * strings.len() + strings.total_bytes(),
+        None => col.logical_type().fixed_width().unwrap_or(0) * col.len(),
+    };
+    chunk.columns().iter().map(bytes).sum::<usize>() as u64
 }
 
 /// How one sort's merges compare two head records — derived once per

@@ -40,7 +40,8 @@ use rowsort_testkit::json::Json;
 /// exactly, so their sum ≈ total sort time) plus, when the caller asks
 /// for vectors back (`SortPipeline::sort`), the fourth; external sorts
 /// use `Prepare`, the last two and — they always hand vectors back —
-/// `Gather` the same way.
+/// `Gather` the same way. A sort into vectors gathers inside its merge
+/// phase, on every merge worker; `Gather` is what remains after it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Column statistics + key-layout preparation before run generation.
@@ -48,11 +49,14 @@ pub enum Phase {
     /// Morsel-parallel run generation (stage, encode keys, local sort,
     /// payload reorder).
     RunGeneration,
-    /// Merging the runs into one: a range-partitioned k-way pass, or
-    /// the cascaded Merge-Path 2-way rounds.
+    /// Merging the runs: a range-partitioned k-way pass, or the cascaded
+    /// Merge-Path 2-way rounds — into one row run, or (`sink = vectors`)
+    /// straight into the output columns, Figure 11's NSM → DSM stage
+    /// included.
     Merge,
-    /// Converting the merged run back to vectors (Figure 11's last
-    /// stage, NSM → DSM), single-threaded.
+    /// Joining the key ranges' pieces of the output columns after a merge
+    /// into vectors: one byte copy per range and VARCHAR column, one
+    /// splice per validity mask, single-threaded.
     Gather,
     /// External sort: building and writing spilled runs.
     Spill,
@@ -439,6 +443,10 @@ pub struct SortProfile {
     /// Which operator produced this profile: `"pipeline"` or
     /// `"external"`.
     pub operator: &'static str,
+    /// Where the merge put its winners: `"vectors"` — straight into the
+    /// result's columns (`SortPipeline::sort`, every external sort) — or
+    /// `"rows"`, a merged row run (`SortPipeline::sort_rows`).
+    pub sink: &'static str,
     /// Input rows of this sort call.
     pub rows: u64,
     /// Wall time of the whole call, nanoseconds.
@@ -457,6 +465,7 @@ impl SortProfile {
     pub const fn zeroed() -> SortProfile {
         SortProfile {
             operator: "none",
+            sink: "none",
             rows: 0,
             total_ns: 0,
             key_width: 0,
@@ -466,7 +475,7 @@ impl SortProfile {
     }
 
     /// The trace-schema JSON object for this profile: `event`,
-    /// `operator`, `rows`, `total_ns`, `key_width`, `varchar_prefix`,
+    /// `operator`, `sink`, `rows`, `total_ns`, `key_width`, `varchar_prefix`,
     /// plus nested `phases` and
     /// `counters` objects (every field numeric; see DESIGN.md §7.5 for
     /// the schema contract `trace_smoke` validates in CI).
@@ -487,6 +496,7 @@ impl SortProfile {
         Json::obj(vec![
             ("event", Json::str("sort")),
             ("operator", Json::str(self.operator)),
+            ("sink", Json::str(self.sink)),
             ("rows", Json::Num(self.rows as f64)),
             ("total_ns", Json::Num(self.total_ns as f64)),
             ("key_width", Json::Num(f64::from(self.key_width))),
@@ -627,6 +637,7 @@ mod tests {
         reg.record_sort(128);
         let profile = SortProfile {
             operator: "pipeline",
+            sink: "vectors",
             rows: 128,
             total_ns: 110,
             key_width: 36,
@@ -636,6 +647,7 @@ mod tests {
         let parsed = Json::parse(&profile.to_json().render()).unwrap();
         assert_eq!(parsed.get("event").unwrap().as_str(), Some("sort"));
         assert_eq!(parsed.get("operator").unwrap().as_str(), Some("pipeline"));
+        assert_eq!(parsed.get("sink").unwrap().as_str(), Some("vectors"));
         assert_eq!(parsed.get("rows").unwrap().as_f64(), Some(128.0));
         assert_eq!(parsed.get("total_ns").unwrap().as_f64(), Some(110.0));
         assert_eq!(parsed.get("key_width").unwrap().as_f64(), Some(36.0));

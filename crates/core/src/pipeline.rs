@@ -3,9 +3,10 @@
 //! ```text
 //! vectors ──► 8-byte-aligned payload rows + normalized keys (per worker)
 //!         ──► thread-local radix sort (+ comparator in key-equal ranges) ⇒ sorted runs
-//!         ──► one coded k-way merge per key range, ranges across threads
-//!             (`ovc` off: cascaded 2-way merge, Merge-Path-partitioned)
-//!         ──► convert the single remaining run back to vectors
+//!         ──► one coded k-way merge per key range, ranges across threads,
+//!             winners gathered straight into the output vectors
+//!             (`ovc` off: cascaded 2-way merge, Merge-Path-partitioned,
+//!             then its one run drained into the vectors)
 //! ```
 //!
 //! Run generation dominates the comparison count (§II: with k runs of n/k
@@ -25,7 +26,11 @@
 //! [`SortPipeline::sort`] calls, and phases execute on a persistent
 //! [`WorkerPool`] spawned once per pipeline. Either merge writes winners
 //! straight into a disjoint part of a pre-sized output — there is no
-//! intermediate `(block, row)` pick pass.
+//! intermediate `(block, row)` pick pass — and for [`SortPipeline::sort`]
+//! that output is the result's columns themselves ([`VectorSink`]):
+//! the only relation-sized allocation of a warm sort, and no merged row
+//! run behind it. [`SortPipeline::sort_rows`] keeps the row output, for
+//! callers that want rows and as the twin the vectors are checked against.
 //!
 //! Output is deterministic: runs land in morsel-indexed slots; key ranges
 //! are cut where keys differ, so their concatenation is the one stable
@@ -37,8 +42,9 @@
 use crate::comparator::FusedRowComparator;
 use crate::keys::{KeyBlock, VarcharStat};
 use crate::merge::{
-    choose_splitters, cmp_keys, copy_small, lower_bound, merge_kway, plan_parts, recycle_vec,
-    sample_positions, ConcatSink, MemSource, MergeOrder,
+    choose_splitters, cmp_keys, column_bytes, copy_small, lower_bound, merge_kway, plan_parts,
+    recycle_vec, sample_positions, string_bytes, ConcatSink, MemSource, MergeOrder, MergeSink,
+    VectorSink,
 };
 use crate::metrics::{emit_trace, Counter, CounterRegistry, Metrics, Phase, SortProfile};
 use crate::pool::BufferPool;
@@ -46,7 +52,7 @@ use crate::run::{planned_prefix, varchar_stats, PrefixSampler, RunGenerator, Sor
 use crate::workers::WorkerPool;
 use rowsort_algos::kway::OvcLoserTree;
 use rowsort_algos::merge_path::merge_path_partition_by;
-use rowsort_row::{heap_base, RowBlock, RowLayout};
+use rowsort_row::{heap_base, ChunkBuilder, PieceTail, RowBlock, RowLayout};
 use rowsort_vector::{DataChunk, LogicalType, OrderBy};
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
@@ -263,22 +269,16 @@ impl SortPipeline {
         }
     }
 
-    /// Sort a materialized input relation, returning it fully sorted.
-    /// The conversion back to vectors is clocked as [`Phase::Gather`], and
-    /// the sort's profile (and trace line) covers it: in `phases` and in
-    /// `total_ns`.
+    /// Sort a materialized input relation, returning it fully sorted: the
+    /// merge's winners are gathered straight into the result's columns.
+    /// [`Phase::Merge`] therefore contains the conversion back to vectors,
+    /// and [`Phase::Gather`] clocks only what is left of it afterwards, the
+    /// join of the key ranges' strings and validity masks.
     pub fn sort(&self, input: &DataChunk) -> DataChunk {
-        let (sorted, profile) = self.sort_rows_profiled(input);
-        let gather_start = Instant::now();
-        let chunk = sorted.to_chunk();
-        if let Some(mut profile) = profile {
-            let ns = gather_start.elapsed().as_nanos() as u64;
-            self.metrics.add_phase_ns(Phase::Gather, ns);
-            profile.metrics.phase_ns[Phase::Gather as usize] += ns;
-            profile.total_ns += ns;
-            self.publish(profile);
-        }
-        chunk
+        let sorted = self.sort_with(input, "vectors", |scratch| {
+            self.merge_into_vectors(scratch, input)
+        });
+        sorted.unwrap_or_else(|| DataChunk::new(&self.types))
     }
 
     /// Sort `input`, returning the merged run in row form. Dropping the
@@ -286,23 +286,22 @@ impl SortPipeline {
     /// (after a warm-up sort of similar shape) this call performs zero
     /// heap allocations.
     pub fn sort_rows(&self, input: &DataChunk) -> SortedRows<'_> {
-        let (sorted, profile) = self.sort_rows_profiled(input);
-        if let Some(profile) = profile {
-            self.publish(profile);
+        SortedRows {
+            pipeline: self,
+            run: self.sort_with(input, "rows", |scratch| self.merge_runs(scratch)),
         }
-        sorted
     }
 
-    /// Make `profile` the last sort's profile and emit its trace line.
-    fn publish(&self, profile: SortProfile) {
-        *self.profile.lock().unwrap_or_else(|e| e.into_inner()) = profile;
-        emit_trace(&profile);
-    }
-
-    /// [`SortPipeline::sort_rows`] with the sort's profile handed back
-    /// unpublished (`None` for an empty input, which records nothing), so
-    /// [`SortPipeline::sort`] can add its gather stage before publishing.
-    fn sort_rows_profiled(&self, input: &DataChunk) -> (SortedRows<'_>, Option<SortProfile>) {
+    /// The sort up to its merge, which `merge` supplies: check the schema,
+    /// plan the key, generate the runs, merge them through `merge` — into
+    /// the `sink` it names — and publish the sort's profile and trace
+    /// line. `None` for an empty input, which records nothing.
+    fn sort_with<T>(
+        &self,
+        input: &DataChunk,
+        sink: &'static str,
+        merge: impl FnOnce(&mut Scratch) -> T,
+    ) -> Option<T> {
         // Element-wise so the schema check allocates nothing in steady
         // state (`input.types()` would collect a fresh Vec per sort).
         assert!(
@@ -315,11 +314,7 @@ impl SortPipeline {
             "input schema mismatch"
         );
         if input.is_empty() {
-            let empty = SortedRows {
-                pipeline: self,
-                run: None,
-            };
-            return (empty, None);
+            return None;
         }
         let mut guard = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
         let scratch = &mut *guard;
@@ -344,24 +339,21 @@ impl SortPipeline {
             let _gen = self.metrics.time_phase(Phase::RunGeneration);
             self.generate_runs(input, scratch);
         }
-        let run = {
-            let _merge = self.metrics.time_phase(Phase::Merge);
-            self.merge_runs(scratch)
-        };
+        let key_width = scratch.runs.first().map_or(0, |r| r.key_width);
+        let sorted = merge(scratch);
         self.metrics.record_sort(input.len() as u64);
         let profile = SortProfile {
             operator: "pipeline",
+            sink,
             rows: input.len() as u64,
             total_ns: sort_start.elapsed().as_nanos() as u64,
-            key_width: run.key_width as u32,
+            key_width: key_width as u32,
             varchar_prefix: planned_prefix(&scratch.stats),
             metrics: self.metrics.snapshot().since(&before),
         };
-        let sorted = SortedRows {
-            pipeline: self,
-            run: Some(run),
-        };
-        (sorted, Some(profile))
+        *self.profile.lock().unwrap_or_else(|e| e.into_inner()) = profile;
+        emit_trace(&profile);
+        Some(sorted)
     }
 
     /// Buffer-pool `(hits, misses)` counters — a steady-state sort serves
@@ -458,20 +450,95 @@ impl SortPipeline {
         }
     }
 
-    /// Phase 2: merge the runs into one. A coded sort (`ovc` on, a key to
-    /// code) takes one pass of range-partitioned k-way merges
-    /// ([`SortPipeline::merge_ranges`]); any other cascades 2-way merges
-    /// until one run remains. Pairing is deterministic — adjacent runs
-    /// merge in order, an odd run carries over to the next round *last* —
-    /// and each round's merges execute as a flat `pairs × parts` task grid
-    /// on the worker pool.
+    /// Whether this sort's runs merge in one coded pass over key ranges
+    /// (`ovc` on, a key to code, something to merge) — the Merge-Path
+    /// cascade's job otherwise.
+    fn coded(&self, scratch: &Scratch) -> bool {
+        let kw = scratch.runs.first().map_or(0, |r| r.key_width);
+        self.options.ovc && kw > 0 && scratch.runs.len() > 1
+    }
+
+    /// Phase 2 of [`SortPipeline::sort_rows`]: merge the runs into one row
+    /// run — one pass of range-partitioned k-way merges for a coded sort
+    /// ([`SortPipeline::merge_ranges`]), the cascade for any other.
     fn merge_runs(&self, scratch: &mut Scratch) -> SortedRun {
+        let _merge = self.metrics.time_phase(Phase::Merge);
+        if self.coded(scratch) {
+            self.merge_ranges(scratch)
+        } else {
+            self.cascade(scratch)
+        }
+    }
+
+    /// Phase 2 of [`SortPipeline::sort`]: merge the runs straight into the
+    /// result's columns (DESIGN.md §10.3). The output is cut into ranges
+    /// ([`SortPipeline::plan_ranges`]) whose row counts are exact, so each
+    /// range owns a disjoint piece of every exactly pre-sized column and
+    /// the worker pool fills the pieces independently through
+    /// [`VectorSink`]s: the gather runs on every merge worker, batch by
+    /// batch, and what is left for one thread afterwards — clocked as
+    /// [`Phase::Gather`] — is one byte copy per range and VARCHAR column
+    /// and a splice of the validity masks. `input`'s string columns say
+    /// how many bytes to expect.
+    ///
+    /// A sort that is not coded first cascades its runs into one (the
+    /// paper's merge keeps materializing rows); that run, like the lone
+    /// run of an input no longer than `run_rows`, has nothing left to
+    /// merge and drains through the same sink as one range, on the calling
+    /// thread.
+    fn merge_into_vectors(&self, scratch: &mut Scratch, input: &DataChunk) -> DataChunk {
+        let merge_timer = self.metrics.time_phase(Phase::Merge);
+        let coded = self.coded(scratch);
+        if !coded {
+            let run = self.cascade(scratch);
+            scratch.runs.push(run);
+        }
+        let parts = self.plan_ranges(scratch);
+        let total: usize = scratch.runs.iter().map(|r| r.len()).sum();
+        let mut builder = ChunkBuilder::new(&self.types, total);
+        let tails: Vec<Mutex<Option<PieceTail>>> = (0..parts).map(|_| Mutex::new(None)).collect();
+        {
+            let Scratch {
+                runs, cuts, ranges, ..
+            } = &*scratch;
+            let range_rows = |p| range_rows(cuts, parts, p);
+            let rows = (0..parts).map(range_rows);
+            let pieces = builder.pieces(&self.layout, rows, string_bytes(input));
+            let mut pieces = pieces.into_iter();
+            let claim = move |_rows| Some(VectorSink::new(pieces.next()?, &self.pool));
+            let done = |p: usize, sink: VectorSink<'_>| {
+                let tail = sink.finish(&self.pool);
+                *tails[p].lock().unwrap_or_else(|e| e.into_inner()) = Some(tail);
+            };
+            self.merge_each_range((runs, cuts, ranges), parts, coded, claim, done);
+            if coded {
+                self.count_range_merge(cuts, parts);
+            }
+        }
+        for run in scratch.runs.drain(..) {
+            run.recycle(&self.pool);
+        }
+        drop(merge_timer);
+
+        let _join = self.metrics.time_phase(Phase::Gather);
+        let tails = tails
+            .into_iter()
+            .filter_map(|t| t.into_inner().unwrap_or_else(|e| e.into_inner()));
+        let chunk = builder.finish(tails.collect());
+        // A row's one move after run generation: its values into columns.
+        self.metrics.add(Counter::BytesMoved, column_bytes(&chunk));
+        chunk
+    }
+
+    /// The paper's merge (Figure 11), kept as the OVC-off path: cascade
+    /// 2-way merges until one run remains — which a lone run already is.
+    /// Pairing is deterministic — adjacent runs merge in order, an odd run
+    /// carries over to the next round *last* — and each round's merges
+    /// execute as a flat `pairs × parts` task grid on the worker pool.
+    fn cascade(&self, scratch: &mut Scratch) -> SortedRun {
         assert!(!scratch.runs.is_empty());
         let width = self.layout.width();
         let kw = scratch.runs.first().map_or(0, |r| r.key_width);
-        if self.options.ovc && kw > 0 && scratch.runs.len() > 1 {
-            return self.merge_ranges(scratch);
-        }
         let Scratch {
             ref mut runs,
             ref mut next_round,
@@ -592,32 +659,146 @@ impl SortPipeline {
         runs.pop().expect("cascade leaves exactly one run")
     }
 
-    /// Merge all runs in one pass of coded tree-of-losers merges, one per
-    /// key range (DESIGN.md §10.3): `parts − 1` splitters picked from
-    /// evenly spaced samples of the runs' key columns cut every run by
-    /// lower-bound binary search, each range claims its slice of the one
-    /// pre-sized output, and the worker pool merges the ranges
-    /// independently — `threads == 1` is `parts == 1` on the calling
-    /// thread. Each row moves once at any thread count, ⌈log₂ k⌉ coded
-    /// matches apiece, and no key column is written: nothing reads the
-    /// merged run's keys.
+    /// Cut the runs into the `parts` ranges one pass of merges fills
+    /// independently; `scratch.cuts` then holds every run's `parts + 1`
+    /// cuts (rows `c[p]..c[p + 1]` of a run fall in range `p`).
     ///
-    /// Output order is bit-identical to the cascade's, whatever `parts`
-    /// is: byte-equal keys never straddle a cut, so the ranges concatenate
-    /// to the stable merge by run index that one tree over whole runs
-    /// produces (a full tie goes to the lower leaf; the cascade lets the
-    /// earlier run win ties at every round), and the output heap is the
-    /// same run-order concatenation. A key value held by more than
+    /// Several runs are cut by key (DESIGN.md §10.3): `parts − 1` splitters
+    /// picked from evenly spaced samples of the runs' key columns cut every
+    /// run by lower-bound binary search. Byte-equal keys never straddle a
+    /// cut, so the ranges concatenate to the stable merge by run index that
+    /// one tree over whole runs produces; a key value held by more than
     /// `1/parts` of the rows makes its range that much larger than its
-    /// share — [`Counter::MergeMaxRangeRows`] reports it.
-    fn merge_ranges(&self, scratch: &mut Scratch) -> SortedRun {
+    /// share ([`Counter::MergeMaxRangeRows`]). A lone run has nothing to
+    /// cut by and is one range.
+    fn plan_ranges(&self, scratch: &mut Scratch) -> usize {
         let Scratch {
-            ref mut runs,
+            ref runs,
             ref mut samples,
             ref mut splitters,
             ref mut cuts,
-            ref mut heap_bases,
             ref mut ranges,
+            ..
+        } = *scratch;
+        let kw = runs.first().map_or(0, |r| r.key_width);
+        let total: usize = runs.iter().map(|r| r.len()).sum();
+        splitters.clear();
+        cuts.clear();
+        let parts = plan_parts(self.options.threads, kw, runs.len(), total);
+        if parts > 1 {
+            let mut keys: Vec<&[u8]> = std::mem::take(samples);
+            for run in runs.iter() {
+                let rows = sample_positions(run.len());
+                keys.extend(rows.map(|i| &run.keys[i * kw..(i + 1) * kw]));
+            }
+            choose_splitters(&mut keys, parts, splitters);
+            *samples = recycle_vec(keys);
+        }
+        for run in runs.iter() {
+            cuts.push(0);
+            let cut = |s| lower_bound(&run.keys, kw, s);
+            cuts.extend(splitters.chunks_exact(kw.max(1)).map(cut));
+            cuts.push(run.len());
+        }
+        let parts = splitters.len().checked_div(kw).unwrap_or(0) + 1;
+        if ranges.len() < parts {
+            ranges.resize_with(parts, Default::default);
+        }
+        parts
+    }
+
+    /// Merge every range of a plan ([`SortPipeline::plan_ranges`]) into the
+    /// sink `claim` hands out for it, on the worker pool — `parts == 1` on
+    /// the calling thread. Ranges are claimed in order under one lock,
+    /// `claim(rows)` taking the range's share off the front of whatever
+    /// output it guards (slices disjoint by construction, whichever worker
+    /// gets which); `done` gets each sink back once its range is in.
+    /// `coded` runs carry offset-value codes and merge on them; a lone run
+    /// drains straight through the kernel's one-leaf tree.
+    fn merge_each_range<K: MergeSink>(
+        &self,
+        (runs, cuts, ranges): (&[SortedRun], &[usize], &[Mutex<RangeScratch>]),
+        parts: usize,
+        coded: bool,
+        claim: impl FnMut(usize) -> Option<K> + Send,
+        done: impl Fn(usize, K) + Sync,
+    ) {
+        let (kw, tie_possible) = runs
+            .first()
+            .map_or((0, false), |r| (r.key_width, r.tie_possible));
+        let order = MergeOrder {
+            kw,
+            tie_possible,
+            tie_cmp: &self.tie_cmp,
+        };
+        let unclaimed = Mutex::new((0, claim));
+        let body = |_worker: usize| loop {
+            let (p, rows, mut sink) = {
+                let mut next = unclaimed.lock().unwrap_or_else(|e| e.into_inner());
+                let p = next.0;
+                if p >= parts {
+                    break;
+                }
+                let rows = range_rows(cuts, parts, p);
+                let Some(sink) = (next.1)(rows) else { break };
+                next.0 += 1;
+                (p, rows, sink)
+            };
+            if rows > 0 {
+                let mut range = ranges[p].lock().unwrap_or_else(|e| e.into_inner());
+                let RangeScratch { tree, sources } = &mut *range;
+                let mut cursors: Vec<MemSource<'_>> = std::mem::take(sources);
+                let run_cuts = runs.iter().zip(cuts.chunks_exact(parts + 1));
+                cursors.extend(run_cuts.map(|(run, c)| MemSource::range(run, c[p], c[p + 1])));
+                let merged = if coded {
+                    merge_kway::<true, _, _>(&order, tree, &mut cursors, rows, &mut sink)
+                } else {
+                    merge_kway::<false, _, _>(&order, tree, &mut cursors, rows, &mut sink)
+                };
+                merged
+                    // lint:allow(R010): in-memory sources never fail to
+                    // advance, their rows' strings lie in their own heaps,
+                    // and the sink holds exactly the range's rows.
+                    .expect("in-memory merge is infallible")
+                    .flush(&self.metrics);
+                *sources = recycle_vec(cursors);
+            }
+            done(p, sink);
+        };
+        if parts == 1 {
+            body(0);
+        } else {
+            self.worker_pool().broadcast(&body);
+        }
+    }
+
+    /// Count one pass of `parts` range merges: a round, its tasks, and the
+    /// rows of its largest range.
+    fn count_range_merge(&self, cuts: &[usize], parts: usize) {
+        self.metrics.add(Counter::MergeRounds, 1);
+        self.metrics.add(Counter::MergeTasks, parts as u64);
+        let max_range = (0..parts).map(|p| range_rows(cuts, parts, p)).max();
+        self.metrics
+            .add(Counter::MergeMaxRangeRows, max_range.unwrap_or(0) as u64);
+    }
+
+    /// Merge all runs into one row run in one pass of coded tree-of-losers
+    /// merges, one per key range: each range claims its slice of the one
+    /// pre-sized row area. Each row moves once at any thread count,
+    /// ⌈log₂ k⌉ coded matches apiece, and no key column is written: nothing
+    /// reads the merged run's keys.
+    ///
+    /// Output order is bit-identical to the cascade's, whatever `parts`
+    /// is (a full tie goes to the lower leaf; the cascade lets the earlier
+    /// run win ties at every round), and the output heap is the same
+    /// run-order concatenation.
+    fn merge_ranges(&self, scratch: &mut Scratch) -> SortedRun {
+        let parts = self.plan_ranges(scratch);
+        let Scratch {
+            ref mut runs,
+            ref cuts,
+            ref mut heap_bases,
+            ref ranges,
             ..
         } = *scratch;
         let width = self.layout.width();
@@ -625,34 +806,6 @@ impl SortPipeline {
             .first()
             .map_or((0, false), |r| (r.key_width, r.tie_possible));
         let total: usize = runs.iter().map(|r| r.len()).sum();
-
-        splitters.clear();
-        let parts = plan_parts(self.options.threads, kw, runs.len(), total);
-        if parts > 1 {
-            let mut keys: Vec<&[u8]> = std::mem::take(samples);
-            for run in runs.iter() {
-                keys.extend(sample_positions(run.len()).map(|i| &run.keys[i * kw..(i + 1) * kw]));
-            }
-            choose_splitters(&mut keys, parts, splitters);
-            *samples = recycle_vec(keys);
-        }
-        // Rows `c[p]..c[p + 1]` of a run fall in range `p`, `c` being the
-        // run's chunk of `parts + 1` cuts.
-        let parts = splitters.len() / kw + 1;
-        cuts.clear();
-        for run in runs.iter() {
-            cuts.push(0);
-            cuts.extend(
-                splitters
-                    .chunks_exact(kw)
-                    .map(|s| lower_bound(&run.keys, kw, s)),
-            );
-            cuts.push(run.len());
-        }
-        let range_rows = |p: usize| -> usize {
-            let in_range = |c: &[usize]| c[p + 1] - c[p];
-            cuts.chunks_exact(parts + 1).map(in_range).sum()
-        };
 
         // Output heap = run heaps concatenated in run order (matching the
         // cascade's a.heap ++ b.heap at every level); rows from run `w`
@@ -668,68 +821,23 @@ impl SortPipeline {
         }
         let mut data = self.pool.get_bytes(total * width);
         data.resize(total * width, 0);
-        if ranges.len() < parts {
-            ranges.resize_with(parts, Default::default);
-        }
-
         {
-            let order = MergeOrder {
-                kw,
-                tie_possible,
-                tie_cmp: &self.tie_cmp,
-            };
-            let (runs, cuts, heap_bases, ranges) = (&**runs, &**cuts, &**heap_bases, &**ranges);
-            // Ranges are claimed in order under one lock, each taking its
-            // rows' slots off the front of the unclaimed output: slices
-            // disjoint by construction, whichever worker gets which.
-            let unclaimed = Mutex::new((0, &mut data[..]));
-            let body = |_worker: usize| loop {
-                let (p, out) = {
-                    let mut next = unclaimed.lock().unwrap_or_else(|e| e.into_inner());
-                    let p = next.0;
-                    if p >= parts {
-                        break;
-                    }
-                    let (out, rest) =
-                        std::mem::take(&mut next.1).split_at_mut(range_rows(p) * width);
-                    *next = (p + 1, rest);
-                    (p, out)
-                };
-                if out.is_empty() {
-                    continue;
-                }
-                let mut range = ranges[p].lock().unwrap_or_else(|e| e.into_inner());
-                let RangeScratch { tree, sources } = &mut *range;
-                let mut cursors: Vec<MemSource<'_>> = std::mem::take(sources);
-                let run_cuts = runs.iter().zip(cuts.chunks_exact(parts + 1));
-                cursors.extend(run_cuts.map(|(run, c)| MemSource::range(run, c[p], c[p + 1])));
-                let rows = out.len() / width;
-                let mut sink = ConcatSink {
+            let mut rest = &mut data[..];
+            let heap_base = &**heap_bases;
+            let claim = move |rows: usize| {
+                let (out, tail) = std::mem::take(&mut rest).split_at_mut(rows * width);
+                rest = tail;
+                Some(ConcatSink {
                     rows: out.chunks_exact_mut(width),
-                    heap_base: heap_bases,
+                    heap_base,
                     layout: &self.layout,
                     varlen_cols: &self.varlen_cols,
-                };
-                merge_kway::<true, _, _>(&order, tree, &mut cursors, rows, &mut sink)
-                    // lint:allow(R010): in-memory sources never fail to
-                    // advance, and the sink holds exactly the range's
-                    // rows and a heap base per run.
-                    .expect("in-memory merge is infallible")
-                    .flush(&self.metrics);
-                *sources = recycle_vec(cursors);
+                })
             };
-            if parts == 1 {
-                body(0);
-            } else {
-                self.worker_pool().broadcast(&body);
-            }
+            self.merge_each_range((runs, cuts, ranges), parts, true, claim, |_, _| ());
         }
-        // One round of `parts` tasks; a row's one move writes `width` bytes.
-        self.metrics.add(Counter::MergeRounds, 1);
-        self.metrics.add(Counter::MergeTasks, parts as u64);
-        let max_range = (0..parts).map(range_rows).max().unwrap_or(0);
-        self.metrics
-            .add(Counter::MergeMaxRangeRows, max_range as u64);
+        // A row's one move writes `width` bytes.
+        self.count_range_merge(cuts, parts);
         self.metrics
             .add(Counter::BytesMoved, (total * width) as u64);
 
@@ -874,6 +982,12 @@ impl SortPipeline {
     fn shift_heap_offsets(&self, out_row: &mut [u8], heap_shift: u32) {
         crate::merge::shift_heap_offsets(&self.layout, &self.varlen_cols, out_row, heap_shift);
     }
+}
+
+/// Rows of range `p` over all runs, `cuts` holding `parts + 1` cuts per run.
+fn range_rows(cuts: &[usize], parts: usize, p: usize) -> usize {
+    let in_range = |c: &[usize]| c[p + 1] - c[p];
+    cuts.chunks_exact(parts + 1).map(in_range).sum()
 }
 
 /// A sorted relation in row form, borrowed from its pipeline's buffer

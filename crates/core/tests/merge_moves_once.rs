@@ -1,6 +1,7 @@
 //! The coded in-memory merge is one range-partitioned k-way pass: at any
-//! thread count every row moves once, the merged run gets no key column,
-//! and the output is bit-identical to the `ovc: false` Merge-Path cascade.
+//! thread count every row moves once — straight into the output vectors,
+//! no merged row run in between — and the output is bit-identical to the
+//! `ovc: false` Merge-Path cascade.
 //!
 //! A gate without a clock: everything asserted here is a counter value or
 //! a row-for-row comparison. (At the commit before this file the coded
@@ -48,13 +49,22 @@ fn sort_keyed(
     (sorted, profile.metrics, profile.key_width as usize)
 }
 
-/// Bytes one row costs run generation (staged row, encoded key entry
-/// with its 4-byte row id, stripped key, reordered row) and bytes per row
-/// slot.
-fn per_row_bytes(chunk: &DataChunk, key_width: usize) -> (u64, u64) {
+/// Bytes one row costs run generation: staged row, encoded key entry
+/// with its 4-byte row id, stripped key, reordered row.
+fn run_generation_bytes(chunk: &DataChunk, key_width: usize) -> u64 {
     let width = RowLayout::new(&chunk.types()).width();
-    let run_generation = 2 * width + (key_width + 4) + key_width;
-    (run_generation as u64, width as u64)
+    (2 * width + (key_width + 4) + key_width) as u64
+}
+
+/// Bytes the merge writes to the output columns, which hold what the
+/// input's do: every fixed-width value, a 4-byte offset per string, and
+/// the strings' bytes (none for a NULL).
+fn column_bytes(chunk: &DataChunk) -> u64 {
+    let bytes = |col: &Vector| match col.as_strings() {
+        Some(strings) => 4 * col.len() + strings.total_bytes(),
+        None => col.logical_type().fixed_width().unwrap() * col.len(),
+    };
+    chunk.columns().iter().map(bytes).sum::<usize>() as u64
 }
 
 /// 8 runs of random `u32` key + `u32` payload.
@@ -118,15 +128,16 @@ fn coded_merge_moves_each_row_once_at_any_thread_count() {
                 ovc: true,
             };
             let (coded, m, key_width) = sort_keyed(&chunk, &order, options);
-            let (run_generation, width) = per_row_bytes(&chunk, key_width);
+            let run_generation = run_generation_bytes(&chunk, key_width);
             assert_eq!(key_width, planned_key_width, "{what}: one plan");
             assert_eq!(m.counter(Counter::RunsGenerated), 8, "{what}");
             assert_eq!(m.counter(Counter::MergeRounds), 1, "{what}: one pass");
-            // Run generation, then `width` bytes per row — the merged run
-            // has no key column. The same at every thread count.
+            // Run generation, then each value once, into its column: no
+            // merged row run (`rows × width` until PR 20), no key column.
+            // The same at every thread count.
             assert_eq!(
                 m.counter(Counter::BytesMoved),
-                rows * run_generation + rows * width,
+                rows * run_generation + column_bytes(&chunk),
                 "{what}: bytes moved"
             );
             let ranges = ranges_for(threads, chunk.len());

@@ -170,6 +170,11 @@ fn sort_detail(profile: &rowsort_core::SortProfile) -> String {
             let _ = write!(s, " {}={:.3}ms", ph.name(), ns as f64 / 1e6);
         }
     }
+    // Where the merge put its winners: straight into the result's vectors
+    // (the gather is then inside the merge phase), or a row run.
+    if profile.sink != "none" {
+        let _ = write!(s, " sink={}", profile.sink);
+    }
     // The key the sort planned: its width, and the VARCHAR prefix sized
     // from the input's strings when there is one (12 is the paper's rule).
     if profile.key_width > 0 {
@@ -893,6 +898,7 @@ mod tests {
         assert!(text.contains("ms"), "{text}");
         // The Sort node carries the sort operator's own phase attribution.
         assert!(text.contains("run_generation="), "{text}");
+        assert!(text.contains(" sink=vectors "), "{text}");
         // Pre-order indentation: Scan is the deepest node.
         let scan_line = text.lines().find(|l| l.contains("Scan")).unwrap();
         assert!(scan_line.starts_with("      "), "{text}");
@@ -946,6 +952,8 @@ mod tests {
             sort_detail(&planned),
             " key=36B prefix=20 tie_rows=5584 tie_ranges=642"
         );
+        planned.sink = "vectors";
+        assert!(sort_detail(&planned).starts_with(" sink=vectors key=36B"));
         assert_eq!(short_count(9_999), "9999");
         assert_eq!(short_count(12_500_000), "13M");
     }

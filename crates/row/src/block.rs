@@ -1,14 +1,15 @@
 //! Buffers of fixed-width rows.
 
+use crate::gather::{ChunkBuilder, ChunkPiece, BATCH_ROWS};
 use crate::layout::RowLayout;
-use rowsort_vector::{DataChunk, LogicalType, StringVec, Validity, Value, Vector, VectorData};
+use rowsort_vector::{DataChunk, LogicalType, Value, Vector, VectorData};
 use std::sync::Arc;
 
 /// Read a fixed-width array out of a byte slice. Infallible by type: the
 /// width is a const parameter, so there is no fallible `try_into` — bounds
 /// are enforced by the slice operation itself.
 #[inline]
-fn read_array<const W: usize>(bytes: &[u8], at: usize) -> [u8; W] {
+pub(crate) fn read_array<const W: usize>(bytes: &[u8], at: usize) -> [u8; W] {
     let mut buf = [0u8; W];
     buf.copy_from_slice(&bytes[at..at + W]);
     buf
@@ -308,144 +309,63 @@ impl RowBlock {
     /// Convert the whole block back to a chunk (NSM → DSM gather), in row
     /// order.
     pub fn to_chunk(&self) -> DataChunk {
-        let order: Vec<u32> = (0..self.len as u32).collect();
-        self.gather(&order)
+        self.gather_with(self.len, |piece| piece.push_rows(&self.data, &self.heap))
     }
 
     /// Gather the given rows, in the given order, into a chunk.
     ///
     /// This is the NSM → DSM conversion at the end of the sorting pipeline
-    /// (Figure 1's right-hand side); it runs one column at a time on the
-    /// typed fast path.
+    /// (Figure 1's right-hand side): the rows pass through
+    /// [`crate::gather`]'s typed column passes a batch at a time. A VARCHAR
+    /// column is checked as UTF-8 once; a heap that is not UTF-8 string by
+    /// string (only [`RowBlock::from_raw_parts`] can carry one) is read
+    /// lossily, each string with its own replacement characters — see
+    /// [`RowBlock::value`] on the same choice. NULL slots contribute an
+    /// empty string and their offset/length bytes are never read.
+    ///
+    /// # Panics
+    /// If an index is out of bounds, or a VARCHAR slot of a named row does
+    /// not lie inside the heap.
     pub fn gather(&self, order: &[u32]) -> DataChunk {
-        let columns: Vec<Vector> = (0..self.layout.column_count())
-            .map(|c| self.gather_column(c, order))
-            .collect();
-        // lint:allow(R010): gather_column builds one vector per
-        // column, each exactly `order.len()` long, so from_columns cannot
-        // fail.
-        DataChunk::from_columns(columns).expect("equal lengths by construction")
+        let width = self.width();
+        let mut batch = Vec::with_capacity(BATCH_ROWS.min(order.len()) * width);
+        self.gather_with(order.len(), |piece| {
+            for picks in order.chunks(BATCH_ROWS) {
+                batch.clear();
+                for &r in picks {
+                    batch.extend_from_slice(self.row(r as usize));
+                }
+                piece.push_rows(&batch, &self.heap)?;
+            }
+            Ok(())
+        })
     }
 
-    fn gather_column(&self, col: usize, order: &[u32]) -> Vector {
-        let width = self.width();
-        let slot = self.layout.offset(col);
-        let null_off = self.layout.null_offset(col);
-        let d = &self.data;
-
-        macro_rules! gather_fixed {
-            ($t:ty, $ctor:expr) => {{
-                let mut vals: Vec<$t> = Vec::with_capacity(order.len());
-                for &r in order {
-                    let at = r as usize * width + slot;
-                    vals.push(<$t>::from_le_bytes(read_array(d, at)));
-                }
-                $ctor(vals)
-            }};
-        }
-
-        let mut vec = match self.layout.types()[col] {
-            LogicalType::Boolean => {
-                let mut vals = Vec::with_capacity(order.len());
-                for &r in order {
-                    vals.push(d[r as usize * width + slot] != 0);
-                }
-                Vector::from_bools(vals)
-            }
-            LogicalType::Int8 => {
-                let mut vals = Vec::with_capacity(order.len());
-                for &r in order {
-                    vals.push(d[r as usize * width + slot] as i8);
-                }
-                Vector::from_i8s(vals)
-            }
-            LogicalType::UInt8 => {
-                let mut vals = Vec::with_capacity(order.len());
-                for &r in order {
-                    vals.push(d[r as usize * width + slot]);
-                }
-                Vector::from_u8s(vals)
-            }
-            LogicalType::Int16 => gather_fixed!(i16, Vector::from_i16s),
-            LogicalType::UInt16 => gather_fixed!(u16, Vector::from_u16s),
-            LogicalType::Int32 => gather_fixed!(i32, Vector::from_i32s),
-            LogicalType::UInt32 => gather_fixed!(u32, Vector::from_u32s),
-            LogicalType::Date => gather_fixed!(i32, Vector::from_dates),
-            LogicalType::Int64 => gather_fixed!(i64, Vector::from_i64s),
-            LogicalType::UInt64 => gather_fixed!(u64, Vector::from_u64s),
-            LogicalType::Timestamp => gather_fixed!(i64, Vector::from_timestamps),
-            LogicalType::Float32 => gather_fixed!(f32, Vector::from_f32s),
-            LogicalType::Float64 => gather_fixed!(f64, Vector::from_f64s),
-            LogicalType::Varchar => return self.gather_strings(col, order),
-        };
-        for (i, &r) in order.iter().enumerate() {
-            if d[r as usize * width + null_off] != 0 {
-                vec.set_null(i);
-            }
-        }
-        vec
-    }
-
-    /// Gather a VARCHAR column in bulk: a length pass over the slots sizes
-    /// the byte buffer exactly and yields the offsets and the NULL mask, a
-    /// copy pass appends each string's heap bytes, and UTF-8 is checked
-    /// once for the whole column. NULL slots contribute an empty string
-    /// and their offset/length bytes are never read.
-    fn gather_strings(&self, col: usize, order: &[u32]) -> Vector {
-        let width = self.width();
-        let slot = self.layout.offset(col);
-        let null_off = self.layout.null_offset(col);
-        let d = &self.data;
-
-        let mut validity = Validity::new_valid(order.len());
-        let mut offsets: Vec<u32> = Vec::with_capacity(order.len() + 1);
-        let mut total = 0u32;
-        offsets.push(total);
-        for (i, &r) in order.iter().enumerate() {
-            let row_start = r as usize * width;
-            if d[row_start + null_off] != 0 {
-                validity.set_invalid(i);
-            } else {
-                let len = u32::from_le_bytes(read_array(d, row_start + slot + 4));
-                // lint:allow(R010): a column beyond 4 GiB cannot be
-                // represented by `StringVec`'s u32 offsets at all; same
-                // capacity bound as `scatter_column`'s.
-                total = total.checked_add(len).expect("string column exceeds 4 GiB");
-            }
-            offsets.push(total);
-        }
-
-        // Exact whenever `order` names each row at most once; the heap
-        // length bounds what slots read from outside the program can ask for.
-        let mut bytes: Vec<u8> = Vec::with_capacity((total as usize).min(self.heap.len()));
-        for ((&r, &lo), &hi) in order.iter().zip(&offsets).zip(offsets.iter().skip(1)) {
-            // Empty for NULL slots, whose offset bytes may be garbage.
-            let len = (hi - lo) as usize;
-            if len != 0 {
-                let at = r as usize * width + slot;
-                let off = u32::from_le_bytes(read_array(d, at)) as usize;
-                bytes.extend_from_slice(&self.heap[off..off + len]);
-            }
-        }
-
-        let strings = StringVec::from_parts(offsets, bytes).unwrap_or_else(|| {
-            // Lossy on purpose — see `value` on the same choice. A heap
-            // that is not UTF-8 string by string (only `from_raw_parts`
-            // can carry one) takes the per-string path, so each string
-            // gets its own replacement characters.
-            let lossy = |(i, &r): (usize, &u32)| {
-                if validity.is_valid(i) {
-                    String::from_utf8_lossy(self.string_bytes(r as usize, col))
-                } else {
-                    std::borrow::Cow::Borrowed("")
-                }
-            };
-            order.iter().enumerate().map(lossy).collect()
+    /// A chunk of `rows` rows, filled by `fill` as one piece.
+    fn gather_with(
+        &self,
+        rows: usize,
+        mut fill: impl FnMut(&mut ChunkPiece<'_>) -> Result<(), &'static str>,
+    ) -> DataChunk {
+        let mut builder = ChunkBuilder::new(self.layout.types(), rows);
+        // Rows scattered from vectors name each heap byte once: an even
+        // share per VARCHAR column is the right order of magnitude, and
+        // exact for one; a gather of fewer rows than the block holds
+        // expects as much less.
+        let varchars = self.layout.types().iter();
+        let varchars = varchars.filter(|&&ty| ty == LogicalType::Varchar).count();
+        let share = self.heap.len().checked_div(varchars).unwrap_or(0);
+        let part = share as u128 * rows as u128 / self.len.max(1) as u128;
+        let share = share.min(part as usize);
+        let pieces = builder.pieces(&self.layout, [rows], |_| share);
+        let filled = pieces.into_iter().map(|mut piece| {
+            // lint:allow(R010): a slot outside the heap is the caller's
+            // broken block — the documented panic.
+            fill(&mut piece).expect("row slots must lie inside the block's heap");
+            piece.finish()
         });
-        Vector::from_parts(VectorData::Varchar(strings), validity)
-            // lint:allow(R010): `strings` and `validity` both hold
-            // exactly one entry per element of `order`.
-            .expect("equal lengths by construction")
+        let tails = filled.collect();
+        builder.finish(tails)
     }
 
     /// Physically reorder rows into a new block (the payload-reorder step

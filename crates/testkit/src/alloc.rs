@@ -19,16 +19,28 @@
 //! the system allocator. [`allocated_bytes`] reads the same events in
 //! bytes, for budgets of the form "this call requests no more memory than
 //! that one" — a copy of a relation shows up as its size, on any host and
-//! without a clock.
+//! without a clock. [`peak_bytes`] is the other budget, "this call never
+//! holds more than that at once": frees do count there, so a buffer that
+//! lives only inside the call shows up in its peak and nowhere else.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 static ALLOCATED_BYTES: AtomicUsize = AtomicUsize::new(0);
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
 
 /// Forwarding allocator that counts `alloc`/`realloc` calls.
 pub struct CountingAllocator;
+
+/// Count one allocation call that asked the system for `bytes` more.
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    ALLOCATED_BYTES.fetch_add(bytes, Ordering::Relaxed);
+    let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
 
 // SAFETY: every method forwards verbatim to `System`, which upholds the
 // GlobalAlloc contract; the counter update has no effect on the returned
@@ -36,31 +48,31 @@ pub struct CountingAllocator;
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: forwards to `System` under the caller's own layout contract.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: same layout contract as our own caller's.
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: forwards to `System` under the caller's own layout contract.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        ALLOCATED_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: same layout contract as our own caller's.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     // SAFETY: forwards to `System`; `ptr` came from `alloc` above.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         // SAFETY: `ptr` was produced by the matching `alloc` above.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     // SAFETY: forwards to `System` under the caller's realloc contract.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // Only growth asks the system for memory; a shrink counts nothing.
-        ALLOCATED_BYTES.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
+        // Only growth asks the system for memory; a shrink counts nothing
+        // as requested, and gives its bytes back to the live count.
+        LIVE_BYTES.fetch_sub(layout.size().saturating_sub(new_size), Ordering::Relaxed);
+        count(new_size.saturating_sub(layout.size()));
         // SAFETY: `ptr`/`layout` follow the caller's realloc contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -78,6 +90,17 @@ pub fn allocation_count() -> usize {
 /// readings is what a region asked the allocator for, not what it holds.
 pub fn allocated_bytes() -> usize {
     ALLOCATED_BYTES.load(Ordering::Relaxed)
+}
+
+/// The most bytes that were live at once since the last [`reset_peak`]
+/// (since process start, before the first).
+pub fn peak_bytes() -> usize {
+    PEAK_BYTES.load(Ordering::Relaxed)
+}
+
+/// Restart [`peak_bytes`] from the bytes live now.
+pub fn reset_peak() {
+    PEAK_BYTES.store(LIVE_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
 #[cfg(test)]

@@ -54,18 +54,27 @@ impl StringVec {
     }
 
     /// Assemble a column from an offsets vector and the byte buffer it
-    /// indexes, or `None` unless they describe valid strings: `offsets`
-    /// starts at 0, never decreases and ends at `bytes.len()`, `bytes` is
-    /// UTF-8 as a whole, and every offset falls on a character boundary.
-    /// One validation pass per column, where a `push` per string would
-    /// validate (and grow) once per value.
-    pub fn from_parts(offsets: Vec<u32>, bytes: Vec<u8>) -> Option<StringVec> {
-        let text = std::str::from_utf8(&bytes).ok()?;
-        let framed = offsets.first() == Some(&0)
-            && offsets.last().map(|&end| end as usize) == Some(bytes.len())
-            && offsets.windows(2).all(|w| w[0] <= w[1])
-            && offsets.iter().all(|&o| text.is_char_boundary(o as usize));
-        framed.then_some(StringVec { offsets, bytes })
+    /// indexes: one validation pass per column, where a `push` per string
+    /// would validate (and grow) once per value. The parts are taken as
+    /// they are if they describe valid strings — `offsets` starts at 0,
+    /// never decreases and ends at `bytes.len()`, `bytes` is UTF-8 as a
+    /// whole, and every offset falls on a character boundary. Bytes that
+    /// came from outside the program may not: then each string — `bytes`
+    /// between two neighbouring offsets, empty where they frame nothing —
+    /// gets its own replacement characters.
+    pub fn from_parts_lossy(offsets: Vec<u32>, bytes: Vec<u8>) -> StringVec {
+        if well_formed(&offsets, &bytes) {
+            return StringVec { offsets, bytes };
+        }
+        let string = |w: &[u32]| bytes.get(w[0] as usize..w[1] as usize).unwrap_or_default();
+        let lossy = |w: &[u32]| String::from_utf8_lossy(string(w));
+        offsets.windows(2).map(lossy).collect()
+    }
+
+    /// Make room for `rows` more strings holding `bytes` bytes in all.
+    pub fn reserve(&mut self, rows: usize, bytes: usize) {
+        self.offsets.reserve(rows);
+        self.bytes.reserve(bytes);
     }
 
     /// Append strings `start..end` of `other`: one byte copy plus rebased
@@ -137,6 +146,18 @@ impl StringVec {
     pub fn max_len(&self) -> usize {
         (0..self.len()).map(|i| self.byte_len(i)).max().unwrap_or(0)
     }
+}
+
+/// Whether `offsets` frames `bytes` as strings
+/// ([`StringVec::from_parts_lossy`]).
+fn well_formed(offsets: &[u32], bytes: &[u8]) -> bool {
+    let Ok(text) = std::str::from_utf8(bytes) else {
+        return false;
+    };
+    offsets.first() == Some(&0)
+        && offsets.last().map(|&end| end as usize) == Some(bytes.len())
+        && offsets.windows(2).all(|w| w[0] <= w[1])
+        && offsets.iter().all(|&o| text.is_char_boundary(o as usize))
 }
 
 impl<S: AsRef<str>> FromIterator<S> for StringVec {
@@ -218,23 +239,40 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_accepts_only_well_framed_utf8() {
-        let bytes = "aé€".as_bytes().to_vec(); // 1 + 2 + 3 bytes
-        let v = StringVec::from_parts(vec![0, 1, 3, 3, 6], bytes.clone()).unwrap();
-        assert_eq!(v.iter().collect::<Vec<_>>(), ["a", "é", "", "€"]);
-        assert_eq!(
-            StringVec::from_parts(vec![0], Vec::new()),
-            Some(StringVec::new())
-        );
+    fn only_well_framed_utf8_is_taken_as_it_is() {
+        let bytes = "aé€".as_bytes(); // 1 + 2 + 3 bytes
+        assert!(well_formed(&[0, 1, 3, 3, 6], bytes));
+        assert!(well_formed(&[0], &[]));
         // An offset inside a character, a short or long frame, a
         // decreasing pair, a missing leading 0, invalid bytes.
-        assert_eq!(StringVec::from_parts(vec![0, 2, 6], bytes.clone()), None);
-        assert_eq!(StringVec::from_parts(vec![0, 1, 3], bytes.clone()), None);
-        assert_eq!(StringVec::from_parts(vec![0, 7], bytes.clone()), None);
-        assert_eq!(StringVec::from_parts(vec![0, 3, 1, 6], bytes.clone()), None);
-        assert_eq!(StringVec::from_parts(vec![1, 6], bytes.clone()), None);
-        assert_eq!(StringVec::from_parts(Vec::new(), Vec::new()), None);
-        assert_eq!(StringVec::from_parts(vec![0, 1], vec![0xFF]), None);
+        assert!(!well_formed(&[0, 2, 6], bytes));
+        assert!(!well_formed(&[0, 1, 3], bytes));
+        assert!(!well_formed(&[0, 7], bytes));
+        assert!(!well_formed(&[0, 3, 1, 6], bytes));
+        assert!(!well_formed(&[1, 6], bytes));
+        assert!(!well_formed(&[], &[]));
+        assert!(!well_formed(&[0, 1], &[0xFF]));
+    }
+
+    #[test]
+    fn from_parts_lossy_replaces_string_by_string() {
+        let valid = StringVec::from_parts_lossy(vec![0, 1, 3, 3], "aé".as_bytes().to_vec());
+        assert_eq!(valid.iter().collect::<Vec<_>>(), ["a", "é", ""]);
+        assert_eq!(
+            StringVec::from_parts_lossy(vec![0], Vec::new()),
+            StringVec::new()
+        );
+        // A frame reaching past the bytes holds nothing.
+        let long = StringVec::from_parts_lossy(vec![0, 1, 7], b"ab".to_vec());
+        assert_eq!(long.iter().collect::<Vec<_>>(), ["a", ""]);
+        // "é" cut between two strings: UTF-8 as a whole, not string by string.
+        let split = StringVec::from_parts_lossy(vec![0, 2, 2, 4], b"x\xC3\xA9y".to_vec());
+        assert_eq!(
+            split.iter().collect::<Vec<_>>(),
+            ["x\u{FFFD}", "", "\u{FFFD}y"]
+        );
+        let bad = StringVec::from_parts_lossy(vec![0, 1, 2], vec![0xFF, b'k']);
+        assert_eq!(bad.iter().collect::<Vec<_>>(), ["\u{FFFD}", "k"]);
     }
 
     #[test]

@@ -59,11 +59,12 @@ cargo test -q -p lint --offline
 # --- 3a. The differential oracle ---------------------------------------------
 # One generator over schema × values × NULLs × duplicates × VARCHAR shapes
 # × ORDER BY × options, every entry point (pipeline, external, engine under
-# each system profile and spilling), three checks: against the reference
-# sort, bit-identity inside an entry point, typed-or-right under faults
-# (DESIGN.md §8). It runs inside step 3 too; the named step makes an oracle
-# failure print its minimal input and its `TESTKIT_SEED=… cargo test <name>`
-# replay line on its own, ahead of the rest of the suite.
+# each system profile and spilling), four checks: against the reference
+# sort, bit-identity inside an entry point, typed-or-right under faults,
+# vectors merged into == row twins converted (DESIGN.md §8). It runs
+# inside step 3 too; the named step makes an oracle failure print its
+# minimal input and its `TESTKIT_SEED=… cargo test <name>` replay line on
+# its own, ahead of the rest of the suite.
 echo "== differential oracle =="
 cargo test -q -p rowsort-bench --offline --test oracle
 
@@ -83,10 +84,11 @@ echo "== cargo build --benches --offline =="
 cargo build --benches --workspace --offline
 
 # --- 5. Traced sort smoke --------------------------------------------------
-# Runs pipeline + external sorts with ROWSORT_TRACE=1 and validates every
-# emitted JSON line against the documented trace schema (DESIGN.md §7.5)
-# using testkit's JSON parser. Fails the build on schema drift. The trace
-# file is kept under target/perf/ and uploaded as a CI artifact.
+# Runs pipeline (vectors out and rows out) + external sorts with
+# ROWSORT_TRACE=1 and validates every emitted JSON line against the
+# documented trace schema (DESIGN.md §7.5) using testkit's JSON parser.
+# Fails the build on schema drift. The trace file is kept under
+# target/perf/ and uploaded as a CI artifact.
 echo "== traced sort smoke =="
 mkdir -p target/perf
 trace_jsonl="$PWD/target/perf/trace_smoke.jsonl"
@@ -100,12 +102,16 @@ cargo run --release --offline -q -p rowsort-bench --bin trace_smoke -- "$trace_j
 # (step 3a). The spill merge reads
 # every run file once: bytes read at the SpillIo handles == bytes written
 # at one merge thread, at most two blocks per run and splitter more above
-# it, rows the pipeline's at every thread count. Both run inside step 3
-# too; the named step makes a regression in a merge's shape fail on its
-# own line.
+# it, rows the pipeline's at every thread count. Both sorters merge
+# straight into the output vectors: the most bytes a warm sort holds at
+# once stays under what it held when it built a merged row run first, by
+# that run's row area (peak live bytes from testkit's counting allocator,
+# one thread, exact). All three run inside step 3 too; the named step
+# makes a regression in a merge's shape fail on its own line.
 echo "== merge counter gates =="
 cargo test -q -p rowsort-core --offline --test merge_moves_once
 cargo test -q -p rowsort-core --offline --test spill_reads_once
+cargo test -q -p rowsort-core --offline --test peak_heap
 
 # --- 6. Bench counter gate ---------------------------------------------------
 # The inputs of the pipeline and spill_merge benches, sorted once each on
