@@ -38,13 +38,15 @@ const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_counter
 
 /// Counters that two runs of one binary can disagree on: left out of the
 /// file by name rather than compared with a tolerance.
-const UNGATED: [(Counter, &str); 3] = [
+const UNGATED: [(Counter, &str); 5] = [
     (
         Counter::PoolHits,
         "at threads > 1 a buffer is recycled before or after another worker asks for its class",
     ),
     (Counter::PoolMisses, "the other side of pool_hits"),
     (Counter::BroadcastNs, "a clock"),
+    (Counter::SpillGenerateNs, "a clock"),
+    (Counter::SpillWriteNs, "a clock"),
 ];
 
 /// What the measured sort of every id counted, keyed `(id, counter)`.

@@ -16,8 +16,11 @@
 //! to clock), a planned key (`key_width`, `varchar_prefix`) and tie
 //! counters (`run_tie_ranges`, `run_tie_rows`, `pdq_sorts`) that agree,
 //! and a merge shape (`merge_rounds`, `merge_tasks`,
-//! `merge_max_range_rows`) that adds up. Exits non-zero on any violation,
-//! so CI catches schema drift the moment it happens.
+//! `merge_max_range_rows`) that adds up, and — on the external line — the
+//! spill workers' busy time (`spill_generate_ns`, `spill_write_ns`): both
+//! clocked, together no more than the phase once per worker. Exits
+//! non-zero on any violation, so CI catches schema drift the moment it
+//! happens.
 
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
 use rowsort_core::metrics::{Counter, Phase};
@@ -220,6 +223,20 @@ fn main() {
             die(&format!(
                 "line {line_no}: largest of {ranges} ranges holds {max_range} of \
                  {rows} rows after {rounds} round(s)"
+            ));
+        }
+        // The spill phase: its workers' busy time, summed over them, fits
+        // in the phase's wall time once per worker (a worker per thread,
+        // or per run if fewer) — and only an external sort has any.
+        let spill_ns = num_field(phases, Phase::Spill.name(), line_no);
+        let runs = count(Counter::SpilledRuns) + count(Counter::SpillMemFallbackRuns);
+        let workers = runs.min(ExternalSortOptions::default().merge_threads as f64);
+        let busy = [Counter::SpillGenerateNs, Counter::SpillWriteNs].map(count);
+        let clocked = busy.iter().all(|&ns| ns > 0.0);
+        if (operator == "external") != clocked || busy.iter().sum::<f64>() > workers * spill_ns {
+            die(&format!(
+                "line {line_no}: operator '{operator}' spent {spill_ns}ns in the spill phase, \
+                 {workers} workers busy {busy:?}ns (generate, write)"
             ));
         }
         operators.push(operator);

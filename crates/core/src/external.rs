@@ -8,19 +8,26 @@
 //! unified way" so performance degrades gracefully. [`ExternalSorter`]
 //! does exactly that:
 //!
-//! 1. **Run generation** under a row budget: each run is built by the
-//!    in-memory pipeline's own run generator ([`crate::run`]), then
-//!    *spilled* to a temporary file as self-contained records
-//!    (`key ‖ payload row ‖ per-row string segment`) in hash-sealed blocks
-//!    of at most 64 KiB, streamed through one pooled buffer, so a run's
-//!    memory is back in the pool before the next run is built. What the
-//!    merge needs to find its way around the file — one index entry per
-//!    block — stays in memory beside the run handle.
+//! 1. **Run generation** under a row budget: run `i` is input rows
+//!    `[i · memory_limit_rows, (i + 1) · memory_limit_rows)` — a function
+//!    of the limit alone — and the worker pool claims runs whole, in
+//!    index order (Figure 11's thread-local run generation): a worker
+//!    builds the run it claimed with the in-memory pipeline's own run
+//!    generator ([`crate::run`]), *spills* it to a temporary file as
+//!    self-contained records (`key ‖ payload row ‖ per-row string
+//!    segment`) in hash-sealed blocks of at most 64 KiB, streamed through
+//!    one pooled buffer, and reuses the run's buffers for its next claim —
+//!    so one worker encodes and writes while another sorts, one run per
+//!    worker is resident, and the files are byte-identical at any thread
+//!    count. Those buffers end with the phase. What the merge needs to
+//!    find its way around a file — one index entry per block — stays in
+//!    memory beside the run handle.
 //! 2. **Streaming merge**: the shared merge kernel ([`crate::merge`]) over
 //!    [`RunCursor`]s pops one record at a time, decoded in place from the
 //!    cursor's current block, straight into the output vectors
 //!    ([`VectorSink`]); peak memory during the merge is one block per run
-//!    plus the output columns. With more than one merge thread the key
+//!    and range being merged plus the output columns — run generation's
+//!    buffers ended with its phase. With more than one merge thread the key
 //!    space is cut into disjoint ranges at splitter keys sampled from the
 //!    runs (DESIGN.md §11), each run's range boundaries are found from its
 //!    block index plus one block read per splitter, and the persistent
@@ -39,8 +46,9 @@
 //!   read from a file sizes an allocation, steers a seek or sets a count;
 //! * transient write failures are retried with doubling backoff
 //!   ([`ExternalSortOptions::max_write_retries`]);
-//! * out-of-space errors degrade the sort to fewer/larger in-memory runs
-//!   instead of failing the query;
+//! * out-of-space errors degrade the sort to runs kept in memory — the
+//!   same runs, encoded as they would have been on disk — instead of
+//!   failing the query;
 //! * a drop-guard deletes every spilled file on all exit paths, and
 //!   deletions that *fail* are counted in `spill_cleanup_failed` so leaks
 //!   are observable rather than silent.
@@ -64,7 +72,7 @@ use rowsort_vector::{DataChunk, LogicalType, OrderBy};
 use std::cmp::Ordering;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -105,9 +113,12 @@ const HEADER_BYTES: usize = 8;
 /// Tuning for the external sorter.
 #[derive(Debug, Clone)]
 pub struct ExternalSortOptions {
-    /// Maximum rows held in memory during run generation (the "memory
-    /// limit"; the paper's DuckDB uses bytes, rows are equivalent for a
-    /// fixed schema).
+    /// Rows per run (the "memory limit"; the paper's DuckDB uses bytes,
+    /// rows are equivalent for a fixed schema): run `i` is input rows
+    /// `[i · memory_limit_rows, (i + 1) · memory_limit_rows)` at any thread
+    /// count. Every spill worker holds one run while it builds and writes
+    /// it, so run generation keeps at most
+    /// `merge_threads × memory_limit_rows` rows resident.
     pub memory_limit_rows: usize,
     /// Directory for spill files (defaults to the system temp dir).
     pub spill_dir: Option<PathBuf>,
@@ -120,10 +131,12 @@ pub struct ExternalSortOptions {
     /// OVC-aware loser tree (DESIGN.md §10). Defaults to
     /// [`crate::pipeline::default_ovc`] (`ROWSORT_OVC=0` disables).
     pub ovc: bool,
-    /// Worker threads for the spill-merge phase. With more than one, the
-    /// merge is range-partitioned across the persistent worker pool
-    /// (DESIGN.md §11); output is bit-identical at any thread count.
-    /// Defaults to [`crate::pipeline::default_threads`].
+    /// Worker threads of both phases. With more than one, the persistent
+    /// worker pool claims the spilled runs whole (so
+    /// `merge_threads × memory_limit_rows` rows are resident in run
+    /// generation) and merges them range-partitioned (DESIGN.md §11); run
+    /// files and output are bit-identical at any thread count. Defaults
+    /// to [`crate::pipeline::default_threads`].
     pub merge_threads: usize,
 }
 
@@ -173,12 +186,14 @@ pub struct ExternalSorter {
     io: Arc<dyn SpillIo>,
     metrics: Arc<CounterRegistry>,
     profile: Mutex<SortProfile>,
-    /// Recycles run-generation buffers, the merge sinks' row batches and
-    /// the encoder's and cursors' block buffers, so a warm sort allocates
-    /// little beyond its output columns.
+    /// Recycles the merge sinks' row batches and the encoder's and
+    /// cursors' block buffers. Run-generation buffers are not here: they
+    /// come from a pool that lives for the spill phase, so none is held
+    /// under the merge.
     pool: Arc<BufferPool>,
-    /// Merge workers, spawned lazily on the first partitioned merge so
-    /// single-threaded (or never-partitioned) sorters spawn no threads.
+    /// Workers of both phases, spawned lazily by the first sort that has
+    /// more than one run to claim, so single-threaded (or single-run)
+    /// sorters spawn no threads.
     workers: OnceLock<WorkerPool>,
 }
 
@@ -677,7 +692,7 @@ impl ExternalSorter {
         }
     }
 
-    /// The persistent merge-worker pool, spawned on first use.
+    /// The persistent worker pool, spawned on first use.
     fn workers(&self) -> &WorkerPool {
         self.workers.get_or_init(|| {
             WorkerPool::with_metrics(self.options.merge_threads, Arc::clone(&self.metrics))
@@ -707,14 +722,15 @@ impl ExternalSorter {
         dir.join(format!("rowsort-spill-{}-{}.run", std::process::id(), id))
     }
 
-    /// What run generation borrows from this sorter.
-    fn run_generator(&self) -> RunGenerator<'_> {
+    /// What run generation borrows from this sorter, and the pool its
+    /// runs' buffers come from.
+    fn run_generator<'a>(&'a self, pool: &'a BufferPool) -> RunGenerator<'a> {
         RunGenerator {
             types: &self.types,
             order: &self.order,
             layout: &self.layout,
             tie_cmp: &self.tie_cmp,
-            pool: &self.pool,
+            pool,
             metrics: &self.metrics,
             ovc: self.options.ovc,
         }
@@ -750,10 +766,12 @@ impl ExternalSorter {
         };
         let order = self.merge_order(&keys);
         let key_width = keys.key_width() as u32;
-        let key_blocks = Mutex::new(vec![keys]);
 
         let runs = {
             let _spill = self.metrics.time_phase(Phase::Spill);
+            // The key blocks hold a run's worth of entries each: like the
+            // run buffers, they end with the phase.
+            let key_blocks = Mutex::new(vec![keys]);
             self.generate_spilled_runs(input, &stats, &key_blocks)?
         };
         let out = match self.merge_runs(&runs, &order, input) {
@@ -793,38 +811,43 @@ impl ExternalSorter {
         }
     }
 
-    /// Phase 1: generate and spill runs within the row budget, one run
-    /// resident at a time — each run's buffers are back in the pool
-    /// before the next is built. Once spill space runs out (`degraded`),
-    /// runs stay in memory and the budget doubles — fewer, larger runs,
-    /// since the row budget no longer buys file descriptors back.
+    /// Phase 1: generate and spill the runs — run `i` is input rows
+    /// `[i · limit, (i + 1) · limit)`, whatever the thread count — each
+    /// claimed whole by a worker ([`ExternalSorter::run_jobs`]) that
+    /// builds it, encodes and writes it, and recycles its buffers for the
+    /// run it claims next: one run resident per worker in flight, one
+    /// worker writing while another sorts. The buffers come from a pool
+    /// that ends with the phase, so no dead run set sits under the merge;
+    /// its hits and misses are the sort's, like the sorter's own pool's.
+    /// Once spill space runs out (`degraded`), the same runs stay in
+    /// memory, encoded as they would have been on disk.
     fn generate_spilled_runs(
         &self,
         input: &DataChunk,
         stats: &[VarcharStat],
         key_blocks: &Mutex<Vec<KeyBlock>>,
     ) -> Result<Vec<Run>, SpillError> {
-        let gen = self.run_generator();
-        let budget = self.options.memory_limit_rows;
-        let mut degraded = false;
-        let mut runs: Vec<Run> = Vec::new();
-        let mut start = 0;
-        while start < input.len() {
-            let step = if degraded {
-                budget.saturating_mul(2)
-            } else {
-                budget
-            };
-            let end = (start + step).min(input.len());
+        let limit = self.options.memory_limit_rows;
+        let run_count = input.len().div_ceil(limit);
+        let phase_pool = BufferPool::with_metrics(Arc::clone(&self.metrics));
+        let gen = self.run_generator(&phase_pool);
+        let degraded = AtomicBool::new(false);
+        self.run_jobs(SpillOp::Write, run_count, |i| {
+            let start = i * limit;
+            let end = start.saturating_add(limit).min(input.len());
+            let claimed = Instant::now();
             // Codes always: run files carry them whenever the sort uses
             // OVC, however many runs it ends up with.
             let run = gen.make_run(input, start, end, stats, key_blocks, true);
-            let spilled = self.spill_run(&run, &mut degraded);
-            run.recycle(&self.pool);
-            runs.push(spilled?);
-            start = end;
-        }
-        Ok(runs)
+            let generate_ns = claimed.elapsed().as_nanos() as u64;
+            self.metrics.add(Counter::SpillGenerateNs, generate_ns);
+            let generated = Instant::now();
+            let spilled = self.spill_run(&run, &degraded);
+            let write_ns = generated.elapsed().as_nanos() as u64;
+            self.metrics.add(Counter::SpillWriteNs, write_ns);
+            run.recycle(&phase_pool);
+            spilled
+        })
     }
 
     /// Whether run files carry the offset-value code column: requested by
@@ -940,14 +963,17 @@ impl ExternalSorter {
     }
 
     /// Encode one sorted run and place it: on disk under the retry /
-    /// degradation policy, or in memory once spill space is gone. A
-    /// retry encodes again — the sorted run is still resident — so no
-    /// attempt ever holds the run's encoding whole.
-    fn spill_run(&self, run: &SortedRun, degraded: &mut bool) -> Result<Run, SpillError> {
+    /// degradation policy, or in memory once spill space is gone —
+    /// `degraded`, which every worker of the phase reads before each
+    /// attempt and sets when its own write finds the disk full (a run
+    /// already writing when another sets it finishes its file, or
+    /// degrades itself). A retry encodes again — the sorted run is still
+    /// resident — so no attempt ever holds the run's encoding whole.
+    fn spill_run(&self, run: &SortedRun, degraded: &AtomicBool) -> Result<Run, SpillError> {
         let mut attempt = 0;
         let mut backoff = self.options.retry_backoff;
         let (index, store) = loop {
-            if *degraded {
+            if degraded.load(AtomicOrdering::SeqCst) {
                 self.metrics.add(Counter::SpillMemFallbackRuns, 1);
                 let mut bytes = Vec::new();
                 let index = self.encode_run(run, &mut bytes).map_err(|e| {
@@ -972,7 +998,7 @@ impl ExternalSorter {
                     if err.is_no_space() {
                         // Degradation ladder, rung 2: no point retrying a
                         // full disk — keep this and later runs in memory.
-                        *degraded = true;
+                        degraded.store(true, AtomicOrdering::SeqCst);
                     } else if err.is_transient() && attempt < self.options.max_write_retries {
                         attempt += 1;
                         self.metrics.add(Counter::SpillRetries, 1);
@@ -1056,31 +1082,51 @@ impl ExternalSorter {
         Ok(cuts)
     }
 
-    /// Run `job(i)` for every `i < n` on the merge workers and return the
-    /// results in index order — so which failure a merge reports (the
-    /// lowest index that failed) does not depend on worker scheduling.
+    /// Run `job(i)` for `i < n` — jobs of the phase that does `op` —
+    /// claimed in index order by the workers, and return the results in
+    /// index order. A failure stops further claims (a failing disk is not
+    /// sent every remaining run), and the error returned is the lowest
+    /// failed index's: every job below a claimed one was claimed before
+    /// it and runs to its end, so which failure is reported does not
+    /// depend on which worker saw its own first. With one job or one
+    /// thread the same loop runs on the calling thread, and the pool is
+    /// never spawned.
     fn run_jobs<T: Send>(
         &self,
+        op: SpillOp,
         n: usize,
         job: impl Fn(usize) -> Result<T, SpillError> + Sync,
     ) -> Result<Vec<T>, SpillError> {
         let slots: Vec<Mutex<Option<Result<T, SpillError>>>> =
             (0..n).map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
-        self.workers().broadcast(&|_w| loop {
-            let i = next.fetch_add(1, AtomicOrdering::Relaxed);
-            if i >= n {
-                break;
+        let failed = AtomicBool::new(false);
+        let claim = |_worker: usize| {
+            while !failed.load(AtomicOrdering::SeqCst) {
+                let i = next.fetch_add(1, AtomicOrdering::SeqCst);
+                if i >= n {
+                    break;
+                }
+                let res = job(i);
+                if res.is_err() {
+                    failed.store(true, AtomicOrdering::SeqCst);
+                }
+                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(res);
             }
-            *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(job(i));
-        });
+        };
+        if n.min(self.options.merge_threads) > 1 {
+            self.workers().broadcast(&claim);
+        } else {
+            claim(0);
+        }
         let mut out = Vec::with_capacity(n);
         for slot in slots {
-            // The broadcast fills every slot before returning; an empty
-            // one means the pool lost a job, which must surface as a
-            // typed error, not a panic on a worker thread.
+            // Slots fill in claim order up to the first failure, which
+            // returns from here; an empty one before it means a job was
+            // lost, which must surface as a typed error, not a panic on
+            // a worker thread.
             let res = slot.into_inner().unwrap_or_else(|e| e.into_inner());
-            out.push(res.ok_or_else(lost_job)??);
+            out.push(res.ok_or_else(|| lost_job(op))??);
         }
         Ok(out)
     }
@@ -1101,8 +1147,7 @@ impl ExternalSorter {
     /// over cursors opened at its cuts, which verify every block they
     /// read — and every block holds a record of some range, so every
     /// block of every run has been verified before the output escapes.
-    /// One partition merges on the calling thread: a sorter that never
-    /// partitions never spawns the worker pool.
+    /// One partition merges on the calling thread.
     fn merge_runs(
         &self,
         runs: &[Run],
@@ -1121,7 +1166,8 @@ impl ExternalSorter {
         }
 
         let cuts: Vec<Vec<RangeCut>> = if parts > 1 {
-            self.run_jobs(runs.len(), |r| self.find_cuts(&runs[r], kw, &splitters))?
+            let cut = |r: usize| self.find_cuts(&runs[r], kw, &splitters);
+            self.run_jobs(SpillOp::Read, runs.len(), cut)?
         } else {
             runs.iter().map(|r| r.whole().to_vec()).collect()
         };
@@ -1142,13 +1188,10 @@ impl ExternalSorter {
                 pieces.into_iter().map(|p| Mutex::new(Some(p))).collect();
             let merge_one = |p: usize| {
                 let piece = slots[p].lock().unwrap_or_else(|e| e.into_inner()).take();
-                self.merge_range(runs, &cuts, p, order, piece.ok_or_else(lost_job)?)
+                let piece = piece.ok_or_else(|| lost_job(SpillOp::Read))?;
+                self.merge_range(runs, &cuts, p, order, piece)
             };
-            if parts == 1 {
-                vec![merge_one(0)?]
-            } else {
-                self.run_jobs(parts, merge_one)?
-            }
+            self.run_jobs(SpillOp::Read, parts, merge_one)?
         };
         let (stats, tails): (Vec<MergeStats>, Vec<PieceTail>) = merged.into_iter().unzip();
         for s in stats {
@@ -1196,12 +1239,18 @@ impl ExternalSorter {
     }
 }
 
-/// A merge job or its output slot that the worker pool never delivered.
-fn lost_job() -> SpillError {
+/// A job (or its output slot) that the worker pool never delivered, named
+/// after its phase: the spill phase writes, the merge reads.
+fn lost_job(op: SpillOp) -> SpillError {
+    let phase = if op == SpillOp::Write {
+        "spill"
+    } else {
+        "merge"
+    };
     SpillError::io(
-        SpillOp::Read,
-        Path::new("<merge>"),
-        &io::Error::other("a merge job was never run"),
+        op,
+        Path::new(&format!("<{phase}>")),
+        &io::Error::other(format!("a {phase} job was never run")),
     )
 }
 
@@ -1339,15 +1388,20 @@ mod tests {
     /// All of `chunk` as one sorted run, straight from the run generator.
     fn whole_run(sorter: &ExternalSorter, chunk: &DataChunk) -> SortedRun {
         let (stats, key_blocks) = plan(sorter, chunk);
-        sorter
-            .run_generator()
-            .make_run(chunk, 0, chunk.len(), &stats, &key_blocks, true)
+        sorter.run_generator(&sorter.pool).make_run(
+            chunk,
+            0,
+            chunk.len(),
+            &stats,
+            &key_blocks,
+            true,
+        )
     }
 
     /// `run` encoded into memory, as the ENOSPC rung of the ladder leaves
     /// it.
     fn memory_run(sorter: &ExternalSorter, run: &SortedRun) -> Run {
-        sorter.spill_run(run, &mut true).unwrap()
+        sorter.spill_run(run, &AtomicBool::new(true)).unwrap()
     }
 
     /// The encoded bytes of an in-memory run.
@@ -1356,6 +1410,17 @@ mod tests {
             RunStore::Memory(bytes) => bytes,
             RunStore::Spilled(_) => panic!("expected an in-memory run"),
         }
+    }
+
+    /// The bytes of a spilled run's file.
+    fn file_bytes(run: &Run) -> Vec<u8> {
+        let RunStore::Spilled(file) = &run.store else {
+            panic!("expected a spilled run");
+        };
+        let mut bytes = Vec::new();
+        let mut reader = file.io.open(&file.path).unwrap();
+        reader.read_to_end(&mut bytes).unwrap();
+        bytes
     }
 
     /// `run`'s index over other bytes — what a merge sees when the file
@@ -1458,21 +1523,15 @@ mod tests {
                 payload.heap(),
             )
         });
-        let mut degraded = false;
         let run = sorter
-            .spill_run(&whole_run(&sorter, &chunk), &mut degraded)
+            .spill_run(&whole_run(&sorter, &chunk), &AtomicBool::new(false))
             .unwrap();
         assert_eq!(run.rows(), chunk.len());
 
         // The index against the file: blocks of at most `BLOCK_BYTES` laid
         // end to end, each sealed under its own ordinal, and what is
         // recorded of each block's first record.
-        let RunStore::Spilled(spilled) = &run.store else {
-            panic!("expected a spilled run");
-        };
-        let mut file = Vec::new();
-        let mut reader = spilled.io.open(&spilled.path).unwrap();
-        reader.read_to_end(&mut file).unwrap();
+        let file = file_bytes(&run);
         assert_eq!(file[..HEADER_BYTES], header_bytes(true));
         assert_eq!(file.len() as u64, run.index.bytes);
         assert!(run.index.blocks.len() >= 3, "a run of several blocks");
@@ -1813,6 +1872,135 @@ mod tests {
         }
     }
 
+    // ---- the spill phase on the worker pool ------------------------------
+
+    /// Run `i` is input rows `[i · limit, (i + 1) · limit)` whoever claims
+    /// it: the run files are byte-identical, index by index, at every
+    /// thread count — with and without codes, fixed-width rows and
+    /// VARCHARs — and the rows merged from them with them.
+    #[test]
+    fn run_files_are_byte_identical_across_thread_counts() {
+        let keys = pseudo_random(5_000, 51, 700);
+        let payload: Vec<u32> = (0..5_000).collect();
+        let ints =
+            DataChunk::from_columns(vec![Vector::from_u32s(keys), Vector::from_u32s(payload)])
+                .unwrap();
+        let tables = [
+            ("fixed-width", ints, OrderBy::ascending(1)),
+            ("varchar", stringy_chunk(5_000, 52), OrderBy::ascending(2)),
+        ];
+        for (name, chunk, order) in &tables {
+            for ovc in [false, true] {
+                let spill_with = |merge_threads: usize| {
+                    let options = ExternalSortOptions {
+                        memory_limit_rows: 311,
+                        ovc,
+                        merge_threads,
+                        ..Default::default()
+                    };
+                    let sorter = ExternalSorter::new(chunk.types(), order.clone(), options);
+                    let (runs, merge_order) = build_spilled_runs(&sorter, chunk);
+                    let files: Vec<Vec<u8>> = runs.iter().map(file_bytes).collect();
+                    let sorted = sorter.merge_runs(&runs, &merge_order, chunk).unwrap();
+                    (files, sorted)
+                };
+                let (files, sorted) = spill_with(1);
+                assert_eq!(files.len(), 5_000usize.div_ceil(311));
+                assert_sorted_permutation(&sorted, chunk, order, name);
+                for threads in [2, 3, 8] {
+                    let what = format!("{name}, ovc={ovc}, threads={threads}");
+                    let (got_files, got_sorted) = spill_with(threads);
+                    assert_eq!(got_files.len(), files.len(), "{what}: run count");
+                    for (i, (got, want)) in got_files.iter().zip(&files).enumerate() {
+                        assert!(got == want, "{what}: run file {i} differs");
+                    }
+                    assert!(got_sorted == sorted, "{what}: sorted output differs");
+                }
+            }
+        }
+    }
+
+    /// A hard write error stops the claiming: with every file failing, each
+    /// of the two workers creates the one it had claimed and no more — not
+    /// all sixteen — the error is typed, and nothing leaks. (Every file
+    /// fails so that the bound does not lean on the scheduler: were it the
+    /// first alone, how many runs the other worker finished before the
+    /// failure registered would be a race.)
+    #[test]
+    fn a_hard_write_error_stops_further_claims() {
+        let chunk = DataChunk::from_columns(vec![Vector::from_u32s(pseudo_random(4_000, 53, 100))])
+            .unwrap();
+        let threads = 2;
+        let hard = FaultKind::WriteError(io::ErrorKind::Other);
+        let fs = FaultFs::new(FaultSchedule {
+            specs: (0..16).map(|file| wspec(file, 0, hard)).collect(),
+            disk_capacity: None,
+        });
+        let sorter = ExternalSorter::with_spill_io(
+            chunk.types(),
+            OrderBy::ascending(1),
+            ExternalSortOptions {
+                memory_limit_rows: 250,
+                merge_threads: threads,
+                ..Default::default()
+            },
+            Arc::new(fs.clone()),
+        );
+        let err = sorter.sort(&chunk).expect_err("hard error must surface");
+        assert!(
+            matches!(
+                err,
+                SpillError::Io {
+                    op: SpillOp::Write,
+                    kind: io::ErrorKind::Other,
+                    ..
+                }
+            ),
+            "want a write error, got {err:?}"
+        );
+        let created = fs.stats().files_created;
+        assert!(
+            (1..=threads as u64).contains(&created),
+            "{created} files created by {threads} workers after a hard failure"
+        );
+        assert_eq!(sorter.metrics().counter(Counter::SpilledRuns), 0);
+        drop(sorter);
+        assert!(fs.live_files().is_empty(), "leaked: {:?}", fs.live_files());
+    }
+
+    /// One run to claim, or one thread to claim with, runs the claiming
+    /// loop on the calling thread: the pool is never spawned. More of both
+    /// spawns it once, for both phases.
+    #[test]
+    fn one_run_or_one_thread_spawns_no_worker() {
+        let chunk = DataChunk::from_columns(vec![Vector::from_u32s(pseudo_random(4_000, 54, 100))])
+            .unwrap();
+        let sort_with = |memory_limit_rows: usize, merge_threads: usize| {
+            let options = ExternalSortOptions {
+                memory_limit_rows,
+                merge_threads,
+                ..Default::default()
+            };
+            let sorter = ExternalSorter::new(chunk.types(), OrderBy::ascending(1), options);
+            let _ = sorter.sort(&chunk).unwrap();
+            let m = sorter.last_profile().metrics;
+            assert!(
+                m.counter(Counter::SpillGenerateNs) > 0,
+                "run generation clocked"
+            );
+            assert!(
+                m.counter(Counter::SpillWriteNs) > 0,
+                "encode + write clocked"
+            );
+            let spawned = sorter.workers.get().is_some();
+            (spawned, m.counter(Counter::Broadcasts))
+        };
+        assert_eq!(sort_with(4_000, 4), (false, 0), "one run, four threads");
+        assert_eq!(sort_with(250, 1), (false, 0), "sixteen runs, one thread");
+        // The spill phase, the cuts and the ranges: one broadcast each.
+        assert_eq!(sort_with(250, 2), (true, 3), "sixteen runs, two threads");
+    }
+
     // ---- the merge kernel across source kinds ---------------------------
 
     /// Merge `sources` through the kernel into fresh columns of exactly
@@ -1896,7 +2084,7 @@ mod tests {
                     if k >= 3 {
                         bounds[2] = bounds[1]; // run 1 is empty
                     }
-                    let gen = sorter.run_generator();
+                    let gen = sorter.run_generator(&sorter.pool);
                     let sorted: Vec<SortedRun> = bounds
                         .windows(2)
                         .map(|w| gen.make_run(chunk, w[0], w[1], &stats, &key_blocks, true))
@@ -2144,9 +2332,9 @@ mod tests {
         assert!(fs.live_files().is_empty(), "leaked: {:?}", fs.live_files());
     }
 
-    /// Exhausted spill space degrades to in-memory runs (with a doubled
-    /// budget) instead of failing: the sort completes and matches the
-    /// in-memory oracle, and the fallback is visible in the metrics.
+    /// Exhausted spill space degrades to in-memory runs instead of
+    /// failing: the sort completes and matches the in-memory oracle, and
+    /// the fallback is visible in the metrics.
     #[test]
     fn enospc_degrades_to_in_memory_runs() {
         let chunk = DataChunk::from_columns(vec![Vector::from_u32s(pseudo_random(4_000, 25, 500))])
@@ -2397,12 +2585,7 @@ mod tests {
             },
         );
         let (runs, order) = build_spilled_runs(&sorter, &chunk);
-        let RunStore::Spilled(spilled) = &runs[0].store else {
-            panic!("expected a spilled run");
-        };
-        let mut reader = spilled.io.open(&spilled.path).unwrap();
-        let mut bytes = Vec::new();
-        reader.read_to_end(&mut bytes).unwrap();
+        let bytes = file_bytes(&runs[0]);
         for mutate in [
             // Wrong magic.
             &(|b: &mut Vec<u8>| b[0] = b'X') as &dyn Fn(&mut Vec<u8>),
@@ -2581,15 +2764,7 @@ mod tests {
                 // The same runs again, encoded in memory.
                 let runs: Vec<Run> = runs
                     .iter()
-                    .map(|run| {
-                        let RunStore::Spilled(file) = &run.store else {
-                            panic!("expected a spilled run");
-                        };
-                        let mut bytes = Vec::new();
-                        let mut reader = file.io.open(&file.path).unwrap();
-                        reader.read_to_end(&mut bytes).unwrap();
-                        with_bytes(run, bytes)
-                    })
+                    .map(|run| with_bytes(run, file_bytes(run)))
                     .collect();
                 assert!(runs.iter().all(|r| r.index.blocks.len() >= 3));
                 let order = sorters[0].merge_order(&key_blocks.lock().unwrap()[0]);

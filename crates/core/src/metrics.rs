@@ -58,7 +58,9 @@ pub enum Phase {
     /// into vectors: one byte copy per range and VARCHAR column, one
     /// splice per validity mask, single-threaded.
     Gather,
-    /// External sort: building and writing spilled runs.
+    /// External sort: building and writing spilled runs, whole runs
+    /// claimed by the worker pool; what the workers were busy with is
+    /// [`Counter::SpillGenerateNs`] and [`Counter::SpillWriteNs`].
     Spill,
     /// External sort: the streaming loser-tree merge of spilled runs.
     SpillMerge,
@@ -182,11 +184,19 @@ pub enum Counter {
     /// Rows inside those ranges: over [`Counter::RowsSorted`], the share
     /// of the input the key prefix failed to order.
     RunTieRows,
+    /// Time the external sort's spill workers (the lesser of
+    /// `merge_threads` and the runs there were to claim) spent building
+    /// sorted runs (`make_run`), summed over them — busy time, where
+    /// [`Phase::Spill`] is the coordinating thread's wall time.
+    SpillGenerateNs,
+    /// Time they spent encoding runs and writing them out (`spill_run`,
+    /// retries and their backoff included), summed the same way.
+    SpillWriteNs,
 }
 
 impl Counter {
     /// Number of counters (array dimension of the registry).
-    pub const COUNT: usize = 29;
+    pub const COUNT: usize = 31;
 
     /// All counters, in declaration order (= registry index order).
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -219,6 +229,8 @@ impl Counter {
         Counter::SpillReadBytes,
         Counter::RunTieRanges,
         Counter::RunTieRows,
+        Counter::SpillGenerateNs,
+        Counter::SpillWriteNs,
     ];
 
     /// The snake_case name used in trace JSON and text dumps.
@@ -253,6 +265,8 @@ impl Counter {
             Counter::SpillReadBytes => "spill_read_bytes",
             Counter::RunTieRanges => "run_tie_ranges",
             Counter::RunTieRows => "run_tie_rows",
+            Counter::SpillGenerateNs => "spill_generate_ns",
+            Counter::SpillWriteNs => "spill_write_ns",
         }
     }
 }

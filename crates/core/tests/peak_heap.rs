@@ -9,12 +9,28 @@
 //! commit before (`bfb79fa`); a sort must now stay under them by at least
 //! the row area, give or take [`SLACK_BYTES`].
 //!
-//! Everything runs on one thread, so the byte counts repeat exactly. The
+//! The external sorter's run-generation buffers live for its spill phase
+//! only (PR 23): until then one run's set sat in the sorter's pool, dead,
+//! under the merge's peak. Its peaks are therefore held to PR 20's
+//! (`bc364c7`, measured with this file: 3 508 493 and 4 350 400 bytes;
+//! with phase-scoped buffers 3 137 670 and 3 497 726), less a sorted
+//! run's own buffers — which is the stronger bound: PR 20's peaks were
+//! under `bfb79fa`'s by more than the row area. And every further worker
+//! costs what it holds, nothing that grows with the relation: one more
+//! run in flight and, in the merge, one more range's cursors and batch —
+//! asserted at two threads and at four, because it is per worker:
+//! `memory_limit_rows` is rows per run, and run generation holds
+//! `merge_threads` of them (ROADMAP item 4(a) is the byte budget over
+//! all workers).
+//!
+//! The pinned sorts run on one thread, so the byte counts repeat exactly
+//! (the peaks at more threads are only bounded from above). The
 //! counting allocator is installed globally for this test binary, so the
 //! file holds exactly one test: any parallel test in the same binary
 //! would allocate concurrently and poison the count.
 
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
+use rowsort_core::keys::KeyBlock;
 use rowsort_core::pipeline::{SortOptions, SortPipeline};
 use rowsort_row::RowLayout;
 use rowsort_testkit::alloc::{peak_bytes, reset_peak, CountingAllocator};
@@ -55,11 +71,11 @@ fn a_warm_sort_holds_no_merged_row_run() {
     let dir = std::env::temp_dir().join(format!("rowsort-peak-heap-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
 
-    // Table, leading key columns, and the peaks at `bfb79fa`: the
-    // in-memory sort's and the external sort's.
+    // Table, leading key columns, the in-memory sort's peak at `bfb79fa`
+    // and the external sort's at `bc364c7`.
     let tables = [
-        ("ints", &ints, 1, 6_756_860, 4_791_704),
-        ("customer", &customer, 3, 10_147_431, 7_073_891),
+        ("ints", &ints, 1, 6_756_860, 3_508_493),
+        ("customer", &customer, 3, 10_147_431, 4_350_400),
     ];
     for (name, chunk, keys, parent_in_memory, parent_external) in tables {
         let row_area = chunk.len() * RowLayout::new(&chunk.types()).width();
@@ -81,22 +97,53 @@ fn a_warm_sort_holds_no_merged_row_run() {
              it stays that far under the {parent_in_memory} B it used to hold"
         );
 
-        let options = ExternalSortOptions {
-            memory_limit_rows: chunk.len() / 6,
-            spill_dir: Some(dir.clone()),
-            ovc: true,
-            merge_threads: 1,
-            ..ExternalSortOptions::default()
-        };
-        let peak = {
-            let sorter = ExternalSorter::new(chunk.types(), order, options);
+        let runs = 6;
+        let peak_at = |merge_threads: usize| {
+            let options = ExternalSortOptions {
+                memory_limit_rows: chunk.len() / runs,
+                spill_dir: Some(dir.clone()),
+                ovc: true,
+                merge_threads,
+                ..ExternalSortOptions::default()
+            };
+            let sorter = ExternalSorter::new(chunk.types(), order.clone(), options);
             warm_peak(|| sorter.sort(chunk).unwrap())
         };
+        // What one run asks the pool for: its keys, codes and payload
+        // rows — the sorted run — and, while it is built, the staged rows,
+        // the key entries (key + row id) and the radix scratch over them,
+        // and the strings twice.
+        let run_rows = chunk.len() / runs;
+        let width = row_area / chunk.len();
+        let key_width = KeyBlock::planned(chunk, &order).key_width();
+        let columns = chunk.columns().iter();
+        let strings = columns.filter_map(|c| c.as_strings());
+        let run_strings = strings
+            .map(|s| s.range_bytes(0, chunk.len()))
+            .sum::<usize>()
+            / runs;
+        let sorted_run = run_rows * (key_width + 8 + width);
+        let run_in_flight = sorted_run + run_rows * (width + 2 * (key_width + 4)) + 2 * run_strings;
+
+        let peak = peak_at(1);
         assert!(
-            peak + row_area <= parent_external + SLACK_BYTES,
-            "{name}: a warm external sort peaks at {peak} B; with no merged run of \
-             {row_area} B it stays that far under the {parent_external} B it used to hold"
+            peak + sorted_run <= parent_external + SLACK_BYTES,
+            "{name}: a warm external sort peaks at {peak} B; with no run's buffers alive \
+             under the merge it stays a sorted run's {sorted_run} B under the \
+             {parent_external} B it used to hold"
         );
+        // A pooled buffer is at most twice its request; a range's cursors
+        // hold one 64 KiB block per run.
+        let per_worker = 2 * run_in_flight + runs * (64 << 10);
+        for threads in [2, 4] {
+            let peak_threads = peak_at(threads);
+            assert!(
+                peak_threads <= peak + (threads - 1) * per_worker + SLACK_BYTES,
+                "{name}: on {threads} threads a warm external sort peaks at {peak_threads} B, \
+                 more than {per_worker} B a worker — a run in flight, a range's cursors — \
+                 over one thread's {peak} B"
+            );
+        }
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,9 +1,11 @@
 //! Pins the allocation profile of the range-partitioned spill merge: a
 //! warmed-up external sorter reaches a steady state where per-sort
 //! system allocations are constant up to a small scheduling jitter and
-//! the buffer pool (the merge sinks' row batches, the encoder's and the
-//! cursors' block buffers) almost never misses — pooled buffers are
-//! recycled, not reallocated.
+//! the sorter's buffer pool (the merge sinks' row batches, the encoder's
+//! and the cursors' block buffers) almost never misses — pooled buffers
+//! are recycled, not reallocated. The spill phase's own pool is born
+//! empty with every sort and reports to the same registry: it misses
+//! once per worker and buffer of a run, never once per run.
 //!
 //! The external path cannot claim literal zero (each sort opens fresh
 //! run files and cursors), and with two merge workers the peak number of
@@ -12,10 +14,17 @@
 //! pool buffers once. The pin is therefore *bounded constancy*: per-sort
 //! deltas may differ only by that one-time refill allowance, far below
 //! what any per-row or per-record leak would produce. In bytes, the pin
-//! is that the output columns are the only relation-sized allocation: a
-//! warmed sort through real files asks the allocator for them and a small
-//! constant — so no run's encoding is ever held whole, and no merged row
-//! run or pick list stands between the run files and the vectors.
+//! is that the output columns are the only allocation that scales with
+//! the relation: at one `memory_limit_rows`, a warmed sort of twice the
+//! rows through real files requests twice the output and otherwise what
+//! the smaller one did (run generation's buffers live for the spill
+//! phase, so every sort requests them: a function of the run size and
+//! the worker count, not of the relation) — so no run's encoding is ever
+//! held whole, and no merged row run or pick list stands between the run
+//! files and the vectors. That is asserted on one thread, where the byte
+//! counts repeat exactly, and on two — the partitioned path, whose cuts,
+//! per-range sinks and per-range cursors a one-thread sort never builds —
+//! with one run's buffers of allowance for the scheduler.
 //!
 //! The counting allocator is installed globally for this test binary, so
 //! the file holds exactly one test: any parallel test in the same binary
@@ -24,7 +33,9 @@
 use std::sync::Arc;
 
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
+use rowsort_core::keys::KeyBlock;
 use rowsort_core::metrics::Counter;
+use rowsort_row::RowLayout;
 use rowsort_testkit::alloc::{allocated_bytes, allocation_count, CountingAllocator};
 use rowsort_testkit::faultfs::{FaultFs, FaultSchedule};
 use rowsort_testkit::Rng;
@@ -37,8 +48,9 @@ static ALLOC: CountingAllocator = CountingAllocator;
 fn warmed_partitioned_spill_merge_allocates_a_constant_amount() {
     let mut rng = Rng::seed_from_u64(0x5b111_a110c);
     let n = 20_000u32;
-    let col: Vec<u32> = (0..n).map(|_| rng.next_u32()).collect();
-    let chunk = DataChunk::from_columns(vec![Vector::from_u32s(col)]).unwrap();
+    let col: Vec<u32> = (0..2 * n).map(|_| rng.next_u32()).collect();
+    let twice = DataChunk::from_columns(vec![Vector::from_u32s(col)]).unwrap();
+    let chunk = twice.slice(0, n as usize);
 
     // An in-memory fault-free filesystem keeps the I/O layer's own
     // allocations deterministic; merge_threads: 2 forces the partitioned
@@ -63,12 +75,20 @@ fn warmed_partitioned_spill_merge_allocates_a_constant_amount() {
         drop(sorter.sort(&chunk).unwrap());
     }
 
-    // Worst-case one-time pool refill: both workers holding a full
-    // cursor set at once — 2 workers x 10 runs x 1 block buffer, plus
-    // the two row batches.
+    // Worst-case one-time refill of the sorter's pool: both workers
+    // holding a full cursor set at once — 2 workers x 10 runs x 1 block
+    // buffer, plus the two row batches.
     const REFILL_ALLOWANCE: usize = 22;
+    // What the spill phase's pool, empty at the start of every sort,
+    // misses in each: a worker mints the buffers of the first run it
+    // claims — staged rows and their strings, radix scratch, then the
+    // sorted run's keys, codes, rows and strings — and every run it
+    // claims after that reuses them.
+    const RUN_SET_BUFFERS: usize = 7;
+    const WORKERS: usize = 2;
+    const PASSES: usize = 4;
 
-    let mut deltas = [0usize; 4];
+    let mut deltas = [0usize; PASSES];
     let mut misses = 0u64;
     for d in &mut deltas {
         let misses_before = sorter.metrics().counter(Counter::PoolMisses);
@@ -87,9 +107,10 @@ fn warmed_partitioned_spill_merge_allocates_a_constant_amount() {
          one-time pool refill allowance (deltas: {deltas:?})"
     );
     assert!(
-        misses as usize <= REFILL_ALLOWANCE,
-        "warmed spill sorts missed the buffer pool {misses} times over \
-         4 passes (deltas: {deltas:?})"
+        misses as usize <= PASSES * WORKERS * RUN_SET_BUFFERS + REFILL_ALLOWANCE,
+        "warmed spill sorts missed the buffer pools {misses} times over {PASSES} passes: \
+         more than a run's {RUN_SET_BUFFERS} buffers per worker and pass plus the \
+         one-time refill allowance (deltas: {deltas:?})"
     );
 
     // The measured sorts really took the partitioned path: the last sort
@@ -110,33 +131,75 @@ fn warmed_partitioned_spill_merge_allocates_a_constant_amount() {
     // In bytes, through real files (the in-memory filesystem above
     // allocates every file it stores): the encoder streams each run
     // through one pooled block and the merge gathers straight into the
-    // output, so a warmed sort requests its output column and, for run
-    // indexes, cursors, file handles and paths, less than 64 KiB more.
-    // (Until PR 20 it also requested 4 bytes a row of identity order for
-    // the gather of a merged run.) A run's encoding held whole, anywhere,
-    // would be several times that.
+    // output, so what a warmed sort requests is its output column, the
+    // run-generation buffers of its spill phase, and — for run indexes,
+    // cursors, file handles and paths — a little per run. Only the first
+    // scales with the relation: twice the rows at the same run size
+    // request twice the output and less than 64 KiB more. (Until PR 20 a
+    // sort also requested 4 bytes a row of identity order for the gather
+    // of a merged run.) A run's encoding held whole, anywhere, would be
+    // several times that: 500 KB for the 20 000 rows more.
+    //
+    // On one thread the counts repeat exactly, and the phase pool misses
+    // exactly one run set. On two — the partitioned merge — whether the
+    // second worker mints its own run set or finds one the first has
+    // recycled is the scheduler's choice, in either sort: one set of
+    // allowance, a function of `memory_limit_rows` and the row and key
+    // widths only (a pooled buffer is at most twice its request).
     let dir = std::env::temp_dir().join(format!("rowsort-zero-alloc-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let options = ExternalSortOptions {
-        spill_dir: Some(dir.clone()),
-        ..options
-    };
-    let on_disk = ExternalSorter::new(chunk.types(), OrderBy::ascending(1), options);
-    for _ in 0..2 {
-        drop(on_disk.sort(&chunk).unwrap());
+    let order = OrderBy::ascending(1);
+    let run_rows = options.memory_limit_rows;
+    let width = RowLayout::new(&chunk.types()).width();
+    let key_width = KeyBlock::planned(&chunk, &order).key_width();
+    // Staged rows, radix scratch over the key entries (key + row id), and
+    // the sorted run: keys, codes, rows.
+    let run_set = 2 * run_rows * (width + (key_width + 4) + key_width + 8 + width);
+    for (merge_threads, scheduling) in [(1, 0), (WORKERS, run_set as u64)] {
+        let options = ExternalSortOptions {
+            spill_dir: Some(dir.clone()),
+            merge_threads,
+            ..options.clone()
+        };
+        let [(requested, output), (requested_twice, output_twice)] =
+            [&chunk, &twice].map(|chunk| {
+                let on_disk = ExternalSorter::new(chunk.types(), order.clone(), options.clone());
+                for _ in 0..2 {
+                    drop(on_disk.sort(chunk).unwrap());
+                }
+                let before = allocated_bytes();
+                drop(on_disk.sort(chunk).unwrap());
+                let requested = (allocated_bytes() - before) as u64;
+                let metrics = on_disk.last_profile().metrics;
+                let encoded = metrics.counter(Counter::SpilledBytes);
+                assert!(
+                    requested < encoded,
+                    "on {merge_threads} thread(s) a warmed sort of {} rows requested \
+                     {requested} bytes, spilling and merging {encoded}",
+                    chunk.len()
+                );
+                assert_eq!(
+                    metrics.counter(Counter::SpillMergePartitions),
+                    merge_threads as u64,
+                    "{merge_threads} thread(s): ranges merged"
+                );
+                if merge_threads == 1 {
+                    assert_eq!(
+                        metrics.counter(Counter::PoolMisses),
+                        RUN_SET_BUFFERS as u64,
+                        "on one thread a warmed sort of {} rows misses one run set, whatever \
+                         its run count",
+                        chunk.len()
+                    );
+                }
+                (requested, chunk.len() as u64 * 4)
+            });
+        assert!(
+            requested_twice <= requested + (output_twice - output) + (64 << 10) + scheduling,
+            "on {merge_threads} thread(s) twice the rows requested {requested_twice} bytes for \
+             {output_twice} of output, {n} rows {requested} for {output}: something besides \
+             the output grew"
+        );
     }
-    let before = allocated_bytes();
-    drop(on_disk.sort(&chunk).unwrap());
-    let requested = (allocated_bytes() - before) as u64;
     std::fs::remove_dir_all(&dir).unwrap();
-    let encoded = on_disk
-        .last_profile()
-        .metrics
-        .counter(Counter::SpilledBytes);
-    let output = u64::from(n) * 4;
-    assert!(
-        requested <= output + (64 << 10) && requested < encoded,
-        "a warmed sort requested {requested} bytes for {output} bytes of output \
-         (spilling and merging {encoded})"
-    );
 }

@@ -61,7 +61,8 @@ impl Default for ExecOptions {
 /// sorter's hardened defaults).
 #[derive(Debug, Clone)]
 pub struct SpillExecOptions {
-    /// Maximum rows a sort holds in memory before spilling a run.
+    /// Rows per spilled run; up to [`ExecOptions::threads`] × this many
+    /// are resident during run generation (one run per spill worker).
     pub memory_limit_rows: usize,
     /// Directory for spill files (defaults to the system temp dir).
     pub spill_dir: Option<PathBuf>,
@@ -160,14 +161,31 @@ fn node_label(plan: &LogicalPlan) -> String {
 }
 
 /// Per-phase sort-time attribution for a Sort node's annotation, from the
-/// sort operator's own [`rowsort_core::SortProfile`].
-fn sort_detail(profile: &rowsort_core::SortProfile) -> String {
+/// sort operator's own [`rowsort_core::SortProfile`] and the `threads` it
+/// was given.
+fn sort_detail(profile: &rowsort_core::SortProfile, threads: usize) -> String {
     use std::fmt::Write;
     let mut s = String::new();
+    let ms = |ns: u64| ns as f64 / 1e6;
     for ph in Phase::ALL {
         let ns = profile.metrics.phase(ph);
-        if ns > 0 {
-            let _ = write!(s, " {}={:.3}ms", ph.name(), ns as f64 / 1e6);
+        if ns == 0 {
+            continue;
+        }
+        let _ = write!(s, " {}={:.3}ms", ph.name(), ms(ns));
+        // Behind the spill phase's wall time, what its workers were busy
+        // with inside it, summed over them: building runs, and encoding
+        // plus writing them. A worker per thread, or per run if fewer.
+        if ph == Phase::Spill {
+            let runs = profile.metrics.counter(Counter::SpilledRuns)
+                + profile.metrics.counter(Counter::SpillMemFallbackRuns);
+            let _ = write!(
+                s,
+                " (generate {:.3}ms, write {:.3}ms busy, {} workers)",
+                ms(profile.metrics.counter(Counter::SpillGenerateNs)),
+                ms(profile.metrics.counter(Counter::SpillWriteNs)),
+                runs.min(threads as u64),
+            );
         }
     }
     // Where the merge put its winners: straight into the result's vectors
@@ -374,7 +392,7 @@ fn exec_node<'a>(
             let input = exec_plan(input, catalog, options, prof)?;
             let (sorted, sort_profile) = sort_relation(&input, order, options)?;
             if let Some(p) = &sort_profile {
-                *detail = sort_detail(p);
+                *detail = sort_detail(p, options.threads.max(1));
             }
             Ok(Cow::Owned(sorted))
         }
@@ -911,7 +929,7 @@ mod tests {
             for &(c, v) in counters {
                 profile.metrics.counters[c as usize] = v;
             }
-            sort_detail(&profile)
+            sort_detail(&profile, 2)
         };
         let kway = detail(&[
             (Counter::RunsGenerated, 8),
@@ -940,20 +958,33 @@ mod tests {
             (Counter::SpillReadBytes, 34_099_456),
         ];
         assert_eq!(detail(&reread), " spill_parts=2 reread=1.07x");
+        // The spill phase: wall time, then the workers' busy time in it.
+        let mut spilling = rowsort_core::SortProfile::zeroed();
+        spilling.metrics.phase_ns[Phase::Spill as usize] = 41_500_000;
+        spilling.metrics.counters[Counter::SpillGenerateNs as usize] = 52_250_000;
+        spilling.metrics.counters[Counter::SpillWriteNs as usize] = 29_000_000;
+        spilling.metrics.counters[Counter::SpilledRuns as usize] = 14;
+        spilling.metrics.counters[Counter::SpillMemFallbackRuns as usize] = 2;
+        assert_eq!(
+            sort_detail(&spilling, 2),
+            " spill=41.500ms (generate 52.250ms, write 29.000ms busy, 2 workers)"
+        );
+        // Fewer runs than threads: a worker per run.
+        assert!(sort_detail(&spilling, 32).contains("busy, 16 workers)"));
         // The planned key, and what its VARCHAR prefix left to the
         // comparator.
         let mut planned = rowsort_core::SortProfile::zeroed();
         planned.key_width = 36;
         planned.varchar_prefix = 20;
-        assert_eq!(sort_detail(&planned), " key=36B prefix=20");
+        assert_eq!(sort_detail(&planned, 2), " key=36B prefix=20");
         planned.metrics.counters[Counter::RunTieRows as usize] = 5_584;
         planned.metrics.counters[Counter::RunTieRanges as usize] = 642;
         assert_eq!(
-            sort_detail(&planned),
+            sort_detail(&planned, 2),
             " key=36B prefix=20 tie_rows=5584 tie_ranges=642"
         );
         planned.sink = "vectors";
-        assert!(sort_detail(&planned).starts_with(" sink=vectors key=36B"));
+        assert!(sort_detail(&planned, 2).starts_with(" sink=vectors key=36B"));
         assert_eq!(short_count(9_999), "9999");
         assert_eq!(short_count(12_500_000), "13M");
     }
