@@ -23,18 +23,17 @@
 //!   BlockQuickSort-style branchless partitioning for typed slices,
 //! * [`radix`] — LSD and MSD radix sorts over normalized-key rows, with the
 //!   paper's "single-bucket skip" optimization,
-//! * [`merge_path`] — Merge Path diagonal partitioning for parallel merges,
-//! * [`kway`] — loser-tree k-way merge.
+//! * [`kway`] — loser-tree k-way merge, the one merge shape of the
+//!   pipeline and the external sorter (with or without offset-value
+//!   codes).
 
 pub mod heapsort;
 pub mod insertion;
 pub mod introsort;
 pub mod kway;
-pub mod merge_path;
 pub mod mergesort;
 pub mod pdqsort;
 pub mod radix;
 pub mod rows;
 
-pub use merge_path::merge_path_partition;
 pub use rows::RowsMut;

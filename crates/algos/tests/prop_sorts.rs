@@ -5,13 +5,12 @@ use rowsort_algos::heapsort::{heapsort, heapsort_rows};
 use rowsort_algos::insertion::{insertion_sort, insertion_sort_rows};
 use rowsort_algos::introsort::{introsort, introsort_rows};
 use rowsort_algos::kway::{kway_merge, kway_merge_rows};
-use rowsort_algos::merge_path::merge_path_partition;
 use rowsort_algos::mergesort::{merge_sort, merge_sort_rows};
 use rowsort_algos::pdqsort::{pdqsort, pdqsort_rows};
 use rowsort_algos::radix::{lsd_radix_sort_rows, msd_radix_sort_rows, radix_sort_rows};
 use rowsort_algos::rows::RowsMut;
-use rowsort_testkit::prop::{f64_in, full, one_of, vec_of, BoxedGen, GenExt};
-use rowsort_testkit::{prop, prop_assert, prop_assert_eq};
+use rowsort_testkit::prop::{full, one_of, vec_of, BoxedGen, GenExt};
+use rowsort_testkit::{prop, prop_assert_eq};
 
 fn expect_sorted(input: &[u32]) -> Vec<u32> {
     let mut e = input.to_vec();
@@ -185,26 +184,5 @@ prop! {
         let mut expected: Vec<u16> = runs.into_iter().flatten().collect();
         expected.sort_unstable();
         prop_assert_eq!(got, expected);
-    }
-
-    fn merge_path_every_diag_valid(
-        a in vec_of(full::<u32>(), 0..80),
-        b in vec_of(full::<u32>(), 0..80),
-        frac in f64_in(0.0, 1.0),
-    ) {
-        a.sort_unstable();
-        b.sort_unstable();
-        let total = a.len() + b.len();
-        let diag = ((total as f64) * frac) as usize;
-        let (i, j) = merge_path_partition(&a, &b, diag, &mut |x, y| x < y);
-        prop_assert_eq!(i + j, diag);
-        // The split must be a valid merge frontier:
-        // every taken element <= every untaken element on the other side.
-        if i > 0 && j < b.len() {
-            prop_assert!(a[i - 1] <= b[j]);
-        }
-        if j > 0 && i < a.len() {
-            prop_assert!(b[j - 1] <= a[i]);
-        }
     }
 }

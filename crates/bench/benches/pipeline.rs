@@ -88,10 +88,9 @@ fn bench_pipeline(c: &mut Harness) {
 
     // Wide multi-column VARCHAR keys with long shared prefixes — the
     // offset-value coding headline case. Small runs make the merge 64
-    // ways so comparator work dominates; the coded sort merges them in
-    // one tree-of-losers pass (`_t2`: one per key range, on two threads)
-    // while the _novc twin pays the full six-round cascade with
-    // whole-key compares.
+    // ways so comparator work dominates; every sort merges them in one
+    // tree-of-losers pass (`_t2`: one per key range, on two threads), the
+    // _novc twin with a whole-key compare at every match.
     let n = sizes()[0].min(1_000_000);
     let chunk = wide_key_chunk(n, 0xF16_14);
     let order = OrderBy::ascending(3);

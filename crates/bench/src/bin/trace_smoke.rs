@@ -16,9 +16,11 @@
 //! to clock), a planned key (`key_width`, `varchar_prefix`) and tie
 //! counters (`run_tie_ranges`, `run_tie_rows`, `pdq_sorts`) that agree,
 //! and a merge shape (`merge_rounds`, `merge_tasks`,
-//! `merge_max_range_rows`) that adds up, and — on the external line — the
-//! spill workers' busy time (`spill_generate_ns`, `spill_write_ns`): both
-//! clocked, together no more than the phase once per worker. Exits
+//! `merge_max_range_rows`) that adds up: every merge, in memory or
+//! spilled, is one k-way pass that reports its largest key range. On the
+//! external line it also checks the spill workers' busy time
+//! (`spill_generate_ns`, `spill_write_ns`): both clocked, together no more
+//! than the phase once per worker. Exits
 //! non-zero on any violation, so CI catches schema drift the moment it
 //! happens.
 
@@ -204,11 +206,11 @@ fn main() {
         }
         tied |= tie_rows > 0.0;
 
-        // Merge shape. A k-way pass (every spill merge; the in-memory
-        // merge of a coded sort) reports its largest key range, which
-        // holds at least an even share of the rows and at most all of
-        // them; a pipeline sort that made one is one round of `ranges`
-        // tasks. A cascade (`ROWSORT_OVC=0`) reports rounds and no range.
+        // Merge shape. Every merge is a k-way pass (the spill merge; the
+        // in-memory merge of two or more runs, with codes or without) and
+        // reports its largest key range, which holds at least an even
+        // share of the rows and at most all of them; a pipeline sort that
+        // made one is one round of `ranges` tasks.
         let max_range = count(Counter::MergeMaxRangeRows);
         let (rounds, ranges) = if operator == "external" {
             (1.0, count(Counter::SpillMergePartitions))
@@ -216,8 +218,8 @@ fn main() {
             (count(Counter::MergeRounds), count(Counter::MergeTasks))
         };
         merged_in_memory |= operator == "pipeline" && rounds > 0.0;
-        if operator == "external" && max_range == 0.0 {
-            die(&format!("line {line_no}: a spill merge reported no range"));
+        if rounds > 0.0 && max_range == 0.0 {
+            die(&format!("line {line_no}: a merge reported no range"));
         }
         if max_range > 0.0 && (rounds != 1.0 || max_range > rows || max_range * ranges < rows) {
             die(&format!(

@@ -606,10 +606,9 @@ const SINK_THREADS: [usize; 4] = [1, 2, 3, 8];
 /// Check 4: `SortPipeline::sort` merges straight into vectors
 /// (`sink=vectors`); what it returns is, bit for bit, what
 /// `sort_rows().to_chunk()` converts its merged row run to and what the
-/// `ovc: false` cascade — which keeps materializing rows and drains its
-/// last run — returns, at each of [`SINK_THREADS`]; and the external
-/// sorter, gathering out of run files at as many merge threads, returns the
-/// same vectors again.
+/// `ovc: false` sort — the same merge on whole keys — returns, at each of
+/// [`SINK_THREADS`]; and the external sorter, gathering out of run files
+/// at as many merge threads, returns the same vectors again.
 pub fn check_sinks_agree(case: &Case) -> PropResult {
     let chunk = case.chunk();
     let run_rows = case.options.run_rows;
@@ -618,11 +617,11 @@ pub fn check_sinks_agree(case: &Case) -> PropResult {
         let vectors = pipeline(case, threads, run_rows, true).sort(&chunk);
         let rows = pipeline(case, threads, run_rows, true);
         let rows = rows.sort_rows(&chunk).to_chunk();
-        let cascade = pipeline(case, threads, run_rows, false).sort(&chunk);
+        let plain = pipeline(case, threads, run_rows, false).sort(&chunk);
         let spilled = external(case, run_rows, threads, true, no_faults()).sort(&chunk);
         let twins = [
             ("sort_rows().to_chunk()", rows),
-            ("the ovc-off cascade", cascade),
+            ("the ovc-off sort", plain),
             ("the spilled sort", spilled.map_err(|e| e.to_string())?),
         ];
         for (what, twin) in &twins {

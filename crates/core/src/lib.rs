@@ -11,8 +11,8 @@
 //! * [`pipeline`] — DuckDB's full parallel sorting pipeline (Figure 11):
 //!   morsel-parallel run generation, radix thread-local sorts (the
 //!   comparator only inside key-equal ranges),
-//!   payload reordering, and the merge — one coded k-way pass over key
-//!   ranges, or (OVC off) the Merge-Path-parallel cascaded 2-way merge,
+//!   payload reordering, and the merge — one k-way pass over key ranges,
+//!   on offset-value codes or (OVC off) on whole keys,
 //! * `run` (crate-private) — the one run generator both sorters use:
 //!   vectors → rows + normalized keys → thread-local sort → a pooled
 //!   `SortedRun` with its offset-value code column; and the key plan both

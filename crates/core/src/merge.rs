@@ -2,16 +2,14 @@
 //! [`RunSource`]s emitting into a [`MergeSink`], with offset-value coding
 //! as a const parameter.
 //!
-//! The in-memory pipeline's coded merge and the spill merge are this loop
-//! over a different source × sink pair, once per key range: where the head
-//! record lives and where the winner is written are the only things that
-//! ever differed between them. Both cut the key space into ranges with the
-//! planner at the bottom of this file ([`plan_parts`], [`sample_positions`],
-//! [`choose_splitters`]). The plain Merge-Path 2-way cascade in
-//! [`crate::pipeline`] — the paper's Figure 11 merge, kept as the OVC-off
-//! path — is the one merge not on the kernel: it splits a single merge
-//! across workers by output position, which a tree over runs cannot
-//! express.
+//! Both sorters' merges are this loop over a source × sink pair, once per
+//! key range — the in-memory pipeline's, with codes or without, and the
+//! spill merge's: where the head record lives and where the winner is
+//! written are the only things that differ between them. Both cut the key
+//! space into ranges with the planner at the bottom of this file
+//! ([`plan_parts`], [`sample_positions`], [`choose_splitters`]). (The
+//! [`crate::systems`] profiles keep their own merges: they model other
+//! engines.)
 
 use crate::comparator::FusedRowComparator;
 use crate::keys::word;
@@ -27,11 +25,11 @@ use std::cmp::Ordering;
 use std::path::Path;
 
 /// Copy a small runtime-length slice with a pair of overlapping
-/// fixed-width loads/stores instead of a `memcpy` call — merge loops copy
-/// one key (~5 bytes) and one row (~8–24 bytes) per output row, where the
-/// call overhead of a runtime-length `memcpy` dominates the copy itself.
+/// fixed-width loads/stores instead of a `memcpy` call — sinks copy one
+/// row (~8–24 bytes) per winner, where the call overhead of a
+/// runtime-length `memcpy` dominates the copy itself.
 #[inline]
-pub(crate) fn copy_small(dst: &mut [u8], src: &[u8]) {
+fn copy_small(dst: &mut [u8], src: &[u8]) {
     debug_assert_eq!(dst.len(), src.len());
     let n = src.len();
     if n >= 16 && n <= 32 {
@@ -88,7 +86,7 @@ pub(crate) fn cmp_keys(a: &[u8], b: &[u8]) -> Ordering {
 /// Rebase a merged row's VARCHAR heap offsets after its strings moved
 /// `heap_shift` bytes later in a concatenated output heap.
 #[inline]
-pub(crate) fn shift_heap_offsets(
+fn shift_heap_offsets(
     layout: &RowLayout,
     varlen_cols: &[usize],
     out_row: &mut [u8],

@@ -49,10 +49,9 @@ pub enum Phase {
     /// Morsel-parallel run generation (stage, encode keys, local sort,
     /// payload reorder).
     RunGeneration,
-    /// Merging the runs: a range-partitioned k-way pass, or the cascaded
-    /// Merge-Path 2-way rounds — into one row run, or (`sink = vectors`)
-    /// straight into the output columns, Figure 11's NSM → DSM stage
-    /// included.
+    /// Merging the runs in one range-partitioned k-way pass, codes or no
+    /// codes — into one row run, or (`sink = vectors`) straight into the
+    /// output columns, Figure 11's NSM → DSM stage included.
     Merge,
     /// Joining the key ranges' pieces of the output columns after a merge
     /// into vectors: one byte copy per range and VARCHAR column, one
@@ -119,11 +118,15 @@ pub enum Counter {
     PdqSorts,
     /// Sorted runs produced by run generation.
     RunsGenerated,
-    /// Passes the in-memory merge phase made over the rows: one for a
-    /// range-partitioned k-way merge, one per round of a 2-way cascade.
+    /// Passes the in-memory merge phase made over the rows: one per
+    /// pipeline sort of two or more runs, with offset-value codes or
+    /// without.
     MergeRounds,
-    /// Tasks those passes were cut into: key ranges of a k-way pass,
-    /// Merge-Path partitions of a cascade's rounds.
+    /// Tasks that pass was cut into: its key ranges
+    /// ([`Counter::MergeMaxRangeRows`] is the largest). Both this and
+    /// [`Counter::MergeRounds`] are read by name (`merge_rounds`,
+    /// `merge_tasks`) by rowbench's replay ledger
+    /// (`benchmark/src/replay.rs`), so they stay while it does.
     MergeTasks,
     /// Parallel-phase broadcasts through the worker pool.
     Broadcasts,
@@ -142,8 +145,8 @@ pub enum Counter {
     /// Run files rejected by read-back verification (checksum mismatch,
     /// truncation, or a structurally impossible record).
     SpillChecksumFailed,
-    /// Key comparisons performed by merge loops (2-way cascade rounds
-    /// and every loser-tree merge; partition search excluded).
+    /// Key comparisons performed by the loser-tree merges (range planning
+    /// excluded).
     MergeCmps,
     /// Of those, comparisons resolved by the offset-value code alone —
     /// a single `u64` compare, no key bytes read (DESIGN.md §10).

@@ -1,30 +1,30 @@
-//! DuckDB's full parallel sorting pipeline (paper Figure 11).
+//! DuckDB's full parallel sorting pipeline (paper Figure 11), merging in
+//! one k-way pass.
 //!
 //! ```text
 //! vectors ──► 8-byte-aligned payload rows + normalized keys (per worker)
 //!         ──► thread-local radix sort (+ comparator in key-equal ranges) ⇒ sorted runs
-//!         ──► one coded k-way merge per key range, ranges across threads,
+//!         ──► one k-way merge per key range, ranges across threads,
 //!             winners gathered straight into the output vectors
-//!             (`ovc` off: cascaded 2-way merge, Merge-Path-partitioned,
-//!             then its one run drained into the vectors)
 //! ```
 //!
 //! Run generation dominates the comparison count (§II: with k runs of n/k
 //! rows, `n·log(n) − n·log(k)` of the `n·log(n)` comparisons happen during
-//! run generation), so each worker sorts its own runs locally. With
-//! [`SortOptions::ovc`] (the default) the merge phase is one pass at any
-//! thread count: the key space is cut into one range per thread, and each
-//! range is a tree-of-losers merge whose matches mostly resolve on one
-//! `u64` offset-value code compare instead of a whole-key `memcmp` — rows
-//! move once (DESIGN.md §10). With it off the merge is the paper's: a
-//! cascade of 2-way merges, each split along Merge Path diagonals.
+//! run generation), so each worker sorts its own runs locally. The merge
+//! phase is one pass at any thread count: the key space is cut into one
+//! range per thread, and each range is a tree-of-losers merge — rows move
+//! once (DESIGN.md §10). With [`SortOptions::ovc`] (the default) its
+//! matches mostly resolve on one `u64` offset-value code compare instead
+//! of a whole-key `memcmp`; with it off the same tree plays whole-key
+//! compares. (The paper merges with a cascade of 2-way merges split along
+//! Merge Path diagonals, which moves every row log₂ k times.)
 //!
 //! In steady state the pipeline is **allocation-free and
 //! thread-spawn-free** (DESIGN.md §6): every transient buffer — key runs,
 //! payload blocks, the radix scratch, merge outputs — comes from a
-//! [`BufferPool`] that survives across runs, merge rounds, and repeated
+//! [`BufferPool`] that survives across runs and repeated
 //! [`SortPipeline::sort`] calls, and phases execute on a persistent
-//! [`WorkerPool`] spawned once per pipeline. Either merge writes winners
+//! [`WorkerPool`] spawned once per pipeline. The merge writes winners
 //! straight into a disjoint part of a pre-sized output — there is no
 //! intermediate `(block, row)` pick pass — and for [`SortPipeline::sort`]
 //! that output is the result's columns themselves ([`VectorSink`]):
@@ -34,27 +34,22 @@
 //!
 //! Output is deterministic: runs land in morsel-indexed slots; key ranges
 //! are cut where keys differ, so their concatenation is the one stable
-//! merge by run index; the cascade pairs runs in a fixed order (any odd
-//! run carries over last) and Merge Path partitioning is exact — so the
-//! result, including the order within ties, is bit-identical for any
-//! thread count and with `ovc` on or off.
+//! merge by run index — so the result, including the order within ties,
+//! is bit-identical for any thread count and with `ovc` on or off.
 
 use crate::comparator::FusedRowComparator;
 use crate::keys::{KeyBlock, VarcharStat};
 use crate::merge::{
-    choose_splitters, cmp_keys, column_bytes, copy_small, lower_bound, merge_kway, plan_parts,
-    recycle_vec, sample_positions, string_bytes, ConcatSink, MemSource, MergeOrder, MergeSink,
-    VectorSink,
+    choose_splitters, column_bytes, lower_bound, merge_kway, plan_parts, recycle_vec,
+    sample_positions, string_bytes, ConcatSink, MemSource, MergeOrder, MergeSink, VectorSink,
 };
 use crate::metrics::{emit_trace, Counter, CounterRegistry, Metrics, Phase, SortProfile};
 use crate::pool::BufferPool;
 use crate::run::{planned_prefix, varchar_stats, PrefixSampler, RunGenerator, SortedRun};
 use crate::workers::WorkerPool;
 use rowsort_algos::kway::OvcLoserTree;
-use rowsort_algos::merge_path::merge_path_partition_by;
 use rowsort_row::{heap_base, ChunkBuilder, PieceTail, RowBlock, RowLayout};
 use rowsort_vector::{DataChunk, LogicalType, OrderBy};
-use std::cmp::Ordering;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -92,11 +87,10 @@ pub struct SortOptions {
     /// Rows per thread-local sorted run (DuckDB sorts once a thread's
     /// collected data reaches a threshold; 128 Ki rows here).
     pub run_rows: usize,
-    /// Code every run's keys as offset-value codes and merge the runs in
-    /// one range-partitioned k-way pass, where most comparisons resolve
-    /// on one `u64` compare (DESIGN.md §10). Off, the runs merge through
-    /// the paper's cascade of Merge-Path 2-way merges with whole-key
-    /// compares. Output is bit-identical either way.
+    /// Code every run's keys as offset-value codes, so that most matches
+    /// of the range-partitioned k-way merge resolve on one `u64` compare
+    /// (DESIGN.md §10). Off, the same tree plays whole-key compares.
+    /// Output is bit-identical either way.
     pub ovc: bool,
 }
 
@@ -121,42 +115,6 @@ impl SortOptions {
     }
 }
 
-/// One 2-way merge of a round; its output is the round's next run.
-struct MergeJob {
-    /// Indices of the input runs within the current round.
-    a: usize,
-    b: usize,
-    total: usize,
-    /// Added to the heap offsets of rows taken from run `b` (the output
-    /// heap is `a.heap ++ b.heap`).
-    heap_shift: u32,
-}
-
-/// Merge state shared by every task of a cascade: key width, row width,
-/// and tie configuration are properties of the *sort*, so they are
-/// derived once per [`SortPipeline::merge_runs`] instead of being
-/// re-computed inside every Merge Path task's comparison setup.
-#[derive(Clone, Copy)]
-struct MergeCtx {
-    /// Bytes per normalized key (identical across all runs of a sort).
-    kw: usize,
-    /// Bytes per payload row.
-    width: usize,
-    /// Truncated VARCHAR prefixes can tie: byte-equal keys still need
-    /// the full-tuple comparator.
-    tie_possible: bool,
-}
-
-/// What no task of a cascade round has claimed yet: the next task, the
-/// output runs of the pairs not yet started, and the rest of the current
-/// pair's key and row buffers.
-struct Unclaimed<'a> {
-    next: usize,
-    outs: std::slice::IterMut<'a, SortedRun>,
-    keys: &'a mut [u8],
-    rows: &'a mut [u8],
-}
-
 /// What one key range's merge keeps from sort to sort. The cursors borrow
 /// the sort's runs, so between sorts the vector is empty and only its
 /// allocation survives ([`recycle_vec`]).
@@ -179,12 +137,10 @@ struct Scratch {
     /// The prefix estimator's sample table.
     sampler: PrefixSampler,
     /// Morsel-indexed run slots: worker `m` writes run `m` here, so run
-    /// order (and thus merge pairing) is schedule-independent.
+    /// order (and thus the merge's tie order) is schedule-independent.
     run_slots: Vec<Mutex<Option<SortedRun>>>,
-    /// Current merge round, in deterministic order.
+    /// The runs to merge, in morsel order.
     runs: Vec<SortedRun>,
-    next_round: Vec<SortedRun>,
-    jobs: Vec<MergeJob>,
     /// Range-merge state (DESIGN.md §10.3), all reused so the steady
     /// state allocates nothing: the runs' sample keys (empty between
     /// sorts, like a range's cursors) and the splitters picked from them,
@@ -288,7 +244,9 @@ impl SortPipeline {
     pub fn sort_rows(&self, input: &DataChunk) -> SortedRows<'_> {
         SortedRows {
             pipeline: self,
-            run: self.sort_with(input, "rows", |scratch| self.merge_runs(scratch)),
+            run: self
+                .sort_with(input, "rows", |scratch| self.merge_runs(scratch))
+                .flatten(),
         }
     }
 
@@ -450,23 +408,24 @@ impl SortPipeline {
         }
     }
 
-    /// Whether this sort's runs merge in one coded pass over key ranges
-    /// (`ovc` on, a key to code, something to merge) — the Merge-Path
-    /// cascade's job otherwise.
-    fn coded(&self, scratch: &Scratch) -> bool {
-        let kw = scratch.runs.first().map_or(0, |r| r.key_width);
-        self.options.ovc && kw > 0 && scratch.runs.len() > 1
+    /// Whether `runs` merge on offset-value codes: `ovc` on, a key to
+    /// code and something to merge — the runs that carry a code column
+    /// ([`RunGenerator::make_run`]). Any other merge plays the same tree
+    /// with whole-key compares.
+    fn coded(&self, runs: &[SortedRun]) -> bool {
+        let kw = runs.first().map_or(0, |r| r.key_width);
+        self.options.ovc && kw > 0 && runs.len() > 1
     }
 
     /// Phase 2 of [`SortPipeline::sort_rows`]: merge the runs into one row
-    /// run — one pass of range-partitioned k-way merges for a coded sort
-    /// ([`SortPipeline::merge_ranges`]), the cascade for any other.
-    fn merge_runs(&self, scratch: &mut Scratch) -> SortedRun {
+    /// run ([`SortPipeline::merge_ranges`]). A lone run is that row run
+    /// already.
+    fn merge_runs(&self, scratch: &mut Scratch) -> Option<SortedRun> {
         let _merge = self.metrics.time_phase(Phase::Merge);
-        if self.coded(scratch) {
-            self.merge_ranges(scratch)
+        if scratch.runs.len() > 1 {
+            Some(self.merge_ranges(scratch))
         } else {
-            self.cascade(scratch)
+            scratch.runs.pop()
         }
     }
 
@@ -479,20 +438,11 @@ impl SortPipeline {
     /// batch, and what is left for one thread afterwards — clocked as
     /// [`Phase::Gather`] — is one byte copy per range and VARCHAR column
     /// and a splice of the validity masks. `input`'s string columns say
-    /// how many bytes to expect.
-    ///
-    /// A sort that is not coded first cascades its runs into one (the
-    /// paper's merge keeps materializing rows); that run, like the lone
-    /// run of an input no longer than `run_rows`, has nothing left to
-    /// merge and drains through the same sink as one range, on the calling
-    /// thread.
+    /// how many bytes to expect. The lone run of an input no longer than
+    /// `run_rows` has nothing to merge and drains through the same sink as
+    /// one range, on the calling thread.
     fn merge_into_vectors(&self, scratch: &mut Scratch, input: &DataChunk) -> DataChunk {
         let merge_timer = self.metrics.time_phase(Phase::Merge);
-        let coded = self.coded(scratch);
-        if !coded {
-            let run = self.cascade(scratch);
-            scratch.runs.push(run);
-        }
         let parts = self.plan_ranges(scratch);
         let total: usize = scratch.runs.iter().map(|r| r.len()).sum();
         let mut builder = ChunkBuilder::new(&self.types, total);
@@ -510,10 +460,7 @@ impl SortPipeline {
                 let tail = sink.finish(&self.pool);
                 *tails[p].lock().unwrap_or_else(|e| e.into_inner()) = Some(tail);
             };
-            self.merge_each_range((runs, cuts, ranges), parts, coded, claim, done);
-            if coded {
-                self.count_range_merge(cuts, parts);
-            }
+            self.merge_each_range((runs, cuts, ranges), parts, claim, done);
         }
         for run in scratch.runs.drain(..) {
             run.recycle(&self.pool);
@@ -528,135 +475,6 @@ impl SortPipeline {
         // A row's one move after run generation: its values into columns.
         self.metrics.add(Counter::BytesMoved, column_bytes(&chunk));
         chunk
-    }
-
-    /// The paper's merge (Figure 11), kept as the OVC-off path: cascade
-    /// 2-way merges until one run remains — which a lone run already is.
-    /// Pairing is deterministic — adjacent runs merge in order, an odd run
-    /// carries over to the next round *last* — and each round's merges
-    /// execute as a flat `pairs × parts` task grid on the worker pool.
-    fn cascade(&self, scratch: &mut Scratch) -> SortedRun {
-        assert!(!scratch.runs.is_empty());
-        let width = self.layout.width();
-        let kw = scratch.runs.first().map_or(0, |r| r.key_width);
-        let Scratch {
-            ref mut runs,
-            ref mut next_round,
-            ref mut jobs,
-            ..
-        } = *scratch;
-        // Hoisted merge state: every task of every round shares the key
-        // width, row width, and tie setup, so derive them once here
-        // instead of per merge_task call.
-        let ctx = MergeCtx {
-            kw,
-            width,
-            tie_possible: runs.first().is_some_and(|r| r.tie_possible),
-        };
-
-        while runs.len() > 1 {
-            let pairs = runs.len() / 2;
-            next_round.clear();
-            jobs.clear();
-            for p in 0..pairs {
-                let a = &runs[2 * p];
-                let b = &runs[2 * p + 1];
-                let total = a.len() + b.len();
-                let mut keys = self.pool.get_bytes(total * kw);
-                keys.resize(total * kw, 0);
-                let mut data = self.pool.get_bytes(total * width);
-                data.resize(total * width, 0);
-                // The merged heap is a.heap ++ b.heap: run heaps are fully
-                // referenced, so concatenation (plus an offset shift on
-                // b-side rows) replaces per-row heap compaction. A shifted
-                // offset is below the merged length, so that is what must
-                // fit a slot.
-                let heap_bytes = a.payload.heap().len() + b.payload.heap().len();
-                heap_base(heap_bytes);
-                let mut heap = self.pool.get_bytes(heap_bytes);
-                heap.extend_from_slice(a.payload.heap());
-                heap.extend_from_slice(b.payload.heap());
-                let heap_shift = heap_base(a.payload.heap().len());
-                jobs.push(MergeJob {
-                    a: 2 * p,
-                    b: 2 * p + 1,
-                    total,
-                    heap_shift,
-                });
-                next_round.push(SortedRun {
-                    keys,
-                    key_width: kw,
-                    tie_possible: ctx.tie_possible,
-                    ovc: Vec::new(),
-                    payload: RowBlock::from_raw_parts(Arc::clone(&self.layout), data, heap),
-                });
-            }
-
-            // Flat task grid: every pair is split into `parts` Merge Path
-            // partitions. Tasks are claimed in (pair, part) order under one
-            // lock, each taking the rows of its diagonals off the front of
-            // its pair's unclaimed key and row buffers: slices disjoint by
-            // construction, whichever worker gets which.
-            let parts = self.options.threads.div_ceil(pairs);
-            let tasks = pairs * parts;
-            let runs_ref: &[SortedRun] = runs;
-            let jobs_ref: &[MergeJob] = jobs;
-            let unclaimed = Mutex::new(Unclaimed {
-                next: 0,
-                outs: next_round.iter_mut(),
-                keys: &mut [],
-                rows: &mut [],
-            });
-            let body = |_worker: usize| loop {
-                let (job, part, out_keys, out_rows) = {
-                    let mut guard = unclaimed.lock().unwrap_or_else(|e| e.into_inner());
-                    let left = &mut *guard;
-                    let (pair, part) = (left.next / parts, left.next % parts);
-                    if part == 0 {
-                        // The round is claimed when its output runs are.
-                        let Some(out) = left.outs.next() else { break };
-                        left.keys = &mut out.keys[..];
-                        left.rows = out.payload.data_mut();
-                    }
-                    let job = &jobs_ref[pair];
-                    let rows = job.total * (part + 1) / parts - job.total * part / parts;
-                    let out_keys = left.keys.split_off_mut(..rows * kw);
-                    let out_rows = left.rows.split_off_mut(..rows * width);
-                    let (Some(out_keys), Some(out_rows)) = (out_keys, out_rows) else {
-                        break;
-                    };
-                    left.next += 1;
-                    (job, part, out_keys, out_rows)
-                };
-                self.merge_task(runs_ref, job, part, parts, ctx, out_keys, out_rows);
-            };
-            if self.options.threads == 1 || tasks == 1 {
-                body(0);
-            } else {
-                self.worker_pool().broadcast(&body);
-            }
-            self.metrics.add(Counter::MergeRounds, 1);
-            self.metrics.add(Counter::MergeTasks, tasks as u64);
-            let round_bytes: usize = jobs.iter().map(|j| j.total * (kw + width)).sum();
-            self.metrics.add(Counter::BytesMoved, round_bytes as u64);
-
-            // Recycle this round's inputs; any odd run carries over last.
-            let odd = if runs.len() % 2 == 1 {
-                runs.pop()
-            } else {
-                None
-            };
-            for run in runs.drain(..) {
-                run.recycle(&self.pool);
-            }
-            if let Some(odd) = odd {
-                next_round.push(odd);
-            }
-            std::mem::swap(runs, next_round);
-        }
-        // lint:allow(R010): the entry assert guarantees `runs` is
-        // non-empty and each cascade round halves it toward one.
-        runs.pop().expect("cascade leaves exactly one run")
     }
 
     /// Cut the runs into the `parts` ranges one pass of merges fills
@@ -713,16 +531,17 @@ impl SortPipeline {
     /// `claim(rows)` taking the range's share off the front of whatever
     /// output it guards (slices disjoint by construction, whichever worker
     /// gets which); `done` gets each sink back once its range is in.
-    /// `coded` runs carry offset-value codes and merge on them; a lone run
-    /// drains straight through the kernel's one-leaf tree.
+    /// [`SortPipeline::coded`] runs merge on their codes, any others on
+    /// whole keys; a lone run drains straight through the kernel's
+    /// one-leaf tree. Several runs count one merge round of `parts` tasks.
     fn merge_each_range<K: MergeSink>(
         &self,
         (runs, cuts, ranges): (&[SortedRun], &[usize], &[Mutex<RangeScratch>]),
         parts: usize,
-        coded: bool,
         claim: impl FnMut(usize) -> Option<K> + Send,
         done: impl Fn(usize, K) + Sync,
     ) {
+        let coded = self.coded(runs);
         let (kw, tie_possible) = runs
             .first()
             .map_or((0, false), |r| (r.key_width, r.tie_possible));
@@ -770,28 +589,25 @@ impl SortPipeline {
         } else {
             self.worker_pool().broadcast(&body);
         }
+        if runs.len() > 1 {
+            let max_range = (0..parts).map(|p| range_rows(cuts, parts, p)).max();
+            self.metrics.add(Counter::MergeRounds, 1);
+            self.metrics.add(Counter::MergeTasks, parts as u64);
+            self.metrics
+                .add(Counter::MergeMaxRangeRows, max_range.unwrap_or(0) as u64);
+        }
     }
 
-    /// Count one pass of `parts` range merges: a round, its tasks, and the
-    /// rows of its largest range.
-    fn count_range_merge(&self, cuts: &[usize], parts: usize) {
-        self.metrics.add(Counter::MergeRounds, 1);
-        self.metrics.add(Counter::MergeTasks, parts as u64);
-        let max_range = (0..parts).map(|p| range_rows(cuts, parts, p)).max();
-        self.metrics
-            .add(Counter::MergeMaxRangeRows, max_range.unwrap_or(0) as u64);
-    }
-
-    /// Merge all runs into one row run in one pass of coded tree-of-losers
-    /// merges, one per key range: each range claims its slice of the one
-    /// pre-sized row area. Each row moves once at any thread count,
-    /// ⌈log₂ k⌉ coded matches apiece, and no key column is written: nothing
-    /// reads the merged run's keys.
+    /// Merge two or more runs into one row run in one pass of
+    /// tree-of-losers merges, one per key range: each range claims its
+    /// slice of the one pre-sized row area. Each row moves once at any
+    /// thread count, ⌈log₂ k⌉ matches apiece, and no key column is
+    /// written: nothing reads the merged run's keys.
     ///
-    /// Output order is bit-identical to the cascade's, whatever `parts`
-    /// is (a full tie goes to the lower leaf; the cascade lets the earlier
-    /// run win ties at every round), and the output heap is the same
-    /// run-order concatenation.
+    /// Output order is the stable merge by run index whatever `parts` is
+    /// (a full tie goes to the lower leaf), so it is bit-identical with
+    /// codes or without, and the output heap is the run heaps concatenated
+    /// in run order.
     fn merge_ranges(&self, scratch: &mut Scratch) -> SortedRun {
         let parts = self.plan_ranges(scratch);
         let Scratch {
@@ -807,10 +623,9 @@ impl SortPipeline {
             .map_or((0, false), |r| (r.key_width, r.tie_possible));
         let total: usize = runs.iter().map(|r| r.len()).sum();
 
-        // Output heap = run heaps concatenated in run order (matching the
-        // cascade's a.heap ++ b.heap at every level); rows from run `w`
-        // get their heap offsets shifted by that run's base. A shifted
-        // offset is below the total, so the total is what must fit a slot.
+        // Rows from run `w` get their heap offsets shifted by that run's
+        // base in the output heap. A shifted offset is below the total, so
+        // the total is what must fit a slot.
         let heap_bytes: usize = runs.iter().map(|r| r.payload.heap().len()).sum();
         heap_base(heap_bytes);
         let mut heap = self.pool.get_bytes(heap_bytes);
@@ -834,10 +649,9 @@ impl SortPipeline {
                     varlen_cols: &self.varlen_cols,
                 })
             };
-            self.merge_each_range((runs, cuts, ranges), parts, true, claim, |_, _| ());
+            self.merge_each_range((runs, cuts, ranges), parts, claim, |_, _| ());
         }
         // A row's one move writes `width` bytes.
-        self.count_range_merge(cuts, parts);
         self.metrics
             .add(Counter::BytesMoved, (total * width) as u64);
 
@@ -851,136 +665,6 @@ impl SortPipeline {
             ovc: Vec::new(),
             payload: RowBlock::from_raw_parts(Arc::clone(&self.layout), data, heap),
         }
-    }
-
-    /// Execute Merge Path partition `part` of `parts` for one 2-way merge:
-    /// binary-search the partition bounds, then write merged keys and
-    /// payload rows directly into the partition's claimed slices of the
-    /// job's output (pick generation fused with materialization — no
-    /// intermediate pick list).
-    #[allow(clippy::too_many_arguments)]
-    fn merge_task(
-        &self,
-        runs: &[SortedRun],
-        job: &MergeJob,
-        part: usize,
-        parts: usize,
-        ctx: MergeCtx,
-        out_keys: &mut [u8],
-        out_rows: &mut [u8],
-    ) {
-        let a = &runs[job.a];
-        let b = &runs[job.b];
-        let MergeCtx {
-            kw, tie_possible, ..
-        } = ctx;
-        let (na, nb) = (a.len(), b.len());
-        let cmp = |i: usize, j: usize| -> Ordering {
-            let ka = &a.keys[i * kw..(i + 1) * kw];
-            let kb = &b.keys[j * kw..(j + 1) * kw];
-            match cmp_keys(ka, kb) {
-                Ordering::Equal if tie_possible => self.tie_cmp.compare(
-                    a.payload.row(i),
-                    a.payload.heap(),
-                    b.payload.row(j),
-                    b.payload.heap(),
-                ),
-                ord => ord,
-            }
-        };
-
-        let d0 = job.total * part / parts;
-        let d1 = job.total * (part + 1) / parts;
-        if d0 == d1 {
-            return;
-        }
-        let (a0, b0) = merge_path_partition_by(na, nb, d0, |j, i| {
-            cmp(i, j) == Ordering::Greater // b[j] < a[i]
-        });
-        let (a1, b1) = merge_path_partition_by(na, nb, d1, |j, i| cmp(i, j) == Ordering::Greater);
-        self.merge_partition(a, b, job, ctx, (a0, a1), (b0, b1), out_keys, out_rows);
-    }
-
-    /// The plain (OVC-off) merge loop for one Merge Path partition: every
-    /// comparison is a fresh whole-key `cmp_keys`.
-    #[allow(clippy::too_many_arguments)]
-    fn merge_partition(
-        &self,
-        a: &SortedRun,
-        b: &SortedRun,
-        job: &MergeJob,
-        ctx: MergeCtx,
-        (a0, a1): (usize, usize),
-        (b0, b1): (usize, usize),
-        out_keys: &mut [u8],
-        out_rows: &mut [u8],
-    ) {
-        let MergeCtx {
-            kw,
-            width,
-            tie_possible,
-            ..
-        } = ctx;
-        let (a_keys, b_keys) = (&a.keys, &b.keys);
-        let (a_rows, b_rows) = (a.payload.data(), b.payload.data());
-        let (mut i, mut j) = (a0, b0);
-        let rows = out_rows.len() / width;
-        let mut key_out = out_keys.chunks_exact_mut(kw.max(1));
-        let mut row_out = out_rows.chunks_exact_mut(width);
-        let fix_heap = job.heap_shift != 0 && !self.varlen_cols.is_empty();
-        // Counters are batched locally and added once: a relaxed atomic
-        // add per output row would put contended cache lines in the
-        // hottest loop of the pipeline.
-        let mut cmps = 0u64;
-        for _ in 0..rows {
-            // Selection and index advance are arithmetic, not control flow:
-            // on random keys `take_b` is a coin flip, so a branchy merge
-            // pays a misprediction per output row.
-            let in_both = i < a1 && j < b1;
-            cmps += u64::from(in_both);
-            let take_b = i >= a1
-                || (in_both && {
-                    let ka = &a_keys[i * kw..(i + 1) * kw];
-                    let kb = &b_keys[j * kw..(j + 1) * kw];
-                    let ord = match cmp_keys(ka, kb) {
-                        Ordering::Equal if tie_possible => self.tie_cmp.compare(
-                            a.payload.row(i),
-                            a.payload.heap(),
-                            b.payload.row(j),
-                            b.payload.heap(),
-                        ),
-                        ord => ord,
-                    };
-                    ord == Ordering::Greater
-                });
-            let (src_keys, src_rows, r) = if take_b {
-                (b_keys, b_rows, j)
-            } else {
-                (a_keys, a_rows, i)
-            };
-            j += take_b as usize;
-            i += !take_b as usize;
-            if let Some(dst) = key_out.next() {
-                copy_small(dst, &src_keys[r * kw..(r + 1) * kw]);
-            }
-            // lint:allow(R010): the claimed slice holds d1-d0 rows, the
-            // partition's share of the output, by construction.
-            let out_row = row_out.next().expect("output sized to partition");
-            copy_small(out_row, &src_rows[r * width..(r + 1) * width]);
-            if fix_heap && take_b {
-                self.shift_heap_offsets(out_row, job.heap_shift);
-            }
-        }
-        self.metrics.add(Counter::MergeCmps, cmps);
-        self.metrics
-            .add(Counter::MergeKeyBytesTouched, cmps * 2 * kw as u64);
-    }
-
-    /// Rebase a merged row's VARCHAR heap offsets after its strings moved
-    /// to `heap_shift` bytes later in the concatenated output heap.
-    #[inline]
-    fn shift_heap_offsets(&self, out_row: &mut [u8], heap_shift: u32) {
-        crate::merge::shift_heap_offsets(&self.layout, &self.varlen_cols, out_row, heap_shift);
     }
 }
 
@@ -1110,8 +794,8 @@ mod tests {
     #[test]
     fn output_bit_identical_across_thread_counts() {
         // Non-key payload creates observable tie order: with morsel-slot
-        // runs, fixed pairing, and exact Merge Path partitions, the whole
-        // output (tie order included) must match for any thread count.
+        // runs and key ranges cut where keys differ, the whole output (tie
+        // order included) must match for any thread count.
         let keys = pseudo_random(9_000, 21, 40); // heavy ties
         let payload: Vec<u32> = (0..9_000).collect();
         let chunk =
@@ -1286,8 +970,8 @@ mod tests {
     }
 
     #[test]
-    fn odd_run_count_cascade() {
-        // 5 runs: cascade must handle the odd carry-over.
+    fn odd_run_count_merges() {
+        // 5 runs: a tree of losers over an odd number of leaves.
         let chunk =
             DataChunk::from_columns(vec![Vector::from_u32s(pseudo_random(501, 9, 50))]).unwrap();
         let order = OrderBy::ascending(1);
@@ -1368,7 +1052,7 @@ mod tests {
             order.clone(),
             SortOptions {
                 threads: 1,
-                run_rows: 700, // 8 runs → 3 merge rounds
+                run_rows: 700, // 8 runs, merged in one round
                 ..SortOptions::default()
             },
         );
@@ -1385,11 +1069,10 @@ mod tests {
         assert_eq!(m.counter(Counter::RunsGenerated), 8);
         assert_eq!(m.counter(Counter::RadixSorts), 8, "u32 keys take radix");
         assert!(m.counter(Counter::RadixPasses) >= 8);
-        // Coded sorts merge all 8 runs in one k-way tree-of-losers
-        // round; with OVC off the cascade takes log₂ 8.
-        let rounds = if SortOptions::default().ovc { 1 } else { 3 };
-        assert_eq!(m.counter(Counter::MergeRounds), rounds);
-        assert!(m.counter(Counter::MergeTasks) >= rounds);
+        // All 8 runs merge in one k-way tree-of-losers round, with OVC on
+        // or off.
+        assert_eq!(m.counter(Counter::MergeRounds), 1);
+        assert_eq!(m.counter(Counter::MergeTasks), 1);
         assert!(
             m.counter(Counter::MergeCmps) > 0,
             "merge loop counts compares"
@@ -1465,7 +1148,7 @@ mod tests {
         for threads in [1, 3] {
             let base = SortOptions {
                 threads,
-                run_rows: 600, // 12 runs → 4 merge rounds
+                run_rows: 600, // 12 runs
                 ovc: false,
             };
             let plain = SortPipeline::new(chunk.types(), order.clone(), base).sort(&chunk);
@@ -1484,9 +1167,10 @@ mod tests {
     }
 
     #[test]
-    fn strings_survive_multi_round_merges() {
-        // VARCHAR payload across ≥ 2 merge rounds: heap concatenation and
-        // b-side offset shifting must compose across rounds.
+    fn strings_survive_many_run_merges() {
+        // VARCHAR payload from 14 runs: each row's string comes from its
+        // own run's heap — copied into the column by `sort`, reached
+        // through an offset shifted by its run's base by `sort_rows`.
         let n = 4_000;
         let keys = pseudo_random(n, 14, 500);
         let strings: Vec<String> = keys.iter().map(|k| format!("val_{k:05}")).collect();
@@ -1501,7 +1185,7 @@ mod tests {
             order.clone(),
             SortOptions {
                 threads: 2,
-                run_rows: 300, // 14 runs → 4 merge rounds
+                run_rows: 300, // 14 runs
                 ..SortOptions::default()
             },
         );
@@ -1515,5 +1199,7 @@ mod tests {
             };
             assert_eq!(s, format!("val_{k:05}"), "string detached at row {i}");
         }
+        let rows = pipeline.sort_rows(&chunk).to_chunk();
+        assert_eq!(rows.to_rows(), got.to_rows(), "the row twin differs");
     }
 }

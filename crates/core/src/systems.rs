@@ -9,7 +9,7 @@
 //!
 //! | profile | emulates | format | local sort | merge |
 //! |---|---|---|---|---|
-//! | [`SystemProfile::RowsortDb`] | DuckDB | NSM + normalized keys (VARCHAR prefix sized from a collision sample) | radix, comparator (pdqsort) inside key-equal ranges | coded k-way per key range (`ROWSORT_OVC=0`: Merge-Path cascaded 2-way) |
+//! | [`SystemProfile::RowsortDb`] | DuckDB | NSM + normalized keys (VARCHAR prefix sized from a collision sample) | radix, comparator (pdqsort) inside key-equal ranges | coded k-way per key range (`ROWSORT_OVC=0`: the same k-way pass without codes) |
 //! | [`SystemProfile::ColumnarJit`] | ClickHouse | DSM (sorts indices) | radix for a single integer key, else pdqsort tuple-at-a-time | k-way loser tree |
 //! | [`SystemProfile::ColumnarSingle`] | MonetDB | DSM | single-threaded introsort, subsort per column | (single run) |
 //! | [`SystemProfile::CompiledRows`] | HyPer | NSM | pdqsort, fused ("compiled") comparator, sorts pointers | k-way loser tree on pointers, payload gathered at output |

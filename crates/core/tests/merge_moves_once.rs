@@ -1,7 +1,8 @@
-//! The coded in-memory merge is one range-partitioned k-way pass: at any
-//! thread count every row moves once — straight into the output vectors,
-//! no merged row run in between — and the output is bit-identical to the
-//! `ovc: false` Merge-Path cascade.
+//! The in-memory merge is one range-partitioned k-way pass: at any thread
+//! count every row moves once — straight into the output vectors, no
+//! merged row run in between. With `ovc: false` the same tree does the
+//! same work on whole keys: the same counters, no compare resolved on a
+//! code, and bit-identical rows.
 //!
 //! A gate without a clock: everything asserted here is a counter value or
 //! a row-for-row comparison. (At the commit before this file the coded
@@ -15,6 +16,15 @@ use rowsort_testkit::Rng;
 use rowsort_vector::{
     DataChunk, LogicalType, NullOrder, OrderBy, OrderByColumn, SortOrder, SortSpec, Value, Vector,
 };
+
+/// Counters of the merge's shape and work, which OVC must not change.
+const MERGE_WORK: [Counter; 5] = [
+    Counter::MergeRounds,
+    Counter::MergeTasks,
+    Counter::MergeMaxRangeRows,
+    Counter::BytesMoved,
+    Counter::MergeCmps,
+];
 
 /// Every thread count the bit-identity claim is made for.
 const THREADS: [usize; 5] = [1, 2, 3, 4, 8];
@@ -154,9 +164,14 @@ fn coded_merge_moves_each_row_once_at_any_thread_count() {
                 ovc: false,
                 ..options
             };
-            let (plain, m) = sort(&chunk, &order, plain_options);
-            assert_eq!(m.counter(Counter::MergeRounds), 3, "{what}: cascade");
-            assert_eq!(m.counter(Counter::MergeMaxRangeRows), 0, "{what}: cascade");
+            let (plain, plain_m) = sort(&chunk, &order, plain_options);
+            // The same tree on whole keys: the same work, counted.
+            for c in MERGE_WORK {
+                let (on, off) = (m.counter(c), plain_m.counter(c));
+                assert_eq!(off, on, "{what}: {} with ovc off", c.name());
+            }
+            let resolved = plain_m.counter(Counter::MergeCmpsOvcResolved);
+            assert_eq!(resolved, 0, "{what}: ovc off resolved a compare on codes");
             assert!(coded == plain, "{what}: rows differ from the ovc-off sort");
         }
     }
@@ -380,4 +395,43 @@ fn null_first_desc_keys_and_null_string_payloads_merge_identically() {
     // An integer key with the strings as pure payload.
     let by_id = OrderBy::new(vec![OrderByColumn::desc(0)]);
     assert_identical_to_plain("string payload", &chunk, &by_id, 300);
+}
+
+#[test]
+fn an_empty_order_by_over_several_runs_keeps_input_order() {
+    // No key columns: a zero-width key, nothing to code or to cut ranges
+    // by. Every match is a full tie, won by the lower run, so the merge
+    // of 8 runs hands the input back as it came.
+    let mut rng = Rng::seed_from_u64(0x0e4d7);
+    let mut chunk = DataChunk::new(&[LogicalType::UInt32, LogicalType::Varchar]);
+    for _ in 0..3_200 {
+        let s = match rng.below(5) {
+            0 => Value::Null,
+            r => Value::from("s".repeat(r as usize)),
+        };
+        chunk.push_row(&[Value::UInt32(rng.next_u32()), s]).unwrap();
+    }
+    let order = OrderBy::new(Vec::new());
+    for threads in [1, 4] {
+        for ovc in [true, false] {
+            let what = format!("threads={threads} ovc={ovc}");
+            let options = SortOptions {
+                threads,
+                run_rows: 400,
+                ovc,
+            };
+            let pipeline = pipeline(&chunk, &order, options);
+            let sorted = pipeline.sort(&chunk);
+            let profile = pipeline.last_profile();
+            let m = profile.metrics;
+            assert_eq!(profile.key_width, 0, "{what}: a zero-width key");
+            assert!(sorted == chunk, "{what}: sort() reordered the input");
+            assert_eq!(m.counter(Counter::RunsGenerated), 8, "{what}");
+            assert_eq!(m.counter(Counter::MergeRounds), 1, "{what}");
+            assert_eq!(m.counter(Counter::MergeTasks), 1, "{what}: one range");
+            assert_eq!(m.counter(Counter::MergeCmpsOvcResolved), 0, "{what}");
+            let rows = pipeline.sort_rows(&chunk).to_chunk();
+            assert!(rows == chunk, "{what}: sort_rows() reordered the input");
+        }
+    }
 }

@@ -45,7 +45,8 @@ fn third_sort_of(
             run_rows: n / 6,
             // Pinned (not inherited from ROWSORT_OVC): on, the offset-value
             // code columns must come from the pool like every other sort
-            // buffer; off, so must every round of the cascade.
+            // buffer; off, the merge reads no codes and must still take
+            // its buffers from the pool.
             ovc,
         },
     );

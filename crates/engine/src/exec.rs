@@ -216,23 +216,17 @@ fn sort_detail(profile: &rowsort_core::SortProfile, threads: usize) -> String {
         let resolved = profile.metrics.counter(Counter::MergeCmpsOvcResolved);
         let _ = write!(s, " ovc_hit={:.1}%", resolved as f64 * 100.0 / cmps as f64);
     }
-    // Which in-memory merge ran, and how evenly it split: one k-way pass
-    // over key ranges (coded sorts) or the Merge-Path cascade's rounds.
+    // The in-memory merge, when the sort had runs to merge: one k-way pass
+    // over key ranges, and how evenly it split.
     let counter = |c| profile.metrics.counter(c);
-    let (rounds, tasks) = (counter(Counter::MergeRounds), counter(Counter::MergeTasks));
-    if rounds > 0 {
-        let runs = counter(Counter::RunsGenerated);
-        let _ = match counter(Counter::MergeMaxRangeRows) {
-            0 => write!(
-                s,
-                " merge=cascade runs={runs} rounds={rounds} tasks={tasks}"
-            ),
-            max => write!(
-                s,
-                " merge=kway runs={runs} ranges={tasks} max_range={}",
-                short_count(max)
-            ),
-        };
+    if counter(Counter::MergeRounds) > 0 {
+        let _ = write!(
+            s,
+            " merge=kway runs={} ranges={} max_range={}",
+            counter(Counter::RunsGenerated),
+            counter(Counter::MergeTasks),
+            short_count(counter(Counter::MergeMaxRangeRows))
+        );
     }
     // Range-partitioned merge shape: how many disjoint key ranges the
     // spilled-run merge ran in parallel, and how many times over it read
@@ -938,12 +932,18 @@ mod tests {
             (Counter::MergeMaxRangeRows, 501_234),
         ]);
         assert_eq!(kway, " merge=kway runs=8 ranges=2 max_range=501k");
-        let cascade = detail(&[
+        // OVC off: the same pass, every compare a whole-key one.
+        let plain = detail(&[
             (Counter::RunsGenerated, 8),
-            (Counter::MergeRounds, 3),
-            (Counter::MergeTasks, 8),
+            (Counter::MergeRounds, 1),
+            (Counter::MergeTasks, 1),
+            (Counter::MergeMaxRangeRows, 8_000),
+            (Counter::MergeCmps, 24_000),
         ]);
-        assert_eq!(cascade, " merge=cascade runs=8 rounds=3 tasks=8");
+        assert_eq!(
+            plain,
+            " ovc_hit=0.0% merge=kway runs=8 ranges=1 max_range=8000"
+        );
         // One run never merges; a spill merge reports `spill_parts=`.
         assert_eq!(detail(&[(Counter::RunsGenerated, 1)]), "");
         let spilled = [

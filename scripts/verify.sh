@@ -97,13 +97,14 @@ cargo run --release --offline -q -p rowsort-bench --bin trace_smoke -- "$trace_j
 # --- 5b. Merge counter gates -------------------------------------------------
 # The coded in-memory merge is one range-partitioned k-way pass at any
 # thread count (merge_rounds == 1, bytes_moved exact and equal across
-# thread counts, merge_tasks == ranges, a warm pool never missed); that its
-# rows are bit-identical to the OVC-off cascade's is check 2 of the oracle
-# (step 3a). The spill phase's runs are claimed whole by the worker pool:
-# run file i holds the same bytes at 1, 2, 3 and 8 threads, with and
-# without codes, and the rows merged from them are the same. The spill
-# merge reads
-# every run file once: bytes read at the SpillIo handles == bytes written
+# thread counts, merge_tasks == ranges, a warm pool never missed), and the
+# OVC-off sort does the same work on the same tree: equal counters, no
+# code-resolved compare. That its rows are bit-identical to the OVC-off
+# sort's is check 2 of the oracle (step 3a). The spill phase's runs are
+# claimed whole by the worker pool: run file i holds the same bytes at 1,
+# 2, 3 and 8 threads, with and without codes, and the rows merged from
+# them are the same. The spill merge reads every run file once: bytes
+# read at the SpillIo handles == bytes written
 # at one merge thread, at most two blocks per run and splitter more above
 # it, rows the pipeline's at every thread count. Both sorters merge
 # straight into the output vectors: the most bytes a warm sort holds at
