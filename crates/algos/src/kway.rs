@@ -6,7 +6,8 @@
 //! assumes.
 
 /// A tournament (loser) tree over `k` input cursors, compared by a plain
-/// `less` — [`OvcLoserTree`] with the codes left unused.
+/// `less` — [`OvcLoserTree`] with every live head coded `0`, so each
+/// match between two live heads is a code tie for `leaf_less` to decide.
 ///
 /// After the winner's head element is consumed, [`LoserTree::replay`]
 /// walks only the winner's root path: ⌈log₂ k⌉ matches. Exhausted inputs
@@ -20,15 +21,14 @@ impl LoserTree {
     /// `is_exhausted(i)` reports whether input `i < k` is empty;
     /// `leaf_less(a, b)` compares the current heads of two non-exhausted
     /// inputs.
-    pub fn new<E, L>(k: usize, is_exhausted: E, mut leaf_less: L) -> LoserTree
+    pub fn new<E, L>(k: usize, mut is_exhausted: E, mut leaf_less: L) -> LoserTree
     where
         E: FnMut(usize) -> bool,
         L: FnMut(usize, usize) -> bool,
     {
         LoserTree(OvcLoserTree::new(
             k,
-            |_| 0,
-            is_exhausted,
+            |i| Self::code(is_exhausted(i)),
             |a, b, _, _| Self::uncoded(a, b, &mut leaf_less),
         ))
     }
@@ -45,9 +45,18 @@ impl LoserTree {
         E: FnMut(usize) -> bool,
         L: FnMut(usize, usize) -> bool,
     {
-        self.0.replay(leaf, 0, is_exhausted, &mut |a, b, _, _| {
-            Self::uncoded(a, b, leaf_less)
-        });
+        let code = Self::code(is_exhausted(leaf));
+        self.0
+            .replay(leaf, code, &mut |a, b, _, _| Self::uncoded(a, b, leaf_less));
+    }
+
+    /// A head's code: the fence once its input is exhausted, else `0`.
+    fn code(exhausted: bool) -> u64 {
+        if exhausted {
+            OvcLoserTree::FENCE
+        } else {
+            0
+        }
     }
 
     /// One match decided by `leaf_less` alone.
@@ -77,16 +86,19 @@ pub struct OvcMatch {
 /// Internal node `x` stores the *loser* of the match played at `x` — and,
 /// next to the losing input, the loser's code relative to the input that
 /// won the match at `x`; the overall winner is kept in a dedicated field.
-/// Inputs are padded to a power of two with virtual always-exhausted
-/// leaves. A
-/// winner ascends with its code unchanged (it keeps winning against keys
-/// it was already coded against), so each replayed match hands the
-/// `play` callback two codes with a common base and most matches resolve
-/// on a single `u64` compare inside the callback.
+/// Inputs are padded to a power of two with virtual leaves. A winner
+/// ascends with its code unchanged (it keeps winning against keys it was
+/// already coded against), so each replayed match sees two codes with a
+/// common base.
 ///
-/// Exhausted and virtual (padding) inputs lose every match without
-/// `play` being called; their codes are immaterial and kept at
-/// `u64::MAX`.
+/// The tree decides every match on those two codes. Unequal codes decide
+/// it outright: the smaller wins, and the loser keeps its own code, the
+/// larger, which is already relative to the winner. Only a code tie is
+/// handed to the `play` callback. An exhausted or virtual input carries
+/// the fence code [`OvcLoserTree::FENCE`], which no live head's code
+/// reaches, so a fence loses every match to a live head on the code
+/// compare alone and two fences tie without a decision: `play` only
+/// ever sees two live heads.
 pub struct OvcLoserTree {
     /// `tree[1..cap]`: losers of each internal match; slot 0 unused.
     tree: Vec<usize>,
@@ -99,7 +111,6 @@ pub struct OvcLoserTree {
     winner: usize,
     winner_code: u64,
     cap: usize,
-    k: usize,
 }
 
 impl Default for OvcLoserTree {
@@ -109,22 +120,26 @@ impl Default for OvcLoserTree {
 }
 
 impl OvcLoserTree {
+    /// The code of an exhausted or virtual input: `u64::MAX`, so every
+    /// other value is a live head's code and the fence loses every match
+    /// it plays against one.
+    pub const FENCE: u64 = u64::MAX;
+
     /// Build the tree with a full bottom-up tournament.
     ///
-    /// `init_code(i)` is the starting code of non-exhausted input `i`'s
-    /// head — all inputs must be coded against one common base (the
-    /// usual choice: offset 0 relative to a virtual −∞ key, which is
-    /// what run-file head codes already are). `is_exhausted(i)` reports
-    /// whether input `i < k` is empty; `play(a, b, ca, cb)` compares two
-    /// non-exhausted heads given their same-base codes.
-    pub fn new<C, E, M>(k: usize, init_code: C, is_exhausted: E, play: M) -> OvcLoserTree
+    /// `leaf_code(i)` is the starting code of input `i < k`'s head, or
+    /// [`OvcLoserTree::FENCE`] if the input is empty. All live heads must
+    /// be coded against one common base (the usual choice: offset 0
+    /// relative to a virtual −∞ key, which is what run-file head codes
+    /// already are). `play(a, b, ca, cb)` decides a match between two live
+    /// heads whose same-base codes tie (`ca == cb`).
+    pub fn new<C, M>(k: usize, leaf_code: C, play: M) -> OvcLoserTree
     where
         C: FnMut(usize) -> u64,
-        E: FnMut(usize) -> bool,
         M: FnMut(usize, usize, u64, u64) -> OvcMatch,
     {
         let mut t = Self::empty();
-        t.rebuild(k, init_code, is_exhausted, play);
+        t.rebuild(k, leaf_code, play);
         t
     }
 
@@ -138,49 +153,49 @@ impl OvcLoserTree {
             round: Vec::new(),
             round_code: Vec::new(),
             winner: 0,
-            winner_code: u64::MAX,
+            winner_code: Self::FENCE,
             cap: 1,
-            k: 0,
         }
     }
 
     /// Re-seed the tree for `k` inputs with a full bottom-up tournament,
     /// reusing the existing buffers (no allocation once they have grown
-    /// to `k.next_power_of_two()`).
-    pub fn rebuild<C, E, M>(&mut self, k: usize, mut init_code: C, mut is_exhausted: E, mut play: M)
+    /// to `k.next_power_of_two()`). Arguments as for
+    /// [`OvcLoserTree::new`]; returns how many matches between two live
+    /// heads the codes decided without `play`.
+    pub fn rebuild<C, M>(&mut self, k: usize, mut leaf_code: C, mut play: M) -> u64
     where
         C: FnMut(usize) -> u64,
-        E: FnMut(usize) -> bool,
         M: FnMut(usize, usize, u64, u64) -> OvcMatch,
     {
         assert!(k > 0, "loser tree needs at least one input");
         let cap = k.next_power_of_two();
         self.cap = cap;
-        self.k = k;
         self.round.clear();
         self.round.resize(2 * cap, 0);
         self.round_code.clear();
-        self.round_code.resize(2 * cap, u64::MAX);
+        self.round_code.resize(2 * cap, Self::FENCE);
         for (i, (slot, code)) in self.round[cap..]
             .iter_mut()
             .zip(self.round_code[cap..].iter_mut())
             .enumerate()
         {
             *slot = i;
-            if i < k && !is_exhausted(i) {
-                *code = init_code(i);
+            if i < k {
+                *code = leaf_code(i);
             }
         }
         self.tree.clear();
         self.tree.resize(cap, 0);
         self.code.clear();
-        self.code.resize(cap, u64::MAX);
+        self.code.resize(cap, Self::FENCE);
+        let mut decided = 0;
         for node in (1..cap).rev() {
             let (a, b) = (self.round[2 * node], self.round[2 * node + 1]);
             let (ca, cb) = (self.round_code[2 * node], self.round_code[2 * node + 1]);
-            let (w, wc, l, lc) = Self::play_match(a, b, ca, cb, k, &mut is_exhausted, &mut play);
+            let (w, l, lc) = Self::decide(a, b, ca, cb, &mut play, &mut decided);
             self.round[node] = w;
-            self.round_code[node] = wc;
+            self.round_code[node] = ca.min(cb);
             self.tree[node] = l;
             self.code[node] = lc;
         }
@@ -188,7 +203,8 @@ impl OvcLoserTree {
         // (cap == 1) no match was played and input 0 wins by default.
         // (For cap == 1 the champion's code slot is the leaf slot 1.)
         self.winner = self.round.get(1).copied().unwrap_or(0);
-        self.winner_code = self.round_code.get(1).copied().unwrap_or(u64::MAX);
+        self.winner_code = self.round_code.get(1).copied().unwrap_or(Self::FENCE);
+        decided
     }
 
     /// The input whose head is currently smallest.
@@ -204,71 +220,66 @@ impl OvcLoserTree {
     }
 
     /// Replay the path from input `leaf`'s position to the root after its
-    /// head changed. `leaf_code` is the new head's code — when the old
+    /// head changed. `leaf_code` is the new head's code, or
+    /// [`OvcLoserTree::FENCE`] once the input is exhausted — when the old
     /// head was just emitted, the run's stored code for the new head is
     /// already relative to it, which is exactly the base every resident
     /// loser on this path was re-coded against when it lost to that
     /// emitted head... and transitively to the output prefix (the
-    /// published OVC tree-of-losers invariant).
-    pub fn replay<E, M>(&mut self, leaf: usize, leaf_code: u64, is_exhausted: &mut E, play: &mut M)
+    /// published OVC tree-of-losers invariant). Returns how many matches
+    /// between two live heads the codes decided without `play`.
+    pub fn replay<M>(&mut self, leaf: usize, leaf_code: u64, play: &mut M) -> u64
     where
-        E: FnMut(usize) -> bool,
         M: FnMut(usize, usize, u64, u64) -> OvcMatch,
     {
         let mut contender = leaf;
         let mut ccode = leaf_code;
+        let mut decided = 0;
         let mut node = (self.cap + leaf) / 2;
         while node >= 1 {
-            let resident = self.tree[node];
             let rcode = self.code[node];
-            let (w, wc, l, lc) = Self::play_match(
-                contender,
-                resident,
-                ccode,
-                rcode,
-                self.k,
-                is_exhausted,
-                play,
-            );
+            let (w, l, lc) =
+                Self::decide(contender, self.tree[node], ccode, rcode, play, &mut decided);
             self.tree[node] = l;
             self.code[node] = lc;
             contender = w;
-            ccode = wc;
+            ccode = ccode.min(rcode);
             node /= 2;
         }
         self.winner = contender;
         self.winner_code = ccode;
+        decided
     }
 
-    /// Play one match: returns `(winner, winner_code, loser, loser_code)`.
-    /// Exhausted or virtual inputs lose without `play` being consulted.
-    fn play_match<E, M>(
+    /// One match between inputs `a` and `b` holding codes `ca` and `cb`:
+    /// `(winner, loser, loser_code)`. The winner keeps its code,
+    /// `min(ca, cb)`. Unequal codes decide the match — counted in
+    /// `decided` unless the loser is a fence — and equal ones are `play`'s
+    /// to decide, except two fences (`b` "wins"; nothing depends on
+    /// which). The winner is picked with a conditional move, not a
+    /// branch: on random keys which side wins is a coin flip.
+    #[inline]
+    fn decide<M>(
         a: usize,
         b: usize,
         ca: u64,
         cb: u64,
-        k: usize,
-        is_exhausted: &mut E,
         play: &mut M,
-    ) -> (usize, u64, usize, u64)
+        decided: &mut u64,
+    ) -> (usize, usize, u64)
     where
-        E: FnMut(usize) -> bool,
         M: FnMut(usize, usize, u64, u64) -> OvcMatch,
     {
-        let a_done = a >= k || is_exhausted(a);
-        let b_done = b >= k || is_exhausted(b);
-        match (a_done, b_done) {
-            (true, _) => (b, cb, a, u64::MAX),
-            (false, true) => (a, ca, b, u64::MAX),
-            (false, false) => {
-                let m = play(a, b, ca, cb);
-                if m.a_beats_b {
-                    (a, ca, b, m.loser_code)
-                } else {
-                    (b, cb, a, m.loser_code)
-                }
-            }
+        let mut a_wins = ca < cb;
+        let mut loser_code = ca.max(cb);
+        *decided += u64::from((ca != cb) & (loser_code != Self::FENCE));
+        if ca == cb && ca != Self::FENCE {
+            let m = play(a, b, ca, cb);
+            a_wins = m.a_beats_b;
+            loser_code = m.loser_code;
         }
+        let winner = std::hint::select_unpredictable(a_wins, a, b);
+        (winner, a ^ b ^ winner, loser_code)
     }
 }
 
@@ -427,73 +438,101 @@ mod tests {
         assert_eq!(out, expected);
     }
 
-    /// Merge u32 runs through [`OvcLoserTree`] with a one-word OVC: the
-    /// code of key `x` relative to base `b` is 0 if `x == b`, else
-    /// `(1 << 32) | x`. Asserts the published tree invariant as it goes:
-    /// every nonzero code handed to a match must carry its key's word
-    /// (a stale code would be caught immediately), and equal same-base
-    /// codes must mean equal keys.
-    fn ovc_merge_u32(runs: &[Vec<u32>]) -> Vec<(u32, usize)> {
+    /// What one merge through [`OvcLoserTree`] did: the merged `(key,
+    /// run)` pairs, the `play` calls, and the matches between two live
+    /// heads that the codes decided without one.
+    struct Merged {
+        out: Vec<(u32, usize)>,
+        plays: u64,
+        decided: u64,
+    }
+
+    /// Merge u32 runs through [`OvcLoserTree`]. `coded`: with a one-word
+    /// OVC — the code of key `x` relative to base `b` is 0 if `x == b`,
+    /// else `(1 << 32) | x`; otherwise every live head is coded 0 (what
+    /// the parent tree did: `play` on every match of two live heads).
+    /// Asserts the tree's contract as it goes: `play` sees two live heads
+    /// with tied codes and never a fence, every nonzero code handed to it
+    /// carries its key's word (a stale code would be caught at once), and
+    /// once every run is exhausted a fenced replay plays nothing.
+    fn ovc_merge_u32(runs: &[Vec<u32>], coded: bool) -> Merged {
+        const FENCE: u64 = OvcLoserTree::FENCE;
         let k = runs.len();
         let total: usize = runs.iter().map(|r| r.len()).sum();
         let code_of = |key: u32| -> u64 { (1 << 32) | u64::from(key) };
-        let mut pos = vec![0usize; k];
+        let head_code = |run: usize, at: usize, base: Option<u32>| match runs[run].get(at) {
+            None => FENCE,
+            Some(_) if !coded => 0,
+            Some(&next) if Some(next) == base => 0,
+            Some(&next) => code_of(next),
+        };
+        let plays = std::cell::Cell::new(0u64);
         let play = |a: usize, b: usize, ca: u64, cb: u64, pos: &[usize]| -> OvcMatch {
-            let (ka, kb) = (runs[a][pos[a]], runs[b][pos[b]]);
+            plays.set(plays.get() + 1);
+            assert!(ca != FENCE && cb != FENCE, "play saw a fence: {a} vs {b}");
+            let (Some(&ka), Some(&kb)) = (runs[a].get(pos[a]), runs[b].get(pos[b])) else {
+                panic!("play saw an exhausted input: {a} vs {b}");
+            };
+            assert_eq!(ca, cb, "the tree decides unequal codes itself");
             if ca != 0 {
                 assert_eq!(ca, code_of(ka), "stale code on input {a}");
             }
-            if cb != 0 {
-                assert_eq!(cb, code_of(kb), "stale code on input {b}");
-            }
-            if ca != cb {
-                OvcMatch {
-                    a_beats_b: ca < cb,
-                    loser_code: ca.max(cb),
-                }
-            } else {
+            if coded {
                 assert_eq!(ka, kb, "equal same-base codes must mean equal keys");
-                OvcMatch {
-                    a_beats_b: a < b, // stability: lower run index wins ties
-                    loser_code: 0,
-                }
+            }
+            // Stability: the lower run wins a tie. The loser's code
+            // relative to an equal winner is 0, and it stays 0 uncoded.
+            OvcMatch {
+                a_beats_b: ka < kb || (ka == kb && a < b),
+                loser_code: 0,
             }
         };
-        let mut tree = {
+        let mut pos = vec![0usize; k];
+        let (mut tree, mut decided) = {
             let pos_ref = &pos;
-            OvcLoserTree::new(
+            let mut tree = OvcLoserTree::empty();
+            let decided = tree.rebuild(
                 k,
-                |i| code_of(runs[i][pos_ref[i]]),
-                |i| pos_ref[i] >= runs[i].len(),
+                |i| head_code(i, 0, None),
                 |a, b, ca, cb| play(a, b, ca, cb, pos_ref),
-            )
+            );
+            (tree, decided)
         };
         let mut out = Vec::with_capacity(total);
         for _ in 0..total {
             let w = tree.winner();
             let emitted = runs[w][pos[w]];
-            assert!(
-                tree.winner_code() == 0 || tree.winner_code() == code_of(emitted),
-                "winner's code does not match its key"
-            );
+            if coded {
+                assert!(
+                    tree.winner_code() == 0 || tree.winner_code() == code_of(emitted),
+                    "winner's code does not match its key"
+                );
+            }
             out.push((emitted, w));
             pos[w] += 1;
             // The successor's code relative to the just-emitted row — what
             // a run file's stored OVC column provides for free.
-            let leaf_code = match runs[w].get(pos[w]) {
-                Some(&next) if next == emitted => 0,
-                Some(&next) => code_of(next),
-                None => u64::MAX,
-            };
+            let leaf_code = head_code(w, pos[w], Some(emitted));
             let pos_ref = &pos;
-            tree.replay(
-                w,
-                leaf_code,
-                &mut |i| pos_ref[i] >= runs[i].len(),
-                &mut |a, b, ca, cb| play(a, b, ca, cb, pos_ref),
-            );
+            decided += tree.replay(w, leaf_code, &mut |a, b, ca, cb| {
+                play(a, b, ca, cb, pos_ref)
+            });
         }
-        out
+        // Every input is a fence now: replaying any of them into the
+        // all-fence tree decides nothing and consults nobody.
+        let before = plays.get();
+        for leaf in 0..k {
+            let pos_ref = &pos;
+            let fenced = tree.replay(leaf, FENCE, &mut |a, b, ca, cb| play(a, b, ca, cb, pos_ref));
+            assert_eq!(fenced, 0, "a fence match counted as decided");
+            assert_eq!(tree.winner_code(), FENCE);
+        }
+        assert_eq!(plays.get(), before, "play consulted on fences");
+        Merged {
+            out,
+            plays: plays.get(),
+            decided,
+        }
     }
 
     /// Expected stable k-way merge: concatenate runs in index order and
@@ -508,6 +547,29 @@ mod tests {
         all
     }
 
+    /// Merge `runs` coded and uncoded; both equal the stable merge, and
+    /// the coded tree's code decisions plus its `play` calls are exactly
+    /// the uncoded tree's `play` calls: the same matches, each counted
+    /// once. Returns the coded merge.
+    fn assert_same_matches(runs: &[Vec<u32>], what: &str) -> Merged {
+        let coded = ovc_merge_u32(runs, true);
+        let plain = ovc_merge_u32(runs, false);
+        let expected = stable_reference(runs);
+        assert_eq!(coded.out, expected, "{what}: coded");
+        assert_eq!(plain.out, expected, "{what}: uncoded");
+        assert_eq!(plain.decided, 0, "{what}: code-0 heads decided a match");
+        assert_eq!(
+            coded.decided + coded.plays,
+            plain.plays,
+            "{what}: fast path + play != matches of two live heads"
+        );
+        coded
+    }
+
+    /// Fan-ins the tree tests cover: one leaf, powers of two, and odd
+    /// counts with virtual leaves.
+    const FAN_INS: [usize; 7] = [1, 2, 3, 5, 8, 13, 17];
+
     #[test]
     fn ovc_tree_matches_stable_merge() {
         let mut state = 77u64;
@@ -515,10 +577,10 @@ mod tests {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             (state >> 33) as u32 % m
         };
-        for k in [1usize, 2, 3, 5, 8, 13] {
-            // Heavy ties (mod 7) exercise the equal-key / code-0 paths;
-            // wide range exercises pure code decisions.
-            for m in [7u32, 1_000_000] {
+        for k in FAN_INS {
+            // All keys equal; heavy ties (mod 7) exercise the equal-key /
+            // code-0 paths; a wide range exercises pure code decisions.
+            for m in [1u32, 7, 1_000_000] {
                 let runs: Vec<Vec<u32>> = (0..k)
                     .map(|r| {
                         let mut run: Vec<u32> = (0..(r * 17 + 5)).map(|_| next(m)).collect();
@@ -526,7 +588,13 @@ mod tests {
                         run
                     })
                     .collect();
-                assert_eq!(ovc_merge_u32(&runs), stable_reference(&runs), "k={k} m={m}");
+                let coded = assert_same_matches(&runs, &format!("k={k} m={m}"));
+                if k > 1 && m > 1 {
+                    assert!(coded.decided > 0, "k={k} m={m}: no match decided on codes");
+                }
+                if m == 1 {
+                    assert_eq!(coded.decided, 0, "k={k}: equal keys decided on codes");
+                }
             }
         }
     }
@@ -540,14 +608,69 @@ mod tests {
             vec![1, 5, 9, 9, 9, 9],
             vec![5],
         ];
-        assert_eq!(ovc_merge_u32(&runs), stable_reference(&runs));
+        let coded = assert_same_matches(&runs, "fixed");
+        // The tree before fences sent this merge's matches of two live
+        // heads to `play`: 10 of them.
+        assert_eq!(coded.decided + coded.plays, 10);
+        for k in FAN_INS {
+            // Runs that empty at different times (some never hold a row),
+            // over interleaved, disjoint and all-equal keys.
+            let lens = |r: usize| (r * 7 + 3) % 11;
+            let interleaved: Vec<Vec<u32>> = (0..k)
+                .map(|r| (0..lens(r)).map(|i| (i * k + r) as u32).collect())
+                .collect();
+            let disjoint: Vec<Vec<u32>> = (0..k)
+                .map(|r| (0..lens(r)).map(|i| (r * 100 + i) as u32).collect())
+                .collect();
+            let equal: Vec<Vec<u32>> = (0..k).map(|r| vec![42; lens(r)]).collect();
+            // One long run against single rows.
+            let lopsided: Vec<Vec<u32>> = (0..k)
+                .map(|r| match r {
+                    0 => (0..200).map(|i| i * 2).collect(),
+                    r => vec![(r * 37) as u32 | 1],
+                })
+                .collect();
+            for (name, runs) in [
+                ("interleaved", interleaved),
+                ("disjoint", disjoint),
+                ("equal", equal),
+                ("lopsided", lopsided),
+            ] {
+                assert_same_matches(&runs, &format!("{name} k={k}"));
+            }
+        }
+    }
+
+    #[test]
+    fn only_u64_max_is_a_fence() {
+        // Two live heads coded one below the fence: they tie, so `play`
+        // decides, and either beats an exhausted third input.
+        let plays = std::cell::Cell::new(0);
+        let mut play = |a: usize, b: usize, ca: u64, cb: u64| {
+            plays.set(plays.get() + 1);
+            assert!(a < 2 && b < 2 && ca == u64::MAX - 1 && cb == ca);
+            OvcMatch {
+                a_beats_b: a > b,
+                loser_code: ca,
+            }
+        };
+        let codes = [u64::MAX - 1, u64::MAX - 1, u64::MAX];
+        let mut tree = OvcLoserTree::empty();
+        assert_eq!(tree.rebuild(3, |i| codes[i], &mut play), 0);
+        assert_eq!((tree.winner(), plays.get()), (1, 1));
+        // Input 1 runs out: input 0 beats the fences on codes alone, and
+        // a match against a fence counts as decided on codes no more
+        // than it counted as a `play` before.
+        assert_eq!(tree.replay(1, u64::MAX, &mut play), 0);
+        assert_eq!((tree.winner(), tree.winner_code()), (0, u64::MAX - 1));
+        assert_eq!(plays.get(), 1);
     }
 
     #[test]
     fn ovc_tree_all_equal_keys_stay_stable() {
         let runs = vec![vec![3u32; 4], vec![3u32; 2], vec![3u32; 3]];
-        let got = ovc_merge_u32(&runs);
-        let orders: Vec<usize> = got.iter().map(|&(_, r)| r).collect();
+        let got = assert_same_matches(&runs, "all equal");
+        let orders: Vec<usize> = got.out.iter().map(|&(_, r)| r).collect();
         assert_eq!(orders, vec![0, 0, 0, 0, 1, 1, 2, 2, 2]);
     }
 

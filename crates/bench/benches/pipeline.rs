@@ -12,13 +12,19 @@
 //! Each pipeline is constructed once and reused across iterations, so the
 //! numbers measure the *steady state*: with the buffer pool and persistent
 //! worker pool, iterations after the first run allocation-free.
+//!
+//! After the timed ids it prints the merge phase per fan-in (2, 8 and
+//! `widekey_ovc`'s 64–65 runs) as ns per row and as a share of `memcpy`
+//! speed — a report, never a gate.
 
 use rowsort_bench::{long_string_chunk, u32_chunk, wide_key_chunk, LONGSTR_STEM, TIEDSTR_STEM};
+use rowsort_core::metrics::{Counter, Phase};
 use rowsort_core::pipeline::{SortOptions, SortPipeline};
 use rowsort_testkit::bench::{BenchmarkId, Harness};
 use rowsort_testkit::{bench_group, bench_main};
-use rowsort_vector::OrderBy;
-use std::time::Duration;
+use rowsort_vector::{DataChunk, OrderBy};
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
 fn sizes() -> Vec<usize> {
     std::env::var("ROWSORT_PIPE_ROWS")
@@ -138,5 +144,67 @@ fn bench_pipeline(c: &mut Harness) {
     group.finish();
 }
 
-bench_group!(benches, bench_pipeline);
+/// Bytes a sort's merge writes into its output columns: every fixed-width
+/// value, a 4-byte offset per string, and the strings' bytes.
+fn column_bytes(chunk: &DataChunk) -> usize {
+    let bytes = |col: &rowsort_vector::Vector| match col.as_strings() {
+        Some(strings) => 4 * strings.len() + strings.total_bytes(),
+        None => col.logical_type().fixed_width().unwrap_or(0) * col.len(),
+    };
+    chunk.columns().iter().map(bytes).sum()
+}
+
+/// Best of five single-threaded merge phases per fan-in, in ns per row,
+/// and as a share of copy speed: the time one `copy_from_slice` of the
+/// bytes the merge writes takes, over the merge phase's time (which
+/// includes its gather into vectors).
+fn report_merge_fan_in(_: &mut Harness) {
+    const TRIALS: usize = 5;
+    let n = sizes()[0].min(1_000_000);
+    // The timed ids' inputs (seeds 0xF16_12 and 0xF16_14).
+    let u32s = u32_chunk(n, 0x000F_1612 ^ n as u64, false);
+    let wide = wide_key_chunk(n, 0x000F_1614);
+    let cases = [
+        ("u32", &u32s, 1, n.div_ceil(2)),
+        ("u32", &u32s, 1, n.div_ceil(8)),
+        ("widekey_ovc", &wide, 3, (n / 64).max(1)),
+    ];
+    println!("merge phase by fan-in, {n} rows, 1 thread (best of {TRIALS}):");
+    for (id, chunk, key, run_rows) in cases {
+        let options = SortOptions {
+            threads: 1,
+            run_rows,
+            ovc: true,
+        };
+        let pipeline = SortPipeline::new(chunk.types(), OrderBy::ascending(key), options);
+        drop(pipeline.sort(chunk));
+        let mut merge_ns = u64::MAX;
+        for _ in 0..TRIALS {
+            drop(black_box(pipeline.sort(chunk)));
+            merge_ns = merge_ns.min(pipeline.last_profile().metrics.phase(Phase::Merge));
+        }
+        let fan_in = pipeline
+            .last_profile()
+            .metrics
+            .counter(Counter::RunsGenerated);
+        let bytes = column_bytes(chunk);
+        let src = vec![1u8; bytes];
+        let mut dst = vec![0u8; bytes];
+        let mut copy_ns = u64::MAX;
+        for _ in 0..TRIALS {
+            let start = Instant::now();
+            dst.copy_from_slice(black_box(&src));
+            black_box(&dst);
+            copy_ns = copy_ns.min(start.elapsed().as_nanos() as u64);
+        }
+        println!(
+            "  {id:<12} fan-in {fan_in:>3}: {:>6.1} ns/row, {:>5.1} % of memcpy ({:.1} GB/s over {bytes} B)",
+            merge_ns as f64 / n as f64,
+            100.0 * copy_ns as f64 / merge_ns.max(1) as f64,
+            bytes as f64 / copy_ns.max(1) as f64,
+        );
+    }
+}
+
+bench_group!(benches, bench_pipeline, report_merge_fan_in);
 bench_main!(benches);

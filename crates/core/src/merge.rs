@@ -108,7 +108,8 @@ fn shift_heap_offsets(
 /// normalized key, the payload row, and the heap the row's VARCHAR slots
 /// index into. `code` is the head's offset-value code relative to the
 /// record before it in this source (the first record against −∞) — what
-/// a run's code column stores; it is read only by coded merges.
+/// a run's code column stores. Only a coded merge reads it: without OVC
+/// the kernel hands the tree `0` for every live head instead.
 pub(crate) trait RunSource {
     fn exhausted(&self) -> bool;
     fn key(&self) -> &[u8];
@@ -347,10 +348,11 @@ impl MergeStats {
 }
 
 impl MergeOrder<'_> {
-    /// One loser-tree match between heads `a` and `b`, whose codes `ca`,
-    /// `cb` share a base. Under OVC the codes decide outright when they
-    /// differ and suffix bytes are only touched on a code tie; without it
-    /// every match is a whole-key compare. Either way the row tiebreak
+    /// One loser-tree match between live heads `a` and `b` whose codes
+    /// `ca`, `cb` tie (the tree settles unequal codes itself, and counts
+    /// them). Under OVC only the suffix past the shared coded word is
+    /// compared; without it every live code is `0`, so every match comes
+    /// here as a whole-key compare. Either way the row tiebreak
     /// runs only on full key equality, and a full tie goes to the lower
     /// input (`a_first`) — a stable merge by run index, so OVC on and off
     /// merge the same rows in the same order.
@@ -387,7 +389,9 @@ impl MergeOrder<'_> {
 
 /// Merge `rows` records from `sources` into `sink`: ⌈log₂ k⌉ matches per
 /// emitted record, each record moved once. One source drains straight
-/// through (a one-leaf tree plays no matches); none emits nothing.
+/// through (a one-leaf tree plays no matches); none emits nothing. An
+/// exhausted source enters the tree as its fence, so the one exhaustion
+/// check is per emitted record, not per match.
 ///
 /// With `OVC` every source must carry codes, heads coded against −∞ — the
 /// common base the tournament starts from. After an emission the winner's
@@ -409,10 +413,9 @@ pub(crate) fn merge_kway<const OVC: bool, S: RunSource, K: MergeSink>(
         return Ok(stats);
     }
     let srcs = &*sources;
-    tree.rebuild(
+    let mut decided = tree.rebuild(
         srcs.len(),
-        |i| srcs[i].code(),
-        |i| srcs[i].exhausted(),
+        |i| leaf_code::<OVC, S>(&srcs[i]),
         |a, b, ca, cb| order.play::<OVC, S>((&srcs[a], ca), (&srcs[b], cb), a < b, &mut stats),
     );
     for _ in 0..rows {
@@ -420,24 +423,34 @@ pub(crate) fn merge_kway<const OVC: bool, S: RunSource, K: MergeSink>(
         sink.emit(w, &sources[w])?;
         sources[w].advance()?;
         let srcs = &*sources;
-        let leaf_code = if srcs[w].exhausted() {
-            u64::MAX
-        } else {
-            srcs[w].code()
-        };
-        tree.replay(
-            w,
-            leaf_code,
-            &mut |i| srcs[i].exhausted(),
-            &mut |a, b, ca, cb| {
-                order.play::<OVC, S>((&srcs[a], ca), (&srcs[b], cb), a < b, &mut stats)
-            },
-        );
+        decided += tree.replay(w, leaf_code::<OVC, S>(&srcs[w]), &mut |a, b, ca, cb| {
+            order.play::<OVC, S>((&srcs[a], ca), (&srcs[b], cb), a < b, &mut stats)
+        });
     }
+    // A match the tree settled on unequal codes is one compare, resolved
+    // on the codes — as `compare_update` counts it (none without OVC:
+    // every live head is coded 0 there, so codes never differ).
+    stats.cmps += decided;
+    stats.ovc_resolved += decided;
     for src in sources.iter_mut().filter(|s| !s.exhausted()) {
         src.advance()?;
     }
     Ok(stats)
+}
+
+/// The code `src`'s head enters the tree with: the fence once it is
+/// exhausted, its stored code under `OVC`, else `0` — a source may carry
+/// a nonzero code without OVC (a range's first head is coded against −∞
+/// either way), and the tree would let that code decide a match.
+#[inline]
+fn leaf_code<const OVC: bool, S: RunSource>(src: &S) -> u64 {
+    if src.exhausted() {
+        OvcLoserTree::FENCE
+    } else if OVC {
+        src.code()
+    } else {
+        0
+    }
 }
 
 // ---- range planning, shared by the in-memory and the spill merge --------

@@ -435,3 +435,56 @@ fn an_empty_order_by_over_several_runs_keeps_input_order() {
         }
     }
 }
+
+#[test]
+fn a_lone_row_against_a_long_run_counts_every_match_once() {
+    // Two runs of very unequal length: 10 000 rows holding the even keys
+    // below 20 000 in random order, then one row keyed 11 001. Every
+    // match of two live heads counts one compare, whether the codes or
+    // the keys decide it; a match against an exhausted run counts none.
+    // So a range counts the tree's first match, then one per long-run row
+    // it emits before the lone row while the long run still has a row.
+    // One range: the 5 501 even keys up to 11 000, 5 502 compares. At 2
+    // and 4 threads the lone row's range starts at the splitter 10 000
+    // (the long run's middle sample), so it holds 501 of them: 502. The
+    // other ranges have one live run and play no live match.
+    let n = 10_000u32;
+    let mut rng = Rng::seed_from_u64(0x10e_a0e);
+    let mut keys: Vec<u32> = (0..n).map(|i| 2 * i).collect();
+    for i in (1..keys.len()).rev() {
+        keys.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    keys.push(11_001);
+    let (chunk, order) = keyed(keys);
+    for (threads, cmps) in [(1, 5_502), (2, 502), (4, 502)] {
+        let mut plain: Option<DataChunk> = None;
+        for ovc in [false, true] {
+            let what = format!("threads={threads} ovc={ovc}");
+            let options = SortOptions {
+                threads,
+                run_rows: n as usize,
+                ovc,
+            };
+            let (sorted, m) = sort(&chunk, &order, options);
+            assert_eq!(m.counter(Counter::RunsGenerated), 2, "{what}");
+            assert_eq!(m.counter(Counter::MergeTasks), threads as u64, "{what}");
+            assert_eq!(m.counter(Counter::MergeCmps), cmps, "{what}: merge_cmps");
+            let resolved = m.counter(Counter::MergeCmpsOvcResolved);
+            if ovc {
+                assert!(
+                    resolved > 0 && resolved <= cmps,
+                    "{what}: {resolved} resolved"
+                );
+            } else {
+                assert_eq!(resolved, 0, "{what}: ovc off resolved a compare on codes");
+            }
+            let plain = plain.get_or_insert_with(|| sorted.clone());
+            assert!(
+                sorted == *plain,
+                "{what}: rows differ from the ovc-off sort"
+            );
+            let lone = (0..sorted.len()).find(|&i| sorted.row(i)[1] == Value::UInt32(n));
+            assert_eq!(lone, Some(5_501), "{what}: the lone row's place");
+        }
+    }
+}
