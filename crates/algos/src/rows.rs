@@ -191,4 +191,36 @@ mod tests {
         let mut data = vec![0u8; 5];
         let _ = RowsMut::new(&mut data, 2);
     }
+
+    // `row`, `row_mut` and `swap` skip the slice bounds check; their
+    // `debug_assert!` is all that stops an index at `len`. Each case
+    // indexes a two-row view of a three-row buffer, so without the assert
+    // the call returns instead of panicking and the case fails.
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn row_at_len_panics_in_debug() {
+        let mut data = vec![0u8; 6];
+        let mut rows = RowsMut::new(&mut data, 2);
+        let _ = rows.sub(0, 2).row(2);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn row_mut_at_len_panics_in_debug() {
+        let mut data = vec![0u8; 6];
+        let mut rows = RowsMut::new(&mut data, 2);
+        let _ = rows.sub(0, 2).row_mut(2);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "self.len")]
+    fn swap_at_len_panics_in_debug() {
+        let mut data = vec![0u8; 6];
+        let mut rows = RowsMut::new(&mut data, 2);
+        rows.sub(0, 2).swap(2, 0);
+    }
 }

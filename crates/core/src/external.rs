@@ -410,6 +410,10 @@ struct RunCursor<'a> {
     kw: usize,
     width: usize,
     has_ovc: bool,
+    /// Where each VARCHAR column's slot and null flag sit in a row, for
+    /// checking the head record's strings against its segment.
+    layout: &'a RowLayout,
+    varlen_cols: &'a [usize],
     /// Key word count, for structural validation of decoded codes.
     arity: usize,
     /// Records decoded and bytes fetched, flushed to the registry on drop.
@@ -421,8 +425,9 @@ struct RunCursor<'a> {
 
 impl<'a> RunCursor<'a> {
     /// A cursor over the records of `run` between two of its cuts,
-    /// positioned on the first; `kw`-byte keys, `width`-byte rows, and a
-    /// code per record if `ovc`. The stored code of the first record is
+    /// positioned on the first; `kw`-byte keys, rows of `layout` (whose
+    /// `varlen_cols` point into the record's segment), and a code per
+    /// record if `ovc`. The stored code of the first record is
     /// relative to its predecessor, which a range starting inside the run
     /// does not hold, so it is re-coded against −∞ — the base the loser
     /// tree's leaves start from (for the run's first record the two
@@ -430,7 +435,7 @@ impl<'a> RunCursor<'a> {
     fn open(
         run: &'a Run,
         [lo, hi]: [RangeCut; 2],
-        (kw, width, ovc): (usize, usize, bool),
+        (kw, layout, varlen_cols, ovc): (usize, &'a RowLayout, &'a [usize], bool),
         pool: &'a BufferPool,
         metrics: &'a CounterRegistry,
     ) -> Result<RunCursor<'a>, SpillError> {
@@ -478,8 +483,10 @@ impl<'a> RunCursor<'a> {
             next: 0,
             code: 0,
             kw,
-            width,
+            width: layout.width(),
             has_ovc: ovc,
+            layout,
+            varlen_cols,
             arity: ovc::word_count(kw),
             decoded: 0,
             fetched: 0,
@@ -504,8 +511,8 @@ impl<'a> RunCursor<'a> {
 
     /// The little-endian integer at `at` in the current block. It came
     /// out of a run file: until it has been compared against the block's
-    /// end (a length) or checked for plausibility (a code), it is
-    /// untrusted.
+    /// end (a length) or its record's segment (a string slot), or checked
+    /// for plausibility (a code), it is untrusted.
     fn block_u32(&self, at: usize) -> u32 {
         u32::from_le_bytes(word(&self.buf, at))
     }
@@ -596,7 +603,8 @@ impl RunSource for RunCursor<'_> {
     /// next block when the current one is used up; past the last record,
     /// mark the cursor exhausted (and, at the run's end, check that the
     /// file ends too). A record — code, length word and segment included
-    /// — must end inside its verified block.
+    /// — must end inside its verified block, and every string its row
+    /// points at inside its segment.
     fn advance(&mut self) -> Result<(), SpillError> {
         if self.remaining == 0 {
             self.exhausted = true;
@@ -631,6 +639,22 @@ impl RunSource for RunCursor<'_> {
             return Err(self.corrupt(format!(
                 "segment length {seg_len} runs past the end of its block"
             )));
+        }
+        // The tie comparator and the sink slice the segment by these
+        // slots; a NULL's slot is never read.
+        for &c in self.varlen_cols {
+            if self.buf[row_at + self.layout.null_offset(c)] != 0 {
+                continue;
+            }
+            let slot = row_at + self.layout.offset(c);
+            let off = self.block_u32(slot) as usize;
+            let len = self.block_u32(slot + 4) as usize;
+            if off.saturating_add(len) > seg_len {
+                return Err(self.corrupt(format!(
+                    "VARCHAR slot of column {c} ({len} bytes at {off}) runs past its \
+                     {seg_len}-byte segment"
+                )));
+            }
         }
         (self.rec, self.row_at, self.seg_at, self.next) = (rec, row_at, seg_at, next);
         self.remaining -= 1;
@@ -1025,7 +1049,7 @@ impl ExternalSorter {
         kw: usize,
         span: [RangeCut; 2],
     ) -> Result<RunCursor<'r>, SpillError> {
-        let shape = (kw, self.layout.width(), self.use_ovc(kw));
+        let shape = (kw, &*self.layout, &self.varlen_cols[..], self.use_ovc(kw));
         RunCursor::open(run, span, shape, &self.pool, &self.metrics)
     }
 
@@ -2658,12 +2682,16 @@ mod tests {
 
     /// One seeded mutation of a run's encoding: a bit flipped in a chosen
     /// field, a block moved, repeated or lost, the file cut short or
-    /// grown. Returns what was done, for the failure message.
+    /// grown. `resealed` flips a bit of a record — its key, code, row,
+    /// length word or segment — and re-seals the block, so the flip
+    /// reaches the checks behind the hash. Returns what was done, for the
+    /// failure message.
     fn mutate(
         rng: &mut Rng,
         bytes: &mut Vec<u8>,
         index: &RunIndex,
         shape: (usize, usize, bool),
+        resealed: bool,
     ) -> String {
         let blocks = &index.blocks;
         let b = rng.below(blocks.len() as u64) as usize;
@@ -2672,7 +2700,11 @@ mod tests {
             blocks.get(b + 1).map_or(index.rows, |n| n.rows_before) - blocks[b].rows_before;
         let j = rng.below(rows_in as u64) as usize;
         let [key, code, row, seg_len, seg] = record_fields(bytes, index, (b, j), shape);
-        let kind = rng.below(13);
+        let kind = if resealed {
+            rng.range_inclusive(1, 5)
+        } else {
+            rng.below(13)
+        };
         let flip = match kind {
             0 => Some((0..HEADER_BYTES, "header")),
             1 => Some((key, "key")),
@@ -2687,6 +2719,9 @@ mod tests {
         if let Some((range, what)) = flip {
             let (at, bit) = (rng.range(range.start, range.end), rng.below(8));
             bytes[at] ^= 1 << bit;
+            if resealed {
+                reseal(bytes, index, b);
+            }
             return format!("flip bit {bit} of byte {at} ({what} of record {j}, block {b})");
         }
         match kind {
@@ -2727,24 +2762,21 @@ mod tests {
         }
     }
 
-    /// Run files are untrusted: whatever happens to one between spill and
-    /// merge — a bit flipped in the header, a key, a code, a row, a length
-    /// word, a string or a block hash; a block swapped, duplicated or
-    /// dropped; the file truncated or grown — the merge answers
-    /// [`SpillError::Corrupt`], at any thread count and whether the run
-    /// is a file or in memory. (Or, for a mutation that changes nothing,
-    /// the unmutated rows.) Never a panic, an I/O error, or another row.
-    #[test]
-    fn run_file_mutations_are_corrupt_or_harmless() {
+    /// Spilled runs of one relation, re-encoded in memory, a sorter that
+    /// merges them at each of 1, 2 and 4 threads, and the rows the clean
+    /// runs merge to.
+    struct Fixture {
+        sorters: Vec<ExternalSorter>,
+        runs: Vec<Run>,
+        rows: Vec<Vec<Value>>,
+    }
+
+    /// The mutation properties' relation, and its fixtures without and
+    /// with OVC.
+    fn mutation_fixtures() -> (DataChunk, Vec<Fixture>) {
         let chunk = stringy_chunk(9_000, 43);
         let by = OrderBy::new(vec![OrderByColumn::asc(1), OrderByColumn::asc(0)]);
-        let fs = FaultFs::new(FaultSchedule::none());
-        struct Fixture {
-            sorters: Vec<ExternalSorter>,
-            runs: Vec<Run>,
-            rows: Vec<Vec<Value>>,
-        }
-        let fixtures: Vec<Fixture> = [false, true]
+        let fixtures = [false, true]
             .into_iter()
             .map(|ovc| {
                 let sorter_at = |merge_threads| {
@@ -2779,35 +2811,66 @@ mod tests {
                 }
             })
             .collect();
+        (chunk, fixtures)
+    }
+
+    /// What [`record_fields`] and [`mutate`] need to know of run `r`'s
+    /// records: key width, row width, and whether they carry codes.
+    fn record_shape(fix: &Fixture, r: usize) -> (usize, usize, bool) {
+        let (sorter, index) = (&fix.sorters[0], &fix.runs[r].index);
+        let kw = index.first_keys.len() / index.blocks.len();
+        (kw, sorter.layout.width(), sorter.use_ovc(kw))
+    }
+
+    /// Merge `fix`'s runs with run `r`'s bytes replaced — in memory, or as
+    /// a file on `fs` — at every thread count, and hold each outcome to
+    /// `accept`.
+    fn merge_replaced(
+        fix: &Fixture,
+        chunk: &DataChunk,
+        (r, bytes): (usize, &[u8]),
+        fs: Option<&FaultFs>,
+        accept: impl Fn(Result<DataChunk, SpillError>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        for sorter in &fix.sorters {
+            let mut runs: Vec<Run> = fix
+                .runs
+                .iter()
+                .map(|run| with_bytes(run, bytes_of(run).to_vec()))
+                .collect();
+            runs[r] = place(&fix.runs[r], bytes.to_vec(), fs);
+            let (_, key_blocks) = plan(sorter, chunk);
+            let order = sorter.merge_order(&key_blocks.lock().unwrap()[0]);
+            let threads = sorter.options.merge_threads;
+            accept(sorter.merge_runs(&runs, &order, chunk))
+                .map_err(|e| format!("threads={threads}: {e}"))?;
+        }
+        Ok(())
+    }
+
+    /// Run files are untrusted: whatever happens to one between spill and
+    /// merge — a bit flipped in the header, a key, a code, a row, a length
+    /// word, a string or a block hash; a block swapped, duplicated or
+    /// dropped; the file truncated or grown — the merge answers
+    /// [`SpillError::Corrupt`], at any thread count and whether the run
+    /// is a file or in memory. (Or, for a mutation that changes nothing,
+    /// the unmutated rows.) Never a panic, an I/O error, or another row.
+    #[test]
+    fn run_file_mutations_are_corrupt_or_harmless() {
+        let (chunk, fixtures) = mutation_fixtures();
+        let fs = FaultFs::new(FaultSchedule::none());
 
         // Merge the fixture's runs with run `r` replaced, at every thread
         // count: corrupt, or the clean rows.
         let merge_all = |fix: &Fixture, r: usize, bytes: &[u8], on_fs: bool, strict: bool| {
-            for sorter in &fix.sorters {
-                let mut runs: Vec<Run> = fix
-                    .runs
-                    .iter()
-                    .map(|run| with_bytes(run, bytes_of(run).to_vec()))
-                    .collect();
-                runs[r] = place(&fix.runs[r], bytes.to_vec(), on_fs.then_some(&fs));
-                let (_, key_blocks) = plan(sorter, &chunk);
-                let order = sorter.merge_order(&key_blocks.lock().unwrap()[0]);
-                let threads = sorter.options.merge_threads;
-                match sorter.merge_runs(&runs, &order, &chunk) {
-                    Err(SpillError::Corrupt { .. }) => {}
-                    Err(err) => {
-                        return Err(format!("threads={threads}: want Corrupt, got {err:?}"))
-                    }
-                    Ok(_) if strict => {
-                        return Err(format!("threads={threads}: merged a damaged run"))
-                    }
-                    Ok(out) if out.to_rows() != fix.rows => {
-                        return Err(format!("threads={threads}: merged to other rows"));
-                    }
-                    Ok(_) => {}
-                }
-            }
-            Ok(())
+            let fs = on_fs.then_some(&fs);
+            merge_replaced(fix, &chunk, (r, bytes), fs, |out| match out {
+                Err(SpillError::Corrupt { .. }) => Ok(()),
+                Err(err) => Err(format!("want Corrupt, got {err:?}")),
+                Ok(_) if strict => Err("merged a damaged run".to_string()),
+                Ok(out) if out.to_rows() != fix.rows => Err("merged to other rows".to_string()),
+                Ok(_) => Ok(()),
+            })
         };
 
         // Unmutated, the runs merge to the same rows at every thread count
@@ -2842,14 +2905,100 @@ mod tests {
                 let fix = &fixtures[rng.below(2) as usize];
                 let r = rng.below(fix.runs.len() as u64) as usize;
                 let on_fs = rng.chance(0.5);
-                let sorter = &fix.sorters[0];
-                let kw = fix.runs[r].index.first_keys.len() / fix.runs[r].index.blocks.len();
-                let shape = (kw, sorter.layout.width(), sorter.use_ovc(kw));
                 let mut bytes = bytes_of(&fix.runs[r]).to_vec();
-                let what = mutate(&mut rng, &mut bytes, &fix.runs[r].index, shape);
+                let shape = record_shape(fix, r);
+                let what = mutate(&mut rng, &mut bytes, &fix.runs[r].index, shape, false);
                 let changed = bytes != bytes_of(&fix.runs[r]);
                 merge_all(fix, r, &bytes, on_fs, changed)
                     .map_err(|e| format!("run {r}, on_fs={on_fs}, {what}: {e}"))
             });
+    }
+
+    /// A run file whose hash vouches for damaged records — a hostile
+    /// writer, or an encoder bug, since the hash is no signature — still
+    /// meets the record checks behind the hash: a bit flipped in a
+    /// record's key, code, row, length word or string segment, with its
+    /// block re-sealed, merges to [`SpillError::Corrupt`] or to every row
+    /// of the relation (a changed key or payload may sort or read
+    /// differently), at any thread count, with or without codes, from
+    /// memory or from a file. Never a panic, and never another error.
+    #[test]
+    fn resealed_record_mutations_are_corrupt_or_complete() {
+        let (chunk, fixtures) = mutation_fixtures();
+        let fs = FaultFs::new(FaultSchedule::none());
+        let corrupt_or_complete = |out: Result<DataChunk, SpillError>| match out {
+            Err(SpillError::Corrupt { .. }) => Ok(()),
+            Err(err) => Err(format!("want Corrupt, got {err:?}")),
+            Ok(out) if out.len() != chunk.len() => Err(format!("merged {} rows", out.len())),
+            Ok(_) => Ok(()),
+        };
+
+        Runner::new("resealed_record_mutations_are_corrupt_or_complete")
+            .cases(128)
+            .run(&full::<u64>(), |&seed| {
+                let mut rng = Rng::seed_from_u64(seed);
+                let fix = &fixtures[rng.below(2) as usize];
+                let r = rng.below(fix.runs.len() as u64) as usize;
+                let on_fs = rng.chance(0.5);
+                let mut bytes = bytes_of(&fix.runs[r]).to_vec();
+                let shape = record_shape(fix, r);
+                let what = mutate(&mut rng, &mut bytes, &fix.runs[r].index, shape, true);
+                let fs = on_fs.then_some(&fs);
+                merge_replaced(fix, &chunk, (r, &bytes), fs, corrupt_or_complete)
+                    .map_err(|e| format!("run {r}, on_fs={on_fs}, {what}: {e}"))
+            });
+
+        // Corrupt, saying `detail`.
+        let corrupt_saying = |detail: &'static str| {
+            move |out: Result<DataChunk, SpillError>| match out {
+                Err(err @ SpillError::Corrupt { .. }) if err.to_string().contains(detail) => Ok(()),
+                out => Err(format!(
+                    "want Corrupt saying `{detail}`, got {:?}",
+                    out.err()
+                )),
+            }
+        };
+
+        // Three damaged records of the first block of run 0, each under a
+        // valid hash: a segment length past the block, a VARCHAR slot past
+        // its segment, and a record whose fixed part runs past the block
+        // (the record before it grown to end one byte short of the end).
+        for fix in &fixtures {
+            let (index, layout) = (&fix.runs[0].index, &fix.sorters[0].layout);
+            let clean = bytes_of(&fix.runs[0]);
+            let fields = |j| record_fields(clean, index, (0, j), record_shape(fix, 0));
+            let damaged = |edit: &dyn Fn(&mut [u8])| {
+                let mut bytes = clean.to_vec();
+                edit(&mut bytes);
+                reseal(&mut bytes, index, 0);
+                bytes
+            };
+            let put = |b: &mut [u8], at: usize, v: usize| {
+                b[at..at + 4].copy_from_slice(&(v as u32).to_le_bytes());
+            };
+            let [_, _, row, seg_len, seg] = fields(0);
+            let long_segment = damaged(&|b| put(b, seg_len.start, BLOCK_BYTES));
+            let c = fix.sorters[0].varlen_cols[0];
+            let slot = row.start + layout.offset(c);
+            let long_string = damaged(&|b| {
+                b[row.start + layout.null_offset(c)] = 0;
+                put(b, slot, 0);
+                put(b, slot + 4, seg.len() + 1);
+            });
+            let last = index.blocks[1].rows_before - 1;
+            let [_, _, _, prev_len, prev_seg] = fields(last - 1);
+            let [last_key, _, _, _, last_seg] = fields(last);
+            let grown = prev_seg.len() + last_seg.end - last_key.start - 1;
+            let short_record = damaged(&|b| put(b, prev_len.start, grown));
+            for (bytes, detail) in [
+                (long_segment, "segment length"),
+                (long_string, "VARCHAR slot of column 0"),
+                (short_record, "record runs past the end of its block"),
+            ] {
+                for fs in [None, Some(&fs)] {
+                    merge_replaced(fix, &chunk, (0, &bytes), fs, corrupt_saying(detail)).unwrap();
+                }
+            }
+        }
     }
 }

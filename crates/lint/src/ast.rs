@@ -63,20 +63,11 @@ pub struct FnItem {
     /// Qualified name: `Type::sort` inside an impl/trait, else the bare
     /// name. Modules do not qualify (call sites rarely spell them out).
     pub qual: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    /// 1-based column of the `fn` keyword.
-    pub col: u32,
     /// `#[test]`, or nested under `#[cfg(test)]`.
     pub is_test: bool,
     /// Return type as normalized text (`Result<(),SpillError>`), empty for
     /// unit. Whitespace-free so callers match with `contains`.
     pub ret: String,
-    /// Parameter names in declaration order (`self` included when
-    /// present). Patterns that bind no single name (`(a, b): (u32, u32)`)
-    /// contribute an empty string placeholder so positions stay aligned
-    /// for caller-argument mapping.
-    pub params: Vec<String>,
     /// Body, `None` for trait-required methods and extern decls.
     pub body: Option<Block>,
 }
@@ -87,8 +78,6 @@ pub struct Block {
     /// Statements in source order (the tail expression is a statement
     /// with `semi == false`).
     pub stmts: Vec<Stmt>,
-    /// 1-based line of the opening brace.
-    pub line: u32,
     /// Index of the `{` token in the file's full token stream.
     pub tok_open: usize,
     /// Index of the matching `}` token (== `tok_open` if unterminated).
@@ -103,14 +92,8 @@ pub enum Stmt {
     Let {
         /// The pattern is the wildcard `_`.
         underscore: bool,
-        /// The bound name when the pattern is a single identifier
-        /// (`let x = …`, `let mut x = …`, `let ref x = …`); `None` for
-        /// `_`, tuple/struct patterns, and anything else destructuring.
-        name: Option<String>,
         /// Initializer, if any.
         init: Option<Expr>,
-        /// 1-based line of the `let`.
-        line: u32,
     },
     /// An expression statement; `semi` distinguishes `f();` (value
     /// discarded) from a tail expression `f()` (value used/returned).
@@ -203,17 +186,6 @@ pub enum Expr {
         /// Operand.
         expr: Box<Expr>,
     },
-    /// An operator chain `a + b < c` — operands in source order with the
-    /// operator spelled between `args[i]` and `args[i+1]` at `ops[i]`.
-    /// Operators are recorded as their full compound spelling (`"<="`,
-    /// `"+="`, `".."`); parse recovery can leave `ops` shorter than
-    /// `args.len() - 1`, so index it defensively.
-    Bin {
-        /// Operator spellings, in source order.
-        ops: Vec<String>,
-        /// Operands, in source order.
-        args: Vec<Expr>,
-    },
     /// A plain `{ … }` block expression.
     Block(Block),
     /// An `unsafe { … }` block.
@@ -241,42 +213,11 @@ pub enum Expr {
         /// `else` branch: a block or a chained `if`.
         els: Option<Box<Expr>>,
     },
-    /// `match scrutinee { arms }` — children are the scrutinee, then each
-    /// arm's guard/body expressions.
-    Match(Vec<Expr>),
-    /// `|args| body` / `move || body`.
-    Closure {
-        /// Parameter names in declaration order; patterns that bind no
-        /// single name contribute an empty-string placeholder.
-        params: Vec<String>,
-        /// Closure body.
-        body: Box<Expr>,
-    },
-    /// `return`/`break`/`continue`, with the carried value if any. These
-    /// are control-flow edges, not values — the CFG lowering depends on
-    /// telling them apart from ordinary expressions.
-    Jump {
-        /// Which jump.
-        kind: JumpKind,
-        /// The returned/broken value (`return x`, `break x`).
-        value: Option<Box<Expr>>,
-        /// 1-based line of the keyword.
-        line: u32,
-    },
-    /// Everything else, sub-expressions preserved (tuples, arrays,
-    /// ranges, struct literals, `yield` operands, …).
+    /// Everything else, sub-expressions preserved in source order:
+    /// operator chains, `match` (scrutinee, then each arm's guard and
+    /// body), closure bodies, `return`/`break`/`yield` operands, tuples,
+    /// arrays, ranges, struct literals, ….
     Other(Vec<Expr>),
-}
-
-/// Discriminates [`Expr::Jump`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JumpKind {
-    /// `return`.
-    Return,
-    /// `break` (labels are not modeled; `break` targets the innermost loop).
-    Break,
-    /// `continue`.
-    Continue,
 }
 
 impl Expr {
@@ -287,11 +228,9 @@ impl Expr {
     pub fn children(&self) -> Vec<&Expr> {
         let mut out: Vec<&Expr> = Vec::new();
         match self {
-            Expr::Call { args, .. }
-            | Expr::Macro { args, .. }
-            | Expr::Bin { args, .. }
-            | Expr::Match(args)
-            | Expr::Other(args) => out.extend(args),
+            Expr::Call { args, .. } | Expr::Macro { args, .. } | Expr::Other(args) => {
+                out.extend(args)
+            }
             Expr::Method { recv, args, .. } => {
                 out.push(recv);
                 out.extend(args);
@@ -299,7 +238,6 @@ impl Expr {
             Expr::Field { base, .. } => out.push(base),
             Expr::Index { base, index, .. } => out.extend([&**base, &**index]),
             Expr::Unary { expr, .. } => out.push(expr),
-            Expr::Jump { value, .. } => out.extend(value.as_deref()),
             Expr::Block(b) | Expr::Unsafe { block: b, .. } => out.extend(b.exprs()),
             Expr::Loop { head, body } => {
                 out.extend(head);
@@ -310,7 +248,6 @@ impl Expr {
                 out.extend(then.exprs());
                 out.extend(els.as_deref());
             }
-            Expr::Closure { body, .. } => out.push(body),
             Expr::Path { .. } | Expr::Lit { .. } => {}
         }
         out

@@ -30,15 +30,6 @@
 //!
 //! [unsafe-budget]        # R013
 //! max-statements = 8
-//!
-//! [taint-sources]        # R021: calls producing untrusted bytes
-//! calls = [".read", ".read_exact", ".block_u32"]
-//!
-//! [taint-sanitizers]     # R021: calls that launder a tainted value
-//! calls = []
-//!
-//! [taint-sinks]          # R021: extra allocation-size sinks
-//! calls = []
 //! ```
 
 use crate::toml_scan;
@@ -72,12 +63,6 @@ pub struct Config {
     pub spill_cleanup_allow: Vec<String>,
     /// R013: maximum statements per `unsafe` block.
     pub unsafe_max_stmts: usize,
-    /// R021: calls producing untrusted bytes (`.method` or `Path::fn`).
-    pub taint_sources: Vec<String>,
-    /// R021: calls that launder a tainted value.
-    pub taint_sanitizers: Vec<String>,
-    /// R021: extra allocation-size sinks beyond the built-ins.
-    pub taint_sinks: Vec<String>,
 }
 
 impl Default for Config {
@@ -94,9 +79,6 @@ impl Default for Config {
             atomic_relaxed_allow: Vec::new(),
             spill_cleanup_allow: Vec::new(),
             unsafe_max_stmts: 8,
-            taint_sources: Vec::new(),
-            taint_sanitizers: Vec::new(),
-            taint_sinks: Vec::new(),
         }
     }
 }
@@ -130,14 +112,6 @@ impl Config {
                                 .map(|(p, q)| (p.to_string(), q.to_string()))
                         })
                         .collect();
-                }
-                (section @ ("taint-sources" | "taint-sanitizers" | "taint-sinks"), "calls") => {
-                    let calls = toml_scan::array_strings(&item.value);
-                    match section {
-                        "taint-sources" => cfg.taint_sources = calls,
-                        "taint-sanitizers" => cfg.taint_sanitizers = calls,
-                        _ => cfg.taint_sinks = calls,
-                    }
                 }
                 ("unsafe-budget", "max-statements") => {
                     if let Ok(n) = item.value.trim().parse::<usize>() {

@@ -1,23 +1,25 @@
 //! rowsort-lint — in-tree static analysis for the rowsort workspace.
 //!
 //! A dependency-free analyzer built on a hand-rolled Rust lexer
-//! ([`lexer`]), a recursive-descent parser ([`parser`] → [`ast`]), a
-//! per-crate call graph ([`callgraph`]) and a CFG dataflow engine
-//! ([`cfg`], [`dataflow`], [`taint`]). Analysis is one pass per crate
+//! ([`lexer`]), a recursive-descent parser ([`parser`] → [`ast`]) and a
+//! per-crate call graph ([`callgraph`]). Analysis is one pass per crate
 //! unit ([`rules::analyze_unit`]): each file is lexed and parsed once,
 //! and every rule reads that one token stream and AST — the token rules
 //! R001–R006, R010 panic reachability from `[hot-entry-points]` and
 //! every function of a `[hot-paths]` file, R011 atomic-ordering
-//! discipline, R012 spill-error observability, R013 unsafe-block
-//! budget/SAFETY completeness, and the dataflow rules R020–R023. Each
-//! `Cargo.toml` gets the manifest audit (R005).
+//! discipline, R012 spill-error observability and R013 unsafe-block
+//! budget/SAFETY completeness. Each `Cargo.toml` gets the manifest audit
+//! (R005).
 //!
 //! Together they enforce the invariants the sorting paper's performance
 //! claims rest on: documented `unsafe`, panic-free and allocation-free
 //! hot paths, lossless casts in order-preserving key encodings, sound
 //! atomic orderings, observable spill failures, and a hermetic
-//! (path-only) dependency closure. See `lint.toml` for rule scoping and
-//! `DESIGN.md` for the rationale per rule.
+//! (path-only) dependency closure. What a rule cannot see — whether a
+//! run file's bytes stay inside their bounds, whether an `unsafe` index
+//! stays below its length — is held by runtime tests instead. See
+//! `lint.toml` for rule scoping and `DESIGN.md` for the rationale per
+//! rule.
 //!
 //! Run it as `cargo run -p lint --release` (binary name `rowsort-lint`);
 //! `scripts/verify.sh` treats a non-zero exit as a tier-1 failure.
@@ -27,10 +29,7 @@ pub mod callgraph;
 pub mod config;
 pub mod lexer;
 pub mod parser;
-pub mod cfg;
-pub mod dataflow;
 pub mod rules;
-pub mod taint;
 mod toml_scan;
 
 pub use config::Config;

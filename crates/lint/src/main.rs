@@ -176,7 +176,7 @@ fn main() -> ExitCode {
             None => {
                 eprintln!(
                     "rowsort-lint: unknown rule `{rule}` (rules: R000, R001, R003–R006, \
-                     R010–R013, R020–R023)"
+                     R010–R013)"
                 );
                 ExitCode::from(2)
             }

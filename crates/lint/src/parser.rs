@@ -14,7 +14,7 @@
 //! where `unsafe` blocks begin and end (as token spans), which `let _ =`
 //! discards a value, and which index expressions use a literal subscript.
 
-use crate::ast::{Block, Container, ContainerKind, Expr, File, FnItem, Item, JumpKind, Stmt};
+use crate::ast::{Block, Container, ContainerKind, Expr, File, FnItem, Item, Stmt};
 use crate::lexer::{Tok, TokKind};
 
 /// Parse a lexed file. `toks` is the full token stream *including*
@@ -254,68 +254,27 @@ impl<'a> Parser<'a> {
         out
     }
 
-    /// Skip a pattern: everything up to `=`, `in`, `=>`, `:` type, or the
-    /// stop condition, with delimiters balanced. Returns true if the whole
+    /// Skip a pattern: everything up to the stop condition, with
+    /// delimiter groups consumed wholesale. Returns true if the whole
     /// pattern was exactly the wildcard `_`.
     fn skip_pattern(&mut self, stop: &dyn Fn(&Parser) -> bool) -> bool {
-        self.skip_pattern_named(stop).0
-    }
-
-    /// Like [`skip_pattern`], but also captures the bound name when the
-    /// pattern is a single identifier binding (`x`, `mut x`, `ref x`,
-    /// `_x`). Destructuring patterns, paths, and the bare wildcard yield
-    /// `None` — the dataflow engine treats those bindings as opaque.
-    fn skip_pattern_named(&mut self, stop: &dyn Fn(&Parser) -> bool) -> (bool, Option<String>) {
         let mut seen = 0usize;
         let mut underscore = false;
-        let mut name: Option<String> = None;
-        let mut complex = false;
-        loop {
-            if self.at_eof() || (self.depth0() && stop(self)) {
-                break;
-            }
+        while !self.at_eof() && !stop(self) {
             let Some(t) = self.tok(0) else { break };
-            if t.is_punct('(') {
-                self.skip_group('(', ')');
+            let group = [('(', ')'), ('[', ']'), ('{', '}')]
+                .into_iter()
+                .find(|&(open, _)| t.is_punct(open));
+            if let Some((open, close)) = group {
+                self.skip_group(open, close);
                 seen += 2;
-                complex = true;
                 continue;
             }
-            if t.is_punct('[') {
-                self.skip_group('[', ']');
-                seen += 2;
-                complex = true;
-                continue;
-            }
-            if t.is_punct('{') {
-                self.skip_group('{', '}');
-                seen += 2;
-                complex = true;
-                continue;
-            }
-            if t.is_ident("_") {
-                underscore = seen == 0;
-                complex = true;
-            } else if t.kind == TokKind::Ident {
-                match t.text.as_str() {
-                    "mut" | "ref" => {}
-                    _ if name.is_none() && !complex => name = Some(t.text.clone()),
-                    _ => complex = true,
-                }
-            } else {
-                // `&`, `::`, `@`, literals — not a plain binding.
-                complex = true;
-            }
+            underscore = seen == 0 && t.is_ident("_");
             seen += 1;
             self.pos += 1;
         }
-        (underscore && seen == 1, if complex { None } else { name })
-    }
-
-    /// True when not nested — `skip_pattern` consumes groups wholesale, so
-    /// the cursor is always at depth 0 between tokens.
-    fn depth0(&self) -> bool {
-        true
+        underscore && seen == 1
     }
 
     // -- items -------------------------------------------------------------
@@ -354,7 +313,7 @@ impl<'a> Parser<'a> {
         self.eat_ident("default");
         self.eat_ident("const");
         self.eat_ident("async");
-        let unsafe_item = self.eat_ident("unsafe");
+        self.eat_ident("unsafe");
         if self.eat_ident("extern") {
             if self.tok(0).is_some_and(|t| t.kind == TokKind::Str) {
                 self.pos += 1;
@@ -369,7 +328,6 @@ impl<'a> Parser<'a> {
                 return Some(Item::Other);
             }
         }
-        let _ = unsafe_item;
 
         let t = self.tok(0)?;
         match t.text.as_str() {
@@ -562,15 +520,12 @@ impl<'a> Parser<'a> {
 
     /// Parse `fn name<…>(…) -> Ret where … { body }`; cursor at `fn`.
     fn fn_item(&mut self, is_test: bool, qual: Option<&str>) -> FnItem {
-        let (line, col) = self.tok(0).map(|t| self.pos_of(t)).unwrap_or((0, 0));
         self.eat_ident("fn");
         let name = self.ident_text().unwrap_or_default();
         self.skip_generics();
-        let params = if self.at_punct('(') {
-            self.fn_params()
-        } else {
-            Vec::new()
-        };
+        if self.at_punct('(') {
+            self.skip_group('(', ')');
+        }
         let ret = if self.at_punct2('-', '>') {
             self.pos += 2;
             self.ret_text()
@@ -606,93 +561,10 @@ impl<'a> Parser<'a> {
         FnItem {
             name,
             qual: qual_name,
-            line,
-            col,
             is_test,
             ret,
-            params,
             body,
         }
-    }
-
-    /// Parse a `(…)` parameter list, capturing each parameter's bound
-    /// name; cursor at `(`. A parameter whose pattern is not a single
-    /// identifier (tuple/struct destructuring) contributes an empty
-    /// string so positions stay aligned for argument mapping. `self`
-    /// receivers (including `&mut self` and `self: Arc<Self>`) appear as
-    /// `"self"`.
-    fn fn_params(&mut self) -> Vec<String> {
-        let mut out = Vec::new();
-        self.eat_punct('(');
-        loop {
-            if self.at_eof() {
-                break;
-            }
-            if self.at_punct(')') {
-                self.pos += 1;
-                break;
-            }
-            let mut name = String::new();
-            let mut complex = false;
-            let mut saw_colon = false;
-            loop {
-                if self.at_eof() {
-                    break;
-                }
-                let Some(t) = self.tok(0) else { break };
-                if t.is_punct(')') || t.is_punct(',') {
-                    break;
-                }
-                if t.is_punct('(') {
-                    self.skip_group('(', ')');
-                    complex = complex || !saw_colon;
-                    continue;
-                }
-                if t.is_punct('[') {
-                    self.skip_group('[', ']');
-                    complex = complex || !saw_colon;
-                    continue;
-                }
-                if t.is_punct('{') {
-                    self.skip_group('{', '}');
-                    complex = complex || !saw_colon;
-                    continue;
-                }
-                if t.is_punct('<') {
-                    // Generic arguments in the type (`HashMap<K, V>`):
-                    // consume wholesale so their commas don't split params.
-                    self.skip_generics();
-                    continue;
-                }
-                if t.is_punct(':') {
-                    saw_colon = true;
-                    self.pos += 1;
-                    continue;
-                }
-                if !saw_colon {
-                    if t.kind == TokKind::Ident {
-                        match t.text.as_str() {
-                            "mut" | "ref" | "dyn" | "impl" => {}
-                            "self" => name = "self".to_string(),
-                            _ if name.is_empty() && !complex => name = t.text.clone(),
-                            _ => complex = true,
-                        }
-                    } else if !(t.is_punct('&') || t.kind == TokKind::Lifetime) {
-                        complex = true;
-                    }
-                }
-                self.pos += 1;
-            }
-            out.push(if complex && name != "self" {
-                String::new()
-            } else {
-                name
-            });
-            if !self.eat_punct(',') && !self.at_punct(')') && !self.at_eof() {
-                self.pos += 1; // recovery: never loop in place
-            }
-        }
-        out
     }
 
     // -- blocks and statements ----------------------------------------------
@@ -700,14 +572,12 @@ impl<'a> Parser<'a> {
     /// Parse a `{ … }` block; cursor at `{`.
     fn block(&mut self) -> Block {
         let tok_open = self.tok_index();
-        let line = self.tok(0).map(|t| t.line).unwrap_or(0);
         self.eat_punct('{');
         let mut stmts = Vec::new();
         loop {
             if self.at_eof() {
                 return Block {
                     stmts,
-                    line,
                     tok_open,
                     tok_close: tok_open,
                 };
@@ -717,7 +587,6 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
                 return Block {
                     stmts,
-                    line,
                     tok_open,
                     tok_close,
                 };
@@ -796,10 +665,9 @@ impl<'a> Parser<'a> {
     }
 
     fn let_stmt(&mut self) -> Stmt {
-        let line = self.tok(0).map(|t| t.line).unwrap_or(0);
         self.eat_ident("let");
         // Pattern up to `=` (not `==`), `;`, or `:` type annotation.
-        let (underscore, name) = self.skip_pattern_named(&|p| {
+        let underscore = self.skip_pattern(&|p| {
             p.at_punct(';')
                 || (p.at_punct('=') && !p.tok(1).is_some_and(|n| n.is_punct('=')))
                 || p.at_punct(':')
@@ -820,12 +688,7 @@ impl<'a> Parser<'a> {
             }
         }
         self.eat_punct(';');
-        Stmt::Let {
-            underscore,
-            name,
-            init,
-            line,
-        }
+        Stmt::Let { underscore, init }
     }
 
     // -- expressions ---------------------------------------------------------
@@ -834,70 +697,44 @@ impl<'a> Parser<'a> {
     /// literals (off in `if`/`while`/`match`/`for` head positions).
     fn expr(&mut self, allow_struct: bool) -> Expr {
         let mut units = vec![self.unit(allow_struct)];
-        let mut ops: Vec<String> = Vec::new();
-        loop {
-            let Some(t) = self.tok(0) else { break };
+        while let Some(t) = self.tok(0) {
             // Range `..` / `..=`.
             if self.at_punct2('.', '.') {
                 self.pos += 2;
-                let mut op = String::from("..");
-                if self.eat_punct('=') {
-                    op.push('=');
-                }
+                self.eat_punct('=');
                 if self.operand_follows(allow_struct) {
-                    ops.push(op);
                     units.push(self.unit(allow_struct));
                 }
                 continue;
             }
-            if t.kind == TokKind::Punct && is_binary_op_char(&t.text) {
-                // Compound operators (`>=`, `==`, `<<=`, `&&`, …) arrive as
-                // runs of single-char tokens. Consume the first char, then
-                // any tail chars that cannot begin an operand — `&x`, `*p`,
-                // `-1`, `!b`, `|c| …` prefixes stay with the next operand.
-                let mut op = t.text.clone();
+            if t.kind != TokKind::Punct || !is_binary_op_char(&t.text) {
+                break;
+            }
+            // Compound operators (`>=`, `==`, `<<=`, …) arrive as runs of
+            // single-char tokens. Consume the first char, then any tail
+            // chars that cannot begin an operand — `&x`, `*p`, `-1`, `!b`,
+            // `|c| …` prefixes stay with the next operand.
+            self.pos += 1;
+            if t.is_punct('|') {
+                // `||` logical-or: a leftover `|` would misparse as a
+                // closure head, so take both pipes here.
+                self.eat_punct('|');
+            }
+            while self.tok(0).is_some_and(|n| {
+                n.kind == TokKind::Punct
+                    && matches!(n.text.as_str(), "=" | "<" | ">" | "+" | "/" | "%" | "^")
+            }) {
                 self.pos += 1;
-                if t.is_punct('|') {
-                    // `||` logical-or: a leftover `|` would misparse as a
-                    // closure head, so take both pipes here.
-                    if self.eat_punct('|') {
-                        op.push('|');
-                    }
-                }
-                if t.is_punct('&') {
-                    // `&&` logical-and: a leftover `&` would attach to the
-                    // next operand as a reference prefix, hiding the
-                    // conjunction from condition refinement. (`a & &b` is
-                    // misread as `&&` — acceptable: `&` on integers and
-                    // `&&` never mix in one precedence level anyway.)
-                    if self.eat_punct('&') {
-                        op.push('&');
-                    }
-                }
-                while let Some(n) = self.tok(0) {
-                    if n.kind == TokKind::Punct
-                        && matches!(n.text.as_str(), "=" | "<" | ">" | "+" | "/" | "%" | "^")
-                    {
-                        op.push_str(&n.text);
-                        self.pos += 1;
-                    } else {
-                        break;
-                    }
-                }
-                if self.operand_follows(allow_struct) {
-                    ops.push(op);
-                    units.push(self.unit(allow_struct));
-                } else {
-                    break;
-                }
-                continue;
             }
-            break;
+            if !self.operand_follows(allow_struct) {
+                break;
+            }
+            units.push(self.unit(allow_struct));
         }
         if units.len() == 1 {
             units.pop().unwrap_or(Expr::Lit { int: false })
         } else {
-            Expr::Bin { ops, args: units }
+            Expr::Other(units)
         }
     }
 
@@ -936,7 +773,6 @@ impl<'a> Parser<'a> {
             };
         }
         if t.is_punct('*') {
-            let _ = self.pos_of(t);
             self.pos += 1;
             let inner = self.unit(allow_struct);
             return Expr::Unary {
@@ -964,79 +800,29 @@ impl<'a> Parser<'a> {
         // Closures.
         if t.is_punct('|') {
             self.pos += 1;
-            let mut params = Vec::new();
-            if !self.eat_punct('|') {
-                // Parameter list to the closing `|`; types may contain
-                // groups, which are consumed wholesale. Capture each
-                // parameter's bound name (empty for destructuring
-                // patterns) so the dataflow engine can seed worker-id
-                // parameters.
-                let mut name = String::new();
-                let mut complex = false;
-                let mut saw_colon = false;
-                let mut any = false;
-                while let Some(p) = self.tok(0) {
-                    if p.is_punct('|') || p.is_punct(',') {
-                        if any {
-                            params.push(if complex { String::new() } else { name.clone() });
-                        }
-                        name.clear();
-                        complex = false;
-                        saw_colon = false;
-                        any = false;
-                        let done = p.is_punct('|');
-                        self.pos += 1;
-                        if done {
-                            break;
-                        }
-                        continue;
-                    }
-                    if p.is_punct('(') {
-                        self.skip_group('(', ')');
-                        complex = complex || !saw_colon;
-                        any = true;
-                        continue;
-                    }
-                    if p.is_punct('[') {
-                        self.skip_group('[', ']');
-                        complex = complex || !saw_colon;
-                        any = true;
-                        continue;
-                    }
-                    if p.is_punct('<') {
-                        self.skip_generics();
-                        continue;
-                    }
-                    if p.is_punct(':') {
-                        saw_colon = true;
-                        self.pos += 1;
-                        continue;
-                    }
-                    if !saw_colon {
-                        if p.kind == TokKind::Ident {
-                            match p.text.as_str() {
-                                "mut" | "ref" => {}
-                                _ if name.is_empty() && !complex => name = p.text.clone(),
-                                _ => complex = true,
-                            }
-                        } else if !(p.is_punct('&') || p.kind == TokKind::Lifetime) {
-                            complex = true;
-                        }
-                    }
-                    any = true;
+            // Parameter list to the closing `|`; types may contain groups
+            // and generics, which are consumed wholesale.
+            while let Some(p) = self.tok(0) {
+                if p.is_punct('|') {
+                    self.pos += 1;
+                    break;
+                }
+                if p.is_punct('(') {
+                    self.skip_group('(', ')');
+                } else if p.is_punct('[') {
+                    self.skip_group('[', ']');
+                } else if p.is_punct('<') {
+                    self.skip_generics();
+                } else {
                     self.pos += 1;
                 }
             }
             // Optional return type before a block body.
             if self.at_punct2('-', '>') {
                 self.pos += 2;
-                let _ = self.ret_text();
+                self.ret_text();
             }
-            let body = self.expr(allow_struct);
-            return Expr::Closure {
-                params,
-                body: Box::new(body),
-            };
+            return Expr::Other(vec![self.expr(allow_struct)]);
         }
         let primary = self.primary(allow_struct);
         self.postfix(primary, allow_struct)
@@ -1170,29 +956,14 @@ impl<'a> Parser<'a> {
                     }
                 }
                 "return" | "break" | "continue" | "yield" => {
-                    let kind = match t.text.as_str() {
-                        "return" => Some(JumpKind::Return),
-                        "break" => Some(JumpKind::Break),
-                        "continue" => Some(JumpKind::Continue),
-                        _ => None,
-                    };
                     self.pos += 1;
                     if self.tok(0).is_some_and(|n| n.kind == TokKind::Lifetime) {
                         self.pos += 1; // `break 'label`
                     }
-                    let value = if self.operand_follows(allow_struct) {
-                        Some(self.expr(allow_struct))
-                    } else {
-                        None
-                    };
-                    match kind {
-                        Some(kind) => Expr::Jump {
-                            kind,
-                            value: value.map(Box::new),
-                            line,
-                        },
-                        None => Expr::Other(value.into_iter().collect()),
-                    }
+                    let value = self
+                        .operand_follows(allow_struct)
+                        .then(|| self.expr(allow_struct));
+                    Expr::Other(value.into_iter().collect())
                 }
                 "const" => {
                     // `const { … }` block.
@@ -1215,7 +986,6 @@ impl<'a> Parser<'a> {
     fn empty_block(&self) -> Block {
         Block {
             stmts: Vec::new(),
-            line: 0,
             tok_open: self.toks.len(),
             tok_close: self.toks.len(),
         }
@@ -1256,7 +1026,7 @@ impl<'a> Parser<'a> {
         let scrutinee = self.expr(false);
         let mut children = vec![scrutinee];
         if !self.at_punct('{') {
-            return Expr::Match(children);
+            return Expr::Other(children);
         }
         self.pos += 1;
         loop {
@@ -1281,7 +1051,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        Expr::Match(children)
+        Expr::Other(children)
     }
 
     /// A path primary: `a::b::<T>::c`, then macro / call / struct literal.

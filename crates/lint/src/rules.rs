@@ -1,7 +1,7 @@
 //! The rule engine: one pass over a crate unit ([`analyze_unit`]) that
 //! lexes and parses each file once and runs every rule — the token rules
 //! R001–R006 over each file's token stream, the AST/call-graph rules
-//! R010–R013 and the dataflow rules R020–R023 over the unit.
+//! R010–R013 over the unit.
 //!
 //! | rule | scope (from `lint.toml`) | invariant |
 //! |------|--------------------------|-----------|
@@ -16,7 +16,7 @@
 //! | R013 | every `.rs` file         | `unsafe` blocks stay under the statement budget and their SAFETY comment names every pointer/index identifier used inside |
 //!
 //! `#[cfg(test)]` modules, `#[test]` functions, and whole files matching
-//! `[test-paths]` are exempt from R003–R004 and R010–R023: the invariants
+//! `[test-paths]` are exempt from R003–R004 and R010–R013: the invariants
 //! guard the measured hot paths, not test scaffolding. Findings are
 //! suppressed by `// lint:allow(RXXX): reason` on the same or the
 //! preceding line; a suppression **must** carry a reason and must
@@ -26,7 +26,6 @@
 use crate::ast;
 use crate::callgraph::{self, Graph, Target, UnitFile};
 use crate::config::Config;
-use crate::dataflow;
 use crate::lexer::{lex, Tok, TokKind};
 use crate::parser;
 use crate::toml_scan;
@@ -735,8 +734,8 @@ fn rule_r006(ctx: &FileCtx, cfg: &Config, findings: &mut Vec<Finding>) {
 
 /// Analyze one crate unit (all its `.rs` files): each file is lexed and
 /// parsed once, its test regions found once, and every rule runs — token
-/// rules per file (in `[test-paths]` files too), call-graph and dataflow
-/// rules over the unit's non-test code. `files` holds `(repo-relative
+/// rules per file (in `[test-paths]` files too), AST and call-graph rules
+/// over the unit's non-test code. `files` holds `(repo-relative
 /// path, source)` pairs. Findings are suppression-filtered and sorted.
 pub fn analyze_unit(files: &[(String, String)], cfg: &Config, timing: &mut Timing) -> Vec<Finding> {
     let mut ufs: Vec<UnitFile> = Vec::new();
@@ -788,7 +787,6 @@ pub fn analyze_unit(files: &[(String, String)], cfg: &Config, timing: &mut Timin
             rule_r013(&ctx, &uf.file, cfg.unsafe_max_stmts, &mut findings)
         });
     }
-    flow_rules(&ufs, cfg, &mut findings, timing);
     // One suppression pass, after all rules: an R010 finding can land in
     // any file of the unit. R000 is no valid id to name, so it survives.
     findings.retain(|f| {
@@ -861,42 +859,6 @@ fn rule_r010(ufs: &[UnitFile], graph: &Graph, cfg: &Config, findings: &mut Vec<F
         (0..graph.nodes.len()).filter(|&i| Config::matches(&cfg.hot_paths, &graph.nodes[i].file)),
     );
     findings.extend(graph.panic_reachability(&roots));
-}
-
-// ---------------------------------------------------------------------------
-// Dataflow rules: R020–R023 over the CFG + abstract-state engine
-// ---------------------------------------------------------------------------
-
-/// Run the dataflow rules over the unit. R021 goes first because its
-/// dynamic-source fixed point enriches the taint spec the shared engine
-/// for R020/R023 then reads.
-///
-/// Timing attribution: the shared worklist solve feeds both R020 and
-/// R023, so its cost is reported as its own `R020/R023 solve` bucket
-/// rather than arbitrarily charged to either rule.
-fn flow_rules(ufs: &[UnitFile], cfg: &Config, findings: &mut Vec<Finding>, timing: &mut Timing) {
-    let mut spec = dataflow::TaintSpec::from_config(cfg);
-    timed(timing, "R021", || {
-        crate::taint::check_r021(ufs, &mut spec, findings)
-    });
-    let engine = dataflow::Engine { spec: &spec };
-    for uf in ufs {
-        if uf.is_test {
-            continue;
-        }
-        for frame in dataflow::frames(&uf.file) {
-            let flow = timed(timing, "R020/R023 solve", || {
-                engine.run(&frame.cfg, &Default::default())
-            });
-            timed(timing, "R020", || {
-                dataflow::check_r020(&uf.path, &frame, &engine, &flow, findings)
-            });
-            timed(timing, "R023", || {
-                dataflow::check_r023(&uf.path, &frame, &engine, &flow, findings)
-            });
-        }
-    }
-    timed(timing, "R022", || dataflow::check_r022(ufs, &spec, findings));
 }
 
 // ---------------------------------------------------------------------------
@@ -1337,58 +1299,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              every identifier that feeds a raw-pointer operation or\n\
              unchecked index inside the block. An argument that does not\n\
              name `ptr` says nothing about why `ptr` is valid."
-        }
-        "R020" => {
-            "R020 — unsafe pointer offsets must be bounded\n\n\
-             Inside `unsafe` blocks, every pointer `add`/`offset` and\n\
-             `get_unchecked` index must either be derived from a length\n\
-             (`.len()`, `.capacity()`, extent fields like `total`/`stride`)\n\
-             or be dominated by a comparison bounding it (a branch like\n\
-             `if i < self.len` on every path, or an `assert!`/`debug_assert!`\n\
-             guard). The finding renders the index's def-use chain so the\n\
-             missing bound is visible. Analysis is intra-procedural over a\n\
-             per-function CFG: values returned by calls the engine cannot\n\
-             see are conservatively unbounded — hoist the bound into the\n\
-             function or assert it locally."
-        }
-        "R021" => {
-            "R021 — spill bytes must be sanitized before sizing memory\n\n\
-             Integers decoded from bytes produced by a `[taint-sources]`\n\
-             call (spill-file reads) are attacker-controlled: a corrupt or\n\
-             hostile run file can request a multi-gigabyte allocation or an\n\
-             out-of-range index. Before such a value reaches\n\
-             `Vec::with_capacity`, `resize`, `reserve`, `set_len`, a\n\
-             `[taint-sinks]` call, or a slice index, it must pass a\n\
-             sanitizer — `.min(CAP)`, `try_into`, a `[taint-sanitizers]`\n\
-             call — or a dominating comparison against an untrusted-free\n\
-             bound (`if n > MAX { return Err }`). A small fixed point also\n\
-             treats same-unit functions that return tainted data as\n\
-             sources. `match` bindings are invisible to the loss-tolerant\n\
-             parser, so taint does not flow through them (documented\n\
-             under-approximation)."
-        }
-        "R022" => {
-            "R022 — broadcast closures may only write at id-derived offsets\n\n\
-             A closure handed to `WorkerPool::broadcast` runs concurrently\n\
-             on every worker over shared raw pointers. Any pointer\n\
-             `add`/`offset` it performs (directly or up to three calls deep\n\
-             into same-unit functions its id reaches) must be derived from\n\
-             the worker/morsel/partition id — the closure's parameter or a\n\
-             `fetch_add` ticket — so distinct workers touch disjoint\n\
-             ranges. An offset computed from anything else is a data race\n\
-             waiting for a scheduler interleaving."
-        }
-        "R023" => {
-            "R023 — a bounds guard must dominate the use\n\n\
-             A value compared against a bound on one path but used to index\n\
-             on a merged path where the comparison did not happen has a\n\
-             lost guard: the check convinces the reader without binding the\n\
-             machine. R023 fires when a slice index is reachable both\n\
-             through the guarded and the unguarded path (checked-on-some,\n\
-             not-all). Hoist the check above the merge or re-assert it.\n\
-             `match` guards over `Ordering` are not tracked (match arms\n\
-             carry no refinement) — scope is comparison branches and\n\
-             asserts."
         }
         _ => return None,
     })

@@ -2,7 +2,7 @@
 //! fed.
 //!
 //! rowsort-lint runs on every verify invocation, so a lexer/parser/
-//! dataflow panic on weird-but-real source (half-deleted merge
+//! rule panic on weird-but-real source (half-deleted merge
 //! conflicts, truncated files, non-UTF-8 replacement chars) would take
 //! tier-1 down with it. The loss-tolerant parser is *designed* to
 //! produce a best-effort AST from arbitrary token streams; this test
@@ -11,7 +11,7 @@
 //! 1. every `.rs` file of the lint crate itself, run through a seeded
 //!    byte-level mutator (delete / duplicate / splice junk / punctuate /
 //!    truncate) and then the full pipeline — token rules, AST, call
-//!    graph, CFG + dataflow rules;
+//!    graph rules;
 //! 2. pure random byte strings, analyzed both as `.rs` and as a
 //!    `Cargo.toml` manifest.
 //!
@@ -33,7 +33,7 @@ const CASES_PER_FILE: usize = 6;
 const RANDOM_STRINGS: usize = 64;
 
 /// The real workspace `lint.toml`, so scoped rules (hot paths, cast
-/// strictness, taint sources) actually fire on the mutated sources.
+/// strictness, hot entry points) actually fire on the mutated sources.
 fn workspace_config() -> Config {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let src = fs::read_to_string(root.join("lint.toml")).expect("workspace lint.toml");

@@ -425,245 +425,3 @@ fn explain_covers_every_rule_id() {
     }
     assert!(rules::explain("R999").is_none());
 }
-
-// ---------------------------------------------------------------------------
-// Dataflow rules (R020–R023): CFG + abstract-state analysis.
-// ---------------------------------------------------------------------------
-
-/// Findings of one rule only, as `(path, line, col)` triples.
-fn rule_findings(files: &[(&str, &str)], cfg: &Config, rule: &str) -> Vec<(String, u32, u32)> {
-    unit_findings(files, cfg)
-        .into_iter()
-        .filter(|f| f.rule == rule)
-        .map(|f| (f.path.clone(), f.line, f.col))
-        .collect()
-}
-
-fn taint_cfg() -> Config {
-    let mut cfg = Config::default();
-    cfg.taint_sources = vec![".read_exact".to_string(), "Self::fill".to_string()];
-    cfg
-}
-
-#[test]
-fn r020_unbounded_pointer_offset_flagged_with_chain() {
-    let src = "fn bad(p: *mut u8, a: usize, b: usize) {\n\
-               let idx = a + b;\n\
-               // SAFETY: reviewed.\n\
-               unsafe { p.add(idx).write(1); }\n}\n";
-    let got = unit_findings(&[("unit/r020.rs", src)], &Config::default());
-    let r020: Vec<_> = got.iter().filter(|f| f.rule == "R020").collect();
-    assert_eq!(r020.len(), 1, "{got:?}");
-    assert_eq!((r020[0].line, r020[0].col), (4, 12));
-    assert!(
-        r020[0].message.contains("`idx` = `a + b` (line 2)"),
-        "finding must render the def-use chain: {}",
-        r020[0].message
-    );
-}
-
-#[test]
-fn r020_len_derived_and_guarded_offsets_pass() {
-    // Three justified shapes: derived from `.len()`, dominated by a
-    // `debug_assert!` guard, and dominated by a branch on every path.
-    let src = "fn ok(p: *mut u8, v: &[u8], i: usize) {\n\
-               let n = v.len();\n\
-               // SAFETY: n and i are in bounds of v.\n\
-               unsafe { p.add(n).write(0); }\n\
-               debug_assert!(i < v.len());\n\
-               // SAFETY: asserted above.\n\
-               unsafe { p.add(i).write(0); }\n\
-               if i < v.len() {\n\
-               // SAFETY: branch-guarded.\n\
-               unsafe { p.add(i).write(0); }\n\
-               }\n}\n";
-    let got = rule_findings(&[("unit/r020ok.rs", src)], &Config::default(), "R020");
-    assert!(got.is_empty(), "{got:?}");
-}
-
-#[test]
-fn r020_guard_on_one_branch_does_not_cover_the_merge() {
-    // Diamond: the bound holds on the then-edge only; after the merge
-    // the offset is unguarded again.
-    let src = "fn diamond(p: *mut u8, v: &[u8], i: usize, flip: bool) {\n\
-               if flip {\n\
-               if i >= v.len() { return; }\n\
-               }\n\
-               // SAFETY: reviewed.\n\
-               unsafe { p.add(i).write(0); }\n}\n";
-    let got = rule_findings(&[("unit/r020d.rs", src)], &Config::default(), "R020");
-    assert_eq!(got, vec![("unit/r020d.rs".to_string(), 6, 12)]);
-}
-
-#[test]
-fn r021_unsanitized_spill_length_reaches_resize() {
-    // The exact shape of a spill segment decode, minus the cap.
-    let src = "impl Reader {\n\
-               fn advance(&mut self) -> Result<(), E> {\n\
-               let mut len_buf = [0u8; 4];\n\
-               self.inner.read_exact(&mut len_buf)?;\n\
-               let seg_len = u32::from_le_bytes(len_buf) as usize;\n\
-               self.heap.resize(seg_len, 0);\n\
-               Ok(())\n}\n}\n";
-    let got = rule_findings(&[("unit/r021.rs", src)], &taint_cfg(), "R021");
-    assert_eq!(got, vec![("unit/r021.rs".to_string(), 6, 11)]);
-}
-
-#[test]
-fn r021_cap_guard_and_min_sanitizer_launder_the_length() {
-    // Same decode, but (a) guarded by a constant cap with an early
-    // return, (b) clamped with `.min`. Both must come out clean.
-    let guarded = "impl Reader {\n\
-               fn advance(&mut self) -> Result<(), E> {\n\
-               let mut len_buf = [0u8; 4];\n\
-               self.inner.read_exact(&mut len_buf)?;\n\
-               let seg_len = u32::from_le_bytes(len_buf) as usize;\n\
-               if seg_len > MAX_SEG_BYTES { return Err(E::Corrupt); }\n\
-               self.heap.resize(seg_len, 0);\n\
-               Ok(())\n}\n}\n";
-    let clamped = "impl Reader {\n\
-               fn advance(&mut self) -> Result<(), E> {\n\
-               let mut len_buf = [0u8; 4];\n\
-               self.inner.read_exact(&mut len_buf)?;\n\
-               let seg_len = (u32::from_le_bytes(len_buf) as usize).min(MAX_SEG_BYTES);\n\
-               self.heap.resize(seg_len, 0);\n\
-               Ok(())\n}\n}\n";
-    for (name, src) in [("guarded", guarded), ("clamped", clamped)] {
-        let got = rule_findings(&[("unit/r021ok.rs", src)], &taint_cfg(), "R021");
-        assert!(got.is_empty(), "{name}: {got:?}");
-    }
-}
-
-#[test]
-fn r021_dynamic_source_wrapper_is_discovered() {
-    // `read_len` returns tainted data; the fixed point promotes it to a
-    // source, so its caller's unsanitized use is flagged.
-    let src = "impl Reader {\n\
-               fn read_len(&mut self) -> usize {\n\
-               let mut b = [0u8; 4];\n\
-               self.inner.read_exact(&mut b);\n\
-               u32::from_le_bytes(b) as usize\n}\n\
-               fn load(&mut self) {\n\
-               let n = self.read_len();\n\
-               self.buf.reserve(n);\n}\n}\n";
-    let got = rule_findings(&[("unit/r021dyn.rs", src)], &taint_cfg(), "R021");
-    assert_eq!(got, vec![("unit/r021dyn.rs".to_string(), 9, 10)]);
-}
-
-#[test]
-fn r021_tainted_slice_index_flagged() {
-    let src = "impl Reader {\n\
-               fn pick(&mut self, v: &[u8]) -> u8 {\n\
-               let mut b = [0u8; 4];\n\
-               self.inner.read_exact(&mut b);\n\
-               let i = u32::from_le_bytes(b) as usize;\n\
-               v[i]\n}\n}\n";
-    let got = rule_findings(&[("unit/r021ix.rs", src)], &taint_cfg(), "R021");
-    assert_eq!(got, vec![("unit/r021ix.rs".to_string(), 6, 2)]);
-}
-
-#[test]
-fn r022_broadcast_closure_offsets_by_worker_id_pass() {
-    // Inline closure, closure behind a local, and a call one hop down:
-    // all offsets derive from the id parameter or a fetch_add ticket.
-    let src = "fn helper(dst: *mut u8, w: usize) {\n\
-               // SAFETY: caller passes a worker-private index.\n\
-               unsafe { dst.add(w).write(1); }\n}\n\
-               fn run(pool: &WorkerPool, dst: *mut u8, tickets: &AtomicUsize) {\n\
-               let body = |w: usize| {\n\
-               let t = tickets.fetch_add(1, Ordering::Relaxed);\n\
-               // SAFETY: ticket-disjoint.\n\
-               unsafe { dst.add(t).write(0); }\n\
-               helper(dst, w);\n\
-               };\n\
-               pool.broadcast(&body);\n}\n";
-    let got = rule_findings(&[("unit/r022ok.rs", src)], &Config::default(), "R022");
-    assert!(got.is_empty(), "{got:?}");
-}
-
-#[test]
-fn r022_non_id_offset_in_broadcast_closure_flagged() {
-    let src = "fn run(pool: &WorkerPool, dst: *mut u8, k: usize) {\n\
-               pool.broadcast(&|w: usize| {\n\
-               // SAFETY: reviewed.\n\
-               unsafe { dst.add(k).write(0); }\n\
-               });\n}\n";
-    let got = rule_findings(&[("unit/r022.rs", src)], &Config::default(), "R022");
-    assert_eq!(got, vec![("unit/r022.rs".to_string(), 4, 14)]);
-}
-
-#[test]
-fn r022_interprocedural_hop_reports_in_the_callee() {
-    // The closure forwards a non-id value into `helper`'s id-seeded
-    // position? No — it forwards the id into one param and a plain
-    // capture into the pointer math: the finding lands inside `helper`.
-    let src = "fn helper(dst: *mut u8, w: usize, k: usize) {\n\
-               // SAFETY: reviewed.\n\
-               unsafe { dst.add(k).write(1); }\n}\n\
-               fn run(pool: &WorkerPool, dst: *mut u8, k: usize) {\n\
-               pool.broadcast(&|w: usize| helper(dst, w, k));\n}\n";
-    let got = rule_findings(&[("unit/r022hop.rs", src)], &Config::default(), "R022");
-    assert_eq!(got, vec![("unit/r022hop.rs".to_string(), 3, 14)]);
-}
-
-#[test]
-fn r023_guard_lost_at_merge_flagged_diamond() {
-    let src = "fn pick(v: &[u8], i: usize) -> u8 {\n\
-               let mut x = 0;\n\
-               if i < v.len() {\n\
-               x = v[i];\n\
-               }\n\
-               x + v[i]\n}\n";
-    let got = rule_findings(&[("unit/r023.rs", src)], &Config::default(), "R023");
-    assert_eq!(got, vec![("unit/r023.rs".to_string(), 6, 6)]);
-}
-
-#[test]
-fn r023_loop_carried_index_with_head_guard_passes() {
-    // `i` is loop-carried (0 on entry, incremented on the backedge); the
-    // head refinement re-establishes `i < v.len()` every iteration.
-    let src = "fn sum(v: &[u8]) -> u32 {\n\
-               let mut acc = 0u32;\n\
-               let mut i = 0;\n\
-               while i < v.len() {\n\
-               acc += v[i] as u32;\n\
-               i += 1;\n\
-               }\n\
-               acc\n}\n";
-    let got = rule_findings(&[("unit/r023loop.rs", src)], &Config::default(), "R023");
-    assert!(got.is_empty(), "{got:?}");
-}
-
-#[test]
-fn r023_conjunction_guard_refines_both_comparisons() {
-    // `i < a.len() && j < b.len()` arrives as one flattened chain; both
-    // indexes inside the branch are covered, both after it are not.
-    let src = "fn merge(a: &[u8], b: &[u8], i: usize, j: usize) -> u8 {\n\
-               let mut x = 0;\n\
-               if i < a.len() && j < b.len() {\n\
-               x = a[i] + b[j];\n\
-               }\n\
-               x + a[i] + b[j]\n}\n";
-    let got = rule_findings(&[("unit/r023and.rs", src)], &Config::default(), "R023");
-    assert_eq!(
-        got,
-        vec![
-            ("unit/r023and.rs".to_string(), 6, 6),
-            ("unit/r023and.rs".to_string(), 6, 13)
-        ]
-    );
-}
-
-#[test]
-fn dataflow_rules_are_suppressible_and_explained() {
-    let src = "fn bad(p: *mut u8, a: usize) {\n\
-               // SAFETY: reviewed.\n\
-               // lint:allow(R020): offset proven in the caller's contract.\n\
-               unsafe { p.add(a).write(1); }\n}\n";
-    let got = rule_findings(&[("unit/r020sup.rs", src)], &Config::default(), "R020");
-    assert!(got.is_empty(), "{got:?}");
-    for rule in ["R020", "R021", "R022", "R023"] {
-        let text = rules::explain(rule).expect(rule);
-        assert!(text.starts_with(rule), "{text}");
-    }
-}

@@ -24,10 +24,8 @@ cargo build --release --workspace --offline
 # reachability from the [hot-entry-points] in lint.toml and from every
 # function of a [hot-paths] file (R010), Ordering::Relaxed discipline
 # (R011), discarded Result<_, SpillError> observability (R012), unsafe
-# block budget / SAFETY completeness (R013). CFG dataflow rules: bounded
-# unsafe offsets (R020), spill-byte taint (R021), id-derived broadcast
-# writes (R022), guards lost at a merge (R023). A reason-less, unknown
-# or idle lint:allow is R000. Any finding fails the gate.
+# block budget / SAFETY completeness (R013). A reason-less, unknown or
+# idle lint:allow is R000. Any finding fails the gate.
 #
 # The second run writes the machine-readable findings document that CI
 # uploads as an artifact; --timing folds per-rule elapsed-ms and per-file
@@ -39,10 +37,12 @@ mkdir -p target/perf
 cargo run --release --offline -q -p lint --bin rowsort-lint
 cargo run --release --offline -q -p lint --bin rowsort-lint -- --json --timing > "$lint_json"
 
-# The analyzer guards five unsafe sites; its size is budgeted the way its
-# findings are. Raise the constant in the PR that adds a rule, with that
-# rule's finding history.
-LINT_SRC_LINE_BUDGET=7400
+# Outside testkit::alloc the workspace has six unsafe sites (three blocks
+# in RowsMut, two blocks and an `unsafe impl Send` in the worker pool);
+# the analyzer that guards them is budgeted the way its findings are.
+# Raise the constant in the PR that adds a rule, with that rule's finding
+# history.
+LINT_SRC_LINE_BUDGET=5150
 lint_src_lines=$(cat crates/lint/src/*.rs | wc -l)
 if [ "$lint_src_lines" -gt "$LINT_SRC_LINE_BUDGET" ]; then
     echo "verify: crates/lint/src/*.rs holds $lint_src_lines lines, budget $LINT_SRC_LINE_BUDGET" >&2
