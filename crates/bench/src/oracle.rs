@@ -12,7 +12,8 @@
 //!    total or the entry point is a stable sort ([`Entry::is_stable`]);
 //! 2. [`check_bit_identity`] — inside an entry point nothing observable
 //!    depends on threads, OVC, a warm pool, or (external) merge threads,
-//!    and both sorters do the same work at one thread and one run size;
+//!    and at one run size both sorters make the same runs, key ranges
+//!    and merge comparisons;
 //! 3. [`check_faults`] — under an injected fault schedule, `Ok` means
 //!    check 1 and `Err` means typed, counted and not recorded as a sort;
 //!    no run file leaks either way;
@@ -511,16 +512,24 @@ pub fn check_reference(case: &Case, entries: &[Entry]) -> PropResult {
     Ok(())
 }
 
-/// `[RunsGenerated, MergeCmps]` of one sort by the pipeline and one by the
-/// external sorter, each on one thread with runs of `run_rows` rows.
-pub fn sorter_counters(case: &Case, run_rows: usize, ovc: bool) -> [[u64; 2]; 2] {
+/// What the two sorters must agree on to be one sorter: the same runs
+/// (`RunsGenerated`, `RadixPasses`), the same merge work (`MergeCmps`) and
+/// the same key ranges (`MergeMaxRangeRows`).
+const SORTER_WORK: [Counter; 4] = [
+    Counter::RunsGenerated,
+    Counter::RadixPasses,
+    Counter::MergeCmps,
+    Counter::MergeMaxRangeRows,
+];
+
+/// [`SORTER_WORK`] of one sort by the pipeline and one by the external
+/// sorter, each on `threads` threads with runs of `run_rows` rows.
+pub fn sorter_counters(case: &Case, run_rows: usize, threads: usize, ovc: bool) -> [[u64; 4]; 2] {
     let chunk = case.chunk();
-    let of = |m: rowsort_core::Metrics| {
-        [Counter::RunsGenerated, Counter::MergeCmps].map(|c| m.counter(c))
-    };
-    let in_memory = pipeline(case, 1, run_rows, ovc);
+    let of = |m: rowsort_core::Metrics| SORTER_WORK.map(|c| m.counter(c));
+    let in_memory = pipeline(case, threads, run_rows, ovc);
     drop(in_memory.sort_rows(&chunk));
-    let spilling = external(case, run_rows, 1, ovc, no_faults());
+    let spilling = external(case, run_rows, threads, ovc, no_faults());
     let spilled = spilling.sort(&chunk);
     assert!(spilled.is_ok(), "no fault was injected: {spilled:?}");
     [of(in_memory.metrics()), of(spilling.metrics())]
@@ -529,8 +538,10 @@ pub fn sorter_counters(case: &Case, run_rows: usize, ovc: bool) -> [[u64; 2]; 2]
 /// Check 2: bit-identity inside an entry point, at both of the case's run
 /// sizes. Pipeline payload bytes are equal across threads × `ovc` × a
 /// warmed pool; external rows are equal across merge threads × `ovc` and
-/// equal to the pipeline's; one-threaded, the two sorters generate the
-/// same runs and make the same merge comparisons.
+/// equal to the pipeline's; and the two sorters are one sorter: at one
+/// thread and at the case's thread count, a sort of two or more runs
+/// generates the same runs, cuts the same key ranges and makes the same
+/// merge comparisons in either.
 pub fn check_bit_identity(case: &Case) -> PropResult {
     let chunk = case.chunk();
     let o = case.options;
@@ -566,13 +577,19 @@ pub fn check_bit_identity(case: &Case) -> PropResult {
                 ));
             }
         }
-        let [in_memory, spilling] = sorter_counters(case, run_rows, true);
         let runs = case.rows.len().div_ceil(run_rows) as u64;
-        if in_memory != spilling || in_memory[0] != runs || (runs > 1) != (in_memory[1] > 0) {
-            return Err(format!(
-                "[runs_generated, merge_cmps] at run_rows={run_rows}, one thread: pipeline \
-                 {in_memory:?}, external {spilling:?}, expected {runs} runs"
-            ));
+        for threads in [1, o.threads] {
+            let [in_memory, spilling] = sorter_counters(case, run_rows, threads, o.ovc);
+            // One thread merges in one range, where two runs always meet.
+            let merged = threads > 1 || (runs > 1) == (in_memory[2] > 0);
+            if (runs > 1 && in_memory != spilling) || in_memory[0] != runs || !merged {
+                return Err(format!(
+                    "[runs_generated, radix_passes, merge_cmps, merge_max_range_rows] at \
+                     run_rows={run_rows} threads={threads} ovc={}: pipeline {in_memory:?}, \
+                     external {spilling:?}, expected {runs} runs",
+                    o.ovc
+                ));
+            }
         }
     }
     Ok(())
@@ -755,7 +772,6 @@ pub fn check_faults(case: &Case) -> FaultReport {
     };
     let error = match &result {
         Ok(sorted) => {
-            // Stable whatever the ENOSPC ladder made the runs of.
             let stable = Entry::External.is_stable();
             let checked = check_rows(case, sorted, &case.reference(), stable, "under faults");
             if let Err(message) = checked {
@@ -765,16 +781,15 @@ pub fn check_faults(case: &Case) -> FaultReport {
                 chunk.is_empty() || metrics.counter(Counter::SortCalls) == 1,
                 "surviving sort not recorded in metrics",
             );
-            // Absorbed faults are invisible down to the order within ties,
-            // unless the ENOSPC ladder changed what the runs are made of.
-            if metrics.counter(Counter::SpillMemFallbackRuns) == 0 {
-                let clean = external(case, o.memory_limit_rows, 1, o.ovc, no_faults());
-                let same = |c: DataChunk| canon(&c.to_rows()) == canon(&sorted.to_rows());
-                check(
-                    clean.sort(&chunk).is_ok_and(same),
-                    "rows differ from a fault-free one-threaded sort's",
-                );
-            }
+            // Absorbed faults are invisible down to the order within ties:
+            // run `i` holds the same rows whatever the disk did, in memory
+            // or in a file.
+            let clean = external(case, o.memory_limit_rows, 1, o.ovc, no_faults());
+            let same = |c: DataChunk| canon(&c.to_rows()) == canon(&sorted.to_rows());
+            check(
+                clean.sort(&chunk).is_ok_and(same),
+                "rows differ from a fault-free one-threaded sort's",
+            );
             None
         }
         Err(err) => {

@@ -102,8 +102,12 @@ fn no_collision_in_the_sample_plans_the_twelve_byte_layout() {
 fn varchar_payload_does_not_change_an_integer_keyed_merge() {
     let [with_payload, bare] = oracle::int_key_with_and_without_payload();
     for ovc in [false, true] {
-        let with = oracle::sorter_counters(&with_payload, 150, ovc);
-        assert_eq!(with, oracle::sorter_counters(&bare, 150, ovc), "ovc={ovc}");
-        assert!(with[0][1] > 0, "no merge ran");
+        let with = oracle::sorter_counters(&with_payload, 150, 1, ovc);
+        assert_eq!(
+            with,
+            oracle::sorter_counters(&bare, 150, 1, ovc),
+            "ovc={ovc}"
+        );
+        assert!(with[0][2] > 0, "no merge ran");
     }
 }

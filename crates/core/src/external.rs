@@ -1,39 +1,18 @@
-//! Out-of-core sorting — the paper's §IX future work, implemented and
-//! hardened against a hostile disk.
+//! Out-of-core sorting — the paper's §IX future work: the one sorter
+//! (DESIGN.md §11) with runs that are encoded, so performance degrades
+//! gracefully instead of the query failing.
 //!
-//! The sort operator is a pipeline breaker: it must materialize its input,
-//! and a main-memory engine that cannot either fails the query or falls off
-//! a performance cliff. The paper's future-work section proposes using the
-//! unified row format to "offload the data to secondary storage in a
-//! unified way" so performance degrades gracefully. [`ExternalSorter`]
-//! does exactly that:
-//!
-//! 1. **Run generation** under a row budget: run `i` is input rows
-//!    `[i · memory_limit_rows, (i + 1) · memory_limit_rows)` — a function
-//!    of the limit alone — and the worker pool claims runs whole, in
-//!    index order (Figure 11's thread-local run generation): a worker
-//!    builds the run it claimed with the in-memory pipeline's own run
-//!    generator ([`crate::run`]), *spills* it to a temporary file as
-//!    self-contained records (`key ‖ payload row ‖ per-row string
-//!    segment`) in hash-sealed blocks of at most 64 KiB, streamed through
-//!    one pooled buffer, and reuses the run's buffers for its next claim —
-//!    so one worker encodes and writes while another sorts, one run per
-//!    worker is resident, and the files are byte-identical at any thread
-//!    count. Those buffers end with the phase. What the merge needs to
-//!    find its way around a file — one index entry per block — stays in
-//!    memory beside the run handle.
-//! 2. **Streaming merge**: the shared merge kernel ([`crate::merge`]) over
-//!    [`RunCursor`]s pops one record at a time, decoded in place from the
-//!    cursor's current block, straight into the output vectors
-//!    ([`VectorSink`]); peak memory during the merge is one block per run
-//!    and range being merged plus the output columns — run generation's
-//!    buffers ended with its phase. With more than one merge thread the key
-//!    space is cut into disjoint ranges at splitter keys sampled from the
-//!    runs (DESIGN.md §11), each run's range boundaries are found from its
-//!    block index plus one block read per splitter, and the persistent
-//!    worker pool merges every range independently into its pre-sized
-//!    piece of every output column — the result is bit-identical to the
-//!    single-threaded merge, and every run file is read once.
+//! What this facade adds to the sorter: where a finished run goes. Each
+//! is *spilled* as self-contained records (`key ‖ code ‖ payload row ‖
+//! string segment`) in hash-sealed blocks of at most 64 KiB, streamed
+//! through one pooled buffer; what the merge needs to find its way around
+//! a file — one index entry per block, the run's sample keys — stays in
+//! memory beside the run handle ([`Run`]). The merge reads a run through
+//! a [`RunCursor`] that decodes one record at a time in place from its
+//! current verified block, and cuts it from its block index plus one
+//! block read per splitter. At most [`SPILL_WORKERS`] workers build runs,
+//! from buffers that end with the spill phase, so run generation holds at
+//! most that many runs at any core count.
 //!
 //! Storage is reached only through the [`SpillIo`] trait (`std::fs` by
 //! default, a fault-injecting in-memory backend in tests), and the spill
@@ -53,27 +32,21 @@
 //!   deletions that *fail* are counted in `spill_cleanup_failed` so leaks
 //!   are observable rather than silent.
 
-use crate::comparator::FusedRowComparator;
-use crate::keys::{word, KeyBlock, VarcharStat};
-use crate::merge::{
-    choose_splitters, cmp_keys, column_bytes, lower_bound, merge_kway, plan_parts,
-    sample_positions, string_bytes, MergeOrder, MergeStats, RunSource, VectorSink,
-};
-use crate::metrics::{emit_trace, Counter, CounterRegistry, Metrics, Phase, SortProfile};
+use crate::keys::word;
+use crate::merge::{cmp_keys, MergeOrder, RunSource};
+use crate::metrics::{Counter, CounterRegistry, Metrics, Phase, SortProfile};
 use crate::ovc;
 use crate::pool::BufferPool;
-use crate::run::{planned_prefix, varchar_stats, PrefixSampler, RunGenerator, SortedRun};
+use crate::run::{KeyPlan, SortedRun};
+use crate::sorter::{lower_bound, MergePlan, SorterCore, StoredRun};
 use crate::spill::{SpillError, SpillIo, SpillOp, StdFs};
-use crate::workers::WorkerPool;
-use rowsort_algos::kway::OvcLoserTree;
-use rowsort_row::{ChunkBuilder, ChunkPiece, PieceTail, RowLayout};
 use rowsort_testkit::hash::XxHash64;
 use rowsort_vector::{DataChunk, LogicalType, OrderBy};
 use std::cmp::Ordering;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Seed for the block checksums ("ROWSORT!" as bytes), so they are
@@ -110,6 +83,12 @@ const SPILL_FLAG_OVC: u16 = 1;
 /// first record.
 const HEADER_BYTES: usize = 8;
 
+/// Most workers that build and spill runs at once, whatever
+/// [`ExternalSortOptions::merge_threads`] says: run generation holds at
+/// most this many runs. Two is the count every spill measurement was
+/// taken at (ROADMAP 4(e)); the merge keeps every worker.
+pub const SPILL_WORKERS: usize = 2;
+
 /// Tuning for the external sorter.
 #[derive(Debug, Clone)]
 pub struct ExternalSortOptions {
@@ -118,7 +97,8 @@ pub struct ExternalSortOptions {
     /// `[i · memory_limit_rows, (i + 1) · memory_limit_rows)` at any thread
     /// count. Every spill worker holds one run while it builds and writes
     /// it, so run generation keeps at most
-    /// `merge_threads × memory_limit_rows` rows resident.
+    /// `min(merge_threads, SPILL_WORKERS) × memory_limit_rows` rows
+    /// resident ([`SPILL_WORKERS`]).
     pub memory_limit_rows: usize,
     /// Directory for spill files (defaults to the system temp dir).
     pub spill_dir: Option<PathBuf>,
@@ -131,12 +111,10 @@ pub struct ExternalSortOptions {
     /// OVC-aware loser tree (DESIGN.md §10). Defaults to
     /// [`crate::pipeline::default_ovc`] (`ROWSORT_OVC=0` disables).
     pub ovc: bool,
-    /// Worker threads of both phases. With more than one, the persistent
-    /// worker pool claims the spilled runs whole (so
-    /// `merge_threads × memory_limit_rows` rows are resident in run
-    /// generation) and merges them range-partitioned (DESIGN.md §11); run
-    /// files and output are bit-identical at any thread count. Defaults
-    /// to [`crate::pipeline::default_threads`].
+    /// Worker threads. The spill phase claims runs whole on at most
+    /// [`SPILL_WORKERS`] of them; the merge runs range-partitioned on all
+    /// of them (DESIGN.md §11). Run files and output are bit-identical at
+    /// any thread count. Defaults to [`crate::pipeline::default_threads`].
     pub merge_threads: usize,
 }
 
@@ -175,26 +153,13 @@ static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// assert_eq!(sorted.row(999), vec![Value::Int32(999)]);
 /// ```
 pub struct ExternalSorter {
-    types: Vec<LogicalType>,
-    order: OrderBy,
+    /// Its pool recycles the merge sinks' row batches and the encoder's
+    /// and cursors' block buffers. Run-generation buffers are not there:
+    /// they come from a pool that lives for the spill phase, so none is
+    /// held under the merge.
+    core: SorterCore,
     options: ExternalSortOptions,
-    layout: Arc<RowLayout>,
-    /// Full-tuple comparator for VARCHAR-prefix tie resolution, built once.
-    tie_cmp: FusedRowComparator,
-    /// Columns holding out-of-row (VARCHAR) data.
-    varlen_cols: Vec<usize>,
     io: Arc<dyn SpillIo>,
-    metrics: Arc<CounterRegistry>,
-    profile: Mutex<SortProfile>,
-    /// Recycles the merge sinks' row batches and the encoder's and
-    /// cursors' block buffers. Run-generation buffers are not here: they
-    /// come from a pool that lives for the spill phase, so none is held
-    /// under the merge.
-    pool: Arc<BufferPool>,
-    /// Workers of both phases, spawned lazily by the first sort that has
-    /// more than one run to claim, so single-threaded (or single-run)
-    /// sorters spawn no threads.
-    workers: OnceLock<WorkerPool>,
 }
 
 /// One spilled run file. The `Drop` impl is the cleanup guarantee:
@@ -263,11 +228,11 @@ impl RunIndex {
 }
 
 /// One sorted run as the merge sees it: where its encoded bytes live, its
-/// block index, and the splitter-candidate keys sampled from it at encode
-/// time (the keys at its [`sample_positions`], `key_width` bytes each).
-/// Index and samples cost nothing to capture while the run is hot; they
-/// let the merge choose range splitters, cut every run at them and
-/// pre-size its output without scanning any file.
+/// block index, and its sample keys, copied from the sorted run at encode
+/// time (`key_width` bytes each). Index and samples cost nothing to
+/// capture while the run is hot; they let the merge choose range
+/// splitters, cut every run at them and pre-size its output without
+/// scanning any file.
 struct Run {
     samples: Vec<u8>,
     index: RunIndex,
@@ -284,10 +249,6 @@ enum RunStore {
 }
 
 impl Run {
-    fn rows(&self) -> usize {
-        self.index.rows
-    }
-
     /// Names the run in errors.
     fn path(&self) -> &Path {
         match &self.store {
@@ -313,10 +274,133 @@ impl Run {
             },
         }
     }
+}
 
-    /// The cuts bracketing the whole run.
-    fn whole(&self) -> [RangeCut; 2] {
+/// An encoded run: cut from its block index plus a walk of one block,
+/// read by a [`RunCursor`] from wherever its bytes live.
+impl StoredRun for Run {
+    type Cut = RangeCut;
+    type Source<'r> = RunCursor<'r>;
+    const BUILDERS: usize = SPILL_WORKERS;
+    const LONE_RUN_CODED: bool = true;
+
+    fn sample_keys(&self, kw: usize) -> impl Iterator<Item = &[u8]> {
+        self.samples.chunks_exact(kw.max(1))
+    }
+    fn bounds(&self) -> [RangeCut; 2] {
         [self.cut_at_block(0), self.cut_at_block(usize::MAX)]
+    }
+    fn rows_before(cut: RangeCut) -> usize {
+        cut.index
+    }
+
+    /// The index's first keys narrow the search to one block — the last
+    /// whose first key is below the splitter — and a cursor over that
+    /// block alone (read once, verified like any other) walks to the
+    /// record. A splitter at or below the run's first key cuts at its
+    /// start without a read; a block walked to its end cuts at the next.
+    fn cut_at(
+        &self,
+        core: &SorterCore,
+        kw: usize,
+        splitter: &[u8],
+    ) -> Result<RangeCut, SpillError> {
+        let below = lower_bound(&self.index.first_keys, kw, splitter);
+        let Some(b) = below.checked_sub(1) else {
+            return Ok(self.cut_at_block(0));
+        };
+        let [lo, hi] = [self.cut_at_block(b), self.cut_at_block(b + 1)];
+        let mut cur = self.source(core, kw, [lo, hi])?;
+        let mut cut = lo;
+        while !cur.exhausted() && cmp_keys(cur.key(), splitter) == Ordering::Less {
+            cut.index += 1;
+            cur.advance()?;
+            cut.in_off = cur.rec;
+        }
+        Ok(if cur.exhausted() { hi } else { cut })
+    }
+
+    /// A cursor over the run's records between two of its cuts,
+    /// positioned on the first; `kw`-byte keys, with a code per record if
+    /// the sorter codes them. The stored code of the first record is
+    /// relative to its predecessor, which a range starting inside the run
+    /// does not hold, so it is re-coded against −∞ — the base the loser
+    /// tree's leaves start from (for the run's first record the two
+    /// agree). An empty span opens nothing: the range before it that ends
+    /// the run checks that the file ends there.
+    fn source<'r>(
+        &'r self,
+        core: &'r SorterCore,
+        kw: usize,
+        [lo, hi]: [RangeCut; 2],
+    ) -> Result<RunCursor<'r>, SpillError> {
+        let remaining = hi.index.saturating_sub(lo.index);
+        // Where the range's first block starts; at the run's end, where
+        // the file must.
+        let off = self
+            .index
+            .blocks
+            .get(lo.block)
+            .map_or(self.index.bytes, |b| b.off);
+        // The index says the file reaches `off`: one that does not has
+        // been truncated, however the backend reports it.
+        let truncated = || {
+            let detail = format!("truncated: file ends before byte {off}, where a block starts");
+            SpillError::corrupt(self.path(), detail)
+        };
+        let reader: Box<dyn Read + Send + 'r> = match &self.store {
+            _ if remaining == 0 => Box::new(io::empty()),
+            RunStore::Spilled(r) => {
+                core.metrics.add(Counter::SpillSkippedBytes, off);
+                match r.io.open_at(&r.path, off) {
+                    Ok(reader) => reader,
+                    Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+                        return Err(truncated());
+                    }
+                    Err(e) => return Err(SpillError::io(SpillOp::Read, &r.path, &e)),
+                }
+            }
+            RunStore::Memory(bytes) => {
+                let at = usize::try_from(off).map_err(|_| truncated())?;
+                Box::new(bytes.get(at..).ok_or_else(truncated)?)
+            }
+        };
+        let mut c = RunCursor {
+            reader,
+            run: self,
+            core,
+            buf: if remaining > 0 {
+                core.pool.get_bytes(BLOCK_BYTES)
+            } else {
+                Vec::new()
+            },
+            end: 0,
+            next_block: lo.block,
+            remaining,
+            exhausted: false,
+            ends_run: remaining > 0 && hi.index == self.index.rows,
+            rec: 0,
+            row_at: 0,
+            seg_at: 0,
+            next: 0,
+            code: 0,
+            kw,
+            width: core.layout.width(),
+            has_ovc: core.coded(kw),
+            arity: ovc::word_count(kw),
+            decoded: 0,
+            fetched: 0,
+        };
+        if c.remaining > 0 {
+            c.fetch_block()?;
+            // The first block resumes at the cut, not at its first record.
+            c.next = lo.in_off;
+        }
+        c.advance()?;
+        if c.has_ovc && !c.exhausted {
+            c.code = ovc::initial_code(c.key(), c.arity);
+        }
+        Ok(c)
     }
 }
 
@@ -347,34 +431,21 @@ fn header_bytes(ovc: bool) -> [u8; HEADER_BYTES] {
 /// codes.
 fn check_header(header: &[u8], expect_ovc: bool, path: &Path) -> Result<(), SpillError> {
     let magic: [u8; 4] = word(header, 0);
-    if magic != SPILL_MAGIC {
-        return Err(SpillError::corrupt(
-            path,
-            format!("bad run-file magic {magic:02x?}"),
-        ));
-    }
     let version = u16::from_le_bytes(word(header, 4));
-    if version != SPILL_VERSION {
-        return Err(SpillError::corrupt(
-            path,
-            format!("unsupported run-file version {version} (expected {SPILL_VERSION})"),
-        ));
-    }
     let flags = u16::from_le_bytes(word(header, 6));
-    if flags & !SPILL_FLAG_OVC != 0 {
-        return Err(SpillError::corrupt(
-            path,
-            format!("unknown run-file flags {flags:#06x}"),
-        ));
-    }
     let file_ovc = flags & SPILL_FLAG_OVC != 0;
-    if file_ovc != expect_ovc {
-        return Err(SpillError::corrupt(
-            path,
-            format!("run-file OVC flag is {file_ovc} but the merge expected {expect_ovc}"),
-        ));
-    }
-    Ok(())
+    let detail = if magic != SPILL_MAGIC {
+        format!("bad run-file magic {magic:02x?}")
+    } else if version != SPILL_VERSION {
+        format!("unsupported run-file version {version} (expected {SPILL_VERSION})")
+    } else if flags & !SPILL_FLAG_OVC != 0 {
+        format!("unknown run-file flags {flags:#06x}")
+    } else if file_ovc != expect_ovc {
+        format!("run-file OVC flag is {file_ovc} but the merge expected {expect_ovc}")
+    } else {
+        return Ok(());
+    };
+    Err(SpillError::corrupt(path, detail))
 }
 
 /// A reader over records `lo..hi` of one run, serving the head record as
@@ -386,6 +457,10 @@ fn check_header(header: &[u8], expect_ovc: bool, path: &Path) -> Result<(), Spil
 struct RunCursor<'a> {
     reader: Box<dyn Read + Send + 'a>,
     run: &'a Run,
+    /// The sorter: the rows' layout (where each VARCHAR column's slot and
+    /// null flag sit, for checking the head record's strings against its
+    /// segment), the pool the buffer comes from, the registry counted into.
+    core: &'a SorterCore,
     /// The current block: `buf[..end]` is its records (behind the header
     /// in block 0), the hash follows.
     buf: Vec<u8>,
@@ -410,101 +485,14 @@ struct RunCursor<'a> {
     kw: usize,
     width: usize,
     has_ovc: bool,
-    /// Where each VARCHAR column's slot and null flag sit in a row, for
-    /// checking the head record's strings against its segment.
-    layout: &'a RowLayout,
-    varlen_cols: &'a [usize],
     /// Key word count, for structural validation of decoded codes.
     arity: usize,
     /// Records decoded and bytes fetched, flushed to the registry on drop.
     decoded: u64,
     fetched: u64,
-    pool: &'a BufferPool,
-    metrics: &'a CounterRegistry,
 }
 
 impl<'a> RunCursor<'a> {
-    /// A cursor over the records of `run` between two of its cuts,
-    /// positioned on the first; `kw`-byte keys, rows of `layout` (whose
-    /// `varlen_cols` point into the record's segment), and a code per
-    /// record if `ovc`. The stored code of the first record is
-    /// relative to its predecessor, which a range starting inside the run
-    /// does not hold, so it is re-coded against −∞ — the base the loser
-    /// tree's leaves start from (for the run's first record the two
-    /// agree).
-    fn open(
-        run: &'a Run,
-        [lo, hi]: [RangeCut; 2],
-        (kw, layout, varlen_cols, ovc): (usize, &'a RowLayout, &'a [usize], bool),
-        pool: &'a BufferPool,
-        metrics: &'a CounterRegistry,
-    ) -> Result<RunCursor<'a>, SpillError> {
-        // Where the range's first block starts; at the run's end, where
-        // the file must.
-        let off = run
-            .index
-            .blocks
-            .get(lo.block)
-            .map_or(run.index.bytes, |b| b.off);
-        // The index says the file reaches `off`: one that does not has
-        // been truncated, however the backend reports it.
-        let truncated = || {
-            let detail = format!("truncated: file ends before byte {off}, where a block starts");
-            SpillError::corrupt(run.path(), detail)
-        };
-        let reader: Box<dyn Read + Send + 'a> = match &run.store {
-            RunStore::Spilled(r) => {
-                metrics.add(Counter::SpillSeamSkipBytes, off);
-                match r.io.open_at(&r.path, off) {
-                    Ok(reader) => reader,
-                    Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                        return Err(truncated());
-                    }
-                    Err(e) => return Err(SpillError::io(SpillOp::Read, &r.path, &e)),
-                }
-            }
-            RunStore::Memory(bytes) => {
-                let at = usize::try_from(off).map_err(|_| truncated())?;
-                Box::new(bytes.get(at..).ok_or_else(truncated)?)
-            }
-        };
-        let mut c = RunCursor {
-            reader,
-            run,
-            buf: pool.get_bytes(BLOCK_BYTES),
-            end: 0,
-            next_block: lo.block,
-            remaining: hi.index.saturating_sub(lo.index),
-            exhausted: false,
-            ends_run: hi.index == run.index.rows,
-            rec: 0,
-            row_at: 0,
-            seg_at: 0,
-            next: 0,
-            code: 0,
-            kw,
-            width: layout.width(),
-            has_ovc: ovc,
-            layout,
-            varlen_cols,
-            arity: ovc::word_count(kw),
-            decoded: 0,
-            fetched: 0,
-            pool,
-            metrics,
-        };
-        if c.remaining > 0 {
-            c.fetch_block()?;
-            // The first block resumes at the cut, not at its first record.
-            c.next = lo.in_off;
-        }
-        c.advance()?;
-        if c.has_ovc && !c.exhausted {
-            c.code = ovc::initial_code(c.key(), c.arity);
-        }
-        Ok(c)
-    }
-
     fn corrupt(&self, detail: impl Into<String>) -> SpillError {
         SpillError::corrupt(self.run.path(), detail)
     }
@@ -642,11 +630,12 @@ impl RunSource for RunCursor<'_> {
         }
         // The tie comparator and the sink slice the segment by these
         // slots; a NULL's slot is never read.
-        for &c in self.varlen_cols {
-            if self.buf[row_at + self.layout.null_offset(c)] != 0 {
+        let layout = &self.core.layout;
+        for &c in &self.core.varlen_cols {
+            if self.buf[row_at + layout.null_offset(c)] != 0 {
                 continue;
             }
-            let slot = row_at + self.layout.offset(c);
+            let slot = row_at + layout.offset(c);
             let off = self.block_u32(slot) as usize;
             let len = self.block_u32(slot + 4) as usize;
             if off.saturating_add(len) > seg_len {
@@ -665,9 +654,10 @@ impl RunSource for RunCursor<'_> {
 
 impl Drop for RunCursor<'_> {
     fn drop(&mut self) {
-        self.metrics.add(Counter::SpillReadaheadHits, self.decoded);
-        self.metrics.add(Counter::SpillReadBytes, self.fetched);
-        self.pool.put_bytes(std::mem::take(&mut self.buf));
+        let metrics = &self.core.metrics;
+        metrics.add(Counter::SpillRecordsDecoded, self.decoded);
+        metrics.add(Counter::SpillReadBytes, self.fetched);
+        self.core.pool.put_bytes(std::mem::take(&mut self.buf));
     }
 }
 
@@ -684,56 +674,29 @@ impl ExternalSorter {
 
     /// As [`ExternalSorter::new`], but spilling through an explicit
     /// [`SpillIo`] backend (tests and the stress harness inject faults
-    /// here).
+    /// here). A zero row budget or thread count clamps to 1.
     pub fn with_spill_io(
         types: Vec<LogicalType>,
         order: OrderBy,
-        mut options: ExternalSortOptions,
+        options: ExternalSortOptions,
         io: Arc<dyn SpillIo>,
     ) -> ExternalSorter {
-        // A zero budget would leave the run-generation loop unable to make
-        // progress (each run would cover zero rows); degrade to one-row runs.
-        options.memory_limit_rows = options.memory_limit_rows.max(1);
-        options.merge_threads = options.merge_threads.max(1);
-        let layout = Arc::new(RowLayout::new(&types));
-        let tie_cmp = FusedRowComparator::new(&layout, &order);
-        let varlen_cols = (0..types.len())
-            .filter(|&c| types[c] == LogicalType::Varchar)
-            .collect();
-        let metrics = Arc::new(CounterRegistry::new());
+        let (threads, run_rows) = (options.merge_threads, options.memory_limit_rows);
         ExternalSorter {
-            types,
-            order,
+            core: SorterCore::new(types, order, threads, run_rows, options.ovc),
             options,
-            layout,
-            tie_cmp,
-            varlen_cols,
             io,
-            pool: Arc::new(BufferPool::with_metrics(Arc::clone(&metrics))),
-            metrics,
-            profile: Mutex::new(SortProfile::zeroed()),
-            workers: OnceLock::new(),
         }
-    }
-
-    /// The persistent worker pool, spawned on first use.
-    fn workers(&self) -> &WorkerPool {
-        self.workers.get_or_init(|| {
-            WorkerPool::with_metrics(self.options.merge_threads, Arc::clone(&self.metrics))
-        })
     }
 
     /// The profile recorded by the most recent [`ExternalSorter::sort`].
     pub fn last_profile(&self) -> SortProfile {
-        match self.profile.lock() {
-            Ok(p) => *p,
-            Err(poisoned) => *poisoned.into_inner(),
-        }
+        self.core.last_profile()
     }
 
     /// Cumulative counters across every sort run by this sorter.
     pub fn metrics(&self) -> Metrics {
-        self.metrics.snapshot()
+        self.core.metrics.snapshot()
     }
 
     fn spill_path(&self) -> PathBuf {
@@ -746,20 +709,6 @@ impl ExternalSorter {
         dir.join(format!("rowsort-spill-{}-{}.run", std::process::id(), id))
     }
 
-    /// What run generation borrows from this sorter, and the pool its
-    /// runs' buffers come from.
-    fn run_generator<'a>(&'a self, pool: &'a BufferPool) -> RunGenerator<'a> {
-        RunGenerator {
-            types: &self.types,
-            order: &self.order,
-            layout: &self.layout,
-            tie_cmp: &self.tie_cmp,
-            pool,
-            metrics: &self.metrics,
-            ovc: self.options.ovc,
-        }
-    }
-
     /// Sort `input`, spilling sorted runs whenever the row budget is
     /// reached, then stream-merge the runs.
     ///
@@ -769,115 +718,58 @@ impl ExternalSorter {
     /// file already written is deleted by the run drop-guards before this
     /// returns.
     pub fn sort(&self, input: &DataChunk) -> Result<DataChunk, SpillError> {
-        let n = input.len();
-        if n == 0 {
-            return Ok(DataChunk::new(&self.types));
-        }
-        let sort_start = Instant::now();
-        let before = self.metrics.snapshot();
-        let mut stats = Vec::new();
-        let keys = {
-            let _prepare = self.metrics.time_phase(Phase::Prepare);
-            varchar_stats(
-                input,
-                &self.order,
-                &mut PrefixSampler::default(),
-                &mut stats,
-            );
-            // The one key block every run of this sort is encoded in; its
-            // layout also fixes how the merge compares keys.
-            KeyBlock::with_prefixes(&self.types, &self.order, |c| stats[c])
+        // The key blocks hold a run's worth of entries each: like the run
+        // buffers, they end with the spill phase, so the plan is the sort's.
+        let mut plan = KeyPlan::default();
+        let Some(start) = self.core.begin(input, &mut plan) else {
+            return Ok(DataChunk::new(&self.core.types));
         };
-        let order = self.merge_order(&keys);
-        let key_width = keys.key_width() as u32;
-
+        let order = self.core.merge_order(&plan);
         let runs = {
-            let _spill = self.metrics.time_phase(Phase::Spill);
-            // The key blocks hold a run's worth of entries each: like the
-            // run buffers, they end with the phase.
-            let key_blocks = Mutex::new(vec![keys]);
-            self.generate_spilled_runs(input, &stats, &key_blocks)?
+            let _spill = self.core.metrics.time_phase(Phase::Spill);
+            self.spill(input, plan)?
         };
-        let out = match self.merge_runs(&runs, &order, input) {
-            Ok(out) => out,
-            Err(err) => {
-                if matches!(err, SpillError::Corrupt { .. }) {
-                    self.metrics.add(Counter::SpillChecksumFailed, 1);
-                }
-                return Err(err);
+        let out = self.merge_runs(&runs, &order, input).inspect_err(|err| {
+            if matches!(err, SpillError::Corrupt { .. }) {
+                self.core.metrics.add(Counter::SpillChecksumFailed, 1);
             }
-        };
-        self.metrics.record_sort(n as u64);
-        let profile = SortProfile {
-            operator: "external",
-            sink: "vectors",
-            rows: n as u64,
-            total_ns: sort_start.elapsed().as_nanos() as u64,
-            key_width,
-            varchar_prefix: planned_prefix(&stats),
-            metrics: self.metrics.snapshot().since(&before),
-        };
-        match self.profile.lock() {
-            Ok(mut p) => *p = profile,
-            Err(poisoned) => *poisoned.into_inner() = profile,
-        }
-        emit_trace(&profile);
+        })?;
+        self.core
+            .publish(start, input.len(), ("external", "vectors"), order.kw);
         Ok(out)
     }
 
-    /// How this sort's merges compare records, from the layout of the key
-    /// block its runs are encoded in.
-    fn merge_order(&self, keys: &KeyBlock) -> MergeOrder<'_> {
-        MergeOrder {
-            kw: keys.key_width(),
-            tie_possible: keys.tie_possible(),
-            tie_cmp: &self.tie_cmp,
-        }
-    }
-
-    /// Phase 1: generate and spill the runs — run `i` is input rows
-    /// `[i · limit, (i + 1) · limit)`, whatever the thread count — each
-    /// claimed whole by a worker ([`ExternalSorter::run_jobs`]) that
-    /// builds it, encodes and writes it, and recycles its buffers for the
-    /// run it claims next: one run resident per worker in flight, one
-    /// worker writing while another sorts. The buffers come from a pool
-    /// that ends with the phase, so no dead run set sits under the merge;
-    /// its hits and misses are the sort's, like the sorter's own pool's.
-    /// Once spill space runs out (`degraded`), the same runs stay in
-    /// memory, encoded as they would have been on disk.
-    fn generate_spilled_runs(
-        &self,
-        input: &DataChunk,
-        stats: &[VarcharStat],
-        key_blocks: &Mutex<Vec<KeyBlock>>,
-    ) -> Result<Vec<Run>, SpillError> {
-        let limit = self.options.memory_limit_rows;
-        let run_count = input.len().div_ceil(limit);
-        let phase_pool = BufferPool::with_metrics(Arc::clone(&self.metrics));
-        let gen = self.run_generator(&phase_pool);
+    /// The spill phase: the sorter's runs, each encoded and written by the
+    /// worker that built it ([`ExternalSorter::spill_run`]) before it
+    /// claims the next. Run buffers come from a pool that ends with the
+    /// phase, like `plan`'s key blocks, so no dead run set sits under the
+    /// merge; its hits and misses are the sort's. Once spill space runs
+    /// out (`degraded`), the same runs stay in memory, encoded as they
+    /// would have been on disk.
+    fn spill(&self, input: &DataChunk, plan: KeyPlan) -> Result<Vec<Run>, SpillError> {
+        let phase_pool = BufferPool::with_metrics(Arc::clone(&self.core.metrics));
         let degraded = AtomicBool::new(false);
-        self.run_jobs(SpillOp::Write, run_count, |i| {
-            let start = i * limit;
-            let end = start.saturating_add(limit).min(input.len());
-            let claimed = Instant::now();
-            // Codes always: run files carry them whenever the sort uses
-            // OVC, however many runs it ends up with.
-            let run = gen.make_run(input, start, end, stats, key_blocks, true);
-            let generate_ns = claimed.elapsed().as_nanos() as u64;
-            self.metrics.add(Counter::SpillGenerateNs, generate_ns);
-            let generated = Instant::now();
-            let spilled = self.spill_run(&run, &degraded);
-            let write_ns = generated.elapsed().as_nanos() as u64;
-            self.metrics.add(Counter::SpillWriteNs, write_ns);
-            run.recycle(&phase_pool);
-            spilled
-        })
-    }
-
-    /// Whether run files carry the offset-value code column: requested by
-    /// options and meaningful (a zero-width key has nothing to code).
-    fn use_ovc(&self, kw: usize) -> bool {
-        self.options.ovc && kw > 0
+        let mut runs = Vec::new();
+        let slots = &mut Vec::new();
+        self.core.generate(
+            input,
+            &plan,
+            &phase_pool,
+            (slots, &mut runs),
+            |run, claimed| {
+                let metrics = &self.core.metrics;
+                metrics.add(
+                    Counter::SpillGenerateNs,
+                    claimed.elapsed().as_nanos() as u64,
+                );
+                let generated = Instant::now();
+                let spilled = self.spill_run(&run, &degraded);
+                metrics.add(Counter::SpillWriteNs, generated.elapsed().as_nanos() as u64);
+                run.recycle(&phase_pool);
+                spilled
+            },
+        )?;
+        Ok(runs)
     }
 
     /// Encode one sorted run into `out` as hash-sealed blocks of
@@ -891,10 +783,11 @@ impl ExternalSorter {
     /// the keys were hot from the run sort, so the spill merge starts
     /// with codes instead of deriving them.
     fn encode_run(&self, run: &SortedRun, out: &mut dyn Write) -> io::Result<RunIndex> {
-        let mut buf = self.pool.get_bytes(BLOCK_BYTES);
-        let width = self.layout.width();
+        let (layout, pool) = (&self.core.layout, &self.core.pool);
+        let mut buf = pool.get_bytes(BLOCK_BYTES);
+        let width = layout.width();
         let kw = run.key_width;
-        let use_ovc = self.use_ovc(kw);
+        let use_ovc = self.core.coded(kw);
         let fixed = kw + if use_ovc { 8 } else { 0 } + width + 4;
         let mut index = RunIndex {
             rows: run.len(),
@@ -907,6 +800,7 @@ impl ExternalSorter {
         let mut block_rows = 0usize;
         for i in 0..run.len() {
             let strings = self
+                .core
                 .varlen_cols
                 .iter()
                 .filter(|&&c| !run.payload.is_null(i, c));
@@ -937,7 +831,7 @@ impl ExternalSorter {
             // Rewrite heap offsets to be relative to this record's segment.
             let seg_at = buf.len();
             for &c in strings {
-                let at = row_at + self.layout.offset(c);
+                let at = row_at + layout.offset(c);
                 let new_off = (buf.len() - seg_at) as u32;
                 buf.extend_from_slice(run.payload.string_bytes(i, c));
                 buf[at..at + 4].copy_from_slice(&new_off.to_le_bytes());
@@ -947,7 +841,7 @@ impl ExternalSorter {
         if block_rows > 0 {
             index.close_block(&mut buf, out)?;
         }
-        self.pool.put_bytes(buf);
+        pool.put_bytes(buf);
         Ok(index)
     }
 
@@ -965,27 +859,6 @@ impl ExternalSorter {
         Ok(index)
     }
 
-    /// Delete a partially written file after a failure, counting (not
-    /// hiding) deletions that themselves fail.
-    fn cleanup_partial(&self, path: &Path) {
-        if let Err(err) = self.io.delete(path) {
-            if err.kind() != io::ErrorKind::NotFound {
-                self.metrics.add(Counter::SpillCleanupFailed, 1);
-            }
-        }
-    }
-
-    /// A sorted run's splitter-candidate keys, captured while the keys are
-    /// hot from the run sort (none for a zero-width key).
-    fn sample_keys(run: &SortedRun) -> Vec<u8> {
-        let kw = run.key_width;
-        let mut out = Vec::new();
-        for i in sample_positions(run.len()) {
-            out.extend_from_slice(&run.keys[i * kw..(i + 1) * kw]);
-        }
-        out
-    }
-
     /// Encode one sorted run and place it: on disk under the retry /
     /// degradation policy, or in memory once spill space is gone —
     /// `degraded`, which every worker of the phase reads before each
@@ -994,38 +867,39 @@ impl ExternalSorter {
     /// degrades itself). A retry encodes again — the sorted run is still
     /// resident — so no attempt ever holds the run's encoding whole.
     fn spill_run(&self, run: &SortedRun, degraded: &AtomicBool) -> Result<Run, SpillError> {
+        let metrics = &self.core.metrics;
         let mut attempt = 0;
         let mut backoff = self.options.retry_backoff;
         let (index, store) = loop {
             if degraded.load(AtomicOrdering::SeqCst) {
-                self.metrics.add(Counter::SpillMemFallbackRuns, 1);
+                metrics.add(Counter::SpillMemFallbackRuns, 1);
                 let mut bytes = Vec::new();
                 let index = self.encode_run(run, &mut bytes).map_err(|e| {
                     SpillError::io(SpillOp::Write, Path::new("<in-memory run>"), &e)
                 })?;
                 break (index, RunStore::Memory(bytes));
             }
-            let path = self.spill_path();
-            match self.try_write_file(&path, run) {
+            // The guard deletes a partially written file after a failure.
+            let file = SpilledRun {
+                path: self.spill_path(),
+                io: Arc::clone(&self.io),
+                metrics: Arc::clone(metrics),
+            };
+            match self.try_write_file(&file.path, run) {
                 Ok(index) => {
-                    self.metrics.add(Counter::SpilledRuns, 1);
-                    self.metrics.add(Counter::SpilledBytes, index.bytes);
-                    let spilled = SpilledRun {
-                        path,
-                        io: Arc::clone(&self.io),
-                        metrics: Arc::clone(&self.metrics),
-                    };
-                    break (index, RunStore::Spilled(spilled));
+                    metrics.add(Counter::SpilledRuns, 1);
+                    metrics.add(Counter::SpilledBytes, index.bytes);
+                    break (index, RunStore::Spilled(file));
                 }
                 Err(err) => {
-                    self.cleanup_partial(&path);
+                    drop(file);
                     if err.is_no_space() {
                         // Degradation ladder, rung 2: no point retrying a
                         // full disk — keep this and later runs in memory.
                         degraded.store(true, AtomicOrdering::SeqCst);
                     } else if err.is_transient() && attempt < self.options.max_write_retries {
                         attempt += 1;
-                        self.metrics.add(Counter::SpillRetries, 1);
+                        metrics.add(Counter::SpillRetries, 1);
                         std::thread::sleep(backoff);
                         backoff = backoff.saturating_mul(2);
                     } else {
@@ -1034,260 +908,54 @@ impl ExternalSorter {
                 }
             }
         };
-        self.metrics.add(Counter::BytesMoved, index.bytes);
+        metrics.add(Counter::BytesMoved, index.bytes);
+        // The resident run's own sample keys, copied: the planner picks
+        // the same splitters whichever way a run is stored.
+        let samples = run.sample_keys(run.key_width).flatten().copied().collect();
         Ok(Run {
-            samples: Self::sample_keys(run),
+            samples,
             index,
             store,
         })
     }
 
-    /// Open a cursor over the records of `run` between two of its cuts.
-    fn open_cursor<'r>(
-        &'r self,
-        run: &'r Run,
-        kw: usize,
-        span: [RangeCut; 2],
-    ) -> Result<RunCursor<'r>, SpillError> {
-        let shape = (kw, &*self.layout, &self.varlen_cols[..], self.use_ovc(kw));
-        RunCursor::open(run, span, shape, &self.pool, &self.metrics)
-    }
-
-    /// How many key ranges to cut the merge into, and the splitters
-    /// between them: the shared planner's answer ([`plan_parts`],
-    /// [`choose_splitters`]) over the samples taken at spill time — one
-    /// range, no splitters, when no run has any.
-    fn plan_ranges(&self, runs: &[Run], kw: usize, total: usize) -> (usize, Vec<u8>) {
-        let mut splitters = Vec::new();
-        let parts = plan_parts(self.options.merge_threads, kw, runs.len(), total);
-        if parts > 1 {
-            let mut samples: Vec<&[u8]> = runs
-                .iter()
-                .flat_map(|r| r.samples.chunks_exact(kw))
-                .collect();
-            choose_splitters(&mut samples, parts, &mut splitters);
-        }
-        (splitters.len().checked_div(kw).unwrap_or(0) + 1, splitters)
-    }
-
-    /// The cuts the splitters (`kw`-byte keys, ascending) make in `run`,
-    /// bracketed by its start and end: for each, the first record whose
-    /// key is `>=` the splitter. The index's first keys narrow the search
-    /// to one block — the last whose first key is below the splitter —
-    /// and a cursor over that block alone (read once, verified like any
-    /// other) walks to the record. A splitter at or below the run's first
-    /// key cuts at its start without a read, and none means none.
-    fn find_cuts(
-        &self,
-        run: &Run,
-        kw: usize,
-        splitters: &[u8],
-    ) -> Result<Vec<RangeCut>, SpillError> {
-        let [start, end] = run.whole();
-        let mut cuts = Vec::with_capacity(splitters.len() / kw + 2);
-        cuts.push(start);
-        for splitter in splitters.chunks_exact(kw) {
-            let below = lower_bound(&run.index.first_keys, kw, splitter);
-            let Some(b) = below.checked_sub(1) else {
-                cuts.push(start);
-                continue;
-            };
-            let [lo, hi] = [run.cut_at_block(b), run.cut_at_block(b + 1)];
-            let mut cur = self.open_cursor(run, kw, [lo, hi])?;
-            let mut cut = lo;
-            while !cur.exhausted() && cmp_keys(cur.key(), splitter) == Ordering::Less {
-                cut.index += 1;
-                cur.advance()?;
-                cut.in_off = cur.rec;
-            }
-            cuts.push(if cur.exhausted() { hi } else { cut });
-        }
-        cuts.push(end);
-        Ok(cuts)
-    }
-
-    /// Run `job(i)` for `i < n` — jobs of the phase that does `op` —
-    /// claimed in index order by the workers, and return the results in
-    /// index order. A failure stops further claims (a failing disk is not
-    /// sent every remaining run), and the error returned is the lowest
-    /// failed index's: every job below a claimed one was claimed before
-    /// it and runs to its end, so which failure is reported does not
-    /// depend on which worker saw its own first. With one job or one
-    /// thread the same loop runs on the calling thread, and the pool is
-    /// never spawned.
-    fn run_jobs<T: Send>(
-        &self,
-        op: SpillOp,
-        n: usize,
-        job: impl Fn(usize) -> Result<T, SpillError> + Sync,
-    ) -> Result<Vec<T>, SpillError> {
-        let slots: Vec<Mutex<Option<Result<T, SpillError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
-        let claim = |_worker: usize| {
-            while !failed.load(AtomicOrdering::SeqCst) {
-                let i = next.fetch_add(1, AtomicOrdering::SeqCst);
-                if i >= n {
-                    break;
-                }
-                let res = job(i);
-                if res.is_err() {
-                    failed.store(true, AtomicOrdering::SeqCst);
-                }
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(res);
-            }
-        };
-        if n.min(self.options.merge_threads) > 1 {
-            self.workers().broadcast(&claim);
-        } else {
-            claim(0);
-        }
-        let mut out = Vec::with_capacity(n);
-        for slot in slots {
-            // Slots fill in claim order up to the first failure, which
-            // returns from here; an empty one before it means a job was
-            // lost, which must surface as a typed error, not a panic on
-            // a worker thread.
-            let res = slot.into_inner().unwrap_or_else(|e| e.into_inner());
-            out.push(res.ok_or_else(|| lost_job(op))??);
-        }
-        Ok(out)
-    }
-
-    /// Phase 2: streaming k-way merge over the runs (DESIGN.md §11),
-    /// straight into the output columns, which are sized exactly before a
-    /// row is merged; joining the ranges' strings and validity masks
-    /// afterwards is clocked apart, as [`Phase::Gather`].
-    ///
-    /// Every run is cut at the splitters ([`ExternalSorter::find_cuts`]:
-    /// the block index plus one block read per splitter, in parallel over
-    /// the runs; with one partition, just the run's start and end). The
-    /// cuts give every range's exact row count, so each worker fills its
-    /// range's disjoint piece of every column directly and the result is
-    /// bit-identical to the one-partition merge; string bytes a run file
-    /// cannot promise per column before it is read, so those collect per
-    /// range (`input`'s columns say how many to expect). Each range merges
-    /// over cursors opened at its cuts, which verify every block they
-    /// read — and every block holds a record of some range, so every
-    /// block of every run has been verified before the output escapes.
-    /// One partition merges on the calling thread.
+    /// The spill merge: the sorter's range merges over cursors into the
+    /// run files, straight into the output columns (DESIGN.md §11). Each
+    /// range's cursors verify every block they read — and every block
+    /// holds a record of some range — so every block of every run has
+    /// been verified before the output escapes.
     fn merge_runs(
         &self,
         runs: &[Run],
         order: &MergeOrder<'_>,
         input: &DataChunk,
     ) -> Result<DataChunk, SpillError> {
-        let merge_timer = self.metrics.time_phase(Phase::SpillMerge);
-        let kw = order.kw;
-        let total: usize = runs.iter().map(|r| r.rows()).sum();
-        let (parts, splitters) = self.plan_ranges(runs, kw, total);
-        self.metrics
-            .add(Counter::SpillMergePartitions, parts as u64);
-        if runs.is_empty() {
-            // All rows fit nowhere — no runs means no rows.
-            return Ok(DataChunk::new(&self.types));
-        }
-
-        let cuts: Vec<Vec<RangeCut>> = if parts > 1 {
-            let cut = |r: usize| self.find_cuts(&runs[r], kw, &splitters);
-            self.run_jobs(SpillOp::Read, runs.len(), cut)?
-        } else {
-            runs.iter().map(|r| r.whole().to_vec()).collect()
-        };
-        // Every range's exact size in records.
-        let in_range = |p: usize| cuts.iter().map(move |c| c[p + 1].index - c[p].index);
-        let range_rows: Vec<usize> = (0..parts).map(|p| in_range(p).sum()).collect();
-        debug_assert_eq!(range_rows.iter().sum::<usize>(), total);
-        let max_range = range_rows.iter().max().copied().unwrap_or(0);
-        self.metrics
-            .add(Counter::MergeMaxRangeRows, max_range as u64);
-
-        let mut builder = ChunkBuilder::new(&self.types, total);
-        let merged = {
-            // Whichever worker claims range `p` takes piece `p`.
-            let rows = range_rows.iter().copied();
-            let pieces = builder.pieces(&self.layout, rows, string_bytes(input));
-            let slots: Vec<Mutex<Option<ChunkPiece<'_>>>> =
-                pieces.into_iter().map(|p| Mutex::new(Some(p))).collect();
-            let merge_one = |p: usize| {
-                let piece = slots[p].lock().unwrap_or_else(|e| e.into_inner()).take();
-                let piece = piece.ok_or_else(|| lost_job(SpillOp::Read))?;
-                self.merge_range(runs, &cuts, p, order, piece)
-            };
-            self.run_jobs(SpillOp::Read, parts, merge_one)?
-        };
-        let (stats, tails): (Vec<MergeStats>, Vec<PieceTail>) = merged.into_iter().unzip();
-        for s in stats {
-            s.flush(&self.metrics);
-        }
-        drop(merge_timer);
-
-        let _gather = self.metrics.time_phase(Phase::Gather);
-        let chunk = builder.finish(tails);
-        // A record's one move after its run file: its values into columns.
-        self.metrics.add(Counter::BytesMoved, column_bytes(&chunk));
+        let mut plan = MergePlan::default();
+        let phase = Phase::SpillMerge;
+        let chunk = self
+            .core
+            .merge_into_vectors(order, runs, &mut plan, input, phase)?;
+        let metrics = &self.core.metrics;
+        metrics.add(Counter::SpillMergePartitions, plan.parts as u64);
+        metrics.add(Counter::MergeMaxRangeRows, plan.max_range_rows() as u64);
         Ok(chunk)
     }
-
-    /// Merge key range `part` of the runs — run `r`'s records between
-    /// `cuts[r][part]` and `cuts[r][part + 1]` — into the range's piece of
-    /// the output columns, which the records fill exactly. Runs with no
-    /// rows in the range are skipped (the survivors keep their relative
-    /// order, so the tree's lower-index tie-break agrees with the global
-    /// stability rule — byte-equal keys never straddle a range boundary).
-    fn merge_range(
-        &self,
-        runs: &[Run],
-        cuts: &[Vec<RangeCut>],
-        part: usize,
-        order: &MergeOrder<'_>,
-        piece: ChunkPiece<'_>,
-    ) -> Result<(MergeStats, PieceTail), SpillError> {
-        let mut cursors: Vec<RunCursor<'_>> = Vec::with_capacity(runs.len());
-        for (run, cuts) in runs.iter().zip(cuts) {
-            let [lo, hi] = [cuts[part], cuts[part + 1]];
-            if hi.index > lo.index {
-                cursors.push(self.open_cursor(run, order.kw, [lo, hi])?);
-            }
-        }
-        let rows_in = piece.rows();
-        let mut sink = VectorSink::new(piece, &self.pool);
-        let mut tree = OvcLoserTree::empty();
-        let stats = if self.use_ovc(order.kw) {
-            merge_kway::<true, _, _>(order, &mut tree, &mut cursors, rows_in, &mut sink)
-        } else {
-            merge_kway::<false, _, _>(order, &mut tree, &mut cursors, rows_in, &mut sink)
-        }?;
-        Ok((stats, sink.finish(&self.pool)))
-    }
-}
-
-/// A job (or its output slot) that the worker pool never delivered, named
-/// after its phase: the spill phase writes, the merge reads.
-fn lost_job(op: SpillOp) -> SpillError {
-    let phase = if op == SpillOp::Write {
-        "spill"
-    } else {
-        "merge"
-    };
-    SpillError::io(
-        op,
-        Path::new(&format!("<{phase}>")),
-        &io::Error::other(format!("a {phase} job was never run")),
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merge::MemSource;
+    use crate::comparator::FusedRowComparator;
+    use crate::keys::KeyBlock;
+    use crate::merge::{merge_kway, MemSource, MergeStats, VectorSink};
     use crate::testutil::{assert_sorted_permutation, pseudo_random};
-    use rowsort_row::RowBlock;
+    use rowsort_algos::kway::OvcLoserTree;
+    use rowsort_row::{ChunkBuilder, RowBlock};
     use rowsort_testkit::faultfs::{FaultFs, FaultKind, FaultSchedule, FaultSpec};
     use rowsort_testkit::prop::{full, Runner};
     use rowsort_testkit::Rng;
     use rowsort_vector::{OrderByColumn, SortSpec, Value, Vector};
+    use std::sync::{Condvar, Mutex};
 
     fn check_against_in_memory(chunk: &DataChunk, order: &OrderBy, budget: usize) {
         let external = ExternalSorter::new(
@@ -1378,48 +1046,40 @@ mod tests {
         assert_eq!(left, 0, "spill files removed after the sort");
     }
 
-    /// `sort()`'s preparation: the VARCHAR statistics of `chunk` and the
-    /// key-block cache planned for them.
-    fn plan(
-        sorter: &ExternalSorter,
-        chunk: &DataChunk,
-    ) -> (Vec<VarcharStat>, Mutex<Vec<KeyBlock>>) {
-        let mut stats = Vec::new();
-        varchar_stats(
-            chunk,
-            &sorter.order,
-            &mut PrefixSampler::default(),
-            &mut stats,
-        );
-        let block = KeyBlock::with_prefixes(&sorter.types, &sorter.order, |c| stats[c]);
-        (stats, Mutex::new(vec![block]))
+    impl ExternalSorter {
+        /// A cursor over the records of `run` between two of its cuts.
+        fn open_cursor<'r>(
+            &'r self,
+            run: &'r Run,
+            kw: usize,
+            span: [RangeCut; 2],
+        ) -> Result<RunCursor<'r>, SpillError> {
+            run.source(&self.core, kw, span)
+        }
     }
 
-    /// `sort()`'s run-generation phase: `chunk` as spilled runs under the
-    /// sorter's row budget, and how their merge compares records.
+    /// `sort()`'s preparation: the key planned for `chunk`.
+    fn plan(sorter: &ExternalSorter, chunk: &DataChunk) -> KeyPlan {
+        let mut plan = KeyPlan::default();
+        plan.plan(&sorter.core.types, &sorter.core.order, chunk);
+        plan
+    }
+
+    /// `sort()`'s spill phase: `chunk` as spilled runs under the sorter's
+    /// row budget, and how their merge compares records.
     fn build_spilled_runs<'s>(
         sorter: &'s ExternalSorter,
         chunk: &DataChunk,
     ) -> (Vec<Run>, MergeOrder<'s>) {
-        let (stats, key_blocks) = plan(sorter, chunk);
-        let order = sorter.merge_order(&key_blocks.lock().unwrap()[0]);
-        let runs = sorter
-            .generate_spilled_runs(chunk, &stats, &key_blocks)
-            .unwrap();
-        (runs, order)
+        let plan = plan(sorter, chunk);
+        let order = sorter.core.merge_order(&plan);
+        (sorter.spill(chunk, plan).unwrap(), order)
     }
 
     /// All of `chunk` as one sorted run, straight from the run generator.
     fn whole_run(sorter: &ExternalSorter, chunk: &DataChunk) -> SortedRun {
-        let (stats, key_blocks) = plan(sorter, chunk);
-        sorter.run_generator(&sorter.pool).make_run(
-            chunk,
-            0,
-            chunk.len(),
-            &stats,
-            &key_blocks,
-            true,
-        )
+        let (core, plan) = (&sorter.core, plan(sorter, chunk));
+        core.make_run(&core.pool, &plan, chunk, (0, chunk.len()), true)
     }
 
     /// `run` encoded into memory, as the ENOSPC rung of the ladder leaves
@@ -1528,17 +1188,17 @@ mod tests {
                 ..Default::default()
             },
         );
-        let width = sorter.layout.width();
-        let varlen = sorter.varlen_cols.clone();
+        let (layout, varlen) = (&sorter.core.layout, sorter.core.varlen_cols.clone());
+        let width = layout.width();
 
         // One run covering the whole chunk, sorted here independently of
         // the run generator; keep the blocks to compare.
-        let (stats, _) = plan(&sorter, &chunk);
-        let mut payload = RowBlock::with_capacity(Arc::clone(&sorter.layout), chunk.len());
+        let mut payload = RowBlock::with_capacity(Arc::clone(layout), chunk.len());
         payload.append_chunk(&chunk);
-        let mut keys = KeyBlock::with_prefixes(&sorter.types, &sorter.order, |c| stats[c]);
+        let order = &sorter.core.order;
+        let mut keys = KeyBlock::planned(&chunk, order);
         keys.append_chunk(&chunk);
-        let tie_cmp = FusedRowComparator::new(&sorter.layout, &sorter.order);
+        let tie_cmp = FusedRowComparator::new(layout, order);
         keys.sort(|a, b| {
             tie_cmp.compare(
                 payload.row(a as usize),
@@ -1550,7 +1210,7 @@ mod tests {
         let run = sorter
             .spill_run(&whole_run(&sorter, &chunk), &AtomicBool::new(false))
             .unwrap();
-        assert_eq!(run.rows(), chunk.len());
+        assert_eq!(run.row_count(), chunk.len());
 
         // The index against the file: blocks of at most `BLOCK_BYTES` laid
         // end to end, each sealed under its own ordinal, and what is
@@ -1580,7 +1240,7 @@ mod tests {
         // the row must survive the round trip untouched.
         let mut fixed_byte = vec![true; width];
         for &c in &varlen {
-            let at = sorter.layout.offset(c);
+            let at = layout.offset(c);
             for b in at..at + 4 {
                 fixed_byte[b] = false;
             }
@@ -1588,10 +1248,10 @@ mod tests {
 
         let kw = keys.key_width();
         let arity = ovc::word_count(kw);
-        let mut cur = sorter.open_cursor(&run, kw, run.whole()).unwrap();
+        let mut cur = sorter.open_cursor(&run, kw, run.bounds()).unwrap();
         let mut prev_key: Vec<u8> = Vec::new();
         let mut blocks_seen = 0;
-        for i in 0..run.rows() {
+        for i in 0..run.row_count() {
             assert!(!cur.exhausted(), "record {i} missing");
             assert_eq!(cur.key(), keys.key(i), "key {i} differs");
             assert!(prev_key.as_slice() <= cur.key(), "run not sorted at {i}");
@@ -1622,7 +1282,7 @@ mod tests {
                 if payload.is_null(rid, c) {
                     continue;
                 }
-                let at = sorter.layout.offset(c);
+                let at = layout.offset(c);
                 let off = u32::from_le_bytes(word(cur.row(), at)) as usize;
                 let len = u32::from_le_bytes(word(cur.row(), at + 4)) as usize;
                 assert!(
@@ -1662,13 +1322,13 @@ mod tests {
         let budget = 123;
         let (runs, order) = build_spilled_runs(&sorter, &chunk);
         assert_eq!(runs.len(), chunk.len().div_ceil(budget));
-        let total: usize = runs.iter().map(|r| r.rows()).sum();
+        let total: usize = runs.iter().map(|r| r.row_count()).sum();
         assert_eq!(total, chunk.len());
         for (ri, run) in runs.iter().enumerate() {
-            assert!(run.rows() <= budget, "run {ri} exceeds the row budget");
-            let mut cur = sorter.open_cursor(run, order.kw, run.whole()).unwrap();
+            assert!(run.row_count() <= budget, "run {ri} exceeds the row budget");
+            let mut cur = sorter.open_cursor(run, order.kw, run.bounds()).unwrap();
             let mut prev: Vec<u8> = Vec::new();
-            for i in 0..run.rows() {
+            for i in 0..run.row_count() {
                 assert!(!cur.exhausted(), "run {ri} record {i} missing");
                 assert!(
                     prev.as_slice() <= cur.key(),
@@ -1828,7 +1488,7 @@ mod tests {
                     m.counter(Counter::SpillMergePartitions)
                 );
                 assert!(
-                    m.counter(Counter::SpillReadaheadHits) > 0,
+                    m.counter(Counter::SpillRecordsDecoded) > 0,
                     "ovc={ovc} threads={threads}: no record decoded in place"
                 );
             }
@@ -1982,6 +1642,8 @@ mod tests {
             ),
             "want a write error, got {err:?}"
         );
+        // Run 0 was claimed first, so its failure is the one reported.
+        assert!(err.path().contains("rowsort-spill-"), "{err}");
         let created = fs.stats().files_created;
         assert!(
             (1..=threads as u64).contains(&created),
@@ -2016,13 +1678,177 @@ mod tests {
                 m.counter(Counter::SpillWriteNs) > 0,
                 "encode + write clocked"
             );
-            let spawned = sorter.workers.get().is_some();
+            let spawned = sorter.core.workers.get().is_some();
             (spawned, m.counter(Counter::Broadcasts))
         };
         assert_eq!(sort_with(4_000, 4), (false, 0), "one run, four threads");
         assert_eq!(sort_with(250, 1), (false, 0), "sixteen runs, one thread");
-        // The spill phase, the cuts and the ranges: one broadcast each.
-        assert_eq!(sort_with(250, 2), (true, 3), "sixteen runs, two threads");
+        // The spill phase and the ranges: one broadcast each. (The cuts
+        // are made on the calling thread.)
+        assert_eq!(sort_with(250, 2), (true, 2), "sixteen runs, two threads");
+    }
+
+    /// What a [`GatedFs`] has seen: run files open for writing, the most
+    /// ever open at once, and files closed.
+    #[derive(Default)]
+    struct Gate {
+        open: usize,
+        most: usize,
+        closed: usize,
+    }
+
+    type SharedGate = Arc<(Mutex<Gate>, Condvar)>;
+
+    /// A backend that holds each new run file open until one more than
+    /// [`SPILL_WORKERS`] are open or 50 ms pass — a spill phase with more
+    /// builders meets that writer, a capped one never does — and, with
+    /// `full_above`, refuses a file's bytes past that many as a full disk
+    /// once another file has been closed (or 2 s pass).
+    struct GatedFs {
+        inner: FaultFs,
+        gate: SharedGate,
+        full_above: Option<u64>,
+    }
+
+    /// A writer of [`GatedFs`].
+    struct Gated {
+        writer: Box<dyn Write + Send>,
+        gate: SharedGate,
+        written: u64,
+        full_above: Option<u64>,
+    }
+
+    impl Write for Gated {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self
+                .full_above
+                .is_some_and(|n| self.written + buf.len() as u64 > n)
+            {
+                let (lock, closed) = &*self.gate;
+                let wait = Duration::from_secs(2);
+                let none_closed = |g: &mut Gate| g.closed == 0;
+                drop(closed.wait_timeout_while(lock.lock().unwrap(), wait, none_closed));
+                return Err(io::Error::new(io::ErrorKind::StorageFull, "gated: full"));
+            }
+            let n = self.writer.write(buf)?;
+            self.written += n as u64;
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            self.writer.flush()
+        }
+    }
+
+    impl Drop for Gated {
+        fn drop(&mut self) {
+            let mut gate = self.gate.0.lock().unwrap();
+            gate.open -= 1;
+            gate.closed += 1;
+            self.gate.1.notify_all();
+        }
+    }
+
+    impl GatedFs {
+        fn new(full_above: Option<u64>) -> GatedFs {
+            GatedFs {
+                inner: FaultFs::new(FaultSchedule::none()),
+                gate: Arc::default(),
+                full_above,
+            }
+        }
+    }
+
+    impl SpillIo for GatedFs {
+        fn create(&self, path: &Path) -> io::Result<Box<dyn Write + Send>> {
+            let writer = SpillIo::create(&self.inner, path)?;
+            let (lock, opened) = &*self.gate;
+            let mut gate = lock.lock().unwrap();
+            gate.open += 1;
+            gate.most = gate.most.max(gate.open);
+            opened.notify_all();
+            let wait = Duration::from_millis(50);
+            let few = |g: &mut Gate| g.open <= SPILL_WORKERS;
+            drop(opened.wait_timeout_while(gate, wait, few).unwrap());
+            Ok(Box::new(Gated {
+                writer,
+                gate: Arc::clone(&self.gate),
+                written: 0,
+                full_above: self.full_above,
+            }))
+        }
+        fn open(&self, path: &Path) -> io::Result<Box<dyn Read + Send>> {
+            SpillIo::open(&self.inner, path)
+        }
+        fn delete(&self, path: &Path) -> io::Result<()> {
+            SpillIo::delete(&self.inner, path)
+        }
+    }
+
+    /// Run generation holds at most [`SPILL_WORKERS`] runs whatever the
+    /// thread count: however many workers there are, no more than two
+    /// ever write a run file at once, and the merge still uses them all.
+    #[test]
+    fn the_spill_phase_builds_on_at_most_two_workers() {
+        let chunk = DataChunk::from_columns(vec![Vector::from_u32s(pseudo_random(4_000, 55, 100))])
+            .unwrap();
+        let order = OrderBy::ascending(1);
+        for threads in [2, 8] {
+            let fs = Arc::new(GatedFs::new(None));
+            let options = ExternalSortOptions {
+                memory_limit_rows: 250,
+                merge_threads: threads,
+                ..Default::default()
+            };
+            let sorter =
+                ExternalSorter::with_spill_io(chunk.types(), order.clone(), options, fs.clone());
+            let out = sorter.sort(&chunk).unwrap();
+            assert_sorted_permutation(&out, &chunk, &order, "gated");
+            let most = fs.gate.0.lock().unwrap().most;
+            assert!(
+                most <= SPILL_WORKERS,
+                "threads={threads}: {most} runs written at once"
+            );
+            let ranges = sorter
+                .last_profile()
+                .metrics
+                .counter(Counter::SpillMergePartitions);
+            assert_eq!(ranges, threads as u64, "the merge keeps every worker");
+        }
+    }
+
+    /// A run kept in memory takes its index's place among spilled ones:
+    /// run 0 (long strings) meets a full disk only after run 1 (short
+    /// ones), written at the same time by the other worker, has its file,
+    /// and ties still come out as a fault-free sort's do.
+    #[test]
+    fn a_degraded_run_merges_in_index_order() {
+        let rows = 200u32;
+        let mut chunk = DataChunk::new(&[LogicalType::UInt32, LogicalType::Varchar]);
+        for i in 0..rows {
+            let text = if i < rows / 2 {
+                "x".repeat(300)
+            } else {
+                "y".into()
+            };
+            chunk
+                .push_row(&[Value::UInt32(i % 7), Value::from(text)])
+                .unwrap();
+        }
+        let order = OrderBy::ascending(1);
+        let options = ExternalSortOptions {
+            memory_limit_rows: rows as usize / 2,
+            merge_threads: 2,
+            ..Default::default()
+        };
+        let fs = Arc::new(GatedFs::new(Some(16 << 10)));
+        let types = chunk.types();
+        let sorter = ExternalSorter::with_spill_io(types, order.clone(), options.clone(), fs);
+        let out = sorter.sort(&chunk).unwrap();
+        let m = sorter.metrics();
+        let placed = [Counter::SpillMemFallbackRuns, Counter::SpilledRuns].map(|c| m.counter(c));
+        assert_eq!(placed, [1, 1], "run 0 in memory, run 1 in a file");
+        let clean = ExternalSorter::new(chunk.types(), order, options).sort(&chunk);
+        assert_eq!(out.to_rows(), clean.unwrap().to_rows());
     }
 
     // ---- the merge kernel across source kinds ---------------------------
@@ -2035,11 +1861,12 @@ mod tests {
         sources: &mut [S],
         rows: usize,
     ) -> (DataChunk, MergeStats) {
-        let mut builder = ChunkBuilder::new(&sorter.types, rows);
-        let piece = builder.pieces(&sorter.layout, [rows], |_| 0).pop().unwrap();
-        let mut sink = VectorSink::new(piece, &sorter.pool);
+        let core = &sorter.core;
+        let mut builder = ChunkBuilder::new(&core.types, rows);
+        let piece = builder.pieces(&core.layout, [rows], |_| 0).pop().unwrap();
+        let mut sink = VectorSink::new(piece, &core.pool);
         let mut tree = OvcLoserTree::empty();
-        let stats = if sorter.use_ovc(order.kw) {
+        let stats = if core.coded(order.kw) {
             merge_kway::<true, _, _>(order, &mut tree, sources, rows, &mut sink)
         } else {
             merge_kway::<false, _, _>(order, &mut tree, sources, rows, &mut sink)
@@ -2049,7 +1876,7 @@ mod tests {
             sources.iter().all(|s| s.exhausted()),
             "a source was left open"
         );
-        let tail = sink.finish(&sorter.pool);
+        let tail = sink.finish(&core.pool);
         (builder.finish(vec![tail]), stats)
     }
 
@@ -2098,8 +1925,8 @@ mod tests {
                         ..Default::default()
                     },
                 );
-                let (stats, key_blocks) = plan(&sorter, chunk);
-                let order = sorter.merge_order(&key_blocks.lock().unwrap()[0]);
+                let plan = plan(&sorter, chunk);
+                let order = sorter.core.merge_order(&plan);
                 assert_eq!(order.tie_possible, *truncated, "{name}: tie_possible");
                 for k in [1usize, 2, 3, 17] {
                     let what = format!("{name}, ovc={ovc}, k={k}");
@@ -2108,17 +1935,17 @@ mod tests {
                     if k >= 3 {
                         bounds[2] = bounds[1]; // run 1 is empty
                     }
-                    let gen = sorter.run_generator(&sorter.pool);
+                    let core = &sorter.core;
                     let sorted: Vec<SortedRun> = bounds
                         .windows(2)
-                        .map(|w| gen.make_run(chunk, w[0], w[1], &stats, &key_blocks, true))
+                        .map(|w| core.make_run(&core.pool, &plan, chunk, (w[0], w[1]), true))
                         .collect();
                     let encoded: Vec<Run> =
                         sorted.iter().map(|run| memory_run(&sorter, run)).collect();
 
                     let mut cursors: Vec<RunCursor<'_>> = encoded
                         .iter()
-                        .map(|run| sorter.open_cursor(run, order.kw, run.whole()).unwrap())
+                        .map(|run| sorter.open_cursor(run, order.kw, run.bounds()).unwrap())
                         .collect();
                     let from_files = kernel_merge(&sorter, &order, &mut cursors, n);
                     let mut in_memory: Vec<MemSource<'_>> = sorted
@@ -2555,7 +2382,7 @@ mod tests {
             },
         );
         let err = plain
-            .open_cursor(&runs[0], order.kw, runs[0].whole())
+            .open_cursor(&runs[0], order.kw, runs[0].bounds())
             .err()
             .expect("flag mismatch must surface");
         assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
@@ -2588,7 +2415,7 @@ mod tests {
         reseal(&mut bytes, &clean.index, 0);
         let run = with_bytes(&clean, bytes);
         let err = sorter
-            .open_cursor(&run, kw, run.whole())
+            .open_cursor(&run, kw, run.bounds())
             .err()
             .expect("implausible code must surface");
         assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
@@ -2622,7 +2449,7 @@ mod tests {
             mutate(&mut broken);
             let run = with_bytes(&runs[0], broken);
             let err = sorter
-                .open_cursor(&run, order.kw, run.whole())
+                .open_cursor(&run, order.kw, run.bounds())
                 .err()
                 .expect("bad header must surface");
             assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
@@ -2789,17 +2616,13 @@ mod tests {
                     ExternalSorter::new(chunk.types(), by.clone(), options)
                 };
                 let sorters: Vec<ExternalSorter> = [1, 2, 4].into_iter().map(sorter_at).collect();
-                let (stats, key_blocks) = plan(&sorters[0], &chunk);
-                let runs = sorters[0]
-                    .generate_spilled_runs(&chunk, &stats, &key_blocks)
-                    .unwrap();
+                let (runs, order) = build_spilled_runs(&sorters[0], &chunk);
                 // The same runs again, encoded in memory.
                 let runs: Vec<Run> = runs
                     .iter()
                     .map(|run| with_bytes(run, file_bytes(run)))
                     .collect();
                 assert!(runs.iter().all(|r| r.index.blocks.len() >= 3));
-                let order = sorters[0].merge_order(&key_blocks.lock().unwrap()[0]);
                 let rows = sorters[0]
                     .merge_runs(&runs, &order, &chunk)
                     .unwrap()
@@ -2819,7 +2642,7 @@ mod tests {
     fn record_shape(fix: &Fixture, r: usize) -> (usize, usize, bool) {
         let (sorter, index) = (&fix.sorters[0], &fix.runs[r].index);
         let kw = index.first_keys.len() / index.blocks.len();
-        (kw, sorter.layout.width(), sorter.use_ovc(kw))
+        (kw, sorter.core.layout.width(), sorter.core.coded(kw))
     }
 
     /// Merge `fix`'s runs with run `r`'s bytes replaced — in memory, or as
@@ -2839,9 +2662,8 @@ mod tests {
                 .map(|run| with_bytes(run, bytes_of(run).to_vec()))
                 .collect();
             runs[r] = place(&fix.runs[r], bytes.to_vec(), fs);
-            let (_, key_blocks) = plan(sorter, chunk);
-            let order = sorter.merge_order(&key_blocks.lock().unwrap()[0]);
-            let threads = sorter.options.merge_threads;
+            let order = sorter.core.merge_order(&plan(sorter, chunk));
+            let threads = sorter.core.threads;
             accept(sorter.merge_runs(&runs, &order, chunk))
                 .map_err(|e| format!("threads={threads}: {e}"))?;
         }
@@ -2964,7 +2786,7 @@ mod tests {
         // its segment, and a record whose fixed part runs past the block
         // (the record before it grown to end one byte short of the end).
         for fix in &fixtures {
-            let (index, layout) = (&fix.runs[0].index, &fix.sorters[0].layout);
+            let (index, layout) = (&fix.runs[0].index, &fix.sorters[0].core.layout);
             let clean = bytes_of(&fix.runs[0]);
             let fields = |j| record_fields(clean, index, (0, j), record_shape(fix, 0));
             let damaged = |edit: &dyn Fn(&mut [u8])| {
@@ -2978,7 +2800,7 @@ mod tests {
             };
             let [_, _, row, seg_len, seg] = fields(0);
             let long_segment = damaged(&|b| put(b, seg_len.start, BLOCK_BYTES));
-            let c = fix.sorters[0].varlen_cols[0];
+            let c = fix.sorters[0].core.varlen_cols[0];
             let slot = row.start + layout.offset(c);
             let long_string = damaged(&|b| {
                 b[row.start + layout.null_offset(c)] = 0;

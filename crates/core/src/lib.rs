@@ -8,26 +8,26 @@
 //!   pdqsort and radix strategies,
 //! * [`keys`] — normalized-key blocks with row-id suffixes and VARCHAR
 //!   tie resolution,
-//! * [`pipeline`] — DuckDB's full parallel sorting pipeline (Figure 11):
-//!   morsel-parallel run generation, radix thread-local sorts (the
-//!   comparator only inside key-equal ranges),
-//!   payload reordering, and the merge — one k-way pass over key ranges,
-//!   on offset-value codes or (OVC off) on whole keys,
-//! * `run` (crate-private) — the one run generator both sorters use:
-//!   vectors → rows + normalized keys → thread-local sort → a pooled
-//!   `SortedRun` with its offset-value code column; and the key plan both
-//!   make first, VARCHAR prefixes sized from a sample of the strings,
+//! * `sorter` (crate-private) — the one sorter (Figure 11) behind both
+//!   public ones: the prologue that plans the key, one loop that claims
+//!   runs whole in index order, one range planner and one merge driver,
+//!   generic over where a finished run lives (DESIGN.md §11),
+//! * [`pipeline`] — the in-memory sort: that sorter with resident runs,
+//! * `run` (crate-private) — the one run generator: vectors → rows +
+//!   normalized keys → thread-local radix sort (the comparator only inside
+//!   key-equal ranges) → a pooled `SortedRun` with its offset-value code
+//!   column; and the key plan, VARCHAR prefixes sized from a sample of the
+//!   strings,
 //! * `merge` (crate-private) — the one k-way merge kernel: a tree of
 //!   losers over `RunSource`s (in-memory run, spill cursor) emitting into
-//!   a `MergeSink` — `VectorSink`, straight into the output vectors, for
-//!   both sorters; `ConcatSink`, a row run, for `sort_rows` — OVC as a
-//!   const parameter, and the range planner both sorters cut their merges
-//!   with (DESIGN.md §10.3, §11.1),
+//!   a `MergeSink` — `VectorSink`, straight into the output vectors;
+//!   `ConcatSink`, a row run, for `sort_rows` — OVC as a const parameter
+//!   (DESIGN.md §11.4),
 //! * [`systems`] — the five §VII system profiles (DuckDB-, ClickHouse-,
 //!   MonetDB-, HyPer-, Umbra-like sort configurations) behind one trait,
-//! * [`external`] — out-of-core sorting: the same runs, spilled, and the
-//!   same kernel over run files (the §IX "graceful degradation" future
-//!   work, implemented),
+//! * [`external`] — out-of-core sorting: the same sorter with runs
+//!   encoded into run files (the §IX "graceful degradation" future work,
+//!   implemented),
 //! * [`spill`] — the storage surface behind the external sorter: the
 //!   [`SpillIo`](spill::SpillIo) trait (std::fs default, fault-injecting
 //!   test backend) and the typed [`SpillError`](spill::SpillError)
@@ -54,6 +54,7 @@ pub mod ovc;
 pub mod pipeline;
 pub mod pool;
 mod run;
+mod sorter;
 pub mod spill;
 pub mod strategy;
 pub mod systems;

@@ -1,15 +1,12 @@
-//! The one k-way merge kernel (DESIGN.md §10.3): a tree of losers over
+//! The one k-way merge kernel (DESIGN.md §11.4): a tree of losers over
 //! [`RunSource`]s emitting into a [`MergeSink`], with offset-value coding
 //! as a const parameter.
 //!
-//! Both sorters' merges are this loop over a source × sink pair, once per
-//! key range — the in-memory pipeline's, with codes or without, and the
-//! spill merge's: where the head record lives and where the winner is
-//! written are the only things that differ between them. Both cut the key
-//! space into ranges with the planner at the bottom of this file
-//! ([`plan_parts`], [`sample_positions`], [`choose_splitters`]). (The
-//! [`crate::systems`] profiles keep their own merges: they model other
-//! engines.)
+//! Every merge of the sorter (`crate::sorter`) is this loop over a
+//! source × sink pair, once per key range, with codes or without: where
+//! the head record lives and where the winner is written are the only
+//! things that differ between merges. (The [`crate::systems`] profiles
+//! keep their own merges: they model other engines.)
 
 use crate::comparator::FusedRowComparator;
 use crate::keys::word;
@@ -323,7 +320,8 @@ pub(crate) struct MergeOrder<'a> {
     /// Bytes per normalized key (identical across all runs of a sort).
     pub(crate) kw: usize,
     /// Byte-equal keys may hide unequal tuples (a truncated VARCHAR
-    /// prefix, [`SortedRun::tie_possible`]): consult `tie_cmp` on them.
+    /// prefix, [`crate::keys::KeyBlock::tie_possible`]): consult `tie_cmp` on
+    /// them.
     pub(crate) tie_possible: bool,
     pub(crate) tie_cmp: &'a FusedRowComparator,
 }
@@ -451,81 +449,4 @@ fn leaf_code<const OVC: bool, S: RunSource>(src: &S) -> u64 {
     } else {
         0
     }
-}
-
-// ---- range planning, shared by the in-memory and the spill merge --------
-
-/// Splitter candidates sampled per run. 32 evenly spaced keys per run give
-/// the partitioner `32 × runs` sorted candidates — plenty for a near-even
-/// cut at any plausible thread count, for a few hundred bytes per run.
-const MERGE_SAMPLES_PER_RUN: usize = 32;
-
-/// Minimum rows per key range. Below this the per-range overhead (a tree
-/// and a cursor per run, for spilled runs a block buffer and a seam
-/// block read too) outweighs the parallelism, so the range count is
-/// capped at `total / 256`.
-const MIN_ROWS_PER_PARTITION: usize = 256;
-
-/// How many key ranges to cut a merge of `runs` runs holding `total` rows
-/// into: the thread count, capped so every range covers at least
-/// [`MIN_ROWS_PER_PARTITION`] rows on average. One range for a single
-/// run or a zero-width key (nothing to split on).
-pub(crate) fn plan_parts(threads: usize, kw: usize, runs: usize, total: usize) -> usize {
-    if threads <= 1 || kw == 0 || runs < 2 {
-        return 1;
-    }
-    threads.min(total / MIN_ROWS_PER_PARTITION).max(1)
-}
-
-/// The rows of an `n`-row sorted run whose keys are its splitter
-/// candidates: up to [`MERGE_SAMPLES_PER_RUN`] evenly spaced indices
-/// `j·n/s`.
-pub(crate) fn sample_positions(n: usize) -> impl Iterator<Item = usize> {
-    let s = n.min(MERGE_SAMPLES_PER_RUN);
-    (0..s).map(move |j| j * n / s)
-}
-
-/// Choose `parts − 1` splitter keys into `out`: sort every run's sample
-/// keys together and take evenly spaced picks. Range `p` covers the keys
-/// in `[splitter[p−1], splitter[p])` under the lower-bound cut rule, so
-/// byte-equal keys always land in the same range — which is what makes
-/// the ranges' concatenation the stable-by-run-index order of one merge.
-/// Leaves `out` empty (one range) when there is nothing to pick from.
-pub(crate) fn choose_splitters(samples: &mut [&[u8]], parts: usize, out: &mut Vec<u8>) {
-    out.clear();
-    samples.sort_unstable();
-    for j in 1..parts {
-        if let Some(key) = samples.get(j * samples.len() / parts) {
-            out.extend_from_slice(key);
-        }
-    }
-}
-
-/// The cut a splitter makes in a sorted key column of `kw`-byte keys: the
-/// index of the first key `>= splitter`. (A spilled run's column is its
-/// blocks' first keys: the search names the one block to walk for the
-/// cut, by the same rule.)
-pub(crate) fn lower_bound(keys: &[u8], kw: usize, splitter: &[u8]) -> usize {
-    let (mut lo, mut hi) = (0, keys.len() / kw);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if cmp_keys(&keys[mid * kw..(mid + 1) * kw], splitter) == Ordering::Less {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
-
-/// An empty vector in `v`'s allocation, whatever lifetime its elements
-/// borrowed for: how per-sort scratch that holds borrows (merge cursors,
-/// sample keys) is kept across sorts without a lifetime in the sorter's
-/// type. Collecting an emptied vector's `into_iter` reuses its buffer
-/// when the element layouts match (they differ only in a lifetime here);
-/// were that ever to stop holding, this would still be correct and
-/// `zero_alloc.rs` would report the allocation.
-pub(crate) fn recycle_vec<T, U>(mut v: Vec<T>) -> Vec<U> {
-    v.clear();
-    v.into_iter().filter_map(|_| None).collect()
 }

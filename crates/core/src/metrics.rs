@@ -35,242 +35,169 @@ use std::time::Instant;
 
 use rowsort_testkit::json::Json;
 
-/// Wall-clock phases of a sort, measured on the coordinating thread.
-/// Pipeline sorts use the first three (they partition `sort_rows` almost
-/// exactly, so their sum ≈ total sort time) plus, when the caller asks
-/// for vectors back (`SortPipeline::sort`), the fourth; external sorts
-/// use `Prepare`, the last two and — they always hand vectors back —
-/// `Gather` the same way. A sort into vectors gathers inside its merge
-/// phase, on every merge worker; `Gather` is what remains after it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
-    /// Column statistics + key-layout preparation before run generation.
-    Prepare,
-    /// Morsel-parallel run generation (stage, encode keys, local sort,
-    /// payload reorder).
-    RunGeneration,
-    /// Merging the runs in one range-partitioned k-way pass, codes or no
-    /// codes — into one row run, or (`sink = vectors`) straight into the
-    /// output columns, Figure 11's NSM → DSM stage included.
-    Merge,
-    /// Joining the key ranges' pieces of the output columns after a merge
-    /// into vectors: one byte copy per range and VARCHAR column, one
-    /// splice per validity mask, single-threaded.
-    Gather,
-    /// External sort: building and writing spilled runs, whole runs
-    /// claimed by the worker pool; what the workers were busy with is
-    /// [`Counter::SpillGenerateNs`] and [`Counter::SpillWriteNs`].
-    Spill,
-    /// External sort: the streaming loser-tree merge of spilled runs.
-    SpillMerge,
+/// Declare a metrics enum whose variants index the registry, each with the
+/// snake_case name trace JSON and text dumps use: the enum, its `COUNT`,
+/// `ALL` in declaration order (= registry index order) and `name`, from one
+/// list, so that adding or renaming a variant is one edit.
+macro_rules! metric_enum {
+    ($(#[$meta:meta])* pub enum $ty:ident { $($(#[$doc:meta])* $variant:ident => $name:literal,)* }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $ty {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl $ty {
+            /// Number of variants (array dimension of the registry).
+            pub const COUNT: usize = [$($name),*].len();
+
+            /// All variants, in declaration order (= registry index order).
+            pub const ALL: [$ty; $ty::COUNT] = [$($ty::$variant),*];
+
+            /// The snake_case name used in trace JSON and text dumps.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)*
+                }
+            }
+        }
+    };
 }
 
-impl Phase {
-    /// Number of phases (array dimension of the registry).
-    pub const COUNT: usize = 6;
-
-    /// All phases, in declaration order (= registry index order).
-    pub const ALL: [Phase; Phase::COUNT] = [
-        Phase::Prepare,
-        Phase::RunGeneration,
-        Phase::Merge,
-        Phase::Gather,
-        Phase::Spill,
-        Phase::SpillMerge,
-    ];
-
-    /// The snake_case name used in trace JSON and text dumps.
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Prepare => "prepare",
-            Phase::RunGeneration => "run_generation",
-            Phase::Merge => "merge",
-            Phase::Gather => "gather",
-            Phase::Spill => "spill",
-            Phase::SpillMerge => "spill_merge",
-        }
+metric_enum! {
+    /// Wall-clock phases of a sort, measured on the coordinating thread.
+    /// Pipeline sorts use the first three (they partition `sort_rows` almost
+    /// exactly, so their sum ≈ total sort time) plus, when the caller asks
+    /// for vectors back (`SortPipeline::sort`), the fourth; external sorts
+    /// use `Prepare`, the last two and — they always hand vectors back —
+    /// `Gather` the same way. A sort into vectors gathers inside its merge
+    /// phase, on every merge worker; `Gather` is what remains after it.
+    pub enum Phase {
+        /// Column statistics + key-layout preparation before run generation.
+        Prepare => "prepare",
+        /// Morsel-parallel run generation (stage, encode keys, local sort,
+        /// payload reorder).
+        RunGeneration => "run_generation",
+        /// Merging the runs in one range-partitioned k-way pass, codes or no
+        /// codes — into one row run, or (`sink = vectors`) straight into the
+        /// output columns, Figure 11's NSM → DSM stage included.
+        Merge => "merge",
+        /// Joining the key ranges' pieces of the output columns after a merge
+        /// into vectors: one byte copy per range and VARCHAR column, one
+        /// splice per validity mask, single-threaded.
+        Gather => "gather",
+        /// External sort: building and writing spilled runs, whole runs
+        /// claimed by the worker pool; what the workers were busy with is
+        /// [`Counter::SpillGenerateNs`] and [`Counter::SpillWriteNs`].
+        Spill => "spill",
+        /// External sort: the streaming loser-tree merge of spilled runs.
+        SpillMerge => "spill_merge",
     }
 }
 
-/// Monotonic event counters recorded across all layers of a sort.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Counter {
-    /// Completed `sort_rows` / `ExternalSorter::sort` calls.
-    SortCalls,
-    /// Input rows across all sort calls.
-    RowsSorted,
-    /// Bytes staged, encoded, reordered, or merged (row + key areas).
-    BytesMoved,
-    /// Buffer-pool requests served from a free list.
-    PoolHits,
-    /// Buffer-pool requests that fell through to allocation.
-    PoolMisses,
-    /// Thread-local run sorts the radix sort over the key bytes decided
-    /// alone: no key-equal range needed the comparator.
-    RadixSorts,
-    /// Scatter passes performed by the radix sort of every run, whichever
-    /// of [`Counter::RadixSorts`] and [`Counter::PdqSorts`] counted it.
-    RadixPasses,
-    /// Thread-local run sorts in which at least one key-equal range went
-    /// to pdqsort with the full-tuple comparator (a truncated VARCHAR
-    /// prefix; [`Counter::RunTieRanges`] and [`Counter::RunTieRows`] say
-    /// how much of the run).
-    PdqSorts,
-    /// Sorted runs produced by run generation.
-    RunsGenerated,
-    /// Passes the in-memory merge phase made over the rows: one per
-    /// pipeline sort of two or more runs, with offset-value codes or
-    /// without.
-    MergeRounds,
-    /// Tasks that pass was cut into: its key ranges
-    /// ([`Counter::MergeMaxRangeRows`] is the largest). Both this and
-    /// [`Counter::MergeRounds`] are read by name (`merge_rounds`,
-    /// `merge_tasks`) by rowbench's replay ledger
-    /// (`benchmark/src/replay.rs`), so they stay while it does.
-    MergeTasks,
-    /// Parallel-phase broadcasts through the worker pool.
-    Broadcasts,
-    /// Wall time of those broadcasts (entry to last-worker completion).
-    BroadcastNs,
-    /// Runs spilled by the external sorter.
-    SpilledRuns,
-    /// Bytes written into spill files.
-    SpilledBytes,
-    /// Transient spill-write failures absorbed by retry-with-backoff.
-    SpillRetries,
-    /// Spill-file deletions that failed (each one is a leaked temp file).
-    SpillCleanupFailed,
-    /// Runs kept in memory because spill space was exhausted.
-    SpillMemFallbackRuns,
-    /// Run files rejected by read-back verification (checksum mismatch,
-    /// truncation, or a structurally impossible record).
-    SpillChecksumFailed,
-    /// Key comparisons performed by the loser-tree merges (range planning
-    /// excluded).
-    MergeCmps,
-    /// Of those, comparisons resolved by the offset-value code alone —
-    /// a single `u64` compare, no key bytes read (DESIGN.md §10).
-    MergeCmpsOvcResolved,
-    /// Key bytes actually read by merge comparisons: full key width per
-    /// `memcmp`-style compare without OVC, only the post-tie suffix scan
-    /// with OVC.
-    MergeKeyBytesTouched,
-    /// Key ranges the partitioned spill merge cut the run files into
-    /// (1 per sort when the merge ran single-threaded).
-    SpillMergePartitions,
-    /// Records the spill merge's cursors (seam walks included) decoded
-    /// in place from a block already read and verified — no backend I/O
-    /// call, no copy. The name and the JSON key `spill_readahead_hits`
-    /// are from when a read-ahead wrapper counted buffered reads; the
-    /// benchmark reads the key by name, so it stays until a `benchmark`
-    /// change can rename both.
-    SpillReadaheadHits,
-    /// Run-file bytes skipped (seeked over) to position cursors at the
-    /// block their range or seam walk starts in — the I/O cost of the
-    /// range boundaries.
-    SpillSeamSkipBytes,
-    /// Rows in the largest key range of a range-partitioned k-way merge,
-    /// in memory or spilled (one range: all of them). Added once per
-    /// pass, and a sort makes one pass, so a sort's profile reads it as
-    /// that sort's largest range: `rows / ranges` when the splitters cut
-    /// evenly, up to `rows` when one key value holds most of them.
-    MergeMaxRangeRows,
-    /// Run bytes the spill merge fetched: every block a range cursor or
-    /// a seam walk read. Over [`Counter::SpilledBytes`] it is how many
-    /// times the merge read what the sort wrote — 1.0 at one merge
-    /// thread, a block or two per run and splitter more above that.
-    SpillReadBytes,
-    /// Key-equal ranges (two rows or more whose normalized keys are
-    /// byte-equal under a truncated VARCHAR prefix) that run generation
-    /// sorted with the full-tuple comparator.
-    RunTieRanges,
-    /// Rows inside those ranges: over [`Counter::RowsSorted`], the share
-    /// of the input the key prefix failed to order.
-    RunTieRows,
-    /// Time the external sort's spill workers (the lesser of
-    /// `merge_threads` and the runs there were to claim) spent building
-    /// sorted runs (`make_run`), summed over them — busy time, where
-    /// [`Phase::Spill`] is the coordinating thread's wall time.
-    SpillGenerateNs,
-    /// Time they spent encoding runs and writing them out (`spill_run`,
-    /// retries and their backoff included), summed the same way.
-    SpillWriteNs,
-}
-
-impl Counter {
-    /// Number of counters (array dimension of the registry).
-    pub const COUNT: usize = 31;
-
-    /// All counters, in declaration order (= registry index order).
-    pub const ALL: [Counter; Counter::COUNT] = [
-        Counter::SortCalls,
-        Counter::RowsSorted,
-        Counter::BytesMoved,
-        Counter::PoolHits,
-        Counter::PoolMisses,
-        Counter::RadixSorts,
-        Counter::RadixPasses,
-        Counter::PdqSorts,
-        Counter::RunsGenerated,
-        Counter::MergeRounds,
-        Counter::MergeTasks,
-        Counter::Broadcasts,
-        Counter::BroadcastNs,
-        Counter::SpilledRuns,
-        Counter::SpilledBytes,
-        Counter::SpillRetries,
-        Counter::SpillCleanupFailed,
-        Counter::SpillMemFallbackRuns,
-        Counter::SpillChecksumFailed,
-        Counter::MergeCmps,
-        Counter::MergeCmpsOvcResolved,
-        Counter::MergeKeyBytesTouched,
-        Counter::SpillMergePartitions,
-        Counter::SpillReadaheadHits,
-        Counter::SpillSeamSkipBytes,
-        Counter::MergeMaxRangeRows,
-        Counter::SpillReadBytes,
-        Counter::RunTieRanges,
-        Counter::RunTieRows,
-        Counter::SpillGenerateNs,
-        Counter::SpillWriteNs,
-    ];
-
-    /// The snake_case name used in trace JSON and text dumps.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::SortCalls => "sort_calls",
-            Counter::RowsSorted => "rows_sorted",
-            Counter::BytesMoved => "bytes_moved",
-            Counter::PoolHits => "pool_hits",
-            Counter::PoolMisses => "pool_misses",
-            Counter::RadixSorts => "radix_sorts",
-            Counter::RadixPasses => "radix_passes",
-            Counter::PdqSorts => "pdq_sorts",
-            Counter::RunsGenerated => "runs_generated",
-            Counter::MergeRounds => "merge_rounds",
-            Counter::MergeTasks => "merge_tasks",
-            Counter::Broadcasts => "broadcasts",
-            Counter::BroadcastNs => "broadcast_ns",
-            Counter::SpilledRuns => "spilled_runs",
-            Counter::SpilledBytes => "spilled_bytes",
-            Counter::SpillRetries => "spill_retries",
-            Counter::SpillCleanupFailed => "spill_cleanup_failed",
-            Counter::SpillMemFallbackRuns => "spill_mem_fallback_runs",
-            Counter::SpillChecksumFailed => "spill_checksum_failed",
-            Counter::MergeCmps => "merge_cmps",
-            Counter::MergeCmpsOvcResolved => "merge_cmps_ovc_resolved",
-            Counter::MergeKeyBytesTouched => "merge_key_bytes_touched",
-            Counter::SpillMergePartitions => "spill_merge_partitions",
-            Counter::SpillReadaheadHits => "spill_readahead_hits",
-            Counter::SpillSeamSkipBytes => "spill_seam_skip_bytes",
-            Counter::MergeMaxRangeRows => "merge_max_range_rows",
-            Counter::SpillReadBytes => "spill_read_bytes",
-            Counter::RunTieRanges => "run_tie_ranges",
-            Counter::RunTieRows => "run_tie_rows",
-            Counter::SpillGenerateNs => "spill_generate_ns",
-            Counter::SpillWriteNs => "spill_write_ns",
-        }
+metric_enum! {
+    /// Monotonic event counters recorded across all layers of a sort.
+    pub enum Counter {
+        /// Completed `sort_rows` / `ExternalSorter::sort` calls.
+        SortCalls => "sort_calls",
+        /// Input rows across all sort calls.
+        RowsSorted => "rows_sorted",
+        /// Bytes staged, encoded, reordered, or merged (row + key areas).
+        BytesMoved => "bytes_moved",
+        /// Buffer-pool requests served from a free list.
+        PoolHits => "pool_hits",
+        /// Buffer-pool requests that fell through to allocation.
+        PoolMisses => "pool_misses",
+        /// Thread-local run sorts the radix sort over the key bytes decided
+        /// alone: no key-equal range needed the comparator.
+        RadixSorts => "radix_sorts",
+        /// Scatter passes performed by the radix sort of every run, whichever
+        /// of [`Counter::RadixSorts`] and [`Counter::PdqSorts`] counted it.
+        RadixPasses => "radix_passes",
+        /// Thread-local run sorts in which at least one key-equal range went
+        /// to pdqsort with the full-tuple comparator (a truncated VARCHAR
+        /// prefix; [`Counter::RunTieRanges`] and [`Counter::RunTieRows`] say
+        /// how much of the run).
+        PdqSorts => "pdq_sorts",
+        /// Sorted runs produced by run generation.
+        RunsGenerated => "runs_generated",
+        /// Passes the in-memory merge phase made over the rows: one per
+        /// pipeline sort of two or more runs, with offset-value codes or
+        /// without.
+        MergeRounds => "merge_rounds",
+        /// Tasks that pass was cut into: its key ranges
+        /// ([`Counter::MergeMaxRangeRows`] is the largest). Both this and
+        /// [`Counter::MergeRounds`] are read by name (`merge_rounds`,
+        /// `merge_tasks`) by rowbench's replay ledger
+        /// (`benchmark/src/replay.rs`), so they stay while it does.
+        MergeTasks => "merge_tasks",
+        /// Parallel-phase broadcasts through the worker pool.
+        Broadcasts => "broadcasts",
+        /// Wall time of those broadcasts (entry to last-worker completion).
+        BroadcastNs => "broadcast_ns",
+        /// Runs spilled by the external sorter.
+        SpilledRuns => "spilled_runs",
+        /// Bytes written into spill files.
+        SpilledBytes => "spilled_bytes",
+        /// Transient spill-write failures absorbed by retry-with-backoff.
+        SpillRetries => "spill_retries",
+        /// Spill-file deletions that failed (each one is a leaked temp file).
+        SpillCleanupFailed => "spill_cleanup_failed",
+        /// Runs kept in memory because spill space was exhausted.
+        SpillMemFallbackRuns => "spill_mem_fallback_runs",
+        /// Run files rejected by read-back verification (checksum mismatch,
+        /// truncation, or a structurally impossible record).
+        SpillChecksumFailed => "spill_checksum_failed",
+        /// Key comparisons performed by the loser-tree merges (range planning
+        /// excluded).
+        MergeCmps => "merge_cmps",
+        /// Of those, comparisons resolved by the offset-value code alone —
+        /// a single `u64` compare, no key bytes read (DESIGN.md §10).
+        MergeCmpsOvcResolved => "merge_cmps_ovc_resolved",
+        /// Key bytes actually read by merge comparisons: full key width per
+        /// `memcmp`-style compare without OVC, only the post-tie suffix scan
+        /// with OVC.
+        MergeKeyBytesTouched => "merge_key_bytes_touched",
+        /// Key ranges the partitioned spill merge cut the run files into
+        /// (1 per sort when the merge ran single-threaded).
+        SpillMergePartitions => "spill_merge_partitions",
+        /// Records the spill merge's cursors (cut walks included) decoded in
+        /// place from a block already read and verified — no backend I/O
+        /// call, no copy. Its JSON key, `spill_readahead_hits`, is from when a
+        /// read-ahead wrapper counted buffered reads; the benchmark reads the
+        /// key by name, so it is renamed with it (ROADMAP 1(e)).
+        SpillRecordsDecoded => "spill_readahead_hits",
+        /// Run-file bytes skipped (seeked over) to position cursors at the
+        /// block their range or cut walk starts in — the I/O cost of the
+        /// range boundaries.
+        SpillSkippedBytes => "spill_skipped_bytes",
+        /// Rows in the largest key range of a range-partitioned k-way merge,
+        /// in memory or spilled (one range: all of them). Added once per
+        /// pass, and a sort makes one pass, so a sort's profile reads it as
+        /// that sort's largest range: `rows / ranges` when the splitters cut
+        /// evenly, up to `rows` when one key value holds most of them.
+        MergeMaxRangeRows => "merge_max_range_rows",
+        /// Run bytes the spill merge fetched: every block a range cursor or
+        /// a cut walk read. Over [`Counter::SpilledBytes`] it is how many
+        /// times the merge read what the sort wrote — 1.0 at one merge
+        /// thread, a block or two per run and splitter more above that.
+        SpillReadBytes => "spill_read_bytes",
+        /// Key-equal ranges (two rows or more whose normalized keys are
+        /// byte-equal under a truncated VARCHAR prefix) that run generation
+        /// sorted with the full-tuple comparator.
+        RunTieRanges => "run_tie_ranges",
+        /// Rows inside those ranges: over [`Counter::RowsSorted`], the share
+        /// of the input the key prefix failed to order.
+        RunTieRows => "run_tie_rows",
+        /// Time the external sort's spill workers (the least of
+        /// `merge_threads`, `SPILL_WORKERS` and the runs there were to
+        /// claim) spent building sorted runs (`make_run`), summed over
+        /// them — busy time, where [`Phase::Spill`] is the coordinating
+        /// thread's wall time.
+        SpillGenerateNs => "spill_generate_ns",
+        /// Time they spent encoding runs and writing them out (`spill_run`,
+        /// retries and their backoff included), summed the same way.
+        SpillWriteNs => "spill_write_ns",
     }
 }
 

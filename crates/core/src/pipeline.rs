@@ -1,58 +1,22 @@
-//! DuckDB's full parallel sorting pipeline (paper Figure 11), merging in
-//! one k-way pass.
+//! The in-memory sort: the one sorter (DESIGN.md §11) with runs that stay
+//! resident — [`SortedRun`]s, cut by binary search over their key columns
+//! and merged from place, each row moved once, straight into the result's
+//! columns.
 //!
-//! ```text
-//! vectors ──► 8-byte-aligned payload rows + normalized keys (per worker)
-//!         ──► thread-local radix sort (+ comparator in key-equal ranges) ⇒ sorted runs
-//!         ──► one k-way merge per key range, ranges across threads,
-//!             winners gathered straight into the output vectors
-//! ```
-//!
-//! Run generation dominates the comparison count (§II: with k runs of n/k
-//! rows, `n·log(n) − n·log(k)` of the `n·log(n)` comparisons happen during
-//! run generation), so each worker sorts its own runs locally. The merge
-//! phase is one pass at any thread count: the key space is cut into one
-//! range per thread, and each range is a tree-of-losers merge — rows move
-//! once (DESIGN.md §10). With [`SortOptions::ovc`] (the default) its
-//! matches mostly resolve on one `u64` offset-value code compare instead
-//! of a whole-key `memcmp`; with it off the same tree plays whole-key
-//! compares. (The paper merges with a cascade of 2-way merges split along
-//! Merge Path diagonals, which moves every row log₂ k times.)
-//!
-//! In steady state the pipeline is **allocation-free and
-//! thread-spawn-free** (DESIGN.md §6): every transient buffer — key runs,
-//! payload blocks, the radix scratch, merge outputs — comes from a
-//! [`BufferPool`] that survives across runs and repeated
-//! [`SortPipeline::sort`] calls, and phases execute on a persistent
-//! [`WorkerPool`] spawned once per pipeline. The merge writes winners
-//! straight into a disjoint part of a pre-sized output — there is no
-//! intermediate `(block, row)` pick pass — and for [`SortPipeline::sort`]
-//! that output is the result's columns themselves ([`VectorSink`]):
-//! the only relation-sized allocation of a warm sort, and no merged row
-//! run behind it. [`SortPipeline::sort_rows`] keeps the row output, for
-//! callers that want rows and as the twin the vectors are checked against.
-//!
-//! Output is deterministic: runs land in morsel-indexed slots; key ranges
-//! are cut where keys differ, so their concatenation is the one stable
-//! merge by run index — so the result, including the order within ties,
-//! is bit-identical for any thread count and with `ovc` on or off.
+//! What this facade adds: its options, the scratch that makes a warm sort
+//! allocation-free (DESIGN.md §6) — key plan, run slots, merge plan, all
+//! rebuilt in place — and [`SortPipeline::sort_rows`], the row output kept
+//! beside the vectors for callers that want rows and as the twin the
+//! vectors are checked against.
 
-use crate::comparator::FusedRowComparator;
-use crate::keys::{KeyBlock, VarcharStat};
-use crate::merge::{
-    choose_splitters, column_bytes, lower_bound, merge_kway, plan_parts, recycle_vec,
-    sample_positions, string_bytes, ConcatSink, MemSource, MergeOrder, MergeSink, VectorSink,
-};
-use crate::metrics::{emit_trace, Counter, CounterRegistry, Metrics, Phase, SortProfile};
-use crate::pool::BufferPool;
-use crate::run::{planned_prefix, varchar_stats, PrefixSampler, RunGenerator, SortedRun};
-use crate::workers::WorkerPool;
-use rowsort_algos::kway::OvcLoserTree;
-use rowsort_row::{heap_base, ChunkBuilder, PieceTail, RowBlock, RowLayout};
+use crate::merge::{ConcatSink, MergeOrder};
+use crate::metrics::{Counter, Metrics, Phase, SortProfile};
+use crate::run::{KeyPlan, SortedRun};
+use crate::sorter::{MergePlan, RunSlot, SorterCore};
+use crate::spill::SpillError;
+use rowsort_row::{heap_base, RowBlock};
 use rowsort_vector::{DataChunk, LogicalType, OrderBy};
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
 
 /// Worker threads to use when [`SortOptions`] does not pin a count: the
 /// `ROWSORT_THREADS` environment variable if set to an integer
@@ -115,44 +79,17 @@ impl SortOptions {
     }
 }
 
-/// What one key range's merge keeps from sort to sort. The cursors borrow
-/// the sort's runs, so between sorts the vector is empty and only its
-/// allocation survives ([`recycle_vec`]).
-#[derive(Default)]
-struct RangeScratch {
-    tree: OvcLoserTree,
-    sources: Vec<MemSource<'static>>,
-}
-
 /// Reusable per-sort working state, retained inside the pipeline so a
 /// steady-state sort allocates nothing.
 #[derive(Default)]
 struct Scratch {
-    /// VARCHAR key-column statistics of the current input, by column.
-    stats: Vec<VarcharStat>,
-    /// Statistics the pooled key blocks were planned for; when an input's
-    /// stats differ, the cached blocks are discarded (their normalized-key
-    /// layout would no longer match).
-    key_stats: Vec<VarcharStat>,
-    /// The prefix estimator's sample table.
-    sampler: PrefixSampler,
-    /// Morsel-indexed run slots: worker `m` writes run `m` here, so run
-    /// order (and thus the merge's tie order) is schedule-independent.
-    run_slots: Vec<Mutex<Option<SortedRun>>>,
-    /// The runs to merge, in morsel order.
+    plan: KeyPlan,
+    /// Run `i`'s slot, and the runs in index order.
+    slots: Vec<RunSlot<SortedRun>>,
     runs: Vec<SortedRun>,
-    /// Range-merge state (DESIGN.md §10.3), all reused so the steady
-    /// state allocates nothing: the runs' sample keys (empty between
-    /// sorts, like a range's cursors) and the splitters picked from them,
-    /// every run's `parts + 1` cuts, every run's base in the output heap,
-    /// and a tree plus cursor vector per key range.
-    samples: Vec<&'static [u8]>,
-    splitters: Vec<u8>,
-    cuts: Vec<usize>,
+    merge: MergePlan<SortedRun>,
+    /// Every run's base in a merged row run's heap ([`ConcatSink`]).
     heap_bases: Vec<u32>,
-    ranges: Vec<Mutex<RangeScratch>>,
-    /// Pooled key blocks (kept whole to also reuse their layout planning).
-    key_blocks: Mutex<Vec<KeyBlock>>,
 }
 
 /// The relational sort operator.
@@ -176,52 +113,24 @@ struct Scratch {
 /// assert_eq!(sorted.row(2), vec![Value::UInt32(3), Value::from("c")]);
 /// ```
 pub struct SortPipeline {
-    types: Vec<LogicalType>,
-    order: OrderBy,
-    options: SortOptions,
-    layout: Arc<RowLayout>,
-    /// Full-tuple comparator for VARCHAR-prefix tie resolution, built once.
-    tie_cmp: FusedRowComparator,
-    /// Columns whose row slots reference the heap (offset fixup in merges).
-    varlen_cols: Vec<usize>,
-    pool: BufferPool,
-    /// Spawned lazily on the first parallel phase, then reused for life.
-    workers: OnceLock<WorkerPool>,
-    /// Reusable working state. Concurrent `sort` calls on one pipeline
-    /// serialize on this lock (each call uses the whole scratch).
+    core: SorterCore,
+    /// Concurrent `sort` calls on one pipeline serialize on this lock
+    /// (each call uses the whole scratch).
     scratch: Mutex<Scratch>,
-    /// Lock-free counters and phase clocks, preallocated here so
-    /// recording during a sort allocates nothing (DESIGN.md §7).
-    metrics: Arc<CounterRegistry>,
-    /// The most recent sort's profile (overwritten in place — `Copy`).
-    profile: Mutex<SortProfile>,
 }
 
 impl SortPipeline {
     /// Plan a sort of a relation with columns `types` by `order`.
-    /// `threads == 0` or `run_rows == 0` are clamped to 1 — both would
-    /// otherwise divide by zero in morsel splitting / worker spawn.
-    pub fn new(types: Vec<LogicalType>, order: OrderBy, mut options: SortOptions) -> SortPipeline {
-        options.threads = options.threads.max(1);
-        options.run_rows = options.run_rows.max(1);
-        let layout = Arc::new(RowLayout::new(&types));
-        let tie_cmp = FusedRowComparator::new(&layout, &order);
-        let varlen_cols = (0..types.len())
-            .filter(|&c| types[c] == LogicalType::Varchar)
-            .collect();
-        let metrics = Arc::new(CounterRegistry::new());
+    /// `threads == 0` or `run_rows == 0` are clamped to 1.
+    pub fn new(types: Vec<LogicalType>, order: OrderBy, options: SortOptions) -> SortPipeline {
+        let SortOptions {
+            threads,
+            run_rows,
+            ovc,
+        } = options;
         SortPipeline {
-            types,
-            order,
-            options,
-            layout,
-            tie_cmp,
-            varlen_cols,
-            pool: BufferPool::with_metrics(Arc::clone(&metrics)),
-            workers: OnceLock::new(),
+            core: SorterCore::new(types, order, threads, run_rows, ovc),
             scratch: Mutex::new(Scratch::default()),
-            metrics,
-            profile: Mutex::new(SortProfile::zeroed()),
         }
     }
 
@@ -231,10 +140,12 @@ impl SortPipeline {
     /// and [`Phase::Gather`] clocks only what is left of it afterwards, the
     /// join of the key ranges' strings and validity masks.
     pub fn sort(&self, input: &DataChunk) -> DataChunk {
-        let sorted = self.sort_with(input, "vectors", |scratch| {
-            self.merge_into_vectors(scratch, input)
+        let sorted = self.sort_with(input, "vectors", |scratch, order| {
+            let Scratch { runs, merge, .. } = scratch;
+            let core = &self.core;
+            core.merge_into_vectors(order, runs, merge, input, Phase::Merge)
         });
-        sorted.unwrap_or_else(|| DataChunk::new(&self.types))
+        sorted.unwrap_or_else(|| DataChunk::new(&self.core.types))
     }
 
     /// Sort `input`, returning the merged run in row form. Dropping the
@@ -242,399 +153,93 @@ impl SortPipeline {
     /// (after a warm-up sort of similar shape) this call performs zero
     /// heap allocations.
     pub fn sort_rows(&self, input: &DataChunk) -> SortedRows<'_> {
+        let run = self.sort_with(input, "rows", |scratch, order| {
+            let _merge = self.core.metrics.time_phase(Phase::Merge);
+            match scratch.runs.len() {
+                0 | 1 => Ok(scratch.runs.pop()),
+                _ => self.merge_rows(scratch, order).map(Some),
+            }
+        });
         SortedRows {
             pipeline: self,
-            run: self
-                .sort_with(input, "rows", |scratch| self.merge_runs(scratch))
-                .flatten(),
+            run: run.flatten(),
         }
     }
 
-    /// The sort up to its merge, which `merge` supplies: check the schema,
-    /// plan the key, generate the runs, merge them through `merge` — into
-    /// the `sink` it names — and publish the sort's profile and trace
+    /// The sort up to its merge, which `merge` supplies: plan the key,
+    /// generate the runs, merge them through `merge` — into the `sink` it
+    /// names — recycle them, and publish the sort's profile and trace
     /// line. `None` for an empty input, which records nothing.
     fn sort_with<T>(
         &self,
         input: &DataChunk,
         sink: &'static str,
-        merge: impl FnOnce(&mut Scratch) -> T,
+        merge: impl FnOnce(&mut Scratch, &MergeOrder<'_>) -> Result<T, SpillError>,
     ) -> Option<T> {
-        // Element-wise so the schema check allocates nothing in steady
-        // state (`input.types()` would collect a fresh Vec per sort).
-        assert!(
-            input.column_count() == self.types.len()
-                && input
-                    .columns()
-                    .iter()
-                    .zip(&self.types)
-                    .all(|(col, &ty)| col.logical_type() == ty),
-            "input schema mismatch"
-        );
-        if input.is_empty() {
-            return None;
-        }
         let mut guard = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
         let scratch = &mut *guard;
-        let sort_start = Instant::now();
-        let before = self.metrics.snapshot();
+        let start = self.core.begin(input, &mut scratch.plan)?;
+        let order = self.core.merge_order(&scratch.plan);
         {
-            let _prepare = self.metrics.time_phase(Phase::Prepare);
-            varchar_stats(input, &self.order, &mut scratch.sampler, &mut scratch.stats);
-            if scratch.stats != scratch.key_stats {
-                // Cached key blocks were planned for different VARCHAR
-                // stats; their layout no longer applies.
-                scratch
-                    .key_blocks
-                    .get_mut()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .clear();
-                scratch.key_stats.clear();
-                scratch.key_stats.extend_from_slice(&scratch.stats);
-            }
+            let _gen = self.core.metrics.time_phase(Phase::RunGeneration);
+            let runs = (&mut scratch.slots, &mut scratch.runs);
+            let pool = &self.core.pool;
+            resident(
+                self.core
+                    .generate(input, &scratch.plan, pool, runs, |run, _| Ok(run)),
+            );
         }
-        {
-            let _gen = self.metrics.time_phase(Phase::RunGeneration);
-            self.generate_runs(input, scratch);
+        let run_count = scratch.runs.len();
+        let sorted = resident(merge(scratch, &order));
+        if run_count > 1 {
+            let m = &self.core.metrics;
+            m.add(Counter::MergeRounds, 1);
+            m.add(Counter::MergeTasks, scratch.merge.parts as u64);
+            m.add(
+                Counter::MergeMaxRangeRows,
+                scratch.merge.max_range_rows() as u64,
+            );
         }
-        let key_width = scratch.runs.first().map_or(0, |r| r.key_width);
-        let sorted = merge(scratch);
-        self.metrics.record_sort(input.len() as u64);
-        let profile = SortProfile {
-            operator: "pipeline",
-            sink,
-            rows: input.len() as u64,
-            total_ns: sort_start.elapsed().as_nanos() as u64,
-            key_width: key_width as u32,
-            varchar_prefix: planned_prefix(&scratch.stats),
-            metrics: self.metrics.snapshot().since(&before),
-        };
-        *self.profile.lock().unwrap_or_else(|e| e.into_inner()) = profile;
-        emit_trace(&profile);
+        for run in scratch.runs.drain(..) {
+            run.recycle(&self.core.pool);
+        }
+        self.core
+            .publish(start, input.len(), ("pipeline", sink), order.kw);
         Some(sorted)
     }
 
-    /// Buffer-pool `(hits, misses)` counters — a steady-state sort serves
-    /// every buffer from the pool (hits grow, misses do not).
-    pub fn pool_stats(&self) -> (usize, usize) {
-        (self.pool.hits(), self.pool.misses())
-    }
-
-    /// The profile of the most recent completed sort (zeroed before the
-    /// first one). A `Copy` snapshot — reading it allocates nothing.
-    pub fn last_profile(&self) -> SortProfile {
-        *self.profile.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Cumulative [`Metrics`] across every sort this pipeline has run.
-    pub fn metrics(&self) -> Metrics {
-        self.metrics.snapshot()
-    }
-
-    /// What run generation borrows from this pipeline.
-    fn run_generator(&self) -> RunGenerator<'_> {
-        RunGenerator {
-            types: &self.types,
-            order: &self.order,
-            layout: &self.layout,
-            tie_cmp: &self.tie_cmp,
-            pool: &self.pool,
-            metrics: &self.metrics,
-            ovc: self.options.ovc,
-        }
-    }
-
-    /// The persistent phase crew (spawned on first use).
-    fn worker_pool(&self) -> &WorkerPool {
-        self.workers.get_or_init(|| {
-            WorkerPool::with_metrics(self.options.threads, Arc::clone(&self.metrics))
-        })
-    }
-
-    /// Phase 1: morsel-parallel run generation. Each completed run is
-    /// written to its morsel-indexed slot, so the resulting run order is
-    /// identical for every schedule and thread count.
-    fn generate_runs(&self, input: &DataChunk, scratch: &mut Scratch) {
-        let n = input.len();
-        let run_rows = self.options.run_rows;
-        let morsels = n.div_ceil(run_rows);
-        if scratch.run_slots.len() < morsels {
-            scratch.run_slots.resize_with(morsels, Default::default);
-        }
-        let Scratch {
-            ref stats,
-            ref run_slots,
-            ref mut runs,
-            ref key_blocks,
-            ..
-        } = *scratch;
-
-        let gen = self.run_generator();
-        let next = AtomicUsize::new(0);
-        let body = |_worker: usize| loop {
-            let m = next.fetch_add(1, AtomicOrdering::Relaxed);
-            if m >= morsels {
-                break;
-            }
-            let lo = m * run_rows;
-            // A lone run goes straight to output without a merge, so its
-            // code column would have no reader — skip computing it.
-            let run = gen.make_run(
-                input,
-                lo,
-                (lo + run_rows).min(n),
-                stats,
-                key_blocks,
-                morsels > 1,
-            );
-            *run_slots[m].lock().unwrap_or_else(|e| e.into_inner()) = Some(run);
-        };
-        if self.options.threads.min(morsels) <= 1 {
-            body(0);
-        } else {
-            self.worker_pool().broadcast(&body);
-        }
-
-        runs.clear();
-        for slot in run_slots[..morsels].iter() {
-            let run = slot
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .take()
-                // lint:allow(R010): the phase-1 barrier completes before
-                // this runs, and phase 1 fills every slot exactly once.
-                .expect("every morsel slot is filled by phase 1");
-            runs.push(run);
-        }
-    }
-
-    /// Whether `runs` merge on offset-value codes: `ovc` on, a key to
-    /// code and something to merge — the runs that carry a code column
-    /// ([`RunGenerator::make_run`]). Any other merge plays the same tree
-    /// with whole-key compares.
-    fn coded(&self, runs: &[SortedRun]) -> bool {
-        let kw = runs.first().map_or(0, |r| r.key_width);
-        self.options.ovc && kw > 0 && runs.len() > 1
-    }
-
-    /// Phase 2 of [`SortPipeline::sort_rows`]: merge the runs into one row
-    /// run ([`SortPipeline::merge_ranges`]). A lone run is that row run
-    /// already.
-    fn merge_runs(&self, scratch: &mut Scratch) -> Option<SortedRun> {
-        let _merge = self.metrics.time_phase(Phase::Merge);
-        if scratch.runs.len() > 1 {
-            Some(self.merge_ranges(scratch))
-        } else {
-            scratch.runs.pop()
-        }
-    }
-
-    /// Phase 2 of [`SortPipeline::sort`]: merge the runs straight into the
-    /// result's columns (DESIGN.md §10.3). The output is cut into ranges
-    /// ([`SortPipeline::plan_ranges`]) whose row counts are exact, so each
-    /// range owns a disjoint piece of every exactly pre-sized column and
-    /// the worker pool fills the pieces independently through
-    /// [`VectorSink`]s: the gather runs on every merge worker, batch by
-    /// batch, and what is left for one thread afterwards — clocked as
-    /// [`Phase::Gather`] — is one byte copy per range and VARCHAR column
-    /// and a splice of the validity masks. `input`'s string columns say
-    /// how many bytes to expect. The lone run of an input no longer than
-    /// `run_rows` has nothing to merge and drains through the same sink as
-    /// one range, on the calling thread.
-    fn merge_into_vectors(&self, scratch: &mut Scratch, input: &DataChunk) -> DataChunk {
-        let merge_timer = self.metrics.time_phase(Phase::Merge);
-        let parts = self.plan_ranges(scratch);
-        let total: usize = scratch.runs.iter().map(|r| r.len()).sum();
-        let mut builder = ChunkBuilder::new(&self.types, total);
-        let tails: Vec<Mutex<Option<PieceTail>>> = (0..parts).map(|_| Mutex::new(None)).collect();
-        {
-            let Scratch {
-                runs, cuts, ranges, ..
-            } = &*scratch;
-            let range_rows = |p| range_rows(cuts, parts, p);
-            let rows = (0..parts).map(range_rows);
-            let pieces = builder.pieces(&self.layout, rows, string_bytes(input));
-            let mut pieces = pieces.into_iter();
-            let claim = move |_rows| Some(VectorSink::new(pieces.next()?, &self.pool));
-            let done = |p: usize, sink: VectorSink<'_>| {
-                let tail = sink.finish(&self.pool);
-                *tails[p].lock().unwrap_or_else(|e| e.into_inner()) = Some(tail);
-            };
-            self.merge_each_range((runs, cuts, ranges), parts, claim, done);
-        }
-        for run in scratch.runs.drain(..) {
-            run.recycle(&self.pool);
-        }
-        drop(merge_timer);
-
-        let _join = self.metrics.time_phase(Phase::Gather);
-        let tails = tails
-            .into_iter()
-            .filter_map(|t| t.into_inner().unwrap_or_else(|e| e.into_inner()));
-        let chunk = builder.finish(tails.collect());
-        // A row's one move after run generation: its values into columns.
-        self.metrics.add(Counter::BytesMoved, column_bytes(&chunk));
-        chunk
-    }
-
-    /// Cut the runs into the `parts` ranges one pass of merges fills
-    /// independently; `scratch.cuts` then holds every run's `parts + 1`
-    /// cuts (rows `c[p]..c[p + 1]` of a run fall in range `p`).
-    ///
-    /// Several runs are cut by key (DESIGN.md §10.3): `parts − 1` splitters
-    /// picked from evenly spaced samples of the runs' key columns cut every
-    /// run by lower-bound binary search. Byte-equal keys never straddle a
-    /// cut, so the ranges concatenate to the stable merge by run index that
-    /// one tree over whole runs produces; a key value held by more than
-    /// `1/parts` of the rows makes its range that much larger than its
-    /// share ([`Counter::MergeMaxRangeRows`]). A lone run has nothing to
-    /// cut by and is one range.
-    fn plan_ranges(&self, scratch: &mut Scratch) -> usize {
-        let Scratch {
-            ref runs,
-            ref mut samples,
-            ref mut splitters,
-            ref mut cuts,
-            ref mut ranges,
-            ..
-        } = *scratch;
-        let kw = runs.first().map_or(0, |r| r.key_width);
-        let total: usize = runs.iter().map(|r| r.len()).sum();
-        splitters.clear();
-        cuts.clear();
-        let parts = plan_parts(self.options.threads, kw, runs.len(), total);
-        if parts > 1 {
-            let mut keys: Vec<&[u8]> = std::mem::take(samples);
-            for run in runs.iter() {
-                let rows = sample_positions(run.len());
-                keys.extend(rows.map(|i| &run.keys[i * kw..(i + 1) * kw]));
-            }
-            choose_splitters(&mut keys, parts, splitters);
-            *samples = recycle_vec(keys);
-        }
-        for run in runs.iter() {
-            cuts.push(0);
-            let cut = |s| lower_bound(&run.keys, kw, s);
-            cuts.extend(splitters.chunks_exact(kw.max(1)).map(cut));
-            cuts.push(run.len());
-        }
-        let parts = splitters.len().checked_div(kw).unwrap_or(0) + 1;
-        if ranges.len() < parts {
-            ranges.resize_with(parts, Default::default);
-        }
-        parts
-    }
-
-    /// Merge every range of a plan ([`SortPipeline::plan_ranges`]) into the
-    /// sink `claim` hands out for it, on the worker pool — `parts == 1` on
-    /// the calling thread. Ranges are claimed in order under one lock,
-    /// `claim(rows)` taking the range's share off the front of whatever
-    /// output it guards (slices disjoint by construction, whichever worker
-    /// gets which); `done` gets each sink back once its range is in.
-    /// [`SortPipeline::coded`] runs merge on their codes, any others on
-    /// whole keys; a lone run drains straight through the kernel's
-    /// one-leaf tree. Several runs count one merge round of `parts` tasks.
-    fn merge_each_range<K: MergeSink>(
+    /// Merge two or more runs into one row run: one pass of the sorter's
+    /// range merges, each range claiming its slice of the one pre-sized
+    /// row area through a [`ConcatSink`]. Each row moves once, and no key
+    /// column is written: nothing reads the merged run's keys. The output
+    /// heap is the run heaps concatenated in run order.
+    fn merge_rows(
         &self,
-        (runs, cuts, ranges): (&[SortedRun], &[usize], &[Mutex<RangeScratch>]),
-        parts: usize,
-        claim: impl FnMut(usize) -> Option<K> + Send,
-        done: impl Fn(usize, K) + Sync,
-    ) {
-        let coded = self.coded(runs);
-        let (kw, tie_possible) = runs
-            .first()
-            .map_or((0, false), |r| (r.key_width, r.tie_possible));
-        let order = MergeOrder {
-            kw,
-            tie_possible,
-            tie_cmp: &self.tie_cmp,
-        };
-        let unclaimed = Mutex::new((0, claim));
-        let body = |_worker: usize| loop {
-            let (p, rows, mut sink) = {
-                let mut next = unclaimed.lock().unwrap_or_else(|e| e.into_inner());
-                let p = next.0;
-                if p >= parts {
-                    break;
-                }
-                let rows = range_rows(cuts, parts, p);
-                let Some(sink) = (next.1)(rows) else { break };
-                next.0 += 1;
-                (p, rows, sink)
-            };
-            if rows > 0 {
-                let mut range = ranges[p].lock().unwrap_or_else(|e| e.into_inner());
-                let RangeScratch { tree, sources } = &mut *range;
-                let mut cursors: Vec<MemSource<'_>> = std::mem::take(sources);
-                let run_cuts = runs.iter().zip(cuts.chunks_exact(parts + 1));
-                cursors.extend(run_cuts.map(|(run, c)| MemSource::range(run, c[p], c[p + 1])));
-                let merged = if coded {
-                    merge_kway::<true, _, _>(&order, tree, &mut cursors, rows, &mut sink)
-                } else {
-                    merge_kway::<false, _, _>(&order, tree, &mut cursors, rows, &mut sink)
-                };
-                merged
-                    // lint:allow(R010): in-memory sources never fail to
-                    // advance, their rows' strings lie in their own heaps,
-                    // and the sink holds exactly the range's rows.
-                    .expect("in-memory merge is infallible")
-                    .flush(&self.metrics);
-                *sources = recycle_vec(cursors);
-            }
-            done(p, sink);
-        };
-        if parts == 1 {
-            body(0);
-        } else {
-            self.worker_pool().broadcast(&body);
-        }
-        if runs.len() > 1 {
-            let max_range = (0..parts).map(|p| range_rows(cuts, parts, p)).max();
-            self.metrics.add(Counter::MergeRounds, 1);
-            self.metrics.add(Counter::MergeTasks, parts as u64);
-            self.metrics
-                .add(Counter::MergeMaxRangeRows, max_range.unwrap_or(0) as u64);
-        }
-    }
-
-    /// Merge two or more runs into one row run in one pass of
-    /// tree-of-losers merges, one per key range: each range claims its
-    /// slice of the one pre-sized row area. Each row moves once at any
-    /// thread count, ⌈log₂ k⌉ matches apiece, and no key column is
-    /// written: nothing reads the merged run's keys.
-    ///
-    /// Output order is the stable merge by run index whatever `parts` is
-    /// (a full tie goes to the lower leaf), so it is bit-identical with
-    /// codes or without, and the output heap is the run heaps concatenated
-    /// in run order.
-    fn merge_ranges(&self, scratch: &mut Scratch) -> SortedRun {
-        let parts = self.plan_ranges(scratch);
+        scratch: &mut Scratch,
+        order: &MergeOrder<'_>,
+    ) -> Result<SortedRun, SpillError> {
         let Scratch {
-            ref mut runs,
-            ref cuts,
-            ref mut heap_bases,
-            ref ranges,
+            runs,
+            merge,
+            heap_bases,
             ..
-        } = *scratch;
-        let width = self.layout.width();
-        let (kw, tie_possible) = runs
-            .first()
-            .map_or((0, false), |r| (r.key_width, r.tie_possible));
+        } = scratch;
+        self.core.plan_ranges(order.kw, runs, merge)?;
+        let (pool, layout) = (&self.core.pool, &self.core.layout);
+        let width = layout.width();
         let total: usize = runs.iter().map(|r| r.len()).sum();
-
         // Rows from run `w` get their heap offsets shifted by that run's
         // base in the output heap. A shifted offset is below the total, so
         // the total is what must fit a slot.
         let heap_bytes: usize = runs.iter().map(|r| r.payload.heap().len()).sum();
         heap_base(heap_bytes);
-        let mut heap = self.pool.get_bytes(heap_bytes);
+        let mut heap = pool.get_bytes(heap_bytes);
         heap_bases.clear();
         for run in runs.iter() {
             heap_bases.push(heap_base(heap.len()));
             heap.extend_from_slice(run.payload.heap());
         }
-        let mut data = self.pool.get_bytes(total * width);
+        let mut data = pool.get_bytes(total * width);
         data.resize(total * width, 0);
         {
             let mut rest = &mut data[..];
@@ -645,33 +250,50 @@ impl SortPipeline {
                 Some(ConcatSink {
                     rows: out.chunks_exact_mut(width),
                     heap_base,
-                    layout: &self.layout,
-                    varlen_cols: &self.varlen_cols,
+                    layout,
+                    varlen_cols: &self.core.varlen_cols,
                 })
             };
-            self.merge_each_range((runs, cuts, ranges), parts, claim, |_, _| ());
+            self.core
+                .merge_ranges(order, runs, merge, claim, |_, _| ())?;
         }
         // A row's one move writes `width` bytes.
-        self.metrics
+        self.core
+            .metrics
             .add(Counter::BytesMoved, (total * width) as u64);
-
-        for run in runs.drain(..) {
-            run.recycle(&self.pool);
-        }
-        SortedRun {
+        Ok(SortedRun {
             keys: Vec::new(),
-            key_width: kw,
-            tie_possible,
+            key_width: order.kw,
             ovc: Vec::new(),
-            payload: RowBlock::from_raw_parts(Arc::clone(&self.layout), data, heap),
-        }
+            payload: RowBlock::from_raw_parts(Arc::clone(layout), data, heap),
+        })
+    }
+
+    /// Buffer-pool `(hits, misses)` counters — a steady-state sort serves
+    /// every buffer from the pool (hits grow, misses do not).
+    pub fn pool_stats(&self) -> (usize, usize) {
+        (self.core.pool.hits(), self.core.pool.misses())
+    }
+
+    /// The profile of the most recent completed sort (zeroed before the
+    /// first one). A `Copy` snapshot — reading it allocates nothing.
+    pub fn last_profile(&self) -> SortProfile {
+        self.core.last_profile()
+    }
+
+    /// Cumulative [`Metrics`] across every sort this pipeline has run.
+    pub fn metrics(&self) -> Metrics {
+        self.core.metrics.snapshot()
     }
 }
 
-/// Rows of range `p` over all runs, `cuts` holding `parts + 1` cuts per run.
-fn range_rows(cuts: &[usize], parts: usize, p: usize) -> usize {
-    let in_range = |c: &[usize]| c[p + 1] - c[p];
-    cuts.chunks_exact(parts + 1).map(in_range).sum()
+/// The value of a sort over resident runs, which cannot fail: their
+/// sources never fail to advance, their rows' strings lie in their own
+/// heaps, and every sink holds exactly its range's rows.
+fn resident<T>(sorted: Result<T, SpillError>) -> T {
+    // lint:allow(R010): resident runs are placed, cut and merged without
+    // a fallible step; an error here is a bug upstream, reported loudly.
+    sorted.expect("a sort of resident runs is infallible")
 }
 
 /// A sorted relation in row form, borrowed from its pipeline's buffer
@@ -702,7 +324,7 @@ impl SortedRows<'_> {
     pub fn to_chunk(&self) -> DataChunk {
         match &self.run {
             Some(run) => run.payload.to_chunk(),
-            None => DataChunk::new(&self.pipeline.types),
+            None => DataChunk::new(&self.pipeline.core.types),
         }
     }
 }
@@ -710,7 +332,7 @@ impl SortedRows<'_> {
 impl Drop for SortedRows<'_> {
     fn drop(&mut self) {
         if let Some(run) = self.run.take() {
-            run.recycle(&self.pipeline.pool);
+            run.recycle(&self.pipeline.core.pool);
         }
     }
 }

@@ -1,17 +1,16 @@
-//! Run generation — the first half of Figure 11, shared by the in-memory
-//! pipeline and the external sorter: vectors → payload rows + normalized
-//! keys → thread-local radix sort, comparator inside key-equal ranges →
-//! one [`SortedRun`] with every buffer taken from the caller's
-//! [`BufferPool`]. The plan both sorters make before the first run is here
-//! too: [`varchar_stats`], which sizes each VARCHAR key prefix from the
-//! strings themselves.
+//! Run generation — the first half of Figure 11: vectors → payload rows +
+//! normalized keys → thread-local radix sort, comparator inside key-equal
+//! ranges → one [`SortedRun`] with every buffer taken from a
+//! [`BufferPool`] ([`SorterCore::make_run`]). The plan a sort makes before
+//! its first run is here too: [`KeyPlan`], whose [`varchar_stats`] size
+//! each VARCHAR key prefix from the strings themselves.
 
-use crate::comparator::FusedRowComparator;
 use crate::keys::{word, KeyBlock, KeySortAlgo, VarcharStat, PREFIX_CAP};
-use crate::metrics::{Counter, CounterRegistry};
+use crate::metrics::Counter;
 use crate::pool::BufferPool;
+use crate::sorter::SorterCore;
 use rowsort_normkey::DEFAULT_MAX_PREFIX;
-use rowsort_row::{RowBlock, RowLayout};
+use rowsort_row::RowBlock;
 use rowsort_vector::{DataChunk, LogicalType, OrderBy, StringVec, Vector};
 use std::sync::{Arc, Mutex};
 
@@ -24,11 +23,6 @@ pub(crate) struct SortedRun {
     /// Bytes per key entry, carried from the [`KeyBlock`] layout that
     /// produced the run (every run of a sort shares it).
     pub(crate) key_width: usize,
-    /// Whether byte-equal keys may hide unequal tuples (a truncated
-    /// VARCHAR prefix), so merges must break key ties with the full-tuple
-    /// comparator. From the same [`KeyBlock`] layout — the one definition
-    /// every merge of the sort uses.
-    pub(crate) tie_possible: bool,
     /// Per-row offset-value codes (8 LE bytes per row): row 0 relative
     /// to −∞, row `i` relative to row `i − 1`. Empty when OVC is off or
     /// keys are zero-width (DESIGN.md §10.2).
@@ -232,39 +226,59 @@ pub(crate) fn varchar_stats(
     }
 }
 
-/// The longest VARCHAR prefix in the key planned from `stats` (0 without
-/// a VARCHAR key column), for the sort's profile.
-pub(crate) fn planned_prefix(stats: &[VarcharStat]) -> u32 {
-    stats.iter().map(|s| s.prefix_len as u32).max().unwrap_or(0)
+/// The key a sort plans, and what planning keeps from sort to sort.
+#[derive(Default)]
+pub(crate) struct KeyPlan {
+    /// VARCHAR key-column statistics of the current input, by column.
+    stats: Vec<VarcharStat>,
+    /// The statistics the cached key blocks were planned for.
+    key_stats: Vec<VarcharStat>,
+    sampler: PrefixSampler,
+    /// Key blocks planned for `key_stats`, kept whole to also reuse their
+    /// layout planning; never empty once a sort has been planned.
+    pub(crate) key_blocks: Mutex<Vec<KeyBlock>>,
 }
 
-/// What a sorter lends its run generation: the sort's plan, the pool its
-/// buffers come from, and the registry its counters go to.
-pub(crate) struct RunGenerator<'a> {
-    pub(crate) types: &'a [LogicalType],
-    pub(crate) order: &'a OrderBy,
-    pub(crate) layout: &'a Arc<RowLayout>,
-    /// Full-tuple comparator for VARCHAR-prefix tie resolution.
-    pub(crate) tie_cmp: &'a FusedRowComparator,
-    pub(crate) pool: &'a BufferPool,
-    pub(crate) metrics: &'a CounterRegistry,
-    /// The sorter's `ovc` option.
-    pub(crate) ovc: bool,
+impl KeyPlan {
+    /// Plan the key of a sort of `input` by `order`: size the VARCHAR
+    /// prefixes from the strings, and drop cached key blocks planned for
+    /// other statistics (their layout no longer applies).
+    pub(crate) fn plan(&mut self, types: &[LogicalType], order: &OrderBy, input: &DataChunk) {
+        varchar_stats(input, order, &mut self.sampler, &mut self.stats);
+        let blocks = self.key_blocks.get_mut().unwrap_or_else(|e| e.into_inner());
+        if self.stats != self.key_stats {
+            blocks.clear();
+            self.key_stats.clear();
+            self.key_stats.extend_from_slice(&self.stats);
+        }
+        if blocks.is_empty() {
+            let stats = &self.stats;
+            blocks.push(KeyBlock::with_prefixes(types, order, |c| stats[c]));
+        }
+    }
+
+    /// The longest VARCHAR prefix in the planned key (0 without a VARCHAR
+    /// key column), for the sort's profile.
+    pub(crate) fn varchar_prefix(&self) -> u32 {
+        self.stats
+            .iter()
+            .map(|s| s.prefix_len as u32)
+            .max()
+            .unwrap_or(0)
+    }
 }
 
-impl RunGenerator<'_> {
-    /// Build one sorted run from input rows `lo..hi`, with every buffer
-    /// pooled. `key_blocks` caches key blocks planned for `stats` (kept
-    /// whole to also reuse their layout planning). `with_codes` asks for
-    /// the run's code column; it is produced only when the sorter's `ovc`
-    /// option is on and the key is not zero-width.
+impl SorterCore {
+    /// Build one sorted run from input rows `lo..hi` with `plan`'s key
+    /// blocks, every buffer from `pool`. `with_codes` asks for the run's
+    /// code column; it is produced only when the sorter's `ovc` option is
+    /// on and the key is not zero-width.
     pub(crate) fn make_run(
         &self,
+        pool: &BufferPool,
+        plan: &KeyPlan,
         input: &DataChunk,
-        lo: usize,
-        hi: usize,
-        stats: &[VarcharStat],
-        key_blocks: &Mutex<Vec<KeyBlock>>,
+        (lo, hi): (usize, usize),
         with_codes: bool,
     ) -> SortedRun {
         let rows = hi - lo;
@@ -278,24 +292,27 @@ impl RunGenerator<'_> {
         let strings = columns.filter_map(|col| col.as_strings());
         let heap_bytes: usize = strings.map(|s| s.range_bytes(lo, hi)).sum();
         let mut staging = RowBlock::from_raw_parts(
-            Arc::clone(self.layout),
-            self.pool.get_bytes(rows * width),
-            self.pool.get_bytes(heap_bytes),
+            Arc::clone(&self.layout),
+            pool.get_bytes(rows * width),
+            pool.get_bytes(heap_bytes),
         );
         staging.append_chunk_range(input, lo, hi);
 
+        let key_blocks = &plan.key_blocks;
         let mut keys = key_blocks
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .pop()
-            .unwrap_or_else(|| KeyBlock::with_prefixes(self.types, self.order, |c| stats[c]));
+            .unwrap_or_else(|| {
+                KeyBlock::with_prefixes(&self.types, &self.order, |c| plan.stats[c])
+            });
         keys.reset();
         keys.append_chunk_range(input, lo, hi);
 
         // Thread-local sort: radix over the key bytes, then the full-tuple
         // comparator inside whatever key-equal ranges a truncated VARCHAR
         // prefix left.
-        let mut radix_scratch = self.pool.get_bytes(rows * keys.stride());
+        let mut radix_scratch = pool.get_bytes(rows * keys.stride());
         let algo = keys.sort_with_scratch(&mut radix_scratch, |a, b| {
             self.tie_cmp.compare(
                 staging.row(a as usize),
@@ -304,7 +321,7 @@ impl RunGenerator<'_> {
                 staging.heap(),
             )
         });
-        self.pool.put_bytes(radix_scratch);
+        pool.put_bytes(radix_scratch);
         let sorted = keys.last_sort();
         match algo {
             KeySortAlgo::Radix { .. } => self.metrics.add(Counter::RadixSorts, 1),
@@ -318,13 +335,13 @@ impl RunGenerator<'_> {
         self.metrics.add(Counter::RadixPasses, sorted.radix_passes);
 
         let key_width = keys.key_width();
-        let mut run_keys = self.pool.get_bytes(rows * key_width);
+        let mut run_keys = pool.get_bytes(rows * key_width);
         keys.keys_only_into(&mut run_keys);
         // OVC column, computed while the freshly sorted keys are hot:
         // one prefix scan per row here saves a full-key compare per merge
         // comparison later (DESIGN.md §10.2).
-        let run_ovc = if with_codes && self.ovc && key_width > 0 {
-            let mut ovc = self.pool.get_bytes(rows * 8);
+        let run_ovc = if with_codes && self.coded(key_width) {
+            let mut ovc = pool.get_bytes(rows * 8);
             ovc.resize(rows * 8, 0);
             crate::ovc::fill_run_codes(&run_keys, key_width, &mut ovc);
             ovc
@@ -332,9 +349,9 @@ impl RunGenerator<'_> {
             Vec::new()
         };
         let mut payload = RowBlock::from_raw_parts(
-            Arc::clone(self.layout),
-            self.pool.get_bytes(rows * width),
-            self.pool.get_bytes(staging.heap().len().max(1)),
+            Arc::clone(&self.layout),
+            pool.get_bytes(rows * width),
+            pool.get_bytes(staging.heap().len().max(1)),
         );
         payload.assign_reordered(&staging, keys.order_iter());
 
@@ -345,18 +362,16 @@ impl RunGenerator<'_> {
             Counter::BytesMoved,
             (rows * (2 * width + keys.stride() + key_width)) as u64,
         );
-        let tie_possible = keys.tie_possible();
         key_blocks
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(keys);
         let (staging_data, staging_heap) = staging.into_raw_parts();
-        self.pool.put_bytes(staging_data);
-        self.pool.put_bytes(staging_heap);
+        pool.put_bytes(staging_data);
+        pool.put_bytes(staging_heap);
         SortedRun {
             keys: run_keys,
             key_width,
-            tie_possible,
             ovc: run_ovc,
             payload,
         }

@@ -15,13 +15,13 @@
 //! (`bc364c7`, measured with this file: 3 508 493 and 4 350 400 bytes;
 //! with phase-scoped buffers 3 137 670 and 3 497 726), less a sorted
 //! run's own buffers — which is the stronger bound: PR 20's peaks were
-//! under `bfb79fa`'s by more than the row area. And every further worker
-//! costs what it holds, nothing that grows with the relation: one more
-//! run in flight and, in the merge, one more range's cursors and batch —
-//! asserted at two threads and at four, because it is per worker:
-//! `memory_limit_rows` is rows per run, and run generation holds
-//! `merge_threads` of them (ROADMAP item 4(a) is the byte budget over
-//! all workers).
+//! under `bfb79fa`'s by more than the row area. A second worker costs what
+//! it holds, nothing that grows with the relation: one more run in flight
+//! and, in the merge, one more range's cursors and batch. Run generation
+//! holds at most `SPILL_WORKERS` (2) runs at any thread count, so at four
+//! and eight threads each worker past the second may add a range's
+//! cursors and nothing else (ROADMAP item 4(a) is the byte budget over all
+//! workers).
 //!
 //! The pinned sorts run on one thread, so the byte counts repeat exactly
 //! (the peaks at more threads are only bounded from above). The
@@ -134,14 +134,25 @@ fn a_warm_sort_holds_no_merged_row_run() {
         );
         // A pooled buffer is at most twice its request; a range's cursors
         // hold one 64 KiB block per run.
-        let per_worker = 2 * run_in_flight + runs * (64 << 10);
-        for threads in [2, 4] {
+        let range_cursors = runs * (64 << 10);
+        let per_worker = 2 * run_in_flight + range_cursors;
+        let peak_two = peak_at(2);
+        assert!(
+            peak_two <= peak + per_worker + SLACK_BYTES,
+            "{name}: on 2 threads a warm external sort peaks at {peak_two} B, more than \
+             {per_worker} B — a run in flight, a range's cursors — over one thread's {peak} B"
+        );
+        // At most `SPILL_WORKERS` (2) runs are in flight at any thread
+        // count: a further worker adds a range's cursors to the merge and
+        // nothing to run generation.
+        for threads in [4, 8] {
             let peak_threads = peak_at(threads);
+            let allowance = (threads - 2) * range_cursors;
             assert!(
-                peak_threads <= peak + (threads - 1) * per_worker + SLACK_BYTES,
+                peak_threads <= peak_two + allowance + SLACK_BYTES,
                 "{name}: on {threads} threads a warm external sort peaks at {peak_threads} B, \
-                 more than {per_worker} B a worker — a run in flight, a range's cursors — \
-                 over one thread's {peak} B"
+                 more than a range's cursors ({range_cursors} B) a worker over two threads' \
+                 {peak_two} B"
             );
         }
     }

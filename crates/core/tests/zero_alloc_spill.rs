@@ -123,7 +123,7 @@ fn warmed_partitioned_spill_merge_allocates_a_constant_amount() {
         "merge did not partition"
     );
     assert!(
-        profile.metrics.counter(Counter::SpillReadaheadHits) > 0,
+        profile.metrics.counter(Counter::SpillRecordsDecoded) > 0,
         "no record decoded in place"
     );
     assert!(profile.metrics.counter(Counter::PoolHits) > 0);

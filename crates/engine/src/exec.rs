@@ -22,7 +22,7 @@ use crate::catalog::Catalog;
 use crate::plan::{LogicalPlan, ResolvedPredicate};
 use crate::sql::CmpOp;
 use crate::{EngineError, Result};
-use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
+use rowsort_core::external::{ExternalSortOptions, ExternalSorter, SPILL_WORKERS};
 use rowsort_core::metrics::{Counter, Phase};
 use rowsort_core::systems::{sort_with_system_profiled, SystemProfile};
 use rowsort_vector::{DataChunk, OrderBy, Value, Vector};
@@ -61,8 +61,9 @@ impl Default for ExecOptions {
 /// sorter's hardened defaults).
 #[derive(Debug, Clone)]
 pub struct SpillExecOptions {
-    /// Rows per spilled run; up to [`ExecOptions::threads`] × this many
-    /// are resident during run generation (one run per spill worker).
+    /// Rows per spilled run. Run generation holds one run per spill
+    /// worker, and there are `min(threads, SPILL_WORKERS)` of them
+    /// ([`ExecOptions::threads`], [`SPILL_WORKERS`]).
     pub memory_limit_rows: usize,
     /// Directory for spill files (defaults to the system temp dir).
     pub spill_dir: Option<PathBuf>,
@@ -175,7 +176,8 @@ fn sort_detail(profile: &rowsort_core::SortProfile, threads: usize) -> String {
         let _ = write!(s, " {}={:.3}ms", ph.name(), ms(ns));
         // Behind the spill phase's wall time, what its workers were busy
         // with inside it, summed over them: building runs, and encoding
-        // plus writing them. A worker per thread, or per run if fewer.
+        // plus writing them. A worker per thread up to the spill phase's
+        // cap, or per run if fewer.
         if ph == Phase::Spill {
             let runs = profile.metrics.counter(Counter::SpilledRuns)
                 + profile.metrics.counter(Counter::SpillMemFallbackRuns);
@@ -184,7 +186,7 @@ fn sort_detail(profile: &rowsort_core::SortProfile, threads: usize) -> String {
                 " (generate {:.3}ms, write {:.3}ms busy, {} workers)",
                 ms(profile.metrics.counter(Counter::SpillGenerateNs)),
                 ms(profile.metrics.counter(Counter::SpillWriteNs)),
-                runs.min(threads as u64),
+                runs.min(threads.min(SPILL_WORKERS) as u64),
             );
         }
     }
@@ -969,8 +971,12 @@ mod tests {
             sort_detail(&spilling, 2),
             " spill=41.500ms (generate 52.250ms, write 29.000ms busy, 2 workers)"
         );
-        // Fewer runs than threads: a worker per run.
-        assert!(sort_detail(&spilling, 32).contains("busy, 16 workers)"));
+        // More threads than the spill phase's cap: the cap.
+        assert!(sort_detail(&spilling, 32).contains("busy, 2 workers)"));
+        // Fewer runs than workers: a worker per run.
+        spilling.metrics.counters[Counter::SpilledRuns as usize] = 0;
+        spilling.metrics.counters[Counter::SpillMemFallbackRuns as usize] = 1;
+        assert!(sort_detail(&spilling, 32).contains("busy, 1 workers)"));
         // The planned key, and what its VARCHAR prefix left to the
         // comparator.
         let mut planned = rowsort_core::SortProfile::zeroed();

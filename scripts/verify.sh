@@ -95,25 +95,28 @@ trace_jsonl="$PWD/target/perf/trace_smoke.jsonl"
 cargo run --release --offline -q -p rowsort-bench --bin trace_smoke -- "$trace_jsonl"
 
 # --- 5b. Merge counter gates -------------------------------------------------
-# The coded in-memory merge is one range-partitioned k-way pass at any
+# Both sorters are one sorter (core::sorter, DESIGN.md §11): one run loop,
+# one range planner, one merge driver, over resident or encoded runs.
+# The driver's in-memory merge is one range-partitioned k-way pass at any
 # thread count (merge_rounds == 1, bytes_moved exact and equal across
 # thread counts, merge_tasks == ranges, a warm pool never missed), and the
 # OVC-off sort does the same work on the same tree: equal counters, no
 # code-resolved compare. That its rows are bit-identical to the OVC-off
-# sort's is check 2 of the oracle (step 3a). The spill phase's runs are
-# claimed whole by the worker pool: run file i holds the same bytes at 1,
-# 2, 3 and 8 threads, with and without codes, and the rows merged from
-# them are the same. The spill merge reads every run file once: bytes
-# read at the SpillIo handles == bytes written
-# at one merge thread, at most two blocks per run and splitter more above
-# it, rows the pipeline's at every thread count. Both sorters merge
-# straight into the output vectors: the most bytes a warm sort holds at
-# once stays under what it held when it built a merged row run first, by
-# that run's row area, and the external sorter's holds no run-generation
-# buffer under its merge (peak live bytes from testkit's counting
-# allocator, one thread, exact). All four run inside step 3 too; the named
-# step makes a regression in a merge's or a run file's shape fail on its
-# own line.
+# sort's, and that both sorters make the same runs, ranges and compares,
+# is check 2 of the oracle (step 3a). The run loop claims run i whole:
+# run file i holds the same bytes at 1, 2, 3 and 8 threads, with and
+# without codes, and the rows merged from them are the same. The spill
+# merge reads every run file once: bytes read at the SpillIo handles ==
+# bytes written at one merge thread, at most two blocks per run and
+# splitter more above it, rows the pipeline's at every thread count. The
+# driver merges straight into the output vectors: the most bytes a warm
+# sort holds at once stays under what it held when it built a merged row
+# run first, by that run's row area; the external sorter's holds no
+# run-generation buffer under its merge, and at 4 and 8 threads no more
+# than its 2-thread peak plus a range's cursors per further worker (peak
+# live bytes from testkit's counting allocator). All four run inside step
+# 3 too; the named step makes a regression in a merge's or a run file's
+# shape fail on its own line.
 echo "== merge counter gates =="
 cargo test -q -p rowsort-core --offline --test merge_moves_once
 cargo test -q -p rowsort-core --offline --lib run_files_are_byte_identical_across_thread_counts
