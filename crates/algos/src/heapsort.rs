@@ -1,23 +1,27 @@
 //! Heapsort: the O(n log n) worst-case fallback for introsort and pdqsort.
 
+use crate::probe::{less, swap, Probe};
 use crate::rows::RowsMut;
 
+/// Branch sites: the larger child, then whether the root sinks.
+const SITE: u32 = 0x20;
+
 /// Sort `v` with heapsort.
-pub fn heapsort<T, F>(v: &mut [T], is_less: &mut F)
+pub fn heapsort<T, F, P: Probe>(v: &mut [T], is_less: &mut F, probe: &P)
 where
     F: FnMut(&T, &T) -> bool,
 {
     let n = v.len();
     for start in (0..n / 2).rev() {
-        sift_down(v, start, n, is_less);
+        sift_down(v, start, n, is_less, probe);
     }
     for end in (1..n).rev() {
-        v.swap(0, end);
-        sift_down(v, 0, end, is_less);
+        swap(v, 0, end, probe);
+        sift_down(v, 0, end, is_less, probe);
     }
 }
 
-fn sift_down<T, F>(v: &mut [T], mut root: usize, end: usize, is_less: &mut F)
+fn sift_down<T, F, P: Probe>(v: &mut [T], mut root: usize, end: usize, is_less: &mut F, probe: &P)
 where
     F: FnMut(&T, &T) -> bool,
 {
@@ -26,34 +30,39 @@ where
         if child >= end {
             return;
         }
-        if child + 1 < end && is_less(&v[child], &v[child + 1]) {
+        if child + 1 < end && less(v, child, child + 1, is_less, probe, SITE) {
             child += 1;
         }
-        if !is_less(&v[root], &v[child]) {
+        if !less(v, root, child, is_less, probe, SITE + 1) {
             return;
         }
-        v.swap(root, child);
+        swap(v, root, child, probe);
         root = child;
     }
 }
 
 /// Heapsort over fixed-width byte rows.
-pub fn heapsort_rows<F>(rows: &mut RowsMut<'_>, is_less: &mut F)
+pub fn heapsort_rows<F, P: Probe>(rows: &mut RowsMut<'_>, is_less: &mut F, probe: &P)
 where
     F: FnMut(&[u8], &[u8]) -> bool,
 {
     let n = rows.len();
     for start in (0..n / 2).rev() {
-        sift_down_rows(rows, start, n, is_less);
+        sift_down_rows(rows, start, n, is_less, probe);
     }
     for end in (1..n).rev() {
-        rows.swap(0, end);
-        sift_down_rows(rows, 0, end, is_less);
+        rows.swap(0, end, probe);
+        sift_down_rows(rows, 0, end, is_less, probe);
     }
 }
 
-fn sift_down_rows<F>(rows: &mut RowsMut<'_>, mut root: usize, end: usize, is_less: &mut F)
-where
+fn sift_down_rows<F, P: Probe>(
+    rows: &mut RowsMut<'_>,
+    mut root: usize,
+    end: usize,
+    is_less: &mut F,
+    probe: &P,
+) where
     F: FnMut(&[u8], &[u8]) -> bool,
 {
     loop {
@@ -61,13 +70,13 @@ where
         if child >= end {
             return;
         }
-        if child + 1 < end && is_less(rows.row(child), rows.row(child + 1)) {
+        if child + 1 < end && probe.branch(SITE, is_less(rows.row(child), rows.row(child + 1))) {
             child += 1;
         }
-        if !is_less(rows.row(root), rows.row(child)) {
+        if !probe.branch(SITE + 1, is_less(rows.row(root), rows.row(child))) {
             return;
         }
-        rows.swap(root, child);
+        rows.swap(root, child, probe);
         root = child;
     }
 }
@@ -75,6 +84,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::NoProbe;
 
     #[test]
     fn sorts_various_patterns() {
@@ -90,7 +100,7 @@ mod tests {
         for mut v in patterns {
             let mut expected = v.clone();
             expected.sort_unstable();
-            heapsort(&mut v, &mut |a, b| a < b);
+            heapsort(&mut v, &mut |a, b| a < b, &NoProbe);
             assert_eq!(v, expected);
         }
     }
@@ -98,7 +108,7 @@ mod tests {
     #[test]
     fn sorts_with_custom_order() {
         let mut v = vec![1u32, 5, 3];
-        heapsort(&mut v, &mut |a, b| a > b); // descending
+        heapsort(&mut v, &mut |a, b| a > b, &NoProbe); // descending
         assert_eq!(v, [5, 3, 1]);
     }
 
@@ -106,7 +116,7 @@ mod tests {
     fn rows_heapsort() {
         let mut data: Vec<u8> = (0..64u8).rev().flat_map(|k| [k, k ^ 0xFF]).collect();
         let mut rows = RowsMut::new(&mut data, 2);
-        heapsort_rows(&mut rows, &mut |a, b| a[0] < b[0]);
+        heapsort_rows(&mut rows, &mut |a, b| a[0] < b[0], &NoProbe);
         for i in 0..64u8 {
             assert_eq!(
                 rows.row(i as usize),

@@ -25,7 +25,11 @@
 //!   paper's "single-bucket skip" optimization,
 //! * [`kway`] — loser-tree k-way merge, the one merge shape of the
 //!   pipeline and the external sorter (with or without offset-value
-//!   codes).
+//!   codes),
+//! * [`probe`] — the hook introsort, insertion sort and heapsort (typed and
+//!   row), `pdqsort_rows` and the radix sorts report their loads, stores
+//!   and data-dependent branches to; [`NoProbe`] records nothing and
+//!   compiles away.
 
 pub mod heapsort;
 pub mod insertion;
@@ -33,7 +37,9 @@ pub mod introsort;
 pub mod kway;
 pub mod mergesort;
 pub mod pdqsort;
+pub mod probe;
 pub mod radix;
 pub mod rows;
 
+pub use probe::{NoProbe, Probe};
 pub use rows::RowsMut;

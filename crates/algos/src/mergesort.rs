@@ -6,6 +6,7 @@
 //! introsort, this implementation is only ever compared against itself.
 
 use crate::insertion::{insertion_sort, insertion_sort_rows};
+use crate::probe::NoProbe;
 use crate::rows::RowsMut;
 
 /// Ranges at or below this length use insertion sort.
@@ -32,7 +33,7 @@ where
     F: FnMut(&T, &T) -> bool,
 {
     if v.len() <= INSERTION_THRESHOLD {
-        insertion_sort(v, is_less);
+        insertion_sort(v, is_less, &NoProbe);
         return;
     }
     let mid = v.len() / 2;
@@ -89,7 +90,7 @@ where
 {
     let n = rows.len();
     if n <= INSERTION_THRESHOLD {
-        insertion_sort_rows(rows, is_less);
+        insertion_sort_rows(rows, is_less, &NoProbe);
         return;
     }
     let w = rows.width();

@@ -24,6 +24,7 @@
 
 use crate::heapsort::{heapsort, heapsort_rows};
 use crate::insertion::{insertion_sort, insertion_sort_rows, partial_insertion_sort};
+use crate::probe::{NoProbe, Probe};
 use crate::rows::RowsMut;
 
 /// Ranges at or below this length use insertion sort (pdqsort's constant).
@@ -36,6 +37,10 @@ const PARTIAL_INSERTION_LIMIT: usize = 8;
 const MAX_SWAPS: usize = 4 * 3;
 /// Offset-buffer block size for the branchless partition.
 const BLOCK: usize = 128;
+/// Branch sites of the row sort: the predecessor-pivot test, the partial
+/// insertion sort, pivot selection, the four scans of `partition_right_rows`
+/// and the two of `partition_left_rows`.
+const SITE: u32 = 0x40;
 
 fn log2(n: usize) -> u32 {
     usize::BITS - n.leading_zeros()
@@ -70,11 +75,11 @@ where
     loop {
         let len = v.len();
         if len <= INSERTION_THRESHOLD {
-            insertion_sort(v, is_less);
+            insertion_sort(v, is_less, &NoProbe);
             return;
         }
         if limit == 0 {
-            heapsort(v, is_less);
+            heapsort(v, is_less, &NoProbe);
             return;
         }
         // A previous bad partition suggests an adversarial pattern: shuffle
@@ -395,7 +400,7 @@ fn break_patterns<T>(v: &mut [T]) {
 /// The partition is scalar: runtime-width rows are moved with `memcpy`, so
 /// movement, not branch prediction, dominates — matching how DuckDB's
 /// modified pdqsort treats normalized-key rows.
-pub fn pdqsort_rows<F>(rows: &mut RowsMut<'_>, is_less: &mut F)
+pub fn pdqsort_rows<F, P: Probe>(rows: &mut RowsMut<'_>, is_less: &mut F, probe: &P)
 where
     F: FnMut(&[u8], &[u8]) -> bool,
 {
@@ -403,19 +408,20 @@ where
         return;
     }
     let limit = log2(rows.len());
-    recurse_rows(rows, 0, rows.len(), is_less, None, limit);
+    recurse_rows(rows, 0, rows.len(), is_less, None, limit, probe);
 }
 
 /// Sort rows `start..end`. `pred` is the index of the predecessor pivot:
 /// a row already in its final place, outside the range, that nothing
 /// sorted here moves — so it is read in place instead of copied.
-fn recurse_rows<F>(
+fn recurse_rows<F, P: Probe>(
     rows: &mut RowsMut<'_>,
     mut start: usize,
     mut end: usize,
     is_less: &mut F,
     mut pred: Option<usize>,
     mut limit: u32,
+    probe: &P,
 ) where
     F: FnMut(&[u8], &[u8]) -> bool,
 {
@@ -423,27 +429,27 @@ fn recurse_rows<F>(
     loop {
         let len = end - start;
         if len <= INSERTION_THRESHOLD {
-            insertion_sort_rows(&mut rows.sub(start, end), is_less);
+            insertion_sort_rows(&mut rows.sub(start, end), is_less, probe);
             return;
         }
         if limit == 0 {
-            heapsort_rows(&mut rows.sub(start, end), is_less);
+            heapsort_rows(&mut rows.sub(start, end), is_less, probe);
             return;
         }
         if !was_balanced {
-            break_patterns_rows(&mut rows.sub(start, end));
+            break_patterns_rows(&mut rows.sub(start, end), probe);
             limit -= 1;
         }
 
         let (pivot_rel, likely_sorted) = {
             let mut range = rows.sub(start, end);
-            choose_pivot_rows(&mut range, is_less)
+            choose_pivot_rows(&mut range, is_less, probe)
         };
 
         if was_balanced && likely_sorted {
             let sorted = {
                 let mut range = rows.sub(start, end);
-                partial_insertion_sort_rows(&mut range, is_less, PARTIAL_INSERTION_LIMIT)
+                partial_insertion_sort_rows(&mut range, is_less, PARTIAL_INSERTION_LIMIT, probe)
             };
             if sorted {
                 return;
@@ -451,10 +457,10 @@ fn recurse_rows<F>(
         }
 
         if let Some(p) = pred {
-            if !is_less(rows.row(p), rows.row(start + pivot_rel)) {
+            if !probe.branch(SITE, is_less(rows.row(p), rows.row(start + pivot_rel))) {
                 let mid = {
                     let mut range = rows.sub(start, end);
-                    partition_left_rows(&mut range, pivot_rel, is_less)
+                    partition_left_rows(&mut range, pivot_rel, is_less, probe)
                 };
                 start += mid;
                 continue;
@@ -463,23 +469,28 @@ fn recurse_rows<F>(
 
         let (mid_rel, _already) = {
             let mut range = rows.sub(start, end);
-            partition_right_rows(&mut range, pivot_rel, is_less)
+            partition_right_rows(&mut range, pivot_rel, is_less, probe)
         };
         let mid = start + mid_rel;
         was_balanced = mid_rel.min(len - mid_rel) >= len / 8;
 
         if mid - start < end - mid - 1 {
-            recurse_rows(rows, start, mid, is_less, pred, limit);
+            recurse_rows(rows, start, mid, is_less, pred, limit, probe);
             start = mid + 1;
             pred = Some(mid);
         } else {
-            recurse_rows(rows, mid + 1, end, is_less, Some(mid), limit);
+            recurse_rows(rows, mid + 1, end, is_less, Some(mid), limit, probe);
             end = mid;
         }
     }
 }
 
-fn partial_insertion_sort_rows<F>(rows: &mut RowsMut<'_>, is_less: &mut F, limit: usize) -> bool
+fn partial_insertion_sort_rows<F, P: Probe>(
+    rows: &mut RowsMut<'_>,
+    is_less: &mut F,
+    limit: usize,
+    probe: &P,
+) -> bool
 where
     F: FnMut(&[u8], &[u8]) -> bool,
 {
@@ -487,11 +498,11 @@ where
     let n = rows.len();
     for i in 1..n {
         let mut j = i;
-        while j > 0 && is_less(rows.row(j), rows.row(j - 1)) {
+        while j > 0 && probe.branch(SITE + 1, is_less(rows.row(j), rows.row(j - 1))) {
             if budget == 0 {
                 return false;
             }
-            rows.swap(j, j - 1);
+            rows.swap(j, j - 1, probe);
             budget -= 1;
             j -= 1;
         }
@@ -499,7 +510,11 @@ where
     true
 }
 
-fn choose_pivot_rows<F>(rows: &mut RowsMut<'_>, is_less: &mut F) -> (usize, bool)
+fn choose_pivot_rows<F, P: Probe>(
+    rows: &mut RowsMut<'_>,
+    is_less: &mut F,
+    probe: &P,
+) -> (usize, bool)
 where
     F: FnMut(&[u8], &[u8]) -> bool,
 {
@@ -515,33 +530,35 @@ where
                 let mut lo = *x - 1;
                 let mut mid = *x;
                 let mut hi = *x + 1;
-                sort3_rows(rows, &mut lo, &mut mid, &mut hi, is_less, &mut swaps);
+                sort3_rows(rows, &mut lo, &mut mid, &mut hi, is_less, &mut swaps, probe);
                 *x = mid;
             }
         }
-        sort3_rows(rows, &mut a, &mut b, &mut c, is_less, &mut swaps);
+        sort3_rows(rows, &mut a, &mut b, &mut c, is_less, &mut swaps, probe);
     }
 
     if swaps < MAX_SWAPS {
         (b, swaps == 0)
     } else {
-        reverse_rows(rows);
+        reverse_rows(rows, probe);
         (len - 1 - b, true)
     }
 }
 
-fn sort3_rows<F>(
+#[allow(clippy::too_many_arguments)]
+fn sort3_rows<F, P: Probe>(
     rows: &RowsMut<'_>,
     a: &mut usize,
     b: &mut usize,
     c: &mut usize,
     is_less: &mut F,
     swaps: &mut usize,
+    probe: &P,
 ) where
     F: FnMut(&[u8], &[u8]) -> bool,
 {
     let mut sort2 = |x: &mut usize, y: &mut usize, swaps: &mut usize| {
-        if is_less(rows.row(*y), rows.row(*x)) {
+        if probe.branch(SITE + 2, is_less(rows.row(*y), rows.row(*x))) {
             std::mem::swap(x, y);
             *swaps += 1;
         }
@@ -551,78 +568,84 @@ fn sort3_rows<F>(
     sort2(a, b, swaps);
 }
 
-fn reverse_rows(rows: &mut RowsMut<'_>) {
+fn reverse_rows<P: Probe>(rows: &mut RowsMut<'_>, probe: &P) {
     let n = rows.len();
     for i in 0..n / 2 {
-        rows.swap(i, n - 1 - i);
+        rows.swap(i, n - 1 - i, probe);
     }
 }
 
-fn partition_right_rows<F>(
+fn partition_right_rows<F, P: Probe>(
     rows: &mut RowsMut<'_>,
     pivot_idx: usize,
     is_less: &mut F,
+    probe: &P,
 ) -> (usize, bool)
 where
     F: FnMut(&[u8], &[u8]) -> bool,
 {
     // The pivot stays at row 0 until the final swap: `l` never drops
     // below 1, so it is compared in place.
-    rows.swap(0, pivot_idx);
+    rows.swap(0, pivot_idx, probe);
     let n = rows.len();
     let mut l = 1usize;
     let mut r = n;
-    while l < r && is_less(rows.row(l), rows.row(0)) {
+    while l < r && probe.branch(SITE + 3, is_less(rows.row(l), rows.row(0))) {
         l += 1;
     }
-    while l < r && !is_less(rows.row(r - 1), rows.row(0)) {
+    while l < r && !probe.branch(SITE + 4, is_less(rows.row(r - 1), rows.row(0))) {
         r -= 1;
     }
     let already = l >= r;
     while l < r {
         // rows[l] >= pivot and rows[r-1] < pivot at loop heads.
-        rows.swap(l, r - 1);
+        rows.swap(l, r - 1, probe);
         l += 1;
         r -= 1;
-        while l < r && is_less(rows.row(l), rows.row(0)) {
+        while l < r && probe.branch(SITE + 5, is_less(rows.row(l), rows.row(0))) {
             l += 1;
         }
-        while l < r && !is_less(rows.row(r - 1), rows.row(0)) {
+        while l < r && !probe.branch(SITE + 6, is_less(rows.row(r - 1), rows.row(0))) {
             r -= 1;
         }
     }
     let mid = l - 1;
-    rows.swap(0, mid);
+    rows.swap(0, mid, probe);
     (mid, already)
 }
 
-fn partition_left_rows<F>(rows: &mut RowsMut<'_>, pivot_idx: usize, is_less: &mut F) -> usize
+fn partition_left_rows<F, P: Probe>(
+    rows: &mut RowsMut<'_>,
+    pivot_idx: usize,
+    is_less: &mut F,
+    probe: &P,
+) -> usize
 where
     F: FnMut(&[u8], &[u8]) -> bool,
 {
     // As in `partition_right_rows`, the pivot is read in place at row 0.
-    rows.swap(0, pivot_idx);
+    rows.swap(0, pivot_idx, probe);
     let n = rows.len();
     let mut l = 1usize;
     let mut r = n;
     loop {
-        while l < r && !is_less(rows.row(0), rows.row(l)) {
+        while l < r && !probe.branch(SITE + 7, is_less(rows.row(0), rows.row(l))) {
             l += 1;
         }
-        while l < r && is_less(rows.row(0), rows.row(r - 1)) {
+        while l < r && probe.branch(SITE + 8, is_less(rows.row(0), rows.row(r - 1))) {
             r -= 1;
         }
         if l >= r {
             break;
         }
         r -= 1;
-        rows.swap(l, r);
+        rows.swap(l, r, probe);
         l += 1;
     }
     l
 }
 
-fn break_patterns_rows(rows: &mut RowsMut<'_>) {
+fn break_patterns_rows<P: Probe>(rows: &mut RowsMut<'_>, probe: &P) {
     let len = rows.len();
     if len < 8 {
         return;
@@ -640,7 +663,7 @@ fn break_patterns_rows(rows: &mut RowsMut<'_>) {
         if other >= len {
             other -= len;
         }
-        rows.swap(i, other);
+        rows.swap(i, other, probe);
     }
 }
 
@@ -747,7 +770,7 @@ mod tests {
             let keys: Vec<u32> = pseudo_random(n, 42).iter().map(|k| k % modk).collect();
             let mut data: Vec<u8> = keys.iter().flat_map(|k| k.to_be_bytes()).collect();
             let mut rows = RowsMut::new(&mut data, 4);
-            pdqsort_rows(&mut rows, &mut |a, b| a < b);
+            pdqsort_rows(&mut rows, &mut |a, b| a < b, &NoProbe);
             let mut expected = keys.clone();
             expected.sort_unstable();
             for (i, k) in expected.iter().enumerate() {
@@ -766,7 +789,7 @@ mod tests {
             };
             let mut data: Vec<u8> = keys.iter().flat_map(|k| k.to_be_bytes()).collect();
             let mut rows = RowsMut::new(&mut data, 4);
-            pdqsort_rows(&mut rows, &mut |a, b| a < b);
+            pdqsort_rows(&mut rows, &mut |a, b| a < b, &NoProbe);
             for i in 0..10_000u32 {
                 assert_eq!(rows.row(i as usize), &i.to_be_bytes());
             }
@@ -777,7 +800,7 @@ mod tests {
     fn rows_pdqsort_all_equal() {
         let mut data = vec![7u8; 8 * 10_000];
         let mut rows = RowsMut::new(&mut data, 8);
-        pdqsort_rows(&mut rows, &mut |a, b| a < b);
+        pdqsort_rows(&mut rows, &mut |a, b| a < b, &NoProbe);
         assert!(data.iter().all(|&b| b == 7));
     }
 
@@ -794,7 +817,7 @@ mod tests {
             })
             .collect();
         let mut rows = RowsMut::new(&mut data, 24);
-        pdqsort_rows(&mut rows, &mut |a, b| a[..4] < b[..4]);
+        pdqsort_rows(&mut rows, &mut |a, b| a[..4] < b[..4], &NoProbe);
         for i in 0..rows.len() {
             let row = rows.row(i);
             let k = u32::from_be_bytes(row[..4].try_into().unwrap());

@@ -28,8 +28,12 @@
 //! [`radix_sort_rows_with_scratch`] takes the auxiliary buffer — a second
 //! row area, as long as the first — from the caller, so a sort pipeline
 //! can pool it; the plain entry points allocate it per call.
+//!
+//! Every entry takes a [`Probe`]: the counting sweeps report their key-byte
+//! loads and histogram updates, the scatters their row loads and stores.
 
 use crate::insertion::insertion_sort_rows;
+use crate::probe::Probe;
 use crate::rows::RowsMut;
 
 /// Buckets at or below this size are finished with insertion sort (the
@@ -57,15 +61,21 @@ const MSD_FUSE_BYTES: usize = 4;
 ///     0, 1, b'a', b'a', //
 ///     0, 5, b'b', b'b',
 /// ];
-/// rowsort_algos::radix::radix_sort_rows(&mut rows, 4, 0, 2);
+/// rowsort_algos::radix::radix_sort_rows(&mut rows, 4, 0, 2, &rowsort_algos::NoProbe);
 /// assert_eq!(rows[1], 1);
 /// assert_eq!(&rows[2..4], b"aa");
 /// assert_eq!(rows[9], 9);
 /// assert_eq!(&rows[10..12], b"cc", "payload moved with its key");
 /// ```
-pub fn radix_sort_rows(data: &mut [u8], width: usize, key_offset: usize, key_len: usize) {
+pub fn radix_sort_rows<P: Probe>(
+    data: &mut [u8],
+    width: usize,
+    key_offset: usize,
+    key_len: usize,
+    probe: &P,
+) {
     let mut scratch = Vec::new();
-    radix_sort_rows_with_scratch(data, width, key_offset, key_len, &mut scratch);
+    radix_sort_rows_with_scratch(data, width, key_offset, key_len, &mut scratch, probe);
 }
 
 /// [`radix_sort_rows`] with a caller-pooled scratch buffer. The buffer is
@@ -73,36 +83,44 @@ pub fn radix_sort_rows(data: &mut [u8], width: usize, key_offset: usize, key_len
 /// buffer) the call performs no allocation. Returns the number of scatter
 /// passes performed (skipped single-bucket passes excluded), for the
 /// pipeline's metrics.
-pub fn radix_sort_rows_with_scratch(
+pub fn radix_sort_rows_with_scratch<P: Probe>(
     data: &mut [u8],
     width: usize,
     key_offset: usize,
     key_len: usize,
     scratch: &mut Vec<u8>,
+    probe: &P,
 ) -> usize {
     if key_len <= LSD_MAX_KEY_BYTES {
-        lsd_with_scratch(data, width, key_offset, key_len, scratch)
+        lsd_with_scratch(data, width, key_offset, key_len, scratch, probe)
     } else {
-        msd_with_scratch(data, width, key_offset, key_len, scratch)
+        msd_with_scratch(data, width, key_offset, key_len, scratch, probe)
     }
 }
 
 /// Stable LSD radix sort: one fused counting sweep per
 /// [`LSD_MAX_KEY_BYTES`]-byte window of key bytes, then one
 /// scatter pass per key byte, least significant (last) byte first.
-pub fn lsd_radix_sort_rows(data: &mut [u8], width: usize, key_offset: usize, key_len: usize) {
+pub fn lsd_radix_sort_rows<P: Probe>(
+    data: &mut [u8],
+    width: usize,
+    key_offset: usize,
+    key_len: usize,
+    probe: &P,
+) {
     let mut scratch = Vec::new();
-    lsd_with_scratch(data, width, key_offset, key_len, &mut scratch);
+    lsd_with_scratch(data, width, key_offset, key_len, &mut scratch, probe);
 }
 
 /// [`lsd_radix_sort_rows`] with pooled scratch. Returns the number of
 /// scatter passes performed.
-fn lsd_with_scratch(
+fn lsd_with_scratch<P: Probe>(
     data: &mut [u8],
     width: usize,
     key_offset: usize,
     key_len: usize,
     scratch: &mut Vec<u8>,
+    probe: &P,
 ) -> usize {
     let n = data.len() / width;
     if n <= 1 || key_len == 0 {
@@ -111,6 +129,8 @@ fn lsd_with_scratch(
     debug_assert_eq!(data.len() % width, 0);
     scratch.resize(data.len(), 0);
     let aux = scratch.as_mut_slice();
+    probe.buffer(data);
+    probe.buffer(aux);
 
     let mut passes = 0usize;
     // `in_aux` flag: false ⇒ current data in `data`, true ⇒ in `aux`.
@@ -125,11 +145,14 @@ fn lsd_with_scratch(
         let lo_rel = hi_rel.saturating_sub(LSD_MAX_KEY_BYTES);
         let fuse = hi_rel - lo_rel;
         let mut all_counts = [[0usize; 256]; LSD_MAX_KEY_BYTES];
+        probe.buffer(&all_counts);
         let src: &[u8] = if in_aux { aux } else { data };
         for r in 0..n {
             let at = r * width + key_offset + lo_rel;
             let key = &src[at..at + fuse];
+            probe.read(src, at, fuse);
             for (counts, &b) in all_counts.iter_mut().zip(key.iter()) {
+                probe.write(counts, b as usize, 1);
                 counts[b as usize] += 1;
             }
         }
@@ -142,9 +165,9 @@ fn lsd_with_scratch(
             }
             let byte = key_offset + rel;
             if in_aux {
-                scatter_pass(aux, data, width, byte, 0, n, counts);
+                scatter_pass(aux, data, width, byte, 0, n, counts, probe);
             } else {
-                scatter_pass(data, aux, width, byte, 0, n, counts);
+                scatter_pass(data, aux, width, byte, 0, n, counts, probe);
             }
             in_aux = !in_aux;
             passes += 1;
@@ -152,6 +175,8 @@ fn lsd_with_scratch(
         hi_rel = lo_rel;
     }
     if in_aux {
+        probe.read(aux, 0, aux.len());
+        probe.write(data, 0, data.len());
         data.copy_from_slice(aux);
     }
     passes
@@ -160,31 +185,42 @@ fn lsd_with_scratch(
 /// Stable MSD radix sort: bucket by the most significant byte, recurse into
 /// each bucket on the next byte; buckets of ≤ [`MSD_INSERTION_THRESHOLD`]
 /// rows use insertion sort on the remaining key bytes.
-pub fn msd_radix_sort_rows(data: &mut [u8], width: usize, key_offset: usize, key_len: usize) {
+pub fn msd_radix_sort_rows<P: Probe>(
+    data: &mut [u8],
+    width: usize,
+    key_offset: usize,
+    key_len: usize,
+    probe: &P,
+) {
     let mut scratch = Vec::new();
-    msd_with_scratch(data, width, key_offset, key_len, &mut scratch);
+    msd_with_scratch(data, width, key_offset, key_len, &mut scratch, probe);
 }
 
 /// [`msd_radix_sort_rows`] with pooled scratch. Returns the number of
 /// scatter passes performed across all recursion levels.
-fn msd_with_scratch(
+fn msd_with_scratch<P: Probe>(
     data: &mut [u8],
     width: usize,
     key_offset: usize,
     key_len: usize,
     scratch: &mut Vec<u8>,
+    probe: &P,
 ) -> usize {
     let n = data.len() / width;
     if n <= 1 || key_len == 0 {
         return 0;
     }
     scratch.resize(data.len(), 0);
-    msd_rec(data, scratch, width, key_offset, key_offset + key_len, 0, n)
+    probe.buffer(data);
+    probe.buffer(scratch);
+    let key_end = key_offset + key_len;
+    msd_rec(data, scratch, width, key_offset, key_end, 0, n, probe)
 }
 
 /// One stable counting-scatter of rows `start..end` from `src` into `dst`
 /// by the byte at `byte`.
-fn scatter_pass(
+#[allow(clippy::too_many_arguments)]
+fn scatter_pass<P: Probe>(
     src: &[u8],
     dst: &mut [u8],
     width: usize,
@@ -192,8 +228,10 @@ fn scatter_pass(
     start: usize,
     end: usize,
     counts: &[usize; 256],
+    probe: &P,
 ) {
     let mut offsets = [0usize; 256];
+    probe.buffer(&offsets);
     let mut sum = start;
     for (o, &c) in offsets.iter_mut().zip(counts.iter()) {
         *o = sum;
@@ -202,13 +240,17 @@ fn scatter_pass(
     for r in start..end {
         let b = src[r * width + byte] as usize;
         let dst_row = offsets[b];
+        probe.write(&offsets, b, 1);
         offsets[b] += 1;
+        probe.read(src, r * width, width);
+        probe.write(dst, dst_row * width, width);
         dst[dst_row * width..(dst_row + 1) * width]
             .copy_from_slice(&src[r * width..(r + 1) * width]);
     }
 }
 
-fn msd_rec(
+#[allow(clippy::too_many_arguments)]
+fn msd_rec<P: Probe>(
     data: &mut [u8],
     aux: &mut [u8],
     width: usize,
@@ -216,6 +258,7 @@ fn msd_rec(
     key_end: usize,
     start: usize,
     end: usize,
+    probe: &P,
 ) -> usize {
     let n = end - start;
     if n <= 1 {
@@ -224,7 +267,9 @@ fn msd_rec(
     // Small bucket: insertion sort on the remaining key bytes.
     if n <= MSD_INSERTION_THRESHOLD {
         let mut rows = RowsMut::new(&mut data[start * width..end * width], width);
-        insertion_sort_rows(&mut rows, &mut |a, b| a[byte..key_end] < b[byte..key_end]);
+        let mut is_less =
+            |a: &[u8], b: &[u8]| probe.less_bytes(&a[byte..key_end], &b[byte..key_end]);
+        insertion_sort_rows(&mut rows, &mut is_less, probe);
         return 0;
     }
 
@@ -237,10 +282,13 @@ fn msd_rec(
         }
         let fuse = MSD_FUSE_BYTES.min(key_end - byte);
         let mut multi = [[0usize; 256]; MSD_FUSE_BYTES];
+        probe.buffer(&multi);
         for r in start..end {
             let at = r * width + byte;
             let bytes = &data[at..at + fuse];
+            probe.read(data, at, fuse);
             for (counts, &b) in multi.iter_mut().zip(bytes.iter()) {
+                probe.write(counts, b as usize, 1);
                 counts[b as usize] += 1;
             }
         }
@@ -260,7 +308,9 @@ fn msd_rec(
         *o = sum;
         sum += c;
     }
-    scatter_pass(data, aux, width, byte, start, end, &counts);
+    scatter_pass(data, aux, width, byte, start, end, &counts, probe);
+    probe.read(aux, start * width, n * width);
+    probe.write(data, start * width, n * width);
     data[start * width..end * width].copy_from_slice(&aux[start * width..end * width]);
     let mut passes = 1usize;
 
@@ -269,7 +319,7 @@ fn msd_rec(
         for (b, &bs) in bucket_starts.iter().enumerate() {
             let be = bs + counts[b];
             if be - bs > 1 {
-                passes += msd_rec(data, aux, width, byte + 1, key_end, bs, be);
+                passes += msd_rec(data, aux, width, byte + 1, key_end, bs, be, probe);
             }
         }
     }
@@ -279,6 +329,7 @@ fn msd_rec(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::NoProbe;
 
     fn make_rows(keys: &[u32], width: usize) -> Vec<u8> {
         // Row: 4-byte BE key + (width-4) payload bytes derived from key.
@@ -312,7 +363,7 @@ mod tests {
         for modk in [u32::MAX, 128, 2] {
             let keys = pseudo_random(10_000, 1, modk);
             let mut data = make_rows(&keys, 8);
-            lsd_radix_sort_rows(&mut data, 8, 0, 4);
+            lsd_radix_sort_rows(&mut data, 8, 0, 4, &NoProbe);
             let mut expected = keys.clone();
             expected.sort_unstable();
             assert_eq!(keys_of(&data, 8), expected, "modk={modk}");
@@ -324,7 +375,7 @@ mod tests {
         for modk in [u32::MAX, 128, 2] {
             let keys = pseudo_random(10_000, 2, modk);
             let mut data = make_rows(&keys, 8);
-            msd_radix_sort_rows(&mut data, 8, 0, 4);
+            msd_radix_sort_rows(&mut data, 8, 0, 4, &NoProbe);
             let mut expected = keys.clone();
             expected.sort_unstable();
             assert_eq!(keys_of(&data, 8), expected, "modk={modk}");
@@ -336,7 +387,7 @@ mod tests {
         // 4-byte key → LSD; result must be sorted either way.
         let keys = pseudo_random(5_000, 3, 1000);
         let mut data = make_rows(&keys, 8);
-        radix_sort_rows(&mut data, 8, 0, 4);
+        radix_sort_rows(&mut data, 8, 0, 4, &NoProbe);
         let mut expected = keys.clone();
         expected.sort_unstable();
         assert_eq!(keys_of(&data, 8), expected);
@@ -363,7 +414,7 @@ mod tests {
                 row
             })
             .collect();
-        msd_radix_sort_rows(&mut data, width, 0, 12);
+        msd_radix_sort_rows(&mut data, width, 0, 12, &NoProbe);
         let mut expected: Vec<Vec<u8>> = segs
             .iter()
             .map(|s| s.iter().flat_map(|v| v.to_be_bytes()).collect())
@@ -383,7 +434,7 @@ mod tests {
             .enumerate()
             .flat_map(|(i, &k)| [k, i as u8])
             .collect();
-        lsd_radix_sort_rows(&mut data, 2, 0, 1);
+        lsd_radix_sort_rows(&mut data, 2, 0, 1, &NoProbe);
         assert_eq!(data, vec![1, 1, 1, 3, 1, 6, 2, 4, 3, 0, 3, 2, 3, 5]);
     }
 
@@ -397,7 +448,7 @@ mod tests {
             .collect();
         // Force the scatter path (threshold would shortcut to insertion
         // sort, which is also stable — test both).
-        msd_radix_sort_rows(&mut data, 2, 0, 1);
+        msd_radix_sort_rows(&mut data, 2, 0, 1, &NoProbe);
         assert_eq!(data, vec![1, 1, 1, 3, 1, 6, 2, 4, 3, 0, 3, 2, 3, 5]);
     }
 
@@ -408,7 +459,7 @@ mod tests {
         let mut data: Vec<u8> = (0..n)
             .flat_map(|i| [(i % 3) as u8, (i / 256) as u8, (i % 256) as u8])
             .collect();
-        msd_radix_sort_rows(&mut data, 3, 0, 1);
+        msd_radix_sort_rows(&mut data, 3, 0, 1, &NoProbe);
         let mut last_order = [0usize; 3];
         for row in data.chunks(3) {
             let k = row[0] as usize;
@@ -423,12 +474,12 @@ mod tests {
         let mut scratch = Vec::new();
         let keys = pseudo_random(8_000, 5, 1 << 20);
         let mut data = make_rows(&keys, 8);
-        radix_sort_rows_with_scratch(&mut data, 8, 0, 4, &mut scratch);
+        radix_sort_rows_with_scratch(&mut data, 8, 0, 4, &mut scratch, &NoProbe);
         let cap = scratch.capacity();
         assert!(cap >= data.len());
         // Second call with the warmed buffer must not grow it.
         let mut data2 = make_rows(&keys, 8);
-        radix_sort_rows_with_scratch(&mut data2, 8, 0, 4, &mut scratch);
+        radix_sort_rows_with_scratch(&mut data2, 8, 0, 4, &mut scratch, &NoProbe);
         assert_eq!(scratch.capacity(), cap);
         assert_eq!(keys_of(&data, 8), keys_of(&data2, 8));
     }
@@ -438,7 +489,7 @@ mod tests {
         // High bytes all zero (values < 256): LSD passes 0..2 skip.
         let keys = pseudo_random(2_000, 9, 256);
         let mut data = make_rows(&keys, 8);
-        lsd_radix_sort_rows(&mut data, 8, 0, 4);
+        lsd_radix_sort_rows(&mut data, 8, 0, 4, &NoProbe);
         let mut expected = keys.clone();
         expected.sort_unstable();
         assert_eq!(keys_of(&data, 8), expected);
@@ -457,7 +508,7 @@ mod tests {
                 row
             })
             .collect();
-        msd_radix_sort_rows(&mut data, width, 0, 12);
+        msd_radix_sort_rows(&mut data, width, 0, 12, &NoProbe);
         let mut expected = keys.clone();
         expected.sort_unstable();
         for (i, row) in data.chunks(width).enumerate() {
@@ -483,7 +534,7 @@ mod tests {
                 row
             })
             .collect();
-        msd_radix_sort_rows(&mut data, width, 0, width);
+        msd_radix_sort_rows(&mut data, width, 0, width, &NoProbe);
         let mut expected = keys.clone();
         expected.sort_unstable();
         for (i, row) in data.chunks(width).enumerate() {
@@ -507,7 +558,7 @@ mod tests {
                 row
             })
             .collect();
-        lsd_radix_sort_rows(&mut data, 4, 2, 2);
+        lsd_radix_sort_rows(&mut data, 4, 2, 2, &NoProbe);
         let got: Vec<u16> = data
             .chunks(4)
             .map(|r| u16::from_be_bytes(r[2..4].try_into().unwrap()))
@@ -520,9 +571,9 @@ mod tests {
     #[test]
     fn empty_and_single() {
         let mut empty: Vec<u8> = vec![];
-        radix_sort_rows(&mut empty, 4, 0, 4);
+        radix_sort_rows(&mut empty, 4, 0, 4, &NoProbe);
         let mut one = vec![1u8, 2, 3, 4];
-        radix_sort_rows(&mut one, 4, 0, 4);
+        radix_sort_rows(&mut one, 4, 0, 4, &NoProbe);
         assert_eq!(one, vec![1, 2, 3, 4]);
     }
 
@@ -536,10 +587,10 @@ mod tests {
             })
             .collect();
         let before = data.clone();
-        lsd_radix_sort_rows(&mut data, 8, 0, 4);
+        lsd_radix_sort_rows(&mut data, 8, 0, 4, &NoProbe);
         assert_eq!(data, before, "stable sort of equal keys is the identity");
         let mut data2 = before.clone();
-        msd_radix_sort_rows(&mut data2, 8, 0, 4);
+        msd_radix_sort_rows(&mut data2, 8, 0, 4, &NoProbe);
         assert_eq!(data2, before);
     }
 }

@@ -1,5 +1,7 @@
 //! A mutable view over a buffer of fixed-width byte rows.
 
+use crate::probe::Probe;
+
 /// A buffer of `len` rows, each exactly `width` bytes, that sorting
 /// algorithms can permute in place.
 ///
@@ -77,12 +79,16 @@ impl<'a> RowsMut<'a> {
         self.data
     }
 
-    /// Swap rows `i` and `j` (one `memcpy`-style exchange of `width` bytes).
+    /// Swap rows `i` and `j` (one `memcpy`-style exchange of `width` bytes),
+    /// reported to `probe` as a load and a store of each row.
     #[inline]
-    pub fn swap(&mut self, i: usize, j: usize) {
+    pub fn swap<P: Probe>(&mut self, i: usize, j: usize, probe: &P) {
         debug_assert!(i < self.len && j < self.len);
         if i == j {
             return;
+        }
+        for k in [i, j] {
+            self.probed_move(k, k + 1, probe);
         }
         // SAFETY: `i != j` (equal indices returned above) and rows are
         // `width`-aligned slots, so the two `width`-byte regions cannot
@@ -100,11 +106,22 @@ impl<'a> RowsMut<'a> {
 
     /// Rotate the non-empty range of rows `from..to` one slot right: row
     /// `to - 1` lands in slot `from` and the rows it passed move up one —
-    /// an insertion step, in place and without a temporary row.
-    pub fn rotate_right(&mut self, from: usize, to: usize) {
+    /// an insertion step, in place and without a temporary row. A range
+    /// of more than one row is reported to `probe` as loaded and stored.
+    pub fn rotate_right<P: Probe>(&mut self, from: usize, to: usize, probe: &P) {
         debug_assert!(from < to && to <= self.len);
+        if to - from > 1 {
+            self.probed_move(from, to, probe);
+        }
         let w = self.width;
         self.data[from * w..to * w].rotate_right(w);
+    }
+
+    /// Report rows `from..to` to `probe` as loaded and stored.
+    fn probed_move<P: Probe>(&self, from: usize, to: usize, probe: &P) {
+        let w = self.width;
+        probe.read(self.data, from * w, (to - from) * w);
+        probe.write(self.data, from * w, (to - from) * w);
     }
 
     /// Re-borrow a sub-range of rows as a new `RowsMut`.
@@ -139,6 +156,7 @@ impl<'a> RowsMut<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::NoProbe;
 
     #[test]
     fn wrap_and_index() {
@@ -153,7 +171,7 @@ mod tests {
     fn swap_rows() {
         let mut data = vec![1u8, 2, 3, 4];
         let mut rows = RowsMut::new(&mut data, 2);
-        rows.swap(0, 1);
+        rows.swap(0, 1, &NoProbe);
         assert_eq!(data, vec![3, 4, 1, 2]);
     }
 
@@ -161,7 +179,7 @@ mod tests {
     fn swap_self_is_noop() {
         let mut data = vec![1u8, 2];
         let mut rows = RowsMut::new(&mut data, 2);
-        rows.swap(0, 0);
+        rows.swap(0, 0, &NoProbe);
         assert_eq!(data, vec![1, 2]);
     }
 
@@ -171,7 +189,7 @@ mod tests {
         let mut rows = RowsMut::new(&mut data, 1);
         let mut mid = rows.sub(2, 5);
         assert_eq!(mid.len(), 3);
-        mid.swap(0, 2);
+        mid.swap(0, 2, &NoProbe);
         assert_eq!(data, vec![0, 1, 4, 3, 2, 5]);
     }
 
@@ -180,8 +198,8 @@ mod tests {
         let mut data = vec![0u8, 1, 2, 3];
         let mut rows = RowsMut::new(&mut data, 1);
         let (mut a, mut b) = rows.split_at_mut(2);
-        a.swap(0, 1);
-        b.swap(0, 1);
+        a.swap(0, 1, &NoProbe);
+        b.swap(0, 1, &NoProbe);
         assert_eq!(data, vec![1, 0, 3, 2]);
     }
 
@@ -221,6 +239,6 @@ mod tests {
     fn swap_at_len_panics_in_debug() {
         let mut data = vec![0u8; 6];
         let mut rows = RowsMut::new(&mut data, 2);
-        rows.sub(0, 2).swap(2, 0);
+        rows.sub(0, 2).swap(2, 0, &NoProbe);
     }
 }

@@ -9,6 +9,7 @@ use rowsort_algos::mergesort::{merge_sort, merge_sort_rows};
 use rowsort_algos::pdqsort::{pdqsort, pdqsort_rows};
 use rowsort_algos::radix::{lsd_radix_sort_rows, msd_radix_sort_rows, radix_sort_rows};
 use rowsort_algos::rows::RowsMut;
+use rowsort_algos::NoProbe;
 use rowsort_testkit::prop::{full, one_of, vec_of, BoxedGen, GenExt};
 use rowsort_testkit::{prop, prop_assert_eq};
 
@@ -63,12 +64,12 @@ prop! {
     fn typed_sorts_agree_with_std(v in input_gen()) {
         let expected = expect_sorted(&v);
         for (name, f) in [
-            ("insertion", insertion_sort::<u32, _> as fn(&mut [u32], &mut _)),
-            ("heapsort", heapsort::<u32, _>),
-            ("introsort", introsort::<u32, _>),
+            ("insertion", insertion_sort::<u32, _, NoProbe> as fn(&mut [u32], &mut _, &_)),
+            ("heapsort", heapsort::<u32, _, NoProbe>),
+            ("introsort", introsort::<u32, _, NoProbe>),
         ] {
             let mut got = v.clone();
-            f(&mut got, &mut |a: &u32, b: &u32| a < b);
+            f(&mut got, &mut |a: &u32, b: &u32| a < b, &NoProbe);
             prop_assert_eq!(&got, &expected, "{} diverged", name);
         }
         let mut got = v.clone();
@@ -83,11 +84,11 @@ prop! {
         let width = 4 + extra.max(0);
         let expected = expect_sorted(&v);
         macro_rules! check_row_sort {
-            ($name:literal, $f:path) => {{
+            ($name:literal, $f:path $(, $probe:expr)?) => {{
                 let mut data = rows_from_keys(&v, width);
                 {
                     let mut rows = RowsMut::new(&mut data, width);
-                    $f(&mut rows, &mut |a: &[u8], b: &[u8]| a[..4] < b[..4]);
+                    $f(&mut rows, &mut |a: &[u8], b: &[u8]| a[..4] < b[..4], $($probe)?);
                 }
                 prop_assert_eq!(
                     keys_from_rows(&data, width),
@@ -97,23 +98,23 @@ prop! {
                 );
             }};
         }
-        check_row_sort!("insertion_rows", insertion_sort_rows);
-        check_row_sort!("heapsort_rows", heapsort_rows);
-        check_row_sort!("introsort_rows", introsort_rows);
+        check_row_sort!("insertion_rows", insertion_sort_rows, &NoProbe);
+        check_row_sort!("heapsort_rows", heapsort_rows, &NoProbe);
+        check_row_sort!("introsort_rows", introsort_rows, &NoProbe);
         check_row_sort!("merge_sort_rows", merge_sort_rows);
-        check_row_sort!("pdqsort_rows", pdqsort_rows);
+        check_row_sort!("pdqsort_rows", pdqsort_rows, &NoProbe);
     }
 
     fn radix_sorts_agree_with_std(v in input_gen(), extra in 0usize..12) {
         let width = 4 + extra;
         let expected = expect_sorted(&v);
         for (name, f) in [
-            ("lsd", lsd_radix_sort_rows as fn(&mut [u8], usize, usize, usize)),
+            ("lsd", lsd_radix_sort_rows::<NoProbe> as fn(&mut [u8], usize, usize, usize, &_)),
             ("msd", msd_radix_sort_rows),
             ("auto", radix_sort_rows),
         ] {
             let mut data = rows_from_keys(&v, width);
-            f(&mut data, width, 0, 4);
+            f(&mut data, width, 0, 4, &NoProbe);
             prop_assert_eq!(keys_from_rows(&data, width), expected.clone(), "{} diverged", name);
         }
     }
@@ -132,7 +133,7 @@ prop! {
                 row
             })
             .collect();
-        msd_radix_sort_rows(&mut data, width, 0, 8);
+        msd_radix_sort_rows(&mut data, width, 0, 8, &NoProbe);
         let mut expected: Vec<(u32, u32)> = v;
         expected.sort();
         for (i, row) in data.chunks(width).enumerate() {

@@ -7,6 +7,7 @@ use rowsort_algos::mergesort::merge_rows_into;
 use rowsort_algos::pdqsort::pdqsort_rows;
 use rowsort_algos::radix::{lsd_radix_sort_rows, msd_radix_sort_rows};
 use rowsort_algos::rows::RowsMut;
+use rowsort_algos::NoProbe;
 use rowsort_core::keys::KeyBlock;
 use rowsort_datagen::tpcds;
 use rowsort_row::{scatter, RowAlignment, RowLayout};
@@ -82,14 +83,14 @@ fn ablation_radix(c: &mut Harness) {
         group.bench_with_input(BenchmarkId::new("lsd", width), &data, |b, data| {
             b.iter_batched(
                 || data.clone(),
-                |mut d| lsd_radix_sort_rows(&mut d, width, 0, width),
+                |mut d| lsd_radix_sort_rows(&mut d, width, 0, width, &NoProbe),
                 rowsort_testkit::bench::BatchSize::LargeInput,
             )
         });
         group.bench_with_input(BenchmarkId::new("msd", width), &data, |b, data| {
             b.iter_batched(
                 || data.clone(),
-                |mut d| msd_radix_sort_rows(&mut d, width, 0, width),
+                |mut d| msd_radix_sort_rows(&mut d, width, 0, width, &NoProbe),
                 rowsort_testkit::bench::BatchSize::LargeInput,
             )
         });
@@ -98,7 +99,7 @@ fn ablation_radix(c: &mut Harness) {
                 || data.clone(),
                 |mut d| {
                     let mut rows = RowsMut::new(&mut d, width);
-                    pdqsort_rows(&mut rows, &mut |a: &[u8], b: &[u8]| a < b);
+                    pdqsort_rows(&mut rows, &mut |a: &[u8], b: &[u8]| a < b, &NoProbe);
                 },
                 rowsort_testkit::bench::BatchSize::LargeInput,
             )
@@ -118,7 +119,7 @@ fn ablation_merge(c: &mut Harness) {
         .map(|i| {
             let mut d = pseudo_random_bytes(1 << 14, width, i + 1, 1 << 30);
             let mut rows = RowsMut::new(&mut d, width);
-            pdqsort_rows(&mut rows, &mut |a: &[u8], b: &[u8]| a < b);
+            pdqsort_rows(&mut rows, &mut |a: &[u8], b: &[u8]| a < b, &NoProbe);
             d
         })
         .collect();

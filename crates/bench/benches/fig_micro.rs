@@ -1,6 +1,7 @@
 //! Wall-clock benches for the §IV/§V micro-benchmarks (Figures 2–6):
 //! every data format × comparison strategy combination on one input size.
 
+use rowsort_algos::NoProbe;
 use rowsort_core::strategy::{
     columnar_subsort, columnar_tuple, row_subsort, row_tuple_dynamic, row_tuple_fused,
     row_tuple_static, to_static_rows, Algo, ByteRows,
@@ -30,12 +31,12 @@ fn bench_formats(c: &mut Harness) {
                 group.bench_with_input(
                     BenchmarkId::new(format!("columnar_tuple_{alg}"), &tag),
                     &cols,
-                    |b, cols| b.iter(|| columnar_tuple(cols, algo)),
+                    |b, cols| b.iter(|| columnar_tuple(cols, algo, &NoProbe)),
                 );
                 group.bench_with_input(
                     BenchmarkId::new(format!("columnar_subsort_{alg}"), &tag),
                     &cols,
-                    |b, cols| b.iter(|| columnar_subsort(cols, algo)),
+                    |b, cols| b.iter(|| columnar_subsort(cols, algo, &NoProbe)),
                 );
                 group.bench_with_input(
                     BenchmarkId::new(format!("row_tuple_{alg}"), &tag),
@@ -43,7 +44,7 @@ fn bench_formats(c: &mut Harness) {
                     |b, cols| {
                         b.iter_batched(
                             || ByteRows::from_cols(cols),
-                            |mut r| row_tuple_fused(&mut r, algo),
+                            |mut r| row_tuple_fused(&mut r, algo, &NoProbe),
                             rowsort_testkit::bench::BatchSize::LargeInput,
                         )
                     },
@@ -54,7 +55,7 @@ fn bench_formats(c: &mut Harness) {
                     |b, cols| {
                         b.iter_batched(
                             || ByteRows::from_cols(cols),
-                            |mut r| row_subsort(&mut r, algo),
+                            |mut r| row_subsort(&mut r, algo, &NoProbe),
                             rowsort_testkit::bench::BatchSize::LargeInput,
                         )
                     },

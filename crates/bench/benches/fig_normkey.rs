@@ -1,6 +1,7 @@
 //! Wall-clock benches for the §VI normalized-key techniques (Figures 8, 9):
 //! memcmp comparison sorts vs byte-wise radix sort on encoded keys.
 
+use rowsort_algos::NoProbe;
 use rowsort_core::strategy::{
     normkey_radix, normkey_sort, row_tuple_static, to_static_rows, Algo, NormRows,
 };
@@ -47,7 +48,7 @@ fn bench_normkey(c: &mut Harness) {
                 |b, cols| {
                     b.iter_batched(
                         || NormRows::from_cols(cols),
-                        |mut r| normkey_sort(&mut r, Algo::Introsort),
+                        |mut r| normkey_sort(&mut r, Algo::Introsort, &NoProbe),
                         rowsort_testkit::bench::BatchSize::LargeInput,
                     )
                 },
@@ -58,7 +59,7 @@ fn bench_normkey(c: &mut Harness) {
                 |b, cols| {
                     b.iter_batched(
                         || NormRows::from_cols(cols),
-                        |mut r| normkey_sort(&mut r, Algo::Pdq),
+                        |mut r| normkey_sort(&mut r, Algo::Pdq, &NoProbe),
                         rowsort_testkit::bench::BatchSize::LargeInput,
                     )
                 },
@@ -66,7 +67,7 @@ fn bench_normkey(c: &mut Harness) {
             group.bench_with_input(BenchmarkId::new("normkey_radix", &tag), &cols, |b, cols| {
                 b.iter_batched(
                     || NormRows::from_cols(cols),
-                    |mut r| normkey_radix(&mut r),
+                    |mut r| normkey_radix(&mut r, &NoProbe),
                     rowsort_testkit::bench::BatchSize::LargeInput,
                 )
             });

@@ -9,7 +9,10 @@
 //! `u32_tdef` takes the host's thread count and stays a bench only — once
 //! each on a sorter warmed by two sorts, and compares the measured sort's
 //! counters — and the key it planned — with the checked-in
-//! `BENCH_counters.json` for exact equality.
+//! `BENCH_counters.json` for exact equality. The `sim/` ids run Tables
+//! II/III and Figure 10 at 2^12 rows and pin what each approach counted
+//! on the simulated CPU: `<approach>.l1_accesses`, `.l1_misses`,
+//! `.branches` and `.branch_misses`.
 //! Every option that shapes the work is spelled out per id, never taken
 //! from `Default`, which reads `ROWSORT_THREADS` and `ROWSORT_OVC`: the
 //! counts are the same on every host and under any environment.
@@ -20,6 +23,7 @@
 //! clock on a shared host would have shown. Time is not read here; the
 //! benches stay for interleaved A/B by hand.
 
+use rowsort_bench::counters::{fig10_counts, table2_counts, table3_counts};
 use rowsort_bench::{long_string_chunk, u32_chunk, wide_key_chunk, LONGSTR_STEM, TIEDSTR_STEM};
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
 use rowsort_core::metrics::{Counter, SortProfile};
@@ -149,6 +153,27 @@ fn measure() -> Counts {
             drop(sorted.unwrap_or_else(|e| die(&format!("{id}: {e}"))));
             sorter.last_profile()
         });
+    }
+
+    let n = 1 << 12;
+    for (name, approaches) in [
+        ("table2", table2_counts(n)),
+        ("table3", table3_counts(n)),
+        ("fig10", fig10_counts(n)),
+    ] {
+        for (approach, c) in approaches {
+            for (counter, v) in [
+                ("l1_accesses", c.l1_accesses),
+                ("l1_misses", c.l1_misses),
+                ("branches", c.branches),
+                ("branch_misses", c.branch_misses),
+            ] {
+                out.insert(
+                    (format!("sim/{name}/{n}"), format!("{approach}.{counter}")),
+                    v,
+                );
+            }
+        }
     }
     out
 }

@@ -8,6 +8,7 @@
 //! sort).
 
 use crate::{fmt_ratio, time_median, ExperimentResult, Scale};
+use rowsort_algos::NoProbe;
 use rowsort_core::strategy::{
     columnar_subsort, columnar_tuple, normkey_radix, normkey_sort, row_subsort, row_tuple_dynamic,
     row_tuple_static, to_static_rows, Algo, ByteRows, NormRows,
@@ -27,7 +28,7 @@ fn time_columnar_tuple(cols: &[Vec<u32>], algo: Algo, reps: usize) -> Duration {
         reps,
         || (),
         |()| {
-            std::hint::black_box(columnar_tuple(cols, algo));
+            std::hint::black_box(columnar_tuple(cols, algo, &NoProbe));
         },
     )
 }
@@ -37,7 +38,7 @@ fn time_columnar_subsort(cols: &[Vec<u32>], algo: Algo, reps: usize) -> Duration
         reps,
         || (),
         |()| {
-            std::hint::black_box(columnar_subsort(cols, algo));
+            std::hint::black_box(columnar_subsort(cols, algo, &NoProbe));
         },
     )
 }
@@ -82,7 +83,7 @@ fn time_row_subsort(cols: &[Vec<u32>], algo: Algo, reps: usize) -> Duration {
         reps,
         || ByteRows::from_cols(cols),
         |mut rows| {
-            row_subsort(&mut rows, algo);
+            row_subsort(&mut rows, algo, &NoProbe);
             std::hint::black_box(rows.len());
         },
     )
@@ -93,7 +94,7 @@ fn time_normkey_sort(cols: &[Vec<u32>], algo: Algo, reps: usize) -> Duration {
         reps,
         || NormRows::from_cols(cols),
         |mut rows| {
-            normkey_sort(&mut rows, algo);
+            normkey_sort(&mut rows, algo, &NoProbe);
             std::hint::black_box(rows.len());
         },
     )
@@ -104,7 +105,7 @@ fn time_normkey_radix(cols: &[Vec<u32>], reps: usize) -> Duration {
         reps,
         || NormRows::from_cols(cols),
         |mut rows| {
-            normkey_radix(&mut rows);
+            normkey_radix(&mut rows, &NoProbe);
             std::hint::black_box(rows.len());
         },
     )

@@ -4,6 +4,7 @@ use crate::run::{varchar_stats, PrefixSampler};
 use rowsort_algos::pdqsort::pdqsort_rows;
 use rowsort_algos::radix::radix_sort_rows_with_scratch;
 use rowsort_algos::rows::RowsMut;
+use rowsort_algos::NoProbe;
 use rowsort_normkey::{
     encode_column_range_into, KeyColumn, NormKeyLayout, DEFAULT_MAX_PREFIX, MAX_PREFIX,
 };
@@ -284,7 +285,8 @@ impl KeyBlock {
         if kw == 0 {
             return KeySortAlgo::Noop; // no key columns: nothing to order by
         }
-        let passes = radix_sort_rows_with_scratch(&mut self.data, stride, 0, kw, scratch) as u64;
+        let passes =
+            radix_sort_rows_with_scratch(&mut self.data, stride, 0, kw, scratch, &NoProbe) as u64;
         self.last_sort.radix_passes = passes;
         if self.tie_possible() {
             self.sort_tied_ranges(resolve);
@@ -315,7 +317,7 @@ impl KeyBlock {
             }
             if hi - lo > 1 {
                 let range = &mut self.data[lo * stride..hi * stride];
-                pdqsort_rows(&mut RowsMut::new(range, stride), &mut is_less);
+                pdqsort_rows(&mut RowsMut::new(range, stride), &mut is_less, &NoProbe);
                 self.last_sort.tie_ranges += 1;
                 self.last_sort.tie_rows += (hi - lo) as u64;
             }

@@ -20,6 +20,7 @@ use crate::pipeline::{SortOptions, SortPipeline};
 use rowsort_algos::kway::LoserTree;
 use rowsort_algos::pdqsort::pdqsort;
 use rowsort_algos::radix::lsd_radix_sort_rows;
+use rowsort_algos::NoProbe;
 use rowsort_normkey::{encode_column_into, KeyColumn};
 use rowsort_row::{RowBlock, RowLayout};
 use rowsort_vector::{DataChunk, LogicalType, OrderBy, Validity, Vector, VectorData};
@@ -284,7 +285,7 @@ fn columnar_radix_run(input: &DataChunk, order: &OrderBy, lo: usize, hi: usize) 
         let rid = (lo + i) as u32;
         data[i * stride + kw..i * stride + kw + 4].copy_from_slice(&rid.to_le_bytes());
     }
-    lsd_radix_sort_rows(&mut data, stride, 0, kw);
+    lsd_radix_sort_rows(&mut data, stride, 0, kw, &NoProbe);
     (0..n)
         .map(|i| {
             u32::from_le_bytes(
@@ -342,7 +343,11 @@ fn columnar_single_sort(input: &DataChunk, order: &OrderBy) -> DataChunk {
             return;
         }
         let c = &cmps[depth];
-        introsort(idxs, &mut |a: &u32, b: &u32| c(*a, *b) == Ordering::Less);
+        introsort(
+            idxs,
+            &mut |a: &u32, b: &u32| c(*a, *b) == Ordering::Less,
+            &NoProbe,
+        );
         if depth + 1 >= cmps.len() {
             return;
         }

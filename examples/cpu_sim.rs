@@ -1,11 +1,22 @@
 //! Drive the CPU simulation directly: reproduce the paper's Table II/III
 //! counter comparison at a chosen size and watch *why* rows win.
 //!
+//! Each sort is the `core::strategy` entry the timed figures run, with a
+//! `SimCpu` as its probe.
+//!
 //! Run with `cargo run --release --example cpu_sim [log2_rows]`.
 
+use rowsort::core::strategy::{columnar_subsort, columnar_tuple, row_subsort, row_tuple_fused};
+use rowsort::core::strategy::{Algo, ByteRows};
 use rowsort::datagen::{key_columns, KeyDistribution};
-use rowsort::simcpu::trace::{ColumnarTrace, RowTrace};
-use rowsort::simcpu::SimCpu;
+use rowsort::simcpu::{CacheConfig, Counters, SimCpu};
+
+/// What `sort` counts on a simulated CPU with cache geometry `config`.
+fn count(config: CacheConfig, sort: impl FnOnce(&SimCpu)) -> Counters {
+    let cpu = SimCpu::with_cache(config);
+    sort(&cpu);
+    cpu.counters()
+}
 
 fn main() {
     let pow: u32 = std::env::args()
@@ -19,8 +30,11 @@ fn main() {
          (L1-D: 32 KiB, 64 B lines, 8-way LRU; gshare branch predictor)\n"
     );
     let cols = key_columns(KeyDistribution::Correlated(0.5), n, ncols, 7);
+    let rows = ByteRows::from_cols(&cols);
+    let col_tuple = |cpu: &SimCpu| drop(columnar_tuple(&cols, Algo::Introsort, cpu));
+    let row_tuple = |cpu: &SimCpu| row_tuple_fused(&mut rows.clone(), Algo::Introsort, cpu);
 
-    let report = |label: &str, counters: rowsort::simcpu::Counters| {
+    let report = |label: &str, counters: Counters| {
         println!(
             "{label:<28} l1 accesses {:>12}  l1 misses {:>10}  branches {:>11}  br misses {:>9}",
             counters.l1_accesses, counters.l1_misses, counters.branches, counters.branch_misses
@@ -28,53 +42,38 @@ fn main() {
     };
 
     // Columnar: the comparator does random access into every column.
-    let mut cpu = SimCpu::new();
-    let mut t = ColumnarTrace::new(&mut cpu, cols.clone());
-    t.sort_tuple_at_a_time(&mut cpu);
-    assert!(t.is_sorted());
-    let col_tuple = cpu.counters();
-    report("columnar tuple-at-a-time", col_tuple);
-
-    let mut cpu = SimCpu::new();
-    let mut t = ColumnarTrace::new(&mut cpu, cols.clone());
-    t.sort_subsort(&mut cpu);
-    assert!(t.is_sorted());
-    report("columnar subsort", cpu.counters());
+    let col = count(CacheConfig::L1D, col_tuple);
+    report("columnar tuple-at-a-time", col);
+    report(
+        "columnar subsort",
+        count(CacheConfig::L1D, |cpu| {
+            drop(columnar_subsort(&cols, Algo::Introsort, cpu))
+        }),
+    );
 
     // Rows: values of one tuple share a cache line; rows move physically.
-    let mut cpu = SimCpu::new();
-    let mut t = RowTrace::new(&mut cpu, &cols);
-    t.sort_tuple_at_a_time(&mut cpu);
-    assert!(t.is_sorted());
-    let row_tuple = cpu.counters();
-    report("row tuple-at-a-time", row_tuple);
-
-    let mut cpu = SimCpu::new();
-    let mut t = RowTrace::new(&mut cpu, &cols);
-    t.sort_subsort(&mut cpu);
-    assert!(t.is_sorted());
-    report("row subsort", cpu.counters());
+    let row = count(CacheConfig::L1D, row_tuple);
+    report("row tuple-at-a-time", row);
+    report(
+        "row subsort",
+        count(CacheConfig::L1D, |cpu| {
+            row_subsort(&mut rows.clone(), Algo::Introsort, cpu)
+        }),
+    );
 
     println!(
         "\nthe paper's Table II vs III claim, reproduced: the row format takes {:.1}x \
          fewer L1 misses than columnar for the same comparisons ({} vs {}).",
-        col_tuple.l1_misses as f64 / row_tuple.l1_misses.max(1) as f64,
-        row_tuple.l1_misses,
-        col_tuple.l1_misses,
+        col.l1_misses as f64 / row.l1_misses.max(1) as f64,
+        row.l1_misses,
+        col.l1_misses,
     );
 
     // With a streaming prefetcher modeled, sequential row access gets even
     // cheaper while the columnar comparator's random access stays cold —
     // the gap widens.
-    use rowsort::simcpu::CacheConfig;
-    let mut cpu = rowsort::simcpu::SimCpu::with_cache(CacheConfig::L1D_PREFETCH);
-    let mut t = ColumnarTrace::new(&mut cpu, cols.clone());
-    t.sort_tuple_at_a_time(&mut cpu);
-    let col_pf = cpu.counters();
-    let mut cpu = rowsort::simcpu::SimCpu::with_cache(CacheConfig::L1D_PREFETCH);
-    let mut t = RowTrace::new(&mut cpu, &cols);
-    t.sort_tuple_at_a_time(&mut cpu);
-    let row_pf = cpu.counters();
+    let col_pf = count(CacheConfig::L1D_PREFETCH, col_tuple);
+    let row_pf = count(CacheConfig::L1D_PREFETCH, row_tuple);
     println!(
         "with a next-line prefetcher: {:.1}x ({} vs {}) — hardware prefetching \
          amplifies the row format's sequential-access advantage.",

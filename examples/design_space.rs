@@ -4,6 +4,7 @@
 //!
 //! Run with `cargo run --release --example design_space`.
 
+use rowsort::algos::NoProbe;
 use rowsort::core::strategy::{
     columnar_subsort, columnar_tuple, normkey_radix, normkey_sort, row_subsort, row_tuple_dynamic,
     row_tuple_static, to_static_rows, Algo, ByteRows, NormRows,
@@ -33,10 +34,10 @@ fn main() {
 
     println!("-- DSM (columnar): sort an index array --");
     let t_col_tuple = time("columnar tuple-at-a-time (introsort)", || {
-        std::hint::black_box(columnar_tuple(&cols, Algo::Introsort));
+        std::hint::black_box(columnar_tuple(&cols, Algo::Introsort, &NoProbe));
     });
     let t_col_sub = time("columnar subsort (introsort)", || {
-        std::hint::black_box(columnar_subsort(&cols, Algo::Introsort));
+        std::hint::black_box(columnar_subsort(&cols, Algo::Introsort, &NoProbe));
     });
 
     println!("\n-- NSM (rows): physically move tuples --");
@@ -52,19 +53,19 @@ fn main() {
     });
     let t_row_sub = time("row subsort", || {
         let mut rows = ByteRows::from_cols(&cols);
-        row_subsort(&mut rows, Algo::Introsort);
+        row_subsort(&mut rows, Algo::Introsort, &NoProbe);
         std::hint::black_box(rows.len());
     });
 
     println!("\n-- §VI: normalized keys (the interpreted engine's cure) --");
     let t_nk_pdq = time("normalized keys + pdqsort(memcmp)", || {
         let mut rows = NormRows::from_cols(&cols);
-        normkey_sort(&mut rows, Algo::Pdq);
+        normkey_sort(&mut rows, Algo::Pdq, &NoProbe);
         std::hint::black_box(rows.len());
     });
     let t_nk_radix = time("normalized keys + radix sort", || {
         let mut rows = NormRows::from_cols(&cols);
-        normkey_radix(&mut rows);
+        normkey_radix(&mut rows, &NoProbe);
         std::hint::black_box(rows.len());
     });
 

@@ -126,8 +126,9 @@ cargo test -q -p rowsort-core --offline --test peak_heap
 # --- 6. Bench counter gate ---------------------------------------------------
 # The inputs of the pipeline and spill_merge benches, sorted once each on
 # a warm sorter with every option pinned, and every deterministic counter
-# of that sort (plus, on one thread, its system allocations) compared
-# with the checked-in BENCH_counters.json for exact equality. No clock is
+# of that sort (plus, on one thread, its system allocations), and the
+# simulated-CPU counts of Tables II/III and Figure 10 (the `sim/` ids),
+# compared with the checked-in BENCH_counters.json for exact equality. No clock is
 # read: a difference means the change altered how much work an algorithm
 # does. If that was the point, say so and re-record with
 # `bench_gate --write`; if not, it is a regression. The printed table is

@@ -132,22 +132,6 @@ fn model_predicts_run_generation_dominance() {
 }
 
 #[test]
-fn simcpu_reproduces_headline_counter_claim() {
-    use rowsort::datagen::key_columns;
-    use rowsort::simcpu::trace::{ColumnarTrace, RowTrace};
-    use rowsort::simcpu::SimCpu;
-    let cols = key_columns(KeyDistribution::Correlated(0.5), 1 << 14, 4, 5);
-    let mut cpu_c = SimCpu::new();
-    let mut c = ColumnarTrace::new(&mut cpu_c, cols.clone());
-    c.sort_tuple_at_a_time(&mut cpu_c);
-    let mut cpu_r = SimCpu::new();
-    let mut r = RowTrace::new(&mut cpu_r, &cols);
-    r.sort_tuple_at_a_time(&mut cpu_r);
-    assert!(c.is_sorted() && r.is_sorted());
-    assert!(cpu_c.counters().l1_misses > 2 * cpu_r.counters().l1_misses);
-}
-
-#[test]
 fn dsm_nsm_round_trip_through_facade() {
     use rowsort::row::{scatter, RowLayout};
     use std::sync::Arc;
