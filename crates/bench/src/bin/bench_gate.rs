@@ -9,9 +9,12 @@
 //! `u32_tdef` takes the host's thread count and stays a bench only — once
 //! each on a sorter warmed by two sorts, and compares the measured sort's
 //! counters — and the key it planned — with the checked-in
-//! `BENCH_counters.json` for exact equality. The `sim/` ids run Tables
-//! II/III and Figure 10 at 2^12 rows and pin what each approach counted
-//! on the simulated CPU: `<approach>.l1_accesses`, `.l1_misses`,
+//! `BENCH_counters.json` for exact equality. The `engine/` id runs one
+//! `ORDER BY` three times on one `Engine` at one thread and pins the third
+//! query's sort: it starts on the engine's warm buffer pool, so its
+//! `allocs` are the query's own state and its output. The `sim/` ids run
+//! Tables II/III and Figure 10 at 2^12 rows and pin what each approach
+//! counted on the simulated CPU: `<approach>.l1_accesses`, `.l1_misses`,
 //! `.branches` and `.branch_misses`.
 //! Every option that shapes the work is spelled out per id, never taken
 //! from `Default`, which reads `ROWSORT_THREADS` and `ROWSORT_OVC`: the
@@ -28,6 +31,8 @@ use rowsort_bench::{long_string_chunk, u32_chunk, wide_key_chunk, LONGSTR_STEM, 
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
 use rowsort_core::metrics::{Counter, SortProfile};
 use rowsort_core::pipeline::{SortOptions, SortPipeline};
+use rowsort_datagen::tpcds;
+use rowsort_engine::{Engine, Table};
 use rowsort_testkit::alloc::{allocation_count, CountingAllocator};
 use rowsort_testkit::json::Json;
 use rowsort_vector::OrderBy;
@@ -154,6 +159,28 @@ fn measure() -> Counts {
             sorter.last_profile()
         });
     }
+
+    // The engine's warm pool, the way `strings_mem` queries it: each query
+    // builds a new sorter on the engine's set.
+    let n = 8192;
+    let customer = tpcds::customer(n, 0xE61);
+    let mut engine = Engine::new();
+    engine.options_mut().threads = 1;
+    let names = customer
+        .columns
+        .iter()
+        .map(|(name, _)| name.clone())
+        .collect();
+    engine.register_table(Table::new(customer.name, names, customer.data));
+    let id = format!("engine/strings_t1/{n}");
+    let sql = "SELECT * FROM customer ORDER BY c_last_name, c_first_name, c_birth_year";
+    record(&mut out, &id, true, || {
+        let (_, stats) = engine
+            .query_profiled(sql)
+            .unwrap_or_else(|e| die(&format!("{id}: {e}")));
+        let sort = stats.into_iter().find_map(|node| node.sort);
+        sort.unwrap_or_else(|| die(&format!("{id}: no Sort node profile")))
+    });
 
     let n = 1 << 12;
     for (name, approaches) in [

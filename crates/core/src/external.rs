@@ -36,10 +36,12 @@ use crate::keys::word;
 use crate::merge::{cmp_keys, MergeOrder, RunSource};
 use crate::metrics::{Counter, CounterRegistry, Metrics, Phase, SortProfile};
 use crate::ovc;
-use crate::pool::BufferPool;
+use crate::pool::{BufferPool, SortPool};
+use crate::resources::SortResources;
 use crate::run::{KeyPlan, SortedRun};
 use crate::sorter::{lower_bound, MergePlan, SorterCore, StoredRun};
 use crate::spill::{SpillError, SpillIo, SpillOp, StdFs};
+use crate::workers::WorkerPool;
 use rowsort_testkit::hash::XxHash64;
 use rowsort_vector::{DataChunk, LogicalType, OrderBy};
 use std::cmp::Ordering;
@@ -370,7 +372,7 @@ impl StoredRun for Run {
             run: self,
             core,
             buf: if remaining > 0 {
-                core.pool.get_bytes(BLOCK_BYTES)
+                core.pool().get_bytes(BLOCK_BYTES)
             } else {
                 Vec::new()
             },
@@ -657,7 +659,7 @@ impl Drop for RunCursor<'_> {
         let metrics = &self.core.metrics;
         metrics.add(Counter::SpillRecordsDecoded, self.decoded);
         metrics.add(Counter::SpillReadBytes, self.fetched);
-        self.core.pool.put_bytes(std::mem::take(&mut self.buf));
+        self.core.pool().put_bytes(std::mem::take(&mut self.buf));
     }
 }
 
@@ -681,9 +683,38 @@ impl ExternalSorter {
         options: ExternalSortOptions,
         io: Arc<dyn SpillIo>,
     ) -> ExternalSorter {
-        let (threads, run_rows) = (options.merge_threads, options.memory_limit_rows);
+        let crew = WorkerPool::new(options.merge_threads.max(1));
+        ExternalSorter::on_crew(types, order, options, io, Arc::new(crew))
+    }
+
+    /// As [`ExternalSorter::with_spill_io`], on the crew of `set`, whose
+    /// thread count replaces `options.merge_threads`. The buffers stay the
+    /// sorter's own: what a spilling sort pools is not yet counted against
+    /// any budget, so it must end with the sorter (DESIGN.md §6).
+    pub fn with_resources(
+        types: Vec<LogicalType>,
+        order: OrderBy,
+        options: ExternalSortOptions,
+        io: Arc<dyn SpillIo>,
+        set: &SortResources,
+    ) -> ExternalSorter {
+        ExternalSorter::on_crew(types, order, options, io, Arc::clone(&set.crew))
+    }
+
+    fn on_crew(
+        types: Vec<LogicalType>,
+        order: OrderBy,
+        options: ExternalSortOptions,
+        io: Arc<dyn SpillIo>,
+        crew: Arc<WorkerPool>,
+    ) -> ExternalSorter {
+        let own = SortResources {
+            pool: Arc::new(BufferPool::new()),
+            crew,
+        };
+        let run_rows = options.memory_limit_rows;
         ExternalSorter {
-            core: SorterCore::new(types, order, threads, run_rows, options.ovc),
+            core: SorterCore::new(types, order, run_rows, options.ovc, own),
             options,
             io,
         }
@@ -747,16 +778,16 @@ impl ExternalSorter {
     /// out (`degraded`), the same runs stay in memory, encoded as they
     /// would have been on disk.
     fn spill(&self, input: &DataChunk, plan: KeyPlan) -> Result<Vec<Run>, SpillError> {
-        let phase_pool = BufferPool::with_metrics(Arc::clone(&self.core.metrics));
+        let phase_pool = BufferPool::new();
+        let pool = SortPool {
+            pool: &phase_pool,
+            metrics: &self.core.metrics,
+        };
         let degraded = AtomicBool::new(false);
         let mut runs = Vec::new();
         let slots = &mut Vec::new();
-        self.core.generate(
-            input,
-            &plan,
-            &phase_pool,
-            (slots, &mut runs),
-            |run, claimed| {
+        self.core
+            .generate(input, &plan, pool, (slots, &mut runs), |run, claimed| {
                 let metrics = &self.core.metrics;
                 metrics.add(
                     Counter::SpillGenerateNs,
@@ -765,10 +796,9 @@ impl ExternalSorter {
                 let generated = Instant::now();
                 let spilled = self.spill_run(&run, &degraded);
                 metrics.add(Counter::SpillWriteNs, generated.elapsed().as_nanos() as u64);
-                run.recycle(&phase_pool);
+                run.recycle(pool);
                 spilled
-            },
-        )?;
+            })?;
         Ok(runs)
     }
 
@@ -783,7 +813,7 @@ impl ExternalSorter {
     /// the keys were hot from the run sort, so the spill merge starts
     /// with codes instead of deriving them.
     fn encode_run(&self, run: &SortedRun, out: &mut dyn Write) -> io::Result<RunIndex> {
-        let (layout, pool) = (&self.core.layout, &self.core.pool);
+        let (layout, pool) = (&self.core.layout, self.core.pool());
         let mut buf = pool.get_bytes(BLOCK_BYTES);
         let width = layout.width();
         let kw = run.key_width;
@@ -1079,7 +1109,7 @@ mod tests {
     /// All of `chunk` as one sorted run, straight from the run generator.
     fn whole_run(sorter: &ExternalSorter, chunk: &DataChunk) -> SortedRun {
         let (core, plan) = (&sorter.core, plan(sorter, chunk));
-        core.make_run(&core.pool, &plan, chunk, (0, chunk.len()), true)
+        core.make_run(core.pool(), &plan, chunk, (0, chunk.len()), true)
     }
 
     /// `run` encoded into memory, as the ENOSPC rung of the ladder leaves
@@ -1678,7 +1708,7 @@ mod tests {
                 m.counter(Counter::SpillWriteNs) > 0,
                 "encode + write clocked"
             );
-            let spawned = sorter.core.workers.get().is_some();
+            let spawned = sorter.core.set.crew.spawned();
             (spawned, m.counter(Counter::Broadcasts))
         };
         assert_eq!(sort_with(4_000, 4), (false, 0), "one run, four threads");
@@ -1864,7 +1894,7 @@ mod tests {
         let core = &sorter.core;
         let mut builder = ChunkBuilder::new(&core.types, rows);
         let piece = builder.pieces(&core.layout, [rows], |_| 0).pop().unwrap();
-        let mut sink = VectorSink::new(piece, &core.pool);
+        let mut sink = VectorSink::new(piece, core.pool());
         let mut tree = OvcLoserTree::empty();
         let stats = if core.coded(order.kw) {
             merge_kway::<true, _, _>(order, &mut tree, sources, rows, &mut sink)
@@ -1876,7 +1906,7 @@ mod tests {
             sources.iter().all(|s| s.exhausted()),
             "a source was left open"
         );
-        let tail = sink.finish(&core.pool);
+        let tail = sink.finish(core.pool());
         (builder.finish(vec![tail]), stats)
     }
 
@@ -1938,7 +1968,7 @@ mod tests {
                     let core = &sorter.core;
                     let sorted: Vec<SortedRun> = bounds
                         .windows(2)
-                        .map(|w| core.make_run(&core.pool, &plan, chunk, (w[0], w[1]), true))
+                        .map(|w| core.make_run(core.pool(), &plan, chunk, (w[0], w[1]), true))
                         .collect();
                     let encoded: Vec<Run> =
                         sorted.iter().map(|run| memory_run(&sorter, run)).collect();
@@ -2663,7 +2693,7 @@ mod tests {
                 .collect();
             runs[r] = place(&fix.runs[r], bytes.to_vec(), fs);
             let order = sorter.core.merge_order(&plan(sorter, chunk));
-            let threads = sorter.core.threads;
+            let threads = sorter.core.set.threads();
             accept(sorter.merge_runs(&runs, &order, chunk))
                 .map_err(|e| format!("threads={threads}: {e}"))?;
         }

@@ -42,7 +42,9 @@
 //!   per-sort profiles behind `EXPLAIN ANALYZE` and `ROWSORT_TRACE`
 //!   (DESIGN.md §7),
 //! * [`workers`] — the persistent worker pool that runs every parallel
-//!   phase without per-phase thread spawns.
+//!   phase without per-phase thread spawns,
+//! * [`resources`] — a buffer pool and a worker crew that many sorters
+//!   share: an engine's one set for all its queries (DESIGN.md §6).
 
 pub mod comparator;
 pub mod external;
@@ -53,6 +55,7 @@ pub mod model;
 pub mod ovc;
 pub mod pipeline;
 pub mod pool;
+pub mod resources;
 mod run;
 mod sorter;
 pub mod spill;
@@ -67,6 +70,7 @@ pub use keys::{KeyBlock, KeySortAlgo, KeySortStats, VarcharStat, PREFIX_CAP};
 pub use metrics::{Counter, CounterRegistry, Metrics, Phase, SortProfile};
 pub use pipeline::{default_ovc, default_threads, SortOptions, SortPipeline, SortedRows};
 pub use pool::BufferPool;
+pub use resources::SortResources;
 pub use spill::{SpillError, SpillIo, SpillOp, StdFs};
 pub use systems::{sort_with_system, sort_with_system_profiled, SystemProfile};
 pub use workers::WorkerPool;

@@ -12,7 +12,7 @@ use crate::comparator::FusedRowComparator;
 use crate::keys::word;
 use crate::metrics::{Counter, CounterRegistry};
 use crate::ovc;
-use crate::pool::BufferPool;
+use crate::pool::SortPool;
 use crate::run::SortedRun;
 use crate::spill::SpillError;
 use rowsort_algos::kway::{OvcLoserTree, OvcMatch};
@@ -247,7 +247,7 @@ pub(crate) struct VectorSink<'a> {
 }
 
 impl<'a> VectorSink<'a> {
-    pub(crate) fn new(piece: ChunkPiece<'a>, pool: &BufferPool) -> VectorSink<'a> {
+    pub(crate) fn new(piece: ChunkPiece<'a>, pool: SortPool<'_>) -> VectorSink<'a> {
         let batch = BATCH_ROWS * piece.row_width();
         let mut staged = pool.get_bytes(batch);
         staged.resize(batch, 0);
@@ -260,7 +260,7 @@ impl<'a> VectorSink<'a> {
 
     /// Gather the last, partial batch and close the piece (its strings
     /// are checked as UTF-8 here, on the merging thread).
-    pub(crate) fn finish(mut self, pool: &BufferPool) -> PieceTail {
+    pub(crate) fn finish(mut self, pool: SortPool<'_>) -> PieceTail {
         self.piece.gather(&self.staged[..self.filled]);
         pool.put_bytes(self.staged);
         self.piece.finish()

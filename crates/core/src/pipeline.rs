@@ -11,6 +11,7 @@
 
 use crate::merge::{ConcatSink, MergeOrder};
 use crate::metrics::{Counter, Metrics, Phase, SortProfile};
+use crate::resources::SortResources;
 use crate::run::{KeyPlan, SortedRun};
 use crate::sorter::{MergePlan, RunSlot, SorterCore};
 use crate::spill::SpillError;
@@ -43,6 +44,9 @@ pub fn default_ovc() -> bool {
     rowsort_testkit::env::env_flag("ROWSORT_OVC", true)
 }
 
+/// Rows per run when [`SortOptions`] does not pin it.
+pub(crate) const DEFAULT_RUN_ROWS: usize = 1 << 17;
+
 /// Tuning knobs for the pipeline.
 #[derive(Debug, Clone, Copy)]
 pub struct SortOptions {
@@ -62,7 +66,7 @@ impl Default for SortOptions {
     fn default() -> Self {
         SortOptions {
             threads: default_threads(),
-            run_rows: 1 << 17,
+            run_rows: DEFAULT_RUN_ROWS,
             ovc: default_ovc(),
         }
     }
@@ -120,16 +124,26 @@ pub struct SortPipeline {
 }
 
 impl SortPipeline {
-    /// Plan a sort of a relation with columns `types` by `order`.
-    /// `threads == 0` or `run_rows == 0` are clamped to 1.
+    /// Plan a sort of a relation with columns `types` by `order`, on a
+    /// buffer pool and a worker crew of its own. `threads == 0` or
+    /// `run_rows == 0` are clamped to 1.
     pub fn new(types: Vec<LogicalType>, order: OrderBy, options: SortOptions) -> SortPipeline {
-        let SortOptions {
-            threads,
-            run_rows,
-            ovc,
-        } = options;
+        let set = SortResources::new(options.threads);
+        SortPipeline::with_resources(types, order, options, &set)
+    }
+
+    /// As [`SortPipeline::new`], drawing buffers from `set`'s pool and
+    /// running phases on `set`'s crew, whose thread count replaces
+    /// `options.threads` (DESIGN.md §6).
+    pub fn with_resources(
+        types: Vec<LogicalType>,
+        order: OrderBy,
+        options: SortOptions,
+        set: &SortResources,
+    ) -> SortPipeline {
+        let SortOptions { run_rows, ovc, .. } = options;
         SortPipeline {
-            core: SorterCore::new(types, order, threads, run_rows, ovc),
+            core: SorterCore::new(types, order, run_rows, ovc, set.clone()),
             scratch: Mutex::new(Scratch::default()),
         }
     }
@@ -183,7 +197,7 @@ impl SortPipeline {
         {
             let _gen = self.core.metrics.time_phase(Phase::RunGeneration);
             let runs = (&mut scratch.slots, &mut scratch.runs);
-            let pool = &self.core.pool;
+            let pool = self.core.pool();
             resident(
                 self.core
                     .generate(input, &scratch.plan, pool, runs, |run, _| Ok(run)),
@@ -201,7 +215,7 @@ impl SortPipeline {
             );
         }
         for run in scratch.runs.drain(..) {
-            run.recycle(&self.core.pool);
+            run.recycle(self.core.pool());
         }
         self.core
             .publish(start, input.len(), ("pipeline", sink), order.kw);
@@ -225,7 +239,7 @@ impl SortPipeline {
             ..
         } = scratch;
         self.core.plan_ranges(order.kw, runs, merge)?;
-        let (pool, layout) = (&self.core.pool, &self.core.layout);
+        let (pool, layout) = (self.core.pool(), &self.core.layout);
         let width = layout.width();
         let total: usize = runs.iter().map(|r| r.len()).sum();
         // Rows from run `w` get their heap offsets shifted by that run's
@@ -235,6 +249,7 @@ impl SortPipeline {
         heap_base(heap_bytes);
         let mut heap = pool.get_bytes(heap_bytes);
         heap_bases.clear();
+        heap_bases.reserve(runs.len());
         for run in runs.iter() {
             heap_bases.push(heap_base(heap.len()));
             heap.extend_from_slice(run.payload.heap());
@@ -270,9 +285,12 @@ impl SortPipeline {
     }
 
     /// Buffer-pool `(hits, misses)` counters — a steady-state sort serves
-    /// every buffer from the pool (hits grow, misses do not).
+    /// every buffer from the pool (hits grow, misses do not). A shared
+    /// pool counts every sorter's requests; a sort's own are in its
+    /// profile.
     pub fn pool_stats(&self) -> (usize, usize) {
-        (self.core.pool.hits(), self.core.pool.misses())
+        let pool = &self.core.set.pool;
+        (pool.hits(), pool.misses())
     }
 
     /// The profile of the most recent completed sort (zeroed before the
@@ -332,7 +350,7 @@ impl SortedRows<'_> {
 impl Drop for SortedRows<'_> {
     fn drop(&mut self) {
         if let Some(run) = self.run.take() {
-            run.recycle(&self.pipeline.core.pool);
+            run.recycle(self.pipeline.core.pool());
         }
     }
 }
@@ -479,6 +497,75 @@ mod tests {
         );
         assert!(hits > 0, "steady-state sort never hit the pool");
         assert_sorted_equal(&second, &chunk, &order);
+    }
+
+    #[test]
+    fn sorters_sharing_a_set_count_their_own_traffic() {
+        use crate::metrics::Counter;
+        let ints = DataChunk::from_columns(vec![
+            Vector::from_u32s(pseudo_random(6_000, 61, 1 << 20)),
+            Vector::from_u32s((0..6_000).collect()),
+        ])
+        .unwrap();
+        let names: Vec<String> = pseudo_random(4_000, 62, 900)
+            .iter()
+            .map(|k| format!("name_{k:04}"))
+            .collect();
+        let strings = DataChunk::from_columns(vec![Vector::from_strings(&names)]).unwrap();
+        let inputs = [&ints, &strings];
+        let options = |threads| SortOptions {
+            threads,
+            run_rows: 700,
+            ovc: true,
+        };
+        let on = |set: &SortResources, chunk: &DataChunk| {
+            let order = OrderBy::ascending(1);
+            SortPipeline::with_resources(chunk.types(), order, options(set.threads()), set)
+        };
+        let counts = |p: &SortPipeline| {
+            let m = p.last_profile().metrics;
+            let c = |c| m.counter(c);
+            [c(Counter::Broadcasts), c(Counter::PoolMisses)]
+        };
+
+        // Two threads: each sort's broadcasts are its own, as on a set of
+        // its own.
+        let alone = inputs.map(|chunk| {
+            let p = SortPipeline::new(chunk.types(), OrderBy::ascending(1), options(2));
+            p.sort(chunk);
+            counts(&p)[0]
+        });
+        assert!(alone.iter().all(|&b| b > 0), "{alone:?}");
+        let set = SortResources::new(2);
+        let shared = inputs.map(|chunk| on(&set, chunk));
+        for _ in 0..2 {
+            for (i, (p, chunk)) in shared.iter().zip(inputs).enumerate() {
+                assert_eq!(p.sort(chunk).to_rows().len(), chunk.len());
+                assert_eq!(counts(p)[0], alone[i], "input {i}");
+            }
+        }
+
+        // One thread, so buffers return in one order: each sorter's first
+        // sort misses, its second of the shape takes every buffer from the
+        // pool — the other sorter's traffic in between counts elsewhere.
+        let set = SortResources::new(1);
+        let shared = inputs.map(|chunk| on(&set, chunk));
+        for round in 0..2 {
+            for (i, (p, chunk)) in shared.iter().zip(inputs).enumerate() {
+                p.sort(chunk);
+                let misses = counts(p)[1];
+                assert_eq!(
+                    misses == 0,
+                    round == 1,
+                    "input {i}, round {round}: {misses}"
+                );
+            }
+        }
+        let (hits, misses) = shared[0].pool_stats();
+        assert_eq!(shared[1].pool_stats(), (hits, misses), "one pool");
+        let profiles = shared.iter().map(|p| p.metrics());
+        let counted: u64 = profiles.map(|m| m.counter(Counter::PoolMisses)).sum();
+        assert_eq!(counted, misses as u64, "every miss counted once");
     }
 
     #[test]

@@ -17,9 +17,15 @@
 //! request routed to its class. Free lists are preallocated to a fixed
 //! slot count, so the pool itself allocates nothing in steady state; a
 //! `put` into a full class simply drops the buffer.
+//!
+//! A pool outlives its sorts: an engine keeps one for every in-memory sort
+//! it runs, a sorter built alone keeps its own ([`SortResources`], DESIGN.md
+//! §6). Each sort counts its own hits and misses (`SortPool`).
+//!
+//! [`SortResources`]: crate::resources::SortResources
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use crate::metrics::{Counter, CounterRegistry};
 
@@ -53,7 +59,6 @@ pub struct BufferPool {
     classes: Vec<Mutex<Vec<Vec<u8>>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
-    metrics: Option<Arc<CounterRegistry>>,
 }
 
 impl BufferPool {
@@ -69,22 +74,6 @@ impl BufferPool {
             classes,
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
-            metrics: None,
-        }
-    }
-
-    /// A pool that mirrors hit/miss traffic into `metrics`
-    /// ([`Counter::PoolHits`] / [`Counter::PoolMisses`]), so per-sort
-    /// profiles can attribute pool behaviour.
-    pub fn with_metrics(metrics: Arc<CounterRegistry>) -> BufferPool {
-        let mut pool = BufferPool::new();
-        pool.metrics = Some(metrics);
-        pool
-    }
-
-    fn record(&self, counter: Counter) {
-        if let Some(metrics) = &self.metrics {
-            metrics.add(counter, 1);
         }
     }
 
@@ -107,24 +96,28 @@ impl BufferPool {
     /// An empty `Vec<u8>` with capacity ≥ `min_capacity`, recycled when the
     /// matching class has one, freshly allocated otherwise.
     pub fn get_bytes(&self, min_capacity: usize) -> Vec<u8> {
+        self.take(min_capacity).0
+    }
+
+    /// [`BufferPool::get_bytes`], saying whether the buffer was a hit or a
+    /// miss.
+    fn take(&self, min_capacity: usize) -> (Vec<u8>, Counter) {
         let Some(class) = Self::class_for_request(min_capacity) else {
             // Beyond the largest class (> 16 GiB): plain allocation.
             self.misses.fetch_add(1, Ordering::Relaxed);
-            self.record(Counter::PoolMisses);
-            return Vec::with_capacity(min_capacity);
+            return (Vec::with_capacity(min_capacity), Counter::PoolMisses);
         };
         let mut list = self.classes[class]
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         if let Some(buf) = list.pop() {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            self.record(Counter::PoolHits);
-            buf
+            (buf, Counter::PoolHits)
         } else {
             drop(list);
             self.misses.fetch_add(1, Ordering::Relaxed);
-            self.record(Counter::PoolMisses);
-            Vec::with_capacity(1usize << (class + MIN_SHIFT))
+            let buf = Vec::with_capacity(1usize << (class + MIN_SHIFT));
+            (buf, Counter::PoolMisses)
         }
     }
 
@@ -158,6 +151,28 @@ impl BufferPool {
 impl Default for BufferPool {
     fn default() -> Self {
         BufferPool::new()
+    }
+}
+
+/// A pool as one sort draws on it: the free lists, which other sorts may
+/// share, and the registry of the sort that asks, which its hits and misses
+/// count into ([`Counter::PoolHits`] / [`Counter::PoolMisses`]). So a sort's
+/// profile counts its own traffic whoever else uses the pool.
+#[derive(Clone, Copy)]
+pub(crate) struct SortPool<'a> {
+    pub(crate) pool: &'a BufferPool,
+    pub(crate) metrics: &'a CounterRegistry,
+}
+
+impl SortPool<'_> {
+    pub(crate) fn get_bytes(self, min_capacity: usize) -> Vec<u8> {
+        let (buf, counter) = self.pool.take(min_capacity);
+        self.metrics.add(counter, 1);
+        buf
+    }
+
+    pub(crate) fn put_bytes(self, buf: Vec<u8>) {
+        self.pool.put_bytes(buf);
     }
 }
 

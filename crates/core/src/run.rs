@@ -1,13 +1,14 @@
 //! Run generation — the first half of Figure 11: vectors → payload rows +
 //! normalized keys → thread-local radix sort, comparator inside key-equal
 //! ranges → one [`SortedRun`] with every buffer taken from a
-//! [`BufferPool`] ([`SorterCore::make_run`]). The plan a sort makes before
-//! its first run is here too: [`KeyPlan`], whose [`varchar_stats`] size
-//! each VARCHAR key prefix from the strings themselves.
+//! [`BufferPool`](crate::pool::BufferPool) ([`SorterCore::make_run`]).
+//! The plan a sort makes before its first run is here too: [`KeyPlan`],
+//! whose [`varchar_stats`] size each VARCHAR key prefix from the strings
+//! themselves.
 
 use crate::keys::{word, KeyBlock, KeySortAlgo, VarcharStat, PREFIX_CAP};
 use crate::metrics::Counter;
-use crate::pool::BufferPool;
+use crate::pool::SortPool;
 use crate::sorter::SorterCore;
 use rowsort_normkey::DEFAULT_MAX_PREFIX;
 use rowsort_row::RowBlock;
@@ -36,7 +37,7 @@ impl SortedRun {
     }
 
     /// Return the run's buffers to `pool`.
-    pub(crate) fn recycle(self, pool: &BufferPool) {
+    pub(crate) fn recycle(self, pool: SortPool<'_>) {
         pool.put_bytes(self.keys);
         if self.ovc.capacity() > 0 {
             pool.put_bytes(self.ovc);
@@ -275,7 +276,7 @@ impl SorterCore {
     /// on and the key is not zero-width.
     pub(crate) fn make_run(
         &self,
-        pool: &BufferPool,
+        pool: SortPool<'_>,
         plan: &KeyPlan,
         input: &DataChunk,
         (lo, hi): (usize, usize),

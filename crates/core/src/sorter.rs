@@ -25,17 +25,17 @@ use crate::merge::{
     VectorSink,
 };
 use crate::metrics::{emit_trace, Counter, CounterRegistry, Metrics, Phase, SortProfile};
-use crate::pool::BufferPool;
+use crate::pool::SortPool;
+use crate::resources::SortResources;
 use crate::run::{KeyPlan, SortedRun};
 use crate::spill::{SpillError, SpillOp};
-use crate::workers::WorkerPool;
 use rowsort_algos::kway::OvcLoserTree;
 use rowsort_row::{ChunkBuilder, PieceTail, RowLayout};
 use rowsort_vector::{DataChunk, LogicalType, OrderBy};
 use std::cmp::Ordering;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// A finished run, wherever it lives: what the planner and the merge
@@ -166,7 +166,7 @@ impl<R: StoredRun> MergePlan<R> {
 }
 
 /// What both sorters are made of: the plan of a sort, its options, the
-/// buffer pool, the worker pool and the metrics.
+/// buffer pool and the worker crew it borrows, and the metrics.
 pub(crate) struct SorterCore {
     pub(crate) types: Vec<LogicalType>,
     pub(crate) order: OrderBy,
@@ -175,13 +175,13 @@ pub(crate) struct SorterCore {
     pub(crate) tie_cmp: FusedRowComparator,
     /// Columns whose row slots reference the heap.
     pub(crate) varlen_cols: Vec<usize>,
-    /// Workers of every phase, and rows per run: both at least 1.
-    pub(crate) threads: usize,
+    /// Rows per run, at least 1.
     run_rows: usize,
     ovc: bool,
-    pub(crate) pool: BufferPool,
-    /// Spawned by the first phase with two workers' worth of work.
-    pub(crate) workers: OnceLock<WorkerPool>,
+    /// The buffer pool every buffer of a sort comes from and goes back
+    /// to, and the crew its phases run on: the sorter's own, or shared
+    /// (DESIGN.md §6).
+    pub(crate) set: SortResources,
     /// Lock-free counters and phase clocks, preallocated here so recording
     /// during a sort allocates nothing (DESIGN.md §7).
     pub(crate) metrics: Arc<CounterRegistry>,
@@ -190,14 +190,15 @@ pub(crate) struct SorterCore {
 }
 
 impl SorterCore {
-    /// A sorter of relations with columns `types` by `order`; zero
-    /// `threads` or `run_rows` clamp to 1.
+    /// A sorter of relations with columns `types` by `order`, drawing its
+    /// buffers from `set`'s pool and running its phases on `set`'s crew;
+    /// zero `run_rows` clamps to 1.
     pub(crate) fn new(
         types: Vec<LogicalType>,
         order: OrderBy,
-        threads: usize,
         run_rows: usize,
         ovc: bool,
+        set: SortResources,
     ) -> SorterCore {
         let layout = Arc::new(RowLayout::new(&types));
         let tie_cmp = FusedRowComparator::new(&layout, &order);
@@ -211,20 +212,32 @@ impl SorterCore {
             layout,
             tie_cmp,
             varlen_cols,
-            threads: threads.max(1),
             run_rows: run_rows.max(1),
             ovc,
-            pool: BufferPool::with_metrics(Arc::clone(&metrics)),
-            workers: OnceLock::new(),
+            set,
             metrics,
             profile: Mutex::new(SortProfile::zeroed()),
         }
     }
 
-    /// The persistent phase crew (spawned on first use).
-    fn worker_pool(&self) -> &WorkerPool {
-        self.workers
-            .get_or_init(|| WorkerPool::with_metrics(self.threads, Arc::clone(&self.metrics)))
+    /// The buffer pool as this sorter's sorts draw on it: their hits and
+    /// misses count in its registry, whoever shares the pool.
+    pub(crate) fn pool(&self) -> SortPool<'_> {
+        SortPool {
+            pool: &self.set.pool,
+            metrics: &self.metrics,
+        }
+    }
+
+    /// Run `phase` on every worker of the crew, counted in this sorter's
+    /// registry: one broadcast, and its wall time — which includes any
+    /// wait for another sorter's phase on a shared crew.
+    fn broadcast(&self, phase: &(dyn Fn(usize) + Sync)) {
+        let start = Instant::now();
+        self.set.crew.broadcast(phase);
+        self.metrics.add(Counter::Broadcasts, 1);
+        let ns = start.elapsed().as_nanos() as u64;
+        self.metrics.add(Counter::BroadcastNs, ns);
     }
 
     /// The profile of the most recent completed sort (zeroed before the
@@ -313,12 +326,12 @@ impl SorterCore {
     /// further claims, and the error returned is the lowest failed
     /// index's: every run below a claimed one was claimed before it and
     /// runs to its end. One run or one worker runs the loop on the
-    /// calling thread, and the pool is never spawned.
+    /// calling thread, and the crew is not asked.
     pub(crate) fn generate<R: StoredRun>(
         &self,
         input: &DataChunk,
         plan: &KeyPlan,
-        pool: &BufferPool,
+        pool: SortPool<'_>,
         (slots, runs): (&mut Vec<RunSlot<R>>, &mut Vec<R>),
         place: impl Fn(SortedRun, Instant) -> Result<R, SpillError> + Sync,
     ) -> Result<(), SpillError> {
@@ -349,12 +362,13 @@ impl SorterCore {
                 *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(placed);
             }
         };
-        if self.threads.min(R::BUILDERS).min(count) > 1 {
-            self.worker_pool().broadcast(&claim);
+        if self.set.threads().min(R::BUILDERS).min(count) > 1 {
+            self.broadcast(&claim);
         } else {
             claim(0);
         }
         runs.clear();
+        runs.reserve(count);
         for slot in slots {
             // Slots fill in claim order up to the first failure; an empty
             // one before it is a run no worker delivered.
@@ -385,8 +399,9 @@ impl SorterCore {
         let total: usize = runs.iter().map(R::row_count).sum();
         plan.splitters.clear();
         plan.cuts.clear();
-        let parts = if self.threads > 1 && kw > 0 && runs.len() > 1 {
-            self.threads.min(total / MIN_ROWS_PER_RANGE).max(1)
+        let threads = self.set.threads();
+        let parts = if threads > 1 && kw > 0 && runs.len() > 1 {
+            threads.min(total / MIN_ROWS_PER_RANGE).max(1)
         } else {
             1
         };
@@ -403,6 +418,7 @@ impl SorterCore {
             }
             plan.samples = recycle_vec(keys);
         }
+        plan.cuts.reserve(runs.len() * (parts + 1));
         for run in runs {
             let [start, end] = run.bounds();
             plan.cuts.push(start);
@@ -460,7 +476,7 @@ impl SorterCore {
         if plan.parts == 1 {
             body(0);
         } else {
-            self.worker_pool().broadcast(&body);
+            self.broadcast(&body);
         }
         let (_, _, failed) = state.into_inner().unwrap_or_else(|e| e.into_inner());
         failed.map_or(Ok(()), |(_, err)| Err(err))
@@ -484,6 +500,7 @@ impl SorterCore {
         let mut range = plan.ranges[p].lock().unwrap_or_else(|e| e.into_inner());
         let (tree, sources) = &mut *range;
         let mut cursors: Vec<R::Source<'_>> = recycle_vec(std::mem::take(sources));
+        cursors.reserve(runs.len());
         for (run, c) in runs.iter().zip(plan.cuts.chunks_exact(plan.parts + 1)) {
             cursors.push(run.source(self, order.kw, [c[p], c[p + 1]])?);
         }
@@ -522,9 +539,9 @@ impl SorterCore {
             let rows = (0..plan.parts).map(|p| plan.range_rows(p));
             let pieces = builder.pieces(&self.layout, rows, string_bytes(input));
             let mut pieces = pieces.into_iter();
-            let claim = move |_rows| Some(VectorSink::new(pieces.next()?, &self.pool));
+            let claim = move |_rows| Some(VectorSink::new(pieces.next()?, self.pool()));
             let done = |p: usize, sink: VectorSink<'_>| {
-                let tail = sink.finish(&self.pool);
+                let tail = sink.finish(self.pool());
                 *tails[p].lock().unwrap_or_else(|e| e.into_inner()) = Some(tail);
             };
             self.merge_ranges(order, runs, plan, claim, done)?;

@@ -16,7 +16,8 @@
 //! | [`SystemProfile::CompiledRowsV2`] | Umbra | NSM | as HyPer | cascaded 2-way on pointers |
 
 use crate::comparator::FusedRowComparator;
-use crate::pipeline::{SortOptions, SortPipeline};
+use crate::pipeline::{default_ovc, SortOptions, SortPipeline, DEFAULT_RUN_ROWS};
+use crate::resources::SortResources;
 use rowsort_algos::kway::LoserTree;
 use rowsort_algos::pdqsort::pdqsort;
 use rowsort_algos::radix::lsd_radix_sort_rows;
@@ -75,27 +76,33 @@ pub fn sort_with_system(
     order: &OrderBy,
     threads: usize,
 ) -> DataChunk {
-    sort_with_system_profiled(profile, input, order, threads).0
+    let set = SortResources::new(threads);
+    sort_with_system_profiled(profile, input, order, &set).0
 }
 
-/// [`sort_with_system`] that also returns the per-sort
-/// [`SortProfile`](crate::metrics::SortProfile) when the profile runs the
-/// real pipeline (`RowsortDb`); the emulated systems are not instrumented
-/// and return `None`. `EXPLAIN ANALYZE` uses this to annotate Sort
-/// operators with the phase breakdown.
+/// [`sort_with_system`] on `set`'s `threads` workers, also returning the
+/// per-sort [`SortProfile`](crate::metrics::SortProfile) when the profile
+/// runs the real pipeline (`RowsortDb`), whose sort borrows `set`'s
+/// buffer pool and crew; the emulated systems are not instrumented and
+/// return `None`. `EXPLAIN ANALYZE` uses this to annotate Sort operators
+/// with the phase breakdown.
 pub fn sort_with_system_profiled(
     profile: SystemProfile,
     input: &DataChunk,
     order: &OrderBy,
-    threads: usize,
+    set: &SortResources,
 ) -> (DataChunk, Option<crate::metrics::SortProfile>) {
+    let threads = set.threads();
     match profile {
         SystemProfile::RowsortDb => {
+            // Not `SortOptions::default()`: its thread count, which the
+            // crew's replaces, would cost a query the host's CPU probe.
             let options = SortOptions {
                 threads,
-                ..SortOptions::default()
+                run_rows: DEFAULT_RUN_ROWS,
+                ovc: default_ovc(),
             };
-            let pipeline = SortPipeline::new(input.types(), order.clone(), options);
+            let pipeline = SortPipeline::with_resources(input.types(), order.clone(), options, set);
             let sorted = pipeline.sort(input);
             (sorted, Some(pipeline.last_profile()))
         }

@@ -3,9 +3,11 @@
 //! The seed pipeline spawned fresh OS threads with `std::thread::scope`
 //! for every run-generation and merge phase — a few hundred microseconds
 //! of kernel work per phase that recurs on every `sort` call. This pool
-//! spawns its workers once per pipeline and broadcasts each phase to all
-//! of them, so steady-state sorting performs no thread spawns (and no
-//! allocations: broadcasting publishes one raw pointer under a mutex).
+//! spawns its workers once, with its first phase, and broadcasts each
+//! phase to all of them, so steady-state sorting performs no thread spawns
+//! (and no allocations: broadcasting publishes one raw pointer under a
+//! mutex). One pool may serve many sorters: an engine keeps one crew for
+//! all its queries (DESIGN.md §6).
 //!
 //! The model is deliberately minimal — exactly what a sort phase needs:
 //!
@@ -16,6 +18,8 @@
 //!   spawns only `threads - 1` OS threads and `threads == 1` spawns none.
 //! * `broadcast` returns only after every worker has finished the phase;
 //!   worker panics are re-raised on the caller.
+//! * One phase runs at a time: a second caller waits for the first one's
+//!   phase to end, so two sorts on one crew queue instead of colliding.
 //!
 //! The lifetime-erased job pointer below is this crate's only `unsafe`:
 //! what a phase writes, its tasks claim as `split_at_mut` slices under a
@@ -24,9 +28,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
-
-use crate::metrics::{Counter, CounterRegistry};
 
 /// The phase closure, lifetime-erased. The pointer is only dereferenced
 /// between the generation bump that publishes it and the last worker's
@@ -62,20 +63,23 @@ struct Shared {
     done_cv: Condvar,
 }
 
-/// A fixed crew of phase workers, spawned once and reused for every
-/// run-generation and merge phase of a pipeline.
+/// A fixed crew of phase workers, spawned by the first phase and reused
+/// for every run-generation and merge phase after it.
 pub struct WorkerPool {
     shared: Arc<Shared>,
-    handles: Vec<JoinHandle<()>>,
+    /// The phase lock, held by a broadcast for its whole phase, over the
+    /// spawned workers' handles (none before the first phase). The job
+    /// slot in `shared` holds one phase; a second caller waits here rather
+    /// than overwrite it under the first caller's workers.
+    phase: Mutex<Vec<JoinHandle<()>>>,
     /// Total workers including the caller (= spawned + 1).
     threads: usize,
-    /// Optional counter registry recording broadcast count and wall time.
-    metrics: Option<Arc<CounterRegistry>>,
 }
 
 impl WorkerPool {
     /// A pool executing phases on `threads` workers total: `threads - 1`
-    /// spawned OS threads plus the broadcasting caller.
+    /// OS threads, spawned by the first broadcast, plus the broadcasting
+    /// caller.
     pub fn new(threads: usize) -> WorkerPool {
         assert!(threads >= 1);
         let shared = Arc::new(Shared {
@@ -89,25 +93,11 @@ impl WorkerPool {
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
         });
-        let mut handles = Vec::with_capacity(threads - 1);
-        for index in 1..threads {
-            let shared = Arc::clone(&shared);
-            handles.push(std::thread::spawn(move || worker_loop(&shared, index)));
-        }
         WorkerPool {
             shared,
-            handles,
+            phase: Mutex::new(Vec::new()),
             threads,
-            metrics: None,
         }
-    }
-
-    /// A pool that records each phase broadcast ([`Counter::Broadcasts`])
-    /// and its wall time ([`Counter::BroadcastNs`]) into `metrics`.
-    pub fn with_metrics(threads: usize, metrics: Arc<CounterRegistry>) -> WorkerPool {
-        let mut pool = WorkerPool::new(threads);
-        pool.metrics = Some(metrics);
-        pool
     }
 
     /// Total workers, including the calling thread.
@@ -115,25 +105,33 @@ impl WorkerPool {
         self.threads
     }
 
-    fn record_broadcast(&self, start: Instant) {
-        if let Some(metrics) = &self.metrics {
-            metrics.add(Counter::Broadcasts, 1);
-            metrics.add(Counter::BroadcastNs, start.elapsed().as_nanos() as u64);
-        }
+    /// Whether the pool's OS threads exist yet: only once a phase has been
+    /// broadcast on two workers or more. Waits for a phase in flight.
+    #[cfg(test)]
+    pub(crate) fn spawned(&self) -> bool {
+        !self
+            .phase
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .is_empty()
     }
 
     /// Run `f(worker_index)` on every worker (indices `0..threads`, the
-    /// caller being 0) and return once all calls complete.
+    /// caller being 0) and return once all calls complete. A broadcast
+    /// from another thread in the meantime waits for this one to return.
     ///
     /// # Panics
     /// Re-raises on the caller if any worker's closure panicked; the pool
     /// stays usable afterwards.
     pub fn broadcast(&self, f: &(dyn Fn(usize) + Sync)) {
-        let start = Instant::now();
-        if self.handles.is_empty() {
+        if self.threads == 1 {
             f(0);
-            self.record_broadcast(start);
             return;
+        }
+        let mut handles = self.phase.lock().unwrap_or_else(|e| e.into_inner());
+        for index in handles.len() + 1..self.threads {
+            let shared = Arc::clone(&self.shared);
+            handles.push(std::thread::spawn(move || worker_loop(&shared, index)));
         }
         {
             let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -149,7 +147,7 @@ impl WorkerPool {
             };
             state.job = Some(JobPtr(erased));
             state.generation += 1;
-            state.active = self.handles.len();
+            state.active = handles.len();
             state.panicked = 0;
             self.shared.work_cv.notify_all();
         }
@@ -157,10 +155,10 @@ impl WorkerPool {
             shared: &self.shared,
         };
         // The caller is worker 0; if this panics, `guard` still waits for
-        // the spawned workers before the unwind leaves this frame.
+        // the spawned workers before the unwind leaves this frame (and
+        // then releases the phase lock).
         f(0);
         drop(guard); // waits; panics if a worker panicked
-        self.record_broadcast(start);
     }
 }
 
@@ -197,7 +195,8 @@ impl Drop for WorkerPool {
             state.shutdown = true;
             self.shared.work_cv.notify_all();
         }
-        for handle in self.handles.drain(..) {
+        let handles = self.phase.get_mut().unwrap_or_else(|e| e.into_inner());
+        for handle in handles.drain(..) {
             let _ = handle.join();
         }
     }
@@ -298,6 +297,42 @@ mod tests {
             done.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(done.load(Ordering::Relaxed), 1000);
+    }
+
+    #[test]
+    fn the_crew_spawns_with_its_first_phase() {
+        let pool = WorkerPool::new(3);
+        assert!(!pool.spawned());
+        pool.broadcast(&|_| {});
+        assert!(pool.spawned());
+        let single = WorkerPool::new(1);
+        single.broadcast(&|_| {});
+        assert!(!single.spawned(), "one worker is the caller alone");
+    }
+
+    #[test]
+    fn concurrent_broadcasts_queue_instead_of_colliding() {
+        // Four callers share one crew. Each call's own closure must run
+        // exactly once on every worker index: a call that published over
+        // another's job slot would run the other's closure, or return
+        // before its own workers finished.
+        let pool = WorkerPool::new(3);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..200 {
+                        let hits = [0, 1, 2].map(|_| AtomicUsize::new(0));
+                        pool.broadcast(&|w| {
+                            hits[w].fetch_add(1, Ordering::Relaxed);
+                        });
+                        let hits = hits.map(|h| h.load(Ordering::Relaxed));
+                        assert_eq!(hits, [1, 1, 1]);
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! planner's sample table from its scratch — on every run-sort path (LSD
 //! radix, MSD radix with its insertion-sorted buckets, MSD radix over a
 //! VARCHAR prefix sized from the strings, key-equal ranges handed to
-//! pdqsort with tie resolution) and both merges.
+//! pdqsort with tie resolution) and both merges. And a *new* pipeline on a
+//! warm shared pool — an engine's next query — takes every buffer from
+//! that pool, allocating only its own small state.
 //!
 //! The counting allocator is installed globally for this test binary, so
 //! the file holds exactly one test: any parallel test in the same binary
@@ -12,6 +14,7 @@
 
 use rowsort_core::metrics::{Counter, SortProfile};
 use rowsort_core::pipeline::{SortOptions, SortPipeline};
+use rowsort_core::SortResources;
 use rowsort_testkit::alloc::{allocation_count, CountingAllocator};
 use rowsort_testkit::Rng;
 use rowsort_vector::{DataChunk, LogicalType, OrderBy, Value, Vector};
@@ -95,6 +98,54 @@ fn third_sort_of(
     profile
 }
 
+/// What a new pipeline's first sort on a warm set allocates at one thread,
+/// six runs and more: its own state, none of it a pooled buffer, each
+/// allocated once —
+///
+/// * the key plan: the input's VARCHAR statistics and the ones its key
+///   blocks were planned for (2), and the key-block cache's vector (1);
+/// * the one key block: its columns, their offsets and their input columns
+///   (3), and its entry buffer, a run's rows × stride (1);
+/// * the run slots and the runs (2);
+/// * the merge plan: the cuts and the key ranges' scratch (2), one range's
+///   sources (1) and its loser tree's four levels (4);
+/// * the row merge's heap bases (1).
+///
+/// 17 in all; a VARCHAR key column adds the prefix sampler's table, rows
+/// and chains (3).
+const NEW_SORTER_ALLOCS: usize = 17;
+const SAMPLER_ALLOCS: usize = 3;
+
+/// Warm a shared set with two sorts of `chunk` — one per merge target —
+/// then sort it through new pipelines on that set: every buffer must come
+/// from the pool, and the row sort allocate `allocs` times.
+fn new_sorter_on_warm_set(what: &str, chunk: &DataChunk, keys: usize, ovc: bool, allocs: usize) {
+    let set = SortResources::new(1);
+    let options = SortOptions {
+        threads: 1,
+        run_rows: chunk.len() / 6,
+        ovc,
+    };
+    let order = OrderBy::ascending(keys);
+    let new = || SortPipeline::with_resources(chunk.types(), order.clone(), options, &set);
+    let warm = new();
+    drop(warm.sort_rows(chunk));
+    drop(warm.sort(chunk));
+    let (rows, vectors) = (new(), new());
+    let before = allocation_count();
+    drop(rows.sort_rows(chunk));
+    let made = allocation_count() - before;
+    assert_eq!(
+        made, allocs,
+        "{what}, ovc={ovc}: a new sorter's allocations"
+    );
+    drop(vectors.sort(chunk));
+    for (merge, p) in [("rows", &rows), ("vectors", &vectors)] {
+        let misses = p.last_profile().metrics.counter(Counter::PoolMisses);
+        assert_eq!(misses, 0, "{what}, ovc={ovc}, {merge}: a new sorter missed");
+    }
+}
+
 /// `name` (one row in ten NULL) keyed ahead of a row number and a VARCHAR
 /// payload column drawn by `payload`.
 fn named_rows(
@@ -167,5 +218,10 @@ fn steady_state_sort_does_not_allocate() {
         let what = "truncated VARCHAR key, payload lengths changed";
         third_sort_of(what, &tied, &tied_other_payload, 1, ovc);
         third_sort_does_not_allocate("four-i32 key", &wide, 4, ovc);
+        let sampled = NEW_SORTER_ALLOCS + SAMPLER_ALLOCS;
+        new_sorter_on_warm_set("u32 key", &u32s, 1, ovc, NEW_SORTER_ALLOCS);
+        new_sorter_on_warm_set("long VARCHAR key", &strings, 1, ovc, sampled);
+        new_sorter_on_warm_set("truncated VARCHAR key", &tied, 1, ovc, sampled);
+        new_sorter_on_warm_set("four-i32 key", &wide, 4, ovc, NEW_SORTER_ALLOCS);
     }
 }

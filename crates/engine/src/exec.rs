@@ -24,12 +24,15 @@ use crate::sql::CmpOp;
 use crate::{EngineError, Result};
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter, SPILL_WORKERS};
 use rowsort_core::metrics::{Counter, Phase};
+use rowsort_core::spill::StdFs;
 use rowsort_core::systems::{sort_with_system_profiled, SystemProfile};
+use rowsort_core::{SortProfile, SortResources};
 use rowsort_vector::{DataChunk, OrderBy, Value, Vector};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Execution configuration.
@@ -82,6 +85,9 @@ pub struct NodeStats {
     pub elapsed_ns: u64,
     /// Operator-specific annotation (e.g. sort phase attribution).
     pub detail: String,
+    /// A Sort node's own profile, when its sorter keeps one (the full
+    /// pipeline and the external sorter): what `detail` summarizes.
+    pub sort: Option<SortProfile>,
 }
 
 /// Pre-order operator stats being collected during a profiled execution.
@@ -94,24 +100,42 @@ struct Profiler {
 /// catalog until some operator has to build rows of its own.
 type Relation<'a> = Cow<'a, DataChunk>;
 
-/// Execute a plan, returning the result relation.
+/// What a query runs under: the session's options, and the resource set
+/// its sorts borrow.
+type Session<'s> = (&'s ExecOptions, &'s SortResources);
+
+/// Execute a plan, returning the result relation. Its sorts run on a
+/// buffer pool and a worker crew of their own, built for this call.
 pub fn execute(plan: &LogicalPlan, catalog: &Catalog, options: &ExecOptions) -> Result<DataChunk> {
-    let mut prof = None;
-    Ok(exec_plan(plan, catalog, options, &mut prof)?.into_owned())
+    execute_on(plan, catalog, options, &SortResources::new(options.threads))
 }
 
-/// As [`execute`], additionally returning per-operator row counts and
+/// As [`execute`], with every sort borrowing `set`'s crew — and, in memory,
+/// its buffer pool (DESIGN.md §6). `set` has [`ExecOptions::threads`]
+/// workers.
+pub fn execute_on(
+    plan: &LogicalPlan,
+    catalog: &Catalog,
+    options: &ExecOptions,
+    set: &SortResources,
+) -> Result<DataChunk> {
+    let mut prof = None;
+    Ok(exec_plan(plan, catalog, (options, set), &mut prof)?.into_owned())
+}
+
+/// As [`execute_on`], additionally returning per-operator row counts and
 /// timings — the executor half of `EXPLAIN ANALYZE`.
 pub fn execute_profiled(
     plan: &LogicalPlan,
     catalog: &Catalog,
     options: &ExecOptions,
+    set: &SortResources,
 ) -> Result<(DataChunk, Vec<NodeStats>)> {
     let mut prof = Some(Profiler {
         entries: Vec::new(),
         depth: 0,
     });
-    let out = exec_plan(plan, catalog, options, &mut prof)?.into_owned();
+    let out = exec_plan(plan, catalog, (options, set), &mut prof)?.into_owned();
     Ok((out, prof.map(|p| p.entries).unwrap_or_default()))
 }
 
@@ -162,9 +186,9 @@ fn node_label(plan: &LogicalPlan) -> String {
 }
 
 /// Per-phase sort-time attribution for a Sort node's annotation, from the
-/// sort operator's own [`rowsort_core::SortProfile`] and the `threads` it
+/// sort operator's own [`SortProfile`] and the `threads` it
 /// was given.
-fn sort_detail(profile: &rowsort_core::SortProfile, threads: usize) -> String {
+fn sort_detail(profile: &SortProfile, threads: usize) -> String {
     use std::fmt::Write;
     let mut s = String::new();
     let ms = |ns: u64| ns as f64 / 1e6;
@@ -243,6 +267,11 @@ fn sort_detail(profile: &rowsort_core::SortProfile, threads: usize) -> String {
         let read = profile.metrics.counter(Counter::SpillReadBytes);
         let _ = write!(s, " reread={:.2}x", read as f64 / spilled as f64);
     }
+    // Buffers the sort had to allocate: a cold engine's first query of a
+    // shape misses, the next one of that shape takes all from the pool.
+    if counter(Counter::PoolHits) + counter(Counter::PoolMisses) > 0 {
+        let _ = write!(s, " pool_misses={}", counter(Counter::PoolMisses));
+    }
     s
 }
 
@@ -268,28 +297,29 @@ fn short_count(n: u64) -> String {
 fn sort_relation(
     all: &DataChunk,
     order: &OrderBy,
-    options: &ExecOptions,
-) -> Result<(DataChunk, Option<rowsort_core::SortProfile>)> {
+    (options, set): Session<'_>,
+) -> Result<(DataChunk, Option<SortProfile>)> {
     let run = || match &options.spill {
         Some(spill) => {
-            let sorter = ExternalSorter::new(
+            // The session's crew runs the spill and its merge too; the
+            // sorter's buffers stay its own (DESIGN.md §6).
+            let sorter = ExternalSorter::with_resources(
                 all.types(),
                 order.clone(),
                 ExternalSortOptions {
                     memory_limit_rows: spill.memory_limit_rows,
                     spill_dir: spill.spill_dir.clone(),
-                    // The session's thread setting drives the spilled-run
-                    // merge too, not just the in-memory sort systems.
-                    merge_threads: options.threads.max(1),
+                    merge_threads: set.threads(),
                     ..ExternalSortOptions::default()
                 },
+                Arc::new(StdFs),
+                set,
             );
             let sorted = sorter.sort(all).map_err(EngineError::Spill)?;
             Ok((sorted, Some(sorter.last_profile())))
         }
         None => {
-            let (sorted, profile) =
-                sort_with_system_profiled(options.profile, all, order, options.threads);
+            let (sorted, profile) = sort_with_system_profiled(options.profile, all, order, set);
             Ok((sorted, profile))
         }
     };
@@ -307,7 +337,7 @@ fn sort_relation(
 fn exec_plan<'a>(
     plan: &LogicalPlan,
     catalog: &'a Catalog,
-    options: &ExecOptions,
+    session: Session<'_>,
     prof: &mut Option<Profiler>,
 ) -> Result<Relation<'a>> {
     let slot = match prof {
@@ -318,6 +348,7 @@ fn exec_plan<'a>(
                 rows: 0,
                 elapsed_ns: 0,
                 detail: String::new(),
+                sort: None,
             });
             p.depth += 1;
             Some(p.entries.len() - 1)
@@ -325,14 +356,18 @@ fn exec_plan<'a>(
         None => None,
     };
     let start = Instant::now();
-    let mut detail = String::new();
-    let result = exec_node(plan, catalog, options, prof, &mut detail);
+    let mut sort = None;
+    let result = exec_node(plan, catalog, session, prof, &mut sort);
     if let (Some(i), Some(p)) = (slot, prof.as_mut()) {
         p.depth -= 1;
         if let Ok(relation) = &result {
-            p.entries[i].elapsed_ns = start.elapsed().as_nanos() as u64;
-            p.entries[i].rows = relation.len() as u64;
-            p.entries[i].detail = detail;
+            let entry = &mut p.entries[i];
+            entry.elapsed_ns = start.elapsed().as_nanos() as u64;
+            entry.rows = relation.len() as u64;
+            if let Some(profile) = &sort {
+                entry.detail = sort_detail(profile, session.1.threads());
+            }
+            entry.sort = sort;
         }
     }
     result
@@ -341,9 +376,9 @@ fn exec_plan<'a>(
 fn exec_node<'a>(
     plan: &LogicalPlan,
     catalog: &'a Catalog,
-    options: &ExecOptions,
+    session: Session<'_>,
     prof: &mut Option<Profiler>,
-    detail: &mut String,
+    sort: &mut Option<SortProfile>,
 ) -> Result<Relation<'a>> {
     let owned = |columns: Vec<Vector>| {
         let relation =
@@ -358,11 +393,11 @@ fn exec_node<'a>(
             Ok(Cow::Borrowed(&t.data))
         }
         LogicalPlan::Filter { input, predicates } => {
-            let input = exec_plan(input, catalog, options, prof)?;
+            let input = exec_plan(input, catalog, session, prof)?;
             Ok(Cow::Owned(filter_chunk(&input, predicates)))
         }
         LogicalPlan::Project { input, columns } => {
-            match exec_plan(input, catalog, options, prof)? {
+            match exec_plan(input, catalog, session, prof)? {
                 Cow::Borrowed(input) => {
                     owned(columns.iter().map(|&i| input.column(i).clone()).collect())
                 }
@@ -385,11 +420,9 @@ fn exec_node<'a>(
         LogicalPlan::Sort { input, order } => {
             // Pipeline breaker: the sorter reads the input where it lies
             // (scattering morsels of it into rows) and returns new vectors.
-            let input = exec_plan(input, catalog, options, prof)?;
-            let (sorted, sort_profile) = sort_relation(&input, order, options)?;
-            if let Some(p) = &sort_profile {
-                *detail = sort_detail(p, options.threads.max(1));
-            }
+            let input = exec_plan(input, catalog, session, prof)?;
+            let sorted;
+            (sorted, *sort) = sort_relation(&input, order, session)?;
             Ok(Cow::Owned(sorted))
         }
         LogicalPlan::Limit {
@@ -397,7 +430,7 @@ fn exec_node<'a>(
             limit,
             offset,
         } => {
-            let input = exec_plan(input, catalog, options, prof)?;
+            let input = exec_plan(input, catalog, session, prof)?;
             Ok(apply_limit(input, *limit, *offset))
         }
         LogicalPlan::TopN {
@@ -406,11 +439,11 @@ fn exec_node<'a>(
             limit,
             offset,
         } => {
-            let input = exec_plan(input, catalog, options, prof)?;
+            let input = exec_plan(input, catalog, session, prof)?;
             Ok(Cow::Owned(top_n(&input, order, *limit, *offset)?))
         }
         LogicalPlan::CountStar { input } => {
-            let count = exec_plan(input, catalog, options, prof)?.len();
+            let count = exec_plan(input, catalog, session, prof)?.len();
             owned(vec![Vector::from_i64s(vec![count as i64])])
         }
         LogicalPlan::SortMergeJoin {
@@ -421,14 +454,14 @@ fn exec_node<'a>(
             types,
             ..
         } => {
-            let l = exec_plan(left, catalog, options, prof)?;
-            let r = exec_plan(right, catalog, options, prof)?;
-            let joined = sort_merge_join(&l, &r, *left_col, *right_col, types, options)?;
+            let l = exec_plan(left, catalog, session, prof)?;
+            let r = exec_plan(right, catalog, session, prof)?;
+            let joined = sort_merge_join(&l, &r, *left_col, *right_col, types, session)?;
             Ok(Cow::Owned(joined))
         }
         LogicalPlan::WindowRowNumber { input, order } => {
-            let input = exec_plan(input, catalog, options, prof)?;
-            let (sorted, _) = sort_relation(&input, order, options)?;
+            let input = exec_plan(input, catalog, session, prof)?;
+            let (sorted, _) = sort_relation(&input, order, session)?;
             let numbers = Vector::from_i64s((1..=sorted.len() as i64).collect());
             let mut columns = sorted.into_columns();
             columns.push(numbers);
@@ -449,13 +482,13 @@ fn sort_merge_join(
     left_col: usize,
     right_col: usize,
     out_types: &[rowsort_vector::LogicalType],
-    options: &ExecOptions,
+    session: Session<'_>,
 ) -> Result<DataChunk> {
     use rowsort_vector::OrderByColumn;
     let l_order = OrderBy::new(vec![OrderByColumn::asc(left_col)]);
     let r_order = OrderBy::new(vec![OrderByColumn::asc(right_col)]);
-    let (l, _) = sort_relation(left, &l_order, options)?;
-    let (r, _) = sort_relation(right, &r_order, options)?;
+    let (l, _) = sort_relation(left, &l_order, session)?;
+    let (r, _) = sort_relation(right, &r_order, session)?;
 
     let mut out = DataChunk::new(out_types);
     let (mut i, mut j) = (0usize, 0usize);
@@ -916,6 +949,20 @@ mod tests {
         // Pre-order indentation: Scan is the deepest node.
         let scan_line = text.lines().find(|l| l.contains("Scan")).unwrap();
         assert!(scan_line.starts_with("      "), "{text}");
+        // The engine's first sort allocated its buffers; the next sort of
+        // the same shape takes every one from the engine's pool.
+        let misses = |text: &str| {
+            let (_, tail) = text.split_once(" pool_misses=").expect(text);
+            tail.split(|c: char| !c.is_ascii_digit())
+                .next()
+                .unwrap()
+                .to_owned()
+        };
+        assert_ne!(misses(&text), "0", "{text}");
+        let again = e
+            .query("EXPLAIN ANALYZE SELECT id FROM t WHERE id >= 3 ORDER BY name DESC")
+            .unwrap();
+        assert_eq!(misses(&varchar_lines(&again)), "0");
     }
 
     #[test]
@@ -991,6 +1038,10 @@ mod tests {
         );
         planned.sink = "vectors";
         assert!(sort_detail(&planned, 2).starts_with(" sink=vectors key=36B"));
+        // What the sort took from the pool, and what it had to allocate.
+        let pooled = detail(&[(Counter::PoolHits, 12), (Counter::PoolMisses, 3)]);
+        assert_eq!(pooled, " pool_misses=3");
+        assert_eq!(detail(&[(Counter::PoolHits, 12)]), " pool_misses=0");
         assert_eq!(short_count(9_999), "9999");
         assert_eq!(short_count(12_500_000), "13M");
     }

@@ -26,7 +26,8 @@
 //!   [`rowsort_core::SystemProfile`],
 //! * [`csv`] — CSV import/export, so real `dsdgen` output can replace the
 //!   synthetic TPC-DS tables,
-//! * [`Engine`] — `register_table` + `query(sql)`.
+//! * [`Engine`] — `register_table` + `query(sql)`, with one buffer pool
+//!   and one worker crew that every query's sorts borrow.
 
 pub mod catalog;
 pub mod csv;
@@ -40,7 +41,9 @@ pub use exec::{ExecOptions, NodeStats, SpillExecOptions};
 pub use plan::LogicalPlan;
 
 use rowsort_core::spill::SpillError;
+use rowsort_core::SortResources;
 use rowsort_vector::DataChunk;
+use std::sync::Mutex;
 
 /// Errors surfaced to engine users.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,27 +89,31 @@ impl std::error::Error for EngineError {}
 /// Result alias for engine operations.
 pub type Result<T> = std::result::Result<T, EngineError>;
 
-/// The query engine: a catalog plus execution options.
+/// The query engine: a catalog, execution options, and the buffer pool
+/// and worker crew its queries' sorts borrow (DESIGN.md §6).
 pub struct Engine {
     catalog: Catalog,
     options: ExecOptions,
+    /// One pool and one crew for every query. The crew is spawned by the
+    /// first phase that needs two workers, and replaced by the first query
+    /// after [`ExecOptions::threads`] changes.
+    resources: Mutex<SortResources>,
 }
 
 impl Engine {
     /// An engine with default options: DuckDB-like sort on
     /// [`rowsort_core::default_threads`] threads.
     pub fn new() -> Engine {
-        Engine {
-            catalog: Catalog::new(),
-            options: ExecOptions::default(),
-        }
+        Engine::with_options(ExecOptions::default())
     }
 
     /// An engine with explicit execution options.
     pub fn with_options(options: ExecOptions) -> Engine {
+        let resources = Mutex::new(SortResources::new(options.threads));
         Engine {
             catalog: Catalog::new(),
             options,
+            resources,
         }
     }
 
@@ -138,10 +145,10 @@ impl Engine {
         let plan = plan::build(&ast, &self.catalog)?;
         let plan = plan::optimize(plan);
         match mode {
-            sql::ExplainMode::None => exec::execute(&plan, &self.catalog, &self.options),
+            sql::ExplainMode::None => self.execute(&plan),
             sql::ExplainMode::Plan => text_chunk(&plan.explain()),
             sql::ExplainMode::Analyze => {
-                let (_, stats) = exec::execute_profiled(&plan, &self.catalog, &self.options)?;
+                let (_, stats) = self.execute_profiled(&plan)?;
                 text_chunk(&exec::render_analyze(&stats))
             }
         }
@@ -152,7 +159,31 @@ impl Engine {
     pub fn query_unoptimized(&self, sql_text: &str) -> Result<DataChunk> {
         let ast = sql::parse(sql_text)?;
         let plan = plan::build(&ast, &self.catalog)?;
-        exec::execute(&plan, &self.catalog, &self.options)
+        self.execute(&plan)
+    }
+
+    /// As [`Engine::query`] for a plain query, also returning the
+    /// per-operator stats `EXPLAIN ANALYZE` renders — each Sort node's
+    /// own profile among them.
+    pub fn query_profiled(&self, sql_text: &str) -> Result<(DataChunk, Vec<NodeStats>)> {
+        let plan = plan::optimize(plan::build(&sql::parse(sql_text)?, &self.catalog)?);
+        self.execute_profiled(&plan)
+    }
+
+    fn execute_profiled(&self, plan: &LogicalPlan) -> Result<(DataChunk, Vec<NodeStats>)> {
+        exec::execute_profiled(plan, &self.catalog, &self.options, &self.resources())
+    }
+
+    fn execute(&self, plan: &LogicalPlan) -> Result<DataChunk> {
+        exec::execute_on(plan, &self.catalog, &self.options, &self.resources())
+    }
+
+    /// The engine's resource set, its crew sized for the current
+    /// [`ExecOptions::threads`].
+    fn resources(&self) -> SortResources {
+        let mut set = self.resources.lock().unwrap_or_else(|e| e.into_inner());
+        *set = set.with_threads(self.options.threads);
+        set.clone()
     }
 }
 

@@ -345,3 +345,41 @@ fn operators_over_borrowed_and_owned_inputs() {
         assert_eq!(text.contains(" reread="), spill, "{text}");
     }
 }
+
+/// Two threads query one engine at once, and every sort of two runs or
+/// more broadcasts its phases on the engine's one crew: the calls must
+/// queue on it, never run each other's phase. 140 000 rows are two runs.
+#[test]
+fn concurrent_queries_on_one_engine_match_reference() {
+    let rows = 140_000;
+    let mut rng = rowsort_testkit::Rng::seed_from_u64(0xC0_C0_2C);
+    let keys: Vec<u32> = (0..rows).map(|_| rng.below(50_000) as u32).collect();
+    let data = rowsort_vector::DataChunk::from_columns(vec![
+        rowsort_vector::Vector::from_u32s(keys),
+        rowsort_vector::Vector::from_u32s((0..rows as u32).collect()),
+    ])
+    .unwrap();
+    let mut e = Engine::new();
+    e.options_mut().threads = 2;
+    e.register_table(Table::new("t", vec!["k".into(), "p".into()], data));
+    let statements = [
+        "SELECT * FROM t ORDER BY k",
+        "SELECT p FROM t ORDER BY k DESC",
+    ];
+    let expected = statements.map(|sql_text| {
+        let logical = plan::build(&sql::parse(sql_text).unwrap(), e.catalog()).unwrap();
+        execute_reference(&logical, e.catalog()).unwrap()
+    });
+    std::thread::scope(|s| {
+        for first in 0..2 {
+            let (e, expected) = (&e, &expected);
+            s.spawn(move || {
+                for i in 0..20 {
+                    let which = (first + i) % 2;
+                    let got = e.query(statements[which]).unwrap().to_rows();
+                    assert!(got == expected[which], "{}, query {i}", statements[which]);
+                }
+            });
+        }
+    });
+}
