@@ -17,9 +17,9 @@
 //! 3. [`check_faults`] — under an injected fault schedule, `Ok` means
 //!    check 1 and `Err` means typed, counted and not recorded as a sort;
 //!    no run file leaks either way;
-//! 4. [`check_sinks_agree`] — the vectors a merge gathers straight into
-//!    are, bit for bit, the vectors its row-run twins convert to
-//!    afterwards, at every thread count and from run files.
+//! 4. [`check_twins_agree`] — the vectors a merge gathers straight into
+//!    are, bit for bit, those of the same merge on whole keys (OVC off)
+//!    and of the same merge out of run files, at every thread count.
 //!
 //! [`check_key_order`] states the invariant itself on `KeyBlock` bytes.
 //! `tests/oracle.rs` runs all of it as `testkit::prop` properties (one
@@ -353,8 +353,6 @@ impl Gen for CaseGen {
 pub enum Entry {
     /// `SortPipeline::sort`.
     Pipeline,
-    /// `SortPipeline::sort_rows`, converted back by the caller.
-    PipelineRows,
     /// `ExternalSorter::sort` over a fault-free [`FaultFs`].
     External,
     /// `Engine::query` on the case's SQL, sorting as this system profile.
@@ -373,7 +371,7 @@ impl Entry {
     /// has no tie-break, as the systems they stand for do.
     pub fn is_stable(self) -> bool {
         match self {
-            Entry::Pipeline | Entry::PipelineRows | Entry::External | Entry::EngineSpill => true,
+            Entry::Pipeline | Entry::External | Entry::EngineSpill => true,
             Entry::Engine(profile) => profile == SystemProfile::RowsortDb,
         }
     }
@@ -431,9 +429,6 @@ fn sort_through(case: &Case, chunk: &DataChunk, entry: Entry) -> Result<DataChun
     };
     match entry {
         Entry::Pipeline => Ok(pipeline(case, o.threads, o.run_rows, o.ovc).sort(chunk)),
-        Entry::PipelineRows => Ok(pipeline(case, o.threads, o.run_rows, o.ovc)
-            .sort_rows(chunk)
-            .to_chunk()),
         Entry::External => {
             let sorter = external(
                 case,
@@ -528,7 +523,7 @@ pub fn sorter_counters(case: &Case, run_rows: usize, threads: usize, ovc: bool) 
     let chunk = case.chunk();
     let of = |m: rowsort_core::Metrics| SORTER_WORK.map(|c| m.counter(c));
     let in_memory = pipeline(case, threads, run_rows, ovc);
-    drop(in_memory.sort_rows(&chunk));
+    drop(in_memory.sort(&chunk));
     let spilling = external(case, run_rows, threads, ovc, no_faults());
     let spilled = spilling.sort(&chunk);
     assert!(spilled.is_ok(), "no fault was injected: {spilled:?}");
@@ -536,38 +531,31 @@ pub fn sorter_counters(case: &Case, run_rows: usize, threads: usize, ovc: bool) 
 }
 
 /// Check 2: bit-identity inside an entry point, at both of the case's run
-/// sizes. Pipeline payload bytes are equal across threads × `ovc` × a
-/// warmed pool; external rows are equal across merge threads × `ovc` and
-/// equal to the pipeline's; and the two sorters are one sorter: at one
-/// thread and at the case's thread count, a sort of two or more runs
-/// generates the same runs, cuts the same key ranges and makes the same
-/// merge comparisons in either.
+/// sizes. Pipeline vectors are equal ([`same_vectors`]) across threads ×
+/// `ovc` × a warmed pool; external rows are equal across merge threads ×
+/// `ovc` and equal to the pipeline's; and the two sorters are one sorter:
+/// at one thread and at the case's thread count, a sort of two or more
+/// runs generates the same runs, cuts the same key ranges and makes the
+/// same merge comparisons in either.
 pub fn check_bit_identity(case: &Case) -> PropResult {
     let chunk = case.chunk();
     let o = case.options;
     let configs = |threads| [(1, true), (1, false), (threads, true), (threads, false)];
     for run_rows in [o.run_rows, o.memory_limit_rows] {
-        let mut first: Option<(Vec<u8>, Vec<u8>, Vec<String>)> = None;
+        let mut first: Option<DataChunk> = None;
         for (threads, ovc) in configs(o.threads) {
             let sorter = pipeline(case, threads, run_rows, ovc);
             for pool in ["cold", "warm"] {
-                let sorted = sorter.sort_rows(&chunk);
-                let bytes = sorted
-                    .payload()
-                    .map_or((&[][..], &[][..]), |p| (p.data(), p.heap()));
-                let (data, heap, _) = first.get_or_insert_with(|| {
-                    let rows = canon(&sorted.to_chunk().to_rows());
-                    (bytes.0.to_vec(), bytes.1.to_vec(), rows)
-                });
-                if (&data[..], &heap[..]) != bytes {
+                let sorted = sorter.sort(&chunk);
+                if !same_vectors(first.get_or_insert_with(|| sorted.clone()), &sorted) {
                     return Err(format!(
-                        "pipeline payload bytes at run_rows={run_rows} threads={threads} \
+                        "pipeline vectors at run_rows={run_rows} threads={threads} \
                          ovc={ovc} ({pool} pool) differ from one thread's with ovc on"
                     ));
                 }
             }
         }
-        let rows = first.map_or(Vec::new(), |(_, _, rows)| rows);
+        let rows = first.map_or(Vec::new(), |sorted| canon(&sorted.to_rows()));
         for (threads, ovc) in configs(o.merge_threads) {
             let sorted = external(case, run_rows, threads, ovc, no_faults()).sort(&chunk);
             if canon(&sorted.map_err(|e| e.to_string())?.to_rows()) != rows {
@@ -616,28 +604,24 @@ fn same_vectors(a: &DataChunk, b: &DataChunk) -> bool {
     a.column_count() == b.column_count() && a.columns().iter().zip(b.columns()).all(same)
 }
 
-/// Thread counts [`check_sinks_agree`] holds the sinks to: one range, an
+/// Thread counts [`check_twins_agree`] holds the twins to: one range, an
 /// even and an odd split, and more workers than most cases have ranges.
-const SINK_THREADS: [usize; 4] = [1, 2, 3, 8];
+const TWIN_THREADS: [usize; 4] = [1, 2, 3, 8];
 
-/// Check 4: `SortPipeline::sort` merges straight into vectors
-/// (`sink=vectors`); what it returns is, bit for bit, what
-/// `sort_rows().to_chunk()` converts its merged row run to and what the
-/// `ovc: false` sort — the same merge on whole keys — returns, at each of
-/// [`SINK_THREADS`]; and the external sorter, gathering out of run files
-/// at as many merge threads, returns the same vectors again.
-pub fn check_sinks_agree(case: &Case) -> PropResult {
+/// Check 4: `SortPipeline::sort` merges straight into vectors; what it
+/// returns is, bit for bit, what the `ovc: false` sort — the same merge on
+/// whole keys — returns, at each of [`TWIN_THREADS`]; and the external
+/// sorter, gathering out of run files at as many merge threads, returns
+/// the same vectors again.
+pub fn check_twins_agree(case: &Case) -> PropResult {
     let chunk = case.chunk();
     let run_rows = case.options.run_rows;
     let mut first: Option<DataChunk> = None;
-    for threads in SINK_THREADS {
+    for threads in TWIN_THREADS {
         let vectors = pipeline(case, threads, run_rows, true).sort(&chunk);
-        let rows = pipeline(case, threads, run_rows, true);
-        let rows = rows.sort_rows(&chunk).to_chunk();
         let plain = pipeline(case, threads, run_rows, false).sort(&chunk);
         let spilled = external(case, run_rows, threads, true, no_faults()).sort(&chunk);
         let twins = [
-            ("sort_rows().to_chunk()", rows),
             ("the ovc-off sort", plain),
             ("the spilled sort", spilled.map_err(|e| e.to_string())?),
         ];
@@ -916,7 +900,7 @@ pub fn check_plan_is_input_wide(case: &Case) -> PropResult {
         for (threads, merge_threads) in [(1, 1), (o.threads, o.merge_threads)] {
             for ovc in [true, false] {
                 let sorter = pipeline(case, threads, run_rows, ovc);
-                drop(sorter.sort_rows(&chunk));
+                drop(sorter.sort(&chunk));
                 let got = of(sorter.last_profile());
                 if got != want {
                     return Err(format!(

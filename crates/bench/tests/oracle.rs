@@ -14,7 +14,7 @@ prop! {
     #![cases(128)]
 
     fn pipeline_matches_reference(case in CLEAN) {
-        oracle::check_reference(&case, &[Entry::Pipeline, Entry::PipelineRows])?;
+        oracle::check_reference(&case, &[Entry::Pipeline])?;
     }
 
     fn external_matches_reference(case in CLEAN) {
@@ -46,14 +46,14 @@ prop! {
         oracle::check_plan_is_input_wide(&case)?;
     }
 
-    fn vectors_merged_into_equal_the_row_twins_converted(case in CLEAN) {
-        oracle::check_sinks_agree(&case)?;
+    fn sort_equals_its_ovc_off_and_spilled_twins(case in CLEAN) {
+        oracle::check_twins_agree(&case)?;
     }
 }
 
 #[test]
 fn named_inputs_pass_every_check() {
-    let mut entries = vec![Entry::Pipeline, Entry::PipelineRows, Entry::External];
+    let mut entries = vec![Entry::Pipeline, Entry::External];
     entries.extend(SystemProfile::ALL.map(Entry::Engine));
     entries.push(Entry::EngineSpill);
     for (name, case) in oracle::named_cases() {
@@ -61,7 +61,7 @@ fn named_inputs_pass_every_check() {
             .and_then(|()| oracle::check_bit_identity(&case))
             .and_then(|()| oracle::check_key_order(&case))
             .and_then(|()| oracle::check_plan_is_input_wide(&case))
-            .and_then(|()| oracle::check_sinks_agree(&case));
+            .and_then(|()| oracle::check_twins_agree(&case));
         assert_eq!(checked, Ok(()), "{name}");
         let violations = oracle::check_faults(&case).violations;
         assert!(violations.is_empty(), "{name}: {violations:#?}");

@@ -765,8 +765,7 @@ impl ExternalSorter {
                 self.core.metrics.add(Counter::SpillChecksumFailed, 1);
             }
         })?;
-        self.core
-            .publish(start, input.len(), ("external", "vectors"), order.kw);
+        self.core.publish(start, input.len(), "external", order.kw);
         Ok(out)
     }
 
@@ -1897,9 +1896,9 @@ mod tests {
         let mut sink = VectorSink::new(piece, core.pool());
         let mut tree = OvcLoserTree::empty();
         let stats = if core.coded(order.kw) {
-            merge_kway::<true, _, _>(order, &mut tree, sources, rows, &mut sink)
+            merge_kway::<true, _>(order, &mut tree, sources, rows, &mut sink)
         } else {
-            merge_kway::<false, _, _>(order, &mut tree, sources, rows, &mut sink)
+            merge_kway::<false, _>(order, &mut tree, sources, rows, &mut sink)
         }
         .expect("fault-free merge");
         assert!(

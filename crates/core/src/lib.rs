@@ -20,9 +20,8 @@
 //!   strings,
 //! * `merge` (crate-private) — the one k-way merge kernel: a tree of
 //!   losers over `RunSource`s (in-memory run, spill cursor) emitting into
-//!   a `MergeSink` — `VectorSink`, straight into the output vectors;
-//!   `ConcatSink`, a row run, for `sort_rows` — OVC as a const parameter
-//!   (DESIGN.md §11.4),
+//!   a `VectorSink`, straight into the output vectors, OVC as a const
+//!   parameter (DESIGN.md §11.4),
 //! * [`systems`] — the five §VII system profiles (DuckDB-, ClickHouse-,
 //!   MonetDB-, HyPer-, Umbra-like sort configurations) behind one trait,
 //! * [`external`] — out-of-core sorting: the same sorter with runs

@@ -1,11 +1,10 @@
 //! The one k-way merge kernel (DESIGN.md §11.4): a tree of losers over
-//! [`RunSource`]s emitting into a [`MergeSink`], with offset-value coding
+//! [`RunSource`]s emitting into a [`VectorSink`], with offset-value coding
 //! as a const parameter.
 //!
-//! Every merge of the sorter (`crate::sorter`) is this loop over a
-//! source × sink pair, once per key range, with codes or without: where
-//! the head record lives and where the winner is written are the only
-//! things that differ between merges. (The [`crate::systems`] profiles
+//! Every merge of the sorter (`crate::sorter`) is this loop, once per key
+//! range, with codes or without: where the head record lives is the only
+//! thing that differs between merges. (The [`crate::systems`] profiles
 //! keep their own merges: they model other engines.)
 
 use crate::comparator::FusedRowComparator;
@@ -16,14 +15,14 @@ use crate::pool::SortPool;
 use crate::run::SortedRun;
 use crate::spill::SpillError;
 use rowsort_algos::kway::{OvcLoserTree, OvcMatch};
-use rowsort_row::{ChunkPiece, PieceTail, RowLayout, BATCH_ROWS};
+use rowsort_row::{ChunkPiece, PieceTail, BATCH_ROWS};
 use rowsort_vector::DataChunk;
 use std::cmp::Ordering;
 use std::path::Path;
 
 /// Copy a small runtime-length slice with a pair of overlapping
-/// fixed-width loads/stores instead of a `memcpy` call — sinks copy one
-/// row (~8–24 bytes) per winner, where the call overhead of a
+/// fixed-width loads/stores instead of a `memcpy` call — the sink stages
+/// one row (~8–24 bytes) per winner, where the call overhead of a
 /// runtime-length `memcpy` dominates the copy itself.
 #[inline]
 fn copy_small(dst: &mut [u8], src: &[u8]) {
@@ -80,25 +79,6 @@ pub(crate) fn cmp_keys(a: &[u8], b: &[u8]) -> Ordering {
     }
 }
 
-/// Rebase a merged row's VARCHAR heap offsets after its strings moved
-/// `heap_shift` bytes later in a concatenated output heap.
-#[inline]
-fn shift_heap_offsets(
-    layout: &RowLayout,
-    varlen_cols: &[usize],
-    out_row: &mut [u8],
-    heap_shift: u32,
-) {
-    for &c in varlen_cols {
-        if out_row[layout.null_offset(c)] != 0 {
-            continue;
-        }
-        let at = layout.offset(c);
-        let off = u32::from_le_bytes(word::<4>(out_row, at)) + heap_shift;
-        out_row[at..at + 4].copy_from_slice(&off.to_le_bytes());
-    }
-}
-
 /// One sorted input of a merge, positioned on its head record.
 ///
 /// While not `exhausted`, `key` / `row` / `heap` describe the head: the
@@ -120,14 +100,6 @@ pub(crate) trait RunSource {
     fn advance(&mut self) -> Result<(), SpillError>;
     /// Names the source in errors a sink raises about its records.
     fn path(&self) -> &Path;
-}
-
-/// Where a merge writes its winners: pre-sized row slots plus a heap
-/// ([`ConcatSink`]), or pre-sized columns ([`VectorSink`]). `emit` takes
-/// the head record of `src`, input number `input` of the merge, into the
-/// next slot.
-pub(crate) trait MergeSink {
-    fn emit<S: RunSource>(&mut self, input: usize, src: &S) -> Result<(), SpillError>;
 }
 
 /// A sink was handed more records than it was sized for: a run that
@@ -206,39 +178,12 @@ impl RunSource for MemSource<'_> {
     }
 }
 
-/// The pipeline's sink: merged rows into pre-sized slots — and nothing
-/// else: no merge follows this one, so the output gets no key column. The
-/// output heap is the input heaps concatenated in input order (filled by
-/// the caller), so a row only needs its heap offsets shifted by its
-/// input's base — no per-row string copy.
-pub(crate) struct ConcatSink<'a> {
-    pub(crate) rows: std::slice::ChunksExactMut<'a, u8>,
-    /// Offset of each input's heap within the output heap.
-    pub(crate) heap_base: &'a [u32],
-    pub(crate) layout: &'a RowLayout,
-    pub(crate) varlen_cols: &'a [usize],
-}
-
-impl MergeSink for ConcatSink<'_> {
-    #[inline]
-    fn emit<S: RunSource>(&mut self, input: usize, src: &S) -> Result<(), SpillError> {
-        let (Some(out_row), Some(&shift)) = (self.rows.next(), self.heap_base.get(input)) else {
-            return Err(SpillError::corrupt(src.path(), OUTPUT_FULL));
-        };
-        copy_small(out_row, src.row());
-        if shift != 0 {
-            shift_heap_offsets(self.layout, self.varlen_cols, out_row, shift);
-        }
-        Ok(())
-    }
-}
-
-/// The sink both sorters hand vectors back through: one key range's share
-/// of the output columns ([`ChunkPiece`]). A winner's strings leave its
-/// source's heap at once — a spilled run's is a block buffer the next
-/// `advance` may replace — and its row bytes are staged, [`BATCH_ROWS`] at
-/// a time, for the piece's one typed pass per column while the batch is
-/// still in L1. No merged row run is ever built.
+/// Where a merge writes its winners: one key range's share of the output
+/// columns ([`ChunkPiece`]). A winner's strings leave its source's heap at
+/// once — a spilled run's is a block buffer the next `advance` may replace
+/// — and its row bytes are staged, [`BATCH_ROWS`] at a time, for the
+/// piece's one typed pass per column while the batch is still in L1. No
+/// merged row run is ever built.
 pub(crate) struct VectorSink<'a> {
     piece: ChunkPiece<'a>,
     /// Room for a batch of rows (pooled), `filled` bytes of it staged.
@@ -265,11 +210,10 @@ impl<'a> VectorSink<'a> {
         pool.put_bytes(self.staged);
         self.piece.finish()
     }
-}
 
-impl MergeSink for VectorSink<'_> {
+    /// Take the head record of `src` into the next row of the piece.
     #[inline]
-    fn emit<S: RunSource>(&mut self, _input: usize, src: &S) -> Result<(), SpillError> {
+    fn emit<S: RunSource>(&mut self, src: &S) -> Result<(), SpillError> {
         if self.piece.is_full() {
             return Err(SpillError::corrupt(src.path(), OUTPUT_FULL));
         }
@@ -399,12 +343,12 @@ impl MergeOrder<'_> {
 /// On return every source has been advanced past its last record, so
 /// a file-backed source whose range ends its run has checked that the
 /// file ends there before the output escapes.
-pub(crate) fn merge_kway<const OVC: bool, S: RunSource, K: MergeSink>(
+pub(crate) fn merge_kway<const OVC: bool, S: RunSource>(
     order: &MergeOrder<'_>,
     tree: &mut OvcLoserTree,
     sources: &mut [S],
     rows: usize,
-    sink: &mut K,
+    sink: &mut VectorSink<'_>,
 ) -> Result<MergeStats, SpillError> {
     let mut stats = MergeStats::default();
     if sources.is_empty() {
@@ -418,7 +362,7 @@ pub(crate) fn merge_kway<const OVC: bool, S: RunSource, K: MergeSink>(
     );
     for _ in 0..rows {
         let w = tree.winner();
-        sink.emit(w, &sources[w])?;
+        sink.emit(&sources[w])?;
         sources[w].advance()?;
         let srcs = &*sources;
         decided += tree.replay(w, leaf_code::<OVC, S>(&srcs[w]), &mut |a, b, ca, cb| {

@@ -24,8 +24,8 @@
 //! construction, [`PhaseTimer`] is a stack-only scope guard, and
 //! [`Metrics`]/[`SortProfile`] are `Copy` arrays. Only trace *emission*
 //! allocates, and only when `ROWSORT_TRACE` is set (the `zero_alloc`
-//! test runs without it and pins 0 allocations with metrics recording
-//! live).
+//! test runs without it and pins a warm sort's allocations — its result's
+//! buffers and the merge's bookkeeping — with metrics recording live).
 
 use std::fs::OpenOptions;
 use std::io::Write as _;
@@ -66,12 +66,11 @@ macro_rules! metric_enum {
 
 metric_enum! {
     /// Wall-clock phases of a sort, measured on the coordinating thread.
-    /// Pipeline sorts use the first three (they partition `sort_rows` almost
-    /// exactly, so their sum ≈ total sort time) plus, when the caller asks
-    /// for vectors back (`SortPipeline::sort`), the fourth; external sorts
-    /// use `Prepare`, the last two and — they always hand vectors back —
-    /// `Gather` the same way. A sort into vectors gathers inside its merge
-    /// phase, on every merge worker; `Gather` is what remains after it.
+    /// Pipeline sorts use the first four (they partition `sort` almost
+    /// exactly, so their sum ≈ total sort time); external sorts use
+    /// `Prepare`, `Gather` and the last two the same way. Both sorters
+    /// gather into vectors inside their merge phase, on every merge worker;
+    /// `Gather` is what remains after it.
     pub enum Phase {
         /// Column statistics + key-layout preparation before run generation.
         Prepare => "prepare",
@@ -79,8 +78,8 @@ metric_enum! {
         /// payload reorder).
         RunGeneration => "run_generation",
         /// Merging the runs in one range-partitioned k-way pass, codes or no
-        /// codes — into one row run, or (`sink = vectors`) straight into the
-        /// output columns, Figure 11's NSM → DSM stage included.
+        /// codes, straight into the output columns — Figure 11's NSM → DSM
+        /// stage included.
         Merge => "merge",
         /// Joining the key ranges' pieces of the output columns after a merge
         /// into vectors: one byte copy per range and VARCHAR column, one
@@ -98,7 +97,7 @@ metric_enum! {
 metric_enum! {
     /// Monotonic event counters recorded across all layers of a sort.
     pub enum Counter {
-        /// Completed `sort_rows` / `ExternalSorter::sort` calls.
+        /// Completed `SortPipeline::sort` / `ExternalSorter::sort` calls.
         SortCalls => "sort_calls",
         /// Input rows across all sort calls.
         RowsSorted => "rows_sorted",
@@ -387,10 +386,6 @@ pub struct SortProfile {
     /// Which operator produced this profile: `"pipeline"` or
     /// `"external"`.
     pub operator: &'static str,
-    /// Where the merge put its winners: `"vectors"` — straight into the
-    /// result's columns (`SortPipeline::sort`, every external sort) — or
-    /// `"rows"`, a merged row run (`SortPipeline::sort_rows`).
-    pub sink: &'static str,
     /// Input rows of this sort call.
     pub rows: u64,
     /// Wall time of the whole call, nanoseconds.
@@ -409,7 +404,6 @@ impl SortProfile {
     pub const fn zeroed() -> SortProfile {
         SortProfile {
             operator: "none",
-            sink: "none",
             rows: 0,
             total_ns: 0,
             key_width: 0,
@@ -419,10 +413,10 @@ impl SortProfile {
     }
 
     /// The trace-schema JSON object for this profile: `event`,
-    /// `operator`, `sink`, `rows`, `total_ns`, `key_width`, `varchar_prefix`,
-    /// plus nested `phases` and
-    /// `counters` objects (every field numeric; see DESIGN.md §7.5 for
-    /// the schema contract `trace_smoke` validates in CI).
+    /// `operator`, `rows`, `total_ns`, `key_width`, `varchar_prefix`, plus
+    /// nested `phases` and `counters` objects (every field numeric; see
+    /// DESIGN.md §7.5 for the schema contract `trace_smoke` validates in
+    /// CI).
     pub fn to_json(&self) -> Json {
         let phases: Vec<(String, Json)> = Phase::ALL
             .iter()
@@ -440,7 +434,6 @@ impl SortProfile {
         Json::obj(vec![
             ("event", Json::str("sort")),
             ("operator", Json::str(self.operator)),
-            ("sink", Json::str(self.sink)),
             ("rows", Json::Num(self.rows as f64)),
             ("total_ns", Json::Num(self.total_ns as f64)),
             ("key_width", Json::Num(f64::from(self.key_width))),
@@ -581,7 +574,6 @@ mod tests {
         reg.record_sort(128);
         let profile = SortProfile {
             operator: "pipeline",
-            sink: "vectors",
             rows: 128,
             total_ns: 110,
             key_width: 36,
@@ -591,7 +583,6 @@ mod tests {
         let parsed = Json::parse(&profile.to_json().render()).unwrap();
         assert_eq!(parsed.get("event").unwrap().as_str(), Some("sort"));
         assert_eq!(parsed.get("operator").unwrap().as_str(), Some("pipeline"));
-        assert_eq!(parsed.get("sink").unwrap().as_str(), Some("vectors"));
         assert_eq!(parsed.get("rows").unwrap().as_f64(), Some(128.0));
         assert_eq!(parsed.get("total_ns").unwrap().as_f64(), Some(110.0));
         assert_eq!(parsed.get("key_width").unwrap().as_f64(), Some(36.0));

@@ -3,21 +3,18 @@
 //! and merged from place, each row moved once, straight into the result's
 //! columns.
 //!
-//! What this facade adds: its options, the scratch that makes a warm sort
-//! allocation-free (DESIGN.md §6) — key plan, run slots, merge plan, all
-//! rebuilt in place — and [`SortPipeline::sort_rows`], the row output kept
-//! beside the vectors for callers that want rows and as the twin the
-//! vectors are checked against.
+//! What this facade adds: its options, and the scratch that makes a warm
+//! sort take every buffer from the pool (DESIGN.md §6) — key plan, run
+//! slots, merge plan, all rebuilt in place.
 
-use crate::merge::{ConcatSink, MergeOrder};
 use crate::metrics::{Counter, Metrics, Phase, SortProfile};
 use crate::resources::SortResources;
 use crate::run::{KeyPlan, SortedRun};
 use crate::sorter::{MergePlan, RunSlot, SorterCore};
 use crate::spill::SpillError;
-use rowsort_row::{heap_base, RowBlock};
 use rowsort_vector::{DataChunk, LogicalType, OrderBy};
-use std::sync::{Arc, Mutex};
+use std::marker::PhantomData;
+use std::sync::Mutex;
 
 /// Worker threads to use when [`SortOptions`] does not pin a count: the
 /// `ROWSORT_THREADS` environment variable if set to an integer
@@ -84,7 +81,8 @@ impl SortOptions {
 }
 
 /// Reusable per-sort working state, retained inside the pipeline so a
-/// steady-state sort allocates nothing.
+/// steady-state sort allocates only its result and the merge's fixed
+/// bookkeeping (`tests/zero_alloc.rs` names each allocation).
 #[derive(Default)]
 struct Scratch {
     plan: KeyPlan,
@@ -92,8 +90,6 @@ struct Scratch {
     slots: Vec<RunSlot<SortedRun>>,
     runs: Vec<SortedRun>,
     merge: MergePlan<SortedRun>,
-    /// Every run's base in a merged row run's heap ([`ConcatSink`]).
-    heap_bases: Vec<u32>,
 }
 
 /// The relational sort operator.
@@ -148,140 +144,53 @@ impl SortPipeline {
         }
     }
 
-    /// Sort a materialized input relation, returning it fully sorted: the
-    /// merge's winners are gathered straight into the result's columns.
-    /// [`Phase::Merge`] therefore contains the conversion back to vectors,
-    /// and [`Phase::Gather`] clocks only what is left of it afterwards, the
-    /// join of the key ranges' strings and validity masks.
+    /// Sort a materialized input relation, returning it fully sorted: plan
+    /// the key, generate the runs, and merge them straight into the
+    /// result's columns. [`Phase::Merge`] therefore contains the
+    /// conversion back to vectors, and [`Phase::Gather`] clocks only what
+    /// is left of it afterwards, the join of the key ranges' strings and
+    /// validity masks. An empty input records no sort.
     pub fn sort(&self, input: &DataChunk) -> DataChunk {
-        let sorted = self.sort_with(input, "vectors", |scratch, order| {
-            let Scratch { runs, merge, .. } = scratch;
-            let core = &self.core;
-            core.merge_into_vectors(order, runs, merge, input, Phase::Merge)
-        });
-        sorted.unwrap_or_else(|| DataChunk::new(&self.core.types))
-    }
-
-    /// Sort `input`, returning the merged run in row form. Dropping the
-    /// result returns its buffers to the pipeline's pool; in steady state
-    /// (after a warm-up sort of similar shape) this call performs zero
-    /// heap allocations.
-    pub fn sort_rows(&self, input: &DataChunk) -> SortedRows<'_> {
-        let run = self.sort_with(input, "rows", |scratch, order| {
-            let _merge = self.core.metrics.time_phase(Phase::Merge);
-            match scratch.runs.len() {
-                0 | 1 => Ok(scratch.runs.pop()),
-                _ => self.merge_rows(scratch, order).map(Some),
-            }
-        });
-        SortedRows {
-            pipeline: self,
-            run: run.flatten(),
-        }
-    }
-
-    /// The sort up to its merge, which `merge` supplies: plan the key,
-    /// generate the runs, merge them through `merge` — into the `sink` it
-    /// names — recycle them, and publish the sort's profile and trace
-    /// line. `None` for an empty input, which records nothing.
-    fn sort_with<T>(
-        &self,
-        input: &DataChunk,
-        sink: &'static str,
-        merge: impl FnOnce(&mut Scratch, &MergeOrder<'_>) -> Result<T, SpillError>,
-    ) -> Option<T> {
+        let core = &self.core;
         let mut guard = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
-        let scratch = &mut *guard;
-        let start = self.core.begin(input, &mut scratch.plan)?;
-        let order = self.core.merge_order(&scratch.plan);
-        {
-            let _gen = self.core.metrics.time_phase(Phase::RunGeneration);
-            let runs = (&mut scratch.slots, &mut scratch.runs);
-            let pool = self.core.pool();
-            resident(
-                self.core
-                    .generate(input, &scratch.plan, pool, runs, |run, _| Ok(run)),
-            );
-        }
-        let run_count = scratch.runs.len();
-        let sorted = resident(merge(scratch, &order));
-        if run_count > 1 {
-            let m = &self.core.metrics;
-            m.add(Counter::MergeRounds, 1);
-            m.add(Counter::MergeTasks, scratch.merge.parts as u64);
-            m.add(
-                Counter::MergeMaxRangeRows,
-                scratch.merge.max_range_rows() as u64,
-            );
-        }
-        for run in scratch.runs.drain(..) {
-            run.recycle(self.core.pool());
-        }
-        self.core
-            .publish(start, input.len(), ("pipeline", sink), order.kw);
-        Some(sorted)
-    }
-
-    /// Merge two or more runs into one row run: one pass of the sorter's
-    /// range merges, each range claiming its slice of the one pre-sized
-    /// row area through a [`ConcatSink`]. Each row moves once, and no key
-    /// column is written: nothing reads the merged run's keys. The output
-    /// heap is the run heaps concatenated in run order.
-    fn merge_rows(
-        &self,
-        scratch: &mut Scratch,
-        order: &MergeOrder<'_>,
-    ) -> Result<SortedRun, SpillError> {
         let Scratch {
+            plan,
+            slots,
             runs,
             merge,
-            heap_bases,
-            ..
-        } = scratch;
-        self.core.plan_ranges(order.kw, runs, merge)?;
-        let (pool, layout) = (self.core.pool(), &self.core.layout);
-        let width = layout.width();
-        let total: usize = runs.iter().map(|r| r.len()).sum();
-        // Rows from run `w` get their heap offsets shifted by that run's
-        // base in the output heap. A shifted offset is below the total, so
-        // the total is what must fit a slot.
-        let heap_bytes: usize = runs.iter().map(|r| r.payload.heap().len()).sum();
-        heap_base(heap_bytes);
-        let mut heap = pool.get_bytes(heap_bytes);
-        heap_bases.clear();
-        heap_bases.reserve(runs.len());
-        for run in runs.iter() {
-            heap_bases.push(heap_base(heap.len()));
-            heap.extend_from_slice(run.payload.heap());
-        }
-        let mut data = pool.get_bytes(total * width);
-        data.resize(total * width, 0);
+        } = &mut *guard;
+        let Some(start) = core.begin(input, plan) else {
+            return DataChunk::new(&core.types);
+        };
+        let order = core.merge_order(plan);
         {
-            let mut rest = &mut data[..];
-            let heap_base = &**heap_bases;
-            let claim = move |rows: usize| {
-                let (out, tail) = std::mem::take(&mut rest).split_at_mut(rows * width);
-                rest = tail;
-                Some(ConcatSink {
-                    rows: out.chunks_exact_mut(width),
-                    heap_base,
-                    layout,
-                    varlen_cols: &self.core.varlen_cols,
-                })
-            };
-            self.core
-                .merge_ranges(order, runs, merge, claim, |_, _| ())?;
+            let _gen = core.metrics.time_phase(Phase::RunGeneration);
+            let placed = (slots, &mut *runs);
+            resident(core.generate(input, plan, core.pool(), placed, |run, _| Ok(run)));
         }
-        // A row's one move writes `width` bytes.
-        self.core
-            .metrics
-            .add(Counter::BytesMoved, (total * width) as u64);
-        Ok(SortedRun {
-            keys: Vec::new(),
-            key_width: order.kw,
-            ovc: Vec::new(),
-            payload: RowBlock::from_raw_parts(Arc::clone(layout), data, heap),
-        })
+        let sorted = resident(core.merge_into_vectors(&order, runs, merge, input, Phase::Merge));
+        if runs.len() > 1 {
+            let m = &core.metrics;
+            m.add(Counter::MergeRounds, 1);
+            m.add(Counter::MergeTasks, merge.parts as u64);
+            m.add(Counter::MergeMaxRangeRows, merge.max_range_rows() as u64);
+        }
+        for run in runs.drain(..) {
+            run.recycle(core.pool());
+        }
+        core.publish(start, input.len(), "pipeline", order.kw);
+        sorted
+    }
+
+    /// [`SortPipeline::sort`], wrapped. Kept, hidden, for the benchmark's
+    /// adapter (`benchmark/src/adapter.rs`) until it calls `sort` itself
+    /// (ROADMAP 1(e)); nothing else should call it.
+    #[doc(hidden)]
+    pub fn sort_rows(&self, input: &DataChunk) -> SortedRows<'_> {
+        SortedRows {
+            chunk: self.sort(input),
+            pipeline: PhantomData,
+        }
     }
 
     /// Buffer-pool `(hits, misses)` counters — a steady-state sort serves
@@ -314,44 +223,18 @@ fn resident<T>(sorted: Result<T, SpillError>) -> T {
     sorted.expect("a sort of resident runs is infallible")
 }
 
-/// A sorted relation in row form, borrowed from its pipeline's buffer
-/// pool: dropping it recycles the buffers, which is what makes repeated
-/// sorts allocation-free.
+/// What [`SortPipeline::sort_rows`] returns: the sorted vectors, under
+/// the lifetime the benchmark's adapter names. Kept, hidden, with it.
+#[doc(hidden)]
 pub struct SortedRows<'a> {
-    pipeline: &'a SortPipeline,
-    run: Option<SortedRun>,
+    chunk: DataChunk,
+    pipeline: PhantomData<&'a SortPipeline>,
 }
 
 impl SortedRows<'_> {
-    /// Number of sorted rows.
-    pub fn len(&self) -> usize {
-        self.run.as_ref().map_or(0, |r| r.len())
-    }
-
-    /// `true` iff the input held no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The sorted payload rows (`None` for an empty input).
-    pub fn payload(&self) -> Option<&RowBlock> {
-        self.run.as_ref().map(|r| &r.payload)
-    }
-
-    /// Convert back to vectors (NSM → DSM); the pipeline's final step.
+    /// A copy of the sorted vectors.
     pub fn to_chunk(&self) -> DataChunk {
-        match &self.run {
-            Some(run) => run.payload.to_chunk(),
-            None => DataChunk::new(&self.pipeline.core.types),
-        }
-    }
-}
-
-impl Drop for SortedRows<'_> {
-    fn drop(&mut self) {
-        if let Some(run) = self.run.take() {
-            run.recycle(self.pipeline.core.pool());
-        }
+        self.chunk.clone()
     }
 }
 
@@ -809,8 +692,8 @@ mod tests {
         let active =
             m.phase(Phase::Prepare) + m.phase(Phase::RunGeneration) + m.phase(Phase::Merge);
         assert!(active <= profile.total_ns);
-        // `sort` converts back to vectors: that stage is clocked too, and
-        // counted in the total.
+        // What is left of the conversion back to vectors after the merge
+        // is clocked too, and counted in the total.
         assert!(m.phase(Phase::Gather) > 0);
         assert_eq!(m.phase_total_ns(), active + m.phase(Phase::Gather));
         assert!(m.phase_total_ns() <= profile.total_ns);
@@ -826,13 +709,6 @@ mod tests {
         assert!(text.contains("counter.rows_sorted: 10000"), "{text}");
         assert!(text.contains("phase.run_generation_ns:"), "{text}");
         assert!(text.contains("phase.gather_ns:"), "{text}");
-
-        // `sort_rows` stops before the gather, and reports what it always
-        // did.
-        drop(pipeline.sort_rows(&chunk));
-        let rows_only = pipeline.last_profile();
-        assert_eq!(rows_only.metrics.phase(Phase::Gather), 0);
-        assert!(rows_only.metrics.phase(Phase::Merge) > 0);
     }
 
     #[test]
@@ -878,8 +754,7 @@ mod tests {
     #[test]
     fn strings_survive_many_run_merges() {
         // VARCHAR payload from 14 runs: each row's string comes from its
-        // own run's heap — copied into the column by `sort`, reached
-        // through an offset shifted by its run's base by `sort_rows`.
+        // own run's heap, copied into the column by the merge.
         let n = 4_000;
         let keys = pseudo_random(n, 14, 500);
         let strings: Vec<String> = keys.iter().map(|k| format!("val_{k:05}")).collect();
@@ -908,7 +783,5 @@ mod tests {
             };
             assert_eq!(s, format!("val_{k:05}"), "string detached at row {i}");
         }
-        let rows = pipeline.sort_rows(&chunk).to_chunk();
-        assert_eq!(rows.to_rows(), got.to_rows(), "the row twin differs");
     }
 }

@@ -10,7 +10,8 @@
 //! * the range planner — splitters picked from every run's sample keys,
 //!   every run cut at each ([`SorterCore::plan_ranges`]);
 //! * the merge driver — key ranges claimed in order, each merged by the
-//!   one kernel into its own sink ([`SorterCore::merge_ranges`]).
+//!   one kernel into its own piece of the output columns
+//!   ([`SorterCore::merge_into_vectors`]).
 //!
 //! Where a finished run lives is the one difference, and it is a type:
 //! [`StoredRun`]. The pipeline's runs stay resident ([`SortedRun`], cut by
@@ -21,8 +22,7 @@
 
 use crate::comparator::FusedRowComparator;
 use crate::merge::{
-    cmp_keys, column_bytes, merge_kway, string_bytes, MemSource, MergeOrder, MergeSink, RunSource,
-    VectorSink,
+    cmp_keys, column_bytes, merge_kway, string_bytes, MemSource, MergeOrder, RunSource, VectorSink,
 };
 use crate::metrics::{emit_trace, Counter, CounterRegistry, Metrics, Phase, SortProfile};
 use crate::pool::SortPool;
@@ -30,7 +30,7 @@ use crate::resources::SortResources;
 use crate::run::{KeyPlan, SortedRun};
 use crate::spill::{SpillError, SpillOp};
 use rowsort_algos::kway::OvcLoserTree;
-use rowsort_row::{ChunkBuilder, PieceTail, RowLayout};
+use rowsort_row::{ChunkBuilder, ChunkPiece, PieceTail, RowLayout};
 use rowsort_vector::{DataChunk, LogicalType, OrderBy};
 use std::cmp::Ordering;
 use std::path::Path;
@@ -294,19 +294,18 @@ impl SorterCore {
         })
     }
 
-    /// Finish a sort of `rows` rows by `operator` into `sink`: count it,
-    /// and publish its profile and trace line.
+    /// Finish a sort of `rows` rows by `operator`: count it, and publish
+    /// its profile and trace line.
     pub(crate) fn publish(
         &self,
         start: SortStart,
         rows: usize,
-        (operator, sink): (&'static str, &'static str),
+        operator: &'static str,
         key_width: usize,
     ) {
         self.metrics.record_sort(rows as u64);
         let profile = SortProfile {
             operator,
-            sink,
             rows: rows as u64,
             total_ns: start.at.elapsed().as_nanos() as u64,
             key_width: key_width as u32,
@@ -390,7 +389,7 @@ impl SorterCore {
     /// `p` holds the keys in `[splitter[p−1], splitter[p])`, so byte-equal
     /// keys never straddle a cut, and the ranges concatenate to the stable
     /// merge by run index that one tree over whole runs produces.
-    pub(crate) fn plan_ranges<R: StoredRun>(
+    fn plan_ranges<R: StoredRun>(
         &self,
         kw: usize,
         runs: &[R],
@@ -434,37 +433,41 @@ impl SorterCore {
         Ok(())
     }
 
-    /// Merge every range of a plan into the sink `claim` hands out for it,
+    /// Merge every range of a plan into its piece of the output columns,
     /// on the worker pool — one range on the calling thread. Ranges are
-    /// claimed in order under one lock, `claim(rows)` taking the range's
-    /// share off the front of whatever output it guards (disjoint by
-    /// construction, whichever worker gets which); `done` gets each sink
-    /// back once its range is in. A failure stops further claims and the
-    /// lowest failed range's error is returned.
-    pub(crate) fn merge_ranges<R: StoredRun, K: MergeSink>(
+    /// claimed in order under one lock, each with the next of `pieces`
+    /// (disjoint by construction, whichever worker gets which), and merged
+    /// through a [`VectorSink`]; range `p` leaves its piece's tail in
+    /// `tails[p]`. A failure stops further claims and the lowest failed
+    /// range's error is returned.
+    fn merge_ranges<'c, R: StoredRun>(
         &self,
         order: &MergeOrder<'_>,
         runs: &[R],
         plan: &MergePlan<R>,
-        claim: impl FnMut(usize) -> Option<K> + Send,
-        done: impl Fn(usize, K) + Sync,
+        pieces: impl Iterator<Item = ChunkPiece<'c>> + Send,
+        tails: &[Mutex<Option<PieceTail>>],
     ) -> Result<(), SpillError> {
         let coded = self.coded(order.kw) && runs.len() > 1;
-        // The next range, the claim, and the lowest failed range.
-        let state = Mutex::new((0, claim, None::<(usize, SpillError)>));
+        // The next range, the pieces left, and the lowest failed range.
+        let state = Mutex::new((0, pieces, None::<(usize, SpillError)>));
         let body = |_worker: usize| loop {
-            let (p, rows, mut sink) = {
+            let (p, rows, piece) = {
                 let mut next = state.lock().unwrap_or_else(|e| e.into_inner());
-                if next.0 >= plan.parts || next.2.is_some() {
+                if next.2.is_some() {
                     break;
                 }
-                let (p, rows) = (next.0, plan.range_rows(next.0));
-                let Some(sink) = (next.1)(rows) else { break };
+                let Some(piece) = next.1.next() else { break };
+                let p = next.0;
                 next.0 += 1;
-                (p, rows, sink)
+                (p, plan.range_rows(p), piece)
             };
+            let mut sink = VectorSink::new(piece, self.pool());
             match self.merge_range(order, coded, runs, plan, (p, rows), &mut sink) {
-                Ok(()) => done(p, sink),
+                Ok(()) => {
+                    let tail = sink.finish(self.pool());
+                    *tails[p].lock().unwrap_or_else(|e| e.into_inner()) = Some(tail);
+                }
                 Err(err) => {
                     let failed = &mut state.lock().unwrap_or_else(|e| e.into_inner()).2;
                     if failed.as_ref().is_none_or(|(q, _)| p < *q) {
@@ -485,14 +488,14 @@ impl SorterCore {
     /// Merge the `rows` rows of range `p` into `sink`: one source per run,
     /// between its cuts `p` and `p + 1` (a run with none there is an
     /// exhausted leaf), through the kernel once — on codes when `coded`.
-    fn merge_range<R: StoredRun, K: MergeSink>(
+    fn merge_range<R: StoredRun>(
         &self,
         order: &MergeOrder<'_>,
         coded: bool,
         runs: &[R],
         plan: &MergePlan<R>,
         (p, rows): (usize, usize),
-        sink: &mut K,
+        sink: &mut VectorSink<'_>,
     ) -> Result<(), SpillError> {
         if rows == 0 {
             return Ok(());
@@ -505,9 +508,9 @@ impl SorterCore {
             cursors.push(run.source(self, order.kw, [c[p], c[p + 1]])?);
         }
         let stats = if coded {
-            merge_kway::<true, _, _>(order, tree, &mut cursors, rows, sink)
+            merge_kway::<true, _>(order, tree, &mut cursors, rows, sink)
         } else {
-            merge_kway::<false, _, _>(order, tree, &mut cursors, rows, sink)
+            merge_kway::<false, _>(order, tree, &mut cursors, rows, sink)
         }?;
         stats.flush(&self.metrics);
         *sources = recycle_vec(cursors);
@@ -516,7 +519,7 @@ impl SorterCore {
 
     /// Merge `runs` straight into the result's columns (DESIGN.md §11.4),
     /// clocked as `phase`: plan the ranges, size every column exactly,
-    /// merge each range into its piece through a [`VectorSink`] — the
+    /// merge each range into its piece ([`SorterCore::merge_ranges`]) — the
     /// gather runs on every merge worker — and join the pieces' strings and
     /// validity masks on one thread afterwards, clocked as
     /// [`Phase::Gather`]. `input`'s string columns say how many bytes to
@@ -538,13 +541,7 @@ impl SorterCore {
         {
             let rows = (0..plan.parts).map(|p| plan.range_rows(p));
             let pieces = builder.pieces(&self.layout, rows, string_bytes(input));
-            let mut pieces = pieces.into_iter();
-            let claim = move |_rows| Some(VectorSink::new(pieces.next()?, self.pool()));
-            let done = |p: usize, sink: VectorSink<'_>| {
-                let tail = sink.finish(self.pool());
-                *tails[p].lock().unwrap_or_else(|e| e.into_inner()) = Some(tail);
-            };
-            self.merge_ranges(order, runs, plan, claim, done)?;
+            self.merge_ranges(order, runs, plan, pieces.into_iter(), &tails)?;
         }
         drop(merge_timer);
 

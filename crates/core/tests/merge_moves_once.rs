@@ -30,7 +30,7 @@ const MERGE_WORK: [Counter; 5] = [
 const THREADS: [usize; 5] = [1, 2, 3, 4, 8];
 
 /// Below this many rows per would-be range the planner cuts fewer ranges
-/// (`core::merge::MIN_ROWS_PER_PARTITION`).
+/// (`core::sorter::MIN_ROWS_PER_RANGE`).
 const MIN_ROWS_PER_RANGE: usize = 256;
 
 fn ranges_for(threads: usize, rows: usize) -> u64 {
@@ -188,16 +188,17 @@ fn a_warm_pool_serves_every_merge_buffer() {
         };
         let pipeline = pipeline(&chunk, &order, options);
         let misses = |pipeline: &SortPipeline| {
-            drop(pipeline.sort_rows(&chunk));
+            drop(pipeline.sort(&chunk));
             pipeline.last_profile().metrics.counter(Counter::PoolMisses)
         };
         assert!(misses(&pipeline) > 0, "a cold sort allocates");
         misses(&pipeline);
         let mut third = misses(&pipeline);
-        // The merge asks for one row area and one heap, both pooled since
-        // the first sort. With several workers, how many run-generation
-        // buffers are live at once depends on the schedule, so the pool
-        // may still be growing towards that peak: give it a few sorts.
+        // The merge asks for one row batch per key range, pooled since the
+        // first sort (the output columns are the result's own, never
+        // pooled). With several workers, how many run-generation buffers
+        // are live at once depends on the schedule, so the pool may still
+        // be growing towards that peak: give it a few sorts.
         for _ in 0..8 {
             if threads == 1 || third == 0 {
                 break;
@@ -430,8 +431,6 @@ fn an_empty_order_by_over_several_runs_keeps_input_order() {
             assert_eq!(m.counter(Counter::MergeRounds), 1, "{what}");
             assert_eq!(m.counter(Counter::MergeTasks), 1, "{what}: one range");
             assert_eq!(m.counter(Counter::MergeCmpsOvcResolved), 0, "{what}");
-            let rows = pipeline.sort_rows(&chunk).to_chunk();
-            assert!(rows == chunk, "{what}: sort_rows() reordered the input");
         }
     }
 }

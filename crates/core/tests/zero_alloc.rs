@@ -1,12 +1,13 @@
-//! Pins the tentpole claim: a warmed-up pipeline sorts with ZERO system
-//! allocations — every transient buffer (key runs, payload blocks, radix
-//! scratch, merge outputs) comes from the pipeline's pool, and the key
-//! planner's sample table from its scratch — on every run-sort path (LSD
-//! radix, MSD radix with its insertion-sorted buckets, MSD radix over a
-//! VARCHAR prefix sized from the strings, key-equal ranges handed to
-//! pdqsort with tie resolution) and both merges. And a *new* pipeline on a
-//! warm shared pool — an engine's next query — takes every buffer from
-//! that pool, allocating only its own small state.
+//! Pins the tentpole claim: a warmed-up pipeline takes every transient
+//! buffer of a sort — key runs, payload blocks, radix scratch, the merge's
+//! row batches — from its pool, and the key planner's sample table from
+//! its scratch, on every run-sort path (LSD radix, MSD radix with its
+//! insertion-sorted buckets, MSD radix over a VARCHAR prefix sized from
+//! the strings, key-equal ranges handed to pdqsort with tie resolution)
+//! and with codes or without. What it still asks the system for is its
+//! result and a fixed handful of bookkeeping around it, counted here. And
+//! a *new* pipeline on a warm shared pool — an engine's next query — takes
+//! every buffer from that pool, allocating only its own small state.
 //!
 //! The counting allocator is installed globally for this test binary, so
 //! the file holds exactly one test: any parallel test in the same binary
@@ -22,10 +23,34 @@ use rowsort_vector::{DataChunk, LogicalType, OrderBy, Value, Vector};
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
+/// What a warm sort at one thread allocates, for a relation of `F`
+/// fixed-width and `V` VARCHAR columns, `N` of them holding a NULL: its
+/// result's own buffers and the merge's fixed bookkeeping, no pooled
+/// buffer among them, each allocated once —
+///
+/// * the result: its column list (1), each fixed-width column's values
+///   (F), each VARCHAR column's offsets and bytes (2V), and each
+///   NULL-holding column's validity words (N);
+/// * the output builder: its column list (1) and each VARCHAR column's
+///   placeholder offsets (V), replaced by the piece's;
+/// * the merge's one key range: the tails' slots (1), the columns left to
+///   cut and the pieces (2), the piece's masks (1), and its fixed-width
+///   and VARCHAR column lists (1 each if it has such a column; its tail's
+///   strings are collected into the second's buffer);
+/// * the join: the tails collected (1), their masks and strings unzipped
+///   (2), and each VARCHAR column's list of pieces (V).
+///
+/// A `u32` key alone: 2 + 9 = 11 (`bench_gate`'s `pipeline/u32_t1` pins the
+/// same). A nullable VARCHAR key, a `u32` and a VARCHAR payload (F = 1,
+/// V = 2, N = 1): 7 + 14 = 21. Four `i32` columns: 5 + 9 = 14.
+const U32_ALLOCS: usize = 11;
+const NAMED_ALLOCS: usize = 21;
+const WIDE_ALLOCS: usize = 14;
+
 /// Sort `chunk` by its first `keys` columns three times on one pipeline
-/// and pin the third sort: no system allocation, no pool miss.
-fn third_sort_does_not_allocate(what: &str, chunk: &DataChunk, keys: usize, ovc: bool) {
-    third_sort_of(what, chunk, chunk, keys, ovc);
+/// and pin the third sort: `allocs` system allocations, no pool miss.
+fn third_sort_allocates(what: &str, chunk: &DataChunk, keys: usize, ovc: bool, allocs: usize) {
+    third_sort_of(what, chunk, chunk, keys, ovc, allocs);
 }
 
 /// Sort `warm_up` twice and then `chunk` — the same rows but for payload
@@ -36,10 +61,11 @@ fn third_sort_of(
     chunk: &DataChunk,
     keys: usize,
     ovc: bool,
+    allocs: usize,
 ) -> SortProfile {
     let n = chunk.len();
     // threads: 1 — worker threads allocate stack/TLS on their own
-    // schedule; the zero-allocation guarantee is about sort buffers.
+    // schedule; the allocation count is about sort buffers.
     let pipeline = SortPipeline::new(
         chunk.types(),
         OrderBy::ascending(keys),
@@ -55,22 +81,22 @@ fn third_sort_of(
     );
 
     // Warm up: first sorts populate the buffer pool (runs + the merge's
-    // output) and grow the merge's scratch. Two passes so every size
+    // row batch) and grow the merge's scratch. Two passes so every size
     // class is pooled before measurement.
     for _ in 0..2 {
-        drop(pipeline.sort_rows(warm_up));
+        drop(pipeline.sort(warm_up));
     }
 
     let before = allocation_count();
-    let sorted = pipeline.sort_rows(chunk);
+    let sorted = pipeline.sort(chunk);
+    let made = allocation_count() - before;
     assert_eq!(sorted.len(), n);
     drop(sorted);
-    let allocs = allocation_count() - before;
     let (hits, misses) = pipeline.pool_stats();
     assert_eq!(
-        allocs, 0,
-        "{what}, ovc={ovc}: steady-state sort hit the system allocator \
-         {allocs} time(s) (pool hits={hits} misses={misses})"
+        made, allocs,
+        "{what}, ovc={ovc}: a steady-state sort's system allocations \
+         (pool hits={hits} misses={misses})"
     );
     assert!(
         hits > 0,
@@ -79,8 +105,8 @@ fn third_sort_of(
 
     // The observability layer recorded the measured sort — counters,
     // phase timers, and the per-sort profile all updated — while the
-    // allocation count above stayed at exactly zero: the metrics
-    // registry is preallocated at pipeline construction.
+    // allocation count above stayed the result's: the metrics registry is
+    // preallocated at pipeline construction.
     let profile = pipeline.last_profile();
     assert_eq!(profile.operator, "pipeline");
     assert_eq!(profile.rows, n as u64);
@@ -99,8 +125,8 @@ fn third_sort_of(
 }
 
 /// What a new pipeline's first sort on a warm set allocates at one thread,
-/// six runs and more: its own state, none of it a pooled buffer, each
-/// allocated once —
+/// six runs and more, beyond what any warm sort does: its own state, none
+/// of it a pooled buffer, each allocated once —
 ///
 /// * the key plan: the input's VARCHAR statistics and the ones its key
 ///   blocks were planned for (2), and the key-block cache's vector (1);
@@ -108,17 +134,16 @@ fn third_sort_of(
 ///   (3), and its entry buffer, a run's rows × stride (1);
 /// * the run slots and the runs (2);
 /// * the merge plan: the cuts and the key ranges' scratch (2), one range's
-///   sources (1) and its loser tree's four levels (4);
-/// * the row merge's heap bases (1).
+///   sources (1) and its loser tree's four levels (4).
 ///
-/// 17 in all; a VARCHAR key column adds the prefix sampler's table, rows
+/// 16 in all; a VARCHAR key column adds the prefix sampler's table, rows
 /// and chains (3).
-const NEW_SORTER_ALLOCS: usize = 17;
+const NEW_SORTER_ALLOCS: usize = 16;
 const SAMPLER_ALLOCS: usize = 3;
 
-/// Warm a shared set with two sorts of `chunk` — one per merge target —
-/// then sort it through new pipelines on that set: every buffer must come
-/// from the pool, and the row sort allocate `allocs` times.
+/// Warm a shared set with a sort of `chunk`, then sort it through a new
+/// pipeline on that set: every buffer must come from the pool, and the
+/// sort allocate `allocs` times.
 fn new_sorter_on_warm_set(what: &str, chunk: &DataChunk, keys: usize, ovc: bool, allocs: usize) {
     let set = SortResources::new(1);
     let options = SortOptions {
@@ -128,22 +153,18 @@ fn new_sorter_on_warm_set(what: &str, chunk: &DataChunk, keys: usize, ovc: bool,
     };
     let order = OrderBy::ascending(keys);
     let new = || SortPipeline::with_resources(chunk.types(), order.clone(), options, &set);
-    let warm = new();
-    drop(warm.sort_rows(chunk));
-    drop(warm.sort(chunk));
-    let (rows, vectors) = (new(), new());
+    drop(new().sort(chunk));
+    let pipeline = new();
     let before = allocation_count();
-    drop(rows.sort_rows(chunk));
+    let sorted = pipeline.sort(chunk);
     let made = allocation_count() - before;
+    drop(sorted);
     assert_eq!(
         made, allocs,
         "{what}, ovc={ovc}: a new sorter's allocations"
     );
-    drop(vectors.sort(chunk));
-    for (merge, p) in [("rows", &rows), ("vectors", &vectors)] {
-        let misses = p.last_profile().metrics.counter(Counter::PoolMisses);
-        assert_eq!(misses, 0, "{what}, ovc={ovc}, {merge}: a new sorter missed");
-    }
+    let misses = pipeline.last_profile().metrics.counter(Counter::PoolMisses);
+    assert_eq!(misses, 0, "{what}, ovc={ovc}: a new sorter missed");
 }
 
 /// `name` (one row in ten NULL) keyed ahead of a row number and a VARCHAR
@@ -207,21 +228,23 @@ fn steady_state_sort_does_not_allocate() {
     let wide = DataChunk::from_columns(vec![column(), column(), column(), column()]).unwrap();
 
     for ovc in [true, false] {
-        third_sort_does_not_allocate("u32 key", &u32s, 1, ovc);
-        third_sort_does_not_allocate("long VARCHAR key", &strings, 1, ovc);
-        let profile = third_sort_of("truncated VARCHAR key", &tied, &tied, 1, ovc);
+        third_sort_allocates("u32 key", &u32s, 1, ovc, U32_ALLOCS);
+        third_sort_allocates("long VARCHAR key", &strings, 1, ovc, NAMED_ALLOCS);
+        let what = "truncated VARCHAR key";
+        let profile = third_sort_of(what, &tied, &tied, 1, ovc, NAMED_ALLOCS);
         assert_eq!(
             profile.varchar_prefix, 12,
             "no prefix within the cap separates"
         );
         assert_eq!(profile.metrics.counter(Counter::RunTieRows), 60_000);
         let what = "truncated VARCHAR key, payload lengths changed";
-        third_sort_of(what, &tied, &tied_other_payload, 1, ovc);
-        third_sort_does_not_allocate("four-i32 key", &wide, 4, ovc);
-        let sampled = NEW_SORTER_ALLOCS + SAMPLER_ALLOCS;
-        new_sorter_on_warm_set("u32 key", &u32s, 1, ovc, NEW_SORTER_ALLOCS);
+        third_sort_of(what, &tied, &tied_other_payload, 1, ovc, NAMED_ALLOCS);
+        third_sort_allocates("four-i32 key", &wide, 4, ovc, WIDE_ALLOCS);
+        let new = NEW_SORTER_ALLOCS;
+        let sampled = new + SAMPLER_ALLOCS + NAMED_ALLOCS;
+        new_sorter_on_warm_set("u32 key", &u32s, 1, ovc, new + U32_ALLOCS);
         new_sorter_on_warm_set("long VARCHAR key", &strings, 1, ovc, sampled);
         new_sorter_on_warm_set("truncated VARCHAR key", &tied, 1, ovc, sampled);
-        new_sorter_on_warm_set("four-i32 key", &wide, 4, ovc, NEW_SORTER_ALLOCS);
+        new_sorter_on_warm_set("four-i32 key", &wide, 4, ovc, new + WIDE_ALLOCS);
     }
 }

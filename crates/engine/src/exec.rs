@@ -214,11 +214,6 @@ fn sort_detail(profile: &SortProfile, threads: usize) -> String {
             );
         }
     }
-    // Where the merge put its winners: straight into the result's vectors
-    // (the gather is then inside the merge phase), or a row run.
-    if profile.sink != "none" {
-        let _ = write!(s, " sink={}", profile.sink);
-    }
     // The key the sort planned: its width, and the VARCHAR prefix sized
     // from the input's strings when there is one (12 is the paper's rule).
     if profile.key_width > 0 {
@@ -945,7 +940,6 @@ mod tests {
         assert!(text.contains("ms"), "{text}");
         // The Sort node carries the sort operator's own phase attribution.
         assert!(text.contains("run_generation="), "{text}");
-        assert!(text.contains(" sink=vectors "), "{text}");
         // Pre-order indentation: Scan is the deepest node.
         let scan_line = text.lines().find(|l| l.contains("Scan")).unwrap();
         assert!(scan_line.starts_with("      "), "{text}");
@@ -1036,8 +1030,6 @@ mod tests {
             sort_detail(&planned, 2),
             " key=36B prefix=20 tie_rows=5584 tie_ranges=642"
         );
-        planned.sink = "vectors";
-        assert!(sort_detail(&planned, 2).starts_with(" sink=vectors key=36B"));
         // What the sort took from the pool, and what it had to allocate.
         let pooled = detail(&[(Counter::PoolHits, 12), (Counter::PoolMisses, 3)]);
         assert_eq!(pooled, " pool_misses=3");

@@ -33,7 +33,7 @@ pub fn heap_offset(len: u64) -> Option<u32> {
 /// With [`HEAP_OVERFLOW`] past 4 GiB: such a heap cannot be represented in
 /// the slot format at all, so aborting the sort is the only sound response.
 #[inline]
-pub fn heap_base(len: usize) -> u32 {
+pub(crate) fn heap_base(len: usize) -> u32 {
     // lint:allow(R010): the capacity bound described above.
     heap_offset(len as u64).expect(HEAP_OVERFLOW)
 }

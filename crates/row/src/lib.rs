@@ -19,7 +19,7 @@ pub mod convert;
 pub mod gather;
 pub mod layout;
 
-pub use block::{heap_base, heap_offset, RowBlock, HEAP_OVERFLOW};
+pub use block::{heap_offset, RowBlock, HEAP_OVERFLOW};
 pub use convert::{gather, scatter};
 pub use gather::{ChunkBuilder, ChunkPiece, PieceTail, BAD_STRING_SLOT, BATCH_ROWS};
 pub use layout::{RowAlignment, RowLayout};

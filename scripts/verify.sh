@@ -61,10 +61,10 @@ cargo test -q -p lint --offline
 # × ORDER BY × options, every entry point (pipeline, external, engine under
 # each system profile and spilling), four checks: against the reference
 # sort, bit-identity inside an entry point, typed-or-right under faults,
-# vectors merged into == row twins converted (DESIGN.md §8). It runs
-# inside step 3 too; the named step makes an oracle failure print its
-# minimal input and its `TESTKIT_SEED=… cargo test <name>` replay line on
-# its own, ahead of the rest of the suite.
+# the vectors a sort merges into == its OVC-off and spilled twins'
+# (DESIGN.md §8). It runs inside step 3 too; the named step makes an
+# oracle failure print its minimal input and its `TESTKIT_SEED=… cargo
+# test <name>` replay line on its own, ahead of the rest of the suite.
 echo "== differential oracle =="
 cargo test -q -p rowsort-bench --offline --test oracle
 
@@ -84,9 +84,10 @@ echo "== cargo build --benches --offline =="
 cargo build --benches --workspace --offline
 
 # --- 5. Traced sort smoke --------------------------------------------------
-# Runs pipeline (vectors out and rows out) + external sorts with
-# ROWSORT_TRACE=1 and validates every emitted JSON line against the
-# documented trace schema (DESIGN.md §7.5) using testkit's JSON parser.
+# Runs two pipeline sorts (one merging, one on the tie path) + an
+# external sort with ROWSORT_TRACE=1 and validates every emitted JSON line
+# against the documented trace schema (DESIGN.md §7.5) using testkit's
+# JSON parser.
 # Fails the build on schema drift. The trace file is kept under
 # target/perf/ and uploaded as a CI artifact.
 echo "== traced sort smoke =="
