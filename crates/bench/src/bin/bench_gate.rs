@@ -9,10 +9,11 @@
 //! `u32_tdef` takes the host's thread count and stays a bench only — once
 //! each on a sorter warmed by two sorts, and compares the measured sort's
 //! counters — and the key it planned — with the checked-in
-//! `BENCH_counters.json` for exact equality. The `engine/` id runs one
-//! `ORDER BY` three times on one `Engine` at one thread and pins the third
-//! query's sort: it starts on the engine's warm buffer pool, so its
-//! `allocs` are the query's own state and its output. The `sim/` ids run
+//! `BENCH_counters.json` for exact equality. Each `engine/` id runs one
+//! `ORDER BY` (`strings_limit_t1` with `LIMIT 10`) three times on one
+//! `Engine` at one thread and pins the third query's sort: it starts on
+//! the engine's warm buffer pool, so its `allocs` are the query's own
+//! state and its output. The `sim/` ids run
 //! Tables II/III and Figure 10 at 2^12 rows and pin what each approach
 //! counted on the simulated CPU: `<approach>.l1_accesses`, `.l1_misses`,
 //! `.branches` and `.branch_misses`.
@@ -172,15 +173,22 @@ fn measure() -> Counts {
         .map(|(name, _)| name.clone())
         .collect();
     engine.register_table(Table::new(customer.name, names, customer.data));
-    let id = format!("engine/strings_t1/{n}");
+    // With `LIMIT 10` the query is a Limit over the same Sort: until the
+    // sort stops early, it pays for the whole sort.
     let sql = "SELECT * FROM customer ORDER BY c_last_name, c_first_name, c_birth_year";
-    record(&mut out, &id, true, || {
-        let (_, stats) = engine
-            .query_profiled(sql)
-            .unwrap_or_else(|e| die(&format!("{id}: {e}")));
-        let sort = stats.into_iter().find_map(|node| node.sort);
-        sort.unwrap_or_else(|| die(&format!("{id}: no Sort node profile")))
-    });
+    for (name, sql) in [
+        ("strings_t1", sql.to_owned()),
+        ("strings_limit_t1", format!("{sql} LIMIT 10")),
+    ] {
+        let id = format!("engine/{name}/{n}");
+        record(&mut out, &id, true, || {
+            let (_, stats) = engine
+                .query_profiled(&sql)
+                .unwrap_or_else(|e| die(&format!("{id}: {e}")));
+            let sort = stats.into_iter().find_map(|node| node.sort);
+            sort.unwrap_or_else(|| die(&format!("{id}: no Sort node profile")))
+        });
+    }
 
     let n = 1 << 12;
     for (name, approaches) in [

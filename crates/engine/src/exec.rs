@@ -4,7 +4,7 @@
 //! every node consumes its input's complete result and returns its own as
 //! a `Relation`, a `Cow<DataChunk>`. A `Scan` *lends* the catalog's table
 //! and copies nothing. A node that only reads its input (sort, filter,
-//! top-N, count, join) reads it by reference, whoever owns it. A node that
+//! count, join) reads it by reference, whoever owns it. A node that
 //! builds rows returns them *owned*, and the next node may take them
 //! apart: project moves columns out, the window operator pushes its number
 //! column on. So between SQL text and the sorter a sorted query makes the
@@ -27,7 +27,7 @@ use rowsort_core::metrics::{Counter, Phase};
 use rowsort_core::spill::StdFs;
 use rowsort_core::systems::{sort_with_system_profiled, SystemProfile};
 use rowsort_core::{SortProfile, SortResources};
-use rowsort_vector::{DataChunk, OrderBy, Value, Vector};
+use rowsort_vector::{DataChunk, OrderBy, Vector};
 use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -85,8 +85,9 @@ pub struct NodeStats {
     pub elapsed_ns: u64,
     /// Operator-specific annotation (e.g. sort phase attribution).
     pub detail: String,
-    /// A Sort node's own profile, when its sorter keeps one (the full
-    /// pipeline and the external sorter): what `detail` summarizes.
+    /// A Sort or WindowRowNumber node's own sort profile, when its sorter
+    /// keeps one (the full pipeline and the external sorter): what
+    /// `detail` summarizes.
     pub sort: Option<SortProfile>,
 }
 
@@ -167,12 +168,6 @@ fn node_label(plan: &LogicalPlan) -> String {
         LogicalPlan::Limit { limit, offset, .. } => {
             format!("Limit limit={limit:?} offset={offset}")
         }
-        LogicalPlan::TopN {
-            order,
-            limit,
-            offset,
-            ..
-        } => format!("TopN ({} keys) limit={limit} offset={offset}", order.len()),
         LogicalPlan::CountStar { .. } => "CountStar".to_owned(),
         LogicalPlan::SortMergeJoin {
             left_col,
@@ -428,15 +423,6 @@ fn exec_node<'a>(
             let input = exec_plan(input, catalog, session, prof)?;
             Ok(apply_limit(input, *limit, *offset))
         }
-        LogicalPlan::TopN {
-            input,
-            order,
-            limit,
-            offset,
-        } => {
-            let input = exec_plan(input, catalog, session, prof)?;
-            Ok(Cow::Owned(top_n(&input, order, *limit, *offset)?))
-        }
         LogicalPlan::CountStar { input } => {
             let count = exec_plan(input, catalog, session, prof)?.len();
             owned(vec![Vector::from_i64s(vec![count as i64])])
@@ -446,17 +432,17 @@ fn exec_node<'a>(
             right,
             left_col,
             right_col,
-            types,
             ..
         } => {
             let l = exec_plan(left, catalog, session, prof)?;
             let r = exec_plan(right, catalog, session, prof)?;
-            let joined = sort_merge_join(&l, &r, *left_col, *right_col, types, session)?;
+            let joined = sort_merge_join(&l, &r, *left_col, *right_col, session)?;
             Ok(Cow::Owned(joined))
         }
         LogicalPlan::WindowRowNumber { input, order } => {
             let input = exec_plan(input, catalog, session, prof)?;
-            let (sorted, _) = sort_relation(&input, order, session)?;
+            let sorted;
+            (sorted, *sort) = sort_relation(&input, order, session)?;
             let numbers = Vector::from_i64s((1..=sorted.len() as i64).collect());
             let mut columns = sorted.into_columns();
             columns.push(numbers);
@@ -476,7 +462,6 @@ fn sort_merge_join(
     right: &DataChunk,
     left_col: usize,
     right_col: usize,
-    out_types: &[rowsort_vector::LogicalType],
     session: Session<'_>,
 ) -> Result<DataChunk> {
     use rowsort_vector::OrderByColumn;
@@ -485,9 +470,10 @@ fn sort_merge_join(
     let (l, _) = sort_relation(left, &l_order, session)?;
     let (r, _) = sort_relation(right, &r_order, session)?;
 
-    let mut out = DataChunk::new(out_types);
+    // Each output row as a row of each side: one `take` per side builds
+    // the output.
+    let (mut li, mut rj) = (Vec::new(), Vec::new());
     let (mut i, mut j) = (0usize, 0usize);
-    let mut row_buf: Vec<Value> = Vec::with_capacity(out_types.len());
     while i < l.len() && j < r.len() {
         let a = l.column(left_col).get(i);
         let b = r.column(right_col).get(j);
@@ -512,21 +498,18 @@ fn sort_merge_join(
                         v.is_null() || v.compare_non_null(&b) != Ordering::Equal
                     })
                     .unwrap_or(r.len());
-                for li in i..i_end {
-                    for rj in j..j_end {
-                        row_buf.clear();
-                        row_buf.extend(l.row(li));
-                        row_buf.extend(r.row(rj));
-                        out.push_row(&row_buf)
-                            .map_err(|e| EngineError::Internal(e.to_string()))?;
-                    }
+                for left_row in i..i_end {
+                    li.extend(std::iter::repeat_n(left_row, j_end - j));
+                    rj.extend(j..j_end);
                 }
                 i = i_end;
                 j = j_end;
             }
         }
     }
-    Ok(out)
+    let mut columns = l.take(&li).into_columns();
+    columns.extend(r.take(&rj).into_columns());
+    DataChunk::from_columns(columns).map_err(|e| EngineError::Internal(e.to_string()))
 }
 
 // ---------------------------------------------------------------------------
@@ -582,47 +565,12 @@ fn apply_limit(input: Relation<'_>, limit: Option<u64>, offset: u64) -> Relation
     }
 }
 
-// ---------------------------------------------------------------------------
-// Top-N
-// ---------------------------------------------------------------------------
-
-fn top_n(input: &DataChunk, order: &OrderBy, limit: u64, offset: u64) -> Result<DataChunk> {
-    let mut out = DataChunk::new(&input.types());
-    // `limit + offset` saturates: a huge LIMIT/OFFSET pair must degrade to
-    // "keep everything", not overflow u64 (or usize on 32-bit targets).
-    let keep = usize::try_from(limit.saturating_add(offset)).unwrap_or(usize::MAX);
-    if keep == 0 {
-        return Ok(out);
-    }
-    // Bounded selection buffer: keep at most `keep` best rows, compacting
-    // whenever the buffer doubles.
-    let mut buf: Vec<Vec<Value>> = Vec::with_capacity(keep.saturating_mul(2).min(input.len()));
-    let compact = |buf: &mut Vec<Vec<Value>>| {
-        buf.sort_by(|a, b| order.compare_rows(a, b));
-        buf.truncate(keep);
-    };
-    for row in 0..input.len() {
-        buf.push(input.row(row));
-        if buf.len() >= keep.saturating_mul(2) {
-            compact(&mut buf);
-        }
-    }
-    compact(&mut buf);
-    for row in buf
-        .iter()
-        .skip(usize::try_from(offset).unwrap_or(usize::MAX))
-    {
-        out.push_row(row)
-            .map_err(|e| EngineError::Internal(e.to_string()))?;
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::Table;
     use crate::Engine;
+    use rowsort_vector::Value;
 
     fn engine() -> Engine {
         let mut e = Engine::new();
@@ -918,7 +866,11 @@ mod tests {
             .query("EXPLAIN SELECT id FROM t ORDER BY id LIMIT 2")
             .unwrap();
         let text = varchar_lines(&r);
-        assert!(text.contains("TopN"), "{text}");
+        // `ORDER BY … LIMIT` is a Limit over the one sorter.
+        let lines: Vec<&str> = text.lines().map(str::trim).collect();
+        assert!(lines[0].starts_with("Limit limit=Some(2)"), "{text}");
+        assert!(lines[1].starts_with("Project"), "{text}");
+        assert_eq!(lines[2], "Sort (1 keys)", "{text}");
         assert!(text.contains("Scan t"), "{text}");
         assert!(
             !text.contains("rows="),
@@ -957,6 +909,36 @@ mod tests {
             .query("EXPLAIN ANALYZE SELECT id FROM t WHERE id >= 3 ORDER BY name DESC")
             .unwrap();
         assert_eq!(misses(&varchar_lines(&again)), "0");
+        // `ORDER BY … LIMIT`: the Limit's input is the Sort, with its phases.
+        let text = varchar_lines(
+            &e.query("EXPLAIN ANALYZE SELECT id FROM t ORDER BY id DESC LIMIT 3")
+                .unwrap(),
+        );
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(
+            lines[0].starts_with("Limit limit=Some(3) offset=0  [rows=3"),
+            "{text}"
+        );
+        let sort = lines
+            .iter()
+            .find(|l| l.contains("Sort (1 keys)"))
+            .expect(&text);
+        assert!(sort.contains("[rows=5"), "{text}");
+        assert!(sort.contains("run_generation="), "{text}");
+    }
+
+    #[test]
+    fn explain_analyze_shows_the_window_sort() {
+        let e = engine();
+        let text = varchar_lines(
+            &e.query("EXPLAIN ANALYZE SELECT id, row_number() OVER (ORDER BY name) FROM t")
+                .unwrap(),
+        );
+        let window = text
+            .lines()
+            .find(|l| l.contains("WindowRowNumber (1 keys)  [rows=5"))
+            .expect(&text);
+        assert!(window.contains("run_generation="), "{text}");
     }
 
     #[test]
@@ -1106,16 +1088,28 @@ mod tests {
     }
 
     #[test]
-    fn top_n_huge_limit_offset_saturates() {
+    fn limit_over_sort_saturates_huge_limit_and_offset() {
+        // u64::MAX is not a SQL literal (they are i64-ranged), so build the
+        // plan by hand: `limit + offset` must saturate, not wrap around.
+        let mut e = Engine::new();
         let input = DataChunk::from_columns(vec![Vector::from_i32s(vec![3, 1, 2])]).unwrap();
-        let order = OrderBy::new(vec![rowsort_vector::OrderByColumn::asc(0)]);
-        // limit + offset would overflow u64 without saturation.
-        let out = top_n(&input, &order, u64::MAX, 5).unwrap();
-        assert_eq!(out.len(), 0);
-        let out = top_n(&input, &order, u64::MAX, 0).unwrap();
-        assert_eq!(out.len(), 3);
-        assert_eq!(out.row(0), vec![Value::Int32(1)]);
-        // And apply_limit with a saturating skip.
+        e.register_table(Table::new("s", vec!["x".into()], input.clone()));
+        for (offset, rows) in [(u64::MAX, 0), (5, 0), (0, 3)] {
+            let plan = LogicalPlan::Limit {
+                input: Box::new(LogicalPlan::Sort {
+                    input: Box::new(LogicalPlan::Scan { table: "s".into() }),
+                    order: OrderBy::new(vec![rowsort_vector::OrderByColumn::asc(0)]),
+                }),
+                limit: Some(u64::MAX),
+                offset,
+            };
+            let out = execute(&plan, e.catalog(), &ExecOptions::default()).unwrap();
+            assert_eq!(out.len(), rows, "offset {offset}");
+            if rows > 0 {
+                assert_eq!(out.row(0), vec![Value::Int32(1)]);
+            }
+        }
+        // And apply_limit with a saturating skip and no limit.
         let out = apply_limit(Cow::Borrowed(&input), None, u64::MAX);
         assert_eq!(out.len(), 0);
     }

@@ -18,8 +18,9 @@
 //! * [`catalog`] — named tables over [`rowsort_vector::DataChunk`] storage,
 //! * [`sql`] — a tokenizer + recursive-descent parser for
 //!   `SELECT`/`FROM`/`WHERE`/`ORDER BY`/`LIMIT`/`OFFSET`/`COUNT(*)`,
-//! * [`plan`] — a logical plan with the optimizer rules the paper's
-//!   methodology section fights (redundant-sort elimination, Top-N),
+//! * [`plan`] — a logical plan with the optimizer rule the paper's
+//!   methodology section fights (redundant-sort elimination); `ORDER BY
+//!   … LIMIT` is a `Limit` over the `Sort`,
 //! * [`exec`] — physical operators that hand each other one whole
 //!   relation, lent by the catalog or owned by the node that built it; the
 //!   sort operator delegates to a configurable

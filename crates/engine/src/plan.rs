@@ -65,19 +65,6 @@ pub enum LogicalPlan {
         /// Rows to skip first.
         offset: u64,
     },
-    /// Sort + small limit fused into a bounded-heap Top-N (an optimizer
-    /// product; the paper's §VII-A notes `ORDER BY … LIMIT 1` typically
-    /// triggers exactly this specialization).
-    TopN {
-        /// Input plan.
-        input: Box<LogicalPlan>,
-        /// Sort order.
-        order: OrderBy,
-        /// Rows to emit after the offset.
-        limit: u64,
-        /// Rows to skip.
-        offset: u64,
-    },
     /// `COUNT(*)` over the input.
     CountStar {
         /// Input plan.
@@ -123,8 +110,7 @@ impl LogicalPlan {
             }
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Limit { input, .. }
-            | LogicalPlan::TopN { input, .. } => input.schema(catalog),
+            | LogicalPlan::Limit { input, .. } => input.schema(catalog),
             LogicalPlan::Project { input, columns } => {
                 let (names, types) = input.schema(catalog)?;
                 Ok((
@@ -171,18 +157,6 @@ impl LogicalPlan {
                     offset,
                 } => {
                     out.push_str(&format!("{pad}Limit limit={limit:?} offset={offset}\n"));
-                    go(input, depth + 1, out);
-                }
-                LogicalPlan::TopN {
-                    input,
-                    order,
-                    limit,
-                    offset,
-                } => {
-                    out.push_str(&format!(
-                        "{pad}TopN ({} keys) limit={limit} offset={offset}\n",
-                        order.len()
-                    ));
                     go(input, depth + 1, out);
                 }
                 LogicalPlan::CountStar { input } => {
@@ -529,21 +503,16 @@ fn coerce(literal: &Literal, ty: LogicalType) -> Option<Value> {
 // Optimizer
 // ---------------------------------------------------------------------------
 
-/// Largest `limit + offset` fused into a Top-N operator.
-pub const TOPN_THRESHOLD: u64 = 8192;
-
-/// Apply the optimizer rules the paper's methodology section (§VII-A)
-/// discusses:
+/// Apply the optimizer rule the paper's methodology section (§VII-A)
+/// fights: **redundant-sort elimination**. A Sort feeding (transitively)
+/// into an order-insensitive `COUNT(*)` with no Limit/Offset in between
+/// does not affect the result and is removed. The paper's `OFFSET 1`
+/// exists precisely to defeat this rule.
 ///
-/// 1. **Redundant-sort elimination** — a Sort feeding (transitively) into
-///    an order-insensitive `COUNT(*)` with no Limit/Offset in between does
-///    not affect the result and is removed. The paper's `OFFSET 1` exists
-///    precisely to defeat this rule.
-/// 2. **Top-N fusion** — `Sort` + small `Limit` becomes a bounded-heap
-///    `TopN` (what real systems do to `ORDER BY … LIMIT 1`).
+/// `ORDER BY … LIMIT` stays `Limit` over `Sort`: the one sorter, then a
+/// slice.
 pub fn optimize(plan: LogicalPlan) -> LogicalPlan {
-    let plan = remove_pointless_sorts(plan, true);
-    fuse_topn(plan)
+    remove_pointless_sorts(plan, true)
 }
 
 fn remove_pointless_sorts(plan: LogicalPlan, order_matters: bool) -> LogicalPlan {
@@ -580,17 +549,6 @@ fn remove_pointless_sorts(plan: LogicalPlan, order_matters: bool) -> LogicalPlan
             input: Box::new(remove_pointless_sorts(*input, order_matters)),
             columns,
         },
-        LogicalPlan::TopN {
-            input,
-            order,
-            limit,
-            offset,
-        } => LogicalPlan::TopN {
-            input: Box::new(remove_pointless_sorts(*input, true)),
-            order,
-            limit,
-            offset,
-        },
         LogicalPlan::SortMergeJoin {
             left,
             right,
@@ -610,118 +568,6 @@ fn remove_pointless_sorts(plan: LogicalPlan, order_matters: bool) -> LogicalPlan
         LogicalPlan::WindowRowNumber { input, order } => LogicalPlan::WindowRowNumber {
             // The window sorts its input itself.
             input: Box::new(remove_pointless_sorts(*input, false)),
-            order,
-        },
-        leaf @ LogicalPlan::Scan { .. } => leaf,
-    }
-}
-
-fn fuse_topn(plan: LogicalPlan) -> LogicalPlan {
-    match plan {
-        LogicalPlan::Limit {
-            input,
-            limit: Some(limit),
-            offset,
-        } => {
-            let input = fuse_topn(*input);
-            match input {
-                LogicalPlan::Sort { input, order }
-                    if limit.saturating_add(offset) <= TOPN_THRESHOLD =>
-                {
-                    LogicalPlan::TopN {
-                        input,
-                        order,
-                        limit,
-                        offset,
-                    }
-                }
-                // Push the limit through a projection so Sort+Limit still
-                // fuse when SELECT narrows the columns (projection does not
-                // change row order or count).
-                LogicalPlan::Project { input, columns }
-                    if limit.saturating_add(offset) <= TOPN_THRESHOLD =>
-                {
-                    if let LogicalPlan::Sort {
-                        input: sort_input,
-                        order,
-                    } = *input
-                    {
-                        LogicalPlan::Project {
-                            input: Box::new(LogicalPlan::TopN {
-                                input: sort_input,
-                                order,
-                                limit,
-                                offset,
-                            }),
-                            columns,
-                        }
-                    } else {
-                        LogicalPlan::Limit {
-                            input: Box::new(LogicalPlan::Project { input, columns }),
-                            limit: Some(limit),
-                            offset,
-                        }
-                    }
-                }
-                other => LogicalPlan::Limit {
-                    input: Box::new(other),
-                    limit: Some(limit),
-                    offset,
-                },
-            }
-        }
-        LogicalPlan::Limit {
-            input,
-            limit,
-            offset,
-        } => LogicalPlan::Limit {
-            input: Box::new(fuse_topn(*input)),
-            limit,
-            offset,
-        },
-        LogicalPlan::CountStar { input } => LogicalPlan::CountStar {
-            input: Box::new(fuse_topn(*input)),
-        },
-        LogicalPlan::Filter { input, predicates } => LogicalPlan::Filter {
-            input: Box::new(fuse_topn(*input)),
-            predicates,
-        },
-        LogicalPlan::Project { input, columns } => LogicalPlan::Project {
-            input: Box::new(fuse_topn(*input)),
-            columns,
-        },
-        LogicalPlan::Sort { input, order } => LogicalPlan::Sort {
-            input: Box::new(fuse_topn(*input)),
-            order,
-        },
-        LogicalPlan::TopN {
-            input,
-            order,
-            limit,
-            offset,
-        } => LogicalPlan::TopN {
-            input: Box::new(fuse_topn(*input)),
-            order,
-            limit,
-            offset,
-        },
-        LogicalPlan::SortMergeJoin {
-            left,
-            right,
-            left_col,
-            right_col,
-            names,
-            types,
-        } => LogicalPlan::SortMergeJoin {
-            left: Box::new(fuse_topn(*left)),
-            right: Box::new(fuse_topn(*right)),
-            left_col,
-            right_col,
-            names,
-            types,
-        },
-        LogicalPlan::WindowRowNumber { input, order } => LogicalPlan::WindowRowNumber {
-            input: Box::new(fuse_topn(*input)),
             order,
         },
         leaf @ LogicalPlan::Scan { .. } => leaf,
@@ -758,23 +604,8 @@ mod tests {
             LogicalPlan::Filter { input, .. }
             | LogicalPlan::Project { input, .. }
             | LogicalPlan::Limit { input, .. }
-            | LogicalPlan::TopN { input, .. }
             | LogicalPlan::WindowRowNumber { input, .. }
             | LogicalPlan::CountStar { input } => has_sort(input),
-        }
-    }
-
-    fn has_topn(p: &LogicalPlan) -> bool {
-        match p {
-            LogicalPlan::TopN { .. } => true,
-            LogicalPlan::Scan { .. } => false,
-            LogicalPlan::SortMergeJoin { left, right, .. } => has_topn(left) || has_topn(right),
-            LogicalPlan::Sort { input, .. }
-            | LogicalPlan::Filter { input, .. }
-            | LogicalPlan::Project { input, .. }
-            | LogicalPlan::Limit { input, .. }
-            | LogicalPlan::WindowRowNumber { input, .. }
-            | LogicalPlan::CountStar { input } => has_topn(input),
         }
     }
 
@@ -844,47 +675,31 @@ mod tests {
     }
 
     #[test]
-    fn topn_fusion() {
-        let o = optimize(plan_for("SELECT * FROM t ORDER BY id LIMIT 1"));
-        assert!(has_topn(&o), "{}", o.explain());
-        assert!(!has_sort(&o));
-        // Huge limit: no fusion.
-        let o = optimize(plan_for("SELECT * FROM t ORDER BY id LIMIT 100000"));
-        assert!(!has_topn(&o));
-        assert!(has_sort(&o));
-    }
-
-    #[test]
-    fn topn_fuses_through_projection() {
-        // SELECT narrows columns: Limit-Project-Sort must still become
-        // Project-TopN.
-        let o = optimize(plan_for("SELECT id FROM t ORDER BY name LIMIT 3"));
-        assert!(has_topn(&o), "{}", o.explain());
-        assert!(!has_sort(&o), "{}", o.explain());
-        match &o {
-            LogicalPlan::Project { input, .. } => {
-                assert!(matches!(**input, LogicalPlan::TopN { .. }));
+    fn order_by_limit_stays_limit_over_sort() {
+        // No Top-N operator: whatever the limit, `optimize` leaves the
+        // plan `build` made, with the Project (when SELECT narrows the
+        // columns) between the Limit and the Sort.
+        for limit in [1, 100_000] {
+            for (sql, projected) in [
+                (format!("SELECT * FROM t ORDER BY id LIMIT {limit}"), false),
+                (
+                    format!("SELECT id FROM t ORDER BY name LIMIT {limit}"),
+                    true,
+                ),
+            ] {
+                let built = plan_for(&sql);
+                let LogicalPlan::Limit { input, .. } = &built else {
+                    panic!("{sql}: expected Limit, got {built:?}");
+                };
+                let sort = match (&**input, projected) {
+                    (LogicalPlan::Project { input, .. }, true) => &**input,
+                    (sort, false) => sort,
+                    (other, _) => panic!("{sql}: expected Project, got {other:?}"),
+                };
+                assert!(matches!(sort, LogicalPlan::Sort { .. }), "{sql}");
+                assert_eq!(optimize(built.clone()), built, "{sql}");
             }
-            other => panic!("expected Project over TopN, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn huge_limit_plus_offset_does_not_overflow_fusion() {
-        // u64::MAX can't come from a SQL literal (i64-ranged), so drive
-        // the optimizer directly: the fusion guard must saturate, not wrap
-        // around into a tiny "fits the threshold" sum.
-        let p = LogicalPlan::Limit {
-            input: Box::new(LogicalPlan::Sort {
-                input: Box::new(LogicalPlan::Scan { table: "t".into() }),
-                order: OrderBy::new(vec![OrderByColumn::asc(0)]),
-            }),
-            limit: Some(u64::MAX),
-            offset: u64::MAX,
-        };
-        let o = optimize(p);
-        assert!(!has_topn(&o), "{}", o.explain());
-        assert!(has_sort(&o), "{}", o.explain());
     }
 
     #[test]

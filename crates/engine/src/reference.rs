@@ -51,20 +51,6 @@ pub fn execute_reference(plan: &LogicalPlan, catalog: &Catalog) -> Result<Vec<Ve
                 None => it.collect(),
             })
         }
-        LogicalPlan::TopN {
-            input,
-            order,
-            limit,
-            offset,
-        } => {
-            let mut rows = execute_reference(input, catalog)?;
-            rows.sort_by(|a, b| order.compare_rows(a, b));
-            Ok(rows
-                .into_iter()
-                .skip(*offset as usize)
-                .take(*limit as usize)
-                .collect())
-        }
         LogicalPlan::CountStar { input } => {
             let rows = execute_reference(input, catalog)?;
             Ok(vec![vec![Value::Int64(rows.len() as i64)]])

@@ -84,7 +84,7 @@ fn end_to_end_sql_through_every_layer() {
         .unwrap();
     assert_eq!(count.row(0), vec![Value::Int64(4_999)]);
 
-    // A Top-N query agrees with the full sort's head.
+    // `ORDER BY … LIMIT` agrees with the full sort's head.
     let top = engine
         .query("SELECT cs_item_sk FROM catalog_sales ORDER BY cs_quantity, cs_item_sk LIMIT 5")
         .unwrap();
