@@ -34,7 +34,7 @@
 
 use crate::insertion::insertion_sort_rows;
 use crate::probe::Probe;
-use crate::rows::RowsMut;
+use crate::rows::{copy_row, RowsMut};
 
 /// Buckets at or below this size are finished with insertion sort (the
 /// paper's constant).
@@ -218,7 +218,8 @@ fn msd_with_scratch<P: Probe>(
 }
 
 /// One stable counting-scatter of rows `start..end` from `src` into `dst`
-/// by the byte at `byte`.
+/// by the byte at `byte`, each row moved by [`copy_row`] (key entries are
+/// 5–36 bytes, where a `memcpy` call per row costs more than the copy).
 #[allow(clippy::too_many_arguments)]
 fn scatter_pass<P: Probe>(
     src: &[u8],
@@ -237,15 +238,15 @@ fn scatter_pass<P: Probe>(
         *o = sum;
         sum += c;
     }
-    for r in start..end {
-        let b = src[r * width + byte] as usize;
+    let rows = src[start * width..end * width].chunks_exact(width);
+    for (r, row) in (start..end).zip(rows) {
+        let b = row[byte] as usize;
         let dst_row = offsets[b];
         probe.write(&offsets, b, 1);
         offsets[b] += 1;
         probe.read(src, r * width, width);
         probe.write(dst, dst_row * width, width);
-        dst[dst_row * width..(dst_row + 1) * width]
-            .copy_from_slice(&src[r * width..(r + 1) * width]);
+        copy_row(&mut dst[dst_row * width..(dst_row + 1) * width], row);
     }
 }
 
@@ -422,6 +423,44 @@ mod tests {
         expected.sort();
         for (i, row) in data.chunks(width).enumerate() {
             assert_eq!(&row[..12], &expected[i][..]);
+        }
+    }
+
+    #[test]
+    fn both_radix_sorts_match_a_stable_oracle_at_every_stride() {
+        // Every stride the scatter's row copy splits on, keys inside the
+        // row with payload on both sides, few distinct key bytes (long
+        // shared prefixes, many equal keys) and random payload: equal keys
+        // must keep their input order, which the stable `sort_by` oracle
+        // compares whole rows for.
+        let mut rng = rowsort_testkit::Rng::seed_from_u64(0x5CA7_7E12);
+        for stride in 1..=40usize {
+            let key_offset = stride / 5;
+            let key_len = ((stride - key_offset) * 2 / 3).max(1);
+            let data: Vec<u8> = (0..600 * stride)
+                .map(|at| {
+                    let rel = (at % stride).wrapping_sub(key_offset);
+                    match rel < key_len {
+                        true if rng.below(4) == 0 => rng.below(3) as u8,
+                        true => 7,
+                        false => rng.next_u32() as u8,
+                    }
+                })
+                .collect();
+            let key = |row: &[u8]| row[key_offset..key_offset + key_len].to_vec();
+            let mut expected: Vec<&[u8]> = data.chunks(stride).collect();
+            expected.sort_by_key(|row| key(row));
+            let expected = expected.concat();
+            let sorts: [(&str, fn(&mut [u8], usize, usize, usize, &NoProbe)); 2] =
+                [("lsd", lsd_radix_sort_rows), ("msd", msd_radix_sort_rows)];
+            for (name, sort) in sorts {
+                let mut got = data.clone();
+                sort(&mut got, stride, key_offset, key_len, &NoProbe);
+                assert!(
+                    got == expected,
+                    "{name} at stride {stride}, key {key_len} B"
+                );
+            }
         }
     }
 

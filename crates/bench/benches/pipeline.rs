@@ -15,10 +15,11 @@
 //!
 //! After the timed ids it prints the merge phase per fan-in (2, 8 and
 //! `widekey_ovc`'s 64–65 runs) as ns per row and as a share of `memcpy`
-//! speed — a report, never a gate.
+//! speed, then run generation's five stage clocks for `u32_t1` and
+//! `longstr_t1` in ns per row — reports, never a gate.
 
 use rowsort_bench::{long_string_chunk, u32_chunk, wide_key_chunk, LONGSTR_STEM, TIEDSTR_STEM};
-use rowsort_core::metrics::{Counter, Phase};
+use rowsort_core::metrics::{Counter, Phase, RUN_STAGES};
 use rowsort_core::pipeline::{SortOptions, SortPipeline};
 use rowsort_testkit::bench::{BenchmarkId, Harness};
 use rowsort_testkit::{bench_group, bench_main};
@@ -206,5 +207,54 @@ fn report_merge_fan_in(_: &mut Harness) {
     }
 }
 
-bench_group!(benches, bench_pipeline, report_merge_fan_in);
+/// Run generation stage by stage for `u32_t1` and `longstr_t1`, at one
+/// thread: each stage's clock (`RUN_STAGES`), best of five sorts, in ns
+/// per row. A report, never a gate.
+fn report_run_stages(_: &mut Harness) {
+    const TRIALS: usize = 5;
+    let n = sizes()[0];
+    let long_rows = n.min(1_000_000) / 4;
+    let cases = [
+        (
+            "u32_t1",
+            u32_chunk(n, 0x000F_1612 ^ n as u64, false),
+            1 << 17,
+        ),
+        (
+            "longstr_t1",
+            long_string_chunk(long_rows, 0x000F_1615, LONGSTR_STEM),
+            (long_rows / 4).max(1),
+        ),
+    ];
+    println!("run generation by stage, 1 thread, ns/row (best of {TRIALS}):");
+    for (id, chunk, run_rows) in cases {
+        let options = SortOptions {
+            threads: 1,
+            run_rows,
+            ovc: true,
+        };
+        let pipeline = SortPipeline::new(chunk.types(), OrderBy::ascending(1), options);
+        drop(pipeline.sort(&chunk));
+        let mut best = [u64::MAX; RUN_STAGES.len()];
+        for _ in 0..TRIALS {
+            drop(black_box(pipeline.sort(&chunk)));
+            let metrics = pipeline.last_profile().metrics;
+            for (b, (counter, _)) in best.iter_mut().zip(RUN_STAGES) {
+                *b = (*b).min(metrics.counter(counter));
+            }
+        }
+        print!("  {id:<12}");
+        for (ns, (_, name)) in best.iter().zip(RUN_STAGES) {
+            print!(" {name} {:.1}", *ns as f64 / chunk.len() as f64);
+        }
+        println!();
+    }
+}
+
+bench_group!(
+    benches,
+    bench_pipeline,
+    report_merge_fan_in,
+    report_run_stages
+);
 bench_main!(benches);

@@ -48,7 +48,7 @@ const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_counter
 
 /// Counters that two runs of one binary can disagree on: left out of the
 /// file by name rather than compared with a tolerance.
-const UNGATED: [(Counter, &str); 5] = [
+const UNGATED: [(Counter, &str); 10] = [
     (
         Counter::PoolHits,
         "at threads > 1 a buffer is recycled before or after another worker asks for its class",
@@ -57,6 +57,11 @@ const UNGATED: [(Counter, &str); 5] = [
     (Counter::BroadcastNs, "a clock"),
     (Counter::SpillGenerateNs, "a clock"),
     (Counter::SpillWriteNs, "a clock"),
+    (Counter::RunScatterNs, "a clock"),
+    (Counter::RunEncodeNs, "a clock"),
+    (Counter::RunSortNs, "a clock"),
+    (Counter::RunStripCodeNs, "a clock"),
+    (Counter::RunReorderNs, "a clock"),
 ];
 
 /// What the measured sort of every id counted, keyed `(id, counter)`.

@@ -18,12 +18,15 @@
 //! up: every merge, in memory or spilled, is one k-way pass that reports
 //! its largest key range. On the external line it also checks the spill
 //! workers' busy time (`spill_generate_ns`, `spill_write_ns`): both
-//! clocked, together no more than the phase once per worker. Exits
+//! clocked, together no more than the phase once per worker. On every
+//! line that built runs, run generation's five stage clocks
+//! (`run_scatter_ns` … `run_reorder_ns`) are clocked, and on the external
+//! line they add up to no more than `spill_generate_ns`. Exits
 //! non-zero on any violation, so CI catches schema drift the moment it
 //! happens.
 
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
-use rowsort_core::metrics::{Counter, Phase};
+use rowsort_core::metrics::{Counter, Phase, RUN_STAGES};
 use rowsort_core::pipeline::{SortOptions, SortPipeline};
 use rowsort_testkit::json::Json;
 use rowsort_testkit::Rng;
@@ -231,6 +234,23 @@ fn main() {
             die(&format!(
                 "line {line_no}: operator '{operator}' spent {spill_ns}ns in the spill phase, \
                  {workers} workers busy {busy:?}ns (generate, write)"
+            ));
+        }
+        // Run generation's stage clocks: every sort here builds runs, so
+        // each stage is clocked; in a spilled sort they are nested inside
+        // the spill workers' generate time.
+        let stages = RUN_STAGES.map(|(c, _)| count(c));
+        if count(Counter::RunsGenerated) > 0.0 && stages.iter().any(|&ns| ns <= 0.0) {
+            die(&format!(
+                "line {line_no}: a sort that built runs left a stage unclocked: {stages:?}ns \
+                 (scatter, encode, sort, strip+code, reorder)"
+            ));
+        }
+        let generate = count(Counter::SpillGenerateNs);
+        if operator == "external" && stages.iter().sum::<f64>() > generate {
+            die(&format!(
+                "line {line_no}: run stages {stages:?}ns add up to more than the spill \
+                 workers' generate time {generate}ns"
             ));
         }
         operators.push(operator);

@@ -3,24 +3,14 @@
 use crate::run::{varchar_stats, PrefixSampler};
 use rowsort_algos::pdqsort::pdqsort_rows;
 use rowsort_algos::radix::radix_sort_rows_with_scratch;
-use rowsort_algos::rows::RowsMut;
+pub(crate) use rowsort_algos::rows::word;
+use rowsort_algos::rows::{copy_row, RowsMut};
 use rowsort_algos::NoProbe;
 use rowsort_normkey::{
     encode_column_range_into, KeyColumn, NormKeyLayout, DEFAULT_MAX_PREFIX, MAX_PREFIX,
 };
 use rowsort_vector::{DataChunk, LogicalType, OrderBy};
 use std::cmp::Ordering;
-
-/// Load `N` bytes of `s` starting at `at` into a fixed-size word. The
-/// callers' length guards make the slice exact, so this compiles to a
-/// plain load; it replaces `try_into().unwrap()` so the key accessors and
-/// the merge-loop copy/compare helpers stay free of panic calls.
-#[inline]
-pub(crate) fn word<const N: usize>(s: &[u8], at: usize) -> [u8; N] {
-    let mut w = [0u8; N];
-    w.copy_from_slice(&s[at..at + N]);
-    w
-}
 
 /// What the planner knows about one VARCHAR `ORDER BY` column.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -345,13 +335,18 @@ impl KeyBlock {
     /// Strip the row-id suffixes into a caller-pooled buffer (cleared
     /// first): a compact `key_width`-stride byte array in current entry
     /// order, which is what merge phases read once the payload has been
-    /// reordered.
+    /// reordered. The buffer is sized once and each key moved by
+    /// [`copy_row`], not appended through a `memcpy` call per entry.
     pub fn keys_only_into(&self, out: &mut Vec<u8>) {
         let (kw, stride) = (self.key_width(), self.stride());
         out.clear();
-        out.reserve(self.len * kw);
-        for i in 0..self.len {
-            out.extend_from_slice(&self.data[i * stride..i * stride + kw]);
+        out.resize(self.len * kw, 0);
+        if kw == 0 {
+            return;
+        }
+        let entries = self.data.chunks_exact(stride);
+        for (key, entry) in out.chunks_exact_mut(kw).zip(entries) {
+            copy_row(key, &entry[..kw]);
         }
     }
 }

@@ -15,38 +15,11 @@ use crate::pool::SortPool;
 use crate::run::SortedRun;
 use crate::spill::SpillError;
 use rowsort_algos::kway::{OvcLoserTree, OvcMatch};
+use rowsort_algos::rows::copy_row;
 use rowsort_row::{ChunkPiece, PieceTail, BATCH_ROWS};
 use rowsort_vector::DataChunk;
 use std::cmp::Ordering;
 use std::path::Path;
-
-/// Copy a small runtime-length slice with a pair of overlapping
-/// fixed-width loads/stores instead of a `memcpy` call — the sink stages
-/// one row (~8–24 bytes) per winner, where the call overhead of a
-/// runtime-length `memcpy` dominates the copy itself.
-#[inline]
-fn copy_small(dst: &mut [u8], src: &[u8]) {
-    debug_assert_eq!(dst.len(), src.len());
-    let n = src.len();
-    if n >= 16 && n <= 32 {
-        let a = u128::from_ne_bytes(word::<16>(src, 0));
-        let b = u128::from_ne_bytes(word::<16>(src, n - 16));
-        dst[..16].copy_from_slice(&a.to_ne_bytes());
-        dst[n - 16..].copy_from_slice(&b.to_ne_bytes());
-    } else if n >= 8 && n < 16 {
-        let a = u64::from_ne_bytes(word::<8>(src, 0));
-        let b = u64::from_ne_bytes(word::<8>(src, n - 8));
-        dst[..8].copy_from_slice(&a.to_ne_bytes());
-        dst[n - 8..].copy_from_slice(&b.to_ne_bytes());
-    } else if n >= 4 && n < 8 {
-        let a = u32::from_ne_bytes(word::<4>(src, 0));
-        let b = u32::from_ne_bytes(word::<4>(src, n - 4));
-        dst[..4].copy_from_slice(&a.to_ne_bytes());
-        dst[n - 4..].copy_from_slice(&b.to_ne_bytes());
-    } else {
-        dst.copy_from_slice(src);
-    }
-}
 
 /// Lexicographically compare two equal-length byte-comparable keys with
 /// big-endian word loads instead of a `memcmp` call. Overlapping windows
@@ -225,7 +198,7 @@ impl<'a> VectorSink<'a> {
             .push_strings(row, src.heap())
             .map_err(|detail| SpillError::corrupt(src.path(), detail))?;
         let end = self.filled + row.len();
-        copy_small(&mut self.staged[self.filled..end], row);
+        copy_row(&mut self.staged[self.filled..end], row);
         self.filled = end;
         if end == self.staged.len() {
             self.piece.gather(&self.staged);

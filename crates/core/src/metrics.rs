@@ -197,8 +197,33 @@ metric_enum! {
         /// Time they spent encoding runs and writing them out (`spill_run`,
         /// retries and their backoff included), summed the same way.
         SpillWriteNs => "spill_write_ns",
+        /// Run generation's stages (Figure 11), each the busy time of the
+        /// workers that build runs summed over them, like
+        /// [`Counter::SpillGenerateNs`] (which holds all five for a spilled
+        /// sort): payload columns scattered into staged rows.
+        RunScatterNs => "run_scatter_ns",
+        /// Key columns encoded into normalized-key entries.
+        RunEncodeNs => "run_encode_ns",
+        /// The entries sorted: radix passes, and the comparator inside
+        /// key-equal ranges.
+        RunSortNs => "run_sort_ns",
+        /// Keys stripped of their row ids, and the run's code column
+        /// computed from them.
+        RunStripCodeNs => "run_strip_code_ns",
+        /// Staged rows copied into key order.
+        RunReorderNs => "run_reorder_ns",
     }
 }
+
+/// Run generation's stage clocks in the order a run passes through them,
+/// each with the name `EXPLAIN ANALYZE` prints it under.
+pub const RUN_STAGES: [(Counter, &str); 5] = [
+    (Counter::RunScatterNs, "scatter"),
+    (Counter::RunEncodeNs, "encode"),
+    (Counter::RunSortNs, "sort"),
+    (Counter::RunStripCodeNs, "strip+code"),
+    (Counter::RunReorderNs, "reorder"),
+];
 
 /// Log₂ buckets of the per-call row-count histogram: bucket *i* counts
 /// sort calls with `bit_length(rows) == i` (bucket 0 is empty inputs),

@@ -218,9 +218,14 @@ pub fn compare_update(ka: &[u8], ca: u64, kb: &[u8], cb: u64, arity: usize) -> O
 /// Compute the per-row code column of a sorted run: row 0 gets the
 /// [`initial_code`], row `i > 0` its code relative to row `i − 1`. Codes
 /// are written to `out` as little-endian `u64`s (8 bytes per row); `out`
-/// must hold `8 * (keys.len() / key_width)` bytes.
+/// must hold `8 * (keys.len() / key_width)` bytes. Keys of at most 8
+/// bytes take a branch-free path; the codes are the same.
 pub fn fill_run_codes(keys: &[u8], key_width: usize, out: &mut [u8]) {
     if key_width == 0 {
+        return;
+    }
+    if key_width <= SHORT_KEY_BYTES {
+        fill_short_codes(keys, key_width, out);
         return;
     }
     let arity = word_count(key_width);
@@ -239,6 +244,50 @@ pub fn fill_run_codes(keys: &[u8], key_width: usize, out: &mut [u8]) {
             slot.copy_from_slice(&code.to_le_bytes());
         }
         prev = Some(key);
+    }
+}
+
+/// The widest key [`fill_short_codes`] codes: one `u64`, two code words.
+const SHORT_KEY_BYTES: usize = 8;
+
+/// Big-endian 8-byte window of `keys` at byte `at`, zero-padded where it
+/// runs past the end (a run's last keys, when they are shorter than 8
+/// bytes).
+#[inline]
+fn key_window(keys: &[u8], at: usize) -> u64 {
+    be64_at(keys, at).unwrap_or_else(|| {
+        let mut buf = [0u8; 8];
+        let tail = keys.get(at..).unwrap_or_default();
+        for (b, &k) in buf.iter_mut().zip(tail) {
+            *b = k;
+        }
+        u64::from_be_bytes(buf)
+    })
+}
+
+/// [`fill_run_codes`] for keys of 1 to [`SHORT_KEY_BYTES`] bytes, without a
+/// branch on the data. Each key is one big-endian `u64`, its window masked
+/// to `key_width` bytes; the XOR with the previous key has
+/// `leading_zeros / 32` = the first differing word (0 or 1), or 2 when the
+/// keys are equal, and the code is picked by selects from there. Row 0 is
+/// coded against its own complement, which differs in word 0: that is
+/// [`initial_code`]. Equal to [`code_rel`] for every row — run files store
+/// these codes, and `short_codes_equal_code_rel` holds the two together.
+fn fill_short_codes(keys: &[u8], key_width: usize, out: &mut [u8]) {
+    let arity = word_count(key_width) as u64;
+    let mask = u64::MAX << (64 - 8 * key_width);
+    let rows = keys.len() / key_width;
+    let mut prev = !key_window(keys, 0);
+    for (i, slot) in out.chunks_exact_mut(8).take(rows).enumerate() {
+        let key = key_window(keys, i * key_width) & mask;
+        let diff = key ^ prev;
+        let word = u64::from(diff.leading_zeros() / 32);
+        // Word 0 is the key's top half, word 1 its bottom half.
+        let value = (key << (32 * (word & 1))) >> 32;
+        let code = (arity.wrapping_sub(word) << 32) | value;
+        let code = if diff == 0 { 0 } else { code };
+        slot.copy_from_slice(&code.to_le_bytes());
+        prev = key;
     }
 }
 
@@ -405,6 +454,63 @@ mod tests {
         assert_eq!(read_code(&ovc, 2), code_rel(&rows[2], &rows[1], arity));
         assert_eq!(read_code(&ovc, 3), code_rel(&rows[3], &rows[2], arity));
         assert_eq!(read_code(&ovc, 4), 0, "past-the-end read is total");
+    }
+
+    /// The code column as [`code_rel`] defines it, row by row.
+    fn reference_codes(keys: &[u8], kw: usize) -> Vec<u64> {
+        let arity = word_count(kw);
+        let rows: Vec<&[u8]> = keys.chunks(kw).collect();
+        (0..rows.len())
+            .map(|i| match i {
+                0 => initial_code(rows[0], arity),
+                _ => code_rel(rows[i], rows[i - 1], arity),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn short_codes_equal_code_rel() {
+        // Sorted runs of every short width: keys from few distinct bytes
+        // (long runs of equal keys, code 0), NULL bytes leading some of
+        // them, and run lengths that leave 0–7 bytes after the last key's
+        // start, so the tail rows take the padded load.
+        let mut rng = rowsort_testkit::Rng::seed_from_u64(0x0C0D_E5);
+        for kw in 1..=SHORT_KEY_BYTES {
+            for rows in [1, 2, 3, 7, 64, 1000] {
+                let mut run: Vec<Vec<u8>> = (0..rows)
+                    .map(|_| {
+                        let mut key: Vec<u8> = (0..kw).map(|_| rng.below(3) as u8 * 0x7F).collect();
+                        if rng.below(8) == 0 {
+                            key[0] = 0; // a NULL sorting first
+                            key[1..].fill(0);
+                        }
+                        key
+                    })
+                    .collect();
+                run.sort();
+                let keys = run.concat();
+                let mut out = vec![0u8; rows * 8];
+                fill_run_codes(&keys, kw, &mut out);
+                let got: Vec<u64> = (0..rows).map(|i| read_code(&out, i)).collect();
+                assert_eq!(
+                    got,
+                    reference_codes(&keys, kw),
+                    "{kw}-byte keys, {rows} rows"
+                );
+            }
+        }
+        // Random keys of every byte value, where each word's bits count.
+        for kw in 1..=SHORT_KEY_BYTES {
+            let mut run: Vec<Vec<u8>> = (0..500)
+                .map(|_| (0..kw).map(|_| rng.next_u32() as u8).collect())
+                .collect();
+            run.sort();
+            let keys = run.concat();
+            let mut out = vec![0u8; 500 * 8];
+            fill_run_codes(&keys, kw, &mut out);
+            let got: Vec<u64> = (0..500).map(|i| read_code(&out, i)).collect();
+            assert_eq!(got, reference_codes(&keys, kw), "{kw}-byte random keys");
+        }
     }
 
     #[test]

@@ -11,9 +11,10 @@ use crate::metrics::Counter;
 use crate::pool::SortPool;
 use crate::sorter::SorterCore;
 use rowsort_normkey::DEFAULT_MAX_PREFIX;
-use rowsort_row::RowBlock;
+use rowsort_row::{reorder_rows, RowBlock};
 use rowsort_vector::{DataChunk, LogicalType, OrderBy, StringVec, Vector};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// One sorted run: normalized keys (stride = `key_width`, row ids
 /// stripped) aligned 1:1 with already-reordered payload rows. (The run a
@@ -284,6 +285,13 @@ impl SorterCore {
     ) -> SortedRun {
         let rows = hi - lo;
         let width = self.layout.width();
+        // Each stage's time goes to its own clock (`RUN_STAGES`).
+        let mut clock = Instant::now();
+        let mut lap = |stage: Counter| {
+            let now = Instant::now();
+            self.metrics.add(stage, (now - clock).as_nanos() as u64);
+            clock = now;
+        };
         // DSM → NSM: payload rows (all columns) in input order first. The
         // heap is asked for at the size the range's strings will fill —
         // they are contiguous in every VARCHAR column — so the pool hands
@@ -298,6 +306,7 @@ impl SorterCore {
             pool.get_bytes(heap_bytes),
         );
         staging.append_chunk_range(input, lo, hi);
+        lap(Counter::RunScatterNs);
 
         let key_blocks = &plan.key_blocks;
         let mut keys = key_blocks
@@ -309,6 +318,7 @@ impl SorterCore {
             });
         keys.reset();
         keys.append_chunk_range(input, lo, hi);
+        lap(Counter::RunEncodeNs);
 
         // Thread-local sort: radix over the key bytes, then the full-tuple
         // comparator inside whatever key-equal ranges a truncated VARCHAR
@@ -334,6 +344,7 @@ impl SorterCore {
             KeySortAlgo::Noop => {}
         }
         self.metrics.add(Counter::RadixPasses, sorted.radix_passes);
+        lap(Counter::RunSortNs);
 
         let key_width = keys.key_width();
         let mut run_keys = pool.get_bytes(rows * key_width);
@@ -349,12 +360,17 @@ impl SorterCore {
         } else {
             Vec::new()
         };
-        let mut payload = RowBlock::from_raw_parts(
-            Arc::clone(&self.layout),
-            pool.get_bytes(rows * width),
-            pool.get_bytes(staging.heap().len().max(1)),
-        );
-        payload.assign_reordered(&staging, keys.order_iter());
+        lap(Counter::RunStripCodeNs);
+
+        // The payload in key order. Its rows' heap offsets are absolute, so
+        // the reordered rows keep the staging heap: it becomes the run's.
+        let mut payload_rows = pool.get_bytes(rows * width);
+        reorder_rows(&mut payload_rows, staging.data(), width, keys.order_iter());
+        let (staging_data, staging_heap) = staging.into_raw_parts();
+        pool.put_bytes(staging_data);
+        let payload =
+            RowBlock::from_raw_parts(Arc::clone(&self.layout), payload_rows, staging_heap);
+        lap(Counter::RunReorderNs);
 
         self.metrics.add(Counter::RunsGenerated, 1);
         // Staged rows + encoded key entries + stripped keys + reordered
@@ -367,9 +383,6 @@ impl SorterCore {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(keys);
-        let (staging_data, staging_heap) = staging.into_raw_parts();
-        pool.put_bytes(staging_data);
-        pool.put_bytes(staging_heap);
         SortedRun {
             keys: run_keys,
             key_width,

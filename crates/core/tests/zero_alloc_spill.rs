@@ -82,9 +82,9 @@ fn warmed_partitioned_spill_merge_allocates_a_constant_amount() {
     // What the spill phase's pool, empty at the start of every sort,
     // misses in each: a worker mints the buffers of the first run it
     // claims — staged rows and their strings, radix scratch, then the
-    // sorted run's keys, codes, rows and strings — and every run it
-    // claims after that reuses them.
-    const RUN_SET_BUFFERS: usize = 7;
+    // sorted run's keys, codes and rows (the run keeps the staged strings)
+    // — and every run it claims after that reuses them.
+    const RUN_SET_BUFFERS: usize = 6;
     const WORKERS: usize = 2;
     const PASSES: usize = 4;
 

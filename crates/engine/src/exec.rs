@@ -23,7 +23,7 @@ use crate::plan::{LogicalPlan, ResolvedPredicate};
 use crate::sql::CmpOp;
 use crate::{EngineError, Result};
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter, SPILL_WORKERS};
-use rowsort_core::metrics::{Counter, Phase};
+use rowsort_core::metrics::{Counter, Phase, RUN_STAGES};
 use rowsort_core::spill::StdFs;
 use rowsort_core::systems::{sort_with_system_profiled, SystemProfile};
 use rowsort_core::{SortProfile, SortResources};
@@ -180,6 +180,22 @@ fn node_label(plan: &LogicalPlan) -> String {
     }
 }
 
+/// Run generation's stage clocks in brackets, ` [scatter 1.000ms encode
+/// …]`: the busy time of the workers that built runs, summed over them.
+/// Nothing when the sort built no run.
+fn write_run_stages(s: &mut String, profile: &SortProfile) {
+    use std::fmt::Write;
+    let stages = RUN_STAGES.map(|(c, name)| (name, profile.metrics.counter(c)));
+    if stages.iter().all(|&(_, ns)| ns == 0) {
+        return;
+    }
+    for (i, (name, ns)) in stages.into_iter().enumerate() {
+        let open = if i == 0 { " [" } else { " " };
+        let _ = write!(s, "{open}{name} {:.3}ms", ns as f64 / 1e6);
+    }
+    s.push(']');
+}
+
 /// Per-phase sort-time attribution for a Sort node's annotation, from the
 /// sort operator's own [`SortProfile`] and the `threads` it
 /// was given.
@@ -193,17 +209,22 @@ fn sort_detail(profile: &SortProfile, threads: usize) -> String {
             continue;
         }
         let _ = write!(s, " {}={:.3}ms", ph.name(), ms(ns));
+        if ph == Phase::RunGeneration {
+            write_run_stages(&mut s, profile);
+        }
         // Behind the spill phase's wall time, what its workers were busy
-        // with inside it, summed over them: building runs, and encoding
-        // plus writing them. A worker per thread up to the spill phase's
-        // cap, or per run if fewer.
+        // with inside it, summed over them: building runs (stage by
+        // stage), and encoding plus writing them. A worker per thread up
+        // to the spill phase's cap, or per run if fewer.
         if ph == Phase::Spill {
             let runs = profile.metrics.counter(Counter::SpilledRuns)
                 + profile.metrics.counter(Counter::SpillMemFallbackRuns);
+            let generate = ms(profile.metrics.counter(Counter::SpillGenerateNs));
+            let _ = write!(s, " (generate {generate:.3}ms");
+            write_run_stages(&mut s, profile);
             let _ = write!(
                 s,
-                " (generate {:.3}ms, write {:.3}ms busy, {} workers)",
-                ms(profile.metrics.counter(Counter::SpillGenerateNs)),
+                ", write {:.3}ms busy, {} workers)",
                 ms(profile.metrics.counter(Counter::SpillWriteNs)),
                 runs.min(threads.min(SPILL_WORKERS) as u64),
             );
@@ -994,6 +1015,26 @@ mod tests {
             sort_detail(&spilling, 2),
             " spill=41.500ms (generate 52.250ms, write 29.000ms busy, 2 workers)"
         );
+        // Run generation's stages, after the phase that built the runs.
+        let stage_ns = [9_000_000, 3_500_000, 18_250_000, 6_000_000, 7_125_000];
+        let stages = " [scatter 9.000ms encode 3.500ms sort 18.250ms strip+code 6.000ms \
+                      reorder 7.125ms]";
+        for ((counter, _), ns) in RUN_STAGES.into_iter().zip(stage_ns) {
+            spilling.metrics.counters[counter as usize] = ns;
+        }
+        assert_eq!(
+            sort_detail(&spilling, 2),
+            format!(" spill=41.500ms (generate 52.250ms{stages}, write 29.000ms busy, 2 workers)")
+        );
+        let mut in_memory = spilling;
+        in_memory.metrics.phase_ns[Phase::Spill as usize] = 0;
+        in_memory.metrics.phase_ns[Phase::RunGeneration as usize] = 30_000_000;
+        assert!(
+            sort_detail(&in_memory, 2).starts_with(&format!(" run_generation=30.000ms{stages}"))
+        );
+        for (counter, _) in RUN_STAGES {
+            spilling.metrics.counters[counter as usize] = 0;
+        }
         // More threads than the spill phase's cap: the cap.
         assert!(sort_detail(&spilling, 32).contains("busy, 2 workers)"));
         // Fewer runs than workers: a worker per run.

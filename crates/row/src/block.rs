@@ -2,6 +2,7 @@
 
 use crate::gather::{ChunkBuilder, ChunkPiece, BATCH_ROWS};
 use crate::layout::RowLayout;
+use rowsort_algos::rows::copy_row;
 use rowsort_vector::{DataChunk, LogicalType, Value, Vector, VectorData};
 use std::sync::Arc;
 
@@ -372,12 +373,8 @@ impl RowBlock {
     /// after sorting keys). Heap offsets are absolute, so the heap is reused
     /// unchanged.
     pub fn reorder(&self, order: &[u32]) -> RowBlock {
-        let width = self.width();
-        let mut data = vec![0u8; order.len() * width];
-        for (dst, &src) in order.iter().enumerate() {
-            let s = src as usize * width;
-            data[dst * width..(dst + 1) * width].copy_from_slice(&self.data[s..s + width]);
-        }
+        let mut data = Vec::new();
+        reorder_rows(&mut data, &self.data, self.width(), order.iter().copied());
         RowBlock {
             layout: Arc::clone(&self.layout),
             data,
@@ -400,15 +397,34 @@ impl RowBlock {
             "assign_reordered requires one shared layout"
         );
         let width = self.width();
-        let n = order.len();
         self.heap.clear();
         self.heap.extend_from_slice(&src.heap);
-        self.data.resize(n * width, 0);
-        for (dst, s) in order.enumerate() {
-            let s = s as usize * width;
-            self.data[dst * width..(dst + 1) * width].copy_from_slice(&src.data[s..s + width]);
-        }
-        self.len = n;
+        self.len = order.len();
+        reorder_rows(&mut self.data, &src.data, width, order);
+    }
+}
+
+/// Fill `dst` (cleared first) with the `width`-byte rows of `src` in the
+/// order `order` names them: the payload reorder, one [`copy_row`] per
+/// row. A row's VARCHAR slots hold absolute heap offsets, so the rows keep
+/// pointing into `src`'s heap, which the caller hands on with them.
+///
+/// # Panics
+/// If an index names a row past the end of `src`.
+pub fn reorder_rows(
+    dst: &mut Vec<u8>,
+    src: &[u8],
+    width: usize,
+    order: impl ExactSizeIterator<Item = u32>,
+) {
+    dst.clear();
+    dst.resize(order.len() * width, 0);
+    if width == 0 {
+        return;
+    }
+    for (row, s) in dst.chunks_exact_mut(width).zip(order) {
+        let at = s as usize * width;
+        copy_row(row, &src[at..at + width]);
     }
 }
 

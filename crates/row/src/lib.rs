@@ -8,7 +8,8 @@
 //!
 //! * [`RowLayout`] — computes fixed-width, 8-byte-aligned row shapes from a
 //!   column schema (variable-length values live out-of-row in a string heap),
-//! * [`RowBlock`] — a buffer of such rows plus its heap,
+//! * [`RowBlock`] — a buffer of such rows plus its heap, and
+//!   [`reorder_rows`], the payload reorder that moves them,
 //! * [`scatter`]/[`gather()`] — the DSM→NSM and NSM→DSM conversions, performed
 //!   one vector at a time to amortize interpretation overhead,
 //! * [`ChunkBuilder`] — the NSM→DSM loop itself: exactly pre-sized columns
@@ -19,7 +20,7 @@ pub mod convert;
 pub mod gather;
 pub mod layout;
 
-pub use block::{heap_offset, RowBlock, HEAP_OVERFLOW};
+pub use block::{heap_offset, reorder_rows, RowBlock, HEAP_OVERFLOW};
 pub use convert::{gather, scatter};
 pub use gather::{ChunkBuilder, ChunkPiece, PieceTail, BAD_STRING_SLOT, BATCH_ROWS};
 pub use layout::{RowAlignment, RowLayout};
