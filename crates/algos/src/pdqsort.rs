@@ -545,7 +545,6 @@ where
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn sort3_rows<F, P: Probe>(
     rows: &RowsMut<'_>,
     a: &mut usize,

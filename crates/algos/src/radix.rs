@@ -220,7 +220,10 @@ fn msd_with_scratch<P: Probe>(
 /// One stable counting-scatter of rows `start..end` from `src` into `dst`
 /// by the byte at `byte`, each row moved by [`copy_row`] (key entries are
 /// 5–36 bytes, where a `memcpy` call per row costs more than the copy).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one pass over one bucket: the buffers, its bounds and counts, and the probe"
+)]
 fn scatter_pass<P: Probe>(
     src: &[u8],
     dst: &mut [u8],
@@ -250,7 +253,10 @@ fn scatter_pass<P: Probe>(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the recursion carries both buffers, the key bounds and the bucket"
+)]
 fn msd_rec<P: Probe>(
     data: &mut [u8],
     aux: &mut [u8],
@@ -331,6 +337,10 @@ fn msd_rec<P: Probe>(
 mod tests {
     use super::*;
     use crate::probe::NoProbe;
+
+    /// A radix row sort as the tests call it: `(data, stride, key_offset,
+    /// key_len, probe)`.
+    type RowSort = fn(&mut [u8], usize, usize, usize, &NoProbe);
 
     fn make_rows(keys: &[u32], width: usize) -> Vec<u8> {
         // Row: 4-byte BE key + (width-4) payload bytes derived from key.
@@ -451,7 +461,7 @@ mod tests {
             let mut expected: Vec<&[u8]> = data.chunks(stride).collect();
             expected.sort_by_key(|row| key(row));
             let expected = expected.concat();
-            let sorts: [(&str, fn(&mut [u8], usize, usize, usize, &NoProbe)); 2] =
+            let sorts: [(&str, RowSort); 2] =
                 [("lsd", lsd_radix_sort_rows), ("msd", msd_radix_sort_rows)];
             for (name, sort) in sorts {
                 let mut got = data.clone();

@@ -99,26 +99,34 @@ impl<'a> RowsMut<'a> {
     /// slice-bounds checks measurably widen the gap to a monomorphized
     /// typed sort (the comparison the paper's Figure 8 makes).
     #[inline]
+    #[expect(unsafe_code, reason = "unchecked row slice on the comparator path")]
     pub fn row(&self, i: usize) -> &[u8] {
         debug_assert!(i < self.len, "row {i} out of bounds ({})", self.len);
         // SAFETY: `width` is fixed at construction and `new`/`sub`/
         // `split_at_mut` all guarantee `data.len() == len * width`, so
-        // `i < len` implies `(i + 1) * width <= data.len()` — the returned
-        // `width`-byte range lies inside `data`. `i < len` is asserted in
-        // debug builds; every in-crate caller iterates within `0..len`.
-        unsafe { std::slice::from_raw_parts(self.data.as_ptr().add(i * self.width), self.width) }
+        // `i < len` implies `(i + 1) * width <= data.len()`: offsetting
+        // `data` by `i * width` stays inside `data`. `i < len` is asserted
+        // in debug builds; every in-crate caller iterates within `0..len`.
+        let start = unsafe { self.data.as_ptr().add(i * self.width) };
+        // SAFETY: `start` is `data` offset by `i * width`, and
+        // `(i + 1) * width <= data.len()` (above), so the `width` bytes from
+        // `start` lie inside `data`, borrowed for as long as `self`.
+        unsafe { std::slice::from_raw_parts(start, self.width) }
     }
 
     /// Mutably borrow row `i`.
     #[inline]
+    #[expect(unsafe_code, reason = "unchecked row slice on the comparator path")]
     pub fn row_mut(&mut self, i: usize) -> &mut [u8] {
         debug_assert!(i < self.len, "row {i} out of bounds ({})", self.len);
         // SAFETY: same bounds argument as `row`: `data.len() == len * width`
-        // by construction and `i < len`, so the range is in-bounds; the
-        // `&mut self` receiver guarantees the borrow is exclusive.
-        unsafe {
-            std::slice::from_raw_parts_mut(self.data.as_mut_ptr().add(i * self.width), self.width)
-        }
+        // by construction and `i < len`, so offsetting `data` by
+        // `i * width` stays inside `data`.
+        let start = unsafe { self.data.as_mut_ptr().add(i * self.width) };
+        // SAFETY: the `width` bytes from `start` lie inside `data` (as in
+        // `row`); the `&mut self` receiver guarantees the borrow is
+        // exclusive.
+        unsafe { std::slice::from_raw_parts_mut(start, self.width) }
     }
 
     /// The underlying buffer.
@@ -129,6 +137,7 @@ impl<'a> RowsMut<'a> {
     /// Swap rows `i` and `j` (one `memcpy`-style exchange of `width` bytes),
     /// reported to `probe` as a load and a store of each row.
     #[inline]
+    #[expect(unsafe_code, reason = "in-place row exchange without bounds checks")]
     pub fn swap<P: Probe>(&mut self, i: usize, j: usize, probe: &P) {
         debug_assert!(i < self.len && j < self.len);
         if i == j {
@@ -137,18 +146,18 @@ impl<'a> RowsMut<'a> {
         for k in [i, j] {
             self.probed_move(k, k + 1, probe);
         }
-        // SAFETY: `i != j` (equal indices returned above) and rows are
-        // `width`-aligned slots, so the two `width`-byte regions cannot
-        // overlap; both are in-bounds because `i < len` and `j < len`
-        // (debug-asserted) with `data.len() == len * width` fixed at
-        // construction.
-        unsafe {
-            std::ptr::swap_nonoverlapping(
-                self.data.as_mut_ptr().add(i * self.width),
-                self.data.as_mut_ptr().add(j * self.width),
-                self.width,
-            );
-        }
+        let base = self.data.as_mut_ptr();
+        // SAFETY: `base` starts `data`; `i < len` (debug-asserted) and
+        // `data.len() == len * width` fixed at construction, so offsetting
+        // it by `i * width` stays inside `data`.
+        let a = unsafe { base.add(i * self.width) };
+        // SAFETY: as for `a`: `j < len`, so offsetting `base` by
+        // `j * width` stays inside `data`.
+        let b = unsafe { base.add(j * self.width) };
+        // SAFETY: `a` and `b` each start `width` in-bounds bytes of `data`
+        // (above). `i != j` (equal indices returned above) and rows are
+        // `width`-aligned slots, so the two regions cannot overlap.
+        unsafe { std::ptr::swap_nonoverlapping(a, b, self.width) };
     }
 
     /// Rotate the non-empty range of rows `from..to` one slot right: row

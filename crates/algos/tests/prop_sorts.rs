@@ -81,7 +81,7 @@ prop! {
     }
 
     fn row_sorts_agree_with_std(v in input_gen(), extra in 0usize..12) {
-        let width = 4 + extra.max(0);
+        let width = 4 + extra;
         let expected = expect_sorted(&v);
         macro_rules! check_row_sort {
             ($name:literal, $f:path $(, $probe:expr)?) => {{

@@ -46,7 +46,7 @@ fn bench_pipeline(c: &mut Harness) {
         .measurement_time(Duration::from_secs(2));
 
     for &n in &sizes() {
-        let chunk = u32_chunk(n, 0xF16_12 ^ n as u64, false);
+        let chunk = u32_chunk(n, 0xF1612 ^ n as u64, false);
         let order = OrderBy::ascending(1);
         let single = SortPipeline::new(
             chunk.types(),
@@ -80,7 +80,7 @@ fn bench_pipeline(c: &mut Harness) {
 
     // Key + payload column: exercises the payload reorder and merge gather.
     let n = sizes()[0];
-    let chunk = u32_chunk(n, 0xF16_13, true);
+    let chunk = u32_chunk(n, 0xF1613, true);
     let pipeline = SortPipeline::new(
         chunk.types(),
         OrderBy::ascending(1),
@@ -99,7 +99,7 @@ fn bench_pipeline(c: &mut Harness) {
     // tree-of-losers pass (`_t2`: one per key range, on two threads), the
     // _novc twin with a whole-key compare at every match.
     let n = sizes()[0].min(1_000_000);
-    let chunk = wide_key_chunk(n, 0xF16_14);
+    let chunk = wide_key_chunk(n, 0xF1614);
     let order = OrderBy::ascending(3);
     for (id, threads, ovc) in [
         ("widekey_ovc", 1, true),
@@ -128,7 +128,7 @@ fn bench_pipeline(c: &mut Harness) {
     // sized from data.
     let n = sizes()[0].min(1_000_000) / 4;
     for (id, stem) in [("longstr_t1", LONGSTR_STEM), ("tiedstr_t1", TIEDSTR_STEM)] {
-        let chunk = long_string_chunk(n, 0xF16_15, stem);
+        let chunk = long_string_chunk(n, 0xF1615, stem);
         let pipeline = SortPipeline::new(
             chunk.types(),
             OrderBy::ascending(1),
@@ -162,7 +162,7 @@ fn column_bytes(chunk: &DataChunk) -> usize {
 fn report_merge_fan_in(_: &mut Harness) {
     const TRIALS: usize = 5;
     let n = sizes()[0].min(1_000_000);
-    // The timed ids' inputs (seeds 0xF16_12 and 0xF16_14).
+    // The timed ids' inputs (seeds 0xF1612 and 0xF1614).
     let u32s = u32_chunk(n, 0x000F_1612 ^ n as u64, false);
     let wide = wide_key_chunk(n, 0x000F_1614);
     let cases = [

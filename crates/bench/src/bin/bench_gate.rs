@@ -67,6 +67,10 @@ const UNGATED: [(Counter, &str); 10] = [
 /// What the measured sort of every id counted, keyed `(id, counter)`.
 type Counts = BTreeMap<(String, String), u64>;
 
+#[expect(
+    clippy::exit,
+    reason = "a CLI usage error ends the process with status 2"
+)]
 fn die(msg: &str) -> ! {
     eprintln!("bench_gate: {msg}");
     std::process::exit(2);
@@ -104,10 +108,10 @@ fn record(out: &mut Counts, id: &str, allocs: bool, mut sort: impl FnMut() -> So
 fn measure() -> Counts {
     let mut out = Counts::new();
     let n = 250_000;
-    let u32s = u32_chunk(n, 0xF16_12 ^ n as u64, false);
-    let payload = u32_chunk(n, 0xF16_13, true);
-    let wide = wide_key_chunk(n, 0xF16_14);
-    let [long, tied] = [LONGSTR_STEM, TIEDSTR_STEM].map(|s| long_string_chunk(n / 4, 0xF16_15, s));
+    let u32s = u32_chunk(n, 0xF1612 ^ n as u64, false);
+    let payload = u32_chunk(n, 0xF1613, true);
+    let wide = wide_key_chunk(n, 0xF1614);
+    let [long, tied] = [LONGSTR_STEM, TIEDSTR_STEM].map(|s| long_string_chunk(n / 4, 0xF1615, s));
     // Bench id, input, leading key columns, threads, run_rows, ovc.
     for (name, chunk, keys, threads, run_rows, ovc) in [
         ("u32_t1", &u32s, 1, 1, 1 << 17, true),

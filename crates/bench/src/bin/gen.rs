@@ -17,6 +17,10 @@ use rowsort_engine::{csv, Table};
 use rowsort_vector::{DataChunk, Vector};
 use std::fs::File;
 
+#[expect(
+    clippy::exit,
+    reason = "a CLI usage error ends the process with status 2"
+)]
 fn usage() -> ! {
     eprintln!(
         "usage:\n  gen catalog_sales <rows> <sf> <out.csv> [seed]\n  \
@@ -33,6 +37,7 @@ fn parse<T: std::str::FromStr>(s: Option<&String>) -> T {
     s.and_then(|v| v.parse().ok()).unwrap_or_else(|| usage())
 }
 
+#[expect(clippy::exit, reason = "a failed write ends the process with status 1")]
 fn write(table: &Table, path: &str) {
     let file = File::create(path).unwrap_or_else(|e| {
         eprintln!("cannot create {path}: {e}");

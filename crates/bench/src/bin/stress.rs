@@ -15,6 +15,10 @@
 
 use rowsort_bench::stress::{parse_seed, run, StressConfig};
 
+#[expect(
+    clippy::exit,
+    reason = "a CLI usage error ends the process with status 2"
+)]
 fn die(msg: &str) -> ! {
     eprintln!("stress: {msg}");
     std::process::exit(2);

@@ -32,6 +32,7 @@ use rowsort_testkit::json::Json;
 use rowsort_testkit::Rng;
 use rowsort_vector::{DataChunk, OrderBy, Value, Vector};
 
+#[expect(clippy::exit, reason = "a failed check ends the process with status 2")]
 fn die(msg: &str) -> ! {
     eprintln!("trace_smoke: {msg}");
     std::process::exit(2);
@@ -58,7 +59,7 @@ fn run_sorts() {
     let mut strings = DataChunk::new(&[rowsort_vector::LogicalType::Varchar]);
     for _ in 0..20_000 {
         let r = rng.next_u32();
-        let v = if r % 11 == 0 {
+        let v = if r.is_multiple_of(11) {
             Value::Null
         } else {
             Value::from(format!("a_name_that_outgrows_every_key_prefix_{}", r % 997))

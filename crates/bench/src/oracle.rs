@@ -1005,7 +1005,7 @@ pub fn named_cases() -> Vec<(&'static str, Case)> {
     // Two key values, the lower on rows 0..1037: every splitter is one of
     // them, so the four key ranges are empty or begin at row 0 or 1037 —
     // inside a validity word, with NULL payloads on both sides of it.
-    let nullable = |i: u32, v: Value| if i % 3 == 0 { Value::Null } else { v };
+    let nullable = |i: u32, v: Value| if i.is_multiple_of(3) { Value::Null } else { v };
     let two_keys = (0..3_000u32).map(|i| {
         let text = Value::from(format!("payload-{i}"));
         let key = Value::Int32(i32::from(i >= 1_037));

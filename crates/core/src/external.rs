@@ -1270,9 +1270,7 @@ mod tests {
         let mut fixed_byte = vec![true; width];
         for &c in &varlen {
             let at = layout.offset(c);
-            for b in at..at + 4 {
-                fixed_byte[b] = false;
-            }
+            fixed_byte[at..at + 4].fill(false);
         }
 
         let kw = keys.key_width();

@@ -29,7 +29,7 @@ use std::path::Path;
 pub(crate) fn cmp_keys(a: &[u8], b: &[u8]) -> Ordering {
     debug_assert_eq!(a.len(), b.len());
     let n = a.len();
-    if n >= 4 && n <= 8 {
+    if (4..=8).contains(&n) {
         let a0 = u32::from_be_bytes(word::<4>(a, 0));
         let b0 = u32::from_be_bytes(word::<4>(b, 0));
         if a0 != b0 {

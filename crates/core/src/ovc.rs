@@ -474,7 +474,7 @@ mod tests {
         // (long runs of equal keys, code 0), NULL bytes leading some of
         // them, and run lengths that leave 0–7 bytes after the last key's
         // start, so the tail rows take the padded load.
-        let mut rng = rowsort_testkit::Rng::seed_from_u64(0x0C0D_E5);
+        let mut rng = rowsort_testkit::Rng::seed_from_u64(0x0C0DE5);
         for kw in 1..=SHORT_KEY_BYTES {
             for rows in [1, 2, 3, 7, 64, 1000] {
                 let mut run: Vec<Vec<u8>> = (0..rows)

@@ -36,6 +36,7 @@ use std::thread::JoinHandle;
 #[derive(Clone, Copy)]
 struct JobPtr(*const (dyn Fn(usize) + Sync));
 
+#[expect(unsafe_code, reason = "the job pointer's barrier-bounded lifetime")]
 // SAFETY: a JobPtr crosses threads only via `Shared.state`, and is only
 // dereferenced during a broadcast, while the caller — who owns the
 // closure — is blocked in `broadcast` (or in `PhaseGuard::drop` when
@@ -135,6 +136,7 @@ impl WorkerPool {
         }
         {
             let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
+            #[expect(unsafe_code, reason = "publishes the phase closure to the workers")]
             // SAFETY: erasing the lifetime of the closure `f` to publish
             // it. The guard below — dropped only after `active` returns
             // to 0 — keeps this stack frame (and thus `f`) alive until
@@ -223,6 +225,7 @@ fn worker_loop(shared: &Shared, index: usize) {
             state.job
         };
         let Some(JobPtr(job)) = job else { continue };
+        #[expect(unsafe_code, reason = "reads the closure the caller keeps alive")]
         // SAFETY: the broadcasting caller is blocked until this worker
         // decrements `active` below, so the closure behind `job` is alive
         // for the whole call (see JobPtr's Send justification).
@@ -247,7 +250,7 @@ mod tests {
     #[test]
     fn broadcast_runs_on_every_worker() {
         let pool = WorkerPool::new(4);
-        let mut hits = vec![
+        let mut hits = [
             AtomicUsize::new(0),
             AtomicUsize::new(0),
             AtomicUsize::new(0),

@@ -24,18 +24,29 @@
 //! workers).
 //!
 //! The pinned sorts run on one thread, so the byte counts repeat exactly
-//! (the peaks at more threads are only bounded from above). The
-//! counting allocator is installed globally for this test binary, so the
-//! file holds exactly one test: any parallel test in the same binary
-//! would allocate concurrently and poison the count.
+//! (the peaks at more threads are only bounded from above). Above one
+//! thread, which worker holds what when is the scheduler's to decide, and
+//! the peak with it; [`PinnedFs`] takes that back where the sorter does
+//! I/O, so each thread count is measured at its schedule of most overlap
+//! and the bounds pass or fail the same way on every run. The counting
+//! allocator is installed globally for this test binary, so the file
+//! holds exactly one test: any parallel test in the same binary would
+//! allocate concurrently and poison the count.
 
-use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
+use rowsort_core::external::{ExternalSortOptions, ExternalSorter, SPILL_WORKERS};
 use rowsort_core::keys::KeyBlock;
 use rowsort_core::pipeline::{SortOptions, SortPipeline};
+use rowsort_core::{SpillIo, StdFs};
 use rowsort_row::RowLayout;
 use rowsort_testkit::alloc::{peak_bytes, reset_peak, CountingAllocator};
 use rowsort_testkit::Rng;
 use rowsort_vector::{DataChunk, OrderBy, Vector};
+use std::cell::Cell;
+use std::io::{self, Read, Write};
+use std::path::Path;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::{self, ThreadId};
+use std::time::Duration;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -56,6 +67,219 @@ fn warm_peak(mut sort: impl FnMut() -> DataChunk) -> usize {
     let peak = peak_bytes();
     drop(sorted);
     peak
+}
+
+/// External sorters an external peak is the most of: how far two run
+/// builds overlap is a race no I/O call sits in, and its outcome stays
+/// with a sorter's pool for every later sort (see [`PinnedFs`]).
+const SORTERS: usize = 3;
+
+/// What [`PinnedFs`] has seen.
+#[derive(Default)]
+struct Gate {
+    /// Run files open for writing, and created over every sort so far.
+    writing: usize,
+    created: usize,
+    /// Writers waiting to close, and the sets of them let go so far.
+    closing: usize,
+    closed: usize,
+    /// Merge workers holding a whole range open, waiting to let go, and
+    /// run files opened for reading so far.
+    merging: usize,
+    opened: usize,
+    /// Every range of the current sort has been open at once.
+    merged: bool,
+    /// Waits that gave up: a schedule the turnstiles did not pin.
+    timeouts: usize,
+}
+
+/// How long a turnstile waits before it gives up and counts a timeout.
+const PATIENCE: Duration = Duration::from_secs(10);
+
+/// How long the merge turnstile waits for a worker that opens nothing
+/// more: some ranges are empty (equal splitters), and a range over one run
+/// on the calling thread looks like a cut.
+const QUIET: Duration = Duration::from_millis(250);
+
+thread_local! {
+    /// Run files this thread has open for reading.
+    static READING: Cell<usize> = const { Cell::new(0) };
+}
+
+/// `StdFs` behind three turnstiles, which hold an external sort of
+/// `runs` runs on `threads` threads to its schedule of most overlap:
+///
+/// * a run file is created only once the other spill worker has one open
+///   too, so both hold a sorted run at once;
+/// * a run file is closed only once the other's closes too, so both
+///   leave their writes together and build their next runs side by side;
+/// * a merge worker lets go of its range only once every range is open:
+///   no worker takes a second range, or a block buffer another range gave
+///   back, before all `threads` ranges hold their cursors — or, when
+///   fewer ranges hold any, once [`QUIET`] passes with no file opened.
+///   The calling thread reads the cuts first, through one reader at a
+///   time, and those never wait.
+///
+/// The last run of a sort is created and closed alone. A build itself
+/// does no I/O, so how far two builds overlap stays the scheduler's: the
+/// test takes the most of [`SORTERS`] sorters for that.
+struct PinnedFs(Arc<Turnstiles>);
+
+struct Turnstiles {
+    gate: Mutex<Gate>,
+    cv: Condvar,
+    builders: usize,
+    ranges: usize,
+    runs: usize,
+    /// The thread that calls `sort`.
+    caller: ThreadId,
+}
+
+impl PinnedFs {
+    fn new(threads: usize, runs: usize) -> PinnedFs {
+        PinnedFs(Arc::new(Turnstiles {
+            gate: Mutex::default(),
+            cv: Condvar::new(),
+            builders: threads.min(SPILL_WORKERS),
+            ranges: threads,
+            runs,
+            caller: thread::current().id(),
+        }))
+    }
+
+    fn timeouts(&self) -> usize {
+        self.0.gate.lock().unwrap().timeouts
+    }
+
+    fn reader(&self, inner: Box<dyn Read + Send>) -> Box<dyn Read + Send> {
+        READING.with(|n| n.set(n.get() + 1));
+        self.0.gate.lock().unwrap().opened += 1;
+        let fs = Arc::clone(&self.0);
+        Box::new(PinnedReader { inner, fs })
+    }
+}
+
+impl Turnstiles {
+    /// Wait while `blocked` holds, counting a wait that gives up.
+    fn wait_while<'g>(
+        &self,
+        gate: MutexGuard<'g, Gate>,
+        blocked: impl FnMut(&mut Gate) -> bool,
+    ) -> MutexGuard<'g, Gate> {
+        let (mut gate, wait) = self.cv.wait_timeout_while(gate, PATIENCE, blocked).unwrap();
+        gate.timeouts += usize::from(wait.timed_out());
+        gate
+    }
+
+    /// Let the merge's ranges go, and the next one start.
+    fn release_merge(&self, gate: &mut Gate) {
+        gate.merging = 0;
+        gate.merged = true;
+        self.cv.notify_all();
+    }
+}
+
+struct PinnedWriter {
+    inner: Box<dyn Write + Send>,
+    fs: Arc<Turnstiles>,
+}
+
+impl Write for PinnedWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.inner.write(buf)
+    }
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+impl Drop for PinnedWriter {
+    fn drop(&mut self) {
+        let fs = &*self.fs;
+        let mut gate = fs.gate.lock().unwrap();
+        gate.closing += 1;
+        if gate.closing == fs.builders {
+            gate.closing = 0;
+            gate.closed += 1;
+            fs.cv.notify_all();
+        } else {
+            let closed = gate.closed;
+            gate = fs.wait_while(gate, |g| {
+                g.closed == closed && !g.created.is_multiple_of(fs.runs)
+            });
+            if gate.closed == closed {
+                gate.closing -= 1;
+            }
+        }
+        gate.writing -= 1;
+    }
+}
+
+struct PinnedReader {
+    inner: Box<dyn Read + Send>,
+    fs: Arc<Turnstiles>,
+}
+
+impl Read for PinnedReader {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.inner.read(buf)
+    }
+}
+
+impl Drop for PinnedReader {
+    fn drop(&mut self) {
+        let still_open = READING.with(|n| {
+            n.set(n.get() - 1);
+            n.get()
+        });
+        let fs = &*self.fs;
+        let mut gate = fs.gate.lock().unwrap();
+        let cut = thread::current().id() == fs.caller && still_open == 0;
+        if cut || gate.merged {
+            return;
+        }
+        gate.merging += 1;
+        if gate.merging == fs.ranges {
+            fs.release_merge(&mut gate);
+        }
+        // A quiet spell with no file opened lets the ranges go too.
+        while !gate.merged {
+            let opened = gate.opened;
+            let (g, wait) = fs
+                .cv
+                .wait_timeout_while(gate, QUIET, |g| !g.merged)
+                .unwrap();
+            gate = g;
+            if wait.timed_out() && gate.opened == opened {
+                fs.release_merge(&mut gate);
+            }
+        }
+    }
+}
+
+impl SpillIo for PinnedFs {
+    fn create(&self, path: &Path) -> io::Result<Box<dyn Write + Send>> {
+        let inner = StdFs.create(path)?;
+        let fs = &*self.0;
+        let mut gate = fs.gate.lock().unwrap();
+        gate.merged = false;
+        gate.writing += 1;
+        gate.created += 1;
+        fs.cv.notify_all();
+        let alone = |g: &mut Gate| g.writing < fs.builders && !g.created.is_multiple_of(fs.runs);
+        drop(fs.wait_while(gate, alone));
+        let fs = Arc::clone(&self.0);
+        Ok(Box::new(PinnedWriter { inner, fs }))
+    }
+    fn open(&self, path: &Path) -> io::Result<Box<dyn Read + Send>> {
+        Ok(self.reader(StdFs.open(path)?))
+    }
+    fn open_at(&self, path: &Path, offset: u64) -> io::Result<Box<dyn Read + Send>> {
+        Ok(self.reader(StdFs.open_at(path, offset)?))
+    }
+    fn delete(&self, path: &Path) -> io::Result<()> {
+        StdFs.delete(path)
+    }
 }
 
 #[test]
@@ -106,8 +330,19 @@ fn a_warm_sort_holds_no_merged_row_run() {
                 merge_threads,
                 ..ExternalSortOptions::default()
             };
-            let sorter = ExternalSorter::new(chunk.types(), order.clone(), options);
-            warm_peak(|| sorter.sort(chunk).unwrap())
+            let peak_of_one = || {
+                let io = Arc::new(PinnedFs::new(merge_threads, runs));
+                let (types, order, options) = (chunk.types(), order.clone(), options.clone());
+                let sorter = ExternalSorter::with_spill_io(types, order, options, io.clone());
+                let peak = warm_peak(|| sorter.sort(chunk).unwrap());
+                let timeouts = io.timeouts();
+                assert_eq!(
+                    timeouts, 0,
+                    "{name}: {merge_threads} threads, schedule not pinned"
+                );
+                peak
+            };
+            (0..SORTERS).map(|_| peak_of_one()).max().unwrap_or(0)
         };
         // What one run asks the pool for: its keys, codes and payload
         // rows — the sorted run — and, while it is built, the staged rows,

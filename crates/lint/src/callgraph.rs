@@ -255,14 +255,12 @@ pub fn scan_body(body: &Block) -> (Vec<Target>, Vec<PanicSite>) {
         }
         Expr::Macro {
             name, line, col, ..
-        } => {
-            if PANIC_MACROS.contains(&name.as_str()) {
-                panics.push(PanicSite {
-                    what: format!("`{name}!`"),
-                    line: *line,
-                    col: *col,
-                });
-            }
+        } if PANIC_MACROS.contains(&name.as_str()) => {
+            panics.push(PanicSite {
+                what: format!("`{name}!`"),
+                line: *line,
+                col: *col,
+            });
         }
         Expr::Index {
             literal: true,

@@ -4,15 +4,6 @@
 //! [hot-paths]            # R003 scope; every fn of these files is an R010 root
 //! globs = ["crates/algos/src/radix.rs", ...]
 //!
-//! [cast-strict]          # R004 scope
-//! globs = ["crates/normkey/src/**"]
-//!
-//! [exit-allow]           # R006: process::exit allowlist
-//! globs = ["crates/bench/src/bin/*.rs"]
-//!
-//! [unsafe-impl-allow]    # R006: unsafe impl Send/Sync allowlist
-//! globs = []
-//!
 //! [exclude]              # never scanned
 //! globs = ["target/**"]
 //!
@@ -27,9 +18,6 @@
 //!
 //! [spill-cleanup-allow]  # R012: discarding SpillError results permitted
 //! globs = []
-//!
-//! [unsafe-budget]        # R013
-//! max-statements = 8
 //! ```
 
 use crate::toml_scan;
@@ -40,17 +28,11 @@ pub struct Config {
     /// R003 applies to files matching these globs, and every non-test
     /// function they declare is an R010 root.
     pub hot_paths: Vec<String>,
-    /// R004 applies to files matching these globs.
-    pub cast_strict: Vec<String>,
-    /// Files where `std::process::exit` is permitted (CLI entry points).
-    pub exit_allow: Vec<String>,
-    /// Files where `unsafe impl Send`/`Sync` is permitted.
-    pub unsafe_impl_allow: Vec<String>,
     /// Files excluded from all rules (e.g. lint test fixtures).
     pub exclude: Vec<String>,
-    /// Whole files treated as test scaffolding: scanned (R001/R005/R006
-    /// still apply) but exempt from the hot-path and deep rules, exactly
-    /// like a `#[cfg(test)]` region.
+    /// Whole files treated as test scaffolding: scanned (a `lint:allow`
+    /// there is still checked) but exempt from every rule, exactly like a
+    /// `#[cfg(test)]` region.
     pub test_paths: Vec<String>,
     /// R010 reachability roots as `(file, qualified-fn)` pairs.
     pub hot_entries: Vec<(String, String)>,
@@ -61,24 +43,18 @@ pub struct Config {
     pub atomic_relaxed_allow: Vec<String>,
     /// Files where discarding a `SpillError` result is permitted.
     pub spill_cleanup_allow: Vec<String>,
-    /// R013: maximum statements per `unsafe` block.
-    pub unsafe_max_stmts: usize,
 }
 
 impl Default for Config {
     fn default() -> Config {
         Config {
             hot_paths: Vec::new(),
-            cast_strict: Vec::new(),
-            exit_allow: Vec::new(),
-            unsafe_impl_allow: Vec::new(),
             exclude: Vec::new(),
             test_paths: Vec::new(),
             hot_entries: Vec::new(),
             hot_entries_line: 1,
             atomic_relaxed_allow: Vec::new(),
             spill_cleanup_allow: Vec::new(),
-            unsafe_max_stmts: 8,
         }
     }
 }
@@ -93,9 +69,6 @@ impl Config {
                     let globs = toml_scan::array_strings(&item.value);
                     match section {
                         "hot-paths" => cfg.hot_paths = globs,
-                        "cast-strict" => cfg.cast_strict = globs,
-                        "exit-allow" => cfg.exit_allow = globs,
-                        "unsafe-impl-allow" => cfg.unsafe_impl_allow = globs,
                         "exclude" => cfg.exclude = globs,
                         "test-paths" => cfg.test_paths = globs,
                         "atomic-relaxed-allow" => cfg.atomic_relaxed_allow = globs,
@@ -112,11 +85,6 @@ impl Config {
                                 .map(|(p, q)| (p.to_string(), q.to_string()))
                         })
                         .collect();
-                }
-                ("unsafe-budget", "max-statements") => {
-                    if let Ok(n) = item.value.trim().parse::<usize>() {
-                        cfg.unsafe_max_stmts = n;
-                    }
                 }
                 _ => {}
             }
@@ -235,8 +203,7 @@ mod tests {
         let cfg = Config::parse(
             "[hot-entry-points]\nfns = [\"crates/core/src/pipeline.rs:SortPipeline::sort\"]\n\
              [test-paths]\nglobs = [\"crates/*/tests/**\"]\n\
-             [atomic-relaxed-allow]\nglobs = [\"crates/core/src/metrics.rs\"]\n\
-             [unsafe-budget]\nmax-statements = 5\n",
+             [atomic-relaxed-allow]\nglobs = [\"crates/core/src/metrics.rs\"]\n",
         );
         assert_eq!(
             cfg.hot_entries,
@@ -247,11 +214,9 @@ mod tests {
         );
         assert_eq!(cfg.hot_entries_line, 2);
         assert!(Config::matches(&cfg.test_paths, "crates/core/tests/x.rs"));
-        assert_eq!(cfg.unsafe_max_stmts, 5);
-    }
-
-    #[test]
-    fn default_unsafe_budget() {
-        assert_eq!(Config::parse("").unsafe_max_stmts, 8);
+        assert!(Config::matches(
+            &cfg.atomic_relaxed_allow,
+            "crates/core/src/metrics.rs"
+        ));
     }
 }

@@ -4,22 +4,23 @@
 //! ([`lexer`]), a recursive-descent parser ([`parser`] → [`ast`]) and a
 //! per-crate call graph ([`callgraph`]). Analysis is one pass per crate
 //! unit ([`rules::analyze_unit`]): each file is lexed and parsed once,
-//! and every rule reads that one token stream and AST — the token rules
-//! R001–R006, R010 panic reachability from `[hot-entry-points]` and
+//! and every rule reads that one token stream and AST — R003 allocation
+//! in hot loops, R010 panic reachability from `[hot-entry-points]` and
 //! every function of a `[hot-paths]` file, R011 atomic-ordering
-//! discipline, R012 spill-error observability and R013 unsafe-block
-//! budget/SAFETY completeness. Each `Cargo.toml` gets the manifest audit
-//! (R005).
+//! discipline, R012 spill-error observability and R013 SAFETY
+//! completeness.
 //!
 //! Together they enforce the invariants the sorting paper's performance
-//! claims rest on: documented `unsafe`, panic-free and allocation-free
-//! hot paths, lossless casts in order-preserving key encodings, sound
-//! atomic orderings, observable spill failures, and a hermetic
-//! (path-only) dependency closure. What a rule cannot see — whether a
-//! run file's bytes stay inside their bounds, whether an `unsafe` index
-//! stays below its length — is held by runtime tests instead. See
-//! `lint.toml` for rule scoping and `DESIGN.md` for the rationale per
-//! rule.
+//! claims rest on that no stock lint states: panic-free and
+//! allocation-free hot paths, sound atomic orderings, observable spill
+//! failures, and SAFETY arguments that name what they argue about. What
+//! clippy and rustc say (documented, single-operation `unsafe` blocks,
+//! `unsafe` only where expected, lossless casts in the key encoder,
+//! `process::exit` only in CLI mains) is theirs, set in the root
+//! `Cargo.toml`. What a rule cannot see — whether a run file's bytes
+//! stay inside their bounds, whether an `unsafe` index stays below its
+//! length — is held by runtime tests instead. See `lint.toml` for rule
+//! scoping and `DESIGN.md` for the rationale per rule.
 //!
 //! Run it as `cargo run -p lint --release` (binary name `rowsort-lint`);
 //! `scripts/verify.sh` treats a non-zero exit as a tier-1 failure.
@@ -74,21 +75,12 @@ pub fn ms_since(t0: Instant) -> f64 {
     t0.elapsed().as_secs_f64() * 1000.0
 }
 
-/// Analyze one file's source text on its own. Dispatches on file name:
-/// `Cargo.toml` gets the manifest audit (R005), `.rs` is analyzed as a
-/// one-file crate unit. `rel_path` must be workspace-relative with `/`
-/// separators.
+/// Analyze one file's source text on its own, as a one-file crate unit
+/// (a file that is not `.rs` yields nothing). `rel_path` must be
+/// workspace-relative with `/` separators.
 pub fn analyze_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
-    if is_manifest(rel_path) {
-        rules::check_manifest(rel_path, src)
-    } else {
-        let unit = [(rel_path.to_string(), src.to_string())];
-        rules::analyze_unit(&unit, cfg, &mut Timing::default())
-    }
-}
-
-fn is_manifest(rel_path: &str) -> bool {
-    rel_path == "Cargo.toml" || rel_path.ends_with("/Cargo.toml")
+    let unit = [(rel_path.to_string(), src.to_string())];
+    rules::analyze_unit(&unit, cfg, &mut Timing::default())
 }
 
 /// The result of a workspace run.
@@ -102,8 +94,8 @@ pub struct Report {
     pub timing: Timing,
 }
 
-/// The files a workspace run scans: every `.rs` and `Cargo.toml` under
-/// `root` outside `[exclude]`, workspace-relative, sorted.
+/// The files a workspace run scans: every `.rs` file under `root` outside
+/// `[exclude]`, workspace-relative, sorted.
 pub fn workspace_files(root: &Path, cfg: &Config) -> Result<Vec<String>, String> {
     let mut files = Vec::new();
     collect_files(root, root, cfg, &mut files)?;
@@ -111,9 +103,9 @@ pub fn workspace_files(root: &Path, cfg: &Config) -> Result<Vec<String>, String>
     Ok(files)
 }
 
-/// Walk the workspace rooted at `root`: the manifest audit over every
-/// `Cargo.toml`, the one analysis pass over every crate unit, and the
-/// `[hot-entry-points]` entries whose file no unit holds.
+/// Walk the workspace rooted at `root`: the one analysis pass over every
+/// crate unit, and the `[hot-entry-points]` entries whose file no unit
+/// holds.
 pub fn run_workspace(root: &Path, cfg: &Config) -> Result<Report, String> {
     let files = workspace_files(root, cfg)?;
     let mut report = Report {
@@ -125,12 +117,6 @@ pub fn run_workspace(root: &Path, cfg: &Config) -> Result<Report, String> {
     let mut units: Vec<(String, Vec<(String, String)>)> = Vec::new();
     for rel in &files {
         let src = fs::read_to_string(root.join(rel)).map_err(|e| format!("read {rel}: {e}"))?;
-        if is_manifest(rel) {
-            let t0 = Instant::now();
-            report.errors.extend(rules::check_manifest(rel, &src));
-            report.timing.add_rule("R005", ms_since(t0));
-            continue;
-        }
         let unit = crate_unit(rel);
         match units.iter_mut().find(|(u, _)| *u == unit) {
             Some((_, fs)) => fs.push((rel.clone(), src)),
@@ -183,7 +169,7 @@ fn collect_files(
                 continue;
             }
             collect_files(root, &path, cfg, out)?;
-        } else if name == "Cargo.toml" || name.ends_with(".rs") {
+        } else if name.ends_with(".rs") {
             let rel = rel_unix(root, &path);
             if !Config::matches(&cfg.exclude, &rel) {
                 out.push(rel);

@@ -126,7 +126,7 @@ fn print_timing(t: &lint::Timing) {
     }
 }
 
-/// `R001: 2, R013: 5`-style summary over every reported finding.
+/// `R003: 2, R013: 5`-style summary over every reported finding.
 fn per_rule_counts(report: &Report) -> Vec<(String, usize)> {
     let mut counts: Vec<(String, usize)> = Vec::new();
     for f in &report.errors {
@@ -174,10 +174,7 @@ fn main() -> ExitCode {
                 ExitCode::SUCCESS
             }
             None => {
-                eprintln!(
-                    "rowsort-lint: unknown rule `{rule}` (rules: R000, R001, R003–R006, \
-                     R010–R013)"
-                );
+                eprintln!("rowsort-lint: unknown rule `{rule}` (rules: R000, R003, R010–R013)");
                 ExitCode::from(2)
             }
         };

@@ -175,8 +175,7 @@ impl<'a> Parser<'a> {
     /// `dyn`/`impl`, fn types. Stops at any token that cannot continue a
     /// type in this grammar's approximation.
     fn skip_type(&mut self) {
-        loop {
-            let Some(t) = self.tok(0) else { break };
+        while let Some(t) = self.tok(0) {
             if t.is_punct('&') || t.is_punct('*') {
                 self.pos += 1;
                 self.eat_ident("mut");
@@ -627,7 +626,7 @@ impl<'a> Parser<'a> {
                     // `extern "C" fn` types appear in expressions only
                     // inside casts, which skip_type handles; here it is
                     // an item.
-                    !(w == "extern" && !self.tok(1).is_some_and(|n| n.kind == TokKind::Str))
+                    w != "extern" || self.tok(1).is_some_and(|n| n.kind == TokKind::Str)
                 }
                 "pub" => true,
                 "unsafe" => self.tok(1).is_some_and(|n| {
@@ -1058,8 +1057,7 @@ impl<'a> Parser<'a> {
     fn path_expr(&mut self, allow_struct: bool) -> Expr {
         let mut path = String::new();
         let mut last_pos = (0u32, 0u32);
-        loop {
-            let Some(t) = self.tok(0) else { break };
+        while let Some(t) = self.tok(0) {
             if t.kind != TokKind::Ident {
                 break;
             }
@@ -1169,8 +1167,7 @@ impl<'a> Parser<'a> {
 
     /// Postfix chain: `.m(…)`, `.field`, `(…)`, `[…]`, `?`, `as T`.
     fn postfix(&mut self, mut expr: Expr, allow_struct: bool) -> Expr {
-        loop {
-            let Some(t) = self.tok(0) else { break };
+        while let Some(t) = self.tok(0) {
             if t.is_punct('.') && !self.at_punct2('.', '.') {
                 let Some(next) = self.tok(1) else { break };
                 if next.kind == TokKind::Ident {

@@ -1,22 +1,25 @@
 //! The rule engine: one pass over a crate unit ([`analyze_unit`]) that
 //! lexes and parses each file once and runs every rule — the token rules
-//! R001–R006 over each file's token stream, the AST/call-graph rules
-//! R010–R013 over the unit.
+//! R003 and R011 over each file's token stream, the AST/call-graph rules
+//! R010, R012 and R013 over the unit.
 //!
 //! | rule | scope (from `lint.toml`) | invariant |
 //! |------|--------------------------|-----------|
-//! | R001 | every `.rs` file         | `unsafe` block/fn is immediately preceded by a `// SAFETY:` comment |
 //! | R003 | `[hot-paths]` globs      | no allocation calls (`Vec::new`, `Box::new`, `to_vec`, `clone()`, `collect()`, `format!`) inside loop bodies |
-//! | R004 | `[cast-strict]` globs    | no bare `as` numeric casts (use `to_be_bytes`/`try_into`/`cast_unsigned`) |
-//! | R005 | every `Cargo.toml`       | all dependencies are `path`/`workspace` references |
-//! | R006 | every `.rs` file         | no `std::process::exit` / `unsafe impl Send/Sync` outside allowlists |
 //! | R010 | `[hot-entry-points]` and every function of a `[hot-paths]` file | nothing transitively reachable from a root may panic (call chain rendered in the finding); an entry naming no function is itself a finding |
 //! | R011 | all but `[atomic-relaxed-allow]` | no `Ordering::Relaxed` on atomics (counters are allowlisted) |
 //! | R012 | all but `[spill-cleanup-allow]`  | a discarded `Result<_, SpillError>` must be counted on a metrics counter in the same function |
-//! | R013 | every `.rs` file         | `unsafe` blocks stay under the statement budget and their SAFETY comment names every pointer/index identifier used inside |
+//! | R013 | every `.rs` file         | an `unsafe` block's SAFETY comment names every pointer/index identifier used inside |
+//!
+//! What a stock lint says is left to it (the `[workspace.lints]` tables in
+//! the root `Cargo.toml`, run by `cargo clippy`): a SAFETY comment on every
+//! `unsafe` block and one unsafe operation per block, `unsafe` only where
+//! an `#[expect(unsafe_code, …)]` names it, no bare `as` cast in
+//! `rowsort-normkey`, and `process::exit` only where expected.
+//! `scripts/verify.sh` checks the path-only dependency closure.
 //!
 //! `#[cfg(test)]` modules, `#[test]` functions, and whole files matching
-//! `[test-paths]` are exempt from R003–R004 and R010–R013: the invariants
+//! `[test-paths]` are exempt from R003 and R010–R013: the invariants
 //! guard the measured hot paths, not test scaffolding. Findings are
 //! suppressed by `// lint:allow(RXXX): reason` on the same or the
 //! preceding line; a suppression **must** carry a reason and must
@@ -28,7 +31,6 @@ use crate::callgraph::{self, Graph, Target, UnitFile};
 use crate::config::Config;
 use crate::lexer::{lex, Tok, TokKind};
 use crate::parser;
-use crate::toml_scan;
 use crate::Timing;
 use std::collections::HashSet;
 
@@ -59,12 +61,6 @@ impl Finding {
     }
 }
 
-/// Numeric primitive types for R004.
-const NUMERIC_TYPES: &[&str] = &[
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32",
-    "f64",
-];
-
 struct FileCtx<'a> {
     path: &'a str,
     toks: &'a [Tok],
@@ -75,8 +71,6 @@ struct FileCtx<'a> {
     /// Source lines covered by a comment (a multi-line block comment
     /// covers every line it spans).
     comment_lines: HashSet<u32>,
-    /// The subset of `comment_lines` whose comment says `SAFETY:`.
-    safety_lines: HashSet<u32>,
     /// Lines that open with an attribute (`#[…]`) — allowed between a
     /// SAFETY comment and the item it documents.
     attr_lines: HashSet<u32>,
@@ -90,19 +84,13 @@ impl<'a> FileCtx<'a> {
             test_ranges: test_ranges(toks),
             file_is_test,
             comment_lines: HashSet::new(),
-            safety_lines: HashSet::new(),
             attr_lines: HashSet::new(),
         };
         let mut first_sig_on_line: HashSet<u32> = HashSet::new();
         for t in toks {
             if t.is_comment() {
                 let span = t.text.matches('\n').count() as u32;
-                for l in t.line..=t.line + span {
-                    ctx.comment_lines.insert(l);
-                    if t.text.contains("SAFETY:") {
-                        ctx.safety_lines.insert(l);
-                    }
-                }
+                ctx.comment_lines.extend(t.line..=t.line + span);
             } else if first_sig_on_line.insert(t.line) && t.is_punct('#') {
                 ctx.attr_lines.insert(t.line);
             }
@@ -395,46 +383,6 @@ fn valid_rule_id(r: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// R001 — unsafe requires SAFETY comment
-// ---------------------------------------------------------------------------
-
-fn rule_r001(ctx: &FileCtx, findings: &mut Vec<Finding>) {
-    for (i, t) in ctx.toks.iter().enumerate() {
-        if !t.is_ident("unsafe") {
-            continue;
-        }
-        // `unsafe impl` is R006's domain.
-        if ctx
-            .next_sig(i)
-            .is_some_and(|n| ctx.toks[n].is_ident("impl"))
-        {
-            continue;
-        }
-        // Documented iff a SAFETY comment touches the `unsafe` line itself
-        // or the contiguous run of comment/attribute lines directly above.
-        let mut documented = ctx.safety_lines.contains(&t.line);
-        let mut l = t.line;
-        while !documented && l > 1 {
-            l -= 1;
-            if ctx.safety_lines.contains(&l) {
-                documented = true;
-            } else if !ctx.comment_lines.contains(&l) && !ctx.attr_lines.contains(&l) {
-                break;
-            }
-        }
-        if !documented {
-            findings.push(Finding::new(
-                "R001",
-                ctx.path,
-                t,
-                "`unsafe` without an immediately preceding `// SAFETY:` comment \
-                 documenting why the invariants hold",
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // R003 — no allocation inside loop bodies in hot paths
 // ---------------------------------------------------------------------------
 
@@ -480,11 +428,7 @@ fn rule_r003(ctx: &FileCtx, findings: &mut Vec<Finding>) {
                     }
                     pending_impl = false;
                 }
-                "}" => {
-                    if stack.pop() == Some(Brace::Loop) {
-                        loop_depth -= 1;
-                    }
-                }
+                "}" => loop_depth -= usize::from(stack.pop() == Some(Brace::Loop)),
                 _ => {}
             },
             _ => {}
@@ -519,211 +463,6 @@ fn rule_r003(ctx: &FileCtx, findings: &mut Vec<Finding>) {
                     t.text
                 ),
             ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// R004 — no bare `as` numeric casts in order-preserving encodings
-// ---------------------------------------------------------------------------
-
-fn rule_r004(ctx: &FileCtx, findings: &mut Vec<Finding>) {
-    for (i, t) in ctx.toks.iter().enumerate() {
-        if ctx.in_test(i) || !t.is_ident("as") {
-            continue;
-        }
-        let Some(n) = ctx.next_sig(i) else { continue };
-        let target = &ctx.toks[n];
-        if target.kind == TokKind::Ident && NUMERIC_TYPES.contains(&target.text.as_str()) {
-            findings.push(Finding::new(
-                "R004",
-                ctx.path,
-                t,
-                format!(
-                    "bare `as {}` cast in an order-preserving encoding — use \
-                     `to_be_bytes`/`from_be_bytes`/`try_into`/`cast_unsigned` so the \
-                     conversion is explicit and lossless",
-                    target.text
-                ),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// R005 — path-only dependency closure
-// ---------------------------------------------------------------------------
-
-/// Section-name check: is this a dependency-declaring section, and if it is
-/// the dotted per-dependency form, what is the dependency's name?
-fn dep_section(section: &str) -> Option<Option<String>> {
-    let segs = toml_scan::split_dotted(section);
-    let dep_pos = segs.iter().position(|s| {
-        matches!(
-            s.as_str(),
-            "dependencies" | "dev-dependencies" | "build-dependencies"
-        )
-    })?;
-    match segs.len() - 1 - dep_pos {
-        0 => Some(None),                            // `[dependencies]`
-        1 => Some(Some(segs[dep_pos + 1].clone())), // `[dependencies.foo]`
-        _ => None,
-    }
-}
-
-/// Check one `Cargo.toml`: every dependency must be a `path` or
-/// `workspace = true` reference; `version`/`git`/`registry` keys are
-/// rejected even alongside `path`, so nothing can fall back to a registry.
-pub fn check_manifest(path: &str, src: &str) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let items = toml_scan::scan(src);
-    let finding = |line: u32, msg: String| Finding {
-        rule: "R005".to_string(),
-        path: path.to_string(),
-        line,
-        col: 1,
-        message: msg,
-    };
-
-    // Inline form: `foo = "1.0"`, `foo = { … }`, or the dotted-key form
-    // `foo.workspace = true` under `[…dependencies]`.
-    for item in &items {
-        match dep_section(&item.section) {
-            Some(None) => {
-                let key_segs = toml_scan::split_dotted(&item.key);
-                let v = item.value.trim();
-                if key_segs.len() == 2 {
-                    // `foo.workspace = true` / `foo.version = "1"` etc.
-                    let entries = vec![(key_segs[1].clone(), v.to_string())];
-                    findings.extend(audit_dep_entries(
-                        &entries,
-                        &key_segs[0],
-                        item.line,
-                        &finding,
-                    ));
-                } else if v.starts_with('{') {
-                    let entries = toml_scan::inline_table_entries(v);
-                    findings.extend(audit_dep_entries(&entries, &item.key, item.line, &finding));
-                } else {
-                    findings.push(finding(
-                        item.line,
-                        format!(
-                            "dependency `{}` is a registry version (`{}`) — only path/workspace \
-                             dependencies are allowed",
-                            item.key, v
-                        ),
-                    ));
-                }
-            }
-            Some(Some(_)) | None => {}
-        }
-    }
-
-    // Dotted-table form: `[dependencies.foo]` with keys as separate items.
-    let mut tables: Vec<(String, String, u32, Vec<(String, String)>)> = Vec::new();
-    for item in &items {
-        if let Some(Some(dep)) = dep_section(&item.section) {
-            match tables.iter_mut().find(|(s, _, _, _)| s == &item.section) {
-                Some((_, _, _, entries)) => entries.push((item.key.clone(), item.value.clone())),
-                None => tables.push((
-                    item.section.clone(),
-                    dep,
-                    item.line,
-                    vec![(item.key.clone(), item.value.clone())],
-                )),
-            }
-        }
-    }
-    for (_, dep, line, entries) in &tables {
-        findings.extend(audit_dep_entries(entries, dep, *line, &finding));
-    }
-    findings
-}
-
-fn audit_dep_entries(
-    entries: &[(String, String)],
-    dep: &str,
-    line: u32,
-    finding: &impl Fn(u32, String) -> Finding,
-) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let has_path = entries.iter().any(|(k, _)| k == "path");
-    let has_workspace = entries
-        .iter()
-        .any(|(k, v)| k == "workspace" && v.trim() == "true");
-    if !has_path && !has_workspace {
-        out.push(finding(
-            line,
-            format!(
-                "dependency `{dep}` has neither `path` nor `workspace = true` — only \
-                 path/workspace dependencies are allowed"
-            ),
-        ));
-    }
-    for (k, _) in entries {
-        if matches!(
-            k.as_str(),
-            "version" | "git" | "registry" | "branch" | "rev" | "tag"
-        ) {
-            out.push(finding(
-                line,
-                format!(
-                    "dependency `{dep}` declares `{k}` — registry/git fallback is not allowed \
-                     in a hermetic workspace"
-                ),
-            ));
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// R006 — process::exit / unsafe impl Send/Sync outside allowlists
-// ---------------------------------------------------------------------------
-
-fn rule_r006(ctx: &FileCtx, cfg: &Config, findings: &mut Vec<Finding>) {
-    let exit_allowed = Config::matches(&cfg.exit_allow, ctx.path);
-    let unsafe_impl_allowed = Config::matches(&cfg.unsafe_impl_allow, ctx.path);
-    for (i, t) in ctx.toks.iter().enumerate() {
-        if !exit_allowed && t.is_ident("exit") && ctx.path_head_is(i, &["process"]) {
-            findings.push(Finding::new(
-                "R006",
-                ctx.path,
-                t,
-                "`std::process::exit` outside the CLI allowlist — return an error \
-                 so callers (and tests) keep control",
-            ));
-        }
-        if !unsafe_impl_allowed
-            && t.is_ident("unsafe")
-            && ctx
-                .next_sig(i)
-                .is_some_and(|n| ctx.toks[n].is_ident("impl"))
-        {
-            // Scan the impl header for Send/Sync.
-            let mut j = i + 1;
-            let mut target = None;
-            while j < ctx.toks.len() {
-                let h = &ctx.toks[j];
-                if h.is_punct('{') || h.is_punct(';') {
-                    break;
-                }
-                if h.is_ident("Send") || h.is_ident("Sync") {
-                    target = Some(h.text.clone());
-                }
-                j += 1;
-            }
-            if let Some(which) = target {
-                findings.push(Finding::new(
-                    "R006",
-                    ctx.path,
-                    t,
-                    format!(
-                        "`unsafe impl {which}` outside the allowlist — hand-written \
-                         thread-safety claims need explicit review"
-                    ),
-                ));
-            }
         }
     }
 }
@@ -764,14 +503,9 @@ pub fn analyze_unit(files: &[(String, String)], cfg: &Config, timing: &mut Timin
     for (uf, toks) in ufs.iter().zip(&toks_per_file) {
         let ctx = FileCtx::new(&uf.path, toks, uf.is_test);
         sups.extend(collect_suppressions(&ctx, &mut findings));
-        timed(timing, "R001", || rule_r001(&ctx, &mut findings));
         if Config::matches(&cfg.hot_paths, &uf.path) {
             timed(timing, "R003", || rule_r003(&ctx, &mut findings));
         }
-        if Config::matches(&cfg.cast_strict, &uf.path) {
-            timed(timing, "R004", || rule_r004(&ctx, &mut findings));
-        }
-        timed(timing, "R006", || rule_r006(&ctx, cfg, &mut findings));
         if uf.is_test {
             continue; // whole-file test scaffolding: deep rules exempt
         }
@@ -783,9 +517,7 @@ pub fn analyze_unit(files: &[(String, String)], cfg: &Config, timing: &mut Timin
                 rule_r012(&uf.path, &uf.file, &graph, &mut findings)
             });
         }
-        timed(timing, "R013", || {
-            rule_r013(&ctx, &uf.file, cfg.unsafe_max_stmts, &mut findings)
-        });
+        timed(timing, "R013", || rule_r013(&ctx, &uf.file, &mut findings));
     }
     // One suppression pass, after all rules: an R010 finding can land in
     // any file of the unit. R000 is no valid id to name, so it survives.
@@ -1074,12 +806,12 @@ fn mentions_word(text: &str, word: &str) -> bool {
     false
 }
 
-/// Enforce the unsafe-block budget and SAFETY-comment completeness: every
-/// `unsafe` block is at most `max` statements, and the SAFETY comment
-/// attached to it (the contiguous comment run above, a trailing comment,
-/// or comments inside the block) names every identifier that feeds a raw
-/// pointer operation or `get_unchecked` index inside the block.
-fn rule_r013(ctx: &FileCtx, file: &ast::File, max: usize, findings: &mut Vec<Finding>) {
+/// Enforce SAFETY-comment completeness: the SAFETY comment attached to
+/// every `unsafe` block (the contiguous comment run above, a trailing
+/// comment, or comments inside the block) names every identifier that
+/// feeds a raw pointer operation or `get_unchecked` index inside the
+/// block.
+fn rule_r013(ctx: &FileCtx, file: &ast::File, findings: &mut Vec<Finding>) {
     ast::for_each_fn(file, &mut |f, is_test| {
         if is_test {
             return;
@@ -1089,22 +821,9 @@ fn rule_r013(ctx: &FileCtx, file: &ast::File, max: usize, findings: &mut Vec<Fin
             let ast::Expr::Unsafe { block, line, col } = e else {
                 return;
             };
-            if block.stmts.len() > max {
-                findings.push(Finding {
-                    rule: "R013".to_string(),
-                    path: ctx.path.to_string(),
-                    line: *line,
-                    col: *col,
-                    message: format!(
-                        "unsafe block spans {} statements (budget {max}) — narrow \
-                         the unsafe region to the operations that need it",
-                        block.stmts.len()
-                    ),
-                });
-            }
             let safety = safety_text(ctx, *line, block);
             if !safety.contains("SAFETY") {
-                return; // absence of the comment is R001's finding
+                return; // absence of the comment is clippy's finding
             }
             let mut mentions: Vec<&str> = Vec::new();
             collect_ptr_mentions(block, &mut mentions);
@@ -1210,14 +929,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              the stale claim would hide the next finding to land there.\n\
              R000 itself cannot be suppressed."
         }
-        "R001" => {
-            "R001 — `unsafe` requires a SAFETY comment\n\n\
-             Every `unsafe` block or fn must be immediately preceded by (or\n\
-             carry on the same line) a `// SAFETY:` comment explaining why\n\
-             the invariants hold. The comment run may be interleaved with\n\
-             attributes. `unsafe impl Send/Sync` is covered by R006 instead.\n\
-             See also R013, which checks the comment's completeness."
-        }
         "R003" => {
             "R003 — no allocation inside hot-path loops\n\n\
              Loop bodies in `[hot-paths]` files may not call `Vec::new`,\n\
@@ -1225,30 +936,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              Per-iteration allocation destroys the zero-allocation\n\
              steady-state the pipeline's buffer pool exists to provide —\n\
              hoist the allocation out of the loop or reuse a pooled buffer."
-        }
-        "R004" => {
-            "R004 — no bare `as` numeric casts in order-preserving encodings\n\n\
-             In `[cast-strict]` files (the normalized-key encoder), a bare\n\
-             `expr as T` can silently truncate or change sign, breaking the\n\
-             byte-comparable ordering contract. Use `to_be_bytes`,\n\
-             `from_be_bytes`, `try_into`, or `cast_unsigned`, which state\n\
-             the conversion's semantics explicitly."
-        }
-        "R005" => {
-            "R005 — path-only dependency closure\n\n\
-             Every dependency in every workspace `Cargo.toml` must be a\n\
-             `path` or `workspace = true` reference. `version`, `git`,\n\
-             `registry`, `branch`, `rev`, and `tag` keys are rejected even\n\
-             alongside `path`, so nothing can silently fall back to a\n\
-             registry: the build stays hermetic and offline."
-        }
-        "R006" => {
-            "R006 — reviewed escape hatches only\n\n\
-             `std::process::exit` is allowed only in `[exit-allow]` files\n\
-             (CLI mains) — anywhere else it steals control from callers and\n\
-             tests. `unsafe impl Send`/`Sync` is allowed only in\n\
-             `[unsafe-impl-allow]` files, where the hand-written\n\
-             thread-safety argument has been reviewed."
         }
         "R010" => {
             "R010 — panic-free hot-path reachability\n\n\
@@ -1290,15 +977,15 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              `[spill-cleanup-allow]`."
         }
         "R013" => {
-            "R013 — unsafe-block budget and SAFETY completeness\n\n\
-             Two checks per `unsafe` block: (1) it spans at most\n\
-             `[unsafe-budget] max-statements` statements (default 8) — a\n\
-             sprawling unsafe region hides which operation each invariant\n\
-             protects; (2) its SAFETY comment (the run above the block, a\n\
-             trailing comment, or comments inside it) must mention, by name,\n\
-             every identifier that feeds a raw-pointer operation or\n\
+            "R013 — SAFETY completeness\n\n\
+             The SAFETY comment of an `unsafe` block (the run above the\n\
+             block, a trailing comment, or comments inside it) must mention,\n\
+             by name, every identifier that feeds a raw-pointer operation or\n\
              unchecked index inside the block. An argument that does not\n\
-             name `ptr` says nothing about why `ptr` is valid."
+             name `ptr` says nothing about why `ptr` is valid. That the\n\
+             comment exists, and that the block holds one unsafe operation,\n\
+             is clippy's (`undocumented_unsafe_blocks`,\n\
+             `multiple_unsafe_ops_per_block`)."
         }
         _ => return None,
     })

@@ -1,17 +1,16 @@
 //! A minimal TOML scanner — real section tracking, none of the rest.
 //!
 //! Produces a flat list of `(section, key, raw value)` items with line
-//! numbers. Understands `[section]` and `[dotted.section]` headers, quoted
-//! keys, `#` comments (outside strings), and multi-line arrays. Values are
-//! returned as raw text for the caller to interpret; helpers extract quoted
-//! strings and inline-table keys. This is deliberately *not* a conforming
-//! TOML parser — it is exactly enough to audit Cargo manifests (R005) and
-//! read `lint.toml`, with zero dependencies.
+//! numbers. Understands `[section]` headers, quoted keys, `#` comments
+//! (outside strings), and multi-line arrays. Values are returned as raw
+//! text for the caller to interpret; a helper extracts quoted strings.
+//! This is deliberately *not* a conforming TOML parser — it is exactly
+//! enough to read `lint.toml`, with zero dependencies.
 
 /// One `key = value` item under a section.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TomlItem {
-    /// Dotted section path, e.g. `dependencies` or `workspace.dependencies`.
+    /// Section name as written between the brackets, e.g. `hot-paths`.
     /// Empty for top-level keys.
     pub section: String,
     /// The key, unquoted.
@@ -70,8 +69,7 @@ fn unquote(s: &str) -> String {
     }
 }
 
-/// Scan a TOML document into items. Section headers with quoted segments
-/// (`[target.'cfg(unix)'.dependencies]`) keep the quotes stripped.
+/// Scan a TOML document into items.
 pub fn scan(src: &str) -> Vec<TomlItem> {
     let mut items = Vec::new();
     let mut section = String::new();
@@ -83,14 +81,11 @@ pub fn scan(src: &str) -> Vec<TomlItem> {
         }
         if line.starts_with('[') {
             // Section header: `[name]` or `[[array.of.tables]]`.
-            let inner = line
+            section = line
                 .trim_start_matches('[')
                 .trim_end_matches(']')
                 .trim()
                 .to_string();
-            // Normalize quoted segments: a.'b.c'.d → segments a, b.c, d
-            // rejoined with '.'; good enough for matching names.
-            section = split_dotted(&inner).join(".");
             continue;
         }
         if let Some(eq) = find_eq(&line) {
@@ -135,29 +130,6 @@ fn find_eq(line: &str) -> Option<usize> {
     None
 }
 
-/// Split a dotted path, respecting quoted segments.
-pub fn split_dotted(path: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut cur = String::new();
-    let mut in_basic = false;
-    let mut in_literal = false;
-    for c in path.chars() {
-        match c {
-            '"' if !in_literal => in_basic = !in_basic,
-            '\'' if !in_basic => in_literal = !in_literal,
-            '.' if !in_basic && !in_literal => {
-                out.push(cur.trim().to_string());
-                cur.clear();
-            }
-            _ => cur.push(c),
-        }
-    }
-    if !cur.trim().is_empty() {
-        out.push(cur.trim().to_string());
-    }
-    out
-}
-
 /// Extract the string elements of an array value like `["a", "b"]`.
 pub fn array_strings(value: &str) -> Vec<String> {
     let mut out = Vec::new();
@@ -173,45 +145,6 @@ pub fn array_strings(value: &str) -> Vec<String> {
         }
     }
     out
-}
-
-/// The keys of an inline table value like `{ path = "x", version = "1" }`.
-/// Returns `(key, value)` pairs with values trimmed.
-pub fn inline_table_entries(value: &str) -> Vec<(String, String)> {
-    let inner = value
-        .trim()
-        .trim_start_matches('{')
-        .trim_end_matches('}')
-        .trim();
-    let mut out = Vec::new();
-    // Split on commas outside strings/brackets.
-    let mut depth = 0i32;
-    let mut in_basic = false;
-    let mut in_literal = false;
-    let mut cur = String::new();
-    for c in inner.chars() {
-        match c {
-            '"' if !in_literal => in_basic = !in_basic,
-            '\'' if !in_basic => in_literal = !in_literal,
-            '[' | '{' if !in_basic && !in_literal => depth += 1,
-            ']' | '}' if !in_basic && !in_literal => depth -= 1,
-            ',' if depth == 0 && !in_basic && !in_literal => {
-                push_entry(&mut out, &cur);
-                cur.clear();
-                continue;
-            }
-            _ => {}
-        }
-        cur.push(c);
-    }
-    push_entry(&mut out, &cur);
-    out
-}
-
-fn push_entry(out: &mut Vec<(String, String)>, piece: &str) {
-    if let Some(eq) = find_eq(piece) {
-        out.push((unquote(&piece[..eq]), piece[eq + 1..].trim().to_string()));
-    }
 }
 
 #[cfg(test)]
@@ -247,20 +180,5 @@ mod tests {
     fn hash_inside_string_not_comment() {
         let items = scan("k = \"a#b\"\n");
         assert_eq!(items[0].value, "\"a#b\"");
-    }
-
-    #[test]
-    fn inline_tables() {
-        let e = inline_table_entries("{ path = \"x, y\", workspace = true }");
-        assert_eq!(e[0], ("path".into(), "\"x, y\"".into()));
-        assert_eq!(e[1], ("workspace".into(), "true".into()));
-    }
-
-    #[test]
-    fn dotted_with_quotes() {
-        assert_eq!(
-            split_dotted("target.'cfg(unix)'.dependencies"),
-            vec!["target", "cfg(unix)", "dependencies"]
-        );
     }
 }

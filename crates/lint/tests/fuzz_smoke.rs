@@ -13,13 +13,13 @@
 //!    truncate) and then the full pipeline — token rules, AST, call
 //!    graph rules;
 //! 2. pure random byte strings, analyzed both as `.rs` and as a
-//!    `Cargo.toml` manifest.
+//!    `lint.toml` configuration.
 //!
 //! Everything derives from fixed seeds (testkit's splitmix64-seeded
 //! PRNG), so a failure reproduces exactly: re-run with the printed file
 //! and case index. No network, no wall-clock, no corpus files.
 
-use lint::{rules, Config};
+use lint::Config;
 use rowsort_testkit::rng::Rng;
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -32,8 +32,8 @@ const CASES_PER_FILE: usize = 6;
 /// Pure-garbage cases (random byte strings up to 4 KiB).
 const RANDOM_STRINGS: usize = 64;
 
-/// The real workspace `lint.toml`, so scoped rules (hot paths, cast
-/// strictness, hot entry points) actually fire on the mutated sources.
+/// The real workspace `lint.toml`, so scoped rules (hot paths, hot entry
+/// points) actually fire on the mutated sources.
 fn workspace_config() -> Config {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let src = fs::read_to_string(root.join("lint.toml")).expect("workspace lint.toml");
@@ -42,7 +42,7 @@ fn workspace_config() -> Config {
 
 /// Run the full analysis pipeline over one in-memory file and report
 /// whether it panicked. The file is presented under a `crates/core/src/`
-/// path so the hot-path/cast-strict scoped rules are in play.
+/// path so the hot-path scoped rules are in play.
 fn analyze_panics(rel: &str, src: &str, cfg: &Config) -> bool {
     catch_unwind(AssertUnwindSafe(|| {
         lint::analyze_source(rel, src, cfg).len()
@@ -135,7 +135,7 @@ fn mutated_workspace_sources_never_panic() {
 #[test]
 fn random_byte_strings_never_panic() {
     let cfg = workspace_config();
-    let mut rng = Rng::seed_from_u64(0xB17E_5);
+    let mut rng = Rng::seed_from_u64(0xB17E5);
     for case in 0..RANDOM_STRINGS {
         let n = rng.below(4096) as usize;
         let garbage = rng.bytes(n);
@@ -144,13 +144,10 @@ fn random_byte_strings_never_panic() {
             !analyze_panics("crates/core/src/fuzzed.rs", &text, &cfg),
             "analyzer panicked on random bytes (case {case})"
         );
-        let manifest_panicked = catch_unwind(AssertUnwindSafe(|| {
-            rules::check_manifest("crates/core/Cargo.toml", &text).len()
-        }))
-        .is_err();
+        let config_panicked = catch_unwind(AssertUnwindSafe(|| Config::parse(&text))).is_err();
         assert!(
-            !manifest_panicked,
-            "manifest audit panicked on random bytes (case {case})"
+            !config_panicked,
+            "lint.toml parse panicked on random bytes (case {case})"
         );
     }
 }

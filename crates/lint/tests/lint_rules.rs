@@ -9,10 +9,8 @@ use std::path::Path;
 fn cfg() -> Config {
     Config {
         // Fixtures are analyzed under virtual paths: `hot/…` is in the
-        // R003 scope and its functions are R010 roots, `enc/…` is in the
-        // R004 scope.
+        // R003 scope and its functions are R010 roots.
         hot_paths: vec!["hot/**".to_string()],
-        cast_strict: vec!["enc/**".to_string()],
         ..Config::default()
     }
 }
@@ -23,19 +21,6 @@ fn findings(path: &str, src: &str) -> Vec<(String, u32)> {
         .into_iter()
         .map(|f| (f.rule, f.line))
         .collect()
-}
-
-#[test]
-fn r001_unsafe_without_safety_comment() {
-    let mut got = findings("any/r001.rs", include_str!("fixtures/r001.rs"));
-    // R013 reads the SAFETY comment on line 8 too; not this test's subject.
-    got.retain(|(r, _)| r == "R001");
-    assert_eq!(
-        got,
-        vec![("R001".to_string(), 14), ("R001".to_string(), 27)],
-        "undocumented unsafe block and fn; documented ones pass, and \
-         `unsafe` inside strings, raw strings, or nested comments is text"
-    );
 }
 
 #[test]
@@ -71,41 +56,6 @@ fn r003_allocations_in_hot_loop_bodies() {
 }
 
 #[test]
-fn r004_bare_numeric_casts_in_cast_strict_paths() {
-    let got = findings("enc/r004.rs", include_str!("fixtures/r004.rs"));
-    assert_eq!(
-        got,
-        vec![("R004".to_string(), 4), ("R004".to_string(), 5)],
-        "`as u32` and `as usize` flagged; `use … as Name` is not a cast"
-    );
-    assert!(findings("other/r004.rs", include_str!("fixtures/r004.rs")).is_empty());
-}
-
-#[test]
-fn r006_exit_and_unsafe_impl() {
-    let got = findings("any/r006.rs", include_str!("fixtures/r006.rs"));
-    assert_eq!(
-        got,
-        vec![
-            ("R006".to_string(), 7),
-            ("R006".to_string(), 9),
-            ("R006".to_string(), 12),
-        ],
-        "unsafe impl Send, unsafe impl Sync, process::exit; an unsafe impl \
-         of another trait is not R006's concern"
-    );
-}
-
-#[test]
-fn r006_respects_allowlists() {
-    let mut config = cfg();
-    config.exit_allow = vec!["cli/**".to_string()];
-    config.unsafe_impl_allow = vec!["cli/**".to_string()];
-    let got = analyze_source("cli/r006.rs", include_str!("fixtures/r006.rs"), &config);
-    assert!(got.is_empty(), "{got:?}");
-}
-
-#[test]
 fn suppressions_need_reasons() {
     let got = findings("hot/suppress.rs", include_str!("fixtures/suppress.rs"));
     assert_eq!(
@@ -123,29 +73,7 @@ fn suppressions_need_reasons() {
 }
 
 #[test]
-fn r005_manifest_audit() {
-    let got: Vec<(String, u32)> = analyze_source(
-        "crates/fixture/Cargo.toml",
-        include_str!("fixtures/r005_bad.toml"),
-        &cfg(),
-    )
-    .into_iter()
-    .map(|f| (f.rule, f.line))
-    .collect();
-    assert!(got.iter().all(|(r, _)| r == "R005"), "{got:?}");
-    let mut lines: Vec<u32> = got.iter().map(|(_, l)| *l).collect();
-    lines.sort_unstable();
-    assert_eq!(
-        lines,
-        vec![8, 9, 9, 12, 12, 12, 15, 15, 21],
-        "registry versions, inline `version`/`git`/`branch` keys, dotted \
-         tables, and target-specific sections are all caught; `path` and \
-         `workspace = true` deps pass"
-    );
-}
-
-#[test]
-fn non_rust_non_manifest_files_are_ignored() {
+fn non_rust_files_are_ignored() {
     assert!(analyze_source("README.md", "v[0].unwrap()", &cfg()).is_empty());
 }
 
@@ -270,8 +198,10 @@ fn r010_diamond_call_graph_reports_shortest_chain_once() {
                fn left() { sink(); }\n\
                fn right() { left(); sink(); }\n\
                fn sink(o: Option<u32>) -> u32 {\n    o.unwrap()\n}\n";
-    let mut cfg = Config::default();
-    cfg.hot_entries = vec![("unit/diamond.rs".to_string(), "entry".to_string())];
+    let cfg = Config {
+        hot_entries: vec![("unit/diamond.rs".to_string(), "entry".to_string())],
+        ..Config::default()
+    };
     let got = unit_findings(&[("unit/diamond.rs", src)], &cfg);
     assert_eq!(got.len(), 1, "{got:?}");
     let f = &got[0];
@@ -291,8 +221,10 @@ fn r010_recursive_graph_terminates_and_reports() {
     let src = "fn entry() { step(0); }\n\
                fn step(n: u32) { if n > 0 { step(n - 1); } boom(); }\n\
                fn boom() { panic!(\"x\"); }\n";
-    let mut cfg = Config::default();
-    cfg.hot_entries = vec![("unit/rec.rs".to_string(), "entry".to_string())];
+    let cfg = Config {
+        hot_entries: vec![("unit/rec.rs".to_string(), "entry".to_string())],
+        ..Config::default()
+    };
     let got = unit_findings(&[("unit/rec.rs", src)], &cfg);
     assert_eq!(got.len(), 1, "{got:?}");
     assert_eq!(got[0].line, 3);
@@ -311,8 +243,10 @@ fn r010_trait_method_chain_crosses_files_within_a_unit() {
     let b = "pub struct A;\n\
              impl A {\n    pub fn step(&self) { helper(); }\n}\n\
              fn helper(v: Vec<u32>) -> u32 {\n    v[0]\n}\n";
-    let mut cfg = Config::default();
-    cfg.hot_entries = vec![("unit/a.rs".to_string(), "entry".to_string())];
+    let cfg = Config {
+        hot_entries: vec![("unit/a.rs".to_string(), "entry".to_string())],
+        ..Config::default()
+    };
     let got = unit_findings(&[("unit/a.rs", a), ("unit/b.rs", b)], &cfg);
     assert_eq!(got.len(), 1, "{got:?}");
     let f = &got[0];
@@ -329,14 +263,16 @@ fn r010_entry_that_names_no_function_is_a_finding() {
     // A renamed entry point must not go silently unguarded: the unit
     // that owns the entry's file reports it, at lint.toml.
     let src = "fn entry() {}\n#[test]\nfn only_a_test() {}\n";
-    let mut cfg = Config::default();
-    cfg.hot_entries = vec![
-        ("unit/a.rs".to_string(), "entry".to_string()),
-        ("unit/a.rs".to_string(), "entyr".to_string()),
-        ("unit/a.rs".to_string(), "only_a_test".to_string()),
-        ("other/b.rs".to_string(), "another_units".to_string()),
-    ];
-    cfg.hot_entries_line = 7;
+    let cfg = Config {
+        hot_entries: vec![
+            ("unit/a.rs".to_string(), "entry".to_string()),
+            ("unit/a.rs".to_string(), "entyr".to_string()),
+            ("unit/a.rs".to_string(), "only_a_test".to_string()),
+            ("other/b.rs".to_string(), "another_units".to_string()),
+        ],
+        hot_entries_line: 7,
+        ..Config::default()
+    };
     let got = unit_findings(&[("unit/a.rs", src)], &cfg);
     let at: Vec<_> = got
         .iter()
@@ -357,8 +293,10 @@ fn r011_relaxed_ordering_flagged_unless_allowlisted() {
     let got = unit_findings(&[("unit/atomics.rs", src)], &cfg);
     assert_eq!(got.len(), 1);
     assert_eq!((got[0].rule.as_str(), got[0].line), ("R011", 1));
-    let mut allowed = Config::default();
-    allowed.atomic_relaxed_allow = vec!["unit/**".to_string()];
+    let allowed = Config {
+        atomic_relaxed_allow: vec!["unit/**".to_string()],
+        ..Config::default()
+    };
     assert!(unit_findings(&[("unit/atomics.rs", src)], &allowed).is_empty());
 }
 
@@ -378,36 +316,33 @@ fn r012_discarded_spill_result_needs_a_counter() {
 }
 
 #[test]
-fn r013_unsafe_budget_and_safety_mentions() {
-    // 9 statements > default budget of 8, and the SAFETY comment names
-    // neither `p` (deref) nor `buf` (pointer-producing call receiver).
-    let over = "fn f(p: *const u8, buf: &mut [u8]) {\n\
-                // SAFETY: fine, trust me.\n\
-                unsafe {\n\
-                let a = 1; let b = 2; let c = 3; let d = 4; let e = 5;\n\
-                let g = 6; let h = 7; let i = 8;\n\
-                let v = *p;\n\
-                }\n}\n";
-    let cfg = Config::default();
-    let got = unit_findings(&[("unit/unsafe.rs", over)], &cfg);
-    let rules_hit: Vec<&str> = got.iter().map(|f| f.rule.as_str()).collect();
-    assert!(rules_hit.contains(&"R013"), "{got:?}");
-    assert!(
-        got.iter()
-            .any(|f| f.message.contains("at most 8 statements") || f.message.contains("`p`")),
-        "budget or mention finding expected: {got:?}"
-    );
+fn r013_safety_comment_names_every_pointer_identifier() {
+    // The SAFETY comment names neither `p` (deref) nor `buf` (pointer
+    // method receiver); naming both passes.
+    let vague = "fn f(p: *const u8, buf: &mut [u8]) {\n\
+                 // SAFETY: fine, trust me.\n\
+                 let v = unsafe { *p };\n\
+                 // SAFETY: fine, trust me.\n\
+                 let w = unsafe { buf.get_unchecked(0) };\n\
+                 }\n";
+    let got = unit_findings(&[("unit/unsafe.rs", vague)], &Config::default());
+    let at: Vec<_> = got.iter().map(|f| (f.rule.as_str(), f.line)).collect();
+    assert_eq!(at, vec![("R013", 3), ("R013", 5)], "{got:?}");
+    assert!(got[0].message.contains("`p`"), "{got:?}");
+    assert!(got[1].message.contains("`buf`"), "{got:?}");
     let ok = "fn f(p: *const u8) {\n\
               // SAFETY: `p` is valid for reads, promised by the caller.\n\
               unsafe {\n    let v = *p;\n}\n}\n";
-    assert!(unit_findings(&[("unit/unsafe_ok.rs", ok)], &cfg).is_empty());
+    assert!(unit_findings(&[("unit/unsafe_ok.rs", ok)], &Config::default()).is_empty());
 }
 
 #[test]
-fn test_paths_exempt_deep_rules_but_not_token_rules() {
+fn test_paths_are_exempt() {
     let src = "fn bump(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }\n";
-    let mut cfg = Config::default();
-    cfg.test_paths = vec!["unit/tests/**".to_string()];
+    let cfg = Config {
+        test_paths: vec!["unit/tests/**".to_string()],
+        ..Config::default()
+    };
     assert!(unit_findings(&[("unit/tests/helper.rs", src)], &cfg).is_empty());
     // The same file outside [test-paths] is flagged.
     assert_eq!(unit_findings(&[("unit/src/helper.rs", src)], &cfg).len(), 1);
@@ -415,9 +350,7 @@ fn test_paths_exempt_deep_rules_but_not_token_rules() {
 
 #[test]
 fn explain_covers_every_rule_id() {
-    for rule in [
-        "R000", "R001", "R003", "R004", "R005", "R006", "R010", "R011", "R012", "R013",
-    ] {
+    for rule in ["R000", "R003", "R010", "R011", "R012", "R013"] {
         assert!(
             rules::explain(rule).is_some(),
             "missing --explain text for {rule}"

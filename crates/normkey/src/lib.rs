@@ -31,6 +31,13 @@
 //! assert!(k1924 < k1990, "memcmp order == value order");
 //! ```
 
+// A bare `as` can truncate or change sign without a word, and one such cast
+// in an encoder breaks the byte-comparable order silently. Conversions here
+// say what they do: `to_be_bytes`, `from`, `try_from`, `cast_unsigned`.
+// Crate-level rather than a `[lints]` entry, so tests/prop_order.rs may
+// build its inputs with `as`.
+#![deny(clippy::as_conversions)]
+
 pub mod encoding;
 pub mod layout;
 pub mod vector_encode;

@@ -80,7 +80,10 @@ pub fn encode_column_into(
 /// of the vector is written at key row `base_row + i`. This lets the sort
 /// pipeline encode one morsel of a chunk directly, without materializing a
 /// sliced copy of the vector first.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a column's slot in the key block plus the morsel's row range"
+)]
 pub fn encode_column_range_into(
     vec: &Vector,
     col: &KeyColumn,

@@ -42,6 +42,7 @@ fn count(bytes: usize) {
     PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
 }
 
+#[expect(unsafe_code, reason = "a GlobalAlloc impl is unsafe by definition")]
 // SAFETY: every method forwards verbatim to `System`, which upholds the
 // GlobalAlloc contract; the counter update has no effect on the returned
 // memory.

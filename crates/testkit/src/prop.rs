@@ -795,7 +795,7 @@ macro_rules! __prop_fns {
             $crate::prop::Runner::new(stringify!($name))
                 .cases($cases)
                 .run(&__gen, |__value| {
-                    #[allow(unused_mut)]
+                    #[expect(unused_mut, reason = "a property body may rebind its inputs or leave them be")]
                     let ($(mut $arg,)+) = ::std::clone::Clone::clone(__value);
                     $body
                     ::std::result::Result::Ok(())
