@@ -15,15 +15,17 @@
 //!
 //! After the timed ids it prints the merge phase per fan-in (2, 8 and
 //! `widekey_ovc`'s 64–65 runs) as ns per row and as a share of `memcpy`
-//! speed, then run generation's five stage clocks for `u32_t1` and
-//! `longstr_t1` in ns per row — reports, never a gate.
+//! speed, then run generation's five stage clocks for `u32_t1`,
+//! `longstr_t1` and `catalog_t1` (`catalog_spill`'s four nullable INT
+//! keys) in ns per row — reports, never a gate.
 
 use rowsort_bench::{long_string_chunk, u32_chunk, wide_key_chunk, LONGSTR_STEM, TIEDSTR_STEM};
 use rowsort_core::metrics::{Counter, Phase, RUN_STAGES};
 use rowsort_core::pipeline::{SortOptions, SortPipeline};
+use rowsort_datagen::tpcds;
 use rowsort_testkit::bench::{BenchmarkId, Harness};
 use rowsort_testkit::{bench_group, bench_main};
-use rowsort_vector::{DataChunk, OrderBy};
+use rowsort_vector::{DataChunk, OrderBy, OrderByColumn};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -207,33 +209,45 @@ fn report_merge_fan_in(_: &mut Harness) {
     }
 }
 
-/// Run generation stage by stage for `u32_t1` and `longstr_t1`, at one
-/// thread: each stage's clock (`RUN_STAGES`), best of five sorts, in ns
-/// per row. A report, never a gate.
+/// Run generation stage by stage for `u32_t1`, `longstr_t1` and
+/// `catalog_t1`, at one thread: each stage's clock (`RUN_STAGES`), best of
+/// five sorts, in ns per row, and the key each planned. A report, never a
+/// gate.
 fn report_run_stages(_: &mut Harness) {
     const TRIALS: usize = 5;
     let n = sizes()[0];
     let long_rows = n.min(1_000_000) / 4;
+    // `catalog_spill`'s shape: four nullable INT keys, range-coded in 5
+    // bytes where the plain key takes 20, in 16 runs.
+    let catalog_rows = n.min(1_000_000) / 2;
     let cases = [
         (
             "u32_t1",
             u32_chunk(n, 0x000F_1612 ^ n as u64, false),
+            OrderBy::ascending(1),
             1 << 17,
         ),
         (
             "longstr_t1",
             long_string_chunk(long_rows, 0x000F_1615, LONGSTR_STEM),
+            OrderBy::ascending(1),
             (long_rows / 4).max(1),
+        ),
+        (
+            "catalog_t1",
+            tpcds::catalog_sales(catalog_rows, 10.0, 0x000F_1616).data,
+            OrderBy::new((1..=4).map(OrderByColumn::asc).collect()),
+            (catalog_rows / 16).max(1),
         ),
     ];
     println!("run generation by stage, 1 thread, ns/row (best of {TRIALS}):");
-    for (id, chunk, run_rows) in cases {
+    for (id, chunk, order, run_rows) in cases {
         let options = SortOptions {
             threads: 1,
             run_rows,
             ovc: true,
         };
-        let pipeline = SortPipeline::new(chunk.types(), OrderBy::ascending(1), options);
+        let pipeline = SortPipeline::new(chunk.types(), order, options);
         drop(pipeline.sort(&chunk));
         let mut best = [u64::MAX; RUN_STAGES.len()];
         for _ in 0..TRIALS {
@@ -247,7 +261,8 @@ fn report_run_stages(_: &mut Harness) {
         for (ns, (_, name)) in best.iter().zip(RUN_STAGES) {
             print!(" {name} {:.1}", *ns as f64 / chunk.len() as f64);
         }
-        println!();
+        let profile = pipeline.last_profile();
+        println!("  key {}B/{}B", profile.key_width, profile.key_width_plain);
     }
 }
 

@@ -2,16 +2,19 @@
 //! with the merge cut into one key range and into four (one code path:
 //! one range is the cuts at each run's ends).
 //!
-//! Two workloads, mirroring the pipeline bench's shapes:
+//! Three workloads, the first two mirroring the pipeline bench's shapes:
 //!
 //! * `u32` — random u32 keys, the cheap-comparison case where merge cost
 //!   is dominated by record movement and run-file I/O.
 //! * `widekey` — three VARCHAR key columns with long shared prefixes and
 //!   offset-value coding, the comparator-bound case.
+//! * `catalog` — rowbench's `catalog_spill` shape: `catalog_sales` by its
+//!   four nullable INT columns, a key range-coded in 5 of the plain 20
+//!   bytes.
 //!
-//! Each workload runs with `merge_threads` 1 and 4 over the same input
-//! and budget (16 runs), so the `_t4` / `_t1` ratio is the merge-phase
-//! parallel speedup on the host. For interleaved A/B by hand:
+//! `u32` and `widekey` run with `merge_threads` 1 and 4 over the same
+//! input and budget (16 runs), so the `_t4` / `_t1` ratio is the
+//! merge-phase parallel speedup on the host; `catalog` runs at 1. For interleaved A/B by hand:
 //! `scripts/verify.sh` compiles this bench and never runs it; `bench_gate`
 //! sorts the same inputs and compares their counters exactly with
 //! `BENCH_counters.json`. Override row counts with
@@ -19,9 +22,10 @@
 
 use rowsort_bench::{u32_chunk, wide_key_chunk};
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
+use rowsort_datagen::tpcds;
 use rowsort_testkit::bench::{BenchmarkId, Harness};
 use rowsort_testkit::{bench_group, bench_main};
-use rowsort_vector::OrderBy;
+use rowsort_vector::{OrderBy, OrderByColumn};
 use std::time::Duration;
 
 fn sizes() -> Vec<usize> {
@@ -79,6 +83,22 @@ fn bench_spill_merge(c: &mut Harness) {
                 b.iter(|| sorter.sort(&chunk).expect("spill sort succeeds"))
             });
         }
+
+        let chunk = tpcds::catalog_sales(n, 10.0, 0x5B13).data;
+        let order = OrderBy::new((1..=4).map(OrderByColumn::asc).collect());
+        let sorter = ExternalSorter::new(
+            chunk.types(),
+            order,
+            ExternalSortOptions {
+                memory_limit_rows: budget,
+                ovc: true,
+                merge_threads: 1,
+                ..Default::default()
+            },
+        );
+        group.bench_function(BenchmarkId::new("catalog_t1", n), |b| {
+            b.iter(|| sorter.sort(&chunk).expect("spill sort succeeds"))
+        });
     }
     group.finish();
 }

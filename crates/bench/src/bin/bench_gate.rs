@@ -36,7 +36,7 @@ use rowsort_datagen::tpcds;
 use rowsort_engine::{Engine, Table};
 use rowsort_testkit::alloc::{allocation_count, CountingAllocator};
 use rowsort_testkit::json::Json;
-use rowsort_vector::OrderBy;
+use rowsort_vector::{OrderBy, OrderByColumn};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
@@ -144,11 +144,16 @@ fn measure() -> Counts {
     let n = 100_000;
     let u32s = u32_chunk(n, 0x5B11 ^ n as u64, true);
     let wide = wide_key_chunk(n, 0x5B12);
-    for (name, chunk, keys, merge_threads) in [
-        ("u32_t1", &u32s, 1, 1),
-        ("u32_t4", &u32s, 1, 4),
-        ("widekey_t1", &wide, 3, 1),
-        ("widekey_t4", &wide, 3, 4),
+    // `catalog_spill`'s shape: four nullable INT keys of 10, 20, 700 and
+    // 100 values (scale factor 10), range-coded in 5 bytes of a plain 20.
+    let catalog = tpcds::catalog_sales(n, 10.0, 0x5B13).data;
+    let by_catalog_keys = OrderBy::new((1..=4).map(OrderByColumn::asc).collect());
+    for (name, chunk, order, merge_threads) in [
+        ("u32_t1", &u32s, OrderBy::ascending(1), 1),
+        ("u32_t4", &u32s, OrderBy::ascending(1), 4),
+        ("widekey_t1", &wide, OrderBy::ascending(3), 1),
+        ("widekey_t4", &wide, OrderBy::ascending(3), 4),
+        ("catalog_t1", &catalog, by_catalog_keys, 1),
     ] {
         let id = format!("spill_merge/{name}/{n}");
         let options = ExternalSortOptions {
@@ -159,7 +164,7 @@ fn measure() -> Counts {
             max_write_retries: 3,
             retry_backoff: Duration::from_micros(250),
         };
-        let sorter = ExternalSorter::new(chunk.types(), OrderBy::ascending(keys), options);
+        let sorter = ExternalSorter::new(chunk.types(), order, options);
         // No allocation count at any thread count: every run builds its
         // file's path, and `Path::join` allocates three times under a
         // short temp directory and twice under a long one.

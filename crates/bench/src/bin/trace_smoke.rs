@@ -12,7 +12,8 @@
 //! testkit's JSON parser: required fields, all phase and counter names
 //! present and numeric, phase times that sum to no more than the sort's
 //! wall time, a clocked `gather` (every sort hands vectors back), a
-//! planned key (`key_width`, `varchar_prefix`) and tie counters
+//! planned key (`key_width` no wider than `key_width_plain`,
+//! `varchar_prefix`) and tie counters
 //! (`run_tie_ranges`, `run_tie_rows`, `pdq_sorts`) that agree, and a merge
 //! shape (`merge_rounds`, `merge_tasks`, `merge_max_range_rows`) that adds
 //! up: every merge, in memory or spilled, is one k-way pass that reports
@@ -182,7 +183,14 @@ fn main() {
         // comparator in ranges of two or more, counted as a pdqsort run.
         let count = |c: Counter| num_field(counters, c.name(), line_no);
         let key_width = num_field(&obj, "key_width", line_no);
+        let key_width_plain = num_field(&obj, "key_width_plain", line_no);
         let prefix = num_field(&obj, "varchar_prefix", line_no);
+        // Range coding only ever narrows a key column.
+        if key_width > key_width_plain {
+            die(&format!(
+                "line {line_no}: key_width {key_width} > key_width_plain {key_width_plain}"
+            ));
+        }
         let (tie_ranges, tie_rows) = (count(Counter::RunTieRanges), count(Counter::RunTieRows));
         if key_width <= 0.0 || prefix >= key_width {
             die(&format!(

@@ -132,18 +132,33 @@ impl fmt::Debug for Case {
 
 /// One non-NULL value of `ty`. Integers and floats: an extreme or a
 /// neighbour of zero one time in three, else any bit pattern — every value
-/// `compare_rows` totally orders, NaNs and both zeros included. VARCHAR: a
-/// stem of `stem` `x`s ([`STEMS`]) and up to `tail` more chars with NUL
-/// and multi-byte UTF-8 among them, 27 bytes at most after the stem — or,
-/// for a tail of [`SIBLINGS`], exactly two of `a` / `b`.
-fn draw_value(ty: LogicalType, (stem, tail): (usize, u64), rng: &mut Rng) -> Value {
+/// `compare_rows` totally orders, NaNs and both zeros included. Integers of
+/// a column with a `window` instead: one of [`WINDOW`] values from a base
+/// the window picks — the type's least value, its greatest, or any — so
+/// the sorters range-code the column in a byte or two, where a draw from
+/// the whole domain mostly keeps the plain layout. VARCHAR: a stem of
+/// `stem` `x`s ([`STEMS`]) and up to `tail` more chars with NUL and
+/// multi-byte UTF-8 among them, 27 bytes at most after the stem — or, for
+/// a tail of [`SIBLINGS`], exactly two of `a` / `b`.
+fn draw_value(
+    ty: LogicalType,
+    (stem, tail, window): (usize, u64, Option<u64>),
+    rng: &mut Rng,
+) -> Value {
     macro_rules! int {
         ($variant:ident, $t:ty) => {{
             let edges = [<$t>::MIN, <$t>::MAX, 0, 1, <$t>::MAX - 1, <$t>::MIN + 1];
-            Value::$variant(if rng.chance(0.33) {
-                *rng.pick(&edges)
-            } else {
-                rng.next_u64() as $t
+            Value::$variant(match window {
+                Some(base) => {
+                    let offset = rng.below(WINDOW) as $t;
+                    match base % 4 {
+                        0 => <$t>::MIN.saturating_add(offset),
+                        1 => <$t>::MAX.saturating_sub(offset),
+                        _ => (base as $t).saturating_add(offset),
+                    }
+                }
+                None if rng.chance(0.33) => *rng.pick(&edges),
+                None => rng.next_u64() as $t,
             })
         }};
     }
@@ -185,6 +200,10 @@ fn draw_value(ty: LogicalType, (stem, tail): (usize, u64), rng: &mut Rng) -> Val
         }
     }
 }
+
+/// Values in a narrow integer window: 300 straddles the 256 codes a byte
+/// holds, so a column's range code is one byte wide or two.
+const WINDOW: u64 = 300;
 
 /// Stems a VARCHAR column's values share: none, or one that straddles a
 /// key prefix — the 12 bytes of the paper's rule, which is also where the
@@ -247,7 +266,8 @@ impl Gen for CaseGen {
             } else {
                 *rng.pick(&LogicalType::ALL)
             };
-            let shape = (*rng.pick(&STEMS), *rng.pick(&[SIBLINGS, 3, 9]));
+            let window = rng.chance(0.4).then(|| rng.next_u64());
+            let shape = (*rng.pick(&STEMS), *rng.pick(&[SIBLINGS, 3, 9]), window);
             // Duplicates: one value, a handful, or the type's full domain.
             let pool: Vec<Value> = (0..*rng.pick(&[1, 5, 0]))
                 .map(|_| draw_value(ty, shape, rng))

@@ -1090,7 +1090,9 @@ mod tests {
     /// `sort()`'s preparation: the key planned for `chunk`.
     fn plan(sorter: &ExternalSorter, chunk: &DataChunk) -> KeyPlan {
         let mut plan = KeyPlan::default();
-        plan.plan(&sorter.core.types, &sorter.core.order, chunk);
+        plan.plan(&sorter.core.types, &sorter.core.order, chunk, &|phase| {
+            phase(0)
+        });
         plan
     }
 

@@ -1,13 +1,13 @@
 //! Normalized-key blocks: the sortable representation of ORDER BY keys.
 
-use crate::run::{varchar_stats, PrefixSampler};
+use crate::run::{key_stats, PrefixSampler};
 use rowsort_algos::pdqsort::pdqsort_rows;
 use rowsort_algos::radix::radix_sort_rows_with_scratch;
 pub(crate) use rowsort_algos::rows::word;
 use rowsort_algos::rows::{copy_row, RowsMut};
 use rowsort_algos::NoProbe;
 use rowsort_normkey::{
-    encode_column_range_into, KeyColumn, NormKeyLayout, DEFAULT_MAX_PREFIX, MAX_PREFIX,
+    encode_column_range_into, KeyColumn, KeyRange, NormKeyLayout, DEFAULT_MAX_PREFIX, MAX_PREFIX,
 };
 use rowsort_vector::{DataChunk, LogicalType, OrderBy};
 use std::cmp::Ordering;
@@ -21,6 +21,22 @@ pub struct VarcharStat {
     /// Bytes of each string the key encodes; the column is exact when
     /// this reaches `max_len`.
     pub prefix_len: usize,
+}
+
+/// What the planner knows about one `ORDER BY` column, from the rows the
+/// key will encode.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum KeyStat {
+    /// Nothing: the column's plain layout (a VARCHAR column's key is then
+    /// sized for empty strings — only columns the key never reaches go
+    /// unread).
+    #[default]
+    Plain,
+    /// A VARCHAR column's longest string and planned prefix.
+    Varchar(VarcharStat),
+    /// An integer-like column's range: the key range-codes it when that
+    /// is narrower ([`KeyColumn::ranged`]).
+    Range(KeyRange),
 }
 
 /// The longest VARCHAR prefix the sorters' planner sizes from the data
@@ -108,33 +124,34 @@ impl KeyBlock {
         order: &OrderBy,
         varchar_max_len: impl Fn(usize) -> usize,
     ) -> KeyBlock {
-        KeyBlock::with_prefixes(types, order, |c| VarcharStat {
-            max_len: varchar_max_len(c),
-            prefix_len: DEFAULT_MAX_PREFIX,
+        KeyBlock::with_stats(types, order, |c| {
+            KeyStat::Varchar(VarcharStat {
+                max_len: varchar_max_len(c),
+                prefix_len: DEFAULT_MAX_PREFIX,
+            })
         })
     }
 
-    /// [`KeyBlock::new`] with each VARCHAR key column's prefix chosen by
-    /// the caller: `varchar_stat(col)` supplies the column's longest
-    /// string and the prefix to encode of it (clamped to what the marker
-    /// byte can describe). Both sorters plan through this, from
-    /// [`varchar_stats`](crate::run::varchar_stats).
-    pub fn with_prefixes(
+    /// [`KeyBlock::new`] with each key column shaped by what the caller
+    /// knows of it, `stat(col)`: a VARCHAR column's longest string and the
+    /// prefix to encode of it (clamped to what the marker byte can
+    /// describe), an integer column's range. Both sorters plan through
+    /// this, from [`key_stats`](crate::run::key_stats).
+    pub fn with_stats(
         types: &[LogicalType],
         order: &OrderBy,
-        varchar_stat: impl Fn(usize) -> VarcharStat,
+        stat: impl Fn(usize) -> KeyStat,
     ) -> KeyBlock {
         let cols: Vec<KeyColumn> = order
             .keys
             .iter()
-            .map(|k| {
-                let ty = types[k.column];
-                if ty == LogicalType::Varchar {
-                    let stat = varchar_stat(k.column);
-                    KeyColumn::varchar_with_prefix(k.spec, stat.max_len, stat.prefix_len)
-                } else {
-                    KeyColumn::fixed(ty, k.spec)
+            .map(|k| match (types[k.column], stat(k.column)) {
+                (LogicalType::Varchar, KeyStat::Varchar(s)) => {
+                    KeyColumn::varchar_with_prefix(k.spec, s.max_len, s.prefix_len)
                 }
+                (LogicalType::Varchar, _) => KeyColumn::varchar_with_prefix(k.spec, 0, 0),
+                (ty, KeyStat::Range(range)) => KeyColumn::ranged(ty, k.spec, range),
+                (ty, _) => KeyColumn::fixed(ty, k.spec),
             })
             .collect();
         KeyBlock {
@@ -147,13 +164,20 @@ impl KeyBlock {
     }
 
     /// The key block both sorters plan for sorting `input` by `order`:
-    /// [`KeyBlock::with_prefixes`] over the statistics they take of
-    /// `input`'s VARCHAR key columns (longest string; prefix sized from a
-    /// collision sample, DESIGN.md §6). A function of the input alone.
+    /// [`KeyBlock::with_stats`] over the statistics they take of `input`'s
+    /// key columns (VARCHAR: longest string, prefix sized from a collision
+    /// sample; integers: the range; DESIGN.md §6). A function of the input
+    /// alone.
     pub fn planned(input: &DataChunk, order: &OrderBy) -> KeyBlock {
         let mut stats = Vec::new();
-        varchar_stats(input, order, &mut PrefixSampler::default(), &mut stats);
-        KeyBlock::with_prefixes(&input.types(), order, |c| stats[c])
+        key_stats(
+            input,
+            order,
+            &mut PrefixSampler::default(),
+            &mut stats,
+            &|phase| phase(0),
+        );
+        KeyBlock::with_stats(&input.types(), order, |c| stats[c])
     }
 
     /// The planned normalized-key shape.
@@ -484,16 +508,18 @@ mod tests {
         let strings = ["prefix_AAAA_z", "prefix_AAAA_a", "short"];
         let chunk = DataChunk::from_columns(vec![Vector::from_strings(strings)]).unwrap();
         let stat = |prefix_len| {
-            move |_| VarcharStat {
-                max_len: 13,
-                prefix_len,
+            move |_| {
+                KeyStat::Varchar(VarcharStat {
+                    max_len: 13,
+                    prefix_len,
+                })
             }
         };
         let order = OrderBy::ascending(1);
-        let twelve = KeyBlock::with_prefixes(&chunk.types(), &order, stat(12));
+        let twelve = KeyBlock::with_stats(&chunk.types(), &order, stat(12));
         assert!(twelve.tie_possible());
         assert_eq!(twelve.key_width(), 1 + 12 + 1);
-        let mut exact = KeyBlock::with_prefixes(&chunk.types(), &order, stat(13));
+        let mut exact = KeyBlock::with_stats(&chunk.types(), &order, stat(13));
         assert!(!exact.tie_possible());
         assert_eq!(exact.key_width(), 1 + 13 + 1);
         exact.append_chunk(&chunk);

@@ -65,7 +65,7 @@ pub(crate) mod testutil;
 pub mod workers;
 
 pub use external::{ExternalSortOptions, ExternalSorter};
-pub use keys::{KeyBlock, KeySortAlgo, KeySortStats, VarcharStat, PREFIX_CAP};
+pub use keys::{KeyBlock, KeySortAlgo, KeySortStats, KeyStat, VarcharStat, PREFIX_CAP};
 pub use metrics::{Counter, CounterRegistry, Metrics, Phase, SortProfile};
 pub use pipeline::{default_ovc, default_threads, SortOptions, SortPipeline, SortedRows};
 pub use pool::BufferPool;

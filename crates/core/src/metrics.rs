@@ -417,6 +417,9 @@ pub struct SortProfile {
     pub total_ns: u64,
     /// Bytes per normalized key in the layout this sort planned.
     pub key_width: u32,
+    /// What `key_width` would be with no integer column range-coded: the
+    /// NULL byte and full body of every key column (DESIGN.md §6).
+    pub key_width_plain: u32,
     /// The longest VARCHAR prefix in that key, as sized from the input's
     /// strings (12 is the paper's rule); 0 without a VARCHAR key column.
     pub varchar_prefix: u32,
@@ -432,16 +435,17 @@ impl SortProfile {
             rows: 0,
             total_ns: 0,
             key_width: 0,
+            key_width_plain: 0,
             varchar_prefix: 0,
             metrics: Metrics::zeroed(),
         }
     }
 
     /// The trace-schema JSON object for this profile: `event`,
-    /// `operator`, `rows`, `total_ns`, `key_width`, `varchar_prefix`, plus
-    /// nested `phases` and `counters` objects (every field numeric; see
-    /// DESIGN.md §7.5 for the schema contract `trace_smoke` validates in
-    /// CI).
+    /// `operator`, `rows`, `total_ns`, `key_width`, `key_width_plain`,
+    /// `varchar_prefix`, plus nested `phases` and `counters` objects (every
+    /// field numeric; see DESIGN.md §7.5 for the schema contract
+    /// `trace_smoke` validates in CI).
     pub fn to_json(&self) -> Json {
         let phases: Vec<(String, Json)> = Phase::ALL
             .iter()
@@ -462,6 +466,10 @@ impl SortProfile {
             ("rows", Json::Num(self.rows as f64)),
             ("total_ns", Json::Num(self.total_ns as f64)),
             ("key_width", Json::Num(f64::from(self.key_width))),
+            (
+                "key_width_plain",
+                Json::Num(f64::from(self.key_width_plain)),
+            ),
             ("varchar_prefix", Json::Num(f64::from(self.varchar_prefix))),
             ("phases", Json::Obj(phases)),
             ("counters", Json::Obj(counters)),
@@ -602,6 +610,7 @@ mod tests {
             rows: 128,
             total_ns: 110,
             key_width: 36,
+            key_width_plain: 41,
             varchar_prefix: 20,
             metrics: reg.snapshot(),
         };
@@ -611,6 +620,7 @@ mod tests {
         assert_eq!(parsed.get("rows").unwrap().as_f64(), Some(128.0));
         assert_eq!(parsed.get("total_ns").unwrap().as_f64(), Some(110.0));
         assert_eq!(parsed.get("key_width").unwrap().as_f64(), Some(36.0));
+        assert_eq!(parsed.get("key_width_plain").unwrap().as_f64(), Some(41.0));
         assert_eq!(parsed.get("varchar_prefix").unwrap().as_f64(), Some(20.0));
         let phases = parsed.get("phases").unwrap();
         for phase in Phase::ALL {

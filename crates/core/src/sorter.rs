@@ -110,12 +110,14 @@ impl StoredRun for SortedRun {
     }
 }
 
-/// When a sort began, what its registry held then, and the prefix it
-/// planned: what [`SorterCore::publish`] turns into its profile.
+/// When a sort began, what its registry held then, and the prefix and
+/// plain key width it planned: what [`SorterCore::publish`] turns into
+/// its profile.
 pub(crate) struct SortStart {
     at: Instant,
     before: Metrics,
     varchar_prefix: u32,
+    key_width_plain: u32,
 }
 
 /// One run's outcome, in the slot of its index.
@@ -284,13 +286,22 @@ impl SorterCore {
         let (at, before) = (Instant::now(), self.metrics.snapshot());
         {
             let _prepare = self.metrics.time_phase(Phase::Prepare);
-            plan.plan(&self.types, &self.order, input);
+            let spread = |phase: &(dyn Fn(usize) + Sync)| {
+                if self.set.threads() > 1 {
+                    self.broadcast(phase);
+                } else {
+                    phase(0);
+                }
+            };
+            plan.plan(&self.types, &self.order, input, &spread);
         }
         let varchar_prefix = plan.varchar_prefix();
+        let key_width_plain = plan.plain_width() as u32;
         Some(SortStart {
             at,
             before,
             varchar_prefix,
+            key_width_plain,
         })
     }
 
@@ -309,6 +320,7 @@ impl SorterCore {
             rows: rows as u64,
             total_ns: start.at.elapsed().as_nanos() as u64,
             key_width: key_width as u32,
+            key_width_plain: start.key_width_plain,
             varchar_prefix: start.varchar_prefix,
             metrics: self.metrics.snapshot().since(&start.before),
         };

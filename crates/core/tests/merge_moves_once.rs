@@ -9,6 +9,7 @@
 //! multi-thread sort ran a 3-round cascade at 109 B/row on the first
 //! table below.)
 
+use rowsort_core::keys::KeyBlock;
 use rowsort_core::metrics::{Counter, Metrics};
 use rowsort_core::pipeline::{SortOptions, SortPipeline};
 use rowsort_row::RowLayout;
@@ -122,10 +123,12 @@ fn varchar_table() -> (DataChunk, OrderBy, usize) {
 
 #[test]
 fn coded_merge_moves_each_row_once_at_any_thread_count() {
-    // Key widths: NULL byte + u32; NULL byte + 2 + marker, then NULL byte +
-    // 12 + marker of the truncated second column, where the key ends.
+    // Key widths: the u32 range-coded — no NULL to code, and 3 200 random
+    // keys span more than 2^24 values, so four bytes where the plain key
+    // has a NULL byte too; NULL byte + 2 + marker, then NULL byte + 12 +
+    // marker of the truncated second column, where the key ends.
     let tables = [
-        ("u32", u32_table(), 5),
+        ("u32", u32_table(), 4),
         ("varchar", varchar_table(), 4 + 14),
     ];
     for (name, (chunk, order, run_rows), planned_key_width) in tables {
@@ -241,11 +244,12 @@ fn assert_identical_to_plain(
             coded == *first,
             "{what}, threads={threads}: differs from 1 thread"
         );
+        // A key of one code is zero bytes wide: nothing to cut ranges by.
         let runs = chunk.len().div_ceil(run_rows);
-        let ranges = if runs > 1 {
-            ranges_for(threads, chunk.len())
-        } else {
-            0
+        let ranges = match (runs, KeyBlock::planned(chunk, order).key_width()) {
+            (1, _) => 0,
+            (_, 0) => 1,
+            _ => ranges_for(threads, chunk.len()),
         };
         assert_eq!(
             m.counter(Counter::MergeTasks),
@@ -272,9 +276,20 @@ fn skewed_keys_make_fat_and_empty_ranges() {
     let n = 3_000usize;
     let mut rng = Rng::seed_from_u64(0x5ce3);
 
-    // All keys equal: every splitter is that key, so one range does it all.
+    // All keys equal: one code, which the key holds in no bytes at all —
+    // nothing to cut ranges by, so one range does it all.
     let (chunk, order) = keyed(vec![7; n]);
+    assert_eq!(KeyBlock::planned(&chunk, &order).key_width(), 0);
     let m = assert_identical_to_plain("all keys equal", &chunk, &order, 400);
+    assert_eq!(m.counter(Counter::MergeTasks), 1);
+    assert_eq!(m.counter(Counter::MergeMaxRangeRows), n as u64);
+    // All keys equal but one, which ends the first run where no sample
+    // reaches: every splitter is the common key, so one range of four
+    // holds every row.
+    let mut keys = vec![7; n];
+    keys[399] = 8;
+    let (chunk, order) = keyed(keys);
+    let m = assert_identical_to_plain("all keys equal but one", &chunk, &order, 400);
     assert_eq!(m.counter(Counter::MergeTasks), 4);
     assert_eq!(m.counter(Counter::MergeMaxRangeRows), n as u64);
 

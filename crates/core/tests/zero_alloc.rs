@@ -13,6 +13,7 @@
 //! the file holds exactly one test: any parallel test in the same binary
 //! would allocate concurrently and poison the count.
 
+use rowsort_core::keys::KeyBlock;
 use rowsort_core::metrics::{Counter, SortProfile};
 use rowsort_core::pipeline::{SortOptions, SortPipeline};
 use rowsort_core::SortResources;
@@ -222,10 +223,14 @@ fn steady_state_sort_does_not_allocate() {
     let uneven = |i: u32| if i.is_multiple_of(2) { "pp" } else { "pppppp" }.to_owned();
     let tied_other_payload = named_rows(&mut Rng::seed_from_u64(seed), 60_000, name, uneven);
 
-    // Four i32 columns, a 20-byte key: MSD radix, whose buckets of at most
-    // 24 rows finish in insertion sort.
-    let mut column = || Vector::from_i32s((0..100_000).map(|_| rng.below(1_000) as i32).collect());
+    // Four i32 columns over the whole domain and without NULLs, range-coded
+    // in 4 bytes each: a 16-byte key, so MSD radix, whose buckets of at
+    // most 24 rows finish in insertion sort. (Values below 1 000 would
+    // code in 2 bytes each, and an 8-byte key takes LSD.)
+    let mut column = || Vector::from_i32s((0..100_000).map(|_| rng.next_u32() as i32).collect());
     let wide = DataChunk::from_columns(vec![column(), column(), column(), column()]).unwrap();
+    let planned = KeyBlock::planned(&wide, &OrderBy::ascending(4));
+    assert_eq!(planned.key_width(), 16, "a key wider than LSD's 8 bytes");
 
     for ovc in [true, false] {
         third_sort_allocates("u32 key", &u32s, 1, ovc, U32_ALLOCS);

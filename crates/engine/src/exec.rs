@@ -230,9 +230,14 @@ fn sort_detail(profile: &SortProfile, threads: usize) -> String {
             );
         }
     }
-    // The key the sort planned: its width, and the VARCHAR prefix sized
-    // from the input's strings when there is one (12 is the paper's rule).
-    if profile.key_width > 0 {
+    // The key the sort planned: its width — over the plain width when
+    // range-coding integer columns narrowed it — and the VARCHAR prefix
+    // sized from the input's strings when there is one (12 is the paper's
+    // rule).
+    if profile.key_width < profile.key_width_plain {
+        let (planned, plain) = (profile.key_width, profile.key_width_plain);
+        let _ = write!(s, " key={planned}B/{plain}B");
+    } else if profile.key_width > 0 {
         let _ = write!(s, " key={}B", profile.key_width);
     }
     if profile.varchar_prefix > 0 {
@@ -1045,8 +1050,16 @@ mod tests {
         // comparator.
         let mut planned = rowsort_core::SortProfile::zeroed();
         planned.key_width = 36;
+        planned.key_width_plain = 36;
         planned.varchar_prefix = 20;
         assert_eq!(sort_detail(&planned, 2), " key=36B prefix=20");
+        // Range-coded integer columns narrowed the key: planned over plain.
+        let mut ranged = rowsort_core::SortProfile::zeroed();
+        (ranged.key_width, ranged.key_width_plain) = (5, 20);
+        assert_eq!(sort_detail(&ranged, 2), " key=5B/20B");
+        // A key of constant columns codes to no bytes at all.
+        ranged.key_width = 0;
+        assert_eq!(sort_detail(&ranged, 2), " key=0B/20B");
         planned.metrics.counters[Counter::RunTieRows as usize] = 5_584;
         planned.metrics.counters[Counter::RunTieRanges as usize] = 642;
         assert_eq!(

@@ -97,6 +97,49 @@ pub fn encode_f64(v: f64) -> [u8; 8] {
     ordered.to_be_bytes()
 }
 
+/// A fixed-width integer's order-preserving `u64` ordinal: the big-endian
+/// value of its plain key body (sign bit flipped for signed types), so
+/// `a < b` exactly when `a.ordinal() < b.ordinal()`. A range-coded key
+/// column encodes each value's distance from the column's lowest or
+/// highest ordinal ([`KeyColumn::ranged`](crate::KeyColumn::ranged)).
+pub trait Ordinal: Copy + Ord {
+    /// The type's least value.
+    const LEAST: Self;
+    /// The type's greatest value.
+    const GREATEST: Self;
+    /// The value's ordinal.
+    fn ordinal(self) -> u64;
+}
+
+macro_rules! ordinal_unsigned {
+    ($($t:ty),*) => {$(
+        impl Ordinal for $t {
+            const LEAST: $t = <$t>::MIN;
+            const GREATEST: $t = <$t>::MAX;
+            #[inline]
+            fn ordinal(self) -> u64 {
+                u64::from(self)
+            }
+        }
+    )*};
+}
+
+macro_rules! ordinal_signed {
+    ($($t:ty => $sign:expr),*) => {$(
+        impl Ordinal for $t {
+            const LEAST: $t = <$t>::MIN;
+            const GREATEST: $t = <$t>::MAX;
+            #[inline]
+            fn ordinal(self) -> u64 {
+                u64::from(self.cast_unsigned() ^ $sign)
+            }
+        }
+    )*};
+}
+
+ordinal_unsigned!(u8, u16, u32, u64);
+ordinal_signed!(i8 => 0x80, i16 => 0x8000, i32 => 0x8000_0000, i64 => 0x8000_0000_0000_0000);
+
 /// Invert bytes in place — turns an ascending encoding into a descending one.
 #[inline]
 pub fn invert_bytes(bytes: &mut [u8]) {
@@ -164,6 +207,29 @@ mod tests {
             i32::cmp,
         );
         check_order(&[i64::MIN, -1, 0, 1, i64::MAX], encode_i64, i64::cmp);
+    }
+
+    #[test]
+    fn ordinals_order_like_the_plain_body() {
+        fn check<T: Ordinal + std::fmt::Debug>(values: &[T]) {
+            for &a in values {
+                for &b in values {
+                    assert_eq!(a.ordinal().cmp(&b.ordinal()), a.cmp(&b), "{a:?} vs {b:?}");
+                }
+            }
+        }
+        check(&[i8::MIN, -1, 0, 1, i8::MAX]);
+        check(&[i16::MIN, -1, 0, 1, i16::MAX]);
+        check(&[i32::MIN, -1, 0, 1, i32::MAX]);
+        check(&[i64::MIN, -1, 0, 1, i64::MAX]);
+        check(&[0u8, 1, u8::MAX]);
+        check(&[0u64, 1, u64::MAX]);
+        // The ordinal is the plain body read as a big-endian integer.
+        assert_eq!(
+            (-5i32).ordinal(),
+            u64::from(u32::from_be_bytes(encode_i32(-5)))
+        );
+        assert_eq!(i64::MIN.ordinal(), u64::from_be_bytes(encode_i64(i64::MIN)));
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //! float transforms; inverted for DESC). VARCHAR columns contribute a fixed
 //! prefix; ties on truncated prefixes are detected via
 //! [`NormKeyLayout::tie_possible`] and resolved by the caller against the
-//! full strings.
+//! full strings. An integer column whose values' range is known
+//! ([`key_range`]) may instead be range-coded ([`KeyColumn::ranged`]): its
+//! offset within the range, NULL folded in, in the fewest bytes that hold
+//! it.
 
 //! ```
 //! use rowsort_normkey::{encode_value_into, KeyColumn};
@@ -44,8 +47,10 @@ pub mod vector_encode;
 
 pub use encoding::{
     encode_bool, encode_f32, encode_f64, encode_i16, encode_i32, encode_i64, encode_i8, encode_u16,
-    encode_u32, encode_u64, encode_u8, invert_bytes, NULL_FIRST_NULL, NULL_FIRST_VALID,
+    encode_u32, encode_u64, encode_u8, invert_bytes, Ordinal, NULL_FIRST_NULL, NULL_FIRST_VALID,
     NULL_LAST_NULL, NULL_LAST_VALID,
 };
-pub use layout::{KeyColumn, NormKeyLayout, DEFAULT_MAX_PREFIX, MAX_PREFIX};
-pub use vector_encode::{encode_column_into, encode_column_range_into, encode_value_into};
+pub use layout::{KeyColumn, KeyRange, NormKeyLayout, DEFAULT_MAX_PREFIX, MAX_PREFIX};
+pub use vector_encode::{
+    encode_column_into, encode_column_range_into, encode_value_into, key_range,
+};

@@ -1,8 +1,8 @@
 //! Encoding whole vectors into normalized-key rows.
 
 use crate::encoding::*;
-use crate::layout::KeyColumn;
-use rowsort_vector::{NullOrder, SortOrder, Value, Vector, VectorData};
+use crate::layout::{KeyColumn, KeyRange, RangeCoder};
+use rowsort_vector::{NullOrder, SortOrder, Validity, Value, Vector, VectorData};
 
 #[inline]
 fn null_byte(nulls: NullOrder, valid: bool) -> u8 {
@@ -19,6 +19,23 @@ fn null_byte(nulls: NullOrder, valid: bool) -> u8 {
 /// single-row consumers; hot paths use [`encode_column_into`].
 pub fn encode_value_into(value: &Value, col: &KeyColumn, out: &mut [u8]) {
     assert_eq!(out.len(), col.encoded_width(), "output slice width");
+    if let Some(coder) = col.coder() {
+        let ordinal = match value {
+            Value::Null => None,
+            Value::Int8(v) => Some(v.ordinal()),
+            Value::Int16(v) => Some(v.ordinal()),
+            Value::Int32(v) | Value::Date(v) => Some(v.ordinal()),
+            Value::Int64(v) | Value::Timestamp(v) => Some(v.ordinal()),
+            Value::UInt8(v) => Some(v.ordinal()),
+            Value::UInt16(v) => Some(v.ordinal()),
+            Value::UInt32(v) => Some(v.ordinal()),
+            Value::UInt64(v) => Some(v.ordinal()),
+            other => panic!("{other:?} in a range-coded key column"),
+        };
+        let code = ordinal.map_or(coder.null, |ord| coder.code(ord));
+        out.copy_from_slice(&code.to_be_bytes()[8 - out.len()..]);
+        return;
+    }
     let valid = !value.is_null();
     out[0] = null_byte(col.spec.nulls, valid);
     let body = &mut out[1..];
@@ -100,6 +117,35 @@ pub fn encode_column_range_into(
     debug_assert!(out.len() >= (base_row + n) * stride);
     let desc = col.spec.order == SortOrder::Descending;
     let nulls = col.spec.nulls;
+    if let Some(coder) = col.coder() {
+        if width == 0 {
+            return; // one code: nothing to write
+        }
+        let rows = out[base_row * stride..(base_row + n) * stride].chunks_exact_mut(stride);
+        let to = RangedRows {
+            rows,
+            at: col_offset,
+            width,
+            coder,
+        };
+        let valid = vec.validity().words().map(|words| (words, lo));
+        match vec.data() {
+            VectorData::Int8(values) => to.encode(&values[lo..hi], valid),
+            VectorData::Int16(values) => to.encode(&values[lo..hi], valid),
+            VectorData::Int32(values) | VectorData::Date(values) => {
+                to.encode(&values[lo..hi], valid)
+            }
+            VectorData::Int64(values) | VectorData::Timestamp(values) => {
+                to.encode(&values[lo..hi], valid)
+            }
+            VectorData::UInt8(values) => to.encode(&values[lo..hi], valid),
+            VectorData::UInt16(values) => to.encode(&values[lo..hi], valid),
+            VectorData::UInt32(values) => to.encode(&values[lo..hi], valid),
+            VectorData::UInt64(values) => to.encode(&values[lo..hi], valid),
+            other => panic!("{:?} in a range-coded key column", other.logical_type()),
+        }
+        return;
+    }
 
     macro_rules! encode_loop {
         ($values:expr, $encode:expr) => {{
@@ -152,6 +198,186 @@ pub fn encode_column_range_into(
                     }
                 }
             }
+        }
+    }
+}
+
+/// A range-coded column's slots in a morsel of key rows: row `i` of the
+/// morsel holds its `width`-byte code at `rows[i][at..]`.
+struct RangedRows<'a> {
+    rows: std::slice::ChunksExactMut<'a, u8>,
+    at: usize,
+    width: usize,
+    coder: RangeCoder,
+}
+
+impl RangedRows<'_> {
+    /// Code `values`, one per row; `valid` is the column's validity words
+    /// and the row of `values[0]` in them, `None` when every row is valid.
+    /// One loop per code width, so each row's code is one fixed-width
+    /// store, never a `memcpy` call.
+    fn encode<T: Ordinal>(self, values: &[T], valid: Option<(&[u64], usize)>) {
+        match self.width {
+            1 => self.encode_at::<T, 1>(values, valid),
+            2 => self.encode_at::<T, 2>(values, valid),
+            3 => self.encode_at::<T, 3>(values, valid),
+            4 => self.encode_at::<T, 4>(values, valid),
+            5 => self.encode_at::<T, 5>(values, valid),
+            6 => self.encode_at::<T, 6>(values, valid),
+            7 => self.encode_at::<T, 7>(values, valid),
+            _ => self.encode_at::<T, 8>(values, valid),
+        }
+    }
+
+    fn encode_at<T: Ordinal, const W: usize>(self, values: &[T], valid: Option<(&[u64], usize)>) {
+        let (at, coder) = (self.at, self.coder);
+        let put = |row: &mut [u8], code: u64| {
+            let bytes = code.to_be_bytes();
+            row[at..at + W].copy_from_slice(&bytes[8 - W..]);
+        };
+        match valid {
+            None => {
+                for (row, v) in self.rows.zip(values) {
+                    put(row, coder.code(v.ordinal()));
+                }
+            }
+            Some((words, first)) => {
+                for (i, (row, v)) in self.rows.zip(values).enumerate() {
+                    let r = first + i;
+                    let valid = (words[r / 64] >> (r % 64)) & 1 != 0;
+                    let code = coder.code(v.ordinal());
+                    put(row, if valid { code } else { coder.null });
+                }
+            }
+        }
+    }
+}
+
+/// The [`KeyRange`] of `column` — whether it has a NULL, and its lowest
+/// and highest valid ordinal — in one pass over its values in their own
+/// type, the validity read 64 rows a word; `None` for a type range coding
+/// does not apply to (floats, BOOLEAN, VARCHAR). The pass stops early once
+/// the bounds so far need as many code bytes as the type's whole domain:
+/// the range is then that domain, which codes in the same width and
+/// covers every row unread.
+pub fn key_range(column: &Vector) -> Option<KeyRange> {
+    let validity = column.validity();
+    Some(match column.data() {
+        VectorData::Int8(values) => range_of(values, validity),
+        VectorData::Int16(values) => range_of(values, validity),
+        VectorData::Int32(values) | VectorData::Date(values) => range_of(values, validity),
+        VectorData::Int64(values) | VectorData::Timestamp(values) => range_of(values, validity),
+        VectorData::UInt8(values) => range_of(values, validity),
+        VectorData::UInt16(values) => range_of(values, validity),
+        VectorData::UInt32(values) => range_of(values, validity),
+        VectorData::UInt64(values) => range_of(values, validity),
+        _ => return None,
+    })
+}
+
+/// Rows folded between two checks for the early stop: 64 validity words.
+const BLOCK_ROWS: usize = 4096;
+
+fn range_of<T: Ordinal>(values: &[T], validity: &Validity) -> KeyRange {
+    let nulls = !validity.all_valid();
+    let domain = KeyRange {
+        lo: T::LEAST.ordinal(),
+        hi: T::GREATEST.ordinal(),
+        nulls,
+    };
+    let width = |r: KeyRange| r.code_width().unwrap_or(usize::MAX);
+    let mut bounds = Bounds {
+        lo: [T::GREATEST; LANES],
+        hi: [T::LEAST; LANES],
+    };
+    let words = validity.words().unwrap_or_default();
+    for (b, block) in values.chunks(BLOCK_ROWS).enumerate() {
+        match words.get(b * BLOCK_ROWS / 64..) {
+            Some(words) if nulls => bounds.fold_valid(block, words),
+            _ => bounds.fold(block),
+        }
+        if width(bounds.range(nulls)) >= width(domain) {
+            return domain;
+        }
+    }
+    bounds.range(nulls)
+}
+
+/// The index of `bits`' lowest set bit (64 for none).
+fn lowest_bit(bits: u64) -> usize {
+    usize::try_from(bits.trailing_zeros()).unwrap_or(usize::MAX)
+}
+
+/// Independent running bounds per lane, so the fold compiles to vector
+/// min/max rather than one dependent compare per value.
+const LANES: usize = 16;
+
+struct Bounds<T> {
+    lo: [T; LANES],
+    hi: [T; LANES],
+}
+
+impl<T: Ordinal> Bounds<T> {
+    fn fold(&mut self, values: &[T]) {
+        let mut chunks = values.chunks_exact(LANES);
+        for chunk in &mut chunks {
+            for ((lo, hi), &v) in self.lo.iter_mut().zip(&mut self.hi).zip(chunk) {
+                *lo = if v < *lo { v } else { *lo };
+                *hi = if v > *hi { v } else { *hi };
+            }
+        }
+        for &v in chunks.remainder() {
+            self.lo[0] = self.lo[0].min(v);
+            self.hi[0] = self.hi[0].max(v);
+        }
+    }
+
+    /// [`Bounds::fold`] over the valid rows of `values`, whose validity
+    /// starts at bit 0 of `words`.
+    fn fold_valid(&mut self, values: &[T], words: &[u64]) {
+        let mut patched = [T::LEAST; 64];
+        for (chunk, &word) in values.chunks(64).zip(words) {
+            let live = u64::MAX >> (64 - chunk.len());
+            let valid = word & live;
+            if valid == live {
+                self.fold(chunk);
+                continue;
+            }
+            // A NULL row's stored value is no value of the column: it
+            // stands in as a valid row of the same word, which moves
+            // neither bound. (Most words hold a NULL or two, so this
+            // patches a copy rather than testing every row.)
+            let Some(&fill) = chunk.get(lowest_bit(valid)) else {
+                continue; // every row NULL
+            };
+            let patched = &mut patched[..chunk.len()];
+            patched.copy_from_slice(chunk);
+            let mut holes = !valid & live;
+            while holes != 0 {
+                if let Some(slot) = patched.get_mut(lowest_bit(holes)) {
+                    *slot = fill;
+                }
+                holes &= holes - 1;
+            }
+            self.fold(patched);
+        }
+    }
+
+    /// The range the values folded so far span; crossed bounds (no valid
+    /// row yet) make an empty one.
+    fn range(&self, nulls: bool) -> KeyRange {
+        let lo = self.lo.into_iter().min().unwrap_or(T::GREATEST);
+        let hi = self.hi.into_iter().max().unwrap_or(T::LEAST);
+        if lo > hi {
+            return KeyRange {
+                nulls,
+                ..KeyRange::EMPTY
+            };
+        }
+        KeyRange {
+            lo: lo.ordinal(),
+            hi: hi.ordinal(),
+            nulls,
         }
     }
 }
@@ -224,6 +450,7 @@ mod tests {
             spec: SortSpec::ASC,
             prefix_len: 3,
             truncatable: true,
+            range: None,
         };
         let a = encode_one(&Value::from("abcX"), &col);
         let b = encode_one(&Value::from("abcY"), &col);
@@ -337,6 +564,80 @@ mod tests {
         let mut ranged = vec![0u8; w];
         encode_column_range_into(&vec, &col, &mut ranged, w, 0, 0, 2, 3);
         assert_eq!(&ranged[..], &whole[2 * w..]);
+    }
+
+    fn i32_vector(values: &[Option<i32>]) -> Vector {
+        let mut v = Vector::new(T::Int32);
+        for x in values {
+            v.push(&x.map_or(Value::Null, Value::Int32)).unwrap();
+        }
+        v
+    }
+
+    #[test]
+    fn key_range_reads_valid_rows_only() {
+        // 150 rows over three validity words, NULLs in two of them; a
+        // NULL row's stored value never moves a bound.
+        let rows: Vec<Option<i32>> = (0..150)
+            .map(|i| (i % 7 != 3 && i < 140).then_some(i - 40))
+            .collect();
+        let r = key_range(&i32_vector(&rows)).unwrap();
+        assert_eq!(
+            (r.lo, r.hi, r.nulls),
+            ((-40i32).ordinal(), 99i32.ordinal(), true)
+        );
+        let dense: Vec<Option<i32>> = (0..150).map(|i| Some(i * 3)).collect();
+        let r = key_range(&i32_vector(&dense)).unwrap();
+        assert_eq!(
+            (r.lo, r.hi, r.nulls),
+            (0i32.ordinal(), 447i32.ordinal(), false)
+        );
+        // All NULL, and no rows: the bounds stay crossed.
+        let r = key_range(&i32_vector(&[None; 70])).unwrap();
+        assert_eq!(
+            r,
+            KeyRange {
+                nulls: true,
+                ..KeyRange::EMPTY
+            }
+        );
+        assert_eq!(key_range(&i32_vector(&[])), Some(KeyRange::EMPTY));
+        // A materialized mask with every bit set has no NULL.
+        let mut validity = Validity::new_valid(3);
+        validity.set_invalid(1);
+        validity.set_valid(1);
+        let restored = Vector::from_parts(VectorData::Int32(vec![5, -2, 9]), validity).unwrap();
+        assert!(restored.validity().words().is_some());
+        assert_eq!(key_range(&restored).map(|r| r.nulls), Some(false));
+        assert_eq!(key_range(&Vector::from_strings(["a"])), None);
+    }
+
+    #[test]
+    fn ranged_column_encoding_matches_value_encoding() {
+        let rows: Vec<Option<i32>> = (0..200)
+            .map(|i| (i % 5 != 0).then_some((i * 37) % 300 - 150))
+            .collect();
+        let vec = i32_vector(&rows);
+        let range = key_range(&vec).unwrap();
+        for spec in [
+            SortSpec::ASC,
+            SortSpec::DESC,
+            SortSpec::new(SortOrder::Ascending, NullOrder::NullsFirst),
+            SortSpec::new(SortOrder::Descending, NullOrder::NullsFirst),
+        ] {
+            let col = KeyColumn::ranged(T::Int32, spec, range);
+            assert_eq!(col.encoded_width(), 2, "{spec:?}");
+            // Rows 3.. of the vector at key row 1, after a 3-byte column.
+            let stride = 3 + col.encoded_width() + 4;
+            let mut out = vec![0xAAu8; 200 * stride];
+            encode_column_range_into(&vec, &col, &mut out, stride, 3, 1, 3, 200);
+            assert_eq!(out[..stride], vec![0xAA; stride][..], "row 0 untouched");
+            for i in 3..200 {
+                let at = (i - 2) * stride + 3;
+                let got = &out[at..at + col.encoded_width()];
+                assert_eq!(got, encode_one(&vec.get(i), &col), "{spec:?} row {i}");
+            }
+        }
     }
 
     #[test]

@@ -114,6 +114,13 @@ impl Validity {
         }
     }
 
+    /// The mask 64 rows a word — bit `i % 64` of word `i / 64` is row `i`
+    /// — or `None` when no row was ever made NULL. Bits at and past
+    /// [`Validity::len`] are set. For scans that test a word at a time.
+    pub fn words(&self) -> Option<&[u64]> {
+        self.words.as_deref()
+    }
+
     /// Number of NULL rows.
     pub fn count_invalid(&self) -> usize {
         match &self.words {
