@@ -219,7 +219,7 @@ fn msd_with_scratch<P: Probe>(
 
 /// One stable counting-scatter of rows `start..end` from `src` into `dst`
 /// by the byte at `byte`, each row moved by [`copy_row`] (key entries are
-/// 5–36 bytes, where a `memcpy` call per row costs more than the copy).
+/// 5–41 bytes, where a `memcpy` call per row costs more than the copy).
 #[expect(
     clippy::too_many_arguments,
     reason = "one pass over one bucket: the buffers, its bounds and counts, and the probe"
@@ -444,7 +444,7 @@ mod tests {
         // must keep their input order, which the stable `sort_by` oracle
         // compares whole rows for.
         let mut rng = rowsort_testkit::Rng::seed_from_u64(0x5CA7_7E12);
-        for stride in 1..=40usize {
+        for stride in 1..=72usize {
             let key_offset = stride / 5;
             let key_len = ((stride - key_offset) * 2 / 3).max(1);
             let data: Vec<u8> = (0..600 * stride)

@@ -16,11 +16,18 @@ pub fn word<const N: usize>(s: &[u8], at: usize) -> [u8; N] {
 
 /// Copy one row: `dst.copy_from_slice(src)` for equal-length slices, with
 /// two overlapping fixed-width moves instead of a `memcpy` call when the
-/// row holds 4 to 32 bytes. Run generation moves every row this way —
-/// radix scatter, key strip, payload reorder — and so does the merge's
-/// sink: rows there are 5 to 32 bytes, where the call and its length
-/// dispatch cost more than the copy. Below 4 bytes and above 32 it is
-/// `copy_from_slice`.
+/// row holds 4 to 64 bytes. Run generation moves every row this way —
+/// radix scatter, key strip, payload reorder, the strings of a run laid
+/// out in run order — and so does the merge's sink: rows there are 5 to
+/// 48 bytes (`strings_mem`'s key entries are 41, its payload rows 48),
+/// where the call and its length dispatch cost more than the copy. Below
+/// 4 bytes and above 64 it is `copy_from_slice`.
+///
+/// Always inlined: its callers copy rows of one width in a loop, where the
+/// length dispatch inlined beside the loop is settled by the branch
+/// predictor, and an outlined copy costs a call per row. (With the
+/// 33–64-byte case added, plain `#[inline]` left the LSD scatter calling
+/// it, and `ints_mem` spent about 5 % more CPU per query.)
 ///
 /// ```
 /// let src = *b"0123456789";
@@ -28,7 +35,7 @@ pub fn word<const N: usize>(s: &[u8], at: usize) -> [u8; N] {
 /// rowsort_algos::rows::copy_row(&mut dst, &src);
 /// assert_eq!(dst, src);
 /// ```
-#[inline]
+#[inline(always)]
 pub fn copy_row(dst: &mut [u8], src: &[u8]) {
     debug_assert_eq!(dst.len(), src.len());
     let n = src.len();
@@ -44,6 +51,10 @@ pub fn copy_row(dst: &mut [u8], src: &[u8]) {
         let (a, b) = (word::<4>(src, 0), word::<4>(src, n - 4));
         dst[..4].copy_from_slice(&a);
         dst[n - 4..].copy_from_slice(&b);
+    } else if (33..=64).contains(&n) {
+        let (a, b) = (word::<32>(src, 0), word::<32>(src, n - 32));
+        dst[..32].copy_from_slice(&a);
+        dst[n - 32..].copy_from_slice(&b);
     } else {
         dst.copy_from_slice(src);
     }
@@ -220,10 +231,10 @@ mod tests {
         // or stored to the wrong place shows; every length the kernel
         // splits on, at source and destination offsets that leave no load
         // or store aligned.
-        let src: Vec<u8> = (0..80u8).map(|b| b.wrapping_mul(37) ^ 0x5A).collect();
-        for n in 0..=64 {
+        let src: Vec<u8> = (0..88u8).map(|b| b.wrapping_mul(37) ^ 0x5A).collect();
+        for n in 0..=72 {
             for (from, to) in [(0, 0), (1, 3), (3, 1), (7, 5), (5, 13)] {
-                let mut want = vec![0xEEu8; 80];
+                let mut want = vec![0xEEu8; 88];
                 let mut got = want.clone();
                 want[to..to + n].copy_from_slice(&src[from..from + n]);
                 copy_row(&mut got[to..to + n], &src[from..from + n]);

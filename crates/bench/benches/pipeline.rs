@@ -13,11 +13,12 @@
 //! numbers measure the *steady state*: with the buffer pool and persistent
 //! worker pool, iterations after the first run allocation-free.
 //!
-//! After the timed ids it prints the merge phase per fan-in (2, 8 and
-//! `widekey_ovc`'s 64–65 runs) as ns per row and as a share of `memcpy`
-//! speed, then run generation's five stage clocks for `u32_t1`,
-//! `longstr_t1` and `catalog_t1` (`catalog_spill`'s four nullable INT
-//! keys) in ns per row — reports, never a gate.
+//! After the timed ids it prints the merge phase per fan-in (2, 8,
+//! `widekey_ovc`'s 64–65 runs, and `customer`'s 3 runs of rows with
+//! two strings each) as ns per row and as a share of `memcpy` speed,
+//! then run generation's five stage clocks for `u32_t1`, `longstr_t1`,
+//! `catalog_t1` (`catalog_spill`'s four nullable INT keys) and
+//! `customer` in ns per row — reports, never a gate.
 
 use rowsort_bench::{long_string_chunk, u32_chunk, wide_key_chunk, LONGSTR_STEM, TIEDSTR_STEM};
 use rowsort_core::metrics::{Counter, Phase, RUN_STAGES};
@@ -157,6 +158,16 @@ fn column_bytes(chunk: &DataChunk) -> usize {
     chunk.columns().iter().map(bytes).sum()
 }
 
+/// `tpcds::customer` and the order `bench_gate`'s `engine/` ids sort it
+/// by (last name, first name, birth year): rows that carry two strings
+/// each, which the merge copies out of its runs' heaps. (Its three
+/// leading columns would sort by `c_customer_sk`, which the table is
+/// already in, so no run would read its strings out of order.)
+fn customer_chunk(n: usize) -> (DataChunk, OrderBy) {
+    let order = [2, 1, 3].map(OrderByColumn::asc).to_vec();
+    (tpcds::customer(n, 0x000F_1617).data, OrderBy::new(order))
+}
+
 /// Best of five single-threaded merge phases per fan-in, in ns per row,
 /// and as a share of copy speed: the time one `copy_from_slice` of the
 /// bytes the merge writes takes, over the merge phase's time (which
@@ -167,19 +178,21 @@ fn report_merge_fan_in(_: &mut Harness) {
     // The timed ids' inputs (seeds 0xF1612 and 0xF1614).
     let u32s = u32_chunk(n, 0x000F_1612 ^ n as u64, false);
     let wide = wide_key_chunk(n, 0x000F_1614);
+    let (customer, by_name) = customer_chunk(n);
     let cases = [
-        ("u32", &u32s, 1, n.div_ceil(2)),
-        ("u32", &u32s, 1, n.div_ceil(8)),
-        ("widekey_ovc", &wide, 3, (n / 64).max(1)),
+        ("u32", &u32s, OrderBy::ascending(1), n.div_ceil(2)),
+        ("u32", &u32s, OrderBy::ascending(1), n.div_ceil(8)),
+        ("widekey_ovc", &wide, OrderBy::ascending(3), (n / 64).max(1)),
+        ("customer", &customer, by_name, n.div_ceil(3)),
     ];
     println!("merge phase by fan-in, {n} rows, 1 thread (best of {TRIALS}):");
-    for (id, chunk, key, run_rows) in cases {
+    for (id, chunk, order, run_rows) in cases {
         let options = SortOptions {
             threads: 1,
             run_rows,
             ovc: true,
         };
-        let pipeline = SortPipeline::new(chunk.types(), OrderBy::ascending(key), options);
+        let pipeline = SortPipeline::new(chunk.types(), order, options);
         drop(pipeline.sort(chunk));
         let mut merge_ns = u64::MAX;
         for _ in 0..TRIALS {
@@ -209,10 +222,11 @@ fn report_merge_fan_in(_: &mut Harness) {
     }
 }
 
-/// Run generation stage by stage for `u32_t1`, `longstr_t1` and
-/// `catalog_t1`, at one thread: each stage's clock (`RUN_STAGES`), best of
-/// five sorts, in ns per row, and the key each planned. A report, never a
-/// gate.
+/// Run generation stage by stage for `u32_t1`, `longstr_t1`,
+/// `catalog_t1` and `customer` (3 runs, so the reorder lays out every
+/// run's strings in run order), at one thread: each stage's clock
+/// (`RUN_STAGES`), best of five sorts, in ns per row, and the key each
+/// planned. A report, never a gate.
 fn report_run_stages(_: &mut Harness) {
     const TRIALS: usize = 5;
     let n = sizes()[0];
@@ -220,6 +234,7 @@ fn report_run_stages(_: &mut Harness) {
     // `catalog_spill`'s shape: four nullable INT keys, range-coded in 5
     // bytes where the plain key takes 20, in 16 runs.
     let catalog_rows = n.min(1_000_000) / 2;
+    let (customer, by_name) = customer_chunk(n.min(1_000_000));
     let cases = [
         (
             "u32_t1",
@@ -239,6 +254,7 @@ fn report_run_stages(_: &mut Harness) {
             OrderBy::new((1..=4).map(OrderByColumn::asc).collect()),
             (catalog_rows / 16).max(1),
         ),
+        ("customer", customer, by_name, n.min(1_000_000).div_ceil(3)),
     ];
     println!("run generation by stage, 1 thread, ns/row (best of {TRIALS}):");
     for (id, chunk, order, run_rows) in cases {

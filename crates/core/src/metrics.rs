@@ -101,7 +101,8 @@ metric_enum! {
         SortCalls => "sort_calls",
         /// Input rows across all sort calls.
         RowsSorted => "rows_sorted",
-        /// Bytes staged, encoded, reordered, or merged (row + key areas).
+        /// Bytes staged, encoded, reordered, or merged (row + key areas),
+        /// and the strings a streamed run lays out in run order.
         BytesMoved => "bytes_moved",
         /// Buffer-pool requests served from a free list.
         PoolHits => "pool_hits",

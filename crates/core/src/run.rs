@@ -11,7 +11,7 @@ use crate::metrics::Counter;
 use crate::pool::SortPool;
 use crate::sorter::SorterCore;
 use rowsort_normkey::{key_range, KeyColumn, DEFAULT_MAX_PREFIX};
-use rowsort_row::{reorder_rows, RowBlock};
+use rowsort_row::{reorder_heap, reorder_rows, RowBlock};
 use rowsort_vector::{DataChunk, LogicalType, OrderBy, StringVec, Vector};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
@@ -318,16 +318,17 @@ impl KeyPlan {
 
 impl SorterCore {
     /// Build one sorted run from input rows `lo..hi` with `plan`'s key
-    /// blocks, every buffer from `pool`. `with_codes` asks for the run's
-    /// code column; it is produced only when the sorter's `ovc` option is
-    /// on and the key is not zero-width.
+    /// blocks, every buffer from `pool`. `streamed` says a merge or the
+    /// run-file encoder will read the run front to back: it then gets its
+    /// code column (only when the sorter's `ovc` option is on and the key
+    /// is not zero-width) and its strings laid out in run order.
     pub(crate) fn make_run(
         &self,
         pool: SortPool<'_>,
         plan: &KeyPlan,
         input: &DataChunk,
         (lo, hi): (usize, usize),
-        with_codes: bool,
+        streamed: bool,
     ) -> SortedRun {
         let rows = hi - lo;
         let width = self.layout.width();
@@ -396,7 +397,7 @@ impl SorterCore {
         // OVC column, computed while the freshly sorted keys are hot:
         // one prefix scan per row here saves a full-key compare per merge
         // comparison later (DESIGN.md §10.2).
-        let run_ovc = if with_codes && self.coded(key_width) {
+        let run_ovc = if streamed && self.coded(key_width) {
             let mut ovc = pool.get_bytes(rows * 8);
             ovc.resize(rows * 8, 0);
             crate::ovc::fill_run_codes(&run_keys, key_width, &mut ovc);
@@ -407,21 +408,34 @@ impl SorterCore {
         lap(Counter::RunStripCodeNs);
 
         // The payload in key order. Its rows' heap offsets are absolute, so
-        // the reordered rows keep the staging heap: it becomes the run's.
+        // the reordered rows can keep the staging heap, which holds their
+        // strings in input order. A lone resident run does: it goes to
+        // output as it is. A run a merge or the encoder reads takes its
+        // strings in run order instead, so that reader copies them front
+        // to back rather than with a cache miss per string.
         let mut payload_rows = pool.get_bytes(rows * width);
         reorder_rows(&mut payload_rows, staging.data(), width, keys.order_iter());
         let (staging_data, staging_heap) = staging.into_raw_parts();
         pool.put_bytes(staging_data);
-        let payload =
-            RowBlock::from_raw_parts(Arc::clone(&self.layout), payload_rows, staging_heap);
+        let (heap, heap_moved) = if streamed && !self.varlen_cols.is_empty() {
+            let mut heap = pool.get_bytes(staging_heap.len());
+            reorder_heap(&mut payload_rows, &self.layout, &staging_heap, &mut heap);
+            pool.put_bytes(staging_heap);
+            let moved = heap.len();
+            (heap, moved)
+        } else {
+            (staging_heap, 0)
+        };
+        let payload = RowBlock::from_raw_parts(Arc::clone(&self.layout), payload_rows, heap);
         lap(Counter::RunReorderNs);
 
         self.metrics.add(Counter::RunsGenerated, 1);
         // Staged rows + encoded key entries + stripped keys + reordered
-        // payload: the bytes this run wrote.
+        // payload + the strings laid out in run order, if they were: the
+        // bytes this run wrote.
         self.metrics.add(
             Counter::BytesMoved,
-            (rows * (2 * width + keys.stride() + key_width)) as u64,
+            (rows * (2 * width + keys.stride() + key_width) + heap_moved) as u64,
         );
         key_blocks
             .lock()
@@ -439,6 +453,7 @@ impl SorterCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resources::SortResources;
     use rowsort_normkey::{KeyRange, Ordinal};
     use rowsort_vector::{OrderByColumn, Value};
 
@@ -606,6 +621,98 @@ mod tests {
         );
         assert_eq!(stats[3], range(1i32.ordinal(), 2i32.ordinal(), false));
         assert_eq!(stats[4], KeyStat::Plain);
+    }
+
+    #[test]
+    fn a_streamed_run_takes_its_strings_in_run_order_and_a_lone_one_adopts_them() {
+        // A VARCHAR key with a NULL and an empty string, the input row as
+        // an INT, and a VARCHAR payload with NULLs: every VARCHAR slot of
+        // a run must name its own row's string.
+        let strings = |values: &[Option<&str>]| {
+            let values: Vec<Value> = values
+                .iter()
+                .map(|v| v.map_or(Value::Null, Value::from))
+                .collect();
+            Vector::from_values(LogicalType::Varchar, &values).unwrap()
+        };
+        let key = strings(&[
+            Some("mike"),
+            Some("alpha"),
+            None,
+            Some("zulu"),
+            Some("echo"),
+            Some(""),
+        ]);
+        let ids = Vector::from_u32s((0..6).collect());
+        let payload = strings(&[
+            Some("mike's payload"),
+            None,
+            Some("nulls key"),
+            Some("z-long-payload"),
+            None,
+            Some("e"),
+        ]);
+        let input = DataChunk::from_columns(vec![key, ids, payload]).unwrap();
+        let (types, order) = (input.types(), OrderBy::ascending(1));
+        let core = SorterCore::new(types.clone(), order.clone(), 6, true, SortResources::new(1));
+        let mut plan = KeyPlan::default();
+        plan.plan(&types, &order, &input, &|phase| phase(0));
+        let staged = |c: usize| input.column(c).as_strings().unwrap().range_bytes(0, 6);
+        let staged_heap = staged(0) + staged(2);
+        // The strings a heap holds column by column, rows in `rows` order.
+        let laid_out = |rows: &[usize]| {
+            let mut heap = Vec::new();
+            for c in [0, 2] {
+                for &r in rows {
+                    if input.column(c).is_valid(r) {
+                        heap.extend_from_slice(input.column(c).as_strings().unwrap().get_bytes(r));
+                    }
+                }
+            }
+            heap
+        };
+        let mut moved = [0; 2];
+        for streamed in [false, true] {
+            let before = core.metrics.snapshot().counter(Counter::BytesMoved);
+            let run = core.make_run(core.pool(), &plan, &input, (0, 6), streamed);
+            moved[usize::from(streamed)] =
+                core.metrics.snapshot().counter(Counter::BytesMoved) - before;
+            let block = &run.payload;
+            let input_row = |i: usize| match block.value(i, 1) {
+                Value::UInt32(r) => r as usize,
+                other => panic!("row id {other:?}"),
+            };
+            let rows: Vec<usize> = (0..block.len()).map(input_row).collect();
+            assert_eq!(rows.len(), 6);
+            for (i, &r) in rows.iter().enumerate() {
+                for c in [0, 2] {
+                    assert_eq!(
+                        block.value(i, c),
+                        input.column(c).get(r),
+                        "row {i}, column {c}"
+                    );
+                }
+            }
+            if streamed {
+                // Contiguous, in row order, one column after the other; a
+                // NULL takes no bytes and keeps the slot the scatter wrote.
+                assert_eq!(block.heap(), laid_out(&rows));
+                assert_eq!(block.heap().len(), staged_heap);
+                for c in [0, 2] {
+                    let slot = core.layout.offset(c);
+                    for i in (0..block.len()).filter(|&i| block.is_null(i, c)) {
+                        assert_eq!(block.row(i)[slot..slot + 8], [0; 8], "row {i}, column {c}");
+                    }
+                }
+            } else {
+                // A lone resident run keeps the heap the rows were staged
+                // into: the strings in input order.
+                assert_eq!(block.heap(), laid_out(&(0..6).collect::<Vec<_>>()));
+            }
+            run.recycle(core.pool());
+        }
+        // Only the copy of the strings tells the two apart.
+        assert_eq!(moved[1], moved[0] + staged_heap as u64);
     }
 
     #[test]

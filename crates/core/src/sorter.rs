@@ -50,8 +50,10 @@ pub(crate) trait StoredRun: Send + Sync + 'static {
         Self: 'r;
     /// Most workers that build runs of this kind at once.
     const BUILDERS: usize;
-    /// Whether a sort of one run codes it. A merge of one run plays no
-    /// match, but a run file's format may carry the codes anyway.
+    /// Whether a sort of one run codes it and lays its strings out in run
+    /// order. A merge of one run plays no match, but a run file's format
+    /// may carry the codes anyway, and its encoder reads the run front to
+    /// back.
     const LONE_RUN_CODED: bool;
 
     /// The run's splitter candidates: its keys at [`sample_positions`].
@@ -351,9 +353,10 @@ impl SorterCore {
         if slots.len() < count {
             slots.resize_with(count, Default::default);
         }
-        // A lone resident run goes straight to output without a merge, so
-        // its code column would have no reader.
-        let with_codes = count > 1 || R::LONE_RUN_CODED;
+        // A lone resident run goes straight to output without a merge: no
+        // reader takes it front to back, so it needs no code column and no
+        // heap in run order.
+        let streamed = count > 1 || R::LONE_RUN_CODED;
         let next = AtomicUsize::new(0);
         let failed = AtomicBool::new(false);
         let slots = &slots[..count];
@@ -368,7 +371,7 @@ impl SorterCore {
                 }
                 let (lo, claimed) = (i * run_rows, Instant::now());
                 let rows = (lo, (lo + run_rows).min(n));
-                let placed = place(self.make_run(pool, plan, input, rows, with_codes), claimed);
+                let placed = place(self.make_run(pool, plan, input, rows, streamed), claimed);
                 failed.fetch_or(placed.is_err(), AtomicOrdering::SeqCst);
                 *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(placed);
             }

@@ -60,11 +60,14 @@ fn sort_keyed(
     (sorted, profile.metrics, profile.key_width as usize)
 }
 
-/// Bytes one row costs run generation: staged row, encoded key entry
-/// with its 4-byte row id, stripped key, reordered row.
+/// Bytes run generation writes when every run is merged: per row the
+/// staged row, encoded key entry with its 4-byte row id, stripped key and
+/// reordered row, and every string once more, laid out in run order.
 fn run_generation_bytes(chunk: &DataChunk, key_width: usize) -> u64 {
     let width = RowLayout::new(&chunk.types()).width();
-    (2 * width + (key_width + 4) + key_width) as u64
+    let per_row = (2 * width + (key_width + 4) + key_width) * chunk.len();
+    let strings = chunk.columns().iter().filter_map(|col| col.as_strings());
+    (per_row + strings.map(|s| s.total_bytes()).sum::<usize>()) as u64
 }
 
 /// Bytes the merge writes to the output columns, which hold what the
@@ -150,7 +153,7 @@ fn coded_merge_moves_each_row_once_at_any_thread_count() {
             // The same at every thread count.
             assert_eq!(
                 m.counter(Counter::BytesMoved),
-                rows * run_generation + column_bytes(&chunk),
+                run_generation + column_bytes(&chunk),
                 "{what}: bytes moved"
             );
             let ranges = ranges_for(threads, chunk.len());

@@ -46,7 +46,9 @@ pub(crate) fn heap_base(len: usize) -> u32 {
 /// touch memory sequentially — the cache-locality property the paper
 /// measures. Variable-length values live in `heap`; rows store
 /// `(offset, len)` slots, so physically reordering rows never touches the
-/// heap.
+/// heap — except where a sorted run is about to be merged or encoded:
+/// there the sorter lays the heap out again in run order
+/// ([`reorder_heap`]), so its reader takes the strings front to back.
 #[derive(Debug, Clone)]
 pub struct RowBlock {
     layout: Arc<RowLayout>,
@@ -428,6 +430,45 @@ pub fn reorder_rows(
     }
 }
 
+/// Copy the strings `rows` name out of `src` into `dst` (cleared first)
+/// in the order of the rows, one VARCHAR column after the other, and
+/// point each slot at its string's new place: the heap of a reordered run
+/// in run order, so whoever reads the run row by row reads its strings
+/// front to back. Column by column, because each pass then reads only
+/// one column's region of the source heap (row by row, the copy measured
+/// about 1.5× slower, and the reader gained nothing more). NULL slots
+/// keep their bytes and take none of the heap; rows scattered from
+/// vectors name each heap byte once, so `dst` ends as long as `src`.
+///
+/// # Panics
+/// If a slot does not lie inside `src`, or `dst` would pass 4 GiB.
+pub fn reorder_heap(rows: &mut [u8], layout: &RowLayout, src: &[u8], dst: &mut Vec<u8>) {
+    dst.clear();
+    dst.resize(src.len(), 0);
+    let width = layout.width();
+    let mut at = 0;
+    let types = layout.types().iter().enumerate();
+    for (col, _) in types.filter(|(_, &ty)| ty == LogicalType::Varchar) {
+        let (slot, null) = (layout.offset(col), layout.null_offset(col));
+        for row in rows.chunks_exact_mut(width) {
+            if row[null] != 0 {
+                continue;
+            }
+            let off = u32::from_le_bytes(read_array(row, slot)) as usize;
+            let len = u32::from_le_bytes(read_array(row, slot + 4)) as usize;
+            let string = &src[off..off + len];
+            let end = at + len;
+            if end > dst.len() {
+                dst.resize(end, 0);
+            }
+            copy_row(&mut dst[at..end], string);
+            row[slot..slot + 4].copy_from_slice(&heap_base(at).to_le_bytes());
+            at = end;
+        }
+    }
+    dst.truncate(at);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -712,6 +753,27 @@ mod tests {
         let expected = ["hello", "ell", "hello"].map(Value::from);
         assert_eq!(got[..3], expected);
         assert_eq!(got[3..], [Value::Null, Value::from("ell")]);
+    }
+
+    #[test]
+    fn reorder_heap_lays_out_named_strings_in_row_order() {
+        // Rows that share heap bytes name more than the heap holds: the
+        // new heap grows to fit. The NULL row's garbage slot stays as it
+        // is and takes nothing.
+        let block = raw_string_block(b"hello", &[Some((1, 3)), None, Some((0, 5))]);
+        let layout = Arc::clone(block.layout());
+        let (mut rows, heap) = block.clone().into_raw_parts();
+        let mut ordered = vec![0xAA; 3];
+        reorder_heap(&mut rows, &layout, &heap, &mut ordered);
+        assert_eq!(ordered, b"ellhello");
+        let ordered = RowBlock::from_raw_parts(Arc::clone(&layout), rows, ordered);
+        assert_eq!(ordered.row(1), block.row(1));
+        let slot = layout.offset(0);
+        let offsets: Vec<u32> = [0, 2]
+            .map(|r| u32::from_le_bytes(read_array(ordered.row(r), slot)))
+            .to_vec();
+        assert_eq!(offsets, [0, 3]);
+        assert_eq!(ordered.to_chunk(), block.to_chunk());
     }
 
     #[test]

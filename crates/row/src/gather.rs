@@ -32,9 +32,11 @@ use rowsort_vector::{DataChunk, LogicalType, StringVec, Validity, Vector, Vector
 /// 128 / 256 / 512 / 1024 rows (EXPERIMENTS.md, PR 20): 500 000
 /// `catalog_sales` rows 7.2–7.8 / 6.9–7.3 / 6.9–7.1 / 6.5–6.7 / 6.4–6.7 /
 /// 6.6–6.8 ms; 1 M 16-byte rows 5.4–7.0 / 5.6–6.2 / 5.0–5.4 / 5.5–5.6 /
-/// 5.4–5.8 / 6.1 ms; on 300 000 `customer_email` rows the random heap reads
-/// (15–27 ms, whatever the batch) bury the difference. Flat from 128 to
-/// 512; 256 is the middle of it.
+/// 5.4–5.8 / 6.1 ms; on 300 000 sorted `customer_email` rows with their
+/// heap in input order the random heap reads (15–27 ms, whatever the
+/// batch) bury the difference. Flat from 128 to 512; 256 is the middle of
+/// it. A merged run's heap is in run order (DESIGN.md §11.1), where those
+/// reads are sequential; the batch was not re-measured on that shape.
 pub const BATCH_ROWS: usize = 256;
 
 /// A VARCHAR slot whose `(offset, len)` does not lie inside the heap it

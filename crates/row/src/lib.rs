@@ -20,7 +20,7 @@ pub mod convert;
 pub mod gather;
 pub mod layout;
 
-pub use block::{heap_offset, reorder_rows, RowBlock, HEAP_OVERFLOW};
+pub use block::{heap_offset, reorder_heap, reorder_rows, RowBlock, HEAP_OVERFLOW};
 pub use convert::{gather, scatter};
 pub use gather::{ChunkBuilder, ChunkPiece, PieceTail, BAD_STRING_SLOT, BATCH_ROWS};
 pub use layout::{RowAlignment, RowLayout};
