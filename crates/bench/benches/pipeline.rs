@@ -14,11 +14,13 @@
 //! worker pool, iterations after the first run allocation-free.
 //!
 //! After the timed ids it prints the merge phase per fan-in (2, 8,
-//! `widekey_ovc`'s 64–65 runs, and `customer`'s 3 runs of rows with
-//! two strings each) as ns per row and as a share of `memcpy` speed,
-//! then run generation's five stage clocks for `u32_t1`, `longstr_t1`,
-//! `catalog_t1` (`catalog_spill`'s four nullable INT keys) and
-//! `customer` in ns per row — reports, never a gate.
+//! `widekey_ovc`'s 64–65 runs, `catalog_t1`'s 16 runs of five INT
+//! columns, and `customer`'s 3 runs of rows with two strings each) as ns
+//! per row and as a share of `memcpy` speed, then run generation's five
+//! stage clocks for `u32_t1`, `u32x2_t1` (an 8-byte key, the one width
+//! that is both short and offset-value coded), `longstr_t1`, `catalog_t1`
+//! (`catalog_spill`'s four nullable INT keys) and `customer` in ns per
+//! row — reports, never a gate.
 
 use rowsort_bench::{long_string_chunk, u32_chunk, wide_key_chunk, LONGSTR_STEM, TIEDSTR_STEM};
 use rowsort_core::metrics::{Counter, Phase, RUN_STAGES};
@@ -168,6 +170,12 @@ fn customer_chunk(n: usize) -> (DataChunk, OrderBy) {
     (tpcds::customer(n, 0x000F_1617).data, OrderBy::new(order))
 }
 
+/// `catalog_spill`'s order: `catalog_sales` by its four nullable INT
+/// columns, range-coded in 5 bytes.
+fn catalog_order() -> OrderBy {
+    OrderBy::new((1..=4).map(OrderByColumn::asc).collect())
+}
+
 /// Best of five single-threaded merge phases per fan-in, in ns per row,
 /// and as a share of copy speed: the time one `copy_from_slice` of the
 /// bytes the merge writes takes, over the merge phase's time (which
@@ -178,11 +186,15 @@ fn report_merge_fan_in(_: &mut Harness) {
     // The timed ids' inputs (seeds 0xF1612 and 0xF1614).
     let u32s = u32_chunk(n, 0x000F_1612 ^ n as u64, false);
     let wide = wide_key_chunk(n, 0x000F_1614);
+    // `catalog_spill`'s shape in memory: a 5-byte key that is its own
+    // merge code, as `u32`'s 4-byte one is, over rows of five INT columns.
+    let catalog = tpcds::catalog_sales(n, 10.0, 0x000F_1616).data;
     let (customer, by_name) = customer_chunk(n);
     let cases = [
         ("u32", &u32s, OrderBy::ascending(1), n.div_ceil(2)),
         ("u32", &u32s, OrderBy::ascending(1), n.div_ceil(8)),
         ("widekey_ovc", &wide, OrderBy::ascending(3), (n / 64).max(1)),
+        ("catalog_t1", &catalog, catalog_order(), n.div_ceil(16)),
         ("customer", &customer, by_name, n.div_ceil(3)),
     ];
     println!("merge phase by fan-in, {n} rows, 1 thread (best of {TRIALS}):");
@@ -222,11 +234,12 @@ fn report_merge_fan_in(_: &mut Harness) {
     }
 }
 
-/// Run generation stage by stage for `u32_t1`, `longstr_t1`,
-/// `catalog_t1` and `customer` (3 runs, so the reorder lays out every
-/// run's strings in run order), at one thread: each stage's clock
-/// (`RUN_STAGES`), best of five sorts, in ns per row, and the key each
-/// planned. A report, never a gate.
+/// Run generation stage by stage for `u32_t1`, `u32x2_t1` (two random
+/// u32 columns: an 8-byte key, whose code column `strip+code` fills),
+/// `longstr_t1`, `catalog_t1` and `customer` (3 runs, so the reorder lays
+/// out every run's strings in run order), at one thread: each stage's
+/// clock (`RUN_STAGES`), best of five sorts, in ns per row, and the key
+/// each planned. A report, never a gate.
 fn report_run_stages(_: &mut Harness) {
     const TRIALS: usize = 5;
     let n = sizes()[0];
@@ -243,6 +256,12 @@ fn report_run_stages(_: &mut Harness) {
             1 << 17,
         ),
         (
+            "u32x2_t1",
+            u32_chunk(n, 0x000F_1613, true),
+            OrderBy::ascending(2),
+            1 << 17,
+        ),
+        (
             "longstr_t1",
             long_string_chunk(long_rows, 0x000F_1615, LONGSTR_STEM),
             OrderBy::ascending(1),
@@ -251,7 +270,7 @@ fn report_run_stages(_: &mut Harness) {
         (
             "catalog_t1",
             tpcds::catalog_sales(catalog_rows, 10.0, 0x000F_1616).data,
-            OrderBy::new((1..=4).map(OrderByColumn::asc).collect()),
+            catalog_order(),
             (catalog_rows / 16).max(1),
         ),
         ("customer", customer, by_name, n.min(1_000_000).div_ceil(3)),

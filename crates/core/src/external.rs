@@ -78,7 +78,9 @@ const SPILL_MAGIC: [u8; 4] = *b"RSRN";
 const SPILL_VERSION: u16 = 3;
 
 /// Header flag bit 0: each record carries an 8-byte offset-value code
-/// (LE `u64`) between its key and its payload row.
+/// (LE `u64`) between its key and its payload row. Set where the sort
+/// stores codes: OVC on and a key of 8 bytes or more (a shorter key is
+/// its own code).
 const SPILL_FLAG_OVC: u16 = 1;
 
 /// Bytes of run-file header (magic ‖ version ‖ flags) before block 0's
@@ -324,7 +326,7 @@ impl StoredRun for Run {
 
     /// A cursor over the run's records between two of its cuts,
     /// positioned on the first; `kw`-byte keys, with a code per record if
-    /// the sorter codes them. The stored code of the first record is
+    /// the sorter stores codes for them. The stored code of the first record is
     /// relative to its predecessor, which a range starting inside the run
     /// does not hold, so it is re-coded against −∞ — the base the loser
     /// tree's leaves start from (for the run's first record the two
@@ -388,7 +390,7 @@ impl StoredRun for Run {
             code: 0,
             kw,
             width: core.layout.width(),
-            has_ovc: core.coded(kw),
+            has_ovc: core.codes(kw).stored(),
             arity: ovc::word_count(kw),
             decoded: 0,
             fetched: 0,
@@ -482,7 +484,8 @@ struct RunCursor<'a> {
     next: usize,
     /// Offset-value code of the head record, relative to the record
     /// before it in this range (the first record is coded against −∞).
-    /// Only meaningful when the run carries the OVC column.
+    /// Only meaningful when the run stores codes: a key of 7 bytes or
+    /// fewer is its own code, and its records carry none.
     code: u64,
     kw: usize,
     width: usize,
@@ -574,6 +577,12 @@ impl RunSource for RunCursor<'_> {
     #[inline]
     fn code(&self) -> u64 {
         self.code
+    }
+    /// A record's key is followed by at least its row's length word, and
+    /// the block by its hash: the 8-byte load never needs the padding.
+    #[inline]
+    fn key_window(&self) -> u64 {
+        ovc::key_window(&self.buf, self.rec)
     }
     #[inline]
     fn row(&self) -> &[u8] {
@@ -807,16 +816,17 @@ impl ExternalSorter {
     /// the run lands on disk or stays in memory; an error is `out`'s (and
     /// costs the pool that buffer).
     ///
-    /// With OVC enabled each record carries its offset-value code relative
-    /// to the record before it — the run's code column, computed while
-    /// the keys were hot from the run sort, so the spill merge starts
-    /// with codes instead of deriving them.
+    /// Where the sort's merge codes are stored, each record carries its
+    /// offset-value code relative to the record before it — the run's
+    /// code column, computed while the keys were hot from the run sort, so
+    /// the spill merge starts with codes instead of deriving them. A key
+    /// of 7 bytes or fewer is its own code: its records carry none.
     fn encode_run(&self, run: &SortedRun, out: &mut dyn Write) -> io::Result<RunIndex> {
         let (layout, pool) = (&self.core.layout, self.core.pool());
         let mut buf = pool.get_bytes(BLOCK_BYTES);
         let width = layout.width();
         let kw = run.key_width;
-        let use_ovc = self.core.coded(kw);
+        let use_ovc = self.core.codes(kw).stored();
         let fixed = kw + if use_ovc { 8 } else { 0 } + width + 4;
         let mut index = RunIndex {
             rows: run.len(),
@@ -976,7 +986,8 @@ mod tests {
     use super::*;
     use crate::comparator::FusedRowComparator;
     use crate::keys::KeyBlock;
-    use crate::merge::{merge_kway, MemSource, MergeStats, VectorSink};
+    use crate::merge::{merge_coded, MemSource, MergeStats, VectorSink};
+    use crate::ovc::MergeCodes;
     use crate::testutil::{assert_sorted_permutation, pseudo_random};
     use rowsort_algos::kway::OvcLoserTree;
     use rowsort_row::{ChunkBuilder, RowBlock};
@@ -1331,6 +1342,27 @@ mod tests {
         }
         assert!(cur.exhausted());
         assert_eq!(blocks_seen, run.index.blocks.len());
+
+        // A key of 7 bytes or fewer is its own merge code, and its records
+        // carry none: `catalog_spill`'s shape — five INT columns, keyed by
+        // four that range-code in 5 bytes — spills 41 bytes a record (the
+        // key, a 32-byte row, the length word of an empty segment) where
+        // an 8-byte code made it 49.
+        let catalog = rowsort_datagen::tpcds::catalog_sales(2_000, 10.0, 0x000F_1616).data;
+        let by = OrderBy::new((1..=4).map(OrderByColumn::asc).collect());
+        let options = ExternalSortOptions {
+            ovc: true,
+            ..Default::default()
+        };
+        let sorter = ExternalSorter::new(catalog.types(), by, options);
+        let sorted = whole_run(&sorter, &catalog);
+        assert_eq!((sorted.key_width, sorter.core.layout.width()), (5, 32));
+        assert!(sorted.ovc.is_empty(), "no code column");
+        let run = memory_run(&sorter, &sorted);
+        let bytes = bytes_of(&run);
+        assert_eq!(bytes[..HEADER_BYTES], header_bytes(false));
+        let framing = HEADER_BYTES + HASH_BYTES * run.index.blocks.len();
+        assert_eq!(bytes.len() - framing, 41 * catalog.len(), "41-byte records");
     }
 
     /// Under a small row budget every spilled run is individually sorted,
@@ -1882,8 +1914,15 @@ mod tests {
 
     // ---- the merge kernel across source kinds ---------------------------
 
-    /// Merge `sources` through the kernel into fresh columns of exactly
-    /// `rows` rows.
+    /// `key` left-aligned in a big-endian `u64`, byte by byte: what a key
+    /// of 7 bytes or fewer merges on.
+    fn key_as_code(key: &[u8]) -> u64 {
+        let byte = |(i, &b): (usize, &u8)| u64::from(b) << (56 - 8 * i);
+        key.iter().enumerate().map(byte).sum()
+    }
+
+    /// Merge `sources` through the kernel, on the codes the sorter
+    /// chooses, into fresh columns of exactly `rows` rows.
     fn kernel_merge<S: RunSource>(
         sorter: &ExternalSorter,
         order: &MergeOrder<'_>,
@@ -1895,12 +1934,9 @@ mod tests {
         let piece = builder.pieces(&core.layout, [rows], |_| 0).pop().unwrap();
         let mut sink = VectorSink::new(piece, core.pool());
         let mut tree = OvcLoserTree::empty();
-        let stats = if core.coded(order.kw) {
-            merge_kway::<true, _>(order, &mut tree, sources, rows, &mut sink)
-        } else {
-            merge_kway::<false, _>(order, &mut tree, sources, rows, &mut sink)
-        }
-        .expect("fault-free merge");
+        let codes = core.codes(order.kw);
+        let stats = merge_coded(codes, order, &mut tree, sources, rows, &mut sink)
+            .expect("fault-free merge");
         assert!(
             sources.iter().all(|s| s.exhausted()),
             "a source was left open"
@@ -1982,14 +2018,16 @@ mod tests {
                         .map(|run| MemSource::range(run, 0, run.len()))
                         .collect();
                     // A whole run's first head: −∞ is what it is stored against.
-                    for (src, run) in in_memory.iter().zip(&sorted).filter(|_| ovc) {
+                    let codes = sorter.core.codes(order.kw);
+                    for (src, run) in in_memory.iter().zip(&sorted).filter(|_| codes.stored()) {
                         assert_eq!(src.code(), ovc::read_code(&run.ovc, 0), "{what}");
                     }
                     let from_memory = kernel_merge(&sorter, &order, &mut in_memory, n);
 
                     // The same runs cut in two at a key (the median of the
-                    // longest run): every head is coded against −∞, and the
-                    // two ranges' merges concatenate to the whole one.
+                    // longest run): every head is coded against −∞ — or is
+                    // its own code, a key of 7 bytes or fewer — and the two
+                    // ranges' merges concatenate to the whole one.
                     let kw = order.kw;
                     let longest = sorted.iter().max_by_key(|r| r.len()).unwrap();
                     let mid = longest.len() / 2;
@@ -2007,7 +2045,13 @@ mod tests {
                             .map(|run| MemSource::range(run, span(run).0, span(run).1))
                             .collect();
                         for src in ranged.iter().filter(|s| !s.exhausted()) {
-                            assert_eq!(src.code(), ovc::initial_code(src.key(), arity), "{what}");
+                            let (head, want) = match codes {
+                                MergeCodes::Key => {
+                                    (src.key_window() & ovc::key_mask(kw), key_as_code(src.key()))
+                                }
+                                _ => (src.code(), ovc::initial_code(src.key(), arity)),
+                            };
+                            assert_eq!(head, want, "{what}");
                         }
                         let rows: usize = sorted.iter().map(|r| span(r).1 - span(r).0).sum();
                         let (half, _) = kernel_merge(&sorter, &order, &mut ranged, rows);
@@ -2042,6 +2086,158 @@ mod tests {
                         assert_eq!(from_memory.0, want, "{what}");
                     }
                     assert_eq!(from_memory.0.len(), want.len(), "{what}: row count");
+                }
+            }
+        }
+    }
+
+    /// Keys of every width from 1 to 8 bytes merge alike on key codes, on
+    /// offset-value codes and uncoded, from memory and from encoded runs:
+    /// the rows a stable merge by run index emits, after the same number
+    /// of comparisons. Each set of runs has an empty one among them, and
+    /// holds random keys over a few byte values (every run ending on an
+    /// all-`0xFF` key, at 8 bytes the loser tree's fence), one key
+    /// throughout, all-zero keys (all NULL, NULLs first) or all-`0xFF`
+    /// keys (all NULL, NULLs last). Only keys of 7 bytes or fewer are
+    /// merged on key codes: an 8-byte one is offset-value coded.
+    #[test]
+    fn short_keys_merge_alike_on_key_codes_offset_value_codes_and_none() {
+        let sorter_with = |ovc: bool, key_codes: bool| {
+            let options = ExternalSortOptions {
+                ovc,
+                ..Default::default()
+            };
+            let mut sorter =
+                ExternalSorter::new(vec![LogicalType::UInt32], OrderBy::ascending(1), options);
+            sorter.core.key_codes = key_codes;
+            sorter
+        };
+        // The sorter's own choice, offset-value codes, none.
+        let sorters = [
+            sorter_with(true, true),
+            sorter_with(true, false),
+            sorter_with(false, true),
+        ];
+        let mut rng = Rng::seed_from_u64(0x4B45_5943_4F44);
+        let cases = ["mixed", "one key", "all-zero", "all-0xFF"];
+        for kw in 1..=8usize {
+            let chosen = sorters.each_ref().map(|s| s.core.codes(kw));
+            let short = if kw <= ovc::KEY_CODE_BYTES {
+                MergeCodes::Key
+            } else {
+                MergeCodes::Ovc
+            };
+            assert_eq!(
+                chosen,
+                [short, MergeCodes::Ovc, MergeCodes::None],
+                "{kw}-byte keys"
+            );
+            for case in cases {
+                let what = format!("{kw}-byte keys, {case}");
+                let one: Vec<u8> = (0..kw).map(|_| rng.next_u32() as u8).collect();
+                let key = |rng: &mut Rng| match case {
+                    "mixed" => (0..kw)
+                        .map(|_| [0x00, 0x01, 0x7F, 0xFE, 0xFF][rng.below(5) as usize])
+                        .collect(),
+                    "one key" => one.clone(),
+                    "all-zero" => vec![0x00; kw],
+                    _ => vec![0xFF; kw],
+                };
+                // Five runs, run 1 empty; row ids number the rows in run order.
+                let mut runs: Vec<Vec<Vec<u8>>> = Vec::new();
+                for r in 0..5 {
+                    let len = if r == 1 { 0 } else { rng.range(20usize, 60) };
+                    let mut keys: Vec<Vec<u8>> = (0..len).map(|_| key(&mut rng)).collect();
+                    keys.sort();
+                    if case == "mixed" {
+                        if let Some(last) = keys.last_mut() {
+                            last.fill(0xFF);
+                        }
+                    }
+                    runs.push(keys);
+                }
+                let rows: usize = runs.iter().map(Vec::len).sum();
+                // A stable merge by run index: keys in order, ties by run.
+                let mut want: Vec<(&[u8], u32)> = Vec::new();
+                let mut id = 0u32;
+                for keys in &runs {
+                    for key in keys {
+                        want.push((key, id));
+                        id += 1;
+                    }
+                }
+                want.sort_by(|a, b| a.0.cmp(b.0));
+                let want: Vec<u32> = want.iter().map(|&(_, id)| id).collect();
+                let ids = |chunk: &DataChunk| -> Vec<u32> {
+                    let id = |row: Vec<Value>| match row[..] {
+                        [Value::UInt32(id)] => id,
+                        _ => panic!("row {row:?}"),
+                    };
+                    chunk.to_rows().into_iter().map(id).collect()
+                };
+
+                let mut cmps = Vec::new();
+                for (sorter, codes) in sorters.iter().zip(chosen) {
+                    let core = &sorter.core;
+                    let mut first_id = 0u32;
+                    let sorted: Vec<SortedRun> = runs
+                        .iter()
+                        .map(|keys| {
+                            let ids = (first_id..first_id + keys.len() as u32).collect();
+                            first_id += keys.len() as u32;
+                            let chunk =
+                                DataChunk::from_columns(vec![Vector::from_u32s(ids)]).unwrap();
+                            let mut payload = RowBlock::with_capacity(Arc::clone(&core.layout), 0);
+                            payload.append_chunk(&chunk);
+                            let keys = keys.concat();
+                            let mut codes_column = Vec::new();
+                            if codes.stored() {
+                                codes_column.resize(8 * payload.len(), 0);
+                                ovc::fill_run_codes(&keys, kw, &mut codes_column);
+                            }
+                            SortedRun {
+                                keys,
+                                key_width: kw,
+                                ovc: codes_column,
+                                payload,
+                            }
+                        })
+                        .collect();
+                    let order = MergeOrder {
+                        kw,
+                        tie_possible: false,
+                        tie_cmp: &core.tie_cmp,
+                    };
+                    let mut in_memory: Vec<MemSource<'_>> = sorted
+                        .iter()
+                        .map(|run| MemSource::range(run, 0, run.len()))
+                        .collect();
+                    let from_memory = kernel_merge(sorter, &order, &mut in_memory, rows);
+                    let encoded: Vec<Run> =
+                        sorted.iter().map(|run| memory_run(sorter, run)).collect();
+                    let mut cursors: Vec<RunCursor<'_>> = encoded
+                        .iter()
+                        .map(|run| sorter.open_cursor(run, kw, run.bounds()).unwrap())
+                        .collect();
+                    let from_files = kernel_merge(sorter, &order, &mut cursors, rows);
+                    let what = format!("{what}, {} codes", codes.name());
+                    for (merged, from) in [(&from_memory, "memory"), (&from_files, "files")] {
+                        assert_eq!(ids(&merged.0), want, "{what}, from {from}: rows");
+                        cmps.push((merged.1.cmps, format!("{what}, from {from}")));
+                    }
+                    let counts = |s: &MergeStats| (s.cmps, s.ovc_resolved, s.key_bytes);
+                    assert_eq!(counts(&from_files.1), counts(&from_memory.1), "{what}");
+                    if codes == MergeCodes::Key {
+                        // Unequal keys decided on the codes, and no key
+                        // byte read.
+                        let stats = &from_memory.1;
+                        assert_eq!(stats.key_bytes, 0, "{what}");
+                        let distinct = case == "mixed" && rows > 0;
+                        assert_eq!(stats.ovc_resolved > 0, distinct, "{what}");
+                    }
+                }
+                for (n, from) in &cmps {
+                    assert_eq!(*n, cmps[0].0, "{from}: merge_cmps, against {}", cmps[0].1);
                 }
             }
         }
@@ -2627,14 +2823,27 @@ mod tests {
         rows: Vec<Vec<Value>>,
     }
 
-    /// The mutation properties' relation, and its fixtures without and
-    /// with OVC.
+    /// The mutation properties' relation, and its fixtures: keyed by an
+    /// integer and a VARCHAR without and with OVC, and by three integers
+    /// that range-code in 5 bytes, with OVC — a key that is its own merge
+    /// code, whose records carry none.
     fn mutation_fixtures() -> (DataChunk, Vec<Fixture>) {
-        let chunk = stringy_chunk(9_000, 43);
+        let stringy = stringy_chunk(9_000, 43);
+        let nullable: Vec<Value> = (0..stringy.len() as i32)
+            .map(|i| match i % 5 {
+                0 => Value::Null,
+                _ => Value::Int32(i * 7_919 % 101),
+            })
+            .collect();
+        let mut columns = stringy.columns().to_vec();
+        columns.push(Vector::from_values(LogicalType::Int32, &nullable).unwrap());
+        let chunk = DataChunk::from_columns(columns).unwrap();
         let by = OrderBy::new(vec![OrderByColumn::asc(1), OrderByColumn::asc(0)]);
-        let fixtures = [false, true]
+        let by_ints = OrderBy::new([1, 4, 3].map(OrderByColumn::asc).to_vec());
+        assert_eq!(KeyBlock::planned(&chunk, &by_ints).key_width(), 5);
+        let fixtures = [(&by, false), (&by, true), (&by_ints, true)]
             .into_iter()
-            .map(|ovc| {
+            .map(|(by, ovc)| {
                 let sorter_at = |merge_threads| {
                     let options = ExternalSortOptions {
                         memory_limit_rows: 3_000,
@@ -2652,6 +2861,9 @@ mod tests {
                     .map(|run| with_bytes(run, file_bytes(run)))
                     .collect();
                 assert!(runs.iter().all(|r| r.index.blocks.len() >= 3));
+                // Records carry a code only where the key is not its own.
+                let header = header_bytes(ovc && order.kw > ovc::KEY_CODE_BYTES);
+                assert!(runs.iter().all(|r| bytes_of(r)[..HEADER_BYTES] == header));
                 let rows = sorters[0]
                     .merge_runs(&runs, &order, &chunk)
                     .unwrap()
@@ -2671,7 +2883,11 @@ mod tests {
     fn record_shape(fix: &Fixture, r: usize) -> (usize, usize, bool) {
         let (sorter, index) = (&fix.sorters[0], &fix.runs[r].index);
         let kw = index.first_keys.len() / index.blocks.len();
-        (kw, sorter.core.layout.width(), sorter.core.coded(kw))
+        (
+            kw,
+            sorter.core.layout.width(),
+            sorter.core.codes(kw).stored(),
+        )
     }
 
     /// Merge `fix`'s runs with run `r`'s bytes replaced — in memory, or as
@@ -2753,7 +2969,7 @@ mod tests {
             .cases(128)
             .run(&full::<u64>(), |&seed| {
                 let mut rng = Rng::seed_from_u64(seed);
-                let fix = &fixtures[rng.below(2) as usize];
+                let fix = &fixtures[rng.below(fixtures.len() as u64) as usize];
                 let r = rng.below(fix.runs.len() as u64) as usize;
                 let on_fs = rng.chance(0.5);
                 let mut bytes = bytes_of(&fix.runs[r]).to_vec();
@@ -2788,7 +3004,7 @@ mod tests {
             .cases(128)
             .run(&full::<u64>(), |&seed| {
                 let mut rng = Rng::seed_from_u64(seed);
-                let fix = &fixtures[rng.below(2) as usize];
+                let fix = &fixtures[rng.below(fixtures.len() as u64) as usize];
                 let r = rng.below(fix.runs.len() as u64) as usize;
                 let on_fs = rng.chance(0.5);
                 let mut bytes = bytes_of(&fix.runs[r]).to_vec();

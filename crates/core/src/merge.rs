@@ -1,6 +1,7 @@
 //! The one k-way merge kernel (DESIGN.md §11.4): a tree of losers over
-//! [`RunSource`]s emitting into a [`VectorSink`], with offset-value coding
-//! as a const parameter.
+//! [`RunSource`]s emitting into a [`VectorSink`], with what its matches are
+//! decided on — offset-value codes, the keys themselves, or nothing — as a
+//! const parameter.
 //!
 //! Every merge of the sorter (`crate::sorter`) is this loop, once per key
 //! range, with codes or without: where the head record lives is the only
@@ -10,7 +11,7 @@
 use crate::comparator::FusedRowComparator;
 use crate::keys::word;
 use crate::metrics::{Counter, CounterRegistry};
-use crate::ovc;
+use crate::ovc::{self, MergeCodes};
 use crate::pool::SortPool;
 use crate::run::SortedRun;
 use crate::spill::SpillError;
@@ -58,12 +59,17 @@ pub(crate) fn cmp_keys(a: &[u8], b: &[u8]) -> Ordering {
 /// normalized key, the payload row, and the heap the row's VARCHAR slots
 /// index into. `code` is the head's offset-value code relative to the
 /// record before it in this source (the first record against −∞) — what
-/// a run's code column stores. Only a coded merge reads it: without OVC
-/// the kernel hands the tree `0` for every live head instead.
+/// a run's code column stores. Only an OVC merge reads it: a key-coded
+/// merge codes each head from its [`RunSource::key_window`], and an
+/// uncoded one hands the tree `0` for every live head.
 pub(crate) trait RunSource {
     fn exhausted(&self) -> bool;
     fn key(&self) -> &[u8];
     fn code(&self) -> u64;
+    /// The 8 bytes from the head key's first, big-endian, zero past the
+    /// end of the buffer the key lives in: one load, whose bytes past a
+    /// short key [`ovc::key_mask`] masks off.
+    fn key_window(&self) -> u64;
     fn row(&self) -> &[u8];
     fn heap(&self) -> &[u8];
     /// Step to the next record, or past the last one (`exhausted`). A
@@ -131,6 +137,10 @@ impl RunSource for MemSource<'_> {
     #[inline]
     fn code(&self) -> u64 {
         self.code
+    }
+    #[inline]
+    fn key_window(&self) -> u64 {
+        ovc::key_window(self.keys, self.pos * self.kw)
     }
     #[inline]
     fn row(&self) -> &[u8] {
@@ -266,13 +276,17 @@ impl MergeOrder<'_> {
     /// One loser-tree match between live heads `a` and `b` whose codes
     /// `ca`, `cb` tie (the tree settles unequal codes itself, and counts
     /// them). Under OVC only the suffix past the shared coded word is
-    /// compared; without it every live code is `0`, so every match comes
-    /// here as a whole-key compare. Either way the row tiebreak
-    /// runs only on full key equality, and a full tie goes to the lower
-    /// input (`a_first`) — a stable merge by run index, so OVC on and off
-    /// merge the same rows in the same order.
+    /// compared. Key codes tie only on byte-equal keys, so no key byte is
+    /// read, and the loser keeps its code: it is its key, whoever beat it
+    /// (`compare_update` would re-code it to 0 against the winner, which
+    /// no later head's key code is relative to). Uncoded, every live code
+    /// is `0`, so every match comes here as a whole-key compare. Whatever
+    /// the codes, the row tiebreak runs only on full key equality, and a
+    /// full tie goes to the lower input (`a_first`) — a stable merge by
+    /// run index, so every kind of code merges the same rows in the same
+    /// order.
     #[inline]
-    fn play<const OVC: bool, S: RunSource>(
+    fn play<const CODES: u8, S: RunSource>(
         &self,
         (a, ca): (&S, u64),
         (b, cb): (&S, u64),
@@ -280,11 +294,16 @@ impl MergeOrder<'_> {
         stats: &mut MergeStats,
     ) -> OvcMatch {
         stats.cmps += 1;
-        let (ord, loser_code) = if OVC {
+        let (ord, loser_code) = if CODES == MergeCodes::Ovc as u8 {
             let r = ovc::compare_update(a.key(), ca, b.key(), cb, ovc::word_count(self.kw));
             stats.ovc_resolved += u64::from(r.resolved);
             stats.key_bytes += r.key_bytes;
             (r.ord, r.loser_code)
+        } else if CODES == MergeCodes::Key as u8 {
+            // Byte-equal keys: the run index or the row comparator settles
+            // the match, not the codes (as `compare_update` counts a tie
+            // its suffix scan finds equal) — with no key byte read.
+            (Ordering::Equal, ca)
         } else {
             stats.key_bytes += 2 * self.kw as u64;
             (cmp_keys(a.key(), b.key()), 0)
@@ -308,15 +327,17 @@ impl MergeOrder<'_> {
 /// exhausted source enters the tree as its fence, so the one exhaustion
 /// check is per emitted record, not per match.
 ///
-/// With `OVC` every source must carry codes, heads coded against −∞ — the
-/// common base the tournament starts from. After an emission the winner's
-/// next head is coded against the record just emitted, the same base
-/// every resident loser on its root path was re-coded against.
+/// Under [`MergeCodes::Ovc`] every source must carry codes, heads coded
+/// against −∞ — the common base the tournament starts from. After an
+/// emission the winner's next head is coded against the record just
+/// emitted, the same base every resident loser on its root path was
+/// re-coded against. Under [`MergeCodes::Key`] a head's code is its key
+/// and has no base at all.
 ///
 /// On return every source has been advanced past its last record, so
 /// a file-backed source whose range ends its run has checked that the
 /// file ends there before the output escapes.
-pub(crate) fn merge_kway<const OVC: bool, S: RunSource>(
+pub(crate) fn merge_kway<const CODES: u8, S: RunSource>(
     order: &MergeOrder<'_>,
     tree: &mut OvcLoserTree,
     sources: &mut [S],
@@ -327,24 +348,29 @@ pub(crate) fn merge_kway<const OVC: bool, S: RunSource>(
     if sources.is_empty() {
         return Ok(stats);
     }
+    let mask = ovc::key_mask(order.kw);
     let srcs = &*sources;
     let mut decided = tree.rebuild(
         srcs.len(),
-        |i| leaf_code::<OVC, S>(&srcs[i]),
-        |a, b, ca, cb| order.play::<OVC, S>((&srcs[a], ca), (&srcs[b], cb), a < b, &mut stats),
+        |i| leaf_code::<CODES, S>(&srcs[i], mask),
+        |a, b, ca, cb| order.play::<CODES, S>((&srcs[a], ca), (&srcs[b], cb), a < b, &mut stats),
     );
     for _ in 0..rows {
         let w = tree.winner();
         sink.emit(&sources[w])?;
         sources[w].advance()?;
         let srcs = &*sources;
-        decided += tree.replay(w, leaf_code::<OVC, S>(&srcs[w]), &mut |a, b, ca, cb| {
-            order.play::<OVC, S>((&srcs[a], ca), (&srcs[b], cb), a < b, &mut stats)
-        });
+        decided += tree.replay(
+            w,
+            leaf_code::<CODES, S>(&srcs[w], mask),
+            &mut |a, b, ca, cb| {
+                order.play::<CODES, S>((&srcs[a], ca), (&srcs[b], cb), a < b, &mut stats)
+            },
+        );
     }
     // A match the tree settled on unequal codes is one compare, resolved
-    // on the codes — as `compare_update` counts it (none without OVC:
-    // every live head is coded 0 there, so codes never differ).
+    // on the codes — as `compare_update` counts it (none uncoded: every
+    // live head is coded 0 there, so codes never differ).
     stats.cmps += decided;
     stats.ovc_resolved += decided;
     for src in sources.iter_mut().filter(|s| !s.exhausted()) {
@@ -353,16 +379,40 @@ pub(crate) fn merge_kway<const OVC: bool, S: RunSource>(
     Ok(stats)
 }
 
+/// [`merge_kway`] on the codes `codes` names: the one place a merge's
+/// choice of codes becomes the kernel's const parameter.
+pub(crate) fn merge_coded<S: RunSource>(
+    codes: MergeCodes,
+    order: &MergeOrder<'_>,
+    tree: &mut OvcLoserTree,
+    sources: &mut [S],
+    rows: usize,
+    sink: &mut VectorSink<'_>,
+) -> Result<MergeStats, SpillError> {
+    const NONE: u8 = MergeCodes::None as u8;
+    const OVC: u8 = MergeCodes::Ovc as u8;
+    const KEY: u8 = MergeCodes::Key as u8;
+    match codes {
+        MergeCodes::None => merge_kway::<NONE, S>(order, tree, sources, rows, sink),
+        MergeCodes::Ovc => merge_kway::<OVC, S>(order, tree, sources, rows, sink),
+        MergeCodes::Key => merge_kway::<KEY, S>(order, tree, sources, rows, sink),
+    }
+}
+
 /// The code `src`'s head enters the tree with: the fence once it is
-/// exhausted, its stored code under `OVC`, else `0` — a source may carry
-/// a nonzero code without OVC (a range's first head is coded against −∞
-/// either way), and the tree would let that code decide a match.
+/// exhausted, its stored code under OVC, its key masked by `mask` under
+/// key codes (never the fence: a key code's low byte is zero), else `0` —
+/// a source may carry a nonzero code in an uncoded merge (a range's
+/// first head is coded against −∞ either way), and the tree would let
+/// that code decide a match.
 #[inline]
-fn leaf_code<const OVC: bool, S: RunSource>(src: &S) -> u64 {
+fn leaf_code<const CODES: u8, S: RunSource>(src: &S, mask: u64) -> u64 {
     if src.exhausted() {
         OvcLoserTree::FENCE
-    } else if OVC {
+    } else if CODES == MergeCodes::Ovc as u8 {
         src.code()
+    } else if CODES == MergeCodes::Key as u8 {
+        src.key_window() & mask
     } else {
         0
     }

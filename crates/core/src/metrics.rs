@@ -35,6 +35,8 @@ use std::time::Instant;
 
 use rowsort_testkit::json::Json;
 
+use crate::ovc::MergeCodes;
+
 /// Declare a metrics enum whose variants index the registry, each with the
 /// snake_case name trace JSON and text dumps use: the enum, its `COUNT`,
 /// `ALL` in declaration order (= registry index order) and `name`, from one
@@ -424,6 +426,9 @@ pub struct SortProfile {
     /// The longest VARCHAR prefix in that key, as sized from the input's
     /// strings (12 is the paper's rule); 0 without a VARCHAR key column.
     pub varchar_prefix: u32,
+    /// What the sort's merges decide on, were it to merge: offset-value
+    /// codes, the keys themselves (keys of 1 to 7 bytes), or nothing.
+    pub merge_codes: MergeCodes,
     /// Counter/phase deltas recorded during the call.
     pub metrics: Metrics,
 }
@@ -438,6 +443,7 @@ impl SortProfile {
             key_width: 0,
             key_width_plain: 0,
             varchar_prefix: 0,
+            merge_codes: MergeCodes::None,
             metrics: Metrics::zeroed(),
         }
     }
@@ -613,6 +619,7 @@ mod tests {
             key_width: 36,
             key_width_plain: 41,
             varchar_prefix: 20,
+            merge_codes: MergeCodes::Ovc,
             metrics: reg.snapshot(),
         };
         let parsed = Json::parse(&profile.to_json().render()).unwrap();

@@ -28,6 +28,50 @@
 
 use std::cmp::Ordering;
 
+/// What a sort's merges decide their matches on (DESIGN.md §10), chosen
+/// once per sort ([`MergeCodes::of`]) and a const parameter of the merge
+/// kernel, never a branch per row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MergeCodes {
+    /// Every live head is coded 0, so every match compares whole keys:
+    /// offset-value coding is off, or the key has no bytes.
+    None,
+    /// Offset-value codes: each run's code column, the loser re-coded
+    /// against the winner of every match a code tie leaves to the keys.
+    Ovc,
+    /// Each key of 1 to [`KEY_CODE_BYTES`] bytes is its own code
+    /// ([`key_mask`]): no code column, and a code tie is a key tie.
+    Key,
+}
+
+impl MergeCodes {
+    /// The codes of a sort with `ovc` on or off and `key_width`-byte keys.
+    pub fn of(ovc: bool, key_width: usize) -> MergeCodes {
+        if !ovc || key_width == 0 {
+            MergeCodes::None
+        } else if key_width <= KEY_CODE_BYTES {
+            MergeCodes::Key
+        } else {
+            MergeCodes::Ovc
+        }
+    }
+
+    /// Whether each run stores a code per row (its code column, and in a
+    /// run file a code per record).
+    pub fn stored(self) -> bool {
+        self == MergeCodes::Ovc
+    }
+
+    /// `none`, `ovc` or `key`, as `EXPLAIN ANALYZE` prints it.
+    pub fn name(self) -> &'static str {
+        match self {
+            MergeCodes::None => "none",
+            MergeCodes::Ovc => "ovc",
+            MergeCodes::Key => "key",
+        }
+    }
+}
+
 /// Code granularity: keys are compared word-at-a-time in 4-byte units.
 pub const WORD_BYTES: usize = 4;
 
@@ -250,11 +294,32 @@ pub fn fill_run_codes(keys: &[u8], key_width: usize, out: &mut [u8]) {
 /// The widest key [`fill_short_codes`] codes: one `u64`, two code words.
 const SHORT_KEY_BYTES: usize = 8;
 
+/// The widest key that is its own merge code ([`key_mask`]). Seven bytes
+/// left-aligned in a `u64` leave its low byte zero, so no key code equals
+/// the loser tree's fence, `u64::MAX`; an all-`0xFF` key of eight bytes
+/// would (DESIGN.md §10.1).
+pub const KEY_CODE_BYTES: usize = 7;
+
+/// The bits of a big-endian 8-byte window that a `key_width`-byte key
+/// covers: the top `key_width` bytes (none for a zero-width key, all of
+/// them from 8 bytes on).
+///
+/// The 8 bytes from a key's first ([`key_window`]) masked so are the
+/// merge code of a key of 1 to [`KEY_CODE_BYTES`] bytes: the key itself,
+/// left-aligned in a big-endian `u64`. Two key codes compare as their
+/// keys do and tie only on byte-equal keys, with no base: a head's code
+/// is the same whoever it lost to.
+#[inline]
+pub fn key_mask(key_width: usize) -> u64 {
+    let bits = 8 * key_width.min(8) as u32;
+    u64::MAX.checked_shl(64 - bits).unwrap_or(0)
+}
+
 /// Big-endian 8-byte window of `keys` at byte `at`, zero-padded where it
 /// runs past the end (a run's last keys, when they are shorter than 8
 /// bytes).
 #[inline]
-fn key_window(keys: &[u8], at: usize) -> u64 {
+pub fn key_window(keys: &[u8], at: usize) -> u64 {
     be64_at(keys, at).unwrap_or_else(|| {
         let mut buf = [0u8; 8];
         let tail = keys.get(at..).unwrap_or_default();
@@ -275,7 +340,7 @@ fn key_window(keys: &[u8], at: usize) -> u64 {
 /// these codes, and `short_codes_equal_code_rel` holds the two together.
 fn fill_short_codes(keys: &[u8], key_width: usize, out: &mut [u8]) {
     let arity = word_count(key_width) as u64;
-    let mask = u64::MAX << (64 - 8 * key_width);
+    let mask = key_mask(key_width);
     let rows = keys.len() / key_width;
     let mut prev = !key_window(keys, 0);
     for (i, slot) in out.chunks_exact_mut(8).take(rows).enumerate() {

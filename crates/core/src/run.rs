@@ -27,8 +27,9 @@ pub(crate) struct SortedRun {
     /// produced the run (every run of a sort shares it).
     pub(crate) key_width: usize,
     /// Per-row offset-value codes (8 LE bytes per row): row 0 relative
-    /// to −∞, row `i` relative to row `i − 1`. Empty when OVC is off or
-    /// keys are zero-width (DESIGN.md §10.2).
+    /// to −∞, row `i` relative to row `i − 1`. Empty unless the sort's
+    /// merge codes are stored: OVC on and keys of 8 bytes or more
+    /// (DESIGN.md §10.2).
     pub(crate) ovc: Vec<u8>,
     pub(crate) payload: RowBlock,
 }
@@ -320,8 +321,9 @@ impl SorterCore {
     /// Build one sorted run from input rows `lo..hi` with `plan`'s key
     /// blocks, every buffer from `pool`. `streamed` says a merge or the
     /// run-file encoder will read the run front to back: it then gets its
-    /// code column (only when the sorter's `ovc` option is on and the key
-    /// is not zero-width) and its strings laid out in run order.
+    /// code column (only when its merge codes are stored: the sorter's
+    /// `ovc` option is on and the key is 8 bytes or wider) and its strings
+    /// laid out in run order.
     pub(crate) fn make_run(
         &self,
         pool: SortPool<'_>,
@@ -396,8 +398,9 @@ impl SorterCore {
         keys.keys_only_into(&mut run_keys);
         // OVC column, computed while the freshly sorted keys are hot:
         // one prefix scan per row here saves a full-key compare per merge
-        // comparison later (DESIGN.md §10.2).
-        let run_ovc = if streamed && self.coded(key_width) {
+        // comparison later (DESIGN.md §10.2). A key of 7 bytes or fewer is
+        // its own code and needs none.
+        let run_ovc = if streamed && self.codes(key_width).stored() {
             let mut ovc = pool.get_bytes(rows * 8);
             ovc.resize(rows * 8, 0);
             crate::ovc::fill_run_codes(&run_keys, key_width, &mut ovc);

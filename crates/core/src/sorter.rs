@@ -22,9 +22,10 @@
 
 use crate::comparator::FusedRowComparator;
 use crate::merge::{
-    cmp_keys, column_bytes, merge_kway, string_bytes, MemSource, MergeOrder, RunSource, VectorSink,
+    cmp_keys, column_bytes, merge_coded, string_bytes, MemSource, MergeOrder, RunSource, VectorSink,
 };
 use crate::metrics::{emit_trace, Counter, CounterRegistry, Metrics, Phase, SortProfile};
+use crate::ovc::MergeCodes;
 use crate::pool::SortPool;
 use crate::resources::SortResources;
 use crate::run::{KeyPlan, SortedRun};
@@ -182,6 +183,10 @@ pub(crate) struct SorterCore {
     /// Rows per run, at least 1.
     run_rows: usize,
     ovc: bool,
+    /// Keys of 1 to 7 bytes are their own merge code ([`MergeCodes::Key`]).
+    /// Only tests turn this off, to merge such keys on offset-value codes
+    /// and hold the two merges to each other.
+    pub(crate) key_codes: bool,
     /// The buffer pool every buffer of a sort comes from and goes back
     /// to, and the crew its phases run on: the sorter's own, or shared
     /// (DESIGN.md §6).
@@ -218,6 +223,7 @@ impl SorterCore {
             varlen_cols,
             run_rows: run_rows.max(1),
             ovc,
+            key_codes: true,
             set,
             metrics,
             profile: Mutex::new(SortProfile::zeroed()),
@@ -250,10 +256,13 @@ impl SorterCore {
         *self.profile.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Whether runs with `kw`-byte keys carry offset-value codes: asked
-    /// for, and a key to code.
-    pub(crate) fn coded(&self, kw: usize) -> bool {
-        self.ovc && kw > 0
+    /// What the merges of a sort with `kw`-byte keys decide on, and with
+    /// it whether its runs store a code per row ([`MergeCodes::stored`]).
+    pub(crate) fn codes(&self, kw: usize) -> MergeCodes {
+        match MergeCodes::of(self.ovc, kw) {
+            MergeCodes::Key if !self.key_codes => MergeCodes::Ovc,
+            codes => codes,
+        }
     }
 
     /// How the sort planned in `plan` compares records in its merges.
@@ -324,6 +333,7 @@ impl SorterCore {
             key_width: key_width as u32,
             key_width_plain: start.key_width_plain,
             varchar_prefix: start.varchar_prefix,
+            merge_codes: self.codes(key_width),
             metrics: self.metrics.snapshot().since(&start.before),
         };
         *self.profile.lock().unwrap_or_else(|e| e.into_inner()) = profile;
@@ -463,7 +473,12 @@ impl SorterCore {
         pieces: impl Iterator<Item = ChunkPiece<'c>> + Send,
         tails: &[Mutex<Option<PieceTail>>],
     ) -> Result<(), SpillError> {
-        let coded = self.coded(order.kw) && runs.len() > 1;
+        // A lone run plays no match: nothing to decide on codes.
+        let codes = if runs.len() > 1 {
+            self.codes(order.kw)
+        } else {
+            MergeCodes::None
+        };
         // The next range, the pieces left, and the lowest failed range.
         let state = Mutex::new((0, pieces, None::<(usize, SpillError)>));
         let body = |_worker: usize| loop {
@@ -478,7 +493,7 @@ impl SorterCore {
                 (p, plan.range_rows(p), piece)
             };
             let mut sink = VectorSink::new(piece, self.pool());
-            match self.merge_range(order, coded, runs, plan, (p, rows), &mut sink) {
+            match self.merge_range(order, codes, runs, plan, (p, rows), &mut sink) {
                 Ok(()) => {
                     let tail = sink.finish(self.pool());
                     *tails[p].lock().unwrap_or_else(|e| e.into_inner()) = Some(tail);
@@ -502,11 +517,11 @@ impl SorterCore {
 
     /// Merge the `rows` rows of range `p` into `sink`: one source per run,
     /// between its cuts `p` and `p + 1` (a run with none there is an
-    /// exhausted leaf), through the kernel once — on codes when `coded`.
+    /// exhausted leaf), through the kernel once, on `codes`.
     fn merge_range<R: StoredRun>(
         &self,
         order: &MergeOrder<'_>,
-        coded: bool,
+        codes: MergeCodes,
         runs: &[R],
         plan: &MergePlan<R>,
         (p, rows): (usize, usize),
@@ -522,11 +537,7 @@ impl SorterCore {
         for (run, c) in runs.iter().zip(plan.cuts.chunks_exact(plan.parts + 1)) {
             cursors.push(run.source(self, order.kw, [c[p], c[p + 1]])?);
         }
-        let stats = if coded {
-            merge_kway::<true, _>(order, tree, &mut cursors, rows, sink)
-        } else {
-            merge_kway::<false, _>(order, tree, &mut cursors, rows, sink)
-        }?;
+        let stats = merge_coded(codes, order, tree, &mut cursors, rows, sink)?;
         stats.flush(&self.metrics);
         *sources = recycle_vec(cursors);
         Ok(())

@@ -35,6 +35,7 @@ use std::sync::Arc;
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
 use rowsort_core::keys::KeyBlock;
 use rowsort_core::metrics::Counter;
+use rowsort_core::ovc::MergeCodes;
 use rowsort_row::RowLayout;
 use rowsort_testkit::alloc::{allocated_bytes, allocation_count, CountingAllocator};
 use rowsort_testkit::faultfs::{FaultFs, FaultSchedule};
@@ -82,20 +83,30 @@ fn warmed_partitioned_spill_merge_allocates_a_constant_amount() {
     // What the spill phase's pool, empty at the start of every sort,
     // misses in each: a worker mints the buffers of the first run it
     // claims — staged rows and their strings, radix scratch, then the
-    // sorted run's keys, codes and rows (the run keeps the staged strings)
-    // — and every run it claims after that reuses them. The radix scratch
-    // (key + row id per row) goes back to the pool before the code column
-    // (8 bytes per row) is asked for, so when both round up to one
-    // power-of-two class the scratch serves the codes: five misses, not
-    // six. The random u32 keys range-code in 4 bytes (no NULL, a span
-    // past 2^24), so they do; the plain 5-byte key did not.
+    // sorted run's keys, codes if it stores them, and rows (the run keeps
+    // the staged strings) — and every run it claims after that reuses
+    // them: six. A key of 7 bytes or fewer is its own merge code, and its
+    // run has no code column: five. The radix scratch (key + row id per
+    // row) goes back to the pool before the code column (8 bytes per row)
+    // and the rows are asked for, so it serves the first of them that
+    // rounds up to its power-of-two class: one miss fewer. The random u32
+    // keys range-code in 4 bytes (no NULL, a span past 2^24): no code
+    // column, and the scratch serves the rows.
     let order = OrderBy::ascending(1);
     let run_rows = options.memory_limit_rows;
     let key_width = KeyBlock::planned(&chunk, &order).key_width();
     assert_eq!(key_width, 4, "the plan");
+    let code_bytes = if MergeCodes::of(options.ovc, key_width).stored() {
+        8
+    } else {
+        0
+    };
+    let width = RowLayout::new(&chunk.types()).width();
     let class = |bytes: usize| bytes.next_power_of_two();
-    let scratch_serves_codes = class(run_rows * (key_width + 4)) == class(run_rows * 8);
-    let run_set_buffers = 6 - usize::from(scratch_serves_codes);
+    let scratch = class(run_rows * (key_width + 4));
+    let after_scratch = [run_rows * code_bytes, run_rows * width];
+    let scratch_serves = after_scratch.iter().any(|&b| b > 0 && class(b) == scratch);
+    let run_set_buffers = 5 + usize::from(code_bytes > 0) - usize::from(scratch_serves);
     const WORKERS: usize = 2;
     const PASSES: usize = 4;
 
@@ -159,10 +170,9 @@ fn warmed_partitioned_spill_merge_allocates_a_constant_amount() {
     // widths only (a pooled buffer is at most twice its request).
     let dir = std::env::temp_dir().join(format!("rowsort-zero-alloc-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let width = RowLayout::new(&chunk.types()).width();
     // Staged rows, radix scratch over the key entries (key + row id), and
-    // the sorted run: keys, codes, rows.
-    let run_set = 2 * run_rows * (width + (key_width + 4) + key_width + 8 + width);
+    // the sorted run: keys, codes (if stored), rows.
+    let run_set = 2 * run_rows * (width + (key_width + 4) + key_width + code_bytes + width);
     for (merge_threads, scheduling) in [(1, 0), (WORKERS, run_set as u64)] {
         let options = ExternalSortOptions {
             spill_dir: Some(dir.clone()),

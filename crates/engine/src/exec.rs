@@ -252,11 +252,18 @@ fn sort_detail(profile: &SortProfile, threads: usize) -> String {
     }
     // Offset-value coding effectiveness (DESIGN.md §10): the share of
     // merge comparisons the code compare resolved without touching key
-    // suffix bytes. Only shown when the sort actually merged.
+    // suffix bytes, and what the codes were — offset-value codes, the keys
+    // themselves (keys of 7 bytes or fewer), or none. Only shown when the
+    // sort actually merged.
     let cmps = profile.metrics.counter(Counter::MergeCmps);
     if cmps > 0 {
         let resolved = profile.metrics.counter(Counter::MergeCmpsOvcResolved);
-        let _ = write!(s, " ovc_hit={:.1}%", resolved as f64 * 100.0 / cmps as f64);
+        let _ = write!(
+            s,
+            " ovc_hit={:.1}% code={}",
+            resolved as f64 * 100.0 / cmps as f64,
+            profile.merge_codes.name()
+        );
     }
     // The in-memory merge, when the sort had runs to merge: one k-way pass
     // over key ranges, and how evenly it split.
@@ -596,6 +603,7 @@ mod tests {
     use super::*;
     use crate::catalog::Table;
     use crate::Engine;
+    use rowsort_core::ovc::MergeCodes;
     use rowsort_vector::Value;
 
     fn engine() -> Engine {
@@ -993,8 +1001,20 @@ mod tests {
         ]);
         assert_eq!(
             plain,
-            " ovc_hit=0.0% merge=kway runs=8 ranges=1 max_range=8000"
+            " ovc_hit=0.0% code=none merge=kway runs=8 ranges=1 max_range=8000"
         );
+        // A coded merge names its codes: a key of 7 bytes or fewer is its
+        // own (here every compare was between unequal keys); a wider one
+        // is offset-value coded.
+        let coded = |merge_codes, resolved| {
+            let mut profile = rowsort_core::SortProfile::zeroed();
+            profile.merge_codes = merge_codes;
+            profile.metrics.counters[Counter::MergeCmps as usize] = 24_000;
+            profile.metrics.counters[Counter::MergeCmpsOvcResolved as usize] = resolved;
+            sort_detail(&profile, 2)
+        };
+        assert_eq!(coded(MergeCodes::Key, 24_000), " ovc_hit=100.0% code=key");
+        assert_eq!(coded(MergeCodes::Ovc, 18_000), " ovc_hit=75.0% code=ovc");
         // One run never merges; a spill merge reports `spill_parts=`.
         assert_eq!(detail(&[(Counter::RunsGenerated, 1)]), "");
         let spilled = [
