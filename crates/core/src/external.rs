@@ -42,6 +42,7 @@ use crate::run::{KeyPlan, SortedRun};
 use crate::sorter::{lower_bound, MergePlan, SorterCore, StoredRun};
 use crate::spill::{SpillError, SpillIo, SpillOp, StdFs};
 use crate::workers::WorkerPool;
+use rowsort_algos::rows::copy_row;
 use rowsort_testkit::hash::XxHash64;
 use rowsort_vector::{DataChunk, LogicalType, OrderBy};
 use std::cmp::Ordering;
@@ -215,19 +216,19 @@ struct RunIndex {
 }
 
 impl RunIndex {
-    /// Seal the open block in `buf` — the last one indexed — with its
-    /// hash, send it to `out`, and note its length.
-    fn close_block(&mut self, buf: &mut Vec<u8>, out: &mut dyn Write) -> io::Result<()> {
+    /// Seal the open block — the last one indexed — by writing its hash
+    /// into the last `HASH_BYTES` of `block`, send it to `out`, and note
+    /// its length.
+    fn close_block(&mut self, block: &mut [u8], out: &mut dyn Write) -> io::Result<()> {
         let ordinal = self.blocks.len().saturating_sub(1) as u64;
-        let digest = XxHash64::hash(buf, SPILL_CHECKSUM_SEED ^ ordinal);
-        buf.extend_from_slice(&digest.to_le_bytes());
+        let (body, hash) = block.split_at_mut(block.len() - HASH_BYTES);
+        let digest = XxHash64::hash(body, SPILL_CHECKSUM_SEED ^ ordinal);
+        hash.copy_from_slice(&digest.to_le_bytes());
         if let Some(meta) = self.blocks.last_mut() {
-            meta.len = buf.len();
+            meta.len = block.len();
         }
-        self.bytes += buf.len() as u64;
-        let sent = out.write_all(buf);
-        buf.clear();
-        sent
+        self.bytes += block.len() as u64;
+        out.write_all(block)
     }
 }
 
@@ -423,11 +424,10 @@ struct RangeCut {
 /// The run-file header for a run with (`ovc`) or without code column.
 fn header_bytes(ovc: bool) -> [u8; HEADER_BYTES] {
     let flags = if ovc { SPILL_FLAG_OVC } else { 0 };
-    let mut header = [0u8; HEADER_BYTES];
-    header[..4].copy_from_slice(&SPILL_MAGIC);
-    header[4..6].copy_from_slice(&SPILL_VERSION.to_le_bytes());
-    header[6..].copy_from_slice(&flags.to_le_bytes());
-    header
+    let [m0, m1, m2, m3] = SPILL_MAGIC;
+    let [v0, v1] = SPILL_VERSION.to_le_bytes();
+    let [f0, f1] = flags.to_le_bytes();
+    [m0, m1, m2, m3, v0, v1, f0, f1]
 }
 
 /// Validate the 8-byte run-file header opening block 0 against what the
@@ -816,6 +816,13 @@ impl ExternalSorter {
     /// the run lands on disk or stays in memory; an error is `out`'s (and
     /// costs the pool that buffer).
     ///
+    /// Each block takes as many records as fit, and at least one: a
+    /// division by the record size when the rows hold no strings, else a
+    /// running sum of record sizes. The buffer is sized for the block
+    /// before a record is written — it grows only for a block longer than
+    /// any before it, and each block is laid over the last — and each
+    /// record's key, code and row are copied into their places.
+    ///
     /// Where the sort's merge codes are stored, each record carries its
     /// offset-value code relative to the record before it — the run's
     /// code column, computed while the keys were hot from the run sort, so
@@ -823,62 +830,87 @@ impl ExternalSorter {
     /// of 7 bytes or fewer is its own code: its records carry none.
     fn encode_run(&self, run: &SortedRun, out: &mut dyn Write) -> io::Result<RunIndex> {
         let (layout, pool) = (&self.core.layout, self.core.pool());
+        let (varlen, payload) = (&self.core.varlen_cols, &run.payload);
         let mut buf = pool.get_bytes(BLOCK_BYTES);
         let width = layout.width();
         let kw = run.key_width;
         let use_ovc = self.core.codes(kw).stored();
+        // Key, code, row and segment length; the segment follows.
         let fixed = kw + if use_ovc { 8 } else { 0 } + width + 4;
+        // Record `i`'s segment: its row's non-NULL strings, column by
+        // column.
+        let strings = |i: usize| {
+            let valid = varlen.iter().filter(move |&&c| !payload.is_null(i, c));
+            valid.map(move |&c| (c, payload.string_bytes(i, c)))
+        };
         let mut index = RunIndex {
             rows: run.len(),
             bytes: 0,
             blocks: Vec::new(),
             first_keys: Vec::new(),
         };
-        // The header travels with block 0 (an empty run encodes to nothing).
+        // The header travels with block 0 (an empty run encodes to
+        // nothing).
+        let mut start = HEADER_BYTES;
         buf.extend_from_slice(&header_bytes(use_ovc));
-        let mut block_rows = 0usize;
-        for i in 0..run.len() {
-            let strings = self
-                .core
-                .varlen_cols
-                .iter()
-                .filter(|&&c| !run.payload.is_null(i, c));
-            let seg_len: usize = strings
-                .clone()
-                .map(|&c| run.payload.string_bytes(i, c).len())
-                .sum();
-            if block_rows > 0 && buf.len() + fixed + seg_len + HASH_BYTES > BLOCK_BYTES {
-                index.close_block(&mut buf, out)?;
-                block_rows = 0;
+        let mut first = 0;
+        while first < run.len() {
+            let room = BLOCK_BYTES - HASH_BYTES - start;
+            let left = run.len() - first;
+            let (rows, bytes) = if varlen.is_empty() {
+                let rows = (room / fixed).clamp(1, left);
+                (rows, rows * fixed)
+            } else {
+                let (mut rows, mut bytes) = (0, 0);
+                for i in first..run.len() {
+                    let record = fixed + strings(i).map(|(_, s)| s.len()).sum::<usize>();
+                    if rows > 0 && bytes + record > room {
+                        break;
+                    }
+                    (rows, bytes) = (rows + 1, bytes + record);
+                }
+                (rows, bytes)
+            };
+            index.blocks.push(BlockMeta {
+                off: index.bytes,
+                len: 0,
+                rows_before: first,
+            });
+            index
+                .first_keys
+                .extend_from_slice(&run.keys[first * kw..(first + 1) * kw]);
+            // Every block is written over the one before: the buffer is
+            // zeroed only when a block is longer than any before it.
+            let end = start + bytes + HASH_BYTES;
+            if buf.len() < end {
+                buf.resize(end, 0);
             }
-            let key = &run.keys[i * kw..(i + 1) * kw];
-            if block_rows == 0 {
-                index.blocks.push(BlockMeta {
-                    off: index.bytes,
-                    len: 0,
-                    rows_before: i,
-                });
-                index.first_keys.extend_from_slice(key);
+            let mut at = start;
+            for i in first..first + rows {
+                copy_row(&mut buf[at..at + kw], &run.keys[i * kw..(i + 1) * kw]);
+                at += kw;
+                if use_ovc {
+                    copy_row(&mut buf[at..at + 8], &run.ovc[i * 8..(i + 1) * 8]);
+                    at += 8;
+                }
+                let row_at = at;
+                copy_row(&mut buf[at..at + width], payload.row(i));
+                let seg_at = at + width + 4;
+                // Each string's slot gets its offset in this record's
+                // segment.
+                at = seg_at;
+                for (c, string) in strings(i) {
+                    let slot = row_at + layout.offset(c);
+                    let off = (at - seg_at) as u32;
+                    buf[slot..slot + 4].copy_from_slice(&off.to_le_bytes());
+                    copy_row(&mut buf[at..at + string.len()], string);
+                    at += string.len();
+                }
+                let seg_len = (at - seg_at) as u32;
+                buf[seg_at - 4..seg_at].copy_from_slice(&seg_len.to_le_bytes());
             }
-            buf.extend_from_slice(key);
-            if use_ovc {
-                buf.extend_from_slice(&run.ovc[i * 8..(i + 1) * 8]);
-            }
-            let row_at = buf.len();
-            buf.extend_from_slice(run.payload.row(i));
-            buf.extend_from_slice(&(seg_len as u32).to_le_bytes());
-            // Rewrite heap offsets to be relative to this record's segment.
-            let seg_at = buf.len();
-            for &c in strings {
-                let at = row_at + layout.offset(c);
-                let new_off = (buf.len() - seg_at) as u32;
-                buf.extend_from_slice(run.payload.string_bytes(i, c));
-                buf[at..at + 4].copy_from_slice(&new_off.to_le_bytes());
-            }
-            block_rows += 1;
-        }
-        if block_rows > 0 {
-            index.close_block(&mut buf, out)?;
+            index.close_block(&mut buf[..end], out)?;
+            (start, first) = (0, first + rows);
         }
         pool.put_bytes(buf);
         Ok(index)
@@ -1363,6 +1395,107 @@ mod tests {
         assert_eq!(bytes[..HEADER_BYTES], header_bytes(false));
         let framing = HEADER_BYTES + HASH_BYTES * run.index.blocks.len();
         assert_eq!(bytes.len() - framing, 41 * catalog.len(), "41-byte records");
+    }
+
+    /// The string-free twin of the layout check above: with no VARCHAR
+    /// column every record is `fixed` bytes, so block `b` holds exactly
+    /// the records that fit — one more would pass `BLOCK_BYTES` — and the
+    /// bytes are the header, the records and the hash. Each run reads back
+    /// through a cursor, every block verified against its hash, key for
+    /// key and row for row. Returns the block lengths.
+    fn check_fixed_run_layout(sorter: &ExternalSorter, chunk: &DataChunk) -> Vec<usize> {
+        let sorted = whole_run(sorter, chunk);
+        let kw = sorted.key_width;
+        let width = sorter.core.layout.width();
+        let code = if sorter.core.codes(kw).stored() { 8 } else { 0 };
+        let fixed = kw + code + width + 4;
+        let run = memory_run(sorter, &sorted);
+        let (bytes, index) = (bytes_of(&run), &run.index);
+        assert_eq!(bytes.len() as u64, index.bytes);
+        let mut ends: Vec<usize> = index.blocks.iter().skip(1).map(|m| m.rows_before).collect();
+        ends.push(index.rows);
+        for (b, (meta, end)) in index.blocks.iter().zip(ends).enumerate() {
+            let records = end - meta.rows_before;
+            let header = if b == 0 { HEADER_BYTES } else { 0 };
+            assert!(records > 0, "block {b} is empty");
+            assert_eq!(meta.len, header + records * fixed + HASH_BYTES, "block {b}");
+            assert!(meta.len <= BLOCK_BYTES, "block {b} is {} bytes", meta.len);
+            if end < index.rows {
+                assert!(
+                    meta.len + fixed > BLOCK_BYTES,
+                    "block {b} had room for another"
+                );
+            }
+            let block = &bytes[meta.off as usize..meta.off as usize + meta.len];
+            let (body, hash) = block.split_at(meta.len - HASH_BYTES);
+            let digest = XxHash64::hash(body, SPILL_CHECKSUM_SEED ^ b as u64);
+            assert_eq!(hash, digest.to_le_bytes(), "block {b} hash");
+            let first_key = &index.first_keys[b * kw..(b + 1) * kw];
+            assert_eq!(first_key, &sorted.keys[meta.rows_before * kw..][..kw]);
+        }
+        let mut cur = sorter.open_cursor(&run, kw, run.bounds()).unwrap();
+        for i in 0..sorted.len() {
+            assert!(!cur.exhausted(), "record {i} missing");
+            assert_eq!(cur.key(), &sorted.keys[i * kw..(i + 1) * kw], "key {i}");
+            assert_eq!(cur.row(), sorted.payload.row(i), "row {i}");
+            assert!(cur.heap().is_empty(), "record {i} has a segment");
+            cur.advance().unwrap();
+        }
+        assert!(cur.exhausted());
+        index.blocks.iter().map(|m| m.len).collect()
+    }
+
+    #[test]
+    fn fixed_width_runs_fill_their_blocks_exactly() {
+        let sorter = |chunk: &DataChunk| {
+            let options = ExternalSortOptions {
+                ovc: true,
+                ..Default::default()
+            };
+            ExternalSorter::new(chunk.types(), OrderBy::ascending(1), options)
+        };
+        // A 4-byte key over a 16-byte row: 24-byte records, of which block
+        // 0 takes 2 730 behind the header and fills all 64 KiB.
+        let keys = |rows: usize| pseudo_random(rows, 31, u32::MAX);
+        let chunk = |keys: Vec<u32>| {
+            let payload = Vector::from_i64s((0..keys.len() as i64).collect());
+            DataChunk::from_columns(vec![Vector::from_u32s(keys), payload]).unwrap()
+        };
+        let full = chunk(keys(2 * 2_730 + 17));
+        let blocks = check_fixed_run_layout(&sorter(&full), &full);
+        assert_eq!(blocks[0], BLOCK_BYTES, "block 0 filled to the byte");
+        assert_eq!(blocks.len(), 3);
+        // One row: one block, header, record and hash.
+        let one = chunk(keys(1));
+        assert_eq!(check_fixed_run_layout(&sorter(&one), &one).len(), 1);
+
+        // Every key column holds one value: the key is 0 bytes wide, and a
+        // record is the row and its segment length alone.
+        let same = chunk(vec![7; 6_000]);
+        let kw = whole_run(&sorter(&same), &same).key_width;
+        assert_eq!(kw, 0, "a one-value key column codes in no bytes");
+        let blocks = check_fixed_run_layout(&sorter(&same), &same);
+        assert_eq!(blocks.len(), 2, "6 000 records of 20 bytes");
+        // A code column too (OVC on, a key of 8 bytes or more).
+        let wide = DataChunk::from_columns(vec![
+            Vector::from_u32s(keys(5_000)),
+            Vector::from_u32s(keys(5_000).into_iter().rev().collect()),
+            Vector::from_i64s((0..5_000).collect()),
+        ])
+        .unwrap();
+        let by_two = ExternalSorter::new(
+            wide.types(),
+            OrderBy::ascending(2),
+            ExternalSortOptions {
+                ovc: true,
+                ..Default::default()
+            },
+        );
+        assert!(by_two
+            .core
+            .codes(whole_run(&by_two, &wide).key_width)
+            .stored());
+        check_fixed_run_layout(&by_two, &wide);
     }
 
     /// Under a small row budget every spilled run is individually sorted,

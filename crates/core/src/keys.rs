@@ -264,10 +264,9 @@ impl KeyBlock {
             );
         }
         let kw = self.key_width();
-        for i in 0..n {
-            let rid = (base + i) as u32;
-            let off = (base + i) * stride + kw;
-            self.data[off..off + 4].copy_from_slice(&rid.to_le_bytes());
+        let entries = self.data[base * stride..].chunks_exact_mut(stride);
+        for (entry, rid) in entries.zip(base..) {
+            entry[kw..kw + ROW_ID_WIDTH].copy_from_slice(&(rid as u32).to_le_bytes());
         }
         self.len += n;
     }

@@ -1,7 +1,8 @@
 //! Encoding whole vectors into normalized-key rows.
 
 use crate::encoding::*;
-use crate::layout::{KeyColumn, KeyRange, RangeCoder};
+use crate::layout::{KeyColumn, KeyRange, RangeCoder, MAX_PREFIX};
+use rowsort_algos::rows::copy_row;
 use rowsort_vector::{NullOrder, SortOrder, Validity, Value, Vector, VectorData};
 
 #[inline]
@@ -117,18 +118,18 @@ pub fn encode_column_range_into(
     debug_assert!(out.len() >= (base_row + n) * stride);
     let desc = col.spec.order == SortOrder::Descending;
     let nulls = col.spec.nulls;
+    if width == 0 {
+        return; // a range-coded column of one code: nothing to write
+    }
+    let rows = out[base_row * stride..(base_row + n) * stride].chunks_exact_mut(stride);
+    let valid = vec.validity().words().map(|words| (words, lo));
     if let Some(coder) = col.coder() {
-        if width == 0 {
-            return; // one code: nothing to write
-        }
-        let rows = out[base_row * stride..(base_row + n) * stride].chunks_exact_mut(stride);
         let to = RangedRows {
             rows,
             at: col_offset,
             width,
             coder,
         };
-        let valid = vec.validity().words().map(|words| (words, lo));
         match vec.data() {
             VectorData::Int8(values) => to.encode(&values[lo..hi], valid),
             VectorData::Int16(values) => to.encode(&values[lo..hi], valid),
@@ -148,12 +149,10 @@ pub fn encode_column_range_into(
     }
 
     macro_rules! encode_loop {
-        ($values:expr, $encode:expr) => {{
-            for (i, v) in $values[lo..hi].iter().enumerate() {
-                let at = (base_row + i) * stride + col_offset;
-                let valid = vec.is_valid(lo + i);
-                out[at] = null_byte(nulls, valid);
-                let body = &mut out[at + 1..at + width];
+        ($values:expr, $encode:expr) => {
+            each_row(rows, $values[lo..hi].iter(), valid, |row, v, valid| {
+                row[col_offset] = null_byte(nulls, valid);
+                let body = &mut row[col_offset + 1..col_offset + width];
                 if valid {
                     body.copy_from_slice(&$encode(*v));
                     if desc {
@@ -162,8 +161,8 @@ pub fn encode_column_range_into(
                 } else {
                     body.fill(0);
                 }
-            }
-        }};
+            })
+        };
     }
 
     match vec.data() {
@@ -182,21 +181,51 @@ pub fn encode_column_range_into(
         VectorData::Timestamp(values) => encode_loop!(values, encode_i64),
         VectorData::Varchar(strings) => {
             let prefix = width - 2; // null byte + prefix + marker byte
-            for i in 0..n {
-                let at = (base_row + i) * stride + col_offset;
-                let valid = vec.is_valid(lo + i);
-                out[at] = null_byte(nulls, valid);
-                let body = &mut out[at + 1..at + width];
-                body.fill(0);
+            each_row(rows, lo..hi, valid, |row, i, valid| {
+                row[col_offset] = null_byte(nulls, valid);
+                let body = &mut row[col_offset + 1..col_offset + width];
+                // `copy_row`, not `fill` and `copy_from_slice`: a body or
+                // prefix of 4 to 64 bytes then costs no library call.
+                copy_row(body, &ZEROS[..width - 1]);
                 if valid {
-                    let bytes = strings.get_bytes(lo + i);
+                    let bytes = strings.get_bytes(i);
                     let m = bytes.len().min(prefix);
-                    body[..m].copy_from_slice(&bytes[..m]);
+                    copy_row(&mut body[..m], &bytes[..m]);
                     body[prefix] = continuation_marker(bytes.len(), prefix);
                     if desc {
                         invert_bytes(body);
                     }
                 }
+            });
+        }
+    }
+}
+
+/// The zeros a VARCHAR key body starts from: the widest body is the
+/// longest prefix and its marker.
+const ZEROS: [u8; MAX_PREFIX + 1] = [0; MAX_PREFIX + 1];
+
+/// Call `put(row, value, valid)` for each key row of a morsel and its
+/// value. `valid` is the column's validity words and the row of the first
+/// value in them, each row's bit read from its word; `None` when every row
+/// is valid, and then the loop tests nothing (`valid` is the constant
+/// `true` in `put`).
+#[inline(always)]
+fn each_row<T>(
+    rows: std::slice::ChunksExactMut<'_, u8>,
+    values: impl Iterator<Item = T>,
+    valid: Option<(&[u64], usize)>,
+    mut put: impl FnMut(&mut [u8], T, bool),
+) {
+    match valid {
+        None => {
+            for (row, v) in rows.zip(values) {
+                put(row, v, true);
+            }
+        }
+        Some((words, first)) => {
+            for (r, (row, v)) in (first..).zip(rows.zip(values)) {
+                put(row, v, (words[r / 64] >> (r % 64)) & 1 != 0);
             }
         }
     }
@@ -231,25 +260,11 @@ impl RangedRows<'_> {
 
     fn encode_at<T: Ordinal, const W: usize>(self, values: &[T], valid: Option<(&[u64], usize)>) {
         let (at, coder) = (self.at, self.coder);
-        let put = |row: &mut [u8], code: u64| {
-            let bytes = code.to_be_bytes();
-            row[at..at + W].copy_from_slice(&bytes[8 - W..]);
-        };
-        match valid {
-            None => {
-                for (row, v) in self.rows.zip(values) {
-                    put(row, coder.code(v.ordinal()));
-                }
-            }
-            Some((words, first)) => {
-                for (i, (row, v)) in self.rows.zip(values).enumerate() {
-                    let r = first + i;
-                    let valid = (words[r / 64] >> (r % 64)) & 1 != 0;
-                    let code = coder.code(v.ordinal());
-                    put(row, if valid { code } else { coder.null });
-                }
-            }
-        }
+        each_row(self.rows, values.iter(), valid, |row, v, valid| {
+            let code = coder.code(v.ordinal());
+            let code = if valid { code } else { coder.null };
+            row[at..at + W].copy_from_slice(&code.to_be_bytes()[8 - W..]);
+        });
     }
 }
 
@@ -636,6 +651,53 @@ mod tests {
                 let at = (i - 2) * stride + 3;
                 let got = &out[at..at + col.encoded_width()];
                 assert_eq!(got, encode_one(&vec.get(i), &col), "{spec:?} row {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn range_encoding_reads_validity_across_words() {
+        // NULLs at both ends of the first two validity words; ranges that
+        // start on and off a word boundary, behind one key row.
+        let rows = 130;
+        let null = |i: usize| [0, 63, 64, 127].contains(&i);
+        let ints: Vec<Option<i32>> = (0..rows)
+            .zip(-60..)
+            .map(|(i, v)| (!null(i)).then_some(v))
+            .collect();
+        let strings: Vec<Value> = (0..rows)
+            .map(|i| match null(i) {
+                true => Value::Null,
+                false => Value::from("ab".repeat(i % 5)),
+            })
+            .collect();
+        let columns = [
+            (
+                i32_vector(&ints),
+                KeyColumn::fixed(T::Int32, SortSpec::DESC),
+            ),
+            (
+                Vector::from_values(T::Varchar, &strings).unwrap(),
+                KeyColumn::varchar(SortSpec::ASC, 6),
+            ),
+            (
+                i32_vector(&ints),
+                KeyColumn::ranged(
+                    T::Int32,
+                    SortSpec::ASC,
+                    key_range(&i32_vector(&ints)).unwrap(),
+                ),
+            ),
+        ];
+        for (vec, col) in &columns {
+            let w = col.encoded_width();
+            for lo in [0, 1, 63, 65] {
+                let mut out = vec![0xAAu8; (1 + rows - lo) * w];
+                encode_column_range_into(vec, col, &mut out, w, 0, 1, lo, rows);
+                for i in lo..rows {
+                    let got = &out[(1 + i - lo) * w..][..w];
+                    assert_eq!(got, encode_one(&vec.get(i), col), "{col:?} lo {lo} row {i}");
+                }
             }
         }
     }

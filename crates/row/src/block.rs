@@ -188,77 +188,14 @@ impl RowBlock {
         );
         assert!(lo <= hi && hi <= chunk.len(), "row range out of bounds");
         let width = self.width();
-        let base = self.len;
-        let n = hi - lo;
-        self.data.resize((base + n) * width, 0);
-        for col in 0..chunk.column_count() {
-            self.scatter_column(chunk.column(col), col, base, lo, hi);
+        let start = self.len * width;
+        self.data.resize(start + (hi - lo) * width, 0);
+        for (col, vec) in chunk.columns().iter().enumerate() {
+            let rows = self.data[start..].chunks_exact_mut(width);
+            let at = (self.layout.offset(col), self.layout.null_offset(col));
+            scatter_column(rows, at, &mut self.heap, vec, (lo, hi));
         }
-        self.len += n;
-    }
-
-    fn scatter_column(&mut self, vec: &Vector, col: usize, base: usize, lo: usize, hi: usize) {
-        let width = self.width();
-        let slot = self.layout.offset(col);
-        let null_off = self.layout.null_offset(col);
-        let n = hi - lo;
-
-        // Null flags first (1 = NULL). NULL slots keep zero bytes.
-        for i in 0..n {
-            let row_start = (base + i) * width;
-            self.data[row_start + null_off] = !vec.is_valid(lo + i) as u8;
-        }
-
-        macro_rules! scatter_fixed {
-            ($values:expr) => {{
-                for (i, v) in $values[lo..hi].iter().enumerate() {
-                    if !vec.is_valid(lo + i) {
-                        continue;
-                    }
-                    let at = (base + i) * width + slot;
-                    let bytes = v.to_le_bytes();
-                    self.data[at..at + bytes.len()].copy_from_slice(&bytes);
-                }
-            }};
-        }
-
-        match vec.data() {
-            VectorData::Boolean(values) => {
-                for (i, v) in values[lo..hi].iter().enumerate() {
-                    if vec.is_valid(lo + i) {
-                        self.data[(base + i) * width + slot] = *v as u8;
-                    }
-                }
-            }
-            VectorData::Int8(values) => scatter_fixed!(values),
-            VectorData::Int16(values) => scatter_fixed!(values),
-            VectorData::Int32(values) => scatter_fixed!(values),
-            VectorData::Int64(values) => scatter_fixed!(values),
-            VectorData::UInt8(values) => scatter_fixed!(values),
-            VectorData::UInt16(values) => scatter_fixed!(values),
-            VectorData::UInt32(values) => scatter_fixed!(values),
-            VectorData::UInt64(values) => scatter_fixed!(values),
-            VectorData::Float32(values) => scatter_fixed!(values),
-            VectorData::Float64(values) => scatter_fixed!(values),
-            VectorData::Date(values) => scatter_fixed!(values),
-            VectorData::Timestamp(values) => scatter_fixed!(values),
-            VectorData::Varchar(strings) => {
-                for i in 0..n {
-                    if !vec.is_valid(lo + i) {
-                        continue;
-                    }
-                    let bytes = strings.get_bytes(lo + i);
-                    let heap_off = heap_base(self.heap.len());
-                    // lint:allow(R010): same 4 GiB capacity bound as
-                    // `heap_base`'s.
-                    let byte_len = u32::try_from(bytes.len()).expect("string exceeds 4 GiB");
-                    self.heap.extend_from_slice(bytes);
-                    let at = (base + i) * width + slot;
-                    self.data[at..at + 4].copy_from_slice(&heap_off.to_le_bytes());
-                    self.data[at + 4..at + 8].copy_from_slice(&byte_len.to_le_bytes());
-                }
-            }
-        }
+        self.len += hi - lo;
     }
 
     /// Whether column `col` of row `row` is NULL.
@@ -351,10 +288,10 @@ impl RowBlock {
         mut fill: impl FnMut(&mut ChunkPiece<'_>) -> Result<(), &'static str>,
     ) -> DataChunk {
         let mut builder = ChunkBuilder::new(self.layout.types(), rows);
-        // Rows scattered from vectors name each heap byte once: an even
-        // share per VARCHAR column is the right order of magnitude, and
-        // exact for one; a gather of fewer rows than the block holds
-        // expects as much less.
+        // Rows scattered from vectors name each heap byte at most once:
+        // an even share per VARCHAR column is the right order of
+        // magnitude, and exact for one; a gather of fewer rows than the
+        // block holds expects as much less.
         let varchars = self.layout.types().iter();
         let varchars = varchars.filter(|&&ty| ty == LogicalType::Varchar).count();
         let share = self.heap.len().checked_div(varchars).unwrap_or(0);
@@ -406,6 +343,97 @@ impl RowBlock {
     }
 }
 
+/// Scatter rows `lo..hi` of `vec` into one column of `rows`, whose NULL
+/// flag and slot sit at `at` and hold zeros: one pass over the rows, the
+/// NULL flag and the slot written together. The NULL flags of a column
+/// without a validity mask stay as they are (zero, valid), so that loop
+/// tests nothing; a NULL's slot stays zero, whatever the vector stores
+/// under it. A VARCHAR column's bytes for the range go to `heap` in
+/// one copy, with one 4 GiB check for the column, and each slot is read
+/// from the offsets.
+fn scatter_column(
+    rows: std::slice::ChunksExactMut<'_, u8>,
+    at: (usize, usize),
+    heap: &mut Vec<u8>,
+    vec: &Vector,
+    (lo, hi): (usize, usize),
+) {
+    let valid = vec.validity().words().map(|words| (words, lo));
+    macro_rules! fixed {
+        ($values:expr) => {
+            scatter_slots(rows, at, $values[lo..hi].iter().copied(), valid, |v| {
+                v.to_le_bytes()
+            })
+        };
+    }
+    match vec.data() {
+        VectorData::Boolean(values) => {
+            let values = values[lo..hi].iter().copied();
+            scatter_slots(rows, at, values, valid, |v| [u8::from(v)]);
+        }
+        VectorData::Int8(values) => fixed!(values),
+        VectorData::Int16(values) => fixed!(values),
+        VectorData::Int32(values) => fixed!(values),
+        VectorData::Int64(values) => fixed!(values),
+        VectorData::UInt8(values) => fixed!(values),
+        VectorData::UInt16(values) => fixed!(values),
+        VectorData::UInt32(values) => fixed!(values),
+        VectorData::UInt64(values) => fixed!(values),
+        VectorData::Float32(values) => fixed!(values),
+        VectorData::Float64(values) => fixed!(values),
+        VectorData::Date(values) => fixed!(values),
+        VectorData::Timestamp(values) => fixed!(values),
+        VectorData::Varchar(strings) => {
+            let (offsets, bytes) = strings.range_parts(lo, hi);
+            // lint:allow(R010): the scatter's one 4 GiB check per VARCHAR
+            // column: the heap's end after the range's bytes bounds every
+            // offset the column's slots are given below.
+            let end = heap_offset((heap.len() + bytes.len()) as u64).expect(HEAP_OVERFLOW);
+            heap.extend_from_slice(bytes);
+            // String `lo + i` starts `offsets[i] - offsets[0]` bytes into
+            // the copy, and the copy ends at `end`.
+            let last = offsets.last().copied().unwrap_or_default();
+            let spans = offsets.iter().zip(offsets.get(1..).unwrap_or_default());
+            scatter_slots(rows, at, spans, valid, |(&start, &stop)| {
+                let slot = u64::from(end - (last - start)) | (u64::from(stop - start) << 32);
+                slot.to_le_bytes()
+            });
+        }
+    }
+}
+
+/// Write `bytes(v)` for each value `v` into the slot at `slot` of its row
+/// of `rows`. With `valid` — the column's validity words and the row of
+/// the first value in them — each row's NULL flag at `null` is written
+/// too, and a NULL row's slot is left as it is (zero: the rows were just
+/// appended); without, the flags are left alone. The one loop of a
+/// column's scatter, whatever its type.
+#[inline(always)]
+fn scatter_slots<T, const W: usize>(
+    rows: std::slice::ChunksExactMut<'_, u8>,
+    (slot, null): (usize, usize),
+    values: impl Iterator<Item = T>,
+    valid: Option<(&[u64], usize)>,
+    bytes: impl Fn(T) -> [u8; W],
+) {
+    match valid {
+        None => {
+            for (row, v) in rows.zip(values) {
+                row[slot..slot + W].copy_from_slice(&bytes(v));
+            }
+        }
+        Some((words, first)) => {
+            for (r, (row, v)) in (first..).zip(rows.zip(values)) {
+                let valid = (words[r / 64] >> (r % 64)) & 1 != 0;
+                row[null] = u8::from(!valid);
+                if valid {
+                    row[slot..slot + W].copy_from_slice(&bytes(v));
+                }
+            }
+        }
+    }
+}
+
 /// Fill `dst` (cleared first) with the `width`-byte rows of `src` in the
 /// order `order` names them: the payload reorder, one [`copy_row`] per
 /// row. A row's VARCHAR slots hold absolute heap offsets, so the rows keep
@@ -438,7 +466,8 @@ pub fn reorder_rows(
 /// one column's region of the source heap (row by row, the copy measured
 /// about 1.5× slower, and the reader gained nothing more). NULL slots
 /// keep their bytes and take none of the heap; rows scattered from
-/// vectors name each heap byte once, so `dst` ends as long as `src`.
+/// vectors name each heap byte at most once (bytes a vector holds under
+/// a NULL, none), so `dst` ends at most as long as `src`.
 ///
 /// # Panics
 /// If a slot does not lie inside `src`, or `dst` would pass 4 GiB.
@@ -473,7 +502,7 @@ pub fn reorder_heap(rows: &mut [u8], layout: &RowLayout, src: &[u8], dst: &mut V
 mod tests {
     use super::*;
     use crate::layout::RowAlignment;
-    use rowsort_vector::LogicalType as T;
+    use rowsort_vector::{LogicalType as T, Validity};
 
     fn chunk_u32_pairs(rows: &[(u32, u32)]) -> DataChunk {
         let a = Vector::from_u32s(rows.iter().map(|r| r.0).collect());
@@ -793,6 +822,98 @@ mod tests {
             expected.push_row(&[Value::Null]).unwrap();
         }
         assert_eq!(got, expected);
+    }
+
+    /// One column of every type, `rows` long, with a value under every
+    /// row — NULL rows included, VARCHAR too — and `validity` for each.
+    fn every_type_chunk(rows: usize, validity: &Validity) -> DataChunk {
+        let ints = |k: i64| (0..rows as i64).map(move |i| i * k + 1);
+        let data = [
+            VectorData::Boolean(vec![true; rows]),
+            VectorData::Int8(ints(1).map(|v| v as i8).collect()),
+            VectorData::Int16(ints(-3).map(|v| v as i16).collect()),
+            VectorData::Int32(ints(1 << 20).map(|v| v as i32).collect()),
+            VectorData::Int64(ints(-(1 << 40)).collect()),
+            VectorData::UInt8(ints(1).map(|v| v as u8).collect()),
+            VectorData::UInt16(ints(257).map(|v| v as u16).collect()),
+            VectorData::UInt32(ints(1 << 24).map(|v| v as u32).collect()),
+            VectorData::UInt64(ints(1 << 50).map(|v| v as u64).collect()),
+            VectorData::Float32(ints(1).map(|v| v as f32 + 0.5).collect()),
+            VectorData::Float64(ints(-7).map(|v| v as f64 / 3.0).collect()),
+            VectorData::Date(ints(1).map(|v| v as i32).collect()),
+            VectorData::Timestamp(ints(1 << 33).collect()),
+            VectorData::Varchar(
+                (0..rows)
+                    .map(|i| format!("s{}", "x".repeat(i % 9)))
+                    .collect(),
+            ),
+        ];
+        let columns = data.map(|d| Vector::from_parts(d, validity.clone()).unwrap());
+        DataChunk::from_columns(columns.to_vec()).unwrap()
+    }
+
+    /// The scatter's invariants: a NULL slot and every padding byte are
+    /// zero whatever the vector holds there, the rows gather back to the
+    /// input, and the heap takes exactly the range's string bytes. NULLs
+    /// sit at both ends of the first two validity words; the ranges start
+    /// on and off word boundaries, and append behind rows already there.
+    #[test]
+    fn scatter_zeroes_null_slots_and_padding_across_validity_words() {
+        let rows = 130;
+        let mut nulls = Validity::new_valid(rows);
+        for r in [0, 63, 64, 127] {
+            nulls.set_invalid(r);
+        }
+        for validity in [Validity::new_valid(rows), nulls] {
+            let lazy = validity.words().is_none();
+            let chunk = every_type_chunk(rows, &validity);
+            let layout = Arc::new(RowLayout::new(&chunk.types()));
+            let width = layout.width();
+            // The bytes of a row that hold a NULL flag or a slot.
+            let mut used = vec![false; width];
+            for col in 0..layout.column_count() {
+                used[layout.null_offset(col)] = true;
+                let slot = layout.offset(col);
+                used[slot..slot + layout.slot_width(col)].fill(true);
+            }
+            let strings = chunk.column(T::ALL.len() - 1).as_strings().unwrap();
+            for lo in [0, 1, 63, 65] {
+                let ranges = [(lo, rows), (lo / 2, lo + 3)];
+                let mut block = RowBlock::new(Arc::clone(&layout));
+                for (lo, hi) in ranges {
+                    block.append_chunk_range(&chunk, lo, hi);
+                }
+                let input = ranges.iter().flat_map(|&(lo, hi)| lo..hi);
+                for (r, i) in input.enumerate() {
+                    let row = block.row(r);
+                    let case = format!("lazy {lazy} lo {lo}: row {r} (input {i})");
+                    for (b, _) in used.iter().enumerate().filter(|(_, &u)| !u) {
+                        assert_eq!(row[b], 0, "{case}: padding byte {b}");
+                    }
+                    for col in 0..layout.column_count() {
+                        let null = !validity.is_valid(i);
+                        assert_eq!(block.is_null(r, col), null, "{case} column {col}");
+                        let slot = layout.offset(col);
+                        let value = &row[slot..slot + layout.slot_width(col)];
+                        if null {
+                            assert!(value.iter().all(|&b| b == 0), "{case} column {col}");
+                        }
+                    }
+                    assert_eq!(block.value(r, 0), chunk.row(i)[0], "{case}");
+                }
+                let order: Vec<u32> = (0..block.len() as u32).collect();
+                let gathered = block.gather(&order);
+                let input = ranges.iter().flat_map(|&(lo, hi)| lo..hi);
+                for (r, i) in input.enumerate() {
+                    assert_eq!(gathered.row(r), chunk.row(i), "lazy {lazy} lo {lo} row {r}");
+                }
+                let heap: usize = ranges
+                    .iter()
+                    .map(|&(lo, hi)| strings.range_bytes(lo, hi))
+                    .sum();
+                assert_eq!(block.heap().len(), heap, "lazy {lazy} lo {lo}");
+            }
+        }
     }
 
     #[test]

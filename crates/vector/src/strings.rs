@@ -141,6 +141,21 @@ impl StringVec {
         (self.offsets[hi] - self.offsets[lo]) as usize
     }
 
+    /// The strings `lo..hi` as their offsets and bytes: `hi - lo + 1`
+    /// offsets, each still relative to the whole column, and the bytes
+    /// from the first offset to the last. String `lo + i` is
+    /// `bytes[offsets[i] - offsets[0]..offsets[i + 1] - offsets[0]]`. For
+    /// a pass that copies a range's bytes at once and reads each string's
+    /// place from the offsets.
+    ///
+    /// # Panics
+    /// If `lo..hi` is not a valid range of the column.
+    pub fn range_parts(&self, lo: usize, hi: usize) -> (&[u32], &[u8]) {
+        let offsets = &self.offsets[lo..=hi];
+        let (start, end) = (self.offsets[lo], self.offsets[hi]);
+        (offsets, &self.bytes[start as usize..end as usize])
+    }
+
     /// Maximum string byte length in the column (0 if empty). Used to pick
     /// normalized-key prefix lengths from statistics, as DuckDB does.
     pub fn max_len(&self) -> usize {
@@ -236,6 +251,23 @@ mod tests {
         dst.extend_from_range(&src, 2, 2);
         assert_eq!(dst.iter().collect::<Vec<_>>(), ["x", "", "héllo", "z"]);
         assert_eq!(dst.total_bytes(), 1 + "héllo".len() + 1);
+    }
+
+    #[test]
+    fn range_parts_frame_a_sliced_range() {
+        let v: StringVec = ["ab", "", "héllo", "z", "end"].iter().collect();
+        let (offsets, bytes) = v.range_parts(1, 4);
+        assert_eq!(offsets, [2, 2, 8, 9]);
+        assert_eq!(bytes, "hélloz".as_bytes());
+        assert_eq!(bytes.len(), v.range_bytes(1, 4));
+        let first = offsets[0];
+        for (i, w) in offsets.windows(2).enumerate() {
+            let (s, e) = ((w[0] - first) as usize, (w[1] - first) as usize);
+            assert_eq!(&bytes[s..e], v.get_bytes(1 + i), "string {}", 1 + i);
+        }
+        // An empty range still names where it sits.
+        assert_eq!(v.range_parts(3, 3), (&[8u32][..], &b""[..]));
+        assert_eq!(StringVec::new().range_parts(0, 0), (&[0u32][..], &b""[..]));
     }
 
     #[test]
