@@ -19,8 +19,9 @@
 //! per row and as a share of `memcpy` speed, then run generation's five
 //! stage clocks for `u32_t1`, `u32x2_t1` (an 8-byte key, the one width
 //! that is both short and offset-value coded), `longstr_t1`, `catalog_t1`
-//! (`catalog_spill`'s four nullable INT keys) and `customer` in ns per
-//! row — reports, never a gate.
+//! (`catalog_spill`'s four nullable INT keys), `customer` and
+//! `customer_5k` (thousands of names) in ns per row, after the plan's
+//! `prepare` clock — reports, never a gate.
 
 use rowsort_bench::{long_string_chunk, u32_chunk, wide_key_chunk, LONGSTR_STEM, TIEDSTR_STEM};
 use rowsort_core::metrics::{Counter, Phase, RUN_STAGES};
@@ -170,6 +171,14 @@ fn customer_chunk(n: usize) -> (DataChunk, OrderBy) {
     (tpcds::customer(n, 0x000F_1617).data, OrderBy::new(order))
 }
 
+/// [`customer_chunk`] with thousands of first and last names, as TPC-DS
+/// has, rather than 101 and 201 (`tpcds::customer_many_names`).
+fn customer_many_names_chunk(n: usize) -> (DataChunk, OrderBy) {
+    let order = [2, 1, 3].map(OrderByColumn::asc).to_vec();
+    let table = tpcds::customer_many_names(n, 0x000F_1618);
+    (table.data, OrderBy::new(order))
+}
+
 /// `catalog_spill`'s order: `catalog_sales` by its four nullable INT
 /// columns, range-coded in 5 bytes.
 fn catalog_order() -> OrderBy {
@@ -236,10 +245,12 @@ fn report_merge_fan_in(_: &mut Harness) {
 
 /// Run generation stage by stage for `u32_t1`, `u32x2_t1` (two random
 /// u32 columns: an 8-byte key, whose code column `strip+code` fills),
-/// `longstr_t1`, `catalog_t1` and `customer` (3 runs, so the reorder lays
-/// out every run's strings in run order), at one thread: each stage's
-/// clock (`RUN_STAGES`), best of five sorts, in ns per row, and the key
-/// each planned. A report, never a gate.
+/// `longstr_t1`, `catalog_t1`, `customer` (3 runs, so the reorder lays
+/// out every run's strings in run order) and `customer_5k` (the same with
+/// 3 000 first and 5 000 last names), at one thread: the plan's clock
+/// (`prepare`: samples, integer ranges, dictionaries) and each stage's
+/// (`RUN_STAGES`), best of five sorts, in ns per row, and the key each
+/// planned. A report, never a gate.
 fn report_run_stages(_: &mut Harness) {
     const TRIALS: usize = 5;
     let n = sizes()[0];
@@ -248,6 +259,7 @@ fn report_run_stages(_: &mut Harness) {
     // bytes where the plain key takes 20, in 16 runs.
     let catalog_rows = n.min(1_000_000) / 2;
     let (customer, by_name) = customer_chunk(n.min(1_000_000));
+    let (customer_5k, by_name_5k) = customer_many_names_chunk(n.min(1_000_000));
     let cases = [
         (
             "u32_t1",
@@ -274,6 +286,12 @@ fn report_run_stages(_: &mut Harness) {
             (catalog_rows / 16).max(1),
         ),
         ("customer", customer, by_name, n.min(1_000_000).div_ceil(3)),
+        (
+            "customer_5k",
+            customer_5k,
+            by_name_5k,
+            n.min(1_000_000).div_ceil(3),
+        ),
     ];
     println!("run generation by stage, 1 thread, ns/row (best of {TRIALS}):");
     for (id, chunk, order, run_rows) in cases {
@@ -284,20 +302,27 @@ fn report_run_stages(_: &mut Harness) {
         };
         let pipeline = SortPipeline::new(chunk.types(), order, options);
         drop(pipeline.sort(&chunk));
-        let mut best = [u64::MAX; RUN_STAGES.len()];
+        let (mut prepare, mut best) = (u64::MAX, [u64::MAX; RUN_STAGES.len()]);
         for _ in 0..TRIALS {
             drop(black_box(pipeline.sort(&chunk)));
             let metrics = pipeline.last_profile().metrics;
+            prepare = prepare.min(metrics.phase(Phase::Prepare));
             for (b, (counter, _)) in best.iter_mut().zip(RUN_STAGES) {
                 *b = (*b).min(metrics.counter(counter));
             }
         }
-        print!("  {id:<12}");
-        for (ns, (_, name)) in best.iter().zip(RUN_STAGES) {
-            print!(" {name} {:.1}", *ns as f64 / chunk.len() as f64);
+        let per_row = |ns: u64| ns as f64 / chunk.len() as f64;
+        print!("  {id:<12} prepare {:.1}", per_row(prepare));
+        for (&ns, (_, name)) in best.iter().zip(RUN_STAGES) {
+            print!(" {name} {:.1}", per_row(ns));
         }
         let profile = pipeline.last_profile();
-        println!("  key {}B/{}B", profile.key_width, profile.key_width_plain);
+        let listed = (profile.dict_columns as usize).min(profile.dict_values.len());
+        let dicts = &profile.dict_values[..listed];
+        println!(
+            "  key {}B/{}B dict {dicts:?}",
+            profile.key_width, profile.key_width_plain
+        );
     }
 }
 

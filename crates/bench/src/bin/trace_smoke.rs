@@ -6,8 +6,9 @@
 //!
 //! Turns tracing on, runs one in-memory pipeline sort (u32 keys, five runs
 //! so the line carries a merge), one VARCHAR sort whose strings share more
-//! bytes than any key prefix (so the line carries the tie path), and one
-//! spilling external sort, then reads the trace file back and validates
+//! bytes than any key prefix (so the line carries the tie path), one whose
+//! 997 strings the key codes by rank (`dict_columns`, `dict_values`), and
+//! one spilling external sort, then reads the trace file back and validates
 //! every line against the documented schema (DESIGN.md §7.5) with
 //! testkit's JSON parser: required fields, all phase and counter names
 //! present and numeric, phase times that sum to no more than the sort's
@@ -57,22 +58,29 @@ fn run_sorts() {
     let pipeline = SortPipeline::new(ints.types(), OrderBy::ascending(1), five_runs);
     drop(pipeline.sort(&ints));
 
-    let mut strings = DataChunk::new(&[rowsort_vector::LogicalType::Varchar]);
-    for _ in 0..20_000 {
-        let r = rng.next_u32();
-        let v = if r.is_multiple_of(11) {
-            Value::Null
-        } else {
-            Value::from(format!("a_name_that_outgrows_every_key_prefix_{}", r % 997))
-        };
-        strings.push_row(&[v]).unwrap();
+    // Strings too many for a dictionary, and the same stem over 997 values,
+    // which the key codes by rank.
+    for values in [u32::MAX, 997] {
+        let mut strings = DataChunk::new(&[rowsort_vector::LogicalType::Varchar]);
+        for _ in 0..20_000 {
+            let r = rng.next_u32();
+            let v = if r.is_multiple_of(11) {
+                Value::Null
+            } else {
+                Value::from(format!(
+                    "a_name_that_outgrows_every_key_prefix_{}",
+                    r % values
+                ))
+            };
+            strings.push_row(&[v]).unwrap();
+        }
+        let pipeline = SortPipeline::new(
+            strings.types(),
+            OrderBy::ascending(1),
+            SortOptions::default(),
+        );
+        drop(pipeline.sort(&strings));
     }
-    let pipeline = SortPipeline::new(
-        strings.types(),
-        OrderBy::ascending(1),
-        SortOptions::default(),
-    );
-    drop(pipeline.sort(&strings));
 
     let sorter = ExternalSorter::new(
         ints.types(),
@@ -105,15 +113,15 @@ fn main() {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| die(&format!("cannot read trace file {path}: {e}")));
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    if lines.len() != 3 {
+    if lines.len() != 4 {
         die(&format!(
-            "expected 3 trace lines (3 sorts ran), got {}",
+            "expected 4 trace lines (4 sorts ran), got {}",
             lines.len()
         ));
     }
 
     let mut operators = Vec::new();
-    let (mut merged_in_memory, mut tied) = (false, false);
+    let (mut merged_in_memory, mut tied, mut ranked) = (false, false, false);
     for (i, line) in lines.iter().enumerate() {
         let line_no = i + 1;
         let obj = Json::parse(line)
@@ -191,6 +199,21 @@ fn main() {
                 "line {line_no}: key_width {key_width} > key_width_plain {key_width_plain}"
             ));
         }
+        // Rank-coded columns: a count, and that many distinct-string
+        // counts up to four, each within a `u16` of ranks.
+        let dict_columns = num_field(&obj, "dict_columns", line_no);
+        let listed = obj.get("dict_values").and_then(Json::as_arr);
+        let listed = listed.unwrap_or_else(|| die(&format!("line {line_no}: no 'dict_values'")));
+        let values: Vec<f64> = listed.iter().filter_map(Json::as_f64).collect();
+        if values.len() != listed.len()
+            || values.len() as f64 != dict_columns.min(4.0)
+            || values.iter().any(|&v| v > 65_536.0)
+        {
+            die(&format!(
+                "line {line_no}: dict_columns {dict_columns}, dict_values {values:?}"
+            ));
+        }
+        ranked |= dict_columns > 0.0;
         let (tie_ranges, tie_rows) = (count(Counter::RunTieRanges), count(Counter::RunTieRows));
         if key_width <= 0.0 || prefix >= key_width {
             die(&format!(
@@ -266,6 +289,9 @@ fn main() {
     }
     if !tied {
         die("no line carries the tie path (run_tie_rows is 0 on all)");
+    }
+    if !ranked {
+        die("no line carries a rank-coded key (dict_columns is 0 on all)");
     }
     if !merged_in_memory {
         die("no pipeline line carries a merge (merge_rounds is 0 on all)");

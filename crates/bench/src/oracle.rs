@@ -27,9 +27,11 @@
 //! check 3 over N seeds.
 
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
+use rowsort_core::metrics::DICT_REPORTED;
 use rowsort_core::pipeline::{SortOptions, SortPipeline};
 use rowsort_core::{Counter, KeyBlock, SpillError, SystemProfile, PREFIX_CAP};
 use rowsort_engine::{Engine, ExecOptions, SpillExecOptions, Table};
+use rowsort_normkey::KeyColumn;
 use rowsort_row::{ChunkBuilder, RowBlock, RowLayout};
 use rowsort_testkit::faultfs::{FaultFs, FaultSchedule};
 use rowsort_testkit::prop::{Gen, PropResult};
@@ -230,6 +232,10 @@ const STEMS: [usize; 10] = [
 /// beyond 12 bytes.
 const SIBLINGS: u64 = 2;
 
+/// Distinct strings of the low-cardinality VARCHAR key column: one, a few,
+/// and more than a byte of ranks holds.
+const LOW_CARDINALITY: [usize; 4] = [1, 3, 40, 300];
+
 /// A run size that cuts `n` rows into one, a few or a few dozen runs.
 fn run_size(n: usize, rng: &mut Rng) -> usize {
     let runs = *rng.pick(&[1, 2, 3, 7, 16, 40]);
@@ -294,6 +300,26 @@ impl Gen for CaseGen {
         rng.shuffle(&mut columns);
         columns.truncate(rng.range_inclusive(1, ncols));
         let mut keys: Vec<OrderByColumn> = columns.into_iter().map(|c| key(c, rng)).collect();
+        // Half the cases key on a nullable VARCHAR of few values, which the
+        // sorters code by rank when it holds few enough.
+        if rng.chance(0.5) {
+            let shape = (*rng.pick(&STEMS), *rng.pick(&[SIBLINGS, 3, 9]), None);
+            let values = *rng.pick(&LOW_CARDINALITY);
+            let pool: Vec<Value> = (0..values)
+                .map(|_| draw_value(LogicalType::Varchar, shape, rng))
+                .collect();
+            for row in &mut rows {
+                let null = rng.chance(null_share.max(0.05));
+                row.push(if null {
+                    Value::Null
+                } else {
+                    rng.pick(&pool).clone()
+                });
+            }
+            types.push(LogicalType::Varchar);
+            let at = rng.below(keys.len() as u64 + 1) as usize;
+            keys.insert(at, key(types.len() - 1, rng));
+        }
         // Half the cases end in a unique id key: the order is total and
         // the output sequence exact.
         if rng.chance(0.5) {
@@ -301,7 +327,7 @@ impl Gen for CaseGen {
             for (id, row) in rows.iter_mut().enumerate() {
                 row.push(Value::UInt32(id as u32));
             }
-            keys.push(key(ncols, rng));
+            keys.push(key(types.len() - 1, rng));
         }
         Case {
             types,
@@ -861,7 +887,8 @@ fn key_order_holds(case: &Case, chunk: &DataChunk, mut block: KeyBlock) -> PropR
         .zip(case.order.keys.get(encoded - 1));
     let outgrown = last.is_some_and(|(col, key)| {
         let strings = chunk.column(key.column).as_strings();
-        strings.is_some_and(|s| s.max_len() > col.prefix_len)
+        let prefixed = strings.filter(|_| col.range.is_none());
+        prefixed.is_some_and(|s| s.max_len() > col.prefix_len)
     });
     if block.tie_possible() != outgrown {
         return Err(format!(
@@ -902,8 +929,9 @@ fn key_order_holds(case: &Case, chunk: &DataChunk, mut block: KeyBlock) -> PropR
 
 /// The plan is a function of the input alone: at every `threads` ×
 /// `run_rows` × `ovc` the pipeline, and at every budget × `merge_threads`
-/// × `ovc` the external sorter, report the key width and VARCHAR prefix of
-/// [`KeyBlock::planned`] for the case's rows in their profiles.
+/// × `ovc` the external sorter, report the key width, VARCHAR prefix and
+/// dictionaries of [`KeyBlock::planned`] for the case's rows in their
+/// profiles.
 pub fn check_plan_is_input_wide(case: &Case) -> PropResult {
     let chunk = case.chunk();
     if chunk.is_empty() {
@@ -913,9 +941,22 @@ pub fn check_plan_is_input_wide(case: &Case) -> PropResult {
     let planned = KeyBlock::planned(&chunk, &case.order);
     let varchars = planned.layout().columns().iter();
     let varchars = varchars.filter(|c| c.ty == LogicalType::Varchar);
-    let prefix = varchars.map(|c| c.prefix_len).max().unwrap_or(0);
-    let want = (planned.key_width() as u32, prefix as u32);
-    let of = |p: rowsort_core::SortProfile| (p.key_width, p.varchar_prefix);
+    let (ranked, prefixed): (Vec<&KeyColumn>, Vec<_>) = varchars.partition(|c| c.range.is_some());
+    let prefix = prefixed.iter().map(|c| c.prefix_len).max().unwrap_or(0);
+    let values = |c: &&KeyColumn| {
+        c.range
+            .map_or(0, |r| (r.hi + 1).saturating_sub(r.lo) as u32)
+    };
+    let mut dict_values = [0; DICT_REPORTED];
+    for (slot, c) in dict_values.iter_mut().zip(&ranked) {
+        *slot = values(c);
+    }
+    let dicts = (ranked.len() as u32, dict_values);
+    let want = (planned.key_width() as u32, prefix as u32, dicts);
+    let of = |p: rowsort_core::SortProfile| {
+        let dicts = (p.dict_columns, p.dict_values);
+        (p.key_width, p.varchar_prefix, dicts)
+    };
     for run_rows in [o.run_rows, o.memory_limit_rows] {
         for (threads, merge_threads) in [(1, 1), (o.threads, o.merge_threads)] {
             for ovc in [true, false] {
@@ -925,7 +966,8 @@ pub fn check_plan_is_input_wide(case: &Case) -> PropResult {
                 if got != want {
                     return Err(format!(
                         "pipeline at run_rows={run_rows} threads={threads} ovc={ovc} planned \
-                         (key_width, prefix) {got:?}, KeyBlock::planned {want:?}"
+                         (key_width, prefix, dictionaries) {got:?}, KeyBlock::planned \
+                         {want:?}"
                     ));
                 }
                 let sorter = external(case, run_rows, merge_threads, ovc, no_faults());
@@ -934,7 +976,8 @@ pub fn check_plan_is_input_wide(case: &Case) -> PropResult {
                 if got != want {
                     return Err(format!(
                         "external at budget={run_rows} merge_threads={merge_threads} ovc={ovc} \
-                         planned (key_width, prefix) {got:?}, KeyBlock::planned {want:?}"
+                         planned (key_width, prefix, dictionaries) {got:?}, KeyBlock::planned \
+                         {want:?}"
                     ));
                 }
             }

@@ -1237,7 +1237,20 @@ mod tests {
     /// advance finds nothing left over in the file.
     #[test]
     fn spill_record_format_roundtrip() {
+        // `stringy_chunk`'s first column holds few enough strings to be
+        // rank-coded into a 4-byte key, which stores no codes; with each
+        // row's index appended it keeps a prefix, and the key is wide
+        // enough for the run file to carry its offset-value codes.
         let chunk = stringy_chunk(6_000, 11);
+        let distinct: Vec<Value> = (0..chunk.len())
+            .map(|i| match chunk.column(0).get(i) {
+                Value::Varchar(s) => Value::Varchar(format!("{s}/{i}")),
+                other => other,
+            })
+            .collect();
+        let mut columns = chunk.columns().to_vec();
+        columns[0] = Vector::from_values(LogicalType::Varchar, &distinct).unwrap();
+        let chunk = DataChunk::from_columns(columns).unwrap();
         let order = OrderBy::new(vec![
             OrderByColumn {
                 column: 1,
@@ -1755,7 +1768,8 @@ mod tests {
     /// Run `i` is input rows `[i · limit, (i + 1) · limit)` whoever claims
     /// it: the run files are byte-identical, index by index, at every
     /// thread count — with and without codes, fixed-width rows and
-    /// VARCHARs — and the rows merged from them with them.
+    /// VARCHARs, prefix- and rank-coded — and the rows merged from them
+    /// with them.
     #[test]
     fn run_files_are_byte_identical_across_thread_counts() {
         let keys = pseudo_random(5_000, 51, 700);
@@ -1763,10 +1777,16 @@ mod tests {
         let ints =
             DataChunk::from_columns(vec![Vector::from_u32s(keys), Vector::from_u32s(payload)])
                 .unwrap();
+        // Its third column holds five strings and NULL: a key coded by
+        // their ranks.
+        let by_tail = OrderBy::new(vec![OrderByColumn::desc(2), OrderByColumn::asc(1)]);
         let tables = [
             ("fixed-width", ints, OrderBy::ascending(1)),
             ("varchar", stringy_chunk(5_000, 52), OrderBy::ascending(2)),
+            ("rank-coded varchar", stringy_chunk(5_000, 52), by_tail),
         ];
+        let ranked = KeyBlock::planned(&tables[2].1, &tables[2].2);
+        assert!(ranked.layout().columns()[0].range.is_some(), "a ranked key");
         for (name, chunk, order) in &tables {
             for ovc in [false, true] {
                 let spill_with = |merge_threads: usize| {
@@ -2096,7 +2116,9 @@ mod tests {
         let mut all_null = DataChunk::new(&types);
         for i in 0..300 {
             let (tail, id) = (Value::from(format!("p{}", i % 9)), Value::Int32(i));
-            let same = Value::from("the same truncated-prefix key");
+            // Distinct strings, so the planner codes them by prefix, not
+            // by rank, that share more bytes than any prefix it plans.
+            let same = Value::from(format!("the same truncated-prefix key, then {i}"));
             all_equal
                 .push_row(&[same, Value::UInt32(7), tail.clone(), id.clone()])
                 .unwrap();

@@ -1,13 +1,14 @@
 //! Normalized-key blocks: the sortable representation of ORDER BY keys.
 
-use crate::run::{key_stats, PrefixSampler};
+use crate::run::{key_stats, PlanScratch};
 use rowsort_algos::pdqsort::pdqsort_rows;
 use rowsort_algos::radix::radix_sort_rows_with_scratch;
 pub(crate) use rowsort_algos::rows::word;
 use rowsort_algos::rows::{copy_row, RowsMut};
 use rowsort_algos::NoProbe;
 use rowsort_normkey::{
-    encode_column_range_into, KeyColumn, KeyRange, NormKeyLayout, DEFAULT_MAX_PREFIX, MAX_PREFIX,
+    encode_column_range_into, encode_ranks_range_into, KeyColumn, KeyRange, NormKeyLayout,
+    DEFAULT_MAX_PREFIX, MAX_PREFIX,
 };
 use rowsort_vector::{DataChunk, LogicalType, OrderBy};
 use std::cmp::Ordering;
@@ -21,6 +22,19 @@ pub struct VarcharStat {
     /// Bytes of each string the key encodes; the column is exact when
     /// this reaches `max_len`.
     pub prefix_len: usize,
+}
+
+/// What the planner knows about a VARCHAR `ORDER BY` column it coded by
+/// rank: the distinct strings its ranks count, and the prefix it would
+/// have encoded instead.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RankStat {
+    /// Distinct strings among the column's valid rows, at most 2¹⁶.
+    pub values: u32,
+    /// Whether some row is NULL.
+    pub nulls: bool,
+    /// The column as its prefix would have coded it.
+    pub prefix: VarcharStat,
 }
 
 /// What the planner knows about one `ORDER BY` column, from the rows the
@@ -37,6 +51,10 @@ pub enum KeyStat {
     /// An integer-like column's range: the key range-codes it when that
     /// is narrower ([`KeyColumn::ranged`]).
     Range(KeyRange),
+    /// A VARCHAR column whose strings the planner ranked: the key codes
+    /// each row by its string's rank ([`KeyColumn::ranked`]), so a block
+    /// planned with it encodes only with those ranks at hand.
+    Ranked(RankStat),
 }
 
 /// The longest VARCHAR prefix the sorters' planner sizes from the data
@@ -74,6 +92,10 @@ pub struct KeyBlock {
     data: Vec<u8>,
     len: usize,
     key_columns: Vec<usize>,
+    /// The ranks of the rank-coded columns of the input the block was
+    /// planned for, by `ORDER BY` position ([`KeyBlock::planned`]); empty
+    /// in a sorter's blocks, which encode with the sort's.
+    ranks: Vec<Vec<u16>>,
     last_sort: KeySortStats,
 }
 
@@ -135,8 +157,9 @@ impl KeyBlock {
     /// [`KeyBlock::new`] with each key column shaped by what the caller
     /// knows of it, `stat(col)`: a VARCHAR column's longest string and the
     /// prefix to encode of it (clamped to what the marker byte can
-    /// describe), an integer column's range. Both sorters plan through
-    /// this, from [`key_stats`](crate::run::key_stats).
+    /// describe), or the count of strings it ranked; an integer column's
+    /// range. Both sorters plan through this, from
+    /// [`key_stats`](crate::run::key_stats).
     pub fn with_stats(
         types: &[LogicalType],
         order: &OrderBy,
@@ -149,6 +172,11 @@ impl KeyBlock {
                 (LogicalType::Varchar, KeyStat::Varchar(s)) => {
                     KeyColumn::varchar_with_prefix(k.spec, s.max_len, s.prefix_len)
                 }
+                (LogicalType::Varchar, KeyStat::Ranked(r)) => {
+                    let (max_len, prefix_len) = (r.prefix.max_len, r.prefix.prefix_len);
+                    let plain = KeyColumn::varchar_with_prefix(k.spec, max_len, prefix_len);
+                    KeyColumn::ranked(plain, u64::from(r.values), r.nulls)
+                }
                 (LogicalType::Varchar, _) => KeyColumn::varchar_with_prefix(k.spec, 0, 0),
                 (ty, KeyStat::Range(range)) => KeyColumn::ranged(ty, k.spec, range),
                 (ty, _) => KeyColumn::fixed(ty, k.spec),
@@ -159,6 +187,7 @@ impl KeyBlock {
             data: Vec::new(),
             len: 0,
             key_columns: order.keys.iter().map(|k| k.column).collect(),
+            ranks: Vec::new(),
             last_sort: KeySortStats::default(),
         }
     }
@@ -166,18 +195,15 @@ impl KeyBlock {
     /// The key block both sorters plan for sorting `input` by `order`:
     /// [`KeyBlock::with_stats`] over the statistics they take of `input`'s
     /// key columns (VARCHAR: longest string, prefix sized from a collision
-    /// sample; integers: the range; DESIGN.md §6). A function of the input
-    /// alone.
+    /// sample, or ranks where it holds few strings; integers: the range;
+    /// DESIGN.md §6). A function of the input alone. The block keeps the
+    /// ranks it planned, so it encodes `input` — and only `input`.
     pub fn planned(input: &DataChunk, order: &OrderBy) -> KeyBlock {
-        let mut stats = Vec::new();
-        key_stats(
-            input,
-            order,
-            &mut PrefixSampler::default(),
-            &mut stats,
-            &|phase| phase(0),
-        );
-        KeyBlock::with_stats(&input.types(), order, |c| stats[c])
+        let (mut stats, mut scratch) = (Vec::new(), PlanScratch::default());
+        key_stats(input, order, &mut scratch, &mut stats, &|phase| phase(0));
+        let mut block = KeyBlock::with_stats(&input.types(), order, |c| stats[c]);
+        block.ranks = scratch.ranks;
+        block
     }
 
     /// The planned normalized-key shape.
@@ -240,8 +266,24 @@ impl KeyBlock {
     /// Encode rows `lo..hi` of `chunk`'s key columns and append them; row
     /// ids continue from the current length (they are block-local, not
     /// chunk-local). Lets the pipeline encode a morsel without slicing the
-    /// chunk into a temporary copy.
+    /// chunk into a temporary copy. A rank-coded column takes the ranks the
+    /// block was planned with ([`KeyBlock::planned`]).
     pub fn append_chunk_range(&mut self, chunk: &DataChunk, lo: usize, hi: usize) {
+        let ranks = std::mem::take(&mut self.ranks);
+        self.append_ranked_range(chunk, lo, hi, &ranks);
+        self.ranks = ranks;
+    }
+
+    /// [`KeyBlock::append_chunk_range`] with the ranks of `chunk`'s
+    /// rank-coded key columns in `ranks`, by `ORDER BY` position: each
+    /// holds one per row of `chunk`.
+    pub(crate) fn append_ranked_range(
+        &mut self,
+        chunk: &DataChunk,
+        lo: usize,
+        hi: usize,
+        ranks: &[Vec<u16>],
+    ) {
         let stride = self.stride();
         let base = self.len;
         let n = hi - lo;
@@ -252,16 +294,14 @@ impl KeyBlock {
         // tie is detected); dropped columns are ordered by the caller's
         // full-tuple tie comparator instead.
         for (k, col) in self.layout.columns().iter().enumerate() {
-            encode_column_range_into(
-                chunk.column(self.key_columns[k]),
-                col,
-                &mut self.data,
-                stride,
-                self.layout.offset(k),
-                base,
-                lo,
-                hi,
-            );
+            let (column, at) = (chunk.column(self.key_columns[k]), self.layout.offset(k));
+            let out = &mut self.data;
+            if col.ty == LogicalType::Varchar && col.range.is_some() {
+                let ranks = ranks.get(k).map(Vec::as_slice).unwrap_or_default();
+                encode_ranks_range_into(column, ranks, col, out, stride, at, base, lo, hi);
+            } else {
+                encode_column_range_into(column, col, out, stride, at, base, lo, hi);
+            }
         }
         let kw = self.key_width();
         let entries = self.data[base * stride..].chunks_exact_mut(stride);

@@ -18,6 +18,8 @@
 //!   key-equal ranges) → a pooled `SortedRun` with its offset-value code
 //!   column; and the key plan, VARCHAR prefixes sized from a sample of the
 //!   strings,
+//! * `dict` (crate-private) — order-preserving dictionaries: a VARCHAR key
+//!   column of few distinct strings is coded by their ranks,
 //! * `merge` (crate-private) — the one k-way merge kernel: a tree of
 //!   losers over `RunSource`s (in-memory run, spill cursor) emitting into
 //!   a `VectorSink`, straight into the output vectors, OVC as a const
@@ -46,6 +48,7 @@
 //!   share: an engine's one set for all its queries (DESIGN.md §6).
 
 pub mod comparator;
+mod dict;
 pub mod external;
 pub mod keys;
 mod merge;
@@ -65,7 +68,7 @@ pub(crate) mod testutil;
 pub mod workers;
 
 pub use external::{ExternalSortOptions, ExternalSorter};
-pub use keys::{KeyBlock, KeySortAlgo, KeySortStats, KeyStat, VarcharStat, PREFIX_CAP};
+pub use keys::{KeyBlock, KeySortAlgo, KeySortStats, KeyStat, RankStat, VarcharStat, PREFIX_CAP};
 pub use metrics::{Counter, CounterRegistry, Metrics, Phase, SortProfile};
 pub use pipeline::{default_ovc, default_threads, SortOptions, SortPipeline, SortedRows};
 pub use pool::BufferPool;

@@ -406,6 +406,9 @@ impl Default for Metrics {
     }
 }
 
+/// Rank-coded key columns whose distinct strings a [`SortProfile`] lists.
+pub const DICT_REPORTED: usize = 4;
+
 /// Everything one sort left behind: wall time, input rows, and the
 /// [`Metrics`] delta it produced. Stored pre-allocated inside the
 /// pipeline and overwritten per sort (`Copy`, no heap).
@@ -424,8 +427,15 @@ pub struct SortProfile {
     /// NULL byte and full body of every key column (DESIGN.md §6).
     pub key_width_plain: u32,
     /// The longest VARCHAR prefix in that key, as sized from the input's
-    /// strings (12 is the paper's rule); 0 without a VARCHAR key column.
+    /// strings (12 is the paper's rule); 0 without a prefix-coded VARCHAR
+    /// key column.
     pub varchar_prefix: u32,
+    /// VARCHAR key columns the key codes by their strings' ranks
+    /// (DESIGN.md §6.2).
+    pub dict_columns: u32,
+    /// The distinct strings of the first [`DICT_REPORTED`] of them, in
+    /// `ORDER BY` order; 0 past `dict_columns`.
+    pub dict_values: [u32; DICT_REPORTED],
     /// What the sort's merges decide on, were it to merge: offset-value
     /// codes, the keys themselves (keys of 1 to 7 bytes), or nothing.
     pub merge_codes: MergeCodes,
@@ -443,6 +453,8 @@ impl SortProfile {
             key_width: 0,
             key_width_plain: 0,
             varchar_prefix: 0,
+            dict_columns: 0,
+            dict_values: [0; DICT_REPORTED],
             merge_codes: MergeCodes::None,
             metrics: Metrics::zeroed(),
         }
@@ -450,9 +462,10 @@ impl SortProfile {
 
     /// The trace-schema JSON object for this profile: `event`,
     /// `operator`, `rows`, `total_ns`, `key_width`, `key_width_plain`,
-    /// `varchar_prefix`, plus nested `phases` and `counters` objects (every
-    /// field numeric; see DESIGN.md §7.5 for the schema contract
-    /// `trace_smoke` validates in CI).
+    /// `varchar_prefix`, `dict_columns`, the array `dict_values` (one
+    /// count per listed column), plus nested `phases` and `counters`
+    /// objects (every field numeric; see DESIGN.md §7.5 for the schema
+    /// contract `trace_smoke` validates in CI).
     pub fn to_json(&self) -> Json {
         let phases: Vec<(String, Json)> = Phase::ALL
             .iter()
@@ -467,6 +480,8 @@ impl SortProfile {
                 )
             })
             .collect();
+        let listed = self.dict_values.iter().take(self.dict_columns as usize);
+        let dict_values = listed.map(|&v| Json::Num(f64::from(v))).collect();
         Json::obj(vec![
             ("event", Json::str("sort")),
             ("operator", Json::str(self.operator)),
@@ -478,6 +493,8 @@ impl SortProfile {
                 Json::Num(f64::from(self.key_width_plain)),
             ),
             ("varchar_prefix", Json::Num(f64::from(self.varchar_prefix))),
+            ("dict_columns", Json::Num(f64::from(self.dict_columns))),
+            ("dict_values", Json::Arr(dict_values)),
             ("phases", Json::Obj(phases)),
             ("counters", Json::Obj(counters)),
         ])
@@ -572,10 +589,11 @@ mod tests {
         }
         // Elapsed time is platform-dependent but the clock must have
         // been touched (Instant is monotonic; >= 0 is all we can pin —
-        // assert the timer ran by timing a real spin below).
-        let spin_start = Instant::now();
+        // assert the timer ran by timing a real spin below). The spin's
+        // clock starts after the timer's, so the timer sees it all.
         {
             let _t = reg.time_phase(Phase::Merge);
+            let spin_start = Instant::now();
             while spin_start.elapsed().as_nanos() < 1000 {}
         }
         assert!(reg.snapshot().phase(Phase::Merge) >= 1000);
@@ -619,6 +637,8 @@ mod tests {
             key_width: 36,
             key_width_plain: 41,
             varchar_prefix: 20,
+            dict_columns: 2,
+            dict_values: [200, 101, 0, 0],
             merge_codes: MergeCodes::Ovc,
             metrics: reg.snapshot(),
         };
@@ -630,6 +650,10 @@ mod tests {
         assert_eq!(parsed.get("key_width").unwrap().as_f64(), Some(36.0));
         assert_eq!(parsed.get("key_width_plain").unwrap().as_f64(), Some(41.0));
         assert_eq!(parsed.get("varchar_prefix").unwrap().as_f64(), Some(20.0));
+        assert_eq!(parsed.get("dict_columns").unwrap().as_f64(), Some(2.0));
+        let listed = parsed.get("dict_values").and_then(Json::as_arr).unwrap();
+        let listed: Vec<f64> = listed.iter().filter_map(Json::as_f64).collect();
+        assert_eq!(listed, [200.0, 101.0]);
         let phases = parsed.get("phases").unwrap();
         for phase in Phase::ALL {
             assert!(

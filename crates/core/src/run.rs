@@ -4,17 +4,19 @@
 //! [`BufferPool`](crate::pool::BufferPool) ([`SorterCore::make_run`]).
 //! The plan a sort makes before its first run is here too: [`KeyPlan`],
 //! whose [`key_stats`] size each VARCHAR key prefix from the strings
-//! themselves and each integer key column from its range.
+//! themselves — or rank a column whose strings repeat — and each integer
+//! key column from its range.
 
-use crate::keys::{word, KeyBlock, KeySortAlgo, KeyStat, VarcharStat, PREFIX_CAP};
-use crate::metrics::Counter;
+use crate::dict::{hash_bytes, Dictionary, Heap, MAX_VALUES};
+use crate::keys::{word, KeyBlock, KeySortAlgo, KeyStat, RankStat, VarcharStat, PREFIX_CAP};
+use crate::metrics::{Counter, DICT_REPORTED};
 use crate::pool::SortPool;
 use crate::sorter::SorterCore;
 use rowsort_normkey::{key_range, KeyColumn, DEFAULT_MAX_PREFIX};
 use rowsort_row::{reorder_heap, reorder_rows, RowBlock};
 use rowsort_vector::{DataChunk, LogicalType, OrderBy, StringVec, Vector};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, TryLockError};
 use std::time::Instant;
 
 /// One sorted run: normalized keys (stride = `key_width`, row ids
@@ -62,6 +64,10 @@ const SAMPLE_ROWS: usize = 2048;
 /// Slots of the sample table: twice the samples, so it never fills.
 const TABLE_SLOTS: usize = 2 * SAMPLE_ROWS;
 
+/// Samples between the checks that stop a settled sample showing too many
+/// strings for a dictionary.
+const CHECK_EVERY: usize = 256;
+
 /// Earlier samples with the same 12 bytes a new sample is paired with.
 /// It bounds the pass at `SAMPLE_ROWS × PAIRS_PER_ROW` string compares
 /// when every string shares its first 12 bytes (16 384, under a
@@ -83,12 +89,14 @@ const _: () = assert!(TABLE_SLOTS.is_power_of_two());
 
 /// The prefix estimator's working memory, kept by the sorter so a
 /// steady-state sort allocates nothing: an open-addressed table over the
-/// sampled strings' first 12 bytes and, per sample, its row and the
-/// previous sample with the same 12 bytes.
+/// sampled strings' first 12 bytes and one over the longer ones whole,
+/// and, per sample, its row and the previous sample with the same 12
+/// bytes.
 #[derive(Default)]
 pub(crate) struct PrefixSampler {
     /// `1 +` the most recent sample whose first 12 bytes hash here (linear
-    /// probing on a different 12 bytes); 0 is an empty slot.
+    /// probing on a different 12 bytes), then `1 +` the first sample of
+    /// each longer string hashed whole; 0 is an empty slot.
     slots: Vec<u32>,
     /// Row of each sample.
     rows: Vec<u32>,
@@ -96,15 +104,30 @@ pub(crate) struct PrefixSampler {
     prev: Vec<u32>,
 }
 
+/// What [`PrefixSampler::sample`] found of a VARCHAR column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Sample {
+    /// Bytes of each string the key should encode.
+    pub(crate) prefix_len: usize,
+    /// Valid rows sampled.
+    pub(crate) rows: usize,
+    /// Distinct strings among them.
+    pub(crate) distinct: usize,
+}
+
 impl PrefixSampler {
-    /// How many bytes of `column`'s `strings` (longest: `max_len`, more
-    /// than 12) the key should encode: 12, the paper's rule, unless the
-    /// sample shows unequal strings that 12 bytes tie and some prefix
-    /// within [`PREFIX_CAP`] separates — then the longest `lcp + 1` over
-    /// those pairs plus [`PREFIX_SLACK`], within
-    /// `12 ..= min(max_len, PREFIX_CAP)`. (A column whose every colliding
-    /// pair shares more than the cap keeps 12: 20 more key bytes would buy
-    /// nothing and cost the all-tied sort a fifth, EXPERIMENTS.md PR 19.)
+    /// Sample `column` (its `strings`, longest `max_len`): how many bytes
+    /// of its strings the key should encode, and how many distinct
+    /// strings its sampled valid rows hold.
+    ///
+    /// The prefix: a column of strings within 12 bytes encodes them whole,
+    /// the paper's rule. Beyond that 12, unless the sample shows unequal
+    /// strings that 12 bytes tie and some prefix within [`PREFIX_CAP`]
+    /// separates — then the longest `lcp + 1` over those pairs plus
+    /// [`PREFIX_SLACK`], within `12 ..= min(max_len, PREFIX_CAP)`. (A
+    /// column whose every colliding pair shares more than the cap keeps
+    /// 12: 20 more key bytes would buy nothing and cost the all-tied sort
+    /// a fifth, EXPERIMENTS.md "VARCHAR run generation".)
     ///
     /// The maximum — the 100th percentile — because the two errors are not
     /// alike: a byte too many costs a fraction of a radix pass per row, a
@@ -121,142 +144,416 @@ impl PrefixSampler {
     /// where two strings the key must separate stop sharing bytes, a
     /// bucket of `k` samples yields up to `k (k − 1) / 2` of them (a few
     /// hundred from 2 048 samples where sorted neighbours would yield a
-    /// few dozen), and finding them takes one hashed pass, no sort.
+    /// few dozen), and finding them takes one hashed pass, no sort. The
+    /// same pass counts the samples equal to an earlier one: a string of
+    /// 12 bytes or fewer has a bucket of its own, a longer one a slot in a
+    /// second table of whole strings.
     ///
     /// A function of the column alone — never of threads, run size or
     /// budget — so every run, both sorters and every thread count plan
     /// the same key.
-    fn prefix_len(&mut self, column: &Vector, strings: &StringVec, max_len: usize) -> usize {
+    pub(crate) fn sample(
+        &mut self,
+        column: &Vector,
+        strings: &StringVec,
+        max_len: usize,
+    ) -> Sample {
         const HEAD: usize = DEFAULT_MAX_PREFIX;
-        let slot_of = |head: &[u8]| {
-            let lo = u64::from_le_bytes(word::<8>(head, 0));
-            let hi = u64::from(u32::from_le_bytes(word::<4>(head, 8)));
+        // A sample's bucket: its first 12 bytes, zero-padded, and its
+        // length up to 13 — the string itself when it has 12 bytes or
+        // fewer, every longer string with the same first 12 otherwise.
+        let heap = Heap::new(strings);
+        let bucket_of = |row: usize| heap.head(row, HEAD) | heap.len(row).min(HEAD + 1) as u128;
+        let slot_of = |bucket: u128| {
+            let (hi, lo) = ((bucket >> 64) as u64, bucket as u64);
             let mixed =
                 (lo ^ hi.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             (mixed >> (u64::BITS - TABLE_SLOTS.trailing_zeros())) as usize
         };
+        // Two tables in one buffer: buckets, then the longer strings whole.
         self.slots.clear();
-        self.slots.resize(TABLE_SLOTS, 0);
+        self.slots.resize(2 * TABLE_SLOTS, 0);
         self.rows.clear();
         self.rows.reserve(SAMPLE_ROWS);
         self.prev.clear();
         self.prev.reserve(SAMPLE_ROWS);
         let limit = max_len.min(PREFIX_CAP);
         let mut prefix = HEAD;
-        // Whether some colliding pair stops sharing bytes within the cap.
-        let mut separable = false;
+        // Whether some colliding pair stops sharing bytes within the cap,
+        // and whether one has asked for all the prefix there is.
+        let (mut separable, mut settled) = (false, false);
+        let (mut sampled, mut repeats) = (0, 0);
         let step = strings.len().div_ceil(SAMPLE_ROWS).max(1);
         for row in (0..strings.len()).step_by(step) {
-            let s = strings.get_bytes(row);
-            // A string of 12 bytes or fewer encodes exactly, and a NULL's
-            // key is decided by its NULL byte.
-            if s.len() <= HEAD || !column.is_valid(row) {
+            // A NULL's key is decided by its NULL byte.
+            if !column.is_valid(row) {
                 continue;
             }
+            sampled += 1;
+            let s = strings.get_bytes(row);
             let sample = |e: u32| strings.get_bytes(self.rows[e as usize - 1] as usize);
-            let mut slot = slot_of(&s[..HEAD]);
-            while self.slots[slot] != 0 && sample(self.slots[slot])[..HEAD] != s[..HEAD] {
+            let bucket = bucket_of(row);
+            let mut slot = slot_of(bucket);
+            while self.slots[slot] != 0
+                && bucket_of(self.rows[self.slots[slot] as usize - 1] as usize) != bucket
+            {
                 slot = (slot + 1) % TABLE_SLOTS;
             }
-            let bucket = self.slots[slot];
-            let mut earlier = bucket;
+            let first = self.slots[slot];
+            // A string of 12 bytes or fewer encodes exactly: its bucket
+            // holds copies of it only.
+            if s.len() <= HEAD && first != 0 {
+                repeats += 1;
+                continue;
+            }
+            // A longer string is looked up whole in the second table, where
+            // each distinct one sampled has a slot.
+            let mut whole = (hash_bytes(s) >> (u64::BITS - TABLE_SLOTS.trailing_zeros())) as usize;
+            let mut repeat = false;
+            while let Some(&e) = self.slots.get(TABLE_SLOTS + whole).filter(|&&e| e != 0) {
+                if sample(e) == s {
+                    repeat = true;
+                    break;
+                }
+                whole = (whole + 1) % TABLE_SLOTS;
+            }
+            let mut earlier = first;
             for _ in 0..PAIRS_PER_ROW {
                 if earlier == 0 {
                     break;
                 }
                 let other = sample(earlier);
-                if other != s {
+                if other != s && !settled {
                     // Compared up to the cap: sharing more is all the same.
-                    let shared = s[HEAD..].iter().zip(&other[HEAD..]).take(PREFIX_CAP - HEAD);
-                    let lcp = HEAD + shared.take_while(|(a, b)| a == b).count();
+                    let lcp = HEAD + shared_bytes(&s[HEAD..], &other[HEAD..], PREFIX_CAP - HEAD);
                     separable |= lcp < PREFIX_CAP;
                     prefix = prefix.max(lcp + 1 + PREFIX_SLACK);
-                    if separable && prefix >= limit {
-                        return limit; // no later pair can ask for more
-                    }
+                    // No later pair can ask for more.
+                    settled = separable && prefix >= limit;
                 }
                 earlier = self.prev[earlier as usize - 1];
             }
+            repeats += usize::from(repeat);
             self.rows.push(row as u32);
-            self.prev.push(bucket);
+            self.prev.push(first);
             self.slots[slot] = self.rows.len() as u32;
+            if !repeat {
+                self.slots[TABLE_SLOTS + whole] = self.rows.len() as u32;
+            }
+            // Once the prefix is settled, the sample goes on only to count
+            // strings, and stops where it already shows too many for a
+            // dictionary: a column of fewer strings shows fewer at every
+            // sample size.
+            let so_far = Sample {
+                prefix_len: 0,
+                rows: sampled,
+                distinct: sampled - repeats,
+            };
+            if settled && sampled % CHECK_EVERY == 0 && !few_values(strings.len(), so_far) {
+                break;
+            }
         }
-        // Where every colliding pair shares more than the cap holds, a
-        // wider key separates nothing: the paper's 12 bytes, and the ties.
-        if separable {
+        let prefix_len = if max_len <= HEAD {
+            max_len.max(1)
+        } else if separable {
             prefix.min(limit)
         } else {
+            // Where every colliding pair shares more than the cap holds, a
+            // wider key separates nothing: the paper's 12 bytes, and the
+            // ties.
             HEAD
+        };
+        Sample {
+            prefix_len,
+            rows: sampled,
+            distinct: sampled - repeats,
         }
     }
+}
+
+/// How many leading bytes `a` and `b` share, up to `cap`: eight at a time,
+/// the first unequal byte of a word found from its lowest set bit.
+fn shared_bytes(a: &[u8], b: &[u8], cap: usize) -> usize {
+    let n = a.len().min(b.len()).min(cap);
+    let (a, b) = (
+        a.get(..n).unwrap_or_default(),
+        b.get(..n).unwrap_or_default(),
+    );
+    let mut at = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff = u64::from_le_bytes(word::<8>(x, 0)) ^ u64::from_le_bytes(word::<8>(y, 0));
+        if diff != 0 {
+            return at + diff.trailing_zeros() as usize / 8;
+        }
+        at += 8;
+    }
+    let tail = a.iter().zip(b).skip(at);
+    at + tail.take_while(|(x, y)| x == y).count()
+}
+
+/// Rows per distinct string a VARCHAR key column needs to be rank-coded
+/// ([`most_values`]).
+const ROWS_PER_VALUE: usize = 8;
+
+/// Most distinct strings a VARCHAR key column of `rows` rows is rank-coded
+/// with: one per [`ROWS_PER_VALUE`] rows, and 2¹⁶. At one string per 8
+/// rows, sorting the distinct strings costs about what the dictionary's
+/// hashed pass over the rows does; past 2¹⁶ a rank is no `u16`.
+fn most_values(rows: usize) -> usize {
+    (rows / ROWS_PER_VALUE).min(MAX_VALUES)
+}
+
+/// Whether a VARCHAR key column of `rows` rows whose sample is `sample` is
+/// worth a dictionary: whether the sample holds no more distinct strings
+/// than as many draws from [`most_values`] equally likely strings would on
+/// average. A column of uniform strings qualifies up to about that many;
+/// one whose strings are skewed, with more, and its pass may then stop at
+/// 2¹⁶ + 1 — the only time a sampled column's dictionary is begun and
+/// dropped. `longstr_t1`'s 50 000 values over 62 500 rows show about 1 880
+/// distinct strings in 1 920 samples, where 7 812 strings would show
+/// 1 700; `strings_mem`'s e-mails show as many as their samples.
+fn few_values(rows: usize, sample: Sample) -> bool {
+    let most = most_values(rows) as f64;
+    let expected = -most * (-(sample.rows as f64) / most).exp_m1();
+    expected >= sample.distinct as f64
 }
 
 /// Runs a phase of the plan on every worker of a crew (its argument is the
 /// worker's index), or once on the calling thread.
 pub(crate) type Spread<'a> = &'a dyn Fn(&(dyn Fn(usize) + Sync));
 
+/// What key planning keeps from sort to sort, so a warm sorter's plan
+/// allocates nothing: the sample's table, and per `ORDER BY` position a
+/// dictionary's working memory and the ranks it found.
+#[derive(Default)]
+pub(crate) struct PlanScratch {
+    sampler: Mutex<PrefixSampler>,
+    /// More samplers, for columns sampled while `sampler` is busy.
+    spare: Mutex<Vec<PrefixSampler>>,
+    /// Columns longer than 12 bytes whose sample asked for a dictionary:
+    /// `ORDER BY` position and distinct strings sampled.
+    sampled: Mutex<Vec<(usize, usize)>>,
+    /// Each key column's dictionary, by `ORDER BY` position, while the
+    /// plan takes them.
+    dicts: Vec<Mutex<Dictionary>>,
+    /// The ranks of each rank-coded key column of the sort, by `ORDER BY`
+    /// position (stale for any other column): moved out of `dicts` once
+    /// the plan is taken, so runs read them without a lock.
+    pub(crate) ranks: Vec<Vec<u16>>,
+}
+
 /// What the key planner needs of `input`'s `ORDER BY` columns, into
 /// `stats` (indexed by column; [`KeyStat::Plain`] for every other column —
 /// a payload column is never read, so it cannot invalidate a cached key
 /// block). A VARCHAR column: the longest string, and the prefix of it the
 /// key encodes — all of it up to 12 bytes, the paper's rule; beyond that,
-/// what [`PrefixSampler::prefix_len`] finds the data to need. An integer
-/// column: its range and whether it has NULLs ([`key_range`]). Columns are
-/// walked in `ORDER BY` order and the walk ends at the first column the
-/// prefix truncates, as the key does. The plan is sort-wide: every run
-/// must agree on the normalized-key shape or the merge phase could not
-/// compare keys.
+/// what [`PrefixSampler::sample`] finds the data to need. Or, instead, the
+/// column's ranks among its distinct strings over the whole input
+/// ([`Dictionary`], the ranks into `scratch.ranks`) where it holds at most
+/// [`most_values`] of them: a column of strings within 12 bytes tries, and
+/// its pass stops past that many; a longer one tries where its sample
+/// shows few ([`few_values`]), and its pass stops past 2¹⁶. An integer
+/// column: its range and whether it has NULLs ([`key_range`]). The plan
+/// is sort-wide: every run must agree on the normalized-key shape or the
+/// merge phase could not compare keys.
 ///
-/// A range is a pass over every value of its column, so with two integer
-/// columns or more the columns are claimed one at a time by `spread`'s
-/// workers: `catalog_spill`'s four nullable INT columns (2 M values) take
-/// about 3 ms on one thread of a 2-core host and 1.6–2.3 ms on two.
+/// A sample, a dictionary or a range is a pass over its column, so with
+/// two such columns or more the columns are claimed one at a time, in
+/// `ORDER BY` order, by `spread`'s workers, and none past the first column
+/// the key truncates: `catalog_spill`'s four nullable INT columns (2 M
+/// values) take about 3 ms on one thread of a 2-core host and 1.6–2.3 ms
+/// on two, and `small_sort`'s last names are ranked while its e-mails are
+/// sampled. A longer column whose sample asks for a dictionary gets it
+/// after those claims.
 pub(crate) fn key_stats(
     input: &DataChunk,
     order: &OrderBy,
-    sampler: &mut PrefixSampler,
+    scratch: &mut PlanScratch,
     stats: &mut Vec<KeyStat>,
     spread: Spread<'_>,
 ) {
     stats.clear();
     stats.resize(input.column_count(), KeyStat::Plain);
-    let (mut reached, mut integers) = (0, 0);
-    for key in &order.keys {
-        reached += 1;
+    // Each dictionary ranks into the buffer its column's ranks were left
+    // in, and hands it back at the end.
+    scratch.swap_ranks();
+    for dict in &mut scratch.dicts {
+        dict.get_mut().unwrap_or_else(|e| e.into_inner()).wanted = false;
+    }
+    // Every VARCHAR key column's longest string; one of strings within 12
+    // bytes is exact without a sample, and tries a dictionary.
+    let mut passes = 0;
+    for (k, key) in order.keys.iter().enumerate() {
         let column = input.column(key.column);
         let Some(strings) = column.as_strings() else {
-            integers += usize::from(KeyColumn::rangeable(column.logical_type()));
+            passes += usize::from(KeyColumn::rangeable(column.logical_type()));
             continue;
         };
         let max_len = strings.max_len();
-        let prefix_len = if max_len <= DEFAULT_MAX_PREFIX {
-            max_len.max(1)
-        } else {
-            sampler.prefix_len(column, strings, max_len)
-        };
         stats[key.column] = KeyStat::Varchar(VarcharStat {
             max_len,
-            prefix_len,
+            prefix_len: max_len.max(1),
         });
-        if prefix_len < max_len {
-            break;
+        if max_len <= DEFAULT_MAX_PREFIX && most_values(strings.len()) > 0 {
+            scratch.want(k, order.keys.len(), None);
+        }
+        passes += 1;
+    }
+    let shared = Mutex::new(&mut *stats);
+    let stat_of = |column: usize| shared.lock().unwrap_or_else(|e| e.into_inner())[column];
+    let set = |column: usize, stat| shared.lock().unwrap_or_else(|e| e.into_inner())[column] = stat;
+    // The columns, claimed in `ORDER BY` order: a longer VARCHAR's sample,
+    // a shorter one's dictionary, an integer's range. The key ends at the
+    // first column its prefix truncates, and no column past it is claimed.
+    let end = AtomicUsize::new(order.keys.len());
+    {
+        let (plan, next) = (&*scratch, AtomicUsize::new(0));
+        let claim = |_worker: usize| loop {
+            let k = next.fetch_add(1, AtomicOrdering::SeqCst);
+            let within = |_: &_| k <= end.load(AtomicOrdering::SeqCst);
+            let Some(key) = order.keys.get(k).filter(within) else {
+                break;
+            };
+            let column = input.column(key.column);
+            if let Some(range) = key_range(column) {
+                set(key.column, KeyStat::Range(range));
+                continue;
+            }
+            let (Some(strings), KeyStat::Varchar(mut v)) =
+                (column.as_strings(), stat_of(key.column))
+            else {
+                continue;
+            };
+            if v.max_len <= DEFAULT_MAX_PREFIX {
+                plan.rank(k, key.column, column, v, &set);
+                continue;
+            }
+            let sample = plan.sample(column, strings, v.max_len);
+            v.prefix_len = sample.prefix_len;
+            set(key.column, KeyStat::Varchar(v));
+            if few_values(strings.len(), sample) {
+                let mut sampled = plan.sampled.lock().unwrap_or_else(|e| e.into_inner());
+                sampled.push((k, sample.distinct));
+            } else if v.prefix_len < v.max_len {
+                end.fetch_min(k, AtomicOrdering::SeqCst);
+            }
+        };
+        if passes > 1 {
+            spread(&claim);
+        } else {
+            claim(0);
         }
     }
-    let keys = order.keys.get(..reached).unwrap_or_default();
-    let next = AtomicUsize::new(0);
-    let stats = Mutex::new(stats);
-    let claim = |_worker: usize| {
-        while let Some(key) = keys.get(next.fetch_add(1, AtomicOrdering::SeqCst)) {
-            if let Some(range) = key_range(input.column(key.column)) {
-                let mut stats = stats.lock().unwrap_or_else(|e| e.into_inner());
-                stats[key.column] = KeyStat::Range(range);
+    // Then the dictionaries of the longer columns whose sample asked for
+    // one, within the key.
+    let end = end.into_inner();
+    let mut sampled = std::mem::take(scratch.sampled.get_mut().unwrap_or_else(|e| e.into_inner()));
+    sampled.retain(|&(k, _)| k <= end);
+    sampled.sort_unstable();
+    for &(k, distinct) in &sampled {
+        scratch.want(k, order.keys.len(), Some(distinct));
+    }
+    {
+        let (plan, next) = (&*scratch, AtomicUsize::new(0));
+        let claim = |_worker: usize| {
+            while let Some(&(k, _)) = sampled.get(next.fetch_add(1, AtomicOrdering::SeqCst)) {
+                let Some(key) = order.keys.get(k) else { break };
+                if let KeyStat::Varchar(v) = stat_of(key.column) {
+                    plan.rank(k, key.column, input.column(key.column), v, &set);
+                }
+            }
+        };
+        if sampled.len() > 1 {
+            spread(&claim);
+        } else {
+            claim(0);
+        }
+    }
+    sampled.clear();
+    *scratch.sampled.get_mut().unwrap_or_else(|e| e.into_inner()) = sampled;
+    // Where a dictionary stopped, its column keeps its prefix; where that
+    // truncates, the key ends, and what was taken of later columns goes.
+    let keys = order.keys.as_slice();
+    let truncated = |s: &KeyStat| matches!(s, KeyStat::Varchar(v) if v.prefix_len < v.max_len);
+    if let Some(end) = keys.iter().position(|key| truncated(&stats[key.column])) {
+        let (kept, dropped) = keys.split_at(end + 1);
+        for key in dropped {
+            if kept.iter().all(|k| k.column != key.column) {
+                stats[key.column] = KeyStat::Plain;
             }
         }
-    };
-    if integers > 1 {
-        spread(&claim);
-    } else {
-        claim(0);
+    }
+    scratch.swap_ranks();
+}
+
+impl PlanScratch {
+    /// [`PrefixSampler::sample`] on the sampler no other claim holds.
+    fn sample(&self, column: &Vector, strings: &StringVec, max_len: usize) -> Sample {
+        match self.sampler.try_lock() {
+            Ok(mut sampler) => sampler.sample(column, strings, max_len),
+            Err(TryLockError::Poisoned(e)) => e.into_inner().sample(column, strings, max_len),
+            Err(TryLockError::WouldBlock) => {
+                let spare = || self.spare.lock().unwrap_or_else(|e| e.into_inner());
+                let mut sampler = spare().pop().unwrap_or_default();
+                let sample = sampler.sample(column, strings, max_len);
+                spare().push(sampler);
+                sample
+            }
+        }
+    }
+
+    /// Rank `column`, at `ORDER BY` position `k` and planned by its prefix
+    /// as `prefix`, if a dictionary was asked for it, and `set` its stat
+    /// (by its index `at`) where the dictionary holds: a sampled column
+    /// stops past 2¹⁶ strings, any other past [`most_values`].
+    fn rank(
+        &self,
+        k: usize,
+        at: usize,
+        column: &Vector,
+        prefix: VarcharStat,
+        set: &impl Fn(usize, KeyStat),
+    ) {
+        let (Some(strings), Some(dict)) = (column.as_strings(), self.dicts.get(k)) else {
+            return;
+        };
+        let mut dict = dict.lock().unwrap_or_else(|e| e.into_inner());
+        if !dict.wanted {
+            return;
+        }
+        // Room for what the sample saw, or for a byte's worth of codes.
+        let (expected, most) = match dict.sampled {
+            Some(sampled) => (2 * sampled, MAX_VALUES),
+            None => (256, most_values(strings.len())),
+        };
+        if let Some(ranked) = dict.build(column, strings, prefix.max_len, expected, most) {
+            let ranked = RankStat {
+                values: ranked.values,
+                nulls: ranked.nulls,
+                prefix,
+            };
+            set(at, KeyStat::Ranked(ranked));
+        }
+    }
+
+    /// Ask for a dictionary of the column at `ORDER BY` position `k` of
+    /// `keys`, whose sample, if it was sampled, held `sampled` distinct
+    /// strings. Only a sorter that asks for one keeps any.
+    fn want(&mut self, k: usize, keys: usize, sampled: Option<usize>) {
+        self.dicts.resize_with(keys, Default::default);
+        self.ranks.resize_with(keys, Vec::new);
+        if let Some(dict) = self.dicts.get_mut(k) {
+            let dict = dict.get_mut().unwrap_or_else(|e| e.into_inner());
+            (dict.wanted, dict.sampled) = (true, sampled);
+        }
+    }
+
+    /// Swap each dictionary's ranks with the ranks kept for its column.
+    fn swap_ranks(&mut self) {
+        for (dict, ranks) in self.dicts.iter_mut().zip(&mut self.ranks) {
+            let dict = dict.get_mut().unwrap_or_else(|e| e.into_inner());
+            std::mem::swap(&mut dict.ranks, ranks);
+        }
     }
 }
 
@@ -267,7 +564,7 @@ pub(crate) struct KeyPlan {
     stats: Vec<KeyStat>,
     /// The statistics the cached key blocks were planned for.
     key_stats: Vec<KeyStat>,
-    sampler: PrefixSampler,
+    pub(crate) scratch: PlanScratch,
     /// Key blocks planned for `key_stats`, kept whole to also reuse their
     /// layout planning; never empty once a sort has been planned.
     pub(crate) key_blocks: Mutex<Vec<KeyBlock>>,
@@ -275,10 +572,10 @@ pub(crate) struct KeyPlan {
 
 impl KeyPlan {
     /// Plan the key of a sort of `input` by `order`: size the VARCHAR
-    /// prefixes from the strings and the integer columns from their
-    /// ranges, and drop cached key blocks planned for other statistics
-    /// (their layout no longer applies). The ranges are taken on
-    /// `spread`'s workers.
+    /// prefixes from the strings or rank the strings, size the integer
+    /// columns from their ranges, and drop cached key blocks planned for
+    /// other statistics (their layout no longer applies). The ranges and
+    /// dictionaries are taken on `spread`'s workers.
     pub(crate) fn plan(
         &mut self,
         types: &[LogicalType],
@@ -286,7 +583,7 @@ impl KeyPlan {
         input: &DataChunk,
         spread: Spread<'_>,
     ) {
-        key_stats(input, order, &mut self.sampler, &mut self.stats, spread);
+        key_stats(input, order, &mut self.scratch, &mut self.stats, spread);
         let blocks = self.key_blocks.get_mut().unwrap_or_else(|e| e.into_inner());
         if self.stats != self.key_stats {
             blocks.clear();
@@ -299,14 +596,44 @@ impl KeyPlan {
         }
     }
 
-    /// The longest VARCHAR prefix in the planned key (0 without a VARCHAR
-    /// key column), for the sort's profile.
+    /// The longest VARCHAR prefix in the planned key (0 without a
+    /// prefix-coded VARCHAR key column), for the sort's profile.
     pub(crate) fn varchar_prefix(&self) -> u32 {
-        let prefix = |s: &KeyStat| match s {
-            KeyStat::Varchar(v) => v.prefix_len as u32,
-            _ => 0,
-        };
-        self.stats.iter().map(prefix).max().unwrap_or(0)
+        let blocks = self.key_blocks.lock().unwrap_or_else(|e| e.into_inner());
+        let columns = blocks
+            .first()
+            .map(|b| b.layout().columns())
+            .unwrap_or_default();
+        let prefixed = columns
+            .iter()
+            .filter(|c| c.ty == LogicalType::Varchar && c.range.is_none());
+        prefixed.map(|c| c.prefix_len as u32).max().unwrap_or(0)
+    }
+
+    /// The rank-coded key columns of the planned key and the distinct
+    /// strings of the first [`DICT_REPORTED`] of them in `ORDER BY` order,
+    /// for the sort's profile.
+    pub(crate) fn dictionaries(&self) -> (u32, [u32; DICT_REPORTED]) {
+        let blocks = self.key_blocks.lock().unwrap_or_else(|e| e.into_inner());
+        let columns = blocks
+            .first()
+            .map(|b| b.layout().columns())
+            .unwrap_or_default();
+        let ranked = columns.iter().filter(|c| c.ty == LogicalType::Varchar);
+        let mut values = [0; DICT_REPORTED];
+        let mut count = 0;
+        for range in ranked.filter_map(|c| c.range) {
+            let distinct = if range.lo <= range.hi {
+                range.hi + 1
+            } else {
+                0
+            };
+            if let Some(slot) = values.get_mut(count) {
+                *slot = distinct as u32;
+            }
+            count += 1;
+        }
+        (count as u32, values)
     }
 
     /// The planned key's width with every range-coded column plain, for
@@ -364,7 +691,7 @@ impl SorterCore {
             .pop()
             .unwrap_or_else(|| KeyBlock::with_stats(&self.types, &self.order, |c| plan.stats[c]));
         keys.reset();
-        keys.append_chunk_range(input, lo, hi);
+        keys.append_ranked_range(input, lo, hi, &plan.scratch.ranks);
         lap(Counter::RunEncodeNs);
 
         // Thread-local sort: radix over the key bytes, then the full-tuple
@@ -464,7 +791,7 @@ mod tests {
     fn stats_of(columns: Vec<Vector>, keys: usize) -> Vec<KeyStat> {
         let chunk = DataChunk::from_columns(columns).unwrap();
         let mut stats = Vec::new();
-        let mut sampler = PrefixSampler::default();
+        let mut sampler = PlanScratch::default();
         let order = OrderBy::ascending(keys);
         key_stats(&chunk, &order, &mut sampler, &mut stats, &|phase| phase(0));
         // The sampler carries nothing from one column or sort to the next,
@@ -577,7 +904,7 @@ mod tests {
         key_stats(
             &chunk,
             &order,
-            &mut PrefixSampler::default(),
+            &mut PlanScratch::default(),
             &mut stats,
             serial,
         );
@@ -618,12 +945,214 @@ mod tests {
         key_stats(
             &chunk,
             &order,
-            &mut PrefixSampler::default(),
+            &mut PlanScratch::default(),
             &mut stats,
             &|phase| phase(0),
         );
         assert_eq!(stats[3], range(1i32.ordinal(), 2i32.ordinal(), false));
         assert_eq!(stats[4], KeyStat::Plain);
+    }
+
+    /// A VARCHAR column of `rows` rows, none NULL, each one of `values`
+    /// strings at random.
+    fn drawn(rows: usize, values: u64) -> Vector {
+        let mut rng = rowsort_testkit::Rng::seed_from_u64(values);
+        Vector::from_strings((0..rows).map(|_| format!("name_{:05}", rng.below(values))))
+    }
+
+    fn ranked(values: u32, nulls: bool, prefix: KeyStat) -> KeyStat {
+        let KeyStat::Varchar(prefix) = prefix else {
+            panic!("{prefix:?} is no prefix")
+        };
+        KeyStat::Ranked(RankStat {
+            values,
+            nulls,
+            prefix,
+        })
+    }
+
+    #[test]
+    fn shared_bytes_counts_like_a_byte_loop() {
+        let mut rng = rowsort_testkit::Rng::seed_from_u64(0x5ba2ed);
+        for _ in 0..2_000 {
+            let a: Vec<u8> = (0..rng.below(30)).map(|_| rng.below(3) as u8).collect();
+            let mut b = a.clone();
+            b.truncate(rng.below(31) as usize);
+            if let Some(byte) = b.get_mut(rng.below(31) as usize) {
+                *byte ^= 1 << rng.below(8);
+            }
+            let cap = rng.below(25) as usize;
+            let bytewise = a
+                .iter()
+                .zip(&b)
+                .take(cap)
+                .take_while(|(x, y)| x == y)
+                .count();
+            assert_eq!(shared_bytes(&a, &b, cap), bytewise, "{a:?} {b:?} {cap}");
+        }
+    }
+
+    #[test]
+    fn the_sample_counts_distinct_valid_strings() {
+        let strings: Vec<Value> = ["b", "a", "b", "", "", "long_string_one", "long_string_one"]
+            .into_iter()
+            .map(Value::from)
+            .chain([Value::Null, Value::Null, Value::from("long_string_two")])
+            .collect();
+        let column = Vector::from_values(LogicalType::Varchar, &strings).unwrap();
+        let strings = column.as_strings().unwrap();
+        let sample = PrefixSampler::default().sample(&column, strings, strings.max_len());
+        let want = Sample {
+            prefix_len: 15,
+            rows: 8,
+            distinct: 5,
+        };
+        assert_eq!(sample, want);
+        // Long strings in one bucket, repeated past any pair's reach: each
+        // is still counted once.
+        let names = (0..600).map(|i| format!("a_stem_longer_than_any_prefix_{}", i % 40));
+        let column = Vector::from_strings(names);
+        let strings = column.as_strings().unwrap();
+        let sample = PrefixSampler::default().sample(&column, strings, strings.max_len());
+        assert_eq!((sample.rows, sample.distinct), (600, 40));
+    }
+
+    #[test]
+    fn a_column_of_few_strings_is_ranked_over_the_whole_input() {
+        // Five strings and NULLs over 800 rows, a truncated prefix if it
+        // were coded by one: the column is exact, and the key goes on to
+        // the integer after it.
+        let values: Vec<Value> = (0..800)
+            .map(|i| match i % 6 {
+                5 => Value::Null,
+                v => Value::from(format!("a_shared_stem_of_strings_{v}")),
+            })
+            .collect();
+        let names = Vector::from_values(LogicalType::Varchar, &values).unwrap();
+        let ints = Vector::from_u32s((0..800).collect());
+        let stats = stats_of(vec![names, ints], 2);
+        assert_eq!(stats[0], ranked(5, true, stat(26, 26)));
+        assert_eq!(
+            stats[1],
+            KeyStat::Range(KeyRange {
+                lo: 0,
+                hi: 799,
+                nulls: false
+            })
+        );
+        let chunk =
+            DataChunk::from_columns(vec![
+                Vector::from_values(LogicalType::Varchar, &values).unwrap()
+            ])
+            .unwrap();
+        let mut block = KeyBlock::planned(&chunk, &OrderBy::ascending(1));
+        assert_eq!(block.key_width(), 1);
+        block.append_chunk(&chunk);
+        block.sort(|_, _| unreachable!("a ranked key cannot tie"));
+        let order = block.order();
+        // Ranks 0..5 in the order of their strings, NULLs last.
+        for pair in order.windows(2) {
+            let (a, b) = (&values[pair[0] as usize], &values[pair[1] as usize]);
+            let ordered = match (a, b) {
+                (Value::Varchar(a), Value::Varchar(b)) => a <= b,
+                (a, b) => !a.is_null() || b.is_null(),
+            };
+            assert!(ordered, "{a:?} before {b:?}");
+        }
+    }
+
+    #[test]
+    fn many_strings_keep_their_prefix_and_build_nothing() {
+        // All distinct beyond 12 bytes: the sample shows it, and no
+        // dictionary is made.
+        let mut scratch = PlanScratch::default();
+        let distinct = Vector::from_strings((0..5_000).map(|i| format!("a_long_name_{i:05}")));
+        let chunk = DataChunk::from_columns(vec![distinct]).unwrap();
+        let mut stats = Vec::new();
+        let serial: Spread<'_> = &|phase| phase(0);
+        key_stats(
+            &chunk,
+            &OrderBy::ascending(1),
+            &mut scratch,
+            &mut stats,
+            serial,
+        );
+        assert_eq!(stats, [stat(17, 17)]);
+        assert!(scratch.dicts.is_empty() && scratch.ranks.is_empty());
+        // Strings within 12 bytes are not sampled: their dictionary stops
+        // past one string per 8 rows.
+        let mut ranked = |values| {
+            let chunk = DataChunk::from_columns(vec![drawn(8_000, values)]).unwrap();
+            key_stats(
+                &chunk,
+                &OrderBy::ascending(1),
+                &mut scratch,
+                &mut stats,
+                serial,
+            );
+            matches!(stats[0], KeyStat::Ranked(_))
+        };
+        assert!(ranked(1_000));
+        assert!(!ranked(1_500));
+        // Nor, below 8 rows, is any column ranked.
+        let chunk = DataChunk::from_columns(vec![Vector::from_strings(["a"; 7])]).unwrap();
+        key_stats(
+            &chunk,
+            &OrderBy::ascending(1),
+            &mut scratch,
+            &mut stats,
+            serial,
+        );
+        assert_eq!(stats, [stat(1, 1)]);
+    }
+
+    #[test]
+    fn a_dictionary_of_more_than_two_to_the_sixteen_strings_keeps_the_prefix() {
+        // Every sampled row holds one string, the others `values − 1` more
+        // past the 12-byte prefix: the sample asks for a dictionary, which
+        // holds 2¹⁶ strings and not one more.
+        let input = |values: usize| {
+            let rows = 1 << 17;
+            let step = rows / SAMPLE_ROWS;
+            let mut others = 0..;
+            let names: Vec<String> = (0..rows)
+                .map(|i| match i % step {
+                    0 => "the_common_name".to_owned(),
+                    _ => format!(
+                        "the_other_name_{:05}",
+                        others.next().unwrap() % (values - 1)
+                    ),
+                })
+                .collect();
+            DataChunk::from_columns(vec![
+                Vector::from_strings(&names),
+                Vector::from_u32s((0..rows as u32).collect()),
+            ])
+            .unwrap()
+        };
+        let order = OrderBy::ascending(2);
+        let mut stats = Vec::new();
+        let serial: Spread<'_> = &|phase| phase(0);
+        key_stats(
+            &input(MAX_VALUES),
+            &order,
+            &mut PlanScratch::default(),
+            &mut stats,
+            serial,
+        );
+        // The sample saw one string: 12 bytes of prefix, which truncate.
+        assert_eq!(stats[0], ranked(MAX_VALUES as u32, false, stat(20, 12)));
+        assert!(matches!(stats[1], KeyStat::Range(_)));
+        key_stats(
+            &input(MAX_VALUES + 1),
+            &order,
+            &mut PlanScratch::default(),
+            &mut stats,
+            serial,
+        );
+        // The prefix truncates: the key ends there after all, and the
+        // integer's range is dropped.
+        assert_eq!(stats, [stat(20, 12), KeyStat::Plain]);
     }
 
     #[test]

@@ -24,7 +24,9 @@ use crate::comparator::FusedRowComparator;
 use crate::merge::{
     cmp_keys, column_bytes, merge_coded, string_bytes, MemSource, MergeOrder, RunSource, VectorSink,
 };
-use crate::metrics::{emit_trace, Counter, CounterRegistry, Metrics, Phase, SortProfile};
+use crate::metrics::{
+    emit_trace, Counter, CounterRegistry, Metrics, Phase, SortProfile, DICT_REPORTED,
+};
 use crate::ovc::MergeCodes;
 use crate::pool::SortPool;
 use crate::resources::SortResources;
@@ -113,14 +115,15 @@ impl StoredRun for SortedRun {
     }
 }
 
-/// When a sort began, what its registry held then, and the prefix and
-/// plain key width it planned: what [`SorterCore::publish`] turns into
-/// its profile.
+/// When a sort began, what its registry held then, and the prefix, plain
+/// key width and dictionaries it planned: what [`SorterCore::publish`]
+/// turns into its profile.
 pub(crate) struct SortStart {
     at: Instant,
     before: Metrics,
     varchar_prefix: u32,
     key_width_plain: u32,
+    dictionaries: (u32, [u32; DICT_REPORTED]),
 }
 
 /// One run's outcome, in the slot of its index.
@@ -306,13 +309,12 @@ impl SorterCore {
             };
             plan.plan(&self.types, &self.order, input, &spread);
         }
-        let varchar_prefix = plan.varchar_prefix();
-        let key_width_plain = plan.plain_width() as u32;
         Some(SortStart {
             at,
             before,
-            varchar_prefix,
-            key_width_plain,
+            varchar_prefix: plan.varchar_prefix(),
+            key_width_plain: plan.plain_width() as u32,
+            dictionaries: plan.dictionaries(),
         })
     }
 
@@ -333,6 +335,8 @@ impl SorterCore {
             key_width: key_width as u32,
             key_width_plain: start.key_width_plain,
             varchar_prefix: start.varchar_prefix,
+            dict_columns: start.dictionaries.0,
+            dict_values: start.dictionaries.1,
             merge_codes: self.codes(key_width),
             metrics: self.metrics.snapshot().since(&start.before),
         };
@@ -612,9 +616,10 @@ fn sample_positions(n: usize) -> impl Iterator<Item = usize> {
 /// The cut a splitter makes in a sorted key column of `kw`-byte keys: the
 /// index of the first key `>= splitter`. (A spilled run's column is its
 /// blocks' first keys: the search names the one block to walk for the
-/// cut, by the same rule.)
+/// cut, by the same rule.) Keys of no bytes all equal the splitter: the
+/// cut is at 0.
 pub(crate) fn lower_bound(keys: &[u8], kw: usize, splitter: &[u8]) -> usize {
-    let (mut lo, mut hi) = (0, keys.len() / kw);
+    let (mut lo, mut hi) = (0, keys.len().checked_div(kw).unwrap_or(0));
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
         if cmp_keys(&keys[mid * kw..(mid + 1) * kw], splitter) == Ordering::Less {
@@ -633,7 +638,7 @@ pub(crate) fn lower_bound(keys: &[u8], kw: usize, splitter: &[u8]) -> usize {
 /// when the element layouts match (they differ only in a lifetime here);
 /// were that ever to stop holding, this would still be correct and
 /// `zero_alloc.rs` would report the allocation.
-fn recycle_vec<T, U>(mut v: Vec<T>) -> Vec<U> {
+pub(crate) fn recycle_vec<T, U>(mut v: Vec<T>) -> Vec<U> {
     v.clear();
     v.into_iter().filter_map(|_| None).collect()
 }

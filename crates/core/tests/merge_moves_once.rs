@@ -92,8 +92,9 @@ fn u32_table() -> (DataChunk, OrderBy, usize) {
     (chunk, OrderBy::new(vec![OrderByColumn::asc(0)]), 1000)
 }
 
-/// 8 runs keyed by two VARCHAR columns and an integer. The second
-/// column's values share more bytes than the longest key prefix the
+/// 8 runs keyed by two VARCHAR columns and an integer. The first holds six
+/// strings, which the key codes by rank. The second column's values are
+/// too many for that and share more bytes than the longest key prefix the
 /// planner sizes (32), so it keeps the 12-byte rule and the normalized key
 /// ends with that truncated prefix: byte-equal keys hide unequal strings, and the third key column
 /// lies beyond it, for the full-tuple comparator alone to see.
@@ -110,7 +111,7 @@ fn varchar_table() -> (DataChunk, OrderBy, usize) {
         let long = format!(
             "{}_shared_prefix_that_outgrows_any_key{}",
             ["a", "b", "c"][rng.below(3) as usize],
-            "x".repeat(rng.below(4) as usize)
+            rng.below(1000)
         );
         let n = Value::Int32(rng.range_inclusive(-20i32, 20));
         let row = [Value::from(short), Value::from(long), n, Value::UInt32(i)];
@@ -128,11 +129,11 @@ fn varchar_table() -> (DataChunk, OrderBy, usize) {
 fn coded_merge_moves_each_row_once_at_any_thread_count() {
     // Key widths: the u32 range-coded — no NULL to code, and 3 200 random
     // keys span more than 2^24 values, so four bytes where the plain key
-    // has a NULL byte too; NULL byte + 2 + marker, then NULL byte + 12 +
+    // has a NULL byte too; a byte of six ranks, then NULL byte + 12 +
     // marker of the truncated second column, where the key ends.
     let tables = [
         ("u32", u32_table(), 4),
-        ("varchar", varchar_table(), 4 + 14),
+        ("varchar", varchar_table(), 1 + 14),
     ];
     for (name, (chunk, order, run_rows), planned_key_width) in tables {
         let rows = chunk.len() as u64;

@@ -439,10 +439,54 @@ const LAST_NAMES: &[&str] = &[
 
 /// Skewed pick from a name list: low indices (common names) are favoured,
 /// giving the duplicate-heavy prefix structure real name data has.
-fn pick_name<'a>(rng: &mut Rng, names: &'a [&'a str]) -> &'a str {
+fn pick_name<'a, S: AsRef<str>>(rng: &mut Rng, names: &'a [S]) -> &'a str {
     let a = rng.range(0, names.len());
     let b = rng.range(0, names.len());
-    names[a.min(b)]
+    names[a.min(b)].as_ref()
+}
+
+/// First names of [`customer_many_names`]: thousands, as TPC-DS's name
+/// lists hold, where [`customer`]'s hold 101.
+pub const MANY_FIRST_NAMES: usize = 3_000;
+
+/// Last names of [`customer_many_names`] (201 in [`customer`]).
+pub const MANY_LAST_NAMES: usize = 5_000;
+
+/// Syllables the generated names are made of: two letters each, so a
+/// name's syllables are read back one way only and the names differ.
+const SYLLABLES: [&str; 40] = [
+    "ba", "be", "bo", "ca", "da", "de", "di", "do", "fa", "ga", "ha", "he", "ja", "ka", "ke", "la",
+    "le", "li", "lo", "ma", "me", "mi", "mo", "na", "ne", "no", "pa", "ra", "re", "ri", "ro", "sa",
+    "se", "ta", "te", "to", "va", "ve", "wa", "za",
+];
+
+/// `count` distinct names of two to four syllables, capitalized, in an
+/// order drawn from `seed` (so a skewed pick's common names are no
+/// alphabetical run).
+pub fn generated_names(count: usize, seed: u64) -> Vec<String> {
+    let mut rng = Rng::seed_from_u64(seed ^ 0x0a3e_5000_0000_0001);
+    let mut names: Vec<String> = (0..count)
+        .map(|i| {
+            // Name `i` spells `i` in base 40 with a two-syllable floor:
+            // 1 600 names of two syllables, 64 000 of three, then four.
+            let (mut n, mut name) = (i, String::new());
+            let syllables = match i {
+                0..1_600 => 2,
+                1_600..65_600 => 3,
+                _ => 4,
+            };
+            for _ in 0..syllables {
+                name.push_str(SYLLABLES[n % SYLLABLES.len()]);
+                n /= SYLLABLES.len();
+            }
+            if let Some(head) = name.get_mut(..1) {
+                head.make_ascii_uppercase();
+            }
+            name
+        })
+        .collect();
+    rng.shuffle(&mut names);
+    names
 }
 
 /// Warehouse location nouns used to synthesize `w_warehouse_name`.
@@ -488,6 +532,19 @@ pub fn warehouse(sf: f64, seed: u64) -> NamedTable {
 /// `c_birth_day` (INTEGER, nullable), `c_first_name`/`c_last_name`
 /// (VARCHAR, nullable).
 pub fn customer(rows: usize, seed: u64) -> NamedTable {
+    customer_named(rows, seed, FIRST_NAMES, LAST_NAMES)
+}
+
+/// [`customer`] with [`MANY_FIRST_NAMES`] first and [`MANY_LAST_NAMES`]
+/// last names ([`generated_names`]), picked with the same skew: a key of
+/// names at TPC-DS's cardinality rather than at 101 and 201.
+pub fn customer_many_names(rows: usize, seed: u64) -> NamedTable {
+    let first = generated_names(MANY_FIRST_NAMES, seed);
+    let last = generated_names(MANY_LAST_NAMES, seed ^ 1);
+    customer_named(rows, seed, &first, &last)
+}
+
+fn customer_named<S: AsRef<str>>(rows: usize, seed: u64, first: &[S], last: &[S]) -> NamedTable {
     let mut rng = Rng::seed_from_u64(seed ^ 0xc057_04e5_7a81_e000);
     let columns = vec![
         ("c_customer_sk".to_owned(), LogicalType::Int32),
@@ -506,12 +563,12 @@ pub fn customer(rows: usize, seed: u64) -> NamedTable {
         if rng.chance(NULL_FRACTION) {
             row.push(Value::Null);
         } else {
-            row.push(Value::from(pick_name(&mut rng, FIRST_NAMES)));
+            row.push(Value::from(pick_name(&mut rng, first)));
         }
         if rng.chance(NULL_FRACTION) {
             row.push(Value::Null);
         } else {
-            row.push(Value::from(pick_name(&mut rng, LAST_NAMES)));
+            row.push(Value::from(pick_name(&mut rng, last)));
         }
         for (lo, hi) in [(1924, 1992), (1, 12), (1, 28)] {
             if rng.chance(NULL_FRACTION) {
@@ -626,6 +683,20 @@ mod tests {
         // customer_sk unique and NOT NULL.
         let sk = t.data.column(0);
         assert!(sk.validity().all_valid());
+    }
+
+    #[test]
+    fn generated_names_are_distinct_and_short() {
+        use std::collections::HashSet;
+        let names = generated_names(70_000, 5);
+        let distinct: HashSet<&String> = names.iter().collect();
+        assert_eq!(distinct.len(), 70_000);
+        assert!(names.iter().all(|n| (4..=8).contains(&n.len())));
+        assert_eq!(names, generated_names(70_000, 5), "a function of the seed");
+        let t = customer_many_names(20_000, 6);
+        let last = t.data.column(2).as_strings().unwrap();
+        let seen: HashSet<&[u8]> = (0..last.len()).map(|i| last.get_bytes(i)).collect();
+        assert!(seen.len() > 2_000, "{} last names", seen.len());
     }
 
     #[test]

@@ -231,14 +231,27 @@ fn sort_detail(profile: &SortProfile, threads: usize) -> String {
         }
     }
     // The key the sort planned: its width — over the plain width when
-    // range-coding integer columns narrowed it — and the VARCHAR prefix
-    // sized from the input's strings when there is one (12 is the paper's
-    // rule).
+    // range-coding integer columns or rank-coding VARCHAR ones narrowed it
+    // — the rank-coded columns with their distinct strings, and the
+    // VARCHAR prefix sized from the input's strings when there is one (12
+    // is the paper's rule).
     if profile.key_width < profile.key_width_plain {
         let (planned, plain) = (profile.key_width, profile.key_width_plain);
         let _ = write!(s, " key={planned}B/{plain}B");
     } else if profile.key_width > 0 {
         let _ = write!(s, " key={}B", profile.key_width);
+    }
+    if profile.dict_columns > 0 {
+        let _ = write!(s, " dict={}(", profile.dict_columns);
+        let listed = profile
+            .dict_values
+            .iter()
+            .take(profile.dict_columns as usize);
+        for (i, values) in listed.enumerate() {
+            let _ = write!(s, "{}{values}", if i > 0 { "," } else { "" });
+        }
+        let more = profile.dict_columns as usize > profile.dict_values.len();
+        s.push_str(if more { ",…)" } else { ")" });
     }
     if profile.varchar_prefix > 0 {
         let _ = write!(s, " prefix={}", profile.varchar_prefix);
@@ -1080,6 +1093,19 @@ mod tests {
         // A key of constant columns codes to no bytes at all.
         ranged.key_width = 0;
         assert_eq!(sort_detail(&ranged, 2), " key=0B/20B");
+        // Rank-coded VARCHAR columns: how many, and their distinct strings.
+        let mut ranked = planned;
+        (ranked.key_width, ranked.key_width_plain) = (25, 36);
+        (ranked.dict_columns, ranked.dict_values) = (1, [200, 0, 0, 0]);
+        assert_eq!(
+            sort_detail(&ranked, 2),
+            " key=25B/36B dict=1(200) prefix=20"
+        );
+        (ranked.key_width, ranked.varchar_prefix) = (2, 0);
+        (ranked.dict_columns, ranked.dict_values) = (2, [200, 101, 0, 0]);
+        assert_eq!(sort_detail(&ranked, 2), " key=2B/36B dict=2(200,101)");
+        (ranked.dict_columns, ranked.dict_values) = (5, [2, 3, 4, 5]);
+        assert_eq!(sort_detail(&ranked, 2), " key=2B/36B dict=5(2,3,4,5,…)");
         planned.metrics.counters[Counter::RunTieRows as usize] = 5_584;
         planned.metrics.counters[Counter::RunTieRanges as usize] = 642;
         assert_eq!(

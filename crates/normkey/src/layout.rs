@@ -75,9 +75,10 @@ pub struct KeyColumn {
     /// marker byte determine the full value — so it is radix-sortable
     /// and never needs tie resolution.
     pub truncatable: bool,
-    /// `Some` for a range-coded integer column ([`KeyColumn::ranged`]):
-    /// each row is its code within the range, big-endian in the fewest
-    /// bytes that hold every code, with no NULL byte.
+    /// `Some` for a range-coded integer column ([`KeyColumn::ranged`]) or
+    /// a rank-coded VARCHAR column ([`KeyColumn::ranked`]): each row is
+    /// its code within the range, big-endian in the fewest bytes that hold
+    /// every code, with no NULL byte.
     pub range: Option<KeyRange>,
 }
 
@@ -119,6 +120,37 @@ impl KeyColumn {
             .is_some_and(|w| w < plain.encoded_width());
         if KeyColumn::rangeable(ty) && narrower {
             ranged
+        } else {
+            plain
+        }
+    }
+
+    /// A VARCHAR key column coded by rank: its valid rows hold `values`
+    /// distinct strings, and each row is coded as [`KeyColumn::ranged`]
+    /// codes an integer column of the strings' ranks `0..values` in
+    /// bytewise order — NULL in band, ASC/DESC and NULLS FIRST/LAST from
+    /// `plain.spec`. Exact: equal codes are equal strings, so the column
+    /// never adds tie resolution. `plain` is the column as its prefix codes
+    /// it ([`KeyColumn::varchar_with_prefix`]); its width is the ranked
+    /// column's [`KeyColumn::plain_width`], and the column stays `plain`
+    /// when the ranks would not be narrower.
+    pub fn ranked(plain: KeyColumn, values: u64, nulls: bool) -> KeyColumn {
+        let range = match values.checked_sub(1) {
+            Some(hi) => KeyRange { lo: 0, hi, nulls },
+            None => KeyRange {
+                nulls,
+                ..KeyRange::EMPTY
+            },
+        };
+        let narrower = range
+            .code_width()
+            .is_some_and(|w| w < plain.encoded_width());
+        if plain.ty == LogicalType::Varchar && narrower {
+            KeyColumn {
+                truncatable: false,
+                range: Some(range),
+                ..plain
+            }
         } else {
             plain
         }
@@ -177,8 +209,8 @@ impl KeyColumn {
     /// continuation marker byte (`min(len, prefix_len + 1)`), which
     /// makes "shorter string" vs "padding zeros" vs "truncated" compare
     /// correctly byte-wise (see `encoding::continuation_marker`).
-    /// Range-coded: the fewest bytes that hold the highest code — none for
-    /// a column of one code.
+    /// Range- or rank-coded: the fewest bytes that hold the highest code —
+    /// none for a column of one code.
     pub fn encoded_width(&self) -> usize {
         if let Some(range) = self.range {
             range.code_width().unwrap_or(0)
@@ -198,7 +230,7 @@ impl KeyColumn {
     }
 
     /// [`KeyColumn::encoded_width`] of the column without its range: the
-    /// NULL byte plus the full body.
+    /// NULL byte plus the full body, or a rank-coded VARCHAR's prefix.
     pub fn plain_width(&self) -> usize {
         KeyColumn {
             range: None,
@@ -484,6 +516,34 @@ mod tests {
         // DATE and TIMESTAMP are integers underneath.
         assert!(ranged(T::Date, range(0, 9, false)).range.is_some());
         assert!(ranged(T::Timestamp, range(0, 9, true)).range.is_some());
+    }
+
+    #[test]
+    fn ranked_width_counts_ranks_and_null() {
+        // 20-byte strings under the 12-byte rule: truncated, 14 bytes.
+        let plain = KeyColumn::varchar(SortSpec::DESC, 20);
+        let width = |values, nulls| KeyColumn::ranked(plain, values, nulls).encoded_width();
+        assert_eq!((width(1, false), width(0, true)), (0, 0));
+        assert_eq!((width(1, true), width(256, false)), (1, 1));
+        assert_eq!((width(256, true), width(65_536, false)), (2, 2));
+        assert_eq!(width(65_536, true), 3);
+        // Exact whatever the prefix would have been, so the key goes on
+        // past it; planned over the prefix's width.
+        let ranked = KeyColumn::ranked(plain, 200, true);
+        assert_eq!((ranked.tie_possible(), ranked.plain_width()), (false, 14));
+        let l = NormKeyLayout::new(vec![ranked, KeyColumn::fixed(T::Int32, SortSpec::ASC)]);
+        assert_eq!(
+            (l.column_count(), l.width(), l.plain_width()),
+            (2, 1 + 5, 14 + 5)
+        );
+        assert!(!l.tie_possible());
+        // Not narrower than a one-byte prefix: the prefix stays; nor is
+        // any other type ranked.
+        let short = KeyColumn::varchar(SortSpec::ASC, 1);
+        assert_eq!(KeyColumn::ranked(short, 65_536, true), short);
+        assert!(KeyColumn::ranked(short, 256, true).range.is_some());
+        let int = KeyColumn::fixed(T::Int32, SortSpec::ASC);
+        assert_eq!(KeyColumn::ranked(int, 3, false), int);
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //! full strings. An integer column whose values' range is known
 //! ([`key_range`]) may instead be range-coded ([`KeyColumn::ranged`]): its
 //! offset within the range, NULL folded in, in the fewest bytes that hold
-//! it.
+//! it; a VARCHAR column whose distinct strings the caller has ranked may
+//! be rank-coded the same way ([`KeyColumn::ranked`],
+//! [`encode_ranks_range_into`]).
 
 //! ```
 //! use rowsort_normkey::{encode_value_into, KeyColumn};
@@ -52,5 +54,6 @@ pub use encoding::{
 };
 pub use layout::{KeyColumn, KeyRange, NormKeyLayout, DEFAULT_MAX_PREFIX, MAX_PREFIX};
 pub use vector_encode::{
-    encode_column_into, encode_column_range_into, encode_value_into, key_range,
+    encode_column_into, encode_column_range_into, encode_ranks_range_into, encode_value_into,
+    key_range,
 };

@@ -201,6 +201,47 @@ pub fn encode_column_range_into(
     }
 }
 
+/// [`encode_column_range_into`] for a rank-coded VARCHAR column
+/// ([`KeyColumn::ranked`]): row `lo + i` of `vec` is coded from its
+/// string's rank `ranks[lo + i]` — `ranks` holds one per row of `vec`, and
+/// a NULL row's is ignored — and NULL from `vec`'s validity.
+///
+/// # Panics
+/// If `col` is not rank-coded, or `lo..hi` is not a range of `ranks`.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "encode_column_range_into's arguments plus the ranks"
+)]
+pub fn encode_ranks_range_into(
+    vec: &Vector,
+    ranks: &[u16],
+    col: &KeyColumn,
+    out: &mut [u8],
+    stride: usize,
+    col_offset: usize,
+    base_row: usize,
+    lo: usize,
+    hi: usize,
+) {
+    assert!(lo <= hi && hi <= ranks.len(), "row range out of bounds");
+    let (n, width) = (hi - lo, col.encoded_width());
+    debug_assert!(out.len() >= (base_row + n) * stride);
+    let Some(coder) = col.coder().filter(|_| width > 0) else {
+        assert!(col.range.is_some(), "{col:?} is not rank-coded");
+        return; // one code: nothing to write
+    };
+    let to = RangedRows {
+        rows: out[base_row * stride..(base_row + n) * stride].chunks_exact_mut(stride),
+        at: col_offset,
+        width,
+        coder,
+    };
+    to.encode(
+        &ranks[lo..hi],
+        vec.validity().words().map(|words| (words, lo)),
+    );
+}
+
 /// The zeros a VARCHAR key body starts from: the widest body is the
 /// longest prefix and its marker.
 const ZEROS: [u8; MAX_PREFIX + 1] = [0; MAX_PREFIX + 1];
@@ -231,8 +272,8 @@ fn each_row<T>(
     }
 }
 
-/// A range-coded column's slots in a morsel of key rows: row `i` of the
-/// morsel holds its `width`-byte code at `rows[i][at..]`.
+/// A range- or rank-coded column's slots in a morsel of key rows: row `i`
+/// of the morsel holds its `width`-byte code at `rows[i][at..]`.
 struct RangedRows<'a> {
     rows: std::slice::ChunksExactMut<'a, u8>,
     at: usize,
@@ -406,6 +447,59 @@ mod tests {
         let mut out = vec![0u8; col.encoded_width()];
         encode_value_into(value, col, &mut out);
         out
+    }
+
+    #[test]
+    fn rank_codes_order_like_the_strings_under_every_spec() {
+        // Five strings in bytewise order — prefixes of one another, a NUL,
+        // the empty string — ranked 0..5, and NULLs.
+        let sorted = ["", "a", "a\0", "ab", "b"];
+        let rows = [
+            Some(3),
+            None,
+            Some(0),
+            Some(4),
+            Some(1),
+            None,
+            Some(2),
+            Some(4),
+        ];
+        let values: Vec<Value> = rows
+            .iter()
+            .map(|r| r.map_or(Value::Null, |i: usize| Value::from(sorted[i])))
+            .collect();
+        let vec = Vector::from_values(T::Varchar, &values).unwrap();
+        let rank = |r: &Option<usize>| u16::try_from(r.unwrap_or(0)).unwrap();
+        let ranks: Vec<u16> = rows.iter().map(rank).collect();
+        let n = rows.len();
+        for order in [SortOrder::Ascending, SortOrder::Descending] {
+            for nulls in [NullOrder::NullsFirst, NullOrder::NullsLast] {
+                let spec = SortSpec::new(order, nulls);
+                // Every string fits its 2-byte prefix: the prefix is exact
+                // too, so the two codings must order every pair alike.
+                let plain = KeyColumn::varchar(spec, 2);
+                let ranked = KeyColumn::ranked(plain, 5, true);
+                assert_eq!(ranked.encoded_width(), 1);
+                let mut by_prefix = vec![0u8; n * 4];
+                encode_column_into(&vec, &plain, &mut by_prefix, 4, 0, 0);
+                // One byte at offset 1 of a 3-byte stride; the rest stays.
+                let mut by_rank = vec![0xEEu8; n * 3];
+                encode_ranks_range_into(&vec, &ranks, &ranked, &mut by_rank, 3, 1, 0, 0, n);
+                for i in 0..n {
+                    assert_eq!([by_rank[3 * i], by_rank[3 * i + 2]], [0xEE; 2]);
+                    for j in 0..n {
+                        let prefix = by_prefix[4 * i..4 * i + 4].cmp(&by_prefix[4 * j..4 * j + 4]);
+                        let rank = by_rank[3 * i + 1].cmp(&by_rank[3 * j + 1]);
+                        assert_eq!(rank, prefix, "{spec:?}: rows {i} and {j}");
+                    }
+                }
+                // A morsel: rows 5..8 at key rows 1..4.
+                let mut morsel = vec![0u8; 4];
+                encode_ranks_range_into(&vec, &ranks, &ranked, &mut morsel, 1, 0, 1, 5, 8);
+                let whole: Vec<u8> = (5..8).map(|i| by_rank[3 * i + 1]).collect();
+                assert_eq!(morsel[1..], whole[..], "{spec:?}");
+            }
+        }
     }
 
     #[test]
