@@ -7,10 +7,14 @@
 //! Turns tracing on, runs one in-memory pipeline sort (u32 keys, five runs
 //! so the line carries a merge), one VARCHAR sort whose strings share more
 //! bytes than any key prefix (so the line carries the tie path), one whose
-//! 997 strings the key codes by rank (`dict_columns`, `dict_values`), and
-//! one spilling external sort, then reads the trace file back and validates
-//! every line against the documented schema (DESIGN.md §7.5) with
-//! testkit's JSON parser: required fields, all phase and counter names
+//! 997 strings the key codes by rank (`dict_columns`, `dict_values`), one
+//! spilling external sort, and three queries on one engine — a base
+//! table's `ORDER BY` twice, the second planned from the statistics the
+//! first took of the table (`stats_reused` above 0, where the first's and
+//! every sorter's are 0), and the same `ORDER BY` over a `WHERE`, whose
+//! sort plans its own (`stats_reused` 0) — then reads the trace file back
+//! and validates every line against the documented schema (DESIGN.md
+//! §7.5) with testkit's JSON parser: required fields, all phase and counter names
 //! present and numeric, phase times that sum to no more than the sort's
 //! wall time, a clocked `gather` (every sort hands vectors back), a
 //! planned key (`key_width` no wider than `key_width_plain`,
@@ -30,6 +34,7 @@
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
 use rowsort_core::metrics::{Counter, Phase, RUN_STAGES};
 use rowsort_core::pipeline::{SortOptions, SortPipeline};
+use rowsort_engine::{Engine, Table};
 use rowsort_testkit::json::Json;
 use rowsort_testkit::Rng;
 use rowsort_vector::{DataChunk, OrderBy, Value, Vector};
@@ -95,7 +100,30 @@ fn run_sorts() {
             .sort(&ints)
             .unwrap_or_else(|e| die(&format!("external sort failed: {e}"))),
     );
+
+    let names = (0..20_000).map(|_| format!("name_{}", rng.next_u32() % 300));
+    let people = DataChunk::from_columns(vec![
+        Vector::from_strings(names),
+        Vector::from_i32s((0..20_000).collect()),
+    ])
+    .unwrap();
+    let mut engine = Engine::new();
+    let columns = vec!["name".to_owned(), "id".to_owned()];
+    engine.register_table(Table::new("people", columns, people));
+    for sql in [
+        "SELECT * FROM people ORDER BY name",
+        "SELECT * FROM people ORDER BY name",
+        "SELECT * FROM people WHERE id >= 10 ORDER BY name",
+    ] {
+        let result = engine.query(sql);
+        drop(result.unwrap_or_else(|e| die(&format!("{sql}: {e}"))));
+    }
 }
+
+/// Key columns of each engine query's sort the trace says were planned
+/// from the table's statistics: the base table's first `ORDER BY` takes
+/// them, its second reads them, and a sort over a `WHERE` takes its own.
+const ENGINE_STATS_REUSED: [bool; 3] = [false, true, false];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -113,9 +141,10 @@ fn main() {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| die(&format!("cannot read trace file {path}: {e}")));
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    if lines.len() != 4 {
+    let sorts = 4 + ENGINE_STATS_REUSED.len();
+    if lines.len() != sorts {
         die(&format!(
-            "expected 4 trace lines (4 sorts ran), got {}",
+            "expected {sorts} trace lines ({sorts} sorts ran), got {}",
             lines.len()
         ));
     }
@@ -214,6 +243,17 @@ fn main() {
             ));
         }
         ranked |= dict_columns > 0.0;
+        // Statistics an earlier sort of the table took: only the warm
+        // engine query has any.
+        let reused = num_field(&obj, "stats_reused", line_no);
+        let warm = i.checked_sub(4).and_then(|q| ENGINE_STATS_REUSED.get(q));
+        let warm = warm.copied().unwrap_or(false);
+        if (reused > 0.0) != warm {
+            let expected = if warm { "above 0" } else { "0" };
+            die(&format!(
+                "line {line_no}: stats_reused {reused}, expected {expected}"
+            ));
+        }
         let (tie_ranges, tie_rows) = (count(Counter::RunTieRanges), count(Counter::RunTieRows));
         if key_width <= 0.0 || prefix >= key_width {
             die(&format!(

@@ -401,9 +401,12 @@ pub enum Entry {
     Pipeline,
     /// `ExternalSorter::sort` over a fault-free [`FaultFs`].
     External,
-    /// `Engine::query` on the case's SQL, sorting as this system profile.
+    /// `Engine::query` on the case's SQL, sorting as this system profile:
+    /// twice on one engine, the second query planned from the statistics
+    /// the first took of the table.
     Engine(SystemProfile),
-    /// `Engine::query` under `ExecOptions::spill`.
+    /// `Engine::query` under `ExecOptions::spill`, twice like
+    /// [`Entry::Engine`].
     EngineSpill,
 }
 
@@ -459,8 +462,9 @@ fn external(
     )
 }
 
-/// `chunk` (the case's rows) sorted through `entry` under the case's options.
-fn sort_through(case: &Case, chunk: &DataChunk, entry: Entry) -> Result<DataChunk, String> {
+/// `chunk` (the case's rows) sorted through `entry` under the case's
+/// options: once, or — through an engine — twice, cold and warm.
+fn sort_through(case: &Case, chunk: &DataChunk, entry: Entry) -> Result<Vec<DataChunk>, String> {
     let o = case.options;
     let engine = |profile, spill| {
         let mut engine = Engine::with_options(ExecOptions {
@@ -471,10 +475,13 @@ fn sort_through(case: &Case, chunk: &DataChunk, entry: Entry) -> Result<DataChun
         let names = (0..case.types.len()).map(|c| format!("c{c}")).collect();
         engine.register_table(Table::new("t", names, chunk.clone()));
         let sql = format!("SELECT * FROM t ORDER BY {}", case.order_sql());
-        engine.query(&sql).map_err(|e| format!("{sql}: {e}"))
+        let query = || engine.query(&sql).map_err(|e| format!("{sql}: {e}"));
+        Ok(vec![query()?, query()?])
     };
     match entry {
-        Entry::Pipeline => Ok(pipeline(case, o.threads, o.run_rows, o.ovc).sort(chunk)),
+        Entry::Pipeline => Ok(vec![
+            pipeline(case, o.threads, o.run_rows, o.ovc).sort(chunk)
+        ]),
         Entry::External => {
             let sorter = external(
                 case,
@@ -483,7 +490,7 @@ fn sort_through(case: &Case, chunk: &DataChunk, entry: Entry) -> Result<DataChun
                 o.ovc,
                 no_faults(),
             );
-            sorter.sort(chunk).map_err(|e| e.to_string())
+            Ok(vec![sorter.sort(chunk).map_err(|e| e.to_string())?])
         }
         Entry::Engine(profile) => engine(profile, None),
         Entry::EngineSpill => engine(
@@ -547,8 +554,10 @@ fn check_rows(
 pub fn check_reference(case: &Case, entries: &[Entry]) -> PropResult {
     let (chunk, want) = (case.chunk(), case.reference());
     for &entry in entries {
-        let got = sort_through(case, &chunk, entry)?;
-        check_rows(case, &got, &want, entry.is_stable(), &format!("{entry:?}"))?;
+        for (query, got) in sort_through(case, &chunk, entry)?.iter().enumerate() {
+            let what = format!("{entry:?}, query {}", query + 1);
+            check_rows(case, got, &want, entry.is_stable(), &what)?;
+        }
     }
     Ok(())
 }

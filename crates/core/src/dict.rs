@@ -3,8 +3,9 @@
 //! a key column whose strings repeat is coded by each row's rank among the
 //! column's distinct strings in bytewise order, in the fewest bytes that
 //! hold every rank ([`KeyColumn::ranked`](rowsort_normkey::KeyColumn::ranked)).
-//! The planner takes one dictionary per column and sort, over the whole
-//! input, so every run and both sorters code a string alike.
+//! The planner takes one dictionary per column, over the whole input, so
+//! every run and both sorters code a string alike; a table's statistics
+//! keep it for every later sort of the table (`run::TableStats`).
 
 use crate::keys::word;
 use crate::sorter::recycle_vec;
@@ -23,16 +24,13 @@ pub(crate) const MAX_VALUES: usize = 1 << 16;
 const PACKED_LEN: usize = 15;
 
 /// A key column's ranks and the working memory that found them, kept by
-/// the sorter so a warm sort's build allocates nothing.
+/// the sorter so a warm sort's build allocates nothing. The planner moves
+/// the ranks out into the statistics it plans from.
 #[derive(Default)]
 pub(crate) struct Dictionary {
     /// Each row's rank among the column's distinct strings, in bytewise
     /// order; 0 for a NULL row, which the key codes from its validity.
     pub(crate) ranks: Vec<u16>,
-    /// Whether the planner asked for this sort's dictionary.
-    pub(crate) wanted: bool,
-    /// Distinct strings that sample held, for a sampled column.
-    pub(crate) sampled: Option<usize>,
     /// Open-addressed table over the distinct strings: `1 +` a string's
     /// id, 0 for an empty slot.
     slots: Vec<u32>,

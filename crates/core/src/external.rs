@@ -38,7 +38,7 @@ use crate::metrics::{Counter, CounterRegistry, Metrics, Phase, SortProfile};
 use crate::ovc;
 use crate::pool::{BufferPool, SortPool};
 use crate::resources::SortResources;
-use crate::run::{KeyPlan, SortedRun};
+use crate::run::{KeyPlan, SortedRun, TableStats};
 use crate::sorter::{lower_bound, MergePlan, SorterCore, StoredRun};
 use crate::spill::{SpillError, SpillIo, SpillOp, StdFs};
 use crate::workers::WorkerPool;
@@ -758,16 +758,27 @@ impl ExternalSorter {
     /// file already written is deleted by the run drop-guards before this
     /// returns.
     pub fn sort(&self, input: &DataChunk) -> Result<DataChunk, SpillError> {
+        self.sort_with_stats(input, None)
+    }
+
+    /// [`ExternalSorter::sort`], planned from `lent` when `input` is a
+    /// table's rows as they lie and `lent` that table's statistics
+    /// ([`SortPipeline::sort_with_stats`](crate::pipeline::SortPipeline::sort_with_stats)).
+    pub fn sort_with_stats(
+        &self,
+        input: &DataChunk,
+        lent: Option<&TableStats>,
+    ) -> Result<DataChunk, SpillError> {
         // The key blocks hold a run's worth of entries each: like the run
         // buffers, they end with the spill phase, so the plan is the sort's.
         let mut plan = KeyPlan::default();
-        let Some(start) = self.core.begin(input, &mut plan) else {
+        let Some(start) = self.core.begin(input, &mut plan, lent) else {
             return Ok(DataChunk::new(&self.core.types));
         };
         let order = self.core.merge_order(&plan);
         let runs = {
             let _spill = self.core.metrics.time_phase(Phase::Spill);
-            self.spill(input, plan)?
+            self.spill(input, plan, lent)?
         };
         let out = self.merge_runs(&runs, &order, input).inspect_err(|err| {
             if matches!(err, SpillError::Corrupt { .. }) {
@@ -785,7 +796,13 @@ impl ExternalSorter {
     /// merge; its hits and misses are the sort's. Once spill space runs
     /// out (`degraded`), the same runs stay in memory, encoded as they
     /// would have been on disk.
-    fn spill(&self, input: &DataChunk, plan: KeyPlan) -> Result<Vec<Run>, SpillError> {
+    fn spill(
+        &self,
+        input: &DataChunk,
+        plan: KeyPlan,
+        lent: Option<&TableStats>,
+    ) -> Result<Vec<Run>, SpillError> {
+        let planned = (&plan, plan.table(lent));
         let phase_pool = BufferPool::new();
         let pool = SortPool {
             pool: &phase_pool,
@@ -795,7 +812,7 @@ impl ExternalSorter {
         let mut runs = Vec::new();
         let slots = &mut Vec::new();
         self.core
-            .generate(input, &plan, pool, (slots, &mut runs), |run, claimed| {
+            .generate(input, planned, pool, (slots, &mut runs), |run, claimed| {
                 let metrics = &self.core.metrics;
                 metrics.add(
                     Counter::SpillGenerateNs,
@@ -1133,9 +1150,8 @@ mod tests {
     /// `sort()`'s preparation: the key planned for `chunk`.
     fn plan(sorter: &ExternalSorter, chunk: &DataChunk) -> KeyPlan {
         let mut plan = KeyPlan::default();
-        plan.plan(&sorter.core.types, &sorter.core.order, chunk, &|phase| {
-            phase(0)
-        });
+        let (types, order) = (&sorter.core.types, &sorter.core.order);
+        plan.plan(types, order, chunk, None, &|phase| phase(0));
         plan
     }
 
@@ -1147,13 +1163,14 @@ mod tests {
     ) -> (Vec<Run>, MergeOrder<'s>) {
         let plan = plan(sorter, chunk);
         let order = sorter.core.merge_order(&plan);
-        (sorter.spill(chunk, plan).unwrap(), order)
+        (sorter.spill(chunk, plan, None).unwrap(), order)
     }
 
     /// All of `chunk` as one sorted run, straight from the run generator.
     fn whole_run(sorter: &ExternalSorter, chunk: &DataChunk) -> SortedRun {
         let (core, plan) = (&sorter.core, plan(sorter, chunk));
-        core.make_run(core.pool(), &plan, chunk, (0, chunk.len()), true)
+        let planned = (&plan, plan.table(None));
+        core.make_run(core.pool(), planned, chunk, (0, chunk.len()), true)
     }
 
     /// `run` encoded into memory, as the ENOSPC rung of the ladder leaves
@@ -2158,7 +2175,10 @@ mod tests {
                     let core = &sorter.core;
                     let sorted: Vec<SortedRun> = bounds
                         .windows(2)
-                        .map(|w| core.make_run(core.pool(), &plan, chunk, (w[0], w[1]), true))
+                        .map(|w| {
+                            let planned = (&plan, plan.table(None));
+                            core.make_run(core.pool(), planned, chunk, (w[0], w[1]), true)
+                        })
                         .collect();
                     let encoded: Vec<Run> =
                         sorted.iter().map(|run| memory_run(&sorter, run)).collect();

@@ -1,6 +1,6 @@
 //! Normalized-key blocks: the sortable representation of ORDER BY keys.
 
-use crate::run::{key_stats, PlanScratch};
+use crate::run::{key_stats, PlanScratch, TableStats};
 use rowsort_algos::pdqsort::pdqsort_rows;
 use rowsort_algos::radix::radix_sort_rows_with_scratch;
 pub(crate) use rowsort_algos::rows::word;
@@ -92,10 +92,10 @@ pub struct KeyBlock {
     data: Vec<u8>,
     len: usize,
     key_columns: Vec<usize>,
-    /// The ranks of the rank-coded columns of the input the block was
-    /// planned for, by `ORDER BY` position ([`KeyBlock::planned`]); empty
+    /// The statistics of the input the block was planned for, which hold
+    /// the ranks of its rank-coded columns ([`KeyBlock::planned`]); empty
     /// in a sorter's blocks, which encode with the sort's.
-    ranks: Vec<Vec<u16>>,
+    stats: TableStats,
     last_sort: KeySortStats,
 }
 
@@ -187,7 +187,7 @@ impl KeyBlock {
             data: Vec::new(),
             len: 0,
             key_columns: order.keys.iter().map(|k| k.column).collect(),
-            ranks: Vec::new(),
+            stats: TableStats::default(),
             last_sort: KeySortStats::default(),
         }
     }
@@ -197,12 +197,16 @@ impl KeyBlock {
     /// key columns (VARCHAR: longest string, prefix sized from a collision
     /// sample, or ranks where it holds few strings; integers: the range;
     /// DESIGN.md §6). A function of the input alone. The block keeps the
-    /// ranks it planned, so it encodes `input` — and only `input`.
+    /// statistics it planned from, ranks and all, so it encodes `input` —
+    /// and only `input`.
     pub fn planned(input: &DataChunk, order: &OrderBy) -> KeyBlock {
-        let (mut stats, mut scratch) = (Vec::new(), PlanScratch::default());
-        key_stats(input, order, &mut scratch, &mut stats, &|phase| phase(0));
+        let (mut stats, table) = (Vec::new(), TableStats::new(input));
+        let mut scratch = PlanScratch::default();
+        key_stats(input, order, &table, &mut scratch, &mut stats, &|phase| {
+            phase(0)
+        });
         let mut block = KeyBlock::with_stats(&input.types(), order, |c| stats[c]);
-        block.ranks = scratch.ranks;
+        block.stats = table;
         block
     }
 
@@ -269,20 +273,20 @@ impl KeyBlock {
     /// chunk into a temporary copy. A rank-coded column takes the ranks the
     /// block was planned with ([`KeyBlock::planned`]).
     pub fn append_chunk_range(&mut self, chunk: &DataChunk, lo: usize, hi: usize) {
-        let ranks = std::mem::take(&mut self.ranks);
-        self.append_ranked_range(chunk, lo, hi, &ranks);
-        self.ranks = ranks;
+        let stats = std::mem::take(&mut self.stats);
+        self.append_ranked_range(chunk, lo, hi, &stats);
+        self.stats = stats;
     }
 
     /// [`KeyBlock::append_chunk_range`] with the ranks of `chunk`'s
-    /// rank-coded key columns in `ranks`, by `ORDER BY` position: each
-    /// holds one per row of `chunk`.
+    /// rank-coded key columns in `stats`, `chunk`'s statistics: one per row
+    /// of `chunk`.
     pub(crate) fn append_ranked_range(
         &mut self,
         chunk: &DataChunk,
         lo: usize,
         hi: usize,
-        ranks: &[Vec<u16>],
+        stats: &TableStats,
     ) {
         let stride = self.stride();
         let base = self.len;
@@ -294,10 +298,11 @@ impl KeyBlock {
         // tie is detected); dropped columns are ordered by the caller's
         // full-tuple tie comparator instead.
         for (k, col) in self.layout.columns().iter().enumerate() {
-            let (column, at) = (chunk.column(self.key_columns[k]), self.layout.offset(k));
+            let c = self.key_columns[k];
+            let (column, at) = (chunk.column(c), self.layout.offset(k));
             let out = &mut self.data;
             if col.ty == LogicalType::Varchar && col.range.is_some() {
-                let ranks = ranks.get(k).map(Vec::as_slice).unwrap_or_default();
+                let ranks = stats.ranks(c);
                 encode_ranks_range_into(column, ranks, col, out, stride, at, base, lo, hi);
             } else {
                 encode_column_range_into(column, col, out, stride, at, base, lo, hi);

@@ -17,7 +17,7 @@
 //!   normalized keys → thread-local radix sort (the comparator only inside
 //!   key-equal ranges) → a pooled `SortedRun` with its offset-value code
 //!   column; and the key plan, VARCHAR prefixes sized from a sample of the
-//!   strings,
+//!   strings, read from and kept in a [`TableStats`],
 //! * `dict` (crate-private) — order-preserving dictionaries: a VARCHAR key
 //!   column of few distinct strings is coded by their ranks,
 //! * `merge` (crate-private) — the one k-way merge kernel: a tree of
@@ -73,6 +73,7 @@ pub use metrics::{Counter, CounterRegistry, Metrics, Phase, SortProfile};
 pub use pipeline::{default_ovc, default_threads, SortOptions, SortPipeline, SortedRows};
 pub use pool::BufferPool;
 pub use resources::SortResources;
+pub use run::TableStats;
 pub use spill::{SpillError, SpillIo, SpillOp, StdFs};
 pub use systems::{sort_with_system, sort_with_system_profiled, SystemProfile};
 pub use workers::WorkerPool;

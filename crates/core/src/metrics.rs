@@ -436,6 +436,10 @@ pub struct SortProfile {
     /// The distinct strings of the first [`DICT_REPORTED`] of them, in
     /// `ORDER BY` order; 0 past `dict_columns`.
     pub dict_values: [u32; DICT_REPORTED],
+    /// Key columns the sort planned from its table's statistics, taken by
+    /// an earlier sort of that table (DESIGN.md §6, "A table's
+    /// statistics"); 0 for a sort that took every statistic it read.
+    pub stats_reused: u32,
     /// What the sort's merges decide on, were it to merge: offset-value
     /// codes, the keys themselves (keys of 1 to 7 bytes), or nothing.
     pub merge_codes: MergeCodes,
@@ -455,6 +459,7 @@ impl SortProfile {
             varchar_prefix: 0,
             dict_columns: 0,
             dict_values: [0; DICT_REPORTED],
+            stats_reused: 0,
             merge_codes: MergeCodes::None,
             metrics: Metrics::zeroed(),
         }
@@ -463,7 +468,7 @@ impl SortProfile {
     /// The trace-schema JSON object for this profile: `event`,
     /// `operator`, `rows`, `total_ns`, `key_width`, `key_width_plain`,
     /// `varchar_prefix`, `dict_columns`, the array `dict_values` (one
-    /// count per listed column), plus nested `phases` and `counters`
+    /// count per listed column), `stats_reused`, plus nested `phases` and `counters`
     /// objects (every field numeric; see DESIGN.md §7.5 for the schema
     /// contract `trace_smoke` validates in CI).
     pub fn to_json(&self) -> Json {
@@ -495,6 +500,7 @@ impl SortProfile {
             ("varchar_prefix", Json::Num(f64::from(self.varchar_prefix))),
             ("dict_columns", Json::Num(f64::from(self.dict_columns))),
             ("dict_values", Json::Arr(dict_values)),
+            ("stats_reused", Json::Num(f64::from(self.stats_reused))),
             ("phases", Json::Obj(phases)),
             ("counters", Json::Obj(counters)),
         ])
@@ -639,6 +645,7 @@ mod tests {
             varchar_prefix: 20,
             dict_columns: 2,
             dict_values: [200, 101, 0, 0],
+            stats_reused: 3,
             merge_codes: MergeCodes::Ovc,
             metrics: reg.snapshot(),
         };
@@ -654,6 +661,7 @@ mod tests {
         let listed = parsed.get("dict_values").and_then(Json::as_arr).unwrap();
         let listed: Vec<f64> = listed.iter().filter_map(Json::as_f64).collect();
         assert_eq!(listed, [200.0, 101.0]);
+        assert_eq!(parsed.get("stats_reused").unwrap().as_f64(), Some(3.0));
         let phases = parsed.get("phases").unwrap();
         for phase in Phase::ALL {
             assert!(

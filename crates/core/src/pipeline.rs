@@ -9,7 +9,7 @@
 
 use crate::metrics::{Counter, Metrics, Phase, SortProfile};
 use crate::resources::SortResources;
-use crate::run::{KeyPlan, SortedRun};
+use crate::run::{KeyPlan, SortedRun, TableStats};
 use crate::sorter::{MergePlan, RunSlot, SorterCore};
 use crate::spill::SpillError;
 use rowsort_vector::{DataChunk, LogicalType, OrderBy};
@@ -149,8 +149,18 @@ impl SortPipeline {
     /// result's columns. [`Phase::Merge`] therefore contains the
     /// conversion back to vectors, and [`Phase::Gather`] clocks only what
     /// is left of it afterwards, the join of the key ranges' strings and
-    /// validity masks. An empty input records no sort.
+    /// validity masks. An empty input records no sort. The key is planned
+    /// from statistics the sort takes of `input` afresh.
     pub fn sort(&self, input: &DataChunk) -> DataChunk {
+        self.sort_with_stats(input, None)
+    }
+
+    /// [`SortPipeline::sort`], planned from `lent` when `input` is a
+    /// table's rows as they lie and `lent` that table's statistics: what
+    /// an earlier sort took of them is read, not taken again, and what
+    /// this sort takes stays there for the next ([`TableStats`]). `None`
+    /// plans from statistics taken of `input` afresh.
+    pub fn sort_with_stats(&self, input: &DataChunk, lent: Option<&TableStats>) -> DataChunk {
         let core = &self.core;
         let mut guard = self.scratch.lock().unwrap_or_else(|e| e.into_inner());
         let Scratch {
@@ -159,14 +169,14 @@ impl SortPipeline {
             runs,
             merge,
         } = &mut *guard;
-        let Some(start) = core.begin(input, plan) else {
+        let Some(start) = core.begin(input, plan, lent) else {
             return DataChunk::new(&core.types);
         };
         let order = core.merge_order(plan);
         {
             let _gen = core.metrics.time_phase(Phase::RunGeneration);
-            let placed = (slots, &mut *runs);
-            resident(core.generate(input, plan, core.pool(), placed, |run, _| Ok(run)));
+            let (planned, placed) = ((&*plan, plan.table(lent)), (slots, &mut *runs));
+            resident(core.generate(input, planned, core.pool(), placed, |run, _| Ok(run)));
         }
         let sorted = resident(core.merge_into_vectors(&order, runs, merge, input, Phase::Merge));
         if runs.len() > 1 {

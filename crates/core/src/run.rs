@@ -5,18 +5,19 @@
 //! The plan a sort makes before its first run is here too: [`KeyPlan`],
 //! whose [`key_stats`] size each VARCHAR key prefix from the strings
 //! themselves — or rank a column whose strings repeat — and each integer
-//! key column from its range.
+//! key column from its range, reading what a table's [`TableStats`]
+//! already hold.
 
-use crate::dict::{hash_bytes, Dictionary, Heap, MAX_VALUES};
+use crate::dict::{hash_bytes, Dictionary, Heap, Ranked, MAX_VALUES};
 use crate::keys::{word, KeyBlock, KeySortAlgo, KeyStat, RankStat, VarcharStat, PREFIX_CAP};
 use crate::metrics::{Counter, DICT_REPORTED};
 use crate::pool::SortPool;
 use crate::sorter::SorterCore;
-use rowsort_normkey::{key_range, KeyColumn, DEFAULT_MAX_PREFIX};
+use rowsort_normkey::{key_range, KeyColumn, KeyRange, DEFAULT_MAX_PREFIX};
 use rowsort_row::{reorder_heap, reorder_rows, RowBlock};
 use rowsort_vector::{DataChunk, LogicalType, OrderBy, StringVec, Vector};
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex, TryLockError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::{Arc, Mutex, OnceLock, TryLockError};
 use std::time::Instant;
 
 /// One sorted run: normalized keys (stride = `key_width`, row ids
@@ -322,9 +323,156 @@ fn few_values(rows: usize, sample: Sample) -> bool {
 /// worker's index), or once on the calling thread.
 pub(crate) type Spread<'a> = &'a dyn Fn(&(dyn Fn(usize) + Sync));
 
-/// What key planning keeps from sort to sort, so a warm sorter's plan
-/// allocates nothing: the sample's table, and per `ORDER BY` position a
-/// dictionary's working memory and the ranks it found.
+/// The key statistics of one relation's columns, each taken by the first
+/// sort that keys on its column and kept for every later sort of the same
+/// rows (DESIGN.md §6, "A table's statistics"). None of them depends on an
+/// `ORDER BY`: a VARCHAR column's longest string, its collision sample (a
+/// column longer than 12 bytes) and its dictionary (where it holds few
+/// strings); an integer, DATE or TIMESTAMP column's range. What a sort does
+/// with them — where its key ends, which columns it drops — stays the
+/// sort's own.
+///
+/// An engine makes one per registered table, empty, and lends it to each
+/// sort of that table's rows as they lie
+/// ([`SortPipeline::sort_with_stats`](crate::pipeline::SortPipeline::sort_with_stats),
+/// [`ExternalSorter::sort_with_stats`](crate::external::ExternalSorter::sort_with_stats));
+/// every other sort plans through a cache of its sorter's own, emptied
+/// each sort. The statistics describe their rows row for row — a
+/// dictionary's ranks are per row — so a cache serves no other relation,
+/// not even a subset of its own.
+///
+/// ```
+/// use rowsort_core::{SortOptions, SortPipeline, TableStats};
+/// use rowsort_vector::{DataChunk, OrderBy, Vector};
+///
+/// let table = DataChunk::from_columns(vec![Vector::from_strings(["b", "a", "b", "c"])]).unwrap();
+/// let stats = TableStats::new(&table);
+/// let pipeline = SortPipeline::new(table.types(), OrderBy::ascending(1), SortOptions::default());
+/// let cold = pipeline.sort_with_stats(&table, Some(&stats));
+/// assert_eq!(pipeline.last_profile().stats_reused, 0);
+/// // The second sort plans from what the first took.
+/// assert_eq!(pipeline.sort_with_stats(&table, Some(&stats)), cold);
+/// assert_eq!(pipeline.last_profile().stats_reused, 1);
+/// ```
+#[derive(Default)]
+pub struct TableStats {
+    /// Rows of the relation.
+    rows: usize,
+    /// Its columns', by index.
+    columns: Vec<ColumnStats>,
+    /// Plans made through this cache: a plan's number marks what it took.
+    plans: AtomicU64,
+}
+
+/// What sorts took of one column ([`TableStats`]). Each statistic is taken
+/// once, by the first sort that needs it; a sort that needs it meanwhile
+/// waits for it.
+#[derive(Default)]
+struct ColumnStats {
+    /// A VARCHAR column's longest string.
+    max_len: OnceLock<usize>,
+    /// A VARCHAR column's collision sample, when its strings outgrow 12
+    /// bytes.
+    sample: OnceLock<Sample>,
+    /// A VARCHAR column's dictionary; `None` where the column holds too
+    /// many strings for one.
+    dict: OnceLock<Option<Ranks>>,
+    /// An integer, DATE or TIMESTAMP column's range.
+    range: OnceLock<Option<KeyRange>>,
+    /// The number of the plan that last took one of the above.
+    taken_by: AtomicU64,
+}
+
+/// A built dictionary: what it holds, and each row's rank.
+struct Ranks {
+    ranked: Ranked,
+    ranks: Vec<u16>,
+}
+
+impl TableStats {
+    /// A cache for the statistics of `data`'s columns, none taken yet.
+    pub fn new(data: &DataChunk) -> TableStats {
+        let mut stats = TableStats {
+            rows: data.len(),
+            ..TableStats::default()
+        };
+        stats
+            .columns
+            .resize_with(data.column_count(), Default::default);
+        stats
+    }
+
+    /// Empty the cache for `input`'s columns, handing each dictionary's
+    /// ranks to `spare`: a sorter's own cache before each sort.
+    fn reset(&mut self, input: &DataChunk, spare: &mut Vec<Vec<u16>>) {
+        self.rows = input.len();
+        self.columns
+            .resize_with(input.column_count(), Default::default);
+        for column in &mut self.columns {
+            if let Some(Some(dict)) = column.dict.take() {
+                spare.push(dict.ranks);
+            }
+            *column = ColumnStats::default();
+        }
+    }
+
+    /// Whether the cache is for a relation shaped like `input`.
+    fn fits(&self, input: &DataChunk) -> bool {
+        self.rows == input.len() && self.columns.len() == input.column_count()
+    }
+
+    /// The ranks of column `c`'s rows, empty unless a dictionary ranked it.
+    pub(crate) fn ranks(&self, c: usize) -> &[u16] {
+        match self.columns.get(c).and_then(|column| column.dict.get()) {
+            Some(Some(dict)) => &dict.ranks,
+            _ => &[],
+        }
+    }
+
+    /// What the cache holds of column `c`, as the key plans it: its range;
+    /// or its ranks, else its longest string and the prefix of it its
+    /// sample asked for (all of a string within 12 bytes); else nothing.
+    fn stat(&self, c: usize) -> KeyStat {
+        let Some(column) = self.columns.get(c) else {
+            return KeyStat::Plain;
+        };
+        if let Some(&Some(range)) = column.range.get() {
+            return KeyStat::Range(range);
+        }
+        let Some(&max_len) = column.max_len.get() else {
+            return KeyStat::Plain;
+        };
+        let prefix_len = match column.sample.get() {
+            Some(sample) if max_len > DEFAULT_MAX_PREFIX => sample.prefix_len,
+            _ => max_len.max(1),
+        };
+        let prefix = VarcharStat {
+            max_len,
+            prefix_len,
+        };
+        match column.dict.get() {
+            Some(Some(dict)) => KeyStat::Ranked(RankStat {
+                values: dict.ranked.values,
+                nulls: dict.ranked.nulls,
+                prefix,
+            }),
+            _ => KeyStat::Varchar(prefix),
+        }
+    }
+}
+
+impl std::fmt::Debug for TableStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TableStats")
+            .field("rows", &self.rows)
+            .field("columns", &self.columns.len())
+            .finish_non_exhaustive()
+    }
+}
+
+/// What the key planner keeps from sort to sort, so a warm sorter's plan
+/// allocates nothing: the sample's table, a dictionary's working memory
+/// per `ORDER BY` position, and the rank buffers its own cache gave back.
 #[derive(Default)]
 pub(crate) struct PlanScratch {
     sampler: Mutex<PrefixSampler>,
@@ -336,20 +484,32 @@ pub(crate) struct PlanScratch {
     /// Each key column's dictionary, by `ORDER BY` position, while the
     /// plan takes them.
     dicts: Vec<Mutex<Dictionary>>,
-    /// The ranks of each rank-coded key column of the sort, by `ORDER BY`
-    /// position (stale for any other column): moved out of `dicts` once
-    /// the plan is taken, so runs read them without a lock.
-    pub(crate) ranks: Vec<Vec<u16>>,
+    /// Rank buffers of an emptied cache, for the next dictionaries.
+    spare_ranks: Mutex<Vec<Vec<u16>>>,
 }
 
-/// What the key planner needs of `input`'s `ORDER BY` columns, into
-/// `stats` (indexed by column; [`KeyStat::Plain`] for every other column —
-/// a payload column is never read, so it cannot invalidate a cached key
-/// block). A VARCHAR column: the longest string, and the prefix of it the
-/// key encodes — all of it up to 12 bytes, the paper's rule; beyond that,
-/// what [`PrefixSampler::sample`] finds the data to need. Or, instead, the
+/// What [`key_stats`] found beside the statistics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Planned {
+    /// Whether some column's statistic differs from what `stats` held.
+    pub(crate) changed: bool,
+    /// Key columns the plan read from `table` without taking anything of
+    /// them: what earlier sorts took ([`SortProfile::stats_reused`]).
+    ///
+    /// [`SortProfile::stats_reused`]: crate::metrics::SortProfile::stats_reused
+    pub(crate) reused: u32,
+}
+
+/// What the key planner needs of `input`'s `ORDER BY` columns, read from
+/// `table` — [`input`'s statistics](TableStats) — where an earlier sort
+/// took it and taken into `table` where none did; into `stats` (indexed by
+/// column; [`KeyStat::Plain`] for every other column — a payload column is
+/// never read, so it cannot invalidate a cached key block). A VARCHAR
+/// column: the longest string, and the prefix of it the key encodes — all
+/// of it up to 12 bytes, the paper's rule; beyond that, what
+/// [`PrefixSampler::sample`] finds the data to need. Or, instead, the
 /// column's ranks among its distinct strings over the whole input
-/// ([`Dictionary`], the ranks into `scratch.ranks`) where it holds at most
+/// ([`Dictionary`], the ranks kept in `table`) where it holds at most
 /// [`most_values`] of them: a column of strings within 12 bytes tries, and
 /// its pass stops past that many; a longer one tries where its sample
 /// shows few ([`few_values`]), and its pass stops past 2¹⁶. An integer
@@ -358,83 +518,95 @@ pub(crate) struct PlanScratch {
 /// merge phase could not compare keys.
 ///
 /// A sample, a dictionary or a range is a pass over its column, so with
-/// two such columns or more the columns are claimed one at a time, in
-/// `ORDER BY` order, by `spread`'s workers, and none past the first column
-/// the key truncates: `catalog_spill`'s four nullable INT columns (2 M
-/// values) take about 3 ms on one thread of a 2-core host and 1.6–2.3 ms
-/// on two, and `small_sort`'s last names are ranked while its e-mails are
-/// sampled. A longer column whose sample asks for a dictionary gets it
-/// after those claims.
+/// two such passes left to take or more the columns are claimed one at a
+/// time, in `ORDER BY` order, by `spread`'s workers, and none past the
+/// first column the key truncates: `catalog_spill`'s four nullable INT
+/// columns (2 M values) take about 3 ms on one thread of a 2-core host and
+/// 1.6–2.3 ms on two, and `small_sort`'s last names are ranked while its
+/// e-mails are sampled. A longer column whose sample asks for a dictionary
+/// gets it after those claims. What the plan does with the statistics is
+/// its own: the key ends at the first column whose prefix truncates, and
+/// the columns past it are dropped — so one table's statistics serve every
+/// `ORDER BY`, and a plan from a warm `table` equals a plan from a cold one.
 pub(crate) fn key_stats(
     input: &DataChunk,
     order: &OrderBy,
+    table: &TableStats,
     scratch: &mut PlanScratch,
     stats: &mut Vec<KeyStat>,
     spread: Spread<'_>,
-) {
-    stats.clear();
-    stats.resize(input.column_count(), KeyStat::Plain);
-    // Each dictionary ranks into the buffer its column's ranks were left
-    // in, and hands it back at the end.
-    scratch.swap_ranks();
-    for dict in &mut scratch.dicts {
-        dict.get_mut().unwrap_or_else(|e| e.into_inner()).wanted = false;
-    }
-    // Every VARCHAR key column's longest string; one of strings within 12
-    // bytes is exact without a sample, and tries a dictionary.
+) -> Planned {
+    assert!(table.fits(input), "key statistics of another relation");
+    let (keys, rows) = (order.keys.as_slice(), input.len());
+    let plan = table.plans.fetch_add(1, AtomicOrdering::SeqCst) + 1;
+    let taken = |column: &ColumnStats| column.taken_by.store(plan, AtomicOrdering::SeqCst);
+    let cached = |c: usize| &table.columns[c];
+    // Every VARCHAR key column's longest string, and the passes left to
+    // take: a longer VARCHAR's sample, a shorter one's dictionary, an
+    // integer's range.
     let mut passes = 0;
-    for (k, key) in order.keys.iter().enumerate() {
-        let column = input.column(key.column);
+    for key in keys {
+        let (column, cache) = (input.column(key.column), cached(key.column));
         let Some(strings) = column.as_strings() else {
-            passes += usize::from(KeyColumn::rangeable(column.logical_type()));
+            let rangeable = KeyColumn::rangeable(column.logical_type());
+            passes += usize::from(rangeable && cache.range.get().is_none());
             continue;
         };
-        let max_len = strings.max_len();
-        stats[key.column] = KeyStat::Varchar(VarcharStat {
-            max_len,
-            prefix_len: max_len.max(1),
+        let max_len = *cache.max_len.get_or_init(|| {
+            taken(cache);
+            strings.max_len()
         });
-        if max_len <= DEFAULT_MAX_PREFIX && most_values(strings.len()) > 0 {
-            scratch.want(k, order.keys.len(), None);
+        if max_len > DEFAULT_MAX_PREFIX {
+            passes += usize::from(cache.sample.get().is_none());
+        } else if cache.dict.get().is_none() {
+            if most_values(rows) > 0 {
+                scratch.make_room(keys.len());
+            }
+            passes += 1;
         }
-        passes += 1;
     }
-    let shared = Mutex::new(&mut *stats);
-    let stat_of = |column: usize| shared.lock().unwrap_or_else(|e| e.into_inner())[column];
-    let set = |column: usize, stat| shared.lock().unwrap_or_else(|e| e.into_inner())[column] = stat;
-    // The columns, claimed in `ORDER BY` order: a longer VARCHAR's sample,
-    // a shorter one's dictionary, an integer's range. The key ends at the
-    // first column its prefix truncates, and no column past it is claimed.
-    let end = AtomicUsize::new(order.keys.len());
+    // The columns, claimed in `ORDER BY` order. The key ends at the first
+    // column its prefix truncates, and no column past it is claimed.
+    let end = AtomicUsize::new(keys.len());
     {
-        let (plan, next) = (&*scratch, AtomicUsize::new(0));
+        let (scratch, next) = (&*scratch, AtomicUsize::new(0));
         let claim = |_worker: usize| loop {
             let k = next.fetch_add(1, AtomicOrdering::SeqCst);
             let within = |_: &_| k <= end.load(AtomicOrdering::SeqCst);
-            let Some(key) = order.keys.get(k).filter(within) else {
+            let Some(key) = keys.get(k).filter(within) else {
                 break;
             };
-            let column = input.column(key.column);
-            if let Some(range) = key_range(column) {
-                set(key.column, KeyStat::Range(range));
-                continue;
-            }
-            let (Some(strings), KeyStat::Varchar(mut v)) =
-                (column.as_strings(), stat_of(key.column))
-            else {
+            let (column, cache) = (input.column(key.column), cached(key.column));
+            let Some(strings) = column.as_strings() else {
+                if KeyColumn::rangeable(column.logical_type()) {
+                    cache.range.get_or_init(|| {
+                        taken(cache);
+                        key_range(column)
+                    });
+                }
                 continue;
             };
-            if v.max_len <= DEFAULT_MAX_PREFIX {
-                plan.rank(k, key.column, column, v, &set);
+            let max_len = cache.max_len.get().copied().unwrap_or_default();
+            if max_len <= DEFAULT_MAX_PREFIX {
+                cache.dict.get_or_init(|| {
+                    taken(cache);
+                    let most = most_values(rows);
+                    let dict =
+                        (most > 0).then(|| scratch.rank(k, strings, column, (max_len, 256, most)));
+                    dict.flatten()
+                });
                 continue;
             }
-            let sample = plan.sample(column, strings, v.max_len);
-            v.prefix_len = sample.prefix_len;
-            set(key.column, KeyStat::Varchar(v));
-            if few_values(strings.len(), sample) {
-                let mut sampled = plan.sampled.lock().unwrap_or_else(|e| e.into_inner());
-                sampled.push((k, sample.distinct));
-            } else if v.prefix_len < v.max_len {
+            let sample = *cache.sample.get_or_init(|| {
+                taken(cache);
+                scratch.sample(column, strings, max_len)
+            });
+            if few_values(rows, sample) {
+                if cache.dict.get().is_none() {
+                    let mut sampled = scratch.sampled.lock().unwrap_or_else(|e| e.into_inner());
+                    sampled.push((k, sample.distinct));
+                }
+            } else if sample.prefix_len < max_len {
                 end.fetch_min(k, AtomicOrdering::SeqCst);
             }
         };
@@ -450,17 +622,24 @@ pub(crate) fn key_stats(
     let mut sampled = std::mem::take(scratch.sampled.get_mut().unwrap_or_else(|e| e.into_inner()));
     sampled.retain(|&(k, _)| k <= end);
     sampled.sort_unstable();
-    for &(k, distinct) in &sampled {
-        scratch.want(k, order.keys.len(), Some(distinct));
+    if !sampled.is_empty() {
+        scratch.make_room(keys.len());
     }
     {
-        let (plan, next) = (&*scratch, AtomicUsize::new(0));
+        let (scratch, next) = (&*scratch, AtomicUsize::new(0));
         let claim = |_worker: usize| {
-            while let Some(&(k, _)) = sampled.get(next.fetch_add(1, AtomicOrdering::SeqCst)) {
-                let Some(key) = order.keys.get(k) else { break };
-                if let KeyStat::Varchar(v) = stat_of(key.column) {
-                    plan.rank(k, key.column, input.column(key.column), v, &set);
-                }
+            while let Some(&(k, distinct)) = sampled.get(next.fetch_add(1, AtomicOrdering::SeqCst))
+            {
+                let Some(key) = keys.get(k) else { break };
+                let (column, cache) = (input.column(key.column), cached(key.column));
+                let (Some(strings), Some(&max_len)) = (column.as_strings(), cache.max_len.get())
+                else {
+                    continue;
+                };
+                cache.dict.get_or_init(|| {
+                    taken(cache);
+                    scratch.rank(k, strings, column, (max_len, 2 * distinct, MAX_VALUES))
+                });
             }
         };
         if sampled.len() > 1 {
@@ -471,19 +650,32 @@ pub(crate) fn key_stats(
     }
     sampled.clear();
     *scratch.sampled.get_mut().unwrap_or_else(|e| e.into_inner()) = sampled;
-    // Where a dictionary stopped, its column keeps its prefix; where that
-    // truncates, the key ends, and what was taken of later columns goes.
-    let keys = order.keys.as_slice();
-    let truncated = |s: &KeyStat| matches!(s, KeyStat::Varchar(v) if v.prefix_len < v.max_len);
-    if let Some(end) = keys.iter().position(|key| truncated(&stats[key.column])) {
-        let (kept, dropped) = keys.split_at(end + 1);
-        for key in dropped {
-            if kept.iter().all(|k| k.column != key.column) {
-                stats[key.column] = KeyStat::Plain;
-            }
-        }
+    // Where a dictionary stopped or none was asked for, a column keeps its
+    // prefix; where that truncates, the key ends, and later columns go.
+    let truncated = |s: KeyStat| matches!(s, KeyStat::Varchar(v) if v.prefix_len < v.max_len);
+    let kept = keys
+        .iter()
+        .position(|key| truncated(table.stat(key.column)))
+        .map_or(keys, |end| &keys[..=end]);
+    let mut changed = stats.len() != input.column_count();
+    stats.resize(input.column_count(), KeyStat::Plain);
+    for (c, planned) in stats.iter_mut().enumerate() {
+        let stat = if kept.iter().any(|key| key.column == c) {
+            table.stat(c)
+        } else {
+            KeyStat::Plain
+        };
+        changed |= *planned != stat;
+        *planned = stat;
     }
-    scratch.swap_ranks();
+    let reused = kept.iter().filter(|key| {
+        let taken_by = cached(key.column).taken_by.load(AtomicOrdering::SeqCst);
+        table.stat(key.column) != KeyStat::Plain && taken_by != plan
+    });
+    Planned {
+        changed,
+        reused: reused.count() as u32,
+    }
 }
 
 impl PlanScratch {
@@ -502,57 +694,33 @@ impl PlanScratch {
         }
     }
 
-    /// Rank `column`, at `ORDER BY` position `k` and planned by its prefix
-    /// as `prefix`, if a dictionary was asked for it, and `set` its stat
-    /// (by its index `at`) where the dictionary holds: a sampled column
-    /// stops past 2¹⁶ strings, any other past [`most_values`].
+    /// Rank `column` (its `strings`, at most `max_len` bytes long) at
+    /// `ORDER BY` position `k`, room made for `expected` distinct strings:
+    /// its dictionary, or `None` past `most` of them.
     fn rank(
         &self,
         k: usize,
-        at: usize,
+        strings: &StringVec,
         column: &Vector,
-        prefix: VarcharStat,
-        set: &impl Fn(usize, KeyStat),
-    ) {
-        let (Some(strings), Some(dict)) = (column.as_strings(), self.dicts.get(k)) else {
-            return;
-        };
-        let mut dict = dict.lock().unwrap_or_else(|e| e.into_inner());
-        if !dict.wanted {
-            return;
+        (max_len, expected, most): (usize, usize, usize),
+    ) -> Option<Ranks> {
+        let mut dict = self.dicts.get(k)?.lock().unwrap_or_else(|e| e.into_inner());
+        if dict.ranks.capacity() == 0 {
+            let mut spare = self.spare_ranks.lock().unwrap_or_else(|e| e.into_inner());
+            dict.ranks = spare.pop().unwrap_or_default();
         }
-        // Room for what the sample saw, or for a byte's worth of codes.
-        let (expected, most) = match dict.sampled {
-            Some(sampled) => (2 * sampled, MAX_VALUES),
-            None => (256, most_values(strings.len())),
-        };
-        if let Some(ranked) = dict.build(column, strings, prefix.max_len, expected, most) {
-            let ranked = RankStat {
-                values: ranked.values,
-                nulls: ranked.nulls,
-                prefix,
-            };
-            set(at, KeyStat::Ranked(ranked));
-        }
+        let ranked = dict.build(column, strings, max_len, expected, most)?;
+        Some(Ranks {
+            ranked,
+            ranks: std::mem::take(&mut dict.ranks),
+        })
     }
 
-    /// Ask for a dictionary of the column at `ORDER BY` position `k` of
-    /// `keys`, whose sample, if it was sampled, held `sampled` distinct
-    /// strings. Only a sorter that asks for one keeps any.
-    fn want(&mut self, k: usize, keys: usize, sampled: Option<usize>) {
-        self.dicts.resize_with(keys, Default::default);
-        self.ranks.resize_with(keys, Vec::new);
-        if let Some(dict) = self.dicts.get_mut(k) {
-            let dict = dict.get_mut().unwrap_or_else(|e| e.into_inner());
-            (dict.wanted, dict.sampled) = (true, sampled);
-        }
-    }
-
-    /// Swap each dictionary's ranks with the ranks kept for its column.
-    fn swap_ranks(&mut self) {
-        for (dict, ranks) in self.dicts.iter_mut().zip(&mut self.ranks) {
-            let dict = dict.get_mut().unwrap_or_else(|e| e.into_inner());
-            std::mem::swap(&mut dict.ranks, ranks);
+    /// Make room for a dictionary at each of `keys` `ORDER BY` positions.
+    /// Only a sorter that builds one keeps any.
+    fn make_room(&mut self, keys: usize) {
+        if self.dicts.len() < keys {
+            self.dicts.resize_with(keys, Default::default);
         }
     }
 }
@@ -560,40 +728,65 @@ impl PlanScratch {
 /// The key a sort plans, and what planning keeps from sort to sort.
 #[derive(Default)]
 pub(crate) struct KeyPlan {
-    /// Key-column statistics of the current input, by column.
+    /// The statistics the cached key blocks were planned for, by column.
     stats: Vec<KeyStat>,
-    /// The statistics the cached key blocks were planned for.
-    key_stats: Vec<KeyStat>,
-    pub(crate) scratch: PlanScratch,
-    /// Key blocks planned for `key_stats`, kept whole to also reuse their
+    scratch: PlanScratch,
+    /// The statistics of a sort no table lends its own to: the sorter's,
+    /// emptied before each such sort.
+    own: TableStats,
+    /// Key blocks planned for `stats`, kept whole to also reuse their
     /// layout planning; never empty once a sort has been planned.
     pub(crate) key_blocks: Mutex<Vec<KeyBlock>>,
+    /// Key columns the current plan read from a lent table's statistics.
+    pub(crate) reused: u32,
 }
 
 impl KeyPlan {
-    /// Plan the key of a sort of `input` by `order`: size the VARCHAR
-    /// prefixes from the strings or rank the strings, size the integer
-    /// columns from their ranges, and drop cached key blocks planned for
-    /// other statistics (their layout no longer applies). The ranges and
-    /// dictionaries are taken on `spread`'s workers.
+    /// Plan the key of a sort of `input` by `order` from `lent`, the
+    /// statistics of `input`'s table, or else from the sorter's own, taken
+    /// afresh: size the VARCHAR prefixes from the strings or rank the
+    /// strings, size the integer columns from their ranges, and drop
+    /// cached key blocks planned for other statistics (their layout no
+    /// longer applies). What is missing is taken on `spread`'s workers.
     pub(crate) fn plan(
         &mut self,
         types: &[LogicalType],
         order: &OrderBy,
         input: &DataChunk,
+        lent: Option<&TableStats>,
         spread: Spread<'_>,
     ) {
-        key_stats(input, order, &mut self.scratch, &mut self.stats, spread);
+        let table = match lent {
+            Some(table) => table,
+            None => {
+                let spare = self.scratch.spare_ranks.get_mut();
+                self.own
+                    .reset(input, spare.unwrap_or_else(|e| e.into_inner()));
+                &self.own
+            }
+        };
+        let planned = key_stats(
+            input,
+            order,
+            table,
+            &mut self.scratch,
+            &mut self.stats,
+            spread,
+        );
+        self.reused = planned.reused;
         let blocks = self.key_blocks.get_mut().unwrap_or_else(|e| e.into_inner());
-        if self.stats != self.key_stats {
+        if planned.changed {
             blocks.clear();
-            self.key_stats.clear();
-            self.key_stats.extend_from_slice(&self.stats);
         }
         if blocks.is_empty() {
             let stats = &self.stats;
             blocks.push(KeyBlock::with_stats(types, order, |c| stats[c]));
         }
+    }
+
+    /// The statistics the sort planned from: `lent`, or the sorter's own.
+    pub(crate) fn table<'a>(&'a self, lent: Option<&'a TableStats>) -> &'a TableStats {
+        lent.unwrap_or(&self.own)
     }
 
     /// The longest VARCHAR prefix in the planned key (0 without a
@@ -646,7 +839,8 @@ impl KeyPlan {
 
 impl SorterCore {
     /// Build one sorted run from input rows `lo..hi` with `plan`'s key
-    /// blocks, every buffer from `pool`. `streamed` says a merge or the
+    /// blocks and the ranks in `table`, the statistics it planned from,
+    /// every buffer from `pool`. `streamed` says a merge or the
     /// run-file encoder will read the run front to back: it then gets its
     /// code column (only when its merge codes are stored: the sorter's
     /// `ovc` option is on and the key is 8 bytes or wider) and its strings
@@ -654,7 +848,7 @@ impl SorterCore {
     pub(crate) fn make_run(
         &self,
         pool: SortPool<'_>,
-        plan: &KeyPlan,
+        (plan, table): (&KeyPlan, &TableStats),
         input: &DataChunk,
         (lo, hi): (usize, usize),
         streamed: bool,
@@ -691,7 +885,7 @@ impl SorterCore {
             .pop()
             .unwrap_or_else(|| KeyBlock::with_stats(&self.types, &self.order, |c| plan.stats[c]));
         keys.reset();
-        keys.append_ranked_range(input, lo, hi, &plan.scratch.ranks);
+        keys.append_ranked_range(input, lo, hi, table);
         lap(Counter::RunEncodeNs);
 
         // Thread-local sort: radix over the key bytes, then the full-tuple
@@ -783,28 +977,45 @@ impl SorterCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::SortProfile;
     use crate::resources::SortResources;
     use rowsort_normkey::{KeyRange, Ordinal};
     use rowsort_vector::{OrderByColumn, Value};
 
+    /// `key_stats` of `input` by `order` on one thread, from statistics
+    /// taken afresh.
+    fn plan_cold(input: &DataChunk, order: &OrderBy, scratch: &mut PlanScratch) -> Vec<KeyStat> {
+        let mut stats = Vec::new();
+        let table = TableStats::new(input);
+        key_stats(input, order, &table, scratch, &mut stats, &|phase| phase(0));
+        stats
+    }
+
+    fn three_workers(phase: &(dyn Fn(usize) + Sync)) {
+        std::thread::scope(|s| {
+            for w in 0..3 {
+                s.spawn(move || phase(w));
+            }
+        })
+    }
+
     /// The statistics of a relation sorted by its leading `keys` columns.
     fn stats_of(columns: Vec<Vector>, keys: usize) -> Vec<KeyStat> {
         let chunk = DataChunk::from_columns(columns).unwrap();
-        let mut stats = Vec::new();
         let mut sampler = PlanScratch::default();
         let order = OrderBy::ascending(keys);
-        key_stats(&chunk, &order, &mut sampler, &mut stats, &|phase| phase(0));
+        let stats = plan_cold(&chunk, &order, &mut sampler);
         // The sampler carries nothing from one column or sort to the next,
         // and the stats are the same however many workers take them.
-        let mut again = Vec::new();
-        let three_workers = |phase: &(dyn Fn(usize) + Sync)| {
-            std::thread::scope(|s| {
-                for w in 0..3 {
-                    s.spawn(move || phase(w));
-                }
-            })
-        };
-        key_stats(&chunk, &order, &mut sampler, &mut again, &three_workers);
+        let (mut again, table) = (Vec::new(), TableStats::new(&chunk));
+        key_stats(
+            &chunk,
+            &order,
+            &table,
+            &mut sampler,
+            &mut again,
+            &three_workers,
+        );
         assert_eq!(stats, again);
         stats
     }
@@ -899,15 +1110,7 @@ mod tests {
         // ORDER BY names columns in its own order.
         let chunk = DataChunk::from_columns(vec![payload(40), exact()]).unwrap();
         let order = OrderBy::new(vec![OrderByColumn::desc(1)]);
-        let mut stats = Vec::new();
-        let serial: Spread<'_> = &|phase| phase(0);
-        key_stats(
-            &chunk,
-            &order,
-            &mut PlanScratch::default(),
-            &mut stats,
-            serial,
-        );
+        let stats = plan_cold(&chunk, &order, &mut PlanScratch::default());
         assert_eq!(stats, [KeyStat::Plain, stat(2, 2)]);
     }
 
@@ -941,14 +1144,7 @@ mod tests {
         // FLOAT keeps its plain layout.
         let order = OrderBy::new([0, 1, 3, 4].map(OrderByColumn::asc).to_vec());
         let chunk = DataChunk::from_columns(columns).unwrap();
-        let mut stats = Vec::new();
-        key_stats(
-            &chunk,
-            &order,
-            &mut PlanScratch::default(),
-            &mut stats,
-            &|phase| phase(0),
-        );
+        let stats = plan_cold(&chunk, &order, &mut PlanScratch::default());
         assert_eq!(stats[3], range(1i32.ordinal(), 2i32.ordinal(), false));
         assert_eq!(stats[4], KeyStat::Plain);
     }
@@ -1068,41 +1264,21 @@ mod tests {
         let mut scratch = PlanScratch::default();
         let distinct = Vector::from_strings((0..5_000).map(|i| format!("a_long_name_{i:05}")));
         let chunk = DataChunk::from_columns(vec![distinct]).unwrap();
-        let mut stats = Vec::new();
-        let serial: Spread<'_> = &|phase| phase(0);
-        key_stats(
-            &chunk,
-            &OrderBy::ascending(1),
-            &mut scratch,
-            &mut stats,
-            serial,
-        );
+        let stats = plan_cold(&chunk, &OrderBy::ascending(1), &mut scratch);
         assert_eq!(stats, [stat(17, 17)]);
-        assert!(scratch.dicts.is_empty() && scratch.ranks.is_empty());
+        assert!(scratch.dicts.is_empty());
         // Strings within 12 bytes are not sampled: their dictionary stops
         // past one string per 8 rows.
         let mut ranked = |values| {
             let chunk = DataChunk::from_columns(vec![drawn(8_000, values)]).unwrap();
-            key_stats(
-                &chunk,
-                &OrderBy::ascending(1),
-                &mut scratch,
-                &mut stats,
-                serial,
-            );
+            let stats = plan_cold(&chunk, &OrderBy::ascending(1), &mut scratch);
             matches!(stats[0], KeyStat::Ranked(_))
         };
         assert!(ranked(1_000));
         assert!(!ranked(1_500));
         // Nor, below 8 rows, is any column ranked.
         let chunk = DataChunk::from_columns(vec![Vector::from_strings(["a"; 7])]).unwrap();
-        key_stats(
-            &chunk,
-            &OrderBy::ascending(1),
-            &mut scratch,
-            &mut stats,
-            serial,
-        );
+        let stats = plan_cold(&chunk, &OrderBy::ascending(1), &mut scratch);
         assert_eq!(stats, [stat(1, 1)]);
     }
 
@@ -1131,28 +1307,172 @@ mod tests {
             .unwrap()
         };
         let order = OrderBy::ascending(2);
-        let mut stats = Vec::new();
-        let serial: Spread<'_> = &|phase| phase(0);
-        key_stats(
-            &input(MAX_VALUES),
-            &order,
-            &mut PlanScratch::default(),
-            &mut stats,
-            serial,
-        );
+        let stats = plan_cold(&input(MAX_VALUES), &order, &mut PlanScratch::default());
         // The sample saw one string: 12 bytes of prefix, which truncate.
         assert_eq!(stats[0], ranked(MAX_VALUES as u32, false, stat(20, 12)));
         assert!(matches!(stats[1], KeyStat::Range(_)));
-        key_stats(
-            &input(MAX_VALUES + 1),
-            &order,
-            &mut PlanScratch::default(),
-            &mut stats,
-            serial,
-        );
+        let stats = plan_cold(&input(MAX_VALUES + 1), &order, &mut PlanScratch::default());
         // The prefix truncates: the key ends there after all, and the
         // integer's range is dropped.
         assert_eq!(stats, [stat(20, 12), KeyStat::Plain]);
+    }
+
+    /// A table of 2¹⁷ rows whose columns reach every plan: short strings
+    /// with NULLs and 40 values (ranked), long strings that share more
+    /// than the prefix cap (truncated), long strings with NULLs and 50
+    /// values (sampled, then ranked), a nullable INT (ranged), long strings
+    /// whose sample sees one value of 2¹⁶ + 1 (a dictionary begun and
+    /// dropped, then truncated), and 2¹⁷ distinct short strings (a
+    /// dictionary dropped past 2¹⁴, the strings exact).
+    fn every_plan_table() -> DataChunk {
+        let rows = 1usize << 17;
+        let step = rows / SAMPLE_ROWS;
+        let mut rng = rowsort_testkit::Rng::seed_from_u64(0x7AB1E);
+        let nullable = |rng: &mut rowsort_testkit::Rng, v: Value| {
+            if rng.below(9) == 0 {
+                Value::Null
+            } else {
+                v
+            }
+        };
+        let short: Vec<Value> = (0..rows)
+            .map(|_| {
+                let v = Value::from(format!("s{}", rng.below(40)));
+                nullable(&mut rng, v)
+            })
+            .collect();
+        let long_few: Vec<Value> = (0..rows)
+            .map(|_| {
+                let v = Value::from(format!("a_long_customer_name_{}", rng.below(50)));
+                nullable(&mut rng, v)
+            })
+            .collect();
+        let ints: Vec<Value> = (0..rows)
+            .map(|_| {
+                let v = Value::Int32(rng.below(1_000) as i32 - 500);
+                nullable(&mut rng, v)
+            })
+            .collect();
+        let mut others = 0..;
+        let many_long = (0..rows).map(|i| match i % step {
+            0 => "the_common_name".to_owned(),
+            _ => format!("the_other_name_{:05}", others.next().unwrap() % MAX_VALUES),
+        });
+        let stem = "a_very_long_shared_stem_of_more_than_thirty_two_bytes";
+        DataChunk::from_columns(vec![
+            Vector::from_values(LogicalType::Varchar, &short).unwrap(),
+            Vector::from_strings((0..rows).map(|i| format!("{stem}_{i:06}"))),
+            Vector::from_values(LogicalType::Varchar, &long_few).unwrap(),
+            Vector::from_values(LogicalType::Int32, &ints).unwrap(),
+            Vector::from_strings(many_long),
+            Vector::from_strings((0..rows).map(|i| format!("{:x}", i * 7_919))),
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn a_warm_tables_plan_equals_a_cold_plan_for_every_order_by() {
+        let input = every_plan_table();
+        let types = input.types();
+        let (asc, desc) = (OrderByColumn::asc, OrderByColumn::desc);
+        let nulls_first = |c| OrderByColumn {
+            column: c,
+            spec: rowsort_vector::SortSpec {
+                order: rowsort_vector::SortOrder::Ascending,
+                nulls: rowsort_vector::NullOrder::NullsFirst,
+            },
+        };
+        // The truncated column ends the first key before the INT the second
+        // needs; the third ranks the sampled column and drops its
+        // dictionary of 2¹⁶ + 1 strings; the rest read what those took.
+        let mut orders = vec![
+            vec![asc(1), asc(3)],
+            vec![asc(3), desc(0)],
+            vec![desc(2), asc(4), asc(0)],
+            vec![asc(0), nulls_first(2)],
+            vec![asc(5), nulls_first(3)],
+            vec![desc(4), asc(3)],
+        ];
+        let mut rng = rowsort_testkit::Rng::seed_from_u64(0x000D_E2B1);
+        for _ in 0..4 {
+            let mut columns: Vec<usize> = (0..6).collect();
+            let mut order = Vec::new();
+            for _ in 0..1 + rng.below(3) {
+                let c = columns.remove(rng.below(columns.len() as u64) as usize);
+                order.push(if rng.below(2) == 0 { asc(c) } else { desc(c) });
+            }
+            orders.push(order);
+        }
+        let (warm, mut scratch) = (TableStats::new(&input), PlanScratch::default());
+        let sorted_by = TableStats::new(&input);
+        for (q, keys) in orders.into_iter().enumerate() {
+            let order = OrderBy::new(keys);
+            let what = format!("query {q}, {order:?}");
+            let cold = TableStats::new(&input);
+            let mut want = Vec::new();
+            let serial: Spread<'_> = &|phase| phase(0);
+            let planned = key_stats(
+                &input,
+                &order,
+                &cold,
+                &mut PlanScratch::default(),
+                &mut want,
+                serial,
+            );
+            assert_eq!(planned.reused, 0, "{what}");
+            let mut got = Vec::new();
+            let reused = key_stats(
+                &input,
+                &order,
+                &warm,
+                &mut scratch,
+                &mut got,
+                &three_workers,
+            );
+            assert_eq!(got, want, "{what}: statistics");
+            // The fixed queries plan what the comment above says.
+            let truncated =
+                |c: usize| matches!(want[c], KeyStat::Varchar(v) if v.prefix_len < v.max_len);
+            let ranked = |c: usize| matches!(want[c], KeyStat::Ranked(_));
+            let shape = match q {
+                0 => truncated(1) && want[3] == KeyStat::Plain,
+                1 => matches!(want[3], KeyStat::Range(_)) && ranked(0),
+                2 => ranked(2) && truncated(4) && want[0] == KeyStat::Plain,
+                3 => ranked(0) && ranked(2) && reused.reused == 2,
+                4 => {
+                    let exact = matches!(want[5], KeyStat::Varchar(v) if v.prefix_len == v.max_len);
+                    exact && matches!(want[3], KeyStat::Range(_))
+                }
+                5 => truncated(4) && want[3] == KeyStat::Plain && reused.reused == 1,
+                _ => true,
+            };
+            assert!(shape, "{what}: planned {want:?}, {reused:?}");
+            for (c, stat) in want.iter().enumerate() {
+                if matches!(stat, KeyStat::Ranked(_)) {
+                    assert!(
+                        warm.ranks(c) == cold.ranks(c),
+                        "{what}: ranks of column {c}"
+                    );
+                    assert_eq!(warm.ranks(c).len(), input.len(), "{what}: column {c}");
+                }
+            }
+            // Sorted both ways: the same key, the same merge, the same rows.
+            let options = crate::pipeline::SortOptions {
+                threads: 2,
+                run_rows: input.len() / 2,
+                ovc: true,
+            };
+            let pipeline =
+                crate::pipeline::SortPipeline::new(types.clone(), order.clone(), options);
+            let expected = pipeline.sort(&input);
+            let afresh = pipeline.last_profile();
+            let sorted = pipeline.sort_with_stats(&input, Some(&sorted_by));
+            let lent = pipeline.last_profile();
+            assert_eq!(lent.key_width, afresh.key_width, "{what}: key width");
+            let cmps = |p: SortProfile| p.metrics.counter(Counter::MergeCmps);
+            assert_eq!(cmps(lent), cmps(afresh), "{what}: merge_cmps");
+            assert!(sorted == expected, "{what}: sorted rows");
+        }
     }
 
     #[test]
@@ -1188,7 +1508,7 @@ mod tests {
         let (types, order) = (input.types(), OrderBy::ascending(1));
         let core = SorterCore::new(types.clone(), order.clone(), 6, true, SortResources::new(1));
         let mut plan = KeyPlan::default();
-        plan.plan(&types, &order, &input, &|phase| phase(0));
+        plan.plan(&types, &order, &input, None, &|phase| phase(0));
         let staged = |c: usize| input.column(c).as_strings().unwrap().range_bytes(0, 6);
         let staged_heap = staged(0) + staged(2);
         // The strings a heap holds column by column, rows in `rows` order.
@@ -1206,7 +1526,8 @@ mod tests {
         let mut moved = [0; 2];
         for streamed in [false, true] {
             let before = core.metrics.snapshot().counter(Counter::BytesMoved);
-            let run = core.make_run(core.pool(), &plan, &input, (0, 6), streamed);
+            let planned = (&plan, plan.table(None));
+            let run = core.make_run(core.pool(), planned, &input, (0, 6), streamed);
             moved[usize::from(streamed)] =
                 core.metrics.snapshot().counter(Counter::BytesMoved) - before;
             let block = &run.payload;

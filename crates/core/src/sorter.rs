@@ -30,7 +30,7 @@ use crate::metrics::{
 use crate::ovc::MergeCodes;
 use crate::pool::SortPool;
 use crate::resources::SortResources;
-use crate::run::{KeyPlan, SortedRun};
+use crate::run::{KeyPlan, SortedRun, TableStats};
 use crate::spill::{SpillError, SpillOp};
 use rowsort_algos::kway::OvcLoserTree;
 use rowsort_row::{ChunkBuilder, ChunkPiece, PieceTail, RowLayout};
@@ -116,14 +116,16 @@ impl StoredRun for SortedRun {
 }
 
 /// When a sort began, what its registry held then, and the prefix, plain
-/// key width and dictionaries it planned: what [`SorterCore::publish`]
-/// turns into its profile.
+/// key width and dictionaries it planned and the key columns it planned
+/// from a table's statistics: what [`SorterCore::publish`] turns into its
+/// profile.
 pub(crate) struct SortStart {
     at: Instant,
     before: Metrics,
     varchar_prefix: u32,
     key_width_plain: u32,
     dictionaries: (u32, [u32; DICT_REPORTED]),
+    stats_reused: u32,
 }
 
 /// One run's outcome, in the slot of its index.
@@ -280,9 +282,15 @@ impl SorterCore {
     }
 
     /// Start a sort of `input`: check its schema and plan its key
-    /// ([`Phase::Prepare`]). `None` for an empty input, which records
-    /// nothing.
-    pub(crate) fn begin(&self, input: &DataChunk, plan: &mut KeyPlan) -> Option<SortStart> {
+    /// ([`Phase::Prepare`]) from `lent`, the statistics of `input`'s table,
+    /// or else from the sorter's own. `None` for an empty input, which
+    /// records nothing.
+    pub(crate) fn begin(
+        &self,
+        input: &DataChunk,
+        plan: &mut KeyPlan,
+        lent: Option<&TableStats>,
+    ) -> Option<SortStart> {
         // Element-wise so the schema check allocates nothing in steady
         // state (`input.types()` would collect a fresh Vec per sort).
         assert!(
@@ -307,7 +315,7 @@ impl SorterCore {
                     phase(0);
                 }
             };
-            plan.plan(&self.types, &self.order, input, &spread);
+            plan.plan(&self.types, &self.order, input, lent, &spread);
         }
         Some(SortStart {
             at,
@@ -315,6 +323,7 @@ impl SorterCore {
             varchar_prefix: plan.varchar_prefix(),
             key_width_plain: plan.plain_width() as u32,
             dictionaries: plan.dictionaries(),
+            stats_reused: plan.reused,
         })
     }
 
@@ -337,6 +346,7 @@ impl SorterCore {
             varchar_prefix: start.varchar_prefix,
             dict_columns: start.dictionaries.0,
             dict_values: start.dictionaries.1,
+            stats_reused: start.stats_reused,
             merge_codes: self.codes(key_width),
             metrics: self.metrics.snapshot().since(&start.before),
         };
@@ -347,7 +357,8 @@ impl SorterCore {
     /// Run generation into `runs`: run `i` is input rows
     /// `[i·run_rows, (i+1)·run_rows)` whatever the thread count, claimed
     /// whole in index order by up to [`StoredRun::BUILDERS`] workers,
-    /// built from `pool` with `plan`'s key blocks, and handed to `place`
+    /// built from `pool` with the key blocks of `planned`'s plan and the
+    /// ranks of the statistics it was made from, and handed to `place`
     /// with the moment it was claimed. Outcomes land in the slot of their
     /// index, so run order is schedule-independent. A failure stops
     /// further claims, and the error returned is the lowest failed
@@ -357,7 +368,7 @@ impl SorterCore {
     pub(crate) fn generate<R: StoredRun>(
         &self,
         input: &DataChunk,
-        plan: &KeyPlan,
+        planned: (&KeyPlan, &TableStats),
         pool: SortPool<'_>,
         (slots, runs): (&mut Vec<RunSlot<R>>, &mut Vec<R>),
         place: impl Fn(SortedRun, Instant) -> Result<R, SpillError> + Sync,
@@ -385,7 +396,7 @@ impl SorterCore {
                 }
                 let (lo, claimed) = (i * run_rows, Instant::now());
                 let rows = (lo, (lo + run_rows).min(n));
-                let placed = place(self.make_run(pool, plan, input, rows, streamed), claimed);
+                let placed = place(self.make_run(pool, planned, input, rows, streamed), claimed);
                 failed.fetch_or(placed.is_err(), AtomicOrdering::SeqCst);
                 *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(placed);
             }

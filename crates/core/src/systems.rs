@@ -18,6 +18,7 @@
 use crate::comparator::FusedRowComparator;
 use crate::pipeline::{default_ovc, SortOptions, SortPipeline, DEFAULT_RUN_ROWS};
 use crate::resources::SortResources;
+use crate::run::TableStats;
 use rowsort_algos::kway::LoserTree;
 use rowsort_algos::pdqsort::pdqsort;
 use rowsort_algos::radix::lsd_radix_sort_rows;
@@ -77,7 +78,7 @@ pub fn sort_with_system(
     threads: usize,
 ) -> DataChunk {
     let set = SortResources::new(threads);
-    sort_with_system_profiled(profile, input, order, &set).0
+    sort_with_system_profiled(profile, input, order, &set, None).0
 }
 
 /// [`sort_with_system`] on `set`'s `threads` workers, also returning the
@@ -85,12 +86,15 @@ pub fn sort_with_system(
 /// runs the real pipeline (`RowsortDb`), whose sort borrows `set`'s
 /// buffer pool and crew; the emulated systems are not instrumented and
 /// return `None`. `EXPLAIN ANALYZE` uses this to annotate Sort operators
-/// with the phase breakdown.
+/// with the phase breakdown. `stats`, when given, are `input`'s table's
+/// statistics, which the real pipeline plans its key from
+/// ([`SortPipeline::sort_with_stats`]); the emulated systems plan nothing.
 pub fn sort_with_system_profiled(
     profile: SystemProfile,
     input: &DataChunk,
     order: &OrderBy,
     set: &SortResources,
+    stats: Option<&TableStats>,
 ) -> (DataChunk, Option<crate::metrics::SortProfile>) {
     let threads = set.threads();
     match profile {
@@ -103,7 +107,7 @@ pub fn sort_with_system_profiled(
                 ovc: default_ovc(),
             };
             let pipeline = SortPipeline::with_resources(input.types(), order.clone(), options, set);
-            let sorted = pipeline.sort(input);
+            let sorted = pipeline.sort_with_stats(input, stats);
             (sorted, Some(pipeline.last_profile()))
         }
         SystemProfile::ColumnarJit => (columnar_jit_sort(input, order, threads), None),

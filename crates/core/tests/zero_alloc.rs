@@ -129,8 +129,9 @@ fn third_sort_of(
 /// six runs and more, beyond what any warm sort does: its own state, none
 /// of it a pooled buffer, each allocated once —
 ///
-/// * the key plan: the input's VARCHAR statistics and the ones its key
-///   blocks were planned for (2), and the key-block cache's vector (1);
+/// * the key plan: the statistics its key blocks were planned for and its
+///   own cache of the input's statistics (2), and the key-block cache's
+///   vector (1);
 /// * the one key block: its columns, their offsets and their input columns
 ///   (3), and its entry buffer, a run's rows × stride (1);
 /// * the run slots and the runs (2);

@@ -1,5 +1,7 @@
-//! Named tables over in-memory columnar storage.
+//! Named tables over in-memory columnar storage, each with the key
+//! statistics its sorts take (DESIGN.md §6, "A table's statistics").
 
+use rowsort_core::TableStats;
 use rowsort_vector::{DataChunk, LogicalType};
 use std::collections::HashMap;
 
@@ -45,7 +47,14 @@ impl Table {
 /// The table registry.
 #[derive(Debug, Default)]
 pub struct Catalog {
-    tables: HashMap<String, Table>,
+    tables: HashMap<String, Registered>,
+}
+
+/// A table, and the key statistics the sorts of its rows took.
+#[derive(Debug)]
+struct Registered {
+    table: Table,
+    stats: TableStats,
 }
 
 impl Catalog {
@@ -54,19 +63,32 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Register (or replace) a table under its lower-cased name.
+    /// Register (or replace) a table under its lower-cased name, with
+    /// empty key statistics: the first sort that keys on a column takes
+    /// its statistics, and a replaced table's go with it.
     pub fn register(&mut self, table: Table) {
-        self.tables.insert(table.name.to_lowercase(), table);
+        let stats = TableStats::new(&table.data);
+        let name = table.name.to_lowercase();
+        self.tables.insert(name, Registered { table, stats });
     }
 
     /// Look up a table (case-insensitive).
     pub fn get(&self, name: &str) -> Option<&Table> {
-        self.tables.get(&name.to_lowercase())
+        self.tables.get(&name.to_lowercase()).map(|r| &r.table)
+    }
+
+    /// The key statistics of a table's rows (case-insensitive), for a sort
+    /// of those rows as they lie and nothing else.
+    pub fn stats(&self, name: &str) -> Option<&TableStats> {
+        self.tables.get(&name.to_lowercase()).map(|r| &r.stats)
     }
 
     /// Names of all registered tables.
     pub fn table_names(&self) -> Vec<&str> {
-        self.tables.values().map(|t| t.name.as_str()).collect()
+        self.tables
+            .values()
+            .map(|r| r.table.name.as_str())
+            .collect()
     }
 }
 

@@ -26,7 +26,7 @@ use rowsort_core::external::{ExternalSortOptions, ExternalSorter, SPILL_WORKERS}
 use rowsort_core::metrics::{Counter, Phase, RUN_STAGES};
 use rowsort_core::spill::StdFs;
 use rowsort_core::systems::{sort_with_system_profiled, SystemProfile};
-use rowsort_core::{SortProfile, SortResources};
+use rowsort_core::{SortProfile, SortResources, TableStats};
 use rowsort_vector::{DataChunk, OrderBy, Vector};
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -256,6 +256,11 @@ fn sort_detail(profile: &SortProfile, threads: usize) -> String {
     if profile.varchar_prefix > 0 {
         let _ = write!(s, " prefix={}", profile.varchar_prefix);
     }
+    // Whether the key was planned from statistics an earlier sort of the
+    // table took (DESIGN.md §6, "A table's statistics").
+    if profile.stats_reused > 0 {
+        s.push_str(" stats=table");
+    }
     // Rows that prefix failed to order: run generation handed them to
     // the full-tuple comparator, one key-equal range at a time.
     let tie_rows = profile.metrics.counter(Counter::RunTieRows);
@@ -324,7 +329,9 @@ fn short_count(n: u64) -> String {
 /// Sort a materialized relation under the session's options: the
 /// configured in-memory system profile by default, or the external
 /// (spilling) sorter when [`ExecOptions::spill`] is set, with spill
-/// failures surfacing as [`EngineError::Spill`].
+/// failures surfacing as [`EngineError::Spill`]. `stats` are the key
+/// statistics of the table `all` is, row for row, when it is one: the sort
+/// plans from them (DESIGN.md §6, "A table's statistics").
 ///
 /// Any panic escaping the sort machinery — including panics re-raised
 /// from worker-pool threads — is contained here and converted to
@@ -334,6 +341,7 @@ fn sort_relation(
     all: &DataChunk,
     order: &OrderBy,
     (options, set): Session<'_>,
+    stats: Option<&TableStats>,
 ) -> Result<(DataChunk, Option<SortProfile>)> {
     let run = || match &options.spill {
         Some(spill) => {
@@ -351,11 +359,14 @@ fn sort_relation(
                 Arc::new(StdFs),
                 set,
             );
-            let sorted = sorter.sort(all).map_err(EngineError::Spill)?;
+            let sorted = sorter
+                .sort_with_stats(all, stats)
+                .map_err(EngineError::Spill)?;
             Ok((sorted, Some(sorter.last_profile())))
         }
         None => {
-            let (sorted, profile) = sort_with_system_profiled(options.profile, all, order, set);
+            let (sorted, profile) =
+                sort_with_system_profiled(options.profile, all, order, set, stats);
             Ok((sorted, profile))
         }
     };
@@ -456,9 +467,10 @@ fn exec_node<'a>(
         LogicalPlan::Sort { input, order } => {
             // Pipeline breaker: the sorter reads the input where it lies
             // (scattering morsels of it into rows) and returns new vectors.
-            let input = exec_plan(input, catalog, session, prof)?;
+            let relation = exec_plan(input, catalog, session, prof)?;
+            let stats = table_stats(input, &relation, catalog);
             let sorted;
-            (sorted, *sort) = sort_relation(&input, order, session)?;
+            (sorted, *sort) = sort_relation(&relation, order, session, stats)?;
             Ok(Cow::Owned(sorted))
         }
         LogicalPlan::Limit {
@@ -488,12 +500,28 @@ fn exec_node<'a>(
         LogicalPlan::WindowRowNumber { input, order } => {
             let input = exec_plan(input, catalog, session, prof)?;
             let sorted;
-            (sorted, *sort) = sort_relation(&input, order, session)?;
+            (sorted, *sort) = sort_relation(&input, order, session, None)?;
             let numbers = Vector::from_i64s((1..=sorted.len() as i64).collect());
             let mut columns = sorted.into_columns();
             columns.push(numbers);
             owned(columns)
         }
+    }
+}
+
+/// The key statistics a sort of `relation`, the result of `input`, may
+/// plan from: its table's, when `input` is a bare `Scan` that lent the
+/// table's rows as they lie; none for anything built of them — a filtered
+/// or joined relation holds other rows, and a dictionary's ranks are per
+/// row of the table.
+fn table_stats<'a>(
+    input: &LogicalPlan,
+    relation: &Relation<'a>,
+    catalog: &'a Catalog,
+) -> Option<&'a TableStats> {
+    match (input, relation) {
+        (LogicalPlan::Scan { table }, Cow::Borrowed(_)) => catalog.stats(table),
+        _ => None,
     }
 }
 
@@ -513,8 +541,8 @@ fn sort_merge_join(
     use rowsort_vector::OrderByColumn;
     let l_order = OrderBy::new(vec![OrderByColumn::asc(left_col)]);
     let r_order = OrderBy::new(vec![OrderByColumn::asc(right_col)]);
-    let (l, _) = sort_relation(left, &l_order, session)?;
-    let (r, _) = sort_relation(right, &r_order, session)?;
+    let (l, _) = sort_relation(left, &l_order, session, None)?;
+    let (r, _) = sort_relation(right, &r_order, session, None)?;
 
     // Each output row as a row of each side: one `take` per side builds
     // the output.
@@ -1106,6 +1134,12 @@ mod tests {
         assert_eq!(sort_detail(&ranked, 2), " key=2B/36B dict=2(200,101)");
         (ranked.dict_columns, ranked.dict_values) = (5, [2, 3, 4, 5]);
         assert_eq!(sort_detail(&ranked, 2), " key=2B/36B dict=5(2,3,4,5,…)");
+        // A key planned from the table's statistics says so.
+        ranked.stats_reused = 2;
+        assert_eq!(
+            sort_detail(&ranked, 2),
+            " key=2B/36B dict=5(2,3,4,5,…) stats=table"
+        );
         planned.metrics.counters[Counter::RunTieRows as usize] = 5_584;
         planned.metrics.counters[Counter::RunTieRanges as usize] = 642;
         assert_eq!(

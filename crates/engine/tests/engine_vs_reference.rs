@@ -396,3 +396,117 @@ fn concurrent_queries_on_one_engine_match_reference() {
         }
     });
 }
+
+/// The key columns `sql_text`'s one sort planned from its table's
+/// statistics, as `EXPLAIN ANALYZE` reads them; checked against the
+/// reference on the way.
+fn stats_reused(e: &Engine, sql_text: &str) -> u32 {
+    let logical = plan::build(&sql::parse(sql_text).unwrap(), e.catalog()).unwrap();
+    let expected = execute_reference(&logical, e.catalog()).unwrap();
+    let (got, nodes) = e.query_profiled(sql_text).unwrap();
+    assert!(
+        got.to_rows() == expected,
+        "{sql_text}: not the reference's rows"
+    );
+    let sorts: Vec<_> = nodes.iter().filter_map(|n| n.sort).collect();
+    assert_eq!(sorts.len(), 1, "{sql_text}: one sort");
+    sorts[0].stats_reused
+}
+
+/// `rows` rows of a `name` (one of `values` strings of `stem` and a
+/// number, one row in eight NULL), an `id` and a nullable `year`.
+fn people(rows: usize, values: u64, stem: &str, seed: u64) -> Table {
+    let mut rng = rowsort_testkit::Rng::seed_from_u64(seed);
+    let mut nullable = |v: Value| if rng.below(8) == 0 { Value::Null } else { v };
+    let names: Vec<Value> = (0..rows)
+        .map(|i| {
+            nullable(Value::from(format!(
+                "{stem}{}",
+                (i as u64 * 7 + 3) % values
+            )))
+        })
+        .collect();
+    let years: Vec<Value> = (0..rows)
+        .map(|i| nullable(Value::Int32(1_900 + (i * 13 % 97) as i32)))
+        .collect();
+    let data = rowsort_vector::DataChunk::from_columns(vec![
+        rowsort_vector::Vector::from_values(rowsort_vector::LogicalType::Varchar, &names).unwrap(),
+        rowsort_vector::Vector::from_i32s((0..rows as i32).collect()),
+        rowsort_vector::Vector::from_values(rowsort_vector::LogicalType::Int32, &years).unwrap(),
+    ])
+    .unwrap();
+    Table::new(
+        "people",
+        vec!["name".into(), "id".into(), "year".into()],
+        data,
+    )
+}
+
+/// A table registered again under its name brings its own statistics:
+/// the new rows have more names, a longer one and another year range, and
+/// a sort of them plans from them — not from what the old rows' sorts
+/// took (the bug: statistics kept by table name across a re-register).
+#[test]
+fn a_table_registered_again_plans_from_its_new_rows() {
+    let mut e = Engine::new();
+    let sql_text = "SELECT * FROM people ORDER BY name DESC, year";
+    e.register_table(people(5_000, 40, "n", 1));
+    assert_eq!(stats_reused(&e, sql_text), 0);
+    assert_eq!(stats_reused(&e, sql_text), 2, "a warm table's second sort");
+    e.register_table(people(5_000, 600, "a_name_longer_than_the_old_ones_", 2));
+    assert_eq!(stats_reused(&e, sql_text), 0, "the new rows' first sort");
+    assert_eq!(stats_reused(&e, sql_text), 2);
+}
+
+/// A sort over a `WHERE` sorts other rows than the table's: it plans its
+/// own statistics, before and after the table's are taken (the bug: the
+/// table's ranks lent through the filter).
+#[test]
+fn a_sort_over_a_filter_plans_its_own_statistics() {
+    let mut e = Engine::new();
+    e.register_table(people(6_000, 90, "n", 3));
+    let filtered = "SELECT * FROM people WHERE id >= 1000 ORDER BY name, year DESC";
+    assert_eq!(stats_reused(&e, filtered), 0);
+    assert_eq!(
+        stats_reused(&e, "SELECT * FROM people ORDER BY name, year DESC"),
+        0
+    );
+    assert_eq!(
+        stats_reused(&e, filtered),
+        0,
+        "after the table's were taken"
+    );
+    let limited = "SELECT name FROM people WHERE year < 1950 ORDER BY name LIMIT 7";
+    assert_eq!(stats_reused(&e, limited), 0);
+}
+
+/// Two threads send the first query of a cold table at once, each sorting
+/// by the columns the other does: each column's statistics are taken once,
+/// by one of them, while the other waits — and both results are right.
+#[test]
+fn two_first_queries_of_a_cold_table_at_once_are_right() {
+    let statements = [
+        "SELECT * FROM people ORDER BY name, year",
+        "SELECT id FROM people ORDER BY year DESC, name DESC",
+    ];
+    for round in 0..12 {
+        let mut e = Engine::new();
+        e.options_mut().threads = 2;
+        e.register_table(people(40_000, 300, "a_longer_customer_name_", 4 + round));
+        let expected = statements.map(|sql_text| {
+            let logical = plan::build(&sql::parse(sql_text).unwrap(), e.catalog()).unwrap();
+            execute_reference(&logical, e.catalog()).unwrap()
+        });
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for (sql_text, expected) in statements.iter().zip(&expected) {
+                let (e, start) = (&e, &start);
+                s.spawn(move || {
+                    start.wait();
+                    let got = e.query(sql_text).unwrap().to_rows();
+                    assert!(got == *expected, "round {round}: {sql_text}");
+                });
+            }
+        });
+    }
+}
