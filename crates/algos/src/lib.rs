@@ -31,6 +31,19 @@
 //!   and data-dependent branches to; [`NoProbe`] records nothing and
 //!   compiles away.
 
+// Non-test code of this crate panics only where a site says why it may:
+// each `unwrap`, `expect` or panicking macro carries an
+// `#[expect(clippy::…, reason = "…")]` (clippy.toml exempts tests).
+// Literal subscripts are rowsort-lint's R010.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod heapsort;
 pub mod insertion;
 pub mod introsort;

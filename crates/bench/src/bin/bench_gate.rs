@@ -18,8 +18,8 @@
 //! counted on the simulated CPU: `<approach>.l1_accesses`, `.l1_misses`,
 //! `.branches` and `.branch_misses`.
 //! Every option that shapes the work is spelled out per id, never taken
-//! from `Default`, which reads `ROWSORT_THREADS` and `ROWSORT_OVC`: the
-//! counts are the same on every host and under any environment.
+//! from `Default`, which reads `ROWSORT_THREADS`: the counts are the same
+//! on every host and under any environment.
 //!
 //! A difference prints `id counter: baseline → fresh` and exits 1: the
 //! change altered how much work an algorithm does. Either that was the
@@ -38,7 +38,6 @@ use rowsort_testkit::alloc::{allocation_count, CountingAllocator};
 use rowsort_testkit::json::Json;
 use rowsort_vector::{OrderBy, OrderByColumn};
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Duration;
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -161,8 +160,6 @@ fn measure() -> Counts {
             ovc: true,
             merge_threads,
             spill_dir: None,
-            max_write_retries: 3,
-            retry_backoff: Duration::from_micros(250),
         };
         let sorter = ExternalSorter::new(chunk.types(), order, options);
         // No allocation count at any thread count: every run builds its

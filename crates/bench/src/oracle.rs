@@ -43,7 +43,6 @@ use rowsort_vector::{
 use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// What every sorter of a case is configured from.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -449,8 +448,6 @@ fn external(
     let options = ExternalSortOptions {
         memory_limit_rows,
         spill_dir: None,
-        max_write_retries: 3,
-        retry_backoff: Duration::from_micros(5),
         ovc,
         merge_threads,
     };

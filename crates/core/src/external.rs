@@ -24,7 +24,7 @@
 //!   as a typed [`SpillError::Corrupt`], never as wrong rows; nothing
 //!   read from a file sizes an allocation, steers a seek or sets a count;
 //! * transient write failures are retried with doubling backoff
-//!   ([`ExternalSortOptions::max_write_retries`]);
+//!   ([`MAX_WRITE_RETRIES`], from [`RETRY_BACKOFF`]);
 //! * out-of-space errors degrade the sort to runs kept in memory — the
 //!   same runs, encoded as they would have been on disk — instead of
 //!   failing the query;
@@ -94,6 +94,14 @@ const HEADER_BYTES: usize = 8;
 /// taken at (ROADMAP 4(e)); the merge keeps every worker.
 pub const SPILL_WORKERS: usize = 2;
 
+/// How many times a transient write failure (interrupted, timed out,
+/// would-block) is retried before the sort gives up on the run.
+pub const MAX_WRITE_RETRIES: usize = 3;
+
+/// Sleep before the first retry of a run file's write; doubles on each
+/// subsequent one.
+pub const RETRY_BACKOFF: Duration = Duration::from_micros(250);
+
 /// Tuning for the external sorter.
 #[derive(Debug, Clone)]
 pub struct ExternalSortOptions {
@@ -107,14 +115,10 @@ pub struct ExternalSortOptions {
     pub memory_limit_rows: usize,
     /// Directory for spill files (defaults to the system temp dir).
     pub spill_dir: Option<PathBuf>,
-    /// How many times a transient write failure (interrupted, timed out,
-    /// would-block) is retried before the sort gives up on the run.
-    pub max_write_retries: usize,
-    /// Sleep before the first retry; doubles on each subsequent one.
-    pub retry_backoff: Duration,
     /// Spill an offset-value code per record and merge through the
-    /// OVC-aware loser tree (DESIGN.md §10). Defaults to
-    /// [`crate::pipeline::default_ovc`] (`ROWSORT_OVC=0` disables).
+    /// OVC-aware loser tree (DESIGN.md §10). On by default; off, the same
+    /// tree plays whole-key compares, the reference the oracle holds the
+    /// coded merge to.
     pub ovc: bool,
     /// Worker threads. The spill phase claims runs whole on at most
     /// [`SPILL_WORKERS`] of them; the merge runs range-partitioned on all
@@ -128,9 +132,7 @@ impl Default for ExternalSortOptions {
         ExternalSortOptions {
             memory_limit_rows: 1 << 17,
             spill_dir: None,
-            max_write_retries: 3,
-            retry_backoff: Duration::from_micros(250),
-            ovc: crate::pipeline::default_ovc(),
+            ovc: true,
             merge_threads: crate::pipeline::default_threads(),
         }
     }
@@ -957,7 +959,7 @@ impl ExternalSorter {
     fn spill_run(&self, run: &SortedRun, degraded: &AtomicBool) -> Result<Run, SpillError> {
         let metrics = &self.core.metrics;
         let mut attempt = 0;
-        let mut backoff = self.options.retry_backoff;
+        let mut backoff = RETRY_BACKOFF;
         let (index, store) = loop {
             if degraded.load(AtomicOrdering::SeqCst) {
                 metrics.add(Counter::SpillMemFallbackRuns, 1);
@@ -985,7 +987,7 @@ impl ExternalSorter {
                         // Degradation ladder, rung 2: no point retrying a
                         // full disk — keep this and later runs in memory.
                         degraded.store(true, AtomicOrdering::SeqCst);
-                    } else if err.is_transient() && attempt < self.options.max_write_retries {
+                    } else if err.is_transient() && attempt < MAX_WRITE_RETRIES {
                         attempt += 1;
                         metrics.add(Counter::SpillRetries, 1);
                         std::thread::sleep(backoff);
@@ -2433,7 +2435,6 @@ mod tests {
             order.clone(),
             ExternalSortOptions {
                 memory_limit_rows: budget,
-                retry_backoff: Duration::from_micros(10),
                 ..Default::default()
             },
             Arc::new(fs.clone()),
@@ -2904,7 +2905,7 @@ mod tests {
             }
             at = next;
         }
-        unreachable!("the loop returns at record j")
+        panic!("the loop returns at record j")
     }
 
     /// One seeded mutation of a run's encoding: a bit flipped in a chosen

@@ -435,7 +435,7 @@ mod tests {
         let mut kb = KeyBlock::new(&chunk.types(), &order, |_| 0);
         assert!(!kb.tie_possible());
         kb.append_chunk(&chunk);
-        kb.sort(|_, _| unreachable!("no ties possible"));
+        kb.sort(|_, _| panic!("no ties possible"));
         assert_eq!(kb.order(), vec![3, 1, 4, 2, 0]);
     }
 
@@ -452,7 +452,7 @@ mod tests {
             (0..3).map(|i| kb.row_id(i)).collect::<Vec<_>>(),
             vec![0, 1, 2]
         );
-        kb.sort(|_, _| unreachable!());
+        kb.sort(|_, _| panic!());
         assert_eq!(kb.order(), vec![2, 1, 0]);
     }
 
@@ -468,7 +468,7 @@ mod tests {
         }]);
         let mut kb = KeyBlock::new(&chunk.types(), &order, |_| 0);
         kb.append_chunk(&chunk);
-        kb.sort(|_, _| unreachable!());
+        kb.sort(|_, _| panic!());
         assert_eq!(kb.order(), vec![2, 0, 1], "3, 1, NULL");
     }
 
@@ -539,7 +539,7 @@ mod tests {
         let mut kb = KeyBlock::new(&chunk.types(), &OrderBy::ascending(1), |_| 18);
         assert!(kb.tie_possible());
         kb.append_chunk(&chunk);
-        let algo = kb.sort(|_, _| unreachable!("no two keys are equal"));
+        let algo = kb.sort(|_, _| panic!("no two keys are equal"));
         assert!(matches!(algo, KeySortAlgo::Radix { .. }), "{algo:?}");
         assert_eq!(kb.order(), vec![0, 1, 2]);
         assert_eq!(kb.last_sort().tie_rows, 0);
@@ -567,7 +567,7 @@ mod tests {
         assert!(!exact.tie_possible());
         assert_eq!(exact.key_width(), 1 + 13 + 1);
         exact.append_chunk(&chunk);
-        exact.sort(|_, _| unreachable!("an exact key cannot tie"));
+        exact.sort(|_, _| panic!("an exact key cannot tie"));
         assert_eq!(exact.order(), vec![1, 0, 2]);
     }
 
@@ -577,7 +577,7 @@ mod tests {
         let order = OrderBy::ascending(1);
         let mut kb = KeyBlock::new(&chunk.types(), &order, |_| 0);
         kb.append_chunk(&chunk);
-        kb.sort(|_, _| unreachable!());
+        kb.sort(|_, _| panic!());
         let mut keys = Vec::new();
         kb.keys_only_into(&mut keys);
         assert_eq!(keys.len(), 2 * kb.key_width());
@@ -591,7 +591,7 @@ mod tests {
         let order = OrderBy::new(vec![OrderByColumn::asc(2), OrderByColumn::asc(0)]);
         let mut kb = KeyBlock::new(&chunk.types(), &order, |_| 0);
         kb.append_chunk(&chunk);
-        kb.sort(|_, _| unreachable!());
+        kb.sort(|_, _| panic!());
         assert_eq!(kb.order(), vec![2, 0, 1]);
     }
 
@@ -599,7 +599,7 @@ mod tests {
     fn empty_block() {
         let order = OrderBy::ascending(1);
         let mut kb = KeyBlock::new(&[LogicalType::UInt32], &order, |_| 0);
-        kb.sort(|_, _| unreachable!());
+        kb.sort(|_, _| panic!());
         assert!(kb.is_empty());
         assert_eq!(kb.order(), Vec::<u32>::new());
     }

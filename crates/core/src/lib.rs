@@ -47,6 +47,23 @@
 //! * [`resources`] — a buffer pool and a worker crew that many sorters
 //!   share: an engine's one set for all its queries (DESIGN.md §6).
 
+// Non-test code of this crate panics only where a site says why it may:
+// each `unwrap`, `expect` or panicking macro carries an
+// `#[expect(clippy::…, reason = "…")]` (clippy.toml exempts tests).
+// Literal subscripts are rowsort-lint's R010.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+// A discarded `#[must_use]` value — a spill error above all — is handled,
+// counted or expected by name; rustc's unused_must_use holds the bare
+// `…;` statement.
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
+
 pub mod comparator;
 mod dict;
 pub mod external;
@@ -70,7 +87,7 @@ pub mod workers;
 pub use external::{ExternalSortOptions, ExternalSorter};
 pub use keys::{KeyBlock, KeySortAlgo, KeySortStats, KeyStat, RankStat, VarcharStat, PREFIX_CAP};
 pub use metrics::{Counter, CounterRegistry, Metrics, Phase, SortProfile};
-pub use pipeline::{default_ovc, default_threads, SortOptions, SortPipeline, SortedRows};
+pub use pipeline::{default_threads, SortOptions, SortPipeline, SortedRows};
 pub use pool::BufferPool;
 pub use resources::SortResources;
 pub use run::TableStats;

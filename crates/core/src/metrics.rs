@@ -551,6 +551,10 @@ pub fn emit_trace(profile: &SortProfile) {
     match std::env::var("ROWSORT_TRACE_FILE") {
         Ok(path) if !path.is_empty() => {
             if let Ok(mut file) = OpenOptions::new().create(true).append(true).open(&path) {
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "a trace line the file refuses is dropped; the sort does not depend on it"
+                )]
                 let _ = writeln!(file, "{line}");
             }
         }

@@ -30,17 +30,6 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Whether merges use offset-value coding when [`SortOptions`] does not
-/// pin it: on unless the `ROWSORT_OVC` environment variable disables it
-/// (any of `0`/`false`/`off`/`no`, trimmed and case-insensitive — the
-/// shared [`rowsort_testkit::env`] convention) — the escape hatch for
-/// A/B runs and for ruling OVC out when debugging a merge (DESIGN.md
-/// §10). Unrecognized spellings keep the default rather than silently
-/// flipping the knob.
-pub fn default_ovc() -> bool {
-    rowsort_testkit::env::env_flag("ROWSORT_OVC", true)
-}
-
 /// Rows per run when [`SortOptions`] does not pin it.
 pub(crate) const DEFAULT_RUN_ROWS: usize = 1 << 17;
 
@@ -64,7 +53,7 @@ impl Default for SortOptions {
         SortOptions {
             threads: default_threads(),
             run_rows: DEFAULT_RUN_ROWS,
-            ovc: default_ovc(),
+            ovc: true,
         }
     }
 }
@@ -227,9 +216,12 @@ impl SortPipeline {
 /// The value of a sort over resident runs, which cannot fail: their
 /// sources never fail to advance, their rows' strings lie in their own
 /// heaps, and every sink holds exactly its range's rows.
+#[expect(
+    clippy::expect_used,
+    reason = "resident runs are placed, cut and merged without a fallible step; an error here \
+              is a bug upstream, reported loudly"
+)]
 fn resident<T>(sorted: Result<T, SpillError>) -> T {
-    // lint:allow(R010): resident runs are placed, cut and merged without
-    // a fallible step; an error here is a bug upstream, reported loudly.
     sorted.expect("a sort of resident runs is infallible")
 }
 
@@ -671,8 +663,7 @@ mod tests {
         assert_eq!(m.counter(Counter::RunsGenerated), 8);
         assert_eq!(m.counter(Counter::RadixSorts), 8, "u32 keys take radix");
         assert!(m.counter(Counter::RadixPasses) >= 8);
-        // All 8 runs merge in one k-way tree-of-losers round, with OVC on
-        // or off.
+        // All 8 runs merge in one k-way tree-of-losers round.
         assert_eq!(m.counter(Counter::MergeRounds), 1);
         assert_eq!(m.counter(Counter::MergeTasks), 1);
         assert!(
@@ -683,16 +674,14 @@ mod tests {
             m.counter(Counter::MergeCmpsOvcResolved) <= m.counter(Counter::MergeCmps),
             "OVC-resolved compares are a subset of all compares"
         );
-        if SortOptions::default().ovc {
-            // Distinct-heavy u32 keys: the vast majority of merge
-            // comparisons must resolve on the code alone.
-            assert!(
-                m.counter(Counter::MergeCmpsOvcResolved) * 2 > m.counter(Counter::MergeCmps),
-                "OVC resolved {} of {} merge compares",
-                m.counter(Counter::MergeCmpsOvcResolved),
-                m.counter(Counter::MergeCmps)
-            );
-        }
+        // Distinct-heavy u32 keys: the vast majority of merge comparisons
+        // must resolve on the code alone.
+        assert!(
+            m.counter(Counter::MergeCmpsOvcResolved) * 2 > m.counter(Counter::MergeCmps),
+            "OVC resolved {} of {} merge compares",
+            m.counter(Counter::MergeCmpsOvcResolved),
+            m.counter(Counter::MergeCmps)
+        );
         assert!(m.counter(Counter::BytesMoved) > 0);
         assert!(m.counter(Counter::PoolMisses) > 0, "cold sort allocates");
         assert!(m.phase(Phase::RunGeneration) > 0);

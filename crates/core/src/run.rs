@@ -1244,7 +1244,7 @@ mod tests {
         let mut block = KeyBlock::planned(&chunk, &OrderBy::ascending(1));
         assert_eq!(block.key_width(), 1);
         block.append_chunk(&chunk);
-        block.sort(|_, _| unreachable!("a ranked key cannot tie"));
+        block.sort(|_, _| panic!("a ranked key cannot tie"));
         let order = block.order();
         // Ranks 0..5 in the order of their strings, NULLs last.
         for pair in order.windows(2) {

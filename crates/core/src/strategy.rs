@@ -82,7 +82,7 @@ fn load<P: Probe>(col: &[u32], r: usize, probe: &P) -> u32 {
 /// Columnar tuple-at-a-time: sort row indices with a comparator that walks
 /// the key columns, randomly accessing each and branching on ties.
 pub fn columnar_tuple<P: Probe>(cols: &[Vec<u32>], algo: Algo, probe: &P) -> Vec<u32> {
-    let n = cols[0].len();
+    let n = cols.first().map_or(0, Vec::len);
     let mut idxs: Vec<u32> = (0..n as u32).collect();
     cols.iter().for_each(|col| probe.buffer(col));
     probe.buffer(&idxs);
@@ -104,7 +104,7 @@ pub fn columnar_tuple<P: Probe>(cols: &[Vec<u32>], algo: Algo, probe: &P) -> Vec
 /// comparator, no tie branch), then identify tied ranges and recurse into
 /// them on the next column.
 pub fn columnar_subsort<P: Probe>(cols: &[Vec<u32>], algo: Algo, probe: &P) -> Vec<u32> {
-    let n = cols[0].len();
+    let n = cols.first().map_or(0, Vec::len);
     let mut idxs: Vec<u32> = (0..n as u32).collect();
     cols.iter().for_each(|col| probe.buffer(col));
     probe.buffer(&idxs);
@@ -166,7 +166,7 @@ pub struct ByteRows {
 impl ByteRows {
     /// Convert DSM columns into NSM rows.
     pub fn from_cols(cols: &[Vec<u32>]) -> ByteRows {
-        let n = cols[0].len();
+        let n = cols.first().map_or(0, Vec::len);
         let ncols = cols.len();
         let mut data = Vec::with_capacity(n * ncols * 4);
         for r in 0..n {
@@ -193,6 +193,10 @@ impl ByteRows {
     }
 
     /// Decode back to row-major u32 tuples (for verification).
+    #[expect(
+        clippy::unwrap_used,
+        reason = "`chunks(4)` of a row of u32 keys yields 4-byte slices"
+    )]
     pub fn to_tuples(&self) -> Vec<Vec<u32>> {
         self.data
             .chunks(self.width())
@@ -207,6 +211,7 @@ impl ByteRows {
 
 /// Key column `c` of `row`, reported to `probe` as a load.
 #[inline]
+#[expect(clippy::unwrap_used, reason = "the range is 4 bytes long")]
 fn row_u32<P: Probe>(row: &[u8], c: usize, probe: &P) -> u32 {
     probe.read(row, c * 4, 4);
     u32::from_le_bytes(row[c * 4..c * 4 + 4].try_into().unwrap())
@@ -316,7 +321,7 @@ fn row_subsort_range<P: Probe>(
 /// generated `OrderKey` struct.
 pub fn to_static_rows<const N: usize>(cols: &[Vec<u32>]) -> Vec<[u32; N]> {
     assert_eq!(cols.len(), N);
-    let n = cols[0].len();
+    let n = cols.first().map_or(0, Vec::len);
     (0..n)
         .map(|r| std::array::from_fn(|c| cols[c][r]))
         .collect()
@@ -351,7 +356,7 @@ pub struct NormRows {
 impl NormRows {
     /// Encode columns into normalized keys.
     pub fn from_cols(cols: &[Vec<u32>]) -> NormRows {
-        let n = cols[0].len();
+        let n = cols.first().map_or(0, Vec::len);
         let width = cols.len() * 4;
         let mut data = Vec::with_capacity(n * width);
         for r in 0..n {
@@ -373,6 +378,10 @@ impl NormRows {
     }
 
     /// Decode back to u32 tuples (for verification).
+    #[expect(
+        clippy::unwrap_used,
+        reason = "`chunks(4)` of a row of u32 keys yields 4-byte slices"
+    )]
     pub fn to_tuples(&self) -> Vec<Vec<u32>> {
         self.data
             .chunks(self.width)

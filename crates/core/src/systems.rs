@@ -9,14 +9,14 @@
 //!
 //! | profile | emulates | format | local sort | merge |
 //! |---|---|---|---|---|
-//! | [`SystemProfile::RowsortDb`] | DuckDB | NSM + normalized keys (VARCHAR prefix sized from a collision sample) | radix, comparator (pdqsort) inside key-equal ranges | coded k-way per key range (`ROWSORT_OVC=0`: the same k-way pass without codes) |
+//! | [`SystemProfile::RowsortDb`] | DuckDB | NSM + normalized keys (VARCHAR prefix sized from a collision sample) | radix, comparator (pdqsort) inside key-equal ranges | coded k-way per key range |
 //! | [`SystemProfile::ColumnarJit`] | ClickHouse | DSM (sorts indices) | radix for a single integer key, else pdqsort tuple-at-a-time | k-way loser tree |
 //! | [`SystemProfile::ColumnarSingle`] | MonetDB | DSM | single-threaded introsort, subsort per column | (single run) |
 //! | [`SystemProfile::CompiledRows`] | HyPer | NSM | pdqsort, fused ("compiled") comparator, sorts pointers | k-way loser tree on pointers, payload gathered at output |
 //! | [`SystemProfile::CompiledRowsV2`] | Umbra | NSM | as HyPer | cascaded 2-way on pointers |
 
 use crate::comparator::FusedRowComparator;
-use crate::pipeline::{default_ovc, SortOptions, SortPipeline, DEFAULT_RUN_ROWS};
+use crate::pipeline::{SortOptions, SortPipeline, DEFAULT_RUN_ROWS};
 use crate::resources::SortResources;
 use crate::run::TableStats;
 use rowsort_algos::kway::LoserTree;
@@ -25,7 +25,9 @@ use rowsort_algos::radix::lsd_radix_sort_rows;
 use rowsort_algos::NoProbe;
 use rowsort_normkey::{encode_column_into, KeyColumn};
 use rowsort_row::{RowBlock, RowLayout};
-use rowsort_vector::{DataChunk, LogicalType, OrderBy, Validity, Vector, VectorData};
+use rowsort_vector::{
+    DataChunk, LogicalType, OrderBy, OrderByColumn, Validity, Vector, VectorData,
+};
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -104,7 +106,7 @@ pub fn sort_with_system_profiled(
             let options = SortOptions {
                 threads,
                 run_rows: DEFAULT_RUN_ROWS,
-                ovc: default_ovc(),
+                ovc: true,
             };
             let pipeline = SortPipeline::with_resources(input.types(), order.clone(), options, set);
             let sorted = pipeline.sort_with_stats(input, stats);
@@ -223,14 +225,22 @@ fn gather_chunk(input: &DataChunk, order: &[u32]) -> DataChunk {
 // ClickHouse-like: columnar, radix for single int key, k-way merge
 // ---------------------------------------------------------------------------
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "the runs lock is poisoned only by a run worker that panicked, and \
+              `thread::scope` re-raises that panic before the lock is read again"
+)]
 fn columnar_jit_sort(input: &DataChunk, order: &OrderBy, threads: usize) -> DataChunk {
     let n = input.len();
     if n == 0 {
         return DataChunk::new(&input.types());
     }
-    let single_int_key = order.keys.len() == 1 && {
-        let ty = input.types()[order.keys[0].column];
-        ty.is_integer() || ty == LogicalType::Date
+    let radix_key = match order.keys.as_slice() {
+        [key] => {
+            let ty = input.types()[key.column];
+            (ty.is_integer() || ty == LogicalType::Date).then_some(key)
+        }
+        _ => None,
     };
 
     // Thread-local run generation over morsels (index runs).
@@ -239,8 +249,8 @@ fn columnar_jit_sort(input: &DataChunk, order: &OrderBy, threads: usize) -> Data
     let runs: Mutex<Vec<Vec<u32>>> = Mutex::new(Vec::new());
     let cmps = columnar_comparators(input, order);
     let make_run = |lo: usize, hi: usize| -> Vec<u32> {
-        if single_int_key {
-            columnar_radix_run(input, order, lo, hi)
+        if let Some(key) = radix_key {
+            columnar_radix_run(input, key, lo, hi)
         } else {
             let mut idxs: Vec<u32> = (lo as u32..hi as u32).collect();
             pdqsort(&mut idxs, &mut |a: &u32, b: &u32| {
@@ -281,8 +291,11 @@ fn columnar_jit_sort(input: &DataChunk, order: &OrderBy, threads: usize) -> Data
 
 /// Radix sort of one integer key column: encode (normalized key, row id)
 /// pairs and LSD-radix them — ClickHouse's single-column special case.
-fn columnar_radix_run(input: &DataChunk, order: &OrderBy, lo: usize, hi: usize) -> Vec<u32> {
-    let key = &order.keys[0];
+#[expect(
+    clippy::unwrap_used,
+    reason = "each row id is a 4-byte slice of its row"
+)]
+fn columnar_radix_run(input: &DataChunk, key: &OrderByColumn, lo: usize, hi: usize) -> Vec<u32> {
     let vec = input.column(key.column);
     let ty = vec.logical_type();
     let col = KeyColumn::fixed(ty, key.spec);
@@ -311,8 +324,8 @@ fn columnar_radix_run(input: &DataChunk, order: &OrderBy, lo: usize, hi: usize) 
 fn kway_merge_indices(runs: &[Vec<u32>], cmp: impl Fn(u32, u32) -> Ordering) -> Vec<u32> {
     let k = runs.len();
     let total: usize = runs.iter().map(|r| r.len()).sum();
-    if k == 1 {
-        return runs[0].clone();
+    if let [run] = runs {
+        return run.clone();
     }
     let mut out = Vec::with_capacity(total);
     let mut pos = vec![0usize; k];
@@ -387,6 +400,12 @@ enum MergeKind {
     Cascade2Way,
 }
 
+#[expect(
+    clippy::unwrap_used,
+    reason = "the runs lock is poisoned only by a run worker that panicked, and \
+              `thread::scope` re-raises that panic before the lock is read again; a \
+              non-empty input makes at least one run, and the cascade leaves exactly one"
+)]
 fn compiled_rows_sort(
     input: &DataChunk,
     order: &OrderBy,

@@ -182,9 +182,12 @@ impl Drop for PhaseGuard<'_> {
         state.job = None;
         let panicked = state.panicked;
         drop(state);
+        #[expect(
+            clippy::panic,
+            reason = "a worker panic is a phase failure; re-raising it on the caller is the \
+                      contract of `broadcast`"
+        )]
         if panicked > 0 && !std::thread::panicking() {
-            // lint:allow(R010): a worker panic is a phase failure;
-            // re-raising it on the caller is the contract of `broadcast`.
             panic!("{panicked} sort worker(s) panicked during a phase");
         }
     }
@@ -199,6 +202,11 @@ impl Drop for WorkerPool {
         }
         let handles = self.phase.get_mut().unwrap_or_else(|e| e.into_inner());
         for handle in handles.drain(..) {
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "`worker_loop` catches a phase's panic and the phase re-raises it on \
+                          its caller, so a shutdown join has nothing left to report"
+            )]
             let _ = handle.join();
         }
     }

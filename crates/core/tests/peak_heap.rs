@@ -328,7 +328,6 @@ fn a_warm_sort_holds_no_merged_row_run() {
                 spill_dir: Some(dir.clone()),
                 ovc: true,
                 merge_threads,
-                ..ExternalSortOptions::default()
             };
             let peak_of_one = || {
                 let io = Arc::new(PinnedFs::new(merge_threads, runs));

@@ -73,10 +73,9 @@ fn third_sort_of(
         SortOptions {
             threads: 1,
             run_rows: n / 6,
-            // Pinned (not inherited from ROWSORT_OVC): on, the offset-value
-            // code columns must come from the pool like every other sort
-            // buffer; off, the merge reads no codes and must still take
-            // its buffers from the pool.
+            // Both settings: on, the offset-value code columns must come
+            // from the pool like every other sort buffer; off, the merge
+            // reads no codes and must still take its buffers from the pool.
             ovc,
         },
     );

@@ -1,7 +1,7 @@
 //! `lint.toml` — declares which paths each scoped rule applies to.
 //!
 //! ```toml
-//! [hot-paths]            # R003 scope; every fn of these files is an R010 root
+//! [hot-paths]            # R003 scope
 //! globs = ["crates/algos/src/radix.rs", ...]
 //!
 //! [exclude]              # never scanned
@@ -10,53 +10,25 @@
 //! [test-paths]           # whole files treated as test scaffolding
 //! globs = ["crates/*/tests/**"]
 //!
-//! [hot-entry-points]     # R010 reachability roots, "<file>:<Qual::fn>"
-//! fns = ["crates/core/src/pipeline.rs:SortPipeline::sort"]
-//!
 //! [atomic-relaxed-allow] # R011: Ordering::Relaxed permitted (counters)
 //! globs = ["crates/core/src/metrics.rs"]
-//!
-//! [spill-cleanup-allow]  # R012: discarding SpillError results permitted
-//! globs = []
 //! ```
 
 use crate::toml_scan;
 
 /// Parsed lint configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Config {
-    /// R003 applies to files matching these globs, and every non-test
-    /// function they declare is an R010 root.
+    /// R003 applies to files matching these globs.
     pub hot_paths: Vec<String>,
     /// Files excluded from all rules (e.g. lint test fixtures).
     pub exclude: Vec<String>,
     /// Whole files treated as test scaffolding: scanned (a `lint:allow`
-    /// there is still checked) but exempt from every rule, exactly like a
-    /// `#[cfg(test)]` region.
+    /// there is still checked) but exempt from every rule but R003,
+    /// exactly like a `#[cfg(test)]` region.
     pub test_paths: Vec<String>,
-    /// R010 reachability roots as `(file, qualified-fn)` pairs.
-    pub hot_entries: Vec<(String, String)>,
-    /// Line of `[hot-entry-points] fns` in `lint.toml`, where an entry
-    /// that names no function is reported.
-    pub hot_entries_line: u32,
     /// Files where `Ordering::Relaxed` is permitted (metrics counters).
     pub atomic_relaxed_allow: Vec<String>,
-    /// Files where discarding a `SpillError` result is permitted.
-    pub spill_cleanup_allow: Vec<String>,
-}
-
-impl Default for Config {
-    fn default() -> Config {
-        Config {
-            hot_paths: Vec::new(),
-            exclude: Vec::new(),
-            test_paths: Vec::new(),
-            hot_entries: Vec::new(),
-            hot_entries_line: 1,
-            atomic_relaxed_allow: Vec::new(),
-            spill_cleanup_allow: Vec::new(),
-        }
-    }
 }
 
 impl Config {
@@ -64,28 +36,15 @@ impl Config {
     pub fn parse(src: &str) -> Config {
         let mut cfg = Config::default();
         for item in toml_scan::scan(src) {
-            match (item.section.as_str(), item.key.as_str()) {
-                (section, "globs") => {
-                    let globs = toml_scan::array_strings(&item.value);
-                    match section {
-                        "hot-paths" => cfg.hot_paths = globs,
-                        "exclude" => cfg.exclude = globs,
-                        "test-paths" => cfg.test_paths = globs,
-                        "atomic-relaxed-allow" => cfg.atomic_relaxed_allow = globs,
-                        "spill-cleanup-allow" => cfg.spill_cleanup_allow = globs,
-                        _ => {}
-                    }
-                }
-                ("hot-entry-points", "fns") => {
-                    cfg.hot_entries_line = item.line;
-                    cfg.hot_entries = toml_scan::array_strings(&item.value)
-                        .into_iter()
-                        .filter_map(|spec| {
-                            spec.split_once(':')
-                                .map(|(p, q)| (p.to_string(), q.to_string()))
-                        })
-                        .collect();
-                }
+            if item.key != "globs" {
+                continue;
+            }
+            let globs = toml_scan::array_strings(&item.value);
+            match item.section.as_str() {
+                "hot-paths" => cfg.hot_paths = globs,
+                "exclude" => cfg.exclude = globs,
+                "test-paths" => cfg.test_paths = globs,
+                "atomic-relaxed-allow" => cfg.atomic_relaxed_allow = globs,
                 _ => {}
             }
         }
@@ -199,20 +158,11 @@ mod tests {
     }
 
     #[test]
-    fn parse_deep_sections() {
+    fn parse_scoped_sections() {
         let cfg = Config::parse(
-            "[hot-entry-points]\nfns = [\"crates/core/src/pipeline.rs:SortPipeline::sort\"]\n\
-             [test-paths]\nglobs = [\"crates/*/tests/**\"]\n\
+            "[test-paths]\nglobs = [\"crates/*/tests/**\"]\n\
              [atomic-relaxed-allow]\nglobs = [\"crates/core/src/metrics.rs\"]\n",
         );
-        assert_eq!(
-            cfg.hot_entries,
-            vec![(
-                "crates/core/src/pipeline.rs".to_string(),
-                "SortPipeline::sort".to_string()
-            )]
-        );
-        assert_eq!(cfg.hot_entries_line, 2);
         assert!(Config::matches(&cfg.test_paths, "crates/core/tests/x.rs"));
         assert!(Config::matches(
             &cfg.atomic_relaxed_allow,

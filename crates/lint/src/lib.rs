@@ -1,35 +1,32 @@
 //! rowsort-lint — in-tree static analysis for the rowsort workspace.
 //!
 //! A dependency-free analyzer built on a hand-rolled Rust lexer
-//! ([`lexer`]), a recursive-descent parser ([`parser`] → [`ast`]) and a
-//! per-crate call graph ([`callgraph`]). Analysis is one pass per crate
-//! unit ([`rules::analyze_unit`]): each file is lexed and parsed once,
-//! and every rule reads that one token stream and AST — R003 allocation
-//! in hot loops, R010 panic reachability from `[hot-entry-points]` and
-//! every function of a `[hot-paths]` file, R011 atomic-ordering
-//! discipline, R012 spill-error observability and R013 SAFETY
+//! ([`lexer`]). Analysis is one pass per file ([`rules::analyze_file`]):
+//! each file is lexed once, and every rule reads that one token stream —
+//! R003 allocation in hot loops, R010 literal subscripts in the
+//! panic-free crates, R011 atomic-ordering discipline and R013 SAFETY
 //! completeness.
 //!
-//! Together they enforce the invariants the sorting paper's performance
-//! claims rest on that no stock lint states: panic-free and
-//! allocation-free hot paths, sound atomic orderings, observable spill
-//! failures, and SAFETY arguments that name what they argue about. What
-//! clippy and rustc say (documented, single-operation `unsafe` blocks,
-//! `unsafe` only where expected, lossless casts in the key encoder,
-//! `process::exit` only in CLI mains) is theirs, set in the root
-//! `Cargo.toml`. What a rule cannot see — whether a run file's bytes
-//! stay inside their bounds, whether an `unsafe` index stays below its
-//! length — is held by runtime tests instead. See `lint.toml` for rule
-//! scoping and `DESIGN.md` for the rationale per rule.
+//! Together they hold the invariants the sorting paper's performance
+//! claims rest on that no stock lint states: allocation-free hot loops,
+//! sound atomic orderings, and SAFETY arguments that name what they argue
+//! about. What clippy and rustc say is theirs: documented,
+//! single-operation `unsafe` blocks, `unsafe` only where expected and
+//! `process::exit` only in CLI mains (the root `Cargo.toml`); no
+//! `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/`unimplemented!`
+//! outside tests in the four panic-free crates, no discarded
+//! `#[must_use]` value in `rowsort-core`, and lossless casts in the key
+//! encoder (each crate's `lib.rs`). What a rule cannot see — whether a
+//! run file's bytes stay inside their bounds, whether an `unsafe` index
+//! stays below its length — is held by runtime tests instead. See
+//! `lint.toml` for rule scoping and `DESIGN.md` §9 for what holds each
+//! invariant.
 //!
 //! Run it as `cargo run -p lint --release` (binary name `rowsort-lint`);
 //! `scripts/verify.sh` treats a non-zero exit as a tier-1 failure.
 
-pub mod ast;
-pub mod callgraph;
 pub mod config;
 pub mod lexer;
-pub mod parser;
 pub mod rules;
 mod toml_scan;
 
@@ -42,17 +39,16 @@ use std::time::Instant;
 
 /// Wall-clock timing for a workspace run, surfaced by `--timing`.
 ///
-/// Rule timings accumulate per rule group across every file and crate
-/// unit; parse timings are one entry per `.rs` file (its one lex + AST
-/// parse). Collection is always on — two `Instant`
+/// Rule timings accumulate per rule across every file; lex timings are
+/// one entry per `.rs` file. Collection is always on — two `Instant`
 /// reads per rule invocation cost nothing next to the analysis itself —
 /// and the CLI decides whether to render it.
 #[derive(Debug, Default)]
 pub struct Timing {
     /// `(rule id, accumulated elapsed ms)`, insertion-ordered.
     pub rules_ms: Vec<(String, f64)>,
-    /// `(repo-relative path, lex+parse elapsed ms)`.
-    pub parse_ms: Vec<(String, f64)>,
+    /// `(repo-relative path, lex elapsed ms)`.
+    pub lex_ms: Vec<(String, f64)>,
 }
 
 impl Timing {
@@ -64,9 +60,9 @@ impl Timing {
         }
     }
 
-    /// Record the lex+parse time for one file.
-    pub fn add_parse(&mut self, path: &str, ms: f64) {
-        self.parse_ms.push((path.to_string(), ms));
+    /// Record the lex time for one file.
+    pub fn add_lex(&mut self, path: &str, ms: f64) {
+        self.lex_ms.push((path.to_string(), ms));
     }
 }
 
@@ -75,12 +71,10 @@ pub fn ms_since(t0: Instant) -> f64 {
     t0.elapsed().as_secs_f64() * 1000.0
 }
 
-/// Analyze one file's source text on its own, as a one-file crate unit
-/// (a file that is not `.rs` yields nothing). `rel_path` must be
-/// workspace-relative with `/` separators.
+/// Analyze one file's source text (a file that is not `.rs` yields
+/// nothing). `rel_path` must be workspace-relative with `/` separators.
 pub fn analyze_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
-    let unit = [(rel_path.to_string(), src.to_string())];
-    rules::analyze_unit(&unit, cfg, &mut Timing::default())
+    rules::analyze_file(rel_path, src, cfg, &mut Timing::default())
 }
 
 /// The result of a workspace run.
@@ -96,7 +90,7 @@ pub struct Report {
 
 /// The files a workspace run scans: every `.rs` file under `root` outside
 /// `[exclude]`, workspace-relative, sorted.
-pub fn workspace_files(root: &Path, cfg: &Config) -> Result<Vec<String>, String> {
+fn workspace_files(root: &Path, cfg: &Config) -> Result<Vec<String>, String> {
     let mut files = Vec::new();
     collect_files(root, root, cfg, &mut files)?;
     files.sort();
@@ -104,49 +98,22 @@ pub fn workspace_files(root: &Path, cfg: &Config) -> Result<Vec<String>, String>
 }
 
 /// Walk the workspace rooted at `root`: the one analysis pass over every
-/// crate unit, and the `[hot-entry-points]` entries whose file no unit
-/// holds.
+/// file.
 pub fn run_workspace(root: &Path, cfg: &Config) -> Result<Report, String> {
     let files = workspace_files(root, cfg)?;
     let mut report = Report {
         files_scanned: files.len(),
         ..Report::default()
     };
-    // (unit name, files) in first-seen order; ordering findings come from
-    // the final sort, but deterministic unit order keeps runs stable.
-    let mut units: Vec<(String, Vec<(String, String)>)> = Vec::new();
     for rel in &files {
         let src = fs::read_to_string(root.join(rel)).map_err(|e| format!("read {rel}: {e}"))?;
-        let unit = crate_unit(rel);
-        match units.iter_mut().find(|(u, _)| *u == unit) {
-            Some((_, fs)) => fs.push((rel.clone(), src)),
-            None => units.push((unit, vec![(rel.clone(), src)])),
-        }
-    }
-    for (_, unit_files) in &units {
-        report
-            .errors
-            .extend(rules::analyze_unit(unit_files, cfg, &mut report.timing));
-    }
-    for (file, qual) in &cfg.hot_entries {
-        if !files.contains(file) {
-            report.errors.push(rules::unresolved_entry(cfg, file, qual));
-        }
+        let found = rules::analyze_file(rel, &src, cfg, &mut report.timing);
+        report.errors.extend(found);
     }
     report
         .errors
         .sort_by(|a, b| (&a.path, a.line, a.col, &a.rule).cmp(&(&b.path, b.line, b.col, &b.rule)));
     Ok(report)
-}
-
-/// The crate unit a file belongs to: `crates/<name>/…` → `<name>`,
-/// everything else (root `src/`, top-level scripts) → `root`. Call-graph
-/// edges never cross units.
-fn crate_unit(rel: &str) -> String {
-    match rel.strip_prefix("crates/") {
-        Some(rest) => rest.split('/').next().unwrap_or("root").to_string(),
-        None => "root".to_string(),
-    }
 }
 
 /// Directories never worth descending into, regardless of `lint.toml`.

@@ -8,7 +8,7 @@
 //!
 //! - `--json` emits one machine-readable document on stdout (CI uploads
 //!   it as the findings artifact).
-//! - `--timing` adds per-rule elapsed-ms and per-file parse-ms to the
+//! - `--timing` adds per-rule elapsed-ms and per-file lex-ms to the
 //!   `--json` document (key `timing`); without `--json` it prints a
 //!   human-readable timing table after the findings.
 //! - `--explain RXXX` prints the long-form rationale for one rule.
@@ -74,7 +74,7 @@ fn round_ms(ms: f64) -> f64 {
 }
 
 /// The `timing` section of the `--json` document: accumulated elapsed
-/// ms per rule group, lex+parse ms per file.
+/// ms per rule, lex ms per file.
 fn timing_json(t: &lint::Timing) -> Json {
     Json::obj(vec![
         (
@@ -87,9 +87,9 @@ fn timing_json(t: &lint::Timing) -> Json {
             ),
         ),
         (
-            "parse_ms",
+            "lex_ms",
             Json::obj(
-                t.parse_ms
+                t.lex_ms
                     .iter()
                     .map(|(p, ms)| (p.as_str(), Json::Num(round_ms(*ms))))
                     .collect(),
@@ -99,25 +99,17 @@ fn timing_json(t: &lint::Timing) -> Json {
 }
 
 fn print_timing(t: &lint::Timing) {
-    let mut rules: Vec<(&str, f64)> = t
-        .rules_ms
-        .iter()
-        .map(|(r, ms)| (r.as_str(), *ms))
-        .collect();
+    let mut rules: Vec<(&str, f64)> = t.rules_ms.iter().map(|(r, ms)| (r.as_str(), *ms)).collect();
     rules.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));
     println!("timing (rules, total ms):");
     for (rule, ms) in rules {
         println!("  {rule:<16} {:>9.3}", ms);
     }
-    let mut files: Vec<(&str, f64)> = t
-        .parse_ms
-        .iter()
-        .map(|(p, ms)| (p.as_str(), *ms))
-        .collect();
+    let mut files: Vec<(&str, f64)> = t.lex_ms.iter().map(|(p, ms)| (p.as_str(), *ms)).collect();
     files.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(b.0)));
     let total: f64 = files.iter().map(|(_, ms)| ms).sum();
     println!(
-        "timing (parse, {:.3} ms over {} file(s); slowest 10):",
+        "timing (lex, {:.3} ms over {} file(s); slowest 10):",
         total,
         files.len()
     );
@@ -174,7 +166,9 @@ fn main() -> ExitCode {
                 ExitCode::SUCCESS
             }
             None => {
-                eprintln!("rowsort-lint: unknown rule `{rule}` (rules: R000, R003, R010–R013)");
+                eprintln!(
+                    "rowsort-lint: unknown rule `{rule}` (rules: R000, R003, R010, R011, R013)"
+                );
                 ExitCode::from(2)
             }
         };

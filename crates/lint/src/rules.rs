@@ -1,38 +1,42 @@
-//! The rule engine: one pass over a crate unit ([`analyze_unit`]) that
-//! lexes and parses each file once and runs every rule — the token rules
-//! R003 and R011 over each file's token stream, the AST/call-graph rules
-//! R010, R012 and R013 over the unit.
+//! The rule engine: one pass over each file ([`analyze_file`]) that lexes
+//! it once and runs every rule over its token stream.
 //!
-//! | rule | scope (from `lint.toml`) | invariant |
-//! |------|--------------------------|-----------|
-//! | R003 | `[hot-paths]` globs      | no allocation calls (`Vec::new`, `Box::new`, `to_vec`, `clone()`, `collect()`, `format!`) inside loop bodies |
-//! | R010 | `[hot-entry-points]` and every function of a `[hot-paths]` file | nothing transitively reachable from a root may panic (call chain rendered in the finding); an entry naming no function is itself a finding |
+//! | rule | scope | invariant |
+//! |------|-------|-----------|
+//! | R003 | `[hot-paths]` globs | no allocation calls (`Vec::new`, `Box::new`, `to_vec`, `clone()`, `collect()`, `format!`) inside loop bodies |
+//! | R010 | [`PANIC_FREE_CRATES`] | no slice indexed by an integer literal (`v[0]`) |
 //! | R011 | all but `[atomic-relaxed-allow]` | no `Ordering::Relaxed` on atomics (counters are allowlisted) |
-//! | R012 | all but `[spill-cleanup-allow]`  | a discarded `Result<_, SpillError>` must be counted on a metrics counter in the same function |
-//! | R013 | every `.rs` file         | an `unsafe` block's SAFETY comment names every pointer/index identifier used inside |
+//! | R013 | every `.rs` file | an `unsafe` block's SAFETY comment names every identifier its pointer operations use |
 //!
-//! What a stock lint says is left to it (the `[workspace.lints]` tables in
-//! the root `Cargo.toml`, run by `cargo clippy`): a SAFETY comment on every
-//! `unsafe` block and one unsafe operation per block, `unsafe` only where
-//! an `#[expect(unsafe_code, …)]` names it, no bare `as` cast in
-//! `rowsort-normkey`, and `process::exit` only where expected.
-//! `scripts/verify.sh` checks the path-only dependency closure.
+//! What a stock lint says is left to it, run by `cargo clippy`: the
+//! `[workspace.lints]` tables in the root `Cargo.toml` (a SAFETY comment
+//! on every `unsafe` block and one unsafe operation per block, `unsafe`
+//! only where an `#[expect(unsafe_code, …)]` names it, `process::exit`
+//! only where expected) and the crate-level denies in the `lib.rs` of the
+//! [`PANIC_FREE_CRATES`]: `unwrap`, `expect`, `panic!`, `unreachable!`,
+//! `todo!` and `unimplemented!` outside tests in all four, a discarded
+//! `#[must_use]` value (`let _ = …`, `….ok();`) in `rowsort-core`, and no
+//! bare `as` cast in `rowsort-normkey`. rustc's `unused_must_use` under
+//! `-D warnings` holds a bare `…;` statement. `scripts/verify.sh` checks
+//! the path-only dependency closure.
 //!
 //! `#[cfg(test)]` modules, `#[test]` functions, and whole files matching
-//! `[test-paths]` are exempt from R003 and R010–R013: the invariants
-//! guard the measured hot paths, not test scaffolding. Findings are
-//! suppressed by `// lint:allow(RXXX): reason` on the same or the
-//! preceding line; a suppression **must** carry a reason and must
-//! silence a finding of every rule it names, or the suppression itself
-//! becomes a finding (R000).
+//! `[test-paths]` are exempt from R010, R011 and R013 (and `[test-paths]`
+//! files from R003): the invariants guard the measured sort path, not
+//! test scaffolding. Findings are suppressed by `// lint:allow(RXXX):
+//! reason` on the same or the preceding line; a suppression **must**
+//! carry a reason and must silence a finding of every rule it names, or
+//! the suppression itself becomes a finding (R000).
 
-use crate::ast;
-use crate::callgraph::{self, Graph, Target, UnitFile};
 use crate::config::Config;
 use crate::lexer::{lex, Tok, TokKind};
-use crate::parser;
 use crate::Timing;
 use std::collections::HashSet;
+
+/// The crates (`crates/<name>/src`) whose non-test code must not panic:
+/// R010 holds their literal subscripts, and each one's `lib.rs` denies
+/// clippy's six panic lints.
+pub const PANIC_FREE_CRATES: &[&str] = &["algos", "core", "normkey", "row"];
 
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,13 +124,153 @@ impl<'a> FileCtx<'a> {
             .and_then(|q| self.prev_sig(q))
             .is_some_and(|r| heads.iter().any(|h| self.toks[r].is_ident(h)))
     }
+
+    /// Index of the token closing the bracket group that token `open`
+    /// opens (`(`, `[` or `{`), or the end of the file if it never closes.
+    fn closer(&self, open: usize) -> usize {
+        let mut depth = 0usize;
+        for (j, t) in self.toks.iter().enumerate().skip(open) {
+            match t.text.as_str() {
+                _ if t.kind != TokKind::Punct => {}
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => {
+                    depth = depth.saturating_sub(1);
+                    if depth == 0 {
+                        return j;
+                    }
+                }
+                _ => {}
+            }
+        }
+        self.toks.len()
+    }
+
+    /// Index of the token opening the bracket group that token `close`
+    /// closes, or `None` if it never opens.
+    fn opener(&self, close: usize) -> Option<usize> {
+        let mut depth = 0usize;
+        for j in (0..=close).rev() {
+            let t = &self.toks[j];
+            match t.text.as_str() {
+                _ if t.kind != TokKind::Punct => {}
+                ")" | "]" | "}" => depth += 1,
+                "(" | "[" | "{" => {
+                    depth = depth.saturating_sub(1);
+                    if depth == 0 {
+                        return Some(j);
+                    }
+                }
+                _ => {}
+            }
+        }
+        None
+    }
+
+    /// The first token of the postfix chain (`a.b(x)[i].c`, `ptr::f(y)`,
+    /// `(e)`) that ends just before token `end`.
+    fn chain_start(&self, end: usize) -> Option<usize> {
+        let mut k = self.prev_sig(end)?;
+        loop {
+            let group = self.toks[k].is_punct(')') || self.toks[k].is_punct(']');
+            if group {
+                k = self.opener(k)?;
+            }
+            let Some(mut p) = self.prev_sig(k) else {
+                return Some(k);
+            };
+            let prev = &self.toks[p];
+            if prev.is_punct('.') || prev.is_punct(':') {
+                while self.toks[p].is_punct('.') || self.toks[p].is_punct(':') {
+                    p = self.prev_sig(p)?;
+                }
+                k = p;
+            } else if group
+                && (prev.kind == TokKind::Ident || prev.is_punct(')') || prev.is_punct(']'))
+            {
+                k = p; // a call or a subscript: its callee or base goes on
+            } else {
+                return Some(k);
+            }
+        }
+    }
+
+    /// The root of the postfix chain starting at token `start` — the last
+    /// path segment or field it names before method calls
+    /// (`self.buf.as_ptr()` → `buf`), a called function's name, or the
+    /// root of a parenthesized operand; prefix `*`, `&` and `mut` are
+    /// skipped — and the index of the first token after the chain.
+    fn chain(&self, start: usize) -> (Option<&'a str>, usize) {
+        let mut j = start;
+        while self.toks[j].is_punct('*')
+            || self.toks[j].is_punct('&')
+            || self.toks[j].is_ident("mut")
+        {
+            match self.next_sig(j) {
+                Some(n) => j = n,
+                None => return (None, self.toks.len()),
+            }
+        }
+        let mut root = None;
+        // A path segment or field may come next (at the start, or after
+        // `.` / `::`); a segment anywhere else ends the chain.
+        let mut segment = true;
+        let mut after_dot = false;
+        loop {
+            let t = &self.toks[j];
+            if t.kind == TokKind::Ident && segment {
+                let called = self.next_sig(j).is_some_and(|n| self.toks[n].is_punct('('));
+                if !(after_dot && called) {
+                    root = Some(t.text.as_str());
+                }
+                segment = false;
+            } else if t.is_punct('(') || t.is_punct('[') {
+                if segment && t.is_punct('(') {
+                    root = self.next_sig(j).and_then(|n| self.chain(n).0);
+                }
+                segment = false;
+                j = self.closer(j);
+            } else if t.is_punct(':') || t.is_punct('.') {
+                segment = true;
+            } else if !t.is_punct('?') {
+                return (root, j);
+            }
+            after_dot = t.is_punct('.');
+            match self.next_sig(j) {
+                Some(n) => j = n,
+                None => return (root, self.toks.len()),
+            }
+        }
+    }
+
+    /// Push the root of each argument of the call group that token `open`
+    /// opens whose whole expression is one chain (`p`, `src.as_ptr()`,
+    /// not `i * w`).
+    fn arg_roots(&self, open: usize, out: &mut Vec<&'a str>) {
+        let close = self.closer(open);
+        let mut arg = self.next_sig(open);
+        while let Some(a) = arg.filter(|&a| a < close) {
+            let (root, mut j) = self.chain(a);
+            if j == close || (j < close && self.toks[j].is_punct(',')) {
+                out.extend(root);
+            }
+            // On to the token after the next comma at this depth.
+            while j < close && !self.toks[j].is_punct(',') {
+                if self.toks[j].is_punct('(')
+                    || self.toks[j].is_punct('[')
+                    || self.toks[j].is_punct('{')
+                {
+                    j = self.closer(j);
+                }
+                j += 1;
+            }
+            arg = self.next_sig(j);
+        }
+    }
 }
 
 /// A parsed `lint:allow` suppression.
 #[derive(Debug)]
-struct Suppression<'a> {
-    /// File the comment sits in.
-    path: &'a str,
+struct Suppression {
     rules: Vec<String>,
     /// The rules named that have not silenced a finding yet.
     idle: Vec<String>,
@@ -282,10 +426,7 @@ fn next_sig_from(toks: &[Tok], idx: usize) -> Option<usize> {
 /// Parse `// lint:allow(R010): reason` comments. A suppression on its own
 /// line covers the next line holding code; a trailing suppression covers
 /// its own line. Missing reasons are reported as R000 findings.
-fn collect_suppressions<'a>(
-    ctx: &FileCtx<'a>,
-    findings: &mut Vec<Finding>,
-) -> Vec<Suppression<'a>> {
+fn collect_suppressions(ctx: &FileCtx, findings: &mut Vec<Finding>) -> Vec<Suppression> {
     // Lines that contain at least one non-comment token.
     let code_lines: Vec<u32> = {
         let mut v: Vec<u32> = ctx
@@ -364,7 +505,6 @@ fn collect_suppressions<'a>(
                 .unwrap_or(t.line)
         };
         out.push(Suppression {
-            path: ctx.path,
             idle: rules.clone(),
             rules,
             covers_line,
@@ -468,64 +608,43 @@ fn rule_r003(ctx: &FileCtx, findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
-// The pass: every rule over one crate unit
+// The pass: every rule over one file
 // ---------------------------------------------------------------------------
 
-/// Analyze one crate unit (all its `.rs` files): each file is lexed and
-/// parsed once, its test regions found once, and every rule runs — token
-/// rules per file (in `[test-paths]` files too), AST and call-graph rules
-/// over the unit's non-test code. `files` holds `(repo-relative
-/// path, source)` pairs. Findings are suppression-filtered and sorted.
-pub fn analyze_unit(files: &[(String, String)], cfg: &Config, timing: &mut Timing) -> Vec<Finding> {
-    let mut ufs: Vec<UnitFile> = Vec::new();
-    let mut toks_per_file: Vec<Vec<Tok>> = Vec::new();
-    for (path, src) in files {
-        if !path.ends_with(".rs") {
-            continue;
-        }
-        let t0 = std::time::Instant::now();
-        let toks = lex(src);
-        let file = parser::parse(&toks);
-        timing.add_parse(path, crate::ms_since(t0));
-        ufs.push(UnitFile {
-            path: path.clone(),
-            file,
-            is_test: Config::matches(&cfg.test_paths, path),
-        });
-        toks_per_file.push(toks);
+/// Analyze one file: it is lexed once, its test regions found once, and
+/// every rule in scope runs over its tokens — R003 in `[test-paths]`
+/// files too, the others over non-test code only. `path` is
+/// workspace-relative with `/` separators; a file that is not `.rs`
+/// yields nothing. Findings are suppression-filtered and sorted.
+pub fn analyze_file(path: &str, src: &str, cfg: &Config, timing: &mut Timing) -> Vec<Finding> {
+    if !path.ends_with(".rs") {
+        return Vec::new();
     }
-    let graph = Graph::build(&ufs);
+    let t0 = std::time::Instant::now();
+    let toks = lex(src);
+    timing.add_lex(path, crate::ms_since(t0));
+    let ctx = FileCtx::new(path, &toks, Config::matches(&cfg.test_paths, path));
     let mut findings = Vec::new();
-    let mut sups: Vec<Suppression> = Vec::new();
-    timed(timing, "R010", || {
-        rule_r010(&ufs, &graph, cfg, &mut findings)
-    });
-    for (uf, toks) in ufs.iter().zip(&toks_per_file) {
-        let ctx = FileCtx::new(&uf.path, toks, uf.is_test);
-        sups.extend(collect_suppressions(&ctx, &mut findings));
-        if Config::matches(&cfg.hot_paths, &uf.path) {
-            timed(timing, "R003", || rule_r003(&ctx, &mut findings));
+    let mut sups = collect_suppressions(&ctx, &mut findings);
+    if Config::matches(&cfg.hot_paths, path) {
+        timed(timing, "R003", || rule_r003(&ctx, &mut findings));
+    }
+    if !ctx.file_is_test {
+        if in_panic_free_crate(path) {
+            timed(timing, "R010", || rule_r010(&ctx, &mut findings));
         }
-        if uf.is_test {
-            continue; // whole-file test scaffolding: deep rules exempt
-        }
-        if !Config::matches(&cfg.atomic_relaxed_allow, &uf.path) {
+        if !Config::matches(&cfg.atomic_relaxed_allow, path) {
             timed(timing, "R011", || rule_r011(&ctx, &mut findings));
         }
-        if !Config::matches(&cfg.spill_cleanup_allow, &uf.path) {
-            timed(timing, "R012", || {
-                rule_r012(&uf.path, &uf.file, &graph, &mut findings)
-            });
-        }
-        timed(timing, "R013", || rule_r013(&ctx, &uf.file, &mut findings));
+        timed(timing, "R013", || rule_r013(&ctx, &mut findings));
     }
-    // One suppression pass, after all rules: an R010 finding can land in
-    // any file of the unit. R000 is no valid id to name, so it survives.
+    // R000 is no valid id to name, so its findings survive.
     findings.retain(|f| {
         let mut silenced = false;
-        for s in sups.iter_mut().filter(|s| {
-            s.has_reason && s.covers_line == f.line && s.path == f.path && s.rules.contains(&f.rule)
-        }) {
+        for s in sups
+            .iter_mut()
+            .filter(|s| s.has_reason && s.covers_line == f.line && s.rules.contains(&f.rule))
+        {
             s.idle.retain(|r| *r != f.rule);
             silenced = true;
         }
@@ -537,7 +656,7 @@ pub fn analyze_unit(files: &[(String, String)], cfg: &Config, timing: &mut Timin
     for s in sups.iter().filter(|s| s.has_reason && !s.idle.is_empty()) {
         findings.push(Finding {
             rule: "R000".to_string(),
-            path: s.path.to_string(),
+            path: path.to_string(),
             line: s.comment_line,
             col: s.comment_col,
             message: format!(
@@ -548,49 +667,59 @@ pub fn analyze_unit(files: &[(String, String)], cfg: &Config, timing: &mut Timin
             ),
         });
     }
-    findings.sort_by(|a, b| (&a.path, a.line, a.col).cmp(&(&b.path, b.line, b.col)));
+    findings.sort_by_key(|f| (f.line, f.col));
     findings
 }
 
 // ---------------------------------------------------------------------------
-// R010 — panic reachability from the hot roots
+// R010 — no literal subscript in the panic-free crates
 // ---------------------------------------------------------------------------
 
-/// The finding for a `[hot-entry-points]` entry that names no non-test
-/// function: the function it guarded was renamed or removed, and the
-/// entry now guards nothing.
-pub fn unresolved_entry(cfg: &Config, file: &str, qual: &str) -> Finding {
-    Finding {
-        rule: "R010".to_string(),
-        path: "lint.toml".to_string(),
-        line: cfg.hot_entries_line,
-        col: 1,
-        message: format!(
-            "[hot-entry-points] entry `{file}:{qual}` names no non-test function — \
-             a renamed or removed entry point is no longer guarded; update the entry"
-        ),
-    }
+/// Is `path` in the `src/` of one of the [`PANIC_FREE_CRATES`]?
+fn in_panic_free_crate(path: &str) -> bool {
+    PANIC_FREE_CRATES.iter().any(|c| {
+        path.strip_prefix("crates/")
+            .and_then(|rest| rest.strip_prefix(c))
+            .is_some_and(|rest| rest.starts_with("/src/"))
+    })
 }
 
-/// R010's roots are the `[hot-entry-points]` declared in this unit's
-/// files plus every non-test function of a `[hot-paths]` file (the graph
-/// holds no test functions). Entries of other units' files are theirs to
-/// resolve.
-fn rule_r010(ufs: &[UnitFile], graph: &Graph, cfg: &Config, findings: &mut Vec<Finding>) {
-    let mut roots = Vec::new();
-    for (file, qual) in &cfg.hot_entries {
-        if !ufs.iter().any(|uf| uf.path == *file) {
+/// Keywords after which an expression starts: a `[` there opens an
+/// array, not a subscript, and a `*` dereferences, not multiplies.
+const BEFORE_EXPR: &[&str] = &[
+    "mut", "in", "return", "break", "match", "if", "while", "else",
+];
+
+/// Flag `base[<integer literal>]`. The other panic sources — `unwrap`,
+/// `expect`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` — are
+/// clippy's, denied in each panic-free crate's `lib.rs`; no stock lint
+/// names this one without flagging every subscript.
+fn rule_r010(ctx: &FileCtx, findings: &mut Vec<Finding>) {
+    for (i, t) in ctx.toks.iter().enumerate() {
+        if !t.is_punct('[') || ctx.in_test(i) {
             continue;
         }
-        match graph.find(file, qual) {
-            Some(i) => roots.push(i),
-            None => findings.push(unresolved_entry(cfg, file, qual)),
+        let subscript = ctx.prev_sig(i).is_some_and(|p| {
+            let p = &ctx.toks[p];
+            p.is_punct(')')
+                || p.is_punct(']')
+                || (p.kind == TokKind::Ident && !BEFORE_EXPR.contains(&p.text.as_str()))
+        });
+        let literal = ctx
+            .next_sig(i)
+            .filter(|&n| ctx.toks[n].kind == TokKind::Num)
+            .and_then(|n| ctx.next_sig(n))
+            .is_some_and(|c| ctx.toks[c].is_punct(']'));
+        if subscript && literal {
+            findings.push(Finding::new(
+                "R010",
+                ctx.path,
+                t,
+                "slice indexed by an integer literal panics when it is shorter — \
+                 destructure it (`let [a, ..] = …`) or use `.first()` / `.get(n)`",
+            ));
         }
     }
-    roots.extend(
-        (0..graph.nodes.len()).filter(|&i| Config::matches(&cfg.hot_paths, &graph.nodes[i].file)),
-    );
-    findings.extend(graph.panic_reachability(&roots));
 }
 
 // ---------------------------------------------------------------------------
@@ -619,128 +748,7 @@ fn rule_r011(ctx: &FileCtx, findings: &mut Vec<Finding>) {
 }
 
 // ---------------------------------------------------------------------------
-// R012 — SpillError results must not be silently swallowed
-// ---------------------------------------------------------------------------
-
-/// Is this normalized return type a `Result<_, SpillError>`?
-fn is_spill_result(ret: &str) -> bool {
-    ret.starts_with("Result") && ret.contains("SpillError")
-}
-
-/// If `e` is a call that produces a `Result<_, SpillError>` (resolved
-/// through the unit symbol table), return its anchor and a description.
-fn spill_result_call(e: &ast::Expr, graph: &Graph) -> Option<(u32, u32, String)> {
-    match e {
-        ast::Expr::Call {
-            callee, line, col, ..
-        } => {
-            let targets = graph.resolve(&callgraph::classify(callee));
-            targets
-                .iter()
-                .any(|&i| is_spill_result(&graph.nodes[i].ret))
-                .then(|| (*line, *col, format!("`{callee}(…)`")))
-        }
-        ast::Expr::Method {
-            name,
-            recv,
-            line,
-            col,
-            ..
-        } => {
-            if name == "ok" {
-                // `….ok()` with the Ok value unused swallows the error the
-                // same way `let _ =` does.
-                return spill_result_call(recv, graph)
-                    .map(|(l, c, desc)| (l, c, format!("{desc}.ok()")));
-            }
-            let targets = graph.resolve(&Target::Method(name.clone()));
-            targets
-                .iter()
-                .any(|&i| is_spill_result(&graph.nodes[i].ret))
-                .then(|| (*line, *col, format!("`.{name}(…)`")))
-        }
-        _ => None,
-    }
-}
-
-/// Flag discarded `Result<_, SpillError>` values (`let _ = …`, a bare
-/// `…;` statement, `….ok();`) in functions that do not increment a
-/// metrics counter. Spill cleanup is *allowed* to ignore I/O errors —
-/// deleting a temp file that is already gone is fine — but the failure
-/// must be observable, so the same function has to count it
-/// (`metrics.add(Counter::…, 1)`).
-fn rule_r012(path: &str, file: &ast::File, graph: &Graph, findings: &mut Vec<Finding>) {
-    ast::for_each_fn(file, &mut |f, is_test| {
-        if is_test {
-            return;
-        }
-        let Some(body) = &f.body else { return };
-        // Does this function count anything on a metrics counter?
-        let mut counts = false;
-        body.walk_exprs(&mut |e| {
-            if let ast::Expr::Method { name, args, .. } = e {
-                if name == "add"
-                    && args.first().is_some_and(
-                        |a| matches!(a, ast::Expr::Path { path } if path.starts_with("Counter")),
-                    )
-                {
-                    counts = true;
-                }
-            }
-        });
-        if counts {
-            return;
-        }
-        // Discard sites: `let _ = e;` and `e;` statements, at any block
-        // depth inside the body.
-        let mut discarded: Vec<&ast::Expr> = Vec::new();
-        collect_discards(body, &mut discarded);
-        for e in discarded {
-            if let Some((line, col, desc)) = spill_result_call(e, graph) {
-                findings.push(Finding {
-                    rule: "R012".to_string(),
-                    path: path.to_string(),
-                    line,
-                    col,
-                    message: format!(
-                        "{desc} returns Result<_, SpillError> and the value is \
-                         discarded without incrementing a metrics counter — count \
-                         the failure (metrics.add(Counter::…, 1)) on this path, \
-                         handle the error, or allowlist the file in \
-                         [spill-cleanup-allow]"
-                    ),
-                });
-            }
-        }
-    });
-}
-
-/// Collect every discarded-value expression (`let _ = e;` and `e;`) in
-/// a block and in every block nested in it (loop bodies, `if` arms,
-/// plain and `unsafe` blocks, at any depth).
-fn collect_discards<'a>(block: &'a ast::Block, out: &mut Vec<&'a ast::Expr>) {
-    let mut blocks = vec![block];
-    block.walk_exprs(&mut |e| match e {
-        ast::Expr::Block(b) | ast::Expr::Unsafe { block: b, .. } => blocks.push(b),
-        ast::Expr::Loop { body, .. } => blocks.push(body),
-        ast::Expr::If { then, .. } => blocks.push(then),
-        _ => {}
-    });
-    for stmt in blocks.iter().flat_map(|b| &b.stmts) {
-        match stmt {
-            ast::Stmt::Let {
-                underscore: true,
-                init: Some(e),
-                ..
-            } => out.push(e),
-            ast::Stmt::Expr { expr, semi: true } => out.push(expr),
-            _ => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// R013 — unsafe-block budget and SAFETY completeness
+// R013 — SAFETY completeness
 // ---------------------------------------------------------------------------
 
 /// Pointer methods whose receiver (and pointed-at arguments) a SAFETY
@@ -765,19 +773,17 @@ const PTR_METHODS: &[&str] = &[
     "as_mut",
 ];
 
-/// Free/associated functions with raw-pointer arguments.
-fn is_ptr_call(callee: &str) -> bool {
-    let last = callee.rsplit("::").next().unwrap_or(callee);
-    match last {
+/// Is token `idx`, an identifier followed by `(`, a free or associated
+/// function with raw-pointer arguments? `read`/`write`/`copy` count only
+/// as `ptr::` paths (`io::read` is safe).
+fn is_ptr_call(ctx: &FileCtx, idx: usize) -> bool {
+    match ctx.toks[idx].text.as_str() {
         "from_raw_parts"
         | "from_raw_parts_mut"
         | "copy_nonoverlapping"
         | "write_bytes"
         | "transmute" => true,
-        "read" | "write" | "copy" => {
-            // Only the `ptr::` forms; `io::read` etc. are safe.
-            callee.rsplit("::").nth(1).is_some_and(|m| m == "ptr")
-        }
+        "read" | "write" | "copy" => ctx.path_head_is(idx, &["ptr"]),
         _ => false,
     }
 }
@@ -807,55 +813,50 @@ fn mentions_word(text: &str, word: &str) -> bool {
 }
 
 /// Enforce SAFETY-comment completeness: the SAFETY comment attached to
-/// every `unsafe` block (the contiguous comment run above, a trailing
-/// comment, or comments inside the block) names every identifier that
-/// feeds a raw pointer operation or `get_unchecked` index inside the
-/// block.
-fn rule_r013(ctx: &FileCtx, file: &ast::File, findings: &mut Vec<Finding>) {
-    ast::for_each_fn(file, &mut |f, is_test| {
-        if is_test {
-            return;
+/// every `unsafe { … }` block (the contiguous comment run above, a
+/// trailing comment, or comments inside the block) names every
+/// identifier that feeds a raw pointer operation or `get_unchecked`
+/// index inside the block.
+fn rule_r013(ctx: &FileCtx, findings: &mut Vec<Finding>) {
+    for (i, t) in ctx.toks.iter().enumerate() {
+        if !t.is_ident("unsafe") || ctx.in_test(i) {
+            continue;
         }
-        let Some(body) = &f.body else { return };
-        body.walk_exprs(&mut |e| {
-            let ast::Expr::Unsafe { block, line, col } = e else {
-                return;
-            };
-            let safety = safety_text(ctx, *line, block);
-            if !safety.contains("SAFETY") {
-                return; // absence of the comment is clippy's finding
-            }
-            let mut mentions: Vec<&str> = Vec::new();
-            collect_ptr_mentions(block, &mut mentions);
-            mentions.sort_unstable();
-            mentions.dedup();
-            let missing: Vec<&str> = mentions
-                .into_iter()
-                .filter(|m| !mentions_word(&safety, m))
-                .collect();
-            if !missing.is_empty() {
-                findings.push(Finding {
-                    rule: "R013".to_string(),
-                    path: ctx.path.to_string(),
-                    line: *line,
-                    col: *col,
-                    message: format!(
-                        "SAFETY comment for this unsafe block does not mention \
-                         `{}` — name every identifier whose bounds/lifetime the \
-                         argument relies on",
-                        missing.join("`, `")
-                    ),
-                });
-            }
-        });
-    });
+        let Some(open) = ctx.next_sig(i).filter(|&n| ctx.toks[n].is_punct('{')) else {
+            continue; // `unsafe fn`, `unsafe impl`, `unsafe extern`
+        };
+        let close = ctx.closer(open);
+        let safety = safety_text(ctx, t.line, open, close);
+        if !safety.contains("SAFETY") {
+            continue; // absence of the comment is clippy's finding
+        }
+        let mut mentions = ptr_mentions(ctx, open, close);
+        mentions.sort_unstable();
+        mentions.dedup();
+        let missing: Vec<&str> = mentions
+            .into_iter()
+            .filter(|m| !mentions_word(&safety, m))
+            .collect();
+        if !missing.is_empty() {
+            findings.push(Finding::new(
+                "R013",
+                ctx.path,
+                t,
+                format!(
+                    "SAFETY comment for this unsafe block does not mention \
+                     `{}` — name every identifier whose bounds/lifetime the \
+                     argument relies on",
+                    missing.join("`, `")
+                ),
+            ));
+        }
+    }
 }
 
-/// The SAFETY-relevant comment text for an unsafe block at `line`: the
-/// contiguous run of comment/attribute lines directly above, plus any
-/// comments on the block's own lines (trailing or inside the braces).
-fn safety_text(ctx: &FileCtx, line: u32, block: &ast::Block) -> String {
-    // Walk the contiguous comment/attr run upward from the unsafe line.
+/// The SAFETY-relevant comment text for an unsafe block opening on `line`
+/// at token `open`: the contiguous run of comment/attribute lines directly
+/// above, plus any comments on the block's own line or inside its braces.
+fn safety_text(ctx: &FileCtx, line: u32, open: usize, close: usize) -> String {
     let mut top = line;
     while top > 1 && (ctx.comment_lines.contains(&(top - 1)) || ctx.attr_lines.contains(&(top - 1)))
     {
@@ -868,9 +869,8 @@ fn safety_text(ctx: &FileCtx, line: u32, block: &ast::Block) -> String {
         }
         let span = t.text.matches('\n').count() as u32;
         let above = t.line + span >= top && t.line < line;
-        let on_open_line = t.line == line;
-        let inside = i > block.tok_open && i < block.tok_close;
-        if above || on_open_line || inside {
+        let inside = i > open && i < close;
+        if above || t.line == line || inside {
             text.push_str(&t.text);
             text.push('\n');
         }
@@ -878,37 +878,45 @@ fn safety_text(ctx: &FileCtx, line: u32, block: &ast::Block) -> String {
     text
 }
 
-/// Collect identifiers feeding raw-pointer operations in a block:
-/// deref operands, receivers/arguments of pointer methods, arguments of
-/// pointer free functions, and `get_unchecked` style indices.
-fn collect_ptr_mentions<'a>(block: &'a ast::Block, out: &mut Vec<&'a str>) {
-    block.walk_exprs(&mut |e| match e {
-        ast::Expr::Unary { op: '*', expr } => {
-            if let Some(root) = expr.root_ident() {
-                out.push(root);
+/// The identifiers feeding raw-pointer operations between tokens `open`
+/// and `close`: deref operands, receivers and arguments of pointer
+/// methods, and arguments of pointer functions — each by the root of its
+/// chain ([`FileCtx::chain`]).
+fn ptr_mentions<'a>(ctx: &FileCtx<'a>, open: usize, close: usize) -> Vec<&'a str> {
+    let mut out = Vec::new();
+    for j in open + 1..close.min(ctx.toks.len()) {
+        let t = &ctx.toks[j];
+        let prev = ctx.prev_sig(j).map(|p| &ctx.toks[p]);
+        let called = ctx.next_sig(j).filter(|&n| ctx.toks[n].is_punct('('));
+        if t.is_punct('*') {
+            let deref = prev.is_none_or(|p| {
+                (p.kind == TokKind::Punct && !p.is_punct(')') && !p.is_punct(']'))
+                    || (p.kind == TokKind::Ident && BEFORE_EXPR.contains(&p.text.as_str()))
+            });
+            // `*const T` / `*mut T` is a pointer type, not a dereference.
+            let operand = ctx
+                .next_sig(j)
+                .filter(|&n| !ctx.toks[n].is_ident("const") && !ctx.toks[n].is_ident("mut"));
+            if deref {
+                out.extend(operand.and_then(|n| ctx.chain(n).0));
+            }
+        } else if t.kind != TokKind::Ident {
+            continue;
+        } else if let Some(args) = called {
+            let method = prev.is_some_and(|p| p.is_punct('.'));
+            if method && PTR_METHODS.contains(&t.text.as_str()) {
+                let dot = ctx.prev_sig(j);
+                out.extend(
+                    dot.and_then(|d| ctx.chain_start(d))
+                        .and_then(|s| ctx.chain(s).0),
+                );
+                ctx.arg_roots(args, &mut out);
+            } else if !method && is_ptr_call(ctx, j) {
+                ctx.arg_roots(args, &mut out);
             }
         }
-        ast::Expr::Method {
-            recv, name, args, ..
-        } if PTR_METHODS.contains(&name.as_str()) => {
-            if let Some(root) = recv.root_ident() {
-                out.push(root);
-            }
-            for a in args {
-                if let Some(root) = a.root_ident() {
-                    out.push(root);
-                }
-            }
-        }
-        ast::Expr::Call { callee, args, .. } if is_ptr_call(callee) => {
-            for a in args {
-                if let Some(root) = a.root_ident() {
-                    out.push(root);
-                }
-            }
-        }
-        _ => {}
-    });
+    }
+    out
 }
 
 // ---------------------------------------------------------------------------
@@ -938,21 +946,17 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              hoist the allocation out of the loop or reuse a pooled buffer."
         }
         "R010" => {
-            "R010 — panic-free hot-path reachability\n\n\
-             For every entry point in `lint.toml [hot-entry-points]`\n\
-             (format \"file.rs:Qualified::name\") and every non-test function\n\
-             declared in a `[hot-paths]` file, no function transitively\n\
-             reachable through the intra-crate call graph may contain\n\
-             `panic!`/`unreachable!`/`todo!`/`unimplemented!`, `.unwrap()`,\n\
-             `.expect()`, or slice-indexing by integer literal. The finding\n\
-             renders the call chain from the root to the panic site. An\n\
-             entry that names no non-test function is a finding at\n\
-             `lint.toml`: a renamed entry point must not go unguarded.\n\n\
-             The graph is conservative: `.method()` calls resolve to every\n\
-             same-crate method with that name, so a finding can arrive via a\n\
-             chain that cannot execute — suppress those with a reasoned\n\
-             `lint:allow(R010)` on the panic site. Cross-crate edges are not\n\
-             tracked; each crate declares its own entries."
+            "R010 — no literal subscript in the panic-free crates\n\n\
+             Non-test code of `rowsort-algos`, `rowsort-core`,\n\
+             `rowsort-normkey` and `rowsort-row` may not index a slice by an\n\
+             integer literal (`v[0]`): it panics when the slice is shorter.\n\
+             Destructure it (`let [a, ..] = …`) or use `.first()` / `.get(n)`.\n\
+             The crates' other panic sources are clippy's: each `lib.rs`\n\
+             denies `unwrap_used`, `expect_used`, `panic`, `unreachable`,\n\
+             `todo` and `unimplemented`, and a site that may panic carries an\n\
+             `#[expect(clippy::…, reason = \"…\")]` that says why it does not.\n\
+             No stock lint names a literal subscript without flagging every\n\
+             subscript."
         }
         "R011" => {
             "R011 — atomic-ordering discipline\n\n\
@@ -964,24 +968,15 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              with a reasoned `lint:allow(R011)` naming why no data is\n\
              published through it)."
         }
-        "R012" => {
-            "R012 — SpillError results must stay observable\n\n\
-             A call returning `Result<_, SpillError>` whose value is\n\
-             discarded (`let _ = …`, a bare `…;` statement, `….ok()` with\n\
-             the value unused) swallows an I/O failure. Cleanup paths are\n\
-             allowed to *tolerate* such failures — deleting an already-gone\n\
-             run file is fine — but the same function must make the failure\n\
-             observable by incrementing a metrics counter\n\
-             (`metrics.add(Counter::SpillCleanupFailed, 1)`). Files doing\n\
-             sanctioned fire-and-forget cleanup can be allowlisted in\n\
-             `[spill-cleanup-allow]`."
-        }
         "R013" => {
             "R013 — SAFETY completeness\n\n\
              The SAFETY comment of an `unsafe` block (the run above the\n\
              block, a trailing comment, or comments inside it) must mention,\n\
-             by name, every identifier that feeds a raw-pointer operation or\n\
-             unchecked index inside the block. An argument that does not\n\
+             by name, every identifier that feeds a raw-pointer operation\n\
+             inside the block: a dereference's operand, a pointer method's\n\
+             receiver and arguments (`add`, `read`, `get_unchecked`, …), a\n\
+             pointer function's arguments (`ptr::copy`, `from_raw_parts`,\n\
+             `transmute`, …). An argument that does not\n\
              name `ptr` says nothing about why `ptr` is valid. That the\n\
              comment exists, and that the block holds one unsafe operation,\n\
              is clippy's (`undocumented_unsafe_blocks`,\n\

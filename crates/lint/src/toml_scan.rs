@@ -1,8 +1,8 @@
 //! A minimal TOML scanner — real section tracking, none of the rest.
 //!
-//! Produces a flat list of `(section, key, raw value)` items with line
-//! numbers. Understands `[section]` headers, quoted keys, `#` comments
-//! (outside strings), and multi-line arrays. Values are returned as raw
+//! Produces a flat list of `(section, key, raw value)` items. Understands
+//! `[section]` headers, quoted keys, `#` comments (outside strings), and
+//! multi-line arrays. Values are returned as raw
 //! text for the caller to interpret; a helper extracts quoted strings.
 //! This is deliberately *not* a conforming TOML parser — it is exactly
 //! enough to read `lint.toml`, with zero dependencies.
@@ -18,8 +18,6 @@ pub struct TomlItem {
     /// Raw value text with comments stripped and whitespace trimmed;
     /// multi-line arrays are joined into one line.
     pub value: String,
-    /// 1-based line the key appears on.
-    pub line: u32,
 }
 
 /// Strip a `#` comment, respecting basic and literal strings.
@@ -73,8 +71,8 @@ fn unquote(s: &str) -> String {
 pub fn scan(src: &str) -> Vec<TomlItem> {
     let mut items = Vec::new();
     let mut section = String::new();
-    let mut lines = src.lines().enumerate().peekable();
-    while let Some((idx, raw)) = lines.next() {
+    let mut lines = src.lines();
+    while let Some(raw) = lines.next() {
         let line = strip_comment(raw).trim().to_string();
         if line.is_empty() {
             continue;
@@ -95,7 +93,7 @@ pub fn scan(src: &str) -> Vec<TomlItem> {
             // Multi-line array: keep consuming until brackets balance.
             while bal > 0 {
                 match lines.next() {
-                    Some((_, cont)) => {
+                    Some(cont) => {
                         let cont = strip_comment(cont).trim().to_string();
                         bal += bracket_balance(&cont);
                         value.push(' ');
@@ -108,7 +106,6 @@ pub fn scan(src: &str) -> Vec<TomlItem> {
                 section: section.clone(),
                 key,
                 value,
-                line: idx as u32 + 1,
             });
         }
     }
@@ -160,7 +157,6 @@ mod tests {
                 section: "".into(),
                 key: "top".into(),
                 value: "1".into(),
-                line: 1
             }
         );
         assert_eq!(items[1].section, "a");

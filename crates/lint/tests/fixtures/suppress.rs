@@ -1,11 +1,11 @@
 // Fixture for suppression handling: reasons are mandatory.
 
-fn covered(o: Option<u32>) -> u32 {
+fn covered(v: &[u32]) -> u32 {
     // lint:allow(R010): fixture — standalone form with a reason.
-    let a = o.unwrap();
-    let b = o.unwrap(); // lint:allow(R010): trailing form with a reason.
+    let a = v[0];
+    let b = v[1]; // lint:allow(R010): trailing form with a reason.
     // lint:allow(R010)
-    let c = o.unwrap();
+    let c = v[2];
     a + b + c
 }
 

@@ -42,6 +42,18 @@
 // Crate-level rather than a `[lints]` entry, so tests/prop_order.rs may
 // build its inputs with `as`.
 #![deny(clippy::as_conversions)]
+// Non-test code of this crate panics only where a site says why it may:
+// each `unwrap`, `expect` or panicking macro carries an
+// `#[expect(clippy::…, reason = "…")]` (clippy.toml exempts tests).
+// Literal subscripts are rowsort-lint's R010.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod encoding;
 pub mod layout;

@@ -31,6 +31,11 @@ pub fn encode_value_into(value: &Value, col: &KeyColumn, out: &mut [u8]) {
             Value::UInt16(v) => Some(v.ordinal()),
             Value::UInt32(v) => Some(v.ordinal()),
             Value::UInt64(v) => Some(v.ordinal()),
+            #[expect(
+                clippy::panic,
+                reason = "`KeyColumn::ranged` codes only integer types; a value of another type \
+                          in a ranged column is the caller's broken key"
+            )]
             other => panic!("{other:?} in a range-coded key column"),
         };
         let code = ordinal.map_or(coder.null, |ord| coder.code(ord));
@@ -38,8 +43,11 @@ pub fn encode_value_into(value: &Value, col: &KeyColumn, out: &mut [u8]) {
         return;
     }
     let valid = !value.is_null();
-    out[0] = null_byte(col.spec.nulls, valid);
-    let body = &mut out[1..];
+    // Never empty: the width asserted above is a NULL byte and a body.
+    let Some((null, body)) = out.split_first_mut() else {
+        return;
+    };
+    *null = null_byte(col.spec.nulls, valid);
     body.fill(0);
     if valid {
         match value {
@@ -65,6 +73,7 @@ pub fn encode_value_into(value: &Value, col: &KeyColumn, out: &mut [u8]) {
                 body[..n].copy_from_slice(&bytes[..n]);
                 body[prefix] = continuation_marker(bytes.len(), prefix);
             }
+            #[expect(clippy::unreachable, reason = "this match runs on valid values only")]
             Value::Null => unreachable!(),
         }
         if col.spec.order == SortOrder::Descending {
@@ -143,6 +152,11 @@ pub fn encode_column_range_into(
             VectorData::UInt16(values) => to.encode(&values[lo..hi], valid),
             VectorData::UInt32(values) => to.encode(&values[lo..hi], valid),
             VectorData::UInt64(values) => to.encode(&values[lo..hi], valid),
+            #[expect(
+                clippy::panic,
+                reason = "`KeyColumn::ranged` codes only integer types; a vector of another type \
+                          in a ranged column is the caller's broken key"
+            )]
             other => panic!("{:?} in a range-coded key column", other.logical_type()),
         }
         return;
@@ -382,9 +396,10 @@ impl<T: Ordinal> Bounds<T> {
                 *hi = if v > *hi { v } else { *hi };
             }
         }
+        let ([lo, ..], [hi, ..]) = (&mut self.lo, &mut self.hi);
         for &v in chunks.remainder() {
-            self.lo[0] = self.lo[0].min(v);
-            self.hi[0] = self.hi[0].max(v);
+            *lo = (*lo).min(v);
+            *hi = (*hi).max(v);
         }
     }
 

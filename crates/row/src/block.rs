@@ -34,8 +34,8 @@ pub fn heap_offset(len: u64) -> Option<u32> {
 /// With [`HEAP_OVERFLOW`] past 4 GiB: such a heap cannot be represented in
 /// the slot format at all, so aborting the sort is the only sound response.
 #[inline]
+#[expect(clippy::expect_used, reason = "the capacity bound described above")]
 pub(crate) fn heap_base(len: usize) -> u32 {
-    // lint:allow(R010): the capacity bound described above.
     heap_offset(len as u64).expect(HEAP_OVERFLOW)
 }
 
@@ -299,8 +299,10 @@ impl RowBlock {
         let share = share.min(part as usize);
         let pieces = builder.pieces(&self.layout, [rows], |_| share);
         let filled = pieces.into_iter().map(|mut piece| {
-            // lint:allow(R010): a slot outside the heap is the caller's
-            // broken block — the documented panic.
+            #[expect(
+                clippy::expect_used,
+                reason = "a slot outside the heap is the caller's broken block — the documented panic"
+            )]
             fill(&mut piece).expect("row slots must lie inside the block's heap");
             piece.finish()
         });
@@ -385,9 +387,11 @@ fn scatter_column(
         VectorData::Timestamp(values) => fixed!(values),
         VectorData::Varchar(strings) => {
             let (offsets, bytes) = strings.range_parts(lo, hi);
-            // lint:allow(R010): the scatter's one 4 GiB check per VARCHAR
-            // column: the heap's end after the range's bytes bounds every
-            // offset the column's slots are given below.
+            #[expect(
+                clippy::expect_used,
+                reason = "the scatter's one 4 GiB check per VARCHAR column: the heap's end after \
+                          the range's bytes bounds every offset the column's slots are given below"
+            )]
             let end = heap_offset((heap.len() + bytes.len()) as u64).expect(HEAP_OVERFLOW);
             heap.extend_from_slice(bytes);
             // String `lo + i` starts `offsets[i] - offsets[0]` bytes into

@@ -257,7 +257,8 @@ impl ChunkBuilder {
                             let (strings, bytes) = if first {
                                 (total, hint)
                             } else {
-                                let even = (hint as u128 * n as u128 / total.max(1) as u128) as usize;
+                                let even =
+                                    (hint as u128 * n as u128 / total.max(1) as u128) as usize;
                                 (n, even + even / 16)
                             };
                             let mut offsets = Vec::with_capacity(strings + 1);
@@ -285,6 +286,12 @@ impl ChunkBuilder {
     /// Join the filled pieces' tails, in piece order, into the chunk: one
     /// byte copy per VARCHAR piece after the first, one splice per mask. A
     /// lone piece's strings and masks are the columns' as they are.
+    #[expect(
+        clippy::expect_used,
+        reason = "every piece was filled to its row count (`ChunkPiece::finish` asserts it) and \
+                  the pieces cover the builder's rows, so values and mask are both `rows` long, \
+                  and so is every column"
+    )]
     pub fn finish(self, tails: Vec<PieceTail>) -> DataChunk {
         let (mut masks, mut strings): (Vec<_>, Vec<_>) = tails
             .into_iter()
@@ -307,12 +314,8 @@ impl ChunkBuilder {
                 )),
                 fixed => fixed,
             };
-            // lint:allow(R010): every piece was filled to its row count
-            // (`ChunkPiece::finish` asserts it) and the pieces cover the
-            // builder's rows, so values and mask are both `rows` long.
             Vector::from_parts(data, validity).expect("equal lengths by construction")
         });
-        // lint:allow(R010): as above — every column is `rows` long.
         DataChunk::from_columns(columns.collect()).expect("equal lengths by construction")
     }
 }

@@ -15,6 +15,19 @@
 //! * [`ChunkBuilder`] — the NSM→DSM loop itself: exactly pre-sized columns
 //!   filled a batch of rows at a time, by any number of threads at once.
 
+// Non-test code of this crate panics only where a site says why it may:
+// each `unwrap`, `expect` or panicking macro carries an
+// `#[expect(clippy::…, reason = "…")]` (clippy.toml exempts tests).
+// Literal subscripts are rowsort-lint's R010.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod block;
 pub mod convert;
 pub mod gather;

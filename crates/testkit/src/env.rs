@@ -1,9 +1,9 @@
 //! One convention for environment-variable knobs across the workspace.
 //!
-//! The knobs grew up independently and drifted: `ROWSORT_OVC` recognized
-//! only lowercase `0`/`false`/`off`, `ROWSORT_TRACE` only `1`/`true`.
-//! Every boolean knob now routes through [`parse_flag`] / [`env_flag`],
-//! and every numeric knob through [`parse_count`] / [`env_count`], so one
+//! The knobs grew up independently and drifted: one boolean knob
+//! recognized only lowercase `0`/`false`/`off`, `ROWSORT_TRACE` only
+//! `1`/`true`. Every boolean knob now routes through [`parse_flag`] /
+//! [`env_flag`], and every numeric knob through [`parse_count`] / [`env_count`], so one
 //! table of spellings applies everywhere:
 //!
 //! | value (trimmed, case-insensitive) | meaning            |
@@ -59,7 +59,9 @@ mod tests {
 
     #[test]
     fn disabling_spellings_all_work() {
-        for v in ["0", "false", "off", "no", "OFF", "False", "NO", " off ", "\t0\n"] {
+        for v in [
+            "0", "false", "off", "no", "OFF", "False", "NO", " off ", "\t0\n",
+        ] {
             assert!(!parse_flag(Some(v), true), "{v:?} should disable");
             assert!(!parse_flag(Some(v), false), "{v:?} should disable");
         }
@@ -77,7 +79,10 @@ mod tests {
     fn empty_and_garbage_fall_back_to_the_default() {
         for v in ["", "   ", "maybe", "2", "-1", "offf", "tru", "0x1"] {
             assert!(parse_flag(Some(v), true), "{v:?} should keep default true");
-            assert!(!parse_flag(Some(v), false), "{v:?} should keep default false");
+            assert!(
+                !parse_flag(Some(v), false),
+                "{v:?} should keep default false"
+            );
         }
     }
 
