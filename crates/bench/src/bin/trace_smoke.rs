@@ -31,7 +31,7 @@
 //! non-zero on any violation, so CI catches schema drift the moment it
 //! happens.
 
-use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
+use rowsort_core::external::{ExternalSortOptions, ExternalSorter, SPILL_WORKERS};
 use rowsort_core::metrics::{Counter, Phase, RUN_STAGES};
 use rowsort_core::pipeline::{SortOptions, SortPipeline};
 use rowsort_engine::{Engine, Table};
@@ -295,11 +295,13 @@ fn main() {
             ));
         }
         // The spill phase: its workers' busy time, summed over them, fits
-        // in the phase's wall time once per worker (a worker per thread,
-        // or per run if fewer) — and only an external sort has any.
+        // in the phase's wall time once per worker (a worker per thread up
+        // to the phase's cap, or per run if fewer) — and only an external
+        // sort has any.
         let spill_ns = num_field(phases, Phase::Spill.name(), line_no);
         let runs = count(Counter::SpilledRuns) + count(Counter::SpillMemFallbackRuns);
-        let workers = runs.min(ExternalSortOptions::default().merge_threads as f64);
+        let threads = ExternalSortOptions::default().merge_threads as f64;
+        let workers = runs.min(threads).min(SPILL_WORKERS as f64);
         let busy = [Counter::SpillGenerateNs, Counter::SpillWriteNs].map(count);
         let clocked = busy.iter().all(|&ns| ns > 0.0);
         if (operator == "external") != clocked || busy.iter().sum::<f64>() > workers * spill_ns {

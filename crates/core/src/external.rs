@@ -1063,39 +1063,6 @@ mod tests {
     }
 
     #[test]
-    fn external_sort_matches_in_memory_fixed_width() {
-        let keys = pseudo_random(20_000, 5, 1000);
-        let payload: Vec<u32> = keys.iter().map(|k| k ^ 0xABCD).collect();
-        let chunk =
-            DataChunk::from_columns(vec![Vector::from_u32s(keys), Vector::from_u32s(payload)])
-                .unwrap();
-        // 20k rows under a 3k-row budget: 7 spilled runs.
-        check_against_in_memory(&chunk, &OrderBy::ascending(1), 3_000);
-    }
-
-    #[test]
-    fn external_sort_with_strings_and_nulls() {
-        let mut chunk = DataChunk::new(&[LogicalType::Varchar, LogicalType::Int32]);
-        let r = pseudo_random(5_000, 6, 40);
-        for (i, &v) in r.iter().enumerate() {
-            let s = if v % 13 == 0 {
-                Value::Null
-            } else {
-                Value::from(format!("name_{v}"))
-            };
-            chunk.push_row(&[s, Value::Int32(i as i32)]).unwrap();
-        }
-        let order = OrderBy::new(vec![OrderByColumn {
-            column: 0,
-            spec: SortSpec::new(
-                rowsort_vector::SortOrder::Descending,
-                rowsort_vector::NullOrder::NullsFirst,
-            ),
-        }]);
-        check_against_in_memory(&chunk, &order, 700);
-    }
-
-    #[test]
     fn single_run_no_merge_needed() {
         let chunk =
             DataChunk::from_columns(vec![Vector::from_u32s(pseudo_random(100, 7, 50))]).unwrap();
@@ -1530,43 +1497,6 @@ mod tests {
         check_fixed_run_layout(&by_two, &wide);
     }
 
-    /// Under a small row budget every spilled run is individually sorted,
-    /// run sizes add up to the input, and each file parses to exactly its
-    /// advertised record count.
-    #[test]
-    fn spilled_runs_sorted_under_small_budget() {
-        let chunk = stringy_chunk(2_000, 12);
-        let order = OrderBy::ascending(2);
-        let sorter = ExternalSorter::new(
-            chunk.types(),
-            order,
-            ExternalSortOptions {
-                memory_limit_rows: 123,
-                ..Default::default()
-            },
-        );
-        let budget = 123;
-        let (runs, order) = build_spilled_runs(&sorter, &chunk);
-        assert_eq!(runs.len(), chunk.len().div_ceil(budget));
-        let total: usize = runs.iter().map(|r| r.row_count()).sum();
-        assert_eq!(total, chunk.len());
-        for (ri, run) in runs.iter().enumerate() {
-            assert!(run.row_count() <= budget, "run {ri} exceeds the row budget");
-            let mut cur = sorter.open_cursor(run, order.kw, run.bounds()).unwrap();
-            let mut prev: Vec<u8> = Vec::new();
-            for i in 0..run.row_count() {
-                assert!(!cur.exhausted(), "run {ri} record {i} missing");
-                assert!(
-                    prev.as_slice() <= cur.key(),
-                    "run {ri} out of order at record {i}"
-                );
-                prev = cur.key().to_vec();
-                cur.advance().unwrap();
-            }
-            assert!(cur.exhausted(), "run {ri} has extra records");
-        }
-    }
-
     /// Regression: a zero row budget used to leave the run-generation loop
     /// unable to advance (`end = start + 0`), so `sort` never terminated.
     /// The budget must clamp to one row — a degenerate but valid external
@@ -1633,93 +1563,7 @@ mod tests {
         assert_eq!(sorter.metrics().counter(Counter::SortCalls), 2);
     }
 
-    #[test]
-    fn graceful_degradation_budget_sweep() {
-        // Same result at every budget, from heavy spilling to none.
-        let keys = pseudo_random(4_000, 9, 64);
-        let chunk = DataChunk::from_columns(vec![Vector::from_u32s(keys)]).unwrap();
-        let order = OrderBy::ascending(1);
-        let reference = ExternalSorter::new(
-            chunk.types(),
-            order.clone(),
-            ExternalSortOptions {
-                memory_limit_rows: 1 << 20,
-                ..Default::default()
-            },
-        )
-        .sort(&chunk)
-        .unwrap();
-        for budget in [37, 256, 1000, 4_000] {
-            let got = ExternalSorter::new(
-                chunk.types(),
-                order.clone(),
-                ExternalSortOptions {
-                    memory_limit_rows: budget,
-                    ..Default::default()
-                },
-            )
-            .sort(&chunk)
-            .unwrap();
-            assert_eq!(got.to_rows(), reference.to_rows(), "budget {budget}");
-        }
-    }
-
     // ---- partitioned-merge coverage ------------------------------------
-
-    /// The range-partitioned merge is bit-identical to the single-threaded
-    /// merge at every thread count, with and without offset-value codes —
-    /// same rows, same order, same tie resolution across seam boundaries.
-    #[test]
-    fn partitioned_merge_is_bit_identical_across_thread_counts() {
-        let chunk = stringy_chunk(3_000, 5);
-        let order = OrderBy::new(vec![
-            OrderByColumn {
-                column: 1,
-                spec: SortSpec::new(
-                    rowsort_vector::SortOrder::Ascending,
-                    rowsort_vector::NullOrder::NullsLast,
-                ),
-            },
-            OrderByColumn {
-                column: 0,
-                spec: SortSpec::new(
-                    rowsort_vector::SortOrder::Descending,
-                    rowsort_vector::NullOrder::NullsFirst,
-                ),
-            },
-        ]);
-        for ovc in [false, true] {
-            let sort_with = |threads: usize| {
-                let sorter = ExternalSorter::new(
-                    chunk.types(),
-                    order.clone(),
-                    ExternalSortOptions {
-                        memory_limit_rows: 200,
-                        ovc,
-                        merge_threads: threads,
-                        ..Default::default()
-                    },
-                );
-                let out = sorter.sort(&chunk).unwrap().to_rows();
-                (out, sorter.metrics())
-            };
-            let (reference, _) = sort_with(1);
-            for threads in [2, 4, 8] {
-                let (got, m) = sort_with(threads);
-                assert_eq!(got, reference, "ovc={ovc} threads={threads}");
-                assert!(
-                    m.counter(Counter::SpillMergePartitions) >= 2,
-                    "ovc={ovc} threads={threads}: merge did not partition \
-                     ({} partitions)",
-                    m.counter(Counter::SpillMergePartitions)
-                );
-                assert!(
-                    m.counter(Counter::SpillRecordsDecoded) > 0,
-                    "ovc={ovc} threads={threads}: no record decoded in place"
-                );
-            }
-        }
-    }
 
     /// Degenerate merges take the fast paths: zero runs yield an empty
     /// chunk and one run streams through without a loser tree — neither
@@ -1749,37 +1593,6 @@ mod tests {
         // Neither merge can split across threads: one partition counted
         // per merge call, two calls above.
         assert_eq!(sorter.metrics().counter(Counter::SpillMergePartitions), 2);
-    }
-
-    /// All-NULL sort keys collapse every splitter to the same byte string;
-    /// the partition planner must degrade gracefully (one range gets all
-    /// rows) and stay bit-identical to the single-threaded merge.
-    #[test]
-    fn all_null_keys_merge_identically_across_thread_counts() {
-        let mut chunk = DataChunk::new(&[LogicalType::Varchar, LogicalType::Int32]);
-        for i in 0..3_000i32 {
-            chunk.push_row(&[Value::Null, Value::Int32(i)]).unwrap();
-        }
-        let order = OrderBy::ascending(1);
-        let sort_with = |threads: usize| {
-            ExternalSorter::new(
-                chunk.types(),
-                order.clone(),
-                ExternalSortOptions {
-                    memory_limit_rows: 250,
-                    merge_threads: threads,
-                    ..Default::default()
-                },
-            )
-            .sort(&chunk)
-            .unwrap()
-            .to_rows()
-        };
-        let reference = sort_with(1);
-        assert_eq!(reference.len(), 3_000);
-        for threads in [2, 4, 8] {
-            assert_eq!(sort_with(threads), reference, "threads={threads}");
-        }
     }
 
     // ---- the spill phase on the worker pool ------------------------------
@@ -2677,49 +2490,6 @@ mod tests {
     }
 
     // ---- offset-value coded spill merges (DESIGN.md §10) ----------------
-
-    fn sort_with_ovc(chunk: &DataChunk, order: &OrderBy, budget: usize, ovc: bool) -> DataChunk {
-        ExternalSorter::new(
-            chunk.types(),
-            order.clone(),
-            ExternalSortOptions {
-                memory_limit_rows: budget,
-                ovc,
-                ..Default::default()
-            },
-        )
-        .sort(chunk)
-        .expect("external sort succeeds")
-    }
-
-    /// The OVC merge must be a pure optimization: with the same run-index
-    /// stability rule on full ties, OVC on and off produce bit-identical
-    /// output — for duplicate-heavy keys, VARCHAR ties, and NULLs alike.
-    #[test]
-    fn ovc_on_off_external_outputs_identical() {
-        let chunk = stringy_chunk(3_000, 31);
-        let order = OrderBy::new(vec![
-            OrderByColumn {
-                column: 2,
-                spec: SortSpec::new(
-                    rowsort_vector::SortOrder::Ascending,
-                    rowsort_vector::NullOrder::NullsLast,
-                ),
-            },
-            OrderByColumn {
-                column: 1,
-                spec: SortSpec::new(
-                    rowsort_vector::SortOrder::Descending,
-                    rowsort_vector::NullOrder::NullsFirst,
-                ),
-            },
-        ]);
-        for budget in [311, 1_000, 4_000] {
-            let plain = sort_with_ovc(&chunk, &order, budget, false);
-            let coded = sort_with_ovc(&chunk, &order, budget, true);
-            assert_eq!(coded.to_rows(), plain.to_rows(), "budget {budget}");
-        }
-    }
 
     /// With long-shared-prefix keys most merge comparisons resolve on the
     /// code compare alone, and the counters show it: a high resolved rate

@@ -249,7 +249,7 @@ pub fn sort_chunk(input: &DataChunk, order: &OrderBy) -> DataChunk {
 mod tests {
     use super::*;
     use crate::testutil::{assert_sorted_permutation, pseudo_random};
-    use rowsort_vector::{OrderByColumn, SortSpec, Value, Vector};
+    use rowsort_vector::{Value, Vector};
 
     fn assert_sorted_equal(got: &DataChunk, chunk: &DataChunk, order: &OrderBy) {
         assert_sorted_permutation(got, chunk, order, "pipeline");
@@ -263,97 +263,6 @@ mod tests {
         let order = OrderBy::ascending(1);
         let got = sort_chunk(&chunk, &order);
         assert_sorted_equal(&got, &chunk, &order);
-    }
-
-    #[test]
-    fn multiple_runs_merge() {
-        let chunk = DataChunk::from_columns(vec![
-            Vector::from_u32s(pseudo_random(5_000, 2, 64)),
-            Vector::from_u32s(pseudo_random(5_000, 3, 64)),
-        ])
-        .unwrap();
-        let order = OrderBy::ascending(2);
-        let pipeline = SortPipeline::new(
-            chunk.types(),
-            order.clone(),
-            SortOptions::single_with_run_rows(700),
-        );
-        let got = pipeline.sort(&chunk);
-        assert_sorted_equal(&got, &chunk, &order);
-    }
-
-    #[test]
-    fn parallel_sort_matches_sequential() {
-        let chunk = DataChunk::from_columns(vec![
-            Vector::from_u32s(pseudo_random(20_000, 4, 128)),
-            Vector::from_u32s(pseudo_random(20_000, 5, 128)),
-        ])
-        .unwrap();
-        let order = OrderBy::ascending(2);
-        let seq = SortPipeline::new(
-            chunk.types(),
-            order.clone(),
-            SortOptions {
-                threads: 1,
-                run_rows: 1500,
-                ..SortOptions::default()
-            },
-        )
-        .sort(&chunk);
-        let par = SortPipeline::new(
-            chunk.types(),
-            order.clone(),
-            SortOptions {
-                threads: 4,
-                run_rows: 1500,
-                ..SortOptions::default()
-            },
-        )
-        .sort(&chunk);
-        assert_sorted_equal(&par, &chunk, &order);
-        // Key columns must agree exactly (payload order within ties may
-        // differ between schedules, but here all columns are keys).
-        assert_eq!(seq.to_rows(), par.to_rows());
-    }
-
-    #[test]
-    fn output_bit_identical_across_thread_counts() {
-        // Non-key payload creates observable tie order: with morsel-slot
-        // runs and key ranges cut where keys differ, the whole output (tie
-        // order included) must match for any thread count.
-        let keys = pseudo_random(9_000, 21, 40); // heavy ties
-        let payload: Vec<u32> = (0..9_000).collect();
-        let chunk =
-            DataChunk::from_columns(vec![Vector::from_u32s(keys), Vector::from_u32s(payload)])
-                .unwrap();
-        let order = OrderBy::new(vec![OrderByColumn::asc(0)]);
-        let reference = SortPipeline::new(
-            chunk.types(),
-            order.clone(),
-            SortOptions {
-                threads: 1,
-                run_rows: 512,
-                ..SortOptions::default()
-            },
-        )
-        .sort(&chunk);
-        for threads in [2, 3, 4] {
-            let got = SortPipeline::new(
-                chunk.types(),
-                order.clone(),
-                SortOptions {
-                    threads,
-                    run_rows: 512,
-                    ..SortOptions::default()
-                },
-            )
-            .sort(&chunk);
-            assert_eq!(
-                reference.to_rows(),
-                got.to_rows(),
-                "threads={threads} diverged from single-threaded output"
-            );
-        }
     }
 
     #[test]
@@ -481,75 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn sorts_strings_with_prefix_ties() {
-        let strings = vec![
-            "prefix_very_long_AAAA",
-            "prefix_very_long_AAAB",
-            "prefix_very_long_AAAA",
-            "zz",
-            "",
-            "prefix_very",
-        ];
-        let chunk = DataChunk::from_columns(vec![Vector::from_strings(strings.clone())]).unwrap();
-        let order = OrderBy::ascending(1);
-        let pipeline = SortPipeline::new(
-            chunk.types(),
-            order.clone(),
-            SortOptions::single_with_run_rows(2),
-        );
-        let got = pipeline.sort(&chunk);
-        assert_sorted_equal(&got, &chunk, &order);
-    }
-
-    #[test]
-    fn sorts_mixed_schema_with_nulls() {
-        let mut chunk = DataChunk::new(&[
-            LogicalType::Varchar,
-            LogicalType::Int32,
-            LogicalType::Float64,
-        ]);
-        let mut state = 77u64;
-        for i in 0..3_000i32 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let r = (state >> 33) as u32;
-            let name = if r.is_multiple_of(11) {
-                Value::Null
-            } else {
-                Value::from(format!("name{}", r % 37))
-            };
-            let year = if r.is_multiple_of(13) {
-                Value::Null
-            } else {
-                Value::Int32(1924 + (r % 69) as i32)
-            };
-            chunk
-                .push_row(&[name, year, Value::Float64(i as f64 * 0.5)])
-                .unwrap();
-        }
-        let order = OrderBy::new(vec![
-            OrderByColumn {
-                column: 0,
-                spec: SortSpec::DESC,
-            },
-            OrderByColumn {
-                column: 1,
-                spec: SortSpec::ASC,
-            },
-        ]);
-        let pipeline = SortPipeline::new(
-            chunk.types(),
-            order.clone(),
-            SortOptions {
-                threads: 3,
-                run_rows: 257,
-                ..SortOptions::default()
-            },
-        );
-        let got = pipeline.sort(&chunk);
-        assert_sorted_equal(&got, &chunk, &order);
-    }
-
-    #[test]
     fn empty_input() {
         let chunk = DataChunk::new(&[LogicalType::UInt32]);
         let got = sort_chunk(&chunk, &OrderBy::ascending(1));
@@ -561,46 +401,6 @@ mod tests {
         let chunk = DataChunk::from_columns(vec![Vector::from_u32s(vec![42])]).unwrap();
         let got = sort_chunk(&chunk, &OrderBy::ascending(1));
         assert_eq!(got.row(0), vec![Value::UInt32(42)]);
-    }
-
-    #[test]
-    fn odd_run_count_merges() {
-        // 5 runs: a tree of losers over an odd number of leaves.
-        let chunk =
-            DataChunk::from_columns(vec![Vector::from_u32s(pseudo_random(501, 9, 50))]).unwrap();
-        let order = OrderBy::ascending(1);
-        let pipeline = SortPipeline::new(
-            chunk.types(),
-            order.clone(),
-            SortOptions::single_with_run_rows(101),
-        );
-        let got = pipeline.sort(&chunk);
-        assert_sorted_equal(&got, &chunk, &order);
-    }
-
-    #[test]
-    fn payload_follows_keys() {
-        // Non-key payload column must arrive reordered with its row.
-        let keys = pseudo_random(2_000, 10, 100);
-        let payload: Vec<u32> = keys.iter().map(|k| k * 7 + 1).collect();
-        let chunk =
-            DataChunk::from_columns(vec![Vector::from_u32s(keys), Vector::from_u32s(payload)])
-                .unwrap();
-        let order = OrderBy::new(vec![OrderByColumn::asc(0)]);
-        let pipeline = SortPipeline::new(
-            chunk.types(),
-            order.clone(),
-            SortOptions::single_with_run_rows(300),
-        );
-        let got = pipeline.sort(&chunk);
-        for i in 0..got.len() {
-            let row = got.row(i);
-            let (k, p) = match (&row[0], &row[1]) {
-                (Value::UInt32(k), Value::UInt32(p)) => (*k, *p),
-                other => panic!("unexpected {other:?}"),
-            };
-            assert_eq!(p, k * 7 + 1, "payload detached from its key at row {i}");
-        }
     }
 
     #[test]
@@ -708,79 +508,5 @@ mod tests {
         assert!(text.contains("counter.rows_sorted: 10000"), "{text}");
         assert!(text.contains("phase.run_generation_ns:"), "{text}");
         assert!(text.contains("phase.gather_ns:"), "{text}");
-    }
-
-    #[test]
-    fn ovc_output_bit_identical_to_plain_merge() {
-        // OVC changes how merge comparisons are computed, never their
-        // outcome: whole output (tie order included) must match with it
-        // on and off, across thread counts and both key shapes.
-        let n = 7_000;
-        let keys = pseudo_random(n, 91, 300); // heavy ties
-        let strings: Vec<String> = keys
-            .iter()
-            .map(|k| format!("shared_prefix_{:06}", k % 40))
-            .collect();
-        let payload: Vec<u32> = (0..n as u32).collect();
-        let chunk = DataChunk::from_columns(vec![
-            Vector::from_u32s(keys),
-            Vector::from_strings(strings.iter().map(|s| s.as_str())),
-            Vector::from_u32s(payload),
-        ])
-        .unwrap();
-        let order = OrderBy::new(vec![OrderByColumn::asc(1), OrderByColumn::asc(0)]);
-        for threads in [1, 3] {
-            let base = SortOptions {
-                threads,
-                run_rows: 600, // 12 runs
-                ovc: false,
-            };
-            let plain = SortPipeline::new(chunk.types(), order.clone(), base).sort(&chunk);
-            let coded = SortPipeline::new(
-                chunk.types(),
-                order.clone(),
-                SortOptions { ovc: true, ..base },
-            )
-            .sort(&chunk);
-            assert_eq!(
-                plain.to_rows(),
-                coded.to_rows(),
-                "threads={threads}: OVC merge diverged from plain merge"
-            );
-        }
-    }
-
-    #[test]
-    fn strings_survive_many_run_merges() {
-        // VARCHAR payload from 14 runs: each row's string comes from its
-        // own run's heap, copied into the column by the merge.
-        let n = 4_000;
-        let keys = pseudo_random(n, 14, 500);
-        let strings: Vec<String> = keys.iter().map(|k| format!("val_{k:05}")).collect();
-        let chunk = DataChunk::from_columns(vec![
-            Vector::from_u32s(keys.clone()),
-            Vector::from_strings(strings.iter().map(|s| s.as_str())),
-        ])
-        .unwrap();
-        let order = OrderBy::new(vec![OrderByColumn::asc(0)]);
-        let pipeline = SortPipeline::new(
-            chunk.types(),
-            order.clone(),
-            SortOptions {
-                threads: 2,
-                run_rows: 300, // 14 runs
-                ..SortOptions::default()
-            },
-        );
-        let got = pipeline.sort(&chunk);
-        assert_sorted_equal(&got, &chunk, &order);
-        for i in 0..got.len() {
-            let row = got.row(i);
-            let (k, s) = match (&row[0], &row[1]) {
-                (Value::UInt32(k), Value::Varchar(s)) => (*k, s.clone()),
-                other => panic!("unexpected {other:?}"),
-            };
-            assert_eq!(s, format!("val_{k:05}"), "string detached at row {i}");
-        }
     }
 }

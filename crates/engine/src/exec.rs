@@ -180,18 +180,26 @@ fn node_label(plan: &LogicalPlan) -> String {
     }
 }
 
+/// `write!` into a `String`, with no `fmt::Result` to discard: a `String`
+/// takes any text, so its `fmt::Write` never returns an error.
+macro_rules! put {
+    ($s:expr, $($fmt:tt)+) => {{
+        use std::fmt::Write as _;
+        $s.write_fmt(format_args!($($fmt)+)).unwrap_or_default()
+    }};
+}
+
 /// Run generation's stage clocks in brackets, ` [scatter 1.000ms encode
 /// …]`: the busy time of the workers that built runs, summed over them.
 /// Nothing when the sort built no run.
 fn write_run_stages(s: &mut String, profile: &SortProfile) {
-    use std::fmt::Write;
     let stages = RUN_STAGES.map(|(c, name)| (name, profile.metrics.counter(c)));
     if stages.iter().all(|&(_, ns)| ns == 0) {
         return;
     }
     for (i, (name, ns)) in stages.into_iter().enumerate() {
         let open = if i == 0 { " [" } else { " " };
-        let _ = write!(s, "{open}{name} {:.3}ms", ns as f64 / 1e6);
+        put!(s, "{open}{name} {:.3}ms", ns as f64 / 1e6);
     }
     s.push(']');
 }
@@ -200,7 +208,6 @@ fn write_run_stages(s: &mut String, profile: &SortProfile) {
 /// sort operator's own [`SortProfile`] and the `threads` it
 /// was given.
 fn sort_detail(profile: &SortProfile, threads: usize) -> String {
-    use std::fmt::Write;
     let mut s = String::new();
     let ms = |ns: u64| ns as f64 / 1e6;
     for ph in Phase::ALL {
@@ -208,7 +215,7 @@ fn sort_detail(profile: &SortProfile, threads: usize) -> String {
         if ns == 0 {
             continue;
         }
-        let _ = write!(s, " {}={:.3}ms", ph.name(), ms(ns));
+        put!(s, " {}={:.3}ms", ph.name(), ms(ns));
         if ph == Phase::RunGeneration {
             write_run_stages(&mut s, profile);
         }
@@ -220,9 +227,9 @@ fn sort_detail(profile: &SortProfile, threads: usize) -> String {
             let runs = profile.metrics.counter(Counter::SpilledRuns)
                 + profile.metrics.counter(Counter::SpillMemFallbackRuns);
             let generate = ms(profile.metrics.counter(Counter::SpillGenerateNs));
-            let _ = write!(s, " (generate {generate:.3}ms");
+            put!(s, " (generate {generate:.3}ms");
             write_run_stages(&mut s, profile);
-            let _ = write!(
+            put!(
                 s,
                 ", write {:.3}ms busy, {} workers)",
                 ms(profile.metrics.counter(Counter::SpillWriteNs)),
@@ -237,24 +244,24 @@ fn sort_detail(profile: &SortProfile, threads: usize) -> String {
     // is the paper's rule).
     if profile.key_width < profile.key_width_plain {
         let (planned, plain) = (profile.key_width, profile.key_width_plain);
-        let _ = write!(s, " key={planned}B/{plain}B");
+        put!(s, " key={planned}B/{plain}B");
     } else if profile.key_width > 0 {
-        let _ = write!(s, " key={}B", profile.key_width);
+        put!(s, " key={}B", profile.key_width);
     }
     if profile.dict_columns > 0 {
-        let _ = write!(s, " dict={}(", profile.dict_columns);
+        put!(s, " dict={}(", profile.dict_columns);
         let listed = profile
             .dict_values
             .iter()
             .take(profile.dict_columns as usize);
         for (i, values) in listed.enumerate() {
-            let _ = write!(s, "{}{values}", if i > 0 { "," } else { "" });
+            put!(s, "{}{values}", if i > 0 { "," } else { "" });
         }
         let more = profile.dict_columns as usize > profile.dict_values.len();
         s.push_str(if more { ",…)" } else { ")" });
     }
     if profile.varchar_prefix > 0 {
-        let _ = write!(s, " prefix={}", profile.varchar_prefix);
+        put!(s, " prefix={}", profile.varchar_prefix);
     }
     // Whether the key was planned from statistics an earlier sort of the
     // table took (DESIGN.md §6, "A table's statistics").
@@ -266,7 +273,7 @@ fn sort_detail(profile: &SortProfile, threads: usize) -> String {
     let tie_rows = profile.metrics.counter(Counter::RunTieRows);
     if tie_rows > 0 {
         let ranges = profile.metrics.counter(Counter::RunTieRanges);
-        let _ = write!(s, " tie_rows={tie_rows} tie_ranges={ranges}");
+        put!(s, " tie_rows={tie_rows} tie_ranges={ranges}");
     }
     // Offset-value coding effectiveness (DESIGN.md §10): the share of
     // merge comparisons the code compare resolved without touching key
@@ -276,7 +283,7 @@ fn sort_detail(profile: &SortProfile, threads: usize) -> String {
     let cmps = profile.metrics.counter(Counter::MergeCmps);
     if cmps > 0 {
         let resolved = profile.metrics.counter(Counter::MergeCmpsOvcResolved);
-        let _ = write!(
+        put!(
             s,
             " ovc_hit={:.1}% code={}",
             resolved as f64 * 100.0 / cmps as f64,
@@ -287,7 +294,7 @@ fn sort_detail(profile: &SortProfile, threads: usize) -> String {
     // over key ranges, and how evenly it split.
     let counter = |c| profile.metrics.counter(c);
     if counter(Counter::MergeRounds) > 0 {
-        let _ = write!(
+        put!(
             s,
             " merge=kway runs={} ranges={} max_range={}",
             counter(Counter::RunsGenerated),
@@ -301,17 +308,17 @@ fn sort_detail(profile: &SortProfile, threads: usize) -> String {
     // a little more for the blocks at the seams between ranges.
     let parts = profile.metrics.counter(Counter::SpillMergePartitions);
     if parts > 1 {
-        let _ = write!(s, " spill_parts={parts}");
+        put!(s, " spill_parts={parts}");
     }
     let spilled = profile.metrics.counter(Counter::SpilledBytes);
     if spilled > 0 {
         let read = profile.metrics.counter(Counter::SpillReadBytes);
-        let _ = write!(s, " reread={:.2}x", read as f64 / spilled as f64);
+        put!(s, " reread={:.2}x", read as f64 / spilled as f64);
     }
     // Buffers the sort had to allocate: a cold engine's first query of a
     // shape misses, the next one of that shape takes all from the pool.
     if counter(Counter::PoolHits) + counter(Counter::PoolMisses) > 0 {
-        let _ = write!(s, " pool_misses={}", counter(Counter::PoolMisses));
+        put!(s, " pool_misses={}", counter(Counter::PoolMisses));
     }
     s
 }

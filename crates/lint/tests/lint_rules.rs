@@ -50,8 +50,9 @@ fn r010_does_not_apply_outside_panic_free_crates() {
 
 #[test]
 fn panic_free_crates_deny_the_panic_and_discard_lints() {
-    // These denies are what keeps panics and swallowed spill errors out
-    // of the four crates: one deleted line must not silently drop them.
+    // These denies are what keeps panics out of the four crates, and
+    // swallowed spill errors out of the crates that sort, run queries and
+    // drive both: one deleted line must not silently drop them.
     const PANICS: [&str; 6] = [
         "unwrap_used",
         "expect_used",
@@ -63,12 +64,13 @@ fn panic_free_crates_deny_the_panic_and_discard_lints() {
     const DISCARDS: [&str; 2] = ["let_underscore_must_use", "unused_result_ok"];
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     assert_eq!(rules::PANIC_FREE_CRATES.len(), 4);
-    for krate in rules::PANIC_FREE_CRATES {
+    let checks = rules::PANIC_FREE_CRATES.iter().map(|k| (*k, &PANICS[..]));
+    let discarding = ["core", "engine", "bench"].map(|k| (k, &DISCARDS[..]));
+    for (krate, lints) in checks.chain(discarding) {
         let rel = format!("crates/{krate}/src/lib.rs");
         let src = std::fs::read_to_string(root.join(&rel)).expect("lib.rs reads");
         let denied = crate_denies(&src);
-        let discards: &[&str] = if *krate == "core" { &DISCARDS } else { &[] };
-        for lint in PANICS.iter().chain(discards) {
+        for lint in lints {
             assert!(
                 denied.contains(&format!("clippy::{lint}")),
                 "{rel} does not deny clippy::{lint}: {denied:?}"

@@ -48,10 +48,10 @@ cargo fmt --all --check
 # clippy::exit), and no `#[allow]` lacks a reason. The lib.rs of
 # rowsort-algos, -core, -normkey and -row deny unwrap_used, expect_used,
 # panic, unreachable, todo and unimplemented outside tests (clippy.toml
-# exempts tests); rowsort-core's also denies let_underscore_must_use and
-# unused_result_ok, a discarded spill error above all (a bare `…;` is
-# rustc's unused_must_use, an error under -D warnings); rowsort-normkey's
-# denies a bare `as` cast (as_conversions).
+# exempts tests); the lib.rs of rowsort-core, -engine and -bench deny
+# let_underscore_must_use and unused_result_ok, a discarded spill error
+# above all (a bare `…;` is rustc's unused_must_use, an error under
+# -D warnings); rowsort-normkey's denies a bare `as` cast (as_conversions).
 echo "== cargo clippy =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 # benchmark/ is a workspace of its own, outside those tables: its
@@ -96,6 +96,15 @@ fi
 # regression fails fast with a focused report.
 echo "== cargo test -p lint =="
 cargo test -q -p lint --offline
+
+# 2e. The seeded-bug corpus (crates/bench/src/bin/mutants.rs, DESIGN.md
+# §8.6): every entry's anchor occurs exactly once in its file, so a change
+# that moves seeded code re-seeds the entry in the same change. It builds
+# nothing beyond step 1's release build. The corpus itself takes about
+# half an hour in a debug build; it is run by hand, for the crates a change
+# touches (`cargo run -p rowsort-bench --bin mutants -- crates/core/`).
+echo "== mutants --anchors =="
+cargo run --release --offline -q -p rowsort-bench --bin mutants -- --anchors
 
 # --- 3a. The differential oracle ---------------------------------------------
 # One generator over schema × values × NULLs × duplicates × VARCHAR shapes
