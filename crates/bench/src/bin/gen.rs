@@ -12,6 +12,10 @@
 //! The files load back with `rowsort_engine::csv::read_csv` (or any other
 //! tool), so experiments can also be run against external systems.
 
+// A discarded `#[must_use]` value is handled or expected by name, as in
+// the crate's library.
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
+
 use rowsort_datagen::{key_chunk, shuffled_integers, tpcds, uniform_floats, KeyDistribution};
 use rowsort_engine::{csv, Table};
 use rowsort_vector::{DataChunk, Vector};

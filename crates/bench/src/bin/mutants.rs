@@ -27,6 +27,10 @@
 //! anchor is missing or ambiguous, a mutant does not build, or the
 //! unmutated tree fails a target; 2 on a usage or I/O error.
 
+// A discarded `#[must_use]` value is handled or expected by name, as in
+// the crate's library.
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
@@ -113,6 +117,20 @@ const CORPUS: &[Mutant] = &[
         file: "crates/normkey/src/layout.rs",
         anchor: "(self.hi - self.lo).checked_add(1)?",
         replacement: "(self.hi - self.lo).wrapping_add(1)",
+        targets: NORMKEY_BUG,
+    },
+    Mutant {
+        name: "a DESC column decoded without its inversion",
+        file: "crates/normkey/src/decode.rs",
+        anchor: "let ord = be_u64(body) ^ flip;",
+        replacement: "let ord = be_u64(body);",
+        targets: NORMKEY_BUG,
+    },
+    Mutant {
+        name: "a NULL-in-band code decoded as a value (`lo`, NULLS FIRST)",
+        file: "crates/normkey/src/decode.rs",
+        anchor: "let valid = !nulls || code != coder.null;",
+        replacement: "let valid = true;",
         targets: NORMKEY_BUG,
     },
     Mutant {
@@ -229,12 +247,28 @@ const CORPUS: &[Mutant] = &[
         replacement: "return n;",
         targets: CORE_BUG,
     },
+    Mutant {
+        name: "a rank decoded through another sort's dictionary: the sorter's own \
+               statistics, not the table's the sort planned from",
+        file: "crates/core/src/sorter.rs",
+        anchor: "rows: table.rank_rows(c),",
+        replacement: "rows: plan.table(None).rank_rows(c),",
+        targets: &[CORE, ENGINE, ORACLE],
+    },
+    Mutant {
+        name: "a tie comparator that still reads the columns that left the row",
+        file: "crates/core/src/run.rs",
+        anchor: "let tie_cmp = FusedRowComparator::new(&layout, &OrderBy::new(ties.collect()));",
+        replacement: "let tie_cmp = FusedRowComparator::new(&RowLayout::new(types), order);",
+        targets: &[CORE, MOVES, ORACLE],
+    },
     // ---- rowsort-core: merge codes and the kernel -------------------------
     Mutant {
-        name: "the short-code mask one byte too wide (PR 35)",
+        name: "a short-code mask that drops the key's last byte (the mask one byte too wide, \
+               re-seeded where the coder serves 8-byte keys alone)",
         file: "crates/core/src/ovc.rs",
-        anchor: "let mask = key_mask(key_width);",
-        replacement: "let mask = key_mask(key_width + 1);",
+        anchor: "let key = key_window(keys, i * SHORT_KEY_BYTES);",
+        replacement: "let key = key_window(keys, i * SHORT_KEY_BYTES) & key_mask(SHORT_KEY_BYTES - 1);",
         targets: MERGE_BUG,
     },
     Mutant {

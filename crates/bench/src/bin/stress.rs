@@ -13,6 +13,10 @@
 //! per-iteration seed in the message, so a failure reproduces with
 //! `--iters 1 --seed <that seed>`.
 
+// A discarded `#[must_use]` value is handled or expected by name, as in
+// the crate's library.
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
+
 use rowsort_bench::stress::{parse_seed, run, StressConfig};
 
 #[expect(
@@ -74,7 +78,9 @@ fn main() {
 
     if let Some(path) = &report_path {
         if let Some(dir) = std::path::Path::new(path).parent() {
-            let _ = std::fs::create_dir_all(dir);
+            if let Err(e) = std::fs::create_dir_all(dir) {
+                die(&format!("cannot create {}: {e}", dir.display()));
+            }
         }
         std::fs::write(path, report.to_json(&config).render())
             .unwrap_or_else(|e| die(&format!("cannot write report {path}: {e}")));

@@ -18,7 +18,9 @@
 //! present and numeric, phase times that sum to no more than the sort's
 //! wall time, a clocked `gather` (every sort hands vectors back), a
 //! planned key (`key_width` no wider than `key_width_plain`,
-//! `varchar_prefix`) and tie counters
+//! `varchar_prefix`), a row of the columns the key does not give back
+//! (`row_width` a multiple of 8, and `key_decoded_columns` at least 1
+//! where no key column is a VARCHAR prefix), tie counters
 //! (`run_tie_ranges`, `run_tie_rows`, `pdq_sorts`) that agree, and a merge
 //! shape (`merge_rounds`, `merge_tasks`, `merge_max_range_rows`) that adds
 //! up: every merge, in memory or spilled, is one k-way pass that reports
@@ -30,6 +32,10 @@
 //! line they add up to no more than `spill_generate_ns`. Exits
 //! non-zero on any violation, so CI catches schema drift the moment it
 //! happens.
+
+// A discarded `#[must_use]` value is handled or expected by name, as in
+// the crate's library.
+#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
 
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter, SPILL_WORKERS};
 use rowsort_core::metrics::{Counter, Phase, RUN_STAGES};
@@ -132,7 +138,12 @@ fn main() {
     };
     // Tracing reads its configuration once per process; set it before the
     // first sort. A stale file would double-count lines: start fresh.
-    let _ = std::fs::remove_file(path);
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+            die(&format!("cannot remove stale trace file {path}: {e}"));
+        }
+        _ => {}
+    }
     std::env::set_var("ROWSORT_TRACE", "1");
     std::env::set_var("ROWSORT_TRACE_FILE", path);
 
@@ -252,6 +263,17 @@ fn main() {
             let expected = if warm { "above 0" } else { "0" };
             die(&format!(
                 "line {line_no}: stats_reused {reused}, expected {expected}"
+            ));
+        }
+        // The row holds the columns the key does not give back, padded to
+        // 8 bytes. A key of no VARCHAR prefix holds every key column
+        // exactly: at least one left the row.
+        let row_width = num_field(&obj, "row_width", line_no);
+        let decoded = num_field(&obj, "key_decoded_columns", line_no);
+        if row_width % 8.0 != 0.0 || (prefix == 0.0 && decoded < 1.0) {
+            die(&format!(
+                "line {line_no}: row_width {row_width}, key_decoded_columns {decoded}, \
+                 varchar_prefix {prefix}"
             ));
         }
         let (tie_ranges, tie_rows) = (count(Counter::RunTieRanges), count(Counter::RunTieRows));

@@ -319,9 +319,25 @@ impl Gen for CaseGen {
             let at = rng.below(keys.len() as u64 + 1) as usize;
             keys.insert(at, key(types.len() - 1, rng));
         }
+        // Some cases key on one BIGINT alone whose values span more than
+        // 2^56: a range code of exactly 8 bytes, the one width whose runs
+        // store offset-value codes from the branch-free coder
+        // (`ovc::fill_short_codes`).
+        if rng.chance(0.15) {
+            let base = rng.next_u64();
+            for row in &mut rows {
+                row.push(if rng.chance(null_share) {
+                    Value::Null
+                } else {
+                    Value::Int64(base.wrapping_add(rng.next_u64() >> 4) as i64)
+                });
+            }
+            types.push(LogicalType::Int64);
+            keys = vec![key(types.len() - 1, rng)];
+        }
         // Half the cases end in a unique id key: the order is total and
         // the output sequence exact.
-        if rng.chance(0.5) {
+        else if rng.chance(0.5) {
             types.push(LogicalType::UInt32);
             for (id, row) in rows.iter_mut().enumerate() {
                 row.push(Value::UInt32(id as u32));

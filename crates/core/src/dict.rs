@@ -31,6 +31,9 @@ pub(crate) struct Dictionary {
     /// Each row's rank among the column's distinct strings, in bytewise
     /// order; 0 for a NULL row, which the key codes from its validity.
     pub(crate) ranks: Vec<u16>,
+    /// A row holding each rank's string, by rank: how a sort's output
+    /// decodes the column from its key.
+    pub(crate) rows: Vec<u32>,
     /// Open-addressed table over the distinct strings: `1 +` a string's
     /// id, 0 for an empty slot.
     slots: Vec<u32>,
@@ -43,6 +46,8 @@ pub(crate) struct Dictionary {
     order: Vec<u16>,
     /// Each id's rank.
     rank_of: Vec<u16>,
+    /// The first row of each id's string.
+    first: Vec<u32>,
 }
 
 /// What one [`Dictionary::build`] runs over.
@@ -126,6 +131,7 @@ impl Dictionary {
         Self::place(&mut self.slots, keys, bits, &hash);
         self.ranks.clear();
         self.ranks.resize(n, 0);
+        self.first.clear();
         let mut nulls = false;
         let (mut mask, mut shift) = ((1 << bits) - 1, u64::BITS - bits);
         'rows: for (row, rank) in self.ranks.iter_mut().enumerate() {
@@ -147,6 +153,7 @@ impl Dictionary {
                 return None;
             }
             keys.push(k);
+            self.first.push(row as u32);
             *rank = (keys.len() - 1) as u16;
             if 4 * keys.len() > mask + 1 {
                 bits += 1;
@@ -162,8 +169,10 @@ impl Dictionary {
         self.order.sort_unstable_by_key(|&id| keys[usize::from(id)]);
         self.rank_of.clear();
         self.rank_of.resize(values, 0);
+        self.rows.clear();
         for (rank, &id) in self.order.iter().enumerate() {
             self.rank_of[usize::from(id)] = rank as u16;
+            self.rows.push(self.first[usize::from(id)]);
         }
         // Through a slice of its own: the compiler then knows the table is
         // not the ranks it rewrites, and the pass runs 5× faster.
@@ -315,6 +324,14 @@ mod tests {
         let column = column(values);
         let strings = column.as_strings().unwrap();
         let ranked = dict.build(&column, strings, strings.max_len(), 0, MAX_VALUES)?;
+        // Each rank names a row of its string, and only rank `r`'s.
+        assert_eq!(dict.rows.len(), ranked.values as usize);
+        for (row, v) in values.iter().enumerate() {
+            if let Some(v) = v {
+                let named = dict.rows[usize::from(dict.ranks[row])] as usize;
+                assert_eq!(strings.get_bytes(named), *v);
+            }
+        }
         let ranks = values
             .iter()
             .zip(&dict.ranks)

@@ -38,7 +38,7 @@ use crate::metrics::{Counter, CounterRegistry, Metrics, Phase, SortProfile};
 use crate::ovc;
 use crate::pool::{BufferPool, SortPool};
 use crate::resources::SortResources;
-use crate::run::{KeyPlan, SortedRun, TableStats};
+use crate::run::{KeyPlan, RowPlan, SortedRun, TableStats};
 use crate::sorter::{lower_bound, MergePlan, SorterCore, StoredRun};
 use crate::spill::{SpillError, SpillIo, SpillOp, StdFs};
 use crate::workers::WorkerPool;
@@ -74,9 +74,11 @@ const SPILL_MAGIC: [u8; 4] = *b"RSRN";
 
 /// Run-file format version. Version 2 added the header and the optional
 /// per-record offset-value code; version 3 replaced the whole-file
-/// checksum trailer with hash-sealed blocks. Other versions are rejected
-/// as corrupt rather than mis-parsed.
-const SPILL_VERSION: u16 = 3;
+/// checksum trailer with hash-sealed blocks; version 4 narrowed the
+/// record's row to the columns its key does not give back (the sort's
+/// [`RowPlan`](crate::run::RowPlan)). Other versions are rejected as
+/// corrupt rather than mis-parsed.
+const SPILL_VERSION: u16 = 4;
 
 /// Header flag bit 0: each record carries an 8-byte offset-value code
 /// (LE `u64`) between its key and its payload row. Set where the sort
@@ -309,15 +311,15 @@ impl StoredRun for Run {
     fn cut_at(
         &self,
         core: &SorterCore,
-        kw: usize,
+        order: MergeOrder<'_>,
         splitter: &[u8],
     ) -> Result<RangeCut, SpillError> {
-        let below = lower_bound(&self.index.first_keys, kw, splitter);
+        let below = lower_bound(&self.index.first_keys, order.kw, splitter);
         let Some(b) = below.checked_sub(1) else {
             return Ok(self.cut_at_block(0));
         };
         let [lo, hi] = [self.cut_at_block(b), self.cut_at_block(b + 1)];
-        let mut cur = self.source(core, kw, [lo, hi])?;
+        let mut cur = self.source(core, order, [lo, hi])?;
         let mut cut = lo;
         while !cur.exhausted() && cmp_keys(cur.key(), splitter) == Ordering::Less {
             cut.index += 1;
@@ -328,19 +330,21 @@ impl StoredRun for Run {
     }
 
     /// A cursor over the run's records between two of its cuts,
-    /// positioned on the first; `kw`-byte keys, with a code per record if
-    /// the sorter stores codes for them. The stored code of the first record is
-    /// relative to its predecessor, which a range starting inside the run
-    /// does not hold, so it is re-coded against −∞ — the base the loser
-    /// tree's leaves start from (for the run's first record the two
-    /// agree). An empty span opens nothing: the range before it that ends
-    /// the run checks that the file ends there.
+    /// positioned on the first; `order.kw`-byte keys, with a code per
+    /// record if the sorter stores codes for them, and `order.rows`' rows.
+    /// The stored code of the first record is relative to its predecessor,
+    /// which a range starting inside the run does not hold, so it is
+    /// re-coded against −∞ — the base the loser tree's leaves start from
+    /// (for the run's first record the two agree). An empty span opens
+    /// nothing: the range before it that ends the run checks that the file
+    /// ends there.
     fn source<'r>(
         &'r self,
         core: &'r SorterCore,
-        kw: usize,
+        order: MergeOrder<'r>,
         [lo, hi]: [RangeCut; 2],
     ) -> Result<RunCursor<'r>, SpillError> {
+        let kw = order.kw;
         let remaining = hi.index.saturating_sub(lo.index);
         // Where the range's first block starts; at the run's end, where
         // the file must.
@@ -392,7 +396,8 @@ impl StoredRun for Run {
             next: 0,
             code: 0,
             kw,
-            width: core.layout.width(),
+            rows: order.rows,
+            width: order.rows.layout.width(),
             has_ovc: core.codes(kw).stored(),
             arity: ovc::word_count(kw),
             decoded: 0,
@@ -463,9 +468,8 @@ fn check_header(header: &[u8], expect_ovc: bool, path: &Path) -> Result<(), Spil
 struct RunCursor<'a> {
     reader: Box<dyn Read + Send + 'a>,
     run: &'a Run,
-    /// The sorter: the rows' layout (where each VARCHAR column's slot and
-    /// null flag sit, for checking the head record's strings against its
-    /// segment), the pool the buffer comes from, the registry counted into.
+    /// The sorter: the pool the buffer comes from, the registry counted
+    /// into.
     core: &'a SorterCore,
     /// The current block: `buf[..end]` is its records (behind the header
     /// in block 0), the hash follows.
@@ -490,6 +494,9 @@ struct RunCursor<'a> {
     /// fewer is its own code, and its records carry none.
     code: u64,
     kw: usize,
+    /// The rows' plan: where each VARCHAR slot and null flag sit, for
+    /// checking the head record's strings against its segment.
+    rows: &'a RowPlan,
     width: usize,
     has_ovc: bool,
     /// Key word count, for structural validation of decoded codes.
@@ -643,15 +650,16 @@ impl RunSource for RunCursor<'_> {
         }
         // The tie comparator and the sink slice the segment by these
         // slots; a NULL's slot is never read.
-        let layout = &self.core.layout;
-        for &c in &self.core.varlen_cols {
-            if self.buf[row_at + layout.null_offset(c)] != 0 {
+        let layout = &self.rows.layout;
+        for &s in &self.rows.varlen {
+            if self.buf[row_at + layout.null_offset(s)] != 0 {
                 continue;
             }
-            let slot = row_at + layout.offset(c);
+            let slot = row_at + layout.offset(s);
             let off = self.block_u32(slot) as usize;
             let len = self.block_u32(slot + 4) as usize;
             if off.saturating_add(len) > seg_len {
+                let c = self.rows.columns[s];
                 return Err(self.corrupt(format!(
                     "VARCHAR slot of column {c} ({len} bytes at {off}) runs past its \
                      {seg_len}-byte segment"
@@ -773,6 +781,8 @@ impl ExternalSorter {
     ) -> Result<DataChunk, SpillError> {
         // The key blocks hold a run's worth of entries each: like the run
         // buffers, they end with the spill phase, so the plan is the sort's.
+        // The merge keeps the rest of it: the key it decodes columns from,
+        // and the statistics whose dictionaries name a rank's string.
         let mut plan = KeyPlan::default();
         let Some(start) = self.core.begin(input, &mut plan, lent) else {
             return Ok(DataChunk::new(&self.core.types));
@@ -780,13 +790,17 @@ impl ExternalSorter {
         let order = self.core.merge_order(&plan);
         let runs = {
             let _spill = self.core.metrics.time_phase(Phase::Spill);
-            self.spill(input, plan, lent)?
+            self.spill(input, &plan, lent)?
         };
-        let out = self.merge_runs(&runs, &order, input).inspect_err(|err| {
-            if matches!(err, SpillError::Corrupt { .. }) {
-                self.core.metrics.add(Counter::SpillChecksumFailed, 1);
-            }
-        })?;
+        plan.release_entries();
+        let planned = (&plan, plan.table(lent));
+        let out = self
+            .merge_runs(&runs, order, planned, input)
+            .inspect_err(|err| {
+                if matches!(err, SpillError::Corrupt { .. }) {
+                    self.core.metrics.add(Counter::SpillChecksumFailed, 1);
+                }
+            })?;
         self.core.publish(start, input.len(), "external", order.kw);
         Ok(out)
     }
@@ -801,10 +815,11 @@ impl ExternalSorter {
     fn spill(
         &self,
         input: &DataChunk,
-        plan: KeyPlan,
+        plan: &KeyPlan,
         lent: Option<&TableStats>,
     ) -> Result<Vec<Run>, SpillError> {
-        let planned = (&plan, plan.table(lent));
+        let planned = (plan, plan.table(lent));
+        let rows = self.core.row_plan(plan);
         let phase_pool = BufferPool::new();
         let pool = SortPool {
             pool: &phase_pool,
@@ -821,7 +836,7 @@ impl ExternalSorter {
                     claimed.elapsed().as_nanos() as u64,
                 );
                 let generated = Instant::now();
-                let spilled = self.spill_run(&run, &degraded);
+                let spilled = self.spill_run(&run, rows, &degraded);
                 metrics.add(Counter::SpillWriteNs, generated.elapsed().as_nanos() as u64);
                 run.recycle(pool);
                 spilled
@@ -847,9 +862,14 @@ impl ExternalSorter {
     /// code column, computed while the keys were hot from the run sort, so
     /// the spill merge starts with codes instead of deriving them. A key
     /// of 7 bytes or fewer is its own code: its records carry none.
-    fn encode_run(&self, run: &SortedRun, out: &mut dyn Write) -> io::Result<RunIndex> {
-        let (layout, pool) = (&self.core.layout, self.core.pool());
-        let (varlen, payload) = (&self.core.varlen_cols, &run.payload);
+    fn encode_run(
+        &self,
+        run: &SortedRun,
+        rows: &RowPlan,
+        out: &mut dyn Write,
+    ) -> io::Result<RunIndex> {
+        let (layout, pool) = (&rows.layout, self.core.pool());
+        let (varlen, payload) = (&rows.varlen, &run.payload);
         let mut buf = pool.get_bytes(BLOCK_BYTES);
         let width = layout.width();
         let kw = run.key_width;
@@ -936,13 +956,18 @@ impl ExternalSorter {
     }
 
     /// Stream `run`'s encoding into a fresh run file.
-    fn try_write_file(&self, path: &Path, run: &SortedRun) -> Result<RunIndex, SpillError> {
+    fn try_write_file(
+        &self,
+        path: &Path,
+        run: &SortedRun,
+        rows: &RowPlan,
+    ) -> Result<RunIndex, SpillError> {
         let mut w = self
             .io
             .create(path)
             .map_err(|e| SpillError::io(SpillOp::Create, path, &e))?;
         let index = self
-            .encode_run(run, &mut *w)
+            .encode_run(run, rows, &mut *w)
             .map_err(|e| SpillError::io(SpillOp::Write, path, &e))?;
         w.flush()
             .map_err(|e| SpillError::io(SpillOp::Flush, path, &e))?;
@@ -956,7 +981,12 @@ impl ExternalSorter {
     /// already writing when another sets it finishes its file, or
     /// degrades itself). A retry encodes again — the sorted run is still
     /// resident — so no attempt ever holds the run's encoding whole.
-    fn spill_run(&self, run: &SortedRun, degraded: &AtomicBool) -> Result<Run, SpillError> {
+    fn spill_run(
+        &self,
+        run: &SortedRun,
+        rows: &RowPlan,
+        degraded: &AtomicBool,
+    ) -> Result<Run, SpillError> {
         let metrics = &self.core.metrics;
         let mut attempt = 0;
         let mut backoff = RETRY_BACKOFF;
@@ -964,7 +994,7 @@ impl ExternalSorter {
             if degraded.load(AtomicOrdering::SeqCst) {
                 metrics.add(Counter::SpillMemFallbackRuns, 1);
                 let mut bytes = Vec::new();
-                let index = self.encode_run(run, &mut bytes).map_err(|e| {
+                let index = self.encode_run(run, rows, &mut bytes).map_err(|e| {
                     SpillError::io(SpillOp::Write, Path::new("<in-memory run>"), &e)
                 })?;
                 break (index, RunStore::Memory(bytes));
@@ -975,7 +1005,7 @@ impl ExternalSorter {
                 io: Arc::clone(&self.io),
                 metrics: Arc::clone(metrics),
             };
-            match self.try_write_file(&file.path, run) {
+            match self.try_write_file(&file.path, run, rows) {
                 Ok(index) => {
                     metrics.add(Counter::SpilledRuns, 1);
                     metrics.add(Counter::SpilledBytes, index.bytes);
@@ -1017,14 +1047,15 @@ impl ExternalSorter {
     fn merge_runs(
         &self,
         runs: &[Run],
-        order: &MergeOrder<'_>,
+        order: MergeOrder<'_>,
+        planned: (&KeyPlan, &TableStats),
         input: &DataChunk,
     ) -> Result<DataChunk, SpillError> {
         let mut plan = MergePlan::default();
         let phase = Phase::SpillMerge;
-        let chunk = self
-            .core
-            .merge_into_vectors(order, runs, &mut plan, input, phase)?;
+        let chunk =
+            self.core
+                .merge_into_vectors(order, (runs, &mut plan), planned, input, phase)?;
         let metrics = &self.core.metrics;
         metrics.add(Counter::SpillMergePartitions, plan.parts as u64);
         metrics.add(Counter::MergeMaxRangeRows, plan.max_range_rows() as u64);
@@ -1035,7 +1066,6 @@ impl ExternalSorter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comparator::FusedRowComparator;
     use crate::keys::KeyBlock;
     use crate::merge::{merge_coded, MemSource, MergeStats, VectorSink};
     use crate::ovc::MergeCodes;
@@ -1109,30 +1139,38 @@ mod tests {
         fn open_cursor<'r>(
             &'r self,
             run: &'r Run,
-            kw: usize,
+            order: MergeOrder<'r>,
             span: [RangeCut; 2],
         ) -> Result<RunCursor<'r>, SpillError> {
-            run.source(&self.core, kw, span)
+            run.source(&self.core, order, span)
+        }
+
+        /// `sort()`'s merge of `runs`, spilled from `input` under `plan`.
+        fn merge_planned(
+            &self,
+            runs: &[Run],
+            plan: &KeyPlan,
+            input: &DataChunk,
+        ) -> Result<DataChunk, SpillError> {
+            let order = self.core.merge_order(plan);
+            self.merge_runs(runs, order, (plan, plan.table(None)), input)
         }
     }
 
-    /// `sort()`'s preparation: the key planned for `chunk`.
+    /// `sort()`'s preparation: the key planned for `chunk`, and its row.
     fn plan(sorter: &ExternalSorter, chunk: &DataChunk) -> KeyPlan {
         let mut plan = KeyPlan::default();
         let (types, order) = (&sorter.core.types, &sorter.core.order);
         plan.plan(types, order, chunk, None, &|phase| phase(0));
+        sorter.core.pick_rows(&mut plan);
         plan
     }
 
     /// `sort()`'s spill phase: `chunk` as spilled runs under the sorter's
-    /// row budget, and how their merge compares records.
-    fn build_spilled_runs<'s>(
-        sorter: &'s ExternalSorter,
-        chunk: &DataChunk,
-    ) -> (Vec<Run>, MergeOrder<'s>) {
+    /// row budget, and the plan they were built from.
+    fn build_spilled_runs(sorter: &ExternalSorter, chunk: &DataChunk) -> (Vec<Run>, KeyPlan) {
         let plan = plan(sorter, chunk);
-        let order = sorter.core.merge_order(&plan);
-        (sorter.spill(chunk, plan, None).unwrap(), order)
+        (sorter.spill(chunk, &plan, None).unwrap(), plan)
     }
 
     /// All of `chunk` as one sorted run, straight from the run generator.
@@ -1142,10 +1180,11 @@ mod tests {
         core.make_run(core.pool(), planned, chunk, (0, chunk.len()), true)
     }
 
-    /// `run` encoded into memory, as the ENOSPC rung of the ladder leaves
-    /// it.
-    fn memory_run(sorter: &ExternalSorter, run: &SortedRun) -> Run {
-        sorter.spill_run(run, &AtomicBool::new(true)).unwrap()
+    /// `run`, built under `plan`, encoded into memory, as the ENOSPC rung
+    /// of the ladder leaves it.
+    fn memory_run(sorter: &ExternalSorter, plan: &KeyPlan, run: &SortedRun) -> Run {
+        let rows = sorter.core.row_plan(plan);
+        sorter.spill_run(run, rows, &AtomicBool::new(true)).unwrap()
     }
 
     /// The encoded bytes of an in-memory run.
@@ -1261,17 +1300,22 @@ mod tests {
                 ..Default::default()
             },
         );
-        let (layout, varlen) = (&sorter.core.layout, sorter.core.varlen_cols.clone());
+        // The key holds the integer exactly and ends at the truncated
+        // string: the row keeps the three other columns.
+        let planned = plan(&sorter, &chunk);
+        let rows = sorter.core.row_plan(&planned);
+        assert_eq!((rows.exact, rows.columns.as_slice()), (1, &[0, 2, 3][..]));
+        let (layout, varlen) = (&rows.layout, rows.varlen.clone());
         let width = layout.width();
 
         // One run covering the whole chunk, sorted here independently of
         // the run generator; keep the blocks to compare.
         let mut payload = RowBlock::with_capacity(Arc::clone(layout), chunk.len());
-        payload.append_chunk(&chunk);
+        payload.append_columns_range(&chunk, |slot| rows.columns[slot], 0, chunk.len());
         let order = &sorter.core.order;
         let mut keys = KeyBlock::planned(&chunk, order);
         keys.append_chunk(&chunk);
-        let tie_cmp = FusedRowComparator::new(layout, order);
+        let tie_cmp = &rows.tie_cmp;
         keys.sort(|a, b| {
             tie_cmp.compare(
                 payload.row(a as usize),
@@ -1281,7 +1325,7 @@ mod tests {
             )
         });
         let run = sorter
-            .spill_run(&whole_run(&sorter, &chunk), &AtomicBool::new(false))
+            .spill_run(&whole_run(&sorter, &chunk), rows, &AtomicBool::new(false))
             .unwrap();
         assert_eq!(run.row_count(), chunk.len());
 
@@ -1319,7 +1363,8 @@ mod tests {
 
         let kw = keys.key_width();
         let arity = ovc::word_count(kw);
-        let mut cur = sorter.open_cursor(&run, kw, run.bounds()).unwrap();
+        let merge_order = sorter.core.merge_order(&planned);
+        let mut cur = sorter.open_cursor(&run, merge_order, run.bounds()).unwrap();
         let mut prev_key: Vec<u8> = Vec::new();
         let mut blocks_seen = 0;
         for i in 0..run.row_count() {
@@ -1376,9 +1421,10 @@ mod tests {
 
         // A key of 7 bytes or fewer is its own merge code, and its records
         // carry none: `catalog_spill`'s shape — five INT columns, keyed by
-        // four that range-code in 5 bytes — spills 41 bytes a record (the
-        // key, a 32-byte row, the length word of an empty segment) where
-        // an 8-byte code made it 49.
+        // four that range-code in 5 bytes — spills 17 bytes a record (the
+        // key, an 8-byte row of the one column the key does not hold, the
+        // length word of an empty segment) where the whole 32-byte row
+        // made it 41, and an 8-byte code 49.
         let catalog = rowsort_datagen::tpcds::catalog_sales(2_000, 10.0, 0x000F_1616).data;
         let by = OrderBy::new((1..=4).map(OrderByColumn::asc).collect());
         let options = ExternalSortOptions {
@@ -1387,13 +1433,15 @@ mod tests {
         };
         let sorter = ExternalSorter::new(catalog.types(), by, options);
         let sorted = whole_run(&sorter, &catalog);
-        assert_eq!((sorted.key_width, sorter.core.layout.width()), (5, 32));
+        let planned = plan(&sorter, &catalog);
+        let width = sorter.core.row_plan(&planned).layout.width();
+        assert_eq!((sorted.key_width, width), (5, 8));
         assert!(sorted.ovc.is_empty(), "no code column");
-        let run = memory_run(&sorter, &sorted);
+        let run = memory_run(&sorter, &planned, &sorted);
         let bytes = bytes_of(&run);
         assert_eq!(bytes[..HEADER_BYTES], header_bytes(false));
         let framing = HEADER_BYTES + HASH_BYTES * run.index.blocks.len();
-        assert_eq!(bytes.len() - framing, 41 * catalog.len(), "41-byte records");
+        assert_eq!(bytes.len() - framing, 17 * catalog.len(), "17-byte records");
     }
 
     /// The string-free twin of the layout check above: with no VARCHAR
@@ -1404,11 +1452,12 @@ mod tests {
     /// key and row for row. Returns the block lengths.
     fn check_fixed_run_layout(sorter: &ExternalSorter, chunk: &DataChunk) -> Vec<usize> {
         let sorted = whole_run(sorter, chunk);
+        let planned = plan(sorter, chunk);
         let kw = sorted.key_width;
-        let width = sorter.core.layout.width();
+        let width = sorter.core.row_plan(&planned).layout.width();
         let code = if sorter.core.codes(kw).stored() { 8 } else { 0 };
         let fixed = kw + code + width + 4;
-        let run = memory_run(sorter, &sorted);
+        let run = memory_run(sorter, &planned, &sorted);
         let (bytes, index) = (bytes_of(&run), &run.index);
         assert_eq!(bytes.len() as u64, index.bytes);
         let mut ends: Vec<usize> = index.blocks.iter().skip(1).map(|m| m.rows_before).collect();
@@ -1432,7 +1481,8 @@ mod tests {
             let first_key = &index.first_keys[b * kw..(b + 1) * kw];
             assert_eq!(first_key, &sorted.keys[meta.rows_before * kw..][..kw]);
         }
-        let mut cur = sorter.open_cursor(&run, kw, run.bounds()).unwrap();
+        let order = sorter.core.merge_order(&planned);
+        let mut cur = sorter.open_cursor(&run, order, run.bounds()).unwrap();
         for i in 0..sorted.len() {
             assert!(!cur.exhausted(), "record {i} missing");
             assert_eq!(cur.key(), &sorted.keys[i * kw..(i + 1) * kw], "key {i}");
@@ -1453,8 +1503,9 @@ mod tests {
             };
             ExternalSorter::new(chunk.types(), OrderBy::ascending(1), options)
         };
-        // A 4-byte key over a 16-byte row: 24-byte records, of which block
-        // 0 takes 2 730 behind the header and fills all 64 KiB.
+        // A 4-byte key over a 16-byte row (the BIGINT the key does not
+        // hold): 24-byte records, of which block 0 takes 2 730 behind the
+        // header and fills all 64 KiB.
         let keys = |rows: usize| pseudo_random(rows, 31, u32::MAX);
         let chunk = |keys: Vec<u32>| {
             let payload = Vector::from_i64s((0..keys.len() as i64).collect());
@@ -1547,8 +1598,11 @@ mod tests {
         assert_eq!(m.counter(Counter::RowsSorted), 4_000);
         assert_eq!(m.counter(Counter::SpilledRuns), 4);
         assert_eq!(m.counter(Counter::RunsGenerated), 4);
-        // Every record is key + row + length word at minimum.
-        assert!(m.counter(Counter::SpilledBytes) >= 4_000 * 8);
+        // Every record is key + row + length word at minimum; the key
+        // holds the one column, so the row has no bytes.
+        assert_eq!(profile.row_width, 0);
+        let record = (profile.key_width + profile.row_width + 4) as u64;
+        assert!(m.counter(Counter::SpilledBytes) >= 4_000 * record);
         assert_eq!(m.counter(Counter::SpillRetries), 0);
         assert_eq!(m.counter(Counter::SpillCleanupFailed), 0);
         assert_eq!(m.counter(Counter::SpillMemFallbackRuns), 0);
@@ -1580,14 +1634,14 @@ mod tests {
                 ..Default::default()
             },
         );
-        let (runs, merge_order) = build_spilled_runs(&sorter, &chunk);
+        let (runs, plan) = build_spilled_runs(&sorter, &chunk);
         assert_eq!(runs.len(), 1, "one budget-sized morsel, one run");
 
-        let empty = sorter.merge_runs(&[], &merge_order, &chunk).unwrap();
+        let empty = sorter.merge_planned(&[], &plan, &chunk).unwrap();
         assert_eq!(empty.len(), 0);
         assert_eq!(empty.types(), chunk.types());
 
-        let merged = sorter.merge_runs(&runs, &merge_order, &chunk).unwrap();
+        let merged = sorter.merge_planned(&runs, &plan, &chunk).unwrap();
         assert_eq!(merged.len(), 400);
         assert_sorted_permutation(&merged, &chunk, &order, "single-run merge");
         // Neither merge can split across threads: one partition counted
@@ -1629,9 +1683,9 @@ mod tests {
                         ..Default::default()
                     };
                     let sorter = ExternalSorter::new(chunk.types(), order.clone(), options);
-                    let (runs, merge_order) = build_spilled_runs(&sorter, chunk);
+                    let (runs, plan) = build_spilled_runs(&sorter, chunk);
                     let files: Vec<Vec<u8>> = runs.iter().map(file_bytes).collect();
-                    let sorted = sorter.merge_runs(&runs, &merge_order, chunk).unwrap();
+                    let sorted = sorter.merge_planned(&runs, &plan, chunk).unwrap();
                     (files, sorted)
                 };
                 let (files, sorted) = spill_with(1);
@@ -1907,16 +1961,19 @@ mod tests {
     }
 
     /// Merge `sources` through the kernel, on the codes the sorter
-    /// chooses, into fresh columns of exactly `rows` rows.
+    /// chooses, into fresh columns of exactly `rows` rows, decoding what
+    /// `order.rows` decodes from the key `plan` planned for `input`.
     fn kernel_merge<S: RunSource>(
         sorter: &ExternalSorter,
-        order: &MergeOrder<'_>,
+        (order, plan, input): (&MergeOrder<'_>, &KeyPlan, &DataChunk),
         sources: &mut [S],
         rows: usize,
     ) -> (DataChunk, MergeStats) {
         let core = &sorter.core;
         let mut builder = ChunkBuilder::new(&core.types, rows);
-        let piece = builder.pieces(&core.layout, [rows], |_| 0).pop().unwrap();
+        let planned = (plan, plan.table(None));
+        let pieces = core.pieces(&mut builder, *order, planned, input, [rows]);
+        let piece = pieces.unwrap().pop().unwrap();
         let mut sink = VectorSink::new(piece, core.pool());
         let mut tree = OvcLoserTree::empty();
         let codes = core.codes(order.kw);
@@ -1926,7 +1983,7 @@ mod tests {
             sources.iter().all(|s| s.exhausted()),
             "a source was left open"
         );
-        let tail = sink.finish(core.pool());
+        let tail = sink.finish(core.pool()).expect("fault-free gather");
         (builder.finish(vec![tail]), stats)
     }
 
@@ -1995,14 +2052,17 @@ mod tests {
                             core.make_run(core.pool(), planned, chunk, (w[0], w[1]), true)
                         })
                         .collect();
-                    let encoded: Vec<Run> =
-                        sorted.iter().map(|run| memory_run(&sorter, run)).collect();
+                    let encoded: Vec<Run> = sorted
+                        .iter()
+                        .map(|run| memory_run(&sorter, &plan, run))
+                        .collect();
 
                     let mut cursors: Vec<RunCursor<'_>> = encoded
                         .iter()
-                        .map(|run| sorter.open_cursor(run, order.kw, run.bounds()).unwrap())
+                        .map(|run| sorter.open_cursor(run, order, run.bounds()).unwrap())
                         .collect();
-                    let from_files = kernel_merge(&sorter, &order, &mut cursors, n);
+                    let merging = (&order, &plan, chunk);
+                    let from_files = kernel_merge(&sorter, merging, &mut cursors, n);
                     let mut in_memory: Vec<MemSource<'_>> = sorted
                         .iter()
                         .map(|run| MemSource::range(run, 0, run.len()))
@@ -2012,7 +2072,7 @@ mod tests {
                     for (src, run) in in_memory.iter().zip(&sorted).filter(|_| codes.stored()) {
                         assert_eq!(src.code(), ovc::read_code(&run.ovc, 0), "{what}");
                     }
-                    let from_memory = kernel_merge(&sorter, &order, &mut in_memory, n);
+                    let from_memory = kernel_merge(&sorter, merging, &mut in_memory, n);
 
                     // The same runs cut in two at a key (the median of the
                     // longest run): every head is coded against −∞ — or is
@@ -2044,7 +2104,7 @@ mod tests {
                             assert_eq!(head, want, "{what}");
                         }
                         let rows: usize = sorted.iter().map(|r| span(r).1 - span(r).0).sum();
-                        let (half, _) = kernel_merge(&sorter, &order, &mut ranged, rows);
+                        let (half, _) = kernel_merge(&sorter, merging, &mut ranged, rows);
                         halves.extend(half.to_rows());
                     }
                     assert_eq!(halves, from_memory.0.to_rows(), "{what}: ranged");
@@ -2167,8 +2227,13 @@ mod tests {
                 };
 
                 let mut cmps = Vec::new();
+                // The keys are made up, so the row keeps every column: the
+                // row plan that decodes nothing, and no planned key.
+                let (plan, input) = (KeyPlan::default(), DataChunk::new(&[LogicalType::UInt32]));
                 for (sorter, codes) in sorters.iter().zip(chosen) {
                     let core = &sorter.core;
+                    let full = &core.row_plans[0];
+                    assert_eq!(full.exact, 0);
                     let mut first_id = 0u32;
                     let sorted: Vec<SortedRun> = runs
                         .iter()
@@ -2177,7 +2242,7 @@ mod tests {
                             first_id += keys.len() as u32;
                             let chunk =
                                 DataChunk::from_columns(vec![Vector::from_u32s(ids)]).unwrap();
-                            let mut payload = RowBlock::with_capacity(Arc::clone(&core.layout), 0);
+                            let mut payload = RowBlock::with_capacity(Arc::clone(&full.layout), 0);
                             payload.append_chunk(&chunk);
                             let keys = keys.concat();
                             let mut codes_column = Vec::new();
@@ -2186,6 +2251,7 @@ mod tests {
                                 ovc::fill_run_codes(&keys, kw, &mut codes_column);
                             }
                             SortedRun {
+                                rows: payload.len(),
                                 keys,
                                 key_width: kw,
                                 ovc: codes_column,
@@ -2196,20 +2262,23 @@ mod tests {
                     let order = MergeOrder {
                         kw,
                         tie_possible: false,
-                        tie_cmp: &core.tie_cmp,
+                        rows: full,
                     };
+                    let merging = (&order, &plan, &input);
                     let mut in_memory: Vec<MemSource<'_>> = sorted
                         .iter()
                         .map(|run| MemSource::range(run, 0, run.len()))
                         .collect();
-                    let from_memory = kernel_merge(sorter, &order, &mut in_memory, rows);
-                    let encoded: Vec<Run> =
-                        sorted.iter().map(|run| memory_run(sorter, run)).collect();
+                    let from_memory = kernel_merge(sorter, merging, &mut in_memory, rows);
+                    let encoded: Vec<Run> = sorted
+                        .iter()
+                        .map(|run| sorter.spill_run(run, full, &AtomicBool::new(true)).unwrap())
+                        .collect();
                     let mut cursors: Vec<RunCursor<'_>> = encoded
                         .iter()
-                        .map(|run| sorter.open_cursor(run, kw, run.bounds()).unwrap())
+                        .map(|run| sorter.open_cursor(run, order, run.bounds()).unwrap())
                         .collect();
-                    let from_files = kernel_merge(sorter, &order, &mut cursors, rows);
+                    let from_files = kernel_merge(sorter, merging, &mut cursors, rows);
                     let what = format!("{what}, {} codes", codes.name());
                     for (merged, from) in [(&from_memory, "memory"), (&from_files, "files")] {
                         assert_eq!(ids(&merged.0), want, "{what}, from {from}: rows");
@@ -2542,7 +2611,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let (runs, order) = build_spilled_runs(&sorter, &chunk);
+        let (runs, plan) = build_spilled_runs(&sorter, &chunk);
         // The same plan with OVC off expects code-free run files.
         let plain = ExternalSorter::new(
             chunk.types(),
@@ -2553,7 +2622,7 @@ mod tests {
             },
         );
         let err = plain
-            .open_cursor(&runs[0], order.kw, runs[0].bounds())
+            .open_cursor(&runs[0], plain.core.merge_order(&plan), runs[0].bounds())
             .err()
             .expect("flag mismatch must surface");
         assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
@@ -2575,7 +2644,8 @@ mod tests {
             },
         );
         let sorted = whole_run(&sorter, &chunk);
-        let clean = memory_run(&sorter, &sorted);
+        let planned = plan(&sorter, &chunk);
+        let clean = memory_run(&sorter, &planned, &sorted);
         let mut bytes = bytes_of(&clean).to_vec();
         let kw = sorted.key_width;
         // Overwrite record 0's code (right after the 8-byte header and the
@@ -2586,7 +2656,7 @@ mod tests {
         reseal(&mut bytes, &clean.index, 0);
         let run = with_bytes(&clean, bytes);
         let err = sorter
-            .open_cursor(&run, kw, run.bounds())
+            .open_cursor(&run, sorter.core.merge_order(&planned), run.bounds())
             .err()
             .expect("implausible code must surface");
         assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
@@ -2606,7 +2676,8 @@ mod tests {
                 ..Default::default()
             },
         );
-        let (runs, order) = build_spilled_runs(&sorter, &chunk);
+        let (runs, plan) = build_spilled_runs(&sorter, &chunk);
+        let order = sorter.core.merge_order(&plan);
         let bytes = file_bytes(&runs[0]);
         for mutate in [
             // Wrong magic.
@@ -2620,7 +2691,7 @@ mod tests {
             mutate(&mut broken);
             let run = with_bytes(&runs[0], broken);
             let err = sorter
-                .open_cursor(&run, order.kw, run.bounds())
+                .open_cursor(&run, order, run.bounds())
                 .err()
                 .expect("bad header must surface");
             assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
@@ -2767,14 +2838,18 @@ mod tests {
         sorters: Vec<ExternalSorter>,
         runs: Vec<Run>,
         rows: Vec<Vec<Value>>,
+        /// The plan the runs were built from.
+        plan: KeyPlan,
     }
 
     /// The mutation properties' relation, and its fixtures: keyed by an
     /// integer and a VARCHAR without and with OVC, and by three integers
     /// that range-code in 5 bytes, with OVC — a key that is its own merge
-    /// code, whose records carry none.
+    /// code, whose records carry none. Three runs of at least three
+    /// blocks each: the first key holds both its columns exactly, so its
+    /// records are the narrow row of the other three.
     fn mutation_fixtures() -> (DataChunk, Vec<Fixture>) {
-        let stringy = stringy_chunk(9_000, 43);
+        let stringy = stringy_chunk(13_500, 43);
         let nullable: Vec<Value> = (0..stringy.len() as i32)
             .map(|i| match i % 5 {
                 0 => Value::Null,
@@ -2792,7 +2867,7 @@ mod tests {
             .map(|(by, ovc)| {
                 let sorter_at = |merge_threads| {
                     let options = ExternalSortOptions {
-                        memory_limit_rows: 3_000,
+                        memory_limit_rows: 4_500,
                         ovc,
                         merge_threads,
                         ..Default::default()
@@ -2800,7 +2875,8 @@ mod tests {
                     ExternalSorter::new(chunk.types(), by.clone(), options)
                 };
                 let sorters: Vec<ExternalSorter> = [1, 2, 4].into_iter().map(sorter_at).collect();
-                let (runs, order) = build_spilled_runs(&sorters[0], &chunk);
+                let (runs, plan) = build_spilled_runs(&sorters[0], &chunk);
+                let order = sorters[0].core.merge_order(&plan);
                 // The same runs again, encoded in memory.
                 let runs: Vec<Run> = runs
                     .iter()
@@ -2811,13 +2887,14 @@ mod tests {
                 let header = header_bytes(ovc && order.kw > ovc::KEY_CODE_BYTES);
                 assert!(runs.iter().all(|r| bytes_of(r)[..HEADER_BYTES] == header));
                 let rows = sorters[0]
-                    .merge_runs(&runs, &order, &chunk)
+                    .merge_planned(&runs, &plan, &chunk)
                     .unwrap()
                     .to_rows();
                 Fixture {
                     sorters,
                     runs,
                     rows,
+                    plan,
                 }
             })
             .collect();
@@ -2831,7 +2908,7 @@ mod tests {
         let kw = index.first_keys.len() / index.blocks.len();
         (
             kw,
-            sorter.core.layout.width(),
+            sorter.core.row_plan(&fix.plan).layout.width(),
             sorter.core.codes(kw).stored(),
         )
     }
@@ -2853,9 +2930,8 @@ mod tests {
                 .map(|run| with_bytes(run, bytes_of(run).to_vec()))
                 .collect();
             runs[r] = place(&fix.runs[r], bytes.to_vec(), fs);
-            let order = sorter.core.merge_order(&plan(sorter, chunk));
             let threads = sorter.core.set.threads();
-            accept(sorter.merge_runs(&runs, &order, chunk))
+            accept(sorter.merge_planned(&runs, &fix.plan, chunk))
                 .map_err(|e| format!("threads={threads}: {e}"))?;
         }
         Ok(())
@@ -2962,9 +3038,11 @@ mod tests {
             });
 
         // Corrupt, saying `detail`.
-        let corrupt_saying = |detail: &'static str| {
+        let corrupt_saying = |detail: String| {
             move |out: Result<DataChunk, SpillError>| match out {
-                Err(err @ SpillError::Corrupt { .. }) if err.to_string().contains(detail) => Ok(()),
+                Err(err @ SpillError::Corrupt { .. }) if err.to_string().contains(&detail) => {
+                    Ok(())
+                }
                 out => Err(format!(
                     "want Corrupt saying `{detail}`, got {:?}",
                     out.err()
@@ -2977,7 +3055,8 @@ mod tests {
         // its segment, and a record whose fixed part runs past the block
         // (the record before it grown to end one byte short of the end).
         for fix in &fixtures {
-            let (index, layout) = (&fix.runs[0].index, &fix.sorters[0].core.layout);
+            let rows = fix.sorters[0].core.row_plan(&fix.plan);
+            let (index, layout) = (&fix.runs[0].index, &rows.layout);
             let clean = bytes_of(&fix.runs[0]);
             let fields = |j| record_fields(clean, index, (0, j), record_shape(fix, 0));
             let damaged = |edit: &dyn Fn(&mut [u8])| {
@@ -2991,7 +3070,8 @@ mod tests {
             };
             let [_, _, row, seg_len, seg] = fields(0);
             let long_segment = damaged(&|b| put(b, seg_len.start, BLOCK_BYTES));
-            let c = fix.sorters[0].core.varlen_cols[0];
+            // The first VARCHAR slot of the row, and the column it holds.
+            let c = rows.varlen[0];
             let slot = row.start + layout.offset(c);
             let long_string = damaged(&|b| {
                 b[row.start + layout.null_offset(c)] = 0;
@@ -3003,13 +3083,18 @@ mod tests {
             let [last_key, _, _, _, last_seg] = fields(last);
             let grown = prev_seg.len() + last_seg.end - last_key.start - 1;
             let short_record = damaged(&|b| put(b, prev_len.start, grown));
+            let string_column = format!("VARCHAR slot of column {}", rows.columns[c]);
             for (bytes, detail) in [
-                (long_segment, "segment length"),
-                (long_string, "VARCHAR slot of column 0"),
-                (short_record, "record runs past the end of its block"),
+                (long_segment, "segment length".to_owned()),
+                (long_string, string_column),
+                (
+                    short_record,
+                    "record runs past the end of its block".to_owned(),
+                ),
             ] {
                 for fs in [None, Some(&fs)] {
-                    merge_replaced(fix, &chunk, (0, &bytes), fs, corrupt_saying(detail)).unwrap();
+                    let says = corrupt_saying(detail.clone());
+                    merge_replaced(fix, &chunk, (0, &bytes), fs, says).unwrap();
                 }
             }
         }

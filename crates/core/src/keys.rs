@@ -261,6 +261,12 @@ impl KeyBlock {
         self.len = 0;
     }
 
+    /// Remove all entries and give their buffer back, keeping the layout.
+    pub(crate) fn release(&mut self) {
+        self.data = Vec::new();
+        self.len = 0;
+    }
+
     /// Encode the key columns of `chunk` and append them; row ids continue
     /// from the current length.
     pub fn append_chunk(&mut self, chunk: &DataChunk) {

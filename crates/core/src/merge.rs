@@ -8,12 +8,11 @@
 //! thing that differs between merges. (The [`crate::systems`] profiles
 //! keep their own merges: they model other engines.)
 
-use crate::comparator::FusedRowComparator;
 use crate::keys::word;
 use crate::metrics::{Counter, CounterRegistry};
 use crate::ovc::{self, MergeCodes};
 use crate::pool::SortPool;
-use crate::run::SortedRun;
+use crate::run::{RowPlan, SortedRun};
 use crate::spill::SpillError;
 use rowsort_algos::kway::{OvcLoserTree, OvcMatch};
 use rowsort_algos::rows::copy_row;
@@ -164,34 +163,50 @@ impl RunSource for MemSource<'_> {
 /// Where a merge writes its winners: one key range's share of the output
 /// columns ([`ChunkPiece`]). A winner's strings leave its source's heap at
 /// once — a spilled run's is a block buffer the next `advance` may replace
-/// — and its row bytes are staged, [`BATCH_ROWS`] at a time, for the
-/// piece's one typed pass per column while the batch is still in L1. No
-/// merged row run is ever built.
+/// — and its row bytes are staged, [`BATCH_ROWS`] at a time and with as
+/// much of its key as the piece decodes columns from, for the piece's one
+/// typed pass per column while the batch is still in L1. No merged row run
+/// is ever built.
 pub(crate) struct VectorSink<'a> {
     piece: ChunkPiece<'a>,
-    /// Room for a batch of rows (pooled), `filled` bytes of it staged.
+    /// Room for a batch of rows, then of their keys (one pooled buffer).
     staged: Vec<u8>,
-    filled: usize,
+    /// Where the keys start in `staged`, and rows staged.
+    keys_at: usize,
+    rows: usize,
 }
 
 impl<'a> VectorSink<'a> {
     pub(crate) fn new(piece: ChunkPiece<'a>, pool: SortPool<'_>) -> VectorSink<'a> {
-        let batch = BATCH_ROWS * piece.row_width();
+        let keys_at = BATCH_ROWS * piece.row_width();
+        let batch = keys_at + BATCH_ROWS * piece.key_width();
         let mut staged = pool.get_bytes(batch);
         staged.resize(batch, 0);
         VectorSink {
             piece,
             staged,
-            filled: 0,
+            keys_at,
+            rows: 0,
         }
+    }
+
+    /// Gather the staged rows into the piece: their slots, and the columns
+    /// their keys give back. `path` names the source in an error.
+    fn gather(&mut self, path: &Path) -> Result<(), SpillError> {
+        let (width, kw, n) = (self.piece.row_width(), self.piece.key_width(), self.rows);
+        let (rows, keys) = self.staged.split_at(self.keys_at);
+        self.rows = 0;
+        self.piece
+            .gather_keyed(&rows[..n * width], &keys[..n * kw], n)
+            .map_err(|detail| SpillError::corrupt(path, detail))
     }
 
     /// Gather the last, partial batch and close the piece (its strings
     /// are checked as UTF-8 here, on the merging thread).
-    pub(crate) fn finish(mut self, pool: SortPool<'_>) -> PieceTail {
-        self.piece.gather(&self.staged[..self.filled]);
+    pub(crate) fn finish(mut self, pool: SortPool<'_>) -> Result<PieceTail, SpillError> {
+        self.gather(Path::new("<merge output>"))?;
         pool.put_bytes(self.staged);
-        self.piece.finish()
+        Ok(self.piece.finish())
     }
 
     /// Take the head record of `src` into the next row of the piece.
@@ -207,12 +222,15 @@ impl<'a> VectorSink<'a> {
         self.piece
             .push_strings(row, src.heap())
             .map_err(|detail| SpillError::corrupt(src.path(), detail))?;
-        let end = self.filled + row.len();
-        copy_row(&mut self.staged[self.filled..end], row);
-        self.filled = end;
-        if end == self.staged.len() {
-            self.piece.gather(&self.staged);
-            self.filled = 0;
+        let (width, kw, i) = (row.len(), self.piece.key_width(), self.rows);
+        copy_row(&mut self.staged[i * width..(i + 1) * width], row);
+        if kw > 0 {
+            let at = self.keys_at + i * kw;
+            copy_row(&mut self.staged[at..at + kw], &src.key()[..kw]);
+        }
+        self.rows += 1;
+        if self.rows == BATCH_ROWS {
+            self.gather(src.path())?;
         }
         Ok(())
     }
@@ -241,16 +259,19 @@ pub(crate) fn column_bytes(chunk: &DataChunk) -> u64 {
     chunk.columns().iter().map(bytes).sum::<usize>() as u64
 }
 
-/// How one sort's merges compare two head records — derived once per
-/// sort from the key layout, not per merge or per task.
+/// How one sort's merges compare two head records, and what a record
+/// holds — derived once per sort from the key layout, not per merge or
+/// per task.
+#[derive(Clone, Copy)]
 pub(crate) struct MergeOrder<'a> {
     /// Bytes per normalized key (identical across all runs of a sort).
     pub(crate) kw: usize,
     /// Byte-equal keys may hide unequal tuples (a truncated VARCHAR
-    /// prefix, [`crate::keys::KeyBlock::tie_possible`]): consult `tie_cmp` on
-    /// them.
+    /// prefix, [`crate::keys::KeyBlock::tie_possible`]): consult the row
+    /// plan's tie comparator on them.
     pub(crate) tie_possible: bool,
-    pub(crate) tie_cmp: &'a FusedRowComparator,
+    /// The sort's payload row.
+    pub(crate) rows: &'a RowPlan,
 }
 
 /// Comparator work done by one merge, flushed to the registry by the
@@ -310,7 +331,9 @@ impl MergeOrder<'_> {
         };
         let ord = match ord {
             Ordering::Equal if self.tie_possible => {
-                self.tie_cmp.compare(a.row(), a.heap(), b.row(), b.heap())
+                self.rows
+                    .tie_cmp
+                    .compare(a.row(), a.heap(), b.row(), b.heap())
             }
             ord => ord,
         };

@@ -440,6 +440,11 @@ pub struct SortProfile {
     /// an earlier sort of that table (DESIGN.md §6, "A table's
     /// statistics"); 0 for a sort that took every statistic it read.
     pub stats_reused: u32,
+    /// Bytes per payload row: the row holds only the input columns the
+    /// key does not give back (DESIGN.md §7.7).
+    pub row_width: u32,
+    /// Input columns the sort's output decoded from the key instead.
+    pub key_decoded_columns: u32,
     /// What the sort's merges decide on, were it to merge: offset-value
     /// codes, the keys themselves (keys of 1 to 7 bytes), or nothing.
     pub merge_codes: MergeCodes,
@@ -460,6 +465,8 @@ impl SortProfile {
             dict_columns: 0,
             dict_values: [0; DICT_REPORTED],
             stats_reused: 0,
+            row_width: 0,
+            key_decoded_columns: 0,
             merge_codes: MergeCodes::None,
             metrics: Metrics::zeroed(),
         }
@@ -468,7 +475,8 @@ impl SortProfile {
     /// The trace-schema JSON object for this profile: `event`,
     /// `operator`, `rows`, `total_ns`, `key_width`, `key_width_plain`,
     /// `varchar_prefix`, `dict_columns`, the array `dict_values` (one
-    /// count per listed column), `stats_reused`, plus nested `phases` and `counters`
+    /// count per listed column), `stats_reused`, `row_width`,
+    /// `key_decoded_columns`, plus nested `phases` and `counters`
     /// objects (every field numeric; see DESIGN.md §7.5 for the schema
     /// contract `trace_smoke` validates in CI).
     pub fn to_json(&self) -> Json {
@@ -501,6 +509,11 @@ impl SortProfile {
             ("dict_columns", Json::Num(f64::from(self.dict_columns))),
             ("dict_values", Json::Arr(dict_values)),
             ("stats_reused", Json::Num(f64::from(self.stats_reused))),
+            ("row_width", Json::Num(f64::from(self.row_width))),
+            (
+                "key_decoded_columns",
+                Json::Num(f64::from(self.key_decoded_columns)),
+            ),
             ("phases", Json::Obj(phases)),
             ("counters", Json::Obj(counters)),
         ])
@@ -650,6 +663,8 @@ mod tests {
             dict_columns: 2,
             dict_values: [200, 101, 0, 0],
             stats_reused: 3,
+            row_width: 16,
+            key_decoded_columns: 2,
             merge_codes: MergeCodes::Ovc,
             metrics: reg.snapshot(),
         };
@@ -666,6 +681,9 @@ mod tests {
         let listed: Vec<f64> = listed.iter().filter_map(Json::as_f64).collect();
         assert_eq!(listed, [200.0, 101.0]);
         assert_eq!(parsed.get("stats_reused").unwrap().as_f64(), Some(3.0));
+        assert_eq!(parsed.get("row_width").unwrap().as_f64(), Some(16.0));
+        let decoded = parsed.get("key_decoded_columns").unwrap().as_f64();
+        assert_eq!(decoded, Some(2.0));
         let phases = parsed.get("phases").unwrap();
         for phase in Phase::ALL {
             assert!(

@@ -262,14 +262,15 @@ pub fn compare_update(ka: &[u8], ca: u64, kb: &[u8], cb: u64, arity: usize) -> O
 /// Compute the per-row code column of a sorted run: row 0 gets the
 /// [`initial_code`], row `i > 0` its code relative to row `i − 1`. Codes
 /// are written to `out` as little-endian `u64`s (8 bytes per row); `out`
-/// must hold `8 * (keys.len() / key_width)` bytes. Keys of at most 8
-/// bytes take a branch-free path; the codes are the same.
+/// must hold `8 * (keys.len() / key_width)` bytes. Keys of 8 bytes — the
+/// narrowest a sort stores codes for: a shorter one is its own code
+/// ([`KEY_CODE_BYTES`]) — take a branch-free path; the codes are the same.
 pub fn fill_run_codes(keys: &[u8], key_width: usize, out: &mut [u8]) {
     if key_width == 0 {
         return;
     }
-    if key_width <= SHORT_KEY_BYTES {
-        fill_short_codes(keys, key_width, out);
+    if key_width == SHORT_KEY_BYTES {
+        fill_short_codes(keys, out);
         return;
     }
     let arity = word_count(key_width);
@@ -291,7 +292,7 @@ pub fn fill_run_codes(keys: &[u8], key_width: usize, out: &mut [u8]) {
     }
 }
 
-/// The widest key [`fill_short_codes`] codes: one `u64`, two code words.
+/// The one key width [`fill_short_codes`] codes: one `u64`, two code words.
 const SHORT_KEY_BYTES: usize = 8;
 
 /// The widest key that is its own merge code ([`key_mask`]). Seven bytes
@@ -330,26 +331,25 @@ pub fn key_window(keys: &[u8], at: usize) -> u64 {
     })
 }
 
-/// [`fill_run_codes`] for keys of 1 to [`SHORT_KEY_BYTES`] bytes, without a
-/// branch on the data. Each key is one big-endian `u64`, its window masked
-/// to `key_width` bytes; the XOR with the previous key has
-/// `leading_zeros / 32` = the first differing word (0 or 1), or 2 when the
-/// keys are equal, and the code is picked by selects from there. Row 0 is
-/// coded against its own complement, which differs in word 0: that is
-/// [`initial_code`]. Equal to [`code_rel`] for every row — run files store
-/// these codes, and `short_codes_equal_code_rel` holds the two together.
-fn fill_short_codes(keys: &[u8], key_width: usize, out: &mut [u8]) {
-    let arity = word_count(key_width) as u64;
-    let mask = key_mask(key_width);
-    let rows = keys.len() / key_width;
+/// [`fill_run_codes`] for keys of [`SHORT_KEY_BYTES`] bytes, without a
+/// branch on the data. Each key is one big-endian `u64`; the XOR with the
+/// previous key has `leading_zeros / 32` = the first differing word (0 or
+/// 1), or 2 when the keys are equal, and the code is picked by selects
+/// from there. Row 0 is coded against its own complement, which differs
+/// in word 0: that is [`initial_code`]. Equal to [`code_rel`] for every
+/// row — run files store these codes, and `short_codes_equal_code_rel`
+/// holds the two together.
+fn fill_short_codes(keys: &[u8], out: &mut [u8]) {
+    const ARITY: u64 = (SHORT_KEY_BYTES / WORD_BYTES) as u64;
+    let rows = keys.len() / SHORT_KEY_BYTES;
     let mut prev = !key_window(keys, 0);
     for (i, slot) in out.chunks_exact_mut(8).take(rows).enumerate() {
-        let key = key_window(keys, i * key_width) & mask;
+        let key = key_window(keys, i * SHORT_KEY_BYTES);
         let diff = key ^ prev;
         let word = u64::from(diff.leading_zeros() / 32);
         // Word 0 is the key's top half, word 1 its bottom half.
         let value = (key << (32 * (word & 1))) >> 32;
-        let code = (arity.wrapping_sub(word) << 32) | value;
+        let code = (ARITY.wrapping_sub(word) << 32) | value;
         let code = if diff == 0 { 0 } else { code };
         slot.copy_from_slice(&code.to_le_bytes());
         prev = key;

@@ -167,7 +167,9 @@ impl SortPipeline {
             let (planned, placed) = ((&*plan, plan.table(lent)), (slots, &mut *runs));
             resident(core.generate(input, planned, core.pool(), placed, |run, _| Ok(run)));
         }
-        let sorted = resident(core.merge_into_vectors(&order, runs, merge, input, Phase::Merge));
+        let planned = (&*plan, plan.table(lent));
+        let merged = core.merge_into_vectors(order, (runs, merge), planned, input, Phase::Merge);
+        let sorted = resident(merged);
         if runs.len() > 1 {
             let m = &core.metrics;
             m.add(Counter::MergeRounds, 1);

@@ -165,7 +165,14 @@ pub(crate) struct SortPool<'a> {
 }
 
 impl SortPool<'_> {
+    /// [`BufferPool::get_bytes`], counted in the sort's registry. A request
+    /// for no bytes — a row of no columns, a range of no strings — takes
+    /// no buffer: a run holds one of each, and a sort of many runs would
+    /// otherwise hold more of the smallest class than the pool keeps.
     pub(crate) fn get_bytes(self, min_capacity: usize) -> Vec<u8> {
+        if min_capacity == 0 {
+            return Vec::new();
+        }
         let (buf, counter) = self.pool.take(min_capacity);
         self.metrics.add(counter, 1);
         buf

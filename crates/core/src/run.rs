@@ -8,23 +8,25 @@
 //! key column from its range, reading what a table's [`TableStats`]
 //! already hold.
 
+use crate::comparator::FusedRowComparator;
 use crate::dict::{hash_bytes, Dictionary, Heap, Ranked, MAX_VALUES};
 use crate::keys::{word, KeyBlock, KeySortAlgo, KeyStat, RankStat, VarcharStat, PREFIX_CAP};
 use crate::metrics::{Counter, DICT_REPORTED};
 use crate::pool::SortPool;
 use crate::sorter::SorterCore;
 use rowsort_normkey::{key_range, KeyColumn, KeyRange, DEFAULT_MAX_PREFIX};
-use rowsort_row::{reorder_heap, reorder_rows, RowBlock};
-use rowsort_vector::{DataChunk, LogicalType, OrderBy, StringVec, Vector};
+use rowsort_row::{reorder_heap, reorder_rows, RowBlock, RowLayout};
+use rowsort_vector::{DataChunk, LogicalType, OrderBy, OrderByColumn, StringVec, Vector};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, OnceLock, TryLockError};
 use std::time::Instant;
 
 /// One sorted run: normalized keys (stride = `key_width`, row ids
-/// stripped) aligned 1:1 with already-reordered payload rows. (The run a
-/// coded sort's merge produces has payload only: `keys` is empty, since
-/// no merge follows to read it.)
+/// stripped) aligned 1:1 with already-reordered payload rows, which hold
+/// only the columns the key does not give back ([`RowPlan`]).
 pub(crate) struct SortedRun {
+    /// Rows of the run: a row of no columns has no bytes to count.
+    pub(crate) rows: usize,
     pub(crate) keys: Vec<u8>,
     /// Bytes per key entry, carried from the [`KeyBlock`] layout that
     /// produced the run (every run of a sort shares it).
@@ -39,7 +41,7 @@ pub(crate) struct SortedRun {
 
 impl SortedRun {
     pub(crate) fn len(&self) -> usize {
-        self.payload.len()
+        self.rows
     }
 
     /// Return the run's buffers to `pool`.
@@ -383,10 +385,12 @@ struct ColumnStats {
     taken_by: AtomicU64,
 }
 
-/// A built dictionary: what it holds, and each row's rank.
+/// A built dictionary: what it holds, each row's rank, and a row of each
+/// rank's string.
 struct Ranks {
     ranked: Ranked,
     ranks: Vec<u16>,
+    rows: Vec<u32>,
 }
 
 impl TableStats {
@@ -403,14 +407,14 @@ impl TableStats {
     }
 
     /// Empty the cache for `input`'s columns, handing each dictionary's
-    /// ranks to `spare`: a sorter's own cache before each sort.
-    fn reset(&mut self, input: &DataChunk, spare: &mut Vec<Vec<u16>>) {
+    /// buffers to `spare`: a sorter's own cache before each sort.
+    fn reset(&mut self, input: &DataChunk, spare: &mut Vec<(Vec<u16>, Vec<u32>)>) {
         self.rows = input.len();
         self.columns
             .resize_with(input.column_count(), Default::default);
         for column in &mut self.columns {
             if let Some(Some(dict)) = column.dict.take() {
-                spare.push(dict.ranks);
+                spare.push((dict.ranks, dict.rows));
             }
             *column = ColumnStats::default();
         }
@@ -425,6 +429,16 @@ impl TableStats {
     pub(crate) fn ranks(&self, c: usize) -> &[u16] {
         match self.columns.get(c).and_then(|column| column.dict.get()) {
             Some(Some(dict)) => &dict.ranks,
+            _ => &[],
+        }
+    }
+
+    /// A row of each rank's string in column `c`, by rank: the dictionary
+    /// a sort's output decodes the column's ranks through. Empty unless a
+    /// dictionary ranked the column.
+    pub(crate) fn rank_rows(&self, c: usize) -> &[u32] {
+        match self.columns.get(c).and_then(|column| column.dict.get()) {
+            Some(Some(dict)) => &dict.rows,
             _ => &[],
         }
     }
@@ -485,7 +499,7 @@ pub(crate) struct PlanScratch {
     /// plan takes them.
     dicts: Vec<Mutex<Dictionary>>,
     /// Rank buffers of an emptied cache, for the next dictionaries.
-    spare_ranks: Mutex<Vec<Vec<u16>>>,
+    spare_ranks: Mutex<Vec<(Vec<u16>, Vec<u32>)>>,
 }
 
 /// What [`key_stats`] found beside the statistics.
@@ -707,12 +721,13 @@ impl PlanScratch {
         let mut dict = self.dicts.get(k)?.lock().unwrap_or_else(|e| e.into_inner());
         if dict.ranks.capacity() == 0 {
             let mut spare = self.spare_ranks.lock().unwrap_or_else(|e| e.into_inner());
-            dict.ranks = spare.pop().unwrap_or_default();
+            (dict.ranks, dict.rows) = spare.pop().unwrap_or_default();
         }
         let ranked = dict.build(column, strings, max_len, expected, most)?;
         Some(Ranks {
             ranked,
             ranks: std::mem::take(&mut dict.ranks),
+            rows: std::mem::take(&mut dict.rows),
         })
     }
 
@@ -739,6 +754,110 @@ pub(crate) struct KeyPlan {
     pub(crate) key_blocks: Mutex<Vec<KeyBlock>>,
     /// Key columns the current plan read from a lent table's statistics.
     pub(crate) reused: u32,
+    /// The sorter's [`RowPlan`] for the planned key, by index.
+    pub(crate) rows: usize,
+}
+
+/// Where a sort's output takes one input column from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ColumnSource {
+    /// Its slot in the payload row.
+    Slot(usize),
+    /// The key column at this `ORDER BY` position, which holds it exactly.
+    Key(usize),
+}
+
+/// The payload row of a sort whose key holds its first `exact` `ORDER BY`
+/// columns exactly ([`KeyColumn::is_exact`]): every input column but
+/// those, which the output decodes from the key (DESIGN.md §7.7). Its
+/// layout, the tie comparator over it and each column's source depend on
+/// the key's shape alone, and a key's shape on where its first lossy
+/// column lies: a sorter builds one plan per place — the start, each
+/// VARCHAR key column and the end — when it is made, and each sort picks
+/// the one its key calls for, so no sort builds one.
+pub(crate) struct RowPlan {
+    /// `ORDER BY` positions before the first the key does not hold
+    /// exactly.
+    pub(crate) exact: usize,
+    pub(crate) layout: Arc<RowLayout>,
+    /// Where each input column comes from, by input column.
+    pub(crate) from: Vec<ColumnSource>,
+    /// The input column in each row slot.
+    pub(crate) columns: Vec<usize>,
+    /// Row slots that hold a VARCHAR, whose strings are the row's heap.
+    pub(crate) varlen: Vec<usize>,
+    /// Compares rows whose keys are byte-equal: the `ORDER BY` columns
+    /// from `exact` on, without those decoded from the key — in a tie
+    /// group every column before `exact` is equal.
+    pub(crate) tie_cmp: FusedRowComparator,
+}
+
+impl RowPlan {
+    /// The row plan of a sort of `types` by `order` whose key holds its
+    /// first `exact` `ORDER BY` columns exactly. A column named twice is
+    /// decoded from its first place.
+    pub(crate) fn new(types: &[LogicalType], order: &OrderBy, exact: usize) -> RowPlan {
+        let decoded_at = |c: usize| order.keys.iter().take(exact).position(|by| by.column == c);
+        let columns: Vec<usize> = (0..types.len())
+            .filter(|&c| decoded_at(c).is_none())
+            .collect();
+        let from: Vec<ColumnSource> = (0..types.len())
+            .map(|c| match decoded_at(c) {
+                Some(k) => ColumnSource::Key(k),
+                None => ColumnSource::Slot(columns.partition_point(|&s| s < c)),
+            })
+            .collect();
+        let slot_types: Vec<LogicalType> = columns.iter().map(|&c| types[c]).collect();
+        let layout = Arc::new(RowLayout::new(&slot_types));
+        let ties = order
+            .keys
+            .iter()
+            .skip(exact)
+            .filter_map(|by| match from[by.column] {
+                ColumnSource::Slot(column) => Some(OrderByColumn {
+                    column,
+                    spec: by.spec,
+                }),
+                ColumnSource::Key(_) => None,
+            });
+        let tie_cmp = FusedRowComparator::new(&layout, &OrderBy::new(ties.collect()));
+        let varlen = (0..slot_types.len())
+            .filter(|&s| slot_types[s] == LogicalType::Varchar)
+            .collect();
+        RowPlan {
+            exact,
+            layout,
+            from,
+            columns,
+            varlen,
+            tie_cmp,
+        }
+    }
+
+    /// Every row plan a sorter of `types` by `order` may need, by `exact`
+    /// ascending: the key's first lossy column is a VARCHAR or none.
+    pub(crate) fn all(types: &[LogicalType], order: &OrderBy) -> Vec<RowPlan> {
+        let varchars = order.keys.iter().enumerate();
+        let varchars = varchars.filter(|(_, by)| types[by.column] == LogicalType::Varchar);
+        let mut places: Vec<usize> = std::iter::once(0)
+            .chain(varchars.map(|(k, _)| k))
+            .chain(std::iter::once(order.len()))
+            .collect();
+        places.dedup();
+        places
+            .into_iter()
+            .map(|exact| RowPlan::new(types, order, exact))
+            .collect()
+    }
+
+    /// Input columns the output decodes from the key.
+    pub(crate) fn decoded(&self) -> usize {
+        let keyed = self
+            .from
+            .iter()
+            .filter(|f| matches!(f, ColumnSource::Key(_)));
+        keyed.count()
+    }
 }
 
 impl KeyPlan {
@@ -781,6 +900,16 @@ impl KeyPlan {
         if blocks.is_empty() {
             let stats = &self.stats;
             blocks.push(KeyBlock::with_stats(types, order, |c| stats[c]));
+        }
+    }
+
+    /// Drop the key blocks' entries, keeping their layout: what a sort
+    /// whose runs are built needs of its plan until its output is.
+    pub(crate) fn release_entries(&mut self) {
+        let blocks = self.key_blocks.get_mut().unwrap_or_else(|e| e.into_inner());
+        blocks.truncate(1);
+        for block in blocks {
+            block.release();
         }
     }
 
@@ -854,7 +983,8 @@ impl SorterCore {
         streamed: bool,
     ) -> SortedRun {
         let rows = hi - lo;
-        let width = self.layout.width();
+        let row_plan = self.row_plan(plan);
+        let (layout, width) = (&row_plan.layout, row_plan.layout.width());
         // Each stage's time goes to its own clock (`RUN_STAGES`).
         let mut clock = Instant::now();
         let mut lap = |stage: Counter| {
@@ -862,20 +992,21 @@ impl SorterCore {
             self.metrics.add(stage, (now - clock).as_nanos() as u64);
             clock = now;
         };
-        // DSM → NSM: payload rows (all columns) in input order first. The
-        // heap is asked for at the size the range's strings will fill —
-        // they are contiguous in every VARCHAR column — so the pool hands
-        // back the heap the previous run returned; a smaller request
-        // would file that one under its grown class and regrow another.
-        let columns = input.columns().iter();
+        // DSM → NSM: payload rows (the columns the key does not give
+        // back) in input order first. The heap is asked for at the size
+        // the range's strings will fill — they are contiguous in every
+        // VARCHAR column — so the pool hands back the heap the previous
+        // run returned; a smaller request would file that one under its
+        // grown class and regrow another.
+        let columns = row_plan.columns.iter().map(|&c| input.column(c));
         let strings = columns.filter_map(|col| col.as_strings());
         let heap_bytes: usize = strings.map(|s| s.range_bytes(lo, hi)).sum();
         let mut staging = RowBlock::from_raw_parts(
-            Arc::clone(&self.layout),
+            Arc::clone(layout),
             pool.get_bytes(rows * width),
             pool.get_bytes(heap_bytes),
         );
-        staging.append_chunk_range(input, lo, hi);
+        staging.append_columns_range(input, |slot| row_plan.columns[slot], lo, hi);
         lap(Counter::RunScatterNs);
 
         let key_blocks = &plan.key_blocks;
@@ -888,12 +1019,12 @@ impl SorterCore {
         keys.append_ranked_range(input, lo, hi, table);
         lap(Counter::RunEncodeNs);
 
-        // Thread-local sort: radix over the key bytes, then the full-tuple
+        // Thread-local sort: radix over the key bytes, then the tie
         // comparator inside whatever key-equal ranges a truncated VARCHAR
         // prefix left.
         let mut radix_scratch = pool.get_bytes(rows * keys.stride());
         let algo = keys.sort_with_scratch(&mut radix_scratch, |a, b| {
-            self.tie_cmp.compare(
+            row_plan.tie_cmp.compare(
                 staging.row(a as usize),
                 staging.heap(),
                 staging.row(b as usize),
@@ -941,16 +1072,16 @@ impl SorterCore {
         reorder_rows(&mut payload_rows, staging.data(), width, keys.order_iter());
         let (staging_data, staging_heap) = staging.into_raw_parts();
         pool.put_bytes(staging_data);
-        let (heap, heap_moved) = if streamed && !self.varlen_cols.is_empty() {
+        let (heap, heap_moved) = if streamed && !row_plan.varlen.is_empty() {
             let mut heap = pool.get_bytes(staging_heap.len());
-            reorder_heap(&mut payload_rows, &self.layout, &staging_heap, &mut heap);
+            reorder_heap(&mut payload_rows, layout, &staging_heap, &mut heap);
             pool.put_bytes(staging_heap);
             let moved = heap.len();
             (heap, moved)
         } else {
             (staging_heap, 0)
         };
-        let payload = RowBlock::from_raw_parts(Arc::clone(&self.layout), payload_rows, heap);
+        let payload = RowBlock::from_raw_parts(Arc::clone(layout), payload_rows, heap);
         lap(Counter::RunReorderNs);
 
         self.metrics.add(Counter::RunsGenerated, 1);
@@ -966,6 +1097,7 @@ impl SorterCore {
             .unwrap_or_else(|e| e.into_inner())
             .push(keys);
         SortedRun {
+            rows,
             keys: run_keys,
             key_width,
             ovc: run_ovc,
@@ -1487,12 +1619,14 @@ mod tests {
                 .collect();
             Vector::from_values(LogicalType::Varchar, &values).unwrap()
         };
+        // The names share more bytes than any planned prefix: the key
+        // truncates them, and the row keeps every column.
         let key = strings(&[
-            Some("mike"),
-            Some("alpha"),
+            Some("a_stem_that_outgrows_any_planned_prefix_by_far: mike"),
+            Some("a_stem_that_outgrows_any_planned_prefix_by_far: alpha"),
             None,
-            Some("zulu"),
-            Some("echo"),
+            Some("a_stem_that_outgrows_any_planned_prefix_by_far: zulu"),
+            Some("a_stem_that_outgrows_any_planned_prefix_by_far: echo"),
             Some(""),
         ]);
         let ids = Vector::from_u32s((0..6).collect());
@@ -1509,6 +1643,9 @@ mod tests {
         let core = SorterCore::new(types.clone(), order.clone(), 6, true, SortResources::new(1));
         let mut plan = KeyPlan::default();
         plan.plan(&types, &order, &input, None, &|phase| phase(0));
+        core.pick_rows(&mut plan);
+        let layout = &core.row_plan(&plan).layout;
+        assert_eq!(layout.types(), types, "the row keeps every column");
         let staged = |c: usize| input.column(c).as_strings().unwrap().range_bytes(0, 6);
         let staged_heap = staged(0) + staged(2);
         // The strings a heap holds column by column, rows in `rows` order.
@@ -1552,7 +1689,7 @@ mod tests {
                 assert_eq!(block.heap(), laid_out(&rows));
                 assert_eq!(block.heap().len(), staged_heap);
                 for c in [0, 2] {
-                    let slot = core.layout.offset(c);
+                    let slot = layout.offset(c);
                     for i in (0..block.len()).filter(|&i| block.is_null(i, c)) {
                         assert_eq!(block.row(i)[slot..slot + 8], [0; 8], "row {i}, column {c}");
                     }
@@ -1580,5 +1717,113 @@ mod tests {
             .collect();
         let strings = Vector::from_strings(&names);
         assert_eq!(stats_of(vec![strings], 1), [stat(20, 20)]);
+    }
+
+    /// The row of `input` sorted by `order`, as a sort plans it: its width
+    /// where the row carried every column, its width, and the columns the
+    /// output decodes from the key.
+    fn planned_row(input: &DataChunk, order: OrderBy) -> (usize, u32, u32) {
+        let full = RowLayout::new(&input.types()).width();
+        let options = crate::pipeline::SortOptions::single_with_run_rows(1 << 17);
+        let pipeline = crate::pipeline::SortPipeline::new(input.types(), order, options);
+        drop(pipeline.sort(input));
+        let profile = pipeline.last_profile();
+        (full, profile.row_width, profile.key_decoded_columns)
+    }
+
+    #[test]
+    fn the_row_holds_only_what_the_key_does_not_give_back() {
+        use rowsort_datagen::tpcds;
+        let mut rng = rowsort_testkit::Rng::seed_from_u64(0x0_0ef0_bac4);
+        // `ints_mem`: a random u32 key and a u32 payload; the key is the
+        // range-coded u32, and only the payload stays.
+        let keys: Vec<u32> = (0..20_000).map(|_| rng.next_u32()).collect();
+        let ids = (0..keys.len() as u32).collect();
+        let ints = DataChunk::from_columns(vec![Vector::from_u32s(keys), Vector::from_u32s(ids)]);
+        let ints = ints.unwrap();
+        assert_eq!(planned_row(&ints, OrderBy::ascending(1)), (16, 8, 1));
+        // `catalog_spill`: four range-coded INT keys of five columns.
+        let catalog = tpcds::catalog_sales(20_000, 10.0, 0x000F_1616).data;
+        let by = OrderBy::new((1..=4).map(OrderByColumn::asc).collect());
+        assert_eq!(planned_row(&catalog, by), (32, 8, 4));
+        // `customer` by last name, first name, birth year: two ranked
+        // names and a range-coded year leave, and no string stays.
+        let customer = tpcds::customer(20_000, 0x00C0_5703).data;
+        let by = OrderBy::new([2, 1, 3].map(OrderByColumn::asc).to_vec());
+        assert_eq!(planned_row(&customer, by), (40, 16, 3));
+        // `strings_mem`'s statement: the ranked last name leaves; the
+        // e-mail is truncated, and the birth year lies past it.
+        let letters: Vec<char> = ('a'..='z').collect();
+        let emails: Vec<Value> = (0..customer.len())
+            .map(
+                |row| match (customer.column(1).get(row), customer.column(2).get(row)) {
+                    (Value::Varchar(first), Value::Varchar(last)) => {
+                        let domain = rng.string_from(&letters, 10);
+                        Value::from(format!("{first}.{last}@{domain}.org"))
+                    }
+                    _ => Value::Null,
+                },
+            )
+            .collect();
+        let mut columns = customer.columns().to_vec();
+        columns.push(Vector::from_values(LogicalType::Varchar, &emails).unwrap());
+        let customer_email = DataChunk::from_columns(columns).unwrap();
+        let by = OrderBy::new(vec![
+            OrderByColumn {
+                column: 2,
+                spec: rowsort_vector::SortSpec::new(
+                    rowsort_vector::SortOrder::Descending,
+                    rowsort_vector::NullOrder::NullsFirst,
+                ),
+            },
+            OrderByColumn::asc(6),
+            OrderByColumn::desc(3),
+        ]);
+        // 48 → 40 bytes: six columns, two of them strings, stay.
+        assert_eq!(planned_row(&customer_email, by), (48, 40, 1));
+    }
+
+    #[test]
+    fn a_column_named_twice_decodes_once_from_its_first_place() {
+        let types = [
+            LogicalType::UInt32,
+            LogicalType::Int32,
+            LogicalType::Varchar,
+        ];
+        let order = OrderBy::new(vec![
+            OrderByColumn::asc(1),
+            OrderByColumn::desc(0),
+            OrderByColumn::desc(1),
+        ]);
+        // Every key column exact: the first two columns decode, from their
+        // first places, and the row keeps the VARCHAR alone.
+        let plan = RowPlan::new(&types, &order, 3);
+        assert_eq!(
+            plan.from,
+            [
+                ColumnSource::Key(1),
+                ColumnSource::Key(0),
+                ColumnSource::Slot(0)
+            ]
+        );
+        assert_eq!((plan.decoded(), plan.columns.as_slice()), (2, &[2][..]));
+        // The sort: the same rows as a row of every column gives.
+        let values: Vec<Value> = (0..300)
+            .map(|i| match i % 7 {
+                0 => Value::Null,
+                _ => Value::Int32(i % 13 - 6),
+            })
+            .collect();
+        let input = DataChunk::from_columns(vec![
+            Vector::from_u32s((0..300).map(|i| (i * 7_919) % 301).collect()),
+            Vector::from_values(LogicalType::Int32, &values).unwrap(),
+            Vector::from_strings((0..300).map(|i| format!("row {i}"))),
+        ])
+        .unwrap();
+        let options = crate::pipeline::SortOptions::single_with_run_rows(64);
+        let pipeline = crate::pipeline::SortPipeline::new(input.types(), order.clone(), options);
+        let sorted = pipeline.sort(&input);
+        assert_eq!(pipeline.last_profile().key_decoded_columns, 2);
+        crate::testutil::assert_sorted_permutation(&sorted, &input, &order, "named twice");
     }
 }

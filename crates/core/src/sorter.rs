@@ -20,7 +20,6 @@
 //! `RunCursor`). The planner and the driver are generic over it, so an
 //! in-memory merge monomorphizes the kernel over `MemSource` alone.
 
-use crate::comparator::FusedRowComparator;
 use crate::merge::{
     cmp_keys, column_bytes, merge_coded, string_bytes, MemSource, MergeOrder, RunSource, VectorSink,
 };
@@ -30,10 +29,11 @@ use crate::metrics::{
 use crate::ovc::MergeCodes;
 use crate::pool::SortPool;
 use crate::resources::SortResources;
-use crate::run::{KeyPlan, SortedRun, TableStats};
+use crate::run::{ColumnSource, KeyPlan, RowPlan, SortedRun, TableStats};
 use crate::spill::{SpillError, SpillOp};
 use rowsort_algos::kway::OvcLoserTree;
-use rowsort_row::{ChunkBuilder, ChunkPiece, PieceTail, RowLayout};
+use rowsort_normkey::{KeyDecoder, NormKeyLayout};
+use rowsort_row::{ChunkBuilder, ChunkPiece, ColumnFrom, PieceTail, RankedStrings};
 use rowsort_vector::{DataChunk, LogicalType, OrderBy};
 use std::cmp::Ordering;
 use std::path::Path;
@@ -69,14 +69,14 @@ pub(crate) trait StoredRun: Send + Sync + 'static {
     fn cut_at(
         &self,
         core: &SorterCore,
-        kw: usize,
+        order: MergeOrder<'_>,
         splitter: &[u8],
     ) -> Result<Self::Cut, SpillError>;
     /// A source over the rows between two cuts.
     fn source<'r>(
         &'r self,
         core: &'r SorterCore,
-        kw: usize,
+        order: MergeOrder<'r>,
         span: [Self::Cut; 2],
     ) -> Result<Self::Source<'r>, SpillError>;
 
@@ -102,13 +102,18 @@ impl StoredRun for SortedRun {
     fn rows_before(cut: usize) -> usize {
         cut
     }
-    fn cut_at(&self, _: &SorterCore, kw: usize, splitter: &[u8]) -> Result<usize, SpillError> {
-        Ok(lower_bound(&self.keys, kw, splitter))
+    fn cut_at(
+        &self,
+        _: &SorterCore,
+        order: MergeOrder<'_>,
+        splitter: &[u8],
+    ) -> Result<usize, SpillError> {
+        Ok(lower_bound(&self.keys, order.kw, splitter))
     }
     fn source<'r>(
         &'r self,
         _: &'r SorterCore,
-        _: usize,
+        _: MergeOrder<'r>,
         [lo, hi]: [usize; 2],
     ) -> Result<MemSource<'r>, SpillError> {
         Ok(MemSource::range(self, lo, hi))
@@ -116,9 +121,9 @@ impl StoredRun for SortedRun {
 }
 
 /// When a sort began, what its registry held then, and the prefix, plain
-/// key width and dictionaries it planned and the key columns it planned
-/// from a table's statistics: what [`SorterCore::publish`] turns into its
-/// profile.
+/// key width and dictionaries it planned, the key columns it planned
+/// from a table's statistics, and its row: what [`SorterCore::publish`]
+/// turns into its profile.
 pub(crate) struct SortStart {
     at: Instant,
     before: Metrics,
@@ -126,6 +131,8 @@ pub(crate) struct SortStart {
     key_width_plain: u32,
     dictionaries: (u32, [u32; DICT_REPORTED]),
     stats_reused: u32,
+    /// The payload row's width and the columns decoded from the key.
+    row: (u32, u32),
 }
 
 /// One run's outcome, in the slot of its index.
@@ -180,11 +187,9 @@ impl<R: StoredRun> MergePlan<R> {
 pub(crate) struct SorterCore {
     pub(crate) types: Vec<LogicalType>,
     pub(crate) order: OrderBy,
-    pub(crate) layout: Arc<RowLayout>,
-    /// Full-tuple comparator for VARCHAR-prefix tie resolution, built once.
-    pub(crate) tie_cmp: FusedRowComparator,
-    /// Columns whose row slots reference the heap.
-    pub(crate) varlen_cols: Vec<usize>,
+    /// The payload row of every key shape a sort may plan, built once
+    /// ([`RowPlan::all`]); a sort's [`KeyPlan::rows`] names its own.
+    pub(crate) row_plans: Vec<RowPlan>,
     /// Rows per run, at least 1.
     run_rows: usize,
     ovc: bool,
@@ -214,18 +219,12 @@ impl SorterCore {
         ovc: bool,
         set: SortResources,
     ) -> SorterCore {
-        let layout = Arc::new(RowLayout::new(&types));
-        let tie_cmp = FusedRowComparator::new(&layout, &order);
-        let varlen_cols = (0..types.len())
-            .filter(|&c| types[c] == LogicalType::Varchar)
-            .collect();
+        let row_plans = RowPlan::all(&types, &order);
         let metrics = Arc::new(CounterRegistry::new());
         SorterCore {
             types,
             order,
-            layout,
-            tie_cmp,
-            varlen_cols,
+            row_plans,
             run_rows: run_rows.max(1),
             ovc,
             key_codes: true,
@@ -270,6 +269,30 @@ impl SorterCore {
         }
     }
 
+    /// The payload row of the sort planned in `plan`: the one
+    /// [`SorterCore::pick_rows`] named, or before that the first, which
+    /// decodes nothing.
+    pub(crate) fn row_plan(&self, plan: &KeyPlan) -> &RowPlan {
+        &self.row_plans[plan.rows]
+    }
+
+    /// Name in `plan` the row plan of its key: the one of the longest
+    /// exact prefix the key holds — one built for a shorter prefix would
+    /// be right too, only wider.
+    pub(crate) fn pick_rows(&self, plan: &mut KeyPlan) {
+        let blocks = plan.key_blocks.get_mut().unwrap_or_else(|e| e.into_inner());
+        let columns = blocks
+            .first()
+            .map(|b| b.layout().columns())
+            .unwrap_or_default();
+        let exact = columns.iter().take_while(|c| c.is_exact()).count();
+        plan.rows = self
+            .row_plans
+            .iter()
+            .rposition(|r| r.exact <= exact)
+            .unwrap_or(0);
+    }
+
     /// How the sort planned in `plan` compares records in its merges.
     pub(crate) fn merge_order(&self, plan: &KeyPlan) -> MergeOrder<'_> {
         let blocks = plan.key_blocks.lock().unwrap_or_else(|e| e.into_inner());
@@ -277,7 +300,7 @@ impl SorterCore {
         MergeOrder {
             kw: first.map_or(0, |b| b.key_width()),
             tie_possible: first.is_some_and(|b| b.tie_possible()),
-            tie_cmp: &self.tie_cmp,
+            rows: self.row_plan(plan),
         }
     }
 
@@ -316,7 +339,9 @@ impl SorterCore {
                 }
             };
             plan.plan(&self.types, &self.order, input, lent, &spread);
+            self.pick_rows(plan);
         }
+        let row_plan = self.row_plan(plan);
         Some(SortStart {
             at,
             before,
@@ -324,6 +349,7 @@ impl SorterCore {
             key_width_plain: plan.plain_width() as u32,
             dictionaries: plan.dictionaries(),
             stats_reused: plan.reused,
+            row: (row_plan.layout.width() as u32, row_plan.decoded() as u32),
         })
     }
 
@@ -347,6 +373,8 @@ impl SorterCore {
             dict_columns: start.dictionaries.0,
             dict_values: start.dictionaries.1,
             stats_reused: start.stats_reused,
+            row_width: start.row.0,
+            key_decoded_columns: start.row.1,
             merge_codes: self.codes(key_width),
             metrics: self.metrics.snapshot().since(&start.before),
         };
@@ -431,10 +459,11 @@ impl SorterCore {
     /// merge by run index that one tree over whole runs produces.
     fn plan_ranges<R: StoredRun>(
         &self,
-        kw: usize,
+        order: MergeOrder<'_>,
         runs: &[R],
         plan: &mut MergePlan<R>,
     ) -> Result<(), SpillError> {
+        let kw = order.kw;
         let total: usize = runs.iter().map(R::row_count).sum();
         plan.splitters.clear();
         plan.cuts.clear();
@@ -462,7 +491,7 @@ impl SorterCore {
             let [start, end] = run.bounds();
             plan.cuts.push(start);
             for splitter in plan.splitters.chunks_exact(kw.max(1)) {
-                plan.cuts.push(run.cut_at(self, kw, splitter)?);
+                plan.cuts.push(run.cut_at(self, order, splitter)?);
             }
             plan.cuts.push(end);
         }
@@ -482,7 +511,7 @@ impl SorterCore {
     /// range's error is returned.
     fn merge_ranges<'c, R: StoredRun>(
         &self,
-        order: &MergeOrder<'_>,
+        order: MergeOrder<'_>,
         runs: &[R],
         plan: &MergePlan<R>,
         pieces: impl Iterator<Item = ChunkPiece<'c>> + Send,
@@ -508,9 +537,9 @@ impl SorterCore {
                 (p, plan.range_rows(p), piece)
             };
             let mut sink = VectorSink::new(piece, self.pool());
-            match self.merge_range(order, codes, runs, plan, (p, rows), &mut sink) {
-                Ok(()) => {
-                    let tail = sink.finish(self.pool());
+            let merged = self.merge_range(order, codes, runs, plan, (p, rows), &mut sink);
+            match merged.and_then(|()| sink.finish(self.pool())) {
+                Ok(tail) => {
                     *tails[p].lock().unwrap_or_else(|e| e.into_inner()) = Some(tail);
                 }
                 Err(err) => {
@@ -535,7 +564,7 @@ impl SorterCore {
     /// exhausted leaf), through the kernel once, on `codes`.
     fn merge_range<R: StoredRun>(
         &self,
-        order: &MergeOrder<'_>,
+        order: MergeOrder<'_>,
         codes: MergeCodes,
         runs: &[R],
         plan: &MergePlan<R>,
@@ -550,9 +579,9 @@ impl SorterCore {
         let mut cursors: Vec<R::Source<'_>> = recycle_vec(std::mem::take(sources));
         cursors.reserve(runs.len());
         for (run, c) in runs.iter().zip(plan.cuts.chunks_exact(plan.parts + 1)) {
-            cursors.push(run.source(self, order.kw, [c[p], c[p + 1]])?);
+            cursors.push(run.source(self, order, [c[p], c[p + 1]])?);
         }
-        let stats = merge_coded(codes, order, tree, &mut cursors, rows, sink)?;
+        let stats = merge_coded(codes, &order, tree, &mut cursors, rows, sink)?;
         stats.flush(&self.metrics);
         *sources = recycle_vec(cursors);
         Ok(())
@@ -563,25 +592,28 @@ impl SorterCore {
     /// merge each range into its piece ([`SorterCore::merge_ranges`]) — the
     /// gather runs on every merge worker — and join the pieces' strings and
     /// validity masks on one thread afterwards, clocked as
-    /// [`Phase::Gather`]. `input`'s string columns say how many bytes to
-    /// expect. A lone run is one range, drained on the calling thread.
+    /// [`Phase::Gather`]. A column the key gives back is decoded from the
+    /// key `planned` planned, a rank-coded one through the dictionary of
+    /// the statistics it planned from, `planned.1`. `input`'s string
+    /// columns say how many bytes to expect, and hold the strings a rank
+    /// names. A lone run is one range, drained on the calling thread.
     pub(crate) fn merge_into_vectors<R: StoredRun>(
         &self,
-        order: &MergeOrder<'_>,
-        runs: &[R],
-        plan: &mut MergePlan<R>,
+        order: MergeOrder<'_>,
+        (runs, plan): (&[R], &mut MergePlan<R>),
+        planned: (&KeyPlan, &TableStats),
         input: &DataChunk,
         phase: Phase,
     ) -> Result<DataChunk, SpillError> {
         let merge_timer = self.metrics.time_phase(phase);
-        self.plan_ranges(order.kw, runs, plan)?;
+        self.plan_ranges(order, runs, plan)?;
         let total: usize = runs.iter().map(R::row_count).sum();
         let mut builder = ChunkBuilder::new(&self.types, total);
         let tails: Vec<Mutex<Option<PieceTail>>> =
             (0..plan.parts).map(|_| Mutex::new(None)).collect();
         {
             let rows = (0..plan.parts).map(|p| plan.range_rows(p));
-            let pieces = builder.pieces(&self.layout, rows, string_bytes(input));
+            let pieces = self.pieces(&mut builder, order, planned, input, rows)?;
             self.merge_ranges(order, runs, plan, pieces.into_iter(), &tails)?;
         }
         drop(merge_timer);
@@ -595,6 +627,70 @@ impl SorterCore {
         self.metrics.add(Counter::BytesMoved, column_bytes(&chunk));
         Ok(chunk)
     }
+}
+
+impl SorterCore {
+    /// `builder`'s columns cut into consecutive pieces of `rows` rows
+    /// each, every column taken from where `order.rows` says: a slot of the
+    /// rows, or the key `planned.0` planned, which holds it exactly — a
+    /// rank-coded column through the dictionary of `planned.1`, the
+    /// statistics the sort planned from, whose ranks name rows of
+    /// `input`'s strings.
+    pub(crate) fn pieces<'a>(
+        &self,
+        builder: &'a mut ChunkBuilder,
+        order: MergeOrder<'_>,
+        (plan, table): (&'a KeyPlan, &'a TableStats),
+        input: &'a DataChunk,
+        rows: impl IntoIterator<Item = usize>,
+    ) -> Result<Vec<ChunkPiece<'a>>, SpillError> {
+        let blocks = plan.key_blocks.lock().unwrap_or_else(|e| e.into_inner());
+        let none;
+        let key = match blocks.first() {
+            Some(block) => block.layout(),
+            None => {
+                none = NormKeyLayout::new(Vec::new());
+                &none
+            }
+        };
+        if order.rows.exact > key.column_count() {
+            return Err(lost_key());
+        }
+        let from = |c: usize| match order.rows.from[c] {
+            ColumnSource::Slot(slot) => ColumnFrom::Slot(slot),
+            ColumnSource::Key(k) => {
+                let column = &key.columns()[k];
+                let ranked = (column.ty == LogicalType::Varchar && column.range.is_some())
+                    .then(|| input.column(c).as_strings())
+                    .flatten()
+                    .map(|strings| RankedStrings {
+                        strings,
+                        rows: table.rank_rows(c),
+                    });
+                ColumnFrom::Key {
+                    decoder: KeyDecoder::new(column),
+                    at: key.offset(k),
+                    ranked,
+                }
+            }
+        };
+        // The sinks stage each key only up to the end of the last column
+        // they decode: `strings_mem`'s 1-byte rank of a 27-byte key.
+        let decoded = order.rows.from.iter().filter_map(|f| match *f {
+            ColumnSource::Key(k) => Some(key.offset(k) + key.columns()[k].encoded_width()),
+            ColumnSource::Slot(_) => None,
+        });
+        let staged = decoded.max().unwrap_or(0);
+        let layout = &order.rows.layout;
+        Ok(builder.pieces_from(layout, from, staged, rows, string_bytes(input)))
+    }
+}
+
+/// A merge whose plan lost its key: only a caller that merges before
+/// planning leaves one, and it must surface typed, never as wrong values.
+fn lost_key() -> SpillError {
+    let detail = std::io::Error::other("the merge has no planned key to decode");
+    SpillError::io(SpillOp::Read, Path::new("<merge>"), &detail)
 }
 
 /// A run no worker delivered: only a worker that died mid-phase leaves a

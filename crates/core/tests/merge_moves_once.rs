@@ -10,9 +10,8 @@
 //! table below.)
 
 use rowsort_core::keys::KeyBlock;
-use rowsort_core::metrics::{Counter, Metrics};
+use rowsort_core::metrics::{Counter, Metrics, SortProfile};
 use rowsort_core::pipeline::{SortOptions, SortPipeline};
-use rowsort_row::RowLayout;
 use rowsort_testkit::Rng;
 use rowsort_vector::{
     DataChunk, LogicalType, NullOrder, OrderBy, OrderByColumn, SortOrder, SortSpec, Value, Vector,
@@ -44,29 +43,30 @@ fn pipeline(chunk: &DataChunk, order: &OrderBy, options: SortOptions) -> SortPip
 
 /// Sort `chunk`; the sorted relation and that sort's counters.
 fn sort(chunk: &DataChunk, order: &OrderBy, options: SortOptions) -> (DataChunk, Metrics) {
-    let (sorted, metrics, _) = sort_keyed(chunk, order, options);
-    (sorted, metrics)
+    let (sorted, profile) = sort_profiled(chunk, order, options);
+    (sorted, profile.metrics)
 }
 
-/// [`sort`], and the width of the key the sort planned.
-fn sort_keyed(
+/// [`sort`], and the sort's profile: the key and the row it planned.
+fn sort_profiled(
     chunk: &DataChunk,
     order: &OrderBy,
     options: SortOptions,
-) -> (DataChunk, Metrics, usize) {
+) -> (DataChunk, SortProfile) {
     let pipeline = pipeline(chunk, order, options);
     let sorted = pipeline.sort(chunk);
-    let profile = pipeline.last_profile();
-    (sorted, profile.metrics, profile.key_width as usize)
+    (sorted, pipeline.last_profile())
 }
 
 /// Bytes run generation writes when every run is merged: per row the
 /// staged row, encoded key entry with its 4-byte row id, stripped key and
-/// reordered row, and every string once more, laid out in run order.
-fn run_generation_bytes(chunk: &DataChunk, key_width: usize) -> u64 {
-    let width = RowLayout::new(&chunk.types()).width();
+/// reordered row — the row `profile` planned, of the columns the key does
+/// not give back — and the strings of the row's VARCHAR columns `row`
+/// once more, laid out in run order.
+fn run_generation_bytes(chunk: &DataChunk, profile: &SortProfile, row: &[usize]) -> u64 {
+    let (width, key_width) = (profile.row_width as usize, profile.key_width as usize);
     let per_row = (2 * width + (key_width + 4) + key_width) * chunk.len();
-    let strings = chunk.columns().iter().filter_map(|col| col.as_strings());
+    let strings = row.iter().filter_map(|&c| chunk.column(c).as_strings());
     (per_row + strings.map(|s| s.total_bytes()).sum::<usize>()) as u64
 }
 
@@ -130,12 +130,14 @@ fn coded_merge_moves_each_row_once_at_any_thread_count() {
     // Key widths: the u32 range-coded — no NULL to code, and 3 200 random
     // keys span more than 2^24 values, so four bytes where the plain key
     // has a NULL byte too; a byte of six ranks, then NULL byte + 12 +
-    // marker of the truncated second column, where the key ends.
+    // marker of the truncated second column, where the key ends. Rows:
+    // the u32 payload alone, 8 bytes; the three columns from the truncated
+    // one on, 24 bytes, whose strings are the truncated column's.
     let tables = [
-        ("u32", u32_table(), 4),
-        ("varchar", varchar_table(), 1 + 14),
+        ("u32", u32_table(), (4, 8, 1), &[][..]),
+        ("varchar", varchar_table(), (1 + 14, 24, 1), &[1][..]),
     ];
-    for (name, (chunk, order, run_rows), planned_key_width) in tables {
+    for (name, (chunk, order, run_rows), planned, row) in tables {
         let rows = chunk.len() as u64;
         for threads in [1, 2, 4] {
             let what = format!("{name} table, threads={threads}");
@@ -144,9 +146,12 @@ fn coded_merge_moves_each_row_once_at_any_thread_count() {
                 run_rows,
                 ovc: true,
             };
-            let (coded, m, key_width) = sort_keyed(&chunk, &order, options);
-            let run_generation = run_generation_bytes(&chunk, key_width);
-            assert_eq!(key_width, planned_key_width, "{what}: one plan");
+            let (coded, profile) = sort_profiled(&chunk, &order, options);
+            let m = profile.metrics;
+            let run_generation = run_generation_bytes(&chunk, &profile, row);
+            let shape = (profile.key_width, profile.row_width);
+            let shape = (shape.0, shape.1, profile.key_decoded_columns);
+            assert_eq!(shape, planned, "{what}: one plan");
             assert_eq!(m.counter(Counter::RunsGenerated), 8, "{what}");
             assert_eq!(m.counter(Counter::MergeRounds), 1, "{what}: one pass");
             // Run generation, then each value once, into its column: no

@@ -4,6 +4,11 @@
 //! ranges round a seam read). The rows are the same at every thread count
 //! and the in-memory pipeline's.
 //!
+//! The bytes written are the records' and their framing: each record is
+//! its key, its offset-value code where the sort stores codes, its row —
+//! only the columns the key does not give back — a length word and its
+//! row's strings.
+//!
 //! A gate without a clock: everything asserted here is a byte count taken
 //! at the `SpillIo` handles or a row-for-row comparison. (At the commit
 //! before this file the partitioned merge verified every file in one pass
@@ -24,6 +29,11 @@ use rowsort_vector::{DataChunk, OrderBy, OrderByColumn, Vector};
 
 /// Most bytes in one run-file block (`core::external::BLOCK_BYTES`).
 const BLOCK_BYTES: u64 = 64 * 1024;
+
+/// A run file's header, and the hash that closes each of its blocks
+/// (`core::external::{HEADER_BYTES, HASH_BYTES}`).
+const HEADER_BYTES: u64 = 8;
+const HASH_BYTES: u64 = 8;
 
 const RUNS: usize = 16;
 
@@ -111,8 +121,9 @@ impl Read for Counted<Box<dyn Read + Send>> {
 
 /// 16 runs of a random `u32` key and a payload of a row number and a
 /// 140-byte string (wide rows, so that few of them make many blocks):
-/// about 8 blocks to the run.
-fn u32_table() -> (DataChunk, OrderBy) {
+/// about 8 blocks to the run. The key gives its column back; the row
+/// keeps the other two.
+fn u32_table() -> (DataChunk, OrderBy, [usize; 2]) {
     let mut rng = Rng::seed_from_u64(0x00ea_d0ce);
     let n = RUNS * 3_000;
     let keys: Vec<u32> = (0..n).map(|_| rng.next_u32()).collect();
@@ -124,14 +135,15 @@ fn u32_table() -> (DataChunk, OrderBy) {
         Vector::from_strings(pad),
     ];
     let chunk = DataChunk::from_columns(columns).unwrap();
-    (chunk, OrderBy::new(vec![OrderByColumn::asc(0)]))
+    (chunk, OrderBy::new(vec![OrderByColumn::asc(0)]), [1, 2])
 }
 
 /// 16 runs keyed by three VARCHAR columns with long shared prefixes, the
-/// last of which outgrows the 12-byte key prefix (ties reach the
-/// full-tuple comparator), a row number and a 128-byte string: about 8
-/// blocks to the run.
-fn varchar_table() -> (DataChunk, OrderBy) {
+/// last of which outgrows the 12-byte rule but not the prefix the planner
+/// sizes from the strings, a row number and a 160-byte string: about 7
+/// blocks to the run. The key holds its three columns exactly, and the
+/// row keeps the other two.
+fn varchar_table() -> (DataChunk, OrderBy, [usize; 2]) {
     let mut rng = Rng::seed_from_u64(0x7e57_ab1e);
     let n = RUNS * 2_000;
     let region = (0..n).map(|_| format!("region_{}", ["emea", "apac"][rng.below(2) as usize]));
@@ -147,7 +159,7 @@ fn varchar_table() -> (DataChunk, OrderBy) {
         Vector::from_strings(segment),
         Vector::from_strings(customer),
         Vector::from_u32s((0..n as u32).collect()),
-        Vector::from_strings((0..n).map(|i| format!("{i:0128}"))),
+        Vector::from_strings((0..n).map(|i| format!("{i:0160}"))),
     ];
     let chunk = DataChunk::from_columns(columns).unwrap();
     let order = OrderBy::new(vec![
@@ -155,12 +167,12 @@ fn varchar_table() -> (DataChunk, OrderBy) {
         OrderByColumn::desc(1),
         OrderByColumn::asc(2),
     ]);
-    (chunk, order)
+    (chunk, order, [3, 4])
 }
 
 #[test]
 fn every_run_file_is_read_once() {
-    for (name, (chunk, order)) in [("u32", u32_table()), ("varchar", varchar_table())] {
+    for (name, (chunk, order, row)) in [("u32", u32_table()), ("varchar", varchar_table())] {
         let run_rows = chunk.len() / RUNS;
         for ovc in [true, false] {
             let options = SortOptions {
@@ -202,6 +214,27 @@ fn every_run_file_is_read_once() {
 
                     let (written, read) = ledger.take();
                     assert_eq!(written, m.counter(Counter::SpilledBytes), "{what}");
+                    // Each record: key, code, the narrow row, length word,
+                    // and the strings of the row's columns. Each run: a
+                    // header, and a hash per block of at most 64 KiB.
+                    let p = sorter.last_profile();
+                    let columns = chunk.column_count() as u32;
+                    let decoded = columns - row.len() as u32;
+                    assert_eq!(p.key_decoded_columns, decoded, "{what}");
+                    let code = if p.merge_codes.stored() { 8 } else { 0 };
+                    let record = u64::from(p.key_width + code + p.row_width + 4);
+                    let strings = row.iter().filter_map(|&c| chunk.column(c).as_strings());
+                    let strings: u64 = strings.map(|s| s.total_bytes() as u64).sum();
+                    let records = chunk.len() as u64 * record + strings;
+                    let framing = written - records;
+                    let hashes = framing - RUNS as u64 * HEADER_BYTES;
+                    let blocks = hashes / HASH_BYTES;
+                    assert_eq!(hashes % HASH_BYTES, 0, "{what}: {written} bytes written");
+                    let least = records.div_ceil(BLOCK_BYTES);
+                    assert!(
+                        (least..=least + RUNS as u64).contains(&blocks),
+                        "{what}: {blocks} blocks for {records} bytes of records"
+                    );
                     assert_eq!(read, m.counter(Counter::SpillReadBytes), "{what}");
                     let seam_blocks = 2 * RUNS as u64 * (parts - 1);
                     assert!(

@@ -36,7 +36,6 @@ use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
 use rowsort_core::keys::KeyBlock;
 use rowsort_core::metrics::Counter;
 use rowsort_core::ovc::MergeCodes;
-use rowsort_row::RowLayout;
 use rowsort_testkit::alloc::{allocated_bytes, allocation_count, CountingAllocator};
 use rowsort_testkit::faultfs::{FaultFs, FaultSchedule};
 use rowsort_testkit::Rng;
@@ -91,7 +90,8 @@ fn warmed_partitioned_spill_merge_allocates_a_constant_amount() {
     // and the rows are asked for, so it serves the first of them that
     // rounds up to its power-of-two class: one miss fewer. The random u32
     // keys range-code in 4 bytes (no NULL, a span past 2^24): no code
-    // column, and the scratch serves the rows.
+    // column. The key gives the one column back, so the rows have no bytes
+    // and, like the strings, take no buffer: two, scratch and keys.
     let order = OrderBy::ascending(1);
     let run_rows = options.memory_limit_rows;
     let key_width = KeyBlock::planned(&chunk, &order).key_width();
@@ -101,12 +101,26 @@ fn warmed_partitioned_spill_merge_allocates_a_constant_amount() {
     } else {
         0
     };
-    let width = RowLayout::new(&chunk.types()).width();
+    // The row the sort planned: the key holds the one column, so the row
+    // has no bytes, and its buffers are empty requests.
+    let width = sorter.last_profile().row_width as usize;
+    assert_eq!(width, 0, "a row of no columns");
     let class = |bytes: usize| bytes.next_power_of_two();
     let scratch = class(run_rows * (key_width + 4));
     let after_scratch = [run_rows * code_bytes, run_rows * width];
     let scratch_serves = after_scratch.iter().any(|&b| b > 0 && class(b) == scratch);
-    let run_set_buffers = 5 + usize::from(code_bytes > 0) - usize::from(scratch_serves);
+    // A request for no bytes takes no buffer: here the staged rows and
+    // the run's rows (a row of no columns) and their strings (none).
+    let requests = [
+        run_rows * width,
+        0,
+        run_rows * (key_width + 4),
+        run_rows * key_width,
+        run_rows * code_bytes,
+        run_rows * width,
+    ];
+    let buffers = requests.iter().filter(|&&b| b > 0).count();
+    let run_set_buffers = buffers - usize::from(scratch_serves);
     const WORKERS: usize = 2;
     const PASSES: usize = 4;
 
@@ -189,11 +203,16 @@ fn warmed_partitioned_spill_merge_allocates_a_constant_amount() {
                 drop(on_disk.sort(chunk).unwrap());
                 let requested = (allocated_bytes() - before) as u64;
                 let metrics = on_disk.last_profile().metrics;
+                // Besides its output, less than it spills. (Its output
+                // too, while each record carried the key column twice: a
+                // record of the 4-byte key alone is 8 bytes, the output
+                // column 4 a row.)
+                let output = chunk.len() as u64 * 4;
                 let encoded = metrics.counter(Counter::SpilledBytes);
                 assert!(
-                    requested < encoded,
+                    requested - output < encoded,
                     "on {merge_threads} thread(s) a warmed sort of {} rows requested \
-                     {requested} bytes, spilling and merging {encoded}",
+                     {requested} bytes for {output} of output, spilling and merging {encoded}",
                     chunk.len()
                 );
                 assert_eq!(
@@ -210,7 +229,7 @@ fn warmed_partitioned_spill_merge_allocates_a_constant_amount() {
                         chunk.len()
                     );
                 }
-                (requested, chunk.len() as u64 * 4)
+                (requested, output)
             });
         assert!(
             requested_twice <= requested + (output_twice - output) + (64 << 10) + scheduling,

@@ -263,6 +263,14 @@ fn sort_detail(profile: &SortProfile, threads: usize) -> String {
     if profile.varchar_prefix > 0 {
         put!(s, " prefix={}", profile.varchar_prefix);
     }
+    // The payload row: only the columns the key does not give back, and
+    // how many the output decoded from the key instead (DESIGN.md §7.7).
+    if profile.key_decoded_columns > 0 {
+        let (width, decoded) = (profile.row_width, profile.key_decoded_columns);
+        put!(s, " row={width}B decoded={decoded}");
+    } else if profile.row_width > 0 {
+        put!(s, " row={}B", profile.row_width);
+    }
     // Whether the key was planned from statistics an earlier sort of the
     // table took (DESIGN.md §6, "A table's statistics").
     if profile.stats_reused > 0 {
@@ -1125,6 +1133,16 @@ mod tests {
         let mut ranged = rowsort_core::SortProfile::zeroed();
         (ranged.key_width, ranged.key_width_plain) = (5, 20);
         assert_eq!(sort_detail(&ranged, 2), " key=5B/20B");
+        // The row: the columns the key does not give back, and how many
+        // the output decodes from the key; a row of every column says so
+        // without a count.
+        let mut narrow = ranged;
+        (narrow.row_width, narrow.key_decoded_columns) = (8, 4);
+        assert_eq!(sort_detail(&narrow, 2), " key=5B/20B row=8B decoded=4");
+        narrow.row_width = 0;
+        assert_eq!(sort_detail(&narrow, 2), " key=5B/20B row=0B decoded=4");
+        (narrow.row_width, narrow.key_decoded_columns) = (40, 0);
+        assert_eq!(sort_detail(&narrow, 2), " key=5B/20B row=40B");
         // A key of constant columns codes to no bytes at all.
         ranged.key_width = 0;
         assert_eq!(sort_detail(&ranged, 2), " key=0B/20B");

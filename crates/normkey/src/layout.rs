@@ -229,6 +229,19 @@ impl KeyColumn {
         self.ty == LogicalType::Varchar && self.truncatable
     }
 
+    /// Whether the column's key bytes give back each row's value, so a
+    /// sort need not carry the column in its payload row: true for a range-
+    /// or rank-coded column and a plain fixed-width one, each a one-to-one
+    /// code; and for a VARCHAR prefix no string outgrows, whose
+    /// continuation marker is then the string's length (`"a"` against
+    /// `"a\0"`) — a prefix of at most [`MAX_PREFIX`] keeps the marker apart
+    /// from "truncated". A truncated prefix is lossy.
+    pub fn is_exact(&self) -> bool {
+        self.range.is_some()
+            || self.ty != LogicalType::Varchar
+            || (!self.truncatable && self.prefix_len <= MAX_PREFIX)
+    }
+
     /// [`KeyColumn::encoded_width`] of the column without its range: the
     /// NULL byte plus the full body, or a rank-coded VARCHAR's prefix.
     pub fn plain_width(&self) -> usize {
@@ -261,6 +274,13 @@ impl RangeCoder {
         (ord ^ self.flip)
             .wrapping_sub(self.base)
             .wrapping_add(self.bias)
+    }
+
+    /// The ordinal whose code is `code`: [`RangeCoder::code`] undone.
+    /// Wrapping, so a code no row has yields some ordinal, never a panic.
+    #[inline]
+    pub(crate) fn ordinal(self, code: u64) -> u64 {
+        code.wrapping_sub(self.bias).wrapping_add(self.base) ^ self.flip
     }
 }
 

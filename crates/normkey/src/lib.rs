@@ -55,10 +55,12 @@
     clippy::unimplemented
 )]
 
+pub mod decode;
 pub mod encoding;
 pub mod layout;
 pub mod vector_encode;
 
+pub use decode::{KeyDecoder, KeyValue, BAD_KEY_MARKER};
 pub use encoding::{
     encode_bool, encode_f32, encode_f64, encode_i16, encode_i32, encode_i64, encode_i8, encode_u16,
     encode_u32, encode_u64, encode_u8, invert_bytes, Ordinal, NULL_FIRST_NULL, NULL_FIRST_VALID,

@@ -175,25 +175,51 @@ impl RowBlock {
     /// If the chunk schema does not match the layout, or `lo..hi` is not a
     /// valid row range of `chunk`.
     pub fn append_chunk_range(&mut self, chunk: &DataChunk, lo: usize, hi: usize) {
+        assert!(
+            chunk.column_count() == self.layout.types().len(),
+            "chunk schema must match row layout"
+        );
+        self.append_columns_range(chunk, |slot| slot, lo, hi);
+    }
+
+    /// [`RowBlock::append_chunk_range`] into a layout over some of
+    /// `chunk`'s columns: slot `s` of each row takes column `column(s)`.
+    /// A layout of no columns appends rows of no bytes.
+    ///
+    /// # Panics
+    /// If a named column's type is not its slot's, or `lo..hi` is not a
+    /// valid row range of `chunk`.
+    pub fn append_columns_range(
+        &mut self,
+        chunk: &DataChunk,
+        column: impl Fn(usize) -> usize,
+        lo: usize,
+        hi: usize,
+    ) {
+        let types = self.layout.types();
         // Element-wise so the schema check allocates nothing: this runs
         // once per morsel inside the steady-state (allocation-free) path.
         assert!(
-            chunk.column_count() == self.layout.types().len()
-                && chunk
-                    .columns()
-                    .iter()
-                    .zip(self.layout.types())
-                    .all(|(col, &ty)| col.logical_type() == ty),
+            types
+                .iter()
+                .enumerate()
+                .all(|(slot, &ty)| chunk.column(column(slot)).logical_type() == ty),
             "chunk schema must match row layout"
         );
         assert!(lo <= hi && hi <= chunk.len(), "row range out of bounds");
         let width = self.width();
         let start = self.len * width;
         self.data.resize(start + (hi - lo) * width, 0);
-        for (col, vec) in chunk.columns().iter().enumerate() {
+        for slot in 0..types.len() {
             let rows = self.data[start..].chunks_exact_mut(width);
-            let at = (self.layout.offset(col), self.layout.null_offset(col));
-            scatter_column(rows, at, &mut self.heap, vec, (lo, hi));
+            let at = (self.layout.offset(slot), self.layout.null_offset(slot));
+            scatter_column(
+                rows,
+                at,
+                &mut self.heap,
+                chunk.column(column(slot)),
+                (lo, hi),
+            );
         }
         self.len += hi - lo;
     }

@@ -11,7 +11,10 @@
 //! is a block buffer the next record may replace — while its fixed-width
 //! values wait, staged by the caller with up to [`BATCH_ROWS`] others, for
 //! one typed pass per column over rows that are still in L1
-//! ([`ChunkPiece::gather`]). String bytes cannot be sized per range ahead
+//! ([`ChunkPiece::gather_keyed`]). A column the sort's key gives back is
+//! not in the rows at all: the caller stages each row's key beside it, and
+//! the same call decodes the column from the keys ([`ColumnFrom`]). String
+//! bytes cannot be sized per range ahead
 //! of time (a run file is read once), so each VARCHAR column of a piece
 //! grows a range-local buffer, checked as UTF-8 where it was filled
 //! ([`ChunkPiece::finish`]), and [`ChunkBuilder::finish`] appends the later
@@ -21,9 +24,10 @@
 
 use crate::block::{heap_offset, read_array, HEAP_OVERFLOW};
 use crate::layout::RowLayout;
+use rowsort_normkey::{KeyDecoder, KeyValue, BAD_KEY_MARKER};
 use rowsort_vector::{DataChunk, LogicalType, StringVec, Validity, Vector, VectorData};
 
-/// Rows a caller stages between two [`ChunkPiece::gather`] calls. The
+/// Rows a caller stages between two [`ChunkPiece::gather_keyed`] calls. The
 /// passes (one per column) re-read every staged row, so a batch has to
 /// stay in L1 beside the column tails being written — 256 rows are 8 KiB
 /// of `catalog_sales`' 32-byte rows, 12 KiB of `customer_email`'s 48 — and
@@ -42,6 +46,41 @@ pub const BATCH_ROWS: usize = 256;
 /// A VARCHAR slot whose `(offset, len)` does not lie inside the heap it
 /// was read against.
 pub const BAD_STRING_SLOT: &str = "string slot reaches outside its heap";
+
+/// A rank-coded key column's code that names no string of its dictionary.
+pub const BAD_RANK: &str = "key rank past its dictionary";
+
+/// The strings a rank-coded key column's ranks name: rank `r` is string
+/// `rows[r]` of `strings`.
+#[derive(Debug, Clone, Copy)]
+pub struct RankedStrings<'a> {
+    pub strings: &'a StringVec,
+    pub rows: &'a [u32],
+}
+
+/// Where a piece takes an output column's values from: a slot of the rows
+/// it gathers, or a key column that gives the column back exactly
+/// (`KeyColumn::is_exact`), decoded from the keys staged beside the rows.
+#[derive(Debug, Clone, Copy)]
+pub enum ColumnFrom<'a> {
+    /// Slot `s` of the row layout.
+    Slot(usize),
+    /// The key column `decoder` decodes, `at` bytes into each key; a
+    /// rank-coded VARCHAR column names its strings in `ranked`.
+    Key {
+        decoder: KeyDecoder,
+        at: usize,
+        ranked: Option<RankedStrings<'a>>,
+    },
+}
+
+/// Where a piece's column comes from, as the piece reads it.
+#[derive(Debug, Clone, Copy)]
+enum From<'a> {
+    /// The offsets of the value slot and the NULL flag in a row.
+    Row(usize, usize),
+    Key(KeyDecoder, usize, Option<RankedStrings<'a>>),
+}
 
 /// A fixed-width value as its row slot stores it.
 trait Slot: Copy {
@@ -94,6 +133,67 @@ fn fill<T: Slot>(
     }
 }
 
+/// A VARCHAR key column's pass over a batch: each of the `n` keys in
+/// `keys` — `place` is their stride and the column's offset in each —
+/// decoded by `decoder` onto the column's `offsets` and `bytes`, a
+/// rank-coded one's through the strings its ranks name, a NULL as an empty
+/// string with its flag in `validity` (row `at + i` of the piece).
+fn unkey_strings(
+    (keys, place, n): (&[u8], (usize, usize), usize),
+    (decoder, ranked): (KeyDecoder, Option<RankedStrings<'_>>),
+    (offsets, bytes): (&mut Vec<u32>, &mut Vec<u8>),
+    validity: &mut Validity,
+    at: usize,
+) -> Result<(), &'static str> {
+    let (stride, off) = place;
+    let Some(dict) = ranked else {
+        for i in 0..n {
+            let key = keys.get(i * stride + off..).ok_or(BAD_KEY_MARKER)?;
+            if !decoder.string_into(key, bytes)? {
+                validity.set_invalid(at + i);
+            }
+            offsets.push(heap_offset(bytes.len() as u64).ok_or(HEAP_OVERFLOW)?);
+        }
+        return Ok(());
+    };
+    let mut failed = None;
+    decoder.ordinals(keys, place, n, |i, rank| {
+        match rank.map(|rank| usize::try_from(rank).ok().and_then(|r| dict.rows.get(r))) {
+            None => validity.set_invalid(at + i),
+            Some(Some(&row)) => bytes.extend_from_slice(dict.strings.get_bytes(row as usize)),
+            Some(None) => failed = Some(BAD_RANK),
+        }
+        match heap_offset(bytes.len() as u64) {
+            Some(end) => offsets.push(end),
+            None => failed = Some(HEAP_OVERFLOW),
+        }
+    });
+    failed.map_or(Ok(()), Err)
+}
+
+/// One key column's pass over a batch: each of the `out.len()` keys in
+/// `keys` — `place` is their stride and the column's offset in each —
+/// decoded into `out`, a NULL as the type's zero with its flag in
+/// `validity` (row `at + i` of the piece), as the scatter leaves a NULL's
+/// slot.
+#[inline]
+fn unkey<T: KeyValue>(
+    out: &mut [T],
+    keys: &[u8],
+    place: (usize, usize),
+    decoder: KeyDecoder,
+    validity: &mut Validity,
+    at: usize,
+) {
+    decoder.ordinals(keys, place, out.len(), |i, ord| match ord {
+        Some(ord) => out[i] = T::from_ordinal(ord),
+        None => {
+            out[i] = T::default();
+            validity.set_invalid(at + i);
+        }
+    });
+}
+
 macro_rules! values {
     ($($kind:ident: $t:ty = $zero:expr, $($variant:ident)|+;)*) => {
         /// A fixed-width column's storage, or the rest of it, by value type.
@@ -144,6 +244,20 @@ macro_rules! values {
                     $(Values::$kind(v) => fill(&mut v[at..at + n], rows, width, slot, validity, at),)*
                 }
             }
+
+            /// [`unkey`] values `at..at + n` from the batch `keys`.
+            fn decode(
+                &mut self,
+                keys: &[u8],
+                place: (usize, usize),
+                decoder: KeyDecoder,
+                validity: &mut Validity,
+                (at, n): (usize, usize),
+            ) {
+                match self {
+                    $(Values::$kind(v) => unkey(&mut v[at..at + n], keys, place, decoder, validity, at),)*
+                }
+            }
         }
     };
 }
@@ -162,17 +276,30 @@ values! {
     F64: f64 = 0.0, Float64;
 }
 
-/// A fixed-width column's share of a piece.
-struct FixedCol<'a> {
+/// A column a piece fills one batch at a time: a fixed-width column from
+/// its rows' slots or from their keys, or a VARCHAR column from their
+/// keys.
+struct Pass<'a> {
     col: usize,
-    /// Offsets of the value slot and the NULL flag in a row.
-    slot: (usize, usize),
-    values: Values<'a>,
+    from: From<'a>,
+    into: Into<'a>,
 }
 
-/// A VARCHAR column's share of a piece: range-local offsets and bytes.
+/// Where a [`Pass`] writes.
+enum Into<'a> {
+    /// A fixed-width column's share of the piece.
+    Values(Values<'a>),
+    /// The VARCHAR column at this index of the piece's [`StringCol`]s.
+    Strings(usize),
+}
+
+/// A VARCHAR column's share of a piece: range-local offsets and bytes,
+/// filled row by row from the slot at `slot` ([`ChunkPiece::push_strings`])
+/// or, `keyed`, a batch at a time from the keys ([`Pass`]). Kept at 72
+/// bytes, so the tail's list of strings reuses the piece's list in place.
 struct StringCol {
-    col: usize,
+    col: u32,
+    keyed: bool,
     slot: (usize, usize),
     offsets: Vec<u32>,
     bytes: Vec<u8>,
@@ -188,11 +315,13 @@ pub struct ChunkBuilder {
 /// row order.
 pub struct ChunkPiece<'a> {
     width: usize,
+    /// Bytes per staged key; 0 when no column is decoded from a key.
+    key_width: usize,
     rows: usize,
     /// Rows whose strings are in, and rows whose fixed-width values are.
     taken: usize,
     gathered: usize,
-    fixed: Vec<FixedCol<'a>>,
+    passes: Vec<Pass<'a>>,
     strings: Vec<StringCol>,
     /// One mask per column, over this piece's rows.
     validity: Vec<Validity>,
@@ -213,16 +342,40 @@ impl ChunkBuilder {
     }
 
     /// Cut the columns into consecutive pieces of `rows` rows each, which
-    /// must add up to the builder's. `string_bytes(col)` is what VARCHAR
-    /// column `col` is expected to hold over all rows: a piece reserves
-    /// its share of it and grows past it if it must.
+    /// must add up to the builder's, each gathering column `c` from slot
+    /// `c` of `layout`'s rows. `string_bytes(col)` is what VARCHAR column
+    /// `col` is expected to hold over all rows: a piece reserves its share
+    /// of it and grows past it if it must.
     pub fn pieces<'a>(
         &'a mut self,
         layout: &RowLayout,
         rows: impl IntoIterator<Item = usize>,
         string_bytes: impl Fn(usize) -> usize,
     ) -> Vec<ChunkPiece<'a>> {
+        self.pieces_from(layout, ColumnFrom::Slot, 0, rows, string_bytes)
+    }
+
+    /// [`ChunkBuilder::pieces`], column `c` taken from `from(c)`: a slot of
+    /// `layout`'s rows, or a key column of the keys staged beside them,
+    /// `key_width` bytes of each — what the key columns decoded need of it
+    /// ([`ChunkPiece::gather_keyed`]).
+    pub fn pieces_from<'a>(
+        &'a mut self,
+        layout: &RowLayout,
+        from: impl Fn(usize) -> ColumnFrom<'a>,
+        key_width: usize,
+        rows: impl IntoIterator<Item = usize>,
+        string_bytes: impl Fn(usize) -> usize,
+    ) -> Vec<ChunkPiece<'a>> {
         let total = self.rows;
+        let from = |col: usize| match from(col) {
+            ColumnFrom::Slot(s) => From::Row(layout.offset(s), layout.null_offset(s)),
+            ColumnFrom::Key {
+                decoder,
+                at,
+                ranked,
+            } => From::Key(decoder, at, ranked),
+        };
         let mut rest: Vec<Option<Values<'a>>> =
             self.columns.iter_mut().map(Values::whole).collect();
         let pieces: Vec<ChunkPiece<'a>> = rows
@@ -232,20 +385,21 @@ impl ChunkBuilder {
                 let first = p == 0;
                 let mut piece = ChunkPiece {
                     width: layout.width(),
+                    key_width,
                     rows: n,
                     taken: 0,
                     gathered: 0,
-                    fixed: Vec::new(),
+                    passes: Vec::new(),
                     strings: Vec::new(),
                     validity: vec![Validity::new_valid(n); rest.len()],
                 };
                 for (col, values) in rest.iter_mut().enumerate() {
-                    let slot = (layout.offset(col), layout.null_offset(col));
+                    let from = from(col);
                     match values {
-                        Some(values) => piece.fixed.push(FixedCol {
+                        Some(values) => piece.passes.push(Pass {
                             col,
-                            slot,
-                            values: values.split_front(n),
+                            from,
+                            into: Into::Values(values.split_front(n)),
                         }),
                         None => {
                             // The first piece's buffers are the column's
@@ -263,8 +417,17 @@ impl ChunkBuilder {
                             };
                             let mut offsets = Vec::with_capacity(strings + 1);
                             offsets.push(0);
+                            let (keyed, slot) = match from {
+                                From::Row(slot, null) => (false, (slot, null)),
+                                From::Key(..) => {
+                                    let into = Into::Strings(piece.strings.len());
+                                    piece.passes.push(Pass { col, from, into });
+                                    (true, (0, 0))
+                                }
+                            };
                             piece.strings.push(StringCol {
-                                col,
+                                col: col as u32,
+                                keyed,
                                 slot,
                                 offsets,
                                 bytes: Vec::with_capacity(bytes),
@@ -361,10 +524,10 @@ impl ChunkPiece<'_> {
     /// longer usable.
     #[inline]
     pub fn push_strings(&mut self, row: &[u8], heap: &[u8]) -> Result<(), &'static str> {
-        for c in &mut self.strings {
+        for c in self.strings.iter_mut().filter(|c| !c.keyed) {
             let (slot, null_at) = c.slot;
             if row[null_at] != 0 {
-                self.validity[c.col].set_invalid(self.taken);
+                self.validity[c.col as usize].set_invalid(self.taken);
             } else {
                 let off = u32::from_le_bytes(read_array(row, slot)) as usize;
                 let len = u32::from_le_bytes(read_array(row, slot + 4)) as usize;
@@ -379,32 +542,67 @@ impl ChunkPiece<'_> {
         Ok(())
     }
 
-    /// Gather the fixed-width values of the next `rows.len() / width`
-    /// rows — the rows whose strings were pushed and not yet gathered, in
-    /// that order — one typed pass per column.
-    ///
-    /// # Panics
-    /// If that is more rows than the piece has left.
-    pub fn gather(&mut self, rows: &[u8]) {
-        if rows.is_empty() {
-            return;
-        }
-        let at = self.gathered;
-        for c in &mut self.fixed {
-            let validity = &mut self.validity[c.col];
-            c.values.gather(rows, self.width, c.slot, validity, at);
-        }
-        self.gathered += rows.len() / self.width;
+    /// Bytes per key the piece decodes columns from: 0 when it decodes
+    /// none, and then needs no keys staged.
+    pub fn key_width(&self) -> usize {
+        self.key_width
     }
 
-    /// [`ChunkPiece::push_strings`] then [`ChunkPiece::gather`] for rows
-    /// that lie back to back over one `heap`, [`BATCH_ROWS`] at a time.
+    /// Take the next `n` rows — the rows whose strings were pushed and not
+    /// yet gathered, in that order — from their `rows` and `keys`, staged
+    /// back to back: one typed pass per column over the rows' slots, one
+    /// decode pass per column given back by the keys. `Err` says why a key
+    /// decodes to no value of its column ([`BAD_KEY_MARKER`], [`BAD_RANK`],
+    /// [`HEAP_OVERFLOW`]); the piece is then no longer usable.
+    ///
+    /// # Panics
+    /// If that is more rows than the piece has left, or `rows` or `keys`
+    /// holds fewer than `n`.
+    pub fn gather_keyed(&mut self, rows: &[u8], keys: &[u8], n: usize) -> Result<(), &'static str> {
+        if n == 0 {
+            return Ok(());
+        }
+        let (at, kw) = (self.gathered, self.key_width);
+        for pass in &mut self.passes {
+            let validity = &mut self.validity[pass.col];
+            match (pass.from, &mut pass.into) {
+                (From::Row(slot, null), Into::Values(values)) => {
+                    let rows = &rows[..n * self.width];
+                    values.gather(rows, self.width, (slot, null), validity, at);
+                }
+                (From::Key(decoder, off, _), Into::Values(values)) => {
+                    values.decode(keys, (kw, off), decoder, validity, (at, n));
+                }
+                (From::Key(decoder, off, ranked), Into::Strings(i)) => {
+                    let Some(c) = self.strings.get_mut(*i) else {
+                        continue;
+                    };
+                    let key = (keys, (kw, off), n);
+                    unkey_strings(
+                        key,
+                        (decoder, ranked),
+                        (&mut c.offsets, &mut c.bytes),
+                        validity,
+                        at,
+                    )?;
+                }
+                // A row's strings are taken when it is named.
+                (From::Row(..), Into::Strings(_)) => {}
+            }
+        }
+        self.gathered += n;
+        Ok(())
+    }
+
+    /// [`ChunkPiece::push_strings`] then [`ChunkPiece::gather_keyed`] for
+    /// rows that lie back to back over one `heap`, [`BATCH_ROWS`] at a
+    /// time, from a piece that decodes no key.
     pub fn push_rows(&mut self, rows: &[u8], heap: &[u8]) -> Result<(), &'static str> {
         for batch in rows.chunks(BATCH_ROWS * self.width.max(1)) {
             for row in batch.chunks_exact(self.width) {
                 self.push_strings(row, heap)?;
             }
-            self.gather(batch);
+            self.gather_keyed(batch, &[], batch.len() / self.width)?;
         }
         Ok(())
     }
@@ -549,5 +747,98 @@ mod tests {
         let mut builder = ChunkBuilder::new(layout.types(), 2);
         let piece = builder.pieces(&layout, [2], |_| 0).pop().unwrap();
         piece.finish();
+    }
+
+    #[test]
+    fn columns_decode_from_keys_beside_row_slots_and_bad_keys_are_errors() {
+        use rowsort_normkey::{encode_value_into, KeyColumn, KeyRange};
+        use rowsort_vector::SortSpec;
+        // Output: an INT decoded from a DESC range code, a VARCHAR from
+        // a prefix that holds it whole, a rank-coded VARCHAR, and a
+        // UINT32 from the rows' one slot.
+        let int = KeyColumn::ranged(
+            LogicalType::Int32,
+            SortSpec::DESC,
+            KeyRange {
+                lo: 0x8000_0000 - 5,
+                hi: 0x8000_0000 + 5,
+                nulls: true,
+            },
+        );
+        let text = KeyColumn::varchar_with_prefix(SortSpec::DESC, 3, 12);
+        let ranked = KeyColumn::ranked(KeyColumn::varchar(SortSpec::ASC, 20), 2, false);
+        let key_columns = [int, text, ranked];
+        let offsets = [
+            0,
+            int.encoded_width(),
+            int.encoded_width() + text.encoded_width(),
+        ];
+        let kw = offsets[2] + ranked.encoded_width();
+        let dictionary = StringVec::from_parts_lossy(vec![0, 5, 10], b"appleberry".to_vec());
+        let rows_of_rank = [1u32, 0];
+        let mut types = vec![
+            LogicalType::Int32,
+            LogicalType::Varchar,
+            LogicalType::Varchar,
+        ];
+        types.push(LogicalType::UInt32);
+        let layout = RowLayout::new(&[LogicalType::UInt32]);
+        let values = [
+            (Value::Int32(-5), Value::from("ab"), 0u64, 7u32),
+            (Value::Null, Value::Null, 1, 8),
+            (Value::Int32(5), Value::from(""), 0, 9),
+        ];
+        let mut keys = vec![0u8; values.len() * kw];
+        let mut rows = vec![0u8; values.len() * layout.width()];
+        for (i, (n, s, rank, id)) in values.iter().enumerate() {
+            let key = &mut keys[i * kw..(i + 1) * kw];
+            encode_value_into(n, &int, &mut key[..offsets[1]]);
+            encode_value_into(s, &text, &mut key[offsets[1]..offsets[2]]);
+            let rank = Value::UInt64(*rank);
+            let as_int =
+                KeyColumn::ranged(LogicalType::UInt64, SortSpec::ASC, ranked.range.unwrap());
+            encode_value_into(&rank, &as_int, &mut key[offsets[2]..]);
+            let row = &mut rows[i * layout.width()..(i + 1) * layout.width()];
+            row[layout.offset(0)..][..4].copy_from_slice(&id.to_le_bytes());
+        }
+        let gathered = |keys: &[u8]| {
+            let mut builder = ChunkBuilder::new(&types, values.len());
+            let from = |c: usize| match c {
+                3 => ColumnFrom::Slot(0),
+                k => ColumnFrom::Key {
+                    decoder: KeyDecoder::new(&key_columns[k]),
+                    at: offsets[k],
+                    ranked: (k == 2).then_some(RankedStrings {
+                        strings: &dictionary,
+                        rows: &rows_of_rank,
+                    }),
+                },
+            };
+            let tail = {
+                let mut pieces = builder.pieces_from(&layout, from, kw, [values.len()], |_| 0);
+                let mut piece = pieces.pop().unwrap();
+                for row in rows.chunks_exact(layout.width()) {
+                    piece.push_strings(row, &[]).unwrap();
+                }
+                piece.gather_keyed(&rows, keys, values.len())?;
+                piece.finish()
+            };
+            Ok::<_, &str>(builder.finish(vec![tail]))
+        };
+        let want: Vec<Vec<Value>> = values
+            .iter()
+            .map(|(n, s, rank, id)| {
+                let name = ["berry", "apple"][*rank as usize];
+                vec![n.clone(), s.clone(), Value::from(name), Value::UInt32(*id)]
+            })
+            .collect();
+        assert_eq!(gathered(&keys).unwrap().to_rows(), want);
+        // A rank past the dictionary, and a marker past the prefix: errors.
+        let mut bad_rank = keys.clone();
+        bad_rank[kw - 1] = 2;
+        assert_eq!(gathered(&bad_rank).err(), Some(BAD_RANK));
+        let mut bad_marker = keys.clone();
+        bad_marker[offsets[2] - 1] = !13;
+        assert_eq!(gathered(&bad_marker).err(), Some(BAD_KEY_MARKER));
     }
 }

@@ -35,5 +35,8 @@ pub mod layout;
 
 pub use block::{heap_offset, reorder_heap, reorder_rows, RowBlock, HEAP_OVERFLOW};
 pub use convert::{gather, scatter};
-pub use gather::{ChunkBuilder, ChunkPiece, PieceTail, BAD_STRING_SLOT, BATCH_ROWS};
+pub use gather::{
+    ChunkBuilder, ChunkPiece, ColumnFrom, PieceTail, RankedStrings, BAD_RANK, BAD_STRING_SLOT,
+    BATCH_ROWS,
+};
 pub use layout::{RowAlignment, RowLayout};
