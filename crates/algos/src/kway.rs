@@ -307,8 +307,8 @@ where
     };
     for _ in 0..total {
         let w = tree.winner();
-        // lint:allow(R003): this clone is the merge's output emission —
-        // one per emitted element, required for generic `T: Clone`.
+        // The merge's output emission: one clone per emitted element, as a
+        // generic `T: Clone` requires.
         out.push(runs[w][pos[w]].clone());
         pos[w] += 1;
         let pos_ref = &pos;

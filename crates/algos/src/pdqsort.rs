@@ -122,8 +122,8 @@ where
         let Some((pivot_slot, right)) = rest.split_first_mut() else {
             return;
         };
-        // lint:allow(R003): one pivot copy per partition step — O(log n)
-        // clones per sort for the predecessor-pivot check, not per element.
+        // One pivot copy per partition step — O(log n) clones per sort for
+        // the predecessor-pivot check, not one per element.
         let pivot_val = pivot_slot.clone();
         if left.len() < right.len() {
             recurse(left, is_less, pred, limit);

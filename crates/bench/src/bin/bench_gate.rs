@@ -27,10 +27,6 @@
 //! clock on a shared host would have shown. Time is not read here; the
 //! benches stay for interleaved A/B by hand.
 
-// A discarded `#[must_use]` value is handled or expected by name, as in
-// the crate's library.
-#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
-
 use rowsort_bench::counters::{fig10_counts, table2_counts, table3_counts};
 use rowsort_bench::{long_string_chunk, u32_chunk, wide_key_chunk, LONGSTR_STEM, TIEDSTR_STEM};
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter};

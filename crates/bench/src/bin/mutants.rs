@@ -7,8 +7,11 @@
 //!
 //! [`CORPUS`] holds one entry per bug: the file it lives in, an anchor
 //! snippet that occurs in that file exactly once, the text that replaces
-//! it, and the test targets to run (a package, then `cargo test`
-//! arguments). The runner checks out HEAD — plus the working tree's
+//! it, and the targets to run: a package, then `cargo test` arguments;
+//! `clippy <package>` (`cargo clippy -p <package> --all-targets -- -D
+//! warnings`, each lint that fires a catch); or `lint` (the worktree's
+//! `rowsort-lint`, each rule that finds something a catch). The runner
+//! checks out HEAD — plus the working tree's
 //! changes to tracked files, so a change is judged before it is
 //! committed — into a scratch `git worktree` under `target/mutants/`,
 //! holds the unmutated tree to every target, then applies each entry
@@ -27,10 +30,7 @@
 //! anchor is missing or ambiguous, a mutant does not build, or the
 //! unmutated tree fails a target; 2 on a usage or I/O error.
 
-// A discarded `#[must_use]` value is handled or expected by name, as in
-// the crate's library.
-#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
-
+use rowsort_testkit::json::Json;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
@@ -55,7 +55,8 @@ struct Mutant {
     anchor: &'static str,
     /// What the anchor becomes.
     replacement: &'static str,
-    /// `cargo test` runs: a package, then its arguments.
+    /// `cargo test` runs (a package, then its arguments), `clippy
+    /// <package>` runs or [`LINT`].
     targets: &'static [&'static str],
 }
 
@@ -66,6 +67,12 @@ const NORMKEY: &str = "rowsort-normkey --lib --tests";
 const ROW: &str = "rowsort-row --lib --tests";
 const ALGOS: &str = "rowsort-algos --lib --tests";
 const ENGINE: &str = "rowsort-engine --test engine_vs_reference";
+const ZERO_ALLOC: &str = "rowsort-core --test zero_alloc";
+const LINT: &str = "lint";
+const CLIPPY_CORE: &str = "clippy rowsort-core";
+const CLIPPY_ALGOS: &str = "clippy rowsort-algos";
+const CLIPPY_NORMKEY: &str = "clippy rowsort-normkey";
+const CLIPPY_ROW: &str = "clippy rowsort-row";
 
 const NORMKEY_BUG: &[&str] = &[NORMKEY, CORE, ORACLE];
 const ROW_BUG: &[&str] = &[ROW, CORE, ORACLE];
@@ -371,6 +378,141 @@ const CORPUS: &[Mutant] = &[
                       (LogicalPlan::Filter { input, .. }, _) => table_stats(input, relation, catalog),",
         targets: &[ENGINE],
     },
+    // ---- lint rules and the checks that hold them (DESIGN.md §9) ----------
+    // R003: an allocation in a loop a warm sort runs. The counted warm
+    // sorts of `zero_alloc` see it; no stock lint does.
+    Mutant {
+        name: "R003: the key column list copied per key column in the planner (`to_vec` in a loop)",
+        file: "crates/core/src/run.rs",
+        anchor: "    for key in keys {\n        let (column, cache) = (input.column(key.column), cached(key.column));",
+        replacement: "    for key in keys {\n        std::hint::black_box(keys.to_vec());\n        \
+                      let (column, cache) = (input.column(key.column), cached(key.column));",
+        targets: &[LINT, CLIPPY_CORE, ZERO_ALLOC],
+    },
+    Mutant {
+        name: "R003: a box per merged row (`Box::new` in the merge loop)",
+        file: "crates/core/src/merge.rs",
+        anchor: "    for _ in 0..rows {\n        let w = tree.winner();",
+        replacement: "    for _ in 0..rows {\n        let w = *std::hint::black_box(Box::new(tree.winner()));",
+        targets: &[LINT, CLIPPY_CORE, ZERO_ALLOC],
+    },
+    Mutant {
+        name: "R003: a vector per row in LSD radix's counting sweep (`Vec::new` in a loop)",
+        file: "crates/algos/src/radix.rs",
+        anchor: "            let key = &src[at..at + fuse];\n",
+        replacement: "            let key = &src[at..at + fuse];\n            let mut seen = Vec::new();\n            \
+                      seen.extend_from_slice(key);\n            std::hint::black_box(seen);\n",
+        targets: &[LINT, CLIPPY_ALGOS, ZERO_ALLOC],
+    },
+    Mutant {
+        name: "R003: a string formatted per inverted key byte (`format!` in a loop)",
+        file: "crates/normkey/src/encoding.rs",
+        anchor: "    for b in bytes {\n        *b = !*b;",
+        replacement: "    for b in bytes {\n        std::hint::black_box(format!(\"{b}\"));\n        *b = !*b;",
+        targets: &[LINT, CLIPPY_NORMKEY, ZERO_ALLOC],
+    },
+    Mutant {
+        name: "R003: the layout's types collected per column of the scatter (`collect` in a loop)",
+        file: "crates/row/src/block.rs",
+        anchor: "        for slot in 0..types.len() {\n",
+        replacement: "        for slot in 0..types.len() {\n            \
+                      let seen: Vec<_> = types.iter().collect();\n            std::hint::black_box(seen);\n",
+        targets: &[LINT, CLIPPY_ROW, ZERO_ALLOC],
+    },
+    // R010's forms: a literal subscript, and the five panic macros and
+    // methods the four crates' `lib.rs` deny.
+    Mutant {
+        name: "R010: `cols[0]` in the columnar tuple strategy, short on an empty column list",
+        file: "crates/core/src/strategy.rs",
+        anchor: "-> Vec<u32> {\n    let n = cols.first().map_or(0, Vec::len);\n    let mut idxs: Vec<u32> = (0..n as u32).collect();\n    \
+                 cols.iter().for_each(|col| probe.buffer(col));\n    probe.buffer(&idxs);\n    let mut is_less",
+        replacement: "-> Vec<u32> {\n    let n = cols[0].len();\n    let mut idxs: Vec<u32> = (0..n as u32).collect();\n    \
+                      cols.iter().for_each(|col| probe.buffer(col));\n    probe.buffer(&idxs);\n    let mut is_less",
+        targets: &[LINT, CLIPPY_CORE, CORE, ORACLE],
+    },
+    Mutant {
+        name: "R010: `unwrap` of a VARCHAR range's last offset in the scatter",
+        file: "crates/row/src/block.rs",
+        anchor: "let last = offsets.last().copied().unwrap_or_default();",
+        replacement: "let last = offsets.last().copied().unwrap();",
+        targets: &[LINT, CLIPPY_ROW, ROW],
+    },
+    Mutant {
+        name: "R010: `expect` of a dictionary heap's first offset",
+        file: "crates/core/src/dict.rs",
+        anchor: "let base = offsets.first().copied().unwrap_or(0);",
+        replacement: "let base = offsets.first().copied().expect(\"a string range has an offset\");",
+        targets: &[LINT, CLIPPY_CORE, CORE],
+    },
+    Mutant {
+        name: "R010: `panic!` on a run-file block shorter than its framing",
+        file: "crates/core/src/external.rs",
+        anchor: "return Err(self.corrupt(format!(\"block {b} is shorter than its framing\")));",
+        replacement: "panic!(\"block {b} is shorter than its framing\");",
+        targets: &[LINT, CLIPPY_CORE, CORE],
+    },
+    Mutant {
+        name: "R010: `unreachable!` where a plain key column's bytes are missing in decode",
+        file: "crates/normkey/src/decode.rs",
+        anchor: "let Some((&byte, body)) = key.split_first() else {\n                        put(i, None);\n                        continue;",
+        replacement: "let Some((&byte, body)) = key.split_first() else {\n                        \
+                      unreachable!(\"a plain key column holds its bytes\");",
+        targets: &[LINT, CLIPPY_NORMKEY, NORMKEY],
+    },
+    // R011: a Relaxed ordering outside the counter files; only the lint
+    // sees it, in both spellings.
+    Mutant {
+        name: "R011: the run loop's claim ticket taken with `Ordering::Relaxed`",
+        file: "crates/core/src/sorter.rs",
+        anchor: "let i = next.fetch_add(1, AtomicOrdering::SeqCst);",
+        replacement: "let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);",
+        targets: &[LINT, CLIPPY_CORE, CORE],
+    },
+    Mutant {
+        name: "R011: the planner's ticket taken with an aliased `AtomicOrdering::Relaxed`",
+        file: "crates/core/src/run.rs",
+        anchor: "let plan = table.plans.fetch_add(1, AtomicOrdering::SeqCst) + 1;",
+        replacement: "let plan = table.plans.fetch_add(1, AtomicOrdering::Relaxed) + 1;",
+        targets: &[LINT, CLIPPY_CORE, CORE],
+    },
+    // R012, a rule no more: a discarded spill result, each form a stock
+    // lint's, in the crates and their integration tests alike.
+    Mutant {
+        name: "R012: a run file's flush result discarded with `let _ =`",
+        file: "crates/core/src/external.rs",
+        anchor: "        w.flush()\n            .map_err(|e| SpillError::io(SpillOp::Flush, path, &e))?;",
+        replacement: "        let _ = w.flush();",
+        targets: &[LINT, CLIPPY_CORE, CORE],
+    },
+    Mutant {
+        name: "R012: a run file's header check dropped as a bare statement",
+        file: "crates/core/src/external.rs",
+        anchor: "check_header(&self.buf[..HEADER_BYTES], self.has_ovc, self.run.path())?;",
+        replacement: "check_header(&self.buf[..HEADER_BYTES], self.has_ovc, self.run.path());",
+        targets: &[LINT, CLIPPY_CORE, CORE],
+    },
+    Mutant {
+        name: "R012: a closed block's write error dropped with `.ok()`",
+        file: "crates/core/src/external.rs",
+        anchor: "index.close_block(&mut buf[..end], out)?;",
+        replacement: "index.close_block(&mut buf[..end], out).ok();",
+        targets: &[LINT, CLIPPY_CORE, CORE],
+    },
+    Mutant {
+        name: "R012: an integration test discards a `Result` with `let _ =`",
+        file: "crates/core/tests/zero_alloc.rs",
+        anchor: "chunk.push_row(&row).unwrap();",
+        replacement: "let _ = chunk.push_row(&row);",
+        targets: &[LINT, CLIPPY_CORE],
+    },
+    // R013: a SAFETY comment that argues about another pointer.
+    Mutant {
+        name: "R013: a SAFETY comment that names `j` and `data` but not the pointer `base`",
+        file: "crates/algos/src/rows.rs",
+        anchor: "// SAFETY: as for `a`: `j < len`, so offsetting `base` by\n        // `j * width` stays inside `data`.",
+        replacement: "// SAFETY: as for `a`: `j < len`, so the offset `j * width`\n        // stays inside `data`.",
+        targets: &[LINT, CLIPPY_ALGOS, ALGOS],
+    },
 ];
 
 /// How one entry fared: the tests that failed under it, each as
@@ -469,16 +611,16 @@ enum TargetRun {
 }
 
 impl Runner {
-    /// `cargo test -p <target> <extra>` in the worktree, run by `wrapper`
-    /// (a program and its arguments, or nothing). The runner's own
-    /// `RUSTFLAGS` are not passed on: a mutant may leave an unused
-    /// variable, and a warning is not a catch.
-    fn cargo(&self, wrapper: &[&str], target: &str, extra: &[&str]) -> Command {
+    /// `cargo <command> --offline <args>` in the worktree, run by
+    /// `wrapper` (a program and its arguments, or nothing). The runner's
+    /// own `RUSTFLAGS` are not passed on: a mutant may leave an unused
+    /// variable, and a warning is not a test's catch (clippy targets deny
+    /// warnings on their own command line).
+    fn cargo(&self, wrapper: &[&str], command: &str, args: &[&str]) -> Command {
         let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_owned());
         let mut argv = wrapper.to_vec();
-        argv.extend([cargo.as_str(), "test", "--offline", "-p"]);
-        argv.extend(target.split_whitespace());
-        argv.extend(extra);
+        argv.extend([cargo.as_str(), command, "--offline"]);
+        argv.extend(args);
         let mut cmd = Command::new(argv[0]);
         cmd.args(&argv[1..])
             .current_dir(&self.tree)
@@ -488,8 +630,92 @@ impl Runner {
     }
 
     fn run(&self, target: &str) -> Result<TargetRun, String> {
+        match target.strip_prefix("clippy ") {
+            Some(package) => self.clippy(package),
+            None if target == LINT => self.lint(),
+            None => self.test(target),
+        }
+    }
+
+    /// `cargo clippy -p <package> --all-targets -- -D warnings`: each
+    /// lint that fires is a catch, as `clippy -p <package>: <lint>`.
+    fn clippy(&self, package: &str) -> Result<TargetRun, String> {
+        let args = ["-p", package, "--all-targets", "--message-format=json"];
+        let out = self
+            .cargo(
+                &[],
+                "clippy",
+                &[&args[..], &["--", "-D", "warnings"]].concat(),
+            )
+            .stderr(Stdio::null())
+            .output()
+            .map_err(|e| format!("cannot run cargo clippy: {e}"))?;
+        let mut fired = BTreeSet::new();
+        for line in String::from_utf8_lossy(&out.stdout).lines() {
+            let Some(diagnostic) = Json::parse(line)
+                .ok()
+                .and_then(|m| m.get("message").cloned())
+            else {
+                continue;
+            };
+            if diagnostic.get("level").and_then(Json::as_str) != Some("error") {
+                continue;
+            }
+            let code = diagnostic.get("code").and_then(|c| c.get("code"));
+            if let Some(code) = code.and_then(Json::as_str) {
+                fired.insert(format!("clippy -p {package}: {code}"));
+            }
+        }
+        if !out.status.success() && fired.is_empty() {
+            fired.insert(format!("clippy -p {package} (exit {})", out.status));
+        }
+        Ok(TargetRun::Ran(fired))
+    }
+
+    /// The worktree's `rowsort-lint` over the worktree: each rule that
+    /// finds something is a catch, as `rowsort-lint: <rule>`.
+    fn lint(&self) -> Result<TargetRun, String> {
+        let args = [
+            "-q",
+            "-p",
+            "lint",
+            "--bin",
+            "rowsort-lint",
+            "--",
+            "--root",
+            ".",
+        ];
+        let out = self
+            .cargo(&[], "run", &args)
+            .output()
+            .map_err(|e| format!("cannot run rowsort-lint: {e}"))?;
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let rules = stdout
+            .lines()
+            .filter_map(|l| l.strip_prefix("error[")?.split_once(']'));
+        let mut fired: BTreeSet<String> = rules
+            .map(|(rule, _)| format!("rowsort-lint: {rule}"))
+            .collect();
+        if !out.status.success() && fired.is_empty() {
+            let err = String::from_utf8_lossy(&out.stderr);
+            let first = err.lines().next().unwrap_or("");
+            fired.insert(format!("rowsort-lint (exit {}): {first}", out.status));
+        }
+        Ok(TargetRun::Ran(fired))
+    }
+
+    /// `cargo test -p <target>` under [`TIMEOUT_SECS`]: each test that
+    /// fails is a catch.
+    fn test(&self, target: &str) -> Result<TargetRun, String> {
+        let package: Vec<&str> = std::iter::once("-p")
+            .chain(target.split_whitespace())
+            .collect();
         let built = self
-            .cargo(&[], target, &["--no-run", "--quiet"])
+            .cargo(
+                &[],
+                "test",
+                &[&package[..], &["--no-run", "--quiet"]].concat(),
+            )
             .stdout(Stdio::null())
             .output()
             .map_err(|e| format!("cannot run cargo: {e}"))?;
@@ -502,7 +728,8 @@ impl Runner {
         // cargo started included.
         let secs = TIMEOUT_SECS.to_string();
         let timeout = ["timeout", "--kill-after=10", &secs];
-        let mut cmd = self.cargo(&timeout, target, &["--no-fail-fast"]);
+        let args = [&package[..], &["--no-fail-fast"]].concat();
+        let mut cmd = self.cargo(&timeout, "test", &args);
         // One pipe for both streams keeps cargo's `Running …` lines
         // (stderr) in order with the tests' results (stdout).
         let (mut reader, writer) = std::io::pipe().map_err(|e| format!("pipe: {e}"))?;

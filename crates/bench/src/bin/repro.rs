@@ -10,10 +10,6 @@
 //! crate docs (`ROWSORT_MAX_POW`, `ROWSORT_SIM_POW`, `ROWSORT_E2E_ROWS`,
 //! `ROWSORT_SF_FRACTION`, `ROWSORT_THREADS`, `ROWSORT_REPS`).
 
-// A discarded `#[must_use]` value is handled or expected by name, as in
-// the crate's library.
-#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
-
 use rowsort_bench::{counters, endtoend, info, micro, ExperimentResult, Scale};
 use rowsort_core::strategy::Algo;
 

@@ -13,10 +13,6 @@
 //! per-iteration seed in the message, so a failure reproduces with
 //! `--iters 1 --seed <that seed>`.
 
-// A discarded `#[must_use]` value is handled or expected by name, as in
-// the crate's library.
-#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
-
 use rowsort_bench::stress::{parse_seed, run, StressConfig};
 
 #[expect(

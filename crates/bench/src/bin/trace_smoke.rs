@@ -33,10 +33,6 @@
 //! non-zero on any violation, so CI catches schema drift the moment it
 //! happens.
 
-// A discarded `#[must_use]` value is handled or expected by name, as in
-// the crate's library.
-#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
-
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter, SPILL_WORKERS};
 use rowsort_core::metrics::{Counter, Phase, RUN_STAGES};
 use rowsort_core::pipeline::{SortOptions, SortPipeline};

@@ -21,10 +21,6 @@
 //! | `ROWSORT_THREADS` | 1 | 16+ | worker threads for end-to-end sorts |
 //! | `ROWSORT_REPS` | 3 | 5 | repetitions; the median is reported |
 
-// A discarded `#[must_use]` value — a spill error above all — is handled,
-// counted or expected by name, as in rowsort-core.
-#![deny(clippy::let_underscore_must_use, clippy::unused_result_ok)]
-
 pub mod counters;
 pub mod endtoend;
 pub mod info;

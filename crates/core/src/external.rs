@@ -755,7 +755,7 @@ impl ExternalSorter {
             .spill_dir
             .clone()
             .unwrap_or_else(std::env::temp_dir);
-        let id = SPILL_COUNTER.fetch_add(1, AtomicOrdering::Relaxed);
+        let id = SPILL_COUNTER.fetch_add(1, AtomicOrdering::AcqRel);
         dir.join(format!("rowsort-spill-{}-{}.run", std::process::id(), id))
     }
 

@@ -21,10 +21,9 @@
 //! its outcome re-codes the loser relative to the winner for free: codes
 //! stay current as a by-product of merging.
 //!
-//! Everything here is panic-free (R010: these kernels are reachable from
-//! the hot merge entry points): tail words are zero-padded by a bounded
-//! loader, and offsets decoded from untrusted spill files are clamped
-//! before use.
+//! Everything here is panic-free (these kernels run in every merge):
+//! tail words are zero-padded by a bounded loader, and offsets decoded
+//! from untrusted spill files are clamped before use.
 
 use std::cmp::Ordering;
 

@@ -522,6 +522,18 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_column_list_sorts_nothing() {
+        let cols: Vec<Vec<u32>> = Vec::new();
+        for algo in [Algo::Introsort, Algo::MergeSort, Algo::Pdq] {
+            assert!(columnar_tuple(&cols, algo, &NoProbe).is_empty());
+            assert!(columnar_subsort(&cols, algo, &NoProbe).is_empty());
+        }
+        assert!(ByteRows::from_cols(&cols).is_empty());
+        assert!(to_static_rows::<0>(&cols).is_empty());
+        assert!(NormRows::from_cols(&cols).is_empty());
+    }
+
+    #[test]
     fn single_column_single_row() {
         let cols = vec![vec![5u32]];
         assert_eq!(columnar_tuple(&cols, Algo::Introsort, &NoProbe), vec![0]);

@@ -271,7 +271,7 @@ fn columnar_jit_sort(input: &DataChunk, order: &OrderBy, threads: usize) -> Data
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
-                    let m = next.fetch_add(1, AtomicOrdering::Relaxed);
+                    let m = next.fetch_add(1, AtomicOrdering::AcqRel);
                     if m >= morsels {
                         break;
                     }
@@ -453,7 +453,7 @@ fn compiled_rows_sort(
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| loop {
-                    let m = next.fetch_add(1, AtomicOrdering::Relaxed);
+                    let m = next.fetch_add(1, AtomicOrdering::AcqRel);
                     if m >= morsels {
                         break;
                     }

@@ -19,7 +19,7 @@ use rowsort_core::pipeline::{SortOptions, SortPipeline};
 use rowsort_core::SortResources;
 use rowsort_testkit::alloc::{allocation_count, CountingAllocator};
 use rowsort_testkit::Rng;
-use rowsort_vector::{DataChunk, LogicalType, OrderBy, Value, Vector};
+use rowsort_vector::{DataChunk, LogicalType, OrderBy, OrderByColumn, Value, Vector};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
@@ -48,10 +48,10 @@ const U32_ALLOCS: usize = 11;
 const NAMED_ALLOCS: usize = 21;
 const WIDE_ALLOCS: usize = 14;
 
-/// Sort `chunk` by its first `keys` columns three times on one pipeline
-/// and pin the third sort: `allocs` system allocations, no pool miss.
-fn third_sort_allocates(what: &str, chunk: &DataChunk, keys: usize, ovc: bool, allocs: usize) {
-    third_sort_of(what, chunk, chunk, keys, ovc, allocs);
+/// Sort `chunk` by `order` three times on one pipeline and pin the third
+/// sort: `allocs` system allocations, no pool miss.
+fn third_sort_allocates(what: &str, chunk: &DataChunk, order: &OrderBy, ovc: bool, allocs: usize) {
+    third_sort_of(what, chunk, chunk, order, ovc, allocs);
 }
 
 /// Sort `warm_up` twice and then `chunk` — the same rows but for payload
@@ -60,7 +60,7 @@ fn third_sort_of(
     what: &str,
     warm_up: &DataChunk,
     chunk: &DataChunk,
-    keys: usize,
+    order: &OrderBy,
     ovc: bool,
     allocs: usize,
 ) -> SortProfile {
@@ -69,7 +69,7 @@ fn third_sort_of(
     // schedule; the allocation count is about sort buffers.
     let pipeline = SortPipeline::new(
         chunk.types(),
-        OrderBy::ascending(keys),
+        order.clone(),
         SortOptions {
             threads: 1,
             run_rows: n / 6,
@@ -232,19 +232,24 @@ fn steady_state_sort_does_not_allocate() {
     let planned = KeyBlock::planned(&wide, &OrderBy::ascending(4));
     assert_eq!(planned.key_width(), 16, "a key wider than LSD's 8 bytes");
 
+    let (one, four) = (OrderBy::ascending(1), OrderBy::ascending(4));
+    let desc = OrderBy::new(vec![OrderByColumn::desc(0)]);
     for ovc in [true, false] {
-        third_sort_allocates("u32 key", &u32s, 1, ovc, U32_ALLOCS);
-        third_sort_allocates("long VARCHAR key", &strings, 1, ovc, NAMED_ALLOCS);
+        third_sort_allocates("u32 key", &u32s, &one, ovc, U32_ALLOCS);
+        third_sort_allocates("long VARCHAR key", &strings, &one, ovc, NAMED_ALLOCS);
+        // The same key descending: its prefix bytes are inverted row by row.
+        let what = "long VARCHAR key, DESC";
+        third_sort_allocates(what, &strings, &desc, ovc, NAMED_ALLOCS);
         let what = "truncated VARCHAR key";
-        let profile = third_sort_of(what, &tied, &tied, 1, ovc, NAMED_ALLOCS);
+        let profile = third_sort_of(what, &tied, &tied, &one, ovc, NAMED_ALLOCS);
         assert_eq!(
             profile.varchar_prefix, 12,
             "no prefix within the cap separates"
         );
         assert_eq!(profile.metrics.counter(Counter::RunTieRows), 60_000);
         let what = "truncated VARCHAR key, payload lengths changed";
-        third_sort_of(what, &tied, &tied_other_payload, 1, ovc, NAMED_ALLOCS);
-        third_sort_allocates("four-i32 key", &wide, 4, ovc, WIDE_ALLOCS);
+        third_sort_of(what, &tied, &tied_other_payload, &one, ovc, NAMED_ALLOCS);
+        third_sort_allocates("four-i32 key", &wide, &four, ovc, WIDE_ALLOCS);
         let new = NEW_SORTER_ALLOCS;
         let sampled = new + SAMPLER_ALLOCS + NAMED_ALLOCS;
         new_sorter_on_warm_set("u32 key", &u32s, 1, ovc, new + U32_ALLOCS);

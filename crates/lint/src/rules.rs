@@ -3,45 +3,60 @@
 //!
 //! | rule | scope | invariant |
 //! |------|-------|-----------|
-//! | R003 | `[hot-paths]` globs | no allocation calls (`Vec::new`, `Box::new`, `to_vec`, `clone()`, `collect()`, `format!`) inside loop bodies |
-//! | R010 | [`PANIC_FREE_CRATES`] | no slice indexed by an integer literal (`v[0]`) |
-//! | R011 | all but `[atomic-relaxed-allow]` | no `Ordering::Relaxed` on atomics (counters are allowlisted) |
+//! | R011 | all but [`RELAXED_ALLOWED`] | no `Relaxed` atomic ordering, by any path or alias (counters are allowlisted) |
 //! | R013 | every `.rs` file | an `unsafe` block's SAFETY comment names every identifier its pointer operations use |
 //!
-//! What a stock lint says is left to it, run by `cargo clippy`: the
-//! `[workspace.lints]` tables in the root `Cargo.toml` (a SAFETY comment
-//! on every `unsafe` block and one unsafe operation per block, `unsafe`
-//! only where an `#[expect(unsafe_code, …)]` names it, `process::exit`
-//! only where expected) and the crate-level denies in the `lib.rs` of the
-//! [`PANIC_FREE_CRATES`]: `unwrap`, `expect`, `panic!`, `unreachable!`,
-//! `todo!` and `unimplemented!` outside tests in all four, a discarded
-//! `#[must_use]` value (`let _ = …`, `….ok();`) in `rowsort-core`, and no
-//! bare `as` cast in `rowsort-normkey`. rustc's `unused_must_use` under
-//! `-D warnings` holds a bare `…;` statement. `scripts/verify.sh` checks
-//! the path-only dependency closure.
+//! What a stock lint says is left to it, run by `cargo clippy` over the
+//! `[workspace.lints]` tables in the root `Cargo.toml` and the crate-level
+//! denies in the `lib.rs` of `rowsort-algos`, `-core`, `-normkey` and
+//! `-row`; what a run-time count says is left to the tests (DESIGN.md
+//! §9).
 //!
-//! `#[cfg(test)]` modules, `#[test]` functions, and whole files matching
-//! `[test-paths]` are exempt from R010, R011 and R013 (and `[test-paths]`
-//! files from R003): the invariants guard the measured sort path, not
-//! test scaffolding. Findings are suppressed by `// lint:allow(RXXX):
-//! reason` on the same or the preceding line; a suppression **must**
-//! carry a reason and must silence a finding of every rule it names, or
-//! the suppression itself becomes a finding (R000).
+//! `#[cfg(test)]` modules, `#[test]` functions, and whole files under
+//! [`TEST_PATHS`] are exempt: the invariants guard the measured sort
+//! path, not test scaffolding. No finding can be silenced; code that
+//! trips a rule is rewritten.
 
-use crate::config::Config;
 use crate::lexer::{lex, Tok, TokKind};
-use crate::Timing;
 use std::collections::HashSet;
 
-/// The crates (`crates/<name>/src`) whose non-test code must not panic:
-/// R010 holds their literal subscripts, and each one's `lib.rs` denies
-/// clippy's six panic lints.
-pub const PANIC_FREE_CRATES: &[&str] = &["algos", "core", "normkey", "row"];
+/// Files that are test or bench scaffolding as a whole, exempt like
+/// `#[cfg(test)]` items. A `*` stands for one path segment; a pattern
+/// that ends in `/` covers everything under it. Core's `testutil.rs` is a
+/// `#[cfg(test)] mod` the token pass sees as a plain file.
+pub const TEST_PATHS: &[&str] = &[
+    "crates/core/src/testutil.rs",
+    "crates/*/tests/",
+    "crates/*/benches/",
+    "crates/bench/src/bin/",
+    "tests/",
+    "examples/",
+];
+
+/// The files where R011 lets `Relaxed` order an atomic: pure statistics
+/// counters (metrics, pool hit/miss stats, the counting test allocator),
+/// never a cross-thread handoff.
+pub const RELAXED_ALLOWED: &[&str] = &[
+    "crates/core/src/metrics.rs",
+    "crates/core/src/pool.rs",
+    "crates/testkit/src/alloc.rs",
+];
+
+/// Is the workspace-relative `path` under one of [`TEST_PATHS`]?
+pub fn is_test_path(path: &str) -> bool {
+    TEST_PATHS.iter().any(|pattern| {
+        let mut segments = path.split('/');
+        let dir = pattern.ends_with('/');
+        let mut parts = pattern.trim_end_matches('/').split('/');
+        parts.all(|p| segments.next().is_some_and(|s| p == "*" || p == s))
+            && dir == segments.next().is_some()
+    })
+}
 
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id, e.g. `R010`.
+    /// Rule id, e.g. `R011`.
     pub rule: String,
     /// Repo-relative path.
     pub path: String,
@@ -70,8 +85,6 @@ struct FileCtx<'a> {
     toks: &'a [Tok],
     /// Token-index ranges belonging to `#[cfg(test)]` mods / `#[test]` fns.
     test_ranges: Vec<(usize, usize)>,
-    /// Whole file is test scaffolding (`lint.toml [test-paths]`).
-    file_is_test: bool,
     /// Source lines covered by a comment (a multi-line block comment
     /// covers every line it spans).
     comment_lines: HashSet<u32>,
@@ -81,12 +94,11 @@ struct FileCtx<'a> {
 }
 
 impl<'a> FileCtx<'a> {
-    fn new(path: &'a str, toks: &'a [Tok], file_is_test: bool) -> FileCtx<'a> {
+    fn new(path: &'a str, toks: &'a [Tok]) -> FileCtx<'a> {
         let mut ctx = FileCtx {
             path,
             toks,
             test_ranges: test_ranges(toks),
-            file_is_test,
             comment_lines: HashSet::new(),
             attr_lines: HashSet::new(),
         };
@@ -103,7 +115,7 @@ impl<'a> FileCtx<'a> {
     }
 
     fn in_test(&self, idx: usize) -> bool {
-        self.file_is_test || self.test_ranges.iter().any(|&(s, e)| idx >= s && idx < e)
+        self.test_ranges.iter().any(|&(s, e)| idx >= s && idx < e)
     }
 
     /// Index of the previous non-comment token.
@@ -268,29 +280,6 @@ impl<'a> FileCtx<'a> {
     }
 }
 
-/// A parsed `lint:allow` suppression.
-#[derive(Debug)]
-struct Suppression {
-    rules: Vec<String>,
-    /// The rules named that have not silenced a finding yet.
-    idle: Vec<String>,
-    /// Source line this suppression covers.
-    covers_line: u32,
-    has_reason: bool,
-    /// Position of the comment itself (an unused suppression is reported
-    /// there).
-    comment_line: u32,
-    comment_col: u32,
-}
-
-/// Time one rule invocation into `timing`.
-fn timed<T>(timing: &mut Timing, rule: &str, f: impl FnOnce() -> T) -> T {
-    let t0 = std::time::Instant::now();
-    let out = f();
-    timing.add_rule(rule, crate::ms_since(t0));
-    out
-}
-
 // ---------------------------------------------------------------------------
 // Test-region detection
 // ---------------------------------------------------------------------------
@@ -420,328 +409,53 @@ fn next_sig_from(toks: &[Tok], idx: usize) -> Option<usize> {
 }
 
 // ---------------------------------------------------------------------------
-// Suppressions
-// ---------------------------------------------------------------------------
-
-/// Parse `// lint:allow(R010): reason` comments. A suppression on its own
-/// line covers the next line holding code; a trailing suppression covers
-/// its own line. Missing reasons are reported as R000 findings.
-fn collect_suppressions(ctx: &FileCtx, findings: &mut Vec<Finding>) -> Vec<Suppression> {
-    // Lines that contain at least one non-comment token.
-    let code_lines: Vec<u32> = {
-        let mut v: Vec<u32> = ctx
-            .toks
-            .iter()
-            .filter(|t| !t.is_comment())
-            .map(|t| t.line)
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    };
-    let mut out = Vec::new();
-    for (i, t) in ctx.toks.iter().enumerate() {
-        if !t.is_comment() {
-            continue;
-        }
-        // Anchor the directive at the start of the comment (after the
-        // `//`/`//!`/`/*` sigils) so prose *mentioning* lint:allow — docs
-        // like this file's — is not mistaken for a suppression.
-        let body = t.text.trim_start_matches(['/', '!', '*']).trim_start();
-        let Some(after) = body.strip_prefix("lint:allow(") else {
-            continue;
-        };
-        let Some(close) = after.find(')') else {
-            findings.push(Finding::new(
-                "R000",
-                ctx.path,
-                t,
-                "malformed lint:allow — missing ')'",
-            ));
-            continue;
-        };
-        let rules: Vec<String> = after[..close]
-            .split(',')
-            .map(|r| r.trim().to_string())
-            .filter(|r| !r.is_empty())
-            .collect();
-        if rules.is_empty() || !rules.iter().all(|r| valid_rule_id(r)) {
-            findings.push(Finding::new(
-                "R000",
-                ctx.path,
-                t,
-                format!("lint:allow names unknown rule id(s): `{}`", &after[..close]),
-            ));
-            continue;
-        }
-        let tail = after[close + 1..].trim_start();
-        let has_reason = tail.strip_prefix(':').is_some_and(|r| !r.trim().is_empty());
-        if !has_reason {
-            findings.push(Finding::new(
-                "R000",
-                ctx.path,
-                t,
-                format!(
-                    "lint:allow({}) requires a reason: `// lint:allow({}): why this is sound`",
-                    rules.join(","),
-                    rules.join(",")
-                ),
-            ));
-        }
-        // Trailing (code earlier on the same line) covers its own line;
-        // a standalone comment covers the next code line.
-        let trailing = ctx
-            .toks
-            .iter()
-            .take(i)
-            .any(|p| !p.is_comment() && p.line == t.line);
-        let covers_line = if trailing {
-            t.line
-        } else {
-            code_lines
-                .iter()
-                .copied()
-                .find(|&l| l > t.line)
-                .unwrap_or(t.line)
-        };
-        out.push(Suppression {
-            idle: rules.clone(),
-            rules,
-            covers_line,
-            has_reason,
-            comment_line: t.line,
-            comment_col: t.col,
-        });
-    }
-    out
-}
-
-/// A suppression may name any rule that has an `--explain` entry, bar
-/// R000 — the suppression rule itself.
-fn valid_rule_id(r: &str) -> bool {
-    r != "R000" && explain(r).is_some()
-}
-
-// ---------------------------------------------------------------------------
-// R003 — no allocation inside loop bodies in hot paths
-// ---------------------------------------------------------------------------
-
-fn rule_r003(ctx: &FileCtx, findings: &mut Vec<Finding>) {
-    #[derive(PartialEq)]
-    enum Brace {
-        Plain,
-        Loop,
-    }
-    let mut stack: Vec<Brace> = Vec::new();
-    let mut loop_depth = 0usize;
-    let mut paren_depth = 0i32;
-    let mut pending_loop: Option<i32> = None;
-    let mut pending_impl = false;
-
-    for (i, t) in ctx.toks.iter().enumerate() {
-        if t.is_comment() {
-            continue;
-        }
-        match t.kind {
-            TokKind::Ident => match t.text.as_str() {
-                "impl" => pending_impl = true,
-                "for" => {
-                    let hrtb = ctx.next_sig(i).is_some_and(|n| ctx.toks[n].is_punct('<'));
-                    if !pending_impl && !hrtb {
-                        pending_loop = Some(paren_depth);
-                    }
-                    pending_impl = false;
-                }
-                "while" | "loop" => pending_loop = Some(paren_depth),
-                _ => {}
-            },
-            TokKind::Punct => match t.text.as_str() {
-                "(" | "[" => paren_depth += 1,
-                ")" | "]" => paren_depth -= 1,
-                "{" => {
-                    if pending_loop == Some(paren_depth) {
-                        stack.push(Brace::Loop);
-                        loop_depth += 1;
-                        pending_loop = None;
-                    } else {
-                        stack.push(Brace::Plain);
-                    }
-                    pending_impl = false;
-                }
-                "}" => loop_depth -= usize::from(stack.pop() == Some(Brace::Loop)),
-                _ => {}
-            },
-            _ => {}
-        }
-        if loop_depth == 0 || ctx.in_test(i) || t.kind != TokKind::Ident {
-            continue;
-        }
-        let method_call = |name: &str| -> bool {
-            t.is_ident(name)
-                && ctx.prev_sig(i).is_some_and(|p| ctx.toks[p].is_punct('.'))
-                && ctx.next_sig(i).is_some_and(|n| ctx.toks[n].is_punct('('))
-        };
-        let assoc_new = t.is_ident("new") && ctx.path_head_is(i, &["Vec", "Box"]);
-        let offending =
-            if t.is_ident("format") && ctx.next_sig(i).is_some_and(|n| ctx.toks[n].is_punct('!')) {
-                Some("format! allocates")
-            } else if assoc_new {
-                Some("Vec::new/Box::new allocates")
-            } else if method_call("to_vec") || method_call("clone") || method_call("collect") {
-                Some("per-iteration allocation")
-            } else {
-                None
-            };
-        if let Some(why) = offending {
-            findings.push(Finding::new(
-                "R003",
-                ctx.path,
-                t,
-                format!(
-                    "`{}` inside a loop body in a hot-path module ({why}) — \
-                     hoist the allocation out of the loop",
-                    t.text
-                ),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The pass: every rule over one file
 // ---------------------------------------------------------------------------
 
 /// Analyze one file: it is lexed once, its test regions found once, and
-/// every rule in scope runs over its tokens — R003 in `[test-paths]`
-/// files too, the others over non-test code only. `path` is
-/// workspace-relative with `/` separators; a file that is not `.rs`
-/// yields nothing. Findings are suppression-filtered and sorted.
-pub fn analyze_file(path: &str, src: &str, cfg: &Config, timing: &mut Timing) -> Vec<Finding> {
-    if !path.ends_with(".rs") {
+/// every rule in scope runs over its non-test tokens. `path` is
+/// workspace-relative with `/` separators; a file that is not `.rs`, or
+/// is under [`TEST_PATHS`], yields nothing. Findings are sorted.
+pub fn analyze_file(path: &str, src: &str) -> Vec<Finding> {
+    if !path.ends_with(".rs") || is_test_path(path) {
         return Vec::new();
     }
-    let t0 = std::time::Instant::now();
     let toks = lex(src);
-    timing.add_lex(path, crate::ms_since(t0));
-    let ctx = FileCtx::new(path, &toks, Config::matches(&cfg.test_paths, path));
+    let ctx = FileCtx::new(path, &toks);
     let mut findings = Vec::new();
-    let mut sups = collect_suppressions(&ctx, &mut findings);
-    if Config::matches(&cfg.hot_paths, path) {
-        timed(timing, "R003", || rule_r003(&ctx, &mut findings));
+    if !RELAXED_ALLOWED.contains(&path) {
+        rule_r011(&ctx, &mut findings);
     }
-    if !ctx.file_is_test {
-        if in_panic_free_crate(path) {
-            timed(timing, "R010", || rule_r010(&ctx, &mut findings));
-        }
-        if !Config::matches(&cfg.atomic_relaxed_allow, path) {
-            timed(timing, "R011", || rule_r011(&ctx, &mut findings));
-        }
-        timed(timing, "R013", || rule_r013(&ctx, &mut findings));
-    }
-    // R000 is no valid id to name, so its findings survive.
-    findings.retain(|f| {
-        let mut silenced = false;
-        for s in sups
-            .iter_mut()
-            .filter(|s| s.has_reason && s.covers_line == f.line && s.rules.contains(&f.rule))
-        {
-            s.idle.retain(|r| *r != f.rule);
-            silenced = true;
-        }
-        !silenced
-    });
-    // A suppression is a reviewed claim about a finding; once the finding
-    // is gone (or was never there) the claim guards nothing and hides the
-    // next one to land on its line.
-    for s in sups.iter().filter(|s| s.has_reason && !s.idle.is_empty()) {
-        findings.push(Finding {
-            rule: "R000".to_string(),
-            path: path.to_string(),
-            line: s.comment_line,
-            col: s.comment_col,
-            message: format!(
-                "lint:allow({}) silences nothing — line {} has no such finding; \
-                 delete the suppression",
-                s.idle.join(","),
-                s.covers_line
-            ),
-        });
-    }
+    rule_r013(&ctx, &mut findings);
     findings.sort_by_key(|f| (f.line, f.col));
     findings
 }
 
-// ---------------------------------------------------------------------------
-// R010 — no literal subscript in the panic-free crates
-// ---------------------------------------------------------------------------
-
-/// Is `path` in the `src/` of one of the [`PANIC_FREE_CRATES`]?
-fn in_panic_free_crate(path: &str) -> bool {
-    PANIC_FREE_CRATES.iter().any(|c| {
-        path.strip_prefix("crates/")
-            .and_then(|rest| rest.strip_prefix(c))
-            .is_some_and(|rest| rest.starts_with("/src/"))
-    })
-}
-
-/// Keywords after which an expression starts: a `[` there opens an
-/// array, not a subscript, and a `*` dereferences, not multiplies.
+/// Keywords after which an expression starts: a `*` there dereferences,
+/// not multiplies.
 const BEFORE_EXPR: &[&str] = &[
     "mut", "in", "return", "break", "match", "if", "while", "else",
 ];
-
-/// Flag `base[<integer literal>]`. The other panic sources — `unwrap`,
-/// `expect`, `panic!`, `unreachable!`, `todo!`, `unimplemented!` — are
-/// clippy's, denied in each panic-free crate's `lib.rs`; no stock lint
-/// names this one without flagging every subscript.
-fn rule_r010(ctx: &FileCtx, findings: &mut Vec<Finding>) {
-    for (i, t) in ctx.toks.iter().enumerate() {
-        if !t.is_punct('[') || ctx.in_test(i) {
-            continue;
-        }
-        let subscript = ctx.prev_sig(i).is_some_and(|p| {
-            let p = &ctx.toks[p];
-            p.is_punct(')')
-                || p.is_punct(']')
-                || (p.kind == TokKind::Ident && !BEFORE_EXPR.contains(&p.text.as_str()))
-        });
-        let literal = ctx
-            .next_sig(i)
-            .filter(|&n| ctx.toks[n].kind == TokKind::Num)
-            .and_then(|n| ctx.next_sig(n))
-            .is_some_and(|c| ctx.toks[c].is_punct(']'));
-        if subscript && literal {
-            findings.push(Finding::new(
-                "R010",
-                ctx.path,
-                t,
-                "slice indexed by an integer literal panics when it is shorter — \
-                 destructure it (`let [a, ..] = …`) or use `.first()` / `.get(n)`",
-            ));
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // R011 — atomic-ordering discipline
 // ---------------------------------------------------------------------------
 
-/// Flag `Ordering::Relaxed`. A Relaxed load/store is only sound for
-/// values nothing else synchronizes on (statistics counters); anything
-/// guarding a cross-thread handoff needs Acquire/Release. Counter files
-/// are allowlisted via `[atomic-relaxed-allow]`; a justified Relaxed
-/// elsewhere takes a reasoned `lint:allow(R011)`.
+/// Flag every `Relaxed` token: `Ordering::Relaxed`, an aliased
+/// `AtomicOrdering::Relaxed` and a `use`d bare `Relaxed` alike. A Relaxed
+/// load or store is only sound for values nothing else synchronizes on
+/// (statistics counters, whose files are [`RELAXED_ALLOWED`]); anything
+/// guarding a cross-thread handoff needs Acquire/Release.
 fn rule_r011(ctx: &FileCtx, findings: &mut Vec<Finding>) {
     for (i, t) in ctx.toks.iter().enumerate() {
-        if !ctx.in_test(i) && t.is_ident("Relaxed") && ctx.path_head_is(i, &["Ordering"]) {
+        if t.is_ident("Relaxed") && !ctx.in_test(i) {
             findings.push(Finding::new(
                 "R011",
                 ctx.path,
                 t,
-                "`Ordering::Relaxed` outside the counter allowlist — a Relaxed \
+                "`Relaxed` atomic ordering outside the counter files — a Relaxed \
                  atomic cannot order a cross-thread handoff; use Acquire/Release \
-                 (or allowlist the file in [atomic-relaxed-allow] if this is a \
-                 pure statistics counter)",
+                 (a pure statistics counter belongs in `rules::RELAXED_ALLOWED`)",
             ));
         }
     }
@@ -917,71 +631,4 @@ fn ptr_mentions<'a>(ctx: &FileCtx<'a>, open: usize, close: usize) -> Vec<&'a str
         }
     }
     out
-}
-
-// ---------------------------------------------------------------------------
-// --explain documentation
-// ---------------------------------------------------------------------------
-
-/// Long-form documentation for `rowsort-lint --explain RXXX`.
-pub fn explain(rule: &str) -> Option<&'static str> {
-    Some(match rule {
-        "R000" => {
-            "R000 — malformed or reason-less suppression\n\n\
-             `// lint:allow(RXXX): reason` disables a rule for one line. The\n\
-             reason is mandatory: a suppression is a reviewed claim that the\n\
-             flagged code is sound, and the claim has to be written down.\n\
-             R000 fires on suppressions with no reason, unparseable syntax,\n\
-             or unknown rule ids, and on a suppression that silences nothing:\n\
-             every rule it names must have a finding on the covered line, or\n\
-             the stale claim would hide the next finding to land there.\n\
-             R000 itself cannot be suppressed."
-        }
-        "R003" => {
-            "R003 — no allocation inside hot-path loops\n\n\
-             Loop bodies in `[hot-paths]` files may not call `Vec::new`,\n\
-             `Box::new`, `format!`, `.to_vec()`, `.clone()`, or `.collect()`.\n\
-             Per-iteration allocation destroys the zero-allocation\n\
-             steady-state the pipeline's buffer pool exists to provide —\n\
-             hoist the allocation out of the loop or reuse a pooled buffer."
-        }
-        "R010" => {
-            "R010 — no literal subscript in the panic-free crates\n\n\
-             Non-test code of `rowsort-algos`, `rowsort-core`,\n\
-             `rowsort-normkey` and `rowsort-row` may not index a slice by an\n\
-             integer literal (`v[0]`): it panics when the slice is shorter.\n\
-             Destructure it (`let [a, ..] = …`) or use `.first()` / `.get(n)`.\n\
-             The crates' other panic sources are clippy's: each `lib.rs`\n\
-             denies `unwrap_used`, `expect_used`, `panic`, `unreachable`,\n\
-             `todo` and `unimplemented`, and a site that may panic carries an\n\
-             `#[expect(clippy::…, reason = \"…\")]` that says why it does not.\n\
-             No stock lint names a literal subscript without flagging every\n\
-             subscript."
-        }
-        "R011" => {
-            "R011 — atomic-ordering discipline\n\n\
-             `Ordering::Relaxed` provides no happens-before edge: a Relaxed\n\
-             flag can be observed set before the data it guards is visible.\n\
-             Only pure statistics counters (never synchronized on) may use\n\
-             it, and those files are allowlisted in `[atomic-relaxed-allow]`.\n\
-             Everywhere else use Acquire/Release (or justify the Relaxed\n\
-             with a reasoned `lint:allow(R011)` naming why no data is\n\
-             published through it)."
-        }
-        "R013" => {
-            "R013 — SAFETY completeness\n\n\
-             The SAFETY comment of an `unsafe` block (the run above the\n\
-             block, a trailing comment, or comments inside it) must mention,\n\
-             by name, every identifier that feeds a raw-pointer operation\n\
-             inside the block: a dereference's operand, a pointer method's\n\
-             receiver and arguments (`add`, `read`, `get_unchecked`, …), a\n\
-             pointer function's arguments (`ptr::copy`, `from_raw_parts`,\n\
-             `transmute`, …). An argument that does not\n\
-             name `ptr` says nothing about why `ptr` is valid. That the\n\
-             comment exists, and that the block holds one unsafe operation,\n\
-             is clippy's (`undocumented_unsafe_blocks`,\n\
-             `multiple_unsafe_ops_per_block`)."
-        }
-        _ => return None,
-    })
 }

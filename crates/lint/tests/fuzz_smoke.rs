@@ -10,14 +10,12 @@
 //! 1. every `.rs` file of the lint crate itself, run through a seeded
 //!    byte-level mutator (delete / duplicate / splice junk / punctuate /
 //!    truncate) and then every rule;
-//! 2. pure random byte strings, analyzed both as `.rs` and as a
-//!    `lint.toml` configuration.
+//! 2. pure random byte strings.
 //!
 //! Everything derives from fixed seeds (testkit's splitmix64-seeded
 //! PRNG), so a failure reproduces exactly: re-run with the printed file
 //! and case index. No network, no wall-clock, no corpus files.
 
-use lint::Config;
 use rowsort_testkit::rng::Rng;
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -30,20 +28,13 @@ const CASES_PER_FILE: usize = 6;
 /// Pure-garbage cases (random byte strings up to 4 KiB).
 const RANDOM_STRINGS: usize = 64;
 
-/// The real workspace `lint.toml`, so scoped rules (hot paths) actually
-/// fire on the mutated sources.
-fn workspace_config() -> Config {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let src = fs::read_to_string(root.join("lint.toml")).expect("workspace lint.toml");
-    Config::parse(&src)
-}
-
 /// Run the full analysis pipeline over one in-memory file and report
 /// whether it panicked. The file is presented under a `crates/core/src/`
-/// path so R010's scope is in play.
-fn analyze_panics(rel: &str, src: &str, cfg: &Config) -> bool {
+/// path, outside the test paths and R011's counter files, so every rule
+/// is in play.
+fn analyze_panics(rel: &str, src: &str) -> bool {
     catch_unwind(AssertUnwindSafe(|| {
-        lint::analyze_source(rel, src, cfg).len()
+        lint::rules::analyze_file(rel, src).len()
     }))
     .is_err()
 }
@@ -106,7 +97,7 @@ fn own_sources() -> Vec<PathBuf> {
         .collect();
     paths.sort();
     assert!(
-        paths.len() >= 6,
+        paths.len() >= 4,
         "expected the lint crate sources as fuzz corpus, found {}",
         paths.len()
     );
@@ -115,14 +106,13 @@ fn own_sources() -> Vec<PathBuf> {
 
 #[test]
 fn mutated_workspace_sources_never_panic() {
-    let cfg = workspace_config();
     let mut rng = Rng::seed_from_u64(0x5EED_F0DD_5EED_F0DD);
     for path in own_sources() {
         let src = fs::read(&path).expect("read corpus file");
         for case in 0..CASES_PER_FILE {
             let mutated = mutate(&src, &mut rng);
             assert!(
-                !analyze_panics("crates/core/src/fuzzed.rs", &mutated, &cfg),
+                !analyze_panics("crates/core/src/fuzzed.rs", &mutated),
                 "analyzer panicked on mutated {} (case {case})",
                 path.display()
             );
@@ -132,20 +122,14 @@ fn mutated_workspace_sources_never_panic() {
 
 #[test]
 fn random_byte_strings_never_panic() {
-    let cfg = workspace_config();
     let mut rng = Rng::seed_from_u64(0xB17E5);
     for case in 0..RANDOM_STRINGS {
         let n = rng.below(4096) as usize;
         let garbage = rng.bytes(n);
         let text = String::from_utf8_lossy(&garbage).into_owned();
         assert!(
-            !analyze_panics("crates/core/src/fuzzed.rs", &text, &cfg),
+            !analyze_panics("crates/core/src/fuzzed.rs", &text),
             "analyzer panicked on random bytes (case {case})"
-        );
-        let config_panicked = catch_unwind(AssertUnwindSafe(|| Config::parse(&text))).is_err();
-        assert!(
-            !config_panicked,
-            "lint.toml parse panicked on random bytes (case {case})"
         );
     }
 }

@@ -1,58 +1,20 @@
-//! Fixture-based rule tests: each fixture under `tests/fixtures/` holds
-//! known-bad (and known-good) snippets; the assertions pin the exact
-//! finding counts and locations, so lexer or rule regressions show up as
-//! off-by-one line numbers or missing/extra findings.
+//! Rule tests: each pins the exact findings of a table of snippets, so
+//! lexer or rule regressions show up as missing or extra findings; and
+//! the four sort crates' panic denies and the workspace's discard lints
+//! are held in place.
 
-use lint::{analyze_source, rules, Config};
+use lint::rules::{self, analyze_file};
 use std::path::Path;
 
-fn cfg() -> Config {
-    Config {
-        // Fixtures are analyzed under virtual paths: `hot/…` is in the
-        // R003 scope, `crates/core/src/…` in R010's.
-        hot_paths: vec!["hot/**".to_string()],
-        ..Config::default()
-    }
-}
-
-/// `(rule, line)` pairs of all findings, in source order.
-fn findings(path: &str, src: &str) -> Vec<(String, u32)> {
-    analyze_source(path, src, &cfg())
-        .into_iter()
-        .map(|f| (f.rule, f.line))
-        .collect()
-}
-
-#[test]
-fn r010_literal_subscripts_in_panic_free_crates() {
-    let got = findings("crates/core/src/r010.rs", include_str!("fixtures/r010.rs"));
-    let lines: Vec<u32> = got.iter().map(|(_, l)| *l).collect();
-    assert!(got.iter().all(|(r, _)| r == "R010"), "{got:?}");
-    assert_eq!(
-        lines,
-        vec![4, 8, 8, 10],
-        "v[0], both subscripts of w[1][0], e[1]; variable subscripts, array \
-         literals, vec![…], #[cfg(test)] code, strings and comments are exempt"
-    );
-}
-
-#[test]
-fn r010_does_not_apply_outside_panic_free_crates() {
-    let src = include_str!("fixtures/r010.rs");
-    for path in [
-        "crates/engine/src/r010.rs",
-        "hot/r010.rs",
-        "crates/core/benches/r010.rs",
-    ] {
-        assert!(findings(path, src).is_empty(), "{path}");
-    }
-}
+/// The crates (`crates/<name>/src`) whose non-test code must not panic:
+/// each one's `lib.rs` denies clippy's six panic lints.
+const PANIC_FREE_CRATES: [&str; 4] = ["algos", "core", "normkey", "row"];
 
 #[test]
 fn panic_free_crates_deny_the_panic_and_discard_lints() {
     // These denies are what keeps panics out of the four crates, and
-    // swallowed spill errors out of the crates that sort, run queries and
-    // drive both: one deleted line must not silently drop them.
+    // swallowed spill errors out of every crate and its tests: one deleted
+    // line must not silently drop them.
     const PANICS: [&str; 6] = [
         "unwrap_used",
         "expect_used",
@@ -63,20 +25,39 @@ fn panic_free_crates_deny_the_panic_and_discard_lints() {
     ];
     const DISCARDS: [&str; 2] = ["let_underscore_must_use", "unused_result_ok"];
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    assert_eq!(rules::PANIC_FREE_CRATES.len(), 4);
-    let checks = rules::PANIC_FREE_CRATES.iter().map(|k| (*k, &PANICS[..]));
-    let discarding = ["core", "engine", "bench"].map(|k| (k, &DISCARDS[..]));
-    for (krate, lints) in checks.chain(discarding) {
+    for krate in PANIC_FREE_CRATES {
         let rel = format!("crates/{krate}/src/lib.rs");
         let src = std::fs::read_to_string(root.join(&rel)).expect("lib.rs reads");
         let denied = crate_denies(&src);
-        for lint in lints {
+        for lint in PANICS {
             assert!(
                 denied.contains(&format!("clippy::{lint}")),
                 "{rel} does not deny clippy::{lint}: {denied:?}"
             );
         }
     }
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).expect("Cargo.toml reads");
+    let table = workspace_clippy_lints(&manifest);
+    for lint in DISCARDS {
+        assert!(
+            table.contains(&format!("{lint} = \"deny\"")),
+            "[workspace.lints.clippy] does not deny {lint}: {table:?}"
+        );
+    }
+}
+
+/// The lines of a manifest's `[workspace.lints.clippy]` table, without
+/// comments or blanks.
+fn workspace_clippy_lints(manifest: &str) -> Vec<String> {
+    let body = manifest
+        .lines()
+        .skip_while(|l| l.trim() != "[workspace.lints.clippy]");
+    let lines = body
+        .skip(1)
+        .map(str::trim)
+        .take_while(|l| !l.starts_with('['));
+    let entries = lines.filter(|l| !l.is_empty() && !l.starts_with('#'));
+    entries.map(String::from).collect()
 }
 
 /// The lints named by a file's `#![deny(…)]` attributes (comments are
@@ -103,77 +84,47 @@ fn crate_denies(src: &str) -> Vec<String> {
 }
 
 #[test]
-fn r003_allocations_in_hot_loop_bodies() {
-    let got = findings("hot/r003.rs", include_str!("fixtures/r003.rs"));
-    assert!(got.iter().all(|(r, _)| r == "R003"), "{got:?}");
-    let lines: Vec<u32> = got.iter().map(|(_, l)| *l).collect();
-    assert_eq!(
-        lines,
-        vec![21, 22, 23, 24, 25, 31],
-        "clone/to_vec/format!/Vec::new/collect in a for body and Box::new \
-         in a while body; allocations outside loops, `impl … for`, and \
-         `for<'a>` binders are exempt"
-    );
-}
-
-#[test]
-fn suppressions_need_reasons() {
-    let got = findings(
-        "crates/core/src/suppress.rs",
-        include_str!("fixtures/suppress.rs"),
-    );
-    assert_eq!(
-        got,
-        vec![
-            ("R000".to_string(), 7),
-            ("R010".to_string(), 8),
-            ("R000".to_string(), 13),
-        ],
-        "reasoned suppressions (standalone and trailing) silence their \
-         line; a reason-less lint:allow is itself a finding and does not \
-         suppress; a reasoned one with nothing to silence is a finding at \
-         the comment"
-    );
-}
-
-#[test]
 fn non_rust_files_are_ignored() {
-    assert!(analyze_source("README.md", "v[0].unwrap()", &cfg()).is_empty());
-}
-
-#[test]
-fn workspace_is_lint_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let config = lint::load_config(&root).expect("lint.toml loads");
-    let report = lint::run_workspace(&root, &config).expect("scan runs");
-    assert!(
-        report.errors.is_empty(),
-        "workspace has lint findings:\n{}",
-        report
-            .errors
-            .iter()
-            .map(|f| format!(
-                "  [{}] {}:{}:{} {}",
-                f.rule, f.path, f.line, f.col, f.message
-            ))
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    assert!(report.files_scanned > 50, "walk found the workspace");
+    assert!(analyze_file("README.md", "c.load(Ordering::Relaxed)").is_empty());
 }
 
 #[test]
 fn r011_relaxed_ordering_flagged_unless_allowlisted() {
-    let src = "fn bump(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }\n";
-    let cfg = Config::default();
-    let got = analyze_source("unit/atomics.rs", src, &cfg);
-    assert_eq!(got.len(), 1);
-    assert_eq!((got[0].rule.as_str(), got[0].line), ("R011", 1));
-    let allowed = Config {
-        atomic_relaxed_allow: vec!["unit/**".to_string()],
-        ..Config::default()
-    };
-    assert!(analyze_source("unit/atomics.rs", src, &allowed).is_empty());
+    // (source, lines flagged): every spelling of Relaxed outside a test.
+    let cases: &[(&str, &[u32])] = &[
+        (
+            "fn bump(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }",
+            &[1],
+        ),
+        (
+            "use std::sync::atomic::Ordering as AtomicOrdering;\n\
+             fn bump(c: &AtomicU64) { c.fetch_add(1, AtomicOrdering::Relaxed); }",
+            &[2],
+        ),
+        (
+            "use std::sync::atomic::Ordering::Relaxed;\n\
+             fn bump(c: &AtomicU64) { c.fetch_add(1, Relaxed); }",
+            &[1, 2],
+        ),
+        (
+            "fn bump(c: &AtomicU64) { c.fetch_add(1, Ordering::AcqRel); }",
+            &[],
+        ),
+        (
+            "#[test]\nfn t() { C.fetch_add(1, Ordering::Relaxed); }",
+            &[],
+        ),
+    ];
+    for (src, lines) in cases {
+        let got = analyze_file("crates/core/src/atomics.rs", src);
+        assert!(got.iter().all(|f| f.rule == "R011"), "{src}: {got:?}");
+        let got: Vec<u32> = got.iter().map(|f| f.line).collect();
+        assert_eq!(got, *lines, "{src}");
+    }
+    let src = cases[0].0;
+    for allowed in rules::RELAXED_ALLOWED {
+        assert!(analyze_file(allowed, src).is_empty(), "{allowed}");
+    }
 }
 
 #[test]
@@ -217,7 +168,7 @@ fn r013_safety_comment_names_every_pointer_identifier() {
     ];
     for (body, missing) in cases {
         let src = format!("fn f() {{\n{body}\n}}\n");
-        let got = analyze_source("unit/unsafe.rs", &src, &Config::default());
+        let got = analyze_file("unit/unsafe.rs", &src);
         assert!(got.iter().all(|f| f.rule == "R013"), "{body}: {got:?}");
         // The message names the missing identifiers as `a`, `b`.
         let named: Vec<&str> = (got.iter())
@@ -227,29 +178,32 @@ fn r013_safety_comment_names_every_pointer_identifier() {
     }
     // A #[test] function's unsafe block is exempt.
     let test_fn = "#[test]\nfn t() {\n// SAFETY: fine.\nlet v = unsafe { *p };\n}\n";
-    assert!(analyze_source("unit/unsafe.rs", test_fn, &Config::default()).is_empty());
+    assert!(analyze_file("unit/unsafe.rs", test_fn).is_empty());
 }
 
 #[test]
 fn test_paths_are_exempt() {
     let src = "fn bump(c: &AtomicU64) { c.fetch_add(1, Ordering::Relaxed); }\n";
-    let cfg = Config {
-        test_paths: vec!["unit/tests/**".to_string()],
-        ..Config::default()
-    };
-    assert!(analyze_source("unit/tests/helper.rs", src, &cfg).is_empty());
-    // The same file outside [test-paths] is flagged.
-    assert_eq!(analyze_source("unit/src/helper.rs", src, &cfg).len(), 1);
-}
-
-#[test]
-fn explain_covers_every_rule_id() {
-    for rule in ["R000", "R003", "R010", "R011", "R013"] {
-        assert!(
-            rules::explain(rule).is_some(),
-            "missing --explain text for {rule}"
-        );
+    for path in [
+        "crates/core/src/testutil.rs",
+        "crates/core/tests/helper.rs",
+        "crates/row/benches/deep/helper.rs",
+        "crates/bench/src/bin/stress.rs",
+        "tests/integration.rs",
+        "examples/quickstart.rs",
+    ] {
+        assert!(rules::is_test_path(path), "{path}");
+        assert!(analyze_file(path, src).is_empty(), "{path}");
     }
-    assert!(rules::explain("R012").is_none(), "R012 is clippy's");
-    assert!(rules::explain("R999").is_none());
+    // The same file outside rules::TEST_PATHS is flagged.
+    for path in [
+        "crates/core/src/helper.rs",
+        "crates/core/src/testutil.rs/x.rs",
+        "crates/tests/helper.rs",
+        "crates/bench/src/lib.rs",
+        "benchmark/tests/x.rs",
+    ] {
+        assert!(!rules::is_test_path(path), "{path}");
+        assert_eq!(analyze_file(path, src).len(), 1, "{path}");
+    }
 }

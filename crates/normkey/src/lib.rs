@@ -45,7 +45,8 @@
 // Non-test code of this crate panics only where a site says why it may:
 // each `unwrap`, `expect` or panicking macro carries an
 // `#[expect(clippy::…, reason = "…")]` (clippy.toml exempts tests).
-// Literal subscripts are rowsort-lint's R010.
+// A subscript panics only on a short slice: the tests that reach each
+// site hold it (DESIGN.md §9).
 #![deny(
     clippy::unwrap_used,
     clippy::expect_used,

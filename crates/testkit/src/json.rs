@@ -5,8 +5,6 @@
 //! reports back with [`Json::parse`] (e.g. the counter gate comparing a
 //! fresh run's counts against the checked-in baseline).
 
-use std::fmt::Write as _;
-
 /// An owned JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -94,9 +92,9 @@ impl Json {
             Json::Num(n) => {
                 if n.is_finite() {
                     if *n == n.trunc() && n.abs() < 9e15 {
-                        let _ = write!(out, "{}", *n as i64);
+                        out.push_str(&(*n as i64).to_string());
                     } else {
-                        let _ = write!(out, "{n}");
+                        out.push_str(&n.to_string());
                     }
                 } else {
                     out.push_str("null");
@@ -284,7 +282,7 @@ fn write_escaped(s: &str, out: &mut String) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+                out.push_str(&format!("\\u{:04x}", c as u32));
             }
             c => out.push(c),
         }

@@ -309,6 +309,10 @@ mod tests {
     #[should_panic(expected = "row arity")]
     fn arity_mismatch_panics() {
         let mut c = DataChunk::new(&[LogicalType::Int32]);
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "push_row panics before it returns"
+        )]
         let _ = c.push_row(&[Value::Int32(1), Value::Int32(2)]);
     }
 }
