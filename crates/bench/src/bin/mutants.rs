@@ -68,6 +68,7 @@ const ROW: &str = "rowsort-row --lib --tests";
 const ALGOS: &str = "rowsort-algos --lib --tests";
 const ENGINE: &str = "rowsort-engine --test engine_vs_reference";
 const ZERO_ALLOC: &str = "rowsort-core --test zero_alloc";
+const PEAK_HEAP: &str = "rowsort-core --test peak_heap";
 const LINT: &str = "lint";
 const CLIPPY_CORE: &str = "clippy rowsort-core";
 const CLIPPY_ALGOS: &str = "clippy rowsort-algos";
@@ -350,11 +351,34 @@ const CORPUS: &[Mutant] = &[
         replacement: "let rows = (room / fixed + 1).clamp(1, left);",
         targets: CORE_BUG,
     },
+    // Every worker holds the run it built until its turn: more builders,
+    // more runs resident, which peak_heap's bounds above two threads see.
     Mutant {
         name: "the spill phase builds on every worker",
         file: "crates/core/src/external.rs",
         anchor: "const BUILDERS: usize = SPILL_WORKERS;",
         replacement: "const BUILDERS: usize = usize::MAX;",
+        targets: &[CORE, PEAK_HEAP, ORACLE],
+    },
+    Mutant {
+        name: "run i + 1 placed without waiting for run i (the spill race put back)",
+        file: "crates/core/src/sorter.rs",
+        anchor: "R::PLACED_IN_ORDER && turn.load(AtomicOrdering::SeqCst) < i && !ended() {",
+        replacement: "false {",
+        targets: CORE_BUG,
+    },
+    Mutant {
+        name: "a run placed after a failed one",
+        file: "crates/core/src/sorter.rs",
+        anchor: "if R::PLACED_IN_ORDER && ended() {",
+        replacement: "if false {",
+        targets: CORE_BUG,
+    },
+    Mutant {
+        name: "a worker's panic leaves the others waiting for their turn",
+        file: "crates/core/src/sorter.rs",
+        anchor: "let _ends = EndOnUnwind(&failed);",
+        replacement: "let _ends = ();",
         targets: CORE_BUG,
     },
     // ---- rowsort-engine ---------------------------------------------------

@@ -174,8 +174,9 @@ mod tests {
             let a = run_iteration(s);
             let b = run_iteration(s);
             assert_eq!(unnamed(&a.error), unnamed(&b.error), "seed {s:#x}");
-            assert_eq!(a.faults_fired, b.faults_fired);
-            assert_eq!(a.leaked_files, b.leaked_files);
+            assert_eq!(a.faults_fired, b.faults_fired, "seed {s:#x}");
+            assert_eq!(a.leaked_files, b.leaked_files, "seed {s:#x}");
+            assert_eq!(a.degraded, b.degraded, "seed {s:#x}");
             assert_eq!(a.violations, b.violations);
         }
     }

@@ -12,7 +12,9 @@
 //! current verified block, and cuts it from its block index plus one
 //! block read per splitter. At most [`SPILL_WORKERS`] workers build runs,
 //! from buffers that end with the spill phase, so run generation holds at
-//! most that many runs at any core count.
+//! most that many runs at any core count. They are placed — written,
+//! retried or kept in memory — in index order, so what happens to run
+//! `i`'s file depends on the input and the disk, not on the scheduler.
 //!
 //! Storage is reached only through the [`SpillIo`] trait (`std::fs` by
 //! default, a fault-injecting in-memory backend in tests), and the spill
@@ -26,8 +28,8 @@
 //! * transient write failures are retried with doubling backoff
 //!   ([`MAX_WRITE_RETRIES`], from [`RETRY_BACKOFF`]);
 //! * out-of-space errors degrade the sort to runs kept in memory — the
-//!   same runs, encoded as they would have been on disk — instead of
-//!   failing the query;
+//!   same runs, encoded as they would have been on disk, from the first
+//!   run whose write finds the disk full — instead of failing the query;
 //! * a drop-guard deletes every spilled file on all exit paths, and
 //!   deletions that *fail* are counted in `spill_cleanup_failed` so leaks
 //!   are observable rather than silent.
@@ -48,7 +50,7 @@ use rowsort_vector::{DataChunk, LogicalType, OrderBy};
 use std::cmp::Ordering;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -110,8 +112,9 @@ pub struct ExternalSortOptions {
     /// Rows per run (the "memory limit"; the paper's DuckDB uses bytes,
     /// rows are equivalent for a fixed schema): run `i` is input rows
     /// `[i · memory_limit_rows, (i + 1) · memory_limit_rows)` at any thread
-    /// count. Every spill worker holds one run while it builds and writes
-    /// it, so run generation keeps at most
+    /// count. Every spill worker holds one run while it builds it, waits
+    /// for the run below to be placed, and writes it, so run generation
+    /// keeps at most
     /// `min(merge_threads, SPILL_WORKERS) × memory_limit_rows` rows
     /// resident ([`SPILL_WORKERS`]).
     pub memory_limit_rows: usize,
@@ -291,6 +294,7 @@ impl StoredRun for Run {
     type Cut = RangeCut;
     type Source<'r> = RunCursor<'r>;
     const BUILDERS: usize = SPILL_WORKERS;
+    const PLACED_IN_ORDER: bool = true;
     const LONE_RUN_CODED: bool = true;
 
     fn sample_keys(&self, kw: usize) -> impl Iterator<Item = &[u8]> {
@@ -806,12 +810,12 @@ impl ExternalSorter {
     }
 
     /// The spill phase: the sorter's runs, each encoded and written by the
-    /// worker that built it ([`ExternalSorter::spill_run`]) before it
-    /// claims the next. Run buffers come from a pool that ends with the
-    /// phase, like `plan`'s key blocks, so no dead run set sits under the
-    /// merge; its hits and misses are the sort's. Once spill space runs
-    /// out (`degraded`), the same runs stay in memory, encoded as they
-    /// would have been on disk.
+    /// worker that built it ([`ExternalSorter::spill_run`]) once every run
+    /// below it has been placed, before it claims the next. Run buffers
+    /// come from a pool that ends with the phase, like `plan`'s key blocks,
+    /// so no dead run set sits under the merge; its hits and misses are the
+    /// sort's. Once a run's write finds spill space gone, it and every run
+    /// after it stay in memory, encoded as they would have been on disk.
     fn spill(
         &self,
         input: &DataChunk,
@@ -825,20 +829,19 @@ impl ExternalSorter {
             pool: &phase_pool,
             metrics: &self.core.metrics,
         };
-        let degraded = AtomicBool::new(false);
+        // Whether a run below the one being placed (in index order) is in memory.
+        let mut degraded = false;
         let mut runs = Vec::new();
         let slots = &mut Vec::new();
         self.core
-            .generate(input, planned, pool, (slots, &mut runs), |run, claimed| {
+            .generate(input, planned, pool, (slots, &mut runs), |run, built| {
                 let metrics = &self.core.metrics;
-                metrics.add(
-                    Counter::SpillGenerateNs,
-                    claimed.elapsed().as_nanos() as u64,
-                );
-                let generated = Instant::now();
-                let spilled = self.spill_run(&run, rows, &degraded);
-                metrics.add(Counter::SpillWriteNs, generated.elapsed().as_nanos() as u64);
+                metrics.add(Counter::SpillGenerateNs, built.as_nanos() as u64);
+                let placing = Instant::now();
+                let spilled = self.spill_run(&run, rows, degraded);
+                metrics.add(Counter::SpillWriteNs, placing.elapsed().as_nanos() as u64);
                 run.recycle(pool);
+                degraded = matches!(spilled.as_ref().map(|r| &r.store), Ok(RunStore::Memory(_)));
                 spilled
             })?;
         Ok(runs)
@@ -975,23 +978,21 @@ impl ExternalSorter {
     }
 
     /// Encode one sorted run and place it: on disk under the retry /
-    /// degradation policy, or in memory once spill space is gone —
-    /// `degraded`, which every worker of the phase reads before each
-    /// attempt and sets when its own write finds the disk full (a run
-    /// already writing when another sets it finishes its file, or
-    /// degrades itself). A retry encodes again — the sorted run is still
-    /// resident — so no attempt ever holds the run's encoding whole.
+    /// degradation policy, or in memory once spill space is gone — found
+    /// by a run below it (`degraded`) or by this run's own write. A retry
+    /// encodes again — the sorted run is still resident — so no attempt
+    /// ever holds the run's encoding whole.
     fn spill_run(
         &self,
         run: &SortedRun,
         rows: &RowPlan,
-        degraded: &AtomicBool,
+        mut degraded: bool,
     ) -> Result<Run, SpillError> {
         let metrics = &self.core.metrics;
         let mut attempt = 0;
         let mut backoff = RETRY_BACKOFF;
         let (index, store) = loop {
-            if degraded.load(AtomicOrdering::SeqCst) {
+            if degraded {
                 metrics.add(Counter::SpillMemFallbackRuns, 1);
                 let mut bytes = Vec::new();
                 let index = self.encode_run(run, rows, &mut bytes).map_err(|e| {
@@ -1016,7 +1017,7 @@ impl ExternalSorter {
                     if err.is_no_space() {
                         // Degradation ladder, rung 2: no point retrying a
                         // full disk — keep this and later runs in memory.
-                        degraded.store(true, AtomicOrdering::SeqCst);
+                        degraded = true;
                     } else if err.is_transient() && attempt < MAX_WRITE_RETRIES {
                         attempt += 1;
                         metrics.add(Counter::SpillRetries, 1);
@@ -1076,7 +1077,7 @@ mod tests {
     use rowsort_testkit::prop::{full, Runner};
     use rowsort_testkit::Rng;
     use rowsort_vector::{OrderByColumn, SortSpec, Value, Vector};
-    use std::sync::{Condvar, Mutex};
+    use std::sync::atomic::AtomicUsize;
 
     fn check_against_in_memory(chunk: &DataChunk, order: &OrderBy, budget: usize) {
         let external = ExternalSorter::new(
@@ -1184,7 +1185,7 @@ mod tests {
     /// of the ladder leaves it.
     fn memory_run(sorter: &ExternalSorter, plan: &KeyPlan, run: &SortedRun) -> Run {
         let rows = sorter.core.row_plan(plan);
-        sorter.spill_run(run, rows, &AtomicBool::new(true)).unwrap()
+        sorter.spill_run(run, rows, true).unwrap()
     }
 
     /// The encoded bytes of an in-memory run.
@@ -1325,7 +1326,7 @@ mod tests {
             )
         });
         let run = sorter
-            .spill_run(&whole_run(&sorter, &chunk), rows, &AtomicBool::new(false))
+            .spill_run(&whole_run(&sorter, &chunk), rows, false)
             .unwrap();
         assert_eq!(run.row_count(), chunk.len());
 
@@ -1704,54 +1705,50 @@ mod tests {
         }
     }
 
-    /// A hard write error stops the claiming: with every file failing, each
-    /// of the two workers creates the one it had claimed and no more — not
-    /// all sixteen — the error is typed, and nothing leaks. (Every file
-    /// fails so that the bound does not lean on the scheduler: were it the
-    /// first alone, how many runs the other worker finished before the
-    /// failure registered would be a race.)
+    /// A hard write error ends the spill phase: runs are placed in index
+    /// order, so the failure of run 0's file is the last placement — one
+    /// file created at any thread count, and none of the fifteen runs after
+    /// it placed, though the second worker has built run 1 by then — the
+    /// error is typed and names that file, and nothing leaks.
     #[test]
     fn a_hard_write_error_stops_further_claims() {
-        let chunk = DataChunk::from_columns(vec![Vector::from_u32s(pseudo_random(4_000, 53, 100))])
-            .unwrap();
-        let threads = 2;
-        let hard = FaultKind::WriteError(io::ErrorKind::Other);
-        let fs = FaultFs::new(FaultSchedule {
-            specs: (0..16).map(|file| wspec(file, 0, hard)).collect(),
-            disk_capacity: None,
-        });
-        let sorter = ExternalSorter::with_spill_io(
-            chunk.types(),
-            OrderBy::ascending(1),
-            ExternalSortOptions {
-                memory_limit_rows: 250,
-                merge_threads: threads,
-                ..Default::default()
-            },
-            Arc::new(fs.clone()),
-        );
-        let err = sorter.sort(&chunk).expect_err("hard error must surface");
-        assert!(
-            matches!(
-                err,
-                SpillError::Io {
-                    op: SpillOp::Write,
-                    kind: io::ErrorKind::Other,
-                    ..
-                }
-            ),
-            "want a write error, got {err:?}"
-        );
-        // Run 0 was claimed first, so its failure is the one reported.
-        assert!(err.path().contains("rowsort-spill-"), "{err}");
-        let created = fs.stats().files_created;
-        assert!(
-            (1..=threads as u64).contains(&created),
-            "{created} files created by {threads} workers after a hard failure"
-        );
-        assert_eq!(sorter.metrics().counter(Counter::SpilledRuns), 0);
-        drop(sorter);
-        assert!(fs.live_files().is_empty(), "leaked: {:?}", fs.live_files());
+        let chunk =
+            DataChunk::from_columns(vec![Vector::from_u32s(pseudo_random(32_000, 53, 100))])
+                .unwrap();
+        for threads in [2, 8] {
+            let hard = FaultKind::WriteError(io::ErrorKind::Other);
+            let fs = FaultFs::new(FaultSchedule {
+                specs: vec![wspec(0, 0, hard)],
+                disk_capacity: None,
+            });
+            let sorter = ExternalSorter::with_spill_io(
+                chunk.types(),
+                OrderBy::ascending(1),
+                ExternalSortOptions {
+                    memory_limit_rows: 2_000,
+                    merge_threads: threads,
+                    ..Default::default()
+                },
+                Arc::new(fs.clone()),
+            );
+            let err = sorter.sort(&chunk).expect_err("hard error must surface");
+            assert!(
+                matches!(
+                    err,
+                    SpillError::Io {
+                        op: SpillOp::Write,
+                        kind: io::ErrorKind::Other,
+                        ..
+                    }
+                ),
+                "threads={threads}: want a write error, got {err:?}"
+            );
+            assert!(err.path().contains("rowsort-spill-"), "{err}");
+            assert_eq!(fs.stats().files_created, 1, "threads={threads}");
+            assert_eq!(sorter.metrics().counter(Counter::SpilledRuns), 0);
+            drop(sorter);
+            assert!(fs.live_files().is_empty(), "leaked: {:?}", fs.live_files());
+        }
     }
 
     /// One run to claim, or one thread to claim with, runs the claiming
@@ -1779,176 +1776,64 @@ mod tests {
                 "encode + write clocked"
             );
             let spawned = sorter.core.set.crew.spawned();
-            (spawned, m.counter(Counter::Broadcasts))
+            let ranges = m.counter(Counter::SpillMergePartitions);
+            (spawned, m.counter(Counter::Broadcasts), ranges)
         };
-        assert_eq!(sort_with(4_000, 4), (false, 0), "one run, four threads");
-        assert_eq!(sort_with(250, 1), (false, 0), "sixteen runs, one thread");
+        assert_eq!(sort_with(4_000, 4), (false, 0, 1), "one run, four threads");
+        assert_eq!(sort_with(250, 1), (false, 0, 1), "sixteen runs, one thread");
         // The spill phase and the ranges: one broadcast each. (The cuts
-        // are made on the calling thread.)
-        assert_eq!(sort_with(250, 2), (true, 2), "sixteen runs, two threads");
+        // are made on the calling thread.) The spill phase builds on two
+        // workers; the merge keeps every one.
+        assert_eq!(sort_with(250, 2), (true, 2, 2), "sixteen runs, two threads");
+        assert_eq!(
+            sort_with(250, 8),
+            (true, 2, 8),
+            "sixteen runs, eight threads"
+        );
     }
 
-    /// What a [`GatedFs`] has seen: run files open for writing, the most
-    /// ever open at once, and files closed.
-    #[derive(Default)]
-    struct Gate {
-        open: usize,
-        most: usize,
-        closed: usize,
-    }
-
-    type SharedGate = Arc<(Mutex<Gate>, Condvar)>;
-
-    /// A backend that holds each new run file open until one more than
-    /// [`SPILL_WORKERS`] are open or 50 ms pass — a spill phase with more
-    /// builders meets that writer, a capped one never does — and, with
-    /// `full_above`, refuses a file's bytes past that many as a full disk
-    /// once another file has been closed (or 2 s pass).
-    struct GatedFs {
-        inner: FaultFs,
-        gate: SharedGate,
-        full_above: Option<u64>,
-    }
-
-    /// A writer of [`GatedFs`].
-    struct Gated {
-        writer: Box<dyn Write + Send>,
-        gate: SharedGate,
-        written: u64,
-        full_above: Option<u64>,
-    }
-
-    impl Write for Gated {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            if self
-                .full_above
-                .is_some_and(|n| self.written + buf.len() as u64 > n)
-            {
-                let (lock, closed) = &*self.gate;
-                let wait = Duration::from_secs(2);
-                let none_closed = |g: &mut Gate| g.closed == 0;
-                drop(closed.wait_timeout_while(lock.lock().unwrap(), wait, none_closed));
-                return Err(io::Error::new(io::ErrorKind::StorageFull, "gated: full"));
-            }
-            let n = self.writer.write(buf)?;
-            self.written += n as u64;
-            Ok(n)
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            self.writer.flush()
-        }
-    }
-
-    impl Drop for Gated {
-        fn drop(&mut self) {
-            let mut gate = self.gate.0.lock().unwrap();
-            gate.open -= 1;
-            gate.closed += 1;
-            self.gate.1.notify_all();
-        }
-    }
-
-    impl GatedFs {
-        fn new(full_above: Option<u64>) -> GatedFs {
-            GatedFs {
-                inner: FaultFs::new(FaultSchedule::none()),
-                gate: Arc::default(),
-                full_above,
-            }
-        }
-    }
-
-    impl SpillIo for GatedFs {
-        fn create(&self, path: &Path) -> io::Result<Box<dyn Write + Send>> {
-            let writer = SpillIo::create(&self.inner, path)?;
-            let (lock, opened) = &*self.gate;
-            let mut gate = lock.lock().unwrap();
-            gate.open += 1;
-            gate.most = gate.most.max(gate.open);
-            opened.notify_all();
-            let wait = Duration::from_millis(50);
-            let few = |g: &mut Gate| g.open <= SPILL_WORKERS;
-            drop(opened.wait_timeout_while(gate, wait, few).unwrap());
-            Ok(Box::new(Gated {
-                writer,
-                gate: Arc::clone(&self.gate),
-                written: 0,
-                full_above: self.full_above,
-            }))
-        }
-        fn open(&self, path: &Path) -> io::Result<Box<dyn Read + Send>> {
-            SpillIo::open(&self.inner, path)
-        }
-        fn delete(&self, path: &Path) -> io::Result<()> {
-            SpillIo::delete(&self.inner, path)
-        }
-    }
-
-    /// Run generation holds at most [`SPILL_WORKERS`] runs whatever the
-    /// thread count: however many workers there are, no more than two
-    /// ever write a run file at once, and the merge still uses them all.
-    #[test]
-    fn the_spill_phase_builds_on_at_most_two_workers() {
-        let chunk = DataChunk::from_columns(vec![Vector::from_u32s(pseudo_random(4_000, 55, 100))])
-            .unwrap();
-        let order = OrderBy::ascending(1);
-        for threads in [2, 8] {
-            let fs = Arc::new(GatedFs::new(None));
-            let options = ExternalSortOptions {
-                memory_limit_rows: 250,
-                merge_threads: threads,
-                ..Default::default()
-            };
-            let sorter =
-                ExternalSorter::with_spill_io(chunk.types(), order.clone(), options, fs.clone());
-            let out = sorter.sort(&chunk).unwrap();
-            assert_sorted_permutation(&out, &chunk, &order, "gated");
-            let most = fs.gate.0.lock().unwrap().most;
-            assert!(
-                most <= SPILL_WORKERS,
-                "threads={threads}: {most} runs written at once"
-            );
-            let ranges = sorter
-                .last_profile()
-                .metrics
-                .counter(Counter::SpillMergePartitions);
-            assert_eq!(ranges, threads as u64, "the merge keeps every worker");
-        }
-    }
-
-    /// A run kept in memory takes its index's place among spilled ones:
-    /// run 0 (long strings) meets a full disk only after run 1 (short
-    /// ones), written at the same time by the other worker, has its file,
-    /// and ties still come out as a fault-free sort's do.
+    /// A run kept in memory takes its index's place among spilled ones.
+    /// The disk holds all but one byte of the two runs' files, so run 0 —
+    /// 20 000 rows, built long after run 1's seven — gets its file and run
+    /// 1 meets the full disk: whichever is built first, run 0 is placed
+    /// first. Their keys tie across the two and still come out as a
+    /// fault-free sort's do.
     #[test]
     fn a_degraded_run_merges_in_index_order() {
-        let rows = 200u32;
+        let (run_rows, rows) = (20_000u32, 20_007u32);
         let mut chunk = DataChunk::new(&[LogicalType::UInt32, LogicalType::Varchar]);
         for i in 0..rows {
-            let text = if i < rows / 2 {
-                "x".repeat(300)
-            } else {
-                "y".into()
-            };
+            let text = format!("{i}{}", "y".repeat(i as usize % 5));
             chunk
                 .push_row(&[Value::UInt32(i % 7), Value::from(text)])
                 .unwrap();
         }
         let order = OrderBy::ascending(1);
-        let options = ExternalSortOptions {
-            memory_limit_rows: rows as usize / 2,
-            merge_threads: 2,
-            ..Default::default()
+        let sort = |schedule| {
+            let (sorter, fs) = faulty_sorter(&chunk, &order, run_rows as usize, schedule);
+            let out = sorter.sort(&chunk).unwrap();
+            let m = sorter.metrics();
+            let placed = [
+                Counter::SpilledRuns,
+                Counter::SpillMemFallbackRuns,
+                Counter::SpilledBytes,
+            ];
+            (out.to_rows(), placed.map(|c| m.counter(c)), fs.stats())
         };
-        let fs = Arc::new(GatedFs::new(Some(16 << 10)));
-        let types = chunk.types();
-        let sorter = ExternalSorter::with_spill_io(types, order.clone(), options.clone(), fs);
-        let out = sorter.sort(&chunk).unwrap();
-        let m = sorter.metrics();
-        let placed = [Counter::SpillMemFallbackRuns, Counter::SpilledRuns].map(|c| m.counter(c));
-        assert_eq!(placed, [1, 1], "run 0 in memory, run 1 in a file");
-        let clean = ExternalSorter::new(chunk.types(), order, options).sort(&chunk);
-        assert_eq!(out.to_rows(), clean.unwrap().to_rows());
+        let (clean, [_, _, bytes], _) = sort(FaultSchedule::none());
+        let schedule = FaultSchedule {
+            specs: vec![],
+            disk_capacity: Some(bytes - 1),
+        };
+        let (out, [files, in_memory, spilled], stats) = sort(schedule);
+        assert_eq!(
+            [files, in_memory],
+            [1, 1],
+            "one run in a file, one in memory"
+        );
+        assert!(spilled > bytes / 2, "run 0, the longer, has the file");
+        assert_eq!(stats.enospc_errors, 1);
+        assert_eq!(out, clean);
     }
 
     // ---- the merge kernel across source kinds ---------------------------
@@ -2272,7 +2157,7 @@ mod tests {
                     let from_memory = kernel_merge(sorter, merging, &mut in_memory, rows);
                     let encoded: Vec<Run> = sorted
                         .iter()
-                        .map(|run| sorter.spill_run(run, full, &AtomicBool::new(true)).unwrap())
+                        .map(|run| sorter.spill_run(run, full, true).unwrap())
                         .collect();
                     let mut cursors: Vec<RunCursor<'_>> = encoded
                         .iter()
@@ -2468,32 +2353,120 @@ mod tests {
 
     /// Exhausted spill space degrades to in-memory runs instead of
     /// failing: the sort completes and matches the in-memory oracle, and
-    /// the fallback is visible in the metrics.
+    /// the split is the capacity's alone — the first runs whose files fit
+    /// are on disk, the one that finds it full and every run after it in
+    /// memory, at any thread count.
     #[test]
     fn enospc_degrades_to_in_memory_runs() {
         let chunk = DataChunk::from_columns(vec![Vector::from_u32s(pseudo_random(4_000, 25, 500))])
             .unwrap();
         let order = OrderBy::ascending(1);
-        // Capacity fits roughly two of the eight ~500-row runs.
-        let (sorter, fs) = faulty_sorter(
-            &chunk,
-            &order,
-            500,
-            FaultSchedule {
-                specs: vec![],
-                disk_capacity: Some(16 * 1024),
-            },
-        );
+        let (clean, _) = faulty_sorter(&chunk, &order, 500, FaultSchedule::none());
+        drop(clean.sort(&chunk).unwrap());
+        // Eight runs of 500 fixed-width records: files of one size.
+        let bytes = clean.metrics().counter(Counter::SpilledBytes);
+        assert_eq!(bytes % 8, 0, "eight files of one size");
+        let capacity = 16 * 1024;
+        let fit = capacity / (bytes / 8);
+        assert!((1..8).contains(&fit), "{fit} of eight files fit");
+        let schedule = FaultSchedule {
+            specs: vec![],
+            disk_capacity: Some(capacity),
+        };
+        let (sorter, fs) = faulty_sorter(&chunk, &order, 500, schedule);
         let out = sorter.sort(&chunk).expect("degradation absorbs ENOSPC");
         assert_sorted_permutation(&out, &chunk, &order, "survived faults");
         let m = sorter.metrics();
-        assert!(
-            m.counter(Counter::SpillMemFallbackRuns) > 0,
-            "fallback used"
-        );
-        assert!(fs.stats().enospc_errors > 0, "capacity actually hit");
+        let placed = [Counter::SpilledRuns, Counter::SpillMemFallbackRuns].map(|c| m.counter(c));
+        assert_eq!(placed, [fit, 8 - fit], "files, then memory");
+        assert_eq!(fs.stats().enospc_errors, 1, "only the first misfit writes");
         drop(sorter);
         assert!(fs.live_files().is_empty(), "leaked: {:?}", fs.live_files());
+    }
+
+    /// A run file whose flush fails is a typed flush error naming the
+    /// file, not a file the merge would read short; its guard deletes it,
+    /// and no run after it is placed.
+    #[test]
+    fn a_failed_flush_names_its_file_and_leaks_nothing() {
+        let chunk = DataChunk::from_columns(vec![Vector::from_u32s(pseudo_random(1_000, 28, 100))])
+            .unwrap();
+        let order = OrderBy::ascending(1);
+        let flush = FaultKind::FlushError(io::ErrorKind::Other);
+        let schedule = FaultSchedule {
+            specs: vec![wspec(1, 0, flush)],
+            disk_capacity: None,
+        };
+        let (sorter, fs) = faulty_sorter(&chunk, &order, 250, schedule);
+        let err = sorter
+            .sort(&chunk)
+            .expect_err("a failed flush must surface");
+        match &err {
+            SpillError::Io { op, kind, path, .. } => {
+                assert_eq!(*op, SpillOp::Flush);
+                assert_eq!(*kind, io::ErrorKind::Other);
+                assert!(path.contains("rowsort-spill-"), "path context: {path}");
+            }
+            other => panic!("want Io, got {other:?}"),
+        }
+        assert_eq!(fs.stats().flush_errors, 1);
+        assert_eq!(fs.stats().files_created, 2, "run 1's file ends the phase");
+        drop(sorter);
+        assert!(fs.live_files().is_empty(), "leaked: {:?}", fs.live_files());
+    }
+
+    /// `StdFs`, counting the files it creates, whose first `create` panics
+    /// — after a pause long enough for the other worker to build run 1 and
+    /// wait for its turn.
+    struct PanicsOnFirstCreate(AtomicUsize);
+
+    impl SpillIo for PanicsOnFirstCreate {
+        fn create(&self, path: &Path) -> io::Result<Box<dyn Write + Send>> {
+            if self.0.fetch_add(1, AtomicOrdering::SeqCst) == 0 {
+                std::thread::sleep(Duration::from_millis(100));
+                panic!("run file 0 cannot be created");
+            }
+            StdFs.create(path)
+        }
+        fn open(&self, path: &Path) -> io::Result<Box<dyn Read + Send>> {
+            StdFs.open(path)
+        }
+        fn delete(&self, path: &Path) -> io::Result<()> {
+            StdFs.delete(path)
+        }
+    }
+
+    /// A panic while run 0 is placed ends the spill phase: the worker
+    /// waiting for run 1's turn returns without placing it, and the panic
+    /// reaches the caller (the engine turns it into
+    /// `EngineError::Internal`) instead of the sort hanging. The crew
+    /// stays usable: the next sort succeeds.
+    #[test]
+    fn a_panic_while_a_run_is_placed_reaches_the_caller() {
+        let chunk = DataChunk::from_columns(vec![Vector::from_u32s(pseudo_random(4_000, 56, 100))])
+            .unwrap();
+        let io = Arc::new(PanicsOnFirstCreate(AtomicUsize::new(0)));
+        let options = ExternalSortOptions {
+            memory_limit_rows: 250,
+            merge_threads: 2,
+            ..Default::default()
+        };
+        let (types, order) = (chunk.types(), OrderBy::ascending(1));
+        let sorter = ExternalSorter::with_spill_io(types, order, options, io.clone());
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let sort = || sorter.sort(&chunk).map(|c| c.len());
+            let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(sort));
+            let message = first.map_err(|p| p.downcast_ref::<&str>().map(|s| s.to_string()));
+            let created = io.0.load(AtomicOrdering::SeqCst);
+            tx.send((message, created, sort())).unwrap();
+        });
+        let (first, created, second) = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the sort hung after a worker panicked");
+        assert_eq!(first, Err(Some("run file 0 cannot be created".to_string())));
+        assert_eq!(created, 1, "no run placed after the panic");
+        assert_eq!(second, Ok(4_000), "the crew survives the panic");
     }
 
     /// A run file that vanishes before the merge (tmp-reaper race) is a

@@ -88,7 +88,8 @@ metric_enum! {
         /// splice per validity mask, single-threaded.
         Gather => "gather",
         /// External sort: building and writing spilled runs, whole runs
-        /// claimed by the worker pool; what the workers were busy with is
+        /// claimed by the worker pool and placed in index order; what the
+        /// workers were busy with is
         /// [`Counter::SpillGenerateNs`] and [`Counter::SpillWriteNs`].
         Spill => "spill",
         /// External sort: the streaming loser-tree merge of spilled runs.
@@ -198,7 +199,9 @@ metric_enum! {
         /// thread's wall time.
         SpillGenerateNs => "spill_generate_ns",
         /// Time they spent encoding runs and writing them out (`spill_run`,
-        /// retries and their backoff included), summed the same way.
+        /// retries and their backoff included), summed the same way. A
+        /// worker's wait for its run's turn — the run below it placed — is
+        /// in neither: it is in the phase's wall time alone.
         SpillWriteNs => "spill_write_ns",
         /// Run generation's stages (Figure 11), each the busy time of the
         /// workers that build runs summed over them, like

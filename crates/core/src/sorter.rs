@@ -39,7 +39,7 @@ use std::cmp::Ordering;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A finished run, wherever it lives: what the planner and the merge
 /// driver need of it.
@@ -53,6 +53,8 @@ pub(crate) trait StoredRun: Send + Sync + 'static {
         Self: 'r;
     /// Most workers that build runs of this kind at once.
     const BUILDERS: usize;
+    /// Whether run `i` is placed only once run `i − 1`'s placement is over.
+    const PLACED_IN_ORDER: bool;
     /// Whether a sort of one run codes it and lays its strings out in run
     /// order. A merge of one run plays no match, but a run file's format
     /// may carry the codes anyway, and its encoder reads the run front to
@@ -91,6 +93,7 @@ impl StoredRun for SortedRun {
     type Cut = usize;
     type Source<'r> = MemSource<'r>;
     const BUILDERS: usize = usize::MAX;
+    const PLACED_IN_ORDER: bool = false;
     const LONE_RUN_CODED: bool = false;
 
     fn sample_keys(&self, kw: usize) -> impl Iterator<Item = &[u8]> {
@@ -386,20 +389,21 @@ impl SorterCore {
     /// `[i·run_rows, (i+1)·run_rows)` whatever the thread count, claimed
     /// whole in index order by up to [`StoredRun::BUILDERS`] workers,
     /// built from `pool` with the key blocks of `planned`'s plan and the
-    /// ranks of the statistics it was made from, and handed to `place`
-    /// with the moment it was claimed. Outcomes land in the slot of their
-    /// index, so run order is schedule-independent. A failure stops
-    /// further claims, and the error returned is the lowest failed
-    /// index's: every run below a claimed one was claimed before it and
-    /// runs to its end. One run or one worker runs the loop on the
-    /// calling thread, and the crew is not asked.
+    /// ranks of the statistics it was made from, and handed to `place`,
+    /// one at a time, with its build time; the outcome lands in the slot
+    /// of its index. Runs [`StoredRun::PLACED_IN_ORDER`] wait for their
+    /// turn, so `place` sees run `i` in the state the runs below it left.
+    /// A failed placement ends the phase before it hands the turn on, and a
+    /// panic ends it from a drop guard: no run is claimed, or placed in
+    /// order, after either.
+    /// One run or one worker runs the loop on the calling thread.
     pub(crate) fn generate<R: StoredRun>(
         &self,
         input: &DataChunk,
         planned: (&KeyPlan, &TableStats),
         pool: SortPool<'_>,
         (slots, runs): (&mut Vec<RunSlot<R>>, &mut Vec<R>),
-        place: impl Fn(SortedRun, Instant) -> Result<R, SpillError> + Sync,
+        place: impl FnMut(SortedRun, Duration) -> Result<R, SpillError> + Send,
     ) -> Result<(), SpillError> {
         let (n, run_rows) = (input.len(), self.run_rows);
         let count = n.div_ceil(run_rows);
@@ -412,11 +416,17 @@ impl SorterCore {
         let streamed = count > 1 || R::LONE_RUN_CODED;
         let next = AtomicUsize::new(0);
         let failed = AtomicBool::new(false);
+        // The run whose turn it is, and `place`. A wait for the turn lasts
+        // at most the run below's build and placement, so it spins,
+        // yielding the core, instead of sleeping: a sleeper's wake-up would
+        // sit between two writes, and an idle core can be slow to wake.
+        let (turn, place) = (AtomicUsize::new(0), Mutex::new(place));
         let slots = &slots[..count];
         let claim = |worker: usize| {
             if worker >= R::BUILDERS {
                 return;
             }
+            let _ends = EndOnUnwind(&failed);
             while !failed.load(AtomicOrdering::SeqCst) {
                 let i = next.fetch_add(1, AtomicOrdering::SeqCst);
                 if i >= count {
@@ -424,8 +434,21 @@ impl SorterCore {
                 }
                 let (lo, claimed) = (i * run_rows, Instant::now());
                 let rows = (lo, (lo + run_rows).min(n));
-                let placed = place(self.make_run(pool, planned, input, rows, streamed), claimed);
+                let run = self.make_run(pool, planned, input, rows, streamed);
+                let built = claimed.elapsed();
+                let ended = || failed.load(AtomicOrdering::SeqCst);
+                while R::PLACED_IN_ORDER && turn.load(AtomicOrdering::SeqCst) < i && !ended() {
+                    std::thread::yield_now();
+                }
+                let mut place = place.lock().unwrap_or_else(|e| e.into_inner());
+                if R::PLACED_IN_ORDER && ended() {
+                    run.recycle(pool);
+                    break;
+                }
+                let placed = (*place)(run, built);
                 failed.fetch_or(placed.is_err(), AtomicOrdering::SeqCst);
+                turn.store(i + 1, AtomicOrdering::SeqCst);
+                drop(place);
                 *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(placed);
             }
         };
@@ -437,7 +460,7 @@ impl SorterCore {
         runs.clear();
         runs.reserve(count);
         for slot in slots {
-            // Slots fill in claim order up to the first failure; an empty
+            // Slots fill in index order up to the first failure; an empty
             // one before it is a run no worker delivered.
             match slot.lock().unwrap_or_else(|e| e.into_inner()).take() {
                 Some(Ok(run)) => runs.push(run),
@@ -691,6 +714,18 @@ impl SorterCore {
 fn lost_key() -> SpillError {
     let detail = std::io::Error::other("the merge has no planned key to decode");
     SpillError::io(SpillOp::Read, Path::new("<merge>"), &detail)
+}
+
+/// Ends run generation when a worker unwinds, so the workers waiting
+/// for their turn return and the broadcast can re-raise the panic.
+struct EndOnUnwind<'a>(&'a AtomicBool);
+
+impl Drop for EndOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, AtomicOrdering::SeqCst);
+        }
+    }
 }
 
 /// A run no worker delivered: only a worker that died mid-phase leaves a

@@ -25,15 +25,17 @@
 //!
 //! The pinned sorts run on one thread, so the byte counts repeat exactly
 //! (the peaks at more threads are only bounded from above). Above one
-//! thread, which worker holds what when is the scheduler's to decide, and
-//! the peak with it; [`PinnedFs`] takes that back where the sorter does
-//! I/O, so each thread count is measured at its schedule of most overlap
-//! and the bounds pass or fail the same way on every run. The counting
+//! thread the spill phase keeps its own most overlap: runs are placed in
+//! index order, so a worker that has built its run holds it until the
+//! run below is placed. The merge's overlap is the scheduler's to decide,
+//! and the peak with it; [`PinnedFs`] takes that back at the merge's
+//! reads, so each thread count is measured at its schedule of most
+//! overlap and the bounds pass or fail the same way on every run. The counting
 //! allocator is installed globally for this test binary, so the file
 //! holds exactly one test: any parallel test in the same binary would
 //! allocate concurrently and poison the count.
 
-use rowsort_core::external::{ExternalSortOptions, ExternalSorter, SPILL_WORKERS};
+use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
 use rowsort_core::keys::KeyBlock;
 use rowsort_core::pipeline::{SortOptions, SortPipeline};
 use rowsort_core::{SpillIo, StdFs};
@@ -44,7 +46,7 @@ use rowsort_vector::{DataChunk, OrderBy, Vector};
 use std::cell::Cell;
 use std::io::{self, Read, Write};
 use std::path::Path;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, ThreadId};
 use std::time::Duration;
 
@@ -71,30 +73,19 @@ fn warm_peak(mut sort: impl FnMut() -> DataChunk) -> usize {
 
 /// External sorters an external peak is the most of: how far two run
 /// builds overlap is a race no I/O call sits in, and its outcome stays
-/// with a sorter's pool for every later sort (see [`PinnedFs`]).
+/// with a sorter's pool for every later sort.
 const SORTERS: usize = 3;
 
 /// What [`PinnedFs`] has seen.
 #[derive(Default)]
 struct Gate {
-    /// Run files open for writing, and created over every sort so far.
-    writing: usize,
-    created: usize,
-    /// Writers waiting to close, and the sets of them let go so far.
-    closing: usize,
-    closed: usize,
     /// Merge workers holding a whole range open, waiting to let go, and
     /// run files opened for reading so far.
     merging: usize,
     opened: usize,
     /// Every range of the current sort has been open at once.
     merged: bool,
-    /// Waits that gave up: a schedule the turnstiles did not pin.
-    timeouts: usize,
 }
-
-/// How long a turnstile waits before it gives up and counts a timeout.
-const PATIENCE: Duration = Duration::from_secs(10);
 
 /// How long the merge turnstile waits for a worker that opens nothing
 /// more: some ranges are empty (equal splitters), and a range over one run
@@ -106,49 +97,32 @@ thread_local! {
     static READING: Cell<usize> = const { Cell::new(0) };
 }
 
-/// `StdFs` behind three turnstiles, which hold an external sort of
-/// `runs` runs on `threads` threads to its schedule of most overlap:
-///
-/// * a run file is created only once the other spill worker has one open
-///   too, so both hold a sorted run at once;
-/// * a run file is closed only once the other's closes too, so both
-///   leave their writes together and build their next runs side by side;
-/// * a merge worker lets go of its range only once every range is open:
-///   no worker takes a second range, or a block buffer another range gave
-///   back, before all `threads` ranges hold their cursors — or, when
-///   fewer ranges hold any, once [`QUIET`] passes with no file opened.
-///   The calling thread reads the cuts first, through one reader at a
-///   time, and those never wait.
-///
-/// The last run of a sort is created and closed alone. A build itself
-/// does no I/O, so how far two builds overlap stays the scheduler's: the
-/// test takes the most of [`SORTERS`] sorters for that.
+/// `StdFs` behind a turnstile at the merge's reader drops, which holds
+/// an external sort on `threads` threads to its merge's schedule of most
+/// overlap: a merge worker lets go of its range only once every range is
+/// open — no worker takes a second range, or a block buffer another range
+/// gave back, before all `threads` ranges hold their cursors — or, when
+/// fewer ranges hold any, once [`QUIET`] passes with no file opened. The
+/// calling thread reads the cuts first, through one reader at a time, and
+/// those never wait. A new run file opens the next sort's turnstile.
 struct PinnedFs(Arc<Turnstiles>);
 
 struct Turnstiles {
     gate: Mutex<Gate>,
     cv: Condvar,
-    builders: usize,
     ranges: usize,
-    runs: usize,
     /// The thread that calls `sort`.
     caller: ThreadId,
 }
 
 impl PinnedFs {
-    fn new(threads: usize, runs: usize) -> PinnedFs {
+    fn new(threads: usize) -> PinnedFs {
         PinnedFs(Arc::new(Turnstiles {
             gate: Mutex::default(),
             cv: Condvar::new(),
-            builders: threads.min(SPILL_WORKERS),
             ranges: threads,
-            runs,
             caller: thread::current().id(),
         }))
-    }
-
-    fn timeouts(&self) -> usize {
-        self.0.gate.lock().unwrap().timeouts
     }
 
     fn reader(&self, inner: Box<dyn Read + Send>) -> Box<dyn Read + Send> {
@@ -160,58 +134,11 @@ impl PinnedFs {
 }
 
 impl Turnstiles {
-    /// Wait while `blocked` holds, counting a wait that gives up.
-    fn wait_while<'g>(
-        &self,
-        gate: MutexGuard<'g, Gate>,
-        blocked: impl FnMut(&mut Gate) -> bool,
-    ) -> MutexGuard<'g, Gate> {
-        let (mut gate, wait) = self.cv.wait_timeout_while(gate, PATIENCE, blocked).unwrap();
-        gate.timeouts += usize::from(wait.timed_out());
-        gate
-    }
-
     /// Let the merge's ranges go, and the next one start.
     fn release_merge(&self, gate: &mut Gate) {
         gate.merging = 0;
         gate.merged = true;
         self.cv.notify_all();
-    }
-}
-
-struct PinnedWriter {
-    inner: Box<dyn Write + Send>,
-    fs: Arc<Turnstiles>,
-}
-
-impl Write for PinnedWriter {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.inner.write(buf)
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-impl Drop for PinnedWriter {
-    fn drop(&mut self) {
-        let fs = &*self.fs;
-        let mut gate = fs.gate.lock().unwrap();
-        gate.closing += 1;
-        if gate.closing == fs.builders {
-            gate.closing = 0;
-            gate.closed += 1;
-            fs.cv.notify_all();
-        } else {
-            let closed = gate.closed;
-            gate = fs.wait_while(gate, |g| {
-                g.closed == closed && !g.created.is_multiple_of(fs.runs)
-            });
-            if gate.closed == closed {
-                gate.closing -= 1;
-            }
-        }
-        gate.writing -= 1;
     }
 }
 
@@ -259,17 +186,8 @@ impl Drop for PinnedReader {
 
 impl SpillIo for PinnedFs {
     fn create(&self, path: &Path) -> io::Result<Box<dyn Write + Send>> {
-        let inner = StdFs.create(path)?;
-        let fs = &*self.0;
-        let mut gate = fs.gate.lock().unwrap();
-        gate.merged = false;
-        gate.writing += 1;
-        gate.created += 1;
-        fs.cv.notify_all();
-        let alone = |g: &mut Gate| g.writing < fs.builders && !g.created.is_multiple_of(fs.runs);
-        drop(fs.wait_while(gate, alone));
-        let fs = Arc::clone(&self.0);
-        Ok(Box::new(PinnedWriter { inner, fs }))
+        self.0.gate.lock().unwrap().merged = false;
+        StdFs.create(path)
     }
     fn open(&self, path: &Path) -> io::Result<Box<dyn Read + Send>> {
         Ok(self.reader(StdFs.open(path)?))
@@ -330,16 +248,10 @@ fn a_warm_sort_holds_no_merged_row_run() {
                 merge_threads,
             };
             let peak_of_one = || {
-                let io = Arc::new(PinnedFs::new(merge_threads, runs));
+                let io = Arc::new(PinnedFs::new(merge_threads));
                 let (types, order, options) = (chunk.types(), order.clone(), options.clone());
-                let sorter = ExternalSorter::with_spill_io(types, order, options, io.clone());
-                let peak = warm_peak(|| sorter.sort(chunk).unwrap());
-                let timeouts = io.timeouts();
-                assert_eq!(
-                    timeouts, 0,
-                    "{name}: {merge_threads} threads, schedule not pinned"
-                );
-                peak
+                let sorter = ExternalSorter::with_spill_io(types, order, options, io);
+                warm_peak(|| sorter.sort(chunk).unwrap())
             };
             (0..SORTERS).map(|_| peak_of_one()).max().unwrap_or(0)
         };

@@ -65,8 +65,9 @@ impl Default for ExecOptions {
 #[derive(Debug, Clone)]
 pub struct SpillExecOptions {
     /// Rows per spilled run. Run generation holds one run per spill
-    /// worker, and there are `min(threads, SPILL_WORKERS)` of them
-    /// ([`ExecOptions::threads`], [`SPILL_WORKERS`]).
+    /// worker — built, waiting for its turn, or being written — and there
+    /// are `min(threads, SPILL_WORKERS)` of them ([`ExecOptions::threads`],
+    /// [`SPILL_WORKERS`]).
     pub memory_limit_rows: usize,
     /// Directory for spill files (defaults to the system temp dir).
     pub spill_dir: Option<PathBuf>,

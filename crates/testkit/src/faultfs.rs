@@ -12,6 +12,8 @@
 //!   [`io::ErrorKind`] once a file's cursor crosses the offset (fires
 //!   once; a rewritten file is a new creation ordinal, so retries model
 //!   transient failures naturally),
+//! * **flush error** — a file's first `flush` fails with a chosen
+//!   [`io::ErrorKind`] (its bytes stay written; the caller decides),
 //! * **ENOSPC after K bytes** — once the filesystem stores K total bytes,
 //!   every further write fails with [`io::ErrorKind::StorageFull`],
 //! * **short read** — `open` yields a reader over a truncated prefix,
@@ -41,6 +43,8 @@ pub enum FaultKind {
     /// `write` fails with this error kind when the file cursor crosses
     /// the spec's byte offset.
     WriteError(io::ErrorKind),
+    /// The file's first `flush` fails with this error kind.
+    FlushError(io::ErrorKind),
     /// `open` returns a reader over only the first `at_byte` bytes.
     ShortRead,
     /// Flip bit `bit` of the byte at `at_byte` when the file is opened.
@@ -124,6 +128,8 @@ pub struct FaultStats {
     pub files_deleted: u64,
     /// Injected write errors (excluding ENOSPC).
     pub write_errors: u64,
+    /// Injected flush errors.
+    pub flush_errors: u64,
     /// Writes rejected by the disk-capacity budget.
     pub enospc_errors: u64,
     /// Opens that returned a truncated prefix.
@@ -140,6 +146,7 @@ impl FaultStats {
     /// Total injected faults that fired (lifecycle counters excluded).
     pub fn faults_fired(&self) -> u64 {
         self.write_errors
+            + self.flush_errors
             + self.enospc_errors
             + self.short_reads
             + self.bit_flips
@@ -385,7 +392,14 @@ impl Write for FaultWriter {
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        Ok(())
+        let mut inner = self.fs.lock();
+        let spec = inner.take_spec(self.ordinal, |s| matches!(s.kind, FaultKind::FlushError(_)));
+        let Some(FaultKind::FlushError(kind)) = spec.map(|s| s.kind) else {
+            return Ok(());
+        };
+        inner.stats.flush_errors += 1;
+        let detail = format!("faultfs: injected flush error on {}", self.name);
+        Err(io::Error::new(kind, detail))
     }
 }
 
@@ -488,6 +502,22 @@ mod tests {
         drop(w);
         assert_eq!(read_file(&fs, "x.run"), b"abcdef");
         assert_eq!(fs.stats().write_errors, 1);
+    }
+
+    #[test]
+    fn flush_error_fires_once_and_keeps_the_bytes() {
+        let fs = FaultFs::new(FaultSchedule {
+            specs: vec![spec(0, 0, FaultKind::FlushError(io::ErrorKind::Other))],
+            disk_capacity: None,
+        });
+        let mut w = fs.create("f.run").unwrap();
+        w.write_all(b"abc").unwrap();
+        assert_eq!(w.flush().unwrap_err().kind(), io::ErrorKind::Other);
+        w.flush().unwrap();
+        drop(w);
+        assert_eq!(read_file(&fs, "f.run"), b"abc");
+        assert_eq!(fs.stats().flush_errors, 1);
+        assert_eq!(fs.stats().faults_fired(), 1);
     }
 
     #[test]

@@ -189,9 +189,17 @@ cargo run --release --offline -q -p rowsort-bench --bin bench_gate \
 # / ENOSPC / corruption, held to the reference sort. Deterministic
 # (everything derives from the seed) and offline (the fault filesystem is
 # in-memory). Fails the build on any oracle mismatch or leaked run file;
-# the JSON report is uploaded as a CI artifact.
+# the JSON report is uploaded as a CI artifact. Runs are placed in index
+# order, so the report — faults fired and cleanup failures included — is
+# fixed to the digit by the seed: a second run must write the same bytes.
 echo "== spill stress =="
-cargo run --release --offline -q -p rowsort-bench --bin stress -- \
-    --iters 50 --seed 0xR0WS0RT --report "$PWD/target/perf/stress_report.json"
+for report in stress_report.json stress_report_again.json; do
+    cargo run --release --offline -q -p rowsort-bench --bin stress -- \
+        --iters 50 --seed 0xR0WS0RT --report "$PWD/target/perf/$report"
+done
+if ! cmp target/perf/stress_report.json target/perf/stress_report_again.json; then
+    echo "verify: two stress runs of one seed wrote different reports" >&2
+    exit 1
+fi
 
 echo "verify: OK"
