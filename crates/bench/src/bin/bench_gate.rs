@@ -30,7 +30,7 @@
 use rowsort_bench::counters::{fig10_counts, table2_counts, table3_counts};
 use rowsort_bench::{long_string_chunk, u32_chunk, wide_key_chunk, LONGSTR_STEM, TIEDSTR_STEM};
 use rowsort_core::external::{ExternalSortOptions, ExternalSorter};
-use rowsort_core::metrics::{Counter, SortProfile};
+use rowsort_core::metrics::{Counter, MetricClass, SortProfile};
 use rowsort_core::pipeline::{SortOptions, SortPipeline};
 use rowsort_datagen::tpcds;
 use rowsort_engine::{Engine, Table};
@@ -45,23 +45,19 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// The checked-in baseline, at the workspace root wherever the gate runs.
 const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_counters.json");
 
-/// Counters that two runs of one binary can disagree on: left out of the
-/// file by name rather than compared with a tolerance.
-const UNGATED: [(Counter, &str); 10] = [
-    (
-        Counter::PoolHits,
-        "at threads > 1 a buffer is recycled before or after another worker asks for its class",
-    ),
-    (Counter::PoolMisses, "the other side of pool_hits"),
-    (Counter::BroadcastNs, "a clock"),
-    (Counter::SpillGenerateNs, "a clock"),
-    (Counter::SpillWriteNs, "a clock"),
-    (Counter::RunScatterNs, "a clock"),
-    (Counter::RunEncodeNs, "a clock"),
-    (Counter::RunSortNs, "a clock"),
-    (Counter::RunStripCodeNs, "a clock"),
-    (Counter::RunReorderNs, "a clock"),
-];
+/// Why a counter of `class` is left out of the file rather than compared
+/// with a tolerance: two runs of one binary can disagree on it. `None` for
+/// an exact counter, which is compared.
+fn ungated(class: MetricClass) -> Option<&'static str> {
+    match class {
+        MetricClass::Exact => None,
+        MetricClass::Clock => Some("a clock"),
+        MetricClass::Scheduled => Some(
+            "the schedule's: at threads > 1 a buffer is recycled before or after another worker \
+             asks for its class",
+        ),
+    }
+}
 
 /// What the measured sort of every id counted, keyed `(id, counter)`.
 type Counts = BTreeMap<(String, String), u64>;
@@ -89,7 +85,7 @@ fn record(out: &mut Counts, id: &str, allocs: bool, mut sort: impl FnMut() -> So
     }
     let gated = Counter::ALL
         .into_iter()
-        .filter(|c| UNGATED.iter().all(|(u, _)| u != c));
+        .filter(|c| ungated(c.class()).is_none());
     for c in gated {
         let key = (id.to_owned(), c.name().to_owned());
         out.insert(key, profile.metrics.counter(c));
@@ -286,8 +282,10 @@ fn main() {
         print!(" {counter}={v}");
     }
     println!();
-    for (counter, why) in UNGATED {
-        println!("  not compared: {} ({why})", counter.name());
+    for counter in Counter::ALL {
+        if let Some(why) = ungated(counter.class()) {
+            println!("  not compared: {} ({why})", counter.name());
+        }
     }
 
     let show = |v: Option<&u64>| v.map_or("absent".to_owned(), u64::to_string);

@@ -258,9 +258,9 @@ const CORPUS: &[Mutant] = &[
     Mutant {
         name: "a rank decoded through another sort's dictionary: the sorter's own \
                statistics, not the table's the sort planned from",
-        file: "crates/core/src/sorter.rs",
+        file: "crates/core/src/run.rs",
         anchor: "rows: table.rank_rows(c),",
-        replacement: "rows: plan.table(None).rank_rows(c),",
+        replacement: "rows: self.table(None).rank_rows(c),",
         targets: &[CORE, ENGINE, ORACLE],
     },
     Mutant {
@@ -269,6 +269,23 @@ const CORPUS: &[Mutant] = &[
         anchor: "let tie_cmp = FusedRowComparator::new(&layout, &OrderBy::new(ties.collect()));",
         replacement: "let tie_cmp = FusedRowComparator::new(&RowLayout::new(types), order);",
         targets: &[CORE, MOVES, ORACLE],
+    },
+    // The plan builds its key and the row that key calls for together; a
+    // warm sorter whose statistics change must rebuild both.
+    Mutant {
+        name: "the row plan kept when a warm sorter's key changes shape",
+        file: "crates/core/src/run.rs",
+        anchor: "            self.rows = RowPlan::new(types, order, exact);",
+        replacement: "            if self.rows.from.is_empty() {\n                \
+                      self.rows = RowPlan::new(types, order, exact);\n            }",
+        targets: &[CORE, ORACLE],
+    },
+    Mutant {
+        name: "the row plan built from the previous sort's layout",
+        file: "crates/core/src/run.rs",
+        anchor: "let exact = key.columns().iter()",
+        replacement: "let exact = self.key.columns().iter()",
+        targets: &[CORE, ORACLE],
     },
     // ---- rowsort-core: merge codes and the kernel -------------------------
     Mutant {

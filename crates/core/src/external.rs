@@ -791,39 +791,35 @@ impl ExternalSorter {
         let Some(start) = self.core.begin(input, &mut plan, lent) else {
             return Ok(DataChunk::new(&self.core.types));
         };
-        let order = self.core.merge_order(&plan);
         let runs = {
             let _spill = self.core.metrics.time_phase(Phase::Spill);
-            self.spill(input, &plan, lent)?
+            self.spill(input, (&plan, plan.table(lent)))?
         };
         plan.release_entries();
         let planned = (&plan, plan.table(lent));
-        let out = self
-            .merge_runs(&runs, order, planned, input)
-            .inspect_err(|err| {
-                if matches!(err, SpillError::Corrupt { .. }) {
-                    self.core.metrics.add(Counter::SpillChecksumFailed, 1);
-                }
-            })?;
-        self.core.publish(start, input.len(), "external", order.kw);
+        let out = self.merge_runs(&runs, planned, input).inspect_err(|err| {
+            if matches!(err, SpillError::Corrupt { .. }) {
+                self.core.metrics.add(Counter::SpillChecksumFailed, 1);
+            }
+        })?;
+        self.core.publish(start, &plan, input.len(), "external");
         Ok(out)
     }
 
     /// The spill phase: the sorter's runs, each encoded and written by the
     /// worker that built it ([`ExternalSorter::spill_run`]) once every run
     /// below it has been placed, before it claims the next. Run buffers
-    /// come from a pool that ends with the phase, like `plan`'s key blocks,
-    /// so no dead run set sits under the merge; its hits and misses are the
-    /// sort's. Once a run's write finds spill space gone, it and every run
-    /// after it stay in memory, encoded as they would have been on disk.
+    /// come from a pool that ends with the phase, like the plan's key
+    /// blocks, so no dead run set sits under the merge; its hits and misses
+    /// are the sort's. Once a run's write finds spill space gone, it and
+    /// every run after it stay in memory, encoded as they would have been
+    /// on disk.
     fn spill(
         &self,
         input: &DataChunk,
-        plan: &KeyPlan,
-        lent: Option<&TableStats>,
+        planned: (&KeyPlan, &TableStats),
     ) -> Result<Vec<Run>, SpillError> {
-        let planned = (plan, plan.table(lent));
-        let rows = self.core.row_plan(plan);
+        let rows = planned.0.rows();
         let phase_pool = BufferPool::new();
         let pool = SortPool {
             pool: &phase_pool,
@@ -1048,15 +1044,14 @@ impl ExternalSorter {
     fn merge_runs(
         &self,
         runs: &[Run],
-        order: MergeOrder<'_>,
         planned: (&KeyPlan, &TableStats),
         input: &DataChunk,
     ) -> Result<DataChunk, SpillError> {
         let mut plan = MergePlan::default();
         let phase = Phase::SpillMerge;
-        let chunk =
-            self.core
-                .merge_into_vectors(order, (runs, &mut plan), planned, input, phase)?;
+        let chunk = self
+            .core
+            .merge_into_vectors((runs, &mut plan), planned, input, phase)?;
         let metrics = &self.core.metrics;
         metrics.add(Counter::SpillMergePartitions, plan.parts as u64);
         metrics.add(Counter::MergeMaxRangeRows, plan.max_range_rows() as u64);
@@ -1153,8 +1148,7 @@ mod tests {
             plan: &KeyPlan,
             input: &DataChunk,
         ) -> Result<DataChunk, SpillError> {
-            let order = self.core.merge_order(plan);
-            self.merge_runs(runs, order, (plan, plan.table(None)), input)
+            self.merge_runs(runs, (plan, plan.table(None)), input)
         }
     }
 
@@ -1163,7 +1157,6 @@ mod tests {
         let mut plan = KeyPlan::default();
         let (types, order) = (&sorter.core.types, &sorter.core.order);
         plan.plan(types, order, chunk, None, &|phase| phase(0));
-        sorter.core.pick_rows(&mut plan);
         plan
     }
 
@@ -1171,7 +1164,10 @@ mod tests {
     /// row budget, and the plan they were built from.
     fn build_spilled_runs(sorter: &ExternalSorter, chunk: &DataChunk) -> (Vec<Run>, KeyPlan) {
         let plan = plan(sorter, chunk);
-        (sorter.spill(chunk, &plan, None).unwrap(), plan)
+        (
+            sorter.spill(chunk, (&plan, plan.table(None))).unwrap(),
+            plan,
+        )
     }
 
     /// All of `chunk` as one sorted run, straight from the run generator.
@@ -1184,8 +1180,7 @@ mod tests {
     /// `run`, built under `plan`, encoded into memory, as the ENOSPC rung
     /// of the ladder leaves it.
     fn memory_run(sorter: &ExternalSorter, plan: &KeyPlan, run: &SortedRun) -> Run {
-        let rows = sorter.core.row_plan(plan);
-        sorter.spill_run(run, rows, true).unwrap()
+        sorter.spill_run(run, plan.rows(), true).unwrap()
     }
 
     /// The encoded bytes of an in-memory run.
@@ -1304,8 +1299,11 @@ mod tests {
         // The key holds the integer exactly and ends at the truncated
         // string: the row keeps the three other columns.
         let planned = plan(&sorter, &chunk);
-        let rows = sorter.core.row_plan(&planned);
-        assert_eq!((rows.exact, rows.columns.as_slice()), (1, &[0, 2, 3][..]));
+        let rows = planned.rows();
+        assert_eq!(
+            (rows.decoded(), rows.columns.as_slice()),
+            (1, &[0, 2, 3][..])
+        );
         let (layout, varlen) = (&rows.layout, rows.varlen.clone());
         let width = layout.width();
 
@@ -1364,7 +1362,7 @@ mod tests {
 
         let kw = keys.key_width();
         let arity = ovc::word_count(kw);
-        let merge_order = sorter.core.merge_order(&planned);
+        let merge_order = planned.merge_order();
         let mut cur = sorter.open_cursor(&run, merge_order, run.bounds()).unwrap();
         let mut prev_key: Vec<u8> = Vec::new();
         let mut blocks_seen = 0;
@@ -1435,7 +1433,7 @@ mod tests {
         let sorter = ExternalSorter::new(catalog.types(), by, options);
         let sorted = whole_run(&sorter, &catalog);
         let planned = plan(&sorter, &catalog);
-        let width = sorter.core.row_plan(&planned).layout.width();
+        let width = planned.rows().layout.width();
         assert_eq!((sorted.key_width, width), (5, 8));
         assert!(sorted.ovc.is_empty(), "no code column");
         let run = memory_run(&sorter, &planned, &sorted);
@@ -1455,7 +1453,7 @@ mod tests {
         let sorted = whole_run(sorter, chunk);
         let planned = plan(sorter, chunk);
         let kw = sorted.key_width;
-        let width = sorter.core.row_plan(&planned).layout.width();
+        let width = planned.rows().layout.width();
         let code = if sorter.core.codes(kw).stored() { 8 } else { 0 };
         let fixed = kw + code + width + 4;
         let run = memory_run(sorter, &planned, &sorted);
@@ -1482,7 +1480,7 @@ mod tests {
             let first_key = &index.first_keys[b * kw..(b + 1) * kw];
             assert_eq!(first_key, &sorted.keys[meta.rows_before * kw..][..kw]);
         }
-        let order = sorter.core.merge_order(&planned);
+        let order = planned.merge_order();
         let mut cur = sorter.open_cursor(&run, order, run.bounds()).unwrap();
         for i in 0..sorted.len() {
             assert!(!cur.exhausted(), "record {i} missing");
@@ -1847,7 +1845,7 @@ mod tests {
 
     /// Merge `sources` through the kernel, on the codes the sorter
     /// chooses, into fresh columns of exactly `rows` rows, decoding what
-    /// `order.rows` decodes from the key `plan` planned for `input`.
+    /// `plan`'s row decodes from the key it planned for `input`.
     fn kernel_merge<S: RunSource>(
         sorter: &ExternalSorter,
         (order, plan, input): (&MergeOrder<'_>, &KeyPlan, &DataChunk),
@@ -1856,9 +1854,10 @@ mod tests {
     ) -> (DataChunk, MergeStats) {
         let core = &sorter.core;
         let mut builder = ChunkBuilder::new(&core.types, rows);
-        let planned = (plan, plan.table(None));
-        let pieces = core.pieces(&mut builder, *order, planned, input, [rows]);
-        let piece = pieces.unwrap().pop().unwrap();
+        let piece = plan
+            .pieces(plan.table(None), &mut builder, input, [rows])
+            .pop()
+            .unwrap();
         let mut sink = VectorSink::new(piece, core.pool());
         let mut tree = OvcLoserTree::empty();
         let codes = core.codes(order.kw);
@@ -1920,7 +1919,7 @@ mod tests {
                     },
                 );
                 let plan = plan(&sorter, chunk);
-                let order = sorter.core.merge_order(&plan);
+                let order = plan.merge_order();
                 assert_eq!(order.tie_possible, *truncated, "{name}: tie_possible");
                 for k in [1usize, 2, 3, 17] {
                     let what = format!("{name}, ovc={ovc}, k={k}");
@@ -2113,12 +2112,19 @@ mod tests {
 
                 let mut cmps = Vec::new();
                 // The keys are made up, so the row keeps every column: the
-                // row plan that decodes nothing, and no planned key.
-                let (plan, input) = (KeyPlan::default(), DataChunk::new(&[LogicalType::UInt32]));
+                // plan of no key, whose row decodes nothing.
+                let (mut plan, input) =
+                    (KeyPlan::default(), DataChunk::new(&[LogicalType::UInt32]));
+                plan.plan(
+                    &input.types(),
+                    &OrderBy::new(Vec::new()),
+                    &input,
+                    None,
+                    &|p| p(0),
+                );
+                let full = plan.rows();
+                assert_eq!(full.decoded(), 0);
                 for (sorter, codes) in sorters.iter().zip(chosen) {
-                    let core = &sorter.core;
-                    let full = &core.row_plans[0];
-                    assert_eq!(full.exact, 0);
                     let mut first_id = 0u32;
                     let sorted: Vec<SortedRun> = runs
                         .iter()
@@ -2595,7 +2601,7 @@ mod tests {
             },
         );
         let err = plain
-            .open_cursor(&runs[0], plain.core.merge_order(&plan), runs[0].bounds())
+            .open_cursor(&runs[0], plan.merge_order(), runs[0].bounds())
             .err()
             .expect("flag mismatch must surface");
         assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
@@ -2629,7 +2635,7 @@ mod tests {
         reseal(&mut bytes, &clean.index, 0);
         let run = with_bytes(&clean, bytes);
         let err = sorter
-            .open_cursor(&run, sorter.core.merge_order(&planned), run.bounds())
+            .open_cursor(&run, planned.merge_order(), run.bounds())
             .err()
             .expect("implausible code must surface");
         assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
@@ -2650,7 +2656,7 @@ mod tests {
             },
         );
         let (runs, plan) = build_spilled_runs(&sorter, &chunk);
-        let order = sorter.core.merge_order(&plan);
+        let order = plan.merge_order();
         let bytes = file_bytes(&runs[0]);
         for mutate in [
             // Wrong magic.
@@ -2849,7 +2855,7 @@ mod tests {
                 };
                 let sorters: Vec<ExternalSorter> = [1, 2, 4].into_iter().map(sorter_at).collect();
                 let (runs, plan) = build_spilled_runs(&sorters[0], &chunk);
-                let order = sorters[0].core.merge_order(&plan);
+                let order = plan.merge_order();
                 // The same runs again, encoded in memory.
                 let runs: Vec<Run> = runs
                     .iter()
@@ -2881,7 +2887,7 @@ mod tests {
         let kw = index.first_keys.len() / index.blocks.len();
         (
             kw,
-            sorter.core.row_plan(&fix.plan).layout.width(),
+            fix.plan.rows().layout.width(),
             sorter.core.codes(kw).stored(),
         )
     }
@@ -3028,7 +3034,7 @@ mod tests {
         // its segment, and a record whose fixed part runs past the block
         // (the record before it grown to end one byte short of the end).
         for fix in &fixtures {
-            let rows = fix.sorters[0].core.row_plan(&fix.plan);
+            let rows = fix.plan.rows();
             let (index, layout) = (&fix.runs[0].index, &rows.layout);
             let clean = bytes_of(&fix.runs[0]);
             let fields = |j| record_fields(clean, index, (0, j), record_shape(fix, 0));

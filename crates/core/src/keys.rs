@@ -68,6 +68,37 @@ pub const PREFIX_CAP: usize = 32;
 // "fits" and "truncated" alike.
 const _: () = assert!(PREFIX_CAP <= MAX_PREFIX);
 
+/// The key of a sort of a relation with column `types` by `order`, each
+/// key column shaped by what the planner knows of it, `stat(col)`: a
+/// VARCHAR column's longest string and the prefix to encode of it (clamped
+/// to what the marker byte can describe), or the count of strings it
+/// ranked; an integer column's range. Both sorters plan their key through
+/// this, from [`key_stats`](crate::run::key_stats).
+pub(crate) fn key_layout(
+    types: &[LogicalType],
+    order: &OrderBy,
+    stat: impl Fn(usize) -> KeyStat,
+) -> NormKeyLayout {
+    let cols: Vec<KeyColumn> = order
+        .keys
+        .iter()
+        .map(|k| match (types[k.column], stat(k.column)) {
+            (LogicalType::Varchar, KeyStat::Varchar(s)) => {
+                KeyColumn::varchar_with_prefix(k.spec, s.max_len, s.prefix_len)
+            }
+            (LogicalType::Varchar, KeyStat::Ranked(r)) => {
+                let (max_len, prefix_len) = (r.prefix.max_len, r.prefix.prefix_len);
+                let plain = KeyColumn::varchar_with_prefix(k.spec, max_len, prefix_len);
+                KeyColumn::ranked(plain, u64::from(r.values), r.nulls)
+            }
+            (LogicalType::Varchar, _) => KeyColumn::varchar_with_prefix(k.spec, 0, 0),
+            (ty, KeyStat::Range(range)) => KeyColumn::ranged(ty, k.spec, range),
+            (ty, _) => KeyColumn::fixed(ty, k.spec),
+        })
+        .collect();
+    NormKeyLayout::new(cols)
+}
+
 /// A block of fixed-width normalized keys, each suffixed with a `u32`
 /// row id linking back to the payload row.
 ///
@@ -146,44 +177,20 @@ impl KeyBlock {
         order: &OrderBy,
         varchar_max_len: impl Fn(usize) -> usize,
     ) -> KeyBlock {
-        KeyBlock::with_stats(types, order, |c| {
+        let layout = key_layout(types, order, |c| {
             KeyStat::Varchar(VarcharStat {
                 max_len: varchar_max_len(c),
                 prefix_len: DEFAULT_MAX_PREFIX,
             })
-        })
+        });
+        KeyBlock::with_layout(layout, order)
     }
 
-    /// [`KeyBlock::new`] with each key column shaped by what the caller
-    /// knows of it, `stat(col)`: a VARCHAR column's longest string and the
-    /// prefix to encode of it (clamped to what the marker byte can
-    /// describe), or the count of strings it ranked; an integer column's
-    /// range. Both sorters plan through this, from
-    /// [`key_stats`](crate::run::key_stats).
-    pub fn with_stats(
-        types: &[LogicalType],
-        order: &OrderBy,
-        stat: impl Fn(usize) -> KeyStat,
-    ) -> KeyBlock {
-        let cols: Vec<KeyColumn> = order
-            .keys
-            .iter()
-            .map(|k| match (types[k.column], stat(k.column)) {
-                (LogicalType::Varchar, KeyStat::Varchar(s)) => {
-                    KeyColumn::varchar_with_prefix(k.spec, s.max_len, s.prefix_len)
-                }
-                (LogicalType::Varchar, KeyStat::Ranked(r)) => {
-                    let (max_len, prefix_len) = (r.prefix.max_len, r.prefix.prefix_len);
-                    let plain = KeyColumn::varchar_with_prefix(k.spec, max_len, prefix_len);
-                    KeyColumn::ranked(plain, u64::from(r.values), r.nulls)
-                }
-                (LogicalType::Varchar, _) => KeyColumn::varchar_with_prefix(k.spec, 0, 0),
-                (ty, KeyStat::Range(range)) => KeyColumn::ranged(ty, k.spec, range),
-                (ty, _) => KeyColumn::fixed(ty, k.spec),
-            })
-            .collect();
+    /// An empty block of `layout`'s keys over `order`'s columns: a run's
+    /// keys under the layout its sort planned.
+    pub(crate) fn with_layout(layout: NormKeyLayout, order: &OrderBy) -> KeyBlock {
         KeyBlock {
-            layout: NormKeyLayout::new(cols),
+            layout,
             data: Vec::new(),
             len: 0,
             key_columns: order.keys.iter().map(|k| k.column).collect(),
@@ -193,7 +200,7 @@ impl KeyBlock {
     }
 
     /// The key block both sorters plan for sorting `input` by `order`:
-    /// [`KeyBlock::with_stats`] over the statistics they take of `input`'s
+    /// its layout planned over the statistics they take of `input`'s
     /// key columns (VARCHAR: longest string, prefix sized from a collision
     /// sample, or ranks where it holds few strings; integers: the range;
     /// DESIGN.md §6). A function of the input alone. The block keeps the
@@ -205,7 +212,8 @@ impl KeyBlock {
         key_stats(input, order, &table, &mut scratch, &mut stats, &|phase| {
             phase(0)
         });
-        let mut block = KeyBlock::with_stats(&input.types(), order, |c| stats[c]);
+        let layout = key_layout(&input.types(), order, |c| stats[c]);
+        let mut block = KeyBlock::with_layout(layout, order);
         block.stats = table;
         block
     }
@@ -258,12 +266,6 @@ impl KeyBlock {
     /// a pooled block can be refilled without reallocating.
     pub fn reset(&mut self) {
         self.data.clear();
-        self.len = 0;
-    }
-
-    /// Remove all entries and give their buffer back, keeping the layout.
-    pub(crate) fn release(&mut self) {
-        self.data = Vec::new();
         self.len = 0;
     }
 
@@ -566,10 +568,11 @@ mod tests {
             }
         };
         let order = OrderBy::ascending(1);
-        let twelve = KeyBlock::with_stats(&chunk.types(), &order, stat(12));
+        let block = |stat| KeyBlock::with_layout(key_layout(&chunk.types(), &order, stat), &order);
+        let twelve = block(stat(12));
         assert!(twelve.tie_possible());
         assert_eq!(twelve.key_width(), 1 + 12 + 1);
-        let mut exact = KeyBlock::with_stats(&chunk.types(), &order, stat(13));
+        let mut exact = block(stat(13));
         assert!(!exact.tie_possible());
         assert_eq!(exact.key_width(), 1 + 13 + 1);
         exact.append_chunk(&chunk);

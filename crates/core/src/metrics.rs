@@ -37,12 +37,27 @@ use rowsort_testkit::json::Json;
 
 use crate::ovc::MergeCodes;
 
+/// What a metric's value depends on: whether two runs of one binary agree
+/// on it (`bench_gate` compares only [`MetricClass::Exact`] counters).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MetricClass {
+    /// The input and the options alone: every run counts the same.
+    Exact,
+    /// A clock: nanoseconds, which no two runs repeat.
+    Clock,
+    /// The schedule: which worker takes a shared buffer first.
+    Scheduled,
+}
+
 /// Declare a metrics enum whose variants index the registry, each with the
-/// snake_case name trace JSON and text dumps use: the enum, its `COUNT`,
-/// `ALL` in declaration order (= registry index order) and `name`, from one
-/// list, so that adding or renaming a variant is one edit.
+/// snake_case name trace JSON and text dumps use and its [`MetricClass`]:
+/// the enum, its `COUNT`, `ALL` in declaration order (= registry index
+/// order), `name` and `class`, from one list, so that adding or renaming a
+/// variant is one edit.
 macro_rules! metric_enum {
-    ($(#[$meta:meta])* pub enum $ty:ident { $($(#[$doc:meta])* $variant:ident => $name:literal,)* }) => {
+    ($(#[$meta:meta])* pub enum $ty:ident {
+        $($(#[$doc:meta])* $variant:ident => $name:literal ($class:ident),)*
+    }) => {
         $(#[$meta])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         pub enum $ty {
@@ -62,6 +77,13 @@ macro_rules! metric_enum {
                     $($ty::$variant => $name,)*
                 }
             }
+
+            /// What the value depends on.
+            pub fn class(self) -> MetricClass {
+                match self {
+                    $($ty::$variant => MetricClass::$class,)*
+                }
+            }
         }
     };
 }
@@ -75,25 +97,25 @@ metric_enum! {
     /// `Gather` is what remains after it.
     pub enum Phase {
         /// Column statistics + key-layout preparation before run generation.
-        Prepare => "prepare",
+        Prepare => "prepare" (Clock),
         /// Morsel-parallel run generation (stage, encode keys, local sort,
         /// payload reorder).
-        RunGeneration => "run_generation",
+        RunGeneration => "run_generation" (Clock),
         /// Merging the runs in one range-partitioned k-way pass, codes or no
         /// codes, straight into the output columns — Figure 11's NSM → DSM
         /// stage included.
-        Merge => "merge",
+        Merge => "merge" (Clock),
         /// Joining the key ranges' pieces of the output columns after a merge
         /// into vectors: one byte copy per range and VARCHAR column, one
         /// splice per validity mask, single-threaded.
-        Gather => "gather",
+        Gather => "gather" (Clock),
         /// External sort: building and writing spilled runs, whole runs
         /// claimed by the worker pool and placed in index order; what the
         /// workers were busy with is
         /// [`Counter::SpillGenerateNs`] and [`Counter::SpillWriteNs`].
-        Spill => "spill",
+        Spill => "spill" (Clock),
         /// External sort: the streaming loser-tree merge of spilled runs.
-        SpillMerge => "spill_merge",
+        SpillMerge => "spill_merge" (Clock),
     }
 }
 
@@ -101,128 +123,133 @@ metric_enum! {
     /// Monotonic event counters recorded across all layers of a sort.
     pub enum Counter {
         /// Completed `SortPipeline::sort` / `ExternalSorter::sort` calls.
-        SortCalls => "sort_calls",
+        SortCalls => "sort_calls" (Exact),
         /// Input rows across all sort calls.
-        RowsSorted => "rows_sorted",
+        RowsSorted => "rows_sorted" (Exact),
         /// Bytes staged, encoded, reordered, or merged (row + key areas),
         /// and the strings a streamed run lays out in run order.
-        BytesMoved => "bytes_moved",
+        BytesMoved => "bytes_moved" (Exact),
         /// Buffer-pool requests served from a free list.
-        PoolHits => "pool_hits",
+        PoolHits => "pool_hits" (Scheduled),
         /// Buffer-pool requests that fell through to allocation.
-        PoolMisses => "pool_misses",
+        PoolMisses => "pool_misses" (Scheduled),
         /// Thread-local run sorts the radix sort over the key bytes decided
         /// alone: no key-equal range needed the comparator.
-        RadixSorts => "radix_sorts",
+        RadixSorts => "radix_sorts" (Exact),
         /// Scatter passes performed by the radix sort of every run, whichever
         /// of [`Counter::RadixSorts`] and [`Counter::PdqSorts`] counted it.
-        RadixPasses => "radix_passes",
+        RadixPasses => "radix_passes" (Exact),
         /// Thread-local run sorts in which at least one key-equal range went
         /// to pdqsort with the full-tuple comparator (a truncated VARCHAR
         /// prefix; [`Counter::RunTieRanges`] and [`Counter::RunTieRows`] say
         /// how much of the run).
-        PdqSorts => "pdq_sorts",
+        PdqSorts => "pdq_sorts" (Exact),
         /// Sorted runs produced by run generation.
-        RunsGenerated => "runs_generated",
+        RunsGenerated => "runs_generated" (Exact),
         /// Passes the in-memory merge phase made over the rows: one per
         /// pipeline sort of two or more runs, with offset-value codes or
         /// without.
-        MergeRounds => "merge_rounds",
+        MergeRounds => "merge_rounds" (Exact),
         /// Tasks that pass was cut into: its key ranges
         /// ([`Counter::MergeMaxRangeRows`] is the largest). Both this and
         /// [`Counter::MergeRounds`] are read by name (`merge_rounds`,
         /// `merge_tasks`) by rowbench's replay ledger
         /// (`benchmark/src/replay.rs`), so they stay while it does.
-        MergeTasks => "merge_tasks",
+        MergeTasks => "merge_tasks" (Exact),
         /// Parallel-phase broadcasts through the worker pool.
-        Broadcasts => "broadcasts",
+        Broadcasts => "broadcasts" (Exact),
         /// Wall time of those broadcasts (entry to last-worker completion).
-        BroadcastNs => "broadcast_ns",
+        BroadcastNs => "broadcast_ns" (Clock),
         /// Runs spilled by the external sorter.
-        SpilledRuns => "spilled_runs",
+        SpilledRuns => "spilled_runs" (Exact),
         /// Bytes written into spill files.
-        SpilledBytes => "spilled_bytes",
+        SpilledBytes => "spilled_bytes" (Exact),
         /// Transient spill-write failures absorbed by retry-with-backoff.
-        SpillRetries => "spill_retries",
+        SpillRetries => "spill_retries" (Exact),
         /// Spill-file deletions that failed (each one is a leaked temp file).
-        SpillCleanupFailed => "spill_cleanup_failed",
+        SpillCleanupFailed => "spill_cleanup_failed" (Exact),
         /// Runs kept in memory because spill space was exhausted.
-        SpillMemFallbackRuns => "spill_mem_fallback_runs",
+        SpillMemFallbackRuns => "spill_mem_fallback_runs" (Exact),
         /// Run files rejected by read-back verification (checksum mismatch,
         /// truncation, or a structurally impossible record).
-        SpillChecksumFailed => "spill_checksum_failed",
+        SpillChecksumFailed => "spill_checksum_failed" (Exact),
         /// Key comparisons performed by the loser-tree merges (range planning
         /// excluded).
-        MergeCmps => "merge_cmps",
+        MergeCmps => "merge_cmps" (Exact),
         /// Of those, comparisons resolved by the offset-value code alone —
         /// a single `u64` compare, no key bytes read (DESIGN.md §10).
-        MergeCmpsOvcResolved => "merge_cmps_ovc_resolved",
+        MergeCmpsOvcResolved => "merge_cmps_ovc_resolved" (Exact),
         /// Key bytes actually read by merge comparisons: full key width per
         /// `memcmp`-style compare without OVC, only the post-tie suffix scan
         /// with OVC.
-        MergeKeyBytesTouched => "merge_key_bytes_touched",
+        MergeKeyBytesTouched => "merge_key_bytes_touched" (Exact),
         /// Key ranges the partitioned spill merge cut the run files into
         /// (1 per sort when the merge ran single-threaded).
-        SpillMergePartitions => "spill_merge_partitions",
+        SpillMergePartitions => "spill_merge_partitions" (Exact),
         /// Records the spill merge's cursors (cut walks included) decoded in
         /// place from a block already read and verified — no backend I/O
         /// call, no copy. Its JSON key, `spill_readahead_hits`, is from when a
         /// read-ahead wrapper counted buffered reads; the benchmark reads the
         /// key by name, so it is renamed with it (ROADMAP 1(e)).
-        SpillRecordsDecoded => "spill_readahead_hits",
+        SpillRecordsDecoded => "spill_readahead_hits" (Exact),
         /// Run-file bytes skipped (seeked over) to position cursors at the
         /// block their range or cut walk starts in — the I/O cost of the
         /// range boundaries.
-        SpillSkippedBytes => "spill_skipped_bytes",
+        SpillSkippedBytes => "spill_skipped_bytes" (Exact),
         /// Rows in the largest key range of a range-partitioned k-way merge,
         /// in memory or spilled (one range: all of them). Added once per
         /// pass, and a sort makes one pass, so a sort's profile reads it as
         /// that sort's largest range: `rows / ranges` when the splitters cut
         /// evenly, up to `rows` when one key value holds most of them.
-        MergeMaxRangeRows => "merge_max_range_rows",
+        MergeMaxRangeRows => "merge_max_range_rows" (Exact),
         /// Run bytes the spill merge fetched: every block a range cursor or
         /// a cut walk read. Over [`Counter::SpilledBytes`] it is how many
         /// times the merge read what the sort wrote — 1.0 at one merge
         /// thread, a block or two per run and splitter more above that.
-        SpillReadBytes => "spill_read_bytes",
+        SpillReadBytes => "spill_read_bytes" (Exact),
         /// Key-equal ranges (two rows or more whose normalized keys are
         /// byte-equal under a truncated VARCHAR prefix) that run generation
         /// sorted with the full-tuple comparator.
-        RunTieRanges => "run_tie_ranges",
+        RunTieRanges => "run_tie_ranges" (Exact),
         /// Rows inside those ranges: over [`Counter::RowsSorted`], the share
         /// of the input the key prefix failed to order.
-        RunTieRows => "run_tie_rows",
+        RunTieRows => "run_tie_rows" (Exact),
         /// Time the external sort's spill workers (the least of
         /// `merge_threads`, `SPILL_WORKERS` and the runs there were to
         /// claim) spent building sorted runs (`make_run`), summed over
         /// them — busy time, where [`Phase::Spill`] is the coordinating
         /// thread's wall time.
-        SpillGenerateNs => "spill_generate_ns",
+        SpillGenerateNs => "spill_generate_ns" (Clock),
         /// Time they spent encoding runs and writing them out (`spill_run`,
         /// retries and their backoff included), summed the same way. A
         /// worker's wait for its run's turn — the run below it placed — is
         /// in neither: it is in the phase's wall time alone.
-        SpillWriteNs => "spill_write_ns",
+        SpillWriteNs => "spill_write_ns" (Clock),
         /// Run generation's stages (Figure 11), each the busy time of the
         /// workers that build runs summed over them, like
         /// [`Counter::SpillGenerateNs`] (which holds all five for a spilled
-        /// sort): payload columns scattered into staged rows.
-        RunScatterNs => "run_scatter_ns",
+        /// sort), and each with part of the previous stage's writes
+        /// ([`RUN_STAGES`]): payload columns scattered into staged rows.
+        RunScatterNs => "run_scatter_ns" (Clock),
         /// Key columns encoded into normalized-key entries.
-        RunEncodeNs => "run_encode_ns",
+        RunEncodeNs => "run_encode_ns" (Clock),
         /// The entries sorted: radix passes, and the comparator inside
         /// key-equal ranges.
-        RunSortNs => "run_sort_ns",
+        RunSortNs => "run_sort_ns" (Clock),
         /// Keys stripped of their row ids, and the run's code column
         /// computed from them.
-        RunStripCodeNs => "run_strip_code_ns",
+        RunStripCodeNs => "run_strip_code_ns" (Clock),
         /// Staged rows copied into key order.
-        RunReorderNs => "run_reorder_ns",
+        RunReorderNs => "run_reorder_ns" (Clock),
     }
 }
 
 /// Run generation's stage clocks in the order a run passes through them,
-/// each with the name `EXPLAIN ANALYZE` prints it under.
+/// each with the name `EXPLAIN ANALYZE` prints it under. A stage's writes
+/// are paid for partly in the next stage's clock: a 2–4× faster scatter
+/// read as a slower `run_encode_ns` while the encoder, timed alone, was
+/// faster. So a per-stage claim rests on a byte count or a paired A/B of
+/// the stage alone, never on its clock (DESIGN.md §7.5).
 pub const RUN_STAGES: [(Counter, &str); 5] = [
     (Counter::RunScatterNs, "scatter"),
     (Counter::RunEncodeNs, "encode"),

@@ -161,14 +161,13 @@ impl SortPipeline {
         let Some(start) = core.begin(input, plan, lent) else {
             return DataChunk::new(&core.types);
         };
-        let order = core.merge_order(plan);
+        let planned = (&*plan, plan.table(lent));
         {
             let _gen = core.metrics.time_phase(Phase::RunGeneration);
-            let (planned, placed) = ((&*plan, plan.table(lent)), (slots, &mut *runs));
+            let placed = (slots, &mut *runs);
             resident(core.generate(input, planned, core.pool(), placed, |run, _| Ok(run)));
         }
-        let planned = (&*plan, plan.table(lent));
-        let merged = core.merge_into_vectors(order, (runs, merge), planned, input, Phase::Merge);
+        let merged = core.merge_into_vectors((runs, merge), planned, input, Phase::Merge);
         let sorted = resident(merged);
         if runs.len() > 1 {
             let m = &core.metrics;
@@ -179,7 +178,7 @@ impl SortPipeline {
         for run in runs.drain(..) {
             run.recycle(core.pool());
         }
-        core.publish(start, input.len(), "pipeline", order.kw);
+        core.publish(start, plan, input.len(), "pipeline");
         sorted
     }
 
@@ -389,6 +388,40 @@ mod tests {
         assert_sorted_equal(&got_long, &long, &order);
         let got_short_again = pipeline.sort(&short);
         assert_sorted_equal(&got_short_again, &short, &order);
+    }
+
+    #[test]
+    fn a_warm_pipeline_rebuilds_its_row_when_the_key_changes_shape() {
+        // Strings within 12 bytes: the key holds them exactly and the row
+        // leaves them out. Strings whose stem outgrows any planned prefix:
+        // the key truncates them and the row keeps them.
+        let rows = |name: &dyn Fn(u32) -> String| {
+            let names = (0..64).map(|i| name(i * 37 % 64));
+            let ids = Vector::from_u32s((0..64).collect());
+            DataChunk::from_columns(vec![Vector::from_strings(names), ids]).unwrap()
+        };
+        let exact = rows(&|i| format!("name_{i:02}"));
+        let stem = "s".repeat(crate::keys::PREFIX_CAP + 8);
+        let truncated = rows(&|i| format!("{stem}{i:02}"));
+        let order = OrderBy::ascending(1);
+        let new = || {
+            let options = SortOptions::single_with_run_rows(16);
+            SortPipeline::new(exact.types(), order.clone(), options)
+        };
+        let shape = |p: &SortPipeline| {
+            let profile = p.last_profile();
+            (profile.row_width, profile.key_decoded_columns)
+        };
+        let warm = new();
+        let mut shapes = Vec::new();
+        for (i, input) in [&exact, &truncated, &exact].into_iter().enumerate() {
+            let cold = new();
+            let want = cold.sort(input);
+            assert_eq!(warm.sort(input), want, "sort {i}: rows");
+            assert_eq!(shape(&warm), shape(&cold), "sort {i}: row width, decoded");
+            shapes.push(shape(&cold));
+        }
+        assert_ne!(shapes[0], shapes[1], "the two keys call for different rows");
     }
 
     #[test]

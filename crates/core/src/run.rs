@@ -10,12 +10,20 @@
 
 use crate::comparator::FusedRowComparator;
 use crate::dict::{hash_bytes, Dictionary, Heap, Ranked, MAX_VALUES};
-use crate::keys::{word, KeyBlock, KeySortAlgo, KeyStat, RankStat, VarcharStat, PREFIX_CAP};
+use crate::keys::{
+    key_layout, word, KeyBlock, KeySortAlgo, KeyStat, RankStat, VarcharStat, PREFIX_CAP,
+};
+use crate::merge::{string_bytes, MergeOrder};
 use crate::metrics::{Counter, DICT_REPORTED};
 use crate::pool::SortPool;
 use crate::sorter::SorterCore;
-use rowsort_normkey::{key_range, KeyColumn, KeyRange, DEFAULT_MAX_PREFIX};
-use rowsort_row::{reorder_heap, reorder_rows, RowBlock, RowLayout};
+use rowsort_normkey::{
+    key_range, KeyColumn, KeyDecoder, KeyRange, NormKeyLayout, DEFAULT_MAX_PREFIX,
+};
+use rowsort_row::{
+    reorder_heap, reorder_rows, ChunkBuilder, ChunkPiece, ColumnFrom, RankedStrings, RowBlock,
+    RowLayout,
+};
 use rowsort_vector::{DataChunk, LogicalType, OrderBy, OrderByColumn, StringVec, Vector};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, OnceLock, TryLockError};
@@ -740,22 +748,40 @@ impl PlanScratch {
     }
 }
 
-/// The key a sort plans, and what planning keeps from sort to sort.
-#[derive(Default)]
+/// What a sort's key and row are, and what planning keeps from sort to
+/// sort: the key's layout and the one [`RowPlan`] it calls for, both
+/// built when the statistics they were planned for change and only then,
+/// so a warm sort of the same shape builds neither. Unplanned, the key
+/// has no columns and the row none either.
 pub(crate) struct KeyPlan {
-    /// The statistics the cached key blocks were planned for, by column.
+    /// The statistics `key` was planned for, by column.
     stats: Vec<KeyStat>,
     scratch: PlanScratch,
     /// The statistics of a sort no table lends its own to: the sorter's,
     /// emptied before each such sort.
     own: TableStats,
-    /// Key blocks planned for `stats`, kept whole to also reuse their
-    /// layout planning; never empty once a sort has been planned.
-    pub(crate) key_blocks: Mutex<Vec<KeyBlock>>,
+    /// The planned key.
+    key: NormKeyLayout,
+    /// The payload row `key` calls for.
+    rows: RowPlan,
+    /// Key blocks of `key`, whose entry buffers the runs encode into.
+    key_blocks: Mutex<Vec<KeyBlock>>,
     /// Key columns the current plan read from a lent table's statistics.
     pub(crate) reused: u32,
-    /// The sorter's [`RowPlan`] for the planned key, by index.
-    pub(crate) rows: usize,
+}
+
+impl Default for KeyPlan {
+    fn default() -> KeyPlan {
+        KeyPlan {
+            stats: Vec::new(),
+            scratch: PlanScratch::default(),
+            own: TableStats::default(),
+            key: NormKeyLayout::new(Vec::new()),
+            rows: RowPlan::new(&[], &OrderBy::new(Vec::new()), 0),
+            key_blocks: Mutex::default(),
+            reused: 0,
+        }
+    }
 }
 
 /// Where a sort's output takes one input column from.
@@ -771,14 +797,9 @@ pub(crate) enum ColumnSource {
 /// columns exactly ([`KeyColumn::is_exact`]): every input column but
 /// those, which the output decodes from the key (DESIGN.md §7.7). Its
 /// layout, the tie comparator over it and each column's source depend on
-/// the key's shape alone, and a key's shape on where its first lossy
-/// column lies: a sorter builds one plan per place — the start, each
-/// VARCHAR key column and the end — when it is made, and each sort picks
-/// the one its key calls for, so no sort builds one.
+/// the key's shape alone, so the [`KeyPlan`] that plans the key builds
+/// its one row beside it.
 pub(crate) struct RowPlan {
-    /// `ORDER BY` positions before the first the key does not hold
-    /// exactly.
-    pub(crate) exact: usize,
     pub(crate) layout: Arc<RowLayout>,
     /// Where each input column comes from, by input column.
     pub(crate) from: Vec<ColumnSource>,
@@ -787,8 +808,8 @@ pub(crate) struct RowPlan {
     /// Row slots that hold a VARCHAR, whose strings are the row's heap.
     pub(crate) varlen: Vec<usize>,
     /// Compares rows whose keys are byte-equal: the `ORDER BY` columns
-    /// from `exact` on, without those decoded from the key — in a tie
-    /// group every column before `exact` is equal.
+    /// past those the key holds exactly, without those decoded from the
+    /// key — in a tie group every column the key holds exactly is equal.
     pub(crate) tie_cmp: FusedRowComparator,
 }
 
@@ -825,29 +846,12 @@ impl RowPlan {
             .filter(|&s| slot_types[s] == LogicalType::Varchar)
             .collect();
         RowPlan {
-            exact,
             layout,
             from,
             columns,
             varlen,
             tie_cmp,
         }
-    }
-
-    /// Every row plan a sorter of `types` by `order` may need, by `exact`
-    /// ascending: the key's first lossy column is a VARCHAR or none.
-    pub(crate) fn all(types: &[LogicalType], order: &OrderBy) -> Vec<RowPlan> {
-        let varchars = order.keys.iter().enumerate();
-        let varchars = varchars.filter(|(_, by)| types[by.column] == LogicalType::Varchar);
-        let mut places: Vec<usize> = std::iter::once(0)
-            .chain(varchars.map(|(k, _)| k))
-            .chain(std::iter::once(order.len()))
-            .collect();
-        places.dedup();
-        places
-            .into_iter()
-            .map(|exact| RowPlan::new(types, order, exact))
-            .collect()
     }
 
     /// Input columns the output decodes from the key.
@@ -864,9 +868,10 @@ impl KeyPlan {
     /// Plan the key of a sort of `input` by `order` from `lent`, the
     /// statistics of `input`'s table, or else from the sorter's own, taken
     /// afresh: size the VARCHAR prefixes from the strings or rank the
-    /// strings, size the integer columns from their ranges, and drop
-    /// cached key blocks planned for other statistics (their layout no
-    /// longer applies). What is missing is taken on `spread`'s workers.
+    /// strings, size the integer columns from their ranges. Where that
+    /// changes a statistic, the key's layout and row are built anew and
+    /// the key blocks of the old layout dropped. What is missing is taken
+    /// on `spread`'s workers.
     pub(crate) fn plan(
         &mut self,
         types: &[LogicalType],
@@ -893,24 +898,83 @@ impl KeyPlan {
             spread,
         );
         self.reused = planned.reused;
-        let blocks = self.key_blocks.get_mut().unwrap_or_else(|e| e.into_inner());
         if planned.changed {
-            blocks.clear();
-        }
-        if blocks.is_empty() {
             let stats = &self.stats;
-            blocks.push(KeyBlock::with_stats(types, order, |c| stats[c]));
+            let key = key_layout(types, order, |c| stats[c]);
+            let exact = key.columns().iter().take_while(|c| c.is_exact()).count();
+            self.rows = RowPlan::new(types, order, exact);
+            self.key = key;
+            self.release_entries();
         }
     }
 
-    /// Drop the key blocks' entries, keeping their layout: what a sort
-    /// whose runs are built needs of its plan until its output is.
+    /// Drop the key blocks and their entries: a sort whose runs are built
+    /// needs none of them.
     pub(crate) fn release_entries(&mut self) {
-        let blocks = self.key_blocks.get_mut().unwrap_or_else(|e| e.into_inner());
-        blocks.truncate(1);
-        for block in blocks {
-            block.release();
+        self.key_blocks
+            .get_mut()
+            .unwrap_or_else(|e| e.into_inner())
+            .clear();
+    }
+
+    /// The planned key.
+    pub(crate) fn key(&self) -> &NormKeyLayout {
+        &self.key
+    }
+
+    /// The payload row the planned key calls for.
+    pub(crate) fn rows(&self) -> &RowPlan {
+        &self.rows
+    }
+
+    /// How the sort planned here compares records in its merges.
+    pub(crate) fn merge_order(&self) -> MergeOrder<'_> {
+        MergeOrder {
+            kw: self.key.width(),
+            tie_possible: self.key.tie_possible(),
+            rows: &self.rows,
         }
+    }
+
+    /// `builder`'s columns cut into consecutive pieces of `rows` rows
+    /// each, every column taken from where the planned row says: a slot of
+    /// the rows, or the planned key, which holds it exactly — a rank-coded
+    /// column through the dictionary of `table`, the statistics the sort
+    /// planned from, whose ranks name rows of `input`'s strings.
+    pub(crate) fn pieces<'a>(
+        &'a self,
+        table: &'a TableStats,
+        builder: &'a mut ChunkBuilder,
+        input: &'a DataChunk,
+        rows: impl IntoIterator<Item = usize>,
+    ) -> Vec<ChunkPiece<'a>> {
+        let (key, row) = (&self.key, &self.rows);
+        let from = |c: usize| match row.from[c] {
+            ColumnSource::Slot(slot) => ColumnFrom::Slot(slot),
+            ColumnSource::Key(k) => {
+                let column = &key.columns()[k];
+                let ranked = (column.ty == LogicalType::Varchar && column.range.is_some())
+                    .then(|| input.column(c).as_strings())
+                    .flatten()
+                    .map(|strings| RankedStrings {
+                        strings,
+                        rows: table.rank_rows(c),
+                    });
+                ColumnFrom::Key {
+                    decoder: KeyDecoder::new(column),
+                    at: key.offset(k),
+                    ranked,
+                }
+            }
+        };
+        // The sinks stage each key only up to the end of the last column
+        // they decode: `strings_mem`'s 1-byte rank of a 27-byte key.
+        let decoded = row.from.iter().filter_map(|f| match *f {
+            ColumnSource::Key(k) => Some(key.offset(k) + key.columns()[k].encoded_width()),
+            ColumnSource::Slot(_) => None,
+        });
+        let staged = decoded.max().unwrap_or(0);
+        builder.pieces_from(&row.layout, from, staged, rows, string_bytes(input))
     }
 
     /// The statistics the sort planned from: `lent`, or the sorter's own.
@@ -921,12 +985,9 @@ impl KeyPlan {
     /// The longest VARCHAR prefix in the planned key (0 without a
     /// prefix-coded VARCHAR key column), for the sort's profile.
     pub(crate) fn varchar_prefix(&self) -> u32 {
-        let blocks = self.key_blocks.lock().unwrap_or_else(|e| e.into_inner());
-        let columns = blocks
-            .first()
-            .map(|b| b.layout().columns())
-            .unwrap_or_default();
-        let prefixed = columns
+        let prefixed = self
+            .key
+            .columns()
             .iter()
             .filter(|c| c.ty == LogicalType::Varchar && c.range.is_none());
         prefixed.map(|c| c.prefix_len as u32).max().unwrap_or(0)
@@ -936,12 +997,8 @@ impl KeyPlan {
     /// strings of the first [`DICT_REPORTED`] of them in `ORDER BY` order,
     /// for the sort's profile.
     pub(crate) fn dictionaries(&self) -> (u32, [u32; DICT_REPORTED]) {
-        let blocks = self.key_blocks.lock().unwrap_or_else(|e| e.into_inner());
-        let columns = blocks
-            .first()
-            .map(|b| b.layout().columns())
-            .unwrap_or_default();
-        let ranked = columns.iter().filter(|c| c.ty == LogicalType::Varchar);
+        let columns = self.key.columns().iter();
+        let ranked = columns.filter(|c| c.ty == LogicalType::Varchar);
         let mut values = [0; DICT_REPORTED];
         let mut count = 0;
         for range in ranked.filter_map(|c| c.range) {
@@ -956,13 +1013,6 @@ impl KeyPlan {
             count += 1;
         }
         (count as u32, values)
-    }
-
-    /// The planned key's width with every range-coded column plain, for
-    /// the sort's profile.
-    pub(crate) fn plain_width(&self) -> usize {
-        let blocks = self.key_blocks.lock().unwrap_or_else(|e| e.into_inner());
-        blocks.first().map_or(0, |b| b.layout().plain_width())
     }
 }
 
@@ -983,7 +1033,7 @@ impl SorterCore {
         streamed: bool,
     ) -> SortedRun {
         let rows = hi - lo;
-        let row_plan = self.row_plan(plan);
+        let row_plan = &plan.rows;
         let (layout, width) = (&row_plan.layout, row_plan.layout.width());
         // Each stage's time goes to its own clock (`RUN_STAGES`).
         let mut clock = Instant::now();
@@ -1014,7 +1064,7 @@ impl SorterCore {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .pop()
-            .unwrap_or_else(|| KeyBlock::with_stats(&self.types, &self.order, |c| plan.stats[c]));
+            .unwrap_or_else(|| KeyBlock::with_layout(plan.key.clone(), &self.order));
         keys.reset();
         keys.append_ranked_range(input, lo, hi, table);
         lap(Counter::RunEncodeNs);
@@ -1643,8 +1693,7 @@ mod tests {
         let core = SorterCore::new(types.clone(), order.clone(), 6, true, SortResources::new(1));
         let mut plan = KeyPlan::default();
         plan.plan(&types, &order, &input, None, &|phase| phase(0));
-        core.pick_rows(&mut plan);
-        let layout = &core.row_plan(&plan).layout;
+        let layout = &plan.rows().layout;
         assert_eq!(layout.types(), types, "the row keeps every column");
         let staged = |c: usize| input.column(c).as_strings().unwrap().range_bytes(0, 6);
         let staged_heap = staged(0) + staged(2);

@@ -21,19 +21,16 @@
 //! in-memory merge monomorphizes the kernel over `MemSource` alone.
 
 use crate::merge::{
-    cmp_keys, column_bytes, merge_coded, string_bytes, MemSource, MergeOrder, RunSource, VectorSink,
+    cmp_keys, column_bytes, merge_coded, MemSource, MergeOrder, RunSource, VectorSink,
 };
-use crate::metrics::{
-    emit_trace, Counter, CounterRegistry, Metrics, Phase, SortProfile, DICT_REPORTED,
-};
+use crate::metrics::{emit_trace, Counter, CounterRegistry, Metrics, Phase, SortProfile};
 use crate::ovc::MergeCodes;
 use crate::pool::SortPool;
 use crate::resources::SortResources;
-use crate::run::{ColumnSource, KeyPlan, RowPlan, SortedRun, TableStats};
+use crate::run::{KeyPlan, SortedRun, TableStats};
 use crate::spill::{SpillError, SpillOp};
 use rowsort_algos::kway::OvcLoserTree;
-use rowsort_normkey::{KeyDecoder, NormKeyLayout};
-use rowsort_row::{ChunkBuilder, ChunkPiece, ColumnFrom, PieceTail, RankedStrings};
+use rowsort_row::{ChunkBuilder, ChunkPiece, PieceTail};
 use rowsort_vector::{DataChunk, LogicalType, OrderBy};
 use std::cmp::Ordering;
 use std::path::Path;
@@ -123,19 +120,11 @@ impl StoredRun for SortedRun {
     }
 }
 
-/// When a sort began, what its registry held then, and the prefix, plain
-/// key width and dictionaries it planned, the key columns it planned
-/// from a table's statistics, and its row: what [`SorterCore::publish`]
-/// turns into its profile.
+/// When a sort began, and what its registry held then: what
+/// [`SorterCore::publish`] turns into its profile, with its plan.
 pub(crate) struct SortStart {
     at: Instant,
     before: Metrics,
-    varchar_prefix: u32,
-    key_width_plain: u32,
-    dictionaries: (u32, [u32; DICT_REPORTED]),
-    stats_reused: u32,
-    /// The payload row's width and the columns decoded from the key.
-    row: (u32, u32),
 }
 
 /// One run's outcome, in the slot of its index.
@@ -190,9 +179,6 @@ impl<R: StoredRun> MergePlan<R> {
 pub(crate) struct SorterCore {
     pub(crate) types: Vec<LogicalType>,
     pub(crate) order: OrderBy,
-    /// The payload row of every key shape a sort may plan, built once
-    /// ([`RowPlan::all`]); a sort's [`KeyPlan::rows`] names its own.
-    pub(crate) row_plans: Vec<RowPlan>,
     /// Rows per run, at least 1.
     run_rows: usize,
     ovc: bool,
@@ -222,12 +208,10 @@ impl SorterCore {
         ovc: bool,
         set: SortResources,
     ) -> SorterCore {
-        let row_plans = RowPlan::all(&types, &order);
         let metrics = Arc::new(CounterRegistry::new());
         SorterCore {
             types,
             order,
-            row_plans,
             run_rows: run_rows.max(1),
             ovc,
             key_codes: true,
@@ -272,41 +256,6 @@ impl SorterCore {
         }
     }
 
-    /// The payload row of the sort planned in `plan`: the one
-    /// [`SorterCore::pick_rows`] named, or before that the first, which
-    /// decodes nothing.
-    pub(crate) fn row_plan(&self, plan: &KeyPlan) -> &RowPlan {
-        &self.row_plans[plan.rows]
-    }
-
-    /// Name in `plan` the row plan of its key: the one of the longest
-    /// exact prefix the key holds — one built for a shorter prefix would
-    /// be right too, only wider.
-    pub(crate) fn pick_rows(&self, plan: &mut KeyPlan) {
-        let blocks = plan.key_blocks.get_mut().unwrap_or_else(|e| e.into_inner());
-        let columns = blocks
-            .first()
-            .map(|b| b.layout().columns())
-            .unwrap_or_default();
-        let exact = columns.iter().take_while(|c| c.is_exact()).count();
-        plan.rows = self
-            .row_plans
-            .iter()
-            .rposition(|r| r.exact <= exact)
-            .unwrap_or(0);
-    }
-
-    /// How the sort planned in `plan` compares records in its merges.
-    pub(crate) fn merge_order(&self, plan: &KeyPlan) -> MergeOrder<'_> {
-        let blocks = plan.key_blocks.lock().unwrap_or_else(|e| e.into_inner());
-        let first = blocks.first();
-        MergeOrder {
-            kw: first.map_or(0, |b| b.key_width()),
-            tie_possible: first.is_some_and(|b| b.tie_possible()),
-            rows: self.row_plan(plan),
-        }
-    }
-
     /// Start a sort of `input`: check its schema and plan its key
     /// ([`Phase::Prepare`]) from `lent`, the statistics of `input`'s table,
     /// or else from the sorter's own. `None` for an empty input, which
@@ -342,42 +291,33 @@ impl SorterCore {
                 }
             };
             plan.plan(&self.types, &self.order, input, lent, &spread);
-            self.pick_rows(plan);
         }
-        let row_plan = self.row_plan(plan);
-        Some(SortStart {
-            at,
-            before,
-            varchar_prefix: plan.varchar_prefix(),
-            key_width_plain: plan.plain_width() as u32,
-            dictionaries: plan.dictionaries(),
-            stats_reused: plan.reused,
-            row: (row_plan.layout.width() as u32, row_plan.decoded() as u32),
-        })
+        Some(SortStart { at, before })
     }
 
-    /// Finish a sort of `rows` rows by `operator`: count it, and publish
-    /// its profile and trace line.
+    /// Finish a sort of `rows` rows by `operator`, planned in `plan`: count
+    /// it, and publish its profile and trace line.
     pub(crate) fn publish(
         &self,
         start: SortStart,
+        plan: &KeyPlan,
         rows: usize,
         operator: &'static str,
-        key_width: usize,
     ) {
         self.metrics.record_sort(rows as u64);
+        let (key_width, dictionaries) = (plan.key().width(), plan.dictionaries());
         let profile = SortProfile {
             operator,
             rows: rows as u64,
             total_ns: start.at.elapsed().as_nanos() as u64,
             key_width: key_width as u32,
-            key_width_plain: start.key_width_plain,
-            varchar_prefix: start.varchar_prefix,
-            dict_columns: start.dictionaries.0,
-            dict_values: start.dictionaries.1,
-            stats_reused: start.stats_reused,
-            row_width: start.row.0,
-            key_decoded_columns: start.row.1,
+            key_width_plain: plan.key().plain_width() as u32,
+            varchar_prefix: plan.varchar_prefix(),
+            dict_columns: dictionaries.0,
+            dict_values: dictionaries.1,
+            stats_reused: plan.reused,
+            row_width: plan.rows().layout.width() as u32,
+            key_decoded_columns: plan.rows().decoded() as u32,
             merge_codes: self.codes(key_width),
             metrics: self.metrics.snapshot().since(&start.before),
         };
@@ -388,8 +328,8 @@ impl SorterCore {
     /// Run generation into `runs`: run `i` is input rows
     /// `[i·run_rows, (i+1)·run_rows)` whatever the thread count, claimed
     /// whole in index order by up to [`StoredRun::BUILDERS`] workers,
-    /// built from `pool` with the key blocks of `planned`'s plan and the
-    /// ranks of the statistics it was made from, and handed to `place`,
+    /// built from `pool` under `planned`'s plan with the ranks of the
+    /// statistics it was made from, and handed to `place`,
     /// one at a time, with its build time; the outcome lands in the slot
     /// of its index. Runs [`StoredRun::PLACED_IN_ORDER`] wait for their
     /// turn, so `place` sees run `i` in the state the runs below it left.
@@ -615,20 +555,21 @@ impl SorterCore {
     /// merge each range into its piece ([`SorterCore::merge_ranges`]) — the
     /// gather runs on every merge worker — and join the pieces' strings and
     /// validity masks on one thread afterwards, clocked as
-    /// [`Phase::Gather`]. A column the key gives back is decoded from the
-    /// key `planned` planned, a rank-coded one through the dictionary of
-    /// the statistics it planned from, `planned.1`. `input`'s string
-    /// columns say how many bytes to expect, and hold the strings a rank
-    /// names. A lone run is one range, drained on the calling thread.
+    /// [`Phase::Gather`]. The runs compare as `planned.0` planned, and a
+    /// column the key gives back is decoded from its key, a rank-coded one
+    /// through the dictionary of the statistics it planned from,
+    /// `planned.1`. `input`'s string columns say how many bytes to expect,
+    /// and hold the strings a rank names. A lone run is one range, drained
+    /// on the calling thread.
     pub(crate) fn merge_into_vectors<R: StoredRun>(
         &self,
-        order: MergeOrder<'_>,
         (runs, plan): (&[R], &mut MergePlan<R>),
         planned: (&KeyPlan, &TableStats),
         input: &DataChunk,
         phase: Phase,
     ) -> Result<DataChunk, SpillError> {
         let merge_timer = self.metrics.time_phase(phase);
+        let order = planned.0.merge_order();
         self.plan_ranges(order, runs, plan)?;
         let total: usize = runs.iter().map(R::row_count).sum();
         let mut builder = ChunkBuilder::new(&self.types, total);
@@ -636,7 +577,7 @@ impl SorterCore {
             (0..plan.parts).map(|_| Mutex::new(None)).collect();
         {
             let rows = (0..plan.parts).map(|p| plan.range_rows(p));
-            let pieces = self.pieces(&mut builder, order, planned, input, rows)?;
+            let pieces = planned.0.pieces(planned.1, &mut builder, input, rows);
             self.merge_ranges(order, runs, plan, pieces.into_iter(), &tails)?;
         }
         drop(merge_timer);
@@ -650,70 +591,6 @@ impl SorterCore {
         self.metrics.add(Counter::BytesMoved, column_bytes(&chunk));
         Ok(chunk)
     }
-}
-
-impl SorterCore {
-    /// `builder`'s columns cut into consecutive pieces of `rows` rows
-    /// each, every column taken from where `order.rows` says: a slot of the
-    /// rows, or the key `planned.0` planned, which holds it exactly — a
-    /// rank-coded column through the dictionary of `planned.1`, the
-    /// statistics the sort planned from, whose ranks name rows of
-    /// `input`'s strings.
-    pub(crate) fn pieces<'a>(
-        &self,
-        builder: &'a mut ChunkBuilder,
-        order: MergeOrder<'_>,
-        (plan, table): (&'a KeyPlan, &'a TableStats),
-        input: &'a DataChunk,
-        rows: impl IntoIterator<Item = usize>,
-    ) -> Result<Vec<ChunkPiece<'a>>, SpillError> {
-        let blocks = plan.key_blocks.lock().unwrap_or_else(|e| e.into_inner());
-        let none;
-        let key = match blocks.first() {
-            Some(block) => block.layout(),
-            None => {
-                none = NormKeyLayout::new(Vec::new());
-                &none
-            }
-        };
-        if order.rows.exact > key.column_count() {
-            return Err(lost_key());
-        }
-        let from = |c: usize| match order.rows.from[c] {
-            ColumnSource::Slot(slot) => ColumnFrom::Slot(slot),
-            ColumnSource::Key(k) => {
-                let column = &key.columns()[k];
-                let ranked = (column.ty == LogicalType::Varchar && column.range.is_some())
-                    .then(|| input.column(c).as_strings())
-                    .flatten()
-                    .map(|strings| RankedStrings {
-                        strings,
-                        rows: table.rank_rows(c),
-                    });
-                ColumnFrom::Key {
-                    decoder: KeyDecoder::new(column),
-                    at: key.offset(k),
-                    ranked,
-                }
-            }
-        };
-        // The sinks stage each key only up to the end of the last column
-        // they decode: `strings_mem`'s 1-byte rank of a 27-byte key.
-        let decoded = order.rows.from.iter().filter_map(|f| match *f {
-            ColumnSource::Key(k) => Some(key.offset(k) + key.columns()[k].encoded_width()),
-            ColumnSource::Slot(_) => None,
-        });
-        let staged = decoded.max().unwrap_or(0);
-        let layout = &order.rows.layout;
-        Ok(builder.pieces_from(layout, from, staged, rows, string_bytes(input)))
-    }
-}
-
-/// A merge whose plan lost its key: only a caller that merges before
-/// planning leaves one, and it must surface typed, never as wrong values.
-fn lost_key() -> SpillError {
-    let detail = std::io::Error::other("the merge has no planned key to decode");
-    SpillError::io(SpillOp::Read, Path::new("<merge>"), &detail)
 }
 
 /// Ends run generation when a worker unwinds, so the workers waiting
