@@ -32,7 +32,7 @@ use rowsort_core::pipeline::{SortOptions, SortPipeline};
 use rowsort_core::{Counter, KeyBlock, SpillError, SystemProfile, PREFIX_CAP};
 use rowsort_engine::{Engine, ExecOptions, SpillExecOptions, Table};
 use rowsort_normkey::KeyColumn;
-use rowsort_row::{ChunkBuilder, RowBlock, RowLayout};
+use rowsort_row::{ChunkBuilder, Heaps, RowBlock, RowLayout};
 use rowsort_testkit::faultfs::{FaultFs, FaultSchedule};
 use rowsort_testkit::prop::{Gen, PropResult};
 use rowsort_testkit::Rng;
@@ -754,14 +754,21 @@ pub fn check_lossy_block() -> PropResult {
     }
     for cut in 0..=n {
         let mut builder = ChunkBuilder::new(layout.types(), n);
-        let pieces = builder.pieces(&layout, [cut, n - cut], |_| 0);
+        let rows = [cut, n - cut];
+        // Each piece's strings: its valid rows' slot lengths.
+        let strings = |p: usize, _| {
+            let named = (0..n).skip(if p == 0 { 0 } else { cut }).take(rows[p]);
+            let valid = named.filter(|&r| !block.is_null(r, 0));
+            valid.map(|r| block.string_bytes(r, 0).len()).sum()
+        };
+        let pieces = builder.pieces(&layout, (2, |p| rows[p]), strings)?;
         let mut tails = Vec::new();
         let mut at = 0;
         for mut piece in pieces {
             let bytes = &block.data()[at * width..][..piece.rows() * width];
-            piece.push_rows(bytes, block.heap())?;
+            piece.push_rows(bytes, Heaps::One(block.heap()))?;
             at += piece.rows();
-            tails.push(piece.finish());
+            tails.push(piece.finish()?);
         }
         let joined = builder.finish(tails);
         if !same_vectors(&joined, &block.to_chunk()) {

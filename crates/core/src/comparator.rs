@@ -8,7 +8,7 @@
 //! [`FusedRowComparator`] plays the compiled role: a single call that walks
 //! an embedded column descriptor table with no per-column indirection.
 
-use rowsort_row::RowLayout;
+use rowsort_row::{Heaps, RowLayout};
 use rowsort_vector::{LogicalType, NullOrder, OrderBy, SortOrder, SortSpec};
 use std::cmp::Ordering;
 
@@ -89,6 +89,8 @@ fn compare_slot(
 #[derive(Debug, Clone, Copy)]
 struct KeyDesc {
     ty: LogicalType,
+    /// The row slot: which of a row's heaps its strings are in.
+    slot: usize,
     offset: usize,
     null_offset: usize,
     spec: SortSpec,
@@ -100,6 +102,7 @@ fn key_descs(layout: &RowLayout, order: &OrderBy) -> Vec<KeyDesc> {
         .iter()
         .map(|k| KeyDesc {
             ty: layout.types()[k.column],
+            slot: k.column,
             offset: layout.offset(k.column),
             null_offset: layout.null_offset(k.column),
             spec: k.spec,
@@ -174,8 +177,16 @@ impl FusedRowComparator {
     /// Compare two full rows in one fused pass.
     #[inline]
     pub fn compare(&self, a: &[u8], heap_a: &[u8], b: &[u8], heap_b: &[u8]) -> Ordering {
+        self.compare_in(a, Heaps::One(heap_a), b, Heaps::One(heap_b))
+    }
+
+    /// [`FusedRowComparator::compare`] for rows whose strings are in
+    /// `heaps_a` and `heaps_b`: a slot's own heap each, such as the input
+    /// columns a run's rows were scattered from without their strings.
+    #[inline]
+    pub fn compare_in(&self, a: &[u8], heaps_a: Heaps<'_>, b: &[u8], heaps_b: Heaps<'_>) -> Ordering {
         for d in &self.descs {
-            let ord = compare_key(d, a, heap_a, b, heap_b);
+            let ord = compare_key(d, a, heaps_a.of(d.slot), b, heaps_b.of(d.slot));
             if ord != Ordering::Equal {
                 return ord;
             }

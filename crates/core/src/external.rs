@@ -40,11 +40,12 @@ use crate::metrics::{Counter, CounterRegistry, Metrics, Phase, SortProfile};
 use crate::ovc;
 use crate::pool::{BufferPool, SortPool};
 use crate::resources::SortResources;
-use crate::run::{KeyPlan, RowPlan, SortedRun, TableStats};
+use crate::run::{ColumnSource, KeyPlan, RowPlan, SortedRun, TableStats};
 use crate::sorter::{lower_bound, MergePlan, SorterCore, StoredRun};
 use crate::spill::{SpillError, SpillIo, SpillOp, StdFs};
 use crate::workers::WorkerPool;
 use rowsort_algos::rows::copy_row;
+use rowsort_row::Heaps;
 use rowsort_testkit::hash::XxHash64;
 use rowsort_vector::{DataChunk, LogicalType, OrderBy};
 use std::cmp::Ordering;
@@ -220,6 +221,19 @@ struct RunIndex {
     blocks: Vec<BlockMeta>,
     /// The key of every block's first record, `key_width` bytes each.
     first_keys: Vec<u8>,
+    /// Before every block, then after the last, the bytes each of the
+    /// output's VARCHAR columns ([`RowPlan::strings`]) holds in the run's
+    /// records so far: what sizes each key range's share of a column.
+    strings: Vec<u64>,
+}
+
+impl RunIndex {
+    /// The bytes of each output VARCHAR column before block `b` (after the
+    /// last record for `b` past the last block), `varchars` of them.
+    fn strings_before(&self, b: usize, varchars: usize) -> &[u64] {
+        let b = b.min(self.blocks.len());
+        self.strings.get(b * varchars..(b + 1) * varchars).unwrap_or_default()
+    }
 }
 
 impl RunIndex {
@@ -312,25 +326,43 @@ impl StoredRun for Run {
     /// block alone (read once, verified like any other) walks to the
     /// record. A splitter at or below the run's first key cuts at its
     /// start without a read; a block walked to its end cuts at the next.
+    ///
+    /// The string bytes before the cut are the index's before its block
+    /// plus those of the records the walk passes: a row's slot lengths,
+    /// and the lengths a key-decoded column's keys give.
     fn cut_at(
         &self,
         core: &SorterCore,
         order: MergeOrder<'_>,
         splitter: &[u8],
+        strings: &mut [u64],
     ) -> Result<RangeCut, SpillError> {
+        let nv = strings.len();
         let below = lower_bound(&self.index.first_keys, order.kw, splitter);
         let Some(b) = below.checked_sub(1) else {
+            strings.fill(0);
             return Ok(self.cut_at_block(0));
         };
         let [lo, hi] = [self.cut_at_block(b), self.cut_at_block(b + 1)];
+        strings.copy_from_slice(self.index.strings_before(b, nv));
         let mut cur = self.source(core, order, [lo, hi])?;
         let mut cut = lo;
         while !cur.exhausted() && cmp_keys(cur.key(), splitter) == Ordering::Less {
+            cur.count_strings(order, strings)?;
             cut.index += 1;
             cur.advance()?;
             cut.in_off = cur.rec;
         }
-        Ok(if cur.exhausted() { hi } else { cut })
+        if cur.exhausted() {
+            strings.copy_from_slice(self.index.strings_before(b + 1, nv));
+            return Ok(hi);
+        }
+        Ok(cut)
+    }
+
+    fn strings(&self, order: MergeOrder<'_>, strings: &mut [u64]) {
+        let nv = order.rows.strings.len();
+        strings.copy_from_slice(self.index.strings_before(usize::MAX, nv));
     }
 
     /// A cursor over the run's records between two of its cuts,
@@ -567,6 +599,27 @@ impl<'a> RunCursor<'a> {
         Ok(())
     }
 
+    /// Add the head record's string bytes to `strings`, by output VARCHAR
+    /// column ([`RowPlan::strings`]): a slot's length, or the length its
+    /// key gives a key-decoded column. A key that gives none is corrupt.
+    fn count_strings(&self, order: MergeOrder<'_>, strings: &mut [u64]) -> Result<(), SpillError> {
+        let (row, layout) = (self.row(), &order.rows.layout);
+        for (bytes, &(c, from)) in strings.iter_mut().zip(&order.rows.strings) {
+            let len = match from {
+                ColumnSource::Slot(s) if row[layout.null_offset(s)] == 0 => {
+                    u32::from_le_bytes(word(row, layout.offset(s) + 4)) as usize
+                }
+                ColumnSource::Slot(_) => 0,
+                ColumnSource::Key(_) => order
+                    .column_from(c)
+                    .string_len(self.key())
+                    .map_err(|detail| self.corrupt(detail))?,
+            };
+            *bytes += len as u64;
+        }
+        Ok(())
+    }
+
     /// After the run's last record nothing may follow.
     fn probe_eof(&mut self) -> Result<(), SpillError> {
         let mut probe = [0u8; 1];
@@ -604,8 +657,8 @@ impl RunSource for RunCursor<'_> {
     /// The current record's string segment; the row's VARCHAR slots hold
     /// offsets relative to it.
     #[inline]
-    fn heap(&self) -> &[u8] {
-        &self.buf[self.seg_at..self.next]
+    fn heaps(&self) -> Heaps<'_> {
+        Heaps::One(&self.buf[self.seg_at..self.next])
     }
     fn path(&self) -> &Path {
         self.run.path()
@@ -655,7 +708,7 @@ impl RunSource for RunCursor<'_> {
         // The tie comparator and the sink slice the segment by these
         // slots; a NULL's slot is never read.
         let layout = &self.rows.layout;
-        for &s in &self.rows.varlen {
+        for s in self.rows.varlen() {
             if self.buf[row_at + layout.null_offset(s)] != 0 {
                 continue;
             }
@@ -864,11 +917,13 @@ impl ExternalSorter {
     fn encode_run(
         &self,
         run: &SortedRun,
-        rows: &RowPlan,
+        rows_plan: &RowPlan,
         out: &mut dyn Write,
     ) -> io::Result<RunIndex> {
-        let (layout, pool) = (&rows.layout, self.core.pool());
-        let (varlen, payload) = (&rows.varlen, &run.payload);
+        let (layout, pool) = (&rows_plan.layout, self.core.pool());
+        let payload = &run.payload;
+        let varlen = || rows_plan.varlen();
+        let rows = rows_plan;
         let mut buf = pool.get_bytes(BLOCK_BYTES);
         let width = layout.width();
         let kw = run.key_width;
@@ -878,14 +933,16 @@ impl ExternalSorter {
         // Record `i`'s segment: its row's non-NULL strings, column by
         // column.
         let strings = |i: usize| {
-            let valid = varlen.iter().filter(move |&&c| !payload.is_null(i, c));
-            valid.map(move |&c| (c, payload.string_bytes(i, c)))
+            let valid = varlen().filter(move |&c| !payload.is_null(i, c));
+            valid.map(move |c| (c, payload.string_bytes(i, c)))
         };
+        let nv = rows.strings.len();
         let mut index = RunIndex {
             rows: run.len(),
             bytes: 0,
             blocks: Vec::new(),
             first_keys: Vec::new(),
+            strings: Vec::new(),
         };
         // The header travels with block 0 (an empty run encodes to
         // nothing).
@@ -895,7 +952,7 @@ impl ExternalSorter {
         while first < run.len() {
             let room = BLOCK_BYTES - HASH_BYTES - start;
             let left = run.len() - first;
-            let (rows, bytes) = if varlen.is_empty() {
+            let (rows, bytes) = if varlen().next().is_none() {
                 let rows = (room / fixed).clamp(1, left);
                 (rows, rows * fixed)
             } else {
@@ -917,6 +974,9 @@ impl ExternalSorter {
             index
                 .first_keys
                 .extend_from_slice(&run.keys[first * kw..(first + 1) * kw]);
+            let at = index.strings.len();
+            index.strings.resize(at + nv, 0);
+            run.strings_before(rows_plan, first, &mut index.strings[at..]);
             // Every block is written over the one before: the buffer is
             // zeroed only when a block is longer than any before it.
             let end = start + bytes + HASH_BYTES;
@@ -933,6 +993,12 @@ impl ExternalSorter {
                 }
                 let row_at = at;
                 copy_row(&mut buf[at..at + width], payload.row(i));
+                // A NULL's slot is written as the scatter left it, zero:
+                // the run's heap gave it the offset its column had reached.
+                for c in varlen().filter(|&c| payload.is_null(i, c)) {
+                    let slot = row_at + layout.offset(c);
+                    buf[slot..slot + 4].fill(0);
+                }
                 let seg_at = at + width + 4;
                 // Each string's slot gets its offset in this record's
                 // segment.
@@ -950,6 +1016,9 @@ impl ExternalSorter {
             index.close_block(&mut buf[..end], out)?;
             (start, first) = (0, first + rows);
         }
+        let at = index.strings.len();
+        index.strings.resize(at + nv, 0);
+        run.strings_before(rows_plan, run.len(), &mut index.strings[at..]);
         pool.put_bytes(buf);
         Ok(index)
     }
@@ -1304,7 +1373,7 @@ mod tests {
             (rows.decoded(), rows.columns.as_slice()),
             (1, &[0, 2, 3][..])
         );
-        let (layout, varlen) = (&rows.layout, rows.varlen.clone());
+        let (layout, varlen) = (&rows.layout, rows.varlen().collect::<Vec<_>>());
         let width = layout.width();
 
         // One run covering the whole chunk, sorted here independently of
@@ -1362,7 +1431,7 @@ mod tests {
 
         let kw = keys.key_width();
         let arity = ovc::word_count(kw);
-        let merge_order = planned.merge_order();
+        let merge_order = planned.merge_order(planned.table(None), &chunk);
         let mut cur = sorter.open_cursor(&run, merge_order, run.bounds()).unwrap();
         let mut prev_key: Vec<u8> = Vec::new();
         let mut blocks_seen = 0;
@@ -1401,11 +1470,11 @@ mod tests {
                 let off = u32::from_le_bytes(word(cur.row(), at)) as usize;
                 let len = u32::from_le_bytes(word(cur.row(), at + 4)) as usize;
                 assert!(
-                    off + len <= cur.heap().len(),
+                    off + len <= cur.heaps().of(0).len(),
                     "segment out of bounds at {i}"
                 );
                 assert_eq!(
-                    &cur.heap()[off..off + len],
+                    &cur.heaps().of(0)[off..off + len],
                     payload.string_bytes(rid, c),
                     "record {i} column {c} string differs"
                 );
@@ -1480,13 +1549,13 @@ mod tests {
             let first_key = &index.first_keys[b * kw..(b + 1) * kw];
             assert_eq!(first_key, &sorted.keys[meta.rows_before * kw..][..kw]);
         }
-        let order = planned.merge_order();
+        let order = planned.merge_order(planned.table(None), &chunk);
         let mut cur = sorter.open_cursor(&run, order, run.bounds()).unwrap();
         for i in 0..sorted.len() {
             assert!(!cur.exhausted(), "record {i} missing");
             assert_eq!(cur.key(), &sorted.keys[i * kw..(i + 1) * kw], "key {i}");
             assert_eq!(cur.row(), sorted.payload.row(i), "row {i}");
-            assert!(cur.heap().is_empty(), "record {i} has a segment");
+            assert!(cur.heaps().of(0).is_empty(), "record {i} has a segment");
             cur.advance().unwrap();
         }
         assert!(cur.exhausted());
@@ -1848,14 +1917,15 @@ mod tests {
     /// `plan`'s row decodes from the key it planned for `input`.
     fn kernel_merge<S: RunSource>(
         sorter: &ExternalSorter,
-        (order, plan, input): (&MergeOrder<'_>, &KeyPlan, &DataChunk),
+        order: &MergeOrder<'_>,
         sources: &mut [S],
-        rows: usize,
+        (rows, strings): (usize, &[u64]),
     ) -> (DataChunk, MergeStats) {
         let core = &sorter.core;
         let mut builder = ChunkBuilder::new(&core.types, rows);
-        let piece = plan
-            .pieces(plan.table(None), &mut builder, input, [rows])
+        let bytes = |_, v: usize| strings[v] as usize;
+        let piece = KeyPlan::pieces(*order, &mut builder, (1, |_| rows), bytes)
+            .unwrap()
             .pop()
             .unwrap();
         let mut sink = VectorSink::new(piece, core.pool());
@@ -1869,6 +1939,27 @@ mod tests {
         );
         let tail = sink.finish(core.pool()).expect("fault-free gather");
         (builder.finish(vec![tail]), stats)
+    }
+
+    /// The string bytes, by output VARCHAR column, of rows `span(run)` of
+    /// each of `runs`.
+    fn strings_of(
+        order: &MergeOrder<'_>,
+        runs: &[SortedRun],
+        span: impl Fn(&SortedRun) -> (usize, usize),
+    ) -> Vec<u64> {
+        let nv = order.rows.strings.len();
+        let mut total = vec![0; nv];
+        let (mut lo, mut hi) = (vec![0; nv], vec![0; nv]);
+        for run in runs {
+            let (a, b) = span(run);
+            run.strings_before(order.rows, a, &mut lo);
+            run.strings_before(order.rows, b, &mut hi);
+            for v in 0..nv {
+                total[v] += hi[v] - lo[v];
+            }
+        }
+        total
     }
 
     /// The kernel does not care where a run lives: the same runs merged
@@ -1919,7 +2010,7 @@ mod tests {
                     },
                 );
                 let plan = plan(&sorter, chunk);
-                let order = plan.merge_order();
+                let order = plan.merge_order(plan.table(None), &chunk);
                 assert_eq!(order.tie_possible, *truncated, "{name}: tie_possible");
                 for k in [1usize, 2, 3, 17] {
                     let what = format!("{name}, ovc={ovc}, k={k}");
@@ -1945,18 +2036,18 @@ mod tests {
                         .iter()
                         .map(|run| sorter.open_cursor(run, order, run.bounds()).unwrap())
                         .collect();
-                    let merging = (&order, &plan, chunk);
-                    let from_files = kernel_merge(&sorter, merging, &mut cursors, n);
+                    let whole = strings_of(&order, &sorted, |run| (0, run.len()));
+                    let from_files = kernel_merge(&sorter, &order, &mut cursors, (n, &whole));
                     let mut in_memory: Vec<MemSource<'_>> = sorted
                         .iter()
-                        .map(|run| MemSource::range(run, 0, run.len()))
+                        .map(|run| MemSource::range(run, run.heaps(order.rows, chunk), 0, run.len()))
                         .collect();
                     // A whole run's first head: −∞ is what it is stored against.
                     let codes = sorter.core.codes(order.kw);
                     for (src, run) in in_memory.iter().zip(&sorted).filter(|_| codes.stored()) {
                         assert_eq!(src.code(), ovc::read_code(&run.ovc, 0), "{what}");
                     }
-                    let from_memory = kernel_merge(&sorter, merging, &mut in_memory, n);
+                    let from_memory = kernel_merge(&sorter, &order, &mut in_memory, (n, &whole));
 
                     // The same runs cut in two at a key (the median of the
                     // longest run): every head is coded against −∞ — or is
@@ -1976,7 +2067,10 @@ mod tests {
                         };
                         let mut ranged: Vec<MemSource<'_>> = sorted
                             .iter()
-                            .map(|run| MemSource::range(run, span(run).0, span(run).1))
+                            .map(|run| {
+                                let heaps = run.heaps(order.rows, chunk);
+                                MemSource::range(run, heaps, span(run).0, span(run).1)
+                            })
                             .collect();
                         for src in ranged.iter().filter(|s| !s.exhausted()) {
                             let (head, want) = match codes {
@@ -1988,7 +2082,8 @@ mod tests {
                             assert_eq!(head, want, "{what}");
                         }
                         let rows: usize = sorted.iter().map(|r| span(r).1 - span(r).0).sum();
-                        let (half, _) = kernel_merge(&sorter, merging, &mut ranged, rows);
+                        let strings = strings_of(&order, &sorted, span);
+                        let (half, _) = kernel_merge(&sorter, &order, &mut ranged, (rows, &strings));
                         halves.extend(half.to_rows());
                     }
                     assert_eq!(halves, from_memory.0.to_rows(), "{what}: ranged");
@@ -2147,6 +2242,8 @@ mod tests {
                                 key_width: kw,
                                 ovc: codes_column,
                                 payload,
+                                in_input: false,
+                                strings: Vec::new(),
                             }
                         })
                         .collect();
@@ -2154,13 +2251,15 @@ mod tests {
                         kw,
                         tie_possible: false,
                         rows: full,
+                        key: plan.key(),
+                        table: plan.table(None),
+                        input: &input,
                     };
-                    let merging = (&order, &plan, &input);
                     let mut in_memory: Vec<MemSource<'_>> = sorted
                         .iter()
-                        .map(|run| MemSource::range(run, 0, run.len()))
+                        .map(|run| MemSource::range(run, Heaps::One(&[]), 0, run.len()))
                         .collect();
-                    let from_memory = kernel_merge(sorter, merging, &mut in_memory, rows);
+                    let from_memory = kernel_merge(sorter, &order, &mut in_memory, (rows, &[]));
                     let encoded: Vec<Run> = sorted
                         .iter()
                         .map(|run| sorter.spill_run(run, full, true).unwrap())
@@ -2169,7 +2268,7 @@ mod tests {
                         .iter()
                         .map(|run| sorter.open_cursor(run, order, run.bounds()).unwrap())
                         .collect();
-                    let from_files = kernel_merge(sorter, merging, &mut cursors, rows);
+                    let from_files = kernel_merge(sorter, &order, &mut cursors, (rows, &[]));
                     let what = format!("{what}, {} codes", codes.name());
                     for (merged, from) in [(&from_memory, "memory"), (&from_files, "files")] {
                         assert_eq!(ids(&merged.0), want, "{what}, from {from}: rows");
@@ -2601,7 +2700,7 @@ mod tests {
             },
         );
         let err = plain
-            .open_cursor(&runs[0], plan.merge_order(), runs[0].bounds())
+            .open_cursor(&runs[0], plan.merge_order(plan.table(None), &chunk), runs[0].bounds())
             .err()
             .expect("flag mismatch must surface");
         assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
@@ -2635,7 +2734,7 @@ mod tests {
         reseal(&mut bytes, &clean.index, 0);
         let run = with_bytes(&clean, bytes);
         let err = sorter
-            .open_cursor(&run, planned.merge_order(), run.bounds())
+            .open_cursor(&run, planned.merge_order(planned.table(None), &chunk), run.bounds())
             .err()
             .expect("implausible code must surface");
         assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
@@ -2656,7 +2755,7 @@ mod tests {
             },
         );
         let (runs, plan) = build_spilled_runs(&sorter, &chunk);
-        let order = plan.merge_order();
+        let order = plan.merge_order(plan.table(None), &chunk);
         let bytes = file_bytes(&runs[0]);
         for mutate in [
             // Wrong magic.
@@ -2855,7 +2954,7 @@ mod tests {
                 };
                 let sorters: Vec<ExternalSorter> = [1, 2, 4].into_iter().map(sorter_at).collect();
                 let (runs, plan) = build_spilled_runs(&sorters[0], &chunk);
-                let order = plan.merge_order();
+                let order = plan.merge_order(plan.table(None), &chunk);
                 // The same runs again, encoded in memory.
                 let runs: Vec<Run> = runs
                     .iter()
@@ -3050,7 +3149,7 @@ mod tests {
             let [_, _, row, seg_len, seg] = fields(0);
             let long_segment = damaged(&|b| put(b, seg_len.start, BLOCK_BYTES));
             // The first VARCHAR slot of the row, and the column it holds.
-            let c = rows.varlen[0];
+            let c = rows.varlen().next().unwrap();
             let slot = row.start + layout.offset(c);
             let long_string = damaged(&|b| {
                 b[row.start + layout.null_offset(c)] = 0;

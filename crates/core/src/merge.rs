@@ -12,12 +12,13 @@ use crate::keys::word;
 use crate::metrics::{Counter, CounterRegistry};
 use crate::ovc::{self, MergeCodes};
 use crate::pool::SortPool;
-use crate::run::{RowPlan, SortedRun};
+use crate::run::{ColumnSource, RowPlan, SortedRun, TableStats};
 use crate::spill::SpillError;
 use rowsort_algos::kway::{OvcLoserTree, OvcMatch};
 use rowsort_algos::rows::copy_row;
-use rowsort_row::{ChunkPiece, PieceTail, BATCH_ROWS};
-use rowsort_vector::DataChunk;
+use rowsort_normkey::{KeyDecoder, NormKeyLayout};
+use rowsort_row::{ChunkPiece, ColumnFrom, Heaps, PieceTail, RankedStrings, BATCH_ROWS};
+use rowsort_vector::{DataChunk, LogicalType};
 use std::cmp::Ordering;
 use std::path::Path;
 
@@ -54,8 +55,8 @@ pub(crate) fn cmp_keys(a: &[u8], b: &[u8]) -> Ordering {
 
 /// One sorted input of a merge, positioned on its head record.
 ///
-/// While not `exhausted`, `key` / `row` / `heap` describe the head: the
-/// normalized key, the payload row, and the heap the row's VARCHAR slots
+/// While not `exhausted`, `key` / `row` / `heaps` describe the head: the
+/// normalized key, the payload row, and the heaps the row's VARCHAR slots
 /// index into. `code` is the head's offset-value code relative to the
 /// record before it in this source (the first record against −∞) — what
 /// a run's code column stores. Only an OVC merge reads it: a key-coded
@@ -70,7 +71,7 @@ pub(crate) trait RunSource {
     /// short key [`ovc::key_mask`] masks off.
     fn key_window(&self) -> u64;
     fn row(&self) -> &[u8];
-    fn heap(&self) -> &[u8];
+    fn heaps(&self) -> Heaps<'_>;
     /// Step to the next record, or past the last one (`exhausted`). A
     /// file-backed source fetches, verifies and decodes here — and past
     /// its run's last record checks that the file ends — so this is
@@ -91,7 +92,7 @@ pub(crate) struct MemSource<'a> {
     keys: &'a [u8],
     codes: &'a [u8],
     rows: &'a [u8],
-    heap: &'a [u8],
+    heaps: Heaps<'a>,
     kw: usize,
     width: usize,
     pos: usize,
@@ -103,8 +104,14 @@ pub(crate) struct MemSource<'a> {
 }
 
 impl<'a> MemSource<'a> {
-    /// A cursor over rows `pos..end` of `run`.
-    pub(crate) fn range(run: &'a SortedRun, pos: usize, end: usize) -> MemSource<'a> {
+    /// A cursor over rows `pos..end` of `run`, whose strings are in
+    /// `heaps`.
+    pub(crate) fn range(
+        run: &'a SortedRun,
+        heaps: Heaps<'a>,
+        pos: usize,
+        end: usize,
+    ) -> MemSource<'a> {
         let kw = run.key_width;
         let code = match run.keys.get(pos * kw..(pos + 1) * kw) {
             Some(key) if pos < end => ovc::initial_code(key, ovc::word_count(kw)),
@@ -114,7 +121,7 @@ impl<'a> MemSource<'a> {
             keys: &run.keys,
             codes: &run.ovc,
             rows: run.payload.data(),
-            heap: run.payload.heap(),
+            heaps,
             kw,
             width: run.payload.width(),
             pos,
@@ -146,8 +153,8 @@ impl RunSource for MemSource<'_> {
         &self.rows[self.pos * self.width..(self.pos + 1) * self.width]
     }
     #[inline]
-    fn heap(&self) -> &[u8] {
-        self.heap
+    fn heaps(&self) -> Heaps<'_> {
+        self.heaps
     }
     #[inline]
     fn advance(&mut self) -> Result<(), SpillError> {
@@ -202,11 +209,16 @@ impl<'a> VectorSink<'a> {
     }
 
     /// Gather the last, partial batch and close the piece (its strings
-    /// are checked as UTF-8 here, on the merging thread).
+    /// are checked as UTF-8 here, on the merging thread). Strings that do
+    /// not fill the bytes the range was given are corrupt: a run whose
+    /// index and records disagree.
     pub(crate) fn finish(mut self, pool: SortPool<'_>) -> Result<PieceTail, SpillError> {
-        self.gather(Path::new("<merge output>"))?;
+        let output = Path::new("<merge output>");
+        self.gather(output)?;
         pool.put_bytes(self.staged);
-        Ok(self.piece.finish())
+        self.piece
+            .finish()
+            .map_err(|detail| SpillError::corrupt(output, detail))
     }
 
     /// Take the head record of `src` into the next row of the piece.
@@ -220,7 +232,7 @@ impl<'a> VectorSink<'a> {
         // only a bug upstream fails here — as an error, not as an
         // out-of-bounds copy.
         self.piece
-            .push_strings(row, src.heap())
+            .push_strings(row, src.heaps())
             .map_err(|detail| SpillError::corrupt(src.path(), detail))?;
         let (width, kw, i) = (row.len(), self.piece.key_width(), self.rows);
         copy_row(&mut self.staged[i * width..(i + 1) * width], row);
@@ -233,18 +245,6 @@ impl<'a> VectorSink<'a> {
             self.gather(src.path())?;
         }
         Ok(())
-    }
-}
-
-/// What each VARCHAR column of `input` holds in bytes, by column — what a
-/// sort of `input` into vectors should expect its output columns to hold
-/// ([`rowsort_row::ChunkBuilder::pieces`]); 0 for other columns.
-pub(crate) fn string_bytes(input: &DataChunk) -> impl Fn(usize) -> usize + '_ {
-    |col| {
-        input
-            .column(col)
-            .as_strings()
-            .map_or(0, |s| s.total_bytes())
     }
 }
 
@@ -272,6 +272,39 @@ pub(crate) struct MergeOrder<'a> {
     pub(crate) tie_possible: bool,
     /// The sort's payload row.
     pub(crate) rows: &'a RowPlan,
+    /// The sort's key.
+    pub(crate) key: &'a NormKeyLayout,
+    /// The statistics the sort planned from, and its input: where a
+    /// rank-coded column's ranks name strings, and where a lone resident
+    /// run's rows keep theirs.
+    pub(crate) table: &'a TableStats,
+    pub(crate) input: &'a DataChunk,
+}
+
+impl<'a> MergeOrder<'a> {
+    /// Where the output takes input column `c` from: a slot of the rows,
+    /// or the key, which holds it exactly — a rank-coded column through
+    /// the dictionary of the sort's statistics.
+    pub(crate) fn column_from(&self, c: usize) -> ColumnFrom<'a> {
+        match self.rows.from[c] {
+            ColumnSource::Slot(slot) => ColumnFrom::Slot(slot),
+            ColumnSource::Key(k) => {
+                let column = &self.key.columns()[k];
+                let ranked = (column.ty == LogicalType::Varchar && column.range.is_some())
+                    .then(|| self.input.column(c).as_strings())
+                    .flatten()
+                    .map(|strings| RankedStrings {
+                        strings,
+                        rows: self.table.rank_rows(c),
+                    });
+                ColumnFrom::Key {
+                    decoder: KeyDecoder::new(column),
+                    at: self.key.offset(k),
+                    ranked,
+                }
+            }
+        }
+    }
 }
 
 /// Comparator work done by one merge, flushed to the registry by the
@@ -333,7 +366,7 @@ impl MergeOrder<'_> {
             Ordering::Equal if self.tie_possible => {
                 self.rows
                     .tie_cmp
-                    .compare(a.row(), a.heap(), b.row(), b.heap())
+                    .compare_in(a.row(), a.heaps(), b.row(), b.heaps())
             }
             ord => ord,
         };

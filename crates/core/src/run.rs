@@ -13,16 +13,16 @@ use crate::dict::{hash_bytes, Dictionary, Heap, Ranked, MAX_VALUES};
 use crate::keys::{
     key_layout, word, KeyBlock, KeySortAlgo, KeyStat, RankStat, VarcharStat, PREFIX_CAP,
 };
-use crate::merge::{string_bytes, MergeOrder};
+use crate::merge::MergeOrder;
 use crate::metrics::{Counter, DICT_REPORTED};
 use crate::pool::SortPool;
 use crate::sorter::SorterCore;
 use rowsort_normkey::{
-    key_range, KeyColumn, KeyDecoder, KeyRange, NormKeyLayout, DEFAULT_MAX_PREFIX,
+    key_range, KeyColumn, KeyRange, NormKeyLayout, DEFAULT_MAX_PREFIX,
 };
 use rowsort_row::{
-    reorder_heap, reorder_rows, ChunkBuilder, ChunkPiece, ColumnFrom, RankedStrings, RowBlock,
-    RowLayout,
+    heap_offset, reorder_heap, reorder_rows, ChunkBuilder, ChunkPiece, Heaps, RowBlock, RowLayout,
+    HEAP_OVERFLOW,
 };
 use rowsort_vector::{DataChunk, LogicalType, OrderBy, OrderByColumn, StringVec, Vector};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
@@ -44,7 +44,20 @@ pub(crate) struct SortedRun {
     /// merge codes are stored: OVC on and keys of 8 bytes or more
     /// (DESIGN.md §10.2).
     pub(crate) ovc: Vec<u8>,
+    /// The rows, and — for a run read front to back — their strings in
+    /// run order, column by column. A lone resident run's heap is empty:
+    /// its slots point into the input columns (`in_input`).
     pub(crate) payload: RowBlock,
+    /// Whether the rows' VARCHAR slots are offsets into the input columns
+    /// they came from ([`Heaps::Columns`]) rather than into `payload`'s
+    /// heap.
+    pub(crate) in_input: bool,
+    /// What the run holds of each of the output's VARCHAR columns
+    /// ([`RowPlan::strings`]): its bytes in the whole run (a `u64` each),
+    /// then, for a run read front to back, each key-decoded one's running
+    /// end after each row (`rows` `u32`s each) — all little-endian. Empty
+    /// for a sort without VARCHAR columns.
+    pub(crate) strings: Vec<u8>,
 }
 
 impl SortedRun {
@@ -52,15 +65,62 @@ impl SortedRun {
         self.rows
     }
 
+    /// The heaps the run's rows' strings are in: its own, or `input`'s
+    /// columns named by `plan`'s slots.
+    pub(crate) fn heaps<'a>(&'a self, plan: &'a RowPlan, input: &'a DataChunk) -> Heaps<'a> {
+        if self.in_input {
+            Heaps::Columns(input, &plan.columns)
+        } else {
+            Heaps::One(self.payload.heap())
+        }
+    }
+
+    /// The bytes each of the output's VARCHAR columns ([`RowPlan::strings`])
+    /// holds in the run's first `row` rows, into `out`: nothing before the
+    /// first row, the run's totals after the last, and in between two slot
+    /// reads for a column in the rows — its strings are in run order, and
+    /// a NULL's slot holds the offset its column has reached
+    /// ([`reorder_heap`]) — or one read of a key-decoded column's running
+    /// ends. Only a run read front to back is cut inside.
+    pub(crate) fn strings_before(&self, plan: &RowPlan, row: usize, out: &mut [u64]) {
+        let totals = self.strings.chunks_exact(8).map(|b| u64::from_le_bytes(word(b, 0)));
+        let ends = self.strings.get(8 * plan.strings.len()..).unwrap_or_default();
+        let mut keyed = 0;
+        for ((out, total), &(_, from)) in out.iter_mut().zip(totals).zip(&plan.strings) {
+            *out = if row == 0 {
+                0
+            } else if row >= self.rows {
+                total
+            } else {
+                match from {
+                    ColumnSource::Slot(s) => {
+                        let at = plan.layout.offset(s);
+                        let offset = |r: usize| u32::from_le_bytes(word(self.payload.row(r), at));
+                        u64::from(offset(row) - offset(0))
+                    }
+                    ColumnSource::Key(_) => {
+                        let end = (keyed * self.rows + row - 1) * 4;
+                        u64::from(u32::from_le_bytes(word(ends, end)))
+                    }
+                }
+            };
+            keyed += usize::from(matches!(from, ColumnSource::Key(_)));
+        }
+    }
+
     /// Return the run's buffers to `pool`.
     pub(crate) fn recycle(self, pool: SortPool<'_>) {
         pool.put_bytes(self.keys);
-        if self.ovc.capacity() > 0 {
-            pool.put_bytes(self.ovc);
+        for buf in [self.ovc, self.strings] {
+            if buf.capacity() > 0 {
+                pool.put_bytes(buf);
+            }
         }
         let (data, heap) = self.payload.into_raw_parts();
         pool.put_bytes(data);
-        pool.put_bytes(heap);
+        if heap.capacity() > 0 {
+            pool.put_bytes(heap);
+        }
     }
 }
 
@@ -805,8 +865,10 @@ pub(crate) struct RowPlan {
     pub(crate) from: Vec<ColumnSource>,
     /// The input column in each row slot.
     pub(crate) columns: Vec<usize>,
-    /// Row slots that hold a VARCHAR, whose strings are the row's heap.
-    pub(crate) varlen: Vec<usize>,
+    /// The output's VARCHAR columns, in column order: each one's input
+    /// column, and where the output takes its strings from — a row slot,
+    /// whose strings are the row's heap, or the key.
+    pub(crate) strings: Vec<(usize, ColumnSource)>,
     /// Compares rows whose keys are byte-equal: the `ORDER BY` columns
     /// past those the key holds exactly, without those decoded from the
     /// key — in a tie group every column the key holds exactly is equal.
@@ -842,16 +904,25 @@ impl RowPlan {
                 ColumnSource::Key(_) => None,
             });
         let tie_cmp = FusedRowComparator::new(&layout, &OrderBy::new(ties.collect()));
-        let varlen = (0..slot_types.len())
-            .filter(|&s| slot_types[s] == LogicalType::Varchar)
+        let strings = (0..types.len())
+            .filter(|&c| types[c] == LogicalType::Varchar)
+            .map(|c| (c, from[c]))
             .collect();
         RowPlan {
             layout,
             from,
             columns,
-            varlen,
+            strings,
             tie_cmp,
         }
+    }
+
+    /// Row slots that hold a VARCHAR, whose strings are the row's heap.
+    pub(crate) fn varlen(&self) -> impl Iterator<Item = usize> + '_ {
+        self.strings.iter().filter_map(|&(_, from)| match from {
+            ColumnSource::Slot(s) => Some(s),
+            ColumnSource::Key(_) => None,
+        })
     }
 
     /// Input columns the output decodes from the key.
@@ -927,46 +998,36 @@ impl KeyPlan {
         &self.rows
     }
 
-    /// How the sort planned here compares records in its merges.
-    pub(crate) fn merge_order(&self) -> MergeOrder<'_> {
+    /// How the sort planned here compares records in its merges, and
+    /// where its output takes each column from: a rank-coded column
+    /// through the dictionary of `table`, the statistics the sort planned
+    /// from, whose ranks name rows of `input`'s strings.
+    pub(crate) fn merge_order<'a>(
+        &'a self,
+        table: &'a TableStats,
+        input: &'a DataChunk,
+    ) -> MergeOrder<'a> {
         MergeOrder {
             kw: self.key.width(),
             tie_possible: self.key.tie_possible(),
             rows: &self.rows,
+            key: &self.key,
+            table,
+            input,
         }
     }
 
-    /// `builder`'s columns cut into consecutive pieces of `rows` rows
-    /// each, every column taken from where the planned row says: a slot of
-    /// the rows, or the planned key, which holds it exactly — a rank-coded
-    /// column through the dictionary of `table`, the statistics the sort
-    /// planned from, whose ranks name rows of `input`'s strings.
+    /// `builder`'s columns cut into `parts` consecutive pieces, piece `p`
+    /// of `rows(p)` rows whose `v`-th VARCHAR column holds `bytes(p, v)`
+    /// bytes, every column taken from where `order` says
+    /// ([`MergeOrder::column_from`]).
     pub(crate) fn pieces<'a>(
-        &'a self,
-        table: &'a TableStats,
+        order: MergeOrder<'a>,
         builder: &'a mut ChunkBuilder,
-        input: &'a DataChunk,
-        rows: impl IntoIterator<Item = usize>,
-    ) -> Vec<ChunkPiece<'a>> {
-        let (key, row) = (&self.key, &self.rows);
-        let from = |c: usize| match row.from[c] {
-            ColumnSource::Slot(slot) => ColumnFrom::Slot(slot),
-            ColumnSource::Key(k) => {
-                let column = &key.columns()[k];
-                let ranked = (column.ty == LogicalType::Varchar && column.range.is_some())
-                    .then(|| input.column(c).as_strings())
-                    .flatten()
-                    .map(|strings| RankedStrings {
-                        strings,
-                        rows: table.rank_rows(c),
-                    });
-                ColumnFrom::Key {
-                    decoder: KeyDecoder::new(column),
-                    at: key.offset(k),
-                    ranked,
-                }
-            }
-        };
+        shape: (usize, impl Fn(usize) -> usize),
+        bytes: impl Fn(usize, usize) -> usize,
+    ) -> Result<Vec<ChunkPiece<'a>>, &'static str> {
+        let (key, row) = (order.key, order.rows);
         // The sinks stage each key only up to the end of the last column
         // they decode: `strings_mem`'s 1-byte rank of a 27-byte key.
         let decoded = row.from.iter().filter_map(|f| match *f {
@@ -974,7 +1035,8 @@ impl KeyPlan {
             ColumnSource::Slot(_) => None,
         });
         let staged = decoded.max().unwrap_or(0);
-        builder.pieces_from(&row.layout, from, staged, rows, string_bytes(input))
+        let from = |c| order.column_from(c);
+        builder.pieces_from(&row.layout, from, staged, shape, bytes)
     }
 
     /// The statistics the sort planned from: `lent`, or the sorter's own.
@@ -1043,20 +1105,15 @@ impl SorterCore {
             clock = now;
         };
         // DSM → NSM: payload rows (the columns the key does not give
-        // back) in input order first. The heap is asked for at the size
-        // the range's strings will fill — they are contiguous in every
-        // VARCHAR column — so the pool hands back the heap the previous
-        // run returned; a smaller request would file that one under its
-        // grown class and regrow another.
-        let columns = row_plan.columns.iter().map(|&c| input.column(c));
-        let strings = columns.filter_map(|col| col.as_strings());
-        let heap_bytes: usize = strings.map(|s| s.range_bytes(lo, hi)).sum();
+        // back) in input order first. A VARCHAR slot holds its string's
+        // offset in its input column: no string moves here.
         let mut staging = RowBlock::from_raw_parts(
             Arc::clone(layout),
             pool.get_bytes(rows * width),
-            pool.get_bytes(heap_bytes),
+            Vec::new(),
         );
-        staging.append_columns_range(input, |slot| row_plan.columns[slot], lo, hi);
+        staging.append_columns_in_place(input, |slot| row_plan.columns[slot], lo, hi);
+        let heaps = Heaps::Columns(input, &row_plan.columns);
         lap(Counter::RunScatterNs);
 
         let key_blocks = &plan.key_blocks;
@@ -1074,12 +1131,8 @@ impl SorterCore {
         // prefix left.
         let mut radix_scratch = pool.get_bytes(rows * keys.stride());
         let algo = keys.sort_with_scratch(&mut radix_scratch, |a, b| {
-            row_plan.tie_cmp.compare(
-                staging.row(a as usize),
-                staging.heap(),
-                staging.row(b as usize),
-                staging.heap(),
-            )
+            let (a, b) = (staging.row(a as usize), staging.row(b as usize));
+            row_plan.tie_cmp.compare_in(a, heaps, b, heaps)
         });
         pool.put_bytes(radix_scratch);
         let sorted = keys.last_sort();
@@ -1112,25 +1165,37 @@ impl SorterCore {
         };
         lap(Counter::RunStripCodeNs);
 
-        // The payload in key order. Its rows' heap offsets are absolute, so
-        // the reordered rows can keep the staging heap, which holds their
-        // strings in input order. A lone resident run does: it goes to
-        // output as it is. A run a merge or the encoder reads takes its
-        // strings in run order instead, so that reader copies them front
-        // to back rather than with a cache miss per string.
+        // The payload in key order. Its rows' slots still point into the
+        // input columns: a lone resident run goes to output from there. A
+        // run a merge or the encoder reads takes its strings in run order
+        // instead, so that reader copies them front to back rather than
+        // with a cache miss per string.
         let mut payload_rows = pool.get_bytes(rows * width);
         reorder_rows(&mut payload_rows, staging.data(), width, keys.order_iter());
-        let (staging_data, staging_heap) = staging.into_raw_parts();
+        let (staging_data, _) = staging.into_raw_parts();
         pool.put_bytes(staging_data);
-        let (heap, heap_moved) = if streamed && !row_plan.varlen.is_empty() {
-            let mut heap = pool.get_bytes(staging_heap.len());
-            reorder_heap(&mut payload_rows, layout, &staging_heap, &mut heap);
-            pool.put_bytes(staging_heap);
+        let keyed = row_plan.strings.iter();
+        let keyed = keyed.filter(|(_, from)| matches!(from, ColumnSource::Key(_)));
+        let ends = if streamed { 4 * rows * keyed.count() } else { 0 };
+        let mut strings = pool.get_bytes(8 * row_plan.strings.len() + ends);
+        for &(c, _) in &row_plan.strings {
+            let total = input.column(c).valid_string_bytes(lo, hi) as u64;
+            strings.extend_from_slice(&total.to_le_bytes());
+        }
+        let (heap, heap_moved) = if streamed && row_plan.varlen().next().is_some() {
+            let expected = row_plan.varlen().map(|s| row_plan.columns[s]);
+            let expected = expected.map(|c| input.column(c).valid_string_bytes(lo, hi)).sum();
+            let mut heap = pool.get_bytes(expected);
+            reorder_heap(&mut payload_rows, layout, heaps, (&mut heap, expected));
             let moved = heap.len();
             (heap, moved)
         } else {
-            (staging_heap, 0)
+            (Vec::new(), 0)
         };
+        if streamed {
+            let order = || keys.order_iter().map(|i| lo + i as usize);
+            keyed_ends(input, row_plan, order, &mut strings);
+        }
         let payload = RowBlock::from_raw_parts(Arc::clone(layout), payload_rows, heap);
         lap(Counter::RunReorderNs);
 
@@ -1152,6 +1217,40 @@ impl SorterCore {
             key_width,
             ovc: run_ovc,
             payload,
+            in_input: !streamed,
+            strings,
+        }
+    }
+}
+
+/// Append to `strings` each key-decoded VARCHAR column's running end after
+/// each row of a run whose rows are input rows `order()`, in run order
+/// ([`SortedRun::strings`]): the string bytes the column holds up to and
+/// including the row, NULLs holding none. Such a column is in no row, so
+/// a cut inside the run reads its bytes from here.
+fn keyed_ends<I: Iterator<Item = usize>>(
+    input: &DataChunk,
+    plan: &RowPlan,
+    order: impl Fn() -> I,
+    strings: &mut Vec<u8>,
+) {
+    for &(c, from) in &plan.strings {
+        let (ColumnSource::Key(_), Some(column)) = (from, input.column(c).as_strings()) else {
+            continue;
+        };
+        let vector = input.column(c);
+        let mut end = 0u64;
+        for row in order() {
+            if vector.is_valid(row) {
+                end += column.byte_len(row) as u64;
+            }
+            #[expect(
+                clippy::expect_used,
+                reason = "a run's strings of one column are some of an input column's, which a \
+                          `StringVec` holds within 4 GiB"
+            )]
+            let end = heap_offset(end).expect(HEAP_OVERFLOW);
+            strings.extend_from_slice(&end.to_le_bytes());
         }
     }
 }
@@ -1658,7 +1757,7 @@ mod tests {
     }
 
     #[test]
-    fn a_streamed_run_takes_its_strings_in_run_order_and_a_lone_one_adopts_them() {
+    fn a_streamed_run_takes_its_strings_in_run_order_and_a_lone_one_leaves_them_in_the_input() {
         // A VARCHAR key with a NULL and an empty string, the input row as
         // an INT, and a VARCHAR payload with NULLs: every VARCHAR slot of
         // a run must name its own row's string.
@@ -1695,7 +1794,7 @@ mod tests {
         plan.plan(&types, &order, &input, None, &|phase| phase(0));
         let layout = &plan.rows().layout;
         assert_eq!(layout.types(), types, "the row keeps every column");
-        let staged = |c: usize| input.column(c).as_strings().unwrap().range_bytes(0, 6);
+        let staged = |c: usize| input.column(c).valid_string_bytes(0, 6);
         let staged_heap = staged(0) + staged(2);
         // The strings a heap holds column by column, rows in `rows` order.
         let laid_out = |rows: &[usize]| {
@@ -1723,30 +1822,56 @@ mod tests {
             };
             let rows: Vec<usize> = (0..block.len()).map(input_row).collect();
             assert_eq!(rows.len(), 6);
+            let heaps = run.heaps(plan.rows(), &input);
+            let slot = |i: usize, c: usize| {
+                let at = layout.offset(c);
+                let word = |at| u32::from_le_bytes(word(block.row(i), at)) as usize;
+                (word(at), word(at + 4))
+            };
             for (i, &r) in rows.iter().enumerate() {
                 for c in [0, 2] {
-                    assert_eq!(
-                        block.value(i, c),
-                        input.column(c).get(r),
-                        "row {i}, column {c}"
-                    );
+                    let (off, len) = slot(i, c);
+                    let string = &heaps.of(c)[off..off + len];
+                    let want = input.column(c).as_strings().unwrap().get_bytes(r);
+                    assert_eq!(block.is_null(i, c), !input.column(c).is_valid(r));
+                    if !block.is_null(i, c) {
+                        assert_eq!(string, want, "row {i}, column {c}");
+                    }
                 }
             }
             if streamed {
                 // Contiguous, in row order, one column after the other; a
-                // NULL takes no bytes and keeps the slot the scatter wrote.
+                // NULL takes no bytes, and its slot the offset its column
+                // has reached: the column's bytes before each row are its
+                // slot's offset less the first row's.
                 assert_eq!(block.heap(), laid_out(&rows));
                 assert_eq!(block.heap().len(), staged_heap);
+                let mut before = [0; 2];
+                for i in 0..=block.len() {
+                    run.strings_before(plan.rows(), i, &mut before);
+                    let want = [0, 2].map(|c| {
+                        let column = input.column(c);
+                        let named = rows[..i].iter().filter(|&&r| column.is_valid(r));
+                        let len = |&r: &usize| column.as_strings().unwrap().byte_len(r) as u64;
+                        named.map(len).sum::<u64>()
+                    });
+                    assert_eq!(before, want, "bytes before row {i}");
+                }
                 for c in [0, 2] {
-                    let slot = layout.offset(c);
                     for i in (0..block.len()).filter(|&i| block.is_null(i, c)) {
-                        assert_eq!(block.row(i)[slot..slot + 8], [0; 8], "row {i}, column {c}");
+                        let column_start = slot(0, c).0;
+                        let (off, len) = slot(i, c);
+                        assert_eq!(len, 0, "row {i}, column {c}");
+                        let previous = (i > 0).then(|| slot(i - 1, c));
+                        let before = previous.map_or(column_start, |(o, l)| o + l);
+                        assert_eq!(off, before, "row {i}, column {c}");
                     }
                 }
             } else {
-                // A lone resident run keeps the heap the rows were staged
-                // into: the strings in input order.
-                assert_eq!(block.heap(), laid_out(&(0..6).collect::<Vec<_>>()));
+                // A lone resident run leaves its strings in the input
+                // columns: no heap at all.
+                assert!(block.heap().is_empty());
+                assert_eq!(heaps.of(0), input.column(0).as_strings().unwrap().bytes());
             }
             run.recycle(core.pool());
         }

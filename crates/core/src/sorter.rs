@@ -64,13 +64,20 @@ pub(crate) trait StoredRun: Send + Sync + 'static {
     fn bounds(&self) -> [Self::Cut; 2];
     /// Rows of the run before `cut`.
     fn rows_before(cut: Self::Cut) -> usize;
-    /// Where `splitter` cuts the run: before its first key `>=` it.
+    /// Where `splitter` cuts the run: before its first key `>=` it; and
+    /// into `strings`, the bytes each of the output's VARCHAR columns
+    /// ([`RowPlan::strings`](crate::run::RowPlan::strings)) holds in the
+    /// run's rows before the cut.
     fn cut_at(
         &self,
         core: &SorterCore,
         order: MergeOrder<'_>,
         splitter: &[u8],
+        strings: &mut [u64],
     ) -> Result<Self::Cut, SpillError>;
+    /// The bytes each of the output's VARCHAR columns holds in the whole
+    /// run, into `strings`.
+    fn strings(&self, order: MergeOrder<'_>, strings: &mut [u64]);
     /// A source over the rows between two cuts.
     fn source<'r>(
         &'r self,
@@ -107,16 +114,23 @@ impl StoredRun for SortedRun {
         _: &SorterCore,
         order: MergeOrder<'_>,
         splitter: &[u8],
+        strings: &mut [u64],
     ) -> Result<usize, SpillError> {
-        Ok(lower_bound(&self.keys, order.kw, splitter))
+        let cut = lower_bound(&self.keys, order.kw, splitter);
+        self.strings_before(order.rows, cut, strings);
+        Ok(cut)
+    }
+    fn strings(&self, order: MergeOrder<'_>, strings: &mut [u64]) {
+        self.strings_before(order.rows, self.len(), strings);
     }
     fn source<'r>(
         &'r self,
         _: &'r SorterCore,
-        _: MergeOrder<'r>,
+        order: MergeOrder<'r>,
         [lo, hi]: [usize; 2],
     ) -> Result<MemSource<'r>, SpillError> {
-        Ok(MemSource::range(self, lo, hi))
+        let heaps = self.heaps(order.rows, order.input);
+        Ok(MemSource::range(self, heaps, lo, hi))
     }
 }
 
@@ -136,13 +150,19 @@ pub(crate) type RunSlot<R> = Mutex<Option<Result<R, SpillError>>>;
 type RangeScratch<R> = Mutex<(OvcLoserTree, Vec<<R as StoredRun>::Source<'static>>)>;
 
 /// A merge's key ranges: the splitters between them, every run's
-/// `parts + 1` cuts (rows `c[p]..c[p + 1]` of a run fall in range `p`),
-/// and a [`RangeScratch`] per range — all rebuilt in place per sort.
+/// `parts + 1` cuts (rows `c[p]..c[p + 1]` of a run fall in range `p`)
+/// and the string bytes before each, and a [`RangeScratch`] per range —
+/// all rebuilt in place per sort.
 pub(crate) struct MergePlan<R: StoredRun> {
     /// The runs' sample keys (empty between sorts).
     samples: Vec<&'static [u8]>,
     splitters: Vec<u8>,
     cuts: Vec<R::Cut>,
+    /// Before each cut, in the order of `cuts`, the bytes each of the
+    /// output's VARCHAR columns holds in the run's rows before it.
+    strings: Vec<u64>,
+    /// The output's VARCHAR columns.
+    varchars: usize,
     pub(crate) parts: usize,
     ranges: Vec<RangeScratch<R>>,
 }
@@ -153,6 +173,8 @@ impl<R: StoredRun> Default for MergePlan<R> {
             samples: Vec::new(),
             splitters: Vec::new(),
             cuts: Vec::new(),
+            strings: Vec::new(),
+            varchars: 0,
             parts: 1,
             ranges: Vec::new(),
         }
@@ -164,6 +186,16 @@ impl<R: StoredRun> MergePlan<R> {
     pub(crate) fn range_rows(&self, p: usize) -> usize {
         let in_range = |c: &[R::Cut]| R::rows_before(c[p + 1]) - R::rows_before(c[p]);
         self.cuts.chunks_exact(self.parts + 1).map(in_range).sum()
+    }
+
+    /// Bytes of the `v`-th VARCHAR output column in range `p` over all
+    /// runs. A run whose index says its bytes shrink across a range is
+    /// corrupt: its range counts none, and its strings will not fit.
+    pub(crate) fn range_strings(&self, p: usize, v: usize) -> usize {
+        let (nv, cuts) = (self.varchars, self.parts + 1);
+        let in_range = |run: &[u64]| run[(p + 1) * nv + v].saturating_sub(run[p * nv + v]);
+        let bytes = self.strings.chunks_exact(cuts * nv).map(in_range);
+        bytes.sum::<u64>() as usize
     }
 
     /// Rows of the largest range: `rows / parts` when the splitters cut
@@ -450,13 +482,24 @@ impl SorterCore {
             plan.samples = recycle_vec(keys);
         }
         plan.cuts.reserve(runs.len() * (parts + 1));
+        let nv = order.rows.strings.len();
+        plan.varchars = nv;
+        plan.strings.clear();
+        plan.strings.reserve(runs.len() * (parts + 1) * nv);
         for run in runs {
             let [start, end] = run.bounds();
             plan.cuts.push(start);
+            plan.strings.resize(plan.strings.len() + nv, 0);
             for splitter in plan.splitters.chunks_exact(kw.max(1)) {
-                plan.cuts.push(run.cut_at(self, order, splitter)?);
+                let at = plan.strings.len();
+                plan.strings.resize(at + nv, 0);
+                let cut = run.cut_at(self, order, splitter, &mut plan.strings[at..])?;
+                plan.cuts.push(cut);
             }
             plan.cuts.push(end);
+            let at = plan.strings.len();
+            plan.strings.resize(at + nv, 0);
+            run.strings(order, &mut plan.strings[at..]);
         }
         plan.parts = plan.splitters.len().checked_div(kw).unwrap_or(0) + 1;
         if plan.ranges.len() < plan.parts {
@@ -551,16 +594,16 @@ impl SorterCore {
     }
 
     /// Merge `runs` straight into the result's columns (DESIGN.md §11.4),
-    /// clocked as `phase`: plan the ranges, size every column exactly,
-    /// merge each range into its piece ([`SorterCore::merge_ranges`]) — the
-    /// gather runs on every merge worker — and join the pieces' strings and
-    /// validity masks on one thread afterwards, clocked as
-    /// [`Phase::Gather`]. The runs compare as `planned.0` planned, and a
-    /// column the key gives back is decoded from its key, a rank-coded one
-    /// through the dictionary of the statistics it planned from,
-    /// `planned.1`. `input`'s string columns say how many bytes to expect,
-    /// and hold the strings a rank names. A lone run is one range, drained
-    /// on the calling thread.
+    /// clocked as `phase`: plan the ranges, size every column exactly —
+    /// a VARCHAR column from each range's string bytes, which the cuts
+    /// know — merge each range into its piece ([`SorterCore::merge_ranges`])
+    /// — the gather, strings and all, runs on every merge worker — and
+    /// splice the pieces' validity masks on one thread afterwards, clocked
+    /// as [`Phase::Gather`]. The runs compare as `planned.0` planned, and
+    /// a column the key gives back is decoded from its key, a rank-coded
+    /// one through the dictionary of the statistics it planned from,
+    /// `planned.1`, whose ranks name `input`'s strings. A lone run is one
+    /// range, drained on the calling thread.
     pub(crate) fn merge_into_vectors<R: StoredRun>(
         &self,
         (runs, plan): (&[R], &mut MergePlan<R>),
@@ -569,15 +612,17 @@ impl SorterCore {
         phase: Phase,
     ) -> Result<DataChunk, SpillError> {
         let merge_timer = self.metrics.time_phase(phase);
-        let order = planned.0.merge_order();
+        let order = planned.0.merge_order(planned.1, input);
         self.plan_ranges(order, runs, plan)?;
         let total: usize = runs.iter().map(R::row_count).sum();
         let mut builder = ChunkBuilder::new(&self.types, total);
         let tails: Vec<Mutex<Option<PieceTail>>> =
             (0..plan.parts).map(|_| Mutex::new(None)).collect();
         {
-            let rows = (0..plan.parts).map(|p| plan.range_rows(p));
-            let pieces = planned.0.pieces(planned.1, &mut builder, input, rows);
+            let shape = (plan.parts, |p| plan.range_rows(p));
+            let bytes = |p, v| plan.range_strings(p, v);
+            let pieces = KeyPlan::pieces(order, &mut builder, shape, bytes)
+                .map_err(|detail| SpillError::corrupt(Path::new("<merge output>"), detail))?;
             self.merge_ranges(order, runs, plan, pieces.into_iter(), &tails)?;
         }
         drop(merge_timer);

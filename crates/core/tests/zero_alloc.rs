@@ -30,23 +30,24 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// buffer among them, each allocated once —
 ///
 /// * the result: its column list (1), each fixed-width column's values
-///   (F), each VARCHAR column's offsets and bytes (2V), and each
-///   NULL-holding column's validity words (N);
-/// * the output builder: its column list (1) and each VARCHAR column's
-///   placeholder offsets (V), replaced by the piece's;
+///   (F), each VARCHAR column's offsets and bytes (2V), sized once by the
+///   output builder, and each NULL-holding column's validity words (N);
+/// * the output builder: its column list (1) and, with a VARCHAR column,
+///   the list of their parts (1);
 /// * the merge's one key range: the tails' slots (1), the columns left to
 ///   cut and the pieces (2), the piece's masks (1), and its fixed-width
-///   and VARCHAR column lists (1 each if it has such a column; its tail's
-///   strings are collected into the second's buffer);
-/// * the join: the tails collected (1), their masks and strings unzipped
-///   (2), and each VARCHAR column's list of pieces (V).
+///   and VARCHAR column lists (1 each if it has such a column); with a
+///   VARCHAR column, each range's bytes of each and what is left to cut
+///   of them (2);
+/// * the join: the tails collected (1); their masks are listed in the
+///   tails' own buffer.
 ///
-/// A `u32` key alone: 2 + 9 = 11 (`bench_gate`'s `pipeline/u32_t1` pins the
+/// A `u32` key alone: 2 + 7 = 9 (`bench_gate`'s `pipeline/u32_t1` pins the
 /// same). A nullable VARCHAR key, a `u32` and a VARCHAR payload (F = 1,
-/// V = 2, N = 1): 7 + 14 = 21. Four `i32` columns: 5 + 9 = 14.
-const U32_ALLOCS: usize = 11;
-const NAMED_ALLOCS: usize = 21;
-const WIDE_ALLOCS: usize = 14;
+/// V = 2, N = 1): 7 + 11 = 18. Four `i32` columns: 5 + 7 = 12.
+const U32_ALLOCS: usize = 9;
+const NAMED_ALLOCS: usize = 18;
+const WIDE_ALLOCS: usize = 12;
 
 /// Sort `chunk` by `order` three times on one pipeline and pin the third
 /// sort: `allocs` system allocations, no pool miss.
@@ -143,9 +144,11 @@ fn third_sort_of(
 ///
 /// 22 in all, and the one row plan the key calls for ([`KEYED_ROW_ALLOCS`]
 /// and on); a VARCHAR key column adds the prefix sampler's table, rows and
-/// chains (3).
+/// chains (3), and a VARCHAR column the merge plan's string bytes before
+/// each cut (1).
 const NEW_SORTER_ALLOCS: usize = 22;
 const SAMPLER_ALLOCS: usize = 3;
+const STRING_CUT_ALLOCS: usize = 1;
 
 /// The row plan's allocations: its layout and each input column's source
 /// (2) for a row the key gives every column back to; a row that keeps
@@ -267,7 +270,7 @@ fn steady_state_sort_does_not_allocate() {
         third_sort_of(what, &tied, &tied_other_payload, &one, ovc, NAMED_ALLOCS);
         third_sort_allocates("four-i32 key", &wide, &four, ovc, WIDE_ALLOCS);
         let (new, keyed) = (NEW_SORTER_ALLOCS, NEW_SORTER_ALLOCS + KEYED_ROW_ALLOCS);
-        let sampled = new + SAMPLER_ALLOCS + NAMED_ALLOCS;
+        let sampled = new + SAMPLER_ALLOCS + STRING_CUT_ALLOCS + NAMED_ALLOCS;
         new_sorter_on_warm_set("u32 key", &u32s, 1, ovc, keyed + U32_ALLOCS);
         let (what, allocs) = ("long VARCHAR key", sampled + NAMED_ROW_ALLOCS);
         new_sorter_on_warm_set(what, &strings, 1, ovc, allocs);

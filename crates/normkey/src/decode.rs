@@ -191,6 +191,23 @@ impl KeyDecoder {
     /// does in an exact column; a longer one is [`BAD_KEY_MARKER`].
     #[inline]
     pub fn string_into(&self, key: &[u8], out: &mut Vec<u8>) -> Result<bool, &'static str> {
+        let Some(stored) = self.stored_string(key)? else {
+            return Ok(false);
+        };
+        if self.is_desc() {
+            out.extend(stored.iter().map(|b| !b));
+        } else {
+            out.extend_from_slice(stored);
+        }
+        Ok(true)
+    }
+
+    /// The string a VARCHAR column's key bytes `key` hold, as the key
+    /// stores it — each byte inverted where the column sorts descending
+    /// ([`KeyDecoder::is_desc`]) — or `None` for a NULL; errors as
+    /// [`KeyDecoder::string_into`]. Its length is the string's.
+    #[inline]
+    pub fn stored_string<'k>(&self, key: &'k [u8]) -> Result<Option<&'k [u8]>, &'static str> {
         let How::Plain { null, desc } = self.how else {
             return Err(BAD_KEY_MARKER);
         };
@@ -198,20 +215,21 @@ impl KeyDecoder {
             return Err(BAD_KEY_MARKER);
         };
         if byte == null {
-            return Ok(false);
+            return Ok(None);
         }
         let Some((&marker, prefix)) = body.split_last() else {
             return Err(BAD_KEY_MARKER);
         };
         let flip = if desc { u8::MAX } else { 0 };
         let len = usize::from(marker ^ flip);
-        let string = prefix.get(..len).ok_or(BAD_KEY_MARKER)?;
-        if desc {
-            out.extend(string.iter().map(|b| !b));
-        } else {
-            out.extend_from_slice(string);
-        }
-        Ok(true)
+        prefix.get(..len).ok_or(BAD_KEY_MARKER).map(Some)
+    }
+
+    /// Whether the column sorts descending, so the key stores each byte of
+    /// a string inverted.
+    #[inline]
+    pub fn is_desc(&self) -> bool {
+        matches!(self.how, How::Plain { desc: true, .. })
     }
 }
 

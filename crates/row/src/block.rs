@@ -3,7 +3,7 @@
 use crate::gather::{ChunkBuilder, ChunkPiece, BATCH_ROWS};
 use crate::layout::RowLayout;
 use rowsort_algos::rows::copy_row;
-use rowsort_vector::{DataChunk, LogicalType, Value, Vector, VectorData};
+use rowsort_vector::{DataChunk, LogicalType, StringVec, Value, Vector, VectorData};
 use std::sync::Arc;
 
 /// Read a fixed-width array out of a byte slice. Infallible by type: the
@@ -37,6 +37,34 @@ pub fn heap_offset(len: u64) -> Option<u32> {
 #[expect(clippy::expect_used, reason = "the capacity bound described above")]
 pub(crate) fn heap_base(len: usize) -> u32 {
     heap_offset(len as u64).expect(HEAP_OVERFLOW)
+}
+
+/// Where the strings a row's VARCHAR slots name live: one heap for every
+/// slot, or — for rows scattered without copying their strings
+/// ([`RowBlock::append_columns_in_place`]) — the input column each slot
+/// came from.
+#[derive(Debug, Clone, Copy)]
+pub enum Heaps<'a> {
+    /// Every slot's offset is into this heap.
+    One(&'a [u8]),
+    /// Slot `s`'s offset is into the bytes of column `columns[s]` of the
+    /// chunk.
+    Columns(&'a DataChunk, &'a [usize]),
+}
+
+impl<'a> Heaps<'a> {
+    /// The heap slot `slot`'s offsets are into: empty for a slot that names
+    /// no VARCHAR column.
+    #[inline]
+    pub fn of(self, slot: usize) -> &'a [u8] {
+        match self {
+            Heaps::One(heap) => heap,
+            Heaps::Columns(chunk, columns) => columns
+                .get(slot)
+                .and_then(|&c| chunk.column(c).as_strings())
+                .map_or(&[], StringVec::bytes),
+        }
+    }
 }
 
 /// A buffer of fixed-width NSM rows plus the string heap they reference.
@@ -196,6 +224,36 @@ impl RowBlock {
         lo: usize,
         hi: usize,
     ) {
+        self.scatter(chunk, column, (lo, hi), true);
+    }
+
+    /// [`RowBlock::append_columns_range`] without copying a string: each
+    /// VARCHAR slot holds its string's offset in the bytes of the column
+    /// it came from, and the block's heap stays as it is. The rows' strings
+    /// are then read through [`Heaps::Columns`] over `chunk` and `column`'s
+    /// columns, for as long as `chunk` lives.
+    ///
+    /// # Panics
+    /// As [`RowBlock::append_columns_range`].
+    pub fn append_columns_in_place(
+        &mut self,
+        chunk: &DataChunk,
+        column: impl Fn(usize) -> usize,
+        lo: usize,
+        hi: usize,
+    ) {
+        self.scatter(chunk, column, (lo, hi), false);
+    }
+
+    /// Append rows `lo..hi` of `chunk`'s columns, copying the strings into
+    /// the heap or (`copy` false) leaving them where they are.
+    fn scatter(
+        &mut self,
+        chunk: &DataChunk,
+        column: impl Fn(usize) -> usize,
+        (lo, hi): (usize, usize),
+        copy: bool,
+    ) {
         let types = self.layout.types();
         // Element-wise so the schema check allocates nothing: this runs
         // once per morsel inside the steady-state (allocation-free) path.
@@ -213,13 +271,8 @@ impl RowBlock {
         for slot in 0..types.len() {
             let rows = self.data[start..].chunks_exact_mut(width);
             let at = (self.layout.offset(slot), self.layout.null_offset(slot));
-            scatter_column(
-                rows,
-                at,
-                &mut self.heap,
-                chunk.column(column(slot)),
-                (lo, hi),
-            );
+            let heap = copy.then_some(&mut self.heap);
+            scatter_column(rows, at, heap, chunk.column(column(slot)), (lo, hi));
         }
         self.len += hi - lo;
     }
@@ -275,7 +328,8 @@ impl RowBlock {
     /// Convert the whole block back to a chunk (NSM → DSM gather), in row
     /// order.
     pub fn to_chunk(&self) -> DataChunk {
-        self.gather_with(self.len, |piece| piece.push_rows(&self.data, &self.heap))
+        let heaps = Heaps::One(&self.heap);
+        self.gather_with(0..self.len, |piece| piece.push_rows(&self.data, heaps))
     }
 
     /// Gather the given rows, in the given order, into a chunk.
@@ -295,42 +349,59 @@ impl RowBlock {
     pub fn gather(&self, order: &[u32]) -> DataChunk {
         let width = self.width();
         let mut batch = Vec::with_capacity(BATCH_ROWS.min(order.len()) * width);
-        self.gather_with(order.len(), |piece| {
+        let named = order.iter().map(|&r| r as usize);
+        self.gather_with(named, |piece| {
             for picks in order.chunks(BATCH_ROWS) {
                 batch.clear();
                 for &r in picks {
                     batch.extend_from_slice(self.row(r as usize));
                 }
-                piece.push_rows(&batch, &self.heap)?;
+                piece.push_rows(&batch, Heaps::One(&self.heap))?;
             }
             Ok(())
         })
     }
 
-    /// A chunk of `rows` rows, filled by `fill` as one piece.
+    /// A chunk of the rows `named` names, filled by `fill` as one piece,
+    /// each VARCHAR column sized to the strings of those rows.
     fn gather_with(
         &self,
-        rows: usize,
+        named: impl Iterator<Item = usize> + Clone,
         mut fill: impl FnMut(&mut ChunkPiece<'_>) -> Result<(), &'static str>,
     ) -> DataChunk {
-        let mut builder = ChunkBuilder::new(self.layout.types(), rows);
-        // Rows scattered from vectors name each heap byte at most once:
-        // an even share per VARCHAR column is the right order of
-        // magnitude, and exact for one; a gather of fewer rows than the
-        // block holds expects as much less.
-        let varchars = self.layout.types().iter();
-        let varchars = varchars.filter(|&&ty| ty == LogicalType::Varchar).count();
-        let share = self.heap.len().checked_div(varchars).unwrap_or(0);
-        let part = share as u128 * rows as u128 / self.len.max(1) as u128;
-        let share = share.min(part as usize);
-        let pieces = builder.pieces(&self.layout, [rows], |_| share);
+        let mut builder = ChunkBuilder::new(self.layout.types(), named.clone().count());
+        let types = self.layout.types().iter().enumerate();
+        let varchars = types.filter(|(_, &ty)| ty == LogicalType::Varchar);
+        let bytes = |_, v| {
+            let Some((col, _)) = varchars.clone().nth(v) else {
+                return 0;
+            };
+            let len = |r: usize| {
+                let at = r * self.width() + self.layout.offset(col);
+                u32::from_le_bytes(read_array(&self.data, at + 4)) as usize
+            };
+            named.clone().filter(|&r| !self.is_null(r, col)).map(len).sum()
+        };
+        let rows = named.clone().count();
+        #[expect(
+            clippy::expect_used,
+            reason = "a block's named strings are at most the 4 GiB its slots address, per slot \
+                      — past that the caller's broken block, the documented panic"
+        )]
+        let pieces = builder
+            .pieces(&self.layout, (1, |_| rows), bytes)
+            .expect("row slots must lie inside the block's heap");
         let filled = pieces.into_iter().map(|mut piece| {
             #[expect(
                 clippy::expect_used,
                 reason = "a slot outside the heap is the caller's broken block — the documented panic"
             )]
             fill(&mut piece).expect("row slots must lie inside the block's heap");
-            piece.finish()
+            #[expect(
+                clippy::expect_used,
+                reason = "the piece was sized to the strings its rows name"
+            )]
+            piece.finish().expect("strings sized from the rows")
         });
         let tails = filled.collect();
         builder.finish(tails)
@@ -378,11 +449,12 @@ impl RowBlock {
 /// tests nothing; a NULL's slot stays zero, whatever the vector stores
 /// under it. A VARCHAR column's bytes for the range go to `heap` in
 /// one copy, with one 4 GiB check for the column, and each slot is read
-/// from the offsets.
+/// from the offsets; without a `heap`, each slot keeps its string's offset
+/// in the column's own bytes.
 fn scatter_column(
     rows: std::slice::ChunksExactMut<'_, u8>,
     at: (usize, usize),
-    heap: &mut Vec<u8>,
+    heap: Option<&mut Vec<u8>>,
     vec: &Vector,
     (lo, hi): (usize, usize),
 ) {
@@ -413,6 +485,13 @@ fn scatter_column(
         VectorData::Timestamp(values) => fixed!(values),
         VectorData::Varchar(strings) => {
             let (offsets, bytes) = strings.range_parts(lo, hi);
+            let spans = offsets.iter().zip(offsets.get(1..).unwrap_or_default());
+            let Some(heap) = heap else {
+                scatter_slots(rows, at, spans, valid, |(&start, &stop)| {
+                    (u64::from(start) | (u64::from(stop - start) << 32)).to_le_bytes()
+                });
+                return;
+            };
             #[expect(
                 clippy::expect_used,
                 reason = "the scatter's one 4 GiB check per VARCHAR column: the heap's end after \
@@ -423,7 +502,6 @@ fn scatter_column(
             // String `lo + i` starts `offsets[i] - offsets[0]` bytes into
             // the copy, and the copy ends at `end`.
             let last = offsets.last().copied().unwrap_or_default();
-            let spans = offsets.iter().zip(offsets.get(1..).unwrap_or_default());
             scatter_slots(rows, at, spans, valid, |(&start, &stop)| {
                 let slot = u64::from(end - (last - start)) | (u64::from(stop - start) << 32);
                 slot.to_le_bytes()
@@ -488,29 +566,39 @@ pub fn reorder_rows(
     }
 }
 
-/// Copy the strings `rows` name out of `src` into `dst` (cleared first)
+/// Copy the strings `rows` name out of `heaps` into `dst` (cleared first)
 /// in the order of the rows, one VARCHAR column after the other, and
 /// point each slot at its string's new place: the heap of a reordered run
 /// in run order, so whoever reads the run row by row reads its strings
 /// front to back. Column by column, because each pass then reads only
-/// one column's region of the source heap (row by row, the copy measured
-/// about 1.5× slower, and the reader gained nothing more). NULL slots
-/// keep their bytes and take none of the heap; rows scattered from
-/// vectors name each heap byte at most once (bytes a vector holds under
-/// a NULL, none), so `dst` ends at most as long as `src`.
+/// one column's strings (row by row, the copy measured about 1.5× slower,
+/// and the reader gained nothing more). A NULL's slot takes the offset
+/// the column has reached and length 0, and none of the heap, so the
+/// column's strings in rows `[a, b)` are the heap bytes between row `a`'s
+/// slot offset and row `b`'s. `dst` is asked for `expected` bytes up
+/// front, the strings' own total when the caller knows it.
 ///
 /// # Panics
-/// If a slot does not lie inside `src`, or `dst` would pass 4 GiB.
-pub fn reorder_heap(rows: &mut [u8], layout: &RowLayout, src: &[u8], dst: &mut Vec<u8>) {
+/// If a slot does not lie inside its heap, or `dst` would pass 4 GiB.
+pub fn reorder_heap(
+    rows: &mut [u8],
+    layout: &RowLayout,
+    heaps: Heaps<'_>,
+    (dst, expected): (&mut Vec<u8>, usize),
+) {
     dst.clear();
-    dst.resize(src.len(), 0);
+    dst.resize(expected, 0);
     let width = layout.width();
     let mut at = 0;
     let types = layout.types().iter().enumerate();
     for (col, _) in types.filter(|(_, &ty)| ty == LogicalType::Varchar) {
         let (slot, null) = (layout.offset(col), layout.null_offset(col));
+        let src = heaps.of(col);
         for row in rows.chunks_exact_mut(width) {
+            let base = heap_base(at).to_le_bytes();
             if row[null] != 0 {
+                row[slot..slot + 4].copy_from_slice(&base);
+                row[slot + 4..slot + 8].fill(0);
                 continue;
             }
             let off = u32::from_le_bytes(read_array(row, slot)) as usize;
@@ -521,7 +609,7 @@ pub fn reorder_heap(rows: &mut [u8], layout: &RowLayout, src: &[u8], dst: &mut V
                 dst.resize(end, 0);
             }
             copy_row(&mut dst[at..end], string);
-            row[slot..slot + 4].copy_from_slice(&heap_base(at).to_le_bytes());
+            row[slot..slot + 4].copy_from_slice(&base);
             at = end;
         }
     }
@@ -816,23 +904,65 @@ mod tests {
 
     #[test]
     fn reorder_heap_lays_out_named_strings_in_row_order() {
-        // Rows that share heap bytes name more than the heap holds: the
-        // new heap grows to fit. The NULL row's garbage slot stays as it
-        // is and takes nothing.
+        // Rows that share heap bytes name more than the heap holds (and
+        // than the 2 bytes expected): the new heap grows to fit. The NULL
+        // row's garbage slot takes the offset its column has reached, and
+        // no bytes, so each row's offset is the column's bytes before it.
         let block = raw_string_block(b"hello", &[Some((1, 3)), None, Some((0, 5))]);
         let layout = Arc::clone(block.layout());
         let (mut rows, heap) = block.clone().into_raw_parts();
         let mut ordered = vec![0xAA; 3];
-        reorder_heap(&mut rows, &layout, &heap, &mut ordered);
+        reorder_heap(&mut rows, &layout, Heaps::One(&heap), (&mut ordered, 2));
         assert_eq!(ordered, b"ellhello");
         let ordered = RowBlock::from_raw_parts(Arc::clone(&layout), rows, ordered);
-        assert_eq!(ordered.row(1), block.row(1));
+        assert!(ordered.is_null(1, 0));
         let slot = layout.offset(0);
-        let offsets: Vec<u32> = [0, 2]
-            .map(|r| u32::from_le_bytes(read_array(ordered.row(r), slot)))
+        let slots: Vec<(u32, u32)> = [0, 1, 2]
+            .map(|r| {
+                let row = ordered.row(r);
+                let word = |at| u32::from_le_bytes(read_array(row, at));
+                (word(slot), word(slot + 4))
+            })
             .to_vec();
-        assert_eq!(offsets, [0, 3]);
+        assert_eq!(slots, [(0, 3), (3, 0), (3, 5)]);
         assert_eq!(ordered.to_chunk(), block.to_chunk());
+    }
+
+    #[test]
+    fn rows_scattered_in_place_name_their_input_columns_strings() {
+        // Two VARCHAR columns and an integer between, with a NULL: the
+        // slots hold offsets into each column's own bytes, the heap stays
+        // empty, and the strings read back through the columns.
+        let mut chunk = DataChunk::new(&[T::Varchar, T::Int32, T::Varchar]);
+        for (a, b) in [("ab", "x"), ("", "yy"), ("cde", "")] {
+            let row = [Value::from(a), Value::Int32(1), Value::from(b)];
+            chunk.push_row(&row).unwrap();
+        }
+        chunk.push_row(&[Value::Null, Value::Null, Value::from("z")]).unwrap();
+        let layout = Arc::new(RowLayout::new(&chunk.types()));
+        let mut block = RowBlock::new(Arc::clone(&layout));
+        block.append_columns_in_place(&chunk, |slot| slot, 1, 4);
+        assert!(block.heap().is_empty());
+        let columns = [0, 1, 2];
+        let heaps = Heaps::Columns(&chunk, &columns);
+        let slot = |r: usize, col: usize| {
+            let at = layout.offset(col);
+            let word = |at| u32::from_le_bytes(read_array(block.row(r), at)) as usize;
+            (word(at), word(at + 4))
+        };
+        assert_eq!([slot(0, 0), slot(1, 0), slot(2, 0)], [(2, 0), (2, 3), (0, 0)]);
+        assert_eq!([slot(0, 2), slot(1, 2), slot(2, 2)], [(1, 2), (3, 0), (3, 1)]);
+        assert_eq!(heaps.of(0), b"abcde");
+        assert_eq!(heaps.of(1), b"");
+        // In run order, column by column: the reordered heap is the
+        // strings the rows name, and the rows gather back to the input.
+        let (mut rows, _) = block.into_raw_parts();
+        let mut ordered = Vec::new();
+        reorder_heap(&mut rows, &layout, heaps, (&mut ordered, 6));
+        assert_eq!(ordered, b"cdeyyz");
+        let ordered = RowBlock::from_raw_parts(layout, rows, ordered);
+        let want: Vec<Vec<Value>> = (1..4).map(|r| chunk.row(r)).collect();
+        assert_eq!(ordered.to_chunk().to_rows(), want);
     }
 
     #[test]

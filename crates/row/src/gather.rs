@@ -3,26 +3,27 @@
 //!
 //! A [`ChunkBuilder`] owns the output columns, sized exactly before a row
 //! arrives, and cuts them into one [`ChunkPiece`] per consecutive row
-//! range: disjoint `split_at_mut` slices of every fixed-width column, so
-//! any number of threads can fill their ranges at once. A piece takes rows
-//! in two steps because their bytes live in two places. A row's strings
-//! are copied out of its heap when the row is named
-//! ([`ChunkPiece::push_strings`]) — for a record of a spilled run that heap
-//! is a block buffer the next record may replace — while its fixed-width
-//! values wait, staged by the caller with up to [`BATCH_ROWS`] others, for
-//! one typed pass per column over rows that are still in L1
-//! ([`ChunkPiece::gather_keyed`]). A column the sort's key gives back is
-//! not in the rows at all: the caller stages each row's key beside it, and
-//! the same call decodes the column from the keys ([`ColumnFrom`]). String
-//! bytes cannot be sized per range ahead
-//! of time (a run file is read once), so each VARCHAR column of a piece
-//! grows a range-local buffer, checked as UTF-8 where it was filled
-//! ([`ChunkPiece::finish`]), and [`ChunkBuilder::finish`] appends the later
-//! pieces' buffers to the first's with one byte copy each; validity masks
-//! are range-local too and are spliced at the range boundaries, wherever
-//! in a word those fall.
+//! range: disjoint `split_at_mut` slices of every column, so any number of
+//! threads can fill their ranges at once. A VARCHAR column is sized and cut
+//! the same way: its caller says how many bytes of strings each range
+//! holds, so every piece gets its rows' offsets and its strings' bytes and
+//! writes absolute offsets into them; a record whose strings do not fit
+//! its slice, or a piece that leaves part of it unfilled, is an error, not
+//! a regrown buffer. A piece takes rows in two steps because their bytes
+//! live in two places. A row's strings are copied out of their heaps when
+//! the row is named ([`ChunkPiece::push_strings`]) — for a record of a
+//! spilled run that heap is a block buffer the next record may replace —
+//! while its fixed-width values wait, staged by the caller with up to
+//! [`BATCH_ROWS`] others, for one typed pass per column over rows that are
+//! still in L1 ([`ChunkPiece::gather_keyed`]). A column the sort's key
+//! gives back is not in the rows at all: the caller stages each row's key
+//! beside it, and the same call decodes the column from the keys
+//! ([`ColumnFrom`]). Each piece checks its own strings as UTF-8 where it
+//! filled them ([`ChunkPiece::finish`]), and [`ChunkBuilder::finish`] only
+//! splices the range-local validity masks at the range boundaries,
+//! wherever in a word those fall.
 
-use crate::block::{heap_offset, read_array, HEAP_OVERFLOW};
+use crate::block::{heap_offset, read_array, Heaps, HEAP_OVERFLOW};
 use crate::layout::RowLayout;
 use rowsort_normkey::{KeyDecoder, KeyValue, BAD_KEY_MARKER};
 use rowsort_vector::{DataChunk, LogicalType, StringVec, Validity, Vector, VectorData};
@@ -50,6 +51,12 @@ pub const BAD_STRING_SLOT: &str = "string slot reaches outside its heap";
 /// A rank-coded key column's code that names no string of its dictionary.
 pub const BAD_RANK: &str = "key rank past its dictionary";
 
+/// A range's strings run past the bytes its piece was given for them.
+pub const STRINGS_OVERRUN: &str = "strings overrun their range's bytes";
+
+/// A range's strings end before the bytes its piece was given for them.
+pub const STRINGS_SHORT: &str = "strings fall short of their range's bytes";
+
 /// The strings a rank-coded key column's ranks name: rank `r` is string
 /// `rows[r]` of `strings`.
 #[derive(Debug, Clone, Copy)]
@@ -74,11 +81,39 @@ pub enum ColumnFrom<'a> {
     },
 }
 
+impl ColumnFrom<'_> {
+    /// Bytes of the string a VARCHAR column decoded from the key `key`
+    /// holds (0 for a NULL): what the column takes of its output for that
+    /// row. A slot's column is read from the row, not here: 0.
+    pub fn string_len(&self, key: &[u8]) -> Result<usize, &'static str> {
+        let ColumnFrom::Key {
+            decoder,
+            at,
+            ranked,
+        } = *self
+        else {
+            return Ok(0);
+        };
+        let Some(dict) = ranked else {
+            let key = key.get(at..).ok_or(BAD_KEY_MARKER)?;
+            return Ok(decoder.stored_string(key)?.map_or(0, <[u8]>::len));
+        };
+        let mut len = Ok(0);
+        decoder.ordinals(key, (0, at), 1, |_, rank| {
+            if let Some(rank) = rank {
+                let row = usize::try_from(rank).ok().and_then(|r| dict.rows.get(r));
+                len = row.map(|&row| dict.strings.byte_len(row as usize)).ok_or(BAD_RANK);
+            }
+        });
+        len
+    }
+}
+
 /// Where a piece's column comes from, as the piece reads it.
 #[derive(Debug, Clone, Copy)]
 enum From<'a> {
-    /// The offsets of the value slot and the NULL flag in a row.
-    Row(usize, usize),
+    /// The row slot, and the offsets of its value and NULL flag in a row.
+    Row(usize, usize, usize),
     Key(KeyDecoder, usize, Option<RankedStrings<'a>>),
 }
 
@@ -135,24 +170,26 @@ fn fill<T: Slot>(
 
 /// A VARCHAR key column's pass over a batch: each of the `n` keys in
 /// `keys` — `place` is their stride and the column's offset in each —
-/// decoded by `decoder` onto the column's `offsets` and `bytes`, a
-/// rank-coded one's through the strings its ranks name, a NULL as an empty
-/// string with its flag in `validity` (row `at + i` of the piece).
+/// decoded by `decoder` into the column's share of the piece, `strings`
+/// (rows `at..` of it), a rank-coded one's through the strings its ranks
+/// name, a NULL as an empty string with its flag in `validity`.
 fn unkey_strings(
     (keys, place, n): (&[u8], (usize, usize), usize),
     (decoder, ranked): (KeyDecoder, Option<RankedStrings<'_>>),
-    (offsets, bytes): (&mut Vec<u32>, &mut Vec<u8>),
+    strings: &mut StringCol<'_>,
     validity: &mut Validity,
     at: usize,
 ) -> Result<(), &'static str> {
     let (stride, off) = place;
     let Some(dict) = ranked else {
+        let desc = decoder.is_desc();
         for i in 0..n {
             let key = keys.get(i * stride + off..).ok_or(BAD_KEY_MARKER)?;
-            if !decoder.string_into(key, bytes)? {
-                validity.set_invalid(at + i);
+            match decoder.stored_string(key)? {
+                Some(stored) => strings.put(stored, desc)?,
+                None => validity.set_invalid(at + i),
             }
-            offsets.push(heap_offset(bytes.len() as u64).ok_or(HEAP_OVERFLOW)?);
+            strings.end_row(at + i);
         }
         return Ok(());
     };
@@ -160,13 +197,14 @@ fn unkey_strings(
     decoder.ordinals(keys, place, n, |i, rank| {
         match rank.map(|rank| usize::try_from(rank).ok().and_then(|r| dict.rows.get(r))) {
             None => validity.set_invalid(at + i),
-            Some(Some(&row)) => bytes.extend_from_slice(dict.strings.get_bytes(row as usize)),
+            Some(Some(&row)) => {
+                if let Err(e) = strings.put(dict.strings.get_bytes(row as usize), false) {
+                    failed = Some(e);
+                }
+            }
             Some(None) => failed = Some(BAD_RANK),
         }
-        match heap_offset(bytes.len() as u64) {
-            Some(end) => offsets.push(end),
-            None => failed = Some(HEAP_OVERFLOW),
-        }
+        strings.end_row(at + i);
     });
     failed.map_or(Ok(()), Err)
 }
@@ -201,12 +239,12 @@ macro_rules! values {
             $($kind(&'a mut [$t]),)*
         }
 
-        /// `rows` placeholder values of `ty` (VARCHAR: none, its pieces
-        /// bring their own strings).
+        /// `rows` placeholder values of `ty` (VARCHAR: an empty
+        /// placeholder, whose parts [`ChunkBuilder::pieces_from`] sizes).
         fn presized(ty: LogicalType, rows: usize) -> VectorData {
             match ty {
                 $($(LogicalType::$variant => VectorData::$variant(vec![$zero; rows]),)+)*
-                LogicalType::Varchar => VectorData::Varchar(StringVec::new()),
+                LogicalType::Varchar => VectorData::Varchar(StringVec::default()),
             }
         }
 
@@ -293,21 +331,65 @@ enum Into<'a> {
     Strings(usize),
 }
 
-/// A VARCHAR column's share of a piece: range-local offsets and bytes,
-/// filled row by row from the slot at `slot` ([`ChunkPiece::push_strings`])
-/// or, `keyed`, a batch at a time from the keys ([`Pass`]). Kept at 72
-/// bytes, so the tail's list of strings reuses the piece's list in place.
-struct StringCol {
+/// A VARCHAR column's share of a piece: the ends of its rows' strings, and
+/// the bytes they fill, `base` bytes into the column. Filled row by row
+/// from the row slot `slot` ([`ChunkPiece::push_strings`]) or, `keyed`, a
+/// batch at a time from the keys ([`Pass`]).
+struct StringCol<'a> {
     col: u32,
     keyed: bool,
-    slot: (usize, usize),
-    offsets: Vec<u32>,
-    bytes: Vec<u8>,
+    /// The row slot, and the offsets of its value and NULL flag in a row.
+    slot: (usize, usize, usize),
+    offsets: &'a mut [u32],
+    bytes: &'a mut [u8],
+    base: u32,
+    /// Bytes written so far.
+    filled: usize,
+}
+
+impl StringCol<'_> {
+    /// Append `string` to the piece's bytes, each byte inverted if
+    /// `invert`: [`STRINGS_OVERRUN`] past the piece's share.
+    #[inline]
+    fn put(&mut self, string: &[u8], invert: bool) -> Result<(), &'static str> {
+        let end = self.filled + string.len();
+        let to = self.bytes.get_mut(self.filled..end).ok_or(STRINGS_OVERRUN)?;
+        if invert {
+            for (to, &b) in to.iter_mut().zip(string) {
+                *to = !b;
+            }
+        } else {
+            to.copy_from_slice(string);
+        }
+        self.filled = end;
+        Ok(())
+    }
+
+    /// End row `row` of the piece where the bytes written so far end: an
+    /// absolute offset, within the column's 4 GiB by construction.
+    #[inline]
+    fn end_row(&mut self, row: usize) {
+        self.offsets[row] = self.base + self.filled as u32;
+    }
+
+    /// Whether the piece's strings are UTF-8, each on its own: the bytes
+    /// as a whole, and every string boundary on a character's.
+    fn is_utf8(&self) -> bool {
+        let Ok(text) = std::str::from_utf8(self.bytes) else {
+            return false;
+        };
+        let start = self.base;
+        let mut ends = self.offsets.iter();
+        ends.all(|&end| text.is_char_boundary(end.wrapping_sub(start) as usize))
+    }
 }
 
 /// The output columns of an NSM → DSM conversion, sized before it starts.
 pub struct ChunkBuilder {
     columns: Vec<VectorData>,
+    /// Each VARCHAR column's offsets and bytes, in column order, sized
+    /// when the columns are cut into pieces.
+    strings: Vec<(Vec<u32>, Vec<u8>)>,
     rows: usize,
 }
 
@@ -322,37 +404,44 @@ pub struct ChunkPiece<'a> {
     taken: usize,
     gathered: usize,
     passes: Vec<Pass<'a>>,
-    strings: Vec<StringCol>,
+    strings: Vec<StringCol<'a>>,
     /// One mask per column, over this piece's rows.
     validity: Vec<Validity>,
 }
 
-/// What a filled piece leaves to be joined: its masks, by column, and its
-/// VARCHAR columns' strings, in column order.
+/// What a filled piece leaves to be joined: its masks, by column, and
+/// whether every string it wrote was checked UTF-8.
 pub struct PieceTail {
     validity: Vec<Validity>,
-    strings: Vec<StringVec>,
+    utf8: bool,
 }
 
 impl ChunkBuilder {
     /// Columns of `types` for `rows` rows.
     pub fn new(types: &[LogicalType], rows: usize) -> ChunkBuilder {
         let columns = types.iter().map(|&ty| presized(ty, rows)).collect();
-        ChunkBuilder { columns, rows }
+        let varchars = types.iter().filter(|&&ty| ty == LogicalType::Varchar);
+        let strings = varchars.map(|_| (Vec::new(), Vec::new())).collect();
+        ChunkBuilder {
+            columns,
+            strings,
+            rows,
+        }
     }
 
-    /// Cut the columns into consecutive pieces of `rows` rows each, which
-    /// must add up to the builder's, each gathering column `c` from slot
-    /// `c` of `layout`'s rows. `string_bytes(col)` is what VARCHAR column
-    /// `col` is expected to hold over all rows: a piece reserves its share
-    /// of it and grows past it if it must.
+    /// Cut the columns into `parts` consecutive pieces, piece `p` of
+    /// `rows(p)` rows — which must add up to the builder's — each
+    /// gathering column `c` from slot `c` of `layout`'s rows. `bytes(p, v)`
+    /// is what the `v`-th VARCHAR column holds in piece `p`'s rows: each
+    /// such column is sized once to the sum, and each piece writes exactly
+    /// its share. [`HEAP_OVERFLOW`] if a column would pass 4 GiB.
     pub fn pieces<'a>(
         &'a mut self,
         layout: &RowLayout,
-        rows: impl IntoIterator<Item = usize>,
-        string_bytes: impl Fn(usize) -> usize,
-    ) -> Vec<ChunkPiece<'a>> {
-        self.pieces_from(layout, ColumnFrom::Slot, 0, rows, string_bytes)
+        (parts, rows): (usize, impl Fn(usize) -> usize),
+        bytes: impl Fn(usize, usize) -> usize,
+    ) -> Result<Vec<ChunkPiece<'a>>, &'static str> {
+        self.pieces_from(layout, ColumnFrom::Slot, 0, (parts, rows), bytes)
     }
 
     /// [`ChunkBuilder::pieces`], column `c` taken from `from(c)`: a slot of
@@ -364,91 +453,96 @@ impl ChunkBuilder {
         layout: &RowLayout,
         from: impl Fn(usize) -> ColumnFrom<'a>,
         key_width: usize,
-        rows: impl IntoIterator<Item = usize>,
-        string_bytes: impl Fn(usize) -> usize,
-    ) -> Vec<ChunkPiece<'a>> {
+        (parts, rows): (usize, impl Fn(usize) -> usize),
+        bytes: impl Fn(usize, usize) -> usize,
+    ) -> Result<Vec<ChunkPiece<'a>>, &'static str> {
         let total = self.rows;
         let from = |col: usize| match from(col) {
-            ColumnFrom::Slot(s) => From::Row(layout.offset(s), layout.null_offset(s)),
+            ColumnFrom::Slot(s) => From::Row(s, layout.offset(s), layout.null_offset(s)),
             ColumnFrom::Key {
                 decoder,
                 at,
                 ranked,
             } => From::Key(decoder, at, ranked),
         };
-        let mut rest: Vec<Option<Values<'a>>> =
-            self.columns.iter_mut().map(Values::whole).collect();
-        let pieces: Vec<ChunkPiece<'a>> = rows
-            .into_iter()
-            .enumerate()
-            .map(|(p, n)| {
-                let first = p == 0;
-                let mut piece = ChunkPiece {
-                    width: layout.width(),
-                    key_width,
-                    rows: n,
-                    taken: 0,
-                    gathered: 0,
-                    passes: Vec::new(),
-                    strings: Vec::new(),
-                    validity: vec![Validity::new_valid(n); rest.len()],
-                };
-                for (col, values) in rest.iter_mut().enumerate() {
-                    let from = from(col);
-                    match values {
-                        Some(values) => piece.passes.push(Pass {
-                            col,
-                            from,
-                            into: Into::Values(values.split_front(n)),
-                        }),
-                        None => {
-                            // The first piece's buffers are the column's
-                            // in the end ([`join_strings`]): they take the
-                            // whole expectation, exact for a lone piece.
-                            // A later range's strings may run longer than
-                            // the column's average.
-                            let hint = string_bytes(col);
-                            let (strings, bytes) = if first {
-                                (total, hint)
-                            } else {
-                                let even =
-                                    (hint as u128 * n as u128 / total.max(1) as u128) as usize;
-                                (n, even + even / 16)
-                            };
-                            let mut offsets = Vec::with_capacity(strings + 1);
-                            offsets.push(0);
-                            let (keyed, slot) = match from {
-                                From::Row(slot, null) => (false, (slot, null)),
-                                From::Key(..) => {
-                                    let into = Into::Strings(piece.strings.len());
-                                    piece.passes.push(Pass { col, from, into });
-                                    (true, (0, 0))
-                                }
-                            };
-                            piece.strings.push(StringCol {
-                                col: col as u32,
-                                keyed,
-                                slot,
-                                offsets,
-                                bytes: Vec::with_capacity(bytes),
-                            });
-                        }
-                    }
-                }
-                piece
-            })
+        // Each VARCHAR column's bytes per piece, then the column sized to
+        // their sum and cut after its first offset, which stays 0.
+        let shares: Vec<usize> = (0..parts)
+            .flat_map(|p| (0..self.strings.len()).map(move |v| (p, v)))
+            .map(|(p, v)| bytes(p, v))
             .collect();
-        assert_eq!(
-            pieces.iter().map(|p| p.rows).sum::<usize>(),
-            total,
-            "pieces must cover the builder's rows"
-        );
-        pieces
+        let nv = self.strings.len();
+        let mut rest = Vec::with_capacity(nv);
+        for (v, (offsets, column)) in self.strings.iter_mut().enumerate() {
+            let sum: usize = shares.iter().skip(v).step_by(nv).sum();
+            heap_offset(sum as u64).ok_or(HEAP_OVERFLOW)?;
+            *offsets = vec![0; total + 1];
+            *column = vec![0; sum];
+            rest.push((&mut offsets[1..], column.as_mut_slice(), 0u32));
+        }
+        let mut values: Vec<Option<Values<'a>>> =
+            self.columns.iter_mut().map(Values::whole).collect();
+        let mut pieces = Vec::with_capacity(parts);
+        let mut covered = 0;
+        for p in 0..parts {
+            let n = rows(p);
+            covered += n;
+            let mut piece = ChunkPiece {
+                width: layout.width(),
+                key_width,
+                rows: n,
+                taken: 0,
+                gathered: 0,
+                passes: Vec::new(),
+                strings: Vec::new(),
+                validity: vec![Validity::new_valid(n); values.len()],
+            };
+            for (col, values) in values.iter_mut().enumerate() {
+                let from = from(col);
+                let Some(values) = values else {
+                    let v = piece.strings.len();
+                    let (offsets, column, base) = &mut rest[v];
+                    let share = shares[p * nv + v];
+                    let (these, later) = std::mem::take(offsets).split_at_mut(n);
+                    let (bytes, after) = std::mem::take(column).split_at_mut(share);
+                    let start = *base;
+                    (*offsets, *column, *base) = (later, after, start + share as u32);
+                    let (keyed, slot) = match from {
+                        From::Row(s, slot, null) => (false, (s, slot, null)),
+                        From::Key(..) => {
+                            let into = Into::Strings(v);
+                            piece.passes.push(Pass { col, from, into });
+                            (true, (0, 0, 0))
+                        }
+                    };
+                    piece.strings.push(StringCol {
+                        col: col as u32,
+                        keyed,
+                        slot,
+                        offsets: these,
+                        bytes,
+                        base: start,
+                        filled: 0,
+                    });
+                    continue;
+                };
+                piece.passes.push(Pass {
+                    col,
+                    from,
+                    into: Into::Values(values.split_front(n)),
+                });
+            }
+            pieces.push(piece);
+        }
+        assert_eq!(covered, total, "pieces must cover the builder's rows");
+        Ok(pieces)
     }
 
     /// Join the filled pieces' tails, in piece order, into the chunk: one
-    /// byte copy per VARCHAR piece after the first, one splice per mask. A
-    /// lone piece's strings and masks are the columns' as they are.
+    /// splice per mask, and each VARCHAR column's parts, as the pieces
+    /// filled and checked them, made a column. A piece whose strings were
+    /// not UTF-8 (rows from [`crate::RowBlock::from_raw_parts`] may carry
+    /// any bytes) has its columns read lossily, string by string.
     #[expect(
         clippy::expect_used,
         reason = "every piece was filled to its row count (`ChunkPiece::finish` asserts it) and \
@@ -456,11 +550,10 @@ impl ChunkBuilder {
                   and so is every column"
     )]
     pub fn finish(self, tails: Vec<PieceTail>) -> DataChunk {
-        let (mut masks, mut strings): (Vec<_>, Vec<_>) = tails
-            .into_iter()
-            .map(|t| (t.validity.into_iter(), t.strings.into_iter()))
-            .unzip();
+        let utf8 = tails.iter().all(|t| t.utf8);
+        let mut masks: Vec<_> = tails.into_iter().map(|t| t.validity.into_iter()).collect();
         let rows = self.rows;
+        let mut strings = self.strings.into_iter();
         let columns = self.columns.into_iter().map(|data| {
             let mut validity = Validity::new_valid(0);
             for piece in masks.iter_mut().filter_map(Iterator::next) {
@@ -471,33 +564,22 @@ impl ChunkBuilder {
                 }
             }
             let data = match data {
-                VectorData::Varchar(_) => VectorData::Varchar(join_strings(
-                    strings.iter_mut().filter_map(Iterator::next).collect(),
-                    rows,
-                )),
+                VectorData::Varchar(_) => {
+                    let (mut offsets, bytes) = strings.next().unwrap_or_default();
+                    // Columns never cut into pieces hold no strings.
+                    offsets.resize(rows + 1, 0);
+                    VectorData::Varchar(if utf8 {
+                        StringVec::from_checked_parts(offsets, bytes)
+                    } else {
+                        StringVec::from_parts_lossy(offsets, bytes)
+                    })
+                }
                 fixed => fixed,
             };
             Vector::from_parts(data, validity).expect("equal lengths by construction")
         });
         DataChunk::from_columns(columns.collect()).expect("equal lengths by construction")
     }
-}
-
-/// The pieces of one VARCHAR column end to end, in the first piece's
-/// buffers — which were reserved for the whole column, so the others are
-/// copied behind it and no byte of the first moves.
-fn join_strings(pieces: Vec<StringVec>, rows: usize) -> StringVec {
-    let mut pieces = pieces.into_iter();
-    let mut out = pieces.next().unwrap_or_default();
-    let rest = pieces.as_slice();
-    out.reserve(
-        rows - out.len(),
-        rest.iter().map(StringVec::total_bytes).sum(),
-    );
-    for piece in pieces {
-        out.extend_from_range(&piece, 0, piece.len());
-    }
-    out
 }
 
 impl ChunkPiece<'_> {
@@ -517,26 +599,24 @@ impl ChunkPiece<'_> {
         self.taken == self.rows
     }
 
-    /// Take the next row's strings out of `heap`, the heap `row`'s VARCHAR
-    /// slots point into. A NULL contributes an empty string and its slot
-    /// bytes are never read. `Err` says why a slot cannot be followed
-    /// ([`BAD_STRING_SLOT`], [`HEAP_OVERFLOW`]); the piece is then no
-    /// longer usable.
+    /// Take the next row's strings out of `heaps`, where `row`'s VARCHAR
+    /// slots point. A NULL contributes an empty string and its slot bytes
+    /// are never read. `Err` says why a slot cannot be followed
+    /// ([`BAD_STRING_SLOT`]) or its string has no room in the piece
+    /// ([`STRINGS_OVERRUN`]); the piece is then no longer usable.
     #[inline]
-    pub fn push_strings(&mut self, row: &[u8], heap: &[u8]) -> Result<(), &'static str> {
+    pub fn push_strings(&mut self, row: &[u8], heaps: Heaps<'_>) -> Result<(), &'static str> {
         for c in self.strings.iter_mut().filter(|c| !c.keyed) {
-            let (slot, null_at) = c.slot;
+            let (s, slot, null_at) = c.slot;
             if row[null_at] != 0 {
                 self.validity[c.col as usize].set_invalid(self.taken);
             } else {
                 let off = u32::from_le_bytes(read_array(row, slot)) as usize;
                 let len = u32::from_le_bytes(read_array(row, slot + 4)) as usize;
-                let string = heap.get(off..off.saturating_add(len));
-                c.bytes.extend_from_slice(string.ok_or(BAD_STRING_SLOT)?);
+                let string = heaps.of(s).get(off..off.saturating_add(len));
+                c.put(string.ok_or(BAD_STRING_SLOT)?, false)?;
             }
-            // A column past 4 GiB has no `StringVec` to go to.
-            c.offsets
-                .push(heap_offset(c.bytes.len() as u64).ok_or(HEAP_OVERFLOW)?);
+            c.end_row(self.taken);
         }
         self.taken += 1;
         Ok(())
@@ -552,8 +632,9 @@ impl ChunkPiece<'_> {
     /// yet gathered, in that order — from their `rows` and `keys`, staged
     /// back to back: one typed pass per column over the rows' slots, one
     /// decode pass per column given back by the keys. `Err` says why a key
-    /// decodes to no value of its column ([`BAD_KEY_MARKER`], [`BAD_RANK`],
-    /// [`HEAP_OVERFLOW`]); the piece is then no longer usable.
+    /// decodes to no value of its column ([`BAD_KEY_MARKER`], [`BAD_RANK`])
+    /// or its string has no room in the piece ([`STRINGS_OVERRUN`]); the
+    /// piece is then no longer usable.
     ///
     /// # Panics
     /// If that is more rows than the piece has left, or `rows` or `keys`
@@ -566,7 +647,7 @@ impl ChunkPiece<'_> {
         for pass in &mut self.passes {
             let validity = &mut self.validity[pass.col];
             match (pass.from, &mut pass.into) {
-                (From::Row(slot, null), Into::Values(values)) => {
+                (From::Row(_, slot, null), Into::Values(values)) => {
                     let rows = &rows[..n * self.width];
                     values.gather(rows, self.width, (slot, null), validity, at);
                 }
@@ -578,13 +659,7 @@ impl ChunkPiece<'_> {
                         continue;
                     };
                     let key = (keys, (kw, off), n);
-                    unkey_strings(
-                        key,
-                        (decoder, ranked),
-                        (&mut c.offsets, &mut c.bytes),
-                        validity,
-                        at,
-                    )?;
+                    unkey_strings(key, (decoder, ranked), c, validity, at)?;
                 }
                 // A row's strings are taken when it is named.
                 (From::Row(..), Into::Strings(_)) => {}
@@ -595,25 +670,25 @@ impl ChunkPiece<'_> {
     }
 
     /// [`ChunkPiece::push_strings`] then [`ChunkPiece::gather_keyed`] for
-    /// rows that lie back to back over one `heap`, [`BATCH_ROWS`] at a
-    /// time, from a piece that decodes no key.
-    pub fn push_rows(&mut self, rows: &[u8], heap: &[u8]) -> Result<(), &'static str> {
+    /// rows that lie back to back over `heaps`, [`BATCH_ROWS`] at a time,
+    /// from a piece that decodes no key.
+    pub fn push_rows(&mut self, rows: &[u8], heaps: Heaps<'_>) -> Result<(), &'static str> {
         for batch in rows.chunks(BATCH_ROWS * self.width.max(1)) {
             for row in batch.chunks_exact(self.width) {
-                self.push_strings(row, heap)?;
+                self.push_strings(row, heaps)?;
             }
             self.gather_keyed(batch, &[], batch.len() / self.width)?;
         }
         Ok(())
     }
 
-    /// Close a filled piece: its VARCHAR columns are checked as UTF-8 here,
-    /// on the thread that filled them — one pass per column, and string by
-    /// string with replacement characters where that fails.
+    /// Close a filled piece: its VARCHAR columns must have filled their
+    /// share exactly ([`STRINGS_SHORT`] otherwise), and are checked as
+    /// UTF-8 here, on the thread that filled them — one pass per column.
     ///
     /// # Panics
     /// If the piece is not full.
-    pub fn finish(self) -> PieceTail {
+    pub fn finish(self) -> Result<PieceTail, &'static str> {
         assert!(
             self.taken == self.rows && self.gathered == self.rows,
             "piece of {} rows closed at {} / {}",
@@ -621,11 +696,13 @@ impl ChunkPiece<'_> {
             self.taken,
             self.gathered
         );
-        let lossy = |c: StringCol| StringVec::from_parts_lossy(c.offsets, c.bytes);
-        PieceTail {
-            validity: self.validity,
-            strings: self.strings.into_iter().map(lossy).collect(),
+        if self.strings.iter().any(|c| c.filled != c.bytes.len()) {
+            return Err(STRINGS_SHORT);
         }
+        Ok(PieceTail {
+            utf8: self.strings.iter().all(StringCol::is_utf8),
+            validity: self.validity,
+        })
     }
 }
 
@@ -675,20 +752,33 @@ mod tests {
         (chunk, block)
     }
 
+    /// The bytes of the `v`-th VARCHAR column's strings in rows `rows` of
+    /// `block`.
+    fn strings_in(block: &RowBlock, rows: std::ops::Range<usize>, v: usize) -> usize {
+        let types = block.layout().types().iter().enumerate();
+        let mut varchars = types.filter(|(_, &ty)| ty == LogicalType::Varchar);
+        let (col, _) = varchars.nth(v).unwrap();
+        let valid = rows.filter(|&r| !block.is_null(r, col));
+        valid.map(|r| block.string_bytes(r, col).len()).sum()
+    }
+
     /// `block` gathered through pieces of `counts` rows.
     fn in_pieces(block: &RowBlock, counts: &[usize]) -> DataChunk {
         let layout = block.layout();
         let mut builder = ChunkBuilder::new(layout.types(), block.len());
-        let pieces = builder.pieces(layout, counts.iter().copied(), |_| block.heap().len());
+        let start = |p: usize| counts[..p].iter().sum::<usize>();
+        let bytes = |p, v| strings_in(block, start(p)..start(p + 1), v);
+        let shape = (counts.len(), |p: usize| counts[p]);
+        let pieces = builder.pieces(layout, shape, bytes).unwrap();
         let mut at = 0;
         let mut tails = Vec::new();
         for mut piece in pieces {
             let bytes = &block.data()[at * layout.width()..][..piece.rows() * layout.width()];
             assert!(!piece.is_full() || piece.rows() == 0);
-            piece.push_rows(bytes, block.heap()).unwrap();
+            piece.push_rows(bytes, Heaps::One(block.heap())).unwrap();
             assert!(piece.is_full());
             at += piece.rows();
-            tails.push(piece.finish());
+            tails.push(piece.finish().unwrap());
         }
         builder.finish(tails)
     }
@@ -730,14 +820,40 @@ mod tests {
     fn a_slot_outside_its_heap_is_an_error_not_a_read() {
         let layout = RowLayout::new(&[LogicalType::Varchar]);
         let mut builder = ChunkBuilder::new(layout.types(), 1);
-        let mut pieces = builder.pieces(&layout, [1], |_| 0);
+        let mut pieces = builder.pieces(&layout, (1, |_| 1), |_, _| 0).unwrap();
         let mut row = vec![0u8; layout.width()];
         row[layout.offset(0)..][..4].copy_from_slice(&3u32.to_le_bytes());
         row[layout.offset(0) + 4..][..4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(
-            pieces[0].push_strings(&row, b"abcdef"),
+            pieces[0].push_strings(&row, Heaps::One(b"abcdef")),
             Err(BAD_STRING_SLOT)
         );
+    }
+
+    #[test]
+    fn strings_that_overrun_their_slice_are_an_error_not_a_write() {
+        // Two pieces of one row each, given 2 and 3 bytes: a first row of
+        // 3 bytes would write into the second piece's slice, and a row of
+        // 2 where 3 were given leaves the slice short.
+        let layout = RowLayout::new(&[LogicalType::Varchar]);
+        let row = |off: u32, len: u32| {
+            let mut row = vec![0u8; layout.width()];
+            row[layout.offset(0)..][..4].copy_from_slice(&off.to_le_bytes());
+            row[layout.offset(0) + 4..][..4].copy_from_slice(&len.to_le_bytes());
+            row
+        };
+        let mut builder = ChunkBuilder::new(layout.types(), 2);
+        let shares = [2, 3];
+        let mut pieces = builder.pieces(&layout, (2, |_| 1), |p, _| shares[p]).unwrap();
+        let heap = Heaps::One(b"abcdef");
+        assert_eq!(pieces[0].push_strings(&row(0, 3), heap), Err(STRINGS_OVERRUN));
+        assert_eq!(pieces[1].push_strings(&row(0, 2), heap), Ok(()));
+        pieces[1].gather_keyed(&row(0, 2), &[], 1).unwrap();
+        assert_eq!(pieces.pop().unwrap().finish().err(), Some(STRINGS_SHORT));
+        // A column past 4 GiB is cut into no pieces.
+        let mut builder = ChunkBuilder::new(layout.types(), 2);
+        let huge = |_, _| u32::MAX as usize;
+        assert_eq!(builder.pieces(&layout, (2, |_| 1), huge).err(), Some(HEAP_OVERFLOW));
     }
 
     #[test]
@@ -745,8 +861,8 @@ mod tests {
     fn an_unfilled_piece_does_not_close() {
         let layout = RowLayout::new(&[LogicalType::Int32]);
         let mut builder = ChunkBuilder::new(layout.types(), 2);
-        let piece = builder.pieces(&layout, [2], |_| 0).pop().unwrap();
-        piece.finish();
+        let mut pieces = builder.pieces(&layout, (1, |_| 2), |_, _| 0).unwrap();
+        assert!(pieces.pop().unwrap().finish().is_err());
     }
 
     #[test]
@@ -815,13 +931,16 @@ mod tests {
                 },
             };
             let tail = {
-                let mut pieces = builder.pieces_from(&layout, from, kw, [values.len()], |_| 0);
+                // "ab" and "", then "berry", "apple" and "berry".
+                let shape = (1, |_| values.len());
+                let strings = |_, v: usize| [2, 15][v];
+                let mut pieces = builder.pieces_from(&layout, from, kw, shape, strings)?;
                 let mut piece = pieces.pop().unwrap();
                 for row in rows.chunks_exact(layout.width()) {
-                    piece.push_strings(row, &[]).unwrap();
+                    piece.push_strings(row, Heaps::One(&[])).unwrap();
                 }
                 piece.gather_keyed(&rows, keys, values.len())?;
-                piece.finish()
+                piece.finish()?
             };
             Ok::<_, &str>(builder.finish(vec![tail]))
         };

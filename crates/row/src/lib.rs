@@ -34,10 +34,10 @@ pub mod convert;
 pub mod gather;
 pub mod layout;
 
-pub use block::{heap_offset, reorder_heap, reorder_rows, RowBlock, HEAP_OVERFLOW};
+pub use block::{heap_offset, reorder_heap, reorder_rows, Heaps, RowBlock, HEAP_OVERFLOW};
 pub use convert::{gather, scatter};
 pub use gather::{
     ChunkBuilder, ChunkPiece, ColumnFrom, PieceTail, RankedStrings, BAD_RANK, BAD_STRING_SLOT,
-    BATCH_ROWS,
+    BATCH_ROWS, STRINGS_OVERRUN, STRINGS_SHORT,
 };
 pub use layout::{RowAlignment, RowLayout};

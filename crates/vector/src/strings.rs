@@ -71,6 +71,18 @@ impl StringVec {
         offsets.windows(2).map(lossy).collect()
     }
 
+    /// Assemble a column from parts whose every range was already checked
+    /// the way [`StringVec::from_parts_lossy`] checks the whole: `offsets`
+    /// starts at 0, never decreases and ends at `bytes.len()`, and the
+    /// bytes between any two of them are UTF-8. A column built from pieces
+    /// checked on the threads that filled them takes this, instead of a
+    /// second pass over every byte. Parts that are not so are the caller's
+    /// bug: [`StringVec::get`] panics on a string that is not UTF-8.
+    pub fn from_checked_parts(offsets: Vec<u32>, bytes: Vec<u8>) -> StringVec {
+        debug_assert!(well_formed(&offsets, &bytes), "parts not checked");
+        StringVec { offsets, bytes }
+    }
+
     /// Make room for `rows` more strings holding `bytes` bytes in all.
     pub fn reserve(&mut self, rows: usize, bytes: usize) {
         self.offsets.reserve(rows);
@@ -129,6 +141,12 @@ impl StringVec {
     /// Iterate over all strings in order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
         (0..self.len()).map(move |i| self.get(i))
+    }
+
+    /// The bytes of every string, end to end: string `i` is
+    /// `bytes()[o[i]..o[i + 1]]` for the column's offsets `o`.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
     }
 
     /// Total payload bytes stored.

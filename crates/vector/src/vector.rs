@@ -188,6 +188,35 @@ impl Vector {
         }
     }
 
+    /// Bytes of the non-NULL strings among rows `lo..hi` of a VARCHAR
+    /// column (0 for any other type): the range's bytes less those a NULL
+    /// row holds, found from the validity words, so an all-valid column
+    /// costs one subtraction.
+    ///
+    /// # Panics
+    /// If `lo..hi` is not a valid row range.
+    pub fn valid_string_bytes(&self, lo: usize, hi: usize) -> usize {
+        let Some(strings) = self.as_strings() else {
+            return 0;
+        };
+        let all = strings.range_bytes(lo, hi);
+        let Some(words) = self.validity().words() else {
+            return all;
+        };
+        let mut nulls = 0;
+        for (w, &word) in words.iter().enumerate().take(hi.div_ceil(64)).skip(lo / 64) {
+            let mut invalid = !word;
+            while invalid != 0 {
+                let r = w * 64 + invalid.trailing_zeros() as usize;
+                invalid &= invalid - 1;
+                if (lo..hi).contains(&r) {
+                    nulls += strings.byte_len(r);
+                }
+            }
+        }
+        all - nulls
+    }
+
     /// Build an all-valid VARCHAR vector.
     pub fn from_strings<S: AsRef<str>>(values: impl IntoIterator<Item = S>) -> Vector {
         let sv: StringVec = values.into_iter().collect();
