@@ -165,9 +165,9 @@ fn lsd_with_scratch<P: Probe>(
             }
             let byte = key_offset + rel;
             if in_aux {
-                scatter_pass(aux, data, width, byte, 0, n, counts, probe);
+                scatter_pass(aux, data, width, byte, (0, n), (counts, (0, 255)), probe);
             } else {
-                scatter_pass(data, aux, width, byte, 0, n, counts, probe);
+                scatter_pass(data, aux, width, byte, (0, n), (counts, (0, 255)), probe);
             }
             in_aux = !in_aux;
             passes += 1;
@@ -217,29 +217,53 @@ fn msd_with_scratch<P: Probe>(
     msd_rec(data, scratch, width, key_offset, key_end, 0, n, probe)
 }
 
+/// A histogram bucket's count: `usize` for LSD's whole-run passes, `u32`
+/// for MSD's buckets — a run's rows are `u32` row ids, so a bucket holds
+/// fewer than 2³² of them, and a histogram of four fused bytes is then
+/// 4 KiB to zero, not 8.
+trait Count: Copy {
+    fn rows(self) -> usize;
+}
+
+impl Count for usize {
+    #[inline]
+    fn rows(self) -> usize {
+        self
+    }
+}
+
+impl Count for u32 {
+    #[inline]
+    fn rows(self) -> usize {
+        self as usize
+    }
+}
+
 /// One stable counting-scatter of rows `start..end` from `src` into `dst`
 /// by the byte at `byte`, each row moved by [`copy_row`] (key entries are
 /// 5–41 bytes, where a `memcpy` call per row costs more than the copy).
+/// Every row's byte lies in `seen` (lowest, highest): the bucket starts
+/// are summed over that span only.
 #[expect(
     clippy::too_many_arguments,
     reason = "one pass over one bucket: the buffers, its bounds and counts, and the probe"
 )]
-fn scatter_pass<P: Probe>(
+fn scatter_pass<P: Probe, C: Count>(
     src: &[u8],
     dst: &mut [u8],
     width: usize,
     byte: usize,
-    start: usize,
-    end: usize,
-    counts: &[usize; 256],
+    (start, end): (usize, usize),
+    (counts, seen): (&[C; 256], (u8, u8)),
     probe: &P,
 ) {
     let mut offsets = [0usize; 256];
     probe.buffer(&offsets);
     let mut sum = start;
-    for (o, &c) in offsets.iter_mut().zip(counts.iter()) {
+    let span = usize::from(seen.0)..=usize::from(seen.1);
+    for (o, &c) in offsets[span.clone()].iter_mut().zip(&counts[span]) {
         *o = sum;
-        sum += c;
+        sum += c.rows();
     }
     let rows = src[start * width..end * width].chunks_exact(width);
     for (r, row) in (start..end).zip(rows) {
@@ -281,41 +305,40 @@ fn msd_rec<P: Probe>(
     }
 
     // Fused counting: histogram up to MSD_FUSE_BYTES successive bytes in
-    // one sweep, then advance past the all-equal ones (common-prefix skip:
-    // no copying — and, fused, no re-scanning per skipped byte).
-    let counts = loop {
+    // one sweep, each byte's lowest and highest value beside it, then
+    // advance past the all-equal ones (common-prefix skip: no copying —
+    // and, fused, no re-scanning per skipped byte). A bucket of tens of
+    // rows touches a few of 256 counters: every walk below spans only the
+    // values seen, not all 256.
+    let (counts, seen) = loop {
         if byte >= key_end {
             return 0; // keys exhausted: bucket fully equal
         }
         let fuse = MSD_FUSE_BYTES.min(key_end - byte);
-        let mut multi = [[0usize; 256]; MSD_FUSE_BYTES];
+        let mut multi = [[0u32; 256]; MSD_FUSE_BYTES];
+        let mut seen = [(u8::MAX, 0u8); MSD_FUSE_BYTES];
         probe.buffer(&multi);
         for r in start..end {
             let at = r * width + byte;
             let bytes = &data[at..at + fuse];
             probe.read(data, at, fuse);
-            for (counts, &b) in multi.iter_mut().zip(bytes.iter()) {
+            for ((counts, seen), &b) in multi.iter_mut().zip(&mut seen).zip(bytes.iter()) {
                 probe.write(counts, b as usize, 1);
                 counts[b as usize] += 1;
+                *seen = (seen.0.min(b), seen.1.max(b));
             }
         }
-        match multi.iter().take(fuse).position(|c| !c.contains(&n)) {
+        match seen.iter().take(fuse).position(|&(lo, hi)| lo != hi) {
             Some(k) => {
                 byte += k;
-                break multi[k];
+                break (multi[k], seen[k]);
             }
             None => byte += fuse,
         }
     };
 
     // Scatter into aux by the distinguishing byte, stable, then copy back.
-    let mut bucket_starts = [0usize; 256];
-    let mut sum = start;
-    for (o, &c) in bucket_starts.iter_mut().zip(counts.iter()) {
-        *o = sum;
-        sum += c;
-    }
-    scatter_pass(data, aux, width, byte, start, end, &counts, probe);
+    scatter_pass(data, aux, width, byte, (start, end), (&counts, seen), probe);
     probe.read(aux, start * width, n * width);
     probe.write(data, start * width, n * width);
     data[start * width..end * width].copy_from_slice(&aux[start * width..end * width]);
@@ -323,11 +346,13 @@ fn msd_rec<P: Probe>(
 
     // Recurse into each non-trivial bucket on the next byte.
     if byte + 1 < key_end {
-        for (b, &bs) in bucket_starts.iter().enumerate() {
-            let be = bs + counts[b];
+        let mut bs = start;
+        for &count in &counts[usize::from(seen.0)..=usize::from(seen.1)] {
+            let be = bs + count as usize;
             if be - bs > 1 {
                 passes += msd_rec(data, aux, width, byte + 1, key_end, bs, be, probe);
             }
+            bs = be;
         }
     }
     passes

@@ -52,7 +52,7 @@ use std::cmp::Ordering;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Seed for the block checksums ("ROWSORT!" as bytes), so they are
@@ -173,6 +173,10 @@ pub struct ExternalSorter {
     core: SorterCore,
     options: ExternalSortOptions,
     io: Arc<dyn SpillIo>,
+    /// The key plan, kept from sort to sort as the pipeline keeps its own:
+    /// a warm sort of the same shape plans no layout, row or key block
+    /// again. Concurrent sorts on one sorter serialize on it.
+    plan: Mutex<KeyPlan>,
 }
 
 /// One spilled run file. The `Drop` impl is the cleanup guarantee:
@@ -793,6 +797,7 @@ impl ExternalSorter {
             core: SorterCore::new(types, order, run_rows, options.ovc, own),
             options,
             io,
+            plan: Mutex::default(),
         }
     }
 
@@ -837,25 +842,27 @@ impl ExternalSorter {
         lent: Option<&TableStats>,
     ) -> Result<DataChunk, SpillError> {
         // The key blocks hold a run's worth of entries each: like the run
-        // buffers, they end with the spill phase, so the plan is the sort's.
-        // The merge keeps the rest of it: the key it decodes columns from,
-        // and the statistics whose dictionaries name a rank's string.
-        let mut plan = KeyPlan::default();
-        let Some(start) = self.core.begin(input, &mut plan, lent) else {
+        // buffers, they end with the spill phase. The merge keeps the rest
+        // of the plan: the key it decodes columns from, and the statistics
+        // whose dictionaries name a rank's string.
+        let mut plan = self.plan.lock().unwrap_or_else(|e| e.into_inner());
+        let plan = &mut *plan;
+        let Some(start) = self.core.begin(input, plan, lent) else {
             return Ok(DataChunk::new(&self.core.types));
         };
         let runs = {
             let _spill = self.core.metrics.time_phase(Phase::Spill);
-            self.spill(input, (&plan, plan.table(lent)))?
+            let spilled = self.spill(input, (plan, plan.table(lent)));
+            plan.release_entries();
+            spilled?
         };
-        plan.release_entries();
-        let planned = (&plan, plan.table(lent));
+        let planned = (&*plan, plan.table(lent));
         let out = self.merge_runs(&runs, planned, input).inspect_err(|err| {
             if matches!(err, SpillError::Corrupt { .. }) {
                 self.core.metrics.add(Counter::SpillChecksumFailed, 1);
             }
         })?;
-        self.core.publish(start, &plan, input.len(), "external");
+        self.core.publish(start, plan, input.len(), "external");
         Ok(out)
     }
 
@@ -872,7 +879,7 @@ impl ExternalSorter {
         input: &DataChunk,
         planned: (&KeyPlan, &TableStats),
     ) -> Result<Vec<Run>, SpillError> {
-        let rows = planned.0.rows();
+        let order = planned.0.merge_order(planned.1, input);
         let phase_pool = BufferPool::new();
         let pool = SortPool {
             pool: &phase_pool,
@@ -887,7 +894,7 @@ impl ExternalSorter {
                 let metrics = &self.core.metrics;
                 metrics.add(Counter::SpillGenerateNs, built.as_nanos() as u64);
                 let placing = Instant::now();
-                let spilled = self.spill_run(&run, rows, degraded);
+                let spilled = self.spill_run(&run, order, degraded);
                 metrics.add(Counter::SpillWriteNs, placing.elapsed().as_nanos() as u64);
                 run.recycle(pool);
                 degraded = matches!(spilled.as_ref().map(|r| &r.store), Ok(RunStore::Memory(_)));
@@ -917,9 +924,10 @@ impl ExternalSorter {
     fn encode_run(
         &self,
         run: &SortedRun,
-        rows_plan: &RowPlan,
+        order: MergeOrder<'_>,
         out: &mut dyn Write,
     ) -> io::Result<RunIndex> {
+        let rows_plan = order.rows;
         let (layout, pool) = (&rows_plan.layout, self.core.pool());
         let payload = &run.payload;
         let varlen = || rows_plan.varlen();
@@ -976,7 +984,7 @@ impl ExternalSorter {
                 .extend_from_slice(&run.keys[first * kw..(first + 1) * kw]);
             let at = index.strings.len();
             index.strings.resize(at + nv, 0);
-            run.strings_before(rows_plan, first, &mut index.strings[at..]);
+            run.strings_before(order, first, &mut index.strings[at..]);
             // Every block is written over the one before: the buffer is
             // zeroed only when a block is longer than any before it.
             let end = start + bytes + HASH_BYTES;
@@ -1018,7 +1026,7 @@ impl ExternalSorter {
         }
         let at = index.strings.len();
         index.strings.resize(at + nv, 0);
-        run.strings_before(rows_plan, run.len(), &mut index.strings[at..]);
+        run.strings_before(order, run.len(), &mut index.strings[at..]);
         pool.put_bytes(buf);
         Ok(index)
     }
@@ -1028,14 +1036,14 @@ impl ExternalSorter {
         &self,
         path: &Path,
         run: &SortedRun,
-        rows: &RowPlan,
+        order: MergeOrder<'_>,
     ) -> Result<RunIndex, SpillError> {
         let mut w = self
             .io
             .create(path)
             .map_err(|e| SpillError::io(SpillOp::Create, path, &e))?;
         let index = self
-            .encode_run(run, rows, &mut *w)
+            .encode_run(run, order, &mut *w)
             .map_err(|e| SpillError::io(SpillOp::Write, path, &e))?;
         w.flush()
             .map_err(|e| SpillError::io(SpillOp::Flush, path, &e))?;
@@ -1050,7 +1058,7 @@ impl ExternalSorter {
     fn spill_run(
         &self,
         run: &SortedRun,
-        rows: &RowPlan,
+        order: MergeOrder<'_>,
         mut degraded: bool,
     ) -> Result<Run, SpillError> {
         let metrics = &self.core.metrics;
@@ -1060,7 +1068,7 @@ impl ExternalSorter {
             if degraded {
                 metrics.add(Counter::SpillMemFallbackRuns, 1);
                 let mut bytes = Vec::new();
-                let index = self.encode_run(run, rows, &mut bytes).map_err(|e| {
+                let index = self.encode_run(run, order, &mut bytes).map_err(|e| {
                     SpillError::io(SpillOp::Write, Path::new("<in-memory run>"), &e)
                 })?;
                 break (index, RunStore::Memory(bytes));
@@ -1071,7 +1079,7 @@ impl ExternalSorter {
                 io: Arc::clone(&self.io),
                 metrics: Arc::clone(metrics),
             };
-            match self.try_write_file(&file.path, run, rows) {
+            match self.try_write_file(&file.path, run, order) {
                 Ok(index) => {
                     metrics.add(Counter::SpilledRuns, 1);
                     metrics.add(Counter::SpilledBytes, index.bytes);
@@ -1248,8 +1256,9 @@ mod tests {
 
     /// `run`, built under `plan`, encoded into memory, as the ENOSPC rung
     /// of the ladder leaves it.
-    fn memory_run(sorter: &ExternalSorter, plan: &KeyPlan, run: &SortedRun) -> Run {
-        sorter.spill_run(run, plan.rows(), true).unwrap()
+    fn memory_run(sorter: &ExternalSorter, plan: &KeyPlan, run: &SortedRun, chunk: &DataChunk) -> Run {
+        let order = plan.merge_order(plan.table(None), chunk);
+        sorter.spill_run(run, order, true).unwrap()
     }
 
     /// The encoded bytes of an in-memory run.
@@ -1393,7 +1402,7 @@ mod tests {
             )
         });
         let run = sorter
-            .spill_run(&whole_run(&sorter, &chunk), rows, false)
+            .spill_run(&whole_run(&sorter, &chunk), planned.merge_order(planned.table(None), &chunk), false)
             .unwrap();
         assert_eq!(run.row_count(), chunk.len());
 
@@ -1505,7 +1514,7 @@ mod tests {
         let width = planned.rows().layout.width();
         assert_eq!((sorted.key_width, width), (5, 8));
         assert!(sorted.ovc.is_empty(), "no code column");
-        let run = memory_run(&sorter, &planned, &sorted);
+        let run = memory_run(&sorter, &planned, &sorted, &catalog);
         let bytes = bytes_of(&run);
         assert_eq!(bytes[..HEADER_BYTES], header_bytes(false));
         let framing = HEADER_BYTES + HASH_BYTES * run.index.blocks.len();
@@ -1525,7 +1534,7 @@ mod tests {
         let width = planned.rows().layout.width();
         let code = if sorter.core.codes(kw).stored() { 8 } else { 0 };
         let fixed = kw + code + width + 4;
-        let run = memory_run(sorter, &planned, &sorted);
+        let run = memory_run(sorter, &planned, &sorted, chunk);
         let (bytes, index) = (bytes_of(&run), &run.index);
         assert_eq!(bytes.len() as u64, index.bytes);
         let mut ends: Vec<usize> = index.blocks.iter().skip(1).map(|m| m.rows_before).collect();
@@ -1953,8 +1962,8 @@ mod tests {
         let (mut lo, mut hi) = (vec![0; nv], vec![0; nv]);
         for run in runs {
             let (a, b) = span(run);
-            run.strings_before(order.rows, a, &mut lo);
-            run.strings_before(order.rows, b, &mut hi);
+            run.strings_before(*order, a, &mut lo);
+            run.strings_before(*order, b, &mut hi);
             for v in 0..nv {
                 total[v] += hi[v] - lo[v];
             }
@@ -2029,7 +2038,7 @@ mod tests {
                         .collect();
                     let encoded: Vec<Run> = sorted
                         .iter()
-                        .map(|run| memory_run(&sorter, &plan, run))
+                        .map(|run| memory_run(&sorter, &plan, run, chunk))
                         .collect();
 
                     let mut cursors: Vec<RunCursor<'_>> = encoded
@@ -2262,7 +2271,7 @@ mod tests {
                     let from_memory = kernel_merge(sorter, &order, &mut in_memory, (rows, &[]));
                     let encoded: Vec<Run> = sorted
                         .iter()
-                        .map(|run| sorter.spill_run(run, full, true).unwrap())
+                        .map(|run| sorter.spill_run(run, order, true).unwrap())
                         .collect();
                     let mut cursors: Vec<RunCursor<'_>> = encoded
                         .iter()
@@ -2723,7 +2732,7 @@ mod tests {
         );
         let sorted = whole_run(&sorter, &chunk);
         let planned = plan(&sorter, &chunk);
-        let clean = memory_run(&sorter, &planned, &sorted);
+        let clean = memory_run(&sorter, &planned, &sorted, &chunk);
         let mut bytes = bytes_of(&clean).to_vec();
         let kw = sorted.key_width;
         // Overwrite record 0's code (right after the 8-byte header and the

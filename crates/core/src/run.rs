@@ -21,8 +21,7 @@ use rowsort_normkey::{
     key_range, KeyColumn, KeyRange, NormKeyLayout, DEFAULT_MAX_PREFIX,
 };
 use rowsort_row::{
-    heap_offset, reorder_heap, reorder_rows, ChunkBuilder, ChunkPiece, Heaps, RowBlock, RowLayout,
-    HEAP_OVERFLOW,
+    reorder_heap, reorder_rows, ChunkBuilder, ChunkPiece, Heaps, RowBlock, RowLayout,
 };
 use rowsort_vector::{DataChunk, LogicalType, OrderBy, OrderByColumn, StringVec, Vector};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
@@ -53,12 +52,18 @@ pub(crate) struct SortedRun {
     /// heap.
     pub(crate) in_input: bool,
     /// What the run holds of each of the output's VARCHAR columns
-    /// ([`RowPlan::strings`]): its bytes in the whole run (a `u64` each),
-    /// then, for a run read front to back, each key-decoded one's running
-    /// end after each row (`rows` `u32`s each) — all little-endian. Empty
-    /// for a sort without VARCHAR columns.
+    /// ([`RowPlan::strings`]): its bytes in the whole run, then, for a run
+    /// read front to back, each key-decoded one's bytes before every
+    /// [`KEYED_STRIDE`]-th row — `u64`s, little-endian. Empty for a sort
+    /// without VARCHAR columns.
     pub(crate) strings: Vec<u8>,
 }
+
+/// Rows between two of a run's marks of a key-decoded VARCHAR column's
+/// bytes ([`SortedRun::strings`]): a cut inside the run decodes at most
+/// this many keys' lengths past the mark before it, and the marks cost a
+/// run of 131 072 rows 4 KiB per such column.
+const KEYED_STRIDE: usize = 256;
 
 impl SortedRun {
     pub(crate) fn len(&self) -> usize {
@@ -80,13 +85,17 @@ impl SortedRun {
     /// first row, the run's totals after the last, and in between two slot
     /// reads for a column in the rows — its strings are in run order, and
     /// a NULL's slot holds the offset its column has reached
-    /// ([`reorder_heap`]) — or one read of a key-decoded column's running
-    /// ends. Only a run read front to back is cut inside.
-    pub(crate) fn strings_before(&self, plan: &RowPlan, row: usize, out: &mut [u64]) {
+    /// ([`reorder_heap`]) — or, for a key-decoded column, the mark before
+    /// the row and the lengths the keys from there give
+    /// ([`ColumnFrom::string_len`]). Only a run read front to back is cut
+    /// inside.
+    pub(crate) fn strings_before(&self, order: MergeOrder<'_>, row: usize, out: &mut [u64]) {
+        let plan = order.rows;
         let totals = self.strings.chunks_exact(8).map(|b| u64::from_le_bytes(word(b, 0)));
-        let ends = self.strings.get(8 * plan.strings.len()..).unwrap_or_default();
+        let marks = self.strings.get(8 * plan.strings.len()..).unwrap_or_default();
+        let per_column = self.rows.div_ceil(KEYED_STRIDE);
         let mut keyed = 0;
-        for ((out, total), &(_, from)) in out.iter_mut().zip(totals).zip(&plan.strings) {
+        for ((out, total), &(c, from)) in out.iter_mut().zip(totals).zip(&plan.strings) {
             *out = if row == 0 {
                 0
             } else if row >= self.rows {
@@ -99,8 +108,13 @@ impl SortedRun {
                         u64::from(offset(row) - offset(0))
                     }
                     ColumnSource::Key(_) => {
-                        let end = (keyed * self.rows + row - 1) * 4;
-                        u64::from(u32::from_le_bytes(word(ends, end)))
+                        let mark = keyed * per_column + row / KEYED_STRIDE;
+                        let before = u64::from_le_bytes(word(marks, mark * 8));
+                        let (kw, from) = (self.key_width, order.column_from(c));
+                        let keys = self.keys[..row * kw].chunks_exact(kw.max(1));
+                        let lens = keys.skip(row / KEYED_STRIDE * KEYED_STRIDE);
+                        let lens = lens.map(|key| from.string_len(key).unwrap_or(0) as u64);
+                        before + lens.sum::<u64>()
                     }
                 }
             };
@@ -1176,8 +1190,8 @@ impl SorterCore {
         pool.put_bytes(staging_data);
         let keyed = row_plan.strings.iter();
         let keyed = keyed.filter(|(_, from)| matches!(from, ColumnSource::Key(_)));
-        let ends = if streamed { 4 * rows * keyed.count() } else { 0 };
-        let mut strings = pool.get_bytes(8 * row_plan.strings.len() + ends);
+        let marks = if streamed { rows.div_ceil(KEYED_STRIDE) * keyed.count() } else { 0 };
+        let mut strings = pool.get_bytes(8 * (row_plan.strings.len() + marks));
         for &(c, _) in &row_plan.strings {
             let total = input.column(c).valid_string_bytes(lo, hi) as u64;
             strings.extend_from_slice(&total.to_le_bytes());
@@ -1194,7 +1208,7 @@ impl SorterCore {
         };
         if streamed {
             let order = || keys.order_iter().map(|i| lo + i as usize);
-            keyed_ends(input, row_plan, order, &mut strings);
+            keyed_marks(input, row_plan, order, &mut strings);
         }
         let payload = RowBlock::from_raw_parts(Arc::clone(layout), payload_rows, heap);
         lap(Counter::RunReorderNs);
@@ -1223,12 +1237,11 @@ impl SorterCore {
     }
 }
 
-/// Append to `strings` each key-decoded VARCHAR column's running end after
-/// each row of a run whose rows are input rows `order()`, in run order
-/// ([`SortedRun::strings`]): the string bytes the column holds up to and
-/// including the row, NULLs holding none. Such a column is in no row, so
-/// a cut inside the run reads its bytes from here.
-fn keyed_ends<I: Iterator<Item = usize>>(
+/// Append to `strings` each key-decoded VARCHAR column's bytes before every
+/// [`KEYED_STRIDE`]-th row of a run whose rows are input rows `order()`, in
+/// run order ([`SortedRun::strings`]), NULLs holding none. Such a column
+/// is in no row, so a cut inside the run counts its bytes from here.
+fn keyed_marks<I: Iterator<Item = usize>>(
     input: &DataChunk,
     plan: &RowPlan,
     order: impl Fn() -> I,
@@ -1239,18 +1252,14 @@ fn keyed_ends<I: Iterator<Item = usize>>(
             continue;
         };
         let vector = input.column(c);
-        let mut end = 0u64;
-        for row in order() {
-            if vector.is_valid(row) {
-                end += column.byte_len(row) as u64;
+        let mut before = 0u64;
+        for (i, row) in order().enumerate() {
+            if i % KEYED_STRIDE == 0 {
+                strings.extend_from_slice(&before.to_le_bytes());
             }
-            #[expect(
-                clippy::expect_used,
-                reason = "a run's strings of one column are some of an input column's, which a \
-                          `StringVec` holds within 4 GiB"
-            )]
-            let end = heap_offset(end).expect(HEAP_OVERFLOW);
-            strings.extend_from_slice(&end.to_le_bytes());
+            if vector.is_valid(row) {
+                before += column.byte_len(row) as u64;
+            }
         }
     }
 }
@@ -1848,7 +1857,8 @@ mod tests {
                 assert_eq!(block.heap().len(), staged_heap);
                 let mut before = [0; 2];
                 for i in 0..=block.len() {
-                    run.strings_before(plan.rows(), i, &mut before);
+                    let order = plan.merge_order(plan.table(None), &input);
+                    run.strings_before(order, i, &mut before);
                     let want = [0, 2].map(|c| {
                         let column = input.column(c);
                         let named = rows[..i].iter().filter(|&&r| column.is_valid(r));

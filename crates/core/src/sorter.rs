@@ -117,11 +117,11 @@ impl StoredRun for SortedRun {
         strings: &mut [u64],
     ) -> Result<usize, SpillError> {
         let cut = lower_bound(&self.keys, order.kw, splitter);
-        self.strings_before(order.rows, cut, strings);
+        self.strings_before(order, cut, strings);
         Ok(cut)
     }
     fn strings(&self, order: MergeOrder<'_>, strings: &mut [u64]) {
-        self.strings_before(order.rows, self.len(), strings);
+        self.strings_before(order, self.len(), strings);
     }
     fn source<'r>(
         &'r self,
