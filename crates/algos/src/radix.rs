@@ -305,33 +305,36 @@ fn msd_rec<P: Probe>(
     }
 
     // Fused counting: histogram up to MSD_FUSE_BYTES successive bytes in
-    // one sweep, each byte's lowest and highest value beside it, then
-    // advance past the all-equal ones (common-prefix skip: no copying —
-    // and, fused, no re-scanning per skipped byte). A bucket of tens of
-    // rows touches a few of 256 counters: every walk below spans only the
-    // values seen, not all 256.
+    // one sweep, then advance past the all-equal ones (common-prefix skip:
+    // no copying — and, fused, no re-scanning per skipped byte). A byte is
+    // all-equal when the first row's value counts every row. A bucket of
+    // tens of rows touches a few of 256 counters: every walk below spans
+    // only the values between the lowest and highest seen.
     let (counts, seen) = loop {
         if byte >= key_end {
             return 0; // keys exhausted: bucket fully equal
         }
         let fuse = MSD_FUSE_BYTES.min(key_end - byte);
         let mut multi = [[0u32; 256]; MSD_FUSE_BYTES];
-        let mut seen = [(u8::MAX, 0u8); MSD_FUSE_BYTES];
         probe.buffer(&multi);
         for r in start..end {
             let at = r * width + byte;
             let bytes = &data[at..at + fuse];
             probe.read(data, at, fuse);
-            for ((counts, seen), &b) in multi.iter_mut().zip(&mut seen).zip(bytes.iter()) {
+            for (counts, &b) in multi.iter_mut().zip(bytes.iter()) {
                 probe.write(counts, b as usize, 1);
                 counts[b as usize] += 1;
-                *seen = (seen.0.min(b), seen.1.max(b));
             }
         }
-        match seen.iter().take(fuse).position(|&(lo, hi)| lo != hi) {
+        let first = &data[start * width + byte..][..fuse];
+        let equal = |(counts, &b): (&[u32; 256], &u8)| counts[b as usize] as usize == n;
+        match multi.iter().zip(first).position(|k| !equal(k)) {
             Some(k) => {
                 byte += k;
-                break (multi[k], seen[k]);
+                let counts = multi[k];
+                let lo = counts.iter().position(|&c| c > 0).unwrap_or(0);
+                let hi = counts.iter().rposition(|&c| c > 0).unwrap_or(0);
+                break (counts, (lo as u8, hi as u8));
             }
             None => byte += fuse,
         }

@@ -152,18 +152,34 @@ const CORPUS: &[Mutant] = &[
     Mutant {
         name: "reorder_heap leaves the slot offset unrewritten (PR 39)",
         file: "crates/row/src/block.rs",
-        anchor: "row[slot..slot + 4].copy_from_slice(&heap_base(at).to_le_bytes());",
-        replacement: "",
+        anchor: r#"            copy_row(&mut dst[at..end], string);
+            row[slot..slot + 4].copy_from_slice(&base);"#,
+        replacement: "            copy_row(&mut dst[at..end], string);",
         targets: ROW_BUG,
     },
     Mutant {
         name: "reorder_heap advances its cursor on a NULL row",
         file: "crates/row/src/block.rs",
-        anchor: r#"            if row[null] != 0 {
+        anchor: r#"                row[slot + 4..slot + 8].fill(0);
                 continue;"#,
-        replacement: r#"            if row[null] != 0 {
+        replacement: r#"                row[slot + 4..slot + 8].fill(0);
                 at += 1;
                 continue;"#,
+        targets: ROW_BUG,
+    },
+    Mutant {
+        name: "a NULL slot in reorder_heap keeps its old offset",
+        file: "crates/row/src/block.rs",
+        anchor: r#"            if row[null] != 0 {
+                row[slot..slot + 4].copy_from_slice(&base);"#,
+        replacement: "            if row[null] != 0 {",
+        targets: ROW_BUG,
+    },
+    Mutant {
+        name: "a range's strings written at the next range's base",
+        file: "crates/row/src/gather.rs",
+        anchor: "                        base: start,",
+        replacement: "                        base: start + share as u32,",
         targets: ROW_BUG,
     },
     Mutant {
@@ -258,9 +274,9 @@ const CORPUS: &[Mutant] = &[
     Mutant {
         name: "a rank decoded through another sort's dictionary: the sorter's own \
                statistics, not the table's the sort planned from",
-        file: "crates/core/src/run.rs",
-        anchor: "rows: table.rank_rows(c),",
-        replacement: "rows: self.table(None).rank_rows(c),",
+        file: "crates/core/src/sorter.rs",
+        anchor: "let order = planned.0.merge_order(planned.1, input);",
+        replacement: "let order = planned.0.merge_order(planned.0.table(None), input);",
         targets: &[CORE, ENGINE, ORACLE],
     },
     Mutant {
@@ -321,9 +337,23 @@ const CORPUS: &[Mutant] = &[
     Mutant {
         name: "the uncoded merge skips the tie comparator",
         file: "crates/core/src/merge.rs",
-        anchor: "Ordering::Equal if self.tie_possible => {",
-        replacement: "Ordering::Equal if self.tie_possible && CODES == MergeCodes::Ovc as u8 => {",
+        anchor: "Ordering::Equal if self.tie_possible => self.break_tie(a, b),",
+        replacement: "Ordering::Equal if self.tie_possible && CODES == MergeCodes::Ovc as u8 => {\n                self.break_tie(a, b)\n            }",
         targets: MERGE_BUG,
+    },
+    Mutant {
+        name: "the tie comparator reads a truncated VARCHAR against another column's input bytes",
+        file: "crates/core/src/comparator.rs",
+        anchor: "            slot: k.column,",
+        replacement: "            slot: 0,",
+        targets: CORE_BUG,
+    },
+    Mutant {
+        name: "a spilled cut counts its block's string bytes from the block's start",
+        file: "crates/core/src/external.rs",
+        anchor: "            cur.count_strings(order, strings)?;",
+        replacement: "",
+        targets: CORE_BUG,
     },
     Mutant {
         name: "matches decided on codes not counted as compares",

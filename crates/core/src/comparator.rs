@@ -184,7 +184,13 @@ impl FusedRowComparator {
     /// `heaps_a` and `heaps_b`: a slot's own heap each, such as the input
     /// columns a run's rows were scattered from without their strings.
     #[inline]
-    pub fn compare_in(&self, a: &[u8], heaps_a: Heaps<'_>, b: &[u8], heaps_b: Heaps<'_>) -> Ordering {
+    pub fn compare_in(
+        &self,
+        a: &[u8],
+        heaps_a: Heaps<'_>,
+        b: &[u8],
+        heaps_b: Heaps<'_>,
+    ) -> Ordering {
         for d in &self.descs {
             let ord = compare_key(d, a, heaps_a.of(d.slot), b, heaps_b.of(d.slot));
             if ord != Ordering::Equal {

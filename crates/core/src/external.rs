@@ -236,7 +236,9 @@ impl RunIndex {
     /// last record for `b` past the last block), `varchars` of them.
     fn strings_before(&self, b: usize, varchars: usize) -> &[u64] {
         let b = b.min(self.blocks.len());
-        self.strings.get(b * varchars..(b + 1) * varchars).unwrap_or_default()
+        self.strings
+            .get(b * varchars..(b + 1) * varchars)
+            .unwrap_or_default()
     }
 }
 
@@ -1207,6 +1209,46 @@ mod tests {
         assert_eq!(left, 0, "spill files removed after the sort");
     }
 
+    /// A run file's records are checked against its hash, but the string
+    /// bytes each key range is given come from the run's index in memory:
+    /// where the two disagree — one byte more or less of a column than the
+    /// records hold — the range's strings overrun or fall short of their
+    /// slice, and the sort fails typed, leaving no file behind.
+    #[test]
+    fn a_run_whose_index_and_records_disagree_on_string_bytes_is_corrupt() {
+        let dir = std::env::temp_dir().join(format!("rowsort-disagree-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let chunk = stringy_chunk(3_000, 36);
+        for merge_threads in [1, 2] {
+            let sorter = ExternalSorter::new(
+                chunk.types(),
+                OrderBy::ascending(2),
+                ExternalSortOptions {
+                    memory_limit_rows: 1_000,
+                    spill_dir: Some(dir.clone()),
+                    merge_threads,
+                    ..Default::default()
+                },
+            );
+            let varchars = plan(&sorter, &chunk).rows().strings.len();
+            assert_eq!(varchars, 2);
+            for (column, delta) in [(0, 1i64), (0, -1), (1, 1), (1, -1)] {
+                let (mut runs, plan) = build_spilled_runs(&sorter, &chunk);
+                assert!(runs.iter().all(|r| matches!(r.store, RunStore::Spilled(_))));
+                let strings = &mut runs[1].index.strings;
+                let at = strings.len() - varchars + column;
+                strings[at] = strings[at].checked_add_signed(delta).unwrap();
+                let what = format!("{merge_threads} thread(s), column {column}, {delta:+}");
+                let err = sorter.merge_planned(&runs, &plan, &chunk).unwrap_err();
+                assert!(matches!(err, SpillError::Corrupt { .. }), "{what}: {err:?}");
+                drop(runs);
+                let left = std::fs::read_dir(&dir).unwrap().count();
+                assert_eq!(left, 0, "{what}: run files removed");
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     impl ExternalSorter {
         /// A cursor over the records of `run` between two of its cuts.
         fn open_cursor<'r>(
@@ -1256,7 +1298,12 @@ mod tests {
 
     /// `run`, built under `plan`, encoded into memory, as the ENOSPC rung
     /// of the ladder leaves it.
-    fn memory_run(sorter: &ExternalSorter, plan: &KeyPlan, run: &SortedRun, chunk: &DataChunk) -> Run {
+    fn memory_run(
+        sorter: &ExternalSorter,
+        plan: &KeyPlan,
+        run: &SortedRun,
+        chunk: &DataChunk,
+    ) -> Run {
         let order = plan.merge_order(plan.table(None), chunk);
         sorter.spill_run(run, order, true).unwrap()
     }
@@ -1402,7 +1449,11 @@ mod tests {
             )
         });
         let run = sorter
-            .spill_run(&whole_run(&sorter, &chunk), planned.merge_order(planned.table(None), &chunk), false)
+            .spill_run(
+                &whole_run(&sorter, &chunk),
+                planned.merge_order(planned.table(None), &chunk),
+                false,
+            )
             .unwrap();
         assert_eq!(run.row_count(), chunk.len());
 
@@ -2049,7 +2100,9 @@ mod tests {
                     let from_files = kernel_merge(&sorter, &order, &mut cursors, (n, &whole));
                     let mut in_memory: Vec<MemSource<'_>> = sorted
                         .iter()
-                        .map(|run| MemSource::range(run, run.heaps(order.rows, chunk), 0, run.len()))
+                        .map(|run| {
+                            MemSource::range(run, run.heaps(order.rows, chunk), 0, run.len())
+                        })
                         .collect();
                     // A whole run's first head: −∞ is what it is stored against.
                     let codes = sorter.core.codes(order.kw);
@@ -2092,7 +2145,8 @@ mod tests {
                         }
                         let rows: usize = sorted.iter().map(|r| span(r).1 - span(r).0).sum();
                         let strings = strings_of(&order, &sorted, span);
-                        let (half, _) = kernel_merge(&sorter, &order, &mut ranged, (rows, &strings));
+                        let (half, _) =
+                            kernel_merge(&sorter, &order, &mut ranged, (rows, &strings));
                         halves.extend(half.to_rows());
                     }
                     assert_eq!(halves, from_memory.0.to_rows(), "{what}: ranged");
@@ -2709,7 +2763,11 @@ mod tests {
             },
         );
         let err = plain
-            .open_cursor(&runs[0], plan.merge_order(plan.table(None), &chunk), runs[0].bounds())
+            .open_cursor(
+                &runs[0],
+                plan.merge_order(plan.table(None), &chunk),
+                runs[0].bounds(),
+            )
             .err()
             .expect("flag mismatch must surface");
         assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
@@ -2743,7 +2801,11 @@ mod tests {
         reseal(&mut bytes, &clean.index, 0);
         let run = with_bytes(&clean, bytes);
         let err = sorter
-            .open_cursor(&run, planned.merge_order(planned.table(None), &chunk), run.bounds())
+            .open_cursor(
+                &run,
+                planned.merge_order(planned.table(None), &chunk),
+                run.bounds(),
+            )
             .err()
             .expect("implausible code must surface");
         assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");

@@ -363,17 +363,23 @@ impl MergeOrder<'_> {
             (cmp_keys(a.key(), b.key()), 0)
         };
         let ord = match ord {
-            Ordering::Equal if self.tie_possible => {
-                self.rows
-                    .tie_cmp
-                    .compare_in(a.row(), a.heaps(), b.row(), b.heaps())
-            }
+            Ordering::Equal if self.tie_possible => self.break_tie(a, b),
             ord => ord,
         };
         OvcMatch {
             a_beats_b: ord == Ordering::Less || (ord == Ordering::Equal && a_first),
             loser_code,
         }
+    }
+}
+
+impl MergeOrder<'_> {
+    /// The row comparator on two heads whose keys are byte-equal. Out of
+    /// line: the matches a merge plays on its keys stay small.
+    #[inline(never)]
+    fn break_tie<S: RunSource>(&self, a: &S, b: &S) -> Ordering {
+        let tie_cmp = &self.rows.tie_cmp;
+        tie_cmp.compare_in(a.row(), a.heaps(), b.row(), b.heaps())
     }
 }
 

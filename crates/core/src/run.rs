@@ -17,9 +17,7 @@ use crate::merge::MergeOrder;
 use crate::metrics::{Counter, DICT_REPORTED};
 use crate::pool::SortPool;
 use crate::sorter::SorterCore;
-use rowsort_normkey::{
-    key_range, KeyColumn, KeyRange, NormKeyLayout, DEFAULT_MAX_PREFIX,
-};
+use rowsort_normkey::{key_range, KeyColumn, KeyRange, NormKeyLayout, DEFAULT_MAX_PREFIX};
 use rowsort_row::{
     reorder_heap, reorder_rows, ChunkBuilder, ChunkPiece, Heaps, RowBlock, RowLayout,
 };
@@ -91,8 +89,14 @@ impl SortedRun {
     /// inside.
     pub(crate) fn strings_before(&self, order: MergeOrder<'_>, row: usize, out: &mut [u64]) {
         let plan = order.rows;
-        let totals = self.strings.chunks_exact(8).map(|b| u64::from_le_bytes(word(b, 0)));
-        let marks = self.strings.get(8 * plan.strings.len()..).unwrap_or_default();
+        let totals = self
+            .strings
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(word(b, 0)));
+        let marks = self
+            .strings
+            .get(8 * plan.strings.len()..)
+            .unwrap_or_default();
         let per_column = self.rows.div_ceil(KEYED_STRIDE);
         let mut keyed = 0;
         for ((out, total), &(c, from)) in out.iter_mut().zip(totals).zip(&plan.strings) {
@@ -1121,11 +1125,8 @@ impl SorterCore {
         // DSM → NSM: payload rows (the columns the key does not give
         // back) in input order first. A VARCHAR slot holds its string's
         // offset in its input column: no string moves here.
-        let mut staging = RowBlock::from_raw_parts(
-            Arc::clone(layout),
-            pool.get_bytes(rows * width),
-            Vec::new(),
-        );
+        let mut staging =
+            RowBlock::from_raw_parts(Arc::clone(layout), pool.get_bytes(rows * width), Vec::new());
         staging.append_columns_in_place(input, |slot| row_plan.columns[slot], lo, hi);
         let heaps = Heaps::Columns(input, &row_plan.columns);
         lap(Counter::RunScatterNs);
@@ -1190,7 +1191,11 @@ impl SorterCore {
         pool.put_bytes(staging_data);
         let keyed = row_plan.strings.iter();
         let keyed = keyed.filter(|(_, from)| matches!(from, ColumnSource::Key(_)));
-        let marks = if streamed { rows.div_ceil(KEYED_STRIDE) * keyed.count() } else { 0 };
+        let marks = if streamed {
+            rows.div_ceil(KEYED_STRIDE) * keyed.count()
+        } else {
+            0
+        };
         let mut strings = pool.get_bytes(8 * (row_plan.strings.len() + marks));
         for &(c, _) in &row_plan.strings {
             let total = input.column(c).valid_string_bytes(lo, hi) as u64;
@@ -1198,7 +1203,9 @@ impl SorterCore {
         }
         let (heap, heap_moved) = if streamed && row_plan.varlen().next().is_some() {
             let expected = row_plan.varlen().map(|s| row_plan.columns[s]);
-            let expected = expected.map(|c| input.column(c).valid_string_bytes(lo, hi)).sum();
+            let expected = expected
+                .map(|c| input.column(c).valid_string_bytes(lo, hi))
+                .sum();
             let mut heap = pool.get_bytes(expected);
             reorder_heap(&mut payload_rows, layout, heaps, (&mut heap, expected));
             let moved = heap.len();

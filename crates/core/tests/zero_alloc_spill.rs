@@ -81,9 +81,10 @@ fn warmed_partitioned_spill_merge_allocates_a_constant_amount() {
     const REFILL_ALLOWANCE: usize = 22;
     // What the spill phase's pool, empty at the start of every sort,
     // misses in each: a worker mints the buffers of the first run it
-    // claims — staged rows and their strings, radix scratch, then the
-    // sorted run's keys, codes if it stores them, and rows (the run keeps
-    // the staged strings) — and every run it claims after that reuses
+    // claims — staged rows, radix scratch, then the sorted run's keys,
+    // codes if it stores them, rows, and what it holds of each string
+    // column (the strings themselves stay in the input until a run is laid
+    // out for its reader) — and every run it claims after that reuses
     // them: six. A key of 7 bytes or fewer is its own merge code, and its
     // run has no code column: five. The radix scratch (key + row id per
     // row) goes back to the pool before the code column (8 bytes per row)
@@ -110,7 +111,7 @@ fn warmed_partitioned_spill_merge_allocates_a_constant_amount() {
     let after_scratch = [run_rows * code_bytes, run_rows * width];
     let scratch_serves = after_scratch.iter().any(|&b| b > 0 && class(b) == scratch);
     // A request for no bytes takes no buffer: here the staged rows and
-    // the run's rows (a row of no columns) and their strings (none).
+    // the run's rows (a row of no columns) and its string columns (none).
     let requests = [
         run_rows * width,
         0,
@@ -137,6 +138,16 @@ fn warmed_partitioned_spill_merge_allocates_a_constant_amount() {
     }
 
     let (lo, hi) = (*deltas.iter().min().unwrap(), *deltas.iter().max().unwrap());
+    // The sorter keeps its key plan from sort to sort: a warm sort plans
+    // no key layout, row plan or statistics again. What it still
+    // allocates is its run files, indexes and cursors, the merge plan, its
+    // spill phase's pool and key blocks, and its output: 343 at most
+    // (351 when every sort planned afresh).
+    const WARM_ALLOCS: usize = 343;
+    assert!(
+        hi <= WARM_ALLOCS,
+        "a warmed spill sort allocates at most {WARM_ALLOCS} times (deltas: {deltas:?})"
+    );
     assert!(
         hi - lo <= REFILL_ALLOWANCE,
         "warmed spill sorts must allocate a constant amount up to the \

@@ -380,7 +380,11 @@ impl RowBlock {
                 let at = r * self.width() + self.layout.offset(col);
                 u32::from_le_bytes(read_array(&self.data, at + 4)) as usize
             };
-            named.clone().filter(|&r| !self.is_null(r, col)).map(len).sum()
+            named
+                .clone()
+                .filter(|&r| !self.is_null(r, col))
+                .map(len)
+                .sum()
         };
         let rows = named.clone().count();
         #[expect(
@@ -938,7 +942,9 @@ mod tests {
             let row = [Value::from(a), Value::Int32(1), Value::from(b)];
             chunk.push_row(&row).unwrap();
         }
-        chunk.push_row(&[Value::Null, Value::Null, Value::from("z")]).unwrap();
+        chunk
+            .push_row(&[Value::Null, Value::Null, Value::from("z")])
+            .unwrap();
         let layout = Arc::new(RowLayout::new(&chunk.types()));
         let mut block = RowBlock::new(Arc::clone(&layout));
         block.append_columns_in_place(&chunk, |slot| slot, 1, 4);
@@ -950,8 +956,14 @@ mod tests {
             let word = |at| u32::from_le_bytes(read_array(block.row(r), at)) as usize;
             (word(at), word(at + 4))
         };
-        assert_eq!([slot(0, 0), slot(1, 0), slot(2, 0)], [(2, 0), (2, 3), (0, 0)]);
-        assert_eq!([slot(0, 2), slot(1, 2), slot(2, 2)], [(1, 2), (3, 0), (3, 1)]);
+        assert_eq!(
+            [slot(0, 0), slot(1, 0), slot(2, 0)],
+            [(2, 0), (2, 3), (0, 0)]
+        );
+        assert_eq!(
+            [slot(0, 2), slot(1, 2), slot(2, 2)],
+            [(1, 2), (3, 0), (3, 1)]
+        );
         assert_eq!(heaps.of(0), b"abcde");
         assert_eq!(heaps.of(1), b"");
         // In run order, column by column: the reordered heap is the

@@ -102,7 +102,9 @@ impl ColumnFrom<'_> {
         decoder.ordinals(key, (0, at), 1, |_, rank| {
             if let Some(rank) = rank {
                 let row = usize::try_from(rank).ok().and_then(|r| dict.rows.get(r));
-                len = row.map(|&row| dict.strings.byte_len(row as usize)).ok_or(BAD_RANK);
+                len = row
+                    .map(|&row| dict.strings.byte_len(row as usize))
+                    .ok_or(BAD_RANK);
             }
         });
         len
@@ -353,7 +355,10 @@ impl StringCol<'_> {
     #[inline]
     fn put(&mut self, string: &[u8], invert: bool) -> Result<(), &'static str> {
         let end = self.filled + string.len();
-        let to = self.bytes.get_mut(self.filled..end).ok_or(STRINGS_OVERRUN)?;
+        let to = self
+            .bytes
+            .get_mut(self.filled..end)
+            .ok_or(STRINGS_OVERRUN)?;
         if invert {
             for (to, &b) in to.iter_mut().zip(string) {
                 *to = !b;
@@ -606,6 +611,18 @@ impl ChunkPiece<'_> {
     /// ([`STRINGS_OVERRUN`]); the piece is then no longer usable.
     #[inline]
     pub fn push_strings(&mut self, row: &[u8], heaps: Heaps<'_>) -> Result<(), &'static str> {
+        // Out of line: a merge's per-row loop stays small where no
+        // column's strings come from the rows.
+        if !self.strings.is_empty() {
+            self.push_row_strings(row, heaps)?;
+        }
+        self.taken += 1;
+        Ok(())
+    }
+
+    /// [`ChunkPiece::push_strings`]' copy of the row's strings.
+    #[inline(never)]
+    fn push_row_strings(&mut self, row: &[u8], heaps: Heaps<'_>) -> Result<(), &'static str> {
         for c in self.strings.iter_mut().filter(|c| !c.keyed) {
             let (s, slot, null_at) = c.slot;
             if row[null_at] != 0 {
@@ -618,7 +635,6 @@ impl ChunkPiece<'_> {
             }
             c.end_row(self.taken);
         }
-        self.taken += 1;
         Ok(())
     }
 
@@ -844,16 +860,24 @@ mod tests {
         };
         let mut builder = ChunkBuilder::new(layout.types(), 2);
         let shares = [2, 3];
-        let mut pieces = builder.pieces(&layout, (2, |_| 1), |p, _| shares[p]).unwrap();
+        let mut pieces = builder
+            .pieces(&layout, (2, |_| 1), |p, _| shares[p])
+            .unwrap();
         let heap = Heaps::One(b"abcdef");
-        assert_eq!(pieces[0].push_strings(&row(0, 3), heap), Err(STRINGS_OVERRUN));
+        assert_eq!(
+            pieces[0].push_strings(&row(0, 3), heap),
+            Err(STRINGS_OVERRUN)
+        );
         assert_eq!(pieces[1].push_strings(&row(0, 2), heap), Ok(()));
         pieces[1].gather_keyed(&row(0, 2), &[], 1).unwrap();
         assert_eq!(pieces.pop().unwrap().finish().err(), Some(STRINGS_SHORT));
         // A column past 4 GiB is cut into no pieces.
         let mut builder = ChunkBuilder::new(layout.types(), 2);
         let huge = |_, _| u32::MAX as usize;
-        assert_eq!(builder.pieces(&layout, (2, |_| 1), huge).err(), Some(HEAP_OVERFLOW));
+        assert_eq!(
+            builder.pieces(&layout, (2, |_| 1), huge).err(),
+            Some(HEAP_OVERFLOW)
+        );
     }
 
     #[test]
