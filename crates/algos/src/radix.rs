@@ -244,10 +244,6 @@ impl Count for u32 {
 /// 5–41 bytes, where a `memcpy` call per row costs more than the copy).
 /// Every row's byte lies in `seen` (lowest, highest): the bucket starts
 /// are summed over that span only.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "one pass over one bucket: the buffers, its bounds and counts, and the probe"
-)]
 fn scatter_pass<P: Probe, C: Count>(
     src: &[u8],
     dst: &mut [u8],

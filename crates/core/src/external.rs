@@ -1609,7 +1609,7 @@ mod tests {
             let first_key = &index.first_keys[b * kw..(b + 1) * kw];
             assert_eq!(first_key, &sorted.keys[meta.rows_before * kw..][..kw]);
         }
-        let order = planned.merge_order(planned.table(None), &chunk);
+        let order = planned.merge_order(planned.table(None), chunk);
         let mut cur = sorter.open_cursor(&run, order, run.bounds()).unwrap();
         for i in 0..sorted.len() {
             assert!(!cur.exhausted(), "record {i} missing");
@@ -2070,7 +2070,7 @@ mod tests {
                     },
                 );
                 let plan = plan(&sorter, chunk);
-                let order = plan.merge_order(plan.table(None), &chunk);
+                let order = plan.merge_order(plan.table(None), chunk);
                 assert_eq!(order.tie_possible, *truncated, "{name}: tie_possible");
                 for k in [1usize, 2, 3, 17] {
                     let what = format!("{name}, ovc={ovc}, k={k}");
