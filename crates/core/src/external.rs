@@ -1984,7 +1984,8 @@ mod tests {
         let core = &sorter.core;
         let mut builder = ChunkBuilder::new(&core.types, rows);
         let bytes = |_, v: usize| strings[v] as usize;
-        let piece = KeyPlan::pieces(*order, &mut builder, (1, |_| rows), bytes)
+        let piece = order
+            .pieces(&mut builder, (1, |_| rows), bytes)
             .unwrap()
             .pop()
             .unwrap();

@@ -17,7 +17,9 @@ use crate::spill::SpillError;
 use rowsort_algos::kway::{OvcLoserTree, OvcMatch};
 use rowsort_algos::rows::copy_row;
 use rowsort_normkey::{KeyDecoder, NormKeyLayout};
-use rowsort_row::{ChunkPiece, ColumnFrom, Heaps, PieceTail, RankedStrings, BATCH_ROWS};
+use rowsort_row::{
+    ChunkBuilder, ChunkPiece, ColumnFrom, Heaps, PieceTail, RankedStrings, BATCH_ROWS,
+};
 use rowsort_vector::{DataChunk, LogicalType};
 use std::cmp::Ordering;
 use std::path::Path;
@@ -304,6 +306,31 @@ impl<'a> MergeOrder<'a> {
                 }
             }
         }
+    }
+
+    /// `builder`'s columns cut into `parts` consecutive pieces, piece `p`
+    /// of `rows(p)` rows whose `v`-th VARCHAR column holds `bytes(p, v)`
+    /// bytes, every column taken from where [`MergeOrder::column_from`]
+    /// says.
+    pub(crate) fn pieces<'b>(
+        &self,
+        builder: &'b mut ChunkBuilder,
+        shape: (usize, impl Fn(usize) -> usize),
+        bytes: impl Fn(usize, usize) -> usize,
+    ) -> Result<Vec<ChunkPiece<'b>>, &'static str>
+    where
+        'a: 'b,
+    {
+        let (key, row) = (self.key, self.rows);
+        // The sinks stage each key only up to the end of the last column
+        // they decode: `strings_mem`'s 1-byte rank of a 27-byte key.
+        let decoded = row.from.iter().filter_map(|f| match *f {
+            ColumnSource::Key(k) => Some(key.offset(k) + key.columns()[k].encoded_width()),
+            ColumnSource::Slot(_) => None,
+        });
+        let staged = decoded.max().unwrap_or(0);
+        let from = |c| self.column_from(c);
+        builder.pieces_from(&row.layout, from, staged, shape, bytes)
     }
 }
 

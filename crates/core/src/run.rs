@@ -18,9 +18,7 @@ use crate::metrics::{Counter, DICT_REPORTED};
 use crate::pool::SortPool;
 use crate::sorter::SorterCore;
 use rowsort_normkey::{key_range, KeyColumn, KeyRange, NormKeyLayout, DEFAULT_MAX_PREFIX};
-use rowsort_row::{
-    reorder_heap, reorder_rows, ChunkBuilder, ChunkPiece, Heaps, RowBlock, RowLayout,
-};
+use rowsort_row::{reorder_heap, reorder_rows, Heaps, RowBlock, RowLayout};
 use rowsort_vector::{DataChunk, LogicalType, OrderBy, OrderByColumn, StringVec, Vector};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex, OnceLock, TryLockError};
@@ -1033,28 +1031,6 @@ impl KeyPlan {
             table,
             input,
         }
-    }
-
-    /// `builder`'s columns cut into `parts` consecutive pieces, piece `p`
-    /// of `rows(p)` rows whose `v`-th VARCHAR column holds `bytes(p, v)`
-    /// bytes, every column taken from where `order` says
-    /// ([`MergeOrder::column_from`]).
-    pub(crate) fn pieces<'a>(
-        order: MergeOrder<'a>,
-        builder: &'a mut ChunkBuilder,
-        shape: (usize, impl Fn(usize) -> usize),
-        bytes: impl Fn(usize, usize) -> usize,
-    ) -> Result<Vec<ChunkPiece<'a>>, &'static str> {
-        let (key, row) = (order.key, order.rows);
-        // The sinks stage each key only up to the end of the last column
-        // they decode: `strings_mem`'s 1-byte rank of a 27-byte key.
-        let decoded = row.from.iter().filter_map(|f| match *f {
-            ColumnSource::Key(k) => Some(key.offset(k) + key.columns()[k].encoded_width()),
-            ColumnSource::Slot(_) => None,
-        });
-        let staged = decoded.max().unwrap_or(0);
-        let from = |c| order.column_from(c);
-        builder.pieces_from(&row.layout, from, staged, shape, bytes)
     }
 
     /// The statistics the sort planned from: `lent`, or the sorter's own.

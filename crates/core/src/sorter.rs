@@ -621,7 +621,8 @@ impl SorterCore {
         {
             let shape = (plan.parts, |p| plan.range_rows(p));
             let bytes = |p, v| plan.range_strings(p, v);
-            let pieces = KeyPlan::pieces(order, &mut builder, shape, bytes)
+            let pieces = order
+                .pieces(&mut builder, shape, bytes)
                 .map_err(|detail| SpillError::corrupt(Path::new("<merge output>"), detail))?;
             self.merge_ranges(order, runs, plan, pieces.into_iter(), &tails)?;
         }

@@ -23,6 +23,12 @@
 //! cursors and nothing else (ROADMAP item 4(a) is the byte budget over all
 //! workers).
 //!
+//! A run reads its strings from the input columns, and each key range of
+//! the merge writes its strings once, into its slice of the output: the
+//! in-memory sort of `customer` by its number, whose names ride in the
+//! row, stays under its peak at the commit before (`13435a7`) by a run's
+//! strings, which a run used to stage in a heap of its own.
+//!
 //! The pinned sorts run on one thread, so the byte counts repeat exactly
 //! (the peaks at more threads are only bounded from above). Above one
 //! thread the spill phase keeps its own most overlap: runs are placed in
@@ -258,7 +264,8 @@ fn a_warm_sort_holds_no_merged_row_run() {
         // What one run asks the pool for: its keys, codes and payload
         // rows — the sorted run — and, while it is built, the staged rows,
         // the key entries (key + row id) and the radix scratch over them,
-        // and the strings twice.
+        // and the strings once, in run order (the staged rows point into
+        // the input's).
         let run_rows = chunk.len() / runs;
         let width = row_area / chunk.len();
         let key_width = KeyBlock::planned(chunk, &order).key_width();
@@ -269,7 +276,7 @@ fn a_warm_sort_holds_no_merged_row_run() {
             .sum::<usize>()
             / runs;
         let sorted_run = run_rows * (key_width + 8 + width);
-        let run_in_flight = sorted_run + run_rows * (width + 2 * (key_width + 4)) + 2 * run_strings;
+        let run_in_flight = sorted_run + run_rows * (width + 2 * (key_width + 4)) + run_strings;
 
         let peak = peak_at(1);
         assert!(
@@ -302,5 +309,29 @@ fn a_warm_sort_holds_no_merged_row_run() {
             );
         }
     }
+    // Keyed by the customer number alone, the names ride in the row: a
+    // run used to stage its strings in a heap of their own and then copy
+    // them into run order, and the merge grew each range's strings in a
+    // buffer of its own; now the run reads them from the input and each
+    // range writes them once, into its slice of the output column.
+    let by_number = OrderBy::ascending(1);
+    let options = SortOptions {
+        threads: 1,
+        run_rows: customer.len() / 6,
+        ovc: true,
+    };
+    let pipeline = SortPipeline::new(customer.types(), by_number, options);
+    let peak = warm_peak(|| pipeline.sort(&customer));
+    let columns = customer.columns().iter();
+    let strings = columns.filter_map(|c| c.as_strings());
+    let run_strings = strings.map(|s| s.total_bytes()).sum::<usize>() / 6;
+    // The peak of this sort at the commit before (`13435a7`), measured
+    // with this file: one run's staged strings sat in the pool under it.
+    const PARENT_ROW_STRINGS: usize = 5_449_596;
+    assert!(
+        peak + run_strings <= PARENT_ROW_STRINGS,
+        "customer by number: a warm sort() peaks at {peak} B; with no run's staged strings \
+         ({run_strings} B) it stays that far under the {PARENT_ROW_STRINGS} B it used to hold"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }

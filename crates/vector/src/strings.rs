@@ -83,12 +83,6 @@ impl StringVec {
         StringVec { offsets, bytes }
     }
 
-    /// Make room for `rows` more strings holding `bytes` bytes in all.
-    pub fn reserve(&mut self, rows: usize, bytes: usize) {
-        self.offsets.reserve(rows);
-        self.bytes.reserve(bytes);
-    }
-
     /// Append strings `start..end` of `other`: one byte copy plus rebased
     /// offsets, with no per-string work.
     ///
