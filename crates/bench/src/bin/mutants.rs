@@ -337,8 +337,8 @@ const CORPUS: &[Mutant] = &[
     Mutant {
         name: "the uncoded merge skips the tie comparator",
         file: "crates/core/src/merge.rs",
-        anchor: "Ordering::Equal if self.tie_possible => self.break_tie(a, b),",
-        replacement: "Ordering::Equal if self.tie_possible && CODES == MergeCodes::Ovc as u8 => {\n                self.break_tie(a, b)\n            }",
+        anchor: "Ordering::Equal if self.tie_possible => {",
+        replacement: "Ordering::Equal if self.tie_possible && CODES == MergeCodes::Ovc as u8 => {",
         targets: MERGE_BUG,
     },
     Mutant {

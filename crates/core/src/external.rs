@@ -45,7 +45,6 @@ use crate::sorter::{lower_bound, MergePlan, SorterCore, StoredRun};
 use crate::spill::{SpillError, SpillIo, SpillOp, StdFs};
 use crate::workers::WorkerPool;
 use rowsort_algos::rows::copy_row;
-use rowsort_row::Heaps;
 use rowsort_testkit::hash::XxHash64;
 use rowsort_vector::{DataChunk, LogicalType, OrderBy};
 use std::cmp::Ordering;
@@ -663,8 +662,8 @@ impl RunSource for RunCursor<'_> {
     /// The current record's string segment; the row's VARCHAR slots hold
     /// offsets relative to it.
     #[inline]
-    fn heaps(&self) -> Heaps<'_> {
-        Heaps::One(&self.buf[self.seg_at..self.next])
+    fn heap(&self) -> &[u8] {
+        &self.buf[self.seg_at..self.next]
     }
     fn path(&self) -> &Path {
         self.run.path()
@@ -1530,11 +1529,11 @@ mod tests {
                 let off = u32::from_le_bytes(word(cur.row(), at)) as usize;
                 let len = u32::from_le_bytes(word(cur.row(), at + 4)) as usize;
                 assert!(
-                    off + len <= cur.heaps().of(0).len(),
+                    off + len <= cur.heap().len(),
                     "segment out of bounds at {i}"
                 );
                 assert_eq!(
-                    &cur.heaps().of(0)[off..off + len],
+                    &cur.heap()[off..off + len],
                     payload.string_bytes(rid, c),
                     "record {i} column {c} string differs"
                 );
@@ -1615,7 +1614,7 @@ mod tests {
             assert!(!cur.exhausted(), "record {i} missing");
             assert_eq!(cur.key(), &sorted.keys[i * kw..(i + 1) * kw], "key {i}");
             assert_eq!(cur.row(), sorted.payload.row(i), "row {i}");
-            assert!(cur.heaps().of(0).is_empty(), "record {i} has a segment");
+            assert!(cur.heap().is_empty(), "record {i} has a segment");
             cur.advance().unwrap();
         }
         assert!(cur.exhausted());
@@ -1989,7 +1988,7 @@ mod tests {
             .unwrap()
             .pop()
             .unwrap();
-        let mut sink = VectorSink::new(piece, core.pool());
+        let mut sink = VectorSink::new(piece, None, core.pool());
         let mut tree = OvcLoserTree::empty();
         let codes = core.codes(order.kw);
         let stats = merge_coded(codes, order, &mut tree, sources, rows, &mut sink)
@@ -2101,9 +2100,7 @@ mod tests {
                     let from_files = kernel_merge(&sorter, &order, &mut cursors, (n, &whole));
                     let mut in_memory: Vec<MemSource<'_>> = sorted
                         .iter()
-                        .map(|run| {
-                            MemSource::range(run, run.heaps(order.rows, chunk), 0, run.len())
-                        })
+                        .map(|run| MemSource::range(run, 0, run.len()))
                         .collect();
                     // A whole run's first head: −∞ is what it is stored against.
                     let codes = sorter.core.codes(order.kw);
@@ -2130,10 +2127,7 @@ mod tests {
                         };
                         let mut ranged: Vec<MemSource<'_>> = sorted
                             .iter()
-                            .map(|run| {
-                                let heaps = run.heaps(order.rows, chunk);
-                                MemSource::range(run, heaps, span(run).0, span(run).1)
-                            })
+                            .map(|run| MemSource::range(run, span(run).0, span(run).1))
                             .collect();
                         for src in ranged.iter().filter(|s| !s.exhausted()) {
                             let (head, want) = match codes {
@@ -2321,7 +2315,7 @@ mod tests {
                     };
                     let mut in_memory: Vec<MemSource<'_>> = sorted
                         .iter()
-                        .map(|run| MemSource::range(run, Heaps::One(&[]), 0, run.len()))
+                        .map(|run| MemSource::range(run, 0, run.len()))
                         .collect();
                     let from_memory = kernel_merge(sorter, &order, &mut in_memory, (rows, &[]));
                     let encoded: Vec<Run> = sorted

@@ -57,9 +57,10 @@ pub(crate) fn cmp_keys(a: &[u8], b: &[u8]) -> Ordering {
 
 /// One sorted input of a merge, positioned on its head record.
 ///
-/// While not `exhausted`, `key` / `row` / `heaps` describe the head: the
-/// normalized key, the payload row, and the heaps the row's VARCHAR slots
-/// index into. `code` is the head's offset-value code relative to the
+/// While not `exhausted`, `key` / `row` / `heap` describe the head: the
+/// normalized key, the payload row, and the heap the row's VARCHAR slots
+/// index into (a lone resident run's rows index into the input columns
+/// instead, which its sink is given: [`VectorSink::new`]). `code` is the head's offset-value code relative to the
 /// record before it in this source (the first record against −∞) — what
 /// a run's code column stores. Only an OVC merge reads it: a key-coded
 /// merge codes each head from its [`RunSource::key_window`], and an
@@ -73,7 +74,7 @@ pub(crate) trait RunSource {
     /// short key [`ovc::key_mask`] masks off.
     fn key_window(&self) -> u64;
     fn row(&self) -> &[u8];
-    fn heaps(&self) -> Heaps<'_>;
+    fn heap(&self) -> &[u8];
     /// Step to the next record, or past the last one (`exhausted`). A
     /// file-backed source fetches, verifies and decodes here — and past
     /// its run's last record checks that the file ends — so this is
@@ -94,7 +95,7 @@ pub(crate) struct MemSource<'a> {
     keys: &'a [u8],
     codes: &'a [u8],
     rows: &'a [u8],
-    heaps: Heaps<'a>,
+    heap: &'a [u8],
     kw: usize,
     width: usize,
     pos: usize,
@@ -106,14 +107,8 @@ pub(crate) struct MemSource<'a> {
 }
 
 impl<'a> MemSource<'a> {
-    /// A cursor over rows `pos..end` of `run`, whose strings are in
-    /// `heaps`.
-    pub(crate) fn range(
-        run: &'a SortedRun,
-        heaps: Heaps<'a>,
-        pos: usize,
-        end: usize,
-    ) -> MemSource<'a> {
+    /// A cursor over rows `pos..end` of `run`.
+    pub(crate) fn range(run: &'a SortedRun, pos: usize, end: usize) -> MemSource<'a> {
         let kw = run.key_width;
         let code = match run.keys.get(pos * kw..(pos + 1) * kw) {
             Some(key) if pos < end => ovc::initial_code(key, ovc::word_count(kw)),
@@ -123,7 +118,7 @@ impl<'a> MemSource<'a> {
             keys: &run.keys,
             codes: &run.ovc,
             rows: run.payload.data(),
-            heaps,
+            heap: run.payload.heap(),
             kw,
             width: run.payload.width(),
             pos,
@@ -155,8 +150,8 @@ impl RunSource for MemSource<'_> {
         &self.rows[self.pos * self.width..(self.pos + 1) * self.width]
     }
     #[inline]
-    fn heaps(&self) -> Heaps<'_> {
-        self.heaps
+    fn heap(&self) -> &[u8] {
+        self.heap
     }
     #[inline]
     fn advance(&mut self) -> Result<(), SpillError> {
@@ -178,6 +173,9 @@ impl RunSource for MemSource<'_> {
 /// is ever built.
 pub(crate) struct VectorSink<'a> {
     piece: ChunkPiece<'a>,
+    /// Where the rows' strings are when they are not in their source's
+    /// heap: a lone resident run's input columns.
+    heaps: Option<Heaps<'a>>,
     /// Room for a batch of rows, then of their keys (one pooled buffer).
     staged: Vec<u8>,
     /// Where the keys start in `staged`, and rows staged.
@@ -186,13 +184,20 @@ pub(crate) struct VectorSink<'a> {
 }
 
 impl<'a> VectorSink<'a> {
-    pub(crate) fn new(piece: ChunkPiece<'a>, pool: SortPool<'_>) -> VectorSink<'a> {
+    /// A sink into `piece`, its rows' strings in `heaps` where given, else
+    /// in each source's heap.
+    pub(crate) fn new(
+        piece: ChunkPiece<'a>,
+        heaps: Option<Heaps<'a>>,
+        pool: SortPool<'_>,
+    ) -> VectorSink<'a> {
         let keys_at = BATCH_ROWS * piece.row_width();
         let batch = keys_at + BATCH_ROWS * piece.key_width();
         let mut staged = pool.get_bytes(batch);
         staged.resize(batch, 0);
         VectorSink {
             piece,
+            heaps,
             staged,
             keys_at,
             rows: 0,
@@ -234,7 +239,7 @@ impl<'a> VectorSink<'a> {
         // only a bug upstream fails here — as an error, not as an
         // out-of-bounds copy.
         self.piece
-            .push_strings(row, src.heaps())
+            .push_strings(row, self.heaps.unwrap_or(Heaps::One(src.heap())))
             .map_err(|detail| SpillError::corrupt(src.path(), detail))?;
         let (width, kw, i) = (row.len(), self.piece.key_width(), self.rows);
         copy_row(&mut self.staged[i * width..(i + 1) * width], row);
@@ -390,23 +395,17 @@ impl MergeOrder<'_> {
             (cmp_keys(a.key(), b.key()), 0)
         };
         let ord = match ord {
-            Ordering::Equal if self.tie_possible => self.break_tie(a, b),
+            Ordering::Equal if self.tie_possible => {
+                self.rows
+                    .tie_cmp
+                    .compare(a.row(), a.heap(), b.row(), b.heap())
+            }
             ord => ord,
         };
         OvcMatch {
             a_beats_b: ord == Ordering::Less || (ord == Ordering::Equal && a_first),
             loser_code,
         }
-    }
-}
-
-impl MergeOrder<'_> {
-    /// The row comparator on two heads whose keys are byte-equal. Out of
-    /// line: the matches a merge plays on its keys stay small.
-    #[inline(never)]
-    fn break_tie<S: RunSource>(&self, a: &S, b: &S) -> Ordering {
-        let tie_cmp = &self.rows.tie_cmp;
-        tie_cmp.compare_in(a.row(), a.heaps(), b.row(), b.heaps())
     }
 }
 

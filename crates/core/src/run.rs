@@ -66,16 +66,6 @@ impl SortedRun {
         self.rows
     }
 
-    /// The heaps the run's rows' strings are in: its own, or `input`'s
-    /// columns named by `plan`'s slots.
-    pub(crate) fn heaps<'a>(&'a self, plan: &'a RowPlan, input: &'a DataChunk) -> Heaps<'a> {
-        if self.in_input {
-            Heaps::Columns(input, &plan.columns)
-        } else {
-            Heaps::One(self.payload.heap())
-        }
-    }
-
     /// The bytes each of the output's VARCHAR columns ([`RowPlan::strings`])
     /// holds in the run's first `row` rows, into `out`: nothing before the
     /// first row, the run's totals after the last, and in between two slot
@@ -1814,7 +1804,11 @@ mod tests {
             };
             let rows: Vec<usize> = (0..block.len()).map(input_row).collect();
             assert_eq!(rows.len(), 6);
-            let heaps = run.heaps(plan.rows(), &input);
+            let heaps = if run.in_input {
+                Heaps::Columns(&input, &plan.rows().columns)
+            } else {
+                Heaps::One(block.heap())
+            };
             let slot = |i: usize, c: usize| {
                 let at = layout.offset(c);
                 let word = |at| u32::from_le_bytes(word(block.row(i), at)) as usize;

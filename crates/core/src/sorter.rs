@@ -30,7 +30,7 @@ use crate::resources::SortResources;
 use crate::run::{KeyPlan, SortedRun, TableStats};
 use crate::spill::{SpillError, SpillOp};
 use rowsort_algos::kway::OvcLoserTree;
-use rowsort_row::{ChunkBuilder, ChunkPiece, PieceTail};
+use rowsort_row::{ChunkBuilder, ChunkPiece, Heaps, PieceTail};
 use rowsort_vector::{DataChunk, LogicalType, OrderBy};
 use std::cmp::Ordering;
 use std::path::Path;
@@ -90,6 +90,12 @@ pub(crate) trait StoredRun: Send + Sync + 'static {
         let [_, end] = self.bounds();
         Self::rows_before(end)
     }
+
+    /// Where the run's rows' strings are when they are not in its
+    /// sources' heaps: a lone resident run's input columns.
+    fn input_heaps<'r>(&'r self, _order: MergeOrder<'r>) -> Option<Heaps<'r>> {
+        None
+    }
 }
 
 /// A resident run: cut by binary search over its key column, read in place.
@@ -126,11 +132,14 @@ impl StoredRun for SortedRun {
     fn source<'r>(
         &'r self,
         _: &'r SorterCore,
-        order: MergeOrder<'r>,
+        _: MergeOrder<'r>,
         [lo, hi]: [usize; 2],
     ) -> Result<MemSource<'r>, SpillError> {
-        let heaps = self.heaps(order.rows, order.input);
-        Ok(MemSource::range(self, heaps, lo, hi))
+        Ok(MemSource::range(self, lo, hi))
+    }
+    fn input_heaps<'r>(&'r self, order: MergeOrder<'r>) -> Option<Heaps<'r>> {
+        self.in_input
+            .then_some(Heaps::Columns(order.input, &order.rows.columns))
     }
 }
 
@@ -529,6 +538,11 @@ impl SorterCore {
         } else {
             MergeCodes::None
         };
+        // A lone resident run's strings are in the input columns.
+        let heaps = match runs {
+            [run] => run.input_heaps(order),
+            _ => None,
+        };
         // The next range, the pieces left, and the lowest failed range.
         let state = Mutex::new((0, pieces, None::<(usize, SpillError)>));
         let body = |_worker: usize| loop {
@@ -542,7 +556,7 @@ impl SorterCore {
                 next.0 += 1;
                 (p, plan.range_rows(p), piece)
             };
-            let mut sink = VectorSink::new(piece, self.pool());
+            let mut sink = VectorSink::new(piece, heaps, self.pool());
             let merged = self.merge_range(order, codes, runs, plan, (p, rows), &mut sink);
             match merged.and_then(|()| sink.finish(self.pool())) {
                 Ok(tail) => {

@@ -611,18 +611,6 @@ impl ChunkPiece<'_> {
     /// ([`STRINGS_OVERRUN`]); the piece is then no longer usable.
     #[inline]
     pub fn push_strings(&mut self, row: &[u8], heaps: Heaps<'_>) -> Result<(), &'static str> {
-        // Out of line: a merge's per-row loop stays small where no
-        // column's strings come from the rows.
-        if !self.strings.is_empty() {
-            self.push_row_strings(row, heaps)?;
-        }
-        self.taken += 1;
-        Ok(())
-    }
-
-    /// [`ChunkPiece::push_strings`]' copy of the row's strings.
-    #[inline(never)]
-    fn push_row_strings(&mut self, row: &[u8], heaps: Heaps<'_>) -> Result<(), &'static str> {
         for c in self.strings.iter_mut().filter(|c| !c.keyed) {
             let (s, slot, null_at) = c.slot;
             if row[null_at] != 0 {
@@ -635,6 +623,7 @@ impl ChunkPiece<'_> {
             }
             c.end_row(self.taken);
         }
+        self.taken += 1;
         Ok(())
     }
 
