@@ -170,9 +170,9 @@ const CORPUS: &[Mutant] = &[
     Mutant {
         name: "a NULL slot in reorder_heap keeps its old offset",
         file: "crates/row/src/block.rs",
-        anchor: r#"            if row[null] != 0 {
+        anchor: r#"            if null.is_some_and(|null| row[null] != 0) {
                 row[slot..slot + 4].copy_from_slice(&base);"#,
-        replacement: "            if row[null] != 0 {",
+        replacement: "            if null.is_some_and(|null| row[null] != 0) {",
         targets: ROW_BUG,
     },
     Mutant {
@@ -181,6 +181,23 @@ const CORPUS: &[Mutant] = &[
         anchor: "                        base: start,",
         replacement: "                        base: start + share as u32,",
         targets: ROW_BUG,
+    },
+    // A sort's row has a NULL flag only for a column that holds a NULL
+    // (`RowLayout::fitted`); every reader must take "no flag" as valid.
+    Mutant {
+        name: "gather_keyed reads a NULL flag the row no longer has (byte 0)",
+        file: "crates/row/src/gather.rs",
+        anchor: "ColumnFrom::Slot(s) => From::Row(s, layout.offset(s), layout.null_flag(s)),",
+        replacement: "ColumnFrom::Slot(s) => {\n                \
+                      From::Row(s, layout.offset(s), Some(layout.null_flag(s).unwrap_or(0)))\n            }",
+        targets: ROW_BUG,
+    },
+    Mutant {
+        name: "a row sized from the data padded to 8 bytes again",
+        file: "crates/row/src/layout.rs",
+        anchor: "RowAlignment::Natural => offset.div_ceil(widest) * widest,",
+        replacement: "RowAlignment::Natural => offset.div_ceil(8) * 8,",
+        targets: &[ROW, CORE, PEAK_HEAP],
     },
     Mutant {
         name: "the scatter writes a NULL row's value bytes",
@@ -286,14 +303,28 @@ const CORPUS: &[Mutant] = &[
         replacement: "let tie_cmp = FusedRowComparator::new(&RowLayout::new(types), order);",
         targets: &[CORE, MOVES, ORACLE],
     },
+    Mutant {
+        name: "the tie comparator reads a NULL flag the row no longer has (byte 0)",
+        file: "crates/core/src/comparator.rs",
+        anchor: "null_offset: layout.null_flag(k.column),",
+        replacement: "null_offset: Some(layout.null_flag(k.column).unwrap_or(0)),",
+        targets: CORE_BUG,
+    },
+    Mutant {
+        name: "a warm sorter keeps a flagless row after an input with NULLs in that column",
+        file: "crates/core/src/run.rs",
+        anchor: "} else if !self.rows.flags_fit(input) {",
+        replacement: "} else if self.rows.from.is_empty() && !self.rows.flags_fit(input) {",
+        targets: CORE_BUG,
+    },
     // The plan builds its key and the row that key calls for together; a
     // warm sorter whose statistics change must rebuild both.
     Mutant {
         name: "the row plan kept when a warm sorter's key changes shape",
         file: "crates/core/src/run.rs",
-        anchor: "            self.rows = RowPlan::new(types, order, exact);",
+        anchor: "            self.rows = RowPlan::new(types, order, exact, nulls);",
         replacement: "            if self.rows.from.is_empty() {\n                \
-                      self.rows = RowPlan::new(types, order, exact);\n            }",
+                      self.rows = RowPlan::new(types, order, exact, nulls);\n            }",
         targets: &[CORE, ORACLE],
     },
     Mutant {
@@ -363,6 +394,23 @@ const CORPUS: &[Mutant] = &[
         targets: MERGE_BUG,
     },
     // ---- rowsort-core: run files and the spill phase ----------------------
+    // A record's row is as wide as the sort's plan, which the header names:
+    // a file framed by another width is corrupt, never read as rows.
+    Mutant {
+        name: "the run-file encoder's header names the paper's row width, not the plan's",
+        file: "crates/core/src/external.rs",
+        anchor: "buf.extend_from_slice(&header_bytes(use_ovc, width));",
+        replacement: "buf.extend_from_slice(&header_bytes(use_ovc, \
+                      rowsort_row::RowLayout::new(layout.types()).width()));",
+        targets: CORE_BUG,
+    },
+    Mutant {
+        name: "the run-file reader frames a file whose rows are another width",
+        file: "crates/core/src/external.rs",
+        anchor: "} else if width != expect_width {",
+        replacement: "} else if width != expect_width && expect_width == usize::MAX {",
+        targets: &[CORE],
+    },
     Mutant {
         name: "RunCursor::advance without its seg_at > self.end bound",
         file: "crates/core/src/external.rs",
@@ -427,6 +475,14 @@ const CORPUS: &[Mutant] = &[
         anchor: "let _ends = EndOnUnwind(&failed);",
         replacement: "let _ends = ();",
         targets: CORE_BUG,
+    },
+    // ---- rowsort-core: the buffer pool --------------------------------------
+    Mutant {
+        name: "a pool class keeps at most 64 buffers again, whatever a sort lends at once",
+        file: "crates/core/src/pool.rs",
+        anchor: "if list.free.len() < list.most {",
+        replacement: "if list.free.len() < list.most.min(64) {",
+        targets: &[CORE, ZERO_ALLOC],
     },
     // ---- rowsort-engine ---------------------------------------------------
     Mutant {
@@ -558,8 +614,8 @@ const CORPUS: &[Mutant] = &[
     Mutant {
         name: "R012: a run file's header check dropped as a bare statement",
         file: "crates/core/src/external.rs",
-        anchor: "check_header(&self.buf[..HEADER_BYTES], self.has_ovc, self.run.path())?;",
-        replacement: "check_header(&self.buf[..HEADER_BYTES], self.has_ovc, self.run.path());",
+        anchor: "check_header(&self.buf[..HEADER_BYTES], expect, self.run.path())?;",
+        replacement: "check_header(&self.buf[..HEADER_BYTES], expect, self.run.path());",
         targets: &[LINT, CLIPPY_CORE, CORE],
     },
     Mutant {

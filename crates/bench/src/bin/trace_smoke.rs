@@ -19,8 +19,9 @@
 //! wall time, a clocked `gather` (every sort hands vectors back), a
 //! planned key (`key_width` no wider than `key_width_plain`,
 //! `varchar_prefix`), a row of the columns the key does not give back
-//! (`row_width` a multiple of 8, and `key_decoded_columns` at least 1
-//! where no key column is a VARCHAR prefix), tie counters
+//! (no more `row_flags` than `row_width` bytes, and `key_decoded_columns`
+//! at least 1 where no key column is a VARCHAR prefix), the pool's
+//! `pool_bytes` above 0 after a sort that drew on it, tie counters
 //! (`run_tie_ranges`, `run_tie_rows`, `pdq_sorts`) that agree, and a merge
 //! shape (`merge_rounds`, `merge_tasks`, `merge_max_range_rows`) that adds
 //! up: every merge, in memory or spilled, is one k-way pass that reports
@@ -261,15 +262,26 @@ fn main() {
                 "line {line_no}: stats_reused {reused}, expected {expected}"
             ));
         }
-        // The row holds the columns the key does not give back, padded to
-        // 8 bytes. A key of no VARCHAR prefix holds every key column
-        // exactly: at least one left the row.
+        // The row holds the columns the key does not give back, with a
+        // NULL flag byte for each that held a NULL. A key of no VARCHAR
+        // prefix holds every key column exactly: at least one left the
+        // row.
         let row_width = num_field(&obj, "row_width", line_no);
+        let row_flags = num_field(&obj, "row_flags", line_no);
         let decoded = num_field(&obj, "key_decoded_columns", line_no);
-        if row_width % 8.0 != 0.0 || (prefix == 0.0 && decoded < 1.0) {
+        if row_flags > row_width || (prefix == 0.0 && decoded < 1.0) {
             die(&format!(
-                "line {line_no}: row_width {row_width}, key_decoded_columns {decoded}, \
-                 varchar_prefix {prefix}"
+                "line {line_no}: row_width {row_width}, row_flags {row_flags}, \
+                 key_decoded_columns {decoded}, varchar_prefix {prefix}"
+            ));
+        }
+        // A sort that drew buffers from its pool left them there for the
+        // next one.
+        let pool_bytes = num_field(&obj, "pool_bytes", line_no);
+        let drew = count(Counter::PoolHits) + count(Counter::PoolMisses);
+        if drew > 0.0 && pool_bytes <= 0.0 {
+            die(&format!(
+                "line {line_no}: pool_bytes {pool_bytes} after {drew} pool requests"
             ));
         }
         let (tie_ranges, tie_rows) = (count(Counter::RunTieRanges), count(Counter::RunTieRows));

@@ -260,7 +260,10 @@ impl Gen for CaseGen {
             6..=8 => rng.range_inclusive(65, 700),
             _ => rng.range_inclusive(1_500, 4_500),
         } as usize;
-        let null_share = *rng.pick(&[0.0, 0.05, 0.3]);
+        // Each column draws its own share of NULLs, so one row mixes
+        // slots with a NULL flag and slots without (a sort flags only the
+        // columns that hold a NULL).
+        let null_share = |rng: &mut Rng| *rng.pick(&[0.0, 0.05, 0.3]);
         let ncols = rng.range_inclusive(1usize, 4);
         let mut types = Vec::new();
         let mut rows = vec![Vec::new(); n];
@@ -277,8 +280,9 @@ impl Gen for CaseGen {
             let pool: Vec<Value> = (0..*rng.pick(&[1, 5, 0]))
                 .map(|_| draw_value(ty, shape, rng))
                 .collect();
+            let share = null_share(rng);
             for row in &mut rows {
-                row.push(if rng.chance(null_share) {
+                row.push(if rng.chance(share) {
                     Value::Null
                 } else if pool.is_empty() {
                     draw_value(ty, shape, rng)
@@ -307,8 +311,9 @@ impl Gen for CaseGen {
             let pool: Vec<Value> = (0..values)
                 .map(|_| draw_value(LogicalType::Varchar, shape, rng))
                 .collect();
+            let share = null_share(rng).max(0.05);
             for row in &mut rows {
-                let null = rng.chance(null_share.max(0.05));
+                let null = rng.chance(share);
                 row.push(if null {
                     Value::Null
                 } else {
@@ -325,8 +330,9 @@ impl Gen for CaseGen {
         // (`ovc::fill_short_codes`).
         if rng.chance(0.15) {
             let base = rng.next_u64();
+            let share = null_share(rng);
             for row in &mut rows {
-                row.push(if rng.chance(null_share) {
+                row.push(if rng.chance(share) {
                     Value::Null
                 } else {
                     Value::Int64(base.wrapping_add(rng.next_u64() >> 4) as i64)
@@ -715,7 +721,11 @@ pub fn check_twins_agree(case: &Case) -> PropResult {
 /// string reads as its own lossy conversion, the way [`RowBlock::value`]
 /// reads it.
 pub fn check_lossy_block() -> PropResult {
-    let layout = std::sync::Arc::new(RowLayout::new(&[LogicalType::Varchar, LogicalType::Int16]));
+    // A sort's layout: the VARCHAR holds NULLs and has a flag, the
+    // SMALLINT has none.
+    let types = [LogicalType::Varchar, LogicalType::Int16];
+    let layout = std::sync::Arc::new(RowLayout::fitted(&types, |c| c == 0));
+    let flag = layout.null_flag(0).expect("a flagged column");
     // "ab", a lone 0xFF, "é" cut between two strings (valid as a whole,
     // not string by string), an empty string, and NULLs over garbage slots.
     let heap = [b'a', b'b', 0xFF, b'x', 0xC3, 0xA9, b'y', b'z'];
@@ -733,7 +743,7 @@ pub fn check_lossy_block() -> PropResult {
     let mut data = vec![0u8; slots.len() * 30 * width];
     for (i, row) in data.chunks_exact_mut(width).enumerate() {
         let (off, len) = slots[i % slots.len()].unwrap_or((0xDEAD_BEEF, u32::MAX));
-        row[layout.null_offset(0)] = u8::from(slots[i % slots.len()].is_none());
+        row[flag] = u8::from(slots[i % slots.len()].is_none());
         row[layout.offset(0)..][..4].copy_from_slice(&u32::to_le_bytes(off));
         row[layout.offset(0) + 4..][..4].copy_from_slice(&u32::to_le_bytes(len));
         row[layout.offset(1)..][..2].copy_from_slice(&(i as i16).to_le_bytes());

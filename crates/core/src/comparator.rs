@@ -92,7 +92,8 @@ struct KeyDesc {
     /// The row slot: which of a row's heaps its strings are in.
     slot: usize,
     offset: usize,
-    null_offset: usize,
+    /// The NULL flag's offset; `None` for a column that holds no NULL.
+    null_offset: Option<usize>,
     spec: SortSpec,
 }
 
@@ -104,7 +105,7 @@ fn key_descs(layout: &RowLayout, order: &OrderBy) -> Vec<KeyDesc> {
             ty: layout.types()[k.column],
             slot: k.column,
             offset: layout.offset(k.column),
-            null_offset: layout.null_offset(k.column),
+            null_offset: layout.null_flag(k.column),
             spec: k.spec,
         })
         .collect()
@@ -112,9 +113,10 @@ fn key_descs(layout: &RowLayout, order: &OrderBy) -> Vec<KeyDesc> {
 
 #[inline]
 fn compare_key(d: &KeyDesc, a: &[u8], heap_a: &[u8], b: &[u8], heap_b: &[u8]) -> Ordering {
-    let (a_null, b_null) = (a[d.null_offset] != 0, b[d.null_offset] != 0);
-    if let Some(ord) = null_order(a_null, b_null, d.spec.nulls) {
-        return ord;
+    if let Some(at) = d.null_offset {
+        if let Some(ord) = null_order(a[at] != 0, b[at] != 0, d.spec.nulls) {
+            return ord;
+        }
     }
     d.spec
         .order
@@ -228,12 +230,20 @@ mod tests {
     use std::sync::Arc;
 
     fn block_from_rows(types: &[LogicalType], rows: &[Vec<Value>]) -> RowBlock {
+        block_in(types, rows, |_| RowLayout::new(types))
+    }
+
+    /// The rows in the layout `layout` makes of their chunk.
+    fn block_in(
+        types: &[LogicalType],
+        rows: &[Vec<Value>],
+        layout: impl Fn(&DataChunk) -> RowLayout,
+    ) -> RowBlock {
         let mut chunk = DataChunk::new(types);
         for r in rows {
             chunk.push_row(r).unwrap();
         }
-        let layout = Arc::new(RowLayout::new(types));
-        let mut block = RowBlock::new(layout);
+        let mut block = RowBlock::new(Arc::new(layout(&chunk)));
         block.append_chunk(&chunk);
         block
     }
@@ -327,9 +337,23 @@ mod tests {
                 vec![V::from("GERMANY"), V::from("NETHERLANDS"), V::Null],
             ),
         ];
-        for (ty, values) in cases {
+        // Each case's rows in the paper's layout, and — without the NULL —
+        // in a sort's, whose column then has no flag to read.
+        let fitted = |chunk: &DataChunk| {
+            let nullable = |c: usize| !chunk.column(c).validity().all_valid();
+            RowLayout::fitted(&chunk.types(), nullable)
+        };
+        let layouts = cases.iter().flat_map(|(ty, values)| {
             let rows: Vec<Vec<Value>> = values.iter().map(|v| vec![v.clone()]).collect();
-            let block = block_from_rows(&[ty], &rows);
+            let flagless = rows[..2].to_vec();
+            let block = block_in(&[*ty], &flagless, fitted);
+            assert_eq!(block.layout().flags(), 0);
+            [
+                (*ty, block_from_rows(&[*ty], &rows), rows),
+                (*ty, block, flagless),
+            ]
+        });
+        for (ty, block, rows) in layouts {
             for spec in [
                 SortSpec::new(SortOrder::Ascending, NullOrder::NullsLast),
                 SortSpec::new(SortOrder::Descending, NullOrder::NullsFirst),

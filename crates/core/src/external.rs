@@ -68,19 +68,22 @@ const BLOCK_BYTES: usize = 64 * 1024;
 /// Bytes of xxHash64 closing every block.
 const HASH_BYTES: usize = 8;
 
-/// Magic prefix of every run file ("RowSort RuN"). The 8-byte header —
-/// magic, format version, feature flags — opens block 0 and is hashed
-/// with it, so a tampered header is caught even when its fields happen
-/// to parse.
+/// Magic prefix of every run file ("RowSort RuN"). The 12-byte header —
+/// magic, format version, feature flags, row width — opens block 0 and
+/// is hashed with it, so a tampered header is caught even when its
+/// fields happen to parse.
 const SPILL_MAGIC: [u8; 4] = *b"RSRN";
 
 /// Run-file format version. Version 2 added the header and the optional
 /// per-record offset-value code; version 3 replaced the whole-file
 /// checksum trailer with hash-sealed blocks; version 4 narrowed the
 /// record's row to the columns its key does not give back (the sort's
-/// [`RowPlan`](crate::run::RowPlan)). Other versions are rejected as
-/// corrupt rather than mis-parsed.
-const SPILL_VERSION: u16 = 4;
+/// [`RowPlan`](crate::run::RowPlan)); version 5 sized that row from the
+/// input — a NULL flag only for a column that holds a NULL, the row padded
+/// to its widest slot rather than to 8 bytes (`RowLayout::fitted`) — and
+/// put the row's width in the header, which the reader holds to its plan's.
+/// Other versions are rejected as corrupt rather than mis-parsed.
+const SPILL_VERSION: u16 = 5;
 
 /// Header flag bit 0: each record carries an 8-byte offset-value code
 /// (LE `u64`) between its key and its payload row. Set where the sort
@@ -88,9 +91,9 @@ const SPILL_VERSION: u16 = 4;
 /// its own code).
 const SPILL_FLAG_OVC: u16 = 1;
 
-/// Bytes of run-file header (magic ‖ version ‖ flags) before block 0's
-/// first record.
-const HEADER_BYTES: usize = 8;
+/// Bytes of run-file header (magic ‖ version ‖ flags ‖ row width, a LE
+/// `u32`) before block 0's first record.
+const HEADER_BYTES: usize = 12;
 
 /// Most workers that build and spill runs at once, whatever
 /// [`ExternalSortOptions::merge_threads`] says: run generation holds at
@@ -469,22 +472,30 @@ struct RangeCut {
     in_off: usize,
 }
 
-/// The run-file header for a run with (`ovc`) or without code column.
-fn header_bytes(ovc: bool) -> [u8; HEADER_BYTES] {
+/// The run-file header for a run with (`ovc`) or without code column
+/// whose records carry rows of `width` bytes.
+fn header_bytes(ovc: bool, width: usize) -> [u8; HEADER_BYTES] {
     let flags = if ovc { SPILL_FLAG_OVC } else { 0 };
     let [m0, m1, m2, m3] = SPILL_MAGIC;
     let [v0, v1] = SPILL_VERSION.to_le_bytes();
     let [f0, f1] = flags.to_le_bytes();
-    [m0, m1, m2, m3, v0, v1, f0, f1]
+    let [w0, w1, w2, w3] = (width as u32).to_le_bytes();
+    [m0, m1, m2, m3, v0, v1, f0, f1, w0, w1, w2, w3]
 }
 
-/// Validate the 8-byte run-file header opening block 0 against what the
-/// merge expects: magic, version, flag bits, and whether records carry
-/// codes.
-fn check_header(header: &[u8], expect_ovc: bool, path: &Path) -> Result<(), SpillError> {
+/// Validate the run-file header opening block 0 against what the merge
+/// expects: magic, version, flag bits, whether records carry codes, and
+/// the width of their rows — a file whose rows are another plan's cannot
+/// be framed by this one's.
+fn check_header(
+    header: &[u8],
+    (expect_ovc, expect_width): (bool, usize),
+    path: &Path,
+) -> Result<(), SpillError> {
     let magic: [u8; 4] = word(header, 0);
     let version = u16::from_le_bytes(word(header, 4));
     let flags = u16::from_le_bytes(word(header, 6));
+    let width = u32::from_le_bytes(word(header, 8)) as usize;
     let file_ovc = flags & SPILL_FLAG_OVC != 0;
     let detail = if magic != SPILL_MAGIC {
         format!("bad run-file magic {magic:02x?}")
@@ -494,6 +505,8 @@ fn check_header(header: &[u8], expect_ovc: bool, path: &Path) -> Result<(), Spil
         format!("unknown run-file flags {flags:#06x}")
     } else if file_ovc != expect_ovc {
         format!("run-file OVC flag is {file_ovc} but the merge expected {expect_ovc}")
+    } else if width != expect_width {
+        format!("run-file rows are {width} bytes but the merge expected {expect_width}")
     } else {
         return Ok(());
     };
@@ -589,7 +602,8 @@ impl<'a> RunCursor<'a> {
         }
         self.fetched += meta.len as u64;
         if b == 0 {
-            check_header(&self.buf[..HEADER_BYTES], self.has_ovc, self.run.path())?;
+            let expect = (self.has_ovc, self.width);
+            check_header(&self.buf[..HEADER_BYTES], expect, self.run.path())?;
         }
         let stored = u64::from_le_bytes(word(&self.buf, end));
         let computed = XxHash64::hash(&self.buf[..end], SPILL_CHECKSUM_SEED ^ b as u64);
@@ -611,7 +625,7 @@ impl<'a> RunCursor<'a> {
         let (row, layout) = (self.row(), &order.rows.layout);
         for (bytes, &(c, from)) in strings.iter_mut().zip(&order.rows.strings) {
             let len = match from {
-                ColumnSource::Slot(s) if row[layout.null_offset(s)] == 0 => {
+                ColumnSource::Slot(s) if layout.null_flag(s).is_none_or(|at| row[at] == 0) => {
                     u32::from_le_bytes(word(row, layout.offset(s) + 4)) as usize
                 }
                 ColumnSource::Slot(_) => 0,
@@ -714,7 +728,10 @@ impl RunSource for RunCursor<'_> {
         // slots; a NULL's slot is never read.
         let layout = &self.rows.layout;
         for s in self.rows.varlen() {
-            if self.buf[row_at + layout.null_offset(s)] != 0 {
+            if layout
+                .null_flag(s)
+                .is_some_and(|at| self.buf[row_at + at] != 0)
+            {
                 continue;
             }
             let slot = row_at + layout.offset(s);
@@ -956,7 +973,7 @@ impl ExternalSorter {
         // The header travels with block 0 (an empty run encodes to
         // nothing).
         let mut start = HEADER_BYTES;
-        buf.extend_from_slice(&header_bytes(use_ovc));
+        buf.extend_from_slice(&header_bytes(use_ovc, width));
         let mut first = 0;
         while first < run.len() {
             let room = BLOCK_BYTES - HASH_BYTES - start;
@@ -1460,7 +1477,7 @@ mod tests {
         // end to end, each sealed under its own ordinal, and what is
         // recorded of each block's first record.
         let file = file_bytes(&run);
-        assert_eq!(file[..HEADER_BYTES], header_bytes(true));
+        assert_eq!(file[..HEADER_BYTES], header_bytes(true, width));
         assert_eq!(file.len() as u64, run.index.bytes);
         assert!(run.index.blocks.len() >= 3, "a run of several blocks");
         let mut at = 0u64;
@@ -1548,10 +1565,11 @@ mod tests {
 
         // A key of 7 bytes or fewer is its own merge code, and its records
         // carry none: `catalog_spill`'s shape — five INT columns, keyed by
-        // four that range-code in 5 bytes — spills 17 bytes a record (the
-        // key, an 8-byte row of the one column the key does not hold, the
-        // length word of an empty segment) where the whole 32-byte row
-        // made it 41, and an 8-byte code 49.
+        // four that range-code in 5 bytes — spills 13 bytes a record (the
+        // key, a 4-byte row of the one column the key does not hold, which
+        // holds no NULL and so has no flag, and the length word of an
+        // empty segment) where the whole 32-byte row made it 41, and an
+        // 8-byte code 49.
         let catalog = rowsort_datagen::tpcds::catalog_sales(2_000, 10.0, 0x000F_1616).data;
         let by = OrderBy::new((1..=4).map(OrderByColumn::asc).collect());
         let options = ExternalSortOptions {
@@ -1562,13 +1580,13 @@ mod tests {
         let sorted = whole_run(&sorter, &catalog);
         let planned = plan(&sorter, &catalog);
         let width = planned.rows().layout.width();
-        assert_eq!((sorted.key_width, width), (5, 8));
+        assert_eq!((sorted.key_width, width), (5, 4));
         assert!(sorted.ovc.is_empty(), "no code column");
         let run = memory_run(&sorter, &planned, &sorted, &catalog);
         let bytes = bytes_of(&run);
-        assert_eq!(bytes[..HEADER_BYTES], header_bytes(false));
+        assert_eq!(bytes[..HEADER_BYTES], header_bytes(false, width));
         let framing = HEADER_BYTES + HASH_BYTES * run.index.blocks.len();
-        assert_eq!(bytes.len() - framing, 17 * catalog.len(), "17-byte records");
+        assert_eq!(bytes.len() - framing, 13 * catalog.len(), "13-byte records");
     }
 
     /// The string-free twin of the layout check above: with no VARCHAR
@@ -1630,15 +1648,33 @@ mod tests {
             };
             ExternalSorter::new(chunk.types(), OrderBy::ascending(1), options)
         };
-        // A 4-byte key over a 16-byte row (the BIGINT the key does not
-        // hold): 24-byte records, of which block 0 takes 2 730 behind the
+        // A 4-byte key over a 3-byte row — a TINYINT that holds NULLs (its
+        // flag and its value) and a BOOLEAN that holds none (its value
+        // alone): 11-byte records, of which block 0 takes 5 956 behind the
         // header and fills all 64 KiB.
         let keys = |rows: usize| pseudo_random(rows, 31, u32::MAX);
         let chunk = |keys: Vec<u32>| {
-            let payload = Vector::from_i64s((0..keys.len() as i64).collect());
-            DataChunk::from_columns(vec![Vector::from_u32s(keys), payload]).unwrap()
+            let tiny = |i: usize| {
+                if i % 7 == 3 {
+                    Value::Null
+                } else {
+                    Value::Int8(i as i8)
+                }
+            };
+            let tiny: Vec<Value> = (0..keys.len()).map(tiny).collect();
+            let flags: Vec<Value> = (0..keys.len())
+                .map(|i| Value::Boolean(i % 3 == 0))
+                .collect();
+            DataChunk::from_columns(vec![
+                Vector::from_u32s(keys),
+                Vector::from_values(LogicalType::Int8, &tiny).unwrap(),
+                Vector::from_values(LogicalType::Boolean, &flags).unwrap(),
+            ])
+            .unwrap()
         };
-        let full = chunk(keys(2 * 2_730 + 17));
+        let full = chunk(keys(2 * 5_956 + 17));
+        let layout = Arc::clone(&plan(&sorter(&full), &full).rows().layout);
+        assert_eq!((layout.width(), layout.flags()), (3, 1));
         let blocks = check_fixed_run_layout(&sorter(&full), &full);
         assert_eq!(blocks[0], BLOCK_BYTES, "block 0 filled to the byte");
         assert_eq!(blocks.len(), 3);
@@ -1648,11 +1684,11 @@ mod tests {
 
         // Every key column holds one value: the key is 0 bytes wide, and a
         // record is the row and its segment length alone.
-        let same = chunk(vec![7; 6_000]);
+        let same = chunk(vec![7; 12_000]);
         let kw = whole_run(&sorter(&same), &same).key_width;
         assert_eq!(kw, 0, "a one-value key column codes in no bytes");
         let blocks = check_fixed_run_layout(&sorter(&same), &same);
-        assert_eq!(blocks.len(), 2, "6 000 records of 20 bytes");
+        assert_eq!(blocks.len(), 2, "12 000 records of 7 bytes");
         // A code column too (OVC on, a key of 8 bytes or more).
         let wide = DataChunk::from_columns(vec![
             Vector::from_u32s(keys(5_000)),
@@ -2842,6 +2878,44 @@ mod tests {
         }
     }
 
+    /// A version 4 file — rows that still carried a flag per column and
+    /// 8-byte padding — and a file whose rows are not as wide as the
+    /// plan's are corrupt, even under a hash that vouches for the header:
+    /// no record of either is framed by this plan's row.
+    #[test]
+    fn a_v4_file_or_another_row_width_is_corrupt() {
+        let chunk = stringy_chunk(32, 35);
+        let sorter = ExternalSorter::new(
+            chunk.types(),
+            OrderBy::ascending(2),
+            ExternalSortOptions::default(),
+        );
+        let (runs, plan) = build_spilled_runs(&sorter, &chunk);
+        let order = plan.merge_order(plan.table(None), &chunk);
+        let width = plan.rows().layout.width();
+        let bytes = file_bytes(&runs[0]);
+        assert_eq!(u32::from_le_bytes(word(&bytes, 8)) as usize, width);
+        let v4 = (
+            4u16.to_le_bytes().to_vec(),
+            4,
+            "unsupported run-file version 4",
+        );
+        let wider = ((width as u32 + 4).to_le_bytes().to_vec(), 8, "rows are");
+        let narrower = ((width as u32 - 1).to_le_bytes().to_vec(), 8, "rows are");
+        for (field, at, says) in [v4, wider, narrower] {
+            let mut broken = bytes.clone();
+            broken[at..at + field.len()].copy_from_slice(&field);
+            reseal(&mut broken, &runs[0].index, 0);
+            let run = with_bytes(&runs[0], broken);
+            let err = sorter
+                .open_cursor(&run, order, run.bounds())
+                .err()
+                .expect("the header must surface");
+            assert!(matches!(err, SpillError::Corrupt { .. }), "got {err:?}");
+            assert!(err.to_string().contains(says), "{says}: got {err}");
+        }
+    }
+
     // ---- structure-aware corruption (DESIGN.md §8.3) ---------------------
 
     /// A copy of `run` whose bytes are `bytes`: in memory, or as a file on
@@ -3028,7 +3102,8 @@ mod tests {
                     .collect();
                 assert!(runs.iter().all(|r| r.index.blocks.len() >= 3));
                 // Records carry a code only where the key is not its own.
-                let header = header_bytes(ovc && order.kw > ovc::KEY_CODE_BYTES);
+                let codes = ovc && order.kw > ovc::KEY_CODE_BYTES;
+                let header = header_bytes(codes, order.rows.layout.width());
                 assert!(runs.iter().all(|r| bytes_of(r)[..HEADER_BYTES] == header));
                 let rows = sorters[0]
                     .merge_planned(&runs, &plan, &chunk)
@@ -3218,7 +3293,9 @@ mod tests {
             let c = rows.varlen().next().unwrap();
             let slot = row.start + layout.offset(c);
             let long_string = damaged(&|b| {
-                b[row.start + layout.null_offset(c)] = 0;
+                if let Some(flag) = layout.null_flag(c) {
+                    b[row.start + flag] = 0;
+                }
                 put(b, slot, 0);
                 put(b, slot + 4, seg.len() + 1);
             });

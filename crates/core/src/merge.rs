@@ -106,6 +106,15 @@ pub(crate) struct MemSource<'a> {
     code: u64,
 }
 
+// The in-memory merge's speed hangs on this struct's size, not only on
+// what its loop reads: holding a 32-byte `Heaps` for the 16-byte `heap`
+// slice — a field no `ints_mem` path read — took that workload's merge
+// from 29 to 37 ms a query (1 M `u32` rows, 2 threads, a 2-core host,
+// three alternating rounds of `Engine::query_profiled`; CHANGES.md has
+// the measurement). A change that grows a merge source changes this
+// assertion and says what it measured.
+const _: () = assert!(std::mem::size_of::<MemSource<'static>>() == 104);
+
 impl<'a> MemSource<'a> {
     /// A cursor over rows `pos..end` of `run`.
     pub(crate) fn range(run: &'a SortedRun, pos: usize, end: usize) -> MemSource<'a> {

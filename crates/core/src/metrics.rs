@@ -471,13 +471,20 @@ pub struct SortProfile {
     /// statistics"); 0 for a sort that took every statistic it read.
     pub stats_reused: u32,
     /// Bytes per payload row: the row holds only the input columns the
-    /// key does not give back (DESIGN.md §7.7).
+    /// key does not give back, sized from what the input holds (DESIGN.md
+    /// §7.7).
     pub row_width: u32,
+    /// Row slots that carry a NULL flag: the row's columns that held a
+    /// NULL in the input.
+    pub row_flags: u32,
     /// Input columns the sort's output decoded from the key instead.
     pub key_decoded_columns: u32,
     /// What the sort's merges decide on, were it to merge: offset-value
     /// codes, the keys themselves (keys of 1 to 7 bytes), or nothing.
     pub merge_codes: MergeCodes,
+    /// Bytes the sort's buffer pool retained when the sort ended: what it
+    /// keeps for the sorts after it.
+    pub pool_bytes: u64,
     /// Counter/phase deltas recorded during the call.
     pub metrics: Metrics,
 }
@@ -496,8 +503,10 @@ impl SortProfile {
             dict_values: [0; DICT_REPORTED],
             stats_reused: 0,
             row_width: 0,
+            row_flags: 0,
             key_decoded_columns: 0,
             merge_codes: MergeCodes::None,
+            pool_bytes: 0,
             metrics: Metrics::zeroed(),
         }
     }
@@ -505,8 +514,8 @@ impl SortProfile {
     /// The trace-schema JSON object for this profile: `event`,
     /// `operator`, `rows`, `total_ns`, `key_width`, `key_width_plain`,
     /// `varchar_prefix`, `dict_columns`, the array `dict_values` (one
-    /// count per listed column), `stats_reused`, `row_width`,
-    /// `key_decoded_columns`, plus nested `phases` and `counters`
+    /// count per listed column), `stats_reused`, `row_width`, `row_flags`,
+    /// `key_decoded_columns`, `pool_bytes`, plus nested `phases` and `counters`
     /// objects (every field numeric; see DESIGN.md §7.5 for the schema
     /// contract `trace_smoke` validates in CI).
     pub fn to_json(&self) -> Json {
@@ -540,10 +549,12 @@ impl SortProfile {
             ("dict_values", Json::Arr(dict_values)),
             ("stats_reused", Json::Num(f64::from(self.stats_reused))),
             ("row_width", Json::Num(f64::from(self.row_width))),
+            ("row_flags", Json::Num(f64::from(self.row_flags))),
             (
                 "key_decoded_columns",
                 Json::Num(f64::from(self.key_decoded_columns)),
             ),
+            ("pool_bytes", Json::Num(self.pool_bytes as f64)),
             ("phases", Json::Obj(phases)),
             ("counters", Json::Obj(counters)),
         ])
@@ -694,8 +705,10 @@ mod tests {
             dict_values: [200, 101, 0, 0],
             stats_reused: 3,
             row_width: 16,
+            row_flags: 1,
             key_decoded_columns: 2,
             merge_codes: MergeCodes::Ovc,
+            pool_bytes: 3 << 20,
             metrics: reg.snapshot(),
         };
         let parsed = Json::parse(&profile.to_json().render()).unwrap();
@@ -712,8 +725,11 @@ mod tests {
         assert_eq!(listed, [200.0, 101.0]);
         assert_eq!(parsed.get("stats_reused").unwrap().as_f64(), Some(3.0));
         assert_eq!(parsed.get("row_width").unwrap().as_f64(), Some(16.0));
+        assert_eq!(parsed.get("row_flags").unwrap().as_f64(), Some(1.0));
         let decoded = parsed.get("key_decoded_columns").unwrap().as_f64();
         assert_eq!(decoded, Some(2.0));
+        let pooled = parsed.get("pool_bytes").unwrap().as_f64();
+        assert_eq!(pooled, Some(f64::from(3 << 20)));
         let phases = parsed.get("phases").unwrap();
         for phase in Phase::ALL {
             assert!(

@@ -425,6 +425,85 @@ mod tests {
     }
 
     #[test]
+    fn a_warm_sort_of_more_runs_than_a_class_used_to_keep_takes_every_buffer_from_the_pool() {
+        // 65 runs of 64 rows: each holds its keys and its rows, 256 bytes
+        // each, so the pool lends 130 buffers of that class at once — more
+        // than the 64 a class once kept, which dropped the rest every sort.
+        let rows = 65 * 64;
+        let input = DataChunk::from_columns(vec![
+            Vector::from_u32s(pseudo_random(rows, 65, u32::MAX)),
+            Vector::from_u32s((0..rows as u32).collect()),
+        ])
+        .unwrap();
+        let order = OrderBy::ascending(1);
+        let options = SortOptions::single_with_run_rows(64);
+        let pipeline = SortPipeline::new(input.types(), order.clone(), options);
+        let cold = pipeline.sort(&input);
+        assert_sorted_equal(&cold, &input, &order);
+        let counter = |c| pipeline.last_profile().metrics.counter(c);
+        assert_eq!(counter(Counter::RunsGenerated), 65);
+        assert!(counter(Counter::PoolMisses) >= 130);
+        let retained = pipeline.last_profile().pool_bytes;
+        assert!(retained >= 130 * 256, "the pool keeps {retained} B");
+        assert_eq!(pipeline.sort(&input), cold);
+        assert_eq!(counter(Counter::PoolMisses), 0, "a warm sort missed");
+        assert_eq!(pipeline.last_profile().pool_bytes, retained);
+    }
+
+    #[test]
+    fn a_warm_sorter_flags_a_payload_column_only_while_it_holds_nulls() {
+        // A u32 key and an INT payload, without NULLs and then with: the
+        // warm sorter's row gains the payload's flag, and loses it again,
+        // as a cold sorter plans it — in memory and spilled.
+        let rows = 3_000;
+        let keys = Vector::from_u32s(pseudo_random(rows, 17, u32::MAX));
+        let payload = |nulls: bool| {
+            let value = |i: usize| match i % 5 {
+                2 if nulls => Value::Null,
+                _ => Value::Int32(i as i32 - 1_500),
+            };
+            let values: Vec<Value> = (0..rows).map(value).collect();
+            Vector::from_values(LogicalType::Int32, &values).unwrap()
+        };
+        let input = |nulls| DataChunk::from_columns(vec![keys.clone(), payload(nulls)]).unwrap();
+        let (clean, holey) = (input(false), input(true));
+        let order = OrderBy::ascending(1);
+        let options = SortOptions::single_with_run_rows(700);
+        let spill = || crate::external::ExternalSortOptions {
+            memory_limit_rows: 700,
+            ..Default::default()
+        };
+        let new = || SortPipeline::new(clean.types(), order.clone(), options);
+        let new_external =
+            || crate::external::ExternalSorter::new(clean.types(), order.clone(), spill());
+        let (warm, warm_external) = (new(), new_external());
+        for (i, (input, row)) in [(&clean, (4, 0)), (&holey, (8, 1)), (&clean, (4, 0))]
+            .into_iter()
+            .enumerate()
+        {
+            let cold = new().sort(input);
+            assert_sorted_equal(&cold, input, &order);
+            let shape = |p: SortProfile| (p.row_width, p.row_flags);
+            assert_eq!(warm.sort(input), cold, "sort {i}: rows");
+            assert_eq!(
+                shape(warm.last_profile()),
+                row,
+                "sort {i}: row width, flags"
+            );
+            assert_eq!(
+                warm_external.sort(input).unwrap(),
+                cold,
+                "sort {i}: spilled rows"
+            );
+            assert_eq!(
+                shape(warm_external.last_profile()),
+                row,
+                "sort {i}: spilled row"
+            );
+        }
+    }
+
+    #[test]
     fn empty_input() {
         let chunk = DataChunk::new(&[LogicalType::UInt32]);
         let got = sort_chunk(&chunk, &OrderBy::ascending(1));

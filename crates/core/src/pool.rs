@@ -14,9 +14,12 @@
 //! a buffer whose capacity is at least `n` from the smallest class that
 //! guarantees it (`ceil(log2(n))`); `put_bytes` files a buffer under
 //! `floor(log2(capacity))`, so a pooled buffer always satisfies any
-//! request routed to its class. Free lists are preallocated to a fixed
-//! slot count, so the pool itself allocates nothing in steady state; a
-//! `put` into a full class simply drops the buffer.
+//! request routed to its class. A class keeps as many buffers as were
+//! ever lent out of it at once, and drops the rest on `put`: what the
+//! sorts that share the pool needed together, so a warm sort of any run
+//! count finds every buffer it asks for. Free lists are preallocated to
+//! [`PREALLOCATED_SLOTS`] and grow only when a class's demand first
+//! passes its list, so the pool allocates nothing in steady state.
 //!
 //! A pool outlives its sorts: an engine keeps one for every in-memory sort
 //! it runs, a sorter built alone keeps its own ([`SortResources`], DESIGN.md
@@ -37,10 +40,9 @@ const MIN_SHIFT: usize = 6;
 /// this fall through to plain allocation.
 const MAX_SHIFT: usize = 34;
 
-/// Retained buffers per size class. Each run/merge round holds only a
-/// handful of buffers per class, so this bounds pool memory while keeping
-/// steady-state hit rates at 100%.
-const SLOTS_PER_CLASS: usize = 64;
+/// Free-list slots each class starts with: a sort that holds more buffers
+/// of one class at once grows its list once, the first time.
+const PREALLOCATED_SLOTS: usize = 64;
 
 /// A size-classed free list of `Vec<u8>` buffers.
 ///
@@ -56,9 +58,19 @@ const SLOTS_PER_CLASS: usize = 64;
 /// assert!(again.capacity() >= 1024);
 /// ```
 pub struct BufferPool {
-    classes: Vec<Mutex<Vec<Vec<u8>>>>,
+    classes: Vec<Mutex<Class>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
+    /// Capacity of every buffer on a free list, in bytes.
+    retained: AtomicUsize,
+}
+
+/// One size class: its free buffers, and how many it has lent out — now,
+/// and at most at once, which is how many it keeps.
+struct Class {
+    free: Vec<Vec<u8>>,
+    lent: usize,
+    most: usize,
 }
 
 impl BufferPool {
@@ -68,12 +80,17 @@ impl BufferPool {
         let nclasses = MAX_SHIFT - MIN_SHIFT + 1;
         let mut classes = Vec::with_capacity(nclasses);
         for _ in 0..nclasses {
-            classes.push(Mutex::new(Vec::with_capacity(SLOTS_PER_CLASS)));
+            classes.push(Mutex::new(Class {
+                free: Vec::with_capacity(PREALLOCATED_SLOTS),
+                lent: 0,
+                most: 0,
+            }));
         }
         BufferPool {
             classes,
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
+            retained: AtomicUsize::new(0),
         }
     }
 
@@ -110,7 +127,10 @@ impl BufferPool {
         let mut list = self.classes[class]
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        if let Some(buf) = list.pop() {
+        list.lent += 1;
+        list.most = list.most.max(list.lent);
+        if let Some(buf) = list.free.pop() {
+            self.retained.fetch_sub(buf.capacity(), Ordering::Relaxed);
             self.hits.fetch_add(1, Ordering::Relaxed);
             (buf, Counter::PoolHits)
         } else {
@@ -122,7 +142,12 @@ impl BufferPool {
     }
 
     /// Return a buffer to its class. The buffer is cleared; it is dropped
-    /// instead if it is tiny or its class is already full.
+    /// instead if it is tiny or its class already holds as many buffers as
+    /// it ever lent out at once. A buffer that grew past its class while
+    /// lent comes back to the larger class, which counts one return too
+    /// many (never below zero), while its first class counts it as lent
+    /// from then on; a warm sort grows no pooled buffer (`zero_alloc.rs`),
+    /// so that happens only while a pool warms up.
     pub fn put_bytes(&self, mut buf: Vec<u8>) {
         let Some(class) = Self::class_for_buffer(buf.capacity()) else {
             return;
@@ -131,10 +156,12 @@ impl BufferPool {
         let mut list = self.classes[class]
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        if list.len() < SLOTS_PER_CLASS {
-            list.push(buf);
+        list.lent = list.lent.saturating_sub(1);
+        if list.free.len() < list.most {
+            self.retained.fetch_add(buf.capacity(), Ordering::Relaxed);
+            list.free.push(buf);
         }
-        // else: class full; `buf` drops here.
+        // else: more than the class ever lent at once; `buf` drops here.
     }
 
     /// Requests served from a free list.
@@ -145,6 +172,12 @@ impl BufferPool {
     /// Requests that fell through to a fresh allocation.
     pub fn misses(&self) -> usize {
         self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Bytes the pool holds for later requests: the capacity of every
+    /// buffer on its free lists.
+    pub fn retained_bytes(&self) -> usize {
+        self.retained.load(Ordering::Relaxed)
     }
 }
 
@@ -215,6 +248,8 @@ mod tests {
         // A buffer put at capacity c must satisfy any get routed to the
         // class it lands in: put rounds down, get rounds up.
         let pool = BufferPool::new();
+        // Class 10 lends one buffer, which is never returned: it keeps one.
+        drop(pool.get_bytes(1024));
         let mut buf = Vec::with_capacity(1500); // class floor(log2(1500)) = 10
         buf.push(1u8);
         pool.put_bytes(buf);
@@ -226,7 +261,7 @@ mod tests {
         // have satisfied it).
         let fresh = pool.get_bytes(1025);
         assert!(fresh.capacity() >= 1025);
-        assert_eq!(pool.misses(), 1);
+        assert_eq!(pool.misses(), 2);
     }
 
     #[test]
@@ -243,18 +278,32 @@ mod tests {
 
     #[test]
     fn full_class_drops_excess() {
+        // A class keeps as many buffers as it lent out at once — past the
+        // free lists' first size — and drops what comes back beyond that.
         let pool = BufferPool::new();
-        for _ in 0..SLOTS_PER_CLASS + 10 {
+        let lent = PREALLOCATED_SLOTS + 10;
+        let bufs: Vec<Vec<u8>> = (0..lent).map(|_| pool.get_bytes(256)).collect();
+        assert_eq!((pool.misses(), pool.retained_bytes()), (lent, 0));
+        for buf in bufs {
+            pool.put_bytes(buf);
+        }
+        assert_eq!(pool.retained_bytes(), lent * 256);
+        // Buffers it never lent find the class full.
+        for _ in 0..10 {
             pool.put_bytes(Vec::with_capacity(256));
         }
-        for _ in 0..SLOTS_PER_CLASS + 10 {
-            let _ = pool.get_bytes(256);
+        assert_eq!(pool.retained_bytes(), lent * 256);
+        let again: Vec<Vec<u8>> = (0..lent + 10).map(|_| pool.get_bytes(256)).collect();
+        assert_eq!(pool.hits(), lent, "only the retained slots recycle");
+        assert_eq!(pool.retained_bytes(), 0);
+        // The second round lent more at once: the class now keeps that many.
+        for buf in again {
+            pool.put_bytes(buf);
         }
-        assert_eq!(
-            pool.hits(),
-            SLOTS_PER_CLASS,
-            "only the retained slots recycle"
-        );
+        assert_eq!(pool.retained_bytes(), (lent + 10) * 256);
+        // Another class has lent nothing, so keeps nothing.
+        pool.put_bytes(Vec::with_capacity(4096));
+        assert_eq!(pool.retained_bytes(), (lent + 10) * 256);
     }
 
     #[test]

@@ -817,8 +817,10 @@ impl PlanScratch {
 /// What a sort's key and row are, and what planning keeps from sort to
 /// sort: the key's layout and the one [`RowPlan`] it calls for, both
 /// built when the statistics they were planned for change and only then,
-/// so a warm sort of the same shape builds neither. Unplanned, the key
-/// has no columns and the row none either.
+/// so a warm sort of the same shape builds neither. Whether the row's
+/// columns hold a NULL is one of those statistics, for the row alone: a
+/// change there rebuilds the row, not the key. Unplanned, the key has no
+/// columns and the row none either.
 pub(crate) struct KeyPlan {
     /// The statistics `key` was planned for, by column.
     stats: Vec<KeyStat>,
@@ -843,7 +845,7 @@ impl Default for KeyPlan {
             scratch: PlanScratch::default(),
             own: TableStats::default(),
             key: NormKeyLayout::new(Vec::new()),
-            rows: RowPlan::new(&[], &OrderBy::new(Vec::new()), 0),
+            rows: RowPlan::new(&[], &OrderBy::new(Vec::new()), 0, |_| true),
             key_blocks: Mutex::default(),
             reused: 0,
         }
@@ -863,8 +865,10 @@ pub(crate) enum ColumnSource {
 /// columns exactly ([`KeyColumn::is_exact`]): every input column but
 /// those, which the output decodes from the key (DESIGN.md §7.7). Its
 /// layout, the tie comparator over it and each column's source depend on
-/// the key's shape alone, so the [`KeyPlan`] that plans the key builds
-/// its one row beside it.
+/// the key's shape and on which columns hold a NULL, so the [`KeyPlan`]
+/// that plans the key builds its one row beside it. The layout is sized
+/// from the input ([`RowLayout::fitted`]): a NULL flag only for a column
+/// that holds a NULL, the row padded to its widest slot (DESIGN.md §7.7).
 pub(crate) struct RowPlan {
     pub(crate) layout: Arc<RowLayout>,
     /// Where each input column comes from, by input column.
@@ -883,9 +887,15 @@ pub(crate) struct RowPlan {
 
 impl RowPlan {
     /// The row plan of a sort of `types` by `order` whose key holds its
-    /// first `exact` `ORDER BY` columns exactly. A column named twice is
-    /// decoded from its first place.
-    pub(crate) fn new(types: &[LogicalType], order: &OrderBy, exact: usize) -> RowPlan {
+    /// first `exact` `ORDER BY` columns exactly, over an input whose
+    /// column `c` holds a NULL where `nulls(c)` says so. A column named
+    /// twice is decoded from its first place.
+    pub(crate) fn new(
+        types: &[LogicalType],
+        order: &OrderBy,
+        exact: usize,
+        nulls: impl Fn(usize) -> bool,
+    ) -> RowPlan {
         let decoded_at = |c: usize| order.keys.iter().take(exact).position(|by| by.column == c);
         let columns: Vec<usize> = (0..types.len())
             .filter(|&c| decoded_at(c).is_none())
@@ -897,7 +907,7 @@ impl RowPlan {
             })
             .collect();
         let slot_types: Vec<LogicalType> = columns.iter().map(|&c| types[c]).collect();
-        let layout = Arc::new(RowLayout::new(&slot_types));
+        let layout = Arc::new(RowLayout::fitted(&slot_types, |s| nulls(columns[s])));
         let ties = order
             .keys
             .iter()
@@ -928,6 +938,19 @@ impl RowPlan {
         self.strings.iter().filter_map(|&(_, from)| match from {
             ColumnSource::Slot(s) => Some(s),
             ColumnSource::Key(_) => None,
+        })
+    }
+
+    /// Whether the row has a NULL flag for each of its columns that holds
+    /// a NULL in `input` and for no other: each such column's validity
+    /// read once ([`Validity::all_valid`]).
+    ///
+    /// [`Validity::all_valid`]: rowsort_vector::Validity::all_valid
+    fn flags_fit(&self, input: &DataChunk) -> bool {
+        let mut slots = self.columns.iter().enumerate();
+        slots.all(|(s, &c)| {
+            let flagged = self.layout.null_flag(s).is_some();
+            flagged != input.column(c).validity().all_valid()
         })
     }
 
@@ -975,13 +998,17 @@ impl KeyPlan {
             spread,
         );
         self.reused = planned.reused;
+        let nulls = |c: usize| !input.column(c).validity().all_valid();
         if planned.changed {
             let stats = &self.stats;
             let key = key_layout(types, order, |c| stats[c]);
             let exact = key.columns().iter().take_while(|c| c.is_exact()).count();
-            self.rows = RowPlan::new(types, order, exact);
+            self.rows = RowPlan::new(types, order, exact, nulls);
             self.key = key;
             self.release_entries();
+        } else if !self.rows.flags_fit(input) {
+            let exact = self.key.columns().iter().take_while(|c| c.is_exact());
+            self.rows = RowPlan::new(types, order, exact.count(), nulls);
         }
     }
 
@@ -1881,15 +1908,17 @@ mod tests {
     }
 
     /// The row of `input` sorted by `order`, as a sort plans it: its width
-    /// where the row carried every column, its width, and the columns the
-    /// output decodes from the key.
-    fn planned_row(input: &DataChunk, order: OrderBy) -> (usize, u32, u32) {
+    /// where the row carried every column with a NULL flag each, padded to
+    /// 8 bytes; its width; its NULL flags; and the columns the output
+    /// decodes from the key.
+    fn planned_row(input: &DataChunk, order: OrderBy) -> (usize, u32, u32, u32) {
         let full = RowLayout::new(&input.types()).width();
         let options = crate::pipeline::SortOptions::single_with_run_rows(1 << 17);
         let pipeline = crate::pipeline::SortPipeline::new(input.types(), order, options);
         drop(pipeline.sort(input));
         let profile = pipeline.last_profile();
-        (full, profile.row_width, profile.key_decoded_columns)
+        let row = (profile.row_width, profile.row_flags);
+        (full, row.0, row.1, profile.key_decoded_columns)
     }
 
     #[test]
@@ -1897,21 +1926,23 @@ mod tests {
         use rowsort_datagen::tpcds;
         let mut rng = rowsort_testkit::Rng::seed_from_u64(0x0_0ef0_bac4);
         // `ints_mem`: a random u32 key and a u32 payload; the key is the
-        // range-coded u32, and only the payload stays.
+        // range-coded u32, and only the payload stays — with no NULL, so
+        // with no flag: its 4 bytes alone.
         let keys: Vec<u32> = (0..20_000).map(|_| rng.next_u32()).collect();
         let ids = (0..keys.len() as u32).collect();
         let ints = DataChunk::from_columns(vec![Vector::from_u32s(keys), Vector::from_u32s(ids)]);
         let ints = ints.unwrap();
-        assert_eq!(planned_row(&ints, OrderBy::ascending(1)), (16, 8, 1));
-        // `catalog_spill`: four range-coded INT keys of five columns.
+        assert_eq!(planned_row(&ints, OrderBy::ascending(1)), (16, 4, 0, 1));
+        // `catalog_spill`: four range-coded INT keys of five columns; the
+        // item number left holds no NULL.
         let catalog = tpcds::catalog_sales(20_000, 10.0, 0x000F_1616).data;
         let by = OrderBy::new((1..=4).map(OrderByColumn::asc).collect());
-        assert_eq!(planned_row(&catalog, by), (32, 8, 4));
+        assert_eq!(planned_row(&catalog, by), (32, 4, 0, 4));
         // `customer` by last name, first name, birth year: two ranked
         // names and a range-coded year leave, and no string stays.
         let customer = tpcds::customer(20_000, 0x00C0_5703).data;
         let by = OrderBy::new([2, 1, 3].map(OrderByColumn::asc).to_vec());
-        assert_eq!(planned_row(&customer, by), (40, 16, 3));
+        assert_eq!(planned_row(&customer, by), (40, 16, 2, 3));
         // `strings_mem`'s statement: the ranked last name leaves; the
         // e-mail is truncated, and the birth year lies past it.
         let letters: Vec<char> = ('a'..='z').collect();
@@ -1941,7 +1972,7 @@ mod tests {
             OrderByColumn::desc(3),
         ]);
         // 48 → 40 bytes: six columns, two of them strings, stay.
-        assert_eq!(planned_row(&customer_email, by), (48, 40, 1));
+        assert_eq!(planned_row(&customer_email, by), (48, 40, 5, 1));
     }
 
     #[test]
@@ -1958,7 +1989,7 @@ mod tests {
         ]);
         // Every key column exact: the first two columns decode, from their
         // first places, and the row keeps the VARCHAR alone.
-        let plan = RowPlan::new(&types, &order, 3);
+        let plan = RowPlan::new(&types, &order, 3, |c| c == 1);
         assert_eq!(
             plan.from,
             [

@@ -358,8 +358,10 @@ impl SorterCore {
             dict_values: dictionaries.1,
             stats_reused: plan.reused,
             row_width: plan.rows().layout.width() as u32,
+            row_flags: plan.rows().layout.flags() as u32,
             key_decoded_columns: plan.rows().decoded() as u32,
             merge_codes: self.codes(key_width),
+            pool_bytes: self.set.pool.retained_bytes() as u64,
             metrics: self.metrics.snapshot().since(&start.before),
         };
         *self.profile.lock().unwrap_or_else(|e| e.into_inner()) = profile;

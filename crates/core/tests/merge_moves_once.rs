@@ -130,12 +130,13 @@ fn coded_merge_moves_each_row_once_at_any_thread_count() {
     // Key widths: the u32 range-coded — no NULL to code, and 3 200 random
     // keys span more than 2^24 values, so four bytes where the plain key
     // has a NULL byte too; a byte of six ranks, then NULL byte + 12 +
-    // marker of the truncated second column, where the key ends. Rows:
-    // the u32 payload alone, 8 bytes; the three columns from the truncated
-    // one on, 24 bytes, whose strings are the truncated column's.
+    // marker of the truncated second column, where the key ends. Rows,
+    // none of whose columns holds a NULL, so none with a flag: the u32
+    // payload alone, 4 bytes; the three columns from the truncated one
+    // on, 16 bytes, whose strings are the truncated column's.
     let tables = [
-        ("u32", u32_table(), (4, 8, 1), &[][..]),
-        ("varchar", varchar_table(), (1 + 14, 24, 1), &[1][..]),
+        ("u32", u32_table(), (4, 4, 1), &[][..]),
+        ("varchar", varchar_table(), (1 + 14, 16, 1), &[1][..]),
     ];
     for (name, (chunk, order, run_rows), planned, row) in tables {
         let rows = chunk.len() as u64;

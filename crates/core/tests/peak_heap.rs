@@ -29,6 +29,12 @@
 //! row, stays under its peak at the commit before (`13435a7`) by a run's
 //! strings, which a run used to stage in a heap of its own.
 //!
+//! A sort's row is sized from its input: a NULL flag only for a column
+//! that holds a NULL, padding only to the widest slot. `ints`' payload is a
+//! NULL-free `u32`, so its row is 4 bytes where a flag and the padding to 8
+//! made it 8: the in-memory sort of `ints` stays under its peak at the
+//! commit before by at least those 4 bytes a row.
+//!
 //! The pinned sorts run on one thread, so the byte counts repeat exactly
 //! (the peaks at more threads are only bounded from above). Above one
 //! thread the spill phase keeps its own most overlap: runs are placed in
@@ -332,6 +338,26 @@ fn a_warm_sort_holds_no_merged_row_run() {
         peak + run_strings <= PARENT_ROW_STRINGS,
         "customer by number: a warm sort() peaks at {peak} B; with no run's staged strings \
          ({run_strings} B) it stays that far under the {PARENT_ROW_STRINGS} B it used to hold"
+    );
+    // A NULL-free fixed-width payload: `ints`' row is its `u32` alone, 4
+    // bytes, where a NULL flag and the padding to 8 bytes used to double
+    // it — in every run's staged and sorted rows.
+    let options = SortOptions {
+        threads: 1,
+        run_rows: ints.len() / 6,
+        ovc: true,
+    };
+    let pipeline = SortPipeline::new(ints.types(), OrderBy::ascending(1), options);
+    let peak = warm_peak(|| pipeline.sort(&ints));
+    assert_eq!(pipeline.last_profile().row_width, 4);
+    // The peak of this sort at the commit before, measured with this
+    // file; it must stay under it by at least the 4 bytes a row saves.
+    const PARENT_FLAGGED_ROW: usize = 6_218_605;
+    let saved = ints.len() * 4;
+    assert!(
+        peak + saved <= PARENT_FLAGGED_ROW,
+        "ints: a warm sort() peaks at {peak} B; with 4-byte rows it stays {saved} B under the \
+         {PARENT_FLAGGED_ROW} B it held with a flag and padding per row"
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }

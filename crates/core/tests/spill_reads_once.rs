@@ -32,7 +32,7 @@ const BLOCK_BYTES: u64 = 64 * 1024;
 
 /// A run file's header, and the hash that closes each of its blocks
 /// (`core::external::{HEADER_BYTES, HASH_BYTES}`).
-const HEADER_BYTES: u64 = 8;
+const HEADER_BYTES: u64 = 12;
 const HASH_BYTES: u64 = 8;
 
 const RUNS: usize = 16;

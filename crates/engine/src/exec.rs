@@ -264,13 +264,14 @@ fn sort_detail(profile: &SortProfile, threads: usize) -> String {
     if profile.varchar_prefix > 0 {
         put!(s, " prefix={}", profile.varchar_prefix);
     }
-    // The payload row: only the columns the key does not give back, and
-    // how many the output decoded from the key instead (DESIGN.md §7.7).
+    // The payload row: only the columns the key does not give back, a
+    // NULL flag only for those that held a NULL, and how many columns the
+    // output decoded from the key instead (DESIGN.md §7.7).
+    if profile.row_width > 0 || profile.key_decoded_columns > 0 {
+        put!(s, " row={}B flags={}", profile.row_width, profile.row_flags);
+    }
     if profile.key_decoded_columns > 0 {
-        let (width, decoded) = (profile.row_width, profile.key_decoded_columns);
-        put!(s, " row={width}B decoded={decoded}");
-    } else if profile.row_width > 0 {
-        put!(s, " row={}B", profile.row_width);
+        put!(s, " decoded={}", profile.key_decoded_columns);
     }
     // Whether the key was planned from statistics an earlier sort of the
     // table took (DESIGN.md §6, "A table's statistics").
@@ -326,8 +327,16 @@ fn sort_detail(profile: &SortProfile, threads: usize) -> String {
     }
     // Buffers the sort had to allocate: a cold engine's first query of a
     // shape misses, the next one of that shape takes all from the pool.
+    // Then what the pool keeps for the sorts after it.
     if counter(Counter::PoolHits) + counter(Counter::PoolMisses) > 0 {
         put!(s, " pool_misses={}", counter(Counter::PoolMisses));
+        // Whole KiB below a MiB, then MiB to a tenth.
+        let pooled = profile.pool_bytes;
+        if pooled < 1 << 20 {
+            put!(s, " pooled={}KiB", pooled.div_ceil(1 << 10));
+        } else {
+            put!(s, " pooled={:.1}MiB", pooled as f64 / f64::from(1 << 20));
+        }
     }
     s
 }
@@ -1137,13 +1146,30 @@ mod tests {
         // The row: the columns the key does not give back, and how many
         // the output decodes from the key; a row of every column says so
         // without a count.
+        // The row names its NULL flags, the slots whose columns held a
+        // NULL.
         let mut narrow = ranged;
-        (narrow.row_width, narrow.key_decoded_columns) = (8, 4);
-        assert_eq!(sort_detail(&narrow, 2), " key=5B/20B row=8B decoded=4");
-        narrow.row_width = 0;
-        assert_eq!(sort_detail(&narrow, 2), " key=5B/20B row=0B decoded=4");
-        (narrow.row_width, narrow.key_decoded_columns) = (40, 0);
-        assert_eq!(sort_detail(&narrow, 2), " key=5B/20B row=40B");
+        (narrow.row_width, narrow.key_decoded_columns) = (4, 4);
+        assert_eq!(
+            sort_detail(&narrow, 2),
+            " key=5B/20B row=4B flags=0 decoded=4"
+        );
+        (narrow.row_width, narrow.row_flags) = (8, 1);
+        assert_eq!(
+            sort_detail(&narrow, 2),
+            " key=5B/20B row=8B flags=1 decoded=4"
+        );
+        (narrow.row_width, narrow.row_flags) = (0, 0);
+        assert_eq!(
+            sort_detail(&narrow, 2),
+            " key=5B/20B row=0B flags=0 decoded=4"
+        );
+        (
+            narrow.row_width,
+            narrow.row_flags,
+            narrow.key_decoded_columns,
+        ) = (40, 2, 0);
+        assert_eq!(sort_detail(&narrow, 2), " key=5B/20B row=40B flags=2");
         // A key of constant columns codes to no bytes at all.
         ranged.key_width = 0;
         assert_eq!(sort_detail(&ranged, 2), " key=0B/20B");
@@ -1173,9 +1199,15 @@ mod tests {
             " key=36B prefix=20 tie_rows=5584 tie_ranges=642"
         );
         // What the sort took from the pool, and what it had to allocate.
+        // And what the pool kept when it ended.
         let pooled = detail(&[(Counter::PoolHits, 12), (Counter::PoolMisses, 3)]);
-        assert_eq!(pooled, " pool_misses=3");
-        assert_eq!(detail(&[(Counter::PoolHits, 12)]), " pool_misses=0");
+        assert_eq!(pooled, " pool_misses=3 pooled=0KiB");
+        let mut kept = rowsort_core::SortProfile::zeroed();
+        kept.metrics.counters[Counter::PoolHits as usize] = 12;
+        kept.pool_bytes = 5 << 20 | 300 << 10;
+        assert_eq!(sort_detail(&kept, 2), " pool_misses=0 pooled=5.3MiB");
+        kept.pool_bytes = 3 << 10 | 1;
+        assert_eq!(sort_detail(&kept, 2), " pool_misses=0 pooled=4KiB");
         assert_eq!(short_count(9_999), "9999");
         assert_eq!(short_count(12_500_000), "13M");
     }

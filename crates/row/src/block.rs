@@ -270,16 +270,18 @@ impl RowBlock {
         self.data.resize(start + (hi - lo) * width, 0);
         for slot in 0..types.len() {
             let rows = self.data[start..].chunks_exact_mut(width);
-            let at = (self.layout.offset(slot), self.layout.null_offset(slot));
+            let at = (self.layout.offset(slot), self.layout.null_flag(slot));
             let heap = copy.then_some(&mut self.heap);
             scatter_column(rows, at, heap, chunk.column(column(slot)), (lo, hi));
         }
         self.len += hi - lo;
     }
 
-    /// Whether column `col` of row `row` is NULL.
+    /// Whether column `col` of row `row` is NULL: never for a column
+    /// without a NULL flag.
     pub fn is_null(&self, row: usize, col: usize) -> bool {
-        self.data[row * self.width() + self.layout.null_offset(col)] != 0
+        let flag = self.layout.null_flag(col);
+        flag.is_some_and(|at| self.data[row * self.width() + at] != 0)
     }
 
     /// The string bytes referenced by a VARCHAR slot.
@@ -446,23 +448,26 @@ impl RowBlock {
     }
 }
 
-/// Scatter rows `lo..hi` of `vec` into one column of `rows`, whose NULL
-/// flag and slot sit at `at` and hold zeros: one pass over the rows, the
+/// Scatter rows `lo..hi` of `vec` into one column of `rows`, whose slot
+/// and NULL flag sit at `at` and hold zeros: one pass over the rows, the
 /// NULL flag and the slot written together. The NULL flags of a column
-/// without a validity mask stay as they are (zero, valid), so that loop
-/// tests nothing; a NULL's slot stays zero, whatever the vector stores
-/// under it. A VARCHAR column's bytes for the range go to `heap` in
+/// without a validity mask stay as they are (zero, valid), and a column
+/// without a flag holds no NULL (its layout was planned from the input:
+/// [`RowLayout::fitted`]), so either loop tests nothing; a NULL's slot
+/// stays zero, whatever the vector stores under it. A VARCHAR column's
+/// bytes for the range go to `heap` in
 /// one copy, with one 4 GiB check for the column, and each slot is read
 /// from the offsets; without a `heap`, each slot keeps its string's offset
 /// in the column's own bytes.
 fn scatter_column(
     rows: std::slice::ChunksExactMut<'_, u8>,
-    at: (usize, usize),
+    (at, null): (usize, Option<usize>),
     heap: Option<&mut Vec<u8>>,
     vec: &Vector,
     (lo, hi): (usize, usize),
 ) {
-    let valid = vec.validity().words().map(|words| (words, lo));
+    let valid = null.zip(vec.validity().words());
+    let valid = valid.map(|(null, words)| (null, words, lo));
     macro_rules! fixed {
         ($values:expr) => {
             scatter_slots(rows, at, $values[lo..hi].iter().copied(), valid, |v| {
@@ -515,17 +520,17 @@ fn scatter_column(
 }
 
 /// Write `bytes(v)` for each value `v` into the slot at `slot` of its row
-/// of `rows`. With `valid` — the column's validity words and the row of
-/// the first value in them — each row's NULL flag at `null` is written
-/// too, and a NULL row's slot is left as it is (zero: the rows were just
-/// appended); without, the flags are left alone. The one loop of a
-/// column's scatter, whatever its type.
+/// of `rows`. With `valid` — the NULL flag's offset in a row, the column's
+/// validity words and the row of the first value in them — each row's
+/// NULL flag is written too, and a NULL row's slot is left as it is
+/// (zero: the rows were just appended); without, the flags are left
+/// alone. The one loop of a column's scatter, whatever its type.
 #[inline(always)]
 fn scatter_slots<T, const W: usize>(
     rows: std::slice::ChunksExactMut<'_, u8>,
-    (slot, null): (usize, usize),
+    slot: usize,
     values: impl Iterator<Item = T>,
-    valid: Option<(&[u64], usize)>,
+    valid: Option<(usize, &[u64], usize)>,
     bytes: impl Fn(T) -> [u8; W],
 ) {
     match valid {
@@ -534,7 +539,7 @@ fn scatter_slots<T, const W: usize>(
                 row[slot..slot + W].copy_from_slice(&bytes(v));
             }
         }
-        Some((words, first)) => {
+        Some((null, words, first)) => {
             for (r, (row, v)) in (first..).zip(rows.zip(values)) {
                 let valid = (words[r / 64] >> (r % 64)) & 1 != 0;
                 row[null] = u8::from(!valid);
@@ -596,11 +601,11 @@ pub fn reorder_heap(
     let mut at = 0;
     let types = layout.types().iter().enumerate();
     for (col, _) in types.filter(|(_, &ty)| ty == LogicalType::Varchar) {
-        let (slot, null) = (layout.offset(col), layout.null_offset(col));
+        let (slot, null) = (layout.offset(col), layout.null_flag(col));
         let src = heaps.of(col);
         for row in rows.chunks_exact_mut(width) {
             let base = heap_base(at).to_le_bytes();
-            if row[null] != 0 {
+            if null.is_some_and(|null| row[null] != 0) {
                 row[slot..slot + 4].copy_from_slice(&base);
                 row[slot + 4..slot + 8].fill(0);
                 continue;
@@ -842,7 +847,8 @@ mod tests {
     /// garbage that must never be followed into the heap.
     fn raw_string_block(heap: &[u8], slots: &[Option<(u32, u32)>]) -> RowBlock {
         let layout = Arc::new(RowLayout::new(&[T::Varchar]));
-        let (width, slot, null_off) = (layout.width(), layout.offset(0), layout.null_offset(0));
+        let (width, slot) = (layout.width(), layout.offset(0));
+        let null_off = layout.null_flag(0).unwrap();
         let mut data = vec![0u8; slots.len() * width];
         for (row, s) in data.chunks_exact_mut(width).zip(slots) {
             let (off, len) = s.unwrap_or((0xDEAD_BEEF, u32::MAX));
@@ -1036,54 +1042,70 @@ mod tests {
         for r in [0, 63, 64, 127] {
             nulls.set_invalid(r);
         }
-        for validity in [Validity::new_valid(rows), nulls] {
+        // Words that exist but mark every row valid: a layout planned
+        // from the input gives the columns no flag, and the scatter must
+        // write none.
+        let mut materialized = Validity::new_valid(rows);
+        materialized.set_invalid(5);
+        materialized.set_valid(5);
+        for validity in [Validity::new_valid(rows), nulls, materialized] {
             let lazy = validity.words().is_none();
             let chunk = every_type_chunk(rows, &validity);
-            let layout = Arc::new(RowLayout::new(&chunk.types()));
-            let width = layout.width();
-            // The bytes of a row that hold a NULL flag or a slot.
-            let mut used = vec![false; width];
-            for col in 0..layout.column_count() {
-                used[layout.null_offset(col)] = true;
-                let slot = layout.offset(col);
-                used[slot..slot + layout.slot_width(col)].fill(true);
-            }
-            let strings = chunk.column(T::ALL.len() - 1).as_strings().unwrap();
-            for lo in [0, 1, 63, 65] {
-                let ranges = [(lo, rows), (lo / 2, lo + 3)];
-                let mut block = RowBlock::new(Arc::clone(&layout));
-                for (lo, hi) in ranges {
-                    block.append_chunk_range(&chunk, lo, hi);
-                }
-                let input = ranges.iter().flat_map(|&(lo, hi)| lo..hi);
-                for (r, i) in input.enumerate() {
-                    let row = block.row(r);
-                    let case = format!("lazy {lazy} lo {lo}: row {r} (input {i})");
-                    for (b, _) in used.iter().enumerate().filter(|(_, &u)| !u) {
-                        assert_eq!(row[b], 0, "{case}: padding byte {b}");
+            let nullable = !validity.all_valid();
+            let types = chunk.types();
+            for layout in [
+                RowLayout::new(&types),
+                RowLayout::fitted(&types, |_| nullable),
+            ] {
+                let layout = Arc::new(layout);
+                let width = layout.width();
+                // The bytes of a row that hold a NULL flag or a slot.
+                let mut used = vec![false; width];
+                for col in 0..layout.column_count() {
+                    if let Some(flag) = layout.null_flag(col) {
+                        used[flag] = true;
                     }
-                    for col in 0..layout.column_count() {
-                        let null = !validity.is_valid(i);
-                        assert_eq!(block.is_null(r, col), null, "{case} column {col}");
-                        let slot = layout.offset(col);
-                        let value = &row[slot..slot + layout.slot_width(col)];
-                        if null {
-                            assert!(value.iter().all(|&b| b == 0), "{case} column {col}");
+                    let slot = layout.offset(col);
+                    used[slot..slot + layout.slot_width(col)].fill(true);
+                }
+                let strings = chunk.column(T::ALL.len() - 1).as_strings().unwrap();
+                for lo in [0, 1, 63, 65] {
+                    let ranges = [(lo, rows), (lo / 2, lo + 3)];
+                    let mut block = RowBlock::new(Arc::clone(&layout));
+                    for (lo, hi) in ranges {
+                        block.append_chunk_range(&chunk, lo, hi);
+                    }
+                    let input = ranges.iter().flat_map(|&(lo, hi)| lo..hi);
+                    for (r, i) in input.enumerate() {
+                        let row = block.row(r);
+                        let case =
+                            format!("lazy {lazy} width {width} lo {lo}: row {r} (input {i})");
+                        for (b, _) in used.iter().enumerate().filter(|(_, &u)| !u) {
+                            assert_eq!(row[b], 0, "{case}: padding byte {b}");
                         }
+                        for col in 0..layout.column_count() {
+                            let null = !validity.is_valid(i);
+                            assert_eq!(block.is_null(r, col), null, "{case} column {col}");
+                            let slot = layout.offset(col);
+                            let value = &row[slot..slot + layout.slot_width(col)];
+                            if null {
+                                assert!(value.iter().all(|&b| b == 0), "{case} column {col}");
+                            }
+                        }
+                        assert_eq!(block.value(r, 0), chunk.row(i)[0], "{case}");
                     }
-                    assert_eq!(block.value(r, 0), chunk.row(i)[0], "{case}");
+                    let order: Vec<u32> = (0..block.len() as u32).collect();
+                    let gathered = block.gather(&order);
+                    let input = ranges.iter().flat_map(|&(lo, hi)| lo..hi);
+                    for (r, i) in input.enumerate() {
+                        assert_eq!(gathered.row(r), chunk.row(i), "lazy {lazy} lo {lo} row {r}");
+                    }
+                    let heap: usize = ranges
+                        .iter()
+                        .map(|&(lo, hi)| strings.range_bytes(lo, hi))
+                        .sum();
+                    assert_eq!(block.heap().len(), heap, "lazy {lazy} lo {lo}");
                 }
-                let order: Vec<u32> = (0..block.len() as u32).collect();
-                let gathered = block.gather(&order);
-                let input = ranges.iter().flat_map(|&(lo, hi)| lo..hi);
-                for (r, i) in input.enumerate() {
-                    assert_eq!(gathered.row(r), chunk.row(i), "lazy {lazy} lo {lo} row {r}");
-                }
-                let heap: usize = ranges
-                    .iter()
-                    .map(|&(lo, hi)| strings.range_bytes(lo, hi))
-                    .sum();
-                assert_eq!(block.heap().len(), heap, "lazy {lazy} lo {lo}");
             }
         }
     }

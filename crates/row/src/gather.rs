@@ -114,8 +114,9 @@ impl ColumnFrom<'_> {
 /// Where a piece's column comes from, as the piece reads it.
 #[derive(Debug, Clone, Copy)]
 enum From<'a> {
-    /// The row slot, and the offsets of its value and NULL flag in a row.
-    Row(usize, usize, usize),
+    /// The row slot, and the offsets of its value and NULL flag in a row
+    /// (no flag: the column holds no NULL).
+    Row(usize, usize, Option<usize>),
     Key(KeyDecoder, usize, Option<RankedStrings<'a>>),
 }
 
@@ -146,7 +147,8 @@ le_slots!(i8, i16, i32, i64, u8, u16, u32, u64, f32, f64);
 /// One column pass over a batch: every row's slot value into `out`, and
 /// its NULL flag into `validity` (row `at + i` of the piece). A NULL keeps
 /// whatever its slot holds as the placeholder — zero bytes, for rows
-/// scattered from vectors.
+/// scattered from vectors. A column without a flag holds no NULL: its
+/// pass only copies values.
 ///
 /// A NULL pays [`Validity::set_invalid`]'s range check and its look at
 /// whether the mask exists yet — predictable branches. Taking a batch's
@@ -158,11 +160,18 @@ fn fill<T: Slot>(
     out: &mut [T],
     rows: &[u8],
     width: usize,
-    (slot, null_at): (usize, usize),
+    (slot, null_at): (usize, Option<usize>),
     validity: &mut Validity,
     at: usize,
 ) {
-    for (i, (dst, row)) in out.iter_mut().zip(rows.chunks_exact(width)).enumerate() {
+    let rows = out.iter_mut().zip(rows.chunks_exact(width));
+    let Some(null_at) = null_at else {
+        for (dst, row) in rows {
+            *dst = T::read(row, slot);
+        }
+        return;
+    };
+    for (i, (dst, row)) in rows.enumerate() {
         *dst = T::read(row, slot);
         if row[null_at] != 0 {
             validity.set_invalid(at + i);
@@ -275,7 +284,7 @@ macro_rules! values {
                 &mut self,
                 rows: &[u8],
                 width: usize,
-                slot: (usize, usize),
+                slot: (usize, Option<usize>),
                 validity: &mut Validity,
                 at: usize,
             ) {
@@ -341,7 +350,7 @@ struct StringCol<'a> {
     col: u32,
     keyed: bool,
     /// The row slot, and the offsets of its value and NULL flag in a row.
-    slot: (usize, usize, usize),
+    slot: (usize, usize, Option<usize>),
     offsets: &'a mut [u32],
     bytes: &'a mut [u8],
     base: u32,
@@ -463,7 +472,7 @@ impl ChunkBuilder {
     ) -> Result<Vec<ChunkPiece<'a>>, &'static str> {
         let total = self.rows;
         let from = |col: usize| match from(col) {
-            ColumnFrom::Slot(s) => From::Row(s, layout.offset(s), layout.null_offset(s)),
+            ColumnFrom::Slot(s) => From::Row(s, layout.offset(s), layout.null_flag(s)),
             ColumnFrom::Key {
                 decoder,
                 at,
@@ -517,7 +526,7 @@ impl ChunkBuilder {
                         From::Key(..) => {
                             let into = Into::Strings(v);
                             piece.passes.push(Pass { col, from, into });
-                            (true, (0, 0, 0))
+                            (true, (0, 0, None))
                         }
                     };
                     piece.strings.push(StringCol {
@@ -613,7 +622,7 @@ impl ChunkPiece<'_> {
     pub fn push_strings(&mut self, row: &[u8], heaps: Heaps<'_>) -> Result<(), &'static str> {
         for c in self.strings.iter_mut().filter(|c| !c.keyed) {
             let (s, slot, null_at) = c.slot;
-            if row[null_at] != 0 {
+            if null_at.is_some_and(|null| row[null] != 0) {
                 self.validity[c.col as usize].set_invalid(self.taken);
             } else {
                 let off = u32::from_le_bytes(read_array(row, slot)) as usize;

@@ -88,6 +88,17 @@ prop! {
         prop_assert!(chunks_bit_eq(&chunk, &back));
     }
 
+    fn scatter_gather_identity_fitted(chunk in chunk_gen()) {
+        // A flag only for the columns that hold a NULL, rows padded to
+        // their widest slot: the layout a sort plans from its input.
+        let nullable = |c: usize| !chunk.column(c).validity().all_valid();
+        let layout = Arc::new(RowLayout::fitted(&chunk.types(), nullable));
+        let block = scatter(&chunk, layout);
+        let order: Vec<u32> = (0..chunk.len() as u32).collect();
+        let back = block.gather(&order);
+        prop_assert!(chunks_bit_eq(&chunk, &back));
+    }
+
     fn reorder_then_gather_matches_take(chunk in chunk_gen(), seed in full::<u64>()) {
         prop_assume!(!chunk.is_empty());
         let layout = Arc::new(RowLayout::new(&chunk.types()));
